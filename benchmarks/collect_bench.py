@@ -65,11 +65,12 @@ import time
 from repro import (
     ExecOptions,
     SummaryCache,
-    last_graph_report,
     run_program,
     translate_many,
 )
 from repro.engine.multiprocess import default_process_count
+from repro.graph import run_graph
+from repro.planner.plan import forced_plan
 from repro.workloads import datagen, get_benchmark, suite_benchmarks, suites
 from repro.workloads.runner import (
     compile_benchmark,
@@ -150,6 +151,9 @@ COLUMNAR_BENCHMARKS = (
 )
 COLUMNAR_SIZE = 50_000
 
+#: Pins the compiled kernel on step lists built directly from a program.
+COMPILED_PLAN = forced_plan("sequential", kernel="compiled")
+
 
 def measure_compile() -> dict:
     """Cold vs warm batch compilation per suite (the PR-1 cache story)."""
@@ -218,10 +222,8 @@ def measure_planner() -> dict:
         return {"error": f"{PLANNER_BENCHMARK} did not translate"}
     inputs = benchmark.make_inputs(PLANNER_SIZE, 7)
 
-    fragment.program.run(dict(inputs), plan="sequential")
-    seq = fragment.program.last_plan_report
-    fragment.program.run(dict(inputs), plan="auto")
-    auto = fragment.program.last_plan_report
+    seq = fragment.program.run(dict(inputs), ExecOptions(plan="sequential")).report
+    auto = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
     speedup = seq.wall_seconds / auto.wall_seconds if auto.wall_seconds else None
     return {
         "benchmark": PLANNER_BENCHMARK,
@@ -271,10 +273,10 @@ def measure_dag() -> dict:
             "unfused_wall_seconds": round(unfused.wall_seconds, 4),
             "fused_simulated_seconds": round(fused.simulated_seconds, 4),
             "unfused_simulated_seconds": round(unfused.simulated_seconds, 4),
-            "waves": [list(w) for w in fused.run.report.plan.waves],
-            "fused_away": fused.run.report.fused_away,
-            "decisions": fused.run.report.decisions,
-            "records_cache_hits": fused.run.report.records_cache_hits,
+            "waves": [list(w) for w in fused.report.plan.waves],
+            "fused_away": fused.report.fused_away,
+            "decisions": fused.report.decisions,
+            "records_cache_hits": fused.report.records_cache_hits,
         }
     return {
         "benchmarks": per_benchmark,
@@ -311,14 +313,14 @@ def measure_spill() -> dict:
     base_wall = time.perf_counter() - started
 
     started = time.perf_counter()
-    spilled = run_program(
-        compilation,
+    spill_run = run_graph(
+        compilation.job_graph,
         {data_arg: source},
         ExecOptions(plan="auto", memory_budget=SPILL_BUDGET),
     )
     spill_wall = time.perf_counter() - started
 
-    report = last_graph_report(compilation)
+    spilled, report = spill_run.outputs, spill_run.report
     unit = next(iter(report.unit_reports.values()), None)
     stats = (unit.spill_stats if unit is not None else None) or {}
     return {
@@ -376,16 +378,18 @@ def measure_join() -> dict:
                 benchmark.function, benchmark.args_for(small)
             )
             verified = values_equal(
-                fragment.program.run(dict(small), plan="sequential")[out_var],
+                fragment.program.run(
+                    dict(small), ExecOptions(plan="sequential")
+                ).outputs[out_var],
                 expected_small,
             )
 
-            broadcast = fragment.program.run(dict(inputs), plan="auto")
-            b_report = fragment.program.last_plan_report
-            reduce_side = fragment.program.run(
-                dict(inputs), plan="auto", memory_budget=JOIN_REDUCE_BUDGET
+            ran = fragment.program.run(dict(inputs), ExecOptions(plan="auto"))
+            broadcast, b_report = ran.outputs, ran.report
+            ran = fragment.program.run(
+                dict(inputs), ExecOptions(plan="auto", memory_budget=JOIN_REDUCE_BUDGET)
             )
-            r_report = fragment.program.last_plan_report
+            reduce_side, r_report = ran.outputs, ran.report
             out[name] = {
                 "records": JOIN_SIZE,
                 "orderings_verified": len(
@@ -446,20 +450,13 @@ def measure_adaptive() -> dict:
             program.observations = ObservationStore()
             program.feedback_default = False
             try:
-                cold = program.run(
-                    dict(inputs),
-                    plan="auto",
-                    memory_budget=JOIN_REDUCE_BUDGET,
-                    feedback=True,
+                feedback = ExecOptions(
+                    plan="auto", memory_budget=JOIN_REDUCE_BUDGET, feedback=True
                 )
-                cold_report = program.last_plan_report
-                warm = program.run(
-                    dict(inputs),
-                    plan="auto",
-                    memory_budget=JOIN_REDUCE_BUDGET,
-                    feedback=True,
-                )
-                warm_report = program.last_plan_report
+                ran = program.run(dict(inputs), feedback)
+                cold, cold_report = ran.outputs, ran.report
+                ran = program.run(dict(inputs), feedback)
+                warm, warm_report = ran.outputs, ran.report
             finally:
                 program.observations = None
             cold_wall = cold_report.wall_seconds
@@ -502,17 +499,17 @@ def measure_adaptive() -> dict:
         program = fragment.program
         inputs = benchmark.make_inputs(JOIN_SIZE, 7)
         out_var = list(fragment.analysis.output_vars)[0]
-        reference = program.run(
-            dict(inputs), plan="auto", memory_budget=JOIN_REDUCE_BUDGET
+        ran = program.run(
+            dict(inputs), ExecOptions(plan="auto", memory_budget=JOIN_REDUCE_BUDGET)
         )
-        reference_report = program.last_plan_report
+        reference, reference_report = ran.outputs, ran.report
         original_sizeof_pair = joins_mod.sizeof_pair
         joins_mod.sizeof_pair = lambda key, value: 1 << 40
         try:
-            switched = program.run(dict(inputs), plan="auto")
+            ran = program.run(dict(inputs), ExecOptions(plan="auto"))
         finally:
             joins_mod.sizeof_pair = original_sizeof_pair
-        switched_report = program.last_plan_report
+        switched, switched_report = ran.outputs, ran.report
         out["overflow_switch"] = {
             "benchmark": JOIN_BENCHMARKS[0],
             "records": JOIN_SIZE,
@@ -578,9 +575,9 @@ def measure_kernel() -> dict:
             inputs = benchmark.make_inputs(KERNEL_SIZE, 7)
             globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
             records = view_records(fragment.analysis.view, inputs)
-            eval_fn = list(program.local_steps(globals_env, kernel="eval"))[0].fn
+            eval_fn = list(program.local_steps(globals_env))[0].fn
             comp_fn = list(
-                program.local_steps(globals_env, kernel="compiled")
+                program.local_steps(globals_env, plan=COMPILED_PLAN)
             )[0].fn
             identical = comp_fn.map_chunk(records) == [
                 pair for record in records for pair in eval_fn(record)
@@ -608,7 +605,7 @@ def measure_kernel() -> dict:
             inputs = benchmark.make_inputs(TRANSPORT_SIZE, 7)
             globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
             records = view_records(fragment.analysis.view, inputs)
-            steps = list(program.local_steps(globals_env, kernel="compiled"))
+            steps = list(program.local_steps(globals_env, plan=COMPILED_PLAN))
             config = program.engine_config.with_framework("multiprocess")
 
             started = time.perf_counter()
@@ -672,7 +669,7 @@ def measure_columnar() -> dict:
             inputs = benchmark.make_inputs(COLUMNAR_SIZE, 7)
             globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
             records = view_records(fragment.analysis.view, inputs)
-            steps = list(program.local_steps(globals_env, kernel="compiled"))
+            steps = list(program.local_steps(globals_env, plan=COMPILED_PLAN))
             comp_fn = steps[0].fn
             specs = comp_fn.columns_spec
             if specs is None:
@@ -736,7 +733,7 @@ def measure_columnar() -> dict:
         records = list(view_records(fragment.analysis.view, inputs))
         mid = len(records) // 2
         records[mid] = (records[mid][0], float("inf"))
-        steps = list(program.local_steps(globals_env, kernel="compiled"))
+        steps = list(program.local_steps(globals_env, plan=COMPILED_PLAN))
         config = program.engine_config.with_framework("multiprocess")
         row_run = MultiprocessEngine(
             config=config, processes=0, layout="rows"

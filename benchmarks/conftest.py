@@ -9,23 +9,16 @@ are also written to EXPERIMENTS-measured reference output.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.synthesis.search import SearchConfig
-from repro.workloads import get_benchmark
-from repro.workloads.runner import compile_benchmark
+# One compiled suite per session: the cache lives beside the unit tests
+# (tests/suite_cache.py) and both directories import the same module.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
-_COMPILATIONS: dict[tuple[str, str], object] = {}
-
-
-def compiled(name: str, backend: str = "spark"):
-    """Session-cached Casper compilation of a registered benchmark."""
-    key = (name, backend)
-    if key not in _COMPILATIONS:
-        _COMPILATIONS[key] = compile_benchmark(
-            get_benchmark(name), SearchConfig(), backend=backend
-        )
-    return _COMPILATIONS[key]
+from suite_cache import compiled  # noqa: E402,F401
 
 
 def print_table(title: str, headers: list[str], rows: list[list]) -> None:

@@ -39,17 +39,18 @@ def _pagerank_casper_seconds(config: EngineConfig) -> float:
     edges = datagen.graph_edges(_NODES, _EDGES, seed=31)
     rank = [1.0] * _NODES
     total = 0.0
-    outdeg = outdeg_frag.program.run({"edges": edges, "nodes": _NODES})["outdeg"]
-    total += outdeg_frag.program.last_metrics.simulated_seconds
+    ran = outdeg_frag.program.run({"edges": edges, "nodes": _NODES})
+    outdeg = ran.outputs["outdeg"]
+    total += ran.metrics.simulated_seconds
     for _ in range(_ITERATIONS):
-        contrib = contrib_frag.program.run(
+        ran = contrib_frag.program.run(
             {"edges": edges, "rank": rank, "outdeg": outdeg, "nodes": _NODES}
-        )["contrib"]
-        total += contrib_frag.program.last_metrics.simulated_seconds
-        rank = update_frag.program.run(
-            {"contrib": contrib, "nodes": _NODES}
-        )["next"]
-        total += update_frag.program.last_metrics.simulated_seconds
+        )
+        contrib = ran.outputs["contrib"]
+        total += ran.metrics.simulated_seconds
+        ran = update_frag.program.run({"contrib": contrib, "nodes": _NODES})
+        rank = ran.outputs["next"]
+        total += ran.metrics.simulated_seconds
     return total, rank
 
 
@@ -79,10 +80,10 @@ def fig7c():
     casper_lr_seconds = 0.0
     w0 = w1 = 0.0
     for _ in range(_ITERATIONS):
-        grad_fragment.program.run(
+        ran = grad_fragment.program.run(
             {"points": points, "w0": w0, "w1": w1, "lr": 0.05}
         )
-        casper_lr_seconds += grad_fragment.program.last_metrics.simulated_seconds
+        casper_lr_seconds += ran.metrics.simulated_seconds
 
     return {
         "pagerank": {

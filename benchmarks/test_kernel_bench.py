@@ -25,9 +25,11 @@ import time
 import pytest
 
 from conftest import compiled
+from repro import ExecOptions
 from repro.codegen.base import prepare_globals, view_records
 from repro.engine import shm
 from repro.engine.multiprocess import MultiprocessEngine
+from repro.planner.plan import forced_plan
 from repro.workloads import get_benchmark
 
 KERNEL_SIZE = 50_000
@@ -44,6 +46,9 @@ MIN_KERNEL_SPEEDUP = 3.0
 
 TRANSPORT_SIZE = 30_000
 
+#: The plan that pins the compiled kernel on directly-built step lists.
+COMPILED = forced_plan("sequential", kernel="compiled")
+
 
 def _map_fns(name: str, size: int):
     """The first map stage's eval fn, compiled fn, and its records."""
@@ -54,8 +59,8 @@ def _map_fns(name: str, size: int):
     inputs = benchmark.make_inputs(size, 7)
     globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
     records = view_records(fragment.analysis.view, inputs)
-    eval_fn = list(program.local_steps(globals_env, kernel="eval"))[0].fn
-    compiled_fn = list(program.local_steps(globals_env, kernel="compiled"))[0].fn
+    eval_fn = list(program.local_steps(globals_env))[0].fn
+    compiled_fn = list(program.local_steps(globals_env, plan=COMPILED))[0].fn
     return eval_fn, compiled_fn, records
 
 
@@ -118,11 +123,11 @@ class TestKernelThroughput:
             benchmark = get_benchmark(name)
             inputs = benchmark.make_inputs(KERNEL_SIZE, 7)
             out_eval = fragment.program.run(
-                dict(inputs), plan="sequential", kernel="eval"
-            )
+                dict(inputs), ExecOptions(plan="sequential", kernel="eval")
+            ).outputs
             out_compiled = fragment.program.run(
-                dict(inputs), plan="sequential", kernel="compiled"
-            )
+                dict(inputs), ExecOptions(plan="sequential", kernel="compiled")
+            ).outputs
             assert out_eval == out_compiled, f"{name}: kernels disagree"
 
 
@@ -138,7 +143,7 @@ class TestShmTransport:
         inputs = benchmark.make_inputs(TRANSPORT_SIZE, 7)
         globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
         records = view_records(fragment.analysis.view, inputs)
-        steps = list(program.local_steps(globals_env, kernel="compiled"))
+        steps = list(program.local_steps(globals_env, plan=COMPILED))
         config = program.engine_config.with_framework("multiprocess")
 
         started = time.perf_counter()

@@ -21,6 +21,7 @@ import os
 import pytest
 
 from conftest import compiled
+from repro import ExecOptions
 from repro.engine.multiprocess import default_process_count
 from repro.lang.values import values_equal
 from repro.planner.plan import ExecutionPlan
@@ -41,7 +42,7 @@ def _chained_runs(benchmark, size):
             continue
         snapshot = dict(inputs)
         try:
-            outputs = fragment.program.run(snapshot)
+            outputs = fragment.program.run(snapshot).outputs
         except Exception:
             continue  # chained inputs missing — the runner skips these too
         yield fragment, snapshot, outputs
@@ -59,7 +60,9 @@ class TestMultiprocessIdentity:
         benchmark = get_benchmark(name)
         checked = 0
         for fragment, snapshot, expected in _chained_runs(benchmark, IDENTITY_SIZE):
-            actual = fragment.program.run(snapshot, plan="multiprocess")
+            actual = fragment.program.run(
+                snapshot, ExecOptions(plan="multiprocess")
+            ).outputs
             if fragment.analysis is not None and fragment.analysis.join is not None:
                 # Physical join strategies (simulated-spark shuffle join
                 # vs local broadcast) legitimately re-associate float
@@ -127,10 +130,10 @@ class TestAutoPlanSpeedup:
         fragment = next(f for f in compilation.fragments if f.translated)
         inputs = benchmark.make_inputs(SPEEDUP_SIZE, 7)
 
-        seq_outputs = fragment.program.run(dict(inputs), plan="sequential")
-        seq_report = fragment.program.last_plan_report
-        auto_outputs = fragment.program.run(dict(inputs), plan="auto")
-        auto_report = fragment.program.last_plan_report
+        outcome = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
+        seq_outputs, seq_report = outcome.outputs, outcome.report
+        outcome = fragment.program.run(dict(inputs), ExecOptions(plan="auto"))
+        auto_outputs, auto_report = outcome.outputs, outcome.report
 
         table_printer(
             "Planner speedup (stats_correlation_sums, "

@@ -26,7 +26,8 @@ import time
 import pytest
 
 from conftest import compiled
-from repro import last_graph_report, run_program
+from repro import ExecOptions, run_program
+from repro.graph import run_graph
 from repro.engine.multiprocess import default_process_count
 from repro.workloads import all_benchmarks, datagen, get_benchmark
 
@@ -52,7 +53,9 @@ def _chained_runs(benchmark, size):
             continue
         snapshot = dict(inputs)
         try:
-            outputs = fragment.program.run(snapshot, plan="sequential")
+            outputs = fragment.program.run(
+                snapshot, ExecOptions(plan="sequential")
+            ).outputs
         except Exception:
             continue  # chained inputs missing — the runner skips these too
         yield fragment, snapshot, outputs
@@ -68,14 +71,14 @@ class TestSpillIdentity:
         benchmark = get_benchmark(name)
         checked = 0
         for fragment, snapshot, expected in _chained_runs(benchmark, IDENTITY_SIZE):
-            actual = fragment.program.run(
-                snapshot, plan="sequential", memory_budget=IDENTITY_BUDGET
+            spilled = fragment.program.run(
+                snapshot, ExecOptions(plan="sequential", memory_budget=IDENTITY_BUDGET)
             )
-            assert actual == expected, (
+            assert spilled.outputs == expected, (
                 f"{name}: spilled outputs diverge for fragment "
                 f"{fragment.fragment.id}"
             )
-            report = fragment.program.last_plan_report
+            report = spilled.report
             assert report.plan.spill, (
                 f"{name}: budget {IDENTITY_BUDGET} did not engage the "
                 f"spill path ({report.plan.reasons})"
@@ -110,19 +113,18 @@ class TestLargeScaleBoundedResidency:
         baseline = run_program(
             compilation,
             {"wordList": words.materialize()},
-            plan="sequential",
+            ExecOptions(plan="sequential"),
         )
         started = time.perf_counter()
-        spilled = run_program(
-            compilation,
+        spilled = run_graph(
+            compilation.job_graph,
             {"wordList": words},
-            plan="auto",
-            memory_budget=LARGE_BUDGET,
+            ExecOptions(plan="auto", memory_budget=LARGE_BUDGET),
         )
         spill_wall = time.perf_counter() - started
 
-        assert spilled == baseline
-        report = last_graph_report(compilation)
+        assert spilled.outputs == baseline
+        report = spilled.report
         unit = next(iter(report.unit_reports.values()))
         assert unit.plan.spill, unit.plan.reasons
         stats = unit.spill_stats
@@ -159,12 +161,14 @@ class TestSpillSlowdownBound:
         inputs = benchmark.make_inputs(60_000, 7)
 
         started = time.perf_counter()
-        base = run_program(compilation, dict(inputs), plan="sequential")
+        base = run_program(compilation, dict(inputs), ExecOptions(plan="sequential"))
         base_wall = time.perf_counter() - started
 
         started = time.perf_counter()
         spilled = run_program(
-            compilation, dict(inputs), plan="sequential", memory_budget=65_536
+            compilation,
+            dict(inputs),
+            ExecOptions(plan="sequential", memory_budget=65_536),
         )
         spill_wall = time.perf_counter() - started
 

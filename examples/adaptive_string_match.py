@@ -48,10 +48,11 @@ def main() -> None:
         text = datagen.keyword_text(
             50_000, ["key1", "key2"], probability, seed=17
         )
-        outputs = program.run({"text": text, "key1": "key1", "key2": "key2"})
+        outcome = program.run({"text": text, "key1": "key1", "key2": "key2"})
+        outputs = outcome.outputs
         costs = {k: round(v, 1) for k, v in program.monitor.last_costs.items()}
         print(
-            f"{probability:>11.0%}  {program.chosen_implementation:>8s}  "
+            f"{probability:>11.0%}  {outcome.implementation:>8s}  "
             f"key1={str(outputs['key1_found']):5s} key2={str(outputs['key2_found']):5s}"
             f"  costs/N: {costs}"
         )

@@ -3,7 +3,7 @@
 Each loop of a sequential PageRank iteration is a separate code fragment
 (out-degree count, contribution scatter, rank update); Casper translates
 all three — the paper's Iterative suite workflow (section 7.1).  Instead
-of chaining the fragments by hand, ``run_program`` executes the whole
+of chaining the fragments by hand, a ``Session`` job executes the whole
 iteration as a dataflow DAG: the contribution→update chain is
 stage-fused into one engine invocation, and the loop-carried ranks feed
 straight back in for the next iteration.
@@ -11,7 +11,7 @@ straight back in for the next iteration.
 Run:  python examples/pagerank_iterative.py
 """
 
-from repro import last_graph_report, run_program, translate
+from repro import Session, translate
 from repro.workloads import datagen
 
 JAVA_SOURCE = """
@@ -54,13 +54,14 @@ def main() -> None:
     # loop-invariant out-degree count, exactly as pagerankIter itself
     # recomputes it per call.  (Hoisting outdeg across iterations is a
     # manual optimization outside the function's own semantics.)
-    for iteration in range(ITERATIONS):
-        outputs = run_program(
-            result, {"edges": edges, "rank": rank, "nodes": NODES}
-        )
-        rank = outputs["next"]  # loop-carried dataset: feed ranks back in
+    with Session(max_workers=0) as session:  # inline: no pool, same API
+        for iteration in range(ITERATIONS):
+            job = session.run(
+                result, {"edges": edges, "rank": rank, "nodes": NODES}
+            )
+            rank = job.outputs["next"]  # loop-carried dataset: feed ranks back in
 
-    report = last_graph_report(result)
+    report = job.plan_report  # each job returns its own evidence trail
     print("\nfusion decisions:")
     for decision in report.decisions:
         print(f"  {decision}")

@@ -8,7 +8,7 @@ overheads and decides.  Run with::
     PYTHONPATH=src python examples/planned_execution.py
 """
 
-from repro import last_plan_report, run_translated, translate
+from repro import ExecOptions, run_translated, translate
 
 SOURCE = """
 Map<String, Integer> wordCount(List<String> words) {
@@ -30,13 +30,17 @@ def main() -> None:
     print(f"simulated spark: {len(outputs['counts'])} distinct words")
 
     # Forced sequential: same algorithm in-process, real wall-clock.
-    run_translated(result, {"words": list(words)}, plan="sequential")
-    sequential = last_plan_report(result)
+    # The fragment's own run() returns the full outcome — outputs plus
+    # the planner's report — for the call that produced it.
+    program = result.fragments[0].program
+    sequential = program.run(
+        {"words": list(words)}, ExecOptions(plan="sequential")
+    ).report
     print(f"sequential:      {sequential.wall_seconds:.3f}s wall")
 
     # plan="auto": the planner decides and shows its work.
-    auto_outputs = run_translated(result, {"words": list(words)}, plan="auto")
-    report = last_plan_report(result)
+    outcome = program.run({"words": list(words)}, ExecOptions(plan="auto"))
+    auto_outputs, report = outcome.outputs, outcome.report
     assert auto_outputs == outputs
     print(f"auto:            {report.wall_seconds:.3f}s wall")
     print(f"  plan:          {report.plan.describe()}")

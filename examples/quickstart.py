@@ -54,10 +54,10 @@ def main() -> None:
 
     # 4. Execute on the simulated cluster and compare with sequential.
     matrix = [[(i * 7 + j * 3) % 100 for j in range(64)] for i in range(512)]
-    outputs = fragment.program.run({"mat": matrix, "rows": 512, "cols": 64})
+    outcome = fragment.program.run({"mat": matrix, "rows": 512, "cols": 64})
+    outputs, metrics = outcome.outputs, outcome.metrics
     expected = [sum(row) // 64 for row in matrix]
     assert outputs["m"] == expected, "translated program must match sequential"
-    metrics = fragment.program.last_metrics
     print(f"Executed on the simulated cluster: {len(matrix)}x64 matrix")
     print(f"  rows of output verified against sequential: OK")
     print(f"  simulated time: {metrics.simulated_seconds:.2f}s")

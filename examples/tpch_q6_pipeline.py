@@ -80,8 +80,8 @@ def main() -> None:
     for backend in ("spark", "hadoop", "flink"):
         backend_result = translate(JAVA_SOURCE, "query6", backend=backend)
         frag = backend_result.fragments[0]
-        outputs = frag.program.run({"lineitem": lineitem})
-        metrics = frag.program.last_metrics
+        outcome = frag.program.run({"lineitem": lineitem})
+        outputs, metrics = outcome.outputs, outcome.metrics
         assert abs(outputs["revenue"] - expected) < 1e-6 * max(1.0, abs(expected))
         print(
             f"  {backend:7s} revenue = {outputs['revenue']:,.2f}  "

@@ -38,18 +38,20 @@ Quickstart::
         job = session.submit(prog, {"data": [...], "n": 3})
         print(job.result().outputs)
 
-The pre-1.5 free functions (``run_program``, ``run_translated``,
-``last_plan_report``, ``last_graph_report``) remain as thin shims for
-existing callers; new code should go through :class:`Session`, whose
-:class:`JobResult` carries each job's reports race-free.
+Every run entry point has one shape — ``(program_or_result, inputs,
+options=None[, fragment_index=None])`` with ``options`` an
+:class:`ExecOptions` — and every layer returns what it produced:
+``run_program`` / ``run_translated`` return the outputs, and the
+evidence (plan report, metrics, admission) rides on the
+:class:`JobResult` of :meth:`Session.submit`, the ``GraphRunResult`` of
+``run_graph`` and the ``ExecutionOutcome`` of ``AdaptiveProgram.run``.
+Nothing is read back from shared "last run" state.
 """
 
 from .compiler import (
     CasperCompiler,
     CompilationResult,
     FragmentTranslation,
-    last_graph_report,
-    last_plan_report,
     run_program,
     run_translated,
     translate,
@@ -89,7 +91,7 @@ def connect(address: str, timeout: float = 300.0):
     return _connect(address, timeout=timeout)
 
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     # Stable session-era API.
@@ -125,10 +127,7 @@ __all__ = [
     "SummaryCache",
     "TextSource",
     "translate_many",
-    # Deprecated shims (DeprecationWarning on legacy kwargs; the
-    # ``last_*`` accessors race under concurrency — prefer JobResult).
-    "last_graph_report",
-    "last_plan_report",
+    # Convenience entry points returning bare outputs.
     "run_program",
     "run_translated",
     "__version__",

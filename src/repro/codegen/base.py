@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
-    from ..planner.plan import ExecutionPlan
+    from ..planner.joins import JoinOrderDecision
+    from ..planner.plan import ExecutionPlan, PlanReport
 
 from ..errors import CodegenError, InterpreterError, KernelUnsupported
 from ..lang.analysis.fragments import FragmentAnalysis
@@ -49,7 +50,10 @@ class ExecutionOutcome:
 
     ``wall_seconds`` and ``fallback_reason`` are populated by the real
     (multiprocess/sequential) backends; the simulated backends leave
-    them at their defaults.
+    them at their defaults.  ``report``, ``implementation`` and
+    ``join_decision`` are filled in by :meth:`AdaptiveProgram.run
+    <repro.codegen.glue.AdaptiveProgram.run>`, which returns this object
+    — everything one call produced, owned by that call.
     """
 
     outputs: dict[str, Any]
@@ -78,6 +82,13 @@ class ExecutionOutcome:
     #: and switched to reduce-side, unknown-length streams whose
     #: first-chunk measurement re-sized the partition count.
     adaptations: list = field(default_factory=list)
+    #: The planner's evidence trail; None for unplanned runs.
+    report: Optional["PlanReport"] = None
+    #: Runtime-monitor implementation the run dispatched to (``impl_N``).
+    implementation: Optional[str] = None
+    #: §7.4 ordering choice, when the implementations were join
+    #: pipelines with different orderings (None otherwise).
+    join_decision: Optional["JoinOrderDecision"] = None
 
 
 def prepare_globals(
@@ -331,52 +342,6 @@ def _pair_emit_fn(stage: MapStage, globals_env: dict[str, Any]) -> PairMapper:
     )
 
 
-#: Valid values of the kernel knob threaded from plans and callers.
-KERNELS = ("eval", "compiled", "auto")
-
-#: Valid values of the layout knob threaded from plans and callers.
-LAYOUTS = ("rows", "columns", "auto")
-
-
-def resolve_kernel(kernel: Optional[str], plan: Optional["ExecutionPlan"]) -> str:
-    """The effective kernel: explicit caller choice, then plan, then eval."""
-    effective = kernel if kernel is not None else (
-        getattr(plan, "kernel", None) if plan is not None else None
-    )
-    effective = effective or "eval"
-    if effective not in KERNELS:
-        raise CodegenError(
-            f"unknown kernel {effective!r}; expected one of {KERNELS}"
-        )
-    return effective
-
-
-def resolve_layout(
-    layout: Optional[str],
-    plan: Optional["ExecutionPlan"],
-    kernel: Optional[str] = None,
-) -> str:
-    """The effective chunk layout: caller choice, then plan, then rows.
-
-    ``"auto"`` (from a caller who skipped the planner) resolves here the
-    same way the planner resolves it — columns exactly when a compiled
-    kernel runs, since only the vectorized fast path consumes column
-    arrays.  Plans never carry "auto": the planner resolved it already.
-    """
-    effective = layout if layout is not None else (
-        getattr(plan, "layout", None) if plan is not None else None
-    )
-    effective = effective or "rows"
-    if effective not in LAYOUTS:
-        raise CodegenError(
-            f"unknown layout {effective!r}; expected one of {LAYOUTS}"
-        )
-    if effective == "auto":
-        compiled = resolve_kernel(kernel, plan) != "eval"
-        effective = "columns" if compiled else "rows"
-    return effective
-
-
 def _compiled_map_fn(
     stage: MapStage,
     index: int,
@@ -488,23 +453,19 @@ class GeneratedProgram:
         backend: Optional[str] = None,
         plan: Optional["ExecutionPlan"] = None,
         records: Optional[list] = None,
-        kernel: Optional[str] = None,
-        layout: Optional[str] = None,
     ) -> ExecutionOutcome:
         """Execute on ``backend`` (default: the compiled one).
 
         ``sequential`` and ``multiprocess`` are the *real* local
-        backends; an :class:`~repro.planner.plan.ExecutionPlan` can pin
-        their process/partition/combiner choices.  ``records`` lets a
-        caller that already materialized ``view_records(analysis.view,
-        inputs)`` (the planner does, for calibration) pass them through
-        instead of paying the transformation twice.  ``kernel``
-        (``"eval"`` | ``"compiled"`` | ``"auto"``) picks the codegen
-        target on the real local backends; the simulated cluster
-        backends always interpret (their cost model charges per
-        record, so a faster kernel would not change what they report).
-        ``layout`` (``"rows"`` | ``"columns"`` | ``"auto"``) picks the
-        chunk layout under those kernels the same way.
+        backends; an :class:`~repro.planner.plan.ExecutionPlan` pins
+        their physical choices — processes, partitions, combiners,
+        budget, codegen kernel, chunk layout.  The simulated cluster
+        backends always interpret row records (their cost model charges
+        per record, so a faster kernel would not change what they
+        report).  ``records`` lets a caller that already materialized
+        ``view_records(analysis.view, inputs)`` (the planner does, for
+        calibration) pass them through instead of paying the
+        transformation twice.
         """
         backend = backend or self.backend
         if backend == "spark":
@@ -515,12 +476,7 @@ class GeneratedProgram:
             return self._run_flink(inputs, records=records)
         if backend in ("multiprocess", "sequential"):
             return self._run_local(
-                inputs,
-                backend=backend,
-                plan=plan,
-                records=records,
-                kernel=kernel,
-                layout=layout,
+                inputs, backend=backend, plan=plan, records=records
             )
         raise CodegenError(f"unknown backend {backend!r}")
 
@@ -688,7 +644,6 @@ class GeneratedProgram:
         self,
         globals_env: dict[str, Any],
         plan: Optional["ExecutionPlan"] = None,
-        kernel: Optional[str] = None,
     ) -> list[Any]:
         """The real-engine step list for this program's pipeline.
 
@@ -697,14 +652,14 @@ class GeneratedProgram:
         this is the seam where a fragment's translation stops being a
         whole job and becomes splice-able stages.
 
-        ``kernel`` (falling back to ``plan.kernel``) selects the codegen
-        target: ``"compiled"``/``"auto"`` render each stage to Python
-        source (:mod:`repro.codegen.kernels`), with a per-stage fallback
-        to the tree-walking eval kernel for anything unsupported.
+        ``plan.kernel`` selects the codegen target (no plan → eval):
+        ``"compiled"``/``"auto"`` render each stage to Python source
+        (:mod:`repro.codegen.kernels`), with a per-stage fallback to the
+        tree-walking eval kernel for anything unsupported.
         """
         from ..engine.multiprocess import MapStep, ReduceStep
 
-        compiled = resolve_kernel(kernel, plan) in ("compiled", "auto")
+        compiled = plan is not None and plan.kernel != "eval"
         steps: list[Any] = []
         for index, stage in enumerate(self.summary.pipeline.stages):
             if isinstance(stage, MapStage):
@@ -741,8 +696,6 @@ class GeneratedProgram:
         backend: str = "multiprocess",
         plan: Optional["ExecutionPlan"] = None,
         records: Optional[list] = None,
-        kernel: Optional[str] = None,
-        layout: Optional[str] = None,
     ) -> ExecutionOutcome:
         """Real execution: multiprocess pool, or in-process sequential.
 
@@ -773,7 +726,7 @@ class GeneratedProgram:
         else:
             if records is None:
                 records = view_records(self.analysis.view, inputs)
-            steps = self.local_steps(globals_env, plan=plan, kernel=kernel)
+            steps = self.local_steps(globals_env, plan=plan)
         if backend == "sequential":
             processes: Optional[int] = 0
         elif plan is not None:
@@ -786,7 +739,7 @@ class GeneratedProgram:
             partitions=plan.partitions if plan is not None else None,
             memory_budget=plan.memory_budget if plan is not None else None,
             spill_dir=plan.spill_dir if plan is not None else None,
-            layout=resolve_layout(layout, plan, kernel),
+            layout=plan.layout if plan is not None else "rows",
         )
         result = engine.run_pipeline(records, steps)
         outputs = bind_outputs(

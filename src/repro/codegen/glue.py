@@ -22,9 +22,9 @@ from ..cost.observe import (
     harvest_observation,
 )
 from ..engine.config import EngineConfig
-from ..engine.metrics import JobMetrics
 from ..lang.analysis.fragments import FragmentAnalysis
-from ..planner.plan import ExecutionPlan, PlanReport, forced_plan
+from ..options import ExecOptions
+from ..planner.plan import ExecutionPlan, PlanReport, forced_plan, pinned_plan
 from ..planner.planner import ExecutionPlanner
 from ..synthesis.search import VerifiedSummary
 from .base import ExecutionOutcome, GeneratedProgram, record_env, view_records
@@ -45,7 +45,10 @@ class AdaptiveProgram:
 
     Running it performs the full generated-code behaviour: sample the
     first k input values, estimate costs, pick and execute the cheapest
-    implementation.
+    implementation.  :meth:`run` keeps no per-call state on the program
+    — everything a call produced comes back on its returned
+    :class:`ExecutionOutcome` — so concurrent calls on one program
+    object cannot read each other's reports.
     """
 
     analysis: FragmentAnalysis
@@ -53,14 +56,9 @@ class AdaptiveProgram:
     sample_size: int = 5000
     cost_model: CostModel = field(default_factory=CostModel)
     monitor: RuntimeMonitor = field(init=False)
-    last_outcome: Optional[ExecutionOutcome] = None
     #: Attached by the pipeline's ``plan`` pass; created lazily for
     #: programs built outside the pipeline.
     planner: Optional[ExecutionPlanner] = None
-    last_plan_report: Optional[PlanReport] = None
-    #: §7.4 ordering choice of the last run, when the implementations
-    #: were join pipelines with different orderings (None otherwise).
-    last_join_decision: Optional[object] = None
     #: Observation store feeding measured statistics from prior runs
     #: back into planning.  A serving :class:`~repro.serve.session.Session`
     #: attaches its shared, disk-backed store; direct ``feedback=True``
@@ -105,61 +103,41 @@ class AdaptiveProgram:
     def run(
         self,
         inputs: dict[str, Any],
-        plan: Optional[str] = None,
+        options: Optional[ExecOptions] = None,
         records: Optional[Any] = None,
-        memory_budget: Optional[int] = None,
-        kernel: Optional[str] = None,
-        layout: Optional[str] = None,
-        feedback: Optional[bool] = None,
-    ) -> dict[str, Any]:
-        """Sample, select, execute; returns the fragment outputs.
+    ) -> ExecutionOutcome:
+        """Sample, select, execute; returns the call's outcome.
 
-        ``plan`` selects the execution strategy: ``None`` keeps the
-        compiled backend (the paper's behaviour), ``"auto"`` lets the
-        execution planner choose, and a backend name
-        (``"sequential"``, ``"multiprocess"``, ``"spark"``,
-        ``"hadoop"``, ``"flink"``) forces it.  Planned runs leave a
-        :class:`PlanReport` in :attr:`last_plan_report`.
+        The returned :class:`ExecutionOutcome` carries the fragment
+        ``outputs``, the engine ``metrics``, the ``implementation`` the
+        monitor dispatched to, the §7.4 ``join_decision`` (join
+        fragments with several orderings) and — for planned runs — the
+        :class:`PlanReport` evidence trail as ``report``.
+
+        ``options`` (see :class:`~repro.options.ExecOptions`) says how:
+        its ``effective_plan`` selects the execution strategy — ``None``
+        keeps the compiled backend (the paper's behaviour), ``"auto"``
+        lets the execution planner choose, a backend name forces it —
+        and ``memory_budget`` / ``kernel`` / ``layout`` are folded by
+        the planner into the :class:`ExecutionPlan` the engines consume.
+        ``feedback`` closes the adaptive loop: planned runs resolve
+        their estimates against the observation recorded by the last
+        run over the same ``(fragment, dataset)`` and record a fresh one
+        afterwards; ``None`` defers to :attr:`feedback_default` (off
+        unless a Session with ``observe=True`` owns this program).
+        Feedback never changes results — only which plan produces them.
 
         ``records`` lets a caller that already materialized
         ``view_records(analysis.view, inputs)`` (the graph executor
         caches them across fragments sharing a dataset) pass them in
         instead of paying the transformation again; it may also be a
         :class:`~repro.engine.source.Dataset` streamed out of core.
-
-        ``memory_budget`` (bytes) engages memory-aware planning: the
-        planner weighs the input-size estimate against the budget and
-        the local engines spill the shuffle to disk when it cannot fit.
-        A budget with ``plan=None`` implies ``plan="auto"`` — the budget
-        only binds on the real local backends.
-
-        ``kernel`` (``"eval"`` | ``"compiled"`` | ``"auto"``) picks the
-        codegen target for the real local backends: the tree-walking
-        evaluator, the compiled batch kernels of
-        :mod:`repro.codegen.kernels`, or the planner's priced choice.
-        ``None`` defers to the plan (the planner decides under
-        ``plan="auto"``; forced plans default to eval).
-
-        ``layout`` (``"rows"`` | ``"columns"`` | ``"auto"``) picks the
-        chunk layout under those kernels: persistent column arrays and
-        the vectorized fast path, plain row lists, or the planner's
-        choice.  Results are byte-identical either way.
-
-        ``feedback`` closes the adaptive loop: planned runs resolve
-        their estimates against the observation recorded by the last
-        run over the same ``(fragment, dataset)`` and record a fresh
-        observation afterwards.  ``None`` defers to
-        :attr:`feedback_default` (off unless a Session with
-        ``observe=True`` owns this program); an explicit ``True`` with
-        no plan implies ``plan="auto"``.  Feedback never changes
-        results — only which plan produces them.
         """
-        if feedback and plan is None and memory_budget is None:
-            plan = "auto"
-        if plan is None and memory_budget is not None:
-            plan = "auto"
-        use_feedback = self.feedback_default if feedback is None else feedback
-        use_feedback = bool(use_feedback) and plan is not None
+        options = options or ExecOptions()
+        plan = options.effective_plan
+        use_feedback = (
+            self.feedback_default if options.feedback is None else options.feedback
+        ) and plan is not None
         if records is None:
             records = view_records(self.analysis.view, inputs)
         observation = None
@@ -179,7 +157,7 @@ class AdaptiveProgram:
         # different orderings, the ordering decision comes from the
         # observed relation cardinalities (Eqn 4 over the join chain) —
         # the sampled-cost monitor cannot see the inner relations' sizes.
-        self.last_join_decision = None
+        join_decision = None
         if len(self.programs) > 1:
             from ..planner.joins import choose_join_ordering
 
@@ -191,35 +169,34 @@ class AdaptiveProgram:
                     "selectivity": observation.join_selectivity,
                     "selectivity_source": "observed",
                 }
-            decision = choose_join_ordering(
+            join_decision = choose_join_ordering(
                 [p.summary for p in self.programs], inputs, **ordering_kwargs
             )
-            if decision is not None:
-                index = decision.index
-                self.last_join_decision = decision
-                self.monitor.last_choice = f"impl_{index}"
+            if join_decision is not None:
+                index = join_decision.index
         program = self.programs[index]
+        implementation = f"impl_{index}"
         if plan is None:
+            # Unplanned: the compiled backend runs as-is (a pinned
+            # kernel/layout only binds when that is a real local one).
             outcome = program.run(
-                inputs, records=records, kernel=kernel, layout=layout
+                inputs, plan=pinned_plan(program.backend, options), records=records
             )
-            self.last_outcome = outcome
-            return outcome.outputs
+            outcome.implementation = implementation
+            outcome.join_decision = join_decision
+            return outcome
 
         execution_plan, report = self.plan_execution(
-            plan, program, records, sample, globals_env,
-            memory_budget=memory_budget,
+            options, program, records, sample, globals_env,
             inputs=inputs,
-            kernel=kernel,
-            layout=layout,
             observation=observation,
             observation_note=observation_note,
         )
-        report.implementation = f"impl_{index}"
-        if self.last_join_decision is not None:
+        report.implementation = implementation
+        if join_decision is not None:
             report.join = {
                 **(report.join or {}),
-                "ordering": self.last_join_decision.as_dict(),
+                "ordering": join_decision.as_dict(),
             }
         started = time.perf_counter()
         if execution_plan.backend in ("sequential", "multiprocess"):
@@ -242,26 +219,24 @@ class AdaptiveProgram:
             report.backend_used = "sequential"
             report.diagnostics.append(
                 make_diagnostic(
-                    getattr(outcome, "fallback_code", None) or "REP305",
-                    outcome.fallback_reason,
+                    outcome.fallback_code or "REP305", outcome.fallback_reason
                 )
             )
         else:
             report.backend_used = execution_plan.backend
-        disagreements = getattr(outcome, "probe_disagreements", 0)
-        if disagreements:
-            report.probe_disagreements += disagreements
+        if outcome.probe_disagreements:
+            report.probe_disagreements += outcome.probe_disagreements
             report.diagnostics.append(
                 make_diagnostic(
                     "REP307",
-                    f"static pickle analysis cleared {disagreements} payload(s) "
-                    "the runtime probe rejected",
+                    f"static pickle analysis cleared {outcome.probe_disagreements} "
+                    "payload(s) the runtime probe rejected",
                 )
             )
         report.spill_stats = outcome.spill_stats
         report.transport = outcome.transport_stats
         report.columnar = outcome.columnar_stats
-        report.adaptations = list(getattr(outcome, "adaptations", []) or [])
+        report.adaptations = list(outcome.adaptations)
         overflows = {
             a.get("relation"): a
             for a in report.adaptations
@@ -285,33 +260,37 @@ class AdaptiveProgram:
                     for level in report.join["levels"]
                 ],
             }
-        self.last_outcome = outcome
-        self.last_plan_report = report
+        outcome.report = report
+        outcome.implementation = implementation
+        outcome.join_decision = join_decision
         if use_feedback:
             self._store().record(
                 harvest_observation(
                     fragment_key, dataset_key, report, outcome, records=records
                 )
             )
-        return outcome.outputs
+        return outcome
 
     def plan_execution(
         self,
-        plan: str,
+        options: ExecOptions,
         program: GeneratedProgram,
         records: Any,
         sample: list[dict[str, Any]],
         globals_env: dict[str, Any],
-        memory_budget: Optional[int] = None,
         inputs: Optional[dict[str, Any]] = None,
-        kernel: Optional[str] = None,
-        layout: Optional[str] = None,
         observation: Optional[Any] = None,
         observation_note: Optional[str] = None,
     ) -> tuple[ExecutionPlan, PlanReport]:
+        """Fold ``options`` into the plan for one run of ``program``:
+        a forced backend pins it, ``"auto"`` asks the planner."""
+        plan = options.effective_plan
         if plan != "auto":
             forced = forced_plan(
-                plan, memory_budget=memory_budget, kernel=kernel, layout=layout
+                plan,
+                memory_budget=options.memory_budget,
+                kernel=options.kernel,
+                layout=options.layout,
             )
             report = PlanReport(plan=forced, input_records=_record_count(records))
             # Forced *local* runs of a join pipeline still record the
@@ -327,7 +306,7 @@ class AdaptiveProgram:
                 from .joins import resolve_join_strategies
 
                 decisions = resolve_join_strategies(
-                    program, inputs, memory_budget=memory_budget
+                    program, inputs, memory_budget=options.memory_budget
                 )
                 forced = replace(
                     forced,
@@ -346,10 +325,8 @@ class AdaptiveProgram:
             records,
             sample,
             globals_env,
-            memory_budget=memory_budget,
+            options=options,
             inputs=inputs,
-            kernel=kernel,
-            layout=layout,
             observation=observation,
             observation_note=observation_note,
         )
@@ -366,14 +343,6 @@ class AdaptiveProgram:
                 self.analysis, summary
             )
         return self._fragment_key
-
-    @property
-    def chosen_implementation(self) -> Optional[str]:
-        return self.monitor.last_choice
-
-    @property
-    def last_metrics(self) -> Optional[JobMetrics]:
-        return self.last_outcome.metrics if self.last_outcome else None
 
     # ------------------------------------------------------------------
 

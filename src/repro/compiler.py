@@ -14,7 +14,8 @@ plan — over an explicit :class:`~repro.pipeline.context.CompilationContext`:
    and the runtime monitor for adaptive dispatch;
 4. **execution planner** — compile-time cost bounds plus a runtime
    backend/partition/combiner decision (``run_translated(...,
-   plan="auto")``), validated by the real multiprocess backend.
+   ExecOptions(plan="auto"))``), validated by the real multiprocess
+   backend.
 
 Independent fragments compile concurrently, and :meth:`CasperCompiler
 .translate_many` batches whole workload suites through one worker pool.
@@ -30,10 +31,11 @@ from typing import Any, Optional, Sequence, Union
 
 from .diagnostics import Diagnostic, explain as explain_diagnostics
 from .errors import AnalysisError
-from .options import ExecOptions, normalize_exec_options
+from .options import ExecOptions, check_options
 from .lang import ast_nodes as ast
 from .lang.parser import parse_program
 from .lang.analysis.fragments import CodeFragment, FragmentAnalysis
+from .codegen.base import ExecutionOutcome
 from .codegen.glue import AdaptiveProgram
 from .codegen.render import render
 from .engine.config import EngineConfig
@@ -101,9 +103,6 @@ class CompilationResult:
     #: Whole-program job graph (built by the sixth, ``graph``, pass):
     #: the dataflow DAG :func:`run_program` schedules and executes.
     job_graph: Optional["JobGraph"] = None
-    #: Result of the most recent :func:`run_program` call on this
-    #: compilation (its :class:`~repro.graph.executor.GraphRunResult`).
-    last_graph_run: Optional["GraphRunResult"] = None
 
     @property
     def identified(self) -> int:
@@ -293,13 +292,8 @@ def translate_many(
 def run_translated(
     result: CompilationResult,
     inputs: dict[str, Any],
-    fragment_index: Optional[int] = None,
     options: Optional[ExecOptions] = None,
-    *,
-    plan: Optional[str] = None,
-    memory_budget: Optional[int] = None,
-    kernel: Optional[str] = None,
-    layout: Optional[str] = None,
+    fragment_index: Optional[int] = None,
 ) -> dict[str, Any]:
     """Run one translated fragment of a compilation result.
 
@@ -308,33 +302,18 @@ def run_translated(
     :class:`~repro.errors.AnalysisError` explains which fragments exist,
     which failed to translate and why — nothing is silently skipped.
 
-    ``options`` (an :class:`~repro.options.ExecOptions`) consolidates
-    the execution knobs; the bare ``plan``/``memory_budget``/``kernel``
-    keywords are deprecated aliases kept for older callers (passing any
-    emits a ``DeprecationWarning``).  Only the fragment-level knobs
-    apply here: ``plan`` selects the execution strategy (``None`` keeps
-    the compiled backend, ``"auto"`` asks the execution planner, a
-    backend name forces one), ``memory_budget`` (bytes) engages
-    out-of-core execution on the real local backends (a budget with
-    ``plan=None`` implies ``plan="auto"``), ``kernel`` picks the
-    codegen target (``None`` defers to the plan), and ``layout`` the
-    chunk layout under it (``"rows"`` | ``"columns"`` | ``"auto"``).
+    ``options`` (an :class:`~repro.options.ExecOptions`) says how to
+    execute; only the fragment-level knobs apply here (``plan``,
+    ``memory_budget``, ``kernel``, ``layout``, ``feedback``).
 
-    After a planned run, :func:`last_plan_report` returns the planner's
-    :class:`~repro.planner.plan.PlanReport` — or use
-    :meth:`repro.Session.submit`, whose :class:`~repro.session.JobResult`
-    carries the report and stays correct under concurrency.
+    Returns the fragment's outputs.  The evidence — plan report,
+    metrics, chosen implementation — is on the
+    :class:`~repro.codegen.base.ExecutionOutcome` that
+    ``fragment.program.run(inputs, options)`` returns, and on the
+    :class:`~repro.session.JobResult` of :meth:`repro.Session.submit`.
     """
-    options = normalize_exec_options(
-        options,
-        "run_translated",
-        plan=plan,
-        memory_budget=memory_budget,
-        kernel=kernel,
-        layout=layout,
-    )
-    outputs, _report = _run_fragment(result, inputs, fragment_index, options)
-    return outputs
+    options = check_options(options, "run_translated")
+    return _run_fragment(result, inputs, fragment_index, options).outputs
 
 
 def _run_fragment(
@@ -342,44 +321,15 @@ def _run_fragment(
     inputs: dict[str, Any],
     fragment_index: Optional[int],
     options: ExecOptions,
-) -> tuple[dict[str, Any], Optional[Any]]:
-    """Run one fragment and return ``(outputs, plan_report_or_None)``.
-
-    The report is returned rather than only stashed on the program, so
-    concurrent callers (the session layer) can attribute it to the job
-    that produced it instead of racing on ``last_plan_report``.
-    """
-    fragment = _pick_fragment(result, fragment_index)
-    outputs = fragment.program.run(
-        inputs,
-        plan=options.plan,
-        memory_budget=options.memory_budget,
-        kernel=options.kernel,
-        layout=options.layout,
-        feedback=options.feedback,
-    )
-    planned = (
-        options.plan is not None
-        or options.memory_budget is not None
-        or options.feedback is True
-    )
-    report = fragment.program.last_plan_report if planned else None
-    return outputs, report
+) -> ExecutionOutcome:
+    """Run one fragment, returning its full :class:`ExecutionOutcome`."""
+    return _pick_fragment(result, fragment_index).program.run(inputs, options)
 
 
 def run_program(
     result: CompilationResult,
     inputs: dict[str, Any],
     options: Optional[ExecOptions] = None,
-    *,
-    plan: Optional[str] = None,
-    outputs: Optional[list[str]] = None,
-    fuse: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    strict: Optional[bool] = None,
-    memory_budget: Optional[int] = None,
-    kernel: Optional[str] = None,
-    layout: Optional[str] = None,
 ) -> dict[str, Any]:
     """Run a whole compiled program as one dataflow-scheduled job graph.
 
@@ -391,43 +341,17 @@ def run_program(
     are materialized once.  Results are identical to running each
     fragment sequentially through the reference interpreter.
 
-    ``options`` (an :class:`~repro.options.ExecOptions`) consolidates
-    every execution knob; the bare keywords are deprecated aliases kept
-    for older callers (passing any emits a ``DeprecationWarning``):
+    ``options`` (an :class:`~repro.options.ExecOptions`) carries every
+    execution knob; see :func:`~repro.graph.executor.run_graph` for how
+    each applies to a graph.
 
-    * ``plan`` — ``None`` → compiled backend; ``"auto"`` → execution
-      planner; a backend name forces it (fused chains always run on the
-      real local engines);
-    * ``outputs`` — the variables the caller needs (dead-stage
-      elimination); the default returns every materialized output;
-    * ``strict=False`` — analyzed-but-untranslated fragments fall back
-      to the reference interpreter instead of failing;
-    * ``memory_budget`` (bytes) — run units out of core when their
-      input cannot fit, fused stage handoffs included; a budget with
-      ``plan=None`` implies ``plan="auto"``;
-    * ``kernel`` — codegen target for every unit on a real local
-      engine, fused chains included;
-    * ``layout`` — chunk layout under those kernels (``"rows"`` |
-      ``"columns"`` | ``"auto"``), fused chains included.
-
-    After a run, :func:`last_graph_report` returns the
-    :class:`~repro.planner.dag.GraphPlanReport` evidence trail — or use
-    :meth:`repro.Session.submit`, whose
-    :class:`~repro.session.JobResult` carries the report and stays
-    correct under concurrency.
+    Returns the program's outputs.  The
+    :class:`~repro.planner.dag.GraphPlanReport` evidence trail is on the
+    :class:`~repro.graph.executor.GraphRunResult` that
+    ``run_graph(result.job_graph, inputs, options)`` returns, and on the
+    :class:`~repro.session.JobResult` of :meth:`repro.Session.submit`.
     """
-    options = normalize_exec_options(
-        options,
-        "run_program",
-        plan=plan,
-        outputs=outputs,
-        fuse=fuse,
-        max_workers=max_workers,
-        strict=strict,
-        memory_budget=memory_budget,
-        kernel=kernel,
-        layout=layout,
-    )
+    options = check_options(options, "run_program")
     return _run_program(result, inputs, options).outputs
 
 
@@ -436,12 +360,7 @@ def _run_program(
     inputs: dict[str, Any],
     options: ExecOptions,
 ) -> GraphRunResult:
-    """Whole-program execution returning the full ``GraphRunResult``.
-
-    The session layer calls this directly so each job owns its report;
-    ``result.last_graph_run`` is still updated for the deprecated
-    single-threaded :func:`last_graph_report` accessor.
-    """
+    """Whole-program execution returning the full ``GraphRunResult``."""
     graph = result.job_graph
     if graph is None:
         # Compiled by a custom pipeline without the graph pass — derive
@@ -455,50 +374,7 @@ def _run_program(
         dataflow = analyze_dataflow(analyses, func)
         graph = build_job_graph(result.function, result.fragments, dataflow)
         result.job_graph = graph
-    run = run_graph(
-        graph,
-        inputs,
-        plan=options.plan,
-        outputs=list(options.outputs) if options.outputs is not None else None,
-        fuse=options.fuse,
-        max_workers=options.max_workers,
-        strict=options.strict,
-        memory_budget=options.memory_budget,
-        kernel=options.kernel,
-        layout=options.layout,
-        feedback=options.feedback,
-    )
-    result.last_graph_run = run
-    return run
-
-
-def last_graph_report(result: CompilationResult):
-    """The ``GraphPlanReport`` left by the last :func:`run_program`.
-
-    .. deprecated:: 1.5
-        Mutable last-run state is unusable under concurrent jobs — two
-        threads running the same compilation overwrite each other's
-        report.  It keeps working for single-threaded callers; new code
-        should read ``JobResult.plan_report`` from
-        :meth:`repro.Session.submit` instead.
-    """
-    if result.last_graph_run is None:
-        return None
-    return result.last_graph_run.report
-
-
-def last_plan_report(
-    result: CompilationResult, fragment_index: Optional[int] = None
-):
-    """The ``PlanReport`` left by the last planned run of a fragment.
-
-    .. deprecated:: 1.5
-        Same caveat as :func:`last_graph_report`: per-program mutable
-        state races under concurrent jobs.  Use
-        :meth:`repro.Session.submit` and read the returned
-        ``JobResult.plan_report``.
-    """
-    return _pick_fragment(result, fragment_index).program.last_plan_report
+    return run_graph(graph, inputs, options)
 
 
 def _pick_fragment(

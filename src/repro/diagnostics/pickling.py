@@ -2,7 +2,7 @@
 
 Three call sites used to run their own ad-hoc ``pickle.dumps`` probes —
 the planner's ``static_unpicklable`` precompute, the multiprocess
-engine's ``_probe_picklable``, and shared-memory task staging.  All
+engine's payload probe, and shared-memory task staging.  All
 three now route through this module: the *static* walker flags values
 that provably cannot pickle (so the expensive dump can be skipped), and
 the *runtime* probe stays as the backstop.  When the two disagree —

@@ -532,31 +532,9 @@ class MultiprocessEngine:
         if isinstance(records, Dataset):
             records = records.materialize()
         metrics = JobMetrics()
-        processes = (
-            self.processes if self.processes is not None else default_process_count()
-        )
         partitions = self.partitions or self.config.default_partitions
         result = MultiprocessResult(pairs=[], metrics=metrics)
-
-        pool: Optional[ProcessPoolExecutor] = None
-        if processes <= 1:
-            result.fallback_reason = "single process requested"
-            result.fallback_code = "REP302"
-        elif len(records) < self.min_parallel_records:
-            result.fallback_reason = (
-                f"tiny input ({len(records)} records < "
-                f"{self.min_parallel_records}): pool startup would dominate"
-            )
-            result.fallback_code = "REP303"
-        else:
-            pool = self._open_pool(processes)
-            if pool is None:
-                self._record_fallback(
-                    result,
-                    "worker pool could not start (process/semaphore limits)",
-                    "REP304",
-                )
-        result.processes_used = processes if pool is not None else 1
+        pool = self._start_pool(result, len(records))
 
         result.layout = self.layout
         started = time.perf_counter()
@@ -890,6 +868,38 @@ class MultiprocessEngine:
     # ------------------------------------------------------------------
     # Metrics: wall-clock measured, simulated time modeled
 
+    def _start_pool(
+        self, result: MultiprocessResult, known: Optional[int]
+    ) -> Optional[ProcessPoolExecutor]:
+        """Open the worker pool, or record on ``result`` why the job runs
+        in-process: one process requested (REP302), an input too small
+        to repay pool startup (REP303), or a pool that would not start
+        (REP304).  ``known`` is the record count — None for a stream of
+        unknown length, which is assumed large."""
+        processes = (
+            self.processes if self.processes is not None else default_process_count()
+        )
+        pool: Optional[ProcessPoolExecutor] = None
+        if processes <= 1:
+            result.fallback_reason = "single process requested"
+            result.fallback_code = "REP302"
+        elif known is not None and known < self.min_parallel_records:
+            result.fallback_reason = (
+                f"tiny input ({known} records < "
+                f"{self.min_parallel_records}): pool startup would dominate"
+            )
+            result.fallback_code = "REP303"
+        else:
+            pool = self._open_pool(processes)
+            if pool is None:
+                self._record_fallback(
+                    result,
+                    "worker pool could not start (process/semaphore limits)",
+                    "REP304",
+                )
+        result.processes_used = processes if pool is not None else 1
+        return pool
+
     def _open_pool(self, processes: int) -> Optional[ProcessPoolExecutor]:
         import multiprocessing
 
@@ -989,9 +999,6 @@ class MultiprocessEngine:
                 f"got {self.memory_budget!r}"
             )
         metrics = JobMetrics()
-        processes = (
-            self.processes if self.processes is not None else default_process_count()
-        )
         partitions = self.partitions or self.config.default_partitions
         result = MultiprocessResult(
             pairs=[], metrics=metrics, spilled=True, layout=self.layout
@@ -1001,25 +1008,7 @@ class MultiprocessEngine:
             known, partitions = self._probe_unknown_stream(
                 dataset, steps, partitions, result
             )
-        pool: Optional[ProcessPoolExecutor] = None
-        if processes <= 1:
-            result.fallback_reason = "single process requested"
-            result.fallback_code = "REP302"
-        elif known is not None and known < self.min_parallel_records:
-            result.fallback_reason = (
-                f"tiny input ({known} records < "
-                f"{self.min_parallel_records}): pool startup would dominate"
-            )
-            result.fallback_code = "REP303"
-        else:
-            pool = self._open_pool(processes)
-            if pool is None:
-                self._record_fallback(
-                    result,
-                    "worker pool could not start (process/semaphore limits)",
-                    "REP304",
-                )
-        result.processes_used = processes if pool is not None else 1
+        pool = self._start_pool(result, known)
 
         spill_root = self._ensure_spill_dir()
         stats = SpillStats(partitions=partitions)
@@ -1519,16 +1508,6 @@ class MultiprocessEngine:
             metrics.add_seconds(seconds)
             stats.note_resident(total + sum(sizeof(r) for r in records))
         return records
-
-    @staticmethod
-    def _probe_picklable(payload: Any) -> Optional[str]:
-        """None when ``payload`` can ship to workers; else the reason.
-
-        Routed through the unified static-first probe: when the static
-        walker already proves the payload unpicklable the ``pickle.dumps``
-        is skipped entirely; otherwise the dump remains the backstop.
-        """
-        return probe_payload(payload).reason
 
     def _charge_scan_totals(
         self, metrics: JobMetrics, stage, records: int, total_bytes: int

@@ -34,14 +34,13 @@ from ..codegen.base import (
     StitchBridge,
     bind_outputs,
     prepare_globals,
-    resolve_kernel,
-    resolve_layout,
     view_records,
 )
 from ..engine.multiprocess import BridgeStep, MapStep, MultiprocessEngine
 from ..errors import GraphError
+from ..options import ExecOptions
 from ..planner.dag import DagPlanner, GraphPlanReport
-from ..planner.plan import BACKENDS, PlanReport
+from ..planner.plan import PlanReport, pinned_plan
 from ..planner.planner import ExecutionPlanner, PlannerConfig
 from .fuse import FusedChain, GraphSchedule, optimize_graph
 from .jobgraph import JobGraph, JobNode
@@ -126,71 +125,53 @@ class _RecordsCache:
 def run_graph(
     graph: JobGraph,
     inputs: dict[str, Any],
-    plan: Optional[str] = None,
-    outputs: Optional[list[str]] = None,
-    fuse: bool = True,
-    max_workers: Optional[int] = None,
-    strict: bool = True,
+    options: Optional[ExecOptions] = None,
     planner_config: Optional[PlannerConfig] = None,
-    memory_budget: Optional[int] = None,
-    kernel: Optional[str] = None,
-    layout: Optional[str] = None,
-    feedback: Optional[bool] = None,
 ) -> GraphRunResult:
     """Execute a whole-program job graph over concrete inputs.
 
-    ``plan`` follows ``run_translated``: ``None`` keeps each fragment's
-    compiled backend (fused chains run on the real local engine, where
-    stitching exists), ``"auto"`` lets the execution planner decide per
-    unit, and a backend name forces it.  ``outputs`` names the variables
-    the caller needs — enabling dead-stage elimination of everything
-    that cannot reach them.  ``strict=False`` lets analyzed-but-
-    untranslated fragments fall back to the reference interpreter
-    (recorded in the report) instead of failing the run.
+    ``options`` (see :class:`~repro.options.ExecOptions`) is handed
+    whole to every unit.  Its ``effective_plan`` follows
+    ``run_translated``: ``None`` keeps each fragment's compiled backend
+    (fused chains run on the real local engine, where stitching
+    exists), ``"auto"`` lets the execution planner decide per unit, and
+    a backend name forces it.  ``outputs`` names the variables the
+    caller needs — enabling dead-stage elimination of everything that
+    cannot reach them.  ``strict=False`` lets analyzed-but-untranslated
+    fragments fall back to the reference interpreter (recorded in the
+    report) instead of failing the run.
 
     ``memory_budget`` (bytes) engages memory-aware planning per unit:
     inputs whose size estimate exceeds the budget (and streaming
     ``Dataset`` inputs of unknown length) run out of core — chunked
     scans, spill-to-disk shuffle, per-partition merge-reduce — with
-    stage handoffs inside fused chains streamed the same way.  Since the
-    budget only binds on the real local engines, a budget with
-    ``plan=None`` implies ``plan="auto"``.
+    stage handoffs inside fused chains streamed the same way.
 
-    ``kernel`` (``"eval"`` | ``"compiled"`` | ``"auto"``) picks the
-    codegen target for every unit that executes on a real local
-    engine — including every stage of a fused chain; ``None`` defers
-    to each unit's plan (the planner prices the choice under
-    ``plan="auto"``).
-
-    ``layout`` (``"rows"`` | ``"columns"`` | ``"auto"``) picks the chunk
-    layout under those kernels the same way — chain-wide for fused
-    chains, since one engine invocation runs the spliced pipeline.
+    ``kernel`` and ``layout`` pick the codegen target and chunk layout
+    for every unit that executes on a real local engine — chain-wide
+    for fused chains, since one engine invocation runs the spliced
+    pipeline; ``None`` defers to each unit's plan.
 
     ``feedback`` engages observation-resolved planning per single-
     fragment unit (see :meth:`AdaptiveProgram.run`); fused chains plan
-    from their own spliced estimates and ignore it.  ``True`` with no
-    plan implies ``plan="auto"``.
+    from their own spliced estimates and ignore it.
+
+    Each unit's :class:`PlanReport` comes back from the call that ran
+    it and lands in ``report.unit_reports`` under the unit's head node.
     """
     started = time.perf_counter()
-    if plan is None and (memory_budget is not None or feedback):
-        plan = "auto"
-    if plan is not None and plan != "auto" and plan not in BACKENDS:
-        # Same contract as forced_plan: a typo must fail loudly, not
-        # silently degrade a fused chain to sequential.
-        raise ValueError(
-            f"unknown backend {plan!r}; expected one of {BACKENDS} or 'auto'"
-        )
-    required = set(outputs) if outputs is not None else None
-    schedule = optimize_graph(graph, required_vars=required, fuse=fuse)
+    options = options or ExecOptions()
+    required = set(options.outputs) if options.outputs is not None else None
+    schedule = optimize_graph(graph, required_vars=required, fuse=options.fuse)
     kept_ids = {n for unit in schedule.units for n in unit.node_ids}
-    _check_runnable(graph, schedule, kept_ids, strict)
+    _check_runnable(graph, schedule, kept_ids, options.strict)
 
     dag_planner = DagPlanner(config=planner_config or PlannerConfig())
     dag_plan = dag_planner.plan(
         graph,
         schedule,
-        max_workers=max_workers,
-        pooled_units=plan in ("auto", "multiprocess"),
+        max_workers=options.max_workers,
+        pooled_units=options.effective_plan in ("auto", "multiprocess"),
     )
 
     report = GraphPlanReport(
@@ -203,44 +184,17 @@ def run_graph(
     produced: dict[str, Any] = {}
     cache = _RecordsCache()
 
+    def run_unit(unit: FusedChain) -> _UnitOutcome:
+        return _run_unit(graph, unit, env, options, cache, planner_config)
+
     for wave in dag_plan.waves:
         units = [schedule.units[index] for index in wave]
         if len(units) > 1 and dag_plan.concurrency > 1:
             workers = min(dag_plan.concurrency, len(units))
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(
-                    pool.map(
-                        lambda unit: _run_unit(
-                            graph,
-                            unit,
-                            env,
-                            plan,
-                            cache,
-                            planner_config,
-                            memory_budget,
-                            kernel,
-                            layout,
-                            feedback,
-                        ),
-                        units,
-                    )
-                )
+                outcomes = list(pool.map(run_unit, units))
         else:
-            outcomes = [
-                _run_unit(
-                    graph,
-                    unit,
-                    env,
-                    plan,
-                    cache,
-                    planner_config,
-                    memory_budget,
-                    kernel,
-                    layout,
-                    feedback,
-                )
-                for unit in units
-            ]
+            outcomes = [run_unit(unit) for unit in units]
         # Merge in unit order (= source order): a redefinition behaves
         # exactly as sequential execution would.
         wave_simulated = 0.0
@@ -258,14 +212,14 @@ def run_graph(
     report.records_cache_hits = cache.hits
     report.wall_seconds = time.perf_counter() - started
 
-    if outputs is not None:
-        missing = [name for name in outputs if name not in produced]
+    if options.outputs is not None:
+        missing = [name for name in options.outputs if name not in produced]
         if missing:
             raise GraphError(
                 f"requested output(s) {missing} were not produced by "
                 f"{graph.function!r}; available: {sorted(produced)}"
             )
-        produced = {name: produced[name] for name in outputs}
+        produced = {name: produced[name] for name in options.outputs}
     return GraphRunResult(
         outputs=produced, report=report, schedule=schedule, graph=graph
     )
@@ -358,43 +312,17 @@ def _run_unit(
     graph: JobGraph,
     unit: FusedChain,
     env: dict[str, Any],
-    plan: Optional[str],
+    options: ExecOptions,
     cache: _RecordsCache,
     planner_config: Optional[PlannerConfig],
-    memory_budget: Optional[int] = None,
-    kernel: Optional[str] = None,
-    layout: Optional[str] = None,
-    feedback: Optional[bool] = None,
 ) -> _UnitOutcome:
     outcome = _UnitOutcome(unit=unit)
     node = graph.nodes[unit.head]
     started = time.perf_counter()
     if unit.fused:
-        _run_chain(
-            graph,
-            unit,
-            env,
-            plan,
-            cache,
-            outcome,
-            planner_config,
-            memory_budget,
-            kernel,
-            layout,
-        )
+        _run_chain(graph, unit, env, options, cache, outcome, planner_config)
     elif node.translated:
-        _run_single(
-            node,
-            unit,
-            env,
-            plan,
-            cache,
-            outcome,
-            memory_budget,
-            kernel,
-            layout,
-            feedback,
-        )
+        _run_single(node, env, options, cache, outcome)
     else:
         _run_interpreted(node, env, outcome)
     outcome.wall_seconds = time.perf_counter() - started
@@ -403,32 +331,16 @@ def _run_unit(
 
 def _run_single(
     node: JobNode,
-    unit: FusedChain,
     env: dict[str, Any],
-    plan: Optional[str],
+    options: ExecOptions,
     cache: _RecordsCache,
     outcome: _UnitOutcome,
-    memory_budget: Optional[int] = None,
-    kernel: Optional[str] = None,
-    layout: Optional[str] = None,
-    feedback: Optional[bool] = None,
 ) -> None:
-    program = node.program
     records = cache.get(node.analysis.view, env)
-    outcome.outputs = program.run(
-        env,
-        plan=plan,
-        records=records,
-        memory_budget=memory_budget,
-        kernel=kernel,
-        layout=layout,
-        feedback=feedback,
-    )
-    if plan is not None and program.last_plan_report is not None:
-        outcome.report = program.last_plan_report
-    metrics = program.last_metrics
-    if metrics is not None:
-        outcome.simulated_seconds = metrics.simulated_seconds
+    ran = node.program.run(env, options, records=records)
+    outcome.outputs = ran.outputs
+    outcome.report = ran.report
+    outcome.simulated_seconds = ran.metrics.simulated_seconds
 
 
 def _run_interpreted(
@@ -442,13 +354,10 @@ def _run_chain(
     graph: JobGraph,
     unit: FusedChain,
     env: dict[str, Any],
-    plan: Optional[str],
+    options: ExecOptions,
     cache: _RecordsCache,
     outcome: _UnitOutcome,
     planner_config: Optional[PlannerConfig],
-    memory_budget: Optional[int] = None,
-    kernel: Optional[str] = None,
-    layout: Optional[str] = None,
 ) -> None:
     """Execute a fused chain as one engine invocation.
 
@@ -466,29 +375,17 @@ def _run_chain(
     globals_env, output_sizes = prepare_globals(head.analysis, env)
     records = cache.get(head.analysis.view, env)
     execution_plan, report = _chain_plan(
-        unit,
-        head,
-        chosen,
-        records,
-        globals_env,
-        plan,
-        planner_config,
-        memory_budget,
-        kernel,
-        layout,
+        unit, head, chosen, records, globals_env, options, planner_config
     )
     # The plan's per-stage combiner decisions index the head program's
     # stages, so only the head's steps honour them; downstream nodes
     # keep the proof-gated default.  The kernel and layout choices, by
-    # contrast, are chain-wide: resolve them once (explicit caller >
-    # head plan > default) and apply them to every node's steps.
-    chain_kernel = resolve_kernel(kernel, execution_plan)
-    chain_layout = resolve_layout(layout, execution_plan, kernel)
-    steps = list(
-        chosen.local_steps(
-            globals_env, plan=execution_plan, kernel=chain_kernel
-        )
+    # contrast, are chain-wide: every node's steps read them off the
+    # head's plan.
+    downstream_plan = (
+        replace(execution_plan, stages=()) if execution_plan is not None else None
     )
+    steps = list(chosen.local_steps(globals_env, plan=execution_plan))
     bridges: list[StitchBridge] = []
 
     prev = (head, chosen, globals_env, output_sizes)
@@ -508,7 +405,7 @@ def _run_chain(
             )
             bridges.append(bridge)
             steps.append(BridgeStep(bridge))
-        steps.extend(node_chosen.local_steps(node_globals, kernel=chain_kernel))
+        steps.extend(node_chosen.local_steps(node_globals, plan=downstream_plan))
         prev = (node, node_chosen, node_globals, node_sizes)
 
     tail_node, tail_chosen, tail_globals, tail_sizes = prev
@@ -530,7 +427,7 @@ def _run_chain(
         spill_dir=(
             execution_plan.spill_dir if execution_plan is not None else None
         ),
-        layout=chain_layout,
+        layout=execution_plan.layout if execution_plan is not None else "rows",
     )
     result = engine.run_pipeline(records, steps)
     outputs = bind_outputs(
@@ -566,11 +463,8 @@ def _chain_plan(
     chosen,
     records: Any,
     globals_env: dict[str, Any],
-    plan: Optional[str],
+    options: ExecOptions,
     planner_config: Optional[PlannerConfig],
-    memory_budget: Optional[int] = None,
-    kernel: Optional[str] = None,
-    layout: Optional[str] = None,
 ):
     """Resolve the execution plan for a fused chain.
 
@@ -579,17 +473,18 @@ def _chain_plan(
     execution with the decision recorded, rather than silently
     unfusing or failing.
     """
+    plan = options.effective_plan
     if plan is None:
-        return None, None
+        # Unplanned chains run in-process and leave no report.
+        return pinned_plan("sequential", options), None
     extra_reasons: tuple[str, ...] = ()
-    effective = plan
     if plan not in ("auto", "sequential", "multiprocess"):
         # A simulated cluster backend cannot execute a stitched chain.
-        effective = "sequential"
+        options = options.merged(plan="sequential")
         extra_reasons += (
             f"fused chains run locally; {plan!r} backend degraded to sequential",
         )
-    if effective == "auto" and head.program.planner is None:
+    if plan == "auto" and head.program.planner is None:
         head.program.planner = ExecutionPlanner(
             config=planner_config or PlannerConfig(),
             cost_model=head.program.cost_model,
@@ -597,16 +492,9 @@ def _chain_plan(
         head.program.planner.precompute(head.program.programs)
     sample = head.program.sample_elements(records)
     execution_plan, report = head.program.plan_execution(
-        effective,
-        chosen,
-        records,
-        sample,
-        globals_env,
-        memory_budget=memory_budget,
-        kernel=kernel,
-        layout=layout,
+        options, chosen, records, sample, globals_env
     )
-    if effective == "auto":
+    if plan == "auto":
         report.implementation = f"impl_{unit.impl_indexes[0]}"
         # The planner's calibration/estimates cover the head fragment
         # only; downstream stages of the chain are not costed, so a

@@ -1,18 +1,17 @@
-"""Execution options: the one dataclass every entry point accepts.
+"""Execution options: the one object every run entry point accepts.
 
-Before PR 7 each public entry point (``run_program``, ``run_translated``,
-``run_benchmark``, the graph executor) re-declared the same growing set
-of execution kwargs — ``plan``, ``memory_budget``, ``kernel``, ``fuse``,
-``strict``, ``outputs``, ``max_workers`` — and a concurrent serving
-layer cannot be built on seven drifting signatures.  :class:`ExecOptions`
-consolidates them; :func:`normalize_exec_options` is the single place
-the deprecated per-call kwargs are folded in (with a
-``DeprecationWarning``), so every surface normalizes identically.
+A caller's frozen :class:`ExecOptions` travels *whole* from
+``Session.submit`` / ``run_program`` / ``run_translated`` /
+``DaemonClient.submit`` through ``run_graph`` and
+``AdaptiveProgram.run`` to the planner, which folds it into the
+:class:`~repro.planner.plan.ExecutionPlan` that alone carries the
+physical choices into the engines.  Names are validated here, once; the
+"budget or feedback implies the planner" rule is :attr:`ExecOptions
+.effective_plan`, once.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional
 
@@ -103,6 +102,15 @@ class ExecOptions:
 
     # ------------------------------------------------------------------
 
+    @property
+    def effective_plan(self) -> Optional[str]:
+        """The plan in force: ``plan``, or ``"auto"`` when a budget or
+        ``feedback=True`` was given without one (both only bind on
+        planner-chosen real local backends)."""
+        if self.plan is None and (self.memory_budget is not None or self.feedback):
+            return _PLAN_AUTO
+        return self.plan
+
     def merged(self, **overrides: Any) -> "ExecOptions":
         """A copy with the given fields replaced."""
         return replace(self, **overrides)
@@ -127,61 +135,17 @@ class ExecOptions:
         return cls(**data)
 
 
-#: The per-call kwargs :func:`normalize_exec_options` folds in, with the
-#: defaults the old signatures carried (``None`` marks "not passed" for
-#: the boolean knobs, whose live default is in :class:`ExecOptions`).
-_LEGACY_FIELDS = (
-    "plan",
-    "memory_budget",
-    "kernel",
-    "layout",
-    "fuse",
-    "strict",
-    "outputs",
-    "max_workers",
-)
-
-
-def normalize_exec_options(
-    options: Optional[ExecOptions],
-    caller: str,
-    *,
-    _stacklevel: int = 3,
-    **legacy: Any,
-) -> ExecOptions:
-    """Fold deprecated per-call kwargs into one :class:`ExecOptions`.
-
-    ``legacy`` holds the values of the old kwargs as received — ``None``
-    meaning "not passed" (the boolean knobs use ``None`` sentinels at
-    the call surface for exactly this reason).  Passing any of them
-    emits a single :class:`DeprecationWarning`; combining them with an
-    explicit ``options`` is ambiguous and raises.
-    """
-    unknown = sorted(set(legacy) - set(_LEGACY_FIELDS))
-    if unknown:
-        raise TypeError(f"{caller}: unknown option(s) {unknown}")
-    passed = {name: value for name, value in legacy.items() if value is not None}
-    if options is not None:
-        if passed:
-            raise ValueError(
-                f"{caller}: pass either options=ExecOptions(...) or the "
-                f"legacy keyword(s) {sorted(passed)}, not both"
-            )
-        if not isinstance(options, ExecOptions):
-            raise TypeError(
-                f"{caller}: options must be an ExecOptions, "
-                f"got {type(options).__name__}"
-            )
-        return options
-    if passed:
-        warnings.warn(
-            f"{caller}: the {sorted(passed)} keyword(s) are deprecated; "
-            "pass options=ExecOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=_stacklevel,
+def check_options(options: Optional[ExecOptions], caller: str) -> ExecOptions:
+    """``options`` itself, or the defaults for ``None``; anything else is a
+    ``TypeError`` naming the entry point that received it."""
+    if options is None:
+        return ExecOptions()
+    if not isinstance(options, ExecOptions):
+        raise TypeError(
+            f"{caller}: options must be an ExecOptions, "
+            f"got {type(options).__name__}"
         )
-        return ExecOptions(**passed)
-    return ExecOptions()
+    return options
 
 
-__all__ = ["ExecOptions", "normalize_exec_options"]
+__all__ = ["ExecOptions"]

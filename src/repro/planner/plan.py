@@ -13,7 +13,10 @@ any fallback the engine had to take.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from ..options import ExecOptions
 
 #: Backends the planner may select or a caller may force.
 BACKENDS = ("sequential", "multiprocess", "spark", "hadoop", "flink")
@@ -67,7 +70,8 @@ class ExecutionPlan:
     #: Chunk layout under the compiled kernels: "rows" keeps plain
     #: record lists, "columns" builds persistent per-field column
     #: arrays at the source boundary and runs the vectorized map/fold
-    #: paths.  The planner resolves "auto" before the engine sees it.
+    #: paths.  Plans never carry "auto": the planner and
+    #: :func:`forced_plan` resolve it before the engine sees it.
     layout: str = "rows"
     #: Human-readable decision trail, in the order decisions were made.
     reasons: tuple[str, ...] = ()
@@ -202,6 +206,16 @@ class PlanReport:
         }
 
 
+def pinned_plan(backend: str, options: "ExecOptions") -> Optional[ExecutionPlan]:
+    """The bare plan that carries a caller-pinned kernel/layout into an
+    *unplanned* run (no report, no decisions) — ``None`` when the caller
+    pinned neither.  The plan is the only carrier of physical choices,
+    so even an unplanned run reaches the engine through one."""
+    if options.kernel is None and options.layout is None:
+        return None
+    return forced_plan(backend, kernel=options.kernel, layout=options.layout)
+
+
 def forced_plan(
     backend: str,
     stages: tuple[StagePlan, ...] = (),
@@ -216,20 +230,13 @@ def forced_plan(
     backends: the engine streams the input and spills the shuffle once
     the budget is exceeded, regardless of the planner's size estimates.
     ``kernel`` pins the codegen target the same way (None → eval), and
-    ``layout`` the chunk layout (None → rows; "auto" resolves at run
-    time, to columns exactly when a compiled kernel runs).
+    ``layout`` the chunk layout (None → rows; "auto" → columns exactly
+    when a compiled kernel runs).  Kernel and layout *names* are
+    validated once, by :class:`~repro.options.ExecOptions`.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS} or 'auto'"
-        )
-    if kernel is not None and kernel not in ("eval", "compiled", "auto"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected 'eval', 'compiled' or 'auto'"
-        )
-    if layout is not None and layout not in ("rows", "columns", "auto"):
-        raise ValueError(
-            f"unknown layout {layout!r}; expected 'rows', 'columns' or 'auto'"
         )
     reasons = [f"backend {backend!r} forced by caller"]
     if kernel is not None and kernel != "eval":
@@ -252,6 +259,10 @@ def forced_plan(
                 f"{backend!r} backend materializes in-memory"
             )
     spill = local and memory_budget is not None
+    kernel = (kernel or "eval") if local else "eval"
+    layout = (layout or "rows") if local else "rows"
+    if layout == "auto":
+        layout = "rows" if kernel == "eval" else "columns"
     return ExecutionPlan(
         backend=backend,
         processes=0 if backend == "sequential" else None,
@@ -259,7 +270,7 @@ def forced_plan(
         memory_budget=memory_budget if spill else None,
         spill=spill,
         spill_dir=spill_dir,
-        kernel=(kernel or "eval") if local else "eval",
-        layout=(layout or "rows") if local else "rows",
+        kernel=kernel,
+        layout=layout,
         reasons=tuple(reasons),
     )

@@ -39,6 +39,7 @@ from ..diagnostics.pickling import probe_payload
 from ..engine.config import PROFILES, EngineConfig
 from ..engine.multiprocess import default_process_count
 from ..ir.nodes import MapStage, ReduceStage, Summary
+from ..options import ExecOptions
 
 if TYPE_CHECKING:
     from ..codegen.base import GeneratedProgram
@@ -180,10 +181,8 @@ class ExecutionPlanner:
         records: Any,
         sample: list[dict[str, Any]],
         globals_env: dict[str, Any],
-        memory_budget: Optional[int] = None,
+        options: Optional[ExecOptions] = None,
         inputs: Optional[dict[str, Any]] = None,
-        kernel: Optional[str] = None,
-        layout: Optional[str] = None,
         observation: Optional[Any] = None,
         observation_note: Optional[str] = None,
     ) -> tuple["ExecutionPlan", "PlanReport"]:
@@ -191,10 +190,12 @@ class ExecutionPlanner:
 
         ``records`` is a list or a :class:`~repro.engine.source.Dataset`
         (whose length may be unknown — streaming sources are planned as
-        "assume large").  ``memory_budget`` overrides the configured one
-        for this run; with a budget in play the planner weighs the cost
-        model's input-size estimate against it and chooses the external
-        spill shuffle when the data cannot fit.
+        "assume large").  ``options`` is the caller's
+        :class:`~repro.options.ExecOptions`; its physical knobs are
+        folded into the returned plan, each overriding the configured
+        one for this run.  With a ``memory_budget`` in play the planner
+        weighs the cost model's input-size estimate against it and
+        chooses the external spill shuffle when the data cannot fit.
 
         ``inputs`` (the fragment's full input environment) enables the
         physical-join decision for join pipelines: each join level runs
@@ -203,13 +204,12 @@ class ExecutionPlanner:
         and reduce-side through the tagged-union shuffle otherwise —
         recorded per level in the plan and the report.
 
-        ``kernel`` overrides the configured kernel knob for this run:
-        ``"eval"``/``"compiled"`` pin the codegen target, ``"auto"``
-        (the default) prices the compiled batch kernels from the map
-        stages' expression complexity and the record count.  ``layout``
-        does the same for the chunk layout: ``"rows"``/``"columns"``
-        pin it, ``"auto"`` picks columns exactly when a compiled kernel
-        runs.
+        ``options.kernel``: ``"eval"``/``"compiled"`` pin the codegen
+        target, ``"auto"`` (the default) prices the compiled batch
+        kernels from the map stages' expression complexity and the
+        record count.  ``options.layout`` does the same for the chunk
+        layout: ``"rows"``/``"columns"`` pin it, ``"auto"`` picks
+        columns exactly when a compiled kernel runs.
 
         ``observation`` is a stored
         :class:`~repro.cost.observe.Observation` of this exact
@@ -227,6 +227,7 @@ class ExecutionPlanner:
         from ..engine.source import Dataset
         from .plan import ExecutionPlan, PlanReport
 
+        options = options or ExecOptions()
         reasons: list[str] = []
         provenance: dict[str, dict] = {}
         if observation_note:
@@ -371,8 +372,8 @@ class ExecutionPlanner:
             )
 
         budget = (
-            memory_budget
-            if memory_budget is not None
+            options.memory_budget
+            if options.memory_budget is not None
             else self.config.memory_budget
         )
         spill, est_bytes = self._spill_decision(
@@ -385,13 +386,13 @@ class ExecutionPlanner:
         )
         partitions = self._partitions(program, stages, processes, reasons)
         kernel_choice = self._kernel_decision(
-            kernel if kernel is not None else self.config.kernel,
+            options.kernel or self.config.kernel,
             program,
             n,
             reasons,
         )
         layout_choice = self._layout_decision(
-            layout if layout is not None else self.config.layout,
+            options.layout or self.config.layout,
             kernel_choice,
             reasons,
         )
@@ -498,11 +499,6 @@ class ExecutionPlanner:
         from ..codegen.kernels import kernel_support
         from ..ir.nodes import expr_size
 
-        if requested not in ("eval", "compiled", "auto"):
-            raise ValueError(
-                f"unknown kernel {requested!r}; expected 'eval', "
-                "'compiled' or 'auto'"
-            )
         if requested == "eval":
             return "eval"
         support = kernel_support(program.summary, program.analysis.view)
@@ -565,11 +561,6 @@ class ExecutionPlanner:
         non-vectorizable program is harmless: the engine finds no column
         specs and leaves the chunks as plain lists.
         """
-        if requested not in ("rows", "columns", "auto"):
-            raise ValueError(
-                f"unknown layout {requested!r}; expected 'rows', "
-                "'columns' or 'auto'"
-            )
         if requested != "auto":
             reasons.append(f"layout={requested} forced by caller")
             return requested

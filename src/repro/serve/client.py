@@ -6,8 +6,8 @@ mirrors :class:`repro.session.Session` — ``compile`` / ``submit`` /
 come back as the same :class:`~repro.session.JobResult` records the
 in-process session returns (outputs decoded through the tagged wire
 codec, so tuples, sets, and non-string dict keys survive round-trip);
-``plan_report`` arrives as the report's ``summary()`` dict rather than
-the live dataclass.
+``plan_report`` and ``metrics`` arrive as their ``summary()`` dicts
+rather than the live dataclasses.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from ..errors import ServeError
-from ..options import ExecOptions, normalize_exec_options
+from ..options import ExecOptions, check_options
 from ..session import JobResult
 from .daemon import result_from_wire
 from .wire import encode_value
@@ -112,10 +112,9 @@ class DaemonClient:
         inputs: dict[str, Any],
         options: Optional[ExecOptions] = None,
         fragment_index: Optional[int] = None,
-        **legacy: Any,
     ) -> RemoteJob:
         """Queue a job on the daemon; returns a :class:`RemoteJob`."""
-        options = normalize_exec_options(options, "DaemonClient.submit", **legacy)
+        options = check_options(options, "DaemonClient.submit")
         program_id = (
             program.program_id
             if isinstance(program, RemoteProgram)

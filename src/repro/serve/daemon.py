@@ -47,6 +47,7 @@ def result_to_wire(result: JobResult) -> dict:
         "status": result.status,
         "outputs": encode_value(result.outputs),
         "plan_report": encode_value(report),
+        "metrics": result.metrics.summary() if result.metrics is not None else None,
         "admission": encode_value(result.admission),
         "error": result.error,
         "wall_seconds": result.wall_seconds,
@@ -66,6 +67,7 @@ def result_from_wire(payload: dict) -> JobResult:
         status=payload["status"],
         outputs=decode_value(payload["outputs"]),
         plan_report=decode_value(payload["plan_report"]),
+        metrics=payload.get("metrics"),
         admission=decode_value(payload["admission"]),
         error=payload.get("error"),
         wall_seconds=payload.get("wall_seconds", 0.0),
@@ -77,7 +79,7 @@ def result_from_wire(payload: dict) -> JobResult:
 class _Handler(BaseHTTPRequestHandler):
     """One request; the daemon instance rides on the server object."""
 
-    server_version = "repro-serve/1.5"
+    server_version = "repro-serve/1.6"
     protocol_version = "HTTP/1.1"
 
     # ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The session façade: compile once, submit jobs, read results.
 
 This is the redesigned front door of the repository (ROADMAP item 1).
-The old surface was a bag of free functions whose results lived in
-mutable module- and program-level "last run" state — workable for one
-caller in one thread, incoherent for a resident service.  A
-:class:`Session` owns the pieces explicitly:
+Every layer under it *returns* what one call produced
+(:class:`~repro.codegen.base.ExecutionOutcome`,
+:class:`~repro.graph.executor.GraphRunResult`), so a job's evidence is
+never read back from shared state.  A :class:`Session` owns the pieces
+explicitly:
 
 * a :class:`~repro.serve.registry.ProgramRegistry` (compile-or-recall
   over the summary cache's disk tier),
@@ -44,7 +45,7 @@ from typing import Any, Optional, Union
 from .compiler import CompilationResult, _run_fragment, _run_program
 from .cost.observe import ObservationStore
 from .errors import ServeError
-from .options import ExecOptions, normalize_exec_options
+from .options import ExecOptions, check_options
 from .serve.admission import AdmissionController
 from .serve.registry import ProgramRegistry, RegisteredProgram
 from .synthesis.search import SearchConfig
@@ -58,9 +59,8 @@ class JobResult:
     """Everything one submitted job produced — reports included.
 
     The point of this type is that it is *owned by the job*: under
-    concurrent submissions, ``plan_report`` here is the report of this
-    execution, not whatever ran last (the failure mode of the deprecated
-    ``last_plan_report``/``last_graph_report`` accessors).
+    concurrent submissions, ``plan_report`` and ``metrics`` here are
+    those of this execution, not of whatever ran last.
     """
 
     job_id: str
@@ -72,6 +72,12 @@ class JobResult:
     #: fragment run, ``None`` for unplanned fragment runs — and the
     #: report's ``summary()`` dict when fetched from a daemon.
     plan_report: Any = None
+    #: Engine accounting of a fragment run
+    #: (:class:`~repro.engine.metrics.JobMetrics`: simulated seconds,
+    #: bytes emitted/shuffled, wall seconds) — its ``summary()`` dict
+    #: when fetched from a daemon; ``None`` for whole-program runs,
+    #: whose totals are on the ``GraphPlanReport``.
+    metrics: Any = None
     #: The admission controller's decision for this job, as a dict
     #: (mode, footprint, capacity, queueing, reasons).
     admission: Optional[dict] = None
@@ -86,10 +92,6 @@ class JobResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    def graph_report(self):
-        """Alias for readers of whole-program runs."""
-        return self.plan_report
 
 
 class JobHandle:
@@ -241,25 +243,24 @@ class Session:
         inputs: dict[str, Any],
         options: Optional[ExecOptions] = None,
         fragment_index: Optional[int] = None,
-        **legacy: Any,
     ) -> JobHandle:
         """Queue one job; returns immediately with a :class:`JobHandle`.
 
         ``program`` may be a :class:`RegisteredProgram` from
         :meth:`compile`, a ``program_id`` string, or a raw
         :class:`~repro.compiler.CompilationResult` (adopted into the
-        registry on first submission).  ``fragment_index`` runs one
-        fragment through its adaptive program; the default runs the
-        whole job graph.  The legacy per-call kwargs (``plan=...``,
-        ``memory_budget=...``, …) are accepted with a
-        ``DeprecationWarning``, exactly as on ``run_program``.
+        registry on first submission).  ``options=None`` applies the
+        session ``defaults``.  ``fragment_index`` runs one fragment
+        through its adaptive program; the default runs the whole job
+        graph.
         """
         if self._closed:
             raise ServeError("session is closed")
-        normalized = normalize_exec_options(options, "Session.submit", **legacy)
-        if options is None and normalized == ExecOptions():
-            normalized = self.defaults  # nothing passed → session defaults
-        options = normalized
+        options = (
+            self.defaults
+            if options is None
+            else check_options(options, "Session.submit")
+        )
         entry = self._resolve(program)
         with self._lock:
             job_id = f"job-{next(self._job_ids)}"
@@ -302,13 +303,9 @@ class Session:
         inputs: dict[str, Any],
         options: Optional[ExecOptions] = None,
         fragment_index: Optional[int] = None,
-        **legacy: Any,
     ) -> JobResult:
         """Submit-and-wait convenience."""
-        handle = self.submit(
-            program, inputs, options, fragment_index=fragment_index, **legacy
-        )
-        return handle.result()
+        return self.submit(program, inputs, options, fragment_index).result()
 
     def info(self) -> dict:
         """Session-wide stats (registry + admission + jobs)."""
@@ -365,17 +362,21 @@ class Session:
     ) -> JobResult:
         decision = self.admission.admit(inputs, options)
         started = time.perf_counter()
+        metrics = None
         try:
-            # The adaptive programs keep per-instance monitor/report
-            # state, so two jobs of the *same* program serialize on the
-            # entry lock; jobs of different programs run concurrently.
+            # Two jobs of the *same* program serialize on the entry
+            # lock (the monitor and the lazily-attached planner and
+            # observation store are per-program); jobs of different
+            # programs run concurrently.
             with entry.lock:
                 if self.observations is not None:
                     self._attach_observations(entry)
                 if fragment_index is not None:
-                    outputs, report = _run_fragment(
+                    outcome = _run_fragment(
                         entry.compilation, inputs, fragment_index, options
                     )
+                    outputs, report = outcome.outputs, outcome.report
+                    metrics = outcome.metrics
                 else:
                     run = _run_program(entry.compilation, inputs, options)
                     outputs, report = run.outputs, run.report
@@ -403,6 +404,7 @@ class Session:
             status="ok",
             outputs=outputs,
             plan_report=report,
+            metrics=metrics,
             admission=decision.as_dict(),
             wall_seconds=time.perf_counter() - started,
             queued_seconds=started - submitted,

@@ -15,9 +15,10 @@ from ..compiler import CasperCompiler, CompilationResult
 from ..engine.config import EngineConfig
 from ..engine.sequential import run_sequential
 from ..engine.sizes import sizeof
-from ..graph.executor import GraphRunResult, interpret_reference
+from ..graph.executor import interpret_reference
 from ..lang.values import values_equal
 from ..options import ExecOptions
+from ..planner.dag import GraphPlanReport
 from ..planner.plan import PlanReport
 from ..session import Session
 from ..synthesis.search import SearchConfig
@@ -199,7 +200,7 @@ def run_benchmark(
         outputs = job.outputs
         if plan is not None and job.plan_report is not None:
             run.plan_reports.append(job.plan_report)
-        metrics = fragment.program.last_metrics
+        metrics = job.metrics
         if metrics is not None:
             # Each translated fragment is its own job, re-reading its input
             # (Casper's generated code does not share or cache scans across
@@ -228,18 +229,19 @@ class GraphBenchmarkRun:
     benchmark: Benchmark
     compilation: CompilationResult
     outputs: dict[str, Any]
-    run: GraphRunResult
+    #: The job's evidence trail: waves, fusion decisions, unit reports.
+    report: GraphPlanReport
     #: Graph outputs equal the chained reference-interpreter outputs
     #: (compared over the variables both sides materialize).
     outputs_match: bool = True
 
     @property
     def wall_seconds(self) -> float:
-        return self.run.wall_seconds
+        return self.report.wall_seconds
 
     @property
     def simulated_seconds(self) -> float:
-        return self.run.simulated_seconds
+        return self.report.simulated_seconds
 
 
 def run_benchmark_graph(
@@ -276,8 +278,6 @@ def run_benchmark_graph(
             f"graph run of {benchmark.name!r} failed: {job.error}"
         )
     outputs = job.outputs
-    run = compilation.last_graph_run
-    assert run is not None
     expected = interpret_reference(compilation.job_graph, dict(inputs))
     # A silently-dropped output must fail the comparison, not shrink it:
     # every final variable the reference produced has to be delivered.
@@ -290,7 +290,7 @@ def run_benchmark_graph(
         benchmark=benchmark,
         compilation=compilation,
         outputs=outputs,
-        run=run,
+        report=job.plan_report,
         outputs_match=matched,
     )
 

@@ -147,9 +147,9 @@ class TestAdaptiveProgram:
         adaptive = build_adaptive_program(sum_analysis, sum_search.summaries)
         assert isinstance(adaptive, AdaptiveProgram)
         assert 1 <= len(adaptive.programs) <= len(sum_search.summaries)
-        outputs = adaptive.run({"data": [1, 2, 3, 4], "n": 4})
-        assert outputs == {"total": 10}
-        assert adaptive.chosen_implementation is not None
+        outcome = adaptive.run({"data": [1, 2, 3, 4], "n": 4})
+        assert outcome.outputs == {"total": 10}
+        assert outcome.implementation is not None
 
     def test_set_engine_config_propagates(self, sum_search, sum_analysis):
         adaptive = build_adaptive_program(sum_analysis, sum_search.summaries)
@@ -160,7 +160,7 @@ class TestAdaptiveProgram:
     def test_outputs_match_interpreter(self, rwm_search, rwm_analysis):
         adaptive = build_adaptive_program(rwm_analysis, rwm_search.summaries)
         mat = [[3, 9], [12, 6]]
-        outputs = adaptive.run({"mat": mat, "rows": 2, "cols": 2})
+        outputs = adaptive.run({"mat": mat, "rows": 2, "cols": 2}).outputs
         from repro.lang.interpreter import Interpreter
 
         expected = Interpreter(rwm_analysis.program).call_function(

@@ -18,11 +18,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.codegen.base import (
-    prepare_globals,
-    resolve_layout,
-    view_records,
-)
+from repro.codegen.base import prepare_globals, view_records
 from repro.codegen.kernels import CompiledRecordMapper
 from repro.engine import shm
 from repro.engine.columnar import (
@@ -38,22 +34,14 @@ from repro.engine.columnar import (
 from repro.engine.multiprocess import MultiprocessEngine
 from repro.engine.sizes import OBJECT_HEADER, sizeof, sizeof_pair
 from repro.engine.spill import SpillWriter, read_run
-from repro.errors import CodegenError, EngineError
+from repro.errors import EngineError
 from repro.graph.executor import interpret_fragment
 from repro.options import ExecOptions
 from repro.planner.plan import forced_plan
 from repro.workloads import get_benchmark
-from repro.workloads.runner import compile_benchmark
+from suite_cache import compiled
 
 RUN_SIZE = 200
-
-_COMPILED: dict[str, object] = {}
-
-
-def compiled(name: str):
-    if name not in _COMPILED:
-        _COMPILED[name] = compile_benchmark(get_benchmark(name))
-    return _COMPILED[name]
 
 
 def _mapper(name: str):
@@ -86,7 +74,9 @@ def _steps(name: str, inputs):
     fragment = [f for f in compilation.fragments if f.translated][0]
     program = fragment.program.programs[0]
     globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
-    return program.local_steps(globals_env, kernel="compiled")
+    return program.local_steps(
+        globals_env, plan=forced_plan("sequential", kernel="compiled")
+    )
 
 
 def _pairs_equal(lhs: list, rhs: list) -> bool:
@@ -447,19 +437,20 @@ def test_forced_plan_carries_layout():
     assert any("layout" in reason for reason in plan.reasons)
     # Simulated backends never run the real engine's columnar path.
     assert forced_plan("spark", layout="columns").layout == "rows"
-    with pytest.raises(ValueError, match="unknown layout"):
-        forced_plan("sequential", layout="diagonal")
 
 
 def test_resolve_layout_precedence_and_auto():
-    plan = forced_plan("sequential", kernel="compiled", layout="columns")
-    assert resolve_layout(None, None) == "rows"
-    assert resolve_layout(None, plan) == "columns"
-    assert resolve_layout("rows", plan) == "rows"
-    assert resolve_layout("auto", None, kernel="compiled") == "columns"
-    assert resolve_layout("auto", None, kernel=None) == "rows"
-    with pytest.raises(CodegenError, match="unknown layout"):
-        resolve_layout("diagonal", None)
+    # The layout is resolved where the plan is made: default rows, the
+    # caller's choice when pinned, and "auto" → columns exactly when a
+    # compiled kernel runs.  Plans never carry "auto" to the engine.
+    assert forced_plan("sequential").layout == "rows"
+    assert forced_plan("sequential", layout="columns").layout == "columns"
+    compiled_plan = forced_plan("sequential", kernel="compiled", layout="auto")
+    assert compiled_plan.layout == "columns"
+    assert forced_plan("sequential", kernel="auto", layout="auto").layout == "columns"
+    assert forced_plan("sequential", kernel="compiled", layout="rows").layout == "rows"
+    assert forced_plan("sequential", layout="auto").layout == "rows"
+    assert forced_plan("sequential", kernel="eval", layout="auto").layout == "rows"
 
 
 def test_engine_rejects_unknown_layout():
@@ -475,15 +466,17 @@ def test_planner_resolves_layout_from_kernel():
     fragment = [f for f in compilation.fragments if f.translated][0]
 
     big = benchmark.make_inputs(5000, 11)
-    fragment.program.run(dict(big), plan="auto", kernel="compiled")
-    report = fragment.program.last_plan_report
+    report = fragment.program.run(
+        dict(big), ExecOptions(plan="auto", kernel="compiled")
+    ).report
     assert report.summary()["layout"] == "columns"
     assert any("layout=columns" in r for r in report.plan.reasons)
     assert report.columnar is not None
     assert report.columnar["columnar_chunks"] >= 1
 
-    fragment.program.run(dict(big), plan="auto", kernel="eval")
-    report = fragment.program.last_plan_report
+    report = fragment.program.run(
+        dict(big), ExecOptions(plan="auto", kernel="eval")
+    ).report
     assert report.summary()["layout"] == "rows"
 
 
@@ -494,14 +487,15 @@ def test_layout_knob_end_to_end_identical():
     inputs = benchmark.make_inputs(RUN_SIZE, 7)
     reference = interpret_fragment(fragment.analysis, dict(inputs))
     by_rows = fragment.program.run(
-        dict(inputs), plan="sequential", kernel="compiled", layout="rows"
+        dict(inputs), ExecOptions(plan="sequential", kernel="compiled", layout="rows")
+    ).outputs
+    columns = fragment.program.run(
+        dict(inputs),
+        ExecOptions(plan="sequential", kernel="compiled", layout="columns"),
     )
-    by_cols = fragment.program.run(
-        dict(inputs), plan="sequential", kernel="compiled", layout="columns"
-    )
+    by_cols, report = columns.outputs, columns.report
     assert by_rows == by_cols
     common = set(by_cols) & set(reference)
     assert common and all(by_cols[k] == reference[k] for k in common)
-    report = fragment.program.last_plan_report
     assert report.summary()["layout"] == "columns"
     assert report.columnar is not None

@@ -16,13 +16,15 @@ class TestTranslatePipeline:
         assert result.identified == 1
         assert result.translated == 1
         frag = result.fragments[0]
-        outputs = frag.program.run({"data": [10, 20, 30], "n": 3})
+        outputs = frag.program.run({"data": [10, 20, 30], "n": 3}).outputs
         assert outputs == {"total": 60}
 
     def test_rwm_end_to_end_matches_interpreter(self):
         result = translate(RWM_SOURCE)
         mat = [[i * j for j in range(4)] for i in range(5)]
-        outputs = result.fragments[0].program.run({"mat": mat, "rows": 5, "cols": 4})
+        outputs = result.fragments[0].program.run(
+            {"mat": mat, "rows": 5, "cols": 4}
+        ).outputs
         expected = Interpreter(parse_program(RWM_SOURCE)).call_function(
             "rwm", [mat, 5, 4]
         )
@@ -34,7 +36,7 @@ class TestTranslatePipeline:
         result = translate(Q6_SOURCE, "query6")
         assert result.translated == 1
         items = datagen.lineitems(500, seed=3)
-        outputs = result.fragments[0].program.run({"lineitem": items})
+        outputs = result.fragments[0].program.run({"lineitem": items}).outputs
         expected = Interpreter(parse_program(Q6_SOURCE)).call_function(
             "query6", [items]
         )
@@ -42,7 +44,7 @@ class TestTranslatePipeline:
 
     def test_wordcount_end_to_end(self):
         result = translate(WORDCOUNT_SOURCE)
-        outputs = result.fragments[0].program.run({"words": ["x", "y", "x"]})
+        outputs = result.fragments[0].program.run({"words": ["x", "y", "x"]}).outputs
         assert outputs == {"counts": {"x": 2, "y": 1}}
 
     def test_rendered_code_available(self):
@@ -79,7 +81,7 @@ class TestTranslatePipeline:
 
     def test_backend_selection(self):
         result = translate(SUM_SOURCE, backend="flink")
-        outputs = result.fragments[0].program.run({"data": [1, 1, 1], "n": 3})
+        outputs = result.fragments[0].program.run({"data": [1, 1, 1], "n": 3}).outputs
         assert outputs == {"total": 3}
 
 
@@ -97,5 +99,5 @@ class TestAliasingGuard:
         result = translate(source)
         outputs = result.fragments[0].program.run(
             {"x": [1.0, 2.0], "y": [3.0, 4.0], "n": 2}
-        )
+        ).outputs
         assert outputs == {"s": 11.0}

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import ExecOptions
 from repro.compiler import CasperCompiler, translate
 from repro.diagnostics import (
     REGISTRY,
@@ -271,7 +272,7 @@ class TestVerificationCodes:
         assert "REP201" in codes(best.proof.diagnostics)
         # The demotion surfaces as a structured REP203 acceptance note.
         assert "REP203" in codes(frag.diagnostics)
-        outputs = frag.program.run({"data": list(range(40)), "n": 40})
+        outputs = frag.program.run({"data": list(range(40)), "n": 40}).outputs
         assert outputs["sum"] == sum(range(40))
 
     def test_rep202_unsupported_symbolic_proof(self):
@@ -387,11 +388,11 @@ class TestEngineCodes:
     def test_fallback_code_reaches_plan_report(self):
         result = translate(SCRATCH_MUTATION)
         frag = result.fragments[0]
-        outputs = frag.program.run(
-            {"data": list(range(50)), "n": 50}, plan="multiprocess"
+        outcome = frag.program.run(
+            {"data": list(range(50)), "n": 50}, ExecOptions(plan="multiprocess")
         )
-        assert outputs["sum"] == sum(range(50))
-        report = frag.program.last_plan_report
+        assert outcome.outputs["sum"] == sum(range(50))
+        report = outcome.report
         assert report.fallback_reason is not None
         fallback = [d for d in report.diagnostics if d.code.startswith("REP3")]
         assert fallback, "engine fallback must carry a structured code"
@@ -408,10 +409,9 @@ class TestEngineCodes:
         planner.static_unpicklable = "payload not picklable: lambda (injected)"
         planner.probe_disagreement = True
         try:
-            frag.program.run(
-                {"data": [1.0, 2.0, 3.0], "n": 3}, plan="auto"
-            )
-            report = frag.program.last_plan_report
+            report = frag.program.run(
+                {"data": [1.0, 2.0, 3.0], "n": 3}, ExecOptions(plan="auto")
+            ).report
         finally:
             planner.static_unpicklable, planner.probe_disagreement = original
         assert "REP306" in codes(report.diagnostics)
@@ -467,10 +467,9 @@ class TestPickleProbe:
         assert "not picklable" in verdict.reason
 
     def test_engine_probe_compat_shim(self):
-        assert MultiprocessEngine._probe_picklable([1, 2, 3]) is None
-        assert "not picklable" in MultiprocessEngine._probe_picklable(
-            lambda x: x
-        )
+        # The engine's own wrapper is gone; every site probes directly.
+        assert probe_payload([1, 2, 3]).reason is None
+        assert "not picklable" in probe_payload(lambda x: x).reason
 
 
 # ----------------------------------------------------------------------
@@ -501,10 +500,10 @@ class TestCounterexampleCache:
             assert frag2.search.cached_counterexamples_used > 0
         # Seeding Φ never changes the result, only the search path.
         baseline = translate(FLOAT_FOLD)
-        outputs_seeded = frag2.program.run({"data": [0.5, 1.5, 2.5], "n": 3})
+        outputs_seeded = frag2.program.run({"data": [0.5, 1.5, 2.5], "n": 3}).outputs
         outputs_plain = baseline.fragments[0].program.run(
             {"data": [0.5, 1.5, 2.5], "n": 3}
-        )
+        ).outputs
         assert values_equal(outputs_seeded["total"], outputs_plain["total"])
 
     def test_counterexample_entries_round_trip_disk(self, tmp_path):
@@ -670,8 +669,10 @@ class TestDifferentialSweep:
                 continue
             reference = interpret_fragment(on.analysis, dict(inputs))
             for plan in ("sequential", "multiprocess"):
-                with_gate = on.program.run(dict(inputs), plan=plan)
-                without_gate = off.program.run(dict(inputs), plan=plan)
+                with_gate = on.program.run(dict(inputs), ExecOptions(plan=plan)).outputs
+                without_gate = off.program.run(
+                    dict(inputs), ExecOptions(plan=plan)
+                ).outputs
                 assert with_gate == without_gate, (
                     f"{name}/{plan}: soundness gate changed outputs"
                 )

@@ -55,7 +55,7 @@ class TestCrossBackendAgreement:
         compilation = compile_benchmark(benchmark, backend=backend)
         fragment = compilation.fragments[0]
         inputs = benchmark.make_inputs(500, seed=3)
-        outputs = fragment.program.run(dict(inputs))
+        outputs = fragment.program.run(dict(inputs)).outputs
         expected = Interpreter(benchmark.parse()).call_function(
             benchmark.function, benchmark.args_for(inputs)
         )
@@ -77,7 +77,7 @@ class TestDynamicTuning:
             text = datagen.keyword_text(2000, ["key1", "key2"], probability, seed=5)
             outputs = fragment.program.run(
                 {"text": text, "key1": "key1", "key2": "key2"}
-            )
+            ).outputs
             assert outputs["key1_found"] == ("key1" in text)
             assert outputs["key2_found"] == ("key2" in text)
 
@@ -92,7 +92,7 @@ def test_wordcount_translation_matches_interpreter_on_random_input(words):
     benchmark = get_benchmark("phoenix_wordcount")
     compilation = _cached_wordcount()
     fragment = compilation.fragments[0]
-    outputs = fragment.program.run({"wordList": list(words)})
+    outputs = fragment.program.run({"wordList": list(words)}).outputs
     expected = Interpreter(benchmark.parse()).call_function(
         benchmark.function, [list(words)]
     )
@@ -106,7 +106,7 @@ def test_wordcount_translation_matches_interpreter_on_random_input(words):
 def test_sum_translation_matches_python_sum(data):
     compilation = _cached_sum()
     fragment = compilation.fragments[0]
-    outputs = fragment.program.run({"data": list(data), "n": len(data)})
+    outputs = fragment.program.run({"data": list(data), "n": len(data)}).outputs
     assert outputs["total"] == sum(data)
 
 
@@ -121,7 +121,7 @@ def test_sum_translation_matches_python_sum(data):
 def test_minmax_translation_matches_python(data):
     compilation = _cached_minmax()
     fragment = compilation.fragments[0]
-    outputs = fragment.program.run({"x": list(data), "n": len(data)})
+    outputs = fragment.program.run({"x": list(data), "n": len(data)}).outputs
     assert outputs["lo"] == pytest.approx(min(data))
     assert outputs["hi"] == pytest.approx(max(data))
 

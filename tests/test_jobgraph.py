@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import run_program, translate
+from repro import ExecOptions, run_program, translate
 from repro.errors import GraphError
 from repro.graph import (
     JobEdge,
@@ -239,7 +239,7 @@ class TestExecutorFailurePaths:
         producer.program = None
         producer.failure_reason = "no valid summary"
         inputs = {"rows": _rows(40), "threshold": 50}
-        run = run_graph(graph, dict(inputs), strict=False)
+        run = run_graph(graph, dict(inputs), ExecOptions(strict=False))
         expected = interpret_reference(graph, dict(inputs))
         assert run.report.interpreted_nodes == ["selectSum#0"]
         assert values_equal(run.outputs["total"], expected["total"])
@@ -250,7 +250,7 @@ class TestExecutorFailurePaths:
             run_program(
                 result,
                 {"rows": _rows(10), "threshold": 50},
-                outputs=["nonexistent"],
+                ExecOptions(outputs=["nonexistent"]),
             )
 
 
@@ -258,17 +258,17 @@ class TestExecutor:
     def test_fused_matches_reference(self):
         result = translate(SELECT_SUM_SOURCE)
         inputs = {"rows": _rows(300), "threshold": 50}
-        fused = run_program(result, dict(inputs))
+        run = run_graph(result.job_graph, dict(inputs))
+        fused = run.outputs
         expected = interpret_reference(result.job_graph, dict(inputs))
         assert values_equal(fused["total"], expected["total"])
         assert "kept" not in fused  # fused away, never materialized
-        report = result.last_graph_run.report
-        assert sorted(report.fused_away) == ["kept"]
+        assert sorted(run.report.fused_away) == ["kept"]
 
     def test_unfused_materializes_intermediate(self):
         result = translate(SELECT_SUM_SOURCE)
         inputs = {"rows": _rows(300), "threshold": 50}
-        unfused = run_program(result, dict(inputs), fuse=False)
+        unfused = run_program(result, dict(inputs), ExecOptions(fuse=False))
         expected = interpret_reference(result.job_graph, dict(inputs))
         assert values_equal(unfused["kept"], expected["kept"])
         assert values_equal(unfused["total"], expected["total"])
@@ -276,17 +276,18 @@ class TestExecutor:
     def test_fusion_saves_simulated_time(self):
         result = translate(SELECT_SUM_SOURCE)
         inputs = {"rows": _rows(500), "threshold": 50}
-        run_program(result, dict(inputs), plan="sequential")
-        fused = result.last_graph_run.report.simulated_seconds
-        run_program(result, dict(inputs), plan="sequential", fuse=False)
-        unfused = result.last_graph_run.report.simulated_seconds
-        assert fused < unfused
+        graph = result.job_graph
+        fused = run_graph(graph, dict(inputs), ExecOptions(plan="sequential"))
+        unfused = run_graph(
+            graph, dict(inputs), ExecOptions(plan="sequential", fuse=False)
+        )
+        assert fused.simulated_seconds < unfused.simulated_seconds
 
     def test_branches_share_one_wave_and_records_cache(self):
         result = translate(TWO_BRANCH_SOURCE)
         inputs = {"data": list(range(64)), "n": 64}
-        outputs = run_program(result, dict(inputs), max_workers=2)
-        report = result.last_graph_run.report
+        run = run_graph(result.job_graph, dict(inputs), ExecOptions(max_workers=2))
+        outputs, report = run.outputs, run.report
         assert report.plan.waves == [(0, 1)]
         assert report.plan.concurrency == 2
         assert report.records_cache_hits >= 1
@@ -296,8 +297,11 @@ class TestExecutor:
 
     def test_forced_cluster_plan_degrades_fused_chains(self):
         result = translate(SELECT_SUM_SOURCE)
-        run_program(result, {"rows": _rows(100), "threshold": 50}, plan="spark")
-        report = result.last_graph_run.report
+        report = run_graph(
+            result.job_graph,
+            {"rows": _rows(100), "threshold": 50},
+            ExecOptions(plan="spark"),
+        ).report
         unit_report = report.unit_reports["selectSum#0"]
         assert unit_report.plan.backend == "sequential"
         assert any("degraded" in r for r in unit_report.plan.reasons)

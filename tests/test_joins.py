@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ExecOptions
 from repro.baselines.joins import estimate_join_order, run_three_way_join
 from repro.codegen.joins import (
     DEFAULT_BROADCAST_BYTES,
@@ -36,21 +37,13 @@ from repro.planner.joins import (
     summary_relations,
 )
 from repro.workloads import get_benchmark
-from repro.workloads.runner import compile_benchmark
-
-_COMPILED: dict[str, object] = {}
+from suite_cache import compiled
 
 JOIN_BENCHMARKS = (
     "joins_partsupp_cost",
     "joins_q3_revenue",
     "joins_three_way_cost",
 )
-
-
-def compiled(name: str):
-    if name not in _COMPILED:
-        _COMPILED[name] = compile_benchmark(get_benchmark(name))
-    return _COMPILED[name]
 
 
 def translated_fragment(name: str):
@@ -142,8 +135,8 @@ class TestJoinSynthesis:
         inputs = benchmark.make_inputs(80, 3)
         expected = compile_b(benchmark)
         assert values_equal(
-            warm.fragments[0].program.run(dict(inputs))["total"],
-            expected.fragments[0].program.run(dict(inputs))["total"],
+            warm.fragments[0].program.run(dict(inputs)).outputs["total"],
+            expected.fragments[0].program.run(dict(inputs)).outputs["total"],
         )
 
 
@@ -159,7 +152,7 @@ class TestJoinIdentity:
         fragment = translated_fragment(name)
         inputs = benchmark.make_inputs(300, 7)
         expected = interpreter_result(name, inputs)
-        outputs = fragment.program.run(dict(inputs), plan=plan)
+        outputs = fragment.program.run(dict(inputs), ExecOptions(plan=plan)).outputs
         out_var = list(fragment.analysis.output_vars)[0]
         assert values_equal(outputs[out_var], expected)
 
@@ -169,13 +162,17 @@ class TestJoinIdentity:
         fragment = translated_fragment(name)
         inputs = benchmark.make_inputs(300, 7)
         out_var = list(fragment.analysis.output_vars)[0]
-        in_memory = fragment.program.run(dict(inputs), plan="sequential")
+        in_memory = fragment.program.run(
+            dict(inputs), ExecOptions(plan="sequential")
+        ).outputs
         spilled = fragment.program.run(
-            dict(inputs), plan="sequential", memory_budget=2048
+            dict(inputs), ExecOptions(plan="sequential", memory_budget=2048)
         )
-        assert fragment.program.last_plan_report.plan.spill
-        assert spilled == in_memory
-        assert values_equal(spilled[out_var], interpreter_result(name, inputs))
+        assert spilled.report.plan.spill
+        assert spilled.outputs == in_memory
+        assert values_equal(
+            spilled.outputs[out_var], interpreter_result(name, inputs)
+        )
 
     def test_reduce_side_strategy_on_every_engine_path(self):
         """Pin reduce-side via a budget below the small side's bytes."""
@@ -185,10 +182,10 @@ class TestJoinIdentity:
         expected = interpreter_result("joins_partsupp_cost", inputs)
         budget = 300  # below the ~500 B part side, above one record
         for plan in ("sequential", "multiprocess"):
-            outputs = fragment.program.run(
-                dict(inputs), plan=plan, memory_budget=budget
+            outcome = fragment.program.run(
+                dict(inputs), ExecOptions(plan=plan, memory_budget=budget)
             )
-            report = fragment.program.last_plan_report
+            outputs, report = outcome.outputs, outcome.report
             assert report.plan.join_strategies == ("reduce_side",)
             assert report.plan.spill
             assert values_equal(outputs["total"], expected)
@@ -197,7 +194,9 @@ class TestJoinIdentity:
         benchmark = get_benchmark("joins_three_way_cost")
         fragment = translated_fragment("joins_three_way_cost")
         inputs = benchmark.make_inputs(300, 7)
-        outputs = fragment.program.run(dict(inputs), plan="sequential")
+        outputs = fragment.program.run(
+            dict(inputs), ExecOptions(plan="sequential")
+        ).outputs
         baseline = run_three_way_join(
             inputs["part"], inputs["supplier"], inputs["partsupp"]
         )
@@ -211,7 +210,7 @@ class TestJoinIdentity:
         inputs = benchmark.make_inputs(50, 7)
         inputs["part"] = ListSource(inputs["part"])
         with pytest.raises(CodegenError, match="streaming Dataset"):
-            fragment.program.run(dict(inputs), plan="sequential")
+            fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +265,7 @@ class TestBroadcastDecision:
         benchmark = get_benchmark("joins_partsupp_cost")
         fragment = translated_fragment("joins_partsupp_cost")
         inputs = benchmark.make_inputs(200, 7)
-        fragment.program.run(dict(inputs), plan="auto")
-        report = fragment.program.last_plan_report
+        report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
         assert report.join is not None
         (level,) = report.join["levels"]
         assert level["strategy"] == "broadcast"
@@ -321,8 +319,9 @@ class TestJoinOrdering:
         benchmark = get_benchmark("joins_three_way_cost")
         fragment = translated_fragment("joins_three_way_cost")
         inputs = benchmark.make_inputs(300, 7)
-        fragment.program.run(dict(inputs), plan="sequential")
-        report = fragment.program.last_plan_report
+        report = fragment.program.run(
+            dict(inputs), ExecOptions(plan="sequential")
+        ).report
         ordering = report.join["ordering"]
         assert ordering["order"] == "partsupp ⋈ supplier ⋈ part"
         assert set(ordering["cardinalities"]) == {"partsupp", "supplier", "part"}
@@ -470,12 +469,11 @@ class TestJoinSeams:
                 program.run(dict(inputs), backend=backend)
 
     def test_join_fragments_never_fuse_into_chains(self):
-        from repro.compiler import run_program
+        from repro.graph.executor import run_graph
 
         compilation = compiled("joins_three_way_cost")
         benchmark = get_benchmark("joins_three_way_cost")
-        run_program(compilation, benchmark.make_inputs(120, 7))
-        run = compilation.last_graph_run
+        run = run_graph(compilation.job_graph, benchmark.make_inputs(120, 7))
         assert all(not unit.fused for unit in run.schedule.units)
 
     def test_build_join_steps_honours_pinned_strategies(self):

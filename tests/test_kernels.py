@@ -19,7 +19,15 @@ import pickle
 
 import pytest
 
-from repro.codegen.base import prepare_globals, resolve_kernel, view_records
+from differential import (
+    RUN_SIZE,
+    compiled,
+    outputs_match as _match,
+    sweep,
+    translated_fragments as _translated_fragments,
+)
+from repro import ExecOptions
+from repro.codegen.base import prepare_globals, view_records
 from repro.codegen.kernels import (
     CompiledRecordMapper,
     CompiledReduce,
@@ -29,66 +37,29 @@ from repro.codegen.kernels import (
 )
 from repro.engine import shm
 from repro.engine.multiprocess import MultiprocessEngine
-from repro.errors import CodegenError, EngineError, IRError
+from repro.errors import EngineError, IRError
 from repro.graph.executor import interpret_fragment
 from repro.ir.eval import eval_expr
 from repro.ir.nodes import BinOp, Var
 from repro.lang.values import values_equal
 from repro.planner.plan import forced_plan
 from repro.workloads import all_benchmarks, get_benchmark
-from repro.workloads.runner import compile_benchmark
-
-RUN_SIZE = 200
-
-_COMPILED: dict[str, object] = {}
-
-
-def compiled(name: str):
-    if name not in _COMPILED:
-        _COMPILED[name] = compile_benchmark(get_benchmark(name))
-    return _COMPILED[name]
-
-
-def _match(lhs: dict, rhs: dict) -> bool:
-    common = set(lhs) & set(rhs)
-    return bool(common) and all(values_equal(lhs[k], rhs[k]) for k in common)
-
-
-def _translated_fragments(compilation):
-    return [f for f in compilation.fragments if f.translated]
-
 
 # ----------------------------------------------------------------------
 # Differential identity: compiled == eval == interpreter, every suite
+# (one pass per benchmark, shared with test_layout_sweep)
 
 
 @pytest.mark.parametrize(
     "name", [b.name for b in all_benchmarks()], ids=lambda n: n
 )
 def test_compiled_matches_eval_and_interpreter(name):
-    benchmark = get_benchmark(name)
-    compilation = compiled(name)
-    inputs = benchmark.make_inputs(RUN_SIZE, 7)
-
-    env = dict(inputs)
-    for fragment in compilation.fragments:
-        if not fragment.translated:
-            if fragment.analysis is not None:
-                env.update(interpret_fragment(fragment.analysis, env))
-            continue
-        reference = interpret_fragment(fragment.analysis, env)
-        out_eval = fragment.program.run(
-            dict(env), plan="sequential", kernel="eval"
-        )
-        out_compiled = fragment.program.run(
-            dict(env), plan="sequential", kernel="compiled"
-        )
-        assert _match(out_eval, reference), f"{name}: eval != interpreter"
-        assert _match(out_compiled, reference), f"{name}: compiled != interpreter"
+    for ran in sweep(name):
+        assert _match(ran.eval, ran.reference), f"{name}: eval != interpreter"
+        assert _match(ran.rows, ran.reference), f"{name}: compiled != interpreter"
         # The two kernels share fold order, so they agree *exactly*,
         # not merely within float tolerance.
-        assert out_eval == out_compiled, f"{name}: compiled != eval"
-        env.update(reference)
+        assert ran.eval == ran.rows, f"{name}: compiled != eval"
 
 
 _BACKEND_CASES = [
@@ -110,17 +81,15 @@ def test_compiled_on_pool_and_spill_backends(name):
     reference = interpret_fragment(fragment.analysis, dict(inputs))
 
     pooled = fragment.program.run(
-        dict(inputs), plan="multiprocess", kernel="compiled"
-    )
+        dict(inputs), ExecOptions(plan="multiprocess", kernel="compiled")
+    ).outputs
     assert _match(pooled, reference), f"{name}: pooled compiled != interpreter"
 
-    spilled = fragment.program.run(
+    outcome = fragment.program.run(
         dict(inputs),
-        plan="sequential",
-        memory_budget=4096,
-        kernel="compiled",
+        ExecOptions(plan="sequential", memory_budget=4096, kernel="compiled"),
     )
-    report = fragment.program.last_plan_report
+    spilled, report = outcome.outputs, outcome.report
     assert report.plan.spill, f"{name}: budget did not engage the spill path"
     assert _match(spilled, reference), f"{name}: spilled compiled != interpreter"
 
@@ -134,11 +103,34 @@ def test_compiled_through_fused_graph():
     inputs = benchmark.make_inputs(RUN_SIZE, 3)
     reference = interpret_reference(compilation.job_graph, dict(inputs))
     outputs = run_program(
-        compilation, dict(inputs), plan="sequential", kernel="compiled"
+        compilation, dict(inputs), ExecOptions(plan="sequential", kernel="compiled")
     )
     common = set(outputs) & set(reference)
     assert common, "graph run produced nothing comparable"
     assert all(values_equal(outputs[k], reference[k]) for k in common)
+
+
+def test_pinned_kernel_without_a_plan_rides_a_bare_plan():
+    from repro.graph import run_graph
+    from repro.planner.plan import pinned_plan
+
+    assert pinned_plan("sequential", ExecOptions()) is None
+    bare = pinned_plan("sequential", ExecOptions(kernel="compiled", layout="auto"))
+    assert (bare.kernel, bare.layout, bare.spill) == ("compiled", "columns", False)
+    # Simulated backends always interpret rows, pinned or not.
+    assert pinned_plan("spark", ExecOptions(kernel="compiled")).kernel == "eval"
+
+    compilation = compiled("iterative_pagerank")  # has a stage-fused chain
+    inputs = get_benchmark("iterative_pagerank").make_inputs(RUN_SIZE, 3)
+    unplanned = run_graph(compilation.job_graph, dict(inputs))
+    pinned = run_graph(
+        compilation.job_graph,
+        dict(inputs),
+        ExecOptions(kernel="compiled", layout="auto"),
+    )
+    assert any(unit.fused for unit in pinned.schedule.units)
+    assert pinned.outputs == unplanned.outputs
+    assert not pinned.report.unit_reports  # still unplanned: no reports
 
 
 def test_join_pipelines_fall_back_to_eval():
@@ -153,8 +145,8 @@ def test_join_pipelines_fall_back_to_eval():
     # fall back per stage and the results are unchanged.
     reference = interpret_fragment(fragment.analysis, dict(inputs))
     outputs = fragment.program.run(
-        dict(inputs), plan="sequential", kernel="compiled"
-    )
+        dict(inputs), ExecOptions(plan="sequential", kernel="compiled")
+    ).outputs
     assert _match(outputs, reference)
 
 
@@ -255,17 +247,9 @@ def test_forced_plan_carries_kernel():
     assert any("kernel" in reason for reason in plan.reasons)
     # Simulated backends always interpret; the knob must not pretend.
     assert forced_plan("spark", kernel="compiled").kernel == "eval"
+    # Names are validated once, where the caller spells them.
     with pytest.raises(ValueError, match="unknown kernel"):
-        forced_plan("sequential", kernel="fastest")
-
-
-def test_resolve_kernel_precedence():
-    plan = forced_plan("sequential", kernel="compiled")
-    assert resolve_kernel(None, None) == "eval"
-    assert resolve_kernel(None, plan) == "compiled"
-    assert resolve_kernel("eval", plan) == "eval"
-    with pytest.raises(CodegenError, match="unknown kernel"):
-        resolve_kernel("jit", None)
+        ExecOptions(kernel="fastest")
 
 
 def test_planner_prices_kernel_from_map_work():
@@ -274,14 +258,12 @@ def test_planner_prices_kernel_from_map_work():
     fragment = _translated_fragments(compilation)[0]
 
     big = benchmark.make_inputs(5000, 11)
-    fragment.program.run(dict(big), plan="auto")
-    report = fragment.program.last_plan_report
+    report = fragment.program.run(dict(big), ExecOptions(plan="auto")).report
     assert report.summary()["kernel"] == "compiled"
     assert any("kernel=compiled" in r for r in report.plan.reasons)
 
     small = benchmark.make_inputs(20, 11)
-    fragment.program.run(dict(small), plan="auto")
-    report = fragment.program.last_plan_report
+    report = fragment.program.run(dict(small), ExecOptions(plan="auto")).report
     assert report.summary()["kernel"] == "eval"
     assert any("compile cost would dominate" in r for r in report.plan.reasons)
 
@@ -312,7 +294,8 @@ def test_shm_empty_payload_falls_back():
 
 def _pooled_steps(name: str):
     program, _stage, globals_env, records = _first_map_stage(name)
-    steps = list(program.local_steps(globals_env, kernel="compiled"))
+    compiled_plan = forced_plan("sequential", kernel="compiled")
+    steps = list(program.local_steps(globals_env, plan=compiled_plan))
     return program, records, steps, globals_env
 
 

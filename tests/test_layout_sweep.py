@@ -18,61 +18,32 @@ from __future__ import annotations
 
 import pytest
 
+from differential import (
+    RUN_SIZE,
+    compiled,
+    outputs_match as _match,
+    sweep,
+    translated_fragments as _translated_fragments,
+)
+from repro import ExecOptions
 from repro.graph.executor import interpret_fragment
 from repro.lang.values import values_equal
 from repro.workloads import all_benchmarks, get_benchmark
-from repro.workloads.runner import compile_benchmark
-
-RUN_SIZE = 200
-
-_COMPILED: dict[str, object] = {}
-
-
-def compiled(name: str):
-    if name not in _COMPILED:
-        _COMPILED[name] = compile_benchmark(get_benchmark(name))
-    return _COMPILED[name]
-
-
-def _match(lhs: dict, rhs: dict) -> bool:
-    common = set(lhs) & set(rhs)
-    return bool(common) and all(values_equal(lhs[k], rhs[k]) for k in common)
-
-
-def _translated_fragments(compilation):
-    return [f for f in compilation.fragments if f.translated]
-
 
 # ----------------------------------------------------------------------
-# Sequential: every suite, rows vs columns, exact equality
+# Sequential: every suite, rows vs columns, exact equality (the same
+# pass test_kernels reads — each benchmark compiles and runs once)
 
 
 @pytest.mark.parametrize(
     "name", [b.name for b in all_benchmarks()], ids=lambda n: n
 )
 def test_columns_match_rows_and_interpreter(name):
-    benchmark = get_benchmark(name)
-    compilation = compiled(name)
-    inputs = benchmark.make_inputs(RUN_SIZE, 7)
-
-    env = dict(inputs)
-    for fragment in compilation.fragments:
-        if not fragment.translated:
-            if fragment.analysis is not None:
-                env.update(interpret_fragment(fragment.analysis, env))
-            continue
-        reference = interpret_fragment(fragment.analysis, env)
-        by_rows = fragment.program.run(
-            dict(env), plan="sequential", kernel="compiled", layout="rows"
-        )
-        by_cols = fragment.program.run(
-            dict(env), plan="sequential", kernel="compiled", layout="columns"
-        )
-        assert _match(by_cols, reference), f"{name}: columns != interpreter"
+    for ran in sweep(name):
+        assert _match(ran.columns, ran.reference), f"{name}: columns != interpreter"
         # Rows and columns share fold order (or the guards refuse the
         # array path), so they agree *exactly*, not within tolerance.
-        assert by_rows == by_cols, f"{name}: columns != rows"
-        env.update(reference)
+        assert ran.rows == ran.columns, f"{name}: columns != rows"
 
 
 # ----------------------------------------------------------------------
@@ -97,18 +68,21 @@ def test_columns_on_pool_and_spill_backends(name):
     reference = interpret_fragment(fragment.analysis, dict(inputs))
 
     pooled = fragment.program.run(
-        dict(inputs), plan="multiprocess", kernel="compiled", layout="columns"
-    )
+        dict(inputs),
+        ExecOptions(plan="multiprocess", kernel="compiled", layout="columns"),
+    ).outputs
     assert _match(pooled, reference), f"{name}: pooled columns != interpreter"
 
-    spilled = fragment.program.run(
+    outcome = fragment.program.run(
         dict(inputs),
-        plan="sequential",
-        memory_budget=4096,
-        kernel="compiled",
-        layout="columns",
+        ExecOptions(
+            plan="sequential",
+            memory_budget=4096,
+            kernel="compiled",
+            layout="columns",
+        ),
     )
-    report = fragment.program.last_plan_report
+    spilled, report = outcome.outputs, outcome.report
     assert report.plan.spill, f"{name}: budget did not engage the spill path"
     assert _match(spilled, reference), f"{name}: spilled columns != interpreter"
     assert report.summary()["layout"] == "columns"
@@ -126,13 +100,15 @@ def test_columns_through_fused_graph():
     by_rows = run_program(
         compilation,
         dict(inputs),
-        options=ExecOptions(plan="sequential", kernel="compiled", layout="rows"),
+        ExecOptions(plan="sequential", kernel="compiled", layout="rows"),
     )
     by_cols = run_program(
         compilation,
         dict(inputs),
-        options=ExecOptions(
-            plan="sequential", kernel="compiled", layout="columns"
+        ExecOptions(
+            plan="sequential",
+            kernel="compiled",
+            layout="columns",
         ),
     )
     assert by_rows == by_cols, "fused graph: columns != rows"

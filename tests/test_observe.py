@@ -278,16 +278,17 @@ class TestStreamProbe:
         inputs = join_inputs(400)
         fragment = compiled_join().fragments[0]
         out_var = list(fragment.analysis.output_vars)[0]
-        expected = join_program.run(dict(inputs), plan="sequential")[out_var]
+        expected = join_program.run(
+            dict(inputs), ExecOptions(plan="sequential")
+        ).outputs[out_var]
 
         rows = list(view_records(fragment.analysis.view, dict(inputs)))
-        got = join_program.run(
+        outcome = join_program.run(
             dict(inputs),
-            plan="auto",
-            memory_budget=1 << 20,
+            ExecOptions(plan="auto", memory_budget=1 << 20),
             records=GeneratorSource(lambda: iter(rows)),
-        )[out_var]
-        report = join_program.last_plan_report
+        )
+        got, report = outcome.outputs[out_var], outcome.report
         assert got == expected
         assert report.plan.spill is False
         assert report.estimates["input_records"]["source"] == "observed"
@@ -299,24 +300,26 @@ class TestStreamProbe:
         inputs = join_inputs(400)
         fragment = compiled_join().fragments[0]
         out_var = list(fragment.analysis.output_vars)[0]
-        expected = join_program.run(dict(inputs), plan="sequential")[out_var]
+        expected = join_program.run(
+            dict(inputs), ExecOptions(plan="sequential")
+        ).outputs[out_var]
         rows = list(view_records(fragment.analysis.view, dict(inputs)))
 
-        join_program.run(dict(inputs), plan="auto")  # materialize the planner
+        # Materialize the planner.
+        join_program.run(dict(inputs), ExecOptions(plan="auto"))
         planner = join_program.planner
         assert planner is not None
         saved = planner.config.probe_records
         planner.config.probe_records = 0
         try:
-            got = join_program.run(
+            outcome = join_program.run(
                 dict(inputs),
-                plan="auto",
-                memory_budget=1 << 20,
+                ExecOptions(plan="auto", memory_budget=1 << 20),
                 records=GeneratorSource(lambda: iter(rows)),
-            )[out_var]
+            )
         finally:
             planner.config.probe_records = saved
-        report = join_program.last_plan_report
+        got, report = outcome.outputs[out_var], outcome.report
         assert got == expected  # pessimism costs time, never correctness
         assert report.plan.spill is True
 
@@ -371,27 +374,25 @@ class TestWarmReplan:
         inputs = join_inputs(1500)
         out_var = list(compiled_join().fragments[0].analysis.output_vars)[0]
 
-        cold = join_program.run(
+        outcome = join_program.run(
             dict(inputs),
-            plan="auto",
-            memory_budget=MISPRICE_BUDGET,
-            feedback=True,
+            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
         )
-        cold_report = join_program.last_plan_report
+        cold, cold_report = outcome.outputs, outcome.report
         assert cold_report.plan.join_strategies == ("reduce_side",)
 
-        warm = join_program.run(
+        outcome = join_program.run(
             dict(inputs),
-            plan="auto",
-            memory_budget=MISPRICE_BUDGET,
-            feedback=True,
+            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
         )
-        warm_report = join_program.last_plan_report
+        warm, warm_report = outcome.outputs, outcome.report
         assert warm_report.plan.join_strategies == ("broadcast",)
         # Integer fold: byte-identical across the strategy flip.
         assert warm[out_var] == cold[out_var]
         # ...and byte-identical to a plain broadcast execution.
-        reference = join_program.run(dict(inputs), plan="auto", feedback=False)
+        reference = join_program.run(
+            dict(inputs), ExecOptions(plan="auto", feedback=False)
+        ).outputs
         assert warm[out_var] == reference[out_var]
 
         provenance = warm_report.estimates["join_strategy"]
@@ -409,31 +410,22 @@ class TestWarmReplan:
 
     def test_feedback_off_replans_cold_every_time(self, join_program):
         inputs = join_inputs(1500)
-        join_program.run(
-            dict(inputs), plan="auto", memory_budget=MISPRICE_BUDGET
-        )
-        first = join_program.last_plan_report.plan.join_strategies
-        join_program.run(
-            dict(inputs), plan="auto", memory_budget=MISPRICE_BUDGET
-        )
-        assert join_program.last_plan_report.plan.join_strategies == first
+        options = ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
+        first = join_program.run(dict(inputs), options).report.plan.join_strategies
+        again = join_program.run(dict(inputs), options).report.plan.join_strategies
+        assert again == first
         assert first == ("reduce_side",)
         assert join_program.observations is None  # no store ever created
 
     def test_changed_data_misses_the_observation(self, join_program):
         join_program.run(
             dict(join_inputs(1500, seed=7)),
-            plan="auto",
-            memory_budget=MISPRICE_BUDGET,
-            feedback=True,
+            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
         )
-        join_program.run(
+        report = join_program.run(
             dict(join_inputs(1500, seed=8)),  # different content
-            plan="auto",
-            memory_budget=MISPRICE_BUDGET,
-            feedback=True,
-        )
-        report = join_program.last_plan_report
+            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
+        ).report
         # Fresh data → no stored evidence → the static rule stands.
         assert report.plan.join_strategies == ("reduce_side",)
 
@@ -442,9 +434,7 @@ class TestWarmReplan:
         join_program.observations = ObservationStore(cache_dir=str(tmp_path))
         join_program.run(
             dict(inputs),
-            plan="auto",
-            memory_budget=MISPRICE_BUDGET,
-            feedback=True,
+            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
         )
         entries = [n for n in os.listdir(tmp_path) if n.endswith(".json")]
         assert len(entries) == 1
@@ -454,13 +444,10 @@ class TestWarmReplan:
         # entry is corrupt — the run must fall back to static estimates
         # and say so in the report, not crash.
         join_program.observations = ObservationStore(cache_dir=str(tmp_path))
-        join_program.run(
+        report = join_program.run(
             dict(inputs),
-            plan="auto",
-            memory_budget=MISPRICE_BUDGET,
-            feedback=True,
-        )
-        report = join_program.last_plan_report
+            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
+        ).report
         assert report.plan.join_strategies == ("reduce_side",)  # static
         fallback = report.estimates["fallback"]
         assert fallback["source"] == "static"
@@ -479,16 +466,16 @@ class TestMidJobSwitch:
         inputs = join_inputs(1500)
         out_var = list(compiled_join().fragments[0].analysis.output_vars)[0]
         reference = join_program.run(
-            dict(inputs), plan="auto", memory_budget=MISPRICE_BUDGET
-        )[out_var]
+            dict(inputs), ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
+        ).outputs[out_var]
 
         import repro.codegen.joins as joins_mod
 
         monkeypatch.setattr(
             joins_mod, "sizeof_pair", lambda key, value: 1 << 40
         )
-        switched = join_program.run(dict(inputs), plan="auto")
-        report = join_program.last_plan_report
+        outcome = join_program.run(dict(inputs), ExecOptions(plan="auto"))
+        switched, report = outcome.outputs, outcome.report
         assert report.plan.join_strategies == ("broadcast",)  # the plan...
         adaptation = report.adaptations[0]
         assert adaptation["kind"] == "broadcast_overflow"  # ...adapted
@@ -508,17 +495,12 @@ class TestMidJobSwitch:
         inputs = join_inputs(1500)
         join_program.run(
             dict(inputs),
-            plan="auto",
-            memory_budget=MISPRICE_BUDGET,
-            feedback=True,
+            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
         )
-        join_program.run(
+        report = join_program.run(
             dict(inputs),
-            plan="auto",
-            memory_budget=MISPRICE_BUDGET,
-            feedback=True,
-        )
-        report = join_program.last_plan_report
+            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
+        ).report
         assert report.plan.join_strategies == ("broadcast",)
         assert report.adaptations == []  # no overflow switch fired
 
@@ -536,9 +518,7 @@ class TestSessionObserve:
             first = session.run(program, dict(inputs), options, fragment_index=0)
             assert first.ok, first.error
             assert first.plan_report.plan.join_strategies == ("reduce_side",)
-            second = session.run(
-                program, dict(inputs), options, fragment_index=0
-            )
+            second = session.run(program, dict(inputs), options, fragment_index=0)
             assert second.ok, second.error
             assert second.plan_report.plan.join_strategies == ("broadcast",)
             assert (
@@ -553,9 +533,7 @@ class TestSessionObserve:
         with Session(max_workers=0, observe=False) as session:
             program = session.registry.adopt(compiled_join())
             session.run(program, dict(inputs), options, fragment_index=0)
-            second = session.run(
-                program, dict(inputs), options, fragment_index=0
-            )
+            second = session.run(program, dict(inputs), options, fragment_index=0)
             assert second.plan_report.plan.join_strategies == ("reduce_side",)
 
     def test_per_job_feedback_override_wins(self, join_program):
@@ -566,9 +544,7 @@ class TestSessionObserve:
                 memory_budget=MISPRICE_BUDGET, feedback=False
             )
             session.run(program, dict(inputs), opted_out, fragment_index=0)
-            second = session.run(
-                program, dict(inputs), opted_out, fragment_index=0
-            )
+            second = session.run(program, dict(inputs), opted_out, fragment_index=0)
             # feedback=False per job: nothing recorded, nothing resolved.
             assert second.plan_report.plan.join_strategies == ("reduce_side",)
 
@@ -593,12 +569,10 @@ class TestSessionObserve:
 class TestHarvest:
     def test_harvest_captures_stage_evidence(self, join_program):
         inputs = join_inputs(1500)
-        join_program.run(
-            dict(inputs), plan="auto", memory_budget=MISPRICE_BUDGET
+        outcome = join_program.run(
+            dict(inputs), ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
         )
-        report = join_program.last_plan_report
-        outcome = join_program.last_outcome
-        observation = harvest_observation("f", "d", report, outcome)
+        observation = harvest_observation("f", "d", outcome.report, outcome)
         assert observation.stages, "no stage rows harvested"
         names = [row["name"] for row in observation.stages]
         assert "scan" in names

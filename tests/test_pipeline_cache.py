@@ -183,7 +183,7 @@ class TestSummaryCache:
         from repro.workloads import datagen
 
         items = datagen.lineitems(300, seed=11)
-        outputs = warm.fragments[0].program.run({"lineitem": items})
+        outputs = warm.fragments[0].program.run({"lineitem": items}).outputs
         expected = Interpreter(parse_program(Q6_SOURCE)).call_function(
             "query6", [items]
         )
@@ -198,7 +198,7 @@ class TestSummaryCache:
         # The cached summary must run under the *new* variable names.
         outputs = warm.fragments[0].program.run(
             {"values": [5, 6, 7], "count": 3}
-        )
+        ).outputs
         assert outputs == {"acc": 18}
 
     def test_different_search_configs_do_not_share_entries(self):

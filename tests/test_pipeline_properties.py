@@ -76,7 +76,7 @@ def test_reduction_template_translates_and_proves(kind):
 )
 def test_translation_agrees_with_interpreter(kind, data):
     source, fragment = _compiled(kind)
-    outputs = fragment.program.run({"data": list(data), "n": len(data)})
+    outputs = fragment.program.run({"data": list(data), "n": len(data)}).outputs
     expected = Interpreter(parse_program(source)).call_function(
         "f", [list(data), len(data)]
     )

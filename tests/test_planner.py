@@ -6,8 +6,8 @@ import pytest
 
 from repro import (
     CasperCompiler,
+    ExecOptions,
     PlannerConfig,
-    last_plan_report,
     run_translated,
     translate,
 )
@@ -81,6 +81,11 @@ class TestPlanPass:
             assert low <= high
 
 
+def run_fragment(result, inputs, options=None):
+    """The sole fragment's full outcome: outputs, report, metrics."""
+    return result.fragments[0].program.run(inputs, options)
+
+
 def fragment_bounds(result):
     planner = result.fragments[0].program.planner
     return list(planner.static_cost_bounds.values())
@@ -89,14 +94,17 @@ def fragment_bounds(result):
 class TestAutoPlanning:
     def test_auto_matches_default_outputs(self, wc_result):
         default = run_translated(wc_result, {"words": list(WORDS)})
-        auto = run_translated(wc_result, {"words": list(WORDS)}, plan="auto")
+        auto = run_translated(
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
+        )
         assert auto == default
 
     def test_report_surfaced(self, wc_result):
         from repro.engine.multiprocess import default_process_count
 
-        run_translated(wc_result, {"words": list(WORDS)}, plan="auto")
-        report = last_plan_report(wc_result)
+        report = run_fragment(
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
+        ).report
         assert report is not None
         assert report.input_records == len(WORDS)
         if default_process_count() < 2:
@@ -115,14 +123,16 @@ class TestAutoPlanning:
         assert report.plan.reasons
 
     def test_tiny_input_stays_sequential(self, wc_result):
-        run_translated(wc_result, {"words": list(WORDS[:64])}, plan="auto")
-        report = last_plan_report(wc_result)
+        report = run_fragment(
+            wc_result, {"words": list(WORDS[:64])}, ExecOptions(plan="auto")
+        ).report
         assert report.plan.backend == "sequential"
         assert any("tiny input" in r or "CPU" in r for r in report.plan.reasons)
 
     def test_cluster_ranking_reproduces_paper_ordering(self, wc_result):
-        run_translated(wc_result, {"words": list(WORDS)}, plan="auto")
-        report = last_plan_report(wc_result)
+        report = run_fragment(
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
+        ).report
         assert set(report.cluster_seconds) == {"spark", "hadoop", "flink"}
         assert report.cluster_seconds["spark"] < report.cluster_seconds["hadoop"]
         assert report.cluster_recommendation == "spark"
@@ -137,8 +147,8 @@ class TestAutoPlanning:
             )
         )
         result = compiler.translate_source(WORDCOUNT_SOURCE)
-        outputs = run_translated(result, {"words": list(WORDS)}, plan="auto")
-        report = last_plan_report(result)
+        outcome = run_fragment(result, {"words": list(WORDS)}, ExecOptions(plan="auto"))
+        outputs, report = outcome.outputs, outcome.report
         assert report.plan.backend == "multiprocess"
         assert report.plan.processes == 8
         assert outputs == run_translated(result, {"words": list(WORDS)})
@@ -148,15 +158,17 @@ class TestAutoPlanning:
             planner_config=PlannerConfig(combiner_key_ratio_cutoff=0.0)
         )
         result = compiler.translate_source(WORDCOUNT_SOURCE)
-        run_translated(result, {"words": list(WORDS)}, plan="auto")
-        report = last_plan_report(result)
+        report = run_fragment(
+            result, {"words": list(WORDS)}, ExecOptions(plan="auto")
+        ).report
         reduce_stages = [s for s in report.plan.stages if s.kind == "reduce"]
         assert reduce_stages and all(not s.combiner for s in reduce_stages)
         assert any("combiner off" in r for r in report.plan.reasons)
 
     def test_partitions_follow_engine_default_when_combining(self, wc_result):
-        run_translated(wc_result, {"words": list(WORDS)}, plan="auto")
-        report = last_plan_report(wc_result)
+        report = run_fragment(
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
+        ).report
         combining = any(s.kind == "reduce" and s.combiner for s in report.plan.stages)
         if combining:
             assert report.plan.partitions is None  # engine default
@@ -166,21 +178,24 @@ class TestForcedPlans:
     @pytest.mark.parametrize("backend", ["sequential", "multiprocess", "spark"])
     def test_forced_backends_agree(self, wc_result, backend):
         default = run_translated(wc_result, {"words": list(WORDS)})
-        forced = run_translated(wc_result, {"words": list(WORDS)}, plan=backend)
-        assert forced == default
-        report = last_plan_report(wc_result)
+        forced = run_fragment(
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan=backend)
+        )
+        assert forced.outputs == default
+        report = forced.report
         assert report.plan.backend == backend
         assert any("forced by caller" in r for r in report.plan.reasons)
 
     def test_unknown_plan_name_rejected(self, wc_result):
         with pytest.raises(ValueError, match="unknown backend"):
-            run_translated(wc_result, {"words": list(WORDS)}, plan="dask")
+            run_translated(wc_result, {"words": list(WORDS)}, ExecOptions(plan="dask"))
 
     def test_multiprocess_fallback_reported(self, wc_result):
         # On a single-CPU machine the pool cannot win; either way the
         # report must tell the truth about what actually executed.
-        run_translated(wc_result, {"words": list(WORDS)}, plan="multiprocess")
-        report = last_plan_report(wc_result)
+        report = run_fragment(
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="multiprocess")
+        ).report
         if report.fallback_reason is not None:
             assert report.backend_used == "sequential"
         else:
@@ -227,25 +242,22 @@ class TestWorkerExceptionPropagation:
         data[7] = 0
         with pytest.raises(IRError, match="division by zero"):
             run_translated(
-                result,
-                {"data": data, "n": len(data)},
-                plan="multiprocess",
+                result, {"data": data, "n": len(data)}, ExecOptions(plan="multiprocess")
             )
 
 
 class TestMemoryAwarePlanning:
     def test_budget_forces_spill_when_input_exceeds_it(self, wc_result):
         outputs = run_translated(
-            wc_result, {"words": list(WORDS)}, plan="sequential"
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="sequential")
         )
-        spilled = run_translated(
+        spilled = run_fragment(
             wc_result,
             {"words": list(WORDS)},
-            plan="sequential",
-            memory_budget=2048,
+            ExecOptions(plan="sequential", memory_budget=2048),
         )
-        assert spilled == outputs
-        report = last_plan_report(wc_result)
+        assert spilled.outputs == outputs
+        report = spilled.report
         assert report.plan.spill
         assert report.plan.memory_budget == 2048
         assert report.spill_stats is not None
@@ -256,25 +268,22 @@ class TestMemoryAwarePlanning:
 
     def test_budget_alone_implies_auto_plan(self, wc_result):
         baseline = run_translated(
-            wc_result, {"words": list(WORDS)}, plan="sequential"
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="sequential")
         )
-        outputs = run_translated(
-            wc_result, {"words": list(WORDS)}, memory_budget=2048
+        budgeted = run_fragment(
+            wc_result, {"words": list(WORDS)}, ExecOptions(memory_budget=2048)
         )
-        assert outputs == baseline
-        report = last_plan_report(wc_result)
+        assert budgeted.outputs == baseline
+        report = budgeted.report
         assert report.plan.spill
         assert any("spill" in r for r in report.plan.reasons)
         assert report.estimated_input_bytes is not None
         assert report.estimated_input_bytes > 2048
 
     def test_ample_budget_stays_in_memory(self, wc_result):
-        run_translated(
-            wc_result,
-            {"words": list(WORDS)},
-            memory_budget=1 << 30,
-        )
-        report = last_plan_report(wc_result)
+        report = run_fragment(
+            wc_result, {"words": list(WORDS)}, ExecOptions(memory_budget=1 << 30)
+        ).report
         assert not report.plan.spill
         assert report.plan.memory_budget is None
         assert report.spill_stats is None
@@ -284,13 +293,15 @@ class TestMemoryAwarePlanning:
         # A forced simulated backend materializes in-memory; the plan
         # must not claim a spill that never happened.
         baseline = run_translated(
-            wc_result, {"words": list(WORDS)}, plan="sequential"
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="sequential")
         )
-        outputs = run_translated(
-            wc_result, {"words": list(WORDS)}, plan="spark", memory_budget=1024
+        simulated = run_fragment(
+            wc_result,
+            {"words": list(WORDS)},
+            ExecOptions(plan="spark", memory_budget=1024),
         )
-        assert outputs == baseline
-        report = last_plan_report(wc_result)
+        assert simulated.outputs == baseline
+        report = simulated.report
         assert not report.plan.spill
         assert report.plan.memory_budget is None
         assert any("ignored" in r for r in report.plan.reasons)
@@ -300,15 +311,15 @@ class TestMemoryAwarePlanning:
 
         words = list(WORDS)
         baseline = run_translated(
-            wc_result, {"words": list(WORDS)}, plan="sequential"
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="sequential")
         )
-        outputs = run_translated(
+        streamed = run_fragment(
             wc_result,
             {"words": GeneratorSource(lambda: iter(words))},
-            memory_budget=2048,
+            ExecOptions(memory_budget=2048),
         )
-        assert outputs == baseline
-        report = last_plan_report(wc_result)
+        assert streamed.outputs == baseline
+        report = streamed.report
         assert report.plan.spill
         assert any("unknown-length" in r for r in report.plan.reasons)
 

@@ -15,25 +15,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ExecOptions
 from repro.compiler import run_program, run_translated
 from repro.errors import AnalysisError
-from repro.graph import interpret_reference
+from repro.graph import interpret_reference, run_graph
 from repro.lang.interpreter import Interpreter
 from repro.lang.values import values_equal
 from repro.planner import PlannerConfig
 from repro.planner.planner import ExecutionPlanner
 from repro.workloads import all_benchmarks, get_benchmark
-from repro.workloads.runner import compile_benchmark, run_benchmark_graph
+from repro.workloads.runner import run_benchmark_graph
+from suite_cache import compiled
 
 RUN_SIZE = 250
-
-_COMPILED: dict[str, object] = {}
-
-
-def compiled(name: str):
-    if name not in _COMPILED:
-        _COMPILED[name] = compile_benchmark(get_benchmark(name))
-    return _COMPILED[name]
 
 
 def _match(lhs: dict, rhs: dict) -> bool:
@@ -50,9 +44,13 @@ class TestGraphIdentity:
         compilation = compiled(name)
         inputs = benchmark.make_inputs(RUN_SIZE, 7)
 
-        fused = run_program(compilation, dict(inputs), strict=False)
-        report = compilation.last_graph_run.report
-        unfused = run_program(compilation, dict(inputs), strict=False, fuse=False)
+        run = run_graph(
+            compilation.job_graph, dict(inputs), ExecOptions(strict=False)
+        )
+        fused, report = run.outputs, run.report
+        unfused = run_program(
+            compilation, dict(inputs), ExecOptions(strict=False, fuse=False)
+        )
         interpreted = interpret_reference(compilation.job_graph, dict(inputs))
 
         # Per-fragment sequential chaining: each translated fragment
@@ -65,7 +63,7 @@ class TestGraphIdentity:
         env = dict(inputs)
         for fragment in compilation.fragments:
             if fragment.translated:
-                outputs = fragment.program.run(dict(env))
+                outputs = fragment.program.run(dict(env)).outputs
             elif fragment.analysis is not None:
                 outputs = interpret_fragment(fragment.analysis, env)
             else:
@@ -97,8 +95,9 @@ class TestMultiStagePrograms:
     def test_select_sum_exercises_map_map_fusion(self):
         compilation = compiled("biglambda_select_sum")
         benchmark = get_benchmark("biglambda_select_sum")
-        run_program(compilation, benchmark.make_inputs(RUN_SIZE, 7))
-        report = compilation.last_graph_run.report
+        report = run_graph(
+            compilation.job_graph, benchmark.make_inputs(RUN_SIZE, 7)
+        ).report
         assert any("map→map fused" in d for d in report.decisions)
         assert any("combiner hoisted" in d for d in report.decisions)
         assert report.fused_away == ["kept"]
@@ -106,8 +105,11 @@ class TestMultiStagePrograms:
     def test_q1_exercises_concurrent_branches(self):
         compilation = compiled("tpch_q1")
         benchmark = get_benchmark("tpch_q1")
-        run_program(compilation, benchmark.make_inputs(RUN_SIZE, 7), max_workers=2)
-        report = compilation.last_graph_run.report
+        report = run_graph(
+            compilation.job_graph,
+            benchmark.make_inputs(RUN_SIZE, 7),
+            ExecOptions(max_workers=2),
+        ).report
         assert report.plan.waves == [(0, 1)]
         assert report.plan.concurrency == 2
         # Both aggregates scan lineitem: one materialization, one reuse.
@@ -116,8 +118,7 @@ class TestMultiStagePrograms:
     def test_pagerank_chain_stage_fuses(self):
         compilation = compiled("iterative_pagerank")
         benchmark = get_benchmark("iterative_pagerank")
-        run_program(compilation, benchmark.make_inputs(RUN_SIZE, 7))
-        run = compilation.last_graph_run
+        run = run_graph(compilation.job_graph, benchmark.make_inputs(RUN_SIZE, 7))
         assert any(unit.fused for unit in run.schedule.units)
         assert any("stage-fused" in d for d in run.report.decisions)
 
@@ -152,7 +153,7 @@ class TestMultiStagePrograms:
         )
         assert run.outputs_match
         assert run.simulated_seconds > 0
-        assert run.run.report.unit_reports
+        assert run.report.unit_reports
 
 
 class TestRunTranslatedErrors:
@@ -192,8 +193,7 @@ class TestSingleCpuCalibrationSkip:
             cost_model=program.cost_model,
         )
         program.planner.precompute(program.programs)
-        program.run(dict(inputs), plan="auto")
-        report = program.last_plan_report
+        report = program.run(dict(inputs), ExecOptions(plan="auto")).report
         assert report.plan.backend == "sequential"
         assert report.calibration_skipped is not None
         assert "λm calibration skipped" in report.calibration_skipped
@@ -212,7 +212,6 @@ class TestSingleCpuCalibrationSkip:
             cost_model=program.cost_model,
         )
         program.planner.precompute(program.programs)
-        program.run(dict(inputs), plan="auto")
-        report = program.last_plan_report
+        report = program.run(dict(inputs), ExecOptions(plan="auto")).report
         assert report.calibration_skipped is None
         assert set(report.estimated_seconds) == {"sequential", "multiprocess"}

@@ -15,14 +15,9 @@ import pytest
 
 import repro
 from repro import ExecOptions, Session
-from repro.compiler import (
-    last_graph_report,
-    run_program,
-    run_translated,
-    translate,
-)
+from repro.compiler import run_program, run_translated, translate
 from repro.errors import ServeError
-from repro.options import normalize_exec_options
+from repro.options import check_options
 
 SUM_SOURCE = """
 int sum(int[] data, int n) {
@@ -86,34 +81,33 @@ class TestExecOptions:
 
 
 class TestNormalizeExecOptions:
-    def test_legacy_kwargs_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            options = normalize_exec_options(None, "caller", plan="auto")
-        assert options == ExecOptions(plan="auto")
+    """One spelling: an ``ExecOptions`` or nothing; bare keywords are gone."""
 
     def test_options_pass_through_silently(self):
         given = ExecOptions(plan="auto")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert normalize_exec_options(given, "caller") is given
+            assert check_options(given, "caller") is given
+            assert check_options(None, "caller") == ExecOptions()
+        with pytest.raises(TypeError, match="caller: options must be"):
+            check_options("auto", "caller")
 
     def test_options_plus_legacy_raises(self):
-        with pytest.raises(ValueError, match="not both"):
-            normalize_exec_options(ExecOptions(), "caller", plan="auto")
-
-    def test_unknown_legacy_name_raises(self):
-        with pytest.raises(TypeError, match="unknown option"):
-            normalize_exec_options(None, "caller", pln="auto")
-
-    def test_run_program_legacy_kwarg_warns(self):
         compilation = compiled(SUM_SOURCE)
         inputs = {"data": DATA, "n": len(DATA)}
-        with pytest.warns(DeprecationWarning, match="run_program"):
-            legacy = run_program(compilation, dict(inputs), plan="auto")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            modern = run_program(compilation, dict(inputs), ExecOptions(plan="auto"))
-        assert legacy == modern
+        with pytest.raises(TypeError, match="plan"):
+            run_program(compilation, dict(inputs), ExecOptions(), plan="auto")
+
+    def test_unknown_legacy_name_raises(self):
+        compilation = compiled(SUM_SOURCE)
+        inputs = {"data": DATA, "n": len(DATA)}
+        with Session(max_workers=0) as session:
+            entry_points = (run_program, run_translated, session.submit, session.run)
+            for entry_point in entry_points:
+                with pytest.raises(TypeError, match="pln"):
+                    entry_point(compilation, dict(inputs), pln="auto")
+                with pytest.raises(TypeError, match="plan"):
+                    entry_point(compilation, dict(inputs), plan="auto")
 
     def test_run_translated_accepts_options(self):
         compilation = compiled(SUM_SOURCE)
@@ -121,7 +115,7 @@ class TestNormalizeExecOptions:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             outputs = run_translated(
-                compilation, dict(inputs), options=ExecOptions(plan="auto")
+                compilation, dict(inputs), ExecOptions(plan="auto")
             )
         assert outputs == {"total": sum(DATA)}
 
@@ -195,15 +189,6 @@ class TestSessionInline:
         assert job.plan_report is not None  # budget implies a planned run
         assert job.admission["footprint_bytes"] == 2 * (1 << 14)
 
-    def test_legacy_kwargs_on_submit_warn(self):
-        compilation = compiled(SUM_SOURCE)
-        with Session(max_workers=0) as session:
-            with pytest.warns(DeprecationWarning, match="Session.submit"):
-                job = session.run(
-                    compilation, {"data": DATA, "n": len(DATA)}, plan="auto"
-                )
-        assert job.ok
-
 
 class TestSessionConcurrent:
     def test_mixed_budget_jobs_identical_to_direct_run(self):
@@ -260,13 +245,6 @@ class TestSessionConcurrent:
         budgets = sorted(r.admission["footprint_bytes"] // 2 for r in results)
         assert budgets == sorted(1 << (14 + i % 3) for i in range(6))
 
-    def test_deprecated_globals_still_work_single_threaded(self):
-        compilation = compiled(SUM_SOURCE)
-        inputs = {"data": DATA, "n": len(DATA)}
-        with Session(max_workers=0) as session:
-            session.run(compilation, dict(inputs))
-        assert last_graph_report(compilation) is not None
-
 
 class TestPublicApi:
     def test_stable_names_exported(self):
@@ -286,4 +264,4 @@ class TestPublicApi:
         assert repro.compile is repro.translate
 
     def test_version_bumped(self):
-        assert repro.__version__ == "1.5.0"
+        assert repro.__version__ == "1.6.0"
