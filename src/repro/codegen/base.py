@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
+    from ..engine.multiprocess import MultiprocessResult
     from ..planner.joins import JoinOrderDecision
     from ..planner.plan import ExecutionPlan, PlanReport
 
@@ -48,10 +49,11 @@ from ..verification.prover import ProofResult
 class ExecutionOutcome:
     """Result of running a generated program: outputs + engine metrics.
 
-    ``wall_seconds`` and ``fallback_reason`` are populated by the real
-    (multiprocess/sequential) backends; the simulated backends leave
-    them at their defaults.  ``report``, ``implementation`` and
-    ``join_decision`` are filled in by :meth:`AdaptiveProgram.run
+    ``wall_seconds``, ``fallback_reason`` and ``engine_result`` are
+    populated by the real (multiprocess/sequential) backends; the
+    simulated backends leave them at their defaults.  ``report``,
+    ``implementation`` and ``join_decision`` are filled in by
+    :meth:`AdaptiveProgram.run
     <repro.codegen.glue.AdaptiveProgram.run>`, which returns this object
     — everything one call produced, owned by that call.
     """
@@ -60,28 +62,11 @@ class ExecutionOutcome:
     metrics: JobMetrics
     wall_seconds: float = 0.0
     fallback_reason: Optional[str] = None
-    #: Stable diagnostic code matching ``fallback_reason`` (REP3xx).
-    fallback_code: Optional[str] = None
-    #: Pickle probes where static analysis and the runtime dump disagreed.
-    probe_disagreements: int = 0
-    processes_used: int = 1
-    #: Spill accounting from an out-of-core run; None when in-memory.
-    spill_stats: Optional[dict] = None
-    peak_resident_bytes: int = 0
-    #: Pool payload transport accounting (shared-memory segments/bytes);
-    #: None when nothing was pooled or everything rode the queue.
-    transport_stats: Optional[dict] = None
-    #: Columnar-execution accounting (vectorized chunk count,
-    #: guard-fallback count); None when every chunk ran the row loop.
-    columnar_stats: Optional[dict] = None
-    #: Join evidence resolved at build time (per-level decisions), for
-    #: runs where the codegen default rule decided; empty when a plan
-    #: pinned the strategies.
-    join_decisions: list = field(default_factory=list)
-    #: Mid-job adaptations, in order: broadcast builds that overflowed
-    #: and switched to reduce-side, unknown-length streams whose
-    #: first-chunk measurement re-sized the partition count.
-    adaptations: list = field(default_factory=list)
+    #: The real local engine's own account of the run — fallback code,
+    #: pool and transport counters, spill accounting, adaptations
+    #: (:class:`~repro.engine.multiprocess.MultiprocessResult`); None on
+    #: the simulated backends.
+    engine_result: Optional["MultiprocessResult"] = None
     #: The planner's evidence trail; None for unplanned runs.
     report: Optional["PlanReport"] = None
     #: Runtime-monitor implementation the run dispatched to (``impl_N``).
@@ -703,20 +688,12 @@ class GeneratedProgram:
         with ``processes=0`` executes inline), so their results are
         byte-identical and their wall-clock times directly comparable.
         """
-        from ..engine.multiprocess import MultiprocessEngine
-
-        config = (
-            self.engine_config
-            if self.engine_config.framework.name == "multiprocess"
-            else self.engine_config.with_framework("multiprocess")
-        )
         globals_env, output_sizes = prepare_globals(self.analysis, inputs)
-        join_decisions: list = []
         adaptations: list = []
         if self.has_join:
             from .joins import build_join_steps
 
-            records, steps, join_decisions, adaptations = build_join_steps(
+            records, steps, _decisions, adaptations = build_join_steps(
                 self,
                 globals_env,
                 inputs,
@@ -727,21 +704,8 @@ class GeneratedProgram:
             if records is None:
                 records = view_records(self.analysis.view, inputs)
             steps = self.local_steps(globals_env, plan=plan)
-        if backend == "sequential":
-            processes: Optional[int] = 0
-        elif plan is not None:
-            processes = plan.processes
-        else:
-            processes = None
-        engine = MultiprocessEngine(
-            config=config,
-            processes=processes,
-            partitions=plan.partitions if plan is not None else None,
-            memory_budget=plan.memory_budget if plan is not None else None,
-            spill_dir=plan.spill_dir if plan is not None else None,
-            layout=plan.layout if plan is not None else "rows",
-        )
-        result = engine.run_pipeline(records, steps)
+        result = run_local_steps(plan, self.engine_config, backend, records, steps)
+        result.adaptations[:0] = adaptations
         outputs = bind_outputs(
             self.summary.outputs, result.pairs, globals_env, output_sizes
         )
@@ -750,16 +714,43 @@ class GeneratedProgram:
             metrics=result.metrics,
             wall_seconds=result.metrics.wall_seconds,
             fallback_reason=result.fallback_reason,
-            fallback_code=result.fallback_code,
-            probe_disagreements=result.probe_disagreements,
-            processes_used=result.processes_used,
-            spill_stats=result.spill_stats,
-            peak_resident_bytes=result.peak_resident_bytes,
-            transport_stats=result.transport_stats(),
-            columnar_stats=result.columnar_stats(),
-            join_decisions=join_decisions,
-            adaptations=list(adaptations) + list(result.adaptations),
+            engine_result=result,
         )
+
+
+def run_local_steps(
+    plan: Optional["ExecutionPlan"],
+    config: EngineConfig,
+    backend: str,
+    records: Any,
+    steps: list,
+) -> "MultiprocessResult":
+    """Build the real local engine from a plan and run a step list on it.
+
+    The one place a :class:`~repro.engine.multiprocess.MultiprocessEngine`
+    is constructed: single fragments and fused chains both come through
+    here.  The plan (None → a bare plan, whose defaults are the
+    engine's) carries every physical choice — partitions, budget, spill
+    directory, chunk layout — and, on the ``multiprocess`` backend, the
+    worker count (None → one per core); ``sequential`` pins in-process
+    execution.
+    """
+    from ..engine.multiprocess import MultiprocessEngine
+    from ..planner.plan import ExecutionPlan
+
+    if config.framework.name != "multiprocess":
+        config = config.with_framework("multiprocess")
+    if plan is None:
+        plan = ExecutionPlan(backend=backend, processes=None)
+    engine = MultiprocessEngine(
+        config=config,
+        processes=0 if backend == "sequential" else plan.processes,
+        partitions=plan.partitions,
+        memory_budget=plan.memory_budget,
+        spill_dir=plan.spill_dir,
+        layout=plan.layout,
+    )
+    return engine.run_pipeline(records, steps)
 
 
 def _ordered_fold(values: list, fn) -> Any:

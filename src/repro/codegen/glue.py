@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..cost.model import CostModel
-from ..diagnostics import make as make_diagnostic
 from ..cost.monitor import Implementation, RuntimeMonitor
 from ..cost.observe import (
     ObservationStore,
@@ -211,32 +210,10 @@ class AdaptiveProgram:
                 inputs, backend=execution_plan.backend, records=records
             )
         report.wall_seconds = time.perf_counter() - started
-        # A deliberately-sequential plan is not a "fallback" even though
-        # the engine runs it in-process; only a planned pool that could
-        # not run counts.
-        if execution_plan.backend == "multiprocess" and outcome.fallback_reason:
-            report.fallback_reason = outcome.fallback_reason
-            report.backend_used = "sequential"
-            report.diagnostics.append(
-                make_diagnostic(
-                    outcome.fallback_code or "REP305", outcome.fallback_reason
-                )
-            )
+        if outcome.engine_result is not None:
+            report.absorb(outcome.engine_result)
         else:
             report.backend_used = execution_plan.backend
-        if outcome.probe_disagreements:
-            report.probe_disagreements += outcome.probe_disagreements
-            report.diagnostics.append(
-                make_diagnostic(
-                    "REP307",
-                    f"static pickle analysis cleared {outcome.probe_disagreements} "
-                    "payload(s) the runtime probe rejected",
-                )
-            )
-        report.spill_stats = outcome.spill_stats
-        report.transport = outcome.transport_stats
-        report.columnar = outcome.columnar_stats
-        report.adaptations = list(outcome.adaptations)
         overflows = {
             a.get("relation"): a
             for a in report.adaptations

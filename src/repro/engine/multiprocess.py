@@ -7,28 +7,50 @@ measuring real wall-clock seconds alongside the familiar simulated-time
 accounting.  That pairing is what lets the execution planner
 (:mod:`repro.planner`) be validated against measured reality.
 
-Results are guaranteed identical to the in-process engines: the same
-block partitioning (``partition_data``), per-partition map-side
-combining, first-seen key ordering, and ordered value folds are
-reproduced exactly — only the work moves to other processes.  Closures
-are shipped to workers with plain :mod:`pickle`; payloads that cannot be
-pickled (e.g. a locally-defined lambda) trigger a transparent fallback
-to in-process execution, recorded as ``fallback_reason`` so callers (the
-planner's ``PlanReport``) can surface it.  Only genuine pickling errors
-fall back — an exception raised *inside* a map or reduce callable in a
-worker always propagates to the caller.
+There is **one executor**.  Every input becomes a
+:class:`~repro.engine.source.Dataset`; one step walker cuts the step
+list into ``map* reduce?`` segments and driver-side bridges; one map
+phase consumes each segment's chunk stream (``chunk_records_for``
+reproduces ``partition_data``'s block layout, so per-chunk combining
+groups records exactly as the simulated engines do), inline or in pool
+tasks that all report one ``_MapOut``; one bridge and one reduce-stage
+charge serve every run.  Results are identical to the in-process
+engines: same block partitioning, per-partition map-side combining,
+first-seen key ordering and ordered value folds — only the work moves.
 
-With a ``memory_budget`` the engine runs **out of core**: input arrives
-as bounded chunk streams (:mod:`repro.engine.source`), map output is
-hash-partitioned into budgeted spill buffers that flush to disk runs
-(:mod:`repro.engine.spill`; pool workers spill locally), and reduces
-merge one partition at a time — peak resident memory is O(budget +
-one partition) rather than O(input), while results stay byte-identical
-to the in-memory path.
+The only thing ``memory_budget`` selects is the **shuffle store**:
+
+* *resident* (no budget) — map tasks return their per-chunk pair lists,
+  the driver groups them into a dict in chunk order and folds the groups
+  (in pool buckets when large enough).  The whole input is one round of
+  map tasks.
+* *spilled* (a budget) — map tasks hash-partition their output into a
+  budgeted :class:`~repro.engine.spill.SpillWriter` (pool workers spill
+  locally) and return only run-file paths, key order and counters; the
+  reduce merges one partition at a time and restores global first-seen
+  key order.  Input is read in bounded rounds, so peak resident memory
+  is O(budget + one partition) rather than O(input); the
+  ``peak_resident_bytes`` proxy is kept only here, where there is a
+  bound to hold it against.
+
+The store is deliberately *not* merged into one: routing the resident
+case through ``SpillWriter.add`` → ``partition_of`` → ``_stable_bytes``
+with an unbounded budget costs +16.9 % calls on the ``keyed_inmem``
+benchmark workload (8 817k → 10 305k, wordcount 150k words / 10k keys),
+eight times its ``op_calls_k`` bound.  ``keyed_inmem`` and
+``keyed_spill`` are the benchmark rows on either side of the selection.
+
+Closures are shipped to workers with plain :mod:`pickle`; payloads that
+cannot be pickled (e.g. a locally-defined lambda) trigger a transparent
+fallback to in-process execution, recorded as ``fallback_reason`` so
+callers (the planner's ``PlanReport``) can surface it.  Only genuine
+pickling errors fall back — an exception raised *inside* a map or
+reduce callable in a worker always propagates to the caller.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -41,11 +63,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..cpu import available_cpu_count
-from ..diagnostics.pickling import probe_payload, static_unpicklable_reason
+from ..diagnostics.pickling import static_unpicklable_reason
 from ..errors import EngineError, SpillError
 from .columnar import Chunk, build_chunk, grouped_fold
 from .config import EngineConfig
-from .core import lambda_cpu_ns, partition_data
+from .core import lambda_cpu_ns
 from .metrics import JobMetrics
 from .shm import (
     SHM_AVAILABLE,
@@ -62,13 +84,7 @@ from .source import (
     as_dataset,
     chunk_records_for,
 )
-from .spill import (
-    SpillMapOut,
-    SpillStats,
-    SpillWriter,
-    cleanup_runs,
-    merge_partition,
-)
+from .spill import SpillStats, SpillWriter, cleanup_runs, merge_partition
 
 #: Errors ``pickle.dumps`` itself raises for unpicklable payloads
 #: (RecursionError: a structure too deep to serialize).  Only these
@@ -137,12 +153,13 @@ class MultiprocessResult:
     #: Pickle probes where static analysis said OK but the runtime dump
     #: failed — the analyzer's measured imprecision (see ``PlanReport``).
     probe_disagreements: int = 0
-    #: Whether the out-of-core streaming path executed this job.
+    #: Whether the job ran under a memory budget (the spilled shuffle
+    #: store); the budget may be roomy enough that no run was written.
     spilled: bool = False
-    #: High-water mark of estimated resident bytes (streaming runs only).
+    #: High-water mark of estimated resident bytes (budgeted runs only).
     peak_resident_bytes: int = 0
     #: Spill accounting (:meth:`repro.engine.spill.SpillStats.as_dict`);
-    #: None for in-memory runs.
+    #: None without a budget.
     spill_stats: Optional[dict] = None
     #: How task payloads traveled to the pool: "queue" (re-pickled
     #: through the executor pipes) or "shm" (staged once in shared
@@ -161,7 +178,7 @@ class MultiprocessResult:
     #: row loop instead.
     columnar_chunks: int = 0
     guard_fallbacks: int = 0
-    #: Mid-job plan revisions the engine made (streaming runs only):
+    #: Mid-job plan revisions the engine made (budgeted runs only):
     #: each entry is a dict with a ``kind`` and a human-readable
     #: ``note`` — e.g. ``stream_partitions`` when a first-chunk probe
     #: of an unknown-length source let the engine shrink the partition
@@ -197,39 +214,76 @@ class MultiprocessResult:
 
 @dataclass
 class _MapOut:
-    """What one map task reports back to the driver."""
+    """What one map task reports back to the driver.
 
-    chunk_pairs: list[list]
+    With the resident shuffle store the output pairs ride along
+    (``chunk_pairs``); with the spilled store they stay on disk and only
+    metadata (run-file paths in order, the task-local key order, the
+    spill counters) crosses the process boundary.
+    """
+
     #: Per fused map stage: [records_in, records_out, bytes_out].
     stage_counts: list[list[int]]
+    chunk_pairs: list[list] = field(default_factory=list)
+    #: Per partition, spill-run paths in chronological order.
+    run_files: list[list[str]] = field(default_factory=list)
+    #: Shuffle key → first-seen rank (spilled store only).
+    key_order: dict = field(default_factory=dict)
     outgoing_records: int = 0
     shuffled_bytes: int = 0
+    chunks: int = 0
+    input_records: int = 0
+    #: Estimated bytes of the input chunks (0 unless the task measured).
+    input_bytes: int = 0
     #: Chunks the vectorized column path produced / guard-rejected.
     columnar_chunks: int = 0
     guard_fallbacks: int = 0
+    stats: SpillStats = field(default_factory=SpillStats)
+
+    def held_bytes(self, shuffle_next: bool) -> int:
+        """Estimated bytes of the resident ``chunk_pairs``: what they
+        will shuffle as, or (map-only output) what the last stage emitted."""
+        return self.shuffled_bytes if shuffle_next else self.stage_counts[-1][2]
 
     def merge(self, other: "_MapOut") -> None:
+        """Absorb the report of the task that ran next in chunk order."""
         self.chunk_pairs.extend(other.chunk_pairs)
         for mine, theirs in zip(self.stage_counts, other.stage_counts):
             for i in range(3):
                 mine[i] += theirs[i]
+        for mine_files, their_files in zip(self.run_files, other.run_files):
+            mine_files.extend(their_files)
+        for key in other.key_order:
+            if key not in self.key_order:
+                self.key_order[key] = len(self.key_order)
         self.outgoing_records += other.outgoing_records
         self.shuffled_bytes += other.shuffled_bytes
+        self.chunks += other.chunks
+        self.input_records += other.input_records
+        self.input_bytes += other.input_bytes
         self.columnar_chunks += other.columnar_chunks
         self.guard_fallbacks += other.guard_fallbacks
+        self.stats.merge(other.stats)
 
 
 def _run_map_chunks(
     map_fns: Sequence[Callable],
     combiner: Optional[Callable[[Any, Any], Any]],
-    chunks: list[list],
+    chunks: Iterable[list],
     shuffle_next: bool,
-    account_bytes: bool,
+    measure_input: bool,
+    spill: Optional[tuple[str, int, int, int]] = None,
 ) -> _MapOut:
     """Apply fused map stages (then an optional combine) per chunk.
 
     Shared by the pool workers and the in-process fallback, so both
-    execution modes produce byte-identical results.
+    execution modes produce byte-identical results.  ``spill`` selects
+    the shuffle store: None keeps each chunk's pairs resident on the
+    report; ``(spill_dir, partitions, budget, task_id)`` routes them
+    into a :class:`SpillWriter` instead — hash-partitioned,
+    budget-bounded buffers that flush to run files.  The per-chunk work
+    is the same either way, so per-chunk combining groups records
+    identically and spilled results stay byte-identical.
 
     A mapper exposing ``map_chunk`` (the compiled kernels of
     :mod:`repro.codegen.kernels`) is handed the whole chunk at once —
@@ -237,54 +291,69 @@ def _run_map_chunks(
     run the classic inner loop.  Both paths emit identical pairs in
     identical order.
 
-    When the sole map stage also exposes ``map_block`` and the combiner
-    is a recognized sum/min/max fold, the chunk stays in column form end
-    to end: the vectorized kernel emits a value/key array block and
-    :func:`~repro.engine.columnar.grouped_fold` produces the per-chunk
-    combine partials with array folds — bit-identical to the dict
-    combine (same per-chunk grouping, same first-seen key order, same
-    fold sequence), with the pair tuples never materialized.
+    When the sole map stage also exposes ``map_block`` the chunk can
+    stay in column form past the map.  With a recognized sum/min/max
+    combiner, :func:`~repro.engine.columnar.grouped_fold` produces the
+    per-chunk combine partials with array folds — bit-identical to the
+    dict combine (same per-chunk grouping, same first-seen key order,
+    same fold sequence), with the pair tuples never materialized.  With
+    no combiner and the spilled store, the block is routed into the
+    writer's partition buffers as value/key sub-arrays
+    (:meth:`SpillWriter.add_block`) and only expanded to pair tuples at
+    merge time.
     """
-    out = _MapOut(chunk_pairs=[], stage_counts=[[0, 0, 0] for _ in map_fns])
-    fold_fn = (
+    out = _MapOut(stage_counts=[[0, 0, 0] for _ in map_fns])
+    writer = SpillWriter(*spill) if spill is not None else None
+    if writer is not None:
+        out.stats = writer.stats
+    block_fn = (
         map_fns[0]
         if len(map_fns) == 1 and hasattr(map_fns[0], "map_block")
         else None
     )
     fold_op = (
-        getattr(combiner, "grouped_op", None) if fold_fn is not None else None
+        getattr(combiner, "grouped_op", None) if block_fn is not None else None
     )
+    if fold_op is None and (combiner is not None or writer is None):
+        block_fn = None
     for chunk in chunks:
+        out.chunks += 1
+        out.input_records += len(chunk)
+        chunk_bytes = 0
+        if measure_input:
+            chunk_bytes = sum(sizeof(r) for r in chunk)
+            out.input_bytes += chunk_bytes
         current: list = chunk
         combined = False
-        if fold_op is not None:
+        if block_fn is not None:
             counts = out.stage_counts[0]
-            block = fold_fn.map_block(current)
-            if getattr(fold_fn, "last_chunk_fallback", False):
+            block = block_fn.map_block(current)
+            if getattr(block_fn, "last_chunk_fallback", False):
                 out.guard_fallbacks += 1
-            if block is not None:
-                folded = grouped_fold(block, fold_op)
-                out.columnar_chunks += 1
-                counts[0] += len(current)
-                counts[1] += len(block)
-                if account_bytes:
-                    counts[2] += block.stage_bytes()
-                if folded is not None:
-                    current = folded
-                    combined = True
-                else:
-                    current = block.pairs()
-            else:
+            counts[0] += len(current)
+            if block is None:
                 # Guard trip (or unvectorizable chunk): the compiled row
                 # loop reruns this chunk without repeating the rejected
                 # vector work.
-                counts[0] += len(current)
-                emitted = fold_fn.map_rows(current)
+                emitted = block_fn.map_rows(current)
                 counts[1] += len(emitted)
-                if account_bytes:
-                    for pair in emitted:
-                        counts[2] += sizeof(pair)
+                for pair in emitted:
+                    counts[2] += sizeof(pair)
                 current = emitted
+            else:
+                out.columnar_chunks += 1
+                counts[1] += len(block)
+                counts[2] += block.stage_bytes()
+                if fold_op is None:
+                    writer.add_block(block)
+                    current = []
+                else:
+                    folded = grouped_fold(block, fold_op)
+                    if folded is not None:
+                        current = folded
+                        combined = True
+                    else:
+                        current = block.pairs()
         else:
             for index, fn in enumerate(map_fns):
                 counts = out.stage_counts[index]
@@ -297,9 +366,8 @@ def _run_map_chunks(
                     if getattr(fn, "last_chunk_fallback", False):
                         out.guard_fallbacks += 1
                     counts[1] += len(emitted)
-                    if account_bytes:
-                        for pair in emitted:
-                            counts[2] += sizeof(pair)
+                    for pair in emitted:
+                        counts[2] += sizeof(pair)
                     current = emitted
                     continue
                 emitted = []
@@ -308,9 +376,8 @@ def _run_map_chunks(
                     for pair in fn(record):
                         emitted.append(pair)
                 counts[1] += len(emitted)
-                if account_bytes:
-                    for pair in emitted:
-                        counts[2] += sizeof(pair)
+                for pair in emitted:
+                    counts[2] += sizeof(pair)
                 current = emitted
         if combiner is not None and not combined:
             local: dict[Any, Any] = {}
@@ -320,11 +387,29 @@ def _run_map_chunks(
                 else:
                     local[key] = value
             current = list(local.items())
-        out.outgoing_records += len(current)
-        if shuffle_next and account_bytes:
+        if writer is not None:
             for key, value in current:
-                out.shuffled_bytes += sizeof_pair(key, value)
-        out.chunk_pairs.append(current)
+                writer.add(key, value)
+        else:
+            out.outgoing_records += len(current)
+            if shuffle_next:
+                for key, value in current:
+                    out.shuffled_bytes += sizeof_pair(key, value)
+            out.chunk_pairs.append(current)
+        if measure_input:
+            # The in-flight chunk is resident alongside what the store holds.
+            held = (
+                writer.resident_bytes
+                if writer is not None
+                else out.held_bytes(shuffle_next)
+            )
+            out.stats.note_resident(held + chunk_bytes)
+    if writer is not None:
+        writer.finish()
+        out.run_files = writer.run_files
+        out.key_order = {key: rank for rank, key in enumerate(writer.key_order)}
+        out.outgoing_records = writer.pairs_in
+        out.shuffled_bytes = writer.bytes_in
     return out
 
 
@@ -343,108 +428,13 @@ def _fold_groups(
 
 def _map_task(payload: Union[bytes, ShmRef]) -> _MapOut:
     """Pool entry point: unpickle one map task and run it."""
-    map_fns, combiner, chunks, shuffle_next, account_bytes = load_payload(payload)
-    return _run_map_chunks(map_fns, combiner, chunks, shuffle_next, account_bytes)
+    return _run_map_chunks(*load_payload(payload))
 
 
 def _reduce_task(payload: Union[bytes, ShmRef]) -> list[tuple]:
     """Pool entry point: unpickle one bucket of key groups and fold it."""
     fn, groups = load_payload(payload)
     return _fold_groups(fn, groups)
-
-
-def _run_spill_map(
-    map_fns: Sequence[Callable],
-    combiner: Optional[Callable[[Any, Any], Any]],
-    chunks: Iterable[list],
-    writer: SpillWriter,
-    account_bytes: bool,
-) -> SpillMapOut:
-    """Apply fused map stages chunkwise, spilling output through ``writer``.
-
-    The per-chunk work (map stages, then the optional combine) is the
-    same :func:`_run_map_chunks` the in-memory engine uses — per-chunk
-    combining groups records identically, so spilled results stay
-    byte-identical.  Emitted pairs go straight into the spill writer's
-    hash-partitioned, budget-bounded buffers instead of accumulating.
-    """
-    out = SpillMapOut(stage_counts=[[0, 0, 0] for _ in map_fns])
-    # With no combiner and a single vectorized map stage, emitted pairs
-    # can stay in column form all the way to disk: the block is routed
-    # into the writer's partition buffers as value/key sub-arrays
-    # (:meth:`SpillWriter.add_block`) and only expanded to pair tuples
-    # at merge time.  With a combiner, _run_map_chunks' grouped-fold
-    # path already collapses each chunk to a handful of partials.
-    block_fn = (
-        getattr(map_fns[0], "map_block", None)
-        if combiner is None and len(map_fns) == 1
-        else None
-    )
-    for chunk in chunks:
-        out.chunks += 1
-        out.input_records += len(chunk)
-        chunk_bytes = 0
-        if account_bytes:
-            chunk_bytes = sum(sizeof(r) for r in chunk)
-            out.input_bytes += chunk_bytes
-        block = block_fn(chunk) if block_fn is not None else None
-        if block_fn is not None and getattr(
-            map_fns[0], "last_chunk_fallback", False
-        ):
-            out.guard_fallbacks += 1
-        if block is not None:
-            out.columnar_chunks += 1
-            counts = out.stage_counts[0]
-            counts[0] += len(chunk)
-            counts[1] += len(block)
-            if account_bytes:
-                counts[2] += block.stage_bytes()
-            writer.add_block(block)
-        elif block_fn is not None:
-            # Guard trip: rerun this chunk on the compiled row loop
-            # without repeating the rejected vector computation.
-            counts = out.stage_counts[0]
-            counts[0] += len(chunk)
-            emitted = map_fns[0].map_rows(chunk)
-            counts[1] += len(emitted)
-            for key, value in emitted:
-                if account_bytes:
-                    counts[2] += sizeof((key, value))
-                writer.add(key, value)
-        else:
-            mapped = _run_map_chunks(
-                map_fns, combiner, [chunk], False, account_bytes
-            )
-            out.merge_counts(mapped.stage_counts)
-            out.columnar_chunks += mapped.columnar_chunks
-            out.guard_fallbacks += mapped.guard_fallbacks
-            for key, value in mapped.chunk_pairs[0]:
-                writer.add(key, value)
-        # The in-flight chunk is resident alongside the shuffle buffers.
-        writer.stats.note_resident(writer.resident_bytes + chunk_bytes)
-    writer.finish()
-    out.run_files = writer.run_files
-    out.key_order = writer.key_order
-    out.outgoing_records = writer.pairs_in
-    out.shuffled_bytes = writer.bytes_in
-    out.stats = writer.stats
-    return out
-
-
-def _spill_map_task(payload: Union[bytes, ShmRef]) -> SpillMapOut:
-    """Pool entry point: one map task spilling locally to shared disk."""
-    (
-        map_fns,
-        combiner,
-        chunks,
-        spill_dir,
-        partitions,
-        budget,
-        task_id,
-        account_bytes,
-    ) = load_payload(payload)
-    writer = SpillWriter(spill_dir, partitions, budget, task_id=task_id)
-    return _run_spill_map(map_fns, combiner, chunks, writer, account_bytes)
 
 
 def _spill_reduce_task(payload: Union[bytes, ShmRef]) -> tuple[list[tuple], int]:
@@ -478,10 +468,8 @@ class MultiprocessEngine:
     partitions: Optional[int] = None
     #: Inputs smaller than this run in-process — pool startup dominates.
     min_parallel_records: int = 2048
-    #: Compute byte volumes (sizeof per record) for simulated accounting.
-    account_bytes: bool = True
     #: Estimated bytes the shuffle may hold resident before spilling to
-    #: disk; None disables the out-of-core streaming path entirely.
+    #: disk; None keeps the shuffle resident (and the input one round).
     memory_budget: Optional[int] = None
     #: Where spill runs are written; None → a private temp directory,
     #: removed when the job finishes.
@@ -509,11 +497,11 @@ class MultiprocessEngine:
 
         ``records`` may be a plain list or a
         :class:`~repro.engine.source.Dataset`.  With a ``memory_budget``
-        the out-of-core streaming path executes: input is consumed in
-        bounded chunks and the shuffle spills to disk once the budget is
-        exceeded, so peak resident memory is O(budget) instead of O(n).
-        Without a budget, Dataset inputs are materialized and the
-        in-memory path runs unchanged.
+        input is consumed in bounded rounds of chunks and the shuffle
+        spills to disk once the budget is exceeded, so peak resident
+        memory is O(budget) instead of O(n).  Without one the shuffle is
+        resident anyway, so the whole input is a single round (an
+        unknown-length source is materialized to learn its layout).
         """
         if not steps:
             raise EngineError("multiprocess pipeline needs at least one step")
@@ -527,31 +515,47 @@ class MultiprocessEngine:
                 f"unknown layout {self.layout!r}; expected 'rows' or "
                 "'columns' (the planner resolves 'auto' before the engine)"
             )
-        if self.memory_budget is not None:
-            return self._run_streaming(as_dataset(records), list(steps))
-        if isinstance(records, Dataset):
-            records = records.materialize()
+        budget = self.memory_budget
+        if budget is not None and budget <= 0:
+            raise SpillError(
+                f"memory budget must be a positive byte count, got {budget!r}"
+            )
+        dataset = as_dataset(records)
+        steps = list(steps)
         metrics = JobMetrics()
         partitions = self.partitions or self.config.default_partitions
-        result = MultiprocessResult(pairs=[], metrics=metrics)
-        pool = self._start_pool(result, len(records))
-
-        result.layout = self.layout
+        result = MultiprocessResult(
+            pairs=[], metrics=metrics, spilled=budget is not None, layout=self.layout
+        )
+        known = dataset.known_length
+        if known is None and budget is None:
+            dataset = ListSource(dataset.materialize())
+            known = dataset.known_length
+        elif known is None:
+            known, partitions = self._probe_unknown_stream(
+                dataset, steps, partitions, result
+            )
+        spill_root = self._ensure_spill_dir() if budget is not None else None
+        stats = SpillStats(partitions=partitions)
+        pool = self._start_pool(result, known)
         started = time.perf_counter()
         try:
-            chunks = partition_data(list(records), partitions)
-            prepare = self._chunk_preparer(list(steps))
-            if prepare is not None:
-                chunks = [prepare(chunk) for chunk in chunks]
-            self._charge_scan(metrics, records)
-            pairs = self._execute_steps(chunks, list(steps), pool, result)
+            pairs = self._execute_steps(
+                dataset, steps, pool, result, stats, spill_root, partitions
+            )
         finally:
             if pool is not None:
                 pool.shutdown()
+            if spill_root is not None:
+                # The per-job run directory is always swept — on success,
+                # on a mid-job failure, and for broken-pool orphans alike.
+                shutil.rmtree(spill_root, ignore_errors=True)
         metrics.add_wall_seconds(time.perf_counter() - started)
-        if self.account_bytes:
-            self._charge_collect(metrics, pairs)
+        self._charge_collect(metrics, pairs)
         result.pairs = pairs
+        if budget is not None:
+            result.peak_resident_bytes = stats.peak_resident_bytes
+            result.spill_stats = stats.as_dict()
         return result
 
     # ------------------------------------------------------------------
@@ -559,18 +563,36 @@ class MultiprocessEngine:
 
     def _execute_steps(
         self,
-        chunks: list[list],
+        dataset: Dataset,
         steps: list[PipelineStep],
         pool: Optional[ProcessPoolExecutor],
         result: MultiprocessResult,
+        stats: SpillStats,
+        spill_root: Optional[str],
+        partitions: int,
     ) -> list:
+        """Walk ``map* reduce? | bridge`` segments; each segment's pairs
+        are the next one's input.  The scan is charged as soon as the
+        first segment (or an opening bridge) has consumed the source."""
+        metrics = result.metrics
         index = 0
         stage_counter = 0
+        pairs: list = []
+        scanned = False
         while index < len(steps):
-            if isinstance(steps[index], BridgeStep):
-                step = steps[index]
+            step = steps[index]
+            if isinstance(step, BridgeStep):
                 index += 1
-                chunks = self._bridge_phase(chunks, step, result, stage_counter)
+                if not scanned:
+                    # A chain opening with a bridge consumes the raw
+                    # input on the driver.
+                    pairs = dataset.materialize()
+                    self._charge_scan(
+                        metrics, len(pairs), sum(sizeof(p) for p in pairs)
+                    )
+                    scanned = True
+                pairs = self._bridge_phase(pairs, step, result, stage_counter, stats)
+                dataset = ListSource(pairs)
                 stage_counter += 1
                 continue
             map_fns: list[Callable] = []
@@ -598,80 +620,169 @@ class MultiprocessEngine:
                 if reduce_step is not None and reduce_step.combine
                 else None
             )
+            started = time.perf_counter()
             out = self._map_phase(
-                chunks,
+                dataset,
                 map_fns,
                 combiner,
                 shuffle_next=reduce_step is not None,
+                # Input bytes feed the scan charge and, under a budget,
+                # every segment's residency proxy.
+                measure_input=not scanned or self.memory_budget is not None,
                 pool=pool,
                 result=result,
-                stage_offset=stage_counter,
-                complexities=complexities,
+                spill_root=spill_root,
+                partitions=partitions,
             )
+            elapsed = time.perf_counter() - started
+            if not scanned:
+                self._charge_scan(metrics, out.input_records, out.input_bytes)
+                scanned = True
+            self._charge_map_stages(
+                metrics, out, max(1, out.chunks), stage_counter, complexities, elapsed
+            )
+            stats.merge(out.stats)
+            result.columnar_chunks += out.columnar_chunks
+            result.guard_fallbacks += out.guard_fallbacks
             stage_counter += len(map_fns)
-            chunks = out.chunk_pairs
-            if reduce_step is not None:
-                pairs = self._reduce_phase(
-                    out, reduce_step, pool, result, stage_counter
+            if reduce_step is None:
+                # A map-only segment's output is the job's (or the next
+                # bridge's) input, so it is materialized by contract.
+                pairs = [pair for chunk in out.chunk_pairs for pair in chunk]
+            else:
+                started = time.perf_counter()
+                pairs = self._reduce_phase(out, reduce_step, pool, result, stats)
+                self._charge_reduce_stage(
+                    metrics,
+                    out,
+                    len(pairs),
+                    stage_counter,
+                    time.perf_counter() - started,
                 )
                 stage_counter += 1
-                chunks = partition_data(
-                    pairs, self.partitions or self.config.default_partitions
-                )
-        return [pair for chunk in chunks for pair in chunk]
+            dataset = ListSource(pairs)
+        return pairs
 
     def _map_phase(
         self,
-        chunks: list[list],
+        dataset: Dataset,
         map_fns: list[Callable],
         combiner: Optional[Callable],
         shuffle_next: bool,
+        measure_input: bool,
         pool: Optional[ProcessPoolExecutor],
         result: MultiprocessResult,
-        stage_offset: int,
-        complexities: list[int],
+        spill_root: Optional[str],
+        partitions: int,
     ) -> _MapOut:
-        started = time.perf_counter()
-        out: Optional[_MapOut] = None
-        if pool is not None:
-            task_count = min(len(chunks), max(1, result.processes_used * 2))
-            bounds = self._task_bounds(len(chunks), task_count)
-            tasks = [
-                (map_fns, combiner, chunks[lo:hi], shuffle_next, self.account_bytes)
-                for lo, hi in bounds
-            ]
-            sent, refs, error = self._send_tasks(tasks, result)
-            if error is not None:
-                self._record_fallback(result, error, "REP301")
-            else:
-                try:
-                    parts = list(pool.map(_map_task, sent))
-                except BrokenProcessPool:
-                    self._record_fallback(result, "worker pool broke mid-job")
-                    parts = None
-                finally:
-                    release_segments(refs)
-                if parts:
-                    out = parts[0]
-                    for part in parts[1:]:
-                        out.merge(part)
-                    result.map_tasks += len(tasks)
-        if out is None:
-            out = _run_map_chunks(
-                map_fns, combiner, chunks, shuffle_next, self.account_bytes
-            )
-        result.columnar_chunks += out.columnar_chunks
-        result.guard_fallbacks += out.guard_fallbacks
-        elapsed = time.perf_counter() - started
-        self._charge_map_stages(
-            result.metrics,
-            out,
-            len(chunks),
-            stage_offset,
-            complexities,
-            elapsed,
+        """Map + combine over the chunk stream, into the shuffle store.
+
+        With a pool, chunks are read in rounds and each round's tasks
+        run in the workers (spilling locally under a budget — only
+        run-file metadata returns to the driver).  A budget bounds a
+        round to two chunks per task; without one the input is resident
+        anyway and the whole stream is one round.  Without a pool (or
+        after a fallback) one driver-side call consumes the rest of the
+        stream.  Either way task order equals chunk order, which is
+        what keeps reductions byte-identical.
+        """
+        budget = self.memory_budget
+        chunks: Iterable[list] = dataset.prepared(
+            self._chunk_preparer(map_fns)
+        ).iter_chunks(chunk_records_for(dataset, partitions, budget_bytes=budget))
+        spilling = shuffle_next and budget is not None
+        agg = _MapOut(
+            stage_counts=[[0, 0, 0] for _ in map_fns],
+            run_files=[[] for _ in range(partitions)] if spilling else [],
         )
-        return out
+
+        def store(task: int) -> Optional[tuple[str, int, int, int]]:
+            return (spill_root, partitions, budget, task) if spilling else None
+
+        task_id = 0
+        if pool is not None:
+            tasks_per_round = max(1, result.processes_used) * 2
+            # Bounded rounds pack two chunks per task; the unbounded
+            # round spreads every chunk over the same number of tasks.
+            per_task = 1 if budget is None else 2
+            round_limit = None if budget is None else per_task * tasks_per_round
+            for round_chunks in _batched(chunks, round_limit):
+                bounds = self._task_bounds(
+                    len(round_chunks),
+                    min(tasks_per_round, -(-len(round_chunks) // per_task)),
+                )
+                tasks = [
+                    (
+                        map_fns,
+                        combiner,
+                        round_chunks[lo:hi],
+                        shuffle_next,
+                        measure_input,
+                        store(task_id + offset),
+                    )
+                    for offset, (lo, hi) in enumerate(bounds)
+                ]
+                outs, error = self._run_tasks(
+                    pool, _map_task, tasks, result, "worker pool broke mid-job"
+                )
+                task_id += len(tasks)  # ids consumed even when lost
+                if error is not None:
+                    self._record_fallback(result, error, "REP301")
+                if outs is None:
+                    # Re-run this round, then the rest of the stream,
+                    # inline (a fresh task id keeps the run files
+                    # distinct from any the lost tasks wrote —
+                    # unregistered orphans are swept with the spill dir).
+                    chunks = itertools.chain(round_chunks, chunks)
+                    break
+                for out in outs:
+                    agg.merge(out)
+                # The whole round's chunks sat on the driver while its
+                # tasks ran, beside whatever pairs came back resident.
+                agg.stats.note_resident(
+                    (0 if spilling else agg.held_bytes(shuffle_next))
+                    + sum(out.input_bytes for out in outs)
+                )
+                result.map_tasks += len(tasks)
+            else:
+                return agg
+        agg.merge(
+            _run_map_chunks(
+                map_fns,
+                combiner,
+                chunks,
+                shuffle_next,
+                measure_input,
+                store(task_id),
+            )
+        )
+        return agg
+
+    def _run_tasks(
+        self,
+        pool: ProcessPoolExecutor,
+        entry: Callable,
+        tasks: list,
+        result: MultiprocessResult,
+        broke: str,
+    ) -> tuple[Optional[list], Optional[str]]:
+        """Ship ``tasks`` to the pool; ``(outputs, None)`` in task order.
+
+        ``(None, reason)`` means the payload is unpicklable — the caller
+        decides whether that is a recorded fallback; ``(None, None)``
+        means the pool broke (recorded here as ``broke``).  Either way
+        the caller runs the same work inline.
+        """
+        sent, refs, error = self._send_tasks(tasks, result)
+        if error is not None:
+            return None, error
+        try:
+            return list(pool.map(entry, sent)), None
+        except BrokenProcessPool:
+            self._record_fallback(result, broke)
+            return None, None
+        finally:
+            release_segments(refs)
 
     def _send_tasks(
         self, tasks: list, result: MultiprocessResult
@@ -790,14 +901,14 @@ class MultiprocessEngine:
 
     def _bridge_phase(
         self,
-        chunks: list[list],
+        pairs: list,
         step: BridgeStep,
         result: MultiprocessResult,
         stage_index: int,
-    ) -> list[list]:
-        """Collect pairs to the driver, re-bind, re-partition in memory."""
+        stats: SpillStats,
+    ) -> list:
+        """Driver-side fused handoff: collected pairs in, records out."""
         started = time.perf_counter()
-        pairs = [pair for chunk in chunks for pair in chunk]
         records = step.fn(pairs)
         elapsed = time.perf_counter() - started
         metrics = result.metrics
@@ -805,18 +916,17 @@ class MultiprocessEngine:
         stage.records_in = len(pairs)
         stage.records_out = len(records)
         stage.wall_seconds = elapsed
-        if self.account_bytes:
-            total = sum(sizeof(p) for p in pairs)
-            stage.bytes_in = total
-            # The handoff pays one driver-side collect over the network;
-            # the re-scan + job startup the unfused execution would pay
-            # for the downstream job is exactly what fusion saves.
-            seconds = (total * self.config.scale) / self.config.cluster.network_bw
-            stage.seconds += seconds
-            metrics.add_seconds(seconds)
-        return partition_data(
-            records, self.partitions or self.config.default_partitions
-        )
+        total = sum(sizeof(p) for p in pairs)
+        stage.bytes_in = total
+        # The handoff pays one driver-side collect over the network;
+        # the re-scan + job startup the unfused execution would pay
+        # for the downstream job is exactly what fusion saves.
+        seconds = (total * self.config.scale) / self.config.cluster.network_bw
+        stage.seconds += seconds
+        metrics.add_seconds(seconds)
+        if self.memory_budget is not None:
+            stats.note_resident(total + sum(sizeof(r) for r in records))
+        return records
 
     def _reduce_phase(
         self,
@@ -824,45 +934,64 @@ class MultiprocessEngine:
         reduce_step: ReduceStep,
         pool: Optional[ProcessPoolExecutor],
         result: MultiprocessResult,
-        stage_index: int,
+        stats: SpillStats,
     ) -> list[tuple]:
-        started = time.perf_counter()
-        # Driver-side merge in chunk order: first-seen key ordering and
-        # per-key value order match the simulated engines exactly.
-        grouped: dict[Any, list] = {}
-        for chunk in out.chunk_pairs:
-            for key, value in chunk:
-                grouped.setdefault(key, []).append(value)
-        groups = list(grouped.items())
-        total_values = sum(len(values) for _key, values in groups)
-        pairs: Optional[list[tuple]] = None
-        if (
-            pool is not None
-            and len(groups) > 1
-            and total_values >= self.min_parallel_records
-        ):
-            task_count = min(len(groups), max(1, result.processes_used * 2))
-            bounds = self._task_bounds(len(groups), task_count)
-            # An unpicklable reducer folds in-process without recording a
-            # fallback — the map phase may still have pooled fine.
-            sent, refs, error = self._send_tasks(
-                [(reduce_step.fn, groups[lo:hi]) for lo, hi in bounds], result
+        """Group the shuffle store's pairs by key and fold each group.
+
+        An unpicklable reducer folds in-process without recording a
+        fallback — the map phase may still have pooled fine.
+        """
+        broke = "worker pool broke during reduce"
+        if self.memory_budget is None:
+            # Resident store.  Driver-side merge in chunk order:
+            # first-seen key ordering and per-key value order match the
+            # simulated engines exactly.
+            grouped: dict[Any, list] = {}
+            for chunk in out.chunk_pairs:
+                for key, value in chunk:
+                    grouped.setdefault(key, []).append(value)
+            groups = list(grouped.items())
+            if (
+                pool is not None
+                and len(groups) > 1
+                and out.outgoing_records >= self.min_parallel_records
+            ):
+                task_count = min(len(groups), max(1, result.processes_used * 2))
+                bounds = self._task_bounds(len(groups), task_count)
+                folded, _error = self._run_tasks(
+                    pool,
+                    _reduce_task,
+                    [(reduce_step.fn, groups[lo:hi]) for lo, hi in bounds],
+                    result,
+                    broke,
+                )
+                if folded is not None:
+                    return [pair for bucket in folded for pair in bucket]
+            return _fold_groups(reduce_step.fn, groups)
+        # Spilled store.  Merge-reduce partition by partition, then
+        # restore the global first-seen key order.
+        parts = [files for files in out.run_files if files]
+        folded = None
+        if pool is not None and len(parts) > 1:
+            outs, _error = self._run_tasks(
+                pool,
+                _spill_reduce_task,
+                [(reduce_step.fn, files) for files in parts],
+                result,
+                broke,
             )
-            if error is None:
-                try:
-                    folded = list(pool.map(_reduce_task, sent))
-                    pairs = [pair for bucket in folded for pair in bucket]
-                except BrokenProcessPool:
-                    self._record_fallback(result, "worker pool broke during reduce")
-                    pairs = None
-                finally:
-                    release_segments(refs)
-        if pairs is None:
-            pairs = _fold_groups(reduce_step.fn, groups)
-        elapsed = time.perf_counter() - started
-        self._charge_reduce_stage(
-            result.metrics, out, groups, total_values, stage_index, elapsed
-        )
+            if outs is not None:
+                folded = []
+                for bucket, peak in outs:
+                    stats.note_resident(peak)
+                    folded.append(bucket)
+        if folded is None:
+            folded = [merge_partition(files, reduce_step.fn, stats) for files in parts]
+        cleanup_runs(out.run_files)
+        rank = out.key_order
+        pairs = [pair for bucket in folded for pair in bucket]
+        pairs.sort(key=lambda pair: rank[pair[0]])
+        stats.note_resident(sum(sizeof_pair(k, v) for k, v in pairs))
         return pairs
 
     # ------------------------------------------------------------------
@@ -911,10 +1040,20 @@ class MultiprocessEngine:
         except (OSError, ValueError):
             return None
 
-    def _charge_scan(self, metrics: JobMetrics, records: list) -> None:
+    def _charge_scan(
+        self, metrics: JobMetrics, records: int, total_bytes: int
+    ) -> None:
         stage = metrics.stage("scan")
-        total = sum(sizeof(r) for r in records) if self.account_bytes else 0
-        self._charge_scan_totals(metrics, stage, len(records), total)
+        stage.records_in = records
+        stage.records_out = records
+        stage.bytes_in = total_bytes
+        stage.bytes_out = total_bytes
+        cluster = self.config.cluster
+        seconds = (total_bytes * self.config.scale) / (
+            cluster.worker_disk_bw * cluster.workers
+        )
+        stage.seconds += seconds
+        metrics.add_seconds(seconds + self.config.framework.startup_s)
 
     def _charge_map_stages(
         self,
@@ -943,8 +1082,7 @@ class MultiprocessEngine:
             )
             slots = max(1, min(num_chunks, cluster.total_slots))
             seconds = total_cpu / slots + profile.per_stage_overhead_s
-            if self.account_bytes:
-                seconds += (bytes_out * self.config.scale) / cluster.emit_bw
+            seconds += (bytes_out * self.config.scale) / cluster.emit_bw
             stage.seconds += seconds
             stage.wall_seconds = wall_elapsed / max(1, len(out.stage_counts))
             metrics.add_seconds(seconds)
@@ -953,20 +1091,23 @@ class MultiprocessEngine:
         self,
         metrics: JobMetrics,
         out: _MapOut,
-        groups: list[tuple[Any, list]],
-        total_values: int,
+        records_out: int,
         stage_index: int,
         wall_elapsed: float,
     ) -> None:
         cluster = self.config.cluster
         stage = metrics.stage(f"shuffle.reduce.{stage_index}")
-        stage.records_in = total_values
-        stage.records_out = len(groups)
+        stage.records_in = out.outgoing_records
+        stage.records_out = records_out
         stage.bytes_shuffled = out.shuffled_bytes
         stage.wall_seconds = wall_elapsed
         scaled = out.shuffled_bytes * self.config.scale
         seconds = scaled / cluster.network_bw + cluster.shuffle_latency_s
         seconds += 2 * scaled / (cluster.worker_disk_bw * cluster.workers)
+        # Spilled runs pay one extra write + read-back on local disk
+        # (zero when nothing spilled).
+        spilled_scaled = out.stats.spilled_bytes * self.config.scale
+        seconds += 2 * spilled_scaled / (cluster.worker_disk_bw * cluster.workers)
         stage.seconds += seconds
         metrics.add_seconds(seconds)
 
@@ -977,67 +1118,7 @@ class MultiprocessEngine:
         )
 
     # ------------------------------------------------------------------
-    # Out-of-core streaming execution (spill-to-disk shuffle)
-
-    def _run_streaming(
-        self, dataset: Dataset, steps: list[PipelineStep]
-    ) -> MultiprocessResult:
-        """Execute the pipeline over bounded chunks with an external shuffle.
-
-        Input is consumed chunk by chunk (never fully materialized), map
-        output is hash-partitioned into budgeted spill buffers that
-        flush to disk runs, and each reduce merges one partition at a
-        time — peak resident memory is O(memory_budget + one partition)
-        instead of O(input).  Results are byte-identical to the
-        in-memory path: chunk layout reproduces ``partition_data``, runs
-        preserve arrival order, and the final pairs are restored to
-        global first-seen key order.
-        """
-        if self.memory_budget is None or self.memory_budget <= 0:
-            raise SpillError(
-                f"memory budget must be a positive byte count, "
-                f"got {self.memory_budget!r}"
-            )
-        metrics = JobMetrics()
-        partitions = self.partitions or self.config.default_partitions
-        result = MultiprocessResult(
-            pairs=[], metrics=metrics, spilled=True, layout=self.layout
-        )
-        known = dataset.known_length
-        if known is None:
-            known, partitions = self._probe_unknown_stream(
-                dataset, steps, partitions, result
-            )
-        pool = self._start_pool(result, known)
-
-        spill_root = self._ensure_spill_dir()
-        stats = SpillStats(partitions=partitions)
-        started = time.perf_counter()
-        scan_stage = metrics.stage("scan")
-        try:
-            pairs = self._execute_stream(
-                dataset,
-                steps,
-                pool,
-                result,
-                stats,
-                spill_root,
-                partitions,
-                scan_stage,
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-            # The per-job run directory is always swept — on success,
-            # on a mid-job failure, and for broken-pool orphans alike.
-            shutil.rmtree(spill_root, ignore_errors=True)
-        metrics.add_wall_seconds(time.perf_counter() - started)
-        if self.account_bytes:
-            self._charge_collect(metrics, pairs)
-        result.pairs = pairs
-        result.peak_resident_bytes = stats.peak_resident_bytes
-        result.spill_stats = stats.as_dict()
-        return result
+    # Budgeted runs: stream probe and the per-job spill directory
 
     def _probe_unknown_stream(
         self,
@@ -1061,7 +1142,7 @@ class MultiprocessEngine:
         reduce: per-chunk combining folds each chunk's records in
         chunk-layout order, so revising the layout mid-job could drift
         float folds away from the plan-time result.  Without combining,
-        ``_spill_reduce_phase`` restores global first-seen key order and
+        the spilled reduce restores global first-seen key order and
         the result is partition-count invariant.
         """
         probe = dataset.probe()
@@ -1138,422 +1219,16 @@ class MultiprocessEngine:
                 f"spill directory {self.spill_dir!r} is not writable: {exc}"
             ) from exc
 
-    def _execute_stream(
-        self,
-        dataset: Dataset,
-        steps: list[PipelineStep],
-        pool: Optional[ProcessPoolExecutor],
-        result: MultiprocessResult,
-        stats: SpillStats,
-        spill_root: str,
-        partitions: int,
-        scan_stage,
-    ) -> list:
-        index = 0
-        stage_counter = 0
-        current: Dataset = dataset
-        pairs: list = []
-        scan_done = False
-        scan_records = 0
-        scan_bytes = 0
-        while index < len(steps):
-            step = steps[index]
-            if isinstance(step, BridgeStep):
-                index += 1
-                if not scan_done:
-                    # A chain starting with a bridge consumes the raw
-                    # input on the driver, like the in-memory path.
-                    pairs = current.materialize()
-                    scan_records = len(pairs)
-                    if self.account_bytes:
-                        scan_bytes = sum(sizeof(p) for p in pairs)
-                    scan_done = True
-                pairs = self._stream_bridge(pairs, step, result, stage_counter, stats)
-                current = ListSource(pairs)
-                stage_counter += 1
-                continue
-            map_fns: list[Callable] = []
-            complexities: list[int] = []
-            while index < len(steps) and isinstance(steps[index], MapStep):
-                map_fns.append(steps[index].fn)
-                complexities.append(steps[index].complexity)
-                index += 1
-            reduce_step: Optional[ReduceStep] = None
-            if index < len(steps):
-                nxt = steps[index]
-                if isinstance(nxt, ReduceStep):
-                    reduce_step = nxt
-                    index += 1
-                elif not isinstance(nxt, BridgeStep):
-                    raise EngineError(
-                        f"unknown pipeline step type {type(nxt).__name__!r}"
-                    )
-            if not map_fns and reduce_step is None:
-                continue  # a BridgeStep is next; handled at the loop top
-            pairs, segment = self._stream_segment(
-                current,
-                map_fns,
-                reduce_step,
-                pool,
-                result,
-                stats,
-                spill_root,
-                partitions,
-                stage_counter,
-                complexities,
-            )
-            if not scan_done:
-                scan_records = segment.input_records
-                scan_bytes = segment.input_bytes
-                scan_done = True
-            result.columnar_chunks += segment.columnar_chunks
-            result.guard_fallbacks += segment.guard_fallbacks
-            stage_counter += len(map_fns) + (1 if reduce_step is not None else 0)
-            current = ListSource(pairs)
-        self._charge_scan_totals(result.metrics, scan_stage, scan_records, scan_bytes)
-        return pairs
 
-    def _stream_segment(
-        self,
-        dataset: Dataset,
-        map_fns: list[Callable],
-        reduce_step: Optional[ReduceStep],
-        pool: Optional[ProcessPoolExecutor],
-        result: MultiprocessResult,
-        stats: SpillStats,
-        spill_root: str,
-        partitions: int,
-        stage_offset: int,
-        complexities: list[int],
-    ) -> tuple[list, SpillMapOut]:
-        """One map*…reduce? segment of the pipeline, streamed."""
-        chunk_size = chunk_records_for(
-            dataset, partitions, budget_bytes=self.memory_budget
-        )
-        if reduce_step is None:
-            return self._stream_map_collect(
-                dataset,
-                map_fns,
-                chunk_size,
-                result.metrics,
-                stage_offset,
-                complexities,
-                stats,
-            )
-        combiner = reduce_step.fn if reduce_step.combine else None
-        started = time.perf_counter()
-        agg = self._stream_map_spill(
-            dataset,
-            map_fns,
-            combiner,
-            chunk_size,
-            pool,
-            result,
-            stats,
-            spill_root,
-            partitions,
-        )
-        map_elapsed = time.perf_counter() - started
-        self._charge_map_stages(
-            result.metrics,
-            agg,
-            max(1, agg.chunks),
-            stage_offset,
-            complexities,
-            map_elapsed,
-        )
-        started = time.perf_counter()
-        pairs = self._spill_reduce_phase(agg, reduce_step, pool, result, stats)
-        reduce_elapsed = time.perf_counter() - started
-        self._charge_spill_reduce(
-            result.metrics,
-            agg,
-            len(pairs),
-            stage_offset + len(map_fns),
-            reduce_elapsed,
-        )
-        return pairs, agg
-
-    def _stream_map_spill(
-        self,
-        dataset: Dataset,
-        map_fns: list[Callable],
-        combiner: Optional[Callable],
-        chunk_size: int,
-        pool: Optional[ProcessPoolExecutor],
-        result: MultiprocessResult,
-        stats: SpillStats,
-        spill_root: str,
-        partitions: int,
-    ) -> SpillMapOut:
-        """Map + combine + hash-partitioned spill over the chunk stream.
-
-        With a pool, chunks are read in bounded rounds and each round's
-        task batches spill *locally in the workers* — only run-file
-        metadata returns to the driver.  Without one (or after a
-        fallback), one driver-side writer consumes the rest of the
-        stream.  Either way the per-partition run order equals chunk
-        order, which is what keeps reductions byte-identical.
-        """
-        budget = self.memory_budget or 0
-        agg = SpillMapOut(
-            stage_counts=[[0, 0, 0] for _ in map_fns],
-            run_files=[[] for _ in range(partitions)],
-        )
-        seen: set = set()
-
-        def absorb(out: SpillMapOut) -> None:
-            agg.merge_counts(out.stage_counts)
-            for partition, files in enumerate(out.run_files):
-                agg.run_files[partition].extend(files)
-            for key in out.key_order:
-                if key not in seen:
-                    seen.add(key)
-                    agg.key_order.append(key)
-            agg.outgoing_records += out.outgoing_records
-            agg.shuffled_bytes += out.shuffled_bytes
-            agg.chunks += out.chunks
-            agg.input_records += out.input_records
-            agg.input_bytes += out.input_bytes
-            agg.columnar_chunks += out.columnar_chunks
-            agg.guard_fallbacks += out.guard_fallbacks
-            agg.stats.merge(out.stats)
-            stats.merge(out.stats)
-
-        chunks = dataset.prepared(self._chunk_preparer(map_fns)).iter_chunks(
-            chunk_size
-        )
-        task_id = 0
-        if pool is not None:
-            verdict = probe_payload((map_fns, combiner))
-            if verdict.disagreement:
-                result.probe_disagreements += 1
-            if verdict.unpicklable:
-                self._record_fallback(result, verdict.reason or "", "REP301")
-                pool = None
-        if pool is not None:
-            tasks_per_round = max(1, result.processes_used) * 2
-            chunks_per_task = 2
-            pooled_ok = True
-            for round_chunks in _batched(chunks, chunks_per_task * tasks_per_round):
-                batches = [
-                    round_chunks[i : i + chunks_per_task]
-                    for i in range(0, len(round_chunks), chunks_per_task)
-                ]
-                tasks = [
-                    (
-                        map_fns,
-                        combiner,
-                        batch,
-                        spill_root,
-                        partitions,
-                        budget,
-                        task_id + offset,
-                        self.account_bytes,
-                    )
-                    for offset, batch in enumerate(batches)
-                ]
-                sent, refs, error = self._send_tasks(tasks, result)
-                outs: Optional[list[SpillMapOut]] = None
-                if error is not None:
-                    self._record_fallback(result, error, "REP301")
-                else:
-                    try:
-                        outs = list(pool.map(_spill_map_task, sent))
-                    except BrokenProcessPool:
-                        self._record_fallback(result, "worker pool broke mid-job")
-                    finally:
-                        release_segments(refs)
-                task_id += len(batches)  # ids consumed even when lost
-                if outs is None:
-                    # Re-run this round inline (fresh task id keeps its
-                    # run files distinct from any the lost tasks wrote —
-                    # unregistered orphans are ignored and swept with
-                    # the spill dir), then finish the stream inline.
-                    writer = SpillWriter(
-                        spill_root, partitions, budget, task_id=task_id
-                    )
-                    task_id += 1
-                    absorb(
-                        _run_spill_map(
-                            map_fns,
-                            combiner,
-                            round_chunks,
-                            writer,
-                            self.account_bytes,
-                        )
-                    )
-                    pooled_ok = False
-                    break
-                for out in outs:
-                    absorb(out)
-                # The whole round's chunks sat on the driver while its
-                # tasks ran — the pooled path's resident contribution.
-                stats.note_resident(sum(out.input_bytes for out in outs))
-                result.map_tasks += len(batches)
-            if pooled_ok:
-                return agg
-        writer = SpillWriter(spill_root, partitions, budget, task_id=task_id)
-        absorb(_run_spill_map(map_fns, combiner, chunks, writer, self.account_bytes))
-        return agg
-
-    def _spill_reduce_phase(
-        self,
-        agg: SpillMapOut,
-        reduce_step: ReduceStep,
-        pool: Optional[ProcessPoolExecutor],
-        result: MultiprocessResult,
-        stats: SpillStats,
-    ) -> list[tuple]:
-        """Merge-reduce partition by partition; restore global key order."""
-        parts = [(p, files) for p, files in enumerate(agg.run_files) if files]
-        folded: Optional[list[list[tuple]]] = None
-        if pool is not None and len(parts) > 1:
-            # An unpicklable reducer merges inline, no fallback recorded.
-            sent, refs, error = self._send_tasks(
-                [(reduce_step.fn, files) for _p, files in parts], result
-            )
-            if error is None:
-                try:
-                    outs = list(pool.map(_spill_reduce_task, sent))
-                except BrokenProcessPool:
-                    self._record_fallback(result, "worker pool broke during reduce")
-                else:
-                    folded = []
-                    for bucket, peak in outs:
-                        stats.note_resident(peak)
-                        folded.append(bucket)
-                finally:
-                    release_segments(refs)
-        if folded is None:
-            folded = [
-                merge_partition(files, reduce_step.fn, stats)
-                for _p, files in parts
-            ]
-        cleanup_runs(agg.run_files)
-        rank = {key: order for order, key in enumerate(agg.key_order)}
-        pairs = [pair for bucket in folded for pair in bucket]
-        pairs.sort(key=lambda pair: rank[pair[0]])
-        if self.account_bytes:
-            stats.note_resident(sum(sizeof_pair(k, v) for k, v in pairs))
-        return pairs
-
-    def _stream_map_collect(
-        self,
-        dataset: Dataset,
-        map_fns: list[Callable],
-        chunk_size: int,
-        metrics: JobMetrics,
-        stage_offset: int,
-        complexities: list[int],
-        stats: SpillStats,
-    ) -> tuple[list, SpillMapOut]:
-        """A map-only tail segment: stream chunks, collect emitted pairs.
-
-        The output is the job's result, so it is materialized by
-        contract; peak memory is the output plus one chunk.
-        """
-        started = time.perf_counter()
-        agg = SpillMapOut(stage_counts=[[0, 0, 0] for _ in map_fns])
-        pairs: list = []
-        resident = 0
-        chunks = dataset.prepared(self._chunk_preparer(map_fns)).iter_chunks(
-            chunk_size
-        )
-        for chunk in chunks:
-            agg.chunks += 1
-            agg.input_records += len(chunk)
-            chunk_bytes = 0
-            if self.account_bytes:
-                chunk_bytes = sum(sizeof(r) for r in chunk)
-                agg.input_bytes += chunk_bytes
-            mapped = _run_map_chunks(map_fns, None, [chunk], False, self.account_bytes)
-            agg.merge_counts(mapped.stage_counts)
-            agg.columnar_chunks += mapped.columnar_chunks
-            agg.guard_fallbacks += mapped.guard_fallbacks
-            out_chunk = mapped.chunk_pairs[0]
-            pairs.extend(out_chunk)
-            if self.account_bytes:
-                resident += sum(sizeof(p) for p in out_chunk)
-                stats.note_resident(resident + chunk_bytes)
-        agg.outgoing_records = len(pairs)
-        elapsed = time.perf_counter() - started
-        self._charge_map_stages(
-            metrics, agg, max(1, agg.chunks), stage_offset, complexities, elapsed
-        )
-        return pairs, agg
-
-    def _stream_bridge(
-        self,
-        pairs: list,
-        step: BridgeStep,
-        result: MultiprocessResult,
-        stage_index: int,
-        stats: SpillStats,
-    ) -> list:
-        """Driver-side fused handoff between streamed jobs."""
-        started = time.perf_counter()
-        records = step.fn(pairs)
-        elapsed = time.perf_counter() - started
-        metrics = result.metrics
-        stage = metrics.stage(f"{step.name}.{stage_index}")
-        stage.records_in = len(pairs)
-        stage.records_out = len(records)
-        stage.wall_seconds = elapsed
-        if self.account_bytes:
-            total = sum(sizeof(p) for p in pairs)
-            stage.bytes_in = total
-            seconds = (total * self.config.scale) / self.config.cluster.network_bw
-            stage.seconds += seconds
-            metrics.add_seconds(seconds)
-            stats.note_resident(total + sum(sizeof(r) for r in records))
-        return records
-
-    def _charge_scan_totals(
-        self, metrics: JobMetrics, stage, records: int, total_bytes: int
-    ) -> None:
-        stage.records_in = records
-        stage.records_out = records
-        if self.account_bytes:
-            stage.bytes_in = total_bytes
-            stage.bytes_out = total_bytes
-            cluster = self.config.cluster
-            seconds = (total_bytes * self.config.scale) / (
-                cluster.worker_disk_bw * cluster.workers
-            )
-            stage.seconds += seconds
-            metrics.add_seconds(seconds + self.config.framework.startup_s)
-
-    def _charge_spill_reduce(
-        self,
-        metrics: JobMetrics,
-        agg: SpillMapOut,
-        records_out: int,
-        stage_index: int,
-        wall_elapsed: float,
-    ) -> None:
-        cluster = self.config.cluster
-        stage = metrics.stage(f"shuffle.reduce.{stage_index}")
-        stage.records_in = agg.outgoing_records
-        stage.records_out = records_out
-        stage.bytes_shuffled = agg.shuffled_bytes
-        stage.wall_seconds = wall_elapsed
-        scaled = agg.shuffled_bytes * self.config.scale
-        seconds = scaled / cluster.network_bw + cluster.shuffle_latency_s
-        seconds += 2 * scaled / (cluster.worker_disk_bw * cluster.workers)
-        # Spilled runs pay one extra write + read-back on local disk.
-        spilled_scaled = agg.stats.spilled_bytes * self.config.scale
-        seconds += 2 * spilled_scaled / (cluster.worker_disk_bw * cluster.workers)
-        stage.seconds += seconds
-        metrics.add_seconds(seconds)
-
-
-def _batched(iterator: Iterator[list], count: int) -> Iterator[list[list]]:
-    """Group an iterator's items into lists of at most ``count``."""
+def _batched(
+    iterator: Iterable[list], count: Optional[int]
+) -> Iterator[list[list]]:
+    """Group an iterator's items into lists of at most ``count`` (None:
+    one list of everything; nothing at all for an empty iterator)."""
     batch: list[list] = []
     for item in iterator:
         batch.append(item)
-        if len(batch) >= count:
+        if count is not None and len(batch) >= count:
             yield batch
             batch = []
     if batch:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import pickle
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..errors import SpillError
@@ -349,33 +349,3 @@ def cleanup_runs(run_files_per_partition: list[list[str]]) -> None:
                 os.remove(path)
             except OSError:
                 pass
-
-
-@dataclass
-class SpillMapOut:
-    """What one spill-mode map task reports back to the driver.
-
-    The pairs themselves stay on disk; only metadata (run-file paths in
-    order, the task-local key order, and counters) crosses the process
-    boundary.
-    """
-
-    #: Per fused map stage: [records_in, records_out, bytes_out].
-    stage_counts: list[list[int]]
-    run_files: list[list[str]] = field(default_factory=list)
-    key_order: list = field(default_factory=list)
-    outgoing_records: int = 0
-    shuffled_bytes: int = 0
-    chunks: int = 0
-    input_records: int = 0
-    input_bytes: int = 0
-    #: Chunks the vectorized column path produced / guard-rejected.
-    columnar_chunks: int = 0
-    guard_fallbacks: int = 0
-    stats: SpillStats = field(default_factory=SpillStats)
-
-    def merge_counts(self, stage_counts: list[list[int]]) -> None:
-        """Accumulate another task's per-stage [in, out, bytes] counters."""
-        for mine, theirs in zip(self.stage_counts, stage_counts):
-            for i in range(3):
-                mine[i] += theirs[i]

@@ -34,9 +34,10 @@ from ..codegen.base import (
     StitchBridge,
     bind_outputs,
     prepare_globals,
+    run_local_steps,
     view_records,
 )
-from ..engine.multiprocess import BridgeStep, MapStep, MultiprocessEngine
+from ..engine.multiprocess import BridgeStep, MapStep
 from ..errors import GraphError
 from ..options import ExecOptions
 from ..planner.dag import DagPlanner, GraphPlanReport
@@ -409,27 +410,13 @@ def _run_chain(
         prev = (node, node_chosen, node_globals, node_sizes)
 
     tail_node, tail_chosen, tail_globals, tail_sizes = prev
-    processes = 0
-    if execution_plan is not None and execution_plan.backend == "multiprocess":
-        processes = execution_plan.processes
-    config = chosen.engine_config
-    if config.framework.name != "multiprocess":
-        config = config.with_framework("multiprocess")
-    engine = MultiprocessEngine(
-        config=config,
-        processes=processes,
-        partitions=(
-            execution_plan.partitions if execution_plan is not None else None
-        ),
-        memory_budget=(
-            execution_plan.memory_budget if execution_plan is not None else None
-        ),
-        spill_dir=(
-            execution_plan.spill_dir if execution_plan is not None else None
-        ),
-        layout=execution_plan.layout if execution_plan is not None else "rows",
+    result = run_local_steps(
+        execution_plan,
+        chosen.engine_config,
+        execution_plan.backend if execution_plan is not None else "sequential",
+        records,
+        steps,
     )
-    result = engine.run_pipeline(records, steps)
     outputs = bind_outputs(
         tail_chosen.summary.outputs, result.pairs, tail_globals, tail_sizes
     )
@@ -440,20 +427,8 @@ def _run_chain(
     outcome.outputs.update(outputs)
     outcome.simulated_seconds = result.metrics.simulated_seconds
     if report is not None:
-        # Mirror the per-fragment rule (codegen/glue.py): a deliberately
-        # sequential plan is not a "fallback" even though the engine
-        # runs it in-process; only a planned pool that could not run is.
-        if (
-            execution_plan.backend == "multiprocess"
-            and result.fallback_reason
-        ):
-            report.fallback_reason = result.fallback_reason
-            report.backend_used = "sequential"
-        else:
-            report.backend_used = execution_plan.backend
+        report.absorb(result)
         report.wall_seconds = result.metrics.wall_seconds
-        report.spill_stats = result.spill_stats
-        report.columnar = result.columnar_stats()
         outcome.report = report
 
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from ..diagnostics import make as make_diagnostic
+
 if TYPE_CHECKING:
+    from ..engine.multiprocess import MultiprocessResult
     from ..options import ExecOptions
 
 #: Backends the planner may select or a caller may force.
@@ -167,6 +170,37 @@ class PlanReport:
     #: unknown-length stream whose first-chunk measurement re-sized the
     #: partition count.  Empty when the plan ran as priced.
     adaptations: list = field(default_factory=list)
+
+    def absorb(self, result: "MultiprocessResult") -> None:
+        """Record how the real local engine actually ran the plan.
+
+        A deliberately-sequential plan is not a "fallback" even though
+        the engine runs it in-process; only a planned pool that could
+        not run counts, and it carries the engine's REP30x code.
+        """
+        if self.plan.backend == "multiprocess" and result.fallback_reason:
+            self.fallback_reason = result.fallback_reason
+            self.backend_used = "sequential"
+            self.diagnostics.append(
+                make_diagnostic(
+                    result.fallback_code or "REP305", result.fallback_reason
+                )
+            )
+        else:
+            self.backend_used = self.plan.backend
+        if result.probe_disagreements:
+            self.probe_disagreements += result.probe_disagreements
+            self.diagnostics.append(
+                make_diagnostic(
+                    "REP307",
+                    f"static pickle analysis cleared {result.probe_disagreements} "
+                    "payload(s) the runtime probe rejected",
+                )
+            )
+        self.spill_stats = result.spill_stats
+        self.transport = result.transport_stats()
+        self.columnar = result.columnar_stats()
+        self.adaptations = list(result.adaptations)
 
     def summary(self) -> dict:
         """Compact dict form, convenient for logs and benchmark JSON."""

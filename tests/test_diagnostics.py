@@ -41,14 +41,16 @@ from repro.diagnostics import (
 )
 from repro.diagnostics.lint import lint_file, lint_tree, main as lint_main
 from repro.engine.multiprocess import MapStep, MultiprocessEngine
+from repro.engine.source import GeneratorSource
 from repro.errors import AnalysisError, DiagnosticError
-from repro.graph.executor import interpret_fragment
+from repro.graph.executor import interpret_fragment, run_graph
 from repro.lang.values import values_equal
 from repro.lang.analysis.fragments import fingerprint_fragment
 from repro.pipeline.cache import SummaryCache
 from repro.synthesis.search import SearchConfig
 from repro.workloads import all_benchmarks, get_benchmark
 from repro.workloads.runner import compile_benchmark
+from suite_cache import compiled
 
 # ----------------------------------------------------------------------
 # Crafted fragments, one per diagnostic family
@@ -386,20 +388,45 @@ class TestEngineCodes:
         assert "not picklable" in result.fallback_reason
 
     def test_fallback_code_reaches_plan_report(self):
-        result = translate(SCRATCH_MUTATION)
-        frag = result.fragments[0]
-        outcome = frag.program.run(
+        # One report, however the job reached the engine: a single
+        # fragment through AdaptiveProgram.run, a fused chain through
+        # the graph executor.
+        single = translate(SCRATCH_MUTATION).fragments[0].program.run(
             {"data": list(range(50)), "n": 50}, ExecOptions(plan="multiprocess")
         )
-        assert outcome.outputs["sum"] == sum(range(50))
-        report = outcome.report
-        assert report.fallback_reason is not None
-        fallback = [d for d in report.diagnostics if d.code.startswith("REP3")]
-        assert fallback, "engine fallback must carry a structured code"
-        assert all(d.code in REGISTRY for d in fallback)
-        summary = report.summary()
-        assert summary["diagnostics"]
-        assert summary["diagnostics"][0]["code"] == fallback[0].code
+        assert single.outputs["sum"] == sum(range(50))
+        fused = run_graph(
+            compiled("biglambda_select_sum").job_graph,
+            get_benchmark("biglambda_select_sum").make_inputs(50, 1),
+            ExecOptions(plan="multiprocess"),
+        )
+        (fused_report,) = fused.report.unit_reports.values()
+        assert fused.report.fused_away == ["kept"]
+        for report in (single.report, fused_report):
+            assert report.fallback_reason is not None
+            assert report.backend_used == "sequential"
+            fallback = [d for d in report.diagnostics if d.code.startswith("REP3")]
+            assert fallback, "engine fallback must carry a structured code"
+            assert all(d.code in REGISTRY for d in fallback)
+            summary = report.summary()
+            assert summary["diagnostics"]
+            assert summary["diagnostics"][0]["code"] == fallback[0].code
+
+    def test_fused_chain_report_keeps_engine_accounting(self):
+        # What the engine reports — pool transport, adaptations — must
+        # reach a fused chain's PlanReport like a single fragment's.
+        graph = compiled("biglambda_select_sum").job_graph
+        inputs = get_benchmark("biglambda_select_sum").make_inputs(6000, 1)
+        run = run_graph(graph, dict(inputs), ExecOptions(plan="multiprocess"))
+        (report,) = run.report.unit_reports.values()
+        if report.fallback_reason is None:  # the pool ran (>= 2 CPUs)
+            transport = report.summary()["transport"]
+            assert transport is not None and transport["segments"] > 0
+        hidden = dict(inputs, rows=GeneratorSource(lambda: iter(inputs["rows"])))
+        streamed = run_graph(graph, hidden, ExecOptions(memory_budget=1 << 20))
+        (report,) = streamed.report.unit_reports.values()
+        assert streamed.outputs == run.outputs
+        assert [a["kind"] for a in report.adaptations] == ["stream_probe"]
 
     def test_rep306_and_rep307_from_planner_statics(self):
         result = translate(FLOAT_FOLD)

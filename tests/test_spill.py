@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -61,6 +62,13 @@ class ValuesToRecords:
 
     def __call__(self, pairs):
         return [value for _key, value in pairs]
+
+
+class AllRecords:
+    """Bridge that opens a chain: the raw input records pass through."""
+
+    def __call__(self, records):
+        return list(records)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +245,105 @@ def spilled(records, steps, budget=2048, **kwargs):
     return engine.run_pipeline(records, steps)
 
 
+#: One executor, two shuffle stores: every pipeline shape must come out
+#: the same whatever the budget, the pool or the source type.
+IDENTITY_PIPELINES = {
+    "map_reduce": [MapStep(KeyedEmit(13)), ReduceStep(Add())],
+    "no_combine": [MapStep(KeyedEmit(5)), ReduceStep(Subtract(), combine=False)],
+    "map_only": [MapStep(KeyedEmit(7)), MapStep(PassThrough())],
+    "bridge_mid": [
+        MapStep(KeyedEmit(13)),
+        ReduceStep(Add()),
+        BridgeStep(ValuesToRecords()),
+        MapStep(KeyedEmit(3)),
+        ReduceStep(Add()),
+    ],
+    "bridge_first": [
+        BridgeStep(AllRecords()),
+        MapStep(KeyedEmit(11)),
+        ReduceStep(Add()),
+    ],
+    "two_segments": [
+        MapStep(KeyedEmit(13)),
+        ReduceStep(Add()),
+        MapStep(PassThrough()),
+        ReduceStep(Subtract(), combine=False),
+    ],
+}
+#: Below one probe chunk, so an unknown-length source under a budget is
+#: measured exactly and keeps the partition-matched chunk layout.
+IDENTITY_RECORDS = 3000
+IDENTITY_SOURCES = {
+    "list": lambda: list(range(IDENTITY_RECORDS)),
+    "known": lambda: GeneratorSource(
+        lambda: iter(range(IDENTITY_RECORDS)), length=IDENTITY_RECORDS
+    ),
+    "unknown": lambda: GeneratorSource(lambda: iter(range(IDENTITY_RECORDS))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_reference(pipeline):
+    return in_memory(IDENTITY_SOURCES["list"](), IDENTITY_PIPELINES[pipeline])
+
+
+def _stage_counters(result):
+    return [
+        (
+            stage.name,
+            stage.records_in,
+            stage.records_out,
+            stage.bytes_in,
+            stage.bytes_out,
+            stage.bytes_shuffled,
+        )
+        for stage in result.metrics.stages
+    ]
+
+
 class TestStreamingIdentity:
+    @pytest.mark.parametrize("source", sorted(IDENTITY_SOURCES))
+    @pytest.mark.parametrize("processes", [0, 2])
+    @pytest.mark.parametrize("budget", [None, 2048, 1 << 30])
+    @pytest.mark.parametrize("pipeline", sorted(IDENTITY_PIPELINES))
+    def test_identity_matrix(self, pipeline, budget, processes, source):
+        steps = IDENTITY_PIPELINES[pipeline]
+        base = _identity_reference(pipeline)
+        engine = MultiprocessEngine(
+            processes=processes, memory_budget=budget, min_parallel_records=100
+        )
+        result = engine.run_pipeline(IDENTITY_SOURCES[source](), steps)
+        assert result.pairs == base.pairs
+        assert _stage_counters(result) == _stage_counters(base)
+        # The budget's only cost-model footprint: spilled runs pay one
+        # extra local write + read-back, charged to their reduce stage.
+        cluster = engine.config.cluster
+        spilled_bytes = 0
+        for stage, ref in zip(result.metrics.stages, base.metrics.stages):
+            if not stage.name.startswith("shuffle.reduce"):
+                continue
+            term = 0.0
+            if budget is not None:
+                spilled_bytes += stage.bytes_shuffled
+                term = (
+                    2
+                    * stage.bytes_shuffled
+                    * engine.config.scale
+                    / (cluster.worker_disk_bw * cluster.workers)
+                )
+            assert stage.seconds == ref.seconds + term
+        assert result.spilled == (budget is not None)
+        if budget is None:
+            assert result.spill_stats is None
+        else:
+            assert result.spill_stats["spilled_bytes"] == spilled_bytes
+        # A pool that opened is a pool that mapped — map-only segments
+        # under a budget included.
+        if processes:
+            assert result.fallback_reason is None
+        if result.executed_parallel:
+            assert result.map_tasks > 0
+
     def test_map_reduce_identical_and_spills(self):
         records = list(range(5000))
         steps = [MapStep(KeyedEmit(13)), ReduceStep(Add())]
