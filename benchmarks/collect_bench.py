@@ -19,17 +19,11 @@ benchmarks/collect_bench.py --output BENCH_local.json``), this measures:
   spill-run counts, and whether results stayed byte-identical (they
   must — the identity flag is recorded so a regression is visible in
   the trajectory, and gated hard in benchmarks/test_spill_bench.py);
-* **kernel** — compiled batch kernels vs the tree-walking evaluator:
-  per-record map throughput for both codegen targets on the map-heavy
-  benchmarks (identity checked, speedup gated in
-  benchmarks/test_kernel_bench.py), plus shared-memory vs queue pool
-  transport wall clock and byte/segment accounting;
-* **columnar** — the persistent column-array layout vs the compiled
-  row loop: per-record map throughput for both paths on the suites the
-  typechecker vectorizes (identity checked), end-to-end rows-vs-columns
-  engine wall clock, row-vs-column shuffle byte accounting, and the
-  guard-fallback counters (a poisoned chunk must trip the guard, fall
-  back to rows, and stay identical);
+* **kernel** — compiled batch kernels vs the tree-walking evaluator
+  oracle: per-record map throughput of the production steps and the
+  oracle steps on the map-heavy benchmarks (identity checked, speedup
+  gated in benchmarks/test_kernel_bench.py), plus shared-memory vs
+  queue pool transport wall clock and byte/segment accounting;
 * **adaptive** — feedback-driven re-planning: cold plan vs warm
   re-plan wall clock and decisions on the join suite at the BENCH_pr5
   misprice budget (the stored observation flips the forced reduce-side
@@ -70,7 +64,6 @@ from repro import (
 )
 from repro.engine.multiprocess import default_process_count
 from repro.graph import run_graph
-from repro.planner.plan import forced_plan
 from repro.workloads import datagen, get_benchmark, suite_benchmarks, suites
 from repro.workloads.runner import (
     compile_benchmark,
@@ -138,21 +131,6 @@ KERNEL_BENCHMARKS = (
 )
 KERNEL_SIZE = 50_000
 TRANSPORT_SIZE = 30_000
-
-#: Columnar-layout measurement (mirrors tests/test_layout_sweep.py and
-#: benchmarks/test_kernel_bench.py's columnar gate): suites whose emits
-#: the typechecker proves vectorizable — int const-key, multi-column
-#: float, single float column, and int keyed emits respectively.
-COLUMNAR_BENCHMARKS = (
-    "ariths_sum",
-    "ariths_dot_product",
-    "stats_l2_norm_sq",
-    "fiji_invert",
-)
-COLUMNAR_SIZE = 50_000
-
-#: Pins the compiled kernel on step lists built directly from a program.
-COMPILED_PLAN = forced_plan("sequential", kernel="compiled")
 
 
 def measure_compile() -> dict:
@@ -575,10 +553,8 @@ def measure_kernel() -> dict:
             inputs = benchmark.make_inputs(KERNEL_SIZE, 7)
             globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
             records = view_records(fragment.analysis.view, inputs)
-            eval_fn = list(program.local_steps(globals_env))[0].fn
-            comp_fn = list(
-                program.local_steps(globals_env, plan=COMPILED_PLAN)
-            )[0].fn
+            eval_fn = program.oracle_steps(globals_env)[0].fn
+            comp_fn = program.local_steps(globals_env)[0][0].fn
             identical = comp_fn.map_chunk(records) == [
                 pair for record in records for pair in eval_fn(record)
             ]
@@ -605,7 +581,7 @@ def measure_kernel() -> dict:
             inputs = benchmark.make_inputs(TRANSPORT_SIZE, 7)
             globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
             records = view_records(fragment.analysis.view, inputs)
-            steps = list(program.local_steps(globals_env, plan=COMPILED_PLAN))
+            steps, _diagnostics = program.local_steps(globals_env)
             config = program.engine_config.with_framework("multiprocess")
 
             started = time.perf_counter()
@@ -635,122 +611,6 @@ def measure_kernel() -> dict:
             transport["error"] = str(exc)
 
     return {"map_throughput": per_benchmark, "transport": transport}
-
-
-def measure_columnar() -> dict:
-    """Column arrays vs the compiled row loop, measured for real.
-
-    Per-record map throughput compares ``map_rows`` (the PR 6 compiled
-    row loop) against ``map_block`` over a prepared ``ColumnChunk`` —
-    same verified λm, same records, same process.  The end-to-end rows
-    (``layout="rows"``) vs columns (``layout="columns"``) comparison
-    runs the full local pipeline, and a poisoned chunk demonstrates the
-    guard: the counter must tick and the results must stay identical.
-    """
-    from repro.codegen.base import prepare_globals, view_records
-    from repro.engine.columnar import build_chunk
-    from repro.engine.multiprocess import MultiprocessEngine
-
-    def best_of(repeats, fn):
-        best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    per_benchmark: dict[str, dict] = {}
-    for name in COLUMNAR_BENCHMARKS:
-        benchmark = get_benchmark(name)
-        try:
-            compilation = compile_benchmark(benchmark)
-            fragment = next(f for f in compilation.fragments if f.translated)
-            program = fragment.program.programs[0]
-            inputs = benchmark.make_inputs(COLUMNAR_SIZE, 7)
-            globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
-            records = view_records(fragment.analysis.view, inputs)
-            steps = list(program.local_steps(globals_env, plan=COMPILED_PLAN))
-            comp_fn = steps[0].fn
-            specs = comp_fn.columns_spec
-            if specs is None:
-                per_benchmark[name] = {"error": "emits not vectorizable"}
-                continue
-
-            extract_started = time.perf_counter()
-            chunk = build_chunk(records, specs)
-            block = comp_fn.map_block(chunk)
-            extract_s = time.perf_counter() - extract_started
-            row_pairs = comp_fn.map_rows(records)
-            identical = block is not None and block.pairs() == row_pairs
-
-            rows_s = best_of(3, lambda: comp_fn.map_rows(records))
-            # Steady state: the chunk caches its extracted columns (the
-            # engine shares one extraction across map/shuffle/transport).
-            cols_s = best_of(3, lambda: comp_fn.map_block(chunk))
-
-            config = program.engine_config.with_framework("multiprocess")
-            row_engine = MultiprocessEngine(
-                config=config, processes=0, layout="rows"
-            )
-            col_engine = MultiprocessEngine(
-                config=config, processes=0, layout="columns"
-            )
-            started = time.perf_counter()
-            row_run = row_engine.run_pipeline(records, list(steps))
-            rows_wall = time.perf_counter() - started
-            started = time.perf_counter()
-            col_run = col_engine.run_pipeline(records, list(steps))
-            cols_wall = time.perf_counter() - started
-
-            per_benchmark[name] = {
-                "records": COLUMNAR_SIZE,
-                "outputs_identical": identical
-                and row_run.pairs == col_run.pairs,
-                "rows_us_per_record": round(rows_s * 1e6 / len(records), 3),
-                "columns_us_per_record": round(cols_s * 1e6 / len(records), 3),
-                "extract_seconds": round(extract_s, 4),
-                "speedup": round(rows_s / cols_s, 2) if cols_s else None,
-                "rows_wall_seconds": round(rows_wall, 4),
-                "columns_wall_seconds": round(cols_wall, 4),
-                "row_shuffle_bytes": block.stage_bytes(),
-                "column_shuffle_bytes": block.shuffle_bytes(),
-                "columnar_stats": col_run.columnar_stats(),
-            }
-        except Exception as exc:
-            per_benchmark[name] = {"error": str(exc)}
-
-    # The guard, demonstrated: one non-finite value mid-stream must trip
-    # the isfinite post-check, fall that chunk back to the row loop, and
-    # change nothing about the results.
-    guard: dict = {}
-    try:
-        benchmark = get_benchmark("stats_l2_norm_sq")
-        compilation = compile_benchmark(benchmark)
-        fragment = next(f for f in compilation.fragments if f.translated)
-        program = fragment.program.programs[0]
-        inputs = benchmark.make_inputs(COLUMNAR_SIZE, 7)
-        globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
-        records = list(view_records(fragment.analysis.view, inputs))
-        mid = len(records) // 2
-        records[mid] = (records[mid][0], float("inf"))
-        steps = list(program.local_steps(globals_env, plan=COMPILED_PLAN))
-        config = program.engine_config.with_framework("multiprocess")
-        row_run = MultiprocessEngine(
-            config=config, processes=0, layout="rows"
-        ).run_pipeline(records, list(steps))
-        col_run = MultiprocessEngine(
-            config=config, processes=0, layout="columns"
-        ).run_pipeline(records, list(steps))
-        guard = {
-            "benchmark": "stats_l2_norm_sq",
-            "poison": "inf",
-            "results_identical": row_run.pairs == col_run.pairs,
-            "columnar_stats": col_run.columnar_stats(),
-        }
-    except Exception as exc:
-        guard["error"] = str(exc)
-
-    return {"map_throughput": per_benchmark, "guard": guard}
 
 
 #: Serve-layer measurement: round-trip latency over the local socket
@@ -1032,7 +892,6 @@ def main(argv: list[str]) -> int:
         "join": measure_join(),
         "adaptive": measure_adaptive(),
         "kernel": measure_kernel(),
-        "columnar": measure_columnar(),
         "serve": measure_serve(),
         "diagnostics": measure_diagnostics(),
     }
@@ -1095,25 +954,6 @@ def main(argv: list[str]) -> int:
             f"({row['eval_us_per_record']} → {row['compiled_us_per_record']} "
             f"µs/rec, identical={row['outputs_identical']}, "
             f"numpy={row['vectorized']})"
-        )
-    for name, row in payload["columnar"]["map_throughput"].items():
-        if "error" in row:
-            print(f"columnar {name}: ERROR {row['error']}")
-            continue
-        print(
-            f"columnar {name}: {row['speedup']}× "
-            f"({row['rows_us_per_record']} → {row['columns_us_per_record']} "
-            f"µs/rec, identical={row['outputs_identical']}, "
-            f"shuffle {row['row_shuffle_bytes']} → "
-            f"{row['column_shuffle_bytes']} bytes)"
-        )
-    guard_row = payload["columnar"]["guard"]
-    if "error" in guard_row:
-        print(f"columnar guard: ERROR {guard_row['error']}")
-    else:
-        print(
-            f"columnar guard: identical={guard_row['results_identical']}, "
-            f"stats={guard_row['columnar_stats']}"
         )
     serve_row = payload["serve"]
     print(

@@ -1,10 +1,10 @@
-"""Compiled-kernel throughput benchmarks: eval vs generated source.
+"""Compiled-kernel throughput benchmarks: evaluator oracle vs generated source.
 
 Two claims:
 
 1. **Identity** — on every measured benchmark the compiled kernel's map
-   output equals the eval kernel's, pair for pair, and the end-to-end
-   fragment results agree.  Gated unconditionally: a faster kernel that
+   output equals the evaluator oracle's, pair for pair, and the
+   end-to-end fragment results agree.  Gated unconditionally: a faster kernel that
    answers differently is a bug, not a speedup.
 2. **Throughput** — the generated-source batch kernel processes records
    at least ``MIN_KERNEL_SPEEDUP``× faster than the per-record
@@ -25,6 +25,7 @@ import time
 import pytest
 
 from conftest import compiled
+from differential import run_oracle
 from repro import ExecOptions
 from repro.codegen.base import prepare_globals, view_records
 from repro.engine import shm
@@ -46,12 +47,9 @@ MIN_KERNEL_SPEEDUP = 3.0
 
 TRANSPORT_SIZE = 30_000
 
-#: The plan that pins the compiled kernel on directly-built step lists.
-COMPILED = forced_plan("sequential", kernel="compiled")
-
 
 def _map_fns(name: str, size: int):
-    """The first map stage's eval fn, compiled fn, and its records."""
+    """The first map stage's oracle fn, compiled fn, and its records."""
     compilation = compiled(name)
     fragment = next(f for f in compilation.fragments if f.translated)
     program = fragment.program.programs[0]
@@ -59,8 +57,8 @@ def _map_fns(name: str, size: int):
     inputs = benchmark.make_inputs(size, 7)
     globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
     records = view_records(fragment.analysis.view, inputs)
-    eval_fn = list(program.local_steps(globals_env))[0].fn
-    compiled_fn = list(program.local_steps(globals_env, plan=COMPILED))[0].fn
+    eval_fn = program.oracle_steps(globals_env)[0].fn
+    compiled_fn = program.local_steps(globals_env)[0][0].fn
     return eval_fn, compiled_fn, records
 
 
@@ -122,11 +120,11 @@ class TestKernelThroughput:
             fragment = next(f for f in compilation.fragments if f.translated)
             benchmark = get_benchmark(name)
             inputs = benchmark.make_inputs(KERNEL_SIZE, 7)
-            out_eval = fragment.program.run(
-                dict(inputs), ExecOptions(plan="sequential", kernel="eval")
-            ).outputs
+            out_eval, _metrics = run_oracle(
+                fragment.program.programs[0], dict(inputs), forced_plan("sequential")
+            )
             out_compiled = fragment.program.run(
-                dict(inputs), ExecOptions(plan="sequential", kernel="compiled")
+                dict(inputs), ExecOptions(plan="sequential")
             ).outputs
             assert out_eval == out_compiled, f"{name}: kernels disagree"
 
@@ -143,7 +141,7 @@ class TestShmTransport:
         inputs = benchmark.make_inputs(TRANSPORT_SIZE, 7)
         globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
         records = view_records(fragment.analysis.view, inputs)
-        steps = list(program.local_steps(globals_env, plan=COMPILED))
+        steps, _diagnostics = program.local_steps(globals_env)
         config = program.engine_config.with_framework("multiprocess")
 
         started = time.perf_counter()

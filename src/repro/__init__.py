@@ -91,7 +91,7 @@ def connect(address: str, timeout: float = 300.0):
     return _connect(address, timeout=timeout)
 
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     # Stable session-era API.

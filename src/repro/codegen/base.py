@@ -14,7 +14,7 @@ rules (section 6.3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from ..planner.joins import JoinOrderDecision
     from ..planner.plan import ExecutionPlan, PlanReport
 
+from ..diagnostics import make as make_diagnostic
 from ..errors import CodegenError, InterpreterError, KernelUnsupported
 from ..lang.analysis.fragments import FragmentAnalysis
 from ..lang.analysis.loops import DatasetView
@@ -67,6 +68,9 @@ class ExecutionOutcome:
     #: (:class:`~repro.engine.multiprocess.MultiprocessResult`); None on
     #: the simulated backends.
     engine_result: Optional["MultiprocessResult"] = None
+    #: One ``REP308`` per real-engine stage that had to stay on the
+    #: tree-walking evaluator (empty when every stage compiled).
+    diagnostics: list = field(default_factory=list)
     #: The planner's evidence trail; None for unplanned runs.
     report: Optional["PlanReport"] = None
     #: Runtime-monitor implementation the run dispatched to (``impl_N``).
@@ -327,48 +331,41 @@ def _pair_emit_fn(stage: MapStage, globals_env: dict[str, Any]) -> PairMapper:
     )
 
 
-def _compiled_map_fn(
-    stage: MapStage,
-    index: int,
-    globals_env: dict[str, Any],
-    view: DatasetView,
-    fallback: Any,
-) -> Any:
-    """The compiled mapper for a stage, or ``fallback`` when it cannot
-    be rendered (per-stage fallback keeps ``kernel="compiled"`` safe)."""
-    from .kernels import CompiledPairMapper, CompiledRecordMapper
+def _compile_or_keep(step: Any, index: int, fragment: str) -> tuple[Any, Any]:
+    """``step`` with its evaluator callable replaced by the compiled
+    kernel of the same stage (rendered and built now, at plan time) and
+    None — or ``step`` itself and its ``REP308`` when the renderer
+    cannot express the stage."""
+    from .kernels import CompiledPairMapper, CompiledRecordMapper, CompiledReduce
 
-    try:
-        fn: Any
-        if index == 0:
-            fn = CompiledRecordMapper(
-                emits=stage.lam.emits, globals_env=globals_env, view=view
-            )
-        else:
-            fn = CompiledPairMapper(
-                params=stage.lam.params,
-                emits=stage.lam.emits,
-                globals_env=globals_env,
-            )
-        fn._ensure()  # render + compile now, at plan time
-        return fn
-    except KernelUnsupported:
-        return fallback
-
-
-def _compiled_reduce_fn(
-    stage: ReduceStage, globals_env: dict[str, Any], fallback: Any
-) -> Any:
-    from .kernels import CompiledReduce
-
-    try:
-        fn = CompiledReduce(
-            body=stage.lam.body, params=stage.lam.params, globals_env=globals_env
+    fn = step.fn
+    compiled: Any
+    if isinstance(fn, RecordMapper):
+        compiled = CompiledRecordMapper(
+            emits=fn.emits, globals_env=fn.globals_env, view=fn.view
         )
-        fn._ensure()
-        return fn
-    except KernelUnsupported:
-        return fallback
+    elif isinstance(fn, PairMapper):
+        compiled = CompiledPairMapper(
+            params=fn.params, emits=fn.emits, globals_env=fn.globals_env
+        )
+    else:
+        compiled = CompiledReduce(
+            body=fn.body, params=fn.params, globals_env=fn.globals_env
+        )
+    try:
+        compiled._ensure()
+    except KernelUnsupported as exc:
+        return step, _evaluator_diagnostic(index, str(exc), fragment)
+    return replace(step, fn=compiled), None
+
+
+def _evaluator_diagnostic(index: int, reason: str, fragment: str) -> Any:
+    """The ``REP308`` for one real-engine stage left on the evaluator."""
+    return make_diagnostic(
+        "REP308",
+        f"stage {index} runs on the tree-walking evaluator: {reason}",
+        fragment=fragment,
+    )
 
 
 def _stage_complexity(stage: MapStage) -> int:
@@ -442,15 +439,17 @@ class GeneratedProgram:
         """Execute on ``backend`` (default: the compiled one).
 
         ``sequential`` and ``multiprocess`` are the *real* local
-        backends; an :class:`~repro.planner.plan.ExecutionPlan` pins
-        their physical choices — processes, partitions, combiners,
-        budget, codegen kernel, chunk layout.  The simulated cluster
-        backends always interpret row records (their cost model charges
-        per record, so a faster kernel would not change what they
-        report).  ``records`` lets a caller that already materialized
+        backends: they run the compiled kernels, and an
+        :class:`~repro.planner.plan.ExecutionPlan` pins their physical
+        choices — processes, partitions, combiners, budget.  The
+        simulated cluster backends always run the tree-walking evaluator
+        over row records (their cost model charges per record, so a
+        faster kernel would not change what they report).  ``records``
+        lets a caller that already materialized
         ``view_records(analysis.view, inputs)`` (the planner does, for
         calibration) pass them through instead of paying the
-        transformation twice.
+        transformation twice.  The outcome's ``diagnostics`` carry one
+        ``REP308`` per real-engine stage that stayed on the evaluator.
         """
         backend = backend or self.backend
         if backend == "spark":
@@ -460,9 +459,7 @@ class GeneratedProgram:
         if backend == "flink":
             return self._run_flink(inputs, records=records)
         if backend in ("multiprocess", "sequential"):
-            return self._run_local(
-                inputs, backend=backend, plan=plan, records=records
-            )
+            return self._run_local(inputs, backend, plan, records)
         raise CodegenError(f"unknown backend {backend!r}")
 
     # ------------------------------------------------------------------
@@ -625,26 +622,20 @@ class GeneratedProgram:
         outputs = bind_outputs(self.summary.outputs, pairs, globals_env, output_sizes)
         return ExecutionOutcome(outputs=outputs, metrics=env.metrics)
 
-    def local_steps(
+    def oracle_steps(
         self,
         globals_env: dict[str, Any],
         plan: Optional["ExecutionPlan"] = None,
     ) -> list[Any]:
-        """The real-engine step list for this program's pipeline.
+        """The real-engine step list on the tree-walking evaluator.
 
-        The job-graph executor composes several programs' step lists
-        (joined by bridge steps) into one fused engine invocation, so
-        this is the seam where a fragment's translation stops being a
-        whole job and becomes splice-able stages.
-
-        ``plan.kernel`` selects the codegen target (no plan → eval):
-        ``"compiled"``/``"auto"`` render each stage to Python source
-        (:mod:`repro.codegen.kernels`), with a per-stage fallback to the
-        tree-walking eval kernel for anything unsupported.
+        One ``RecordMapper`` / ``PairMapper`` / ``ReduceApplier`` step
+        per pipeline stage: the semantic reference the differential
+        tests run beside :meth:`local_steps`, and what
+        :meth:`local_steps` compiles stage by stage.
         """
         from ..engine.multiprocess import MapStep, ReduceStep
 
-        compiled = plan is not None and plan.kernel != "eval"
         steps: list[Any] = []
         for index, stage in enumerate(self.summary.pipeline.stages):
             if isinstance(stage, MapStage):
@@ -654,19 +645,14 @@ class GeneratedProgram:
                     )
                 else:
                     fn = _pair_emit_fn(stage, globals_env)
-                if compiled:
-                    fn = _compiled_map_fn(
-                        stage, index, globals_env, self.analysis.view, fn
-                    )
                 steps.append(MapStep(fn, _stage_complexity(stage)))
             elif isinstance(stage, ReduceStage):
                 combine = self._combiner_safe()
                 if plan is not None:
                     combine = combine and plan.combiner_for(index)
-                reduce_fn: Any = self._reduce_fn(stage, globals_env)
-                if compiled:
-                    reduce_fn = _compiled_reduce_fn(stage, globals_env, reduce_fn)
-                steps.append(ReduceStep(reduce_fn, combine=combine))
+                steps.append(
+                    ReduceStep(self._reduce_fn(stage, globals_env), combine=combine)
+                )
             elif isinstance(stage, JoinStage):
                 raise CodegenError(
                     "join pipelines need their input datasets to build "
@@ -674,6 +660,31 @@ class GeneratedProgram:
                     "also never splice into fused chains)"
                 )
         return steps
+
+    def local_steps(
+        self,
+        globals_env: dict[str, Any],
+        plan: Optional["ExecutionPlan"] = None,
+    ) -> tuple[list[Any], list]:
+        """The real-engine step list for this program's pipeline, and
+        the ``REP308`` diagnostics of building it.
+
+        The job-graph executor composes several programs' step lists
+        (joined by bridge steps) into one fused engine invocation, so
+        this is the seam where a fragment's translation stops being a
+        whole job and becomes splice-able stages.
+
+        Every stage is rendered to Python source and compiled
+        (:mod:`repro.codegen.kernels`); a stage the renderer cannot
+        express keeps its :meth:`oracle_steps` callable and reports one
+        ``REP308``.
+        """
+        fragment = self.analysis.fragment.id
+        built = [
+            _compile_or_keep(step, index, fragment)
+            for index, step in enumerate(self.oracle_steps(globals_env, plan))
+        ]
+        return [s for s, _ in built], [d for _, d in built if d is not None]
 
     def _run_local(
         self,
@@ -700,10 +711,18 @@ class GeneratedProgram:
                 plan=plan,
                 left_records=records if isinstance(records, list) else None,
             )
+            # The broadcast probe and the tagged shuffle wrap the
+            # evaluator callables per record: no stage compiles.
+            fragment = self.analysis.fragment.id
+            reason = "join pipelines run the evaluator callables"
+            diagnostics = [
+                _evaluator_diagnostic(index, reason, fragment)
+                for index in range(len(self.summary.pipeline.stages))
+            ]
         else:
             if records is None:
                 records = view_records(self.analysis.view, inputs)
-            steps = self.local_steps(globals_env, plan=plan)
+            steps, diagnostics = self.local_steps(globals_env, plan)
         result = run_local_steps(plan, self.engine_config, backend, records, steps)
         result.adaptations[:0] = adaptations
         outputs = bind_outputs(
@@ -715,6 +734,7 @@ class GeneratedProgram:
             wall_seconds=result.metrics.wall_seconds,
             fallback_reason=result.fallback_reason,
             engine_result=result,
+            diagnostics=diagnostics,
         )
 
 
@@ -731,9 +751,8 @@ def run_local_steps(
     is constructed: single fragments and fused chains both come through
     here.  The plan (None → a bare plan, whose defaults are the
     engine's) carries every physical choice — partitions, budget, spill
-    directory, chunk layout — and, on the ``multiprocess`` backend, the
-    worker count (None → one per core); ``sequential`` pins in-process
-    execution.
+    directory — and, on the ``multiprocess`` backend, the worker count
+    (None → one per core); ``sequential`` pins in-process execution.
     """
     from ..engine.multiprocess import MultiprocessEngine
     from ..planner.plan import ExecutionPlan
@@ -748,7 +767,6 @@ def run_local_steps(
         partitions=plan.partitions,
         memory_budget=plan.memory_budget,
         spill_dir=plan.spill_dir,
-        layout=plan.layout,
     )
     return engine.run_pipeline(records, steps)
 

@@ -23,7 +23,7 @@ from ..cost.observe import (
 from ..engine.config import EngineConfig
 from ..lang.analysis.fragments import FragmentAnalysis
 from ..options import ExecOptions
-from ..planner.plan import ExecutionPlan, PlanReport, forced_plan, pinned_plan
+from ..planner.plan import ExecutionPlan, PlanReport, forced_plan
 from ..planner.planner import ExecutionPlanner
 from ..synthesis.search import VerifiedSummary
 from .base import ExecutionOutcome, GeneratedProgram, record_env, view_records
@@ -117,8 +117,8 @@ class AdaptiveProgram:
         its ``effective_plan`` selects the execution strategy — ``None``
         keeps the compiled backend (the paper's behaviour), ``"auto"``
         lets the execution planner choose, a backend name forces it —
-        and ``memory_budget`` / ``kernel`` / ``layout`` are folded by
-        the planner into the :class:`ExecutionPlan` the engines consume.
+        and ``memory_budget`` is folded by the planner into the
+        :class:`ExecutionPlan` the engines consume.
         ``feedback`` closes the adaptive loop: planned runs resolve
         their estimates against the observation recorded by the last
         run over the same ``(fragment, dataset)`` and record a fresh one
@@ -176,11 +176,8 @@ class AdaptiveProgram:
         program = self.programs[index]
         implementation = f"impl_{index}"
         if plan is None:
-            # Unplanned: the compiled backend runs as-is (a pinned
-            # kernel/layout only binds when that is a real local one).
-            outcome = program.run(
-                inputs, plan=pinned_plan(program.backend, options), records=records
-            )
+            # Unplanned: the compiled backend runs as-is.
+            outcome = program.run(inputs, records=records)
             outcome.implementation = implementation
             outcome.join_decision = join_decision
             return outcome
@@ -198,18 +195,11 @@ class AdaptiveProgram:
                 "ordering": join_decision.as_dict(),
             }
         started = time.perf_counter()
-        if execution_plan.backend in ("sequential", "multiprocess"):
-            outcome = program.run(
-                inputs,
-                backend=execution_plan.backend,
-                plan=execution_plan,
-                records=records,
-            )
-        else:
-            outcome = program.run(
-                inputs, backend=execution_plan.backend, records=records
-            )
+        # The plan only binds on the real local backends; a simulated
+        # one ignores it.
+        outcome = program.run(inputs, execution_plan.backend, execution_plan, records)
         report.wall_seconds = time.perf_counter() - started
+        report.diagnostics.extend(outcome.diagnostics)
         if outcome.engine_result is not None:
             report.absorb(outcome.engine_result)
         else:
@@ -263,12 +253,7 @@ class AdaptiveProgram:
         a forced backend pins it, ``"auto"`` asks the planner."""
         plan = options.effective_plan
         if plan != "auto":
-            forced = forced_plan(
-                plan,
-                memory_budget=options.memory_budget,
-                kernel=options.kernel,
-                layout=options.layout,
-            )
+            forced = forced_plan(plan, memory_budget=options.memory_budget)
             report = PlanReport(plan=forced, input_records=_record_count(records))
             # Forced *local* runs of a join pipeline still record the
             # physical-join choice (the same deterministic size rule the

@@ -1,19 +1,21 @@
 """Compiled batch kernels: IR summaries rendered to real Python source.
 
-The default codegen target (:mod:`repro.codegen.base`) interprets the
-IR per record: ``RecordMapper.__call__`` binds an env dict and
-tree-walks every emit expression with :func:`~repro.ir.eval.eval_expr`.
-That is the semantic reference, but it pays dict construction plus a
-recursive interpreter visit per emitted pair per record.
-
-This module is the second target the ROADMAP asks for: it renders a
-verified summary's λm/λr into **generated Python source** — one tight
+This is how the real local engine executes every summary.  A verified
+summary's λm/λr is rendered into **generated Python source** — one tight
 ``for`` loop over a chunk of records, record atoms bound to locals,
-expressions inlined — compiles it once with :func:`compile`, and runs
-it chunk-at-a-time through the ``map_chunk`` batch protocol the engine
-recognizes.  Liveness is pushed into the scan: only atoms the emits
-actually read are materialized from each record (dead struct fields and
-dead parallel-array columns are never touched).
+expressions inlined — and runs chunk-at-a-time through the ``map_chunk``
+batch protocol the engine recognizes.  Liveness is pushed into the scan:
+only atoms the emits actually read are materialized from each record
+(dead struct fields and dead parallel-array columns are never touched).
+
+The tree-walking callables of :mod:`repro.codegen.base`
+(``RecordMapper`` / ``PairMapper`` / ``ReduceApplier``, one
+:func:`~repro.ir.eval.eval_expr` visit per emit per record) are the
+semantic reference.  They keep three roles: what the simulated
+Spark/Hadoop/Flink backends run, the per-stage fallback when the
+renderer raises :class:`~repro.errors.KernelUnsupported`, and the oracle
+the differential tests compare against
+(:meth:`~repro.codegen.base.GeneratedProgram.oracle_steps`).
 
 Semantics are preserved exactly by construction:
 
@@ -28,9 +30,8 @@ Semantics are preserved exactly by construction:
   same ``unbound IR variable`` :class:`~repro.errors.IRError`.
 
 Anything the renderer cannot express raises
-:class:`~repro.errors.KernelUnsupported` and the caller falls back to
-the eval kernel — ``kernel="compiled"`` is therefore always safe to
-request.
+:class:`~repro.errors.KernelUnsupported`; the step builder keeps that
+stage on the evaluator and records a ``REP308`` diagnostic.
 
 On top of the compiled loop sits an optional numpy fast path, used only
 when the typechecked view proves it exact: a single emit over any mix
@@ -54,6 +55,8 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import CodeType
 from typing import Any, Callable, Optional
 
 from ..errors import IRError, KernelUnsupported
@@ -65,11 +68,7 @@ from ..ir.nodes import (
     Const,
     Emit,
     IRExpr,
-    JoinStage,
-    MapStage,
     Proj,
-    ReduceStage,
-    Summary,
     TupleExpr,
     UnOp,
     Var,
@@ -302,6 +301,18 @@ def render_reduce_kernel(body: IRExpr, params: tuple[str, str]) -> KernelSource:
     return KernelSource(source, renderer.globals, renderer.helpers)
 
 
+@lru_cache(maxsize=512)
+def _code_for(source: str, label: str) -> CodeType:
+    """The code object of one rendered kernel source.
+
+    Every kernel is rebuilt per run (its globals are that run's values)
+    and again in each pool worker, but the source of a given stage never
+    changes — so builtin ``compile``, the one cost of a build that does
+    not shrink with the input, is paid once per source per process.
+    """
+    return compile(source, f"<kernel:{label}>", "exec")
+
+
 def compile_kernel(
     rendered: KernelSource, globals_env: dict[str, Any], label: str
 ) -> Callable:
@@ -312,8 +323,7 @@ def compile_kernel(
         if name not in globals_env:
             raise IRError(f"unbound IR variable {name!r}")
         namespace[mangled] = globals_env[name]
-    code = compile(rendered.source, f"<kernel:{label}>", "exec")
-    exec(code, namespace)
+    exec(_code_for(rendered.source, label), namespace)
     return namespace["__kernel"]
 
 
@@ -755,7 +765,7 @@ def try_vectorize(
         body += f"def __key({signature}):\n    return {key_code}\n"
     namespace: dict[str, Any] = {"__builtins__": {}}
     namespace.update(renderer.namespace)
-    exec(compile(body, "<kernel:numpy>", "exec"), namespace)
+    exec(_code_for(body, "numpy"), namespace)
     return VectorKernel(
         specs=specs,
         value_fn=namespace["__value"],
@@ -828,7 +838,7 @@ def recognize_fold(body: IRExpr, params: tuple[str, str]) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Picklable compiled callables (drop-in for the eval kernel classes)
+# Picklable compiled callables (drop-in for the evaluator classes)
 
 
 @dataclass
@@ -1021,27 +1031,3 @@ class CompiledReduce:
             return fn(a, b)
         except TypeError as exc:
             raise IRError(f"type error in compiled kernel: {exc}") from exc
-
-
-def kernel_support(summary: Summary, view: DatasetView) -> Optional[str]:
-    """None when every stage of the summary renders, else the reason.
-
-    Used by the planner to price ``kernel="auto"`` and by ``local_steps``
-    to fall back per stage without first throwing mid-build.
-    """
-    first_map = True
-    try:
-        for stage in summary.pipeline.stages:
-            if isinstance(stage, JoinStage):
-                return "join pipelines use the eval kernel"
-            if isinstance(stage, MapStage):
-                if first_map:
-                    render_record_kernel(stage.lam.emits, view)
-                else:
-                    render_pair_kernel(stage.lam.params, stage.lam.emits)
-                first_map = False
-            elif isinstance(stage, ReduceStage):
-                render_reduce_kernel(stage.lam.body, stage.lam.params)
-    except KernelUnsupported as exc:
-        return str(exc)
-    return None

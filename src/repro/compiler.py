@@ -304,7 +304,7 @@ def run_translated(
 
     ``options`` (an :class:`~repro.options.ExecOptions`) says how to
     execute; only the fragment-level knobs apply here (``plan``,
-    ``memory_budget``, ``kernel``, ``layout``, ``feedback``).
+    ``memory_budget``, ``feedback``).
 
     Returns the fragment's outputs.  The evidence — plan report,
     metrics, chosen implementation — is on the

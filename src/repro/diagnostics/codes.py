@@ -6,7 +6,8 @@ rejecting, or falling back carries one of these codes:
 * ``REP1xx`` — static analysis (the soundness pass, pre-CEGIS);
 * ``REP2xx`` — verification (symbolic execution, bounded checking,
   the synthesis search, the proof-acceptance gate);
-* ``REP3xx`` — engine and planner (pool fallbacks, pickle probes);
+* ``REP3xx`` — engine and planner (pool fallbacks, pickle probes,
+  evaluator-fallback stages);
 * ``LNT1xx`` — the repo-invariant lint of :mod:`repro.diagnostics.lint`.
 
 Codes are append-only: a released code never changes meaning, so logs,
@@ -206,6 +207,14 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "runtime probe failed",
             "report the payload shape so the static picklability walker "
             "can learn it; the runtime backstop kept the run correct",
+        ),
+        _entry(
+            "REP308",
+            "info",
+            "stage runs on the tree-walking evaluator",
+            "the source renderer could not express this stage (the "
+            "message carries its reason), so it keeps the evaluator "
+            "callable; results are identical, only slower",
         ),
         # ---- LNT1xx: repo-invariant lint -----------------------------
         _entry(

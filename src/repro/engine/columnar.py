@@ -1,11 +1,9 @@
 """Columnar chunk layout: persistent typed column arrays per chunk.
 
-PR 6's compiled kernels run chunk-at-a-time, but chunks stayed
-row-shaped record lists: the numpy fast path re-extracted its input
-column from the row dicts on every call, and nothing downstream (the
-combiner, the shuffle, the shared-memory transport) could see an array.
-This module introduces the column-major representation the vectorized
-kernels operate on:
+The column-major representation the vectorized kernels operate on — the
+one chunk layout of the real local engine (a pipeline whose first map
+stage is not vectorizable reads plain record lists and never comes
+here):
 
 * :class:`ColumnSpec` — where a live atom lives in a record (the record
   itself, a struct field, or a parallel-array tuple position) and the
@@ -15,9 +13,6 @@ kernels operate on:
   built **once** at the dataset source boundary from the projection
   liveness set, so every kernel that touches the chunk reuses the same
   arrays.
-* :class:`Chunk` — a plain ``list`` subclass carrying a column cache,
-  so even row-layout runs extract each live column at most once per
-  chunk.
 * :class:`ColumnBlock` — a vectorized map stage's output: a value
   array plus either a key array or one constant key, convertible to
   the exact pair list the row engine would have emitted.
@@ -79,34 +74,6 @@ class ColumnSpec:
     position: Optional[int] = None
 
 
-class Chunk(list):
-    """A row chunk that can cache its extracted column arrays.
-
-    Plain lists cannot carry attributes, so the engine wraps chunks in
-    this subclass when a compiled mapper may vectorize: the first
-    extraction of each live column is stored in :attr:`columns` and
-    every later kernel (the block path, the pair path, a guard-trip
-    retry) reuses the array instead of re-walking the row dicts.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, records: Any = ()) -> None:
-        super().__init__(records)
-        self.columns: dict[str, Any] = {}
-
-    def __reduce__(self):
-        # list subclass + __slots__ needs explicit pickle support; the
-        # cached arrays travel along so workers skip re-extraction.
-        return (_rebuild_chunk, (list(self), self.columns))
-
-
-def _rebuild_chunk(records: list, columns: dict) -> "Chunk":
-    chunk = Chunk(records)
-    chunk.columns = columns
-    return chunk
-
-
 class ColumnChunk:
     """One chunk in columnar layout: the rows plus their live columns.
 
@@ -120,13 +87,11 @@ class ColumnChunk:
 
     __slots__ = ("rows", "columns")
 
-    def __init__(
-        self, rows: list, columns: Optional[dict[str, Any]] = None
-    ) -> None:
+    def __init__(self, rows: list) -> None:
         self.rows = rows
         #: spec name → ndarray, or None when validation failed (cached
         #: so a failed column is probed once per chunk, not per kernel).
-        self.columns: dict[str, Any] = dict(columns or {})
+        self.columns: dict[str, Any] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -388,7 +353,6 @@ def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
 
 
 __all__ = [
-    "Chunk",
     "ColumnBlock",
     "ColumnChunk",
     "ColumnSpec",

@@ -65,7 +65,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 from ..cpu import available_cpu_count
 from ..diagnostics.pickling import static_unpicklable_reason
 from ..errors import EngineError, SpillError
-from .columnar import Chunk, build_chunk, grouped_fold
+from .columnar import build_chunk, grouped_fold
 from .config import EngineConfig
 from .core import lambda_cpu_ns
 from .metrics import JobMetrics
@@ -170,8 +170,6 @@ class MultiprocessResult:
     shm_bytes: int = 0
     #: Payloads that fell back to the queue after a failed segment write.
     shm_fallbacks: int = 0
-    #: Chunk layout the engine ran with ("rows" or "columns").
-    layout: str = "rows"
     #: Chunks whose first map stage executed on the vectorized column
     #: path, and chunks where an exactness guard (int64 overflow risk,
     #: non-finite float result, type-promise break) forced the compiled
@@ -206,7 +204,6 @@ class MultiprocessResult:
         if self.columnar_chunks == 0 and self.guard_fallbacks == 0:
             return None
         return {
-            "layout": self.layout,
             "columnar_chunks": self.columnar_chunks,
             "guard_fallbacks": self.guard_fallbacks,
         }
@@ -483,12 +480,6 @@ class MultiprocessEngine:
     #: Below this payload size "auto" stays on the queue — the segment
     #: create/attach syscalls cost more than piping a few kilobytes.
     shm_min_bytes: int = 65536
-    #: Chunk layout: "rows" keeps record-list chunks (live columns are
-    #: still cached on the chunk after first extraction); "columns"
-    #: builds ColumnChunks eagerly at the source boundary when the first
-    #: map stage is vectorized.  The planner resolves "auto" before the
-    #: engine is constructed.
-    layout: str = "rows"
 
     def run_pipeline(
         self, records: Union[list, Dataset], steps: Sequence[PipelineStep]
@@ -510,11 +501,6 @@ class MultiprocessEngine:
                 f"unknown transport {self.transport!r}; "
                 "expected 'auto', 'shm' or 'queue'"
             )
-        if self.layout not in ("rows", "columns"):
-            raise EngineError(
-                f"unknown layout {self.layout!r}; expected 'rows' or "
-                "'columns' (the planner resolves 'auto' before the engine)"
-            )
         budget = self.memory_budget
         if budget is not None and budget <= 0:
             raise SpillError(
@@ -525,7 +511,7 @@ class MultiprocessEngine:
         metrics = JobMetrics()
         partitions = self.partitions or self.config.default_partitions
         result = MultiprocessResult(
-            pairs=[], metrics=metrics, spilled=budget is not None, layout=self.layout
+            pairs=[], metrics=metrics, spilled=budget is not None
         )
         known = dataset.known_length
         if known is None and budget is None:
@@ -858,34 +844,22 @@ class MultiprocessEngine:
         if result.map_tasks == 0:
             result.processes_used = 1
 
+    @staticmethod
     def _chunk_preparer(
-        self, steps: Sequence[Any]
+        map_fns: Sequence[Callable],
     ) -> Optional[Callable[[list], list]]:
         """How to wrap source chunks for the first map stage, if at all.
 
-        Only meaningful when the pipeline opens with a vectorized
-        compiled mapper (``columns_spec`` proves live columns): with
-        ``layout="columns"`` every source chunk becomes a ColumnChunk
-        with its live columns extracted eagerly, once; with
-        ``layout="rows"`` chunks get the cache-capable ``Chunk`` wrapper
-        so each column is still extracted at most once per chunk even
-        when several kernels (or a guard-trip retry) touch it.
+        Only meaningful when the segment opens with a vectorized
+        compiled mapper (``columns_spec`` proves live columns): every
+        source chunk then becomes a ColumnChunk with its live columns
+        extracted once, so a guard-trip retry or a second kernel over
+        the chunk reuses the arrays.
         """
-        fn = None
-        if steps and isinstance(steps[0], MapStep):
-            fn = steps[0].fn
-        elif steps and callable(steps[0]) and not isinstance(
-            steps[0], (ReduceStep, BridgeStep)
-        ):
-            fn = steps[0]
-        if fn is None:
-            return None
-        specs = getattr(fn, "columns_spec", None)
+        specs = getattr(map_fns[0], "columns_spec", None) if map_fns else None
         if specs is None:
             return None
-        if self.layout == "columns":
-            return lambda chunk: build_chunk(chunk, specs)
-        return Chunk
+        return lambda chunk: build_chunk(chunk, specs)
 
     @staticmethod
     def _task_bounds(n_chunks: int, n_tasks: int) -> list[tuple[int, int]]:

@@ -132,10 +132,10 @@ class Dataset:
 
         The columnar layout enters here: the engine derives a preparer
         from the first map stage's column specs (build a ``ColumnChunk``
-        of typed arrays, or attach an extract-once cache) and wraps the
-        source **once**, so every chunk is converted exactly where it is
-        read instead of deep inside each execution path.  ``None`` is
-        the identity — the source is returned unchanged.
+        of typed arrays) and wraps the source **once**, so every chunk
+        is converted exactly where it is read instead of deep inside
+        each execution path.  ``None`` is the identity — the source is
+        returned unchanged.
         """
         if prepare is None:
             return self

@@ -99,8 +99,9 @@ class CodegenError(ReproError):
 
 
 class KernelUnsupported(CodegenError):
-    """Raised when the compiled (source-rendering) kernel cannot express
-    a summary; callers fall back to the tree-walking eval kernel."""
+    """Raised when the source renderer cannot express a stage.  The
+    step builder keeps that stage on the tree-walking evaluator and
+    records a ``REP308`` diagnostic; the job's results are unchanged."""
 
 
 class WorkloadError(ReproError):

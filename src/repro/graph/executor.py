@@ -41,7 +41,7 @@ from ..engine.multiprocess import BridgeStep, MapStep
 from ..errors import GraphError
 from ..options import ExecOptions
 from ..planner.dag import DagPlanner, GraphPlanReport
-from ..planner.plan import PlanReport, pinned_plan
+from ..planner.plan import PlanReport
 from ..planner.planner import ExecutionPlanner, PlannerConfig
 from .fuse import FusedChain, GraphSchedule, optimize_graph
 from .jobgraph import JobGraph, JobNode
@@ -147,11 +147,6 @@ def run_graph(
     ``Dataset`` inputs of unknown length) run out of core — chunked
     scans, spill-to-disk shuffle, per-partition merge-reduce — with
     stage handoffs inside fused chains streamed the same way.
-
-    ``kernel`` and ``layout`` pick the codegen target and chunk layout
-    for every unit that executes on a real local engine — chain-wide
-    for fused chains, since one engine invocation runs the spliced
-    pipeline; ``None`` defers to each unit's plan.
 
     ``feedback`` engages observation-resolved planning per single-
     fragment unit (see :meth:`AdaptiveProgram.run`); fused chains plan
@@ -380,13 +375,8 @@ def _run_chain(
     )
     # The plan's per-stage combiner decisions index the head program's
     # stages, so only the head's steps honour them; downstream nodes
-    # keep the proof-gated default.  The kernel and layout choices, by
-    # contrast, are chain-wide: every node's steps read them off the
-    # head's plan.
-    downstream_plan = (
-        replace(execution_plan, stages=()) if execution_plan is not None else None
-    )
-    steps = list(chosen.local_steps(globals_env, plan=execution_plan))
+    # keep the proof-gated default.
+    steps, diagnostics = chosen.local_steps(globals_env, execution_plan)
     bridges: list[StitchBridge] = []
 
     prev = (head, chosen, globals_env, output_sizes)
@@ -406,7 +396,9 @@ def _run_chain(
             )
             bridges.append(bridge)
             steps.append(BridgeStep(bridge))
-        steps.extend(node_chosen.local_steps(node_globals, plan=downstream_plan))
+        node_steps, node_diagnostics = node_chosen.local_steps(node_globals)
+        steps.extend(node_steps)
+        diagnostics.extend(node_diagnostics)
         prev = (node, node_chosen, node_globals, node_sizes)
 
     tail_node, tail_chosen, tail_globals, tail_sizes = prev
@@ -428,6 +420,7 @@ def _run_chain(
     outcome.simulated_seconds = result.metrics.simulated_seconds
     if report is not None:
         report.absorb(result)
+        report.diagnostics.extend(diagnostics)
         report.wall_seconds = result.metrics.wall_seconds
         outcome.report = report
 
@@ -451,7 +444,7 @@ def _chain_plan(
     plan = options.effective_plan
     if plan is None:
         # Unplanned chains run in-process and leave no report.
-        return pinned_plan("sequential", options), None
+        return None, None
     extra_reasons: tuple[str, ...] = ()
     if plan not in ("auto", "sequential", "multiprocess"):
         # A simulated cluster backend cannot execute a stitched chain.

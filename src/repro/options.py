@@ -8,6 +8,10 @@ A caller's frozen :class:`ExecOptions` travels *whole* from
 physical choices into the engines.  Names are validated here, once; the
 "budget or feedback implies the planner" rule is :attr:`ExecOptions
 .effective_plan`, once.
+
+There is no kernel or chunk-layout option: the real local backends
+always run the compiled kernels over column chunks
+(:mod:`repro.codegen.kernels`), the simulated ones the evaluator.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from typing import Any, Optional
 
 #: Valid ``plan`` values besides ``None`` and a concrete backend name.
 _PLAN_AUTO = "auto"
-_KERNELS = ("eval", "compiled", "auto")
-_LAYOUTS = ("rows", "columns", "auto")
 
 
 @dataclass(frozen=True)
@@ -30,15 +32,6 @@ class ExecOptions:
     * ``memory_budget`` — bytes; engages out-of-core execution (chunked
       scans, spill-to-disk shuffle) when the input cannot fit.  A budget
       with ``plan=None`` implies ``plan="auto"``.
-    * ``kernel`` — ``"eval"`` | ``"compiled"`` | ``"auto"``: codegen
-      target on the real local backends; ``None`` defers to the plan.
-    * ``layout`` — ``"rows"`` | ``"columns"`` | ``"auto"``: chunk layout
-      under the compiled kernels.  ``"columns"`` builds persistent
-      per-field column arrays at the source boundary and runs the
-      vectorized map/fold paths (falling back per-chunk on overflow or
-      non-finite guards); ``"auto"`` lets the planner price it;
-      ``None`` defers to the plan.  Results are byte-identical either
-      way.
     * ``fuse`` — stitch producer→consumer chains into single engine
       invocations (whole-program runs only).
     * ``strict`` — fail on untranslated fragments instead of falling
@@ -57,8 +50,6 @@ class ExecOptions:
 
     plan: Optional[str] = None
     memory_budget: Optional[int] = None
-    kernel: Optional[str] = None
-    layout: Optional[str] = None
     fuse: bool = True
     strict: bool = True
     outputs: Optional[tuple[str, ...]] = None
@@ -76,16 +67,6 @@ class ExecOptions:
             raise ValueError(
                 f"plan: unknown backend {self.plan!r}; expected one of "
                 f"{BACKENDS}, 'auto', or None"
-            )
-        if self.kernel is not None and self.kernel not in _KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of {_KERNELS} "
-                "or None"
-            )
-        if self.layout is not None and self.layout not in _LAYOUTS:
-            raise ValueError(
-                f"unknown layout {self.layout!r}; expected one of {_LAYOUTS} "
-                "or None"
             )
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ValueError(

@@ -8,6 +8,11 @@ may combine map-side.  A :class:`PlanReport` wraps the plan together
 with the evidence behind it — per-backend cost estimates, the simulated
 cluster ranking, and (after execution) the measured wall-clock time and
 any fallback the engine had to take.
+
+A plan names no kernel and no chunk layout: on the real local backends
+every stage runs its compiled kernel over column chunks, and a stage the
+renderer could not express runs the tree-walking evaluator and says so
+with a ``REP308`` diagnostic on the report — not a ``reasons`` string.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from ..diagnostics import make as make_diagnostic
 
 if TYPE_CHECKING:
     from ..engine.multiprocess import MultiprocessResult
-    from ..options import ExecOptions
 
 #: Backends the planner may select or a caller may force.
 BACKENDS = ("sequential", "multiprocess", "spark", "hadoop", "flink")
@@ -65,17 +69,6 @@ class ExecutionPlan:
     #: re-priced from observations raise it above the budget when the
     #: observed small-side size justifies broadcasting anyway.
     broadcast_limit: Optional[int] = None
-    #: Codegen target for the real local backends: "eval" interprets
-    #: the IR per record, "compiled" runs the generated-source batch
-    #: kernels (:mod:`repro.codegen.kernels`), "auto" lets codegen
-    #: compile with per-stage fallback.
-    kernel: str = "eval"
-    #: Chunk layout under the compiled kernels: "rows" keeps plain
-    #: record lists, "columns" builds persistent per-field column
-    #: arrays at the source boundary and runs the vectorized map/fold
-    #: paths.  Plans never carry "auto": the planner and
-    #: :func:`forced_plan` resolve it before the engine sees it.
-    layout: str = "rows"
     #: Human-readable decision trail, in the order decisions were made.
     reasons: tuple[str, ...] = ()
 
@@ -94,10 +87,6 @@ class ExecutionPlan:
             parts.append(f"partitions={self.partitions}")
         if self.spill:
             parts.append(f"spill=on(budget={self.memory_budget})")
-        if self.kernel != "eval":
-            parts.append(f"kernel={self.kernel}")
-        if self.layout != "rows":
-            parts.append(f"layout={self.layout}")
         if self.join_strategies:
             parts.append("join=" + "/".join(self.join_strategies))
         for stage in self.stages:
@@ -128,8 +117,9 @@ class PlanReport:
     backend_used: str = ""
     wall_seconds: float = 0.0
     fallback_reason: Optional[str] = None
-    #: Structured diagnostics for planner decisions and engine fallbacks
-    #: (:mod:`repro.diagnostics` REP3xx codes), in emission order.
+    #: Structured diagnostics for planner decisions, evaluator-fallback
+    #: stages and engine fallbacks (:mod:`repro.diagnostics` REP3xx
+    #: codes), in emission order.
     diagnostics: list = field(default_factory=list)
     #: Pickle-probe disagreements: payloads the static analyzer cleared
     #: but the runtime ``pickle.dumps`` probe rejected.
@@ -211,8 +201,6 @@ class PlanReport:
             "partitions": self.plan.partitions,
             "memory_budget": self.plan.memory_budget,
             "spill": self.plan.spill,
-            "kernel": self.plan.kernel,
-            "layout": self.plan.layout,
             "transport": self.transport,
             "columnar": self.columnar,
             "estimated_input_bytes": self.estimated_input_bytes,
@@ -240,43 +228,23 @@ class PlanReport:
         }
 
 
-def pinned_plan(backend: str, options: "ExecOptions") -> Optional[ExecutionPlan]:
-    """The bare plan that carries a caller-pinned kernel/layout into an
-    *unplanned* run (no report, no decisions) — ``None`` when the caller
-    pinned neither.  The plan is the only carrier of physical choices,
-    so even an unplanned run reaches the engine through one."""
-    if options.kernel is None and options.layout is None:
-        return None
-    return forced_plan(backend, kernel=options.kernel, layout=options.layout)
-
-
 def forced_plan(
     backend: str,
     stages: tuple[StagePlan, ...] = (),
     memory_budget: Optional[int] = None,
     spill_dir: Optional[str] = None,
-    kernel: Optional[str] = None,
-    layout: Optional[str] = None,
 ) -> ExecutionPlan:
     """A plan that pins the backend because the caller asked for it.
 
     A ``memory_budget`` forces the out-of-core path on the real local
     backends: the engine streams the input and spills the shuffle once
     the budget is exceeded, regardless of the planner's size estimates.
-    ``kernel`` pins the codegen target the same way (None → eval), and
-    ``layout`` the chunk layout (None → rows; "auto" → columns exactly
-    when a compiled kernel runs).  Kernel and layout *names* are
-    validated once, by :class:`~repro.options.ExecOptions`.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS} or 'auto'"
         )
     reasons = [f"backend {backend!r} forced by caller"]
-    if kernel is not None and kernel != "eval":
-        reasons.append(f"kernel {kernel!r} forced by caller")
-    if layout is not None and layout != "rows":
-        reasons.append(f"layout {layout!r} forced by caller")
     # The budget only binds on the real local engines: a simulated
     # cluster backend materializes everything in-memory, so claiming
     # spill=True for it would put a spill that never happened into the
@@ -293,10 +261,6 @@ def forced_plan(
                 f"{backend!r} backend materializes in-memory"
             )
     spill = local and memory_budget is not None
-    kernel = (kernel or "eval") if local else "eval"
-    layout = (layout or "rows") if local else "rows"
-    if layout == "auto":
-        layout = "rows" if kernel == "eval" else "columns"
     return ExecutionPlan(
         backend=backend,
         processes=0 if backend == "sequential" else None,
@@ -304,7 +268,5 @@ def forced_plan(
         memory_budget=memory_budget if spill else None,
         spill=spill,
         spill_dir=spill_dir,
-        kernel=kernel,
-        layout=layout,
         reasons=tuple(reasons),
     )

@@ -112,17 +112,6 @@ class PlannerConfig:
     memory_budget: Optional[int] = None
     #: Spill-run directory; None → a private temp directory per job.
     spill_dir: Optional[str] = None
-    #: Codegen target: "eval", "compiled", or "auto" (price the compiled
-    #: batch kernels from stage complexity × record count).
-    kernel: str = "auto"
-    #: Minimum estimated map work (records × summed emit-expression
-    #: nodes) before "auto" picks the compiled kernel — below this the
-    #: render+compile cost dominates the per-record savings.
-    kernel_min_work: int = 10_000
-    #: Chunk layout: "rows", "columns", or "auto" (columns exactly when
-    #: a compiled kernel runs — column arrays only pay off where the
-    #: vectorized fast path can consume them).
-    layout: str = "auto"
     #: Records read by the bounded first-chunk probe of an unknown-length
     #: stream.  A stream that ends within the bound is priced from its
     #: measured exact length instead of "assume large"; 0 disables the
@@ -203,13 +192,6 @@ class ExecutionPlanner:
         fits the memory budget (or the default broadcast threshold),
         and reduce-side through the tagged-union shuffle otherwise —
         recorded per level in the plan and the report.
-
-        ``options.kernel``: ``"eval"``/``"compiled"`` pin the codegen
-        target, ``"auto"`` (the default) prices the compiled batch
-        kernels from the map stages' expression complexity and the
-        record count.  ``options.layout`` does the same for the chunk
-        layout: ``"rows"``/``"columns"`` pin it, ``"auto"`` picks
-        columns exactly when a compiled kernel runs.
 
         ``observation`` is a stored
         :class:`~repro.cost.observe.Observation` of this exact
@@ -385,17 +367,6 @@ class ExecutionPlanner:
             observation=observation, provenance=provenance,
         )
         partitions = self._partitions(program, stages, processes, reasons)
-        kernel_choice = self._kernel_decision(
-            options.kernel or self.config.kernel,
-            program,
-            n,
-            reasons,
-        )
-        layout_choice = self._layout_decision(
-            options.layout or self.config.layout,
-            kernel_choice,
-            reasons,
-        )
         plan = ExecutionPlan(
             backend=backend,
             processes=0 if backend == "sequential" else processes,
@@ -406,8 +377,6 @@ class ExecutionPlanner:
             spill_dir=self.config.spill_dir,
             join_strategies=join_strategies,
             broadcast_limit=broadcast_limit,
-            kernel=kernel_choice,
-            layout=layout_choice,
             reasons=tuple(reasons),
         )
         cluster = self._cluster_ranking(
@@ -481,100 +450,6 @@ class ExecutionPlanner:
                 record_env(side.view, r) for r in records[:sample_records]
             ]
         return samples or None
-
-    def _kernel_decision(
-        self,
-        requested: str,
-        program: "GeneratedProgram",
-        n: Optional[int],
-        reasons: list[str],
-    ) -> str:
-        """Pick the codegen target, pricing "auto" from map work.
-
-        The compiled kernel's cost is a one-off render+compile per
-        stage; its payoff scales with records × expression size.  The
-        decision therefore compares that product against a cutoff —
-        tiny jobs stay on the evaluator, everything else compiles.
-        """
-        from ..codegen.kernels import kernel_support
-        from ..ir.nodes import expr_size
-
-        if requested == "eval":
-            return "eval"
-        support = kernel_support(program.summary, program.analysis.view)
-        if requested == "compiled":
-            if support is not None:
-                reasons.append(
-                    f"kernel=compiled forced by caller; {support} — "
-                    "unsupported stages fall back to eval"
-                )
-            else:
-                reasons.append("kernel=compiled forced by caller")
-            return "compiled"
-        if support is not None:
-            reasons.append(f"kernel=eval ({support})")
-            return "eval"
-        # Every emit costs at least one λm dispatch (env bind + key/value
-        # eval) on top of its expression operators, so weight emits by
-        # 1 + their operator counts — ``expr_size`` alone prices a
-        # trivial projection map at zero.
-        complexity = sum(
-            1
-            + expr_size(emit.key)
-            + expr_size(emit.value)
-            + (expr_size(emit.cond) if emit.cond is not None else 0)
-            for stage in program.summary.pipeline.stages
-            if isinstance(stage, MapStage)
-            for emit in stage.lam.emits
-        )
-        if n is None:
-            reasons.append(
-                "kernel=compiled (unknown-length source: assuming large, "
-                "batch kernels amortize per-record dispatch)"
-            )
-            return "compiled"
-        work = n * max(1, complexity)
-        if work < self.config.kernel_min_work:
-            reasons.append(
-                f"kernel=eval (map work {work} expr-evals < "
-                f"{self.config.kernel_min_work}: compile cost would "
-                "dominate)"
-            )
-            return "eval"
-        reasons.append(
-            f"kernel=compiled (map work {work} expr-evals ≥ "
-            f"{self.config.kernel_min_work}: batch kernels amortize "
-            "per-record dispatch)"
-        )
-        return "compiled"
-
-    @staticmethod
-    def _layout_decision(
-        requested: str, kernel_choice: str, reasons: list[str]
-    ) -> str:
-        """Pick the chunk layout, resolving "auto" from the kernel.
-
-        Column arrays only pay off where the vectorized fast path can
-        consume them — the compiled kernels.  Under the evaluator every
-        chunk would be built columnar and then iterated row-wise anyway,
-        so "auto" follows the kernel decision.  A forced "columns" on a
-        non-vectorizable program is harmless: the engine finds no column
-        specs and leaves the chunks as plain lists.
-        """
-        if requested != "auto":
-            reasons.append(f"layout={requested} forced by caller")
-            return requested
-        if kernel_choice == "eval":
-            reasons.append(
-                "layout=rows (eval kernel: row records feed the "
-                "interpreter directly)"
-            )
-            return "rows"
-        reasons.append(
-            "layout=columns (compiled kernels active: column arrays feed "
-            "the vectorized fast path; guard trips fall back per-chunk)"
-        )
-        return "columns"
 
     @staticmethod
     def _join_decision(

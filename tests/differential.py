@@ -2,9 +2,11 @@
 
 Each registered benchmark is compiled once (through the session-wide
 ``suite_cache``, shared with ``benchmarks/``) and every translated
-fragment is run once per execution path — eval, compiled over rows,
-compiled over columns — beside the reference interpreter.  ``test_kernels`` asserts the kernel
-half of the result and ``test_layout_sweep`` the layout half, so the
+fragment is run twice on the real sequential engine — the tree-walking
+oracle steps and the one production path (compiled kernels over column
+chunks) — beside the reference interpreter (join pipelines, whose one
+step builder wraps the evaluator callables, are run once).  ``test_kernels`` asserts
+the outputs and ``test_layout_sweep`` the per-stage counters, so the
 sweep costs one pass however many properties read it.
 """
 
@@ -14,16 +16,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro import ExecOptions
+from repro.codegen.base import (
+    bind_outputs,
+    prepare_globals,
+    run_local_steps,
+    view_records,
+)
+from repro.engine.metrics import JobMetrics
 from repro.graph.executor import interpret_fragment
 from repro.lang.values import values_equal
+from repro.planner.plan import ExecutionPlan, forced_plan
 from repro.workloads import get_benchmark
 from suite_cache import compiled
 
 RUN_SIZE = 200
 
-EVAL = ExecOptions(plan="sequential", kernel="eval")
-ROWS = ExecOptions(plan="sequential", kernel="compiled", layout="rows")
-COLUMNS = ExecOptions(plan="sequential", kernel="compiled", layout="columns")
+PRODUCTION = ExecOptions(plan="sequential")
 
 
 def outputs_match(lhs: dict, rhs: dict) -> bool:
@@ -35,14 +43,39 @@ def translated_fragments(compilation):
     return [f for f in compilation.fragments if f.translated]
 
 
+def run_oracle(program, inputs: dict, plan: ExecutionPlan):
+    """A join-free ``program`` (a ``GeneratedProgram``) on the real
+    local engine with ``oracle_steps`` — the tree-walking evaluator —
+    in place of ``local_steps``; returns ``(outputs, metrics)``."""
+    globals_env, output_sizes = prepare_globals(program.analysis, inputs)
+    records = view_records(program.analysis.view, inputs)
+    steps = program.oracle_steps(globals_env, plan)
+    result = run_local_steps(
+        plan, program.engine_config, plan.backend, records, steps
+    )
+    outputs = bind_outputs(
+        program.summary.outputs, result.pairs, globals_env, output_sizes
+    )
+    return outputs, result.metrics
+
+
+def stage_counters(metrics: JobMetrics) -> list[tuple]:
+    """What the byte accounting must keep equal between the two paths."""
+    return [
+        (s.name, s.records_in, s.records_out, s.bytes_out, s.bytes_shuffled)
+        for s in metrics.stages
+    ]
+
+
 @dataclass
 class FragmentSweep:
-    """One translated fragment's outputs on every path."""
+    """One translated fragment's outputs and counters on every path."""
 
     reference: dict
-    eval: dict
-    rows: dict
-    columns: dict
+    oracle: dict
+    production: dict
+    oracle_counters: list
+    production_counters: list
 
 
 @lru_cache(maxsize=None)
@@ -51,6 +84,7 @@ def sweep(name: str) -> tuple[FragmentSweep, ...]:
     reference outputs forward (untranslated fragments are interpreted)."""
     compilation = compiled(name)
     env = dict(get_benchmark(name).make_inputs(RUN_SIZE, 7))
+    plan = forced_plan("sequential")
     results = []
     for fragment in compilation.fragments:
         if not fragment.translated:
@@ -58,12 +92,21 @@ def sweep(name: str) -> tuple[FragmentSweep, ...]:
                 env.update(interpret_fragment(fragment.analysis, env))
             continue
         reference = interpret_fragment(fragment.analysis, env)
+        ran = fragment.program.run(dict(env), PRODUCTION)
+        chosen = fragment.program.programs[int(ran.implementation.split("_")[1])]
+        if chosen.has_join:
+            # Production already ran the evaluator callables (one REP308
+            # per stage says so): it is its own oracle.
+            oracle, oracle_metrics = ran.outputs, ran.metrics
+        else:
+            oracle, oracle_metrics = run_oracle(chosen, dict(env), plan)
         results.append(
             FragmentSweep(
                 reference=reference,
-                eval=fragment.program.run(dict(env), EVAL).outputs,
-                rows=fragment.program.run(dict(env), ROWS).outputs,
-                columns=fragment.program.run(dict(env), COLUMNS).outputs,
+                oracle=oracle,
+                production=ran.outputs,
+                oracle_counters=stage_counters(oracle_metrics),
+                production_counters=stage_counters(ran.metrics),
             )
         )
         env.update(reference)

@@ -1,4 +1,4 @@
-"""Columnar chunk layout: exactness guards, caching, shuffle, and knobs.
+"""Columnar chunk layout: exactness guards, caching, shuffle, no knobs.
 
 Unit tests for :mod:`repro.engine.columnar` and the machinery around it:
 column extraction only materializes arrays the type promise licenses,
@@ -6,8 +6,9 @@ guard trips (int64 overflow, NaN/inf, mixed types) fall back to the
 compiled row loop with byte-identical results, the grouped array fold
 matches the ordered dict combine exactly, spilled column blocks expand
 to the same pair stream the row writer produces, the zero-copy
-shared-memory payload round-trips, and the ``layout`` knob validates and
-threads end to end.
+shared-memory payload round-trips, and the column path — the only one,
+with no ``layout`` knob left to validate — matches the row oracle end to
+end.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.codegen.base import prepare_globals, view_records
 from repro.codegen.kernels import CompiledRecordMapper
 from repro.engine import shm
 from repro.engine.columnar import (
-    Chunk,
     ColumnBlock,
     ColumnChunk,
     ColumnSpec,
@@ -34,11 +34,11 @@ from repro.engine.columnar import (
 from repro.engine.multiprocess import MultiprocessEngine
 from repro.engine.sizes import OBJECT_HEADER, sizeof, sizeof_pair
 from repro.engine.spill import SpillWriter, read_run
-from repro.errors import EngineError
 from repro.graph.executor import interpret_fragment
 from repro.options import ExecOptions
 from repro.planner.plan import forced_plan
 from repro.workloads import get_benchmark
+from differential import run_oracle
 from suite_cache import compiled
 
 RUN_SIZE = 200
@@ -60,23 +60,24 @@ def _mapper(name: str):
     return mapper, records
 
 
-def _engine(name: str, layout: str) -> MultiprocessEngine:
+def _engine(name: str) -> MultiprocessEngine:
     compilation = compiled(name)
     fragment = [f for f in compilation.fragments if f.translated][0]
     config = fragment.program.programs[0].engine_config.with_framework(
         "multiprocess"
     )
-    return MultiprocessEngine(config=config, processes=0, layout=layout)
+    return MultiprocessEngine(config=config, processes=0)
 
 
-def _steps(name: str, inputs):
+def _steps(name: str, inputs, oracle: bool = False):
+    """The production (compiled, column-chunk) steps, or the row oracle's."""
     compilation = compiled(name)
     fragment = [f for f in compilation.fragments if f.translated][0]
     program = fragment.program.programs[0]
     globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
-    return program.local_steps(
-        globals_env, plan=forced_plan("sequential", kernel="compiled")
-    )
+    if oracle:
+        return program.oracle_steps(globals_env)
+    return program.local_steps(globals_env)[0]
 
 
 def _pairs_equal(lhs: list, rhs: list) -> bool:
@@ -127,18 +128,23 @@ def test_build_column_refuses_out_of_int64_values():
 
 
 def test_chunk_caches_extracted_columns():
-    chunk = Chunk([1, 2, 3])
+    chunk = ColumnChunk([1, 2, 3])  # no column extracted yet
     first = resolve_columns(chunk, (INT_SPEC,))
     second = resolve_columns(chunk, (INT_SPEC,))
     assert first["v"] is second["v"], "second resolve must reuse the array"
     assert "v" in chunk.columns
     # A failed column is cached too, so repeated kernels skip the probe.
-    dirty = Chunk([1, "oops"])
+    dirty = build_chunk([1, "oops"], (INT_SPEC,))
     assert resolve_columns(dirty, (INT_SPEC,)) is None
     assert dirty.columns["v"] is None
     # The cache survives pickling (workers skip re-extraction).
     clone = pickle.loads(pickle.dumps(chunk))
-    assert isinstance(clone, Chunk) and "v" in clone.columns
+    assert isinstance(clone, ColumnChunk) and "v" in clone.columns
+    # A plain list has nowhere to keep a column: extracted every time.
+    rows = [1, 2, 3]
+    assert resolve_columns(rows, (INT_SPEC,))["v"] is not resolve_columns(
+        rows, (INT_SPEC,)
+    )["v"]
 
 
 def test_column_chunk_iterates_as_rows():
@@ -267,37 +273,37 @@ def test_mixed_type_column_falls_back_to_row_loop():
     ids=["bignum", "near-int64-min", "nan", "inf", "string-in-int"],
 )
 def test_dirty_data_identical_across_layouts_in_engine(poison):
+    # The two layouts left: column chunks under the compiled kernels
+    # (production) and plain rows under the evaluator (the oracle).
     name = "ariths_sum"
     records = [(i, v) for i, v in enumerate([3, -2, poison, 5, 0])]
     inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
     try:
-        rows_result = _engine(name, "rows").run_pipeline(
-            records, _steps(name, inputs)
+        rows_result = _engine(name).run_pipeline(
+            records, _steps(name, inputs, oracle=True)
         )
     except Exception as exc:
-        # Whatever the row engine raises (e.g. TypeError on the string),
-        # the columnar engine must raise the same class — not crash
+        # Whatever the row oracle raises (e.g. IRError on the string),
+        # the columnar path must raise the same class — not crash
         # differently and not "succeed" with numpy coercion.
         with pytest.raises(type(exc)):
-            _engine(name, "columns").run_pipeline(records, _steps(name, inputs))
+            _engine(name).run_pipeline(records, _steps(name, inputs))
         return
-    cols_result = _engine(name, "columns").run_pipeline(
-        records, _steps(name, inputs)
-    )
+    cols_result = _engine(name).run_pipeline(records, _steps(name, inputs))
     assert _pairs_equal(rows_result.pairs, cols_result.pairs)
-    assert cols_result.layout == "columns"
+    assert cols_result.guard_fallbacks + cols_result.columnar_chunks >= 1
 
 
 def test_guard_fallbacks_are_counted():
     name = "stats_l2_norm_sq"
     inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
     records = [(i, v) for i, v in enumerate([1.0, float("nan"), 2.0])]
-    result = _engine(name, "columns").run_pipeline(records, _steps(name, inputs))
+    result = _engine(name).run_pipeline(records, _steps(name, inputs))
     assert result.guard_fallbacks >= 1
     stats = result.columnar_stats()
-    assert stats is not None and stats["layout"] == "columns"
+    assert stats is not None and stats["guard_fallbacks"] == result.guard_fallbacks
     clean = [(i, float(i)) for i in range(50)]
-    result = _engine(name, "columns").run_pipeline(clean, _steps(name, inputs))
+    result = _engine(name).run_pipeline(clean, _steps(name, inputs))
     assert result.columnar_chunks >= 1 and result.guard_fallbacks == 0
 
 
@@ -418,66 +424,41 @@ def test_shm_payload_plain_bytes_path():
 
 
 # ----------------------------------------------------------------------
-# The layout knob: options, plans, resolution, planner pricing
+# No layout knob: options, engine and planner all refuse or ignore it
 
 
 def test_exec_options_validate_layout():
-    assert ExecOptions(layout="columns").layout == "columns"
-    assert ExecOptions().layout is None
-    with pytest.raises(ValueError, match="unknown layout"):
-        ExecOptions(layout="diagonal")
-    options = ExecOptions(layout="auto", kernel="compiled")
+    with pytest.raises(TypeError):
+        ExecOptions(layout="columns")
+    with pytest.raises(ValueError, match="unknown ExecOptions field"):
+        ExecOptions.from_dict({"layout": "columns"})
+    options = ExecOptions(plan="auto", memory_budget=4096)
     assert ExecOptions.from_dict(options.as_dict()) == options
-
-
-def test_forced_plan_carries_layout():
-    plan = forced_plan("sequential", kernel="compiled", layout="columns")
-    assert plan.layout == "columns"
-    assert "layout=columns" in plan.describe()
-    assert any("layout" in reason for reason in plan.reasons)
-    # Simulated backends never run the real engine's columnar path.
-    assert forced_plan("spark", layout="columns").layout == "rows"
-
-
-def test_resolve_layout_precedence_and_auto():
-    # The layout is resolved where the plan is made: default rows, the
-    # caller's choice when pinned, and "auto" → columns exactly when a
-    # compiled kernel runs.  Plans never carry "auto" to the engine.
-    assert forced_plan("sequential").layout == "rows"
-    assert forced_plan("sequential", layout="columns").layout == "columns"
-    compiled_plan = forced_plan("sequential", kernel="compiled", layout="auto")
-    assert compiled_plan.layout == "columns"
-    assert forced_plan("sequential", kernel="auto", layout="auto").layout == "columns"
-    assert forced_plan("sequential", kernel="compiled", layout="rows").layout == "rows"
-    assert forced_plan("sequential", layout="auto").layout == "rows"
-    assert forced_plan("sequential", kernel="eval", layout="auto").layout == "rows"
+    assert "layout" not in options.as_dict()
 
 
 def test_engine_rejects_unknown_layout():
-    inputs = get_benchmark("ariths_sum").make_inputs(RUN_SIZE, 7)
-    engine = _engine("ariths_sum", "diagonal")
-    with pytest.raises(EngineError, match="unknown layout"):
-        engine.run_pipeline([(0, 1)], _steps("ariths_sum", inputs))
+    with pytest.raises(TypeError):
+        MultiprocessEngine(layout="columns")
+    with pytest.raises(TypeError):
+        forced_plan("sequential", layout="columns")
 
 
 def test_planner_resolves_layout_from_kernel():
+    # Nothing to resolve: a planned run of a vectorizable program is on
+    # column chunks at any size, and its report names no layout.
     benchmark = get_benchmark("ariths_sum")
     compilation = compiled("ariths_sum")
     fragment = [f for f in compilation.fragments if f.translated][0]
-
-    big = benchmark.make_inputs(5000, 11)
-    report = fragment.program.run(
-        dict(big), ExecOptions(plan="auto", kernel="compiled")
-    ).report
-    assert report.summary()["layout"] == "columns"
-    assert any("layout=columns" in r for r in report.plan.reasons)
-    assert report.columnar is not None
-    assert report.columnar["columnar_chunks"] >= 1
-
-    report = fragment.program.run(
-        dict(big), ExecOptions(plan="auto", kernel="eval")
-    ).report
-    assert report.summary()["layout"] == "rows"
+    for size in (20, 5000):
+        report = fragment.program.run(
+            dict(benchmark.make_inputs(size, 11)), ExecOptions(plan="auto")
+        ).report
+        summary = report.summary()
+        assert "layout" not in summary and "kernel" not in summary
+        assert not any("layout" in r or "kernel" in r for r in summary["reasons"])
+        assert summary["columnar"]["columnar_chunks"] >= 1
+        assert summary["columnar"]["guard_fallbacks"] == 0
 
 
 def test_layout_knob_end_to_end_identical():
@@ -486,16 +467,12 @@ def test_layout_knob_end_to_end_identical():
     fragment = [f for f in compilation.fragments if f.translated][0]
     inputs = benchmark.make_inputs(RUN_SIZE, 7)
     reference = interpret_fragment(fragment.analysis, dict(inputs))
-    by_rows = fragment.program.run(
-        dict(inputs), ExecOptions(plan="sequential", kernel="compiled", layout="rows")
-    ).outputs
-    columns = fragment.program.run(
-        dict(inputs),
-        ExecOptions(plan="sequential", kernel="compiled", layout="columns"),
+    by_rows, _metrics = run_oracle(
+        fragment.program.programs[0], dict(inputs), forced_plan("sequential")
     )
+    columns = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
     by_cols, report = columns.outputs, columns.report
     assert by_rows == by_cols
     common = set(by_cols) & set(reference)
     assert common and all(by_cols[k] == reference[k] for k in common)
-    assert report.summary()["layout"] == "columns"
-    assert report.columnar is not None
+    assert report.columnar is not None and report.columnar["columnar_chunks"] >= 1

@@ -1,21 +1,24 @@
 """Compiled batch kernels: differential identity and transport tests.
 
-The acceptance property of the second codegen target
+The acceptance property of the one production kernel path
 (:mod:`repro.codegen.kernels`): for every translated fragment of every
 benchmark suite,
 
-    kernel="compiled" == kernel="eval" == the reference interpreter,
+    compiled steps == evaluator oracle steps == the reference interpreter,
 
 on the real sequential backend — and on the multiprocess pool and the
 spill-to-disk path for representative benchmarks.  Alongside that, unit
 tests pin the semantics the renderer must preserve exactly (Java
-division errors, unbound globals, pickling) and the shared-memory
-payload transport's lifecycle.
+division errors, unbound globals, pickling), that nothing is left to
+choose (no kernel or layout option, one memoized code object per
+source, a coded ``REP308`` when a stage stays on the evaluator) and the
+shared-memory payload transport's lifecycle.
 """
 
 from __future__ import annotations
 
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -26,27 +29,27 @@ from differential import (
     sweep,
     translated_fragments as _translated_fragments,
 )
-from repro import ExecOptions
-from repro.codegen.base import prepare_globals, view_records
+from repro import ExecOptions, Session
+from repro.codegen import kernels
+from repro.codegen.base import RecordMapper, prepare_globals, view_records
 from repro.codegen.kernels import (
     CompiledRecordMapper,
     CompiledReduce,
     _live_atoms,
     _record_atoms,
-    kernel_support,
 )
 from repro.engine import shm
 from repro.engine.multiprocess import MultiprocessEngine
-from repro.errors import EngineError, IRError
+from repro.errors import EngineError, IRError, KernelUnsupported
 from repro.graph.executor import interpret_fragment
 from repro.ir.eval import eval_expr
 from repro.ir.nodes import BinOp, Var
 from repro.lang.values import values_equal
-from repro.planner.plan import forced_plan
+from repro.planner.planner import PlannerConfig
 from repro.workloads import all_benchmarks, get_benchmark
 
 # ----------------------------------------------------------------------
-# Differential identity: compiled == eval == interpreter, every suite
+# Differential identity: compiled == oracle == interpreter, every suite
 # (one pass per benchmark, shared with test_layout_sweep)
 
 
@@ -55,11 +58,11 @@ from repro.workloads import all_benchmarks, get_benchmark
 )
 def test_compiled_matches_eval_and_interpreter(name):
     for ran in sweep(name):
-        assert _match(ran.eval, ran.reference), f"{name}: eval != interpreter"
-        assert _match(ran.rows, ran.reference), f"{name}: compiled != interpreter"
-        # The two kernels share fold order, so they agree *exactly*,
+        assert _match(ran.oracle, ran.reference), f"{name}: eval != interpreter"
+        assert _match(ran.production, ran.reference), f"{name}: compiled != interpreter"
+        # The two step lists share fold order, so they agree *exactly*,
         # not merely within float tolerance.
-        assert ran.eval == ran.rows, f"{name}: compiled != eval"
+        assert ran.oracle == ran.production, f"{name}: compiled != eval"
 
 
 _BACKEND_CASES = [
@@ -81,13 +84,13 @@ def test_compiled_on_pool_and_spill_backends(name):
     reference = interpret_fragment(fragment.analysis, dict(inputs))
 
     pooled = fragment.program.run(
-        dict(inputs), ExecOptions(plan="multiprocess", kernel="compiled")
+        dict(inputs), ExecOptions(plan="multiprocess")
     ).outputs
     assert _match(pooled, reference), f"{name}: pooled compiled != interpreter"
 
     outcome = fragment.program.run(
         dict(inputs),
-        ExecOptions(plan="sequential", memory_budget=4096, kernel="compiled"),
+        ExecOptions(plan="sequential", memory_budget=4096),
     )
     spilled, report = outcome.outputs, outcome.report
     assert report.plan.spill, f"{name}: budget did not engage the spill path"
@@ -102,35 +105,10 @@ def test_compiled_through_fused_graph():
     benchmark = get_benchmark("tpch_q1")
     inputs = benchmark.make_inputs(RUN_SIZE, 3)
     reference = interpret_reference(compilation.job_graph, dict(inputs))
-    outputs = run_program(
-        compilation, dict(inputs), ExecOptions(plan="sequential", kernel="compiled")
-    )
+    outputs = run_program(compilation, dict(inputs), ExecOptions(plan="sequential"))
     common = set(outputs) & set(reference)
     assert common, "graph run produced nothing comparable"
     assert all(values_equal(outputs[k], reference[k]) for k in common)
-
-
-def test_pinned_kernel_without_a_plan_rides_a_bare_plan():
-    from repro.graph import run_graph
-    from repro.planner.plan import pinned_plan
-
-    assert pinned_plan("sequential", ExecOptions()) is None
-    bare = pinned_plan("sequential", ExecOptions(kernel="compiled", layout="auto"))
-    assert (bare.kernel, bare.layout, bare.spill) == ("compiled", "columns", False)
-    # Simulated backends always interpret rows, pinned or not.
-    assert pinned_plan("spark", ExecOptions(kernel="compiled")).kernel == "eval"
-
-    compilation = compiled("iterative_pagerank")  # has a stage-fused chain
-    inputs = get_benchmark("iterative_pagerank").make_inputs(RUN_SIZE, 3)
-    unplanned = run_graph(compilation.job_graph, dict(inputs))
-    pinned = run_graph(
-        compilation.job_graph,
-        dict(inputs),
-        ExecOptions(kernel="compiled", layout="auto"),
-    )
-    assert any(unit.fused for unit in pinned.schedule.units)
-    assert pinned.outputs == unplanned.outputs
-    assert not pinned.report.unit_reports  # still unplanned: no reports
 
 
 def test_join_pipelines_fall_back_to_eval():
@@ -139,15 +117,138 @@ def test_join_pipelines_fall_back_to_eval():
     inputs = benchmark.make_inputs(RUN_SIZE, 5)
     fragment = _translated_fragments(compilation)[0]
     program = fragment.program.programs[0]
-    reason = kernel_support(program.summary, program.analysis.view)
-    assert reason == "join pipelines use the eval kernel"
-    # Requesting the compiled kernel is still safe: the join stages
-    # fall back per stage and the results are unchanged.
     reference = interpret_fragment(fragment.analysis, dict(inputs))
-    outputs = fragment.program.run(
-        dict(inputs), ExecOptions(plan="sequential", kernel="compiled")
-    ).outputs
-    assert _match(outputs, reference)
+    ran = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
+    assert _match(ran.outputs, reference)
+    # Every stage of a join pipeline stays on the evaluator callables,
+    # and says so once, in code — not in a reasons string.
+    fallbacks = [d for d in ran.report.diagnostics if d.code == "REP308"]
+    assert len(fallbacks) == len(program.summary.pipeline.stages)
+    assert all("join pipelines" in d.message for d in fallbacks)
+    assert all(d.fragment == fragment.analysis.fragment.id for d in fallbacks)
+    assert not _names_kernel_or_layout(ran.report)
+
+
+# ----------------------------------------------------------------------
+# One path: nothing to choose, a coded event when a stage cannot compile
+
+
+def _names_kernel_or_layout(report) -> bool:
+    summary = report.summary()
+    text = " ".join(summary["reasons"]) + " " + report.plan.describe()
+    named = {"kernel", "layout"} & set(summary)
+    return "kernel" in text or "layout" in text or bool(named)
+
+
+@pytest.mark.parametrize("size", [50, 5000])
+def test_planned_runs_execute_compiled_steps_at_any_size(size):
+    # A 5 000-record request is what ``serve_small`` submits; 50 records
+    # is below anything the deleted work threshold would have compiled.
+    for name, vectorizable in (("phoenix_wordcount", False), ("ariths_sum", True)):
+        fragment = _translated_fragments(compiled(name))[0]
+        inputs = get_benchmark(name).make_inputs(size, 11)
+        ran = fragment.program.run(dict(inputs), ExecOptions(plan="auto"))
+        assert _match(ran.outputs, interpret_fragment(fragment.analysis, dict(inputs)))
+        assert not [d for d in ran.report.diagnostics if d.code == "REP308"]
+        assert not _names_kernel_or_layout(ran.report)
+        if vectorizable:
+            assert ran.report.summary()["columnar"]["columnar_chunks"] > 0
+        program, _stage, globals_env, _records = _first_map_stage(name)
+        steps, _diagnostics = program.local_steps(globals_env, ran.report.plan)
+        assert all(type(step.fn).__name__.startswith("Compiled") for step in steps)
+
+
+def test_unrenderable_stage_is_one_coded_diagnostic(monkeypatch):
+    name = "stats_variance_sums"
+    fragment = _translated_fragments(compiled(name))[0]
+    inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
+    clean = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
+    assert clean.report.diagnostics == []
+
+    def refuse(emits, view):
+        raise KernelUnsupported("renderer refused (test)")
+
+    monkeypatch.setattr(kernels, "render_record_kernel", refuse)
+    ran = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
+    assert ran.outputs == clean.outputs
+    [fallback] = ran.report.diagnostics
+    assert (fallback.code, fallback.severity) == ("REP308", "info")
+    assert fallback.message.startswith("stage 0 ")
+    assert "renderer refused" in fallback.message
+    assert fallback.fragment == fragment.analysis.fragment.id
+    assert not _names_kernel_or_layout(ran.report)
+    # The stage kept its oracle callable; the stages after it compiled.
+    program, _stage, globals_env, _records = _first_map_stage(name)
+    steps, [built] = program.local_steps(globals_env)
+    assert built == fallback
+    assert isinstance(steps[0].fn, RecordMapper)
+    assert isinstance(steps[-1].fn, CompiledReduce)
+    # An unplanned run has no report; the outcome itself carries it.
+    unplanned = program.run(dict(inputs), "sequential")
+    assert unplanned.report is None and unplanned.diagnostics == [fallback]
+    # ... and the diagnostic reaches the job's result.
+    with Session(max_workers=0) as session:
+        options = ExecOptions(plan="sequential")
+        job = session.run(compiled(name), dict(inputs), options, fragment_index=0)
+    assert [d.code for d in job.diagnostics].count("REP308") == 1
+
+
+def test_option_surface_is_pinned():
+    # Adding a knob to any of these has to be argued for here.
+    def names(cls) -> str:
+        return " ".join(f.name for f in fields(cls))
+
+    assert names(ExecOptions) == (
+        "plan memory_budget fuse strict outputs max_workers feedback"
+    )
+    assert names(PlannerConfig) == (
+        "processes min_parallel_records parallel_margin calibration_records "
+        "pool_startup_s combiner_key_ratio_cutoff memory_budget spill_dir "
+        "probe_records"
+    )
+    assert names(MultiprocessEngine) == (
+        "config processes partitions min_parallel_records memory_budget "
+        "spill_dir transport shm_min_bytes"
+    )
+
+
+def test_warm_program_builds_kernels_without_builtin_compile(monkeypatch):
+    calls = []
+
+    def counting_compile(source, filename, mode):
+        calls.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(kernels, "compile", counting_compile, raising=False)
+    kernels._code_for.cache_clear()
+    name = "ariths_sum"  # record kernel + numpy body + reduce kernel
+    inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
+    with Session(max_workers=0) as session:
+        program = session.compile(get_benchmark(name).source)
+        options = ExecOptions(plan="sequential")
+        first = session.submit(program, dict(inputs), options).result()
+        cold = len(calls)
+        assert cold >= 3 and all(f.startswith("<kernel:") for f in calls)
+        second = session.submit(program, dict(inputs), options).result()
+    assert first.status == second.status == "ok"
+    assert second.outputs == first.outputs
+    assert len(calls) == cold, "a warm run compiled kernel source again"
+
+
+def test_pooled_worker_rebuilds_its_kernel_after_unpickling():
+    program, records, steps, _globals = _pooled_steps("stats_variance_sums")
+    assert steps[0].fn._fn is not None  # built at plan time, driver-side
+    assert pickle.loads(pickle.dumps(steps[0].fn))._fn is None
+    engine = MultiprocessEngine(
+        config=program.engine_config.with_framework("multiprocess"),
+        processes=2,
+        min_parallel_records=100,
+    )
+    pooled = engine.run_pipeline(records, steps)
+    inline = MultiprocessEngine(config=engine.config, processes=0)
+    assert pooled.pairs == inline.run_pipeline(records, steps).pairs
+    if pooled.fallback_reason is None:
+        assert pooled.map_tasks > 0
 
 
 # ----------------------------------------------------------------------
@@ -237,38 +338,6 @@ def test_compiled_mappers_pickle_without_code_objects():
 
 
 # ----------------------------------------------------------------------
-# The kernel knob: plans, planner pricing, validation
-
-
-def test_forced_plan_carries_kernel():
-    plan = forced_plan("sequential", kernel="compiled")
-    assert plan.kernel == "compiled"
-    assert "kernel=compiled" in plan.describe()
-    assert any("kernel" in reason for reason in plan.reasons)
-    # Simulated backends always interpret; the knob must not pretend.
-    assert forced_plan("spark", kernel="compiled").kernel == "eval"
-    # Names are validated once, where the caller spells them.
-    with pytest.raises(ValueError, match="unknown kernel"):
-        ExecOptions(kernel="fastest")
-
-
-def test_planner_prices_kernel_from_map_work():
-    benchmark = get_benchmark("stats_variance_sums")
-    compilation = compiled("stats_variance_sums")
-    fragment = _translated_fragments(compilation)[0]
-
-    big = benchmark.make_inputs(5000, 11)
-    report = fragment.program.run(dict(big), ExecOptions(plan="auto")).report
-    assert report.summary()["kernel"] == "compiled"
-    assert any("kernel=compiled" in r for r in report.plan.reasons)
-
-    small = benchmark.make_inputs(20, 11)
-    report = fragment.program.run(dict(small), ExecOptions(plan="auto")).report
-    assert report.summary()["kernel"] == "eval"
-    assert any("compile cost would dominate" in r for r in report.plan.reasons)
-
-
-# ----------------------------------------------------------------------
 # Shared-memory transport
 
 
@@ -294,9 +363,7 @@ def test_shm_empty_payload_falls_back():
 
 def _pooled_steps(name: str):
     program, _stage, globals_env, records = _first_map_stage(name)
-    compiled_plan = forced_plan("sequential", kernel="compiled")
-    steps = list(program.local_steps(globals_env, plan=compiled_plan))
-    return program, records, steps, globals_env
+    return program, records, program.local_steps(globals_env)[0], globals_env
 
 
 def test_shm_transport_matches_queue_transport():

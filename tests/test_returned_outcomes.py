@@ -124,7 +124,7 @@ def test_implied_plan_rule_has_one_definition():
             for report in (unit_report, fragment.plan_report):
                 assert report is not None
                 assert report.plan.backend == spelled.plan_report.plan.backend
-                assert report.plan.kernel == spelled.plan_report.plan.kernel
+                assert report.plan.spill == spelled.plan_report.plan.spill
                 assert not any("forced by caller" in r for r in report.plan.reasons)
             assert run_program(compilation, dict(inputs), implied) == expected
             assert run_translated(compilation, dict(inputs), implied) == expected

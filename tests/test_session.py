@@ -55,8 +55,11 @@ class TestExecOptions:
             ExecOptions(plan="quantum")
 
     def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
+        # No kernel is known: the option is gone, any spelling is stray.
+        with pytest.raises(TypeError):
             ExecOptions(kernel="jit")
+        with pytest.raises(ValueError, match="unknown ExecOptions field"):
+            ExecOptions.from_dict({"kernel": "jit"})
 
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError, match="memory_budget"):
@@ -264,4 +267,4 @@ class TestPublicApi:
         assert repro.compile is repro.translate
 
     def test_version_bumped(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
