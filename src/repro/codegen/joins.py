@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..engine.multiprocess import MapStep, PipelineStep, ReduceStep
-from ..engine.sizes import sizeof, sizeof_pair
+from ..engine.sizes import dataset_bytes, sizeof_pair
 from ..errors import CodegenError
 from ..ir.nodes import JoinStage, MapStage, ReduceStage, is_join_summary
 
@@ -147,7 +147,7 @@ def estimate_records_bytes(records: list, sample: int = 64) -> int:
     if not records:
         return 0
     head = records[: max(1, sample)]
-    per_record = sum(sizeof(r) for r in head) / len(head)
+    per_record = dataset_bytes(head) / len(head)
     return int(per_record * len(records))
 
 

@@ -34,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
-from ..engine.sizes import sizeof
+from ..engine.sizes import dataset_bytes
 from ..pipeline.diskio import (
     atomic_write_json,
     load_json_entry,
@@ -271,7 +271,7 @@ def harvest_observation(
             input_records = len(records)
             head = records[:64]
             if head:
-                per_record = sum(sizeof(r) for r in head) / len(head)
+                per_record = dataset_bytes(head) / len(head)
                 input_bytes = int(per_record * input_records)
     if input_records is None:
         for row in stages:

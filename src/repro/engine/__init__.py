@@ -28,7 +28,7 @@ from .multiprocess import (
     default_process_count,
 )
 from .sequential import SequentialResult, run_sequential
-from .sizes import dataset_bytes, sizeof, sizeof_kind, sizeof_pair
+from .sizes import dataset_bytes, pairs_bytes, sizeof, sizeof_kind, sizeof_pair
 from .source import (
     Dataset,
     GeneratorSource,
@@ -76,6 +76,7 @@ __all__ = [
     "default_process_count",
     "lambda_cpu_ns",
     "merge_partition",
+    "pairs_bytes",
     "partition_data",
     "partition_of",
     "run_sequential",

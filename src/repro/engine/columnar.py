@@ -42,6 +42,7 @@ from .sizes import (
     LONG_SIZE,
     OBJECT_HEADER,
     TUPLE_HEADER,
+    dataset_bytes,
     sizeof,
     sizeof_pair,
 )
@@ -112,7 +113,7 @@ class ColumnChunk:
         """Price for :func:`repro.engine.sizes.sizeof`: the rows (the
         real payload) plus the array headers — numeric arrays are flat
         buffers, not per-element boxed walks."""
-        total = OBJECT_HEADER + sum(sizeof(row) for row in self.rows)
+        total = OBJECT_HEADER + dataset_bytes(self.rows)
         for array in self.columns.values():
             if array is not None:
                 total += OBJECT_HEADER + int(array.nbytes)
@@ -244,7 +245,7 @@ class ColumnBlock:
         return [k + v for k, v in zip(key_sizes, value_sizes)]
 
     def stage_bytes(self) -> int:
-        """What ``sum(sizeof(pair))`` charges: pair tuple headers too."""
+        """What ``dataset_bytes(self.pairs())`` charges: pair tuple headers too."""
         return sum(self.pair_sizes()) + TUPLE_HEADER * len(self)
 
     def shuffle_bytes(self) -> int:

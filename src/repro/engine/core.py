@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Optional
 from ..errors import EngineError
 from .config import EngineConfig
 from .metrics import JobMetrics, StageMetrics
-from .sizes import sizeof, sizeof_pair
+from .sizes import dataset_bytes, pairs_bytes
 
 
 def partition_data(data: list, partitions: int) -> list[list]:
@@ -115,7 +115,7 @@ class Executor:
         stage = self.metrics.stage("scan")
         self._ensure_startup()
         parts = partition_data(data, partitions)
-        total_bytes = sum(sizeof(r) for r in data)
+        total_bytes = dataset_bytes(data)
         stage.records_in = len(data)
         stage.records_out = len(data)
         stage.bytes_in = total_bytes
@@ -140,10 +140,9 @@ class Executor:
             out: list = []
             for record in part:
                 records_in += 1
-                for emitted in fn(record):
-                    out.append(emitted)
-                    records_out += 1
-                    bytes_out += sizeof(emitted)
+                out.extend(fn(record))
+            records_out += len(out)
+            bytes_out += dataset_bytes(out)
             out_parts.append(out)
         stage.records_in = records_in
         stage.records_out = records_out
@@ -187,8 +186,8 @@ class Executor:
             else:
                 records += len(part)
                 outgoing = part
+            shuffled_bytes += pairs_bytes(outgoing)
             for key, value in outgoing:
-                shuffled_bytes += sizeof_pair(key, value)
                 shuffled.setdefault(key, []).append(value)
         stage.records_in = records
         stage.records_out = sum(len(v) for v in shuffled.values())
@@ -205,17 +204,15 @@ class Executor:
         stage = self.metrics.stage(stage_name)
         out: list[tuple[Any, Any]] = []
         records = 0
-        bytes_out = 0
         for key, values in groups.items():
             records += len(values)
             acc = values[0]
             for value in values[1:]:
                 acc = fn(acc, value)
             out.append((key, acc))
-            bytes_out += sizeof_pair(key, acc)
         stage.records_in = records
         stage.records_out = len(out)
-        stage.bytes_out = bytes_out
+        stage.bytes_out = pairs_bytes(out)
         num_tasks = min(len(groups), self.config.default_partitions) or 1
         self.charge_narrow(stage, records, num_tasks, 80.0)
         return out

@@ -15,7 +15,7 @@ from ..errors import EngineError
 from .config import EngineConfig
 from .core import Executor, lambda_cpu_ns
 from .metrics import JobMetrics
-from .sizes import sizeof
+from .sizes import dataset_bytes
 
 
 class SimDataSet:
@@ -107,7 +107,7 @@ class SimDataSet:
 
     def collect(self) -> list:
         records = [r for part in self.parts for r in part]
-        self.env.executor.charge_driver_collect(sum(sizeof(r) for r in records))
+        self.env.executor.charge_driver_collect(dataset_bytes(records))
         return records
 
 

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Optional
 from .config import EngineConfig
 from .core import Executor, lambda_cpu_ns
 from .metrics import JobMetrics
-from .sizes import sizeof
+from .sizes import dataset_bytes
 
 Mapper = Callable[[Any], Iterable[tuple]]
 Reducer = Callable[[Any, list], Iterable[tuple]]
@@ -77,7 +77,7 @@ class SimHadoopJob:
     def _charge_output(self, pairs: list[tuple]) -> None:
         """Hadoop writes job output back to HDFS."""
         stage = self.executor.metrics.stage("output")
-        total_bytes = sum(sizeof(p) for p in pairs)
+        total_bytes = dataset_bytes(pairs)
         stage.bytes_out = total_bytes
         self.executor.charge_scan(stage, total_bytes)
 

@@ -76,7 +76,7 @@ from .shm import (
     release_segments,
     write_payload,
 )
-from .sizes import sizeof, sizeof_pair
+from .sizes import dataset_bytes, pairs_bytes
 from .source import (
     DEFAULT_CHUNK_RECORDS,
     Dataset,
@@ -318,7 +318,7 @@ def _run_map_chunks(
         out.input_records += len(chunk)
         chunk_bytes = 0
         if measure_input:
-            chunk_bytes = sum(sizeof(r) for r in chunk)
+            chunk_bytes = dataset_bytes(chunk)
             out.input_bytes += chunk_bytes
         current: list = chunk
         combined = False
@@ -334,8 +334,7 @@ def _run_map_chunks(
                 # vector work.
                 emitted = block_fn.map_rows(current)
                 counts[1] += len(emitted)
-                for pair in emitted:
-                    counts[2] += sizeof(pair)
+                counts[2] += dataset_bytes(emitted)
                 current = emitted
             else:
                 out.columnar_chunks += 1
@@ -363,8 +362,7 @@ def _run_map_chunks(
                     if getattr(fn, "last_chunk_fallback", False):
                         out.guard_fallbacks += 1
                     counts[1] += len(emitted)
-                    for pair in emitted:
-                        counts[2] += sizeof(pair)
+                    counts[2] += dataset_bytes(emitted)
                     current = emitted
                     continue
                 emitted = []
@@ -373,8 +371,7 @@ def _run_map_chunks(
                     for pair in fn(record):
                         emitted.append(pair)
                 counts[1] += len(emitted)
-                for pair in emitted:
-                    counts[2] += sizeof(pair)
+                counts[2] += dataset_bytes(emitted)
                 current = emitted
         if combiner is not None and not combined:
             local: dict[Any, Any] = {}
@@ -390,8 +387,7 @@ def _run_map_chunks(
         else:
             out.outgoing_records += len(current)
             if shuffle_next:
-                for key, value in current:
-                    out.shuffled_bytes += sizeof_pair(key, value)
+                out.shuffled_bytes += pairs_bytes(current)
             out.chunk_pairs.append(current)
         if measure_input:
             # The in-flight chunk is resident alongside what the store holds.
@@ -573,9 +569,7 @@ class MultiprocessEngine:
                     # A chain opening with a bridge consumes the raw
                     # input on the driver.
                     pairs = dataset.materialize()
-                    self._charge_scan(
-                        metrics, len(pairs), sum(sizeof(p) for p in pairs)
-                    )
+                    self._charge_scan(metrics, len(pairs), dataset_bytes(pairs))
                     scanned = True
                 pairs = self._bridge_phase(pairs, step, result, stage_counter, stats)
                 dataset = ListSource(pairs)
@@ -890,7 +884,7 @@ class MultiprocessEngine:
         stage.records_in = len(pairs)
         stage.records_out = len(records)
         stage.wall_seconds = elapsed
-        total = sum(sizeof(p) for p in pairs)
+        total = dataset_bytes(pairs)
         stage.bytes_in = total
         # The handoff pays one driver-side collect over the network;
         # the re-scan + job startup the unfused execution would pay
@@ -899,7 +893,7 @@ class MultiprocessEngine:
         stage.seconds += seconds
         metrics.add_seconds(seconds)
         if self.memory_budget is not None:
-            stats.note_resident(total + sum(sizeof(r) for r in records))
+            stats.note_resident(total + dataset_bytes(records))
         return records
 
     def _reduce_phase(
@@ -965,7 +959,7 @@ class MultiprocessEngine:
         rank = out.key_order
         pairs = [pair for bucket in folded for pair in bucket]
         pairs.sort(key=lambda pair: rank[pair[0]])
-        stats.note_resident(sum(sizeof_pair(k, v) for k, v in pairs))
+        stats.note_resident(pairs_bytes(pairs))
         return pairs
 
     # ------------------------------------------------------------------
@@ -1086,7 +1080,7 @@ class MultiprocessEngine:
         metrics.add_seconds(seconds)
 
     def _charge_collect(self, metrics: JobMetrics, pairs: list) -> None:
-        total = sum(sizeof(p) for p in pairs)
+        total = dataset_bytes(pairs)
         metrics.add_seconds(
             (total * self.config.scale) / self.config.cluster.network_bw
         )

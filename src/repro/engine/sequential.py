@@ -15,7 +15,7 @@ from typing import Any, Optional
 from ..lang import ast_nodes as ast
 from ..lang.interpreter import Interpreter
 from .config import ClusterConfig
-from .sizes import sizeof
+from .sizes import dataset_bytes
 
 
 @dataclass
@@ -56,7 +56,7 @@ def run_sequential(
         dataset = args[index]
         if isinstance(dataset, list):
             records += len(dataset)
-            bytes_read += sum(sizeof(r) for r in dataset)
+            bytes_read += dataset_bytes(dataset)
 
     operations = interp.counters.total
     cpu_seconds = operations * scale * cluster.seq_op_ns * 1e-9

@@ -4,11 +4,32 @@ Uses the data-type sizes the paper states for its cost computations
 (section 7.4): 40 bytes for a String, 10 bytes for a boxed Boolean, and a
 tuple of two Booleans at 28 bytes — i.e. an 8-byte tuple header plus the
 sizes of its components.  Numeric primitives use their natural widths.
+
+Two entry points, one set of numbers:
+
+* :func:`sizeof` — the **walker**: one value, recursively, with a
+  visited-id set.  It defines the model.  Its direct callers price a
+  *single* value, or need the running size pair by pair because it
+  decides something there: ``SpillWriter.add`` (the size trips the
+  flush), the broadcast-index overflow guard in ``codegen/joins.py``
+  (the size trips the switch) and ``ColumnBlock``'s constant key.
+* :func:`dataset_bytes` / :func:`pairs_bytes` — the **kernel**: a whole
+  chunk of records (or pairs) at once.  It returns exactly
+  ``sum(sizeof(r) for r in records)`` but prices a type-homogeneous
+  chunk column-wise at C speed and hands anything it cannot *prove* it
+  prices identically back to the walker.  Callers are everything that
+  accounts bytes for a collection: every engine's scan / stage /
+  shuffle / collect counters, the residency proxy, the planner's and
+  the feedback store's head samples.  The resident run path never
+  walks record by record; the spilled store's writer is its one
+  per-pair caller.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import repeat
+from operator import is_, itemgetter
+from typing import Any, Iterable, Optional, Sequence
 
 from ..lang.values import Instance
 
@@ -113,9 +134,108 @@ def sizeof_pair(key: Any, value: Any) -> int:
     return sizeof(key) + sizeof(value)
 
 
-def dataset_bytes(records) -> int:
-    """Total serialized size of a record collection."""
-    return sum(sizeof(record) for record in records)
+#: Exact scalar types the kernel prices without looking at the value
+#: (``int`` needs the value: 4 or 8 bytes).  Subclasses — ``IntEnum``,
+#: ``str`` subclasses, numpy scalars — are the walker's business.
+_FIXED_SIZES = {
+    str: STRING_SIZE,
+    float: DOUBLE_SIZE,
+    bool: BOOLEAN_SIZE,
+    type(None): NULL_SIZE,
+}
+_SCALAR_TYPES = frozenset(_FIXED_SIZES) | {int}
+#: Container levels the kernel opens: the records themselves and one
+#: nested level, whose fields must be scalars (``LineItem.l_shipdate``).
+_CONTAINER_LEVELS = 2
+
+
+def dataset_bytes(records: Iterable[Any]) -> int:
+    """Total serialized size of a record collection.
+
+    Exactly ``sum(sizeof(record) for record in records)`` — each record
+    walked with its own visited set — computed a chunk at a time:
+    homogeneous chunks are priced column by column (:func:`_column_bytes`),
+    anything else record by record by the walker.  ``records`` may be
+    any iterable of rows (a list, a ``ColumnChunk``); empty is 0.
+    """
+    rows = records if type(records) in (list, tuple) else list(records)
+    if not rows:
+        return 0
+    total = _column_bytes(rows, _CONTAINER_LEVELS)
+    return _walk_each(rows) if total is None else total
+
+
+def pairs_bytes(pairs: Iterable[Any]) -> int:
+    """Exactly ``sum(sizeof_pair(k, v) for k, v in pairs)``.
+
+    Keys and values are priced as two columns because ``sizeof_pair``
+    walks them with separate visited sets: a pair whose key and value
+    are the same object is charged twice, unlike ``sizeof((k, v))``.
+    """
+    rows = pairs if type(pairs) is list else list(pairs)
+    return sum(dataset_bytes(map(itemgetter(side), rows)) for side in (0, 1))
+
+
+def _walk_each(values: Iterable[Any]) -> int:
+    """The walker over every value in turn, a fresh visited set each."""
+    return sum(map(_sizeof, values, repeat(None)))
+
+
+def _column_bytes(values: Sequence[Any], levels: int) -> Optional[int]:
+    """``sum(sizeof(v) for v in values)`` for a non-empty column, or None
+    when that cannot be proved without walking.
+
+    ``levels`` is how many container levels may still open at and below
+    this column (0: scalars only).  A container column is priced only when every value is *exactly* a
+    tuple or an ``Instance`` of one arity and no row holds the same
+    child container in two fields — one record's walk charges a shared
+    child once, so only alias-free rows add up column-wise.  Scalars are
+    never identity-tracked, so a scalar column the constants do not
+    cover (mixed kinds, ints on both sides of 2³¹) is walked on its own.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        return _walk_each(values) if kinds <= _SCALAR_TYPES else None
+    (kind,) = kinds
+    count = len(values)
+    fixed = _FIXED_SIZES.get(kind)
+    if fixed is not None:
+        return fixed * count
+    if kind is int:
+        if -(2**31) <= min(values) and max(values) < 2**31:
+            return INT_SIZE * count
+        return _walk_each(values)
+    if levels == 0:
+        return None
+    if kind is tuple:
+        header, rows = TUPLE_HEADER, values
+    elif kind is Instance:
+        header, rows = OBJECT_HEADER, [value.fields for value in values]
+        if set(map(type, rows)) != {dict}:
+            return None
+    else:
+        return None
+    if len(set(map(len, rows))) != 1:
+        return None  # ragged
+    names = range(len(rows[0])) if kind is tuple else rows[0]
+    total = header * count
+    containers: list[list] = []
+    for name in names:
+        try:
+            # One list per field; zip(*rows) would build an iterator per row.
+            column = list(map(itemgetter(name), rows))
+        except KeyError:
+            return None  # same arity, other field names
+        size = _column_bytes(column, levels - 1)
+        if size is None:
+            return None
+        total += size
+        if type(column[0]) not in _SCALAR_TYPES:
+            for other in containers:
+                if any(map(is_, column, other)):
+                    return None  # a row aliases two of its fields
+            containers.append(column)
+    return total
 
 
 def physical_memory_bytes() -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..errors import EngineError
-from .sizes import sizeof
+from .sizes import dataset_bytes
 
 #: Chunk size used when a source's length is unknown and no plan says
 #: otherwise — small enough that a chunk of ordinary records stays far
@@ -97,7 +97,7 @@ class Dataset:
                 break
         result = ProbeResult(
             records=len(sampled),
-            bytes=sum(sizeof(r) for r in sampled),
+            bytes=dataset_bytes(sampled),
             exhausted=exhausted,
         )
         if exhausted and self.known_length is None:
@@ -155,7 +155,7 @@ class Dataset:
         sample = self.head(min(sample_records, length))
         if not sample:
             return 0
-        per_record = sum(sizeof(r) for r in sample) / len(sample)
+        per_record = dataset_bytes(sample) / len(sample)
         return int(per_record * length)
 
 
@@ -335,7 +335,7 @@ def chunk_records_for(
     sample = dataset.head(min(base, 32))
     if not sample:
         return base
-    per_record = max(1, sum(sizeof(r) for r in sample) // len(sample))
+    per_record = max(1, dataset_bytes(sample) // len(sample))
     if base * per_record <= 2 * budget_bytes:
         return base
     return max(1, budget_bytes // per_record)

@@ -15,7 +15,7 @@ from ..errors import EngineError
 from .config import EngineConfig
 from .core import Executor, lambda_cpu_ns
 from .metrics import JobMetrics
-from .sizes import sizeof, sizeof_pair
+from .sizes import dataset_bytes, pairs_bytes
 
 
 @dataclass
@@ -139,7 +139,7 @@ class SimRDD:
                     out.append((key, (lv, rv)))
                     records += 1
         stage.records_out = records
-        stage.bytes_out = sum(sizeof_pair(k, v) for k, v in out)
+        stage.bytes_out = pairs_bytes(out)
         self.context.executor.charge_narrow(stage, records, self.context.config.default_partitions, 100.0)
         parts = self.context.repartition_pairs(out)
         return SimRDD(self.context, parts, is_pairs=True)
@@ -161,7 +161,7 @@ class SimRDD:
 
     def collect(self) -> list:
         records = self.collect_unaccounted()
-        self.context.executor.charge_driver_collect(sum(sizeof(r) for r in records))
+        self.context.executor.charge_driver_collect(dataset_bytes(records))
         return records
 
     def collect_as_map(self) -> dict:

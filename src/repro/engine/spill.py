@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional
 from ..errors import SpillError
 from ..lang.values import Instance
 from .columnar import ColumnBlock
-from .sizes import sizeof_pair
+from .sizes import pairs_bytes, sizeof_pair
 
 
 def _stable_bytes(key: Any) -> bytes:
@@ -327,9 +327,10 @@ def merge_partition(
     grouped: dict[Any, list] = {}
     resident = 0
     for path in run_files:
-        for key, value in read_run(path):
+        pairs = read_run(path)
+        resident += pairs_bytes(pairs)
+        for key, value in pairs:
             grouped.setdefault(key, []).append(value)
-            resident += sizeof_pair(key, value)
     if stats is not None:
         stats.note_resident(resident)
     out: list[tuple] = []

@@ -74,7 +74,7 @@ def estimate_input_bytes(records: Any, n: Optional[int] = None) -> Optional[int]
     estimator, exposed so the serve layer's admission controller prices
     jobs with exactly the §5 byte counts the planner uses.
     """
-    from ..engine.sizes import sizeof
+    from ..engine.sizes import dataset_bytes
     from ..engine.source import Dataset
 
     if isinstance(records, Dataset):
@@ -86,7 +86,7 @@ def estimate_input_bytes(records: Any, n: Optional[int] = None) -> Optional[int]
     sample = records[:64]
     if not sample:
         return None
-    per_record = sum(sizeof(r) for r in sample) / len(sample)
+    per_record = dataset_bytes(sample) / len(sample)
     return int(per_record * n)
 
 

@@ -14,7 +14,7 @@ from typing import Any, Optional
 from ..compiler import CasperCompiler, CompilationResult
 from ..engine.config import EngineConfig
 from ..engine.sequential import run_sequential
-from ..engine.sizes import sizeof
+from ..engine.sizes import dataset_bytes
 from ..graph.executor import interpret_reference
 from ..lang.values import values_equal
 from ..options import ExecOptions
@@ -119,7 +119,7 @@ def data_bytes(benchmark: Benchmark, inputs: dict[str, Any]) -> int:
     for name in benchmark.data_args:
         dataset = inputs.get(name)
         if isinstance(dataset, list):
-            total += sum(sizeof(r) for r in dataset)
+            total += dataset_bytes(dataset)
     return max(total, 1)
 
 

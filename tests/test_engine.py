@@ -1,11 +1,15 @@
 """Tests for the simulated MapReduce engine: core, sizes, three APIs."""
 
+import cProfile
 import dataclasses
 
 import pytest
 
 from repro.engine import (
     EngineConfig,
+    MapStep,
+    MultiprocessEngine,
+    ReduceStep,
     SimFlinkEnv,
     SimHadoopJob,
     SimSparkContext,
@@ -13,6 +17,7 @@ from repro.engine import (
     run_sequential,
     sizeof,
 )
+from repro.engine import sizes
 from repro.engine.sizes import BOOLEAN_SIZE, STRING_SIZE, TUPLE_HEADER
 from repro.errors import EngineError
 from repro.lang.parser import parse_program
@@ -47,6 +52,29 @@ class TestSizes:
         assert sizeof({"k": 1}) == OBJECT_HEADER + 40 + 4 == 60
         # Tuples keep the paper's 8-byte header (§7.4: (bool, bool) = 28).
         assert sizeof((True, False)) == 28
+
+    def test_run_path_sizes_a_chunk_at_a_time(self):
+        """Byte accounting must not walk record by record: the calls the
+        local engine makes into ``engine/sizes.py`` are bounded by the
+        chunk count, not the input size (several per record before the
+        ``dataset_bytes`` kernel)."""
+        records = [(i, float(i), "w") for i in range(24_000)]
+        steps = [
+            MapStep(lambda r: [(r[0] % 50, r[1])]),
+            ReduceStep(lambda a, b: a + b),
+        ]
+        engine = MultiprocessEngine(processes=0)
+        profile = cProfile.Profile()
+        result = profile.runcall(engine.run_pipeline, records, steps)
+        assert len(result.pairs) == 50
+        sizing_calls = sum(
+            entry.callcount
+            for entry in profile.getstats()
+            if not isinstance(entry.code, str)
+            and entry.code.co_filename == sizes.__file__
+        )
+        chunks = engine.config.default_partitions
+        assert 0 < sizing_calls <= 32 * chunks
 
 
 class TestPartitioning:

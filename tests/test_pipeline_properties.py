@@ -9,15 +9,29 @@ that invariant — plus structural properties of the engine substrate.
 
 from __future__ import annotations
 
+import enum
+from collections import OrderedDict, namedtuple
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SearchConfig, translate
-from repro.engine import partition_data, sizeof
+from repro.engine import (
+    MapStep,
+    MultiprocessEngine,
+    ReduceStep,
+    dataset_bytes,
+    pairs_bytes,
+    partition_data,
+    sizeof,
+    sizeof_pair,
+)
+from repro.engine.columnar import ColumnChunk
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
-from repro.lang.values import values_equal
+from repro.lang.values import Instance, values_equal
 
 # ----------------------------------------------------------------------
 # Generated reduction programs
@@ -137,6 +151,224 @@ def test_partitioning_preserves_records(data, partitions):
 def test_sizeof_is_positive_and_deterministic(value):
     assert sizeof(value) > 0
     assert sizeof(value) == sizeof(value)
+
+
+# dataset_bytes is sizeof summed, a chunk at a time: the strategies below
+# draw chunks on both sides of every reason the kernel has to hand a
+# column (or the whole chunk) back to the walker.
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+    WIDE = 2**40
+
+
+class _Tag(str):
+    pass
+
+
+_Point = namedtuple("_Point", "x y")
+
+
+def _self_containing_list():
+    cyclic: list = [1, "a"]
+    cyclic.append(cyclic)
+    return cyclic
+
+
+def _self_containing_instance():
+    cyclic = Instance("Node", {"x": 1})
+    cyclic.fields["me"] = cyclic
+    return cyclic
+
+
+def _column_chunk():
+    chunk = ColumnChunk([(1, 2.0), (3, 4.0)])
+    chunk.columns["x"] = np.asarray([1, 3], dtype=np.int64)
+    return chunk
+
+
+_SMALL_INTS = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+_SCALAR_COLUMNS = [
+    _SMALL_INTS,
+    # Both sides of ±2³¹, boundaries included.
+    st.one_of(
+        st.sampled_from([-(2**31) - 1, -(2**31), 2**31 - 1, 2**31]),
+        st.integers(min_value=-(2**40), max_value=2**40),
+    ),
+    st.floats(),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.one_of(_SMALL_INTS, st.booleans()),
+    st.one_of(st.text(max_size=4), st.none(), st.floats()),
+]
+#: Values only the walker may price.
+_WALKER_ONLY = st.one_of(
+    st.sampled_from([_Color.RED, _Color.WIDE, _Tag("t"), _Point(1, "p")]),
+    st.builds(_self_containing_list),
+    st.builds(_column_chunk),
+    st.builds(lambda xs: np.asarray(xs, dtype=np.int64), st.lists(_SMALL_INTS)),
+    st.builds(lambda xs: np.asarray(xs, dtype=object), st.lists(st.text())),
+    st.just(np.float64(1.5)),
+    st.lists(_SMALL_INTS, max_size=3),
+    st.frozensets(_SMALL_INTS, max_size=3).map(set),
+    st.dictionaries(st.text(max_size=2), _SMALL_INTS, max_size=2),
+)
+
+
+def _instances(*fields):
+    names = [f"f{i}" for i in range(len(fields))]
+    return st.tuples(*fields).map(lambda vs: Instance("Row", dict(zip(names, vs))))
+
+
+def _row_shapes(depth: int):
+    """Strategies for one record: scalars, and tuples / Instances of a
+    fixed schema nested up to ``depth`` container levels (the kernel
+    proves two; the third is there to be refused)."""
+    columns = st.sampled_from(_SCALAR_COLUMNS)
+    if depth == 0:
+        return columns
+    fields = st.lists(st.one_of(columns, _row_shapes(depth - 1)), max_size=4)
+    return st.one_of(
+        columns,
+        fields.map(lambda fs: st.tuples(*fs)),
+        fields.map(lambda fs: _instances(*fs)),
+    )
+
+
+@st.composite
+def _chunks(draw):
+    shape = draw(_row_shapes(3))
+    rows = draw(st.lists(shape, max_size=12))
+    # A second schema (ragged arity, another type) and walker-only rows
+    # break the chunk's homogeneity at drawn positions.
+    strays = draw(
+        st.lists(st.one_of(draw(_row_shapes(2)), _WALKER_ONLY), max_size=2)
+    )
+    for stray in strays:
+        rows.insert(draw(st.integers(0, len(rows))), stray)
+    containers = [i for i, row in enumerate(rows) if type(row) in (tuple, Instance)]
+    if containers and draw(st.booleans()):
+        index = draw(st.sampled_from(containers))
+        rows[index] = _reshaped(
+            rows[index], draw(st.sampled_from(["widen", "rename", "ordered"]))
+        )
+    return rows
+
+
+def _reshaped(row, how: str):
+    """The same record at another arity, or (an Instance) under other
+    field names or with a field table that is not exactly a dict."""
+    if type(row) is tuple:
+        return row + (0,)
+    if how == "widen":
+        return Instance("Row", {**row.fields, "extra": 0})
+    if how == "rename":
+        return Instance("Row", {f"{k}_": v for k, v in row.fields.items()})
+    return Instance("Row", OrderedDict(row.fields))
+
+
+@st.composite
+def _aliased_chunks(draw):
+    """Rows of two container fields and an int; in a drawn subset of the
+    rows one child object sits in both fields — side by side, or (``deep``)
+    one level further down — which one record's walk charges once."""
+    child = st.one_of(
+        st.tuples(_SMALL_INTS, st.text(max_size=3)),
+        _instances(_SMALL_INTS, st.floats()),
+    )
+    rows = draw(st.lists(st.tuples(child, _SMALL_INTS, child), min_size=1, max_size=8))
+    shared = draw(st.sets(st.integers(0, len(rows) - 1)))
+    as_instance = draw(st.booleans())
+    deep = draw(st.booleans())
+    out = []
+    for index, (a, n, b) in enumerate(rows):
+        if index in shared:
+            b = a
+        fields = (a, n, (b, n)) if deep else (a, n, b)
+        out.append(
+            Instance("Row", dict(zip("abc", fields))) if as_instance else fields
+        )
+    return out
+
+
+def _walked(records):
+    return sum(sizeof(record) for record in records)
+
+
+@given(st.one_of(_chunks(), _aliased_chunks()))
+@settings(max_examples=400, deadline=None)
+def test_dataset_bytes_is_the_summed_walk(rows):
+    expected = _walked(rows)
+    assert dataset_bytes(rows) == expected
+    assert dataset_bytes(tuple(rows)) == expected
+    assert dataset_bytes(iter(rows)) == expected
+    assert dataset_bytes(ColumnChunk(rows)) == expected
+    # Key and value walk with separate visited sets, aliased or not.
+    for pairs in ([(r, r) for r in rows], list(zip(rows, reversed(rows)))):
+        assert pairs_bytes(pairs) == sum(sizeof_pair(k, v) for k, v in pairs)
+
+
+_NAMED_CHUNKS = {
+    "empty": [],
+    "str": ["a", "b"],
+    "float": [1.5, 2.5],
+    "bool": [True, False],
+    "none": [None, None],
+    "int32": [1, 2**31 - 1, -(2**31)],
+    "int64": [2**31, 2**40],
+    "int32_and_int64": [1, 2**31],
+    "int_and_bool": [1, True],
+    "flat_tuples": [(1, "a"), (2, "b")],
+    "nested_tuples": [(1, (2.0, "x")), (3, (4.0, "y"))],
+    "too_deep": [(1, (2, (3,))), (4, (5, (6,)))],
+    "ragged": [(1, 2), (1, 2, 3)],
+    "nested_instances": [
+        Instance("P", {"x": i, "d": Instance("Date", {"epoch": 2**33})})
+        for i in range(3)
+    ],
+    "renamed_fields": [Instance("P", {"x": 1}), Instance("P", {"y": 2**40})],
+    "field_table_not_a_dict": [
+        Instance("P", {"x": 1}),
+        Instance("P", OrderedDict(x=2**40)),
+    ],
+    "scalar_subclasses": [_Color.RED, _Tag("t"), _Point(1, 2)],
+    "size_model_carriers": [np.arange(4), _column_chunk()],
+    "self_containing_list": [_self_containing_list()],
+    "self_containing_instance": [_self_containing_instance()],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_CHUNKS))
+def test_dataset_bytes_named_cases(name):
+    rows = _NAMED_CHUNKS[name]
+    assert dataset_bytes(rows) == _walked(rows)
+
+
+def test_dataset_bytes_charges_an_aliased_child_once_per_record():
+    shared = (1, "a")
+    rows = [(shared, shared), ((2, "b"), (3, "c"))]
+    assert dataset_bytes(rows) == _walked(rows) == (8 + 52) + (8 + 52 + 52)
+    holder = Instance("H", {"a": shared, "b": shared})
+    assert dataset_bytes([holder, holder]) == 2 * sizeof(holder) == 2 * (16 + 52)
+
+
+def test_shuffled_bytes_price_an_aliased_pair_as_sizeof_pair():
+    """The engine's shuffle counter is Σ sizeof_pair — key and value
+    walked apart — not Σ sizeof((k, v)) − 8, which charges a pair whose
+    key *is* its value once."""
+    keys = [(i % 5, "k") for i in range(40)]
+
+    def emit(record):
+        return [(record, record)]
+
+    result = MultiprocessEngine(processes=0).run_pipeline(
+        keys, [MapStep(emit), ReduceStep(lambda a, b: a, combine=False)]
+    )
+    shuffled = result.metrics.bytes_shuffled
+    assert shuffled == sum(sizeof_pair(k, k) for k in keys)
+    assert shuffled != sum(sizeof((k, k)) - 8 for k in keys)
 
 
 @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=300))
