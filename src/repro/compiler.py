@@ -125,6 +125,12 @@ class CompilationResult:
         return sum(1 for f in self.fragments if f.cache_hit)
 
     @property
+    def searches_run(self) -> int:
+        """Fragments whose summary search actually ran in this compile —
+        not answered by a cached summary or a cached exhausted verdict."""
+        return sum(1 for f in self.fragments if f.search and f.search.searched)
+
+    @property
     def diagnostics(self) -> list[Diagnostic]:
         """All fragments' diagnostics, in fragment order."""
         return [d for f in self.fragments for d in f.diagnostics]

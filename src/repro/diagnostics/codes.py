@@ -157,6 +157,14 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "candidates cannot be checked; fix the fault or widen the "
             "bounded domain",
         ),
+        _entry(
+            "REP209",
+            "info",
+            "exhausted verdict recalled from cache",
+            "an earlier search of this fragment ran out of grammar classes "
+            "under the same configuration and search-space source, so no "
+            "search ran; clear the cache_dir's neg_* files to force one",
+        ),
         # ---- REP3xx: engine / planner --------------------------------
         _entry(
             "REP301",

@@ -13,6 +13,12 @@ renaming applied), and renamed back to the requesting fragment's own
 variable names on a hit — two workloads that differ only in identifier
 choice share cache entries.
 
+Three kinds of entry share the tiers: verified summaries (keyed by
+fingerprint + search configuration), ``cex:`` counterexample states
+(fingerprint only) and ``neg:`` exhausted-search verdicts (fingerprint +
+search configuration + :func:`search_space_tag`), so a fragment the
+grammar cannot express is searched once, not on every compile.
+
 The in-memory tier is a thread-safe LRU; an optional on-disk tier stores
 one JSON file per entry under ``cache_dir`` so caches survive processes.
 Serialization failures (a summary carrying a non-JSON value) silently
@@ -21,33 +27,31 @@ decline to cache — correctness never depends on the cache.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from ..errors import ReproError
 from ..ir.nodes import rename_summary, summary_from_data, summary_to_data
 from ..lang.analysis.fragments import FragmentFingerprint
 from ..lang.values import Instance
-from ..synthesis.search import SearchConfig, VerifiedSummary
+from ..synthesis.search import SearchConfig, SearchResult, VerifiedSummary
 from ..verification.bounded import ProgramState
 from ..verification.prover import proof_from_data, proof_to_data
 from .diskio import (
     atomic_write_json,
     load_json_entry,
-    pid_alive,
     safe_filename,
     sweep_stale_tmp,
 )
 
-#: Disk-format version; mismatching files are ignored.
+#: Disk-format version; a mismatching file is dropped like a corrupt one.
 _DISK_FORMAT = 1
-
-#: Kept for importers of the old private name.
-_pid_alive = pid_alive
 
 #: Most counterexample states persisted per fragment fingerprint.
 _MAX_COUNTEREXAMPLES = 16
@@ -123,7 +127,8 @@ def search_config_key(config: SearchConfig) -> str:
     strength: with ``accept_bounded_only`` a candidate whose proof is
     ``unknown`` is admitted on bounded/extended-domain evidence alone, so
     weaker domains genuinely admit different summaries.  Only the search
-    timeout is excluded (timed-out results are never cached).
+    timeout is excluded: a timed-out result is never cached, and neither
+    verified summaries nor an exhausted class list depend on it.
     """
     bc = config.bounded_config
     strength = "|".join(
@@ -148,6 +153,43 @@ def search_config_key(config: SearchConfig) -> str:
     )
 
 
+#: Packages whose source defines the search space and its acceptance:
+#: the grammar and enumeration, the IR and its evaluator, the fragment
+#: analysis and reference interpreter, the bounded checker and prover.
+_SEARCH_SPACE_PACKAGES = (
+    "repro.synthesis",
+    "repro.ir",
+    "repro.lang",
+    "repro.verification",
+)
+
+
+@functools.cache
+def search_space_tag() -> str:
+    """Digest of the source that decides what a search can find.
+
+    Part of every ``neg:`` key.  "No summary exists" is a statement about
+    the grammar and the verifier, not only about the fragment, so an
+    exhausted verdict must die with the code that produced it; hashing the
+    source bytes means a grammar or verifier edit can never be masked by
+    a stale entry and nobody has to remember a version bump.  Computed on
+    first use, once per process.
+    """
+    digest = hashlib.sha256()
+    for package in _SEARCH_SPACE_PACKAGES:
+        for root in importlib.import_module(package).__path__:
+            for directory, subdirs, files in os.walk(root):
+                subdirs.sort()
+                for name in sorted(files):
+                    if not name.endswith(".py"):
+                        continue
+                    path = os.path.join(directory, name)
+                    digest.update(os.path.relpath(path, root).encode("utf-8"))
+                    with open(path, "rb") as handle:
+                        digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
 @dataclass
 class CacheHit:
     """A successful lookup: summaries rebound to the caller's names."""
@@ -158,21 +200,33 @@ class CacheHit:
 
 
 @dataclass
+class ExhaustedVerdict:
+    """A recalled ``neg:`` entry: the search that found nothing, in brief."""
+
+    failure_code: str
+    failure_reason: str
+    classes_searched: int
+    final_class: Optional[str]
+    #: What the original search cost (the recall itself costs ~nothing).
+    elapsed_seconds: float
+
+
+@dataclass
 class CacheStats:
+    """``hits`` / ``misses`` / ``stores`` count verified-summary entries only."""
+
     hits: int = 0
     misses: int = 0
     stores: int = 0
     disk_hits: int = 0
     evictions: int = 0
+    exhausted_hits: int = 0
+    exhausted_stores: int = 0
+    #: Entry files dropped because they would not parse or decode.
+    corrupt: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "disk_hits": self.disk_hits,
-            "evictions": self.evictions,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -206,16 +260,7 @@ class SummaryCache:
         if not fingerprint.cacheable:
             return None
         key = self._key(fingerprint, config)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        if entry is None:
-            entry = self._load_disk(key)
-            if entry is not None:
-                with self._lock:
-                    self.stats.disk_hits += 1
-                    self._insert(key, entry)
+        entry = self._fetch(key, count_disk_hit=True)
         if entry is None:
             with self._lock:
                 self.stats.misses += 1
@@ -225,10 +270,9 @@ class SummaryCache:
         except (ReproError, KeyError, TypeError, ValueError):
             # Corrupt or stale entry: drop it (disk copy too, or every
             # future lookup would reload and re-fail it) — treat as miss.
+            self._drop_corrupt(key)
             with self._lock:
-                self._entries.pop(key, None)
                 self.stats.misses += 1
-            self._remove_disk(key)
             return None
         with self._lock:
             self.stats.hits += 1
@@ -277,15 +321,7 @@ class SummaryCache:
         if not fingerprint.cacheable:
             return []
         key = self._cex_key(fingerprint)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        if entry is None:
-            entry = self._load_disk(key)
-            if entry is not None:
-                with self._lock:
-                    self._insert(key, entry)
+        entry = self._fetch(key)
         if entry is None:
             return []
         from_canonical = fingerprint.inverse_renaming
@@ -303,9 +339,7 @@ class SummaryCache:
                     )
                 )
         except (ReproError, KeyError, TypeError, ValueError):
-            with self._lock:
-                self._entries.pop(key, None)
-            self._remove_disk(key)
+            self._drop_corrupt(key)
             return []
         return states
 
@@ -347,6 +381,69 @@ class SummaryCache:
         self._write_disk(key, entry)
         return True
 
+    # -- exhausted searches ----------------------------------------------
+    #
+    # Keyed by fingerprint, search configuration *and* the search-space
+    # tag: the verdict "the class list ran out" holds for one grammar and
+    # one verifier.  Only that verdict is stored — never a timeout, never
+    # a fragment the bounded checker could not even build states for.
+
+    @staticmethod
+    def _neg_key(fingerprint: FragmentFingerprint, config: SearchConfig) -> str:
+        return (
+            f"neg:{fingerprint.digest}:{search_config_key(config)}"
+            f":{search_space_tag()}"
+        )
+
+    def lookup_exhausted(
+        self, fingerprint: FragmentFingerprint, config: SearchConfig
+    ) -> Optional[ExhaustedVerdict]:
+        """The remembered verdict of an exhausted search, if any."""
+        if not fingerprint.cacheable:
+            return None
+        key = self._neg_key(fingerprint, config)
+        entry = self._fetch(key)
+        if entry is None:
+            return None
+        try:
+            verdict = ExhaustedVerdict(
+                failure_code=str(entry["failure_code"]),
+                failure_reason=str(entry["failure_reason"]),
+                classes_searched=int(entry["classes_searched"]),
+                final_class=entry["final_class"],
+                elapsed_seconds=float(entry["elapsed_seconds"]),
+            )
+        except (KeyError, TypeError, ValueError):
+            self._drop_corrupt(key)
+            return None
+        with self._lock:
+            self.stats.exhausted_hits += 1
+        return verdict
+
+    def store_exhausted(
+        self,
+        fingerprint: FragmentFingerprint,
+        config: SearchConfig,
+        result: SearchResult,
+    ) -> bool:
+        """Remember that ``result``'s search ran out of grammar classes."""
+        if not fingerprint.cacheable:
+            return False
+        entry = {
+            "format": _DISK_FORMAT,
+            "failure_code": result.failure_code,
+            "failure_reason": result.failure_reason,
+            "classes_searched": result.classes_searched,
+            "final_class": result.final_class,
+            "elapsed_seconds": result.elapsed_seconds,
+        }
+        key = self._neg_key(fingerprint, config)
+        with self._lock:
+            self._insert(key, entry)
+            self.stats.exhausted_stores += 1
+        self._write_disk(key, entry)
+        return True
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -360,6 +457,29 @@ class SummaryCache:
     @staticmethod
     def _key(fingerprint: FragmentFingerprint, config: SearchConfig) -> str:
         return f"{fingerprint.digest}:{search_config_key(config)}"
+
+    def _fetch(self, key: str, count_disk_hit: bool = False) -> Optional[dict[str, Any]]:
+        """One entry of any kind: memory tier first, then disk (promoted)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry
+        entry = self._load_disk(key)
+        if entry is not None:
+            with self._lock:
+                if count_disk_hit:
+                    self.stats.disk_hits += 1
+                self._insert(key, entry)
+        return entry
+
+    def _drop_corrupt(self, key: str) -> None:
+        """Forget an entry that will not decode — disk copy too, or every
+        future lookup would reload and re-fail it — and count it."""
+        with self._lock:
+            self._entries.pop(key, None)
+            self.stats.corrupt += 1
+        self._remove_disk(key)
 
     def _insert(self, key: str, entry: dict[str, Any]) -> None:
         """Caller holds the lock."""
@@ -423,7 +543,9 @@ class SummaryCache:
         path = self._disk_path(key)
         if path is None:
             return None
-        entry, _error = load_json_entry(path, _DISK_FORMAT)
+        entry, error = load_json_entry(path, _DISK_FORMAT)
+        if error is not None:
+            self._drop_corrupt(key)
         return entry
 
     def _write_disk(self, key: str, entry: dict[str, Any]) -> None:

@@ -94,14 +94,6 @@ class SynthesizePass(CompilerPass):
 
     name = "synthesize"
 
-    #: Free-text search failure reasons → stable diagnostic codes.
-    _FAILURE_CODES = (
-        ("synthesis timed out", "REP206"),
-        ("bounded checker construction failed", "REP208"),
-        ("could not build bounded program states", "REP208"),
-        ("no valid summary found", "REP205"),
-    )
-
     def run(self, ctx: CompilationContext, state: FragmentState) -> None:
         from ..synthesis.search import find_summaries_cached
 
@@ -125,11 +117,7 @@ class SynthesizePass(CompilerPass):
             )
         if not state.search.translated:
             reason = state.search.failure_reason or "synthesis failed"
-            code = "REP205"
-            for text, mapped in self._FAILURE_CODES:
-                if text in reason:
-                    code = mapped
-                    break
+            code = state.search.failure_code or "REP205"
             state.diagnostics.append(
                 make(code, reason, fragment=state.fragment.id)
             )

@@ -67,9 +67,11 @@ class RegisteredProgram:
     source: str
     function: str
     compilation: CompilationResult
-    #: Whether the *latest* registration skipped synthesis entirely —
-    #: True for a repeat register() and for a cold register() whose
-    #: fragments all came back from the (disk) summary cache.
+    #: Whether the *latest* registration ran no summary search — True
+    #: for a repeat register() and for a cold register() whose searched
+    #: fragments were all answered by the (disk) summary cache, with
+    #: summaries or with a remembered exhausted verdict.  A search that
+    #: ran and checked zero candidates is still a search.
     warm: bool = False
     #: CEGIS candidates checked by the latest registration (0 when warm).
     candidates_checked: int = 0
@@ -164,7 +166,7 @@ class ProgramRegistry:
             source=source,
             function=function,
             compilation=compilation,
-            warm=(compilation.candidates_checked == 0),
+            warm=(compilation.searches_run == 0),
             candidates_checked=compilation.candidates_checked,
             cache_hits=compilation.cache_hits,
             compile_seconds=elapsed,

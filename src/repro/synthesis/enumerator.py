@@ -15,14 +15,16 @@ arises, Fig. 8).
 An optional *part filter* — the Φ-consistency test of CEGIS's
 ``generateCandidate`` — prunes per-output pieces against the current
 example states before combination, which is sound because key-groups are
-independent.
+independent.  The filter sees pool expressions as :class:`Column`s looked
+up once per pool, and a part object is built only for a combination that
+passed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from ..lang.types import (
     ArrayType,
@@ -82,7 +84,45 @@ class ContainerPart:
     default: object
 
 
-PartFilter = Callable[[object], bool]
+class Column:
+    """A pool expression and, per Φ state, the id of its evaluated column."""
+
+    __slots__ = ("expr", "ids")
+
+    def __init__(self, expr: Optional[IRExpr], ids: Sequence[int]):
+        self.expr = expr
+        self.ids = ids
+
+
+class PartFilter:
+    """What the enumerator prunes parts with; this base accepts every part.
+
+    :class:`repro.synthesis.cegis.PartEvaluator` is the Φ-consistency test.
+    """
+
+    def columns(self, exprs: Sequence[Optional[IRExpr]]) -> list[Column]:
+        """One :class:`Column` per expression (None: no guard / no key)."""
+        return [Column(expr, ()) for expr in exprs]
+
+    def passing(
+        self,
+        var: str,
+        container: Optional[str],
+        default: object,
+        reduce_lam: Optional[ReduceLambda],
+        finalizer: Optional[tuple[IRExpr, IRExpr]],
+        guard: Column,
+        key: Column,
+        values: Sequence[Column],
+    ) -> Iterator[Column]:
+        """The ``values`` that make an acceptable part with the rest, in order."""
+        return iter(values)
+
+
+#: Fixed terms of container parts (shared objects: filters key columns by id).
+_ELEMENT = Var("__element", "other")
+_SET_VALUE = Const(1, "int")
+_BAG_KEY = Const(0, "int")
 
 
 def default_for_type(jtype: JType) -> object:
@@ -123,7 +163,7 @@ class CandidateEnumerator:
         self.analysis = analysis
         self.grammar_class = grammar_class
         self.pools = pools
-        self.part_filter = part_filter or (lambda part: True)
+        self.part_filter = part_filter or PartFilter()
         self.max_parts_per_output = max_parts_per_output
         self.max_combinations = max_combinations
 
@@ -174,10 +214,10 @@ class CandidateEnumerator:
 
     def _scalar_parts(self, var: str, jtype: JType) -> list[ScalarPart]:
         kind = _kind_of_jtype(jtype)
-        values = self.pools.pool_for(kind)
-        guards: list[Optional[IRExpr]] = [None]
-        if self.grammar_class.allow_guards:
-            guards.extend(self.pools.pool_for("boolean")[:16])
+        passing = self.part_filter.passing
+        values = self.part_filter.columns(self.pools.pool_for(kind))
+        guards = self._guard_columns(16)
+        no_key = guards[0]
         reduce_ops = reduce_lambda_pool(
             kind, self.analysis.scan.operators, self.analysis.scan.methods
         )
@@ -185,14 +225,22 @@ class CandidateEnumerator:
         parts: list[ScalarPart] = []
         for reduce_lam in reduce_ops:
             for guard in guards:
-                for value in values:
-                    part = ScalarPart(var, guard, value, reduce_lam, default)
-                    if not self.part_filter(part):
-                        continue
-                    parts.append(part)
+                for value in passing(
+                    var, None, default, reduce_lam, None, guard, no_key, values
+                ):
+                    parts.append(
+                        ScalarPart(var, guard.expr, value.expr, reduce_lam, default)
+                    )
                     if len(parts) >= self.max_parts_per_output:
                         return parts
         return parts
+
+    def _guard_columns(self, limit: int) -> list[Column]:
+        """The absent guard first, then the class's boolean pool (capped)."""
+        guards: list[Optional[IRExpr]] = [None]
+        if self.grammar_class.allow_guards:
+            guards.extend(self.pools.pool_for("boolean")[:limit])
+        return self.part_filter.columns(guards)
 
     def _scalar_candidates(self, source: str) -> Iterator[Summary]:
         per_output: list[list[ScalarPart]] = []
@@ -298,89 +346,69 @@ class CandidateEnumerator:
         assert container is not None
         element_type = _container_element_type(jtype)
         kind = _kind_of_jtype(element_type)
-        default = default_for_type(element_type)
         values = self.pools.pool_for(kind if kind != "other" else "int")
         if kind == "other" or (
             self.analysis.view.element_class is not None and container in ("bag", "set")
         ):
             # Pass-through of the whole input element (selection shapes).
-            values = [Var("__element", "other"), *values]
+            values = [_ELEMENT, *values]
         keys = self.pools.key_pool()
         if container == "set" and kind == "other":
-            keys = [Var("__element", "other"), *keys]
-        guards: list[Optional[IRExpr]] = [None]
-        if self.grammar_class.allow_guards:
-            guards.extend(self.pools.pool_for("boolean")[:12])
-        reduce_ops: list[Optional[ReduceLambda]]
-        if shape == "m":
-            reduce_ops = [None]
-        else:
-            reduce_ops = list(
-                reduce_lambda_pool(
-                    kind if kind != "other" else "int",
-                    self.analysis.scan.operators,
-                    self.analysis.scan.methods,
-                )
-            )
+            keys = [_ELEMENT, *keys]
+        reduce_ops: list[Optional[ReduceLambda]] = [None]
         finalizers: list[Optional[tuple[IRExpr, IRExpr]]] = [None]
-        if shape == "mrm":
-            finalizers = [None, *self._finalizer_pool()]
-
+        default = None
         if container == "set":
             # Sets: the *key* is the element; value is a placeholder.
-            parts = []
-            for guard in guards:
-                for key in keys:
-                    part = ContainerPart(
-                        var, key, Const(1, "int"), guard, None, None, "set", None
+            values = [_SET_VALUE]
+        elif container == "bag":
+            # Bags: values in pipeline order under a placeholder key.
+            keys = [_BAG_KEY]
+        else:
+            if shape != "m":
+                reduce_ops = list(
+                    reduce_lambda_pool(
+                        kind if kind != "other" else "int",
+                        self.analysis.scan.operators,
+                        self.analysis.scan.methods,
                     )
-                    if self.part_filter(part):
-                        parts.append(part)
-                    if len(parts) >= self.max_parts_per_output:
-                        return parts
-            return parts
+                )
+            if shape == "mrm":
+                finalizers = list(self._finalizer_pool())  # mrm must use its final stage
+            if container == "array":
+                default = default_for_type(element_type)
 
-        if container == "bag":
-            parts = []
-            for guard in guards:
-                for value in values:
-                    part = ContainerPart(
-                        var,
-                        Const(0, "int"),
-                        value,
-                        guard,
-                        None,
-                        None,
-                        "bag",
-                        None,
-                    )
-                    if self.part_filter(part):
-                        parts.append(part)
-                    if len(parts) >= self.max_parts_per_output:
-                        return parts
-            return parts
-
-        parts = []
+        passing = self.part_filter.passing
+        value_columns = self.part_filter.columns(values)
+        key_columns = self.part_filter.columns(keys)
+        guards = self._guard_columns(12)
+        parts: list[ContainerPart] = []
         for reduce_lam in reduce_ops:
             for finalizer in finalizers:
-                if shape == "mrm" and finalizer is None:
-                    continue  # mrm must use its final stage
                 for guard in guards:
-                    for key in keys:
-                        for value in values:
-                            part = ContainerPart(
-                                var,
-                                key,
-                                value,
-                                guard,
-                                reduce_lam,
-                                finalizer,
-                                container,
-                                default if container == "array" else None,
+                    for key in key_columns:
+                        for value in passing(
+                            var,
+                            container,
+                            default,
+                            reduce_lam,
+                            finalizer,
+                            guard,
+                            key,
+                            value_columns,
+                        ):
+                            parts.append(
+                                ContainerPart(
+                                    var,
+                                    key.expr,
+                                    value.expr,
+                                    guard.expr,
+                                    reduce_lam,
+                                    finalizer,
+                                    container,
+                                    default,
+                                )
                             )
-                            if not self.part_filter(part):
-                                continue
-                            parts.append(part)
                             if len(parts) >= self.max_parts_per_output:
                                 return parts
         return parts

@@ -22,8 +22,9 @@ from ..lang.analysis.fragments import (
     fingerprint_fragment,
 )
 
+from ..diagnostics.diagnostic import Diagnostic, make
+
 if TYPE_CHECKING:
-    from ..diagnostics.diagnostic import Diagnostic
     from ..pipeline.cache import SummaryCache
 from ..verification.bounded import BoundedCheckConfig, BoundedChecker, ProgramState
 from ..verification.prover import FullVerifier, ProofResult
@@ -57,9 +58,16 @@ class SearchResult:
     final_class: Optional[str] = None
     elapsed_seconds: float = 0.0
     failure_reason: Optional[str] = None
+    #: The stable diagnostic code of ``failure_reason`` (REP205 class list
+    #: exhausted / REP206 timed out / REP208 no bounded states), set
+    #: wherever the reason is.
+    failure_code: Optional[str] = None
     #: True when the summaries came from the content-addressed cache —
     #: no candidates were generated or sent to the theorem prover.
     cache_hit: bool = False
+    #: True when a cached exhausted-search verdict answered instead of a
+    #: search (``cache_hit`` stays False: there are no summaries).
+    exhausted_recall: bool = False
     #: Structured diagnostics produced during the search (REP2xx codes).
     diagnostics: list["Diagnostic"] = field(default_factory=list)
     #: Bounded-refutation states discovered by this run (persisted to the
@@ -71,6 +79,22 @@ class SearchResult:
     @property
     def translated(self) -> bool:
         return bool(self.summaries)
+
+    @property
+    def searched(self) -> bool:
+        """Whether a search actually ran (neither kind of cache answer)."""
+        return not (self.cache_hit or self.exhausted_recall)
+
+    def fail(self, code: str, reason: str) -> None:
+        self.failure_code = code
+        self.failure_reason = reason
+
+
+#: The code of a search whose grammar-class list ran out.  The only
+#: failure the summary cache remembers (``neg:`` entries): it depends on
+#: the fragment, the configuration and the search space, never on the
+#: clock or the host.
+_EXHAUSTED_CODE = "REP205"
 
 
 @dataclass
@@ -98,8 +122,12 @@ def find_summaries_cached(
     before searching: a warm hit returns the cached verified summaries —
     renamed to this fragment's variables — with ``candidates_checked == 0``
     and ``tp_failures == 0``, since neither CEGIS nor the theorem prover
-    ran.  A miss falls through to :func:`find_summaries` and stores the
-    completed result (only clean, non-timed-out successes are cached).
+    ran.  A fragment whose search was exhausted before is answered with
+    the same failure (plus an info-level ``REP209``) and ``cache_hit``
+    False.  A miss falls through to :func:`find_summaries` and stores
+    what is a property of the fragment: clean, non-timed-out successes
+    and exhausted class lists — never a timeout, never a fragment the
+    bounded checker could not build states for.
     """
     config = config or SearchConfig()
     if cache is None:
@@ -118,6 +146,26 @@ def find_summaries_cached(
             cache_hit=True,
             elapsed_seconds=time.monotonic() - started,
         )
+    recalled = cache.lookup_exhausted(fingerprint, config)
+    if recalled is not None:
+        return SearchResult(
+            fragment_id=analysis.fragment.id,
+            final_class=recalled.final_class,
+            classes_searched=recalled.classes_searched,
+            failure_reason=recalled.failure_reason,
+            failure_code=recalled.failure_code,
+            exhausted_recall=True,
+            elapsed_seconds=time.monotonic() - started,
+            diagnostics=[
+                make(
+                    "REP209",
+                    f"exhausted verdict recalled from cache: "
+                    f"{recalled.classes_searched} grammar class(es) searched "
+                    f"in {recalled.elapsed_seconds:.2f}s when it was recorded",
+                    fragment=analysis.fragment.id,
+                )
+            ],
+        )
 
     # Near-miss warm start: counterexamples cached from earlier runs on
     # an alpha-equivalent fragment seed Φ, so already-refuted candidate
@@ -135,6 +183,8 @@ def find_summaries_cached(
             final_class=result.final_class,
             classes_searched=result.classes_searched,
         )
+    elif result.failure_code == _EXHAUSTED_CODE:
+        cache.store_exhausted(fingerprint, config, result)
     return result
 
 
@@ -157,11 +207,11 @@ def find_summaries(
     try:
         checker = BoundedChecker(analysis, config=config.bounded_config)
     except Exception as exc:  # fragment not checkable at all
-        result.failure_reason = f"bounded checker construction failed: {exc}"
+        result.fail("REP208", f"bounded checker construction failed: {exc}")
         result.elapsed_seconds = time.monotonic() - started
         return result
     if len(checker.states) < 2:
-        result.failure_reason = "could not build bounded program states"
+        result.fail("REP208", "could not build bounded program states")
         result.elapsed_seconds = time.monotonic() - started
         return result
 
@@ -195,7 +245,7 @@ def find_summaries(
 
         while True:
             if time.monotonic() - started > config.timeout_seconds:
-                result.failure_reason = "synthesis timed out"
+                result.fail("REP206", "synthesis timed out")
                 result.summaries = delta
                 result.candidates_checked += synthesizer.stats.candidates_checked
                 result.counterexamples += synthesizer.stats.counterexamples
@@ -230,6 +280,6 @@ def find_summaries(
 
     result.summaries = delta
     if not delta and result.failure_reason is None:
-        result.failure_reason = "no valid summary found in the search space"
+        result.fail(_EXHAUSTED_CODE, "no valid summary found in the search space")
     result.elapsed_seconds = time.monotonic() - started
     return result

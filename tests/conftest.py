@@ -63,6 +63,29 @@ double query6(List<LineItem> lineitem) {
 }
 """
 
+#: Outside the summary grammar (a loop-carried recurrence): its search
+#: runs the class list out without checking one candidate.
+BLUR_SOURCE = """
+double[] blur(double[] img, int n) {
+  double[] out = new double[n];
+  double prev = 0;
+  for (int i = 0; i < n; i++) {
+    prev = 0.5 * prev + 0.5 * img[i];
+    out[i] = prev;
+  }
+  return out;
+}
+"""
+
+#: The same with its loop variable named like the IR's ``k`` binder: the
+#: fingerprint is uncacheable, so the summary cache never remembers it.
+BLUR_UNCACHEABLE_SOURCE = (
+    BLUR_SOURCE.replace("int i", "int k")
+    .replace("i < n", "k < n")
+    .replace("i++", "k++")
+    .replace("[i]", "[k]")
+)
+
 
 def analysis_of(source: str, function: str | None = None):
     program = parse_program(source)

@@ -32,6 +32,8 @@ from repro.pipeline import (
 from repro.pipeline.cache import search_config_key
 from repro.verification.prover import proof_from_data, proof_to_data
 from tests.conftest import (
+    BLUR_SOURCE,
+    BLUR_UNCACHEABLE_SOURCE,
     Q6_SOURCE,
     RWM_SOURCE,
     SUM_SOURCE,
@@ -292,19 +294,128 @@ class TestSummaryCache:
 
     def test_untranslatable_fragment_not_cached(self):
         cache = SummaryCache()
-        source = """
-        double[] blur(double[] img, int n) {
-          double[] out = new double[n];
-          double prev = 0;
-          for (int i = 0; i < n; i++) {
-            prev = 0.5 * prev + 0.5 * img[i];
-            out[i] = prev;
-          }
-          return out;
-        }
-        """
-        translate(source, cache=cache, search_config=SearchConfig(timeout_seconds=20))
+        translate(BLUR_SOURCE, cache=cache, search_config=SearchConfig(timeout_seconds=20))
         assert cache.stats.stores == 0
+        # ... as a summary; the exhausted verdict is remembered instead.
+        assert cache.stats.exhausted_stores == 1
+
+
+def _codes(result):
+    return [d.code for d in result.diagnostics]
+
+
+class TestExhaustedEntries:
+    """``neg:`` entries: an exhausted search is remembered, nothing else is."""
+
+    def test_warm_recall_across_cache_instances(self, tmp_path):
+        cold_cache = SummaryCache(cache_dir=str(tmp_path))
+        cold = translate(BLUR_SOURCE, cache=cold_cache)
+        assert cold.searches_run == 1 and _codes(cold) == ["REP205"]
+        assert cold_cache.stats.exhausted_stores == 1
+        assert len(list(tmp_path.glob("neg_*.json"))) == 1
+
+        warm_cache = SummaryCache(cache_dir=str(tmp_path))
+        warm = translate(BLUR_SOURCE, cache=warm_cache)
+        assert warm.searches_run == 0 and warm.cache_hits == 0
+        assert warm.candidates_checked == 0 and warm.translated == 0
+        assert _codes(warm) == ["REP209", "REP205"]
+        assert warm.fragments[0].failure_reason == cold.fragments[0].failure_reason
+        search = warm.fragments[0].search
+        assert search.exhausted_recall and not search.cache_hit
+        assert search.failure_code == "REP205"
+        assert (search.classes_searched, search.final_class) == (
+            cold.fragments[0].search.classes_searched,
+            cold.fragments[0].search.final_class,
+        )
+        stats = warm_cache.stats
+        assert (stats.exhausted_hits, stats.exhausted_stores) == (1, 0)
+        assert (stats.hits, stats.stores, stats.misses) == (0, 0, 1)
+
+    def test_alpha_equivalent_fragment_recalls(self):
+        cache = SummaryCache()
+        translate(BLUR_SOURCE, cache=cache)
+        renamed = BLUR_SOURCE.replace("prev", "carry").replace("img", "pixels")
+        assert translate(renamed, cache=cache).searches_run == 0
+
+    def test_timed_out_search_stores_nothing(self, tmp_path):
+        cache = SummaryCache(cache_dir=str(tmp_path))
+        config = SearchConfig(timeout_seconds=0)
+        result = translate(BLUR_SOURCE, cache=cache, search_config=config)
+        assert _codes(result) == ["REP206"]
+        assert cache.stats.exhausted_stores == 0
+        assert not list(tmp_path.glob("neg_*.json"))
+        # The timeout is not part of the key, so nothing may linger for
+        # a later, patient search to trip over.
+        assert translate(BLUR_SOURCE, cache=cache).searches_run == 1
+
+    def test_checker_construction_failure_stores_nothing(self, monkeypatch):
+        import repro.synthesis.search as search_module
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("no states today")
+
+        monkeypatch.setattr(search_module, "BoundedChecker", refuse)
+        cache = SummaryCache()
+        result = translate(BLUR_SOURCE, cache=cache)
+        assert _codes(result) == ["REP208"]
+        assert "bounded checker construction failed" in result.fragments[0].failure_reason
+        assert cache.stats.exhausted_stores == 0 and len(cache) == 0
+
+    def test_search_strength_is_part_of_the_key(self):
+        cache = SummaryCache()
+        translate(BLUR_SOURCE, cache=cache)
+        weaker = SearchConfig(extended_states=60)
+        assert translate(BLUR_SOURCE, cache=cache, search_config=weaker).searches_run == 1
+        assert cache.stats.exhausted_stores == 2
+        assert translate(BLUR_SOURCE, cache=cache, search_config=weaker).searches_run == 0
+
+    def test_search_space_tag_is_part_of_the_key(self, tmp_path, monkeypatch):
+        import repro.pipeline.cache as cache_module
+
+        cache = SummaryCache(cache_dir=str(tmp_path))
+        translate(BLUR_SOURCE, cache=cache)
+        tag = cache_module.search_space_tag()
+        assert tag == cache_module.search_space_tag() and len(tag) == 16
+        assert tag in next(tmp_path.glob("neg_*.json")).name
+        # A grammar or verifier edit changes the source digest.
+        monkeypatch.setattr(cache_module, "search_space_tag", lambda: "edited-grammar")
+        assert translate(BLUR_SOURCE, cache=cache).searches_run == 1
+        assert len(list(tmp_path.glob("neg_*.json"))) == 2
+
+    @pytest.mark.parametrize(
+        "payload", ["{not json", '{"format": 1, "failure_code": "REP2', '{"format": 1}']
+    )
+    def test_corrupt_entry_is_a_counted_miss_and_removed(self, tmp_path, payload):
+        translate(BLUR_SOURCE, cache=SummaryCache(cache_dir=str(tmp_path)))
+        (path,) = tmp_path.glob("neg_*.json")
+        path.write_text(payload, encoding="utf-8")
+        fresh = SummaryCache(cache_dir=str(tmp_path))
+        fingerprint = fingerprint_fragment(analysis_of(BLUR_SOURCE))
+        assert fresh.lookup_exhausted(fingerprint, SearchConfig()) is None
+        assert fresh.stats.corrupt == 1 and fresh.stats.exhausted_hits == 0
+        assert not path.exists()
+        # The next compile searches and writes a clean replacement.
+        assert translate(BLUR_SOURCE, cache=fresh).searches_run == 1
+        assert json.loads(path.read_text(encoding="utf-8"))["failure_code"] == "REP205"
+
+    def test_uncacheable_fingerprint_is_never_stored(self, tmp_path):
+        source = BLUR_UNCACHEABLE_SOURCE
+        assert not fingerprint_fragment(analysis_of(source)).cacheable
+        cache = SummaryCache(cache_dir=str(tmp_path))
+        for _ in range(2):
+            result = translate(source, cache=cache)
+            assert result.searches_run == 1 and _codes(result) == ["REP205"]
+        assert cache.stats.exhausted_stores == 0 and len(cache) == 0
+        assert not list(tmp_path.iterdir())
+
+    def test_lru_eviction_counts_exhausted_entries(self):
+        cache = SummaryCache(capacity=1)
+        translate(BLUR_SOURCE, cache=cache)
+        assert len(cache) == 1
+        translate(SUM_SOURCE, cache=cache)
+        assert len(cache) == 1 and cache.stats.evictions >= 1
+        # Evicted from the only tier: the next compile searches again.
+        assert translate(BLUR_SOURCE, cache=cache).searches_run == 1
 
 
 class TestPassPipeline:

@@ -1,0 +1,410 @@
+"""The summary search returns the verdicts it always did.
+
+Three angles on one contract — the column-wise Φ filter and the
+exhausted-search cache change how much work a search does, never what
+it decides:
+
+* a golden table of every registered benchmark's search outcome,
+  generated on the commit *before* the column filter landed;
+* the column evaluator against a straight-line per-part reference (the
+  interpretation loop the filter used to run for every combination);
+* a CEGIS restart evaluates only the state it added.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.errors import InterpreterError, IRError
+from repro.ir.eval import eval_expr
+from repro.ir.nodes import BinOp, CallFn, Const, ReduceLambda, UnOp, Var
+from repro.lang.values import values_equal
+from repro.synthesis import (
+    CandidateEnumerator,
+    GrammarBuilder,
+    PartEvaluator,
+    Synthesizer,
+    generate_classes,
+    harvest_paths,
+)
+from repro.synthesis.enumerator import ContainerPart, ScalarPart
+from repro.verification.bounded import (
+    BoundedChecker,
+    ProgramState,
+    run_sequential_fragment,
+    summary_globals,
+)
+from repro.workloads import get_benchmark
+from repro.workloads.registry import all_benchmarks
+from tests.conftest import RWM_SOURCE, SUM_SOURCE, analysis_of
+from tests.suite_cache import compiled
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "search_golden.json").read_text(encoding="utf-8")
+)
+
+
+# ----------------------------------------------------------------------
+# (a) golden table
+
+
+def test_golden_table_covers_the_registered_suite():
+    assert sorted(GOLDEN) == sorted(b.name for b in all_benchmarks())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_search_outcome_matches_golden(name):
+    compilation = compiled(name)
+    got = {
+        "fragments": compilation.identified,
+        "translated": compilation.translated,
+        "candidates_checked": compilation.candidates_checked,
+        "summaries": [
+            [str(vs.summary) for vs in (f.search.summaries if f.search else [])]
+            for f in compilation.fragments
+        ],
+    }
+    assert got == GOLDEN[name]
+
+
+# ----------------------------------------------------------------------
+# (b) column evaluator == per-part reference
+
+
+class ReferenceState:
+    """What one Φ state offers a part: dataset, globals, expected outputs."""
+
+    def __init__(self, analysis, state):
+        run = run_sequential_fragment(analysis, state)
+        self.elements = analysis.view.materialize(run.globals_env)
+        self.globals_env = summary_globals(analysis, run.globals_env)
+        self.expected = run.outputs
+        self.output_sizes = run.output_sizes
+
+
+def reference_states(analysis, states):
+    kept = []
+    for state in states:
+        try:
+            kept.append(ReferenceState(analysis, state))
+        except InterpreterError:
+            continue
+    return kept
+
+
+def reference_ok(part, states) -> bool:
+    """Interpret one part over every state, the slow obvious way."""
+    try:
+        return all(_reference_state_ok(part, s) for s in states)
+    except IRError:
+        return False
+
+
+def _reference_state_ok(part, s) -> bool:
+    scalar = isinstance(part, ScalarPart)
+    lam = part.reduce_lam
+    bag, keyed, acc = [], {}, None
+    for element in s.elements:
+        env = {**s.globals_env, **element}
+        if part.guard is not None and not eval_expr(part.guard, env):
+            continue
+        if not scalar and part.container == "set":
+            keyed[eval_expr(part.key, env)] = 1
+            continue
+        key = None if scalar or part.container == "bag" else eval_expr(part.key, env)
+        value = eval_expr(part.value, env)
+        bag.append(value)
+        if scalar:
+            fold = {**s.globals_env, lam.params[0]: acc, lam.params[1]: value}
+            acc = value if acc is None else eval_expr(lam.body, fold)
+        elif lam is not None and key in keyed:
+            fold = {**s.globals_env, lam.params[0]: keyed[key], lam.params[1]: value}
+            keyed[key] = eval_expr(lam.body, fold)
+        else:
+            keyed[key] = value
+    expected = s.expected.get(part.var)
+    if scalar:
+        return values_equal(part.default if acc is None else acc, expected)
+    if part.container == "bag":
+        return values_equal(bag, expected)
+    if part.container == "set":
+        return values_equal(set(keyed), expected)
+    if part.finalizer is not None:
+        envs = [{**s.globals_env, "k": k, "v": v} for k, v in keyed.items()]
+        keyed = {
+            eval_expr(part.finalizer[0], e): eval_expr(part.finalizer[1], e) for e in envs
+        }
+    if part.container == "map":
+        return values_equal(keyed, expected)
+    size = s.output_sizes.get(part.var)
+    if size is None:
+        size = (max(keyed) + 1) if keyed else 0
+    return values_equal([keyed.get(i, part.default) for i in range(size)], expected)
+
+
+class RecordingEvaluator(PartEvaluator):
+    """Logs every (part, verdict) the enumerator asks about."""
+
+    def __init__(self, analysis, states):
+        super().__init__(analysis, states)
+        self.log = []
+
+    def passing(self, var, container, default, lam, fin, guard, key, values):
+        passed = list(super().passing(var, container, default, lam, fin, guard, key, values))
+        accepted = {id(column) for column in passed}
+        for value in values:
+            if container is None:
+                part = ScalarPart(var, guard.expr, value.expr, lam, default)
+            else:
+                part = ContainerPart(
+                    var, key.expr, value.expr, guard.expr, lam, fin, container, default
+                )
+            self.log.append((part, id(value) in accepted))
+        return iter(passed)
+
+
+SET_SOURCE = """
+Set<String> distinct(List<String> words) {
+  Set<String> seen = new HashSet<String>();
+  for (String w : words) { seen.add(w); }
+  return seen;
+}
+"""
+
+#: First fragment of suite programs covering scalar (plain, guarded,
+#: tuple-packed), map, array and bag outputs; the suite has no
+#: map-reduce-map array or set output, so two local sources add those.
+SAMPLED_SUITE_FRAGMENTS = (
+    "ariths_average",
+    "stats_min_max",
+    "fiji_gamma_stats",
+    "tpch_q6",
+    "tpch_q1",
+    "phoenix_wordcount",
+    "fiji_channel_histogram",
+    "fiji_frame_max",
+    "biglambda_select_sum",
+)
+SAMPLED_SOURCES = {"rwm": RWM_SOURCE, "set": SET_SOURCE}
+
+
+def sampled_analysis(label):
+    if label in SAMPLED_SOURCES:
+        return analysis_of(SAMPLED_SOURCES[label])
+    return analysis_of(get_benchmark(label).source)
+
+
+#: Reference checks per sampled fragment (it is the slow path by design).
+REFERENCE_BUDGET = 4000
+
+
+@pytest.mark.parametrize("label", [*SAMPLED_SUITE_FRAGMENTS, *SAMPLED_SOURCES])
+def test_every_proposed_part_gets_the_reference_verdict(label):
+    analysis = sampled_analysis(label)
+    checker = BoundedChecker(analysis)
+    phi = checker.states[:6]
+    states = reference_states(analysis, phi)
+    sym_paths = harvest_paths(analysis)
+    proposed = 0
+    for grammar_class in generate_classes(analysis):
+        pools = GrammarBuilder(analysis, grammar_class, sym_paths).build()
+        recorder = RecordingEvaluator(analysis, phi)
+        list(CandidateEnumerator(analysis, grammar_class, pools, recorder).candidates())
+        proposed += len(recorder.log)
+        stride = max(1, len(recorder.log) // REFERENCE_BUDGET)
+        # Every accepted part, and an even sample of the rejected ones.
+        sample = [
+            entry
+            for index, entry in enumerate(recorder.log)
+            if entry[1] or index % stride == 0
+        ]
+        for part, verdict in sample:
+            assert verdict == reference_ok(part, states), part
+    assert proposed > 0
+
+
+GUARDED_DIVISION = """
+int f(int[] d, int n) {
+  int t = 0;
+  for (int i = 0; i < n; i++) { if (d[i] != 0) t += 10 / d[i]; }
+  return t;
+}
+"""
+
+HALVES = """
+Map<String, Double> f(List<String> words) {
+  Map<String, Double> m = new HashMap<String, Double>();
+  for (String w : words) { m.put(w, 0.5); }
+  return m;
+}
+"""
+
+PLUS = ReduceLambda(BinOp("+", Var("v1", "int"), Var("v2", "int")))
+
+
+def evaluator_ok(evaluator, part) -> bool:
+    """One hand-built part through the evaluator's own ``passing``."""
+    scalar = isinstance(part, ScalarPart)
+    guard, key, value = evaluator.columns(
+        [part.guard, None if scalar else part.key, part.value]
+    )
+    passed = evaluator.passing(
+        part.var,
+        None if scalar else part.container,
+        part.default,
+        part.reduce_lam,
+        None if scalar else part.finalizer,
+        guard,
+        key,
+        [value],
+    )
+    return list(passed) == [value]
+
+
+class TestHandBuiltParts:
+    def _both(self, analysis, states, parts, expected=None):
+        """(evaluator verdicts, reference verdicts) over one shared evaluator."""
+        evaluator = PartEvaluator(analysis, states)
+        reference = reference_states(analysis, states)
+        if expected is not None:
+            for state in (*evaluator.states, *reference):
+                state.expected = expected
+        return (
+            [evaluator_ok(evaluator, p) for p in parts],
+            [reference_ok(p, reference) for p in parts],
+        )
+
+    def test_guard_masks_a_raising_cell(self):
+        analysis = analysis_of(GUARDED_DIVISION)
+        d = Var("d", "int")
+        quotient = BinOp("/", Const(10, "int"), d)
+        nonzero = BinOp("!=", d, Const(0, "int"))
+        states = [ProgramState({"d": [2, 0, 5], "n": 3})]
+        masked = ScalarPart("t", nonzero, quotient, PLUS, 0)
+        unmasked = ScalarPart("t", None, quotient, PLUS, 0)
+        got, want = self._both(analysis, states, [masked, unmasked, masked])
+        assert got == want == [True, False, True]
+
+    def test_value_raising_under_a_true_guard(self):
+        analysis = analysis_of(GUARDED_DIVISION)
+        d = Var("d", "int")
+        bad = UnOp("-", Const("a", "String"))  # TypeError: not an IRError
+        never = BinOp("<", d, Const(-100, "int"))
+        always = BinOp(">", d, Const(-100, "int"))
+        states = [ProgramState({"d": [2, 0, 5], "n": 3})]
+        evaluator = PartEvaluator(analysis, states)
+        reference = reference_states(analysis, states)
+        guarded_off = ScalarPart("t", never, bad, PLUS, 7)
+        assert evaluator_ok(evaluator, guarded_off) is True
+        assert reference_ok(guarded_off, reference) is True
+        for guard in (always, None):
+            part = ScalarPart("t", guard, bad, PLUS, 0)
+            with pytest.raises(TypeError):
+                reference_ok(part, reference)
+            with pytest.raises(TypeError):
+                evaluator_ok(evaluator, part)
+        # IRError under a true guard is a plain rejection, every time.
+        division = ScalarPart("t", always, BinOp("/", Const(10, "int"), d), PLUS, 0)
+        assert evaluator_ok(evaluator, division) is False
+        assert evaluator_ok(evaluator, division) is False  # memoised, same answer
+        assert reference_ok(division, reference) is False
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+    def test_true_one_and_one_point_zero_are_three_columns(self, order):
+        # Halving in the final stage tells them apart: 1 / 2 is Java
+        # integer division (0), 1.0 / 2 and True / 2 are 0.5.
+        analysis = analysis_of(HALVES)
+        halve = (Var("k", "String"), BinOp("/", Var("v", "double"), Const(2, "int")))
+        constants = [Const(1, "int"), Const(1.0, "double"), Const(True, "boolean")]
+        parts = [
+            ContainerPart("m", Var("w", "String"), constants[i], None, None, halve, "map", None)
+            for i in order
+        ]
+        states = [ProgramState({"words": ["a", "b", "a"]})]
+        got, want = self._both(analysis, states, parts)
+        assert got == want == [i != 0 for i in order]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_signed_zeros_are_two_columns(self, order):
+        analysis = analysis_of(HALVES)
+        spell = (
+            Var("k", "String"),
+            CallFn("str_concat", (Var("v", "double"), Const("", "String"))),
+        )
+        zeros = [Const(0.0, "double"), Const(-0.0, "double")]
+        parts = [
+            ContainerPart("m", Var("w", "String"), zeros[i], None, None, spell, "map", None)
+            for i in order
+        ]
+        states = [ProgramState({"words": ["a"]})]
+        got, want = self._both(analysis, states, parts, expected={"m": {"a": "-0.0"}})
+        assert got == want == [i == 1 for i in order]
+
+    def test_nan_and_nested_tuples_keep_their_verdicts(self):
+        analysis = analysis_of(HALVES)
+        nan = CallFn("sqrt", (Const(-1.0, "double"),))
+        from repro.ir.nodes import TupleExpr
+
+        values = [
+            nan,
+            Const(0.5, "double"),
+            TupleExpr((Const(1, "int"), TupleExpr((Const(0.5, "double"),)))),
+            TupleExpr((Const(1.0, "double"), TupleExpr((Const(0.5, "double"),)))),
+        ]
+        parts = [
+            ContainerPart("m", Var("w", "String"), v, None, None, None, "map", None)
+            for v in values
+        ]
+        states = [ProgramState({"words": ["a", "b"]})]
+        got, want = self._both(analysis, states, parts)
+        assert got == want == [False, True, False, False]
+
+
+# ----------------------------------------------------------------------
+# (c) a restart evaluates only the state it added
+
+
+class OneRefutation:
+    """A bounded checker that refutes the first candidate it is shown."""
+
+    def __init__(self, real, counterexample):
+        self.real = real
+        self.states = real.states
+        self.counterexample = counterexample
+        self.checked = 0
+
+    def check(self, summary):
+        self.checked += 1
+        if self.checked == 1:
+            return self.counterexample
+        return self.real.check(summary)
+
+
+def test_restart_evaluates_only_the_new_state(monkeypatch):
+    import repro.synthesis.cegis as cegis
+
+    analysis = analysis_of(SUM_SOURCE)
+    real = BoundedChecker(analysis)
+    checker = OneRefutation(real, real.states[5])
+    grammar_class = generate_classes(analysis)[1]
+    pools = GrammarBuilder(analysis, grammar_class, harvest_paths(analysis)).build()
+
+    runs = []
+    original = cegis.run_sequential_fragment
+
+    def counting(analysis_, state):
+        runs.append(state)
+        return original(analysis_, state)
+
+    monkeypatch.setattr(cegis, "run_sequential_fragment", counting)
+    synthesizer = Synthesizer(analysis, grammar_class, pools, checker)
+    first = synthesizer.synthesize(set())
+    assert first is not None and synthesizer.stats.restarts == 1
+    # Φ's four seed states once, then the counterexample — not all of Φ again.
+    assert len(runs) == 5 and runs[-1] is real.states[5]
+    second = synthesizer.synthesize({hash(first)})
+    assert second is not None and second != first
+    assert len(runs) == 5

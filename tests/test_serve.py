@@ -28,6 +28,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.registry import ProgramRegistry, program_key
 from repro.serve.wire import decode_value, encode_value
 from repro.synthesis.search import SearchConfig
+from tests.conftest import BLUR_SOURCE, BLUR_UNCACHEABLE_SOURCE
 
 SUM_SOURCE = """
 int sum(int[] data, int n) {
@@ -85,6 +86,24 @@ class TestRegistry:
         assert warm.warm
         assert warm.candidates_checked == 0
         assert warm.translated == 1
+
+    def test_failed_search_is_not_warm(self, tmp_path):
+        # Regression: warm was `candidates_checked == 0`, which a cold,
+        # exhausted search also reports (nothing passed the Φ filter).
+        first = ProgramRegistry(cache_dir=str(tmp_path))
+        cold = first.register(BLUR_SOURCE)
+        assert (cold.translated, cold.candidates_checked) == (0, 0)
+        assert not cold.warm
+        assert first.register(BLUR_SOURCE).warm  # resident entry
+        # A fresh registry recalls the exhausted verdict: no search ran.
+        second = ProgramRegistry(cache_dir=str(tmp_path))
+        recalled = second.register(BLUR_SOURCE)
+        assert recalled.warm and recalled.cache_hits == 0
+        assert recalled.compilation.searches_run == 0
+        # An uncacheable fragment is searched again by every new registry.
+        assert not first.register(BLUR_UNCACHEABLE_SOURCE).warm
+        again = second.register(BLUR_UNCACHEABLE_SOURCE)
+        assert not again.warm and again.compilation.searches_run == 1
 
     def test_unknown_program_raises(self):
         with pytest.raises(ServeError, match="unknown program"):
