@@ -150,7 +150,8 @@ class AdaptiveProgram:
             observation_note = store.last_note
         sample = self.sample_elements(records)
         globals_env = self._globals(inputs)
-        chosen = self.monitor.choose(sample, globals_env)
+        sampled: dict[str, Any] = {}
+        chosen = self.monitor.choose(sample, globals_env, estimates_out=sampled)
         index = int(chosen.name.split("_")[1])
         # §7.4: when the verified implementations are join pipelines with
         # different orderings, the ordering decision comes from the
@@ -187,6 +188,7 @@ class AdaptiveProgram:
             inputs=inputs,
             observation=observation,
             observation_note=observation_note,
+            estimates=sampled.get(implementation),
         )
         report.implementation = implementation
         if join_decision is not None:
@@ -248,9 +250,12 @@ class AdaptiveProgram:
         inputs: Optional[dict[str, Any]] = None,
         observation: Optional[Any] = None,
         observation_note: Optional[str] = None,
+        estimates: Optional[Any] = None,
     ) -> tuple[ExecutionPlan, PlanReport]:
         """Fold ``options`` into the plan for one run of ``program``:
-        a forced backend pins it, ``"auto"`` asks the planner."""
+        a forced backend pins it, ``"auto"`` asks the planner
+        (``estimates``: what the monitor already sampled for
+        ``program``, so the planner does not sample again)."""
         plan = options.effective_plan
         if plan != "auto":
             forced = forced_plan(plan, memory_budget=options.memory_budget)
@@ -291,6 +296,7 @@ class AdaptiveProgram:
             inputs=inputs,
             observation=observation,
             observation_note=observation_note,
+            estimates=estimates,
         )
 
     def _store(self) -> ObservationStore:

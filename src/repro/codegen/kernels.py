@@ -3,10 +3,30 @@
 This is how the real local engine executes every summary.  A verified
 summary's λm/λr is rendered into **generated Python source** — one tight
 ``for`` loop over a chunk of records, record atoms bound to locals,
-expressions inlined — and runs chunk-at-a-time through the ``map_chunk``
-batch protocol the engine recognizes.  Liveness is pushed into the scan:
-only atoms the emits actually read are materialized from each record
-(dead struct fields and dead parallel-array columns are never touched).
+expressions inlined — and runs chunk-at-a-time.  Liveness is pushed into
+the scan: only atoms the emits actually read are materialized from each
+record (dead struct fields and dead parallel-array columns are never
+touched).
+
+A summary renders to four kernels, all through one :class:`_Renderer`:
+
+* **row map** — ``(records, emit)``, one ``emit((key, value))`` per
+  pair (:func:`render_record_kernel` / :func:`render_pair_kernel`).
+  Behind ``map_rows`` / ``map_chunk``: every map stage whose output
+  feeds another map stage or leaves the job, and the rerun after a
+  vector guard trip.
+* **column map** — ``(records) -> (keys, values)``, the same emits as
+  two lists (the same renderers, ``columns=True``).  Behind
+  ``map_columns``: the last map stage before a shuffle, so the pairs are
+  priced, combined and routed as columns and never exist as tuples.
+* **reduce** — ``(a, b) -> λr(a, b)`` (:func:`render_reduce_kernel`).
+  Behind ``CompiledReduce.__call__``: whoever folds pair by pair (the
+  simulated backends' glue, tests).
+* **fold** — ``(keys, values, acc)``, λr inlined into the keyed fold
+  loop (:func:`render_fold_kernel`).  Behind ``CompiledReduce.fold``,
+  which :func:`repro.engine.columnar.fold_columns` calls for the
+  map-side combine, the resident store's reduce and the spilled store's
+  partition merge.
 
 The tree-walking callables of :mod:`repro.codegen.base`
 (``RecordMapper`` / ``PairMapper`` / ``ReduceApplier``, one
@@ -55,7 +75,7 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import CodeType
 from typing import Any, Callable, Optional
 
@@ -73,6 +93,7 @@ from ..ir.nodes import (
     UnOp,
     Var,
     expr_vars,
+    walk_expr,
 )
 from ..engine.columnar import ColumnBlock, ColumnSpec, resolve_columns
 from ..lang.analysis.loops import DatasetView
@@ -241,16 +262,56 @@ def _bind_record(
     raise KernelUnsupported(f"unsupported view kind {view.kind!r}")
 
 
-def _emit_lines(emits: tuple[Emit, ...], renderer: _Renderer) -> list[str]:
+def _emit_lines(
+    emits: tuple[Emit, ...], renderer: _Renderer, statement: str
+) -> list[str]:
+    """One (guarded) ``statement`` per emit, its ``{key}`` / ``{value}``
+    filled with the rendered expressions."""
     lines: list[str] = []
     for emit in emits:
-        pair = f"__emit(({renderer.expr(emit.key)}, {renderer.expr(emit.value)}))"
+        emitted = statement.format(
+            key=renderer.expr(emit.key), value=renderer.expr(emit.value)
+        )
         if emit.cond is not None:
             lines.append(f"        if {renderer.expr(emit.cond)}:")
-            lines.append(f"            {pair}")
+            lines.append(f"            {emitted}")
         else:
-            lines.append(f"        {pair}")
+            lines.append(f"        {emitted}")
     return lines
+
+
+def _map_source(
+    bind: list[str], emits: tuple[Emit, ...], renderer: _Renderer, columns: bool
+) -> str:
+    """A map kernel around its per-record ``bind`` lines.
+
+    The row form hands each pair tuple to ``__emit``.  The column form
+    returns ``(keys, values)``: two comprehensions for a single
+    unconditional emit with nothing to bind (the key column is evaluated
+    before the value column, so a chunk on which both raise reports the
+    key's error), one loop with two appends for anything else.
+    """
+    if not columns:
+        body = bind + _emit_lines(emits, renderer, "__emit(({key}, {value}))")
+        return (
+            "def __kernel(__records, __emit):\n"
+            "    for __rec in __records:\n" + "\n".join(body) + "\n"
+        )
+    if not bind and len(emits) == 1 and emits[0].cond is None:
+        key, value = renderer.expr(emits[0].key), renderer.expr(emits[0].value)
+        return (
+            "def __kernel(__records):\n"
+            f"    return [{key} for __rec in __records], "
+            f"[{value} for __rec in __records]\n"
+        )
+    body = bind + _emit_lines(emits, renderer, "__key({key}); __value({value})")
+    return (
+        "def __kernel(__records):\n"
+        "    __keys = []; __values = []\n"
+        "    __key = __keys.append; __value = __values.append\n"
+        "    for __rec in __records:\n" + "\n".join(body) + "\n"
+        "    return __keys, __values\n"
+    )
 
 
 def _live_atoms(emits: tuple[Emit, ...], view: DatasetView) -> set[str]:
@@ -264,32 +325,26 @@ def _live_atoms(emits: tuple[Emit, ...], view: DatasetView) -> set[str]:
 
 
 def render_record_kernel(
-    emits: tuple[Emit, ...], view: DatasetView
+    emits: tuple[Emit, ...], view: DatasetView, columns: bool = False
 ) -> KernelSource:
-    """Render the first map stage (raw record → pairs) to source."""
+    """Render the first map stage (raw record → pairs) to source: the
+    row kernel, or with ``columns`` the ``(keys, values)`` kernel."""
     renderer = _Renderer()
-    lines: list[str] = []
-    _bind_record(view, _live_atoms(emits, view), renderer, lines)
-    lines.extend(_emit_lines(emits, renderer))
-    source = (
-        "def __kernel(__records, __emit):\n"
-        "    for __rec in __records:\n" + "\n".join(lines) + "\n"
-    )
+    bind: list[str] = []
+    _bind_record(view, _live_atoms(emits, view), renderer, bind)
+    source = _map_source(bind, emits, renderer, columns)
     return KernelSource(source, renderer.globals, renderer.helpers)
 
 
 def render_pair_kernel(
-    params: tuple[str, ...], emits: tuple[Emit, ...]
+    params: tuple[str, ...], emits: tuple[Emit, ...], columns: bool = False
 ) -> KernelSource:
-    """Render a later map stage ((key, value) pair → pairs) to source."""
+    """Render a later map stage ((key, value) pair → pairs) to source,
+    in row or column form like :func:`render_record_kernel`."""
     k_name = params[0]
     v_name = params[1] if len(params) > 1 else "v"
     renderer = _Renderer(bound={k_name: "__rec[0]", v_name: "__rec[1]"})
-    lines = _emit_lines(emits, renderer)
-    source = (
-        "def __kernel(__records, __emit):\n"
-        "    for __rec in __records:\n" + "\n".join(lines) + "\n"
-    )
+    source = _map_source([], emits, renderer, columns)
     return KernelSource(source, renderer.globals, renderer.helpers)
 
 
@@ -298,6 +353,35 @@ def render_reduce_kernel(body: IRExpr, params: tuple[str, str]) -> KernelSource:
     renderer = _Renderer(bound={params[0]: "__a", params[1]: "__b"})
     expression = renderer.expr(body)
     source = f"def __kernel(__a, __b):\n    return {expression}\n"
+    return KernelSource(source, renderer.globals, renderer.helpers)
+
+
+def render_fold_kernel(body: IRExpr, params: tuple[str, str]) -> KernelSource:
+    """Render λr inlined into the keyed fold of a batch of pairs.
+
+    ``acc[k] = λr(acc[k], b) if k in acc else b`` over the zipped key and
+    value columns: per key the same left fold, in the same arrival
+    order, as calling the reduce kernel pair by pair — so float sums,
+    min/max ties and tuple accumulators come out bit-identical for any
+    λr.  The accumulator is read into a local when λr names it more than
+    once (``a < b ? a : b``).
+    """
+    reads = sum(
+        isinstance(e, Var) and e.name == params[0] for e in walk_expr(body)
+    )
+    accumulator = "__a" if reads > 1 else "__acc[__k]"
+    renderer = _Renderer(bound={params[0]: accumulator, params[1]: "__b"})
+    expression = renderer.expr(body)
+    load = "            __a = __acc[__k]\n" if reads > 1 else ""
+    source = (
+        "def __kernel(__keys, __values, __acc):\n"
+        "    for __k, __b in zip(__keys, __values):\n"
+        "        if __k in __acc:\n"
+        f"{load}"
+        f"            __acc[__k] = {expression}\n"
+        "        else:\n"
+        "            __acc[__k] = __b\n"
+    )
     return KernelSource(source, renderer.globals, renderer.helpers)
 
 
@@ -317,7 +401,7 @@ def compile_kernel(
     rendered: KernelSource, globals_env: dict[str, Any], label: str
 ) -> Callable:
     """Compile rendered source, resolving summary globals by value."""
-    namespace: dict[str, Any] = {"__builtins__": {"bool": bool}}
+    namespace: dict[str, Any] = {"__builtins__": {"bool": bool, "zip": zip}}
     namespace.update(rendered.helpers)
     for name, mangled in rendered.globals.items():
         if name not in globals_env:
@@ -841,40 +925,62 @@ def recognize_fold(body: IRExpr, params: tuple[str, str]) -> Optional[str]:
 # Picklable compiled callables (drop-in for the evaluator classes)
 
 
+def _run(fn: Callable, *args: Any) -> Any:
+    """Call a chunk-level kernel; its ``TypeError`` is the evaluator's
+    type error."""
+    try:
+        return fn(*args)
+    except TypeError as exc:
+        raise IRError(f"type error in compiled kernel: {exc}") from exc
+
+
+class _Compiled:
+    """What the compiled callables share: they carry only the IR inputs.
+
+    Every kernel lives in a private field, built lazily and rebuilt
+    after unpickling (compiled code does not pickle; ``_code_for``
+    makes the rebuild cheap), so the multiprocess pool ships the same
+    small payload either way.
+    """
+
+    def __getstate__(self) -> dict:
+        return {
+            name: None if name.startswith("_") else value
+            for name, value in self.__dict__.items()
+        }
+
+
 @dataclass
-class CompiledRecordMapper:
+class CompiledRecordMapper(_Compiled):
     """Compiled first map stage.  Drop-in for ``RecordMapper``.
 
-    Carries only the IR inputs; the code object is built lazily and
-    rebuilt after unpickling (compiled code does not pickle), so the
-    multiprocess pool ships the same small payload either way.  The
-    engine detects ``map_chunk`` and feeds whole chunks.
+    The engine detects ``map_chunk`` and feeds whole chunks, and asks
+    ``map_columns`` of the last map stage before a shuffle.
     """
 
     emits: tuple[Emit, ...]
     globals_env: dict[str, Any]
     view: DatasetView
     label: str = "map"
-    #: Set by ``map_chunk``/``map_block`` when the vector kernel was
-    #: attempted on the last chunk but a guard rejected it (the engine
-    #: counts these as guard fallbacks), and when it actually produced
-    #: the chunk's output.
+    #: Set by ``map_chunk``/``map_columns``/``map_block`` when the vector
+    #: kernel was attempted on the last chunk but a guard rejected it
+    #: (the engine counts these as guard fallbacks), and when it
+    #: actually produced the chunk's output.
     last_chunk_fallback: bool = field(default=False, compare=False)
     last_chunk_columnar: bool = field(default=False, compare=False)
     _fn: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _columns_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
     _vec: Optional[VectorKernel] = field(default=None, repr=False, compare=False)
     _rendered: Optional[KernelSource] = field(
         default=None, repr=False, compare=False
     )
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["last_chunk_fallback"] = False
-        state["last_chunk_columnar"] = False
-        state["_fn"] = None
-        state["_vec"] = None
-        state["_rendered"] = None
-        return state
+        return {
+            **super().__getstate__(),
+            "last_chunk_fallback": False,
+            "last_chunk_columnar": False,
+        }
 
     def _ensure(self) -> Callable:
         if self._fn is None:
@@ -923,30 +1029,45 @@ class CompiledRecordMapper:
         vector computation is not redone)."""
         fn = self._fn if self._fn is not None else self._ensure()
         out: list[tuple] = []
-        try:
-            fn(records, out.append)
-        except TypeError as exc:
-            raise IRError(f"type error in compiled kernel: {exc}") from exc
+        _run(fn, records, out.append)
         return out
 
-    def map_chunk(self, records: Any) -> list[tuple]:
+    def _vector_block(self, records: Any) -> Optional[ColumnBlock]:
+        """``map_chunk``'s vector attempt: the chunk's block, or None —
+        flagged a fallback whenever there was a vector kernel to refuse
+        the chunk, unreadable columns included."""
         self._ensure()
-        self.last_chunk_fallback = False
-        self.last_chunk_columnar = False
+        block = None
         if self._vec is not None:
-            pairs = self._vec(records)
-            if pairs is not None:
-                self.last_chunk_columnar = True
-                return pairs
-            self.last_chunk_fallback = True
-        return self.map_rows(records)
+            columns = resolve_columns(records, self._vec.specs)
+            block = None if columns is None else self._vec.run_block(columns)
+        self.last_chunk_columnar = block is not None
+        self.last_chunk_fallback = block is None and self._vec is not None
+        return block
+
+    def map_chunk(self, records: Any) -> list[tuple]:
+        block = self._vector_block(records)
+        return self.map_rows(records) if block is None else block.pairs()
+
+    def map_columns(self, records: Any) -> tuple[list, list]:
+        """``map_chunk`` with the pairs as a key list and a value list."""
+        block = self._vector_block(records)
+        if block is not None:
+            return block.key_list(), block.values.tolist()
+        if self._columns_fn is None:
+            self._columns_fn = compile_kernel(
+                render_record_kernel(self.emits, self.view, columns=True),
+                self.globals_env,
+                self.label,
+            )
+        return _run(self._columns_fn, records)
 
     def __call__(self, record: Any) -> list[tuple]:
         return self.map_chunk((record,))
 
 
 @dataclass
-class CompiledPairMapper:
+class CompiledPairMapper(_Compiled):
     """Compiled later map stage.  Drop-in for ``PairMapper``."""
 
     params: tuple[str, ...]
@@ -954,15 +1075,10 @@ class CompiledPairMapper:
     globals_env: dict[str, Any]
     label: str = "map"
     _fn: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _columns_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
     _rendered: Optional[KernelSource] = field(
         default=None, repr=False, compare=False
     )
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_fn"] = None
-        state["_rendered"] = None
-        return state
 
     def _ensure(self) -> Callable:
         if self._fn is None:
@@ -979,18 +1095,25 @@ class CompiledPairMapper:
     def map_chunk(self, pairs: Any) -> list[tuple]:
         fn = self._fn if self._fn is not None else self._ensure()
         out: list[tuple] = []
-        try:
-            fn(pairs, out.append)
-        except TypeError as exc:
-            raise IRError(f"type error in compiled kernel: {exc}") from exc
+        _run(fn, pairs, out.append)
         return out
+
+    def map_columns(self, pairs: Any) -> tuple[list, list]:
+        """``map_chunk`` with the pairs as a key list and a value list."""
+        if self._columns_fn is None:
+            self._columns_fn = compile_kernel(
+                render_pair_kernel(self.params, self.emits, columns=True),
+                self.globals_env,
+                self.label,
+            )
+        return _run(self._columns_fn, pairs)
 
     def __call__(self, pair: tuple) -> list[tuple]:
         return self.map_chunk((pair,))
 
 
 @dataclass
-class CompiledReduce:
+class CompiledReduce(_Compiled):
     """Compiled λr.  Drop-in for ``ReduceApplier``."""
 
     body: IRExpr
@@ -998,17 +1121,12 @@ class CompiledReduce:
     globals_env: dict[str, Any]
     label: str = "reduce"
     _fn: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _fold_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
     _rendered: Optional[KernelSource] = field(
         default=None, repr=False, compare=False
     )
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_fn"] = None
-        state["_rendered"] = None
-        return state
-
-    @property
+    @cached_property
     def grouped_op(self) -> Optional[str]:
         """"sum"/"min"/"max" when λr admits array-based grouped folds."""
         return recognize_fold(self.body, self.params)
@@ -1024,6 +1142,17 @@ class CompiledReduce:
         self._ensure()
         assert self._rendered is not None
         return self._rendered.source
+
+    def fold(self, keys: Any, values: Any, acc: dict) -> None:
+        """Fold a batch of pairs into ``acc`` — per key, exactly the
+        ordered ``__call__`` fold (:func:`render_fold_kernel`)."""
+        if self._fold_fn is None:
+            self._fold_fn = compile_kernel(
+                render_fold_kernel(self.body, self.params),
+                self.globals_env,
+                self.label,
+            )
+        _run(self._fold_fn, keys, values, acc)
 
     def __call__(self, a: Any, b: Any) -> Any:
         fn = self._fn if self._fn is not None else self._ensure()

@@ -182,8 +182,15 @@ class RuntimeMonitor:
         sample: list[dict[str, Any]],
         globals_env: Optional[dict[str, Any]] = None,
         n2_ratio: float = 1.0,
+        estimates_out: Optional[dict[str, SampleEstimates]] = None,
     ) -> Implementation:
-        """Pick the implementation with the lowest estimated cost."""
+        """Pick the implementation with the lowest estimated cost.
+
+        ``estimates_out``, when given, receives each implementation's
+        :class:`SampleEstimates` under its name, so a caller that plans
+        the chosen one next (the execution planner prices the same
+        sample against the same summary) need not sample again.
+        """
         globals_env = globals_env or {}
         sample = sample[: self.sample_size]
         best: Optional[Implementation] = None
@@ -191,6 +198,8 @@ class RuntimeMonitor:
         self.last_costs = {}
         for impl in self.implementations:
             estimates = estimate_from_sample(impl.summary, sample, globals_env)
+            if estimates_out is not None:
+                estimates_out[impl.name] = estimates
             cost_value = impl.cost.evaluate(estimates.as_dict(), n2_ratio=n2_ratio)
             self.last_costs[impl.name] = cost_value
             if cost_value < best_cost:

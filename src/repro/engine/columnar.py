@@ -20,6 +20,9 @@ here):
   sum/min/max reducers (``reduceat`` over stably argsorted keys),
   restricted to cases that are bit-identical to the ordered dict fold
   and guarded against int64 overflow / NaN.
+* :func:`fold_columns` — that ordered dict fold itself, over a key
+  column and a value column of any Python objects: the one keyed fold
+  the map-side combine and both shuffle stores' reduces run.
 
 Exactness discipline: a column is only materialized as a numpy array
 when every element is *exactly* the Python type the static type
@@ -33,7 +36,8 @@ never silently wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Optional
 
 from .sizes import (
     BOOLEAN_SIZE,
@@ -353,13 +357,49 @@ def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
     return [(key, aggregated[group]) for key, group in zip(out_keys, seen_order.tolist())]
 
 
+# ----------------------------------------------------------------------
+# The ordered keyed fold (any λr, any keys)
+
+
+def fold_columns(
+    fn: Callable[[Any, Any], Any], keys: Iterable, values: Iterable, acc: dict
+) -> None:
+    """Fold one batch of pairs into ``acc``: per key, the left fold of
+    its values in arrival order, keys kept in first-seen order.
+
+    A reducer that carries its own ``fold`` kernel (the compiled λr of
+    :class:`~repro.codegen.kernels.CompiledReduce`, inlined into this
+    very loop) runs the batch in one call; any other callable — a plain
+    function, the ``REP308`` evaluator fallback — is applied pair by
+    pair.  Both are the same fold, so callers never need to know which.
+    """
+    fold = getattr(fn, "fold", None)
+    if fold is not None:
+        fold(keys, values, acc)
+        return
+    for key, value in zip(keys, values):
+        if key in acc:
+            acc[key] = fn(acc[key], value)
+        else:
+            acc[key] = value
+
+
+def split_pairs(pairs: list) -> tuple[list, list]:
+    """The key column and the value column of a pair list."""
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("a keyed stage takes (key, value) pairs")
+    return list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+
+
 __all__ = [
     "ColumnBlock",
     "ColumnChunk",
     "ColumnSpec",
     "build_chunk",
     "build_column",
+    "fold_columns",
     "grouped_fold",
     "resolve_columns",
     "sizeof_pair",
+    "split_pairs",
 ]

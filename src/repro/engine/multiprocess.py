@@ -20,11 +20,11 @@ first-seen key ordering and ordered value folds — only the work moves.
 
 The only thing ``memory_budget`` selects is the **shuffle store**:
 
-* *resident* (no budget) — map tasks return their per-chunk pair lists,
-  the driver groups them into a dict in chunk order and folds the groups
-  (in pool buckets when large enough).  The whole input is one round of
-  map tasks.
-* *spilled* (a budget) — map tasks hash-partition their output into a
+* *resident* (no budget) — map tasks return each chunk's (combined)
+  key and value columns, the driver folds them into one dict in chunk
+  order (large jobs on a pool group them instead and fold the groups in
+  pool buckets).  The whole input is one round of map tasks.
+* *spilled* (a budget) — map tasks hash-partition those columns into a
   budgeted :class:`~repro.engine.spill.SpillWriter` (pool workers spill
   locally) and return only run-file paths, key order and counters; the
   reduce merges one partition at a time and restores global first-seen
@@ -33,12 +33,18 @@ The only thing ``memory_budget`` selects is the **shuffle store**:
   ``peak_resident_bytes`` proxy is kept only here, where there is a
   bound to hold it against.
 
-The store is deliberately *not* merged into one: routing the resident
-case through ``SpillWriter.add`` → ``partition_of`` → ``_stable_bytes``
-with an unbounded budget costs +16.9 % calls on the ``keyed_inmem``
-benchmark workload (8 817k → 10 305k, wordcount 150k words / 10k keys),
-eight times its ``op_calls_k`` bound.  ``keyed_inmem`` and
-``keyed_spill`` are the benchmark rows on either side of the selection.
+What the stores share is the row path's one shape — *columns in, fold
+kernel, columns out*: the last map stage before a shuffle emits a key
+column and a value column (``map_columns``), and the map-side combine,
+the resident reduce and the spilled partition merge are all
+:func:`~repro.engine.columnar.fold_columns`, which runs a compiled λr's
+own ``fold`` kernel once per batch and applies any other callable pair
+by pair.  The store itself is deliberately *not* merged into one:
+routing the resident case through a ``SpillWriter`` with an unbounded
+budget measured +16.9 % calls on the ``keyed_inmem`` benchmark workload
+when routing was per pair (PR 17); batch routing makes the question
+worth re-asking, and ``keyed_inmem`` / ``keyed_spill`` are the benchmark
+rows on either side of the selection.
 
 Closures are shipped to workers with plain :mod:`pickle`; payloads that
 cannot be pickled (e.g. a locally-defined lambda) trigger a transparent
@@ -65,7 +71,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 from ..cpu import available_cpu_count
 from ..diagnostics.pickling import static_unpicklable_reason
 from ..errors import EngineError, SpillError
-from .columnar import build_chunk, grouped_fold
+from .columnar import build_chunk, fold_columns, grouped_fold, split_pairs
 from .config import EngineConfig
 from .core import lambda_cpu_ns
 from .metrics import JobMetrics
@@ -76,7 +82,7 @@ from .shm import (
     release_segments,
     write_payload,
 )
-from .sizes import dataset_bytes, pairs_bytes
+from .sizes import dataset_bytes, pair_columns_bytes, pairs_bytes
 from .source import (
     DEFAULT_CHUNK_RECORDS,
     Dataset,
@@ -213,15 +219,17 @@ class MultiprocessResult:
 class _MapOut:
     """What one map task reports back to the driver.
 
-    With the resident shuffle store the output pairs ride along
-    (``chunk_pairs``); with the spilled store they stay on disk and only
+    With the resident shuffle store the output rides along
+    (``chunk_output``); with the spilled store it stays on disk and only
     metadata (run-file paths in order, the task-local key order, the
     spill counters) crosses the process boundary.
     """
 
     #: Per fused map stage: [records_in, records_out, bytes_out].
     stage_counts: list[list[int]]
-    chunk_pairs: list[list] = field(default_factory=list)
+    #: Per chunk, what stays resident: the ``(keys, values)`` columns
+    #: bound for the shuffle, or a map-only segment's emitted records.
+    chunk_output: list = field(default_factory=list)
     #: Per partition, spill-run paths in chronological order.
     run_files: list[list[str]] = field(default_factory=list)
     #: Shuffle key → first-seen rank (spilled store only).
@@ -238,13 +246,13 @@ class _MapOut:
     stats: SpillStats = field(default_factory=SpillStats)
 
     def held_bytes(self, shuffle_next: bool) -> int:
-        """Estimated bytes of the resident ``chunk_pairs``: what they
+        """Estimated bytes of the resident ``chunk_output``: what it
         will shuffle as, or (map-only output) what the last stage emitted."""
         return self.shuffled_bytes if shuffle_next else self.stage_counts[-1][2]
 
     def merge(self, other: "_MapOut") -> None:
         """Absorb the report of the task that ran next in chunk order."""
-        self.chunk_pairs.extend(other.chunk_pairs)
+        self.chunk_output.extend(other.chunk_output)
         for mine, theirs in zip(self.stage_counts, other.stage_counts):
             for i in range(3):
                 mine[i] += theirs[i]
@@ -275,12 +283,12 @@ def _run_map_chunks(
 
     Shared by the pool workers and the in-process fallback, so both
     execution modes produce byte-identical results.  ``spill`` selects
-    the shuffle store: None keeps each chunk's pairs resident on the
-    report; ``(spill_dir, partitions, budget, task_id)`` routes them
-    into a :class:`SpillWriter` instead — hash-partitioned,
-    budget-bounded buffers that flush to run files.  The per-chunk work
-    is the same either way, so per-chunk combining groups records
-    identically and spilled results stay byte-identical.
+    the shuffle store: None keeps each chunk's output resident on the
+    report; ``(spill_dir, partitions, budget, task_id)`` routes it into
+    a :class:`SpillWriter` instead — hash-partitioned, budget-bounded
+    buffers that flush to run files.  The per-chunk work is the same
+    either way, so per-chunk combining groups records identically and
+    spilled results stay byte-identical.
 
     A mapper exposing ``map_chunk`` (the compiled kernels of
     :mod:`repro.codegen.kernels`) is handed the whole chunk at once —
@@ -288,16 +296,23 @@ def _run_map_chunks(
     run the classic inner loop.  Both paths emit identical pairs in
     identical order.
 
-    When the sole map stage also exposes ``map_block`` the chunk can
-    stay in column form past the map.  With a recognized sum/min/max
+    Ahead of a shuffle the pairs travel as two columns.  A last map
+    stage exposing ``map_columns`` emits them that way, so its output is
+    counted with ``len`` and priced by
+    :func:`~repro.engine.sizes.pair_columns_bytes` without a tuple per
+    pair; any other mapper's pair list is split once.  The combine is
+    one :func:`~repro.engine.columnar.fold_columns` into a per-chunk
+    dict, and the store takes the combined columns whole.
+
+    When the sole map stage is ``vectorized`` (``map_block``) the chunk
+    can stay in array form past the map.  With a recognized sum/min/max
     combiner, :func:`~repro.engine.columnar.grouped_fold` produces the
     per-chunk combine partials with array folds — bit-identical to the
     dict combine (same per-chunk grouping, same first-seen key order,
-    same fold sequence), with the pair tuples never materialized.  With
-    no combiner and the spilled store, the block is routed into the
-    writer's partition buffers as value/key sub-arrays
-    (:meth:`SpillWriter.add_block`) and only expanded to pair tuples at
-    merge time.
+    same fold sequence).  With no combiner and the spilled store, the
+    block is routed into the writer's partition buffers as value/key
+    sub-arrays (:meth:`SpillWriter.add_block`) and only expanded to
+    pair tuples at merge time.
     """
     out = _MapOut(stage_counts=[[0, 0, 0] for _ in map_fns])
     writer = SpillWriter(*spill) if spill is not None else None
@@ -305,7 +320,7 @@ def _run_map_chunks(
         out.stats = writer.stats
     block_fn = (
         map_fns[0]
-        if len(map_fns) == 1 and hasattr(map_fns[0], "map_block")
+        if len(map_fns) == 1 and getattr(map_fns[0], "vectorized", False)
         else None
     )
     fold_op = (
@@ -313,6 +328,7 @@ def _run_map_chunks(
     )
     if fold_op is None and (combiner is not None or writer is None):
         block_fn = None
+    last = len(map_fns) - 1
     for chunk in chunks:
         out.chunks += 1
         out.input_records += len(chunk)
@@ -321,6 +337,8 @@ def _run_map_chunks(
             chunk_bytes = dataset_bytes(chunk)
             out.input_bytes += chunk_bytes
         current: list = chunk
+        #: The last stage's pairs as (keys, values), once a stage made them.
+        columns: Optional[tuple[list, list]] = None
         combined = False
         if block_fn is not None:
             counts = out.stage_counts[0]
@@ -329,66 +347,69 @@ def _run_map_chunks(
                 out.guard_fallbacks += 1
             counts[0] += len(current)
             if block is None:
-                # Guard trip (or unvectorizable chunk): the compiled row
+                # Guard trip (or unreadable columns): the compiled row
                 # loop reruns this chunk without repeating the rejected
                 # vector work.
-                emitted = block_fn.map_rows(current)
-                counts[1] += len(emitted)
-                counts[2] += dataset_bytes(emitted)
-                current = emitted
+                current = block_fn.map_rows(current)
+                counts[1] += len(current)
+                counts[2] += dataset_bytes(current)
             else:
                 out.columnar_chunks += 1
                 counts[1] += len(block)
                 counts[2] += block.stage_bytes()
                 if fold_op is None:
                     writer.add_block(block)
-                    current = []
+                    columns = ([], [])
                 else:
                     folded = grouped_fold(block, fold_op)
-                    if folded is not None:
-                        current = folded
-                        combined = True
-                    else:
-                        current = block.pairs()
+                    combined = folded is not None
+                    columns = (
+                        split_pairs(folded)
+                        if combined
+                        else (block.key_list(), block.values.tolist())
+                    )
         else:
             for index, fn in enumerate(map_fns):
                 counts = out.stage_counts[index]
                 chunk_fn = getattr(fn, "map_chunk", None)
-                if chunk_fn is not None:
+                if chunk_fn is None:
+                    emitted = []
+                    for record in current:
+                        counts[0] += 1
+                        for pair in fn(record):
+                            emitted.append(pair)
+                else:
                     counts[0] += len(current)
-                    emitted = list(chunk_fn(current))
+                    if index == last and shuffle_next and hasattr(fn, "map_columns"):
+                        columns = fn.map_columns(current)
+                    else:
+                        emitted = list(chunk_fn(current))
                     if getattr(fn, "last_chunk_columnar", False):
                         out.columnar_chunks += 1
                     if getattr(fn, "last_chunk_fallback", False):
                         out.guard_fallbacks += 1
+                if columns is not None:
+                    counts[1] += len(columns[0])
+                    counts[2] += pair_columns_bytes(*columns)
+                else:
                     counts[1] += len(emitted)
                     counts[2] += dataset_bytes(emitted)
                     current = emitted
-                    continue
-                emitted = []
-                for record in current:
-                    counts[0] += 1
-                    for pair in fn(record):
-                        emitted.append(pair)
-                counts[1] += len(emitted)
-                counts[2] += dataset_bytes(emitted)
-                current = emitted
-        if combiner is not None and not combined:
-            local: dict[Any, Any] = {}
-            for key, value in current:
-                if key in local:
-                    local[key] = combiner(local[key], value)
-                else:
-                    local[key] = value
-            current = list(local.items())
-        if writer is not None:
-            for key, value in current:
-                writer.add(key, value)
-        else:
+        if not shuffle_next:
             out.outgoing_records += len(current)
-            if shuffle_next:
-                out.shuffled_bytes += pairs_bytes(current)
-            out.chunk_pairs.append(current)
+            out.chunk_output.append(current)
+        else:
+            keys, values = columns if columns is not None else split_pairs(current)
+            if combiner is not None and not combined:
+                local: dict[Any, Any] = {}
+                fold_columns(combiner, keys, values, local)
+                keys, values = list(local), list(local.values())
+            if writer is not None:
+                writer.add_columns(keys, values)
+            else:
+                out.outgoing_records += len(keys)
+                out.shuffled_bytes += dataset_bytes(keys) + dataset_bytes(values)
+                out.chunk_output.append((keys, values))
         if measure_input:
             # The in-flight chunk is resident alongside what the store holds.
             held = (
@@ -406,28 +427,19 @@ def _run_map_chunks(
     return out
 
 
-def _fold_groups(
-    fn: Callable[[Any, Any], Any], groups: list[tuple[Any, list]]
-) -> list[tuple]:
-    """Ordered fold of each key's values — the reduce-side work."""
-    out = []
-    for key, values in groups:
-        acc = values[0]
-        for value in values[1:]:
-            acc = fn(acc, value)
-        out.append((key, acc))
-    return out
-
-
 def _map_task(payload: Union[bytes, ShmRef]) -> _MapOut:
     """Pool entry point: unpickle one map task and run it."""
     return _run_map_chunks(*load_payload(payload))
 
 
 def _reduce_task(payload: Union[bytes, ShmRef]) -> list[tuple]:
-    """Pool entry point: unpickle one bucket of key groups and fold it."""
+    """Pool entry point: unpickle one bucket of key groups and fold each
+    key's values in order."""
     fn, groups = load_payload(payload)
-    return _fold_groups(fn, groups)
+    acc: dict[Any, Any] = {}
+    for key, values in groups:
+        fold_columns(fn, itertools.repeat(key, len(values)), values, acc)
+    return list(acc.items())
 
 
 def _spill_reduce_task(payload: Union[bytes, ShmRef]) -> tuple[list[tuple], int]:
@@ -628,7 +640,7 @@ class MultiprocessEngine:
             if reduce_step is None:
                 # A map-only segment's output is the job's (or the next
                 # bridge's) input, so it is materialized by contract.
-                pairs = [pair for chunk in out.chunk_pairs for pair in chunk]
+                pairs = [pair for chunk in out.chunk_output for pair in chunk]
             else:
                 started = time.perf_counter()
                 pairs = self._reduce_phase(out, reduce_step, pool, result, stats)
@@ -904,38 +916,47 @@ class MultiprocessEngine:
         result: MultiprocessResult,
         stats: SpillStats,
     ) -> list[tuple]:
-        """Group the shuffle store's pairs by key and fold each group.
+        """Fold the shuffle store's pairs key by key, in arrival order.
 
-        An unpicklable reducer folds in-process without recording a
+        Every branch is the same ordered left fold
+        (:func:`~repro.engine.columnar.fold_columns`): the resident
+        store's chunk columns into one dict, or — large jobs on a pool —
+        gathered per key and folded in pool buckets; the spilled store's
+        partitions merged one at a time (in pool tasks when there are
+        several) and put back in global first-seen key order.  An
+        unpicklable reducer folds in-process without recording a
         fallback — the map phase may still have pooled fine.
         """
         broke = "worker pool broke during reduce"
+        fn = reduce_step.fn
         if self.memory_budget is None:
-            # Resident store.  Driver-side merge in chunk order:
-            # first-seen key ordering and per-key value order match the
-            # simulated engines exactly.
-            grouped: dict[Any, list] = {}
-            for chunk in out.chunk_pairs:
-                for key, value in chunk:
-                    grouped.setdefault(key, []).append(value)
-            groups = list(grouped.items())
-            if (
-                pool is not None
-                and len(groups) > 1
-                and out.outgoing_records >= self.min_parallel_records
-            ):
-                task_count = min(len(groups), max(1, result.processes_used * 2))
-                bounds = self._task_bounds(len(groups), task_count)
-                folded, _error = self._run_tasks(
-                    pool,
-                    _reduce_task,
-                    [(reduce_step.fn, groups[lo:hi]) for lo, hi in bounds],
-                    result,
-                    broke,
-                )
-                if folded is not None:
-                    return [pair for bucket in folded for pair in bucket]
-            return _fold_groups(reduce_step.fn, groups)
+            # Resident store.  A large job on a pool splits the *keys*
+            # across workers, so each key's values are gathered first
+            # and every bucket folds its own.
+            if pool is not None and out.outgoing_records >= self.min_parallel_records:
+                grouped: dict[Any, list] = {}
+                for keys, values in out.chunk_output:
+                    for key, value in zip(keys, values):
+                        grouped.setdefault(key, []).append(value)
+                groups = list(grouped.items())
+                if len(groups) > 1:
+                    task_count = min(len(groups), max(1, result.processes_used * 2))
+                    bounds = self._task_bounds(len(groups), task_count)
+                    folded, _error = self._run_tasks(
+                        pool,
+                        _reduce_task,
+                        [(fn, groups[lo:hi]) for lo, hi in bounds],
+                        result,
+                        broke,
+                    )
+                    if folded is not None:
+                        return [pair for bucket in folded for pair in bucket]
+            # Driver-side fold in chunk order: first-seen key ordering
+            # and per-key value order match the simulated engines exactly.
+            acc: dict[Any, Any] = {}
+            for keys, values in out.chunk_output:
+                fold_columns(fn, keys, values, acc)
+            return list(acc.items())
         # Spilled store.  Merge-reduce partition by partition, then
         # restore the global first-seen key order.
         parts = [files for files in out.run_files if files]
@@ -944,7 +965,7 @@ class MultiprocessEngine:
             outs, _error = self._run_tasks(
                 pool,
                 _spill_reduce_task,
-                [(reduce_step.fn, files) for files in parts],
+                [(fn, files) for files in parts],
                 result,
                 broke,
             )
@@ -954,7 +975,7 @@ class MultiprocessEngine:
                     stats.note_resident(peak)
                     folded.append(bucket)
         if folded is None:
-            folded = [merge_partition(files, reduce_step.fn, stats) for files in parts]
+            folded = [merge_partition(files, fn, stats) for files in parts]
         cleanup_runs(out.run_files)
         rank = out.key_order
         pairs = [pair for bucket in folded for pair in bucket]

@@ -9,20 +9,25 @@ Two entry points, one set of numbers:
 
 * :func:`sizeof` — the **walker**: one value, recursively, with a
   visited-id set.  It defines the model.  Its direct callers price a
-  *single* value, or need the running size pair by pair because it
-  decides something there: ``SpillWriter.add`` (the size trips the
-  flush), the broadcast-index overflow guard in ``codegen/joins.py``
-  (the size trips the switch) and ``ColumnBlock``'s constant key.
-* :func:`dataset_bytes` / :func:`pairs_bytes` — the **kernel**: a whole
-  chunk of records (or pairs) at once.  It returns exactly
+  *single* value, or need the size pair by pair because it decides
+  something there: a spilled batch whose key or value column is *not*
+  one fixed-size scalar kind (:meth:`SpillWriter.add_columns
+  <repro.engine.spill.SpillWriter.add_columns>` — each pair's own size
+  places the flush), the broadcast-index overflow guard in
+  ``codegen/joins.py`` (the size trips the switch) and ``ColumnBlock``'s
+  constant key.
+* :func:`dataset_bytes` / :func:`pairs_bytes` / :func:`pair_columns_bytes`
+  — the **kernel**: a whole chunk of records (or pairs, or the key and
+  value columns of a compiled map stage) at once.  It returns exactly
   ``sum(sizeof(r) for r in records)`` but prices a type-homogeneous
   chunk column-wise at C speed and hands anything it cannot *prove* it
   prices identically back to the walker.  Callers are everything that
   accounts bytes for a collection: every engine's scan / stage /
   shuffle / collect counters, the residency proxy, the planner's and
-  the feedback store's head samples.  The resident run path never
-  walks record by record; the spilled store's writer is its one
-  per-pair caller.
+  the feedback store's head samples.  :func:`uniform_size` is the same
+  proof turned into one number per pair, which lets the spilled store
+  place its flushes by arithmetic.  Neither shuffle store walks a
+  uniform column pair by pair.
 """
 
 from __future__ import annotations
@@ -176,6 +181,41 @@ def pairs_bytes(pairs: Iterable[Any]) -> int:
     return sum(dataset_bytes(map(itemgetter(side), rows)) for side in (0, 1))
 
 
+def pair_columns_bytes(keys: Sequence[Any], values: Sequence[Any]) -> int:
+    """Exactly ``dataset_bytes(list(zip(keys, values)))`` — what a map
+    stage's emitted pair tuples cost — from the two columns.
+
+    The pairs are only materialized (one at a time, for the walker) when
+    a column is not provably priced column-wise or a row's key *is* its
+    value container, which one pair's walk charges once.
+    """
+    if not keys:
+        return 0
+    fields = _fields_bytes((keys, values), _CONTAINER_LEVELS - 1)
+    if fields is None:
+        return _walk_each(zip(keys, values))
+    return TUPLE_HEADER * len(keys) + fields
+
+
+def uniform_size(values: Sequence[Any], kinds: Optional[set] = None) -> Optional[int]:
+    """The one ``sizeof`` every value of a non-empty column has, or None.
+
+    Exactly one fixed-size scalar kind qualifies: all ``str`` / ``float``
+    / ``bool`` / ``None``, or ``int``s on one side of 2³¹ (``kinds`` is
+    ``set(map(type, values))`` when the caller already has it).
+    """
+    kinds = kinds or set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    if kind is not int:
+        return _FIXED_SIZES.get(kind)
+    low, high = min(values), max(values)
+    if -(2**31) <= low and high < 2**31:
+        return INT_SIZE
+    return LONG_SIZE if high < -(2**31) or low >= 2**31 else None
+
+
 def _walk_each(values: Iterable[Any]) -> int:
     """The walker over every value in turn, a fresh visited set each."""
     return sum(map(_sizeof, values, repeat(None)))
@@ -186,27 +226,20 @@ def _column_bytes(values: Sequence[Any], levels: int) -> Optional[int]:
     when that cannot be proved without walking.
 
     ``levels`` is how many container levels may still open at and below
-    this column (0: scalars only).  A container column is priced only when every value is *exactly* a
-    tuple or an ``Instance`` of one arity and no row holds the same
-    child container in two fields — one record's walk charges a shared
-    child once, so only alias-free rows add up column-wise.  Scalars are
-    never identity-tracked, so a scalar column the constants do not
-    cover (mixed kinds, ints on both sides of 2³¹) is walked on its own.
+    this column (0: scalars only).  A container column is priced only
+    when every value is *exactly* a tuple or an ``Instance`` of one
+    arity and its fields add up (:func:`_fields_bytes`).  Scalars are
+    never identity-tracked, so a scalar column :func:`uniform_size` does
+    not cover (mixed kinds, ints on both sides of 2³¹) is walked on its
+    own.
     """
     kinds = set(map(type, values))
-    if len(kinds) > 1:
-        return _walk_each(values) if kinds <= _SCALAR_TYPES else None
-    (kind,) = kinds
-    count = len(values)
-    fixed = _FIXED_SIZES.get(kind)
-    if fixed is not None:
-        return fixed * count
-    if kind is int:
-        if -(2**31) <= min(values) and max(values) < 2**31:
-            return INT_SIZE * count
-        return _walk_each(values)
-    if levels == 0:
+    if kinds <= _SCALAR_TYPES:
+        size = uniform_size(values, kinds)
+        return _walk_each(values) if size is None else size * len(values)
+    if len(kinds) > 1 or levels == 0:
         return None
+    (kind,) = kinds
     if kind is tuple:
         header, rows = TUPLE_HEADER, values
     elif kind is Instance:
@@ -218,15 +251,26 @@ def _column_bytes(values: Sequence[Any], levels: int) -> Optional[int]:
     if len(set(map(len, rows))) != 1:
         return None  # ragged
     names = range(len(rows[0])) if kind is tuple else rows[0]
-    total = header * count
-    containers: list[list] = []
-    for name in names:
-        try:
-            # One list per field; zip(*rows) would build an iterator per row.
-            column = list(map(itemgetter(name), rows))
-        except KeyError:
-            return None  # same arity, other field names
-        size = _column_bytes(column, levels - 1)
+    try:
+        # One list per field; zip(*rows) would build an iterator per row.
+        fields = _fields_bytes(
+            (list(map(itemgetter(name), rows)) for name in names), levels - 1
+        )
+    except KeyError:
+        return None  # same arity, other field names
+    return None if fields is None else header * len(values) + fields
+
+
+def _fields_bytes(columns: Iterable[Sequence[Any]], levels: int) -> Optional[int]:
+    """Summed sizes of aligned field columns — row *i* is the *i*-th
+    value of each — or None when a field cannot be proved or some row
+    holds the same child container in two fields: one record's walk
+    charges a shared child once, so only alias-free rows add up
+    column-wise."""
+    total = 0
+    containers: list[Sequence[Any]] = []
+    for column in columns:
+        size = _column_bytes(column, levels)
         if size is None:
             return None
         total += size

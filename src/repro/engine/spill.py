@@ -5,19 +5,21 @@ map output to local disk and merge-reducing it partition by partition;
 this module gives the real local engine the same capability.
 
 A :class:`SpillWriter` (one per map task — "workers spill locally")
-buffers emitted ``(key, value)`` pairs per hash partition, estimating
-resident bytes with :func:`repro.engine.sizes.sizeof_pair`; the moment
-the buffer exceeds the configured memory budget, every non-empty
-partition buffer is flushed as one pickled *run* file.  Runs preserve
-arrival order, so a later per-partition merge (:func:`merge_partition`)
-that reads runs chronologically sees each key's values in exactly the
-order the in-memory engines would have grouped them — the ordered fold
-then produces identical results while peak memory stays O(budget) on
-the map side and O(partition) on the reduce side.
+buffers emitted ``(key, value)`` pairs per hash partition, a chunk's
+combined key and value columns at a time, estimating resident bytes
+with the :mod:`repro.engine.sizes` model; at the pair that takes the
+buffers past the configured memory budget, every non-empty partition
+buffer is flushed as one pickled *run* file.  Runs preserve arrival
+order, so a later per-partition merge (:func:`merge_partition`) that
+reads runs chronologically folds each key's values in exactly the order
+the in-memory engines would — identical results while peak memory stays
+O(budget) on the map side and O(run + partition's keys) on the reduce
+side.
 
 Keys are routed with a *stable* hash (:func:`partition_of`): Python's
 builtin ``hash`` is salted per process for strings, which would scatter
-the same key to different partitions across pool workers.
+the same key to different partitions across pool workers.  A writer
+hashes each distinct key once and remembers its partition.
 
 All failure modes raise the typed :class:`repro.errors.SpillError` —
 an unwritable spill directory, a corrupt run file discovered mid-merge,
@@ -30,13 +32,15 @@ from __future__ import annotations
 import os
 import pickle
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from itertools import accumulate, islice
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..errors import SpillError
 from ..lang.values import Instance
-from .columnar import ColumnBlock
-from .sizes import pairs_bytes, sizeof_pair
+from .columnar import ColumnBlock, fold_columns, split_pairs
+from .sizes import dataset_bytes, sizeof_pair, uniform_size
 
 
 def _stable_bytes(key: Any) -> bytes:
@@ -119,7 +123,25 @@ class SpillStats:
 
 
 class SpillWriter:
-    """Hash-partitions one map task's output into budgeted spill runs."""
+    """Hash-partitions one map task's output into budgeted spill runs.
+
+    Output arrives a batch at a time — :meth:`add_columns` takes a
+    chunk's (combined) key and value columns, :meth:`add_block` a
+    vectorized stage's arrays — and is accounted exactly as if it had
+    arrived pair by pair: the flush fires at the pair whose estimated
+    size takes the buffers past the budget, so run boundaries and every
+    :class:`SpillStats` field are those of the per-pair walk.  When both
+    columns are one fixed-size scalar kind (:func:`uniform_size`) that
+    pair is found by arithmetic; any other column is sized pair by pair
+    by the walker (``sizeof_pair``), the one per-pair sizing left.
+
+    A key is hashed (:func:`partition_of`) the first time this writer
+    sees it; ``_route`` remembers ``key → partition`` and, being a dict,
+    the first-seen key order.  That is sound because ``_stable_bytes``
+    is canonical over exactly the equality classes a dict lookup
+    conflates; a NaN that misses by identity recomputes the same
+    partition.
+    """
 
     def __init__(
         self,
@@ -136,17 +158,16 @@ class SpillWriter:
         self.partitions = max(1, partitions)
         self.budget_bytes = budget_bytes
         self.task_id = task_id
+        #: Per partition, the buffered entries in arrival order: pair
+        #: tuples and (from :meth:`add_block`) ``ColumnBlock`` pieces.
         self._buffers: list[list] = [[] for _ in range(self.partitions)]
-        #: Estimated bytes currently buffered per partition (accumulated
-        #: in :meth:`add`, where each pair's size is already in hand).
-        self._buffer_bytes: list[int] = [0] * self.partitions
+        #: Estimated bytes / pairs currently buffered, all partitions.
         self._resident = 0
+        self._buffered_pairs = 0
         self._run_index = 0
         #: Per partition, run-file paths in chronological (spill) order.
         self.run_files: list[list[str]] = [[] for _ in range(self.partitions)]
-        #: Keys in first-seen order within this task's input slice.
-        self.key_order: list = []
-        self._seen: set = set()
+        self._route: dict[Any, int] = {}
         self.pairs_in = 0
         self.bytes_in = 0
         self.stats = SpillStats(partitions=self.partitions)
@@ -156,26 +177,75 @@ class SpillWriter:
         """Estimated bytes currently buffered (pre-spill high water)."""
         return self._resident
 
-    def add(self, key: Any, value: Any) -> None:
-        size = sizeof_pair(key, value)
-        if size > self.budget_bytes:
+    @property
+    def key_order(self) -> list:
+        """Keys in first-seen order within this task's input slice."""
+        return list(self._route)
+
+    def _partitions_of(self, keys: Iterable) -> Iterator[int]:
+        """Each key's partition, hashing only keys not seen before."""
+        route = self._route
+        for key in keys:
+            if key not in route:
+                route[key] = partition_of(key, self.partitions)
+        return map(route.__getitem__, keys)
+
+    def _check_fits(self, biggest: int) -> None:
+        if biggest > self.budget_bytes:
             raise SpillError(
                 f"memory budget {self.budget_bytes} B is smaller than a "
-                f"single record ({size} B estimated) — cannot buffer even "
+                f"single record ({biggest} B estimated) — cannot buffer even "
                 "one pair; raise the budget"
             )
-        if key not in self._seen:
-            self._seen.add(key)
-            self.key_order.append(key)
-        partition = partition_of(key, self.partitions)
-        self._buffers[partition].append((key, value))
-        self._buffer_bytes[partition] += size
+
+    def _buffered(self, pairs: int, size: int) -> None:
+        """Account ``pairs`` more buffered pairs of ``size`` bytes in
+        all; flush when that took the buffers past the budget."""
         self._resident += size
-        self.pairs_in += 1
+        self._buffered_pairs += pairs
+        self.pairs_in += pairs
         self.bytes_in += size
         self.stats.note_resident(self._resident)
         if self._resident > self.budget_bytes:
             self.spill()
+
+    def add(self, key: Any, value: Any) -> None:
+        self.add_columns((key,), (value,))
+
+    def add_columns(self, keys: list, values: list) -> None:
+        """Buffer one batch of pairs, given as aligned columns."""
+        count = len(keys)
+        if count == 0:
+            return
+        key_size, value_size = uniform_size(keys), uniform_size(values)
+        if key_size is not None and value_size is not None:
+            size = key_size + value_size
+            totals = None
+        else:
+            # A column of mixed or nested values: every pair has its own
+            # size, and their running total places the flush.
+            sizes = list(map(sizeof_pair, keys, values))
+            size = max(sizes)
+            totals = list(accumulate(sizes))
+        self._check_fits(size)
+        buffers = self._buffers
+        routed = zip(self._partitions_of(keys), zip(keys, values))
+        start = 0
+        while start < count:
+            # Buffer up to and including the pair that takes the buffers
+            # past the budget (or the rest of the batch), then account.
+            room = self.budget_bytes - self._resident
+            if totals is None:
+                stop = min(count, start + room // size + 1)
+                taken = (stop - start) * size
+            else:
+                before = totals[start - 1] if start else 0
+                stop = min(count, bisect_right(totals, before + room, start) + 1)
+                taken = totals[stop - 1] - before
+            for partition, pair in islice(routed, stop - start):
+                buffers[partition].append(pair)
+            self._buffered(stop - start, taken)
+            start = stop
 
     def add_block(self, block: ColumnBlock) -> None:
         """Route a vectorized map stage's output block into the buffers.
@@ -193,32 +263,15 @@ class SpillWriter:
             return
         sizes = block.pair_sizes()
         biggest = max(sizes)
-        if biggest > self.budget_bytes:
-            raise SpillError(
-                f"memory budget {self.budget_bytes} B is smaller than a "
-                f"single record ({biggest} B estimated) — cannot buffer even "
-                "one pair; raise the budget"
-            )
+        self._check_fits(biggest)
         if block.keys is None:
-            key = block.key_const
-            if key not in self._seen:
-                self._seen.add(key)
-                self.key_order.append(key)
-            partition = partition_of(key, self.partitions)
+            (partition,) = self._partitions_of((block.key_const,))
             routes = [(partition, None)]
         else:
             by_partition: dict[int, list[int]] = {}
-            for index, key in enumerate(block.key_list()):
-                if key not in self._seen:
-                    self._seen.add(key)
-                    self.key_order.append(key)
-                by_partition.setdefault(
-                    partition_of(key, self.partitions), []
-                ).append(index)
-            routes = [
-                (partition, indices)
-                for partition, indices in by_partition.items()
-            ]
+            for index, partition in enumerate(self._partitions_of(block.key_list())):
+                by_partition.setdefault(partition, []).append(index)
+            routes = list(by_partition.items())
         step = max(1, (self.budget_bytes // 4) // max(1, biggest))
         for partition, indices in routes:
             if indices is None:
@@ -237,19 +290,11 @@ class SpillWriter:
                     keys=None if keys is None else keys[start:stop],
                     key_const=block.key_const,
                 )
-                piece_bytes = sum(picked_sizes[start:stop])
                 self._buffers[partition].append(piece)
-                self._buffer_bytes[partition] += piece_bytes
-                self._resident += piece_bytes
-                self.pairs_in += stop - start
-                self.bytes_in += piece_bytes
-                self.stats.note_resident(self._resident)
-                if self._resident > self.budget_bytes:
-                    self.spill()
+                self._buffered(stop - start, sum(picked_sizes[start:stop]))
 
     def spill(self) -> None:
         """Flush every non-empty partition buffer as one run file each."""
-        wrote = False
         for partition, buffer in enumerate(self._buffers):
             if not buffer:
                 continue
@@ -266,16 +311,12 @@ class SpillWriter:
                 ) from exc
             self.run_files[partition].append(path)
             self.stats.spill_runs += 1
-            self.stats.spilled_pairs += sum(
-                len(entry) if type(entry) is ColumnBlock else 1
-                for entry in buffer
-            )
-            self.stats.spilled_bytes += self._buffer_bytes[partition]
             self._buffers[partition] = []
-            self._buffer_bytes[partition] = 0
-            wrote = True
-        if wrote:
+        if self._buffered_pairs:
             self._run_index += 1
+        self.stats.spilled_pairs += self._buffered_pairs
+        self.stats.spilled_bytes += self._resident
+        self._buffered_pairs = 0
         self._resident = 0
 
     def finish(self) -> None:
@@ -300,7 +341,7 @@ def read_run(path: str) -> list[tuple]:
             f"corrupt spill run {path!r}: expected a pair list, "
             f"got {type(pairs).__name__}"
         )
-    if not any(type(entry) is ColumnBlock for entry in pairs):
+    if ColumnBlock not in set(map(type, pairs)):
         return pairs
     out: list[tuple] = []
     for entry in pairs:
@@ -316,30 +357,25 @@ def merge_partition(
     reduce_fn: Callable[[Any, Any], Any],
     stats: Optional[SpillStats] = None,
 ) -> list[tuple]:
-    """Merge-reduce one partition: group runs in order, fold per key.
+    """Merge-reduce one partition: fold its runs in order, key by key.
 
-    Reads this partition's runs chronologically, so each key's value
-    sequence matches the in-memory engines' grouping; the ordered fold
-    then yields identical reductions.  Output pairs come back in the
-    partition-local first-seen key order (the caller restores the global
-    order).  Peak memory is this one partition's grouped values.
+    Reads this partition's runs chronologically and folds each into one
+    accumulator dict (:func:`~repro.engine.columnar.fold_columns`), so
+    each key's values meet ``reduce_fn`` in the order the in-memory
+    engines would have folded them and the reductions are identical.
+    Output pairs come back in the partition-local first-seen key order
+    (the caller restores the global order).  ``stats`` is charged the
+    partition's whole pair stream, as when it was grouped before folding.
     """
-    grouped: dict[Any, list] = {}
+    acc: dict[Any, Any] = {}
     resident = 0
     for path in run_files:
-        pairs = read_run(path)
-        resident += pairs_bytes(pairs)
-        for key, value in pairs:
-            grouped.setdefault(key, []).append(value)
+        keys, values = split_pairs(read_run(path))
+        resident += dataset_bytes(keys) + dataset_bytes(values)
+        fold_columns(reduce_fn, keys, values, acc)
     if stats is not None:
         stats.note_resident(resident)
-    out: list[tuple] = []
-    for key, values in grouped.items():
-        acc = values[0]
-        for value in values[1:]:
-            acc = reduce_fn(acc, value)
-        out.append((key, acc))
-    return out
+    return list(acc.items())
 
 
 def cleanup_runs(run_files_per_partition: list[list[str]]) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..cost.model import CostModel
-from ..cost.monitor import estimate_from_sample
+from ..cost.monitor import SampleEstimates, estimate_from_sample
 from ..diagnostics import make as make_diagnostic
 from ..diagnostics.pickling import probe_payload
 from ..engine.config import PROFILES, EngineConfig
@@ -174,6 +174,7 @@ class ExecutionPlanner:
         inputs: Optional[dict[str, Any]] = None,
         observation: Optional[Any] = None,
         observation_note: Optional[str] = None,
+        estimates: Optional[SampleEstimates] = None,
     ) -> tuple["ExecutionPlan", "PlanReport"]:
         """Decide how to execute ``program`` over ``records``.
 
@@ -205,6 +206,12 @@ class ExecutionPlanner:
         reason when a stored observation *exists but could not load*
         (corruption, schema mismatch): it goes into the trail so the
         fallback to static estimates is never silent.
+
+        ``estimates`` is the runtime monitor's
+        :class:`~repro.cost.monitor.SampleEstimates` of this program's
+        summary over this very ``sample``; the planner takes it as its
+        own unless it holds right-side join samples the monitor never
+        saw, which carry the estimate through the join stages.
         """
         from ..engine.source import Dataset
         from .plan import ExecutionPlan, PlanReport
@@ -281,12 +288,15 @@ class ExecutionPlanner:
             if self.config.processes is not None
             else default_process_count()
         )
-        estimates = estimate_from_sample(
-            program.summary,
-            sample,
-            globals_env,
-            right_samples=self._right_samples(program, inputs),
-        )
+        right_samples = self._right_samples(program, inputs)
+        if (
+            estimates is None
+            or right_samples is not None
+            or estimates.sample_size != len(sample)
+        ):
+            estimates = estimate_from_sample(
+                program.summary, sample, globals_env, right_samples=right_samples
+            )
         stages = self._stage_plans(
             program, estimates, reasons, observation=observation,
             provenance=provenance,

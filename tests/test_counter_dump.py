@@ -1,0 +1,41 @@
+"""Every number a run reports is the number the parent commit reported.
+
+``benchmarks/counter_dump.py`` runs every translated fragment of the 70
+benchmarks on five backends and every whole program through
+``run_graph`` three ways, and digests each run's outputs, per-stage
+counters, simulated seconds and spill accounting.
+``tests/data/counters_golden.json`` holds those digests as generated on
+the commit *before* the keyed row path moved to columns (PR 21's
+parent, ``87e2839``); an engine or accounting change that moves any of
+them fails here with the fragment × backend named.  Nothing in an entry
+depends on ``PYTHONHASHSEED`` (sets are rendered sorted).
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from benchmarks.counter_dump import GOLDEN_PATH, digest, entries
+from repro.workloads import all_benchmarks
+from suite_cache import compiled
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+NAMES = [b.name for b in all_benchmarks()]
+
+
+def _benchmark_of(entry: str) -> str:
+    return entry.split("@")[0].split("#")[0]
+
+
+def test_golden_covers_the_registered_suite():
+    assert sorted({_benchmark_of(entry) for entry in GOLDEN}) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_counters_match_the_parent_commit(name):
+    got = {entry: digest(text) for entry, text in entries(name, compiled)}
+    want = {e: d for e, d in GOLDEN.items() if _benchmark_of(e) == name}
+    moved = sorted(e for e in got.keys() | want.keys() if got.get(e) != want.get(e))
+    assert not moved, f"outputs or counters moved (fragment#index@backend): {moved}"

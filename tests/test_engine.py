@@ -2,6 +2,7 @@
 
 import cProfile
 import dataclasses
+import random
 
 import pytest
 
@@ -18,8 +19,9 @@ from repro.engine import (
     sizeof,
 )
 from repro.engine import sizes
-from repro.engine.sizes import BOOLEAN_SIZE, STRING_SIZE, TUPLE_HEADER
-from repro.errors import EngineError
+from repro.engine.sizes import BOOLEAN_SIZE, STRING_SIZE, TUPLE_HEADER, sizeof_pair
+from repro.engine.spill import SpillWriter, partition_of, read_run
+from repro.errors import EngineError, SpillError
 from repro.lang.parser import parse_program
 from repro.lang.values import Instance
 
@@ -75,6 +77,129 @@ class TestSizes:
         )
         chunks = engine.config.default_partitions
         assert 0 < sizing_calls <= 32 * chunks
+
+
+class TestKeyedPathCalls:
+    """The keyed row path makes no call per pair: columns out of the map
+    kernel, λr inlined into the fold loop, spill routing by batch."""
+
+    @staticmethod
+    def wordcount(words):
+        from repro.codegen.base import prepare_globals, view_records
+        from suite_cache import compiled
+
+        [fragment] = [
+            f for f in compiled("phoenix_wordcount").fragments if f.translated
+        ]
+        inputs = {"wordList": words}
+        globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
+        steps, diagnostics = fragment.program.programs[0].local_steps(globals_env)
+        assert not diagnostics  # every stage compiled
+        return view_records(fragment.analysis.view, inputs), steps
+
+    @pytest.mark.parametrize("budget", [None, 64 * 1024])
+    def test_calls_follow_chunks_and_keys_not_pairs(self, budget):
+        rng = random.Random(5)
+        words = [f"w{rng.randrange(1000)}" for _ in range(24_000)]
+        records, steps = self.wordcount(words)
+        engine = MultiprocessEngine(processes=0, memory_budget=budget)
+        profile = cProfile.Profile()
+        result = profile.runcall(engine.run_pipeline, records, steps)
+        assert dict(result.pairs) == {w: words.count(w) for w in set(words)}
+        python_calls = [
+            entry for entry in profile.getstats() if not isinstance(entry.code, str)
+        ]
+        chunks = engine.config.default_partitions
+        keys = len(result.pairs)
+        runs = result.spill_stats["spill_runs"] if budget else 0
+        assert keys == 1000 and result.metrics.stages[-1].records_in > 20 * keys
+        assert bool(runs) == bool(budget)
+        # 24 000 pairs mapped, ~20 000 combined pairs shuffled: a call per
+        # pair anywhere is several times this bound (the per-pair loops
+        # this replaced made 47 566 / 286 157 Python-level calls here).
+        per_key = 4 if budget else 1  # routing: hash, encode, final ordering
+        bound = 40 * chunks + per_key * keys + 16 * runs
+        assert sum(entry.callcount for entry in python_calls) <= bound
+        hashed = sum(
+            entry.callcount
+            for entry in python_calls
+            if entry.code.co_name == partition_of.__name__
+        )
+        assert hashed == (keys if budget else 0)
+
+    #: Batches whose flush falls mid-batch: one fixed-size kind per
+    #: column (the arithmetic path), and columns only the walker sizes.
+    BATCHES = {
+        "str_int": lambda i: (f"k{i % 37}", i),
+        "long_float": lambda i: (2**40 + i % 11, i * 0.5),
+        "ints_across_2_31": lambda i: (i % 13, 2**31 - 5 + i % 10),
+        "mixed_kinds": lambda i: (i % 7 if i % 3 else f"s{i % 7}", (i, "v")),
+        "bool_none": lambda i: (i % 2 == 0, None),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(BATCHES))
+    @pytest.mark.parametrize("budget", [200, 1000, 4096])
+    def test_batch_spill_equals_the_per_pair_walk(self, tmp_path, shape, budget):
+        """Run-file boundaries, per-run pair counts and every
+        ``spill_stats`` field are those of adding pair by pair — the
+        reference below is the loop ``add_columns`` replaced."""
+        pairs = [self.BATCHES[shape](i) for i in range(500)]
+        partitions = 5
+
+        # Reference: size each pair, flush the moment the total passes
+        # the budget; per partition, the pair count of each run.
+        runs = [[] for _ in range(partitions)]
+        buffered = [0] * partitions
+        stats = {"spill_runs": 0, "spilled_pairs": 0, "spilled_bytes": 0, "peak": 0}
+        resident = flushes = 0
+
+        def flush():
+            nonlocal resident, flushes
+            flushes += 1
+            for partition, count in enumerate(buffered):
+                if count:
+                    runs[partition].append(count)
+                    stats["spill_runs"] += 1
+                    stats["spilled_pairs"] += count
+                    buffered[partition] = 0
+            stats["spilled_bytes"] += resident
+            resident = 0
+
+        for key, value in pairs:
+            resident += sizeof_pair(key, value)
+            buffered[partition_of(key, partitions)] += 1
+            stats["peak"] = max(stats["peak"], resident)
+            if resident > budget:
+                flush()
+        flush()
+
+        writer = SpillWriter(str(tmp_path), partitions, budget)
+        for start in (0, 3, 170, 171, 400):  # uneven batches, one of a single pair
+            stop = {0: 3, 3: 170, 170: 171, 171: 400, 400: 500}[start]
+            keys, values = zip(*pairs[start:stop])
+            writer.add_columns(list(keys), list(values))
+        writer.finish()
+        assert [[len(read_run(p)) for p in files] for files in writer.run_files] == runs
+        assert writer.stats.as_dict() == {
+            "partitions": partitions,
+            "spill_runs": stats["spill_runs"],
+            "spilled_pairs": stats["spilled_pairs"],
+            "spilled_bytes": stats["spilled_bytes"],
+            "peak_resident_bytes": stats["peak"],
+        }
+        assert flushes >= 2  # the budget did trip before finish()
+        assert writer.pairs_in == 500
+        assert writer.bytes_in == sum(sizeof_pair(k, v) for k, v in pairs)
+        replayed = [pair for files in writer.run_files for p in files for pair in read_run(p)]
+        assert sorted(map(repr, replayed)) == sorted(map(repr, pairs))
+        first_seen = list(dict.fromkeys(key for key, _value in pairs))
+        assert list(map(repr, writer.key_order)) == list(map(repr, first_seen))
+
+    def test_batch_smaller_than_one_pair_raises_the_typed_error(self, tmp_path):
+        for keys, values in ((["a", "b"], [1, 2]), ([1, "b"], [(1, 2), 3])):
+            writer = SpillWriter(str(tmp_path), partitions=2, budget_bytes=6)
+            with pytest.raises(SpillError, match="smaller than a single record"):
+                writer.add_columns(keys, values)
 
 
 class TestPartitioning:

@@ -18,9 +18,13 @@ shared-memory payload transport's lifecycle.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from dataclasses import fields
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from differential import (
     RUN_SIZE,
@@ -33,17 +37,29 @@ from repro import ExecOptions, Session
 from repro.codegen import kernels
 from repro.codegen.base import RecordMapper, prepare_globals, view_records
 from repro.codegen.kernels import (
+    CompiledPairMapper,
     CompiledRecordMapper,
     CompiledReduce,
     _live_atoms,
     _record_atoms,
 )
 from repro.engine import shm
-from repro.engine.multiprocess import MultiprocessEngine
+from repro.engine.columnar import fold_columns
+from repro.engine.multiprocess import MapStep, MultiprocessEngine, ReduceStep
 from repro.errors import EngineError, IRError, KernelUnsupported
 from repro.graph.executor import interpret_fragment
 from repro.ir.eval import eval_expr
-from repro.ir.nodes import BinOp, Var
+from repro.ir.nodes import (
+    BinOp,
+    CallFn,
+    Cond,
+    Const,
+    Emit,
+    Proj,
+    ReduceStage,
+    TupleExpr,
+    Var,
+)
 from repro.lang.values import values_equal
 from repro.planner.planner import PlannerConfig
 from repro.workloads import all_benchmarks, get_benchmark
@@ -335,6 +351,343 @@ def test_compiled_mappers_pickle_without_code_objects():
     clone = pickle.loads(pickle.dumps(mapper))
     assert clone._fn is None  # recompiles lazily on the worker
     assert clone.map_chunk(records) == before
+
+
+# ----------------------------------------------------------------------
+# The keyed row path: column map kernel == row map kernel, fold kernel ==
+# the ordered ``__call__`` fold
+
+
+def _exact(pairs) -> list[tuple[str, str]]:
+    """Pairs as text: ``True`` is not ``1``, ``-0.0`` not ``0.0``, NaN
+    equals NaN — ``repr`` identity, which ``==`` cannot assert."""
+    return [(repr(key), repr(value)) for key, value in pairs]
+
+
+@lru_cache(maxsize=None)
+def _compiled_stages(name: str) -> tuple:
+    """Every compiled stage of the benchmark's translated, join-free
+    fragments with the rows reaching it (reference outputs chained
+    forward, like ``differential.sweep``):
+    ``("map", mapper, rows)`` / ``("reduce", reducer, pairs)``."""
+    env = dict(get_benchmark(name).make_inputs(RUN_SIZE, 7))
+    stages = []
+    for fragment in compiled(name).fragments:
+        if fragment.analysis is None:
+            continue
+        if fragment.translated:
+            for program in fragment.program.programs:
+                if program.has_join:
+                    continue
+                globals_env, _sizes = prepare_globals(fragment.analysis, env)
+                rows = view_records(fragment.analysis.view, env)
+                for step in program.local_steps(globals_env)[0]:
+                    if not type(step.fn).__name__.startswith("Compiled"):
+                        break  # an evaluator stage: nothing rendered
+                    if isinstance(step, MapStep):
+                        stages.append(("map", step.fn, rows))
+                        rows = step.fn.map_chunk(rows)
+                    else:
+                        stages.append(("reduce", step.fn, rows))
+                        grouped: dict = {}
+                        for key, value in rows:
+                            fold_columns(step.fn, (key,), (value,), grouped)
+                        rows = list(grouped.items())
+        env.update(interpret_fragment(fragment.analysis, env))
+    return tuple(stages)
+
+
+@pytest.mark.parametrize("name", [b.name for b in all_benchmarks()], ids=lambda n: n)
+def test_map_columns_are_the_row_kernels_pairs(name):
+    for kind, mapper, rows in _compiled_stages(name):
+        if kind != "map":
+            continue
+        keys, values = mapper.map_columns(rows)
+        assert type(keys) is type(values) is list
+        assert _exact(zip(keys, values)) == _exact(mapper.map_chunk(rows))
+        if getattr(mapper, "vectorized", False):
+            # The column *kernel* proper, as after a vector guard trip.
+            mapper = pickle.loads(pickle.dumps(mapper))
+            mapper._ensure()
+            mapper._vec = None
+            keys, values = mapper.map_columns(rows)
+            assert _exact(zip(keys, values)) == _exact(mapper.map_rows(rows))
+
+
+def test_map_columns_cover_every_emit_shape():
+    seen = Counter()
+    for benchmark in all_benchmarks():
+        for kind, mapper, _rows in _compiled_stages(benchmark.name):
+            if kind == "map":
+                conditional = any(e.cond is not None for e in mapper.emits)
+                seen[len(mapper.emits) > 1, conditional] += 1
+                seen[type(mapper)] += 1
+    # single / multi emit × unconditional / conditional, first and later stages
+    assert all(seen[multi, cond] for multi in (False, True) for cond in (False, True))
+    assert seen[CompiledRecordMapper] and seen[CompiledPairMapper]
+
+
+def test_column_kernel_renders_comprehensions_only_for_one_plain_emit():
+    plain = (Emit(Var("k"), BinOp("*", Var("v"), Const(2))),)
+    guarded = (Emit(Var("k"), Var("v"), BinOp(">", Var("v"), Const(1))),)
+    source = kernels.render_pair_kernel(("k", "v"), plain, columns=True).source
+    assert "append" not in source and source.count(" for __rec in ") == 2
+    for emits in (guarded, plain + guarded):
+        source = kernels.render_pair_kernel(("k", "v"), emits, columns=True).source
+        assert source.count(" for __rec in ") == 1 and "append" in source
+    pairs = [("a", 1), ("b", 2), ("a", 3)]
+    mapper = CompiledPairMapper(("k", "v"), plain + guarded, {})
+    keys, values = mapper.map_columns(pairs)
+    assert (keys, values) == (["a", "b", "b", "a", "a"], [2, 4, 2, 6, 3])
+    assert list(zip(keys, values)) == mapper.map_chunk(pairs)
+    assert mapper.map_columns([]) == ([], [])
+
+
+_NAN_A, _NAN_B = float("nan"), float("nan")
+#: Keys that collide under dict equality next to keys that do not (two
+#: distinct NaN objects among them).
+_COLLIDING = [True, 1, 1.0, 0, 0.0, -0.0, False, ("a", 1), ("a", 1.0)]
+_DISTINCT = [_NAN_A, _NAN_B, "a", "b", 2, 2.5]
+_KEYS = st.sampled_from(_COLLIDING + _DISTINCT)
+
+
+def _call_fold(reducer, keys, values) -> dict:
+    """The ordered per-key left fold, one ``reducer(acc, value)`` per
+    pair — what the engine's loops did before the fold kernel."""
+    acc: dict = {}
+    for key, value in zip(keys, values):
+        acc[key] = reducer(acc[key], value) if key in acc else value
+    return acc
+
+
+def _assert_fold_is_the_call_fold(reducer, keys, values):
+    try:
+        expected = _call_fold(reducer, keys, values)
+    except IRError as exc:
+        with pytest.raises(IRError) as raised:
+            reducer.fold(keys, values, {})
+        assert str(raised.value) == str(exc)
+        return
+    folded: dict = {}
+    # Two batches into one accumulator: the fold carries across calls.
+    reducer.fold(keys[:3], values[:3], folded)
+    reducer.fold(iter(keys[3:]), iter(values[3:]), folded)
+    assert _exact(folded.items()) == _exact(expected.items())
+    generic: dict = {}
+    fold_columns(lambda a, b: reducer(a, b), keys, values, generic)
+    assert _exact(generic.items()) == _exact(expected.items())
+
+
+@pytest.mark.parametrize("name", [b.name for b in all_benchmarks()], ids=lambda n: n)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_fold_kernel_is_the_ordered_call_fold_on_suite_reducers(name, data):
+    for kind, reducer, pairs in _compiled_stages(name):
+        if kind != "reduce" or not pairs:
+            continue
+        # The values this λr really meets, under keys drawn to collide.
+        picks = data.draw(
+            st.lists(st.tuples(_KEYS, st.sampled_from(range(len(pairs)))), max_size=24)
+        )
+        keys = [key for key, _index in picks]
+        values = [pairs[index][1] for _key, index in picks]
+        _assert_fold_is_the_call_fold(reducer, keys, values)
+
+
+def test_every_suite_reducer_is_covered():
+    reducers = {
+        str(stage.lam)
+        for b in all_benchmarks()
+        for f in _translated_fragments(compiled(b.name))
+        for program in f.program.programs
+        if not program.has_join
+        for stage in program.summary.pipeline.stages
+        if isinstance(stage, ReduceStage)
+    }
+    covered = {
+        f"λ({r.params[0]}, {r.params[1]}) → {r.body}"
+        for b in all_benchmarks()
+        for kind, r, pairs in _compiled_stages(b.name)
+        if kind == "reduce" and pairs
+    }
+    assert reducers and covered == reducers
+
+
+_A, _B = Var("a"), Var("b")
+
+
+def _scalar_bodies(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(BinOp, st.sampled_from(["+", "-", "*"]), inner, inner),
+            st.builds(
+                lambda fn, x, y: CallFn(fn, (x, y)),
+                st.sampled_from(["min", "max"]),
+                inner,
+                inner,
+            ),
+            st.builds(
+                lambda op, x, y, t, o: Cond(BinOp(op, x, y), t, o),
+                st.sampled_from(["<", "<=", ">", ">="]),
+                inner,
+                inner,
+                inner,
+                inner,
+            ),
+        ),
+        max_leaves=6,
+    )
+
+
+_CONSTS = st.sampled_from([Const(2), Const(0.5), Const(-1)])
+_SCALAR_BODIES = _scalar_bodies(st.one_of(st.just(_A), st.just(_B), _CONSTS))
+#: Tuple accumulators: each component folds its own projection.
+_TUPLE_BODIES = st.builds(
+    lambda first, second: TupleExpr((first, second)),
+    _scalar_bodies(st.sampled_from([Proj(_A, 0), Proj(_B, 0)])),
+    _scalar_bodies(st.sampled_from([Proj(_A, 1), Proj(_B, 1), Proj(_A, 0)])),
+)
+#: Floats only: a generated ``a * a`` squares per fold step, which
+#: floats take to ``inf`` (and ``nan``) and ints to unbounded digits.
+_NUMBERS = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 1.0, 3.0, 1e200, float("inf")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), body=st.one_of(_SCALAR_BODIES, _TUPLE_BODIES))
+def test_fold_kernel_is_the_ordered_call_fold_on_generated_reducers(data, body):
+    reducer = CompiledReduce(body=body, params=("a", "b"), globals_env={})
+    value = st.tuples(_NUMBERS, _NUMBERS) if isinstance(body, TupleExpr) else _NUMBERS
+    pairs = data.draw(st.lists(st.tuples(_KEYS, value), max_size=24))
+    _assert_fold_is_the_call_fold(
+        reducer, [key for key, _v in pairs], [v for _key, v in pairs]
+    )
+
+
+def test_fold_kernel_keeps_operand_order_and_seeds_with_the_first_value():
+    # a − b is neither commutative nor has an identity: swapped operands
+    # or a pre-seeded accumulator both change these numbers.
+    minus = CompiledReduce(BinOp("-", _A, _B), ("a", "b"), {})
+    acc: dict = {}
+    minus.fold(["x", "y", "x", "x"], [10, 7, 3, 2], acc)
+    assert acc == {"x": 5, "y": 7} and list(acc) == ["x", "y"]
+    keep_first = CompiledReduce(_A, ("a", "b"), {})
+    keep_last = CompiledReduce(_B, ("a", "b"), {})
+    for reducer, expected in ((keep_first, 10), (keep_last, 2)):
+        acc = {}
+        reducer.fold(["x", "x", "x"], [10, 3, 2], acc)
+        assert acc == {"x": expected}
+    # The accumulator is read once into a local only when λr names it twice.
+    assert "__a = " not in kernels.render_fold_kernel(minus.body, minus.params).source
+    smaller = Cond(BinOp("<", _A, _B), _A, _B)
+    assert "__a = __acc[__k]" in kernels.render_fold_kernel(smaller, ("a", "b")).source
+
+
+def test_fold_kernel_errors_are_the_reduce_kernels_errors():
+    plus = CompiledReduce(BinOp("+", _A, _B), ("a", "b"), {})
+    with pytest.raises(IRError) as called:
+        plus(3, "x")
+    with pytest.raises(IRError) as folded:
+        plus.fold(["k", "k", "k"], [1, 2, "x"], {})  # the third pair type-errors
+    assert str(folded.value) == str(called.value)
+    assert str(called.value).startswith("type error in compiled kernel: ")
+    divide = CompiledReduce(BinOp("/", _A, _B), ("a", "b"), {})
+    with pytest.raises(IRError) as evaluated:
+        eval_expr(divide.body, {"a": 4, "b": 0})
+    with pytest.raises(IRError) as folded:
+        divide.fold(["k", "k"], [4, 0], {})
+    assert str(folded.value) == str(evaluated.value)
+    unbound = CompiledReduce(BinOp("+", _A, Var("missing")), ("a", "b"), {})
+    with pytest.raises(IRError, match="unbound IR variable 'missing'"):
+        unbound.fold([], [], {})  # fails at kernel build, before any pair
+    mapper = CompiledPairMapper(("k", "v"), (Emit(Var("k"), Var("missing")),), {})
+    with pytest.raises(IRError, match="unbound IR variable 'missing'"):
+        mapper.map_columns([])
+
+
+def test_pickled_callables_rebuild_the_column_and_fold_kernels():
+    _program, _stage, globals_env, records = _first_map_stage("phoenix_wordcount")
+    steps = _pooled_steps("phoenix_wordcount")[2]
+    mapper, reducer = steps[0].fn, steps[-1].fn
+    columns = mapper.map_columns(records)
+    acc: dict = {}
+    reducer.fold(*columns, acc)
+    assert mapper._columns_fn is not None and reducer._fold_fn is not None
+    for fn in (mapper, reducer):
+        assert all(
+            value is None for name, value in fn.__getstate__().items() if name[0] == "_"
+        )
+    mapper2, reducer2 = pickle.loads(pickle.dumps((mapper, reducer)))
+    assert mapper2._columns_fn is None and reducer2._fold_fn is None
+    again: dict = {}
+    reducer2.fold(*mapper2.map_columns(records), again)
+    assert again == acc == dict(Counter(record for record in records))
+
+
+@pytest.mark.parametrize("budget", [None, 4096])
+def test_pooled_keyed_path_matches_inline(budget):
+    program, _stage, globals_env, _records = _first_map_stage("phoenix_wordcount")
+    words = [f"w{(i * 7919) % 211}" for i in range(6000)]
+    records = view_records(program.analysis.view, {"wordList": words})
+    steps = program.local_steps(globals_env)[0]
+    config = program.engine_config.with_framework("multiprocess")
+
+    def run(processes):
+        return MultiprocessEngine(
+            config=config,
+            processes=processes,
+            min_parallel_records=100,
+            memory_budget=budget,
+        ).run_pipeline(records, steps)
+
+    pooled, inline = run(2), run(0)
+    assert _exact(pooled.pairs) == _exact(inline.pairs)
+    assert dict(inline.pairs) == dict(Counter(words))
+
+    def counters(result):
+        return [
+            (s.name, s.records_in, s.records_out, s.bytes_out, s.bytes_shuffled)
+            for s in result.metrics.stages
+        ]
+
+    assert counters(pooled) == counters(inline)
+    if pooled.fallback_reason is None:
+        assert pooled.map_tasks > 0
+
+
+@pytest.mark.parametrize("budget", [None, 2048])
+def test_callables_without_kernels_take_the_generic_fold(budget, monkeypatch):
+    # An evaluator-fallback reducer (REP308) ...
+    name = "phoenix_wordcount"
+    fragment = _translated_fragments(compiled(name))[0]
+    inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
+    options = ExecOptions(plan="sequential", memory_budget=budget)
+    clean = fragment.program.run(dict(inputs), options)
+
+    def refuse(body, params):
+        raise KernelUnsupported("renderer refused (test)")
+
+    monkeypatch.setattr(kernels, "render_reduce_kernel", refuse)
+    ran = fragment.program.run(dict(inputs), options)
+    assert [d.code for d in ran.report.diagnostics] == ["REP308"]
+    assert ran.outputs == clean.outputs
+    assert [
+        (s.name, s.records_in, s.records_out, s.bytes_out, s.bytes_shuffled)
+        for s in ran.metrics.stages
+    ] == [
+        (s.name, s.records_in, s.records_out, s.bytes_out, s.bytes_shuffled)
+        for s in clean.metrics.stages
+    ]
+    # ... and plain callables end to end.
+    words = [f"w{i % 17}" for i in range(900)]
+    plain = MultiprocessEngine(processes=0, memory_budget=budget).run_pipeline(
+        words, [MapStep(lambda w: [(w, 1)]), ReduceStep(lambda a, b: a + b)]
+    )
+    assert dict(plain.pairs) == dict(Counter(words))
+    assert [k for k, _ in plain.pairs] == list(dict.fromkeys(words))
 
 
 # ----------------------------------------------------------------------

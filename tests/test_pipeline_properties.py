@@ -29,6 +29,7 @@ from repro.engine import (
     sizeof_pair,
 )
 from repro.engine.columnar import ColumnChunk
+from repro.engine.sizes import pair_columns_bytes, uniform_size
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.values import Instance, values_equal
@@ -308,6 +309,12 @@ def test_dataset_bytes_is_the_summed_walk(rows):
     # Key and value walk with separate visited sets, aliased or not.
     for pairs in ([(r, r) for r in rows], list(zip(rows, reversed(rows)))):
         assert pairs_bytes(pairs) == sum(sizeof_pair(k, v) for k, v in pairs)
+        # ... while a map stage's emitted *tuples* charge a key that is
+        # its own value container once, from the columns as from rows.
+        keys, values = [k for k, _ in pairs], [v for _, v in pairs]
+        assert pair_columns_bytes(keys, values) == _walked(pairs)
+    size = uniform_size(rows) if rows else None
+    assert size is None or {sizeof(row) for row in rows} == {size}
 
 
 _NAMED_CHUNKS = {
@@ -344,6 +351,27 @@ _NAMED_CHUNKS = {
 def test_dataset_bytes_named_cases(name):
     rows = _NAMED_CHUNKS[name]
     assert dataset_bytes(rows) == _walked(rows)
+
+
+@pytest.mark.parametrize(
+    "column, size",
+    [
+        (["a", "b"], 40),
+        ([1.5, 2.5], 8),
+        ([True, False], 10),
+        ([None, None], 4),
+        ([1, 2**31 - 1, -(2**31)], 4),
+        ([2**31, 2**40], 8),
+        ([-(2**31) - 1, -(2**40)], 8),
+        ([1, 2**31], None),  # ints on both sides of 2³¹
+        ([1, True], None),
+        ([1, 1.0], None),
+        ([(1, 2), (3, 4)], None),  # containers are the walker's
+        ([_Tag("t")], None),
+    ],
+)
+def test_uniform_size_named_cases(column, size):
+    assert uniform_size(column) == size
 
 
 def test_dataset_bytes_charges_an_aliased_child_once_per_record():

@@ -40,7 +40,7 @@ from repro.verification.bounded import (
 from repro.workloads import get_benchmark
 from repro.workloads.registry import all_benchmarks
 from tests.conftest import RWM_SOURCE, SUM_SOURCE, analysis_of
-from tests.suite_cache import compiled
+from suite_cache import compiled
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "search_golden.json").read_text(encoding="utf-8")
