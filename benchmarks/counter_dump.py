@@ -9,9 +9,14 @@ unfused.  Each run's outputs, every ``StageMetrics`` counter,
 ``repr(seconds)``, ``simulated_seconds``, ``peak_resident_bytes`` and
 ``spill_stats`` are rendered to one canonical text (wall-clock fields
 left out; sets sorted, so nothing depends on ``PYTHONHASHSEED``) and
-digested.  ``tests/data/counters_golden.json`` holds the digests of the
-commit *before* the change under test; ``tests/test_counter_dump.py``
-names every fragment × backend whose digest moved.
+digested.  One more entry per fragment, ``@monitor``, holds what the
+runtime monitor decided on that input: every implementation's
+``SampleEstimates.as_dict()`` (insertion order included), ``last_costs``,
+``last_choice``, and what the planner derived from its own estimate —
+stage plans, join strategies, the simulated-cluster ranking.
+``tests/data/counters_golden.json`` holds the digests of the commit
+*before* the change under test; ``tests/test_counter_dump.py`` names
+every fragment × backend whose digest moved.
 
     PYTHONPATH=src python benchmarks/counter_dump.py            # compare, exit 1 on drift
     PYTHONPATH=src python benchmarks/counter_dump.py --write    # regenerate the golden
@@ -103,6 +108,47 @@ def fragment_text(program: Any, env: dict, options: ExecOptions) -> str:
     return "\n".join(lines)
 
 
+def monitor_text(program: Any, env: dict) -> str:
+    """What the monitor sampled and chose on one ``plan="auto"`` run.
+
+    The estimates are read where ``AdaptiveProgram.run`` itself asks for
+    them — ``RuntimeMonitor.choose(..., estimates_out=)`` — through an
+    instance-level recorder, so the row covers the sample the run really
+    built and the script reads the same on any commit that has the
+    entry point.
+    """
+    monitor = program.monitor
+    sampled: dict[str, Any] = {}
+
+    def recording(sample, globals_env=None, n2_ratio=1.0, estimates_out=None):
+        out = {} if estimates_out is None else estimates_out
+        chosen = type(monitor).choose(monitor, sample, globals_env, n2_ratio, out)
+        sampled.update(out)
+        return chosen
+
+    monitor.choose = recording
+    try:
+        ran = program.run(dict(env), ExecOptions(plan="auto"))
+    except ReproError as exc:
+        return f"error {type(exc).__name__}: {exc}"
+    finally:
+        del monitor.choose
+    plan = ran.report.plan
+    lines = [
+        *(
+            f"estimates {name} n={est.sample_size} {canonical(est.as_dict())}"
+            for name, est in sampled.items()
+        ),
+        f"costs {canonical(monitor.last_costs)}",
+        f"choice {monitor.last_choice}",
+        f"implementation {ran.implementation}",
+        f"stages {[(s.index, s.kind, s.combiner) for s in plan.stages]}",
+        f"join_strategies {plan.join_strategies}",
+        f"cluster_seconds {canonical(ran.report.cluster_seconds)}",
+    ]
+    return "\n".join(lines)
+
+
 def graph_text(compilation: Any, inputs: dict, options: ExecOptions) -> str:
     """One whole-program run, as canonical text."""
     try:
@@ -143,6 +189,7 @@ def entries(
                     f"{name}#{index}@{label}",
                     fragment_text(fragment.program, env, options),
                 )
+            yield f"{name}#{index}@monitor", monitor_text(fragment.program, env)
         env.update(interpret_fragment(fragment.analysis, env))
     if compilation.job_graph is not None:
         for label, options in GRAPH_RUNS:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
+    from ..cost.monitor import SampleEstimates
     from ..engine.multiprocess import MultiprocessResult
     from ..planner.joins import JoinOrderDecision
     from ..planner.plan import ExecutionPlan, PlanReport
@@ -69,7 +70,8 @@ class ExecutionOutcome:
     #: the simulated backends.
     engine_result: Optional["MultiprocessResult"] = None
     #: One ``REP308`` per real-engine stage that had to stay on the
-    #: tree-walking evaluator (empty when every stage compiled).
+    #: tree-walking evaluator (empty when every stage compiled); on an
+    #: unplanned run also the monitor's ``REP309`` sampler fallbacks.
     diagnostics: list = field(default_factory=list)
     #: The planner's evidence trail; None for unplanned runs.
     report: Optional["PlanReport"] = None
@@ -428,6 +430,8 @@ class GeneratedProgram:
     summary: Summary
     proof: ProofResult
     engine_config: EngineConfig = field(default_factory=EngineConfig)
+    #: The compiled sampler, built by the first job that samples.
+    _sampler: Any = field(default=None, init=False, repr=False, compare=False)
 
     def run(
         self,
@@ -471,6 +475,72 @@ class GeneratedProgram:
 
     def _combiner_safe(self) -> bool:
         return self.proof.is_commutative and self.proof.is_associative
+
+    def sample_estimates(
+        self,
+        head: list,
+        globals_env: dict[str, Any],
+        right: Optional[dict[str, list]] = None,
+    ) -> "SampleEstimates":
+        """§5.2's sampling pass over ``head``, the first k *raw* records
+        of the input (``view_records`` form), through this
+        implementation's compiled sampler.
+
+        ``right`` maps a join's right relations to bounded raw samples
+        of theirs; with them the estimate is carried through the join
+        stages (see :func:`~repro.cost.monitor.estimate_from_sample`).
+        The result equals the reference estimator's over the same
+        records bound with :func:`record_env`.  When the sampler cannot
+        be rendered, or anything in it raises on this sample, the
+        reference estimator runs instead — so its estimates, or the
+        error *it* raises, are the outcome — and the estimates carry one
+        ``REP309`` saying why.
+        """
+        from ..cost.monitor import SampleEstimates, estimate_from_sample
+        from .kernels import CompiledSampler
+
+        estimates = SampleEstimates(sample_size=len(head))
+        if not head:
+            return estimates
+        view = self.analysis.view
+        if self._sampler is None:
+            join = self.analysis.join
+            self._sampler = CompiledSampler(
+                self.summary.pipeline,
+                view,
+                {side.source: side.view for side in join.sides} if join else {},
+            )
+        sides = self._sampler.right_views
+        try:
+            self._sampler.run(
+                head,
+                globals_env,
+                right or {},
+                estimates.probabilities,
+                estimates.key_ratios,
+            )
+        except Exception as exc:  # noqa: BLE001 - any failure → the reference decides
+            failure = f"{type(exc).__name__}: {exc}"
+        else:
+            return estimates
+        estimates = estimate_from_sample(
+            self.summary,
+            [record_env(view, record) for record in head],
+            globals_env,
+            right_samples={
+                source: [record_env(sides[source], record) for record in records]
+                for source, records in (right or {}).items()
+            },
+        )
+        estimates.diagnostics.append(
+            make_diagnostic(
+                "REP309",
+                f"compiled sampler did not answer ({failure}); the "
+                "reference estimator sampled this run",
+                fragment=self.analysis.fragment.id,
+            )
+        )
+        return estimates
 
     def _reduce_fn(
         self, stage: ReduceStage, globals_env: dict[str, Any]

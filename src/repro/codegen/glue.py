@@ -26,7 +26,7 @@ from ..options import ExecOptions
 from ..planner.plan import ExecutionPlan, PlanReport, forced_plan
 from ..planner.planner import ExecutionPlanner
 from ..synthesis.search import VerifiedSummary
-from .base import ExecutionOutcome, GeneratedProgram, record_env, view_records
+from .base import ExecutionOutcome, GeneratedProgram, view_records
 
 
 def _record_count(records: Any) -> int:
@@ -86,6 +86,7 @@ class AdaptiveProgram:
                     summary=program.summary,
                     cost=cost,
                     runner=program.run,
+                    sampler=program.sample_estimates,
                 )
             )
         self.monitor = RuntimeMonitor(
@@ -148,10 +149,13 @@ class AdaptiveProgram:
             dataset_key = dataset_fingerprint(inputs)
             observation = store.lookup(fragment_key, dataset_key)
             observation_note = store.last_note
-        sample = self.sample_elements(records)
+        head = self.sample_head(records)
         globals_env = self._globals(inputs)
         sampled: dict[str, Any] = {}
-        chosen = self.monitor.choose(sample, globals_env, estimates_out=sampled)
+        chosen = self.monitor.choose(head, globals_env, estimates_out=sampled)
+        sampler_fallbacks = [
+            d for estimates in sampled.values() for d in estimates.diagnostics
+        ]
         index = int(chosen.name.split("_")[1])
         # §7.4: when the verified implementations are join pipelines with
         # different orderings, the ordering decision comes from the
@@ -179,18 +183,20 @@ class AdaptiveProgram:
         if plan is None:
             # Unplanned: the compiled backend runs as-is.
             outcome = program.run(inputs, records=records)
+            outcome.diagnostics[:0] = sampler_fallbacks
             outcome.implementation = implementation
             outcome.join_decision = join_decision
             return outcome
 
         execution_plan, report = self.plan_execution(
-            options, program, records, sample, globals_env,
+            options, program, records, head, globals_env,
             inputs=inputs,
             observation=observation,
             observation_note=observation_note,
             estimates=sampled.get(implementation),
         )
         report.implementation = implementation
+        report.diagnostics[:0] = sampler_fallbacks
         if join_decision is not None:
             report.join = {
                 **(report.join or {}),
@@ -245,7 +251,7 @@ class AdaptiveProgram:
         options: ExecOptions,
         program: GeneratedProgram,
         records: Any,
-        sample: list[dict[str, Any]],
+        head: list,
         globals_env: dict[str, Any],
         inputs: Optional[dict[str, Any]] = None,
         observation: Optional[Any] = None,
@@ -253,9 +259,10 @@ class AdaptiveProgram:
         estimates: Optional[Any] = None,
     ) -> tuple[ExecutionPlan, PlanReport]:
         """Fold ``options`` into the plan for one run of ``program``:
-        a forced backend pins it, ``"auto"`` asks the planner
-        (``estimates``: what the monitor already sampled for
-        ``program``, so the planner does not sample again)."""
+        a forced backend pins it, ``"auto"`` asks the planner (``head``:
+        :meth:`sample_head` of ``records``; ``estimates``: what the
+        monitor already sampled for ``program``, so the planner does
+        not sample again)."""
         plan = options.effective_plan
         if plan != "auto":
             forced = forced_plan(plan, memory_budget=options.memory_budget)
@@ -290,7 +297,7 @@ class AdaptiveProgram:
         return self.planner.plan(
             program,
             records,
-            sample,
+            head,
             globals_env,
             options=options,
             inputs=inputs,
@@ -314,16 +321,14 @@ class AdaptiveProgram:
 
     # ------------------------------------------------------------------
 
-    def sample_elements(self, records: Any) -> list[dict[str, Any]]:
+    def sample_head(self, records: Any) -> list:
+        """The first ``sample_size`` raw records — what the compiled
+        samplers read (a streaming source is only peeked)."""
         from ..engine.source import Dataset
 
-        view = self.analysis.view
-        head = (
-            records.head(self.sample_size)
-            if isinstance(records, Dataset)
-            else records[: self.sample_size]
-        )
-        return [record_env(view, r) for r in head]
+        if isinstance(records, Dataset):
+            return records.head(self.sample_size)
+        return records[: self.sample_size]
 
     def _globals(self, inputs: dict[str, Any]) -> dict[str, Any]:
         from .base import prepare_globals

@@ -8,7 +8,7 @@ the scan: only atoms the emits actually read are materialized from each
 record (dead struct fields and dead parallel-array columns are never
 touched).
 
-A summary renders to four kernels, all through one :class:`_Renderer`:
+A summary renders to five kernels, all through one :class:`_Renderer`:
 
 * **row map** — ``(records, emit)``, one ``emit((key, value))`` per
   pair (:func:`render_record_kernel` / :func:`render_pair_kernel`).
@@ -27,6 +27,13 @@ A summary renders to four kernels, all through one :class:`_Renderer`:
   which :func:`repro.engine.columnar.fold_columns` calls for the
   map-side combine, the resident store's reduce and the spilled store's
   partition merge.
+* **sampler** — ``(records, right, p, k)``, the runtime monitor's whole
+  first-k pass over one pipeline (:func:`render_sampler`): every map
+  stage, the reduce bookkeeping and the join probe as straight-line
+  loops over the raw record head, writing the §5.2 estimates into ``p``
+  and ``k``.  Behind :class:`CompiledSampler`, which
+  :meth:`~repro.codegen.base.GeneratedProgram.sample_estimates` runs
+  once per implementation per job.
 
 The tree-walking callables of :mod:`repro.codegen.base`
 (``RecordMapper`` / ``PairMapper`` / ``ReduceApplier``, one
@@ -88,7 +95,11 @@ from ..ir.nodes import (
     Const,
     Emit,
     IRExpr,
+    JoinStage,
+    MapStage,
+    Pipeline,
     Proj,
+    ReduceStage,
     TupleExpr,
     UnOp,
     Var,
@@ -131,13 +142,20 @@ class _Renderer:
     record).  Any other variable is assumed to be a summary global: it
     gets a mangled name and is resolved against ``globals_env`` when the
     kernel is compiled (missing → the evaluator's ``unbound IR
-    variable`` error).
+    variable`` error).  A kernel of several loops renders each loop
+    through its own renderer (its own ``bound``) and passes the first
+    as ``parent``, so they all mangle globals and collect helpers into
+    one table.
     """
 
-    def __init__(self, bound: Optional[dict[str, str]] = None) -> None:
+    def __init__(
+        self,
+        bound: Optional[dict[str, str]] = None,
+        parent: Optional["_Renderer"] = None,
+    ) -> None:
         self.bound: dict[str, str] = dict(bound or {})
-        self.globals: dict[str, str] = {}
-        self.helpers: dict[str, Any] = {}
+        self.globals: dict[str, str] = parent.globals if parent else {}
+        self.helpers: dict[str, Any] = parent.helpers if parent else {}
 
     def fresh(self) -> str:
         return f"_r{len(self.bound)}"
@@ -385,6 +403,136 @@ def render_fold_kernel(body: IRExpr, params: tuple[str, str]) -> KernelSource:
     return KernelSource(source, renderer.globals, renderer.helpers)
 
 
+def _sampled_map_lines(
+    index: int,
+    stage: MapStage,
+    loop: str,
+    bind: list[str],
+    renderer: _Renderer,
+) -> list[str]:
+    """One map stage of the sampler: a single pass over ``loop``'s
+    items filling one key/value column pair *per emit*, then the fired
+    share of each conditional emit and the columns concatenated
+    emit-major — the order the reference estimator's emit-outer loop
+    produces, which a later reduce's first-value-per-key depends on."""
+    emits = stage.lam.emits
+    lines = [f"    __n = len({'__records' if index == 0 else '__keys'})"]
+    body = list(bind)
+    for e, emit in enumerate(emits):
+        lines.append(
+            f"    __k{e} = []; __v{e} = []; "
+            f"__ka{e} = __k{e}.append; __va{e} = __v{e}.append"
+        )
+        body += _emit_lines((emit,), renderer, f"__ka{e}({{key}}); __va{e}({{value}})")
+    lines += [f"    {loop}", *body]
+    for e, emit in enumerate(emits):
+        if emit.cond is not None:
+            lines.append(f"    if __n: __p['p_s{index}_{e}'] = len(__k{e}) / __n")
+    both = range(len(emits))
+    lines.append(
+        f"    __keys = {' + '.join(f'__k{e}' for e in both)}; "
+        f"__values = {' + '.join(f'__v{e}' for e in both)}"
+    )
+    return lines
+
+
+def render_sampler(
+    pipeline: Pipeline, view: DatasetView, right_views: dict[str, DatasetView]
+) -> KernelSource:
+    """Render the runtime monitor's first-k sampling pass to source.
+
+    The kernel ``(records, right, p, k)`` is
+    :func:`repro.cost.monitor.estimate_from_sample` unrolled over this
+    pipeline's stages, reading the *raw* record head (live atoms only,
+    no environment dict per record) and ``right`` — a join's bounded raw
+    right-relation samples by relation name, ``{}`` when the caller has
+    none — and writing each ``p_s<stage>_<emit>`` / ``p_s<stage>_j``
+    into ``p`` and each ``k_s<stage>`` into ``k`` with the reference's
+    values and insertion order:
+
+    * a map stage is one loop with a column pair per emit
+      (:func:`_sampled_map_lines`);
+    * a reduce stage records distinct / total keys and keeps the first
+      value per key in first-seen key order (``dict.fromkeys`` fixes the
+      order, the reversed ``update`` leaves each key its first value);
+    * a join stage without a right sample records selectivity 1.0 and
+      returns, with one maps the right side record-major into an index,
+      probes it, and carries the joined pairs on.
+
+    A pipeline that does not open with a map stage, or joins a relation
+    ``right_views`` cannot bind, raises
+    :class:`~repro.errors.KernelUnsupported`.
+    """
+    stages = pipeline.stages
+    if not stages or not isinstance(stages[0], MapStage):
+        raise KernelUnsupported("sampled pipeline does not open with a map stage")
+    shared = _Renderer()
+    lines = ["def __kernel(__records, __right, __p, __k):"]
+    for index, stage in enumerate(stages):
+        if isinstance(stage, MapStage):
+            bind: list[str] = []
+            if index == 0:
+                renderer = _Renderer(parent=shared)
+                _bind_record(view, _live_atoms(stage.lam.emits, view), renderer, bind)
+                loop = "for __rec in __records:"
+            else:
+                params = stage.lam.params
+                v_name = params[1] if len(params) > 1 else "v"
+                renderer = _Renderer({params[0]: "__pk", v_name: "__pv"}, shared)
+                loop = "for __pk, __pv in zip(__keys, __values):"
+            lines += _sampled_map_lines(index, stage, loop, bind, renderer)
+        elif isinstance(stage, ReduceStage):
+            lines += [
+                "    __seen = dict.fromkeys(__keys)",
+                f"    __k['k_s{index}'] = len(__seen) / len(__keys) if __keys else 0.0",
+            ]
+            if index + 1 < len(stages):
+                lines += [
+                    "    __seen.update(zip(reversed(__keys), reversed(__values)))",
+                    "    __keys = list(__seen); __values = list(__seen.values())",
+                ]
+        elif isinstance(stage, JoinStage):
+            source = stage.right.source
+            right_map = stage.right.stages[0] if stage.right.stages else None
+            if source not in right_views or not isinstance(right_map, MapStage):
+                raise KernelUnsupported(f"no view to bind join relation {source!r}")
+            renderer = _Renderer(parent=shared)
+            bind = []
+            right_view = right_views[source]
+            emits = right_map.lam.emits
+            _bind_record(right_view, _live_atoms(emits, right_view), renderer, bind)
+            indexed = "__rp += 1; __index.setdefault({key}, []).append({value})"
+            lines += [
+                f"    __rrecs = __right.get({source!r})",
+                "    if not __rrecs:",
+                f"        __p['p_s{index}_j'] = 1.0",
+                "        return",
+                "    __index = {}; __rp = 0",
+                "    for __rec in __rrecs:",
+                *bind,
+                *_emit_lines(emits, renderer, indexed),
+                "    __jk = []; __jv = []",
+                "    for __pk, __pv in zip(__keys, __values):",
+                "        for __rv in __index.get(__pk, ()):",
+                "            __jk.append(__pk); __jv.append((__pv, __rv))",
+                "    __possible = len(__keys) * max(1, __rp)",
+                f"    __p['p_s{index}_j'] = len(__jk) / __possible if __possible else 1.0",
+                "    __keys = __jk; __values = __jv",
+            ]
+        else:
+            raise KernelUnsupported(f"unknown stage {type(stage).__name__}")
+    return KernelSource("\n".join(lines) + "\n", shared.globals, shared.helpers)
+
+
+#: Every builtin a rendered kernel may name: ``bool`` for the logic
+#: ops, ``zip`` for the pair loops, the rest for the sampler's
+#: bookkeeping.
+_KERNEL_BUILTINS = {
+    "bool": bool, "zip": zip, "len": len, "dict": dict, "list": list,
+    "reversed": reversed, "max": max,
+}
+
+
 @lru_cache(maxsize=512)
 def _code_for(source: str, label: str) -> CodeType:
     """The code object of one rendered kernel source.
@@ -401,7 +549,7 @@ def compile_kernel(
     rendered: KernelSource, globals_env: dict[str, Any], label: str
 ) -> Callable:
     """Compile rendered source, resolving summary globals by value."""
-    namespace: dict[str, Any] = {"__builtins__": {"bool": bool, "zip": zip}}
+    namespace: dict[str, Any] = {"__builtins__": _KERNEL_BUILTINS}
     namespace.update(rendered.helpers)
     for name, mangled in rendered.globals.items():
         if name not in globals_env:
@@ -1160,3 +1308,49 @@ class CompiledReduce(_Compiled):
             return fn(a, b)
         except TypeError as exc:
             raise IRError(f"type error in compiled kernel: {exc}") from exc
+
+
+@dataclass
+class CompiledSampler:
+    """The runtime monitor's sampling pass over one implementation's
+    pipeline, compiled (:func:`render_sampler`).
+
+    Rendered on the first job that samples, kept for the program's
+    lifetime (the source never changes); each run only re-binds that
+    job's globals (:func:`compile_kernel`, code object memoised).
+    """
+
+    pipeline: Pipeline
+    view: DatasetView
+    #: A join's right relations: relation name → the view binding its
+    #: raw records.
+    right_views: dict[str, DatasetView]
+    _rendered: Optional[KernelSource] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def _ensure(self) -> KernelSource:
+        if self._rendered is None:
+            self._rendered = render_sampler(
+                self.pipeline, self.view, self.right_views
+            )
+        return self._rendered
+
+    @property
+    def source(self) -> str:
+        return self._ensure().source
+
+    def run(
+        self,
+        records: list,
+        globals_env: dict[str, Any],
+        right: dict[str, list],
+        probabilities: dict[str, float],
+        key_ratios: dict[str, float],
+    ) -> None:
+        """Sample ``records`` (and ``right``), writing the estimates
+        into ``probabilities`` / ``key_ratios``.  Whatever the rendered
+        expressions raise on a record propagates untranslated — the
+        caller answers any failure with the reference estimator."""
+        kernel = compile_kernel(self._ensure(), globals_env, "sample")
+        kernel(records, right, probabilities, key_ratios)

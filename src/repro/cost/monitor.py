@@ -6,6 +6,16 @@ input at run time (first-k sampling, k = 5000 in the paper), estimates
 the unknown cost-model terms — conditional probabilities pᵢ and
 distinct-key counts — plugs them back into Eqns 2-4, and executes the
 implementation with the lowest estimated cost.
+
+The sampling pass has two forms.  A generated program's implementations
+each carry a **compiled sampler** (:class:`Implementation.sampler`,
+rendered by :func:`repro.codegen.kernels.render_sampler`) that reads the
+raw record head; that is what every job runs.  :func:`estimate_from_sample`
+interprets the summary over pre-bound record environments, one tree
+walk per emit per record: the reference the sampler is
+tested equal to, what answers — with a ``REP309`` — when a sampler cannot
+be rendered or trips on a record, and what hand-built implementations
+without a sampler use.
 """
 
 from __future__ import annotations
@@ -29,12 +39,17 @@ class Implementation:
     """One generated semantically-equivalent implementation.
 
     ``runner`` executes the real job; ``summary`` drives cost estimation.
+    ``sampler`` is the implementation's compiled sampling pass,
+    ``(record_head, globals_env) -> SampleEstimates`` over the *raw*
+    first-k records; an implementation without one is estimated by
+    interpreting ``summary`` over pre-bound record environments.
     """
 
     name: str
     summary: Summary
     cost: CostExpr
     runner: Callable[..., Any]
+    sampler: Optional[Callable[[list, dict[str, Any]], "SampleEstimates"]] = None
 
 
 @dataclass
@@ -44,6 +59,10 @@ class SampleEstimates:
     probabilities: dict[str, float] = field(default_factory=dict)
     key_ratios: dict[str, float] = field(default_factory=dict)
     sample_size: int = 0
+    #: The ``REP309`` of a sampling pass the reference estimator had to
+    #: answer in the compiled sampler's place (empty otherwise); whoever
+    #: reports on the job moves it to ``PlanReport.diagnostics``.
+    diagnostics: list = field(default_factory=list, compare=False)
 
     def as_dict(self) -> dict[str, float]:
         return {**self.probabilities, **self.key_ratios}
@@ -56,7 +75,8 @@ def estimate_from_sample(
     prefix: str = "s",
     right_samples: Optional[dict[str, list[dict[str, Any]]]] = None,
 ) -> SampleEstimates:
-    """Estimate pᵢ and distinct-key ratios by evaluating λm on a sample.
+    """Estimate pᵢ and distinct-key ratios by evaluating λm on a sample
+    of pre-bound record environments — the reference estimator.
 
     Mirrors the paper's monitor: count the sample elements for which each
     emit's conditional evaluates to true, and the number of unique emitted
@@ -179,14 +199,17 @@ class RuntimeMonitor:
 
     def choose(
         self,
-        sample: list[dict[str, Any]],
+        sample: list,
         globals_env: Optional[dict[str, Any]] = None,
         n2_ratio: float = 1.0,
         estimates_out: Optional[dict[str, SampleEstimates]] = None,
     ) -> Implementation:
         """Pick the implementation with the lowest estimated cost.
 
-        ``estimates_out``, when given, receives each implementation's
+        ``sample`` is the head of the input as the implementations read
+        it: raw records for implementations that carry a compiled
+        ``sampler``, pre-bound record environments for those that do
+        not.  ``estimates_out``, when given, receives each implementation's
         :class:`SampleEstimates` under its name, so a caller that plans
         the chosen one next (the execution planner prices the same
         sample against the same summary) need not sample again.
@@ -197,7 +220,10 @@ class RuntimeMonitor:
         best_cost = float("inf")
         self.last_costs = {}
         for impl in self.implementations:
-            estimates = estimate_from_sample(impl.summary, sample, globals_env)
+            if impl.sampler is not None:
+                estimates = impl.sampler(sample, globals_env)
+            else:
+                estimates = estimate_from_sample(impl.summary, sample, globals_env)
             if estimates_out is not None:
                 estimates_out[impl.name] = estimates
             cost_value = impl.cost.evaluate(estimates.as_dict(), n2_ratio=n2_ratio)
@@ -212,7 +238,7 @@ class RuntimeMonitor:
     def run(
         self,
         data: list,
-        sample_elements: list[dict[str, Any]],
+        sample_elements: list,
         globals_env: Optional[dict[str, Any]] = None,
         **runner_kwargs,
     ) -> Any:

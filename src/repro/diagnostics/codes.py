@@ -7,7 +7,7 @@ rejecting, or falling back carries one of these codes:
 * ``REP2xx`` — verification (symbolic execution, bounded checking,
   the synthesis search, the proof-acceptance gate);
 * ``REP3xx`` — engine and planner (pool fallbacks, pickle probes,
-  evaluator-fallback stages);
+  evaluator-fallback stages, reference-estimator samples);
 * ``LNT1xx`` — the repo-invariant lint of :mod:`repro.diagnostics.lint`.
 
 Codes are append-only: a released code never changes meaning, so logs,
@@ -223,6 +223,16 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "the source renderer could not express this stage (the "
             "message carries its reason), so it keeps the evaluator "
             "callable; results are identical, only slower",
+        ),
+        _entry(
+            "REP309",
+            "info",
+            "runtime monitor sampled on the reference estimator",
+            "an implementation's compiled sampler could not be rendered "
+            "or raised on a sample record (the message carries the "
+            "failure), so the interpreter estimated that sample; the "
+            "estimates and the chosen implementation are identical, only "
+            "slower",
         ),
         # ---- LNT1xx: repo-invariant lint -----------------------------
         _entry(

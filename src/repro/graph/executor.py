@@ -458,9 +458,8 @@ def _chain_plan(
             cost_model=head.program.cost_model,
         )
         head.program.planner.precompute(head.program.programs)
-    sample = head.program.sample_elements(records)
     execution_plan, report = head.program.plan_execution(
-        options, chosen, records, sample, globals_env
+        options, chosen, records, head.program.sample_head(records), globals_env
     )
     if plan == "auto":
         report.implementation = f"impl_{unit.impl_indexes[0]}"

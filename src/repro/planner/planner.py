@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..cost.model import CostModel
-from ..cost.monitor import SampleEstimates, estimate_from_sample
+from ..cost.monitor import SampleEstimates
 from ..diagnostics import make as make_diagnostic
 from ..diagnostics.pickling import probe_payload
 from ..engine.config import PROFILES, EngineConfig
@@ -168,7 +168,7 @@ class ExecutionPlanner:
         self,
         program: "GeneratedProgram",
         records: Any,
-        sample: list[dict[str, Any]],
+        head: list,
         globals_env: dict[str, Any],
         options: Optional[ExecOptions] = None,
         inputs: Optional[dict[str, Any]] = None,
@@ -207,9 +207,10 @@ class ExecutionPlanner:
         (corruption, schema mismatch): it goes into the trail so the
         fallback to static estimates is never silent.
 
-        ``estimates`` is the runtime monitor's
-        :class:`~repro.cost.monitor.SampleEstimates` of this program's
-        summary over this very ``sample``; the planner takes it as its
+        ``head`` is the first-k raw records of ``records`` (what
+        ``program``'s compiled sampler reads) and ``estimates`` the
+        runtime monitor's :class:`~repro.cost.monitor.SampleEstimates`
+        of this program over that very head; the planner takes it as its
         own unless it holds right-side join samples the monitor never
         saw, which carry the estimate through the join stages.
         """
@@ -289,14 +290,14 @@ class ExecutionPlanner:
             else default_process_count()
         )
         right_samples = self._right_samples(program, inputs)
+        sampler_fallbacks: list = []
         if (
             estimates is None
             or right_samples is not None
-            or estimates.sample_size != len(sample)
+            or estimates.sample_size != len(head)
         ):
-            estimates = estimate_from_sample(
-                program.summary, sample, globals_env, right_samples=right_samples
-            )
+            estimates = program.sample_estimates(head, globals_env, right_samples)
+            sampler_fallbacks = estimates.diagnostics
         stages = self._stage_plans(
             program, estimates, reasons, observation=observation,
             provenance=provenance,
@@ -418,6 +419,7 @@ class ExecutionPlanner:
             join=join_report,
             estimates=provenance,
         )
+        report.diagnostics.extend(sampler_fallbacks)
         if self.static_unpicklable is not None:
             report.diagnostics.append(
                 make_diagnostic("REP306", self.static_unpicklable)
@@ -438,27 +440,23 @@ class ExecutionPlanner:
         program: "GeneratedProgram",
         inputs: Optional[dict[str, Any]],
         sample_records: int = 256,
-    ) -> Optional[dict[str, list[dict[str, Any]]]]:
-        """Bounded right-relation samples so join stages price through.
-
-        The estimator (:func:`repro.cost.monitor.estimate_from_sample`)
-        only sees pre-bound environments; the views live here.  Returns
-        None for non-join fragments.
+    ) -> Optional[dict[str, list]]:
+        """Bounded raw right-relation samples, by relation name, so the
+        program's sampler prices through its join stages.  Returns None
+        for non-join fragments.
         """
-        from ..codegen.base import record_env, view_records
+        from ..codegen.base import view_records
 
         join = getattr(program.analysis, "join", None)
         if join is None or inputs is None:
             return None
-        samples: dict[str, list[dict[str, Any]]] = {}
+        samples: dict[str, list] = {}
         for side in join.sides:
             try:
                 records = view_records(side.view, inputs)
             except Exception:
                 continue
-            samples[side.source] = [
-                record_env(side.view, r) for r in records[:sample_records]
-            ]
+            samples[side.source] = records[:sample_records]
         return samples or None
 
     @staticmethod

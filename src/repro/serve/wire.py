@@ -15,6 +15,13 @@ exact.  So values cross the wire as JSON with explicit type tags:
 * every ``dict`` becomes ``{"__t__": "dict", "v": [[k, v], ...]}`` —
   pair lists, so non-string keys survive (and a user dict containing a
   literal ``"__t__"`` key can never be mistaken for a tag).
+
+A list whose items are all *exactly* ``None``/``bool``/``int``/
+``float``/``str`` — a 5 000-number input — is its own encoding and its
+own decoding: one C-level type scan finds that out and the list passes
+through as is, with no call per element.  Both functions' results are
+for immediate use (serialise the encoding, consume the decoding of a
+fresh parse), which is what makes handing back the same list sound.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ import base64
 from typing import Any
 
 _TAG = "__t__"
+#: Exact types that cross the wire untouched (a subclass — an ``IntEnum``
+#: — is not in here and takes the per-element path).
+_SCALARS = frozenset({type(None), bool, int, float, str})
 
 
 def encode_value(value: Any) -> Any:
@@ -30,6 +40,8 @@ def encode_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, list):
+        if _SCALARS.issuperset(map(type, value)):
+            return value
         return [encode_value(v) for v in value]
     if isinstance(value, tuple):
         return {_TAG: "tuple", "v": [encode_value(v) for v in value]}
@@ -49,6 +61,8 @@ def encode_value(value: Any) -> Any:
 def decode_value(value: Any) -> Any:
     """Inverse of :func:`encode_value`."""
     if isinstance(value, list):
+        if _SCALARS.issuperset(map(type, value)):
+            return value
         return [decode_value(v) for v in value]
     if isinstance(value, dict):
         tag = value.get(_TAG)

@@ -3,12 +3,18 @@
 ``benchmarks/counter_dump.py`` runs every translated fragment of the 70
 benchmarks on five backends and every whole program through
 ``run_graph`` three ways, and digests each run's outputs, per-stage
-counters, simulated seconds and spill accounting.
+counters, simulated seconds and spill accounting; one ``@monitor`` row
+per fragment holds what the runtime monitor sampled and chose (every
+implementation's estimates, ``last_costs``, ``last_choice``) and the
+stage plans the planner derived.
 ``tests/data/counters_golden.json`` holds those digests as generated on
 the commit *before* the keyed row path moved to columns (PR 21's
-parent, ``87e2839``); an engine or accounting change that moves any of
-them fails here with the fragment × backend named.  Nothing in an entry
-depends on ``PYTHONHASHSEED`` (sets are rendered sorted).
+parent, ``87e2839``; the 595 run rows) and *before* the monitor sampled
+through compiled kernels (PR 22's parent, ``df7aaf8``; the 77 monitor
+rows, generated with the 595 reproduced unchanged); an engine,
+accounting or sampling change that moves any of them fails here with
+the fragment × backend named.  Nothing in an entry depends on
+``PYTHONHASHSEED`` (sets are rendered sorted).
 """
 
 from __future__ import annotations

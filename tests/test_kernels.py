@@ -43,6 +43,7 @@ from repro.codegen.kernels import (
     _live_atoms,
     _record_atoms,
 )
+from repro.cost.monitor import RuntimeMonitor
 from repro.engine import shm
 from repro.engine.columnar import fold_columns
 from repro.engine.multiprocess import MapStep, MultiprocessEngine, ReduceStep
@@ -225,6 +226,9 @@ def test_option_surface_is_pinned():
     assert names(MultiprocessEngine) == (
         "config processes partitions min_parallel_records memory_budget "
         "spill_dir transport shm_min_bytes"
+    )
+    assert names(RuntimeMonitor) == (
+        "implementations sample_size cost_model last_choice last_costs"
     )
 
 

@@ -230,6 +230,59 @@ class TestWireCodec:
         value = {"__t__": "not-a-tag"}
         assert decode_value(encode_value(value)) == value
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [],
+            [1, 2.5, "w", True, None],
+            [[1, 2], [], [[3.0, None], ["x"]]],
+            [1, (2, 3), 4],
+            [True, 1, 1.0, False, 0],
+            [None, None],
+            {"__t__": "tuple", "v": [1, 2]},
+            [{"__t__": "dict"}, 1],
+            {"data": list(range(50)), "n": 50},
+        ],
+        ids=[
+            "empty",
+            "scalars",
+            "nested",
+            "tuple-inside",
+            "bool-vs-int",
+            "nones",
+            "literal-tag-key",
+            "tag-key-in-list",
+            "request-shape",
+        ],
+    )
+    def test_scalar_lists_pass_through_and_everything_round_trips(self, value):
+        """A list of exact scalars is its own wire form; anything else
+        recurses.  Either way a JSON round trip gives back an equal value
+        with equal types all the way down (``True`` stays ``True``)."""
+        import json
+
+        def typed(v):
+            if isinstance(v, (list, tuple)):
+                return (type(v).__name__, [typed(x) for x in v])
+            if isinstance(v, dict):
+                return ("dict", [(typed(k), typed(x)) for k, x in v.items()])
+            return (type(v).__name__, v)
+
+        encoded = encode_value(value)
+        decoded = decode_value(json.loads(json.dumps(encoded)))
+        assert typed(decoded) == typed(value)
+
+    def test_scalar_list_costs_no_call_per_element(self):
+        import cProfile
+
+        numbers = list(range(5000))
+        profile = cProfile.Profile()
+        encoded = profile.runcall(encode_value, {"data": numbers, "n": 5000})
+        decoded = profile.runcall(decode_value, encoded)
+        assert decoded == {"data": numbers, "n": 5000}
+        calls = sum(entry.callcount for entry in profile.getstats())
+        assert calls < 60, calls
+
     def test_unencodable_type_raises(self):
         with pytest.raises(TypeError, match="cannot encode"):
             encode_value(object())
