@@ -22,8 +22,7 @@ benchmarks/collect_bench.py --output BENCH_local.json``), this measures:
 * **kernel** — compiled batch kernels vs the tree-walking evaluator
   oracle: per-record map throughput of the production steps and the
   oracle steps on the map-heavy benchmarks (identity checked, speedup
-  gated in benchmarks/test_kernel_bench.py), plus shared-memory vs
-  queue pool transport wall clock and byte/segment accounting;
+  gated in benchmarks/test_kernel_bench.py);
 * **adaptive** — feedback-driven re-planning: cold plan vs warm
   re-plan wall clock and decisions on the join suite at the BENCH_pr5
   misprice budget (the stored observation flips the forced reduce-side
@@ -130,7 +129,6 @@ KERNEL_BENCHMARKS = (
     "tpch_q6",
 )
 KERNEL_SIZE = 50_000
-TRANSPORT_SIZE = 30_000
 
 
 def measure_compile() -> dict:
@@ -527,13 +525,9 @@ def measure_kernel() -> dict:
 
     Per-record map throughput is the honest unit: both kernels run the
     same verified λm over the same records in the same process, so the
-    ratio is valid even on a single-CPU host.  The transport comparison
-    runs the full pipeline twice on a forced two-worker pool, once per
-    payload path.
+    ratio is valid even on a single-CPU host.
     """
     from repro.codegen.base import prepare_globals, view_records
-    from repro.engine.multiprocess import MultiprocessEngine
-    from repro.engine.shm import SHM_AVAILABLE, owned_segments
 
     def best_of(repeats, fn):
         best = float("inf")
@@ -571,46 +565,7 @@ def measure_kernel() -> dict:
         except Exception as exc:
             per_benchmark[name] = {"error": str(exc)}
 
-    transport: dict = {"available": SHM_AVAILABLE}
-    if SHM_AVAILABLE:
-        try:
-            benchmark = get_benchmark("stats_variance_sums")
-            compilation = compile_benchmark(benchmark)
-            fragment = next(f for f in compilation.fragments if f.translated)
-            program = fragment.program.programs[0]
-            inputs = benchmark.make_inputs(TRANSPORT_SIZE, 7)
-            globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
-            records = view_records(fragment.analysis.view, inputs)
-            steps, _diagnostics = program.local_steps(globals_env)
-            config = program.engine_config.with_framework("multiprocess")
-
-            started = time.perf_counter()
-            queue_run = MultiprocessEngine(
-                config=config, processes=2, transport="queue"
-            ).run_pipeline(records, list(steps))
-            queue_wall = time.perf_counter() - started
-            started = time.perf_counter()
-            shm_run = MultiprocessEngine(
-                config=config, processes=2, transport="shm", shm_min_bytes=0
-            ).run_pipeline(records, list(steps))
-            shm_wall = time.perf_counter() - started
-            transport.update(
-                {
-                    "benchmark": "stats_variance_sums",
-                    "records": TRANSPORT_SIZE,
-                    "results_identical": sorted(shm_run.pairs)
-                    == sorted(queue_run.pairs),
-                    "queue_wall_seconds": round(queue_wall, 4),
-                    "shm_wall_seconds": round(shm_wall, 4),
-                    "shm_stats": shm_run.transport_stats(),
-                    "pool_fallback": shm_run.fallback_reason,
-                    "segments_leaked": owned_segments(),
-                }
-            )
-        except Exception as exc:
-            transport["error"] = str(exc)
-
-    return {"map_throughput": per_benchmark, "transport": transport}
+    return {"map_throughput": per_benchmark}
 
 
 #: Serve-layer measurement: round-trip latency over the local socket

@@ -11,10 +11,6 @@ Two claims:
    tree-walking evaluator on at least one map-heavy benchmark.  Gated
    under ``BENCH_STRICT`` (valid on single-CPU hosts: both kernels run
    in-process on the same core).
-
-A third, transport-level measurement compares shared-memory payload
-handoff against the queue path on a forced two-worker pool; identity is
-gated, the byte/segment accounting is recorded for the trajectory.
 """
 
 from __future__ import annotations
@@ -22,14 +18,10 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
 from conftest import compiled
 from differential import run_oracle
 from repro import ExecOptions
 from repro.codegen.base import prepare_globals, view_records
-from repro.engine import shm
-from repro.engine.multiprocess import MultiprocessEngine
 from repro.planner.plan import forced_plan
 from repro.workloads import get_benchmark
 
@@ -44,8 +36,6 @@ KERNEL_BENCHMARKS = [
 
 STRICT = bool(os.environ.get("BENCH_STRICT"))
 MIN_KERNEL_SPEEDUP = 3.0
-
-TRANSPORT_SIZE = 30_000
 
 
 def _map_fns(name: str, size: int):
@@ -127,53 +117,3 @@ class TestKernelThroughput:
                 dict(inputs), ExecOptions(plan="sequential")
             ).outputs
             assert out_eval == out_compiled, f"{name}: kernels disagree"
-
-
-class TestShmTransport:
-    @pytest.mark.skipif(
-        not shm.SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable"
-    )
-    def test_shm_pool_matches_queue_pool(self, table_printer):
-        compilation = compiled("stats_variance_sums")
-        fragment = next(f for f in compilation.fragments if f.translated)
-        program = fragment.program.programs[0]
-        benchmark = get_benchmark("stats_variance_sums")
-        inputs = benchmark.make_inputs(TRANSPORT_SIZE, 7)
-        globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
-        records = view_records(fragment.analysis.view, inputs)
-        steps, _diagnostics = program.local_steps(globals_env)
-        config = program.engine_config.with_framework("multiprocess")
-
-        started = time.perf_counter()
-        via_queue = MultiprocessEngine(
-            config=config, processes=2, transport="queue"
-        ).run_pipeline(records, list(steps))
-        queue_wall = time.perf_counter() - started
-
-        started = time.perf_counter()
-        via_shm = MultiprocessEngine(
-            config=config, processes=2, transport="shm", shm_min_bytes=0
-        ).run_pipeline(records, list(steps))
-        shm_wall = time.perf_counter() - started
-
-        assert sorted(via_shm.pairs) == sorted(via_queue.pairs)
-        assert shm.owned_segments() == 0, "driver leaked shm segments"
-        if via_shm.fallback_reason is not None:
-            pytest.skip(f"pool unavailable: {via_shm.fallback_reason}")
-        stats = via_shm.transport_stats() or {}
-        table_printer(
-            f"Pool payload transport ({TRANSPORT_SIZE:,} records, 2 workers)",
-            ["transport", "wall_s", "segments", "bytes", "fallbacks"],
-            [
-                ["queue", f"{queue_wall:.3f}", 0, 0, 0],
-                [
-                    "shm",
-                    f"{shm_wall:.3f}",
-                    stats.get("segments", 0),
-                    stats.get("bytes", 0),
-                    stats.get("fallbacks", 0),
-                ],
-            ],
-        )
-        assert stats.get("segments", 0) > 0
-        assert stats.get("bytes", 0) > 0

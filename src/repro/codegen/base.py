@@ -65,7 +65,7 @@ class ExecutionOutcome:
     wall_seconds: float = 0.0
     fallback_reason: Optional[str] = None
     #: The real local engine's own account of the run — fallback code,
-    #: pool and transport counters, spill accounting, adaptations
+    #: pool counters, spill accounting, adaptations
     #: (:class:`~repro.engine.multiprocess.MultiprocessResult`); None on
     #: the simulated backends.
     engine_result: Optional["MultiprocessResult"] = None

@@ -21,9 +21,8 @@ first-seen key ordering and ordered value folds — only the work moves.
 The only thing ``memory_budget`` selects is the **shuffle store**:
 
 * *resident* (no budget) — map tasks return each chunk's (combined)
-  key and value columns, the driver folds them into one dict in chunk
-  order (large jobs on a pool group them instead and fold the groups in
-  pool buckets).  The whole input is one round of map tasks.
+  key and value columns and the driver folds them into one dict in chunk
+  order, pool or no pool.  The whole input is one round of map tasks.
 * *spilled* (a budget) — map tasks hash-partition those columns into a
   budgeted :class:`~repro.engine.spill.SpillWriter` (pool workers spill
   locally) and return only run-file paths, key order and counters; the
@@ -75,13 +74,6 @@ from .columnar import build_chunk, fold_columns, grouped_fold, split_pairs
 from .config import EngineConfig
 from .core import lambda_cpu_ns
 from .metrics import JobMetrics
-from .shm import (
-    SHM_AVAILABLE,
-    ShmRef,
-    load_payload,
-    release_segments,
-    write_payload,
-)
 from .sizes import dataset_bytes, pair_columns_bytes, pairs_bytes
 from .source import (
     DEFAULT_CHUNK_RECORDS,
@@ -167,15 +159,6 @@ class MultiprocessResult:
     #: Spill accounting (:meth:`repro.engine.spill.SpillStats.as_dict`);
     #: None without a budget.
     spill_stats: Optional[dict] = None
-    #: How task payloads traveled to the pool: "queue" (re-pickled
-    #: through the executor pipes) or "shm" (staged once in shared
-    #: memory, handed off by name).
-    transport: str = "queue"
-    #: Shared-memory segments created / payload bytes they carried.
-    shm_segments: int = 0
-    shm_bytes: int = 0
-    #: Payloads that fell back to the queue after a failed segment write.
-    shm_fallbacks: int = 0
     #: Chunks whose first map stage executed on the vectorized column
     #: path, and chunks where an exactness guard (int64 overflow risk,
     #: non-finite float result, type-promise break) forced the compiled
@@ -193,17 +176,6 @@ class MultiprocessResult:
     @property
     def executed_parallel(self) -> bool:
         return self.fallback_reason is None and self.processes_used > 1
-
-    def transport_stats(self) -> Optional[dict]:
-        """Compact transport accounting; None when nothing pooled."""
-        if self.shm_segments == 0 and self.shm_fallbacks == 0:
-            return None
-        return {
-            "transport": self.transport,
-            "segments": self.shm_segments,
-            "bytes": self.shm_bytes,
-            "fallbacks": self.shm_fallbacks,
-        }
 
     def columnar_stats(self) -> Optional[dict]:
         """Compact columnar accounting; None when nothing vectorized."""
@@ -427,24 +399,14 @@ def _run_map_chunks(
     return out
 
 
-def _map_task(payload: Union[bytes, ShmRef]) -> _MapOut:
+def _map_task(payload: bytes) -> _MapOut:
     """Pool entry point: unpickle one map task and run it."""
-    return _run_map_chunks(*load_payload(payload))
+    return _run_map_chunks(*pickle.loads(payload))
 
 
-def _reduce_task(payload: Union[bytes, ShmRef]) -> list[tuple]:
-    """Pool entry point: unpickle one bucket of key groups and fold each
-    key's values in order."""
-    fn, groups = load_payload(payload)
-    acc: dict[Any, Any] = {}
-    for key, values in groups:
-        fold_columns(fn, itertools.repeat(key, len(values)), values, acc)
-    return list(acc.items())
-
-
-def _spill_reduce_task(payload: Union[bytes, ShmRef]) -> tuple[list[tuple], int]:
+def _spill_reduce_task(payload: bytes) -> tuple[list[tuple], int]:
     """Pool entry point: merge-reduce one partition's spill runs."""
-    fn, run_files = load_payload(payload)
+    fn, run_files = pickle.loads(payload)
     stats = SpillStats()
     pairs = merge_partition(run_files, fn, stats)
     return pairs, stats.peak_resident_bytes
@@ -479,15 +441,6 @@ class MultiprocessEngine:
     #: Where spill runs are written; None → a private temp directory,
     #: removed when the job finishes.
     spill_dir: Optional[str] = None
-    #: How task payloads reach the pool: "queue" re-pickles through the
-    #: executor pipes; "shm" stages each payload once in a
-    #: multiprocessing.shared_memory segment and sends only the name;
-    #: "auto" uses shm for payloads of at least ``shm_min_bytes`` when
-    #: the platform supports it, with transparent per-payload fallback.
-    transport: str = "auto"
-    #: Below this payload size "auto" stays on the queue — the segment
-    #: create/attach syscalls cost more than piping a few kilobytes.
-    shm_min_bytes: int = 65536
 
     def run_pipeline(
         self, records: Union[list, Dataset], steps: Sequence[PipelineStep]
@@ -504,11 +457,6 @@ class MultiprocessEngine:
         """
         if not steps:
             raise EngineError("multiprocess pipeline needs at least one step")
-        if self.transport not in ("auto", "shm", "queue"):
-            raise EngineError(
-                f"unknown transport {self.transport!r}; "
-                "expected 'auto', 'shm' or 'queue'"
-            )
         budget = self.memory_budget
         if budget is not None and budget <= 0:
             raise SpillError(
@@ -765,7 +713,7 @@ class MultiprocessEngine:
         means the pool broke (recorded here as ``broke``).  Either way
         the caller runs the same work inline.
         """
-        sent, refs, error = self._send_tasks(tasks, result)
+        sent, error = self._send_tasks(tasks, result)
         if error is not None:
             return None, error
         try:
@@ -773,71 +721,26 @@ class MultiprocessEngine:
         except BrokenProcessPool:
             self._record_fallback(result, broke)
             return None, None
-        finally:
-            release_segments(refs)
 
     def _send_tasks(
         self, tasks: list, result: MultiprocessResult
-    ) -> tuple[list[Union[bytes, ShmRef]], list[ShmRef], Optional[str]]:
-        """Pickle per-task objects and stage them for the pool.
+    ) -> tuple[list[bytes], Optional[str]]:
+        """Pickle each task, in band, for the pool.
 
-        Payloads are pickled with protocol 5 and a ``buffer_callback``,
-        so ndarray columns inside a task (ColumnChunks, cached column
-        arrays, spillable blocks) become out-of-band buffers whose raw
-        bytes go straight into the shared segment — the column data is
-        copied exactly once, into shared memory, and never flattened
-        into an intermediate payload byte string.  Queue transport (or a
-        failed segment write) re-pickles the task in-band instead.
-
-        Returns ``(sent, refs, error)``; a non-None ``error`` means the
-        payload is unpicklable (sent/refs are empty and any staged
-        segments were released) and the caller falls back in-process.
-        Only pickling failures report as errors — anything else raised
-        while serializing (a buggy ``__reduce__`` in user code) is a
-        real bug and propagates.
+        Returns ``(sent, error)``; a non-None ``error`` means the
+        payload is unpicklable (``sent`` is empty) and the caller falls
+        back in-process.  Only pickling failures report as errors —
+        anything else raised while serializing (a buggy ``__reduce__``
+        in user code) is a real bug and propagates.
         """
-        use_shm = self.transport != "queue" and SHM_AVAILABLE
-        threshold = 0 if self.transport == "shm" else self.shm_min_bytes
-        sent: list[Union[bytes, ShmRef]] = []
-        refs: list[ShmRef] = []
         try:
-            for task in tasks:
-                if not use_shm:
-                    sent.append(pickle.dumps(task))
-                    continue
-                buffers: list = []
-                head = pickle.dumps(
-                    task, protocol=5, buffer_callback=buffers.append
-                )
-                try:
-                    total = len(head) + sum(
-                        buffer.raw().nbytes for buffer in buffers
-                    )
-                except BufferError:
-                    total = None  # non-contiguous buffer: in-band it goes
-                ref = None
-                if total is not None and total >= threshold:
-                    ref = write_payload(head, buffers)
-                    if ref is None:
-                        result.shm_fallbacks += 1
-                if ref is not None:
-                    refs.append(ref)
-                    sent.append(ref)
-                    result.transport = "shm"
-                    result.shm_segments += 1
-                    result.shm_bytes += total
-                elif buffers:
-                    sent.append(pickle.dumps(task))
-                else:
-                    sent.append(head)
+            return [pickle.dumps(task) for task in tasks], None
         except _PICKLE_ERRORS as exc:
-            release_segments(refs)
             # Disagreement accounting: the static walker green-lit a
             # payload the runtime dump rejected — measured imprecision.
             if static_unpicklable_reason(tasks) is None:
                 result.probe_disagreements += 1
-            return [], [], f"payload not picklable: {exc!r}"
-        return sent, refs, None
+            return [], f"payload not picklable: {exc!r}"
 
     @staticmethod
     def _record_fallback(
@@ -918,41 +821,19 @@ class MultiprocessEngine:
     ) -> list[tuple]:
         """Fold the shuffle store's pairs key by key, in arrival order.
 
-        Every branch is the same ordered left fold
+        Both stores run the same ordered left fold
         (:func:`~repro.engine.columnar.fold_columns`): the resident
-        store's chunk columns into one dict, or — large jobs on a pool —
-        gathered per key and folded in pool buckets; the spilled store's
-        partitions merged one at a time (in pool tasks when there are
-        several) and put back in global first-seen key order.  An
-        unpicklable reducer folds in-process without recording a
+        store's chunk columns into one dict on the driver; the spilled
+        store's partitions merged one at a time (in pool tasks when
+        there are several) and put back in global first-seen key order.
+        An unpicklable reducer merges in-process without recording a
         fallback — the map phase may still have pooled fine.
         """
-        broke = "worker pool broke during reduce"
         fn = reduce_step.fn
         if self.memory_budget is None:
-            # Resident store.  A large job on a pool splits the *keys*
-            # across workers, so each key's values are gathered first
-            # and every bucket folds its own.
-            if pool is not None and out.outgoing_records >= self.min_parallel_records:
-                grouped: dict[Any, list] = {}
-                for keys, values in out.chunk_output:
-                    for key, value in zip(keys, values):
-                        grouped.setdefault(key, []).append(value)
-                groups = list(grouped.items())
-                if len(groups) > 1:
-                    task_count = min(len(groups), max(1, result.processes_used * 2))
-                    bounds = self._task_bounds(len(groups), task_count)
-                    folded, _error = self._run_tasks(
-                        pool,
-                        _reduce_task,
-                        [(fn, groups[lo:hi]) for lo, hi in bounds],
-                        result,
-                        broke,
-                    )
-                    if folded is not None:
-                        return [pair for bucket in folded for pair in bucket]
-            # Driver-side fold in chunk order: first-seen key ordering
-            # and per-key value order match the simulated engines exactly.
+            # Resident store.  Chunk order gives first-seen key ordering
+            # and per-key value order that match the simulated engines
+            # exactly.
             acc: dict[Any, Any] = {}
             for keys, values in out.chunk_output:
                 fold_columns(fn, keys, values, acc)
@@ -967,7 +848,7 @@ class MultiprocessEngine:
                 _spill_reduce_task,
                 [(fn, files) for files in parts],
                 result,
-                broke,
+                "worker pool broke during reduce",
             )
             if outs is not None:
                 folded = []

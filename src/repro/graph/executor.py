@@ -6,11 +6,10 @@ executor
 
 1. asks the fusion optimizer for the unit schedule (chains + singletons,
    dead stages dropped),
-2. asks the DAG planner for dependency waves and a concurrency width,
-3. runs each wave — independent branches concurrently on worker
-   threads — caching dataset-view materializations shared between
-   branches (TPC-H Q1's two aggregates scan ``lineitem`` once, not
-   twice),
+2. asks the DAG planner for dependency waves,
+3. runs each wave's units in unit order on the calling thread, caching
+   dataset-view materializations shared between branches (TPC-H Q1's
+   two aggregates scan ``lineitem`` once, not twice),
 4. executes fused chains as *one* engine invocation: the producer's
    partitioned intermediate is handed to the consumer through a bridge
    step instead of being rebuilt into source variables and re-scanned.
@@ -24,9 +23,7 @@ every workload suite.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from threading import Lock
 from typing import Any, Optional
 
 from ..codegen.base import (
@@ -78,7 +75,8 @@ class _UnitOutcome:
 
 
 class _RecordsCache:
-    """Shared dataset-view materializations, one per (kind, sources).
+    """Dataset-view materializations of one ``run_graph`` call, one per
+    (kind, sources).
 
     Two fragments iterating the same input dataset (independent
     branches of the DAG) materialize the record list once.  Entries are
@@ -88,39 +86,23 @@ class _RecordsCache:
 
     def __init__(self) -> None:
         self._entries: dict[tuple, list] = {}
-        self._key_locks: dict[tuple, Lock] = {}
-        self._lock = Lock()
         self.hits = 0
 
     def get(self, view, env: dict[str, Any]) -> list:
         # Records depend only on the view kind and source values — the
         # index/element variable *names* only matter when binding a
         # record into a λm environment, so two loops spelling their
-        # counters differently still share one materialization.  Each
-        # key materializes under its own lock: branches racing on the
-        # *same* dataset serialize (the second gets a cache hit), while
-        # branches scanning different datasets proceed in parallel.
+        # counters differently still share one materialization.
         key = (view.kind, tuple(view.sources))
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                return self._entries[key]
-            key_lock = self._key_locks.setdefault(key, Lock())
-        with key_lock:
-            with self._lock:
-                if key in self._entries:
-                    self.hits += 1
-                    return self._entries[key]
-            records = view_records(view, env)
-            with self._lock:
-                self._entries[key] = records
-            return records
+        if key in self._entries:
+            self.hits += 1
+            return self._entries[key]
+        records = self._entries[key] = view_records(view, env)
+        return records
 
     def invalidate(self, names: set[str]) -> None:
-        with self._lock:
-            for key in [k for k in self._entries if set(k[1]) & names]:
-                del self._entries[key]
-                self._key_locks.pop(key, None)
+        for key in [k for k in self._entries if set(k[1]) & names]:
+            del self._entries[key]
 
 
 def run_graph(
@@ -162,13 +144,7 @@ def run_graph(
     kept_ids = {n for unit in schedule.units for n in unit.node_ids}
     _check_runnable(graph, schedule, kept_ids, options.strict)
 
-    dag_planner = DagPlanner(config=planner_config or PlannerConfig())
-    dag_plan = dag_planner.plan(
-        graph,
-        schedule,
-        max_workers=options.max_workers,
-        pooled_units=options.effective_plan in ("auto", "multiprocess"),
-    )
+    dag_plan = DagPlanner().plan(graph, schedule)
 
     report = GraphPlanReport(
         plan=dag_plan,
@@ -180,19 +156,18 @@ def run_graph(
     produced: dict[str, Any] = {}
     cache = _RecordsCache()
 
-    def run_unit(unit: FusedChain) -> _UnitOutcome:
-        return _run_unit(graph, unit, env, options, cache, planner_config)
-
     for wave in dag_plan.waves:
-        units = [schedule.units[index] for index in wave]
-        if len(units) > 1 and dag_plan.concurrency > 1:
-            workers = min(dag_plan.concurrency, len(units))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_unit, units))
-        else:
-            outcomes = [run_unit(unit) for unit in units]
-        # Merge in unit order (= source order): a redefinition behaves
-        # exactly as sequential execution would.
+        # A wave's units all read the environment the previous wave
+        # left; their outputs merge afterwards in unit order (= source
+        # order), so a redefinition behaves as sequential execution
+        # would.  The simulated cluster runs a wave's branches side by
+        # side, hence the per-wave maximum.
+        outcomes = [
+            _run_unit(
+                graph, schedule.units[index], env, options, cache, planner_config
+            )
+            for index in wave
+        ]
         wave_simulated = 0.0
         for outcome in outcomes:
             env.update(outcome.outputs)

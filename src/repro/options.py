@@ -38,7 +38,6 @@ class ExecOptions:
       back to the reference interpreter (whole-program runs only).
     * ``outputs`` — variables the caller needs; enables dead-stage
       elimination (whole-program runs only).
-    * ``max_workers`` — branch-concurrency cap for the DAG executor.
     * ``feedback`` — planned runs resolve estimates against the
       observation recorded by the last run over the same (fragment,
       dataset) and record a fresh one afterwards.  ``None`` defers to
@@ -53,7 +52,6 @@ class ExecOptions:
     fuse: bool = True
     strict: bool = True
     outputs: Optional[tuple[str, ...]] = None
-    max_workers: Optional[int] = None
     feedback: Optional[bool] = None
 
     def __post_init__(self) -> None:

@@ -3,18 +3,17 @@
 :class:`ExecutionPlanner` decides how one fragment's job runs; this
 module lifts those decisions to a whole job graph.  The
 :class:`DagPlanner` turns the fusion optimizer's unit list into
-*waves* — sets of units whose dependencies are all satisfied — and
-decides how many of them may execute concurrently, reusing the same
-CPU-budget reasoning the per-job planner applies to partition counts.
+*waves* — sets of units whose dependencies are all satisfied.
 Independent branches of a program (TPC-H Q1's parallel aggregates, the
-logistic-regression gradient/loss/accuracy scans) land in one wave and
-run side by side; chains serialize across waves.
+logistic-regression gradient/loss/accuracy scans) land in one wave,
+which the simulated cluster runs side by side (the executor itself runs
+a wave's units one after another); chains serialize across waves.
 
 The :class:`GraphPlanReport` is the whole-program analogue of
 :class:`~repro.planner.plan.PlanReport`: per-unit plan reports plus the
-graph-level evidence (waves, concurrency, fusion decisions, cache
-reuse), so a planned ``run_program`` leaves the same kind of audit
-trail a planned ``run_translated`` does.
+graph-level evidence (waves, fusion decisions, cache reuse), so a
+planned ``run_program`` leaves the same kind of audit trail a planned
+``run_translated`` does.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..engine.multiprocess import default_process_count
 from .plan import PlanReport
-from .planner import PlannerConfig
 
 if TYPE_CHECKING:
     from ..graph.fuse import GraphSchedule
@@ -33,17 +30,10 @@ if TYPE_CHECKING:
 
 @dataclass
 class GraphExecutionPlan:
-    """Wave schedule for one job graph: who runs when, how wide."""
+    """Wave schedule for one job graph: who runs when."""
 
     #: Unit indexes (into the schedule's unit list) per wave, in order.
     waves: list[tuple[int, ...]] = field(default_factory=list)
-    #: Worker threads driving concurrent units within a wave.
-    concurrency: int = 1
-    reasons: list[str] = field(default_factory=list)
-
-    @property
-    def max_wave_width(self) -> int:
-        return max((len(w) for w in self.waves), default=0)
 
 
 @dataclass
@@ -108,7 +98,6 @@ class GraphPlanReport:
         """Compact dict form, convenient for logs and benchmark JSON."""
         return {
             "waves": [list(w) for w in self.plan.waves],
-            "concurrency": self.plan.concurrency,
             "decisions": list(self.decisions),
             "interpreted_nodes": list(self.interpreted_nodes),
             "fused_away": sorted(self.fused_away),
@@ -123,37 +112,19 @@ class GraphPlanReport:
             },
             "admission": self.admission,
             "adaptations": self.adaptations,
-            "reasons": list(self.plan.reasons),
         }
 
 
-@dataclass
 class DagPlanner:
-    """Plans wave order and branch concurrency for a job graph."""
-
-    config: PlannerConfig = field(default_factory=PlannerConfig)
+    """Plans wave order for a job graph."""
 
     def plan(
-        self,
-        graph: "JobGraph",
-        schedule: "GraphSchedule",
-        max_workers: Optional[int] = None,
-        pooled_units: bool = False,
+        self, graph: "JobGraph", schedule: "GraphSchedule"
     ) -> GraphExecutionPlan:
-        """Compute dependency waves and the concurrency width.
+        """Compute dependency waves.
 
         A unit is ready once every unit producing one of its external
-        inputs has completed; ready units form a wave and may run
-        concurrently.  Width is capped by the CPU budget: running more
-        branches than cores side by side only adds scheduling noise
-        (and would distort the per-job planner's measured calibration).
-
-        ``pooled_units`` marks runs whose units may each engage the
-        multiprocess pool (``plan="auto"``/``"multiprocess"``): stacking
-        branch threads on top of per-unit pools would oversubscribe the
-        cores and invalidate every unit's own cost estimates, so the
-        CPU budget goes to the pools and branches serialize — unless
-        the caller explicitly sets ``max_workers``.
+        inputs has completed; ready units form a wave.
         """
         plan = GraphExecutionPlan()
         unit_of_node: dict[str, int] = {}
@@ -188,31 +159,4 @@ class DagPlanner:
             done.update(wave)
             remaining -= set(wave)
 
-        processes = (
-            self.config.processes
-            if self.config.processes is not None
-            else default_process_count()
-        )
-        width = plan.max_wave_width
-        if max_workers is not None:
-            concurrency = max(1, min(width, max_workers))
-            plan.reasons.append(
-                f"concurrency={concurrency} (caller capped at {max_workers})"
-            )
-        elif width <= 1:
-            concurrency = 1
-            plan.reasons.append("concurrency=1 (graph is a chain)")
-        elif pooled_units:
-            concurrency = 1
-            plan.reasons.append(
-                "concurrency=1 (units may engage the multiprocess pool — "
-                "the CPU budget goes to per-unit workers, not branch threads)"
-            )
-        else:
-            concurrency = max(1, min(width, processes))
-            plan.reasons.append(
-                f"concurrency={concurrency} ({width} independent branch(es), "
-                f"{processes} CPU(s))"
-            )
-        plan.concurrency = concurrency
         return plan

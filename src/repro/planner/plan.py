@@ -138,9 +138,6 @@ class PlanReport:
     #: fragments, the §7.4 cardinality-based ordering choice.  None for
     #: non-join jobs.
     join: Optional[dict] = None
-    #: Pool payload transport accounting from the engine (shared-memory
-    #: segments and bytes); None when nothing pooled.
-    transport: Optional[dict] = None
     #: Columnar-execution accounting from the engine (chunks that ran
     #: the vectorized path, guard-fallback count); None when every chunk
     #: ran the row loop.
@@ -188,7 +185,6 @@ class PlanReport:
                 )
             )
         self.spill_stats = result.spill_stats
-        self.transport = result.transport_stats()
         self.columnar = result.columnar_stats()
         self.adaptations = list(result.adaptations)
 
@@ -201,7 +197,6 @@ class PlanReport:
             "partitions": self.plan.partitions,
             "memory_budget": self.plan.memory_budget,
             "spill": self.plan.spill,
-            "transport": self.transport,
             "columnar": self.columnar,
             "estimated_input_bytes": self.estimated_input_bytes,
             "spill_stats": self.spill_stats,

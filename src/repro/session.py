@@ -38,6 +38,7 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
@@ -52,6 +53,11 @@ from .synthesis.search import SearchConfig
 
 #: What :meth:`Session.submit` accepts as the program designator.
 ProgramRef = Union[RegisteredProgram, CompilationResult, str]
+
+#: Finished jobs a session keeps readable by id; past this the
+#: oldest-finished handle is dropped (a retained ``JobResult`` is about
+#: 0.25 MiB, and a resident daemon never stops submitting).
+MAX_FINISHED_JOBS = 1024
 
 
 @dataclass
@@ -203,6 +209,8 @@ class Session:
             else None
         )
         self._jobs: dict[str, JobHandle] = {}
+        #: Ids of finished jobs still in ``_jobs``, oldest-finished first.
+        self._finished: deque[str] = deque()
         self._job_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._closed = False
@@ -283,7 +291,20 @@ class Session:
             handle = JobHandle(job_id, entry.program_id, future=future)
         with self._lock:
             self._jobs[job_id] = handle
+        if self._pool is None:
+            self._retire(job_id)
+        else:
+            # Runs at once when the job has already finished.
+            future.add_done_callback(lambda _future: self._retire(job_id))
         return handle
+
+    def _retire(self, job_id: str) -> None:
+        """Note ``job_id`` as finished and evict past ``MAX_FINISHED_JOBS``;
+        pending jobs are never in the queue, so never evicted."""
+        with self._lock:
+            self._finished.append(job_id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
 
     def result(
         self, job: Union[str, JobHandle], timeout: Optional[float] = None
@@ -294,7 +315,7 @@ class Session:
         with self._lock:
             handle = self._jobs.get(job)
         if handle is None:
-            raise ServeError(f"unknown job {job!r}")
+            raise ServeError(f"unknown or evicted job {job!r}")
         return handle.result(timeout=timeout)
 
     def run(

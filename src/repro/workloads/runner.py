@@ -251,7 +251,6 @@ def run_benchmark_graph(
     plan: Optional[str] = None,
     fuse: bool = True,
     strict: bool = False,
-    max_workers: Optional[int] = None,
     compilation: Optional[CompilationResult] = None,
 ) -> GraphBenchmarkRun:
     """Compile (optionally reusing a compilation) and run via the job graph.
@@ -269,9 +268,7 @@ def run_benchmark_graph(
     job = session.run(
         compilation,
         dict(inputs),
-        ExecOptions(
-            plan=plan, fuse=fuse, strict=strict, max_workers=max_workers
-        ),
+        ExecOptions(plan=plan, fuse=fuse, strict=strict),
     )
     if not job.ok:
         raise RuntimeError(

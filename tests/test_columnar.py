@@ -21,7 +21,6 @@ import pytest
 
 from repro.codegen.base import prepare_globals, view_records
 from repro.codegen.kernels import CompiledRecordMapper
-from repro.engine import shm
 from repro.engine.columnar import (
     ColumnBlock,
     ColumnChunk,
@@ -384,43 +383,6 @@ def test_spill_block_budget_guard(tmp_path):
 
     with pytest.raises(SpillError, match="smaller than a single record"):
         writer.add_block(block)
-
-
-# ----------------------------------------------------------------------
-# Zero-copy shared-memory payloads
-
-
-def test_shm_payload_round_trip_zero_copy():
-    if not shm.SHM_AVAILABLE:
-        pytest.skip("shared memory unavailable on this platform")
-    payload = {
-        "values": np.arange(4096, dtype=np.int64),
-        "keys": np.asarray([1.5] * 4096),
-        "tail": ["plain", "objects"],
-    }
-    buffers: list = []
-    head = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
-    assert buffers, "ndarrays should travel out of band under protocol 5"
-    before = shm.owned_segments()
-    ref = shm.write_payload(head, buffers)
-    assert ref is not None and ref.spans
-    loaded = shm.load_payload(ref)
-    assert np.array_equal(loaded["values"], payload["values"])
-    assert np.array_equal(loaded["keys"], payload["keys"])
-    assert loaded["tail"] == payload["tail"]
-    shm.release_segments([ref])
-    assert shm.owned_segments() == before
-
-
-def test_shm_payload_plain_bytes_path():
-    data = pickle.dumps({"x": 1})
-    assert shm.load_payload(data) == {"x": 1}
-    # A span-less ShmRef (the pre-columnar transport shape) still loads.
-    ref = shm.write_segment(data)
-    if ref is None:
-        pytest.skip("shared memory unavailable on this platform")
-    assert shm.load_payload(ref) == {"x": 1}
-    shm.release_segments([ref])
 
 
 # ----------------------------------------------------------------------

@@ -413,19 +413,20 @@ class TestEngineCodes:
             assert summary["diagnostics"][0]["code"] == fallback[0].code
 
     def test_fused_chain_report_keeps_engine_accounting(self):
-        # What the engine reports — pool transport, adaptations — must
-        # reach a fused chain's PlanReport like a single fragment's.
+        # What the engine reports — columnar counters, spill stats,
+        # adaptations — must reach a fused chain's PlanReport like a
+        # single fragment's.
         graph = compiled("biglambda_select_sum").job_graph
         inputs = get_benchmark("biglambda_select_sum").make_inputs(6000, 1)
         run = run_graph(graph, dict(inputs), ExecOptions(plan="multiprocess"))
         (report,) = run.report.unit_reports.values()
-        if report.fallback_reason is None:  # the pool ran (>= 2 CPUs)
-            transport = report.summary()["transport"]
-            assert transport is not None and transport["segments"] > 0
+        assert report.summary()["columnar"]["columnar_chunks"] > 0
+        assert report.spill_stats is None
         hidden = dict(inputs, rows=GeneratorSource(lambda: iter(inputs["rows"])))
         streamed = run_graph(graph, hidden, ExecOptions(memory_budget=1 << 20))
         (report,) = streamed.report.unit_reports.values()
         assert streamed.outputs == run.outputs
+        assert report.summary()["spill_stats"]["spill_runs"] >= 1
         assert [a["kind"] for a in report.adaptations] == ["stream_probe"]
 
     def test_rep306_and_rep307_from_planner_statics(self):

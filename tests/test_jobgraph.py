@@ -8,7 +8,11 @@ step, and the executor's failure paths.
 
 from __future__ import annotations
 
+import faulthandler
+import threading
+
 import pytest
+from suite_cache import compiled
 
 from repro import ExecOptions, run_program, translate
 from repro.errors import GraphError
@@ -24,6 +28,7 @@ from repro.lang.analysis import analyze_dataflow, identify_fragments
 from repro.lang.analysis.fragments import analyze_fragment
 from repro.lang.parser import parse_program
 from repro.lang.values import values_equal
+from repro.workloads import get_benchmark
 
 SELECT_SUM_SOURCE = """
 class Row { int id; int val; }
@@ -286,10 +291,9 @@ class TestExecutor:
     def test_branches_share_one_wave_and_records_cache(self):
         result = translate(TWO_BRANCH_SOURCE)
         inputs = {"data": list(range(64)), "n": 64}
-        run = run_graph(result.job_graph, dict(inputs), ExecOptions(max_workers=2))
+        run = run_graph(result.job_graph, dict(inputs))
         outputs, report = run.outputs, run.report
         assert report.plan.waves == [(0, 1)]
-        assert report.plan.concurrency == 2
         assert report.records_cache_hits >= 1
         expected = interpret_reference(result.job_graph, dict(inputs))
         assert values_equal(outputs["a"], expected["a"])
@@ -305,6 +309,35 @@ class TestExecutor:
         unit_report = report.unit_reports["selectSum#0"]
         assert unit_report.plan.backend == "sequential"
         assert any("degraded" in r for r in unit_report.plan.reasons)
+
+    def test_pooled_branches_run_on_the_calling_thread(self):
+        # Branch threads over pooled units forked a ProcessPoolExecutor
+        # from a multi-threaded driver: tpch_q1 under
+        # ExecOptions(plan="multiprocess", max_workers=2) hung for good
+        # within a handful of runs (one thread parked in pool.map, two
+        # orphaned fork children).  A wave now runs on the caller.
+        with pytest.raises(TypeError, match="max_workers"):
+            ExecOptions(max_workers=2)
+        with pytest.raises(ValueError, match="unknown ExecOptions field"):
+            ExecOptions.from_dict({"max_workers": 2})
+        graph = compiled("tpch_q1").job_graph
+        # 6 000 records: past the engine's 2 048-record pool floor.
+        inputs = get_benchmark("tpch_q1").make_inputs(6000, 7)
+        expected = run_graph(
+            graph, dict(inputs), ExecOptions(plan="sequential")
+        ).outputs
+        threads_before = threading.active_count()
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            for _ in range(4):
+                run = run_graph(
+                    graph, dict(inputs), ExecOptions(plan="multiprocess")
+                )
+                assert run.report.plan.waves == [(0, 1)]
+                assert run.outputs == expected
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert threading.active_count() == threads_before
 
 
 class TestBridgeStep:

@@ -1,4 +1,4 @@
-"""Compiled batch kernels: differential identity and transport tests.
+"""Compiled batch kernels: differential identity tests.
 
 The acceptance property of the one production kernel path
 (:mod:`repro.codegen.kernels`): for every translated fragment of every
@@ -10,14 +10,17 @@ on the real sequential backend — and on the multiprocess pool and the
 spill-to-disk path for representative benchmarks.  Alongside that, unit
 tests pin the semantics the renderer must preserve exactly (Java
 division errors, unbound globals, pickling), that nothing is left to
-choose (no kernel or layout option, one memoized code object per
-source, a coded ``REP308`` when a stage stays on the evaluator) and the
-shared-memory payload transport's lifecycle.
+choose (no kernel, layout or transport option, one memoized code object
+per source, a coded ``REP308`` when a stage stays on the evaluator).
 """
 
 from __future__ import annotations
 
+import importlib
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from functools import lru_cache
@@ -43,11 +46,9 @@ from repro.codegen.kernels import (
     _live_atoms,
     _record_atoms,
 )
-from repro.cost.monitor import RuntimeMonitor
-from repro.engine import shm
 from repro.engine.columnar import fold_columns
 from repro.engine.multiprocess import MapStep, MultiprocessEngine, ReduceStep
-from repro.errors import EngineError, IRError, KernelUnsupported
+from repro.errors import IRError, KernelUnsupported
 from repro.graph.executor import interpret_fragment
 from repro.ir.eval import eval_expr
 from repro.ir.nodes import (
@@ -62,7 +63,6 @@ from repro.ir.nodes import (
     Var,
 )
 from repro.lang.values import values_equal
-from repro.planner.planner import PlannerConfig
 from repro.workloads import all_benchmarks, get_benchmark
 
 # ----------------------------------------------------------------------
@@ -210,26 +210,43 @@ def test_unrenderable_stage_is_one_coded_diagnostic(monkeypatch):
     assert [d.code for d in job.diagnostics].count("REP308") == 1
 
 
-def test_option_surface_is_pinned():
-    # Adding a knob to any of these has to be argued for here.
-    def names(cls) -> str:
-        return " ".join(f.name for f in fields(cls))
-
-    assert names(ExecOptions) == (
-        "plan memory_budget fuse strict outputs max_workers feedback"
-    )
-    assert names(PlannerConfig) == (
+#: Every field is a knob tests and benchmarks must cover; adding one has
+#: to be argued for here.  A literal, so CI's lint job reads the same
+#: table (``ast.literal_eval``) and fails when a class outgrows it.
+OPTION_SURFACE = {
+    "repro.options:ExecOptions": "plan memory_budget fuse strict outputs feedback",
+    "repro.planner.planner:PlannerConfig": (
         "processes min_parallel_records parallel_margin calibration_records "
         "pool_startup_s combiner_key_ratio_cutoff memory_budget spill_dir "
         "probe_records"
-    )
-    assert names(MultiprocessEngine) == (
-        "config processes partitions min_parallel_records memory_budget "
-        "spill_dir transport shm_min_bytes"
-    )
-    assert names(RuntimeMonitor) == (
+    ),
+    "repro.engine.multiprocess:MultiprocessEngine": (
+        "config processes partitions min_parallel_records memory_budget spill_dir"
+    ),
+    "repro.cost.monitor:RuntimeMonitor": (
         "implementations sample_size cost_model last_choice last_costs"
+    ),
+    "repro.synthesis.search:SearchConfig": (
+        "incremental_grammar max_summaries_per_class accept_bounded_only "
+        "timeout_seconds bounded_config extended_states exhaustive"
+    ),
+}
+
+
+def test_option_surface_is_pinned():
+    for target, pinned in OPTION_SURFACE.items():
+        module, _, name = target.partition(":")
+        cls = getattr(importlib.import_module(module), name)
+        assert " ".join(f.name for f in fields(cls)) == pinned, target
+
+
+def test_import_repro_leaves_shared_memory_unloaded():
+    probe = (
+        "import sys, repro; "
+        "sys.exit('multiprocessing.shared_memory' in sys.modules)"
     )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_warm_program_builds_kernels_without_builtin_compile(monkeypatch):
@@ -694,80 +711,14 @@ def test_callables_without_kernels_take_the_generic_fold(budget, monkeypatch):
     assert [k for k, _ in plain.pairs] == list(dict.fromkeys(words))
 
 
-# ----------------------------------------------------------------------
-# Shared-memory transport
-
-
-def test_shm_round_trip_and_release():
-    payload = b"x" * 100_000
-    before = shm.owned_segments()
-    ref = shm.write_segment(payload)
-    if ref is None:
-        pytest.skip("shared memory unavailable on this platform")
-    assert shm.owned_segments() == before + 1
-    assert shm.read_segment(ref) == payload
-    assert shm.resolve_payload(ref) == payload
-    assert shm.resolve_payload(b"plain") == b"plain"
-    shm.release_segments([ref])
-    assert shm.owned_segments() == before
-    shm.release_segments([ref])  # idempotent
-    assert shm.owned_segments() == before
-
-
-def test_shm_empty_payload_falls_back():
-    assert shm.write_segment(b"") is None
-
-
 def _pooled_steps(name: str):
     program, _stage, globals_env, records = _first_map_stage(name)
     return program, records, program.local_steps(globals_env)[0], globals_env
 
 
-def test_shm_transport_matches_queue_transport():
-    if not shm.SHM_AVAILABLE:
-        pytest.skip("shared memory unavailable on this platform")
-    program, records, steps, _globals = _pooled_steps("stats_variance_sums")
-    config = program.engine_config.with_framework("multiprocess")
-
-    via_shm = MultiprocessEngine(
-        config=config, processes=2, transport="shm", shm_min_bytes=0
-    ).run_pipeline(records, steps)
-    via_queue = MultiprocessEngine(
-        config=config, processes=2, transport="queue"
-    ).run_pipeline(records, steps)
-
-    assert sorted(via_shm.pairs) == sorted(via_queue.pairs)
-    if via_shm.fallback_reason is None:
-        assert via_shm.transport == "shm"
-        assert via_shm.shm_segments > 0 and via_shm.shm_bytes > 0
-        stats = via_shm.transport_stats()
-        assert stats["segments"] == via_shm.shm_segments
-    assert via_queue.transport_stats() is None
-    assert shm.owned_segments() == 0, "driver leaked segments"
-
-
-def test_shm_creation_failure_counts_fallbacks(monkeypatch):
-    import repro.engine.multiprocess as mp_mod
-
-    program, records, steps, _globals = _pooled_steps("stats_variance_sums")
-    monkeypatch.setattr(mp_mod, "write_payload", lambda head, buffers: None)
-    result = MultiprocessEngine(
-        config=program.engine_config.with_framework("multiprocess"),
-        processes=2,
-        transport="shm",
-        shm_min_bytes=0,
-    ).run_pipeline(records, steps)
-    if result.fallback_reason is None:
-        assert result.shm_fallbacks > 0
-        assert result.shm_segments == 0
-
-
 def test_unknown_transport_rejected():
-    program, records, steps, _globals = _pooled_steps("ariths_sum")
-    engine = MultiprocessEngine(
-        config=program.engine_config.with_framework("multiprocess"),
-        processes=2,
-        transport="teleport",
-    )
-    with pytest.raises(EngineError, match="unknown transport"):
-        engine.run_pipeline(records, steps)
+    # Pool payloads travel one way (pickled, in band); there is nothing
+    # to select and no shared-memory module to import.
+    for stray in ({"transport": "queue"}, {"shm_min_bytes": 0}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            MultiprocessEngine(processes=2, **stray)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.engine.metrics import JobMetrics
@@ -119,6 +121,35 @@ class TestPooledExecution:
         ).run_pipeline(records, steps)
         assert pooled.fallback_reason is None
         assert pooled.pairs == inline.pairs
+
+    @pytest.mark.parametrize("combine", [True, False])
+    @pytest.mark.parametrize("weights", ["count", "float"])
+    def test_pooled_resident_reduce_matches_inline_in_order(self, weights, combine):
+        # 20 000 Zipf words over 3 000 keys: >= 2 048 pairs leave the map
+        # phase either way, the size at which a pool used to gather the
+        # pairs per key and fold them in worker buckets.  First-seen key
+        # order is the contract; float sums of mixed magnitude make the
+        # per-key value order visible too.
+        rng = random.Random(23)
+        ranks = rng.choices(
+            range(3000), weights=[1 / (rank + 1) for rank in range(3000)], k=20_000
+        )
+
+        def value():
+            if weights == "count":
+                return 1
+            return rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8)
+
+        records = [(f"w{rank}", value()) for rank in ranks]
+        steps = [MapStep(PassThrough()), ReduceStep(Add(), combine=combine)]
+        inline = MultiprocessEngine(processes=0).run_pipeline(records, steps)
+        pooled = MultiprocessEngine(processes=2).run_pipeline(records, steps)
+        assert pooled.executed_parallel and pooled.map_tasks > 0
+        assert pooled.metrics.stages[-1].records_in >= 2048
+        assert pooled.pairs == inline.pairs
+        assert [key for key, _ in pooled.pairs] == list(
+            dict.fromkeys(word for word, _ in records)
+        )
 
     def test_task_bounds_cover_all_chunks_in_order(self):
         bounds = MultiprocessEngine._task_bounds(10, 3)

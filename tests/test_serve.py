@@ -367,7 +367,7 @@ class TestDaemon:
             client = connect(daemon.address)
             with pytest.raises(ServeError, match="unknown program"):
                 client.submit("prog-nope", {"data": [1]})
-            with pytest.raises(ServeError, match="unknown job"):
+            with pytest.raises(ServeError, match="unknown or evicted job"):
                 client.result("job-999")
         with pytest.raises(ServeError, match="cannot reach"):
             DaemonClient("127.0.0.1:1").health()

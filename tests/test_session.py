@@ -169,6 +169,20 @@ class TestSessionInline:
             with pytest.raises(ServeError, match="unknown program"):
                 session.submit("prog-nope", {})
 
+    def test_finished_jobs_are_evicted_oldest_first(self):
+        inputs = {"data": [1, 2, 3], "n": 3}
+        with Session(max_workers=0, observe=False) as session:
+            prog = session.compile(SUM_SOURCE)
+            handles = [
+                session.submit(prog, inputs, fragment_index=0) for _ in range(1100)
+            ]
+            assert session.info()["jobs"] <= 1024
+            assert session.result(handles[-1].job_id).outputs == {"total": 6}
+            with pytest.raises(ServeError, match="unknown or evicted"):
+                session.result(handles[0].job_id)
+            # A handle the caller kept still answers.
+            assert handles[0].result().outputs == {"total": 6}
+
     def test_closed_session_rejects_submissions(self):
         session = Session(max_workers=0)
         session.close()
