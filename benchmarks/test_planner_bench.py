@@ -8,10 +8,11 @@ Three claims are exercised here:
    the runner).
 2. **Pooled identity** — with the worker pool actually engaged
    (forced ``processes=2``), results still match byte for byte.
-3. **Speedup** — on a multi-core machine, ``plan="auto"`` picks the
-   multiprocess backend for a large input and beats always-sequential
-   wall-clock by ≥2× (skipped below 4 cores, where the pool cannot
-   demonstrate parallel gain).
+3. **The choice** — ``plan="auto"``'s wall is within a stated factor
+   of the better of forced ``sequential`` and forced ``multiprocess`` on
+   a large input, outputs equal (runs from 2 cores; it does not assert
+   *which* backend wins — the compiled kernels made the old "the pool
+   wins 2×" claim false on most hosts).
 """
 
 from __future__ import annotations
@@ -110,49 +111,60 @@ class TestMultiprocessIdentity:
             assert outcome.fallback_reason is None, outcome.fallback_reason
 
 
-#: The hard ≥2× bound only applies when BENCH_STRICT is set (CI's bench
-#: job, a dedicated runner).  In the shared tests matrix a noisy
-#: neighbour can eat the parallel margin, so there the test still runs
-#: the full comparison but only asserts sanity — the plan must choose
-#: and engage the pool, and the pool must not *lose* outright.
+#: What ``plan="auto"`` owes: a wall within this factor of the better of
+#: the two forced local backends.  The tight factor only applies when
+#: BENCH_STRICT is set (CI's bench job, a dedicated runner); in the
+#: shared tests matrix a noisy neighbour can eat a quarter of a run, so
+#: there the comparison still runs in full against the looser bound.
 STRICT = bool(os.environ.get("BENCH_STRICT"))
-MIN_SPEEDUP = 2.0 if STRICT else 0.8
+WITHIN_BEST = 1.25 if STRICT else 1.6
+REPEATS = 3
 
 
 @pytest.mark.skipif(
-    default_process_count() < 4,
-    reason="parallel speedup needs ≥4 cores (pool cannot win on fewer)",
+    default_process_count() < 2,
+    reason="one CPU: the pool cannot run, there is no second backend to compare",
 )
-class TestAutoPlanSpeedup:
-    def test_auto_beats_always_sequential_2x(self, table_printer):
+class TestAutoPlanWithinBest:
+    def test_auto_is_within_a_factor_of_the_better_backend(self, table_printer):
         benchmark = get_benchmark("stats_correlation_sums")
         compilation = compiled("stats_correlation_sums")
         fragment = next(f for f in compilation.fragments if f.translated)
         inputs = benchmark.make_inputs(SPEEDUP_SIZE, 7)
 
-        outcome = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
-        seq_outputs, seq_report = outcome.outputs, outcome.report
-        outcome = fragment.program.run(dict(inputs), ExecOptions(plan="auto"))
-        auto_outputs, auto_report = outcome.outputs, outcome.report
+        # Alternating rounds, best wall per plan: host drift lands on
+        # all three alike.
+        outputs, walls, reports = {}, {}, {}
+        for _ in range(REPEATS):
+            for plan in ("sequential", "multiprocess", "auto"):
+                run = fragment.program.run(dict(inputs), ExecOptions(plan=plan))
+                outputs[plan], reports[plan] = run.outputs, run.report
+                walls[plan] = min(
+                    run.report.wall_seconds, walls.get(plan, float("inf"))
+                )
 
+        auto = reports["auto"]
         table_printer(
-            "Planner speedup (stats_correlation_sums, "
-            f"{SPEEDUP_SIZE:,} records, {default_process_count()} cores)",
-            ["plan", "backend", "wall_s"],
+            "Planner choice (stats_correlation_sums, "
+            f"{SPEEDUP_SIZE:,} records, {default_process_count()} cores, "
+            f"best of {REPEATS})",
+            ["plan", "backend", "wall_s", "predicted_s"],
             [
-                ["sequential", "sequential", f"{seq_report.wall_seconds:.3f}"],
                 [
-                    "auto",
-                    auto_report.backend_used,
-                    f"{auto_report.wall_seconds:.3f}",
-                ],
+                    plan,
+                    reports[plan].backend_used,
+                    f"{walls[plan]:.3f}",
+                    f"{auto.estimated_seconds[reports[plan].plan.backend]:.3f}",
+                ]
+                for plan in ("sequential", "multiprocess", "auto")
             ],
         )
-        assert auto_outputs == seq_outputs
-        assert auto_report.plan.backend == "multiprocess", auto_report.plan.reasons
-        assert auto_report.fallback_reason is None
-        speedup = seq_report.wall_seconds / auto_report.wall_seconds
-        assert speedup >= MIN_SPEEDUP, (
-            f"plan='auto' only {speedup:.2f}× vs always-sequential "
-            f"(bound {MIN_SPEEDUP}×, strict={STRICT})"
+        assert outputs["auto"] == outputs["sequential"] == outputs["multiprocess"]
+        assert reports["multiprocess"].fallback_reason is None
+        assert auto.fallback_reason is None
+        best = min(walls["sequential"], walls["multiprocess"])
+        assert walls["auto"] <= WITHIN_BEST * best, (
+            f"plan='auto' chose {auto.plan.backend} and took {walls['auto']:.3f}s, "
+            f"over {WITHIN_BEST}× the better forced backend ({best:.3f}s; "
+            f"strict={STRICT}): {auto.plan.reasons}"
         )

@@ -73,7 +73,6 @@ from .planner import (
     ExecutionPlan,
     ExecutionPlanner,
     GraphPlanReport,
-    PlannerConfig,
     PlanReport,
 )
 from .session import JobHandle, JobResult, Session
@@ -122,7 +121,6 @@ __all__ = [
     "ListSource",
     "PassPipeline",
     "PlanReport",
-    "PlannerConfig",
     "SearchConfig",
     "SummaryCache",
     "TextSource",

@@ -820,9 +820,9 @@ def run_local_steps(
     The one place a :class:`~repro.engine.multiprocess.MultiprocessEngine`
     is constructed: single fragments and fused chains both come through
     here.  The plan (None → a bare plan, whose defaults are the
-    engine's) carries every physical choice — partitions, budget, spill
-    directory — and, on the ``multiprocess`` backend, the worker count
-    (None → one per core); ``sequential`` pins in-process execution.
+    engine's) carries every physical choice — partitions, budget — and,
+    on the ``multiprocess`` backend, the worker count (None → one per
+    core); ``sequential`` pins in-process execution.
     """
     from ..engine.multiprocess import MultiprocessEngine
     from ..planner.plan import ExecutionPlan
@@ -836,7 +836,6 @@ def run_local_steps(
         processes=0 if backend == "sequential" else plan.processes,
         partitions=plan.partitions,
         memory_budget=plan.memory_budget,
-        spill_dir=plan.spill_dir,
     )
     return engine.run_pipeline(records, steps)
 

@@ -55,8 +55,9 @@ class AdaptiveProgram:
     sample_size: int = 5000
     cost_model: CostModel = field(default_factory=CostModel)
     monitor: RuntimeMonitor = field(init=False)
-    #: Attached by the pipeline's ``plan`` pass; created lazily for
-    #: programs built outside the pipeline.
+    #: Built by :meth:`ensure_planner` — the pipeline's ``plan`` pass
+    #: asks at compile time, a hand-built program's first
+    #: ``plan="auto"`` run asks then.
     planner: Optional[ExecutionPlanner] = None
     #: Observation store feeding measured statistics from prior runs
     #: back into planning.  A serving :class:`~repro.serve.session.Session`
@@ -291,10 +292,7 @@ class AdaptiveProgram:
                 report.plan = forced
                 report.join = {"levels": [d.as_dict() for d in decisions]}
             return forced, report
-        if self.planner is None:
-            self.planner = ExecutionPlanner(cost_model=self.cost_model)
-            self.planner.precompute(self.programs)
-        return self.planner.plan(
+        return self.ensure_planner().plan(
             program,
             records,
             head,
@@ -305,6 +303,15 @@ class AdaptiveProgram:
             observation_note=observation_note,
             estimates=estimates,
         )
+
+    def ensure_planner(self) -> ExecutionPlanner:
+        """The program's execution planner, built with its compile-time
+        statics (cost bounds, op counts, payload picklability) on the
+        first ask — the one place a planner is constructed."""
+        if self.planner is None:
+            self.planner = ExecutionPlanner(cost_model=self.cost_model)
+            self.planner.precompute(self.programs)
+        return self.planner
 
     def _store(self) -> ObservationStore:
         if self.observations is None:

@@ -44,7 +44,6 @@ from .graph.jobgraph import JobGraph, build_job_graph
 from .pipeline.cache import SummaryCache
 from .pipeline.context import CompilationContext
 from .pipeline.scheduler import PassPipeline
-from .planner.planner import PlannerConfig
 from .synthesis.search import SearchConfig, SearchResult
 
 #: A batch item: plain source text, or ``(source, function_name)``.
@@ -152,8 +151,6 @@ class CasperCompiler:
     #: Worker threads for fragment-level parallelism; None → per-core
     #: default, 1 → strictly sequential.
     max_workers: Optional[int] = None
-    #: Execution-planner knobs attached by the plan pass; None → defaults.
-    planner_config: Optional["PlannerConfig"] = None
     #: Run the pre-synthesis soundness analyzer (REP1xx codes); off
     #: skips the gate and lets CEGIS discover the failure the slow way.
     soundness: bool = True
@@ -233,7 +230,6 @@ class CasperCompiler:
             engine_config=self.engine_config,
             backend=self.backend,
             cache=self.cache,
-            planner_config=self.planner_config,
             soundness=self.soundness,
             strict=self.strict,
         )

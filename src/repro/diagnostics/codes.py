@@ -261,8 +261,8 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "LNT104",
             "error",
             "direct wall-clock/random use in a planner-priced path",
-            "cost estimates must be deterministic; mark deliberate "
-            "calibration timers with '# lint: allow-wall-clock'",
+            "cost estimates must be deterministic; price from counts "
+            "and constants, never from a clock",
         ),
     )
 )

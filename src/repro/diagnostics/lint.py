@@ -13,8 +13,8 @@ been bitten by or must never regress on:
   codegen/serve classes: instances (including unpickled pool payload
   copies) silently share state.
 * **LNT104** — direct ``time``/``random`` reads in planner-priced paths:
-  cost estimates must be deterministic and replayable.  Deliberate
-  calibration timers carry a ``# lint: allow-wall-clock`` marker.
+  cost estimates must be deterministic and replayable.  No marker
+  comment exempts a line.
 
 Run as ``python -m repro.diagnostics.lint [path]``; exits non-zero when
 findings exist.  The CI lint job runs it over ``src/repro``, and
@@ -45,8 +45,6 @@ _PAYLOAD_PATHS = ("engine/", "codegen/", "serve/")
 #: numbers computed here decide plans, so they must be deterministic.
 _PRICED_PATHS = ("planner/", "cost/")
 
-_ALLOW_WALL_CLOCK = "lint: allow-wall-clock"
-
 _WALL_CLOCK_CALLS = frozenset(
     {("time", "time"), ("time", "perf_counter"), ("time", "monotonic")}
 )
@@ -70,9 +68,8 @@ def _matches(relative: str, fragments: tuple[str, ...]) -> bool:
 
 
 class _FileLinter(ast.NodeVisitor):
-    def __init__(self, relative: str, source_lines: list[str]) -> None:
+    def __init__(self, relative: str) -> None:
         self.relative = relative
-        self.lines = source_lines
         self.findings: list[LintFinding] = []
         # Call nodes sanctioned as with-items or try/finally acquires.
         self._sanctioned_acquires: set[int] = set()
@@ -195,11 +192,6 @@ class _FileLinter(ast.NodeVisitor):
 
     # ---- LNT104: wall-clock / RNG in priced paths ----------------
 
-    def _line_allows_wall_clock(self, lineno: int) -> bool:
-        if 1 <= lineno <= len(self.lines):
-            return _ALLOW_WALL_CLOCK in self.lines[lineno - 1]
-        return False
-
     def _check_wall_clock(self, node: ast.Call) -> None:
         if not _matches(self.relative, _PRICED_PATHS):
             return
@@ -209,17 +201,15 @@ class _FileLinter(ast.NodeVisitor):
         ):
             return
         pair = (func.value.id, func.attr)
-        if pair in _WALL_CLOCK_CALLS and not self._line_allows_wall_clock(
-            node.lineno
-        ):
+        if pair in _WALL_CLOCK_CALLS:
             self._emit(
                 "LNT104",
                 node,
                 f"direct {pair[0]}.{pair[1]}() in a planner-priced path makes "
-                "cost estimates nondeterministic; mark deliberate calibration "
-                f"with '# {_ALLOW_WALL_CLOCK}'",
+                "cost estimates nondeterministic; price from counts and "
+                "constants instead",
             )
-        elif pair[0] == "random" and not self._line_allows_wall_clock(node.lineno):
+        elif pair[0] == "random":
             self._emit(
                 "LNT104",
                 node,
@@ -249,7 +239,7 @@ def lint_file(path: Path, root: Path) -> list[LintFinding]:
                 message=f"file does not parse: {exc.msg}",
             )
         ]
-    linter = _FileLinter(relative, source.splitlines())
+    linter = _FileLinter(relative)
     linter.visit(tree)
     return linter.findings
 

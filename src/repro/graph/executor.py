@@ -39,7 +39,6 @@ from ..errors import GraphError
 from ..options import ExecOptions
 from ..planner.dag import DagPlanner, GraphPlanReport
 from ..planner.plan import PlanReport
-from ..planner.planner import ExecutionPlanner, PlannerConfig
 from .fuse import FusedChain, GraphSchedule, optimize_graph
 from .jobgraph import JobGraph, JobNode
 
@@ -109,7 +108,6 @@ def run_graph(
     graph: JobGraph,
     inputs: dict[str, Any],
     options: Optional[ExecOptions] = None,
-    planner_config: Optional[PlannerConfig] = None,
 ) -> GraphRunResult:
     """Execute a whole-program job graph over concrete inputs.
 
@@ -163,9 +161,7 @@ def run_graph(
         # would.  The simulated cluster runs a wave's branches side by
         # side, hence the per-wave maximum.
         outcomes = [
-            _run_unit(
-                graph, schedule.units[index], env, options, cache, planner_config
-            )
+            _run_unit(graph, schedule.units[index], env, options, cache)
             for index in wave
         ]
         wave_simulated = 0.0
@@ -285,13 +281,12 @@ def _run_unit(
     env: dict[str, Any],
     options: ExecOptions,
     cache: _RecordsCache,
-    planner_config: Optional[PlannerConfig],
 ) -> _UnitOutcome:
     outcome = _UnitOutcome(unit=unit)
     node = graph.nodes[unit.head]
     started = time.perf_counter()
     if unit.fused:
-        _run_chain(graph, unit, env, options, cache, outcome, planner_config)
+        _run_chain(graph, unit, env, options, cache, outcome)
     elif node.translated:
         _run_single(node, env, options, cache, outcome)
     else:
@@ -328,7 +323,6 @@ def _run_chain(
     options: ExecOptions,
     cache: _RecordsCache,
     outcome: _UnitOutcome,
-    planner_config: Optional[PlannerConfig],
 ) -> None:
     """Execute a fused chain as one engine invocation.
 
@@ -346,7 +340,7 @@ def _run_chain(
     globals_env, output_sizes = prepare_globals(head.analysis, env)
     records = cache.get(head.analysis.view, env)
     execution_plan, report = _chain_plan(
-        unit, head, chosen, records, globals_env, options, planner_config
+        unit, head, chosen, records, globals_env, options
     )
     # The plan's per-stage combiner decisions index the head program's
     # stages, so only the head's steps honour them; downstream nodes
@@ -407,7 +401,6 @@ def _chain_plan(
     records: Any,
     globals_env: dict[str, Any],
     options: ExecOptions,
-    planner_config: Optional[PlannerConfig],
 ):
     """Resolve the execution plan for a fused chain.
 
@@ -427,18 +420,12 @@ def _chain_plan(
         extra_reasons += (
             f"fused chains run locally; {plan!r} backend degraded to sequential",
         )
-    if plan == "auto" and head.program.planner is None:
-        head.program.planner = ExecutionPlanner(
-            config=planner_config or PlannerConfig(),
-            cost_model=head.program.cost_model,
-        )
-        head.program.planner.precompute(head.program.programs)
     execution_plan, report = head.program.plan_execution(
         options, chosen, records, head.program.sample_head(records), globals_env
     )
     if plan == "auto":
         report.implementation = f"impl_{unit.impl_indexes[0]}"
-        # The planner's calibration/estimates cover the head fragment
+        # The planner's price and estimates cover the head fragment
         # only; downstream stages of the chain are not costed, so a
         # compute-heavy consumer can make this an underestimate.
         # Recorded so the evidence trail stays honest.

@@ -29,7 +29,6 @@ from ..synthesis.search import SearchConfig, SearchResult
 if TYPE_CHECKING:
     from ..codegen.glue import AdaptiveProgram
     from ..graph.jobgraph import JobGraph
-    from ..planner.planner import PlannerConfig
     from .cache import SummaryCache
 
 
@@ -71,8 +70,6 @@ class CompilationContext:
     engine_config: EngineConfig = field(default_factory=EngineConfig)
     backend: str = "spark"
     cache: Optional["SummaryCache"] = None
-    #: Execution-planner knobs used by the ``plan`` pass; None → defaults.
-    planner_config: Optional["PlannerConfig"] = None
     #: Run the static soundness gate before synthesis (default on; the
     #: bench harness turns it off to measure CEGIS seconds saved).
     soundness: bool = True

@@ -205,27 +205,19 @@ class CodegenPass(CompilerPass):
 class PlanPass(CompilerPass):
     """Attach the execution planner and its compile-time statics.
 
-    The data-dependent half of planning (input size, sampled estimates,
-    calibration timings) has to wait until run time; this pass does the
-    static half once per fragment — per-implementation cost bounds and a
-    picklability probe of the summary payload — and hangs an
-    :class:`~repro.planner.planner.ExecutionPlanner` off the adaptive
-    program so ``run(plan="auto")`` can finish the job.
+    The data-dependent half of planning (input size, sampled estimates)
+    has to wait until run time; this pass does the static half once per
+    fragment — per-implementation cost bounds, per-stage op counts and a
+    picklability probe of the summary payload — by asking the adaptive
+    program for its :class:`~repro.planner.planner.ExecutionPlanner`,
+    so ``run(plan="auto")`` can finish the job.
     """
 
     name = "plan"
 
     def run(self, ctx: CompilationContext, state: FragmentState) -> None:
-        from ..planner.planner import ExecutionPlanner, PlannerConfig
-
-        if state.program is None:
-            return
-        planner = ExecutionPlanner(
-            config=ctx.planner_config or PlannerConfig(),
-            cost_model=state.program.cost_model,
-        )
-        planner.precompute(state.program.programs)
-        state.program.planner = planner
+        if state.program is not None:
+            state.program.ensure_planner()
 
 
 class ContextPass:

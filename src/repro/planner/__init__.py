@@ -23,7 +23,7 @@ from .plan import (
     StagePlan,
     forced_plan,
 )
-from .planner import ExecutionPlanner, PlannerConfig
+from .planner import ExecutionPlanner
 
 __all__ = [
     "BACKENDS",
@@ -34,7 +34,6 @@ __all__ = [
     "GraphExecutionPlan",
     "GraphPlanReport",
     "PlanReport",
-    "PlannerConfig",
     "StagePlan",
     "forced_plan",
 ]

@@ -57,8 +57,6 @@ class ExecutionPlan:
     memory_budget: Optional[int] = None
     #: Whether the planner chose the external (spill-to-disk) shuffle.
     spill: bool = False
-    #: Where spill runs go; None → a private temp directory per job.
-    spill_dir: Optional[str] = None
     #: Physical strategy per join level of a join pipeline, in join
     #: order ("broadcast" | "reduce_side"); empty for non-join jobs or
     #: when the codegen default rule should decide at run time.
@@ -124,9 +122,6 @@ class PlanReport:
     #: Pickle-probe disagreements: payloads the static analyzer cleared
     #: but the runtime ``pickle.dumps`` probe rejected.
     probe_disagreements: int = 0
-    #: Why the measured λm/pickling probe did not run (single-CPU hosts
-    #: skip it — the pool cannot win, so there is nothing to calibrate).
-    calibration_skipped: Optional[str] = None
     #: Estimated input bytes behind the spill decision (None when the
     #: planner had no budget to weigh, or the source length is unknown).
     estimated_input_bytes: Optional[int] = None
@@ -151,6 +146,10 @@ class PlanReport:
     #: and — when an observation was available — the static estimate's
     #: relative error against the last measured run.  Feedback-enabled
     #: runs with no usable observation record why (the loud fallback).
+    #: ``estimates["backend"]`` holds every input of the sequential-or-
+    #: pool choice (record count, priced stage rows, bytes per record,
+    #: worker count, the constants, both predictions): enough to
+    #: recompute the choice from the report alone.
     estimates: dict = field(default_factory=dict)
     #: Mid-job adaptations the engine took, in order: a broadcast build
     #: that overflowed its limit and switched to reduce-side, an
@@ -214,7 +213,6 @@ class PlanReport:
                 for diag in self.diagnostics
             ],
             "probe_disagreements": self.probe_disagreements,
-            "calibration_skipped": self.calibration_skipped,
             "join": self.join,
             "admission": self.admission,
             "estimates": self.estimates,
@@ -227,7 +225,6 @@ def forced_plan(
     backend: str,
     stages: tuple[StagePlan, ...] = (),
     memory_budget: Optional[int] = None,
-    spill_dir: Optional[str] = None,
 ) -> ExecutionPlan:
     """A plan that pins the backend because the caller asked for it.
 
@@ -262,6 +259,5 @@ def forced_plan(
         stages=stages,
         memory_budget=memory_budget if spill else None,
         spill=spill,
-        spill_dir=spill_dir,
         reasons=tuple(reasons),
     )

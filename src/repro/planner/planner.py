@@ -7,10 +7,13 @@ ratios — to decide *how to execute* a compiled job:
 
 * **backend** — in-process sequential, the real multiprocess pool, or a
   simulated cluster framework forced by the caller.  The
-  sequential-vs-multiprocess choice compares a measured per-record cost
-  (the planner times the job's own λm on a calibration prefix) against
-  the pool's overheads (fork startup, driver-side pickling), so the
-  decision is grounded in this machine's reality rather than constants.
+  sequential-vs-multiprocess choice is a *price*, never a measurement:
+  operator nodes per record counted over the pipeline IR at compile time,
+  weighted by the sampled share of records reaching each stage, times
+  the module's seconds-per-op constants, against the pool's start-up and
+  the bytes it has to ship (:func:`price_backends`).  The same job on
+  the same data on the same CPU count gets the same plan; nothing under
+  ``planner/`` or ``cost/`` reads a clock.
 * **partition count** — mirrors the simulated engines' block
   partitioning when a combining reduce is present (so map-side combine
   groups records identically and results stay byte-for-byte equal), and
@@ -27,23 +30,23 @@ frameworks for the job, preserving the paper's backend-diversity story.
 
 from __future__ import annotations
 
-import pickle
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..cost.model import CostModel
+from ..cost.model import CostExpr, CostModel, CostTerm
 from ..cost.monitor import SampleEstimates
 from ..diagnostics import make as make_diagnostic
-from ..diagnostics.pickling import probe_payload
+from ..diagnostics.pickling import probe_payload, static_unpicklable_reason
 from ..engine.config import PROFILES, EngineConfig
 from ..engine.multiprocess import default_process_count
-from ..ir.nodes import MapStage, ReduceStage, Summary
+from ..engine.sizes import dataset_bytes
+from ..engine.source import Dataset
+from ..ir.nodes import MapStage, Pipeline, ReduceStage, expr_size
 from ..options import ExecOptions
+from .plan import ExecutionPlan, PlanReport, StagePlan
 
 if TYPE_CHECKING:
     from ..codegen.base import GeneratedProgram
-    from .plan import ExecutionPlan, PlanReport
 
 
 def _relative_error(
@@ -55,82 +58,119 @@ def _relative_error(
     return round(abs(static - observed) / abs(observed), 4)
 
 
-def _record_prefix(records: Any, k: int) -> list:
-    """The first ``k`` records of a list or Dataset, as a list."""
-    from ..engine.source import Dataset
-
-    if isinstance(records, Dataset):
-        return records.head(k)
-    return list(records[:k])
-
-
-def estimate_input_bytes(records: Any, n: Optional[int] = None) -> Optional[int]:
+def estimate_input_bytes(records: Any) -> Optional[int]:
     """Sizeof-sample byte estimate of a record collection (§5 model).
 
-    ``records`` is a list or a :class:`~repro.engine.source.Dataset`;
-    ``n`` overrides the record count (defaults to ``len(records)`` for
-    lists).  Returns ``None`` when the size is unknowable (streaming
-    source of unknown length).  This is the planner's own spill-decision
-    estimator, exposed so the serve layer's admission controller prices
-    jobs with exactly the §5 byte counts the planner uses.
+    ``records`` is a list or a :class:`~repro.engine.source.Dataset`
+    (``None`` for a stream of unknown length).  The planner's own
+    spill-decision estimator, exposed so the serve layer's admission
+    controller prices jobs with exactly the §5 byte counts it uses.
     """
-    from ..engine.sizes import dataset_bytes
-    from ..engine.source import Dataset
-
     if isinstance(records, Dataset):
         return records.estimated_bytes()
-    if n is None:
-        n = len(records)
-    if n == 0:
-        return 0
-    sample = records[:64]
-    if not sample:
-        return None
-    per_record = dataset_bytes(sample) / len(sample)
-    return int(per_record * n)
+    sample = records[:BYTE_SAMPLE_RECORDS]
+    return int(dataset_bytes(sample) / len(sample) * len(records)) if sample else 0
 
 
-@dataclass
-class PlannerConfig:
-    """Knobs of the execution planner."""
+#: What the pool-or-sequential price is made of.  Fitted once on a
+#: scratch run over the 70 suite programs on the 2-CPU reference host
+#: (DESIGN.md, "Pricing the pool", has the procedure and a
+#: predicted-vs-measured table) and never measured again — not at
+#: import, not per ``Session``, not per plan.
+#: Seconds one IR operator node costs one record on a compiled kernel …
+COMPILED_OP_S = 0.40e-6
+#: … and on the tree-walking evaluator (every stage of a join pipeline,
+#: and a stage the kernel renderer could not express — its ``REP308``).
+EVALUATOR_OP_S = 2.9e-6
+#: Seconds to move one estimated input byte to a worker: pickled by the
+#: driver *and* unpickled by the worker.
+SHIP_BYTE_S = 36e-9
+#: Per-worker pool start-up (fork + import) in seconds.
+POOL_STARTUP_S = 0.04
+#: The pool must be predicted to win by this factor.
+PARALLEL_MARGIN = 1.3
+#: Distinct-key ratio from which map-side combining is pointless.
+COMBINER_KEY_RATIO_CUTOFF = 0.95
+#: Records the bounded first-chunk probe reads off an unknown-length
+#: stream; one that ends within the bound is priced from its measured
+#: exact length instead of "assume large".
+PROBE_RECORDS = 4096
+#: Records of the head sample behind the bytes-per-record estimate (the
+#: 64 ``Dataset.estimated_bytes`` sizes).
+BYTE_SAMPLE_RECORDS = 64
 
-    #: Worker processes available; None → detect CPU affinity.
-    processes: Optional[int] = None
-    #: Inputs below this size always stay sequential.
-    min_parallel_records: int = 4096
-    #: Multiprocess must be predicted to win by this factor.
-    parallel_margin: float = 1.3
-    #: Records timed to calibrate the per-record cost.
-    calibration_records: int = 200
-    #: Estimated per-worker pool startup (fork + import) in seconds.
-    pool_startup_s: float = 0.04
-    #: Distinct-key ratio above which map-side combining is pointless.
-    combiner_key_ratio_cutoff: float = 0.95
-    #: Shuffle memory budget in bytes; when the size estimate exceeds it
-    #: (or the source length is unknown) the planner chooses the
-    #: external spill shuffle.  None → always in-memory.
-    memory_budget: Optional[int] = None
-    #: Spill-run directory; None → a private temp directory per job.
-    spill_dir: Optional[str] = None
-    #: Records read by the bounded first-chunk probe of an unknown-length
-    #: stream.  A stream that ends within the bound is priced from its
-    #: measured exact length instead of "assume large"; 0 disables the
-    #: probe.
-    probe_records: int = 4096
+
+def stage_ops(pipeline: Pipeline) -> tuple[tuple, ...]:
+    """``(stage index, kind, ops, reach)`` per stage of ``pipeline``.
+
+    ``ops`` is the stage's operator-node count per record reaching it
+    (the §4.2 expression-length feature the engines already charge as
+    ``complexity``); ``reach`` says how many records do, as a
+    :class:`~repro.cost.model.CostExpr` over the sampled unknowns — the
+    §5.1 record-count expression: a conditional emit multiplies by its
+    ``p``, a reduce leaves one pair per distinct key (``k``).  A join
+    charges one probe per pair plus the right relation's own map, and
+    passes the count through (Eqn 4's ``p_j`` is a share of N₁·N₂).
+    """
+    from ..codegen.base import _stage_complexity
+
+    rows = []
+    reach: list[tuple[str, ...]] = [()]
+    for index, stage in enumerate(pipeline.stages):
+        reaching = CostExpr([CostTerm(1.0, symbols) for symbols in reach])
+        if isinstance(stage, MapStage):
+            rows.append((index, "map", _stage_complexity(stage), reaching))
+            reach = [
+                symbols + ((f"p_s{index}_{position}",) if emit.cond is not None else ())
+                for position, emit in enumerate(stage.lam.emits)
+                for symbols in reach
+            ]
+        elif isinstance(stage, ReduceStage):
+            ops = max(1, expr_size(stage.lam.body))
+            rows.append((index, "reduce", ops, reaching))
+            reach = [(f"k_s{index}",)]
+        else:
+            ops = 1 + sum(row[2] for row in stage_ops(stage.right))
+            rows.append((index, "join", ops, reaching))
+    return tuple(rows)
+
+
+def price_backends(
+    stages: list[dict],
+    n: Optional[int],
+    bytes_per_record: float,
+    processes: int,
+) -> dict[str, float]:
+    """Predicted seconds of one job on each real local backend.
+
+    A pure function of its arguments and the module constants — the
+    whole pool-or-sequential decision.  ``stages`` are the priced rows
+    (``ops``, ``reach``, ``rate`` each); ``n`` None is the unknown-length
+    stream, answered in seconds *per record* as n → ∞: start-up
+    amortises away and only the per-record terms are left to compare.
+    """
+    rates = {"compiled": COMPILED_OP_S, "evaluator": EVALUATOR_OP_S}
+    work = sum(row["ops"] * row["reach"] * rates[row["rate"]] for row in stages)
+    records = 1 if n is None else n
+    startup = 0.0 if n is None else POOL_STARTUP_S * processes
+    return {
+        "sequential": work * records,
+        "multiprocess": (work / processes + bytes_per_record * SHIP_BYTE_S) * records
+        + startup,
+    }
 
 
 @dataclass
 class ExecutionPlanner:
     """Chooses an :class:`ExecutionPlan` for one compiled fragment.
 
-    Instances are attached to adaptive programs by the pipeline's
-    ``plan`` pass; the static part (per-implementation cost bounds,
-    payload picklability of the summary itself) is computed once at
-    compile time, while :meth:`plan` finalizes the data-dependent
-    decisions per run.
+    Built by :meth:`AdaptiveProgram.ensure_planner` (the pipeline's
+    ``plan`` pass asks at compile time); the static part
+    (per-implementation cost bounds and stage op counts, payload
+    picklability of the summary itself) is computed once then, while
+    :meth:`plan` finalizes the data-dependent decisions per run.
     """
 
-    config: PlannerConfig = field(default_factory=PlannerConfig)
     cost_model: CostModel = field(default_factory=CostModel)
     #: Compile-time probe: is the summary/view payload picklable at all?
     static_unpicklable: Optional[str] = None
@@ -139,6 +179,11 @@ class ExecutionPlanner:
     #: The static pickle walker cleared the payload but the runtime
     #: ``pickle.dumps`` backstop rejected it (a REP307 disagreement).
     probe_disagreement: bool = False
+    #: Per implementation (``id`` of the program the planner's owner
+    #: holds): its §5.1 cost expression and :func:`stage_ops` rows, and
+    #: — asked on the first multi-CPU plan — which rate prices each stage.
+    static_costs: dict[int, tuple[CostExpr, tuple]] = field(default_factory=dict)
+    _stage_rates: dict[int, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # Compile-time half
@@ -153,6 +198,10 @@ class ExecutionPlanner:
                 ),
             )
             self.static_cost_bounds[f"impl_{index}"] = cost.bounds()
+            self.static_costs[id(program)] = (
+                cost,
+                stage_ops(program.summary.pipeline),
+            )
         if programs:
             verdict = probe_payload(
                 (programs[0].summary, programs[0].analysis.view)
@@ -179,11 +228,11 @@ class ExecutionPlanner:
         """Decide how to execute ``program`` over ``records``.
 
         ``records`` is a list or a :class:`~repro.engine.source.Dataset`
-        (whose length may be unknown — streaming sources are planned as
-        "assume large").  ``options`` is the caller's
-        :class:`~repro.options.ExecOptions`; its physical knobs are
-        folded into the returned plan, each overriding the configured
-        one for this run.  With a ``memory_budget`` in play the planner
+        (whose length may be unknown — a stream the bounded probe cannot
+        see the end of spills under a budget and is priced per record).
+        ``options`` is the caller's :class:`~repro.options.ExecOptions`;
+        its physical knobs are folded into the returned plan.  With a
+        ``memory_budget`` in play the planner
         weighs the cost model's input-size estimate against it and
         chooses the external spill shuffle when the data cannot fit.
 
@@ -214,9 +263,6 @@ class ExecutionPlanner:
         own unless it holds right-side join samples the monitor never
         saw, which carry the estimate through the join stages.
         """
-        from ..engine.source import Dataset
-        from .plan import ExecutionPlan, PlanReport
-
         options = options or ExecOptions()
         reasons: list[str] = []
         provenance: dict[str, dict] = {}
@@ -231,16 +277,12 @@ class ExecutionPlanner:
             if isinstance(records, Dataset)
             else len(records)
         )
-        if (
-            n is None
-            and isinstance(records, Dataset)
-            and self.config.probe_records > 0
-        ):
+        if n is None and isinstance(records, Dataset):
             # Bounded first-chunk probe: a stream that ends within the
             # bound has a *measured* exact length — price it instead of
             # pessimistically assuming a large input (which would force
-            # the spill shuffle and the pool on tiny generators).
-            probe = records.probe(self.config.probe_records)
+            # the spill shuffle on tiny generators).
+            probe = records.probe(PROBE_RECORDS)
             if probe.exhausted:
                 n = probe.records
                 provenance["input_records"] = {
@@ -284,11 +326,7 @@ class ExecutionPlanner:
                     ),
                 },
             )
-        processes = (
-            self.config.processes
-            if self.config.processes is not None
-            else default_process_count()
-        )
+        processes = default_process_count()
         right_samples = self._right_samples(program, inputs)
         sampler_fallbacks: list = []
         if (
@@ -302,75 +340,12 @@ class ExecutionPlanner:
             program, estimates, reasons, observation=observation,
             provenance=provenance,
         )
-
-        calibration_skipped: Optional[str] = None
-        seq_s = mp_s = 0.0
-        if processes < 2:
-            # On a single-CPU host the pool can never win, so timing the
-            # job's own λm on a calibration prefix (and pickling a record
-            # sample) would be pure overhead for a foregone conclusion.
-            calibration_skipped = (
-                f"λm calibration skipped: {processes} CPU(s) available, "
-                "the multiprocess pool cannot win"
-            )
-            estimated: dict[str, float] = {}
-        elif n is None:
-            # Without a record count there is nothing to extrapolate the
-            # per-record measurement over.
-            calibration_skipped = (
-                "λm calibration skipped: source length unknown "
-                "(streaming input)"
-            )
-            estimated = {}
-        else:
-            per_record_s = self._calibrate(program, records, globals_env)
-            pickle_s = self._pickle_seconds(records, n)
-            seq_s = per_record_s * n
-            mp_s = (
-                seq_s / max(1, processes)
-                + self.config.pool_startup_s * processes
-                + pickle_s
-            )
-            estimated = {"sequential": seq_s, "multiprocess": mp_s}
-
-        backend = "multiprocess"
-        if processes < 2:
-            backend = "sequential"
-            reasons.append(f"only {processes} CPU(s) available")
-            reasons.append(calibration_skipped)
-        elif self.static_unpicklable is not None:
-            backend = "sequential"
-            reasons.append(self.static_unpicklable)
-        elif n is None:
-            reasons.append(
-                "unknown-length streaming source: assuming large input, "
-                "pool engaged"
-            )
-            reasons.append(calibration_skipped)
-        elif n < self.config.min_parallel_records:
-            backend = "sequential"
-            reasons.append(
-                f"tiny input ({n} < {self.config.min_parallel_records} records)"
-            )
-        elif seq_s < mp_s * self.config.parallel_margin:
-            backend = "sequential"
-            reasons.append(
-                f"predicted sequential {seq_s:.4f}s beats pool {mp_s:.4f}s "
-                f"(margin {self.config.parallel_margin}×)"
-            )
-        else:
-            reasons.append(
-                f"predicted pool {mp_s:.4f}s beats sequential {seq_s:.4f}s "
-                f"across {processes} processes"
-            )
-
-        budget = (
-            options.memory_budget
-            if options.memory_budget is not None
-            else self.config.memory_budget
+        backend, estimated = self._backend_decision(
+            program, head, globals_env, n, estimates, processes, reasons, provenance
         )
+        budget = options.memory_budget
         spill, est_bytes = self._spill_decision(
-            records, n, budget, reasons,
+            records, budget, reasons,
             observation=observation, provenance=provenance,
         )
         join_strategies, join_report, broadcast_limit = self._join_decision(
@@ -385,7 +360,6 @@ class ExecutionPlanner:
             stages=tuple(stages),
             memory_budget=budget if spill else None,
             spill=spill,
-            spill_dir=self.config.spill_dir,
             join_strategies=join_strategies,
             broadcast_limit=broadcast_limit,
             reasons=tuple(reasons),
@@ -414,7 +388,6 @@ class ExecutionPlanner:
             cluster_recommendation=(
                 min(cluster, key=cluster.get) if cluster else None
             ),
-            calibration_skipped=calibration_skipped,
             estimated_input_bytes=est_bytes,
             join=join_report,
             estimates=provenance,
@@ -434,6 +407,110 @@ class ExecutionPlanner:
                 )
             )
         return plan, report
+
+    def _backend_decision(
+        self,
+        program: "GeneratedProgram",
+        head: list,
+        globals_env: dict[str, Any],
+        n: Optional[int],
+        estimates: SampleEstimates,
+        processes: int,
+        reasons: list[str],
+        provenance: dict[str, dict],
+    ) -> tuple[str, dict[str, float]]:
+        """Sequential or the pool, by :func:`price_backends`.
+
+        ``provenance["backend"]`` receives every input of the choice —
+        record count, the priced stage rows, bytes per record, worker
+        count, the constants, both predictions — so the choice can be
+        recomputed from the report alone.  Records the static pickle
+        walker rejects price the pool out; it is only asked when the
+        pool would otherwise be chosen.
+        """
+        if processes < 2:
+            # Ahead of any pricing work: on one CPU the pool cannot win.
+            reasons.append(
+                f"only {processes} CPU(s) available — the pool cannot win, "
+                "nothing priced"
+            )
+            provenance["backend"] = {"processes": processes, "chosen": "sequential"}
+            return "sequential", {}
+        known = estimates.as_dict()
+        rates = self._rates(program, globals_env)
+        stages = [
+            {
+                "stage": index,
+                "kind": kind,
+                "ops": ops,
+                "rate": rate,
+                "reach": reach.evaluate(known),
+            }
+            for (index, kind, ops, reach), rate in zip(
+                self.static_costs[id(program)][1], rates
+            )
+        ]
+        sample = head[:BYTE_SAMPLE_RECORDS]
+        bytes_per_record = dataset_bytes(sample) / len(sample) if sample else 0.0
+        predicted = price_backends(stages, n, bytes_per_record, processes)
+        seq_s, mp_s = predicted["sequential"], predicted["multiprocess"]
+        unit = "s/record as n → ∞" if n is None else "s"
+        reasons.append(
+            f"predicted sequential {seq_s:.3g}{unit}, pool {mp_s:.3g}{unit} on "
+            f"{processes} processes (the pool must win by {PARALLEL_MARGIN}×)"
+        )
+        backend = "sequential"
+        unpicklable = self.static_unpicklable
+        if unpicklable is not None:
+            reasons.append(unpicklable)
+        elif seq_s >= mp_s * PARALLEL_MARGIN:
+            unpicklable = static_unpicklable_reason(sample)
+            if unpicklable is None:
+                backend = "multiprocess"
+            else:
+                reasons.append(f"pool priced out — input records: {unpicklable}")
+        provenance["backend"] = {
+            "processes": processes,
+            "input_records": n,
+            "stages": stages,
+            "bytes_per_record": bytes_per_record,
+            "constants": {
+                "compiled_op_s": COMPILED_OP_S,
+                "evaluator_op_s": EVALUATOR_OP_S,
+                "ship_byte_s": SHIP_BYTE_S,
+                "pool_startup_s": POOL_STARTUP_S,
+                "parallel_margin": PARALLEL_MARGIN,
+            },
+            "predicted": predicted,
+            "unpicklable": unpicklable,
+            "chosen": backend,
+        }
+        return backend, {} if n is None else predicted
+
+    def _rates(
+        self, program: "GeneratedProgram", globals_env: dict[str, Any]
+    ) -> tuple[str, ...]:
+        """Which constant prices each stage of ``program``: the
+        evaluator's for every stage of a join pipeline and for a stage
+        that kept its evaluator callable (the renderer could not express
+        it), the compiled kernel's otherwise.  A property of the IR, so
+        asked once per program — on its first multi-CPU plan."""
+        rates = self._stage_rates.get(id(program))
+        if rates is None:
+            from ..codegen.base import PairMapper, RecordMapper, ReduceApplier
+
+            if program.has_join:
+                rates = ("evaluator",) * len(program.summary.pipeline.stages)
+            else:
+                steps, _diagnostics = program.local_steps(globals_env)
+                rates = tuple(
+                    "evaluator"
+                    if isinstance(step.fn, (RecordMapper, PairMapper, ReduceApplier))
+                    else "compiled"
+                    for step in steps
+                )
+            self._stage_rates[id(program)] = rates
+        return rates
 
     @staticmethod
     def _right_samples(
@@ -536,7 +613,6 @@ class ExecutionPlanner:
     def _spill_decision(
         self,
         records: Any,
-        n: Optional[int],
         budget: Optional[int],
         reasons: list[str],
         observation: Optional[Any] = None,
@@ -550,7 +626,7 @@ class ExecutionPlanner:
         """
         if budget is None:
             return False, None
-        static_bytes = self._estimate_input_bytes(records, n)
+        static_bytes = estimate_input_bytes(records)
         est_bytes = static_bytes
         obs_bytes = getattr(observation, "input_bytes", None)
         if obs_bytes is not None:
@@ -590,14 +666,6 @@ class ExecutionPlanner:
         )
         return False, est_bytes
 
-    @staticmethod
-    def _estimate_input_bytes(records: Any, n: Optional[int]) -> Optional[int]:
-        from ..engine.source import Dataset
-
-        if not isinstance(records, Dataset) and n is None:
-            return None  # unknown length, nothing to extrapolate over
-        return estimate_input_bytes(records, n)
-
     # ------------------------------------------------------------------
 
     def _stage_plans(
@@ -608,8 +676,6 @@ class ExecutionPlanner:
         observation: Optional[Any] = None,
         provenance: Optional[dict] = None,
     ):
-        from .plan import StagePlan
-
         plans = []
         prefix = "s"
         proof_ok = program.proof.is_commutative and program.proof.is_associative
@@ -646,7 +712,7 @@ class ExecutionPlanner:
                         source = "observed"
                     if (
                         ratio is not None
-                        and ratio >= self.config.combiner_key_ratio_cutoff
+                        and ratio >= COMBINER_KEY_RATIO_CUTOFF
                     ):
                         combiner = False
                         reasons.append(
@@ -696,33 +762,6 @@ class ExecutionPlanner:
         )
         return partitions
 
-    def _calibrate(self, program, records: Any, globals_env: dict) -> float:
-        """Measure the job's own first map stage on a record prefix."""
-        from ..codegen.base import _emit_fn
-
-        stages = program.summary.pipeline.stages
-        first = stages[0] if stages else None
-        prefix = _record_prefix(records, self.config.calibration_records)
-        if not isinstance(first, MapStage) or not prefix:
-            return 0.0
-        fn = _emit_fn(first.lam.emits, globals_env, program.analysis.view)
-        started = time.perf_counter()  # lint: allow-wall-clock (calibration)
-        for record in prefix:
-            fn(record)
-        return (time.perf_counter() - started) / len(prefix)  # lint: allow-wall-clock
-
-    def _pickle_seconds(self, records: Any, n: int) -> float:
-        """Estimate driver-side serialization cost for the whole input."""
-        prefix = _record_prefix(records, self.config.calibration_records)
-        if not prefix:
-            return 0.0
-        started = time.perf_counter()  # lint: allow-wall-clock (calibration)
-        try:
-            pickle.dumps(prefix)
-        except Exception:
-            return float("inf")  # unpicklable records → pool impossible
-        return (time.perf_counter() - started) * (n / len(prefix))  # lint: allow-wall-clock
-
     def _cluster_ranking(
         self,
         program,
@@ -738,15 +777,8 @@ class ExecutionPlanner:
         cluster's network model.  Heuristic, but it reproduces the
         paper's ordering (Spark ≤ Flink ≤ Hadoop for multi-stage jobs).
         """
-        summary: Summary = program.summary
-        n_stages = len(summary.pipeline.stages)
-        cost = self.cost_model.summary_cost(
-            summary,
-            commutative_associative=(
-                program.proof.is_commutative and program.proof.is_associative
-            ),
-        )
-        bytes_per_record = cost.evaluate(estimates)
+        n_stages = len(program.summary.pipeline.stages)
+        bytes_per_record = self.static_costs[id(program)][0].evaluate(estimates)
         moved = bytes_per_record * n * engine_config.scale
         cluster = engine_config.cluster
         ranking = {}

@@ -643,7 +643,9 @@ class TestLint:
             "    return a + b + c\n"
         )
         findings = _lint(tmp_path, "planner/pricing.py", source)
-        assert sorted(f.code for f in findings) == ["LNT104", "LNT104"]
+        # The marker comment exempts nothing: all three reads are findings.
+        assert [f.code for f in findings] == ["LNT104", "LNT104", "LNT104"]
+        assert sorted(f.line for f in findings) == [4, 5, 6]
         assert _lint(tmp_path, "engine/timing.py", source) == []
 
     def test_lint_self_run_clean(self):

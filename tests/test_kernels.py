@@ -215,11 +215,6 @@ def test_unrenderable_stage_is_one_coded_diagnostic(monkeypatch):
 #: table (``ast.literal_eval``) and fails when a class outgrows it.
 OPTION_SURFACE = {
     "repro.options:ExecOptions": "plan memory_budget fuse strict outputs feedback",
-    "repro.planner.planner:PlannerConfig": (
-        "processes min_parallel_records parallel_margin calibration_records "
-        "pool_startup_s combiner_key_ratio_cutoff memory_budget spill_dir "
-        "probe_records"
-    ),
     "repro.engine.multiprocess:MultiprocessEngine": (
         "config processes partitions min_parallel_records memory_budget spill_dir"
     ),

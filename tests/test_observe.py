@@ -294,9 +294,10 @@ class TestStreamProbe:
         assert report.estimates["input_records"]["source"] == "observed"
         assert any("stream probe" in r for r in report.plan.reasons)
 
-    def test_disabled_probe_keeps_assume_large(self, join_program):
-        """Contrast: probe_records=0 restores the pessimistic pricing —
-        the same short stream is planned 'assume large' and spills."""
+    def test_disabled_probe_keeps_assume_large(self, join_program, monkeypatch):
+        """Contrast: a probe bound too short to see the stream's end
+        leaves the pessimistic pricing — the same short stream is
+        planned 'assume large' and spills."""
         inputs = join_inputs(400)
         fragment = compiled_join().fragments[0]
         out_var = list(fragment.analysis.output_vars)[0]
@@ -305,20 +306,12 @@ class TestStreamProbe:
         ).outputs[out_var]
         rows = list(view_records(fragment.analysis.view, dict(inputs)))
 
-        # Materialize the planner.
-        join_program.run(dict(inputs), ExecOptions(plan="auto"))
-        planner = join_program.planner
-        assert planner is not None
-        saved = planner.config.probe_records
-        planner.config.probe_records = 0
-        try:
-            outcome = join_program.run(
-                dict(inputs),
-                ExecOptions(plan="auto", memory_budget=1 << 20),
-                records=GeneratorSource(lambda: iter(rows)),
-            )
-        finally:
-            planner.config.probe_records = saved
+        monkeypatch.setattr("repro.planner.planner.PROBE_RECORDS", 1)
+        outcome = join_program.run(
+            dict(inputs),
+            ExecOptions(plan="auto", memory_budget=1 << 20),
+            records=GeneratorSource(lambda: iter(rows)),
+        )
         got, report = outcome.outputs[out_var], outcome.report
         assert got == expected  # pessimism costs time, never correctness
         assert report.plan.spill is True

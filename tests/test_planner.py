@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    CasperCompiler,
-    ExecOptions,
-    PlannerConfig,
-    run_translated,
-    translate,
-)
+from repro import ExecOptions, run_translated, translate
+from repro.planner import planner as planner_module
 from repro.planner.plan import (
     BACKENDS,
     ExecutionPlan,
@@ -108,16 +103,13 @@ class TestAutoPlanning:
         assert report is not None
         assert report.input_records == len(WORDS)
         if default_process_count() < 2:
-            # Single-CPU hosts skip the measured probe outright — the
-            # pool cannot win, so there is nothing to estimate.
+            # Single-CPU hosts price nothing — the pool cannot win.
             assert report.estimated_seconds == {}
-            assert report.calibration_skipped is not None
         else:
             assert set(report.estimated_seconds) == {
                 "sequential",
                 "multiprocess",
             }
-            assert report.calibration_skipped is None
         assert report.implementation is not None
         assert report.wall_seconds > 0
         assert report.plan.reasons
@@ -127,7 +119,9 @@ class TestAutoPlanning:
             wc_result, {"words": list(WORDS[:64])}, ExecOptions(plan="auto")
         ).report
         assert report.plan.backend == "sequential"
-        assert any("tiny input" in r or "CPU" in r for r in report.plan.reasons)
+        assert any(
+            "predicted sequential" in r or "CPU" in r for r in report.plan.reasons
+        )
 
     def test_cluster_ranking_reproduces_paper_ordering(self, wc_result):
         report = run_fragment(
@@ -137,27 +131,22 @@ class TestAutoPlanning:
         assert report.cluster_seconds["spark"] < report.cluster_seconds["hadoop"]
         assert report.cluster_recommendation == "spark"
 
-    def test_forced_worker_count_chooses_multiprocess(self):
-        compiler = CasperCompiler(
-            planner_config=PlannerConfig(
-                processes=8,
-                min_parallel_records=100,
-                parallel_margin=0.0,
-                pool_startup_s=0.0,
-            )
+    def test_forced_worker_count_chooses_multiprocess(self, wc_result, monkeypatch):
+        monkeypatch.setattr(planner_module, "default_process_count", lambda: 8)
+        monkeypatch.setattr(planner_module, "POOL_STARTUP_S", 0.0)
+        monkeypatch.setattr(planner_module, "SHIP_BYTE_S", 0.0)
+        outcome = run_fragment(
+            wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
         )
-        result = compiler.translate_source(WORDCOUNT_SOURCE)
-        outcome = run_fragment(result, {"words": list(WORDS)}, ExecOptions(plan="auto"))
         outputs, report = outcome.outputs, outcome.report
         assert report.plan.backend == "multiprocess"
         assert report.plan.processes == 8
-        assert outputs == run_translated(result, {"words": list(WORDS)})
+        assert report.fallback_reason is None
+        assert outputs == run_translated(wc_result, {"words": list(WORDS)})
 
-    def test_combiner_disabled_by_key_ratio_cutoff(self):
-        compiler = CasperCompiler(
-            planner_config=PlannerConfig(combiner_key_ratio_cutoff=0.0)
-        )
-        result = compiler.translate_source(WORDCOUNT_SOURCE)
+    def test_combiner_disabled_by_key_ratio_cutoff(self, wc_result, monkeypatch):
+        monkeypatch.setattr(planner_module, "COMBINER_KEY_RATIO_CUTOFF", 0.0)
+        result = wc_result
         report = run_fragment(
             result, {"words": list(WORDS)}, ExecOptions(plan="auto")
         ).report
@@ -172,6 +161,176 @@ class TestAutoPlanning:
         combining = any(s.kind == "reduce" and s.combiner for s in report.plan.stages)
         if combining:
             assert report.plan.partitions is None  # engine default
+
+
+def choice_from_summary(summary: dict) -> str:
+    """The backend a plan must have chosen, from its report's summary and
+    nothing else — what ``estimates["backend"]`` exists for."""
+    evidence = summary["estimates"]["backend"]
+    processes = evidence["processes"]
+    if processes < 2:
+        return "sequential"
+    constants = evidence["constants"]
+    rate = {
+        "compiled": constants["compiled_op_s"],
+        "evaluator": constants["evaluator_op_s"],
+    }
+    work = sum(s["ops"] * s["reach"] * rate[s["rate"]] for s in evidence["stages"])
+    n = evidence["input_records"]
+    records, startup = (1, 0.0) if n is None else (n, constants["pool_startup_s"])
+    sequential = work * records
+    pool = (
+        work / processes + evidence["bytes_per_record"] * constants["ship_byte_s"]
+    ) * records + startup * processes
+    assert evidence["predicted"] == pytest.approx(
+        {"sequential": sequential, "multiprocess": pool}
+    )
+    if evidence["unpicklable"] or sequential < pool * constants["parallel_margin"]:
+        return "sequential"
+    return "multiprocess"
+
+
+class TestPricedBackendChoice:
+    """Pool or sequential is a price over the IR's op count: thresholds
+    move with the module constants and with nothing else."""
+
+    @pytest.fixture
+    def eight_cpus(self, monkeypatch):
+        monkeypatch.setattr(planner_module, "default_process_count", lambda: 8)
+
+    def plan_report(self, result, inputs):
+        return run_fragment(result, inputs, ExecOptions(plan="auto")).report
+
+    def test_default_constants_keep_a_cheap_scan_sequential(
+        self, wc_result, eight_cpus
+    ):
+        report = self.plan_report(wc_result, {"words": list(WORDS)})
+        assert report.plan.backend == "sequential"
+        assert set(report.estimated_seconds) == {"sequential", "multiprocess"}
+        evidence = report.estimates["backend"]
+        assert evidence["processes"] == 8 and evidence["input_records"] == len(WORDS)
+        assert [(s["stage"], s["kind"], s["rate"]) for s in evidence["stages"]] == [
+            (0, "map", "compiled"),
+            (1, "reduce", "compiled"),
+        ]
+
+    def test_expensive_ops_choose_the_pool_with_eight_workers(
+        self, wc_result, eight_cpus, monkeypatch
+    ):
+        monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-3)
+        report = self.plan_report(wc_result, {"words": list(WORDS)})
+        assert report.plan.backend == "multiprocess"
+        assert report.plan.processes == 8
+        assert any("on 8 processes" in r for r in report.plan.reasons)
+
+    def test_shipping_cost_prices_the_pool_back_out(
+        self, wc_result, eight_cpus, monkeypatch
+    ):
+        monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-3)
+        monkeypatch.setattr(planner_module, "SHIP_BYTE_S", 1e-3)
+        report = self.plan_report(wc_result, {"words": list(WORDS)})
+        assert report.plan.backend == "sequential"
+
+    def test_margin_decides_a_near_tie(self, wc_result, eight_cpus, monkeypatch):
+        monkeypatch.setattr(planner_module, "POOL_STARTUP_S", 0.0)
+        monkeypatch.setattr(planner_module, "SHIP_BYTE_S", 0.0)
+        monkeypatch.setattr(planner_module, "PARALLEL_MARGIN", 8.5)
+        report = self.plan_report(wc_result, {"words": list(WORDS)})
+        assert report.plan.backend == "sequential"  # an 8× win is under 8.5×
+        monkeypatch.setattr(planner_module, "PARALLEL_MARGIN", 7.5)
+        report = self.plan_report(wc_result, {"words": list(WORDS)})
+        assert report.plan.backend == "multiprocess"
+
+    def test_tiny_input_falls_out_of_the_price(
+        self, wc_result, eight_cpus, monkeypatch
+    ):
+        # No record-count rule: start-up alone outweighs 64 records of
+        # even very expensive ops.
+        monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-4)
+        report = self.plan_report(wc_result, {"words": list(WORDS[:64])})
+        assert report.plan.backend == "sequential"
+        report = self.plan_report(wc_result, {"words": list(WORDS)})
+        assert report.plan.backend == "multiprocess"
+
+    def test_evaluator_stages_pay_the_evaluator_rate(self, eight_cpus):
+        from suite_cache import compiled
+        from repro.workloads import get_benchmark
+
+        fragment = compiled("joins_partsupp_cost").fragments[0]
+        inputs = get_benchmark("joins_partsupp_cost").make_inputs(400, 7)
+        report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
+        stages = report.estimates["backend"]["stages"]
+        assert {s["rate"] for s in stages} == {"evaluator"}
+        assert "join" in {s["kind"] for s in stages}
+        assert choice_from_summary(report.summary()) == report.plan.backend
+
+    def test_unknown_length_stream_is_priced_per_record(
+        self, wc_result, eight_cpus, monkeypatch
+    ):
+        from repro.engine.source import GeneratorSource
+
+        words = list(WORDS)
+        stream = {"words": GeneratorSource(lambda: iter(words))}
+        report = self.plan_report(wc_result, dict(stream))
+        assert report.plan.backend == "sequential"
+        assert report.estimated_seconds == {}
+        evidence = report.estimates["backend"]
+        assert evidence["input_records"] is None
+        assert any("n → ∞" in r for r in report.plan.reasons)
+        # The limit ignores start-up: only the per-record terms compare.
+        monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-4)
+        monkeypatch.setattr(planner_module, "POOL_STARTUP_S", 1e6)
+        pooled = self.plan_report(wc_result, dict(stream))
+        assert pooled.plan.backend == "multiprocess"
+        assert choice_from_summary(pooled.summary()) == "multiprocess"
+
+    def test_unpicklable_records_price_the_pool_out(
+        self, wc_result, eight_cpus, monkeypatch
+    ):
+        monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-3)
+        walked = []
+        real = planner_module.static_unpicklable_reason
+        monkeypatch.setattr(
+            planner_module,
+            "static_unpicklable_reason",
+            lambda sample: walked.append(len(sample)) or real(sample),
+        )
+        keys = [lambda: None for _ in range(40)]  # hashable, never picklable
+        words = [keys[i % 40] for i in range(9000)]
+        outcome = wc_result.fragments[0].program.run(
+            {"words": words}, ExecOptions(plan="auto")
+        )
+        report = outcome.report
+        assert report.plan.backend == "sequential"
+        assert any("pool priced out" in r for r in report.plan.reasons)
+        assert "not picklable" in report.estimates["backend"]["unpicklable"]
+        assert walked == [64]  # the byte estimate's sample, walked once
+        assert sum(outcome.outputs["counts"].values()) == len(words)
+        assert choice_from_summary(report.summary()) == "sequential"
+        # Asked only when the price would otherwise choose the pool.
+        monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-9)
+        wc_result.fragments[0].program.run({"words": words}, ExecOptions(plan="auto"))
+        assert walked == [64]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("op_s", [None, 1e-3])
+    def test_choice_recomputes_from_the_summary_alone(
+        self, wc_result, monkeypatch, cpus, op_s
+    ):
+        monkeypatch.setattr(planner_module, "default_process_count", lambda: cpus)
+        if op_s is not None:
+            monkeypatch.setattr(planner_module, "COMPILED_OP_S", op_s)
+        report = self.plan_report(wc_result, {"words": list(WORDS)})
+        summary = report.summary()
+        assert choice_from_summary(summary) == summary["backend"]
+        assert summary["backend"] == report.estimates["backend"]["chosen"]
+        if cpus == 1:
+            # One CPU short-circuits ahead of any pricing work.
+            assert report.estimates["backend"] == {
+                "processes": 1,
+                "chosen": "sequential",
+            }
+            assert report.estimated_seconds == {}
 
 
 class TestForcedPlans:
