@@ -310,8 +310,11 @@ def _uses_user_types(
 #: source-program identifiers.
 CANONICAL_PREFIX = "α·"
 
-#: Names the IR reserves for transformer-internal binders; a source
-#: program using one of them as a variable cannot be safely renamed.
+#: Names the IR reserves for transformer-internal binders (and every name
+#: starting ``__``).  A source variable spelled like one is never renamed:
+#: it stays literal in the digest and out of ``renaming``, exactly as the
+#: binders themselves are never renamed, so fragments share a digest only
+#: if they spell such names identically.
 _RESERVED_SUMMARY_NAMES = frozenset({"k", "v", "v1", "v2", "__t", "__element"})
 
 #: Fingerprint format version — bump to invalidate persisted caches.
@@ -331,10 +334,13 @@ class FragmentFingerprint:
     first occurrence); the summary cache uses it to store summaries in
     canonical variable space and to rename them back on a hit.
 
+    A variable named like an IR binder keeps its own name in the digest
+    text and is left out of ``renaming``.
+
     ``digest is None`` marks the fragment non-cacheable (``reason`` says
     why): renaming would be ambiguous (a string literal collides with a
-    variable name, a variable uses an IR-reserved name) or the fragment's
-    semantics reach outside its own text (calls a user-defined function).
+    variable name) or the fragment's semantics reach outside its own text
+    (calls a user-defined function).
     """
 
     digest: Optional[str]
@@ -359,7 +365,11 @@ class _Canonicalizer:
         self.called_functions: set[str] = set()
 
     def canon(self, name: str) -> str:
-        if name in STATIC_NAMESPACES:
+        if (
+            name in STATIC_NAMESPACES
+            or name in _RESERVED_SUMMARY_NAMES
+            or name.startswith("__")
+        ):
             return name
         if name not in self.mapping:
             self.mapping[name] = f"{CANONICAL_PREFIX}{len(self.mapping)}"
@@ -416,11 +426,6 @@ def fingerprint_fragment(analysis: FragmentAnalysis) -> FragmentFingerprint:
     )
     mapping = canonicalizer.mapping
 
-    for name in mapping:
-        if name in _RESERVED_SUMMARY_NAMES or name.startswith("__"):
-            return FragmentFingerprint(
-                None, dict(mapping), f"variable {name!r} collides with an IR binder"
-            )
     for literal in canonicalizer.string_literals:
         if literal in mapping or literal.startswith(CANONICAL_PREFIX):
             return FragmentFingerprint(

@@ -50,7 +50,6 @@ from ..ir.nodes import (
     Var,
 )
 from ..lang.analysis.fragments import FragmentAnalysis
-from ..verification.algebra import normalize, term_key
 from .grammar import (
     ExpressionPools,
     GrammarClass,
@@ -250,10 +249,11 @@ class CandidateEnumerator:
                 return
             per_output.append(parts)
 
+        normal_key = self.pools.normal_keys.key
         count = 0
         for combo in _sum_ordered_product(per_output, self.max_combinations):
             # All parts must share one λr (a pipeline has a single reduce).
-            lam_keys = {term_key(normalize(p.reduce_lam.body)) for p in combo}
+            lam_keys = {normal_key(p.reduce_lam.body) for p in combo}
             if len(lam_keys) != 1:
                 continue
             params = tuple(self.analysis.view.field_names)
@@ -293,12 +293,12 @@ class CandidateEnumerator:
                 return
             component_parts.append(parts)
 
+        normal_key = self.pools.normal_keys.key
         count = 0
         for combo in _sum_ordered_product(component_parts, self.max_combinations):
             # A shared (possibly absent) guard is required for one emit.
             guard_keys = {
-                term_key(normalize(p.guard)) if p.guard is not None else None
-                for p in combo
+                normal_key(p.guard) if p.guard is not None else None for p in combo
             }
             if len(guard_keys) != 1:
                 continue

@@ -66,6 +66,43 @@ class GrammarClass:
 _NUMERIC_KINDS = ("int", "double")
 
 
+class NormalKeys:
+    """``term_key(normalize(expr))``, computed once per expression object.
+
+    The search asks for the normal key of the same pool terms over and
+    over — every ``pool_for`` / ``key_pool`` call re-dedupes, and so does
+    each composition level.  Each :class:`ExpressionPools` owns one, so it
+    lives as long as one grammar class of one search: never shared
+    between the threads that compile fragments side by side, never
+    outliving the search (a resident daemon must not grow it).  The
+    classes of a search build fresh terms, so a memo spanning them would
+    hold more and answer almost nothing more.
+
+    Keyed by ``id(expr)``; each entry holds the expression, so the id
+    cannot be recycled for another one while the entry lives.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[IRExpr, str]] = {}
+
+    def key(self, expr: IRExpr) -> str:
+        entry = self._entries.get(id(expr))
+        if entry is None:
+            entry = self._entries[id(expr)] = (expr, term_key(normalize(expr)))
+        return entry[1]
+
+    def dedupe(self, exprs: list[IRExpr]) -> list[IRExpr]:
+        """``exprs`` without later terms sharing an earlier one's normal form."""
+        seen: set[str] = set()
+        result = []
+        for expr in exprs:
+            key = self.key(expr)
+            if key not in seen:
+                seen.add(key)
+                result.append(expr)
+        return result
+
+
 @dataclass
 class ExpressionPools:
     """Typed candidate expression pools derived from a fragment."""
@@ -78,6 +115,7 @@ class ExpressionPools:
     harvested_boolean: list[IRExpr] = field(default_factory=list)
     harvested_keys: list[IRExpr] = field(default_factory=list)
     harvested_string: list[IRExpr] = field(default_factory=list)
+    normal_keys: NormalKeys = field(default_factory=NormalKeys, repr=False, compare=False)
 
     def pool_for(self, kind: str, harvested_first: bool = True) -> list[IRExpr]:
         if kind == "boolean":
@@ -87,21 +125,10 @@ class ExpressionPools:
         else:
             primary, secondary = self.harvested_numeric, self.numeric
         ordered = primary + secondary if harvested_first else secondary + primary
-        return _dedupe(ordered)
+        return self.normal_keys.dedupe(ordered)
 
     def key_pool(self) -> list[IRExpr]:
-        return _dedupe(self.harvested_keys + self.keys)
-
-
-def _dedupe(exprs: list[IRExpr]) -> list[IRExpr]:
-    seen: set[str] = set()
-    result = []
-    for expr in exprs:
-        key = term_key(normalize(expr))
-        if key not in seen:
-            seen.add(key)
-            result.append(expr)
-    return result
+        return self.normal_keys.dedupe(self.harvested_keys + self.keys)
 
 
 def _kind_of_jtype(jtype) -> str:
@@ -303,15 +330,17 @@ class GrammarBuilder:
             _METHOD_FN[m] for m in sorted(scan.methods) if m in _METHOD_FN
         ]
 
-        level = _dedupe(pools.harvested_numeric + pools.numeric)
+        dedupe = pools.normal_keys.dedupe
+        level = dedupe(pools.harvested_numeric + pools.numeric)
         numeric_all = list(level)
         for _ in range(1, depth):
             new_level: list[IRExpr] = []
             base = numeric_all[:24]
+            base_keys = [term_key(a) for a in base]
             for op in arith:
                 for i, a in enumerate(base):
                     for j, b in enumerate(base):
-                        if op in ("+", "*") and term_key(a) > term_key(b):
+                        if op in ("+", "*") and base_keys[i] > base_keys[j]:
                             continue  # commutative symmetry pruning
                         if _trivial(op, a, b):
                             continue
@@ -328,33 +357,34 @@ class GrammarBuilder:
                     for i, a in enumerate(base[:12]):
                         for b in base[: i + 1]:
                             new_level.append(CallFn(fn_name, (a, b)))
-            new_level = _dedupe(new_level)[: self.pool_cap]
-            numeric_all = _dedupe(numeric_all + new_level)
+            new_level = dedupe(new_level)[: self.pool_cap]
+            numeric_all = dedupe(numeric_all + new_level)
             level = new_level
-        pools.numeric = _dedupe(pools.numeric + numeric_all)[: self.pool_cap * 2]
+        pools.numeric = dedupe(pools.numeric + numeric_all)[: self.pool_cap * 2]
 
         if compares:
             bools: list[IRExpr] = []
-            base = _dedupe(pools.harvested_numeric + pools.numeric)[:20]
+            base = dedupe(pools.harvested_numeric + pools.numeric)[:20]
+            base_keys = [term_key(a) for a in base]
             for op in compares:
-                for a in base:
-                    for b in base:
-                        if term_key(a) == term_key(b):
+                for i, a in enumerate(base):
+                    for j, b in enumerate(base):
+                        if base_keys[i] == base_keys[j]:
                             continue
                         bools.append(BinOp(op, a, b))
                         if len(bools) > self.pool_cap:
                             break
                     if len(bools) > self.pool_cap:
                         break
-            pools.boolean = _dedupe(pools.boolean + bools)[: self.pool_cap]
+            pools.boolean = dedupe(pools.boolean + bools)[: self.pool_cap]
 
         if pools.string and "==" in scan.operators or "equals" in scan.methods:
             eqs: list[IRExpr] = []
-            strings = _dedupe(pools.harvested_string + pools.string)[:10]
+            strings = dedupe(pools.harvested_string + pools.string)[:10]
             for i, a in enumerate(strings):
                 for b in strings[i + 1 :]:
                     eqs.append(BinOp("==", a, b))
-            pools.boolean = _dedupe(pools.boolean + eqs)[: self.pool_cap]
+            pools.boolean = dedupe(pools.boolean + eqs)[: self.pool_cap]
 
 
 def _trivial(op: str, a: IRExpr, b: IRExpr) -> bool:

@@ -324,6 +324,14 @@ def evaluate_candidate(
     """Evaluate a candidate summary on a state; raises IRError on faults."""
     if run is None:
         run = run_sequential_fragment(analysis, state)
+    datasets, globals_env = summary_inputs(analysis, run)
+    return evaluate_summary(summary, datasets, globals_env, run.output_sizes)
+
+
+def summary_inputs(
+    analysis: FragmentAnalysis, run: FragmentRunResult
+) -> tuple[dict[str, list[dict[str, Any]]], dict[str, Any]]:
+    """The materialized datasets and the globals a summary runs on."""
     if analysis.join is not None:
         # Join fragments: each relation materializes through its own
         # per-side foreach view — the sides are independent datasets,
@@ -339,8 +347,7 @@ def evaluate_candidate(
         # Multi-source (zipped) views share the same materialization.
         for source in analysis.view.sources[1:]:
             datasets[source] = datasets[analysis.view.sources[0]]
-    globals_env = summary_globals(analysis, run.globals_env)
-    return evaluate_summary(summary, datasets, globals_env, run.output_sizes)
+    return datasets, summary_globals(analysis, run.globals_env)
 
 
 def summary_globals(
@@ -368,6 +375,10 @@ class BoundedChecker:
         self.generator = StateGenerator(self.analysis, self.config)
         self._states: list[ProgramState] = []
         self._runs: list[FragmentRunResult] = []
+        #: Per state, what :func:`summary_inputs` builds: materialized once
+        #: and shared by every candidate (``evaluate_summary`` reads its
+        #: inputs, never writes them).
+        self._inputs: list[tuple[dict[str, Any], dict[str, Any]]] = []
         self._build_states()
 
     def _build_states(self) -> None:
@@ -383,6 +394,7 @@ class BoundedChecker:
                 continue  # original program faults here: state is invalid
             self._states.append(state)
             self._runs.append(run)
+            self._inputs.append(summary_inputs(self.analysis, run))
 
     @property
     def states(self) -> list[ProgramState]:
@@ -393,9 +405,11 @@ class BoundedChecker:
 
     def check(self, summary: Summary) -> Optional[ProgramState]:
         """Return a counter-example state, or None if all states agree."""
-        for state, run in zip(self._states, self._runs):
+        for state, run, (datasets, globals_env) in zip(
+            self._states, self._runs, self._inputs
+        ):
             try:
-                got = evaluate_candidate(self.analysis, summary, state, run)
+                got = evaluate_summary(summary, datasets, globals_env, run.output_sizes)
             except IRError:
                 return state
             if not all(

@@ -78,12 +78,20 @@ double[] blur(double[] img, int n) {
 """
 
 #: The same with its loop variable named like the IR's ``k`` binder: the
-#: fingerprint is uncacheable, so the summary cache never remembers it.
-BLUR_UNCACHEABLE_SOURCE = (
+#: fingerprint keeps ``k`` literal (never renamed), so it is cacheable
+#: and its exhausted verdict is remembered like any other.
+BLUR_BINDER_NAMED_SOURCE = (
     BLUR_SOURCE.replace("int i", "int k")
     .replace("i < n", "k < n")
     .replace("i++", "k++")
     .replace("[i]", "[k]")
+)
+
+#: The same with a string literal spelled like one of its variables:
+#: renaming would be ambiguous, so the fingerprint is uncacheable and the
+#: summary cache never remembers it.
+BLUR_LITERAL_CLASH_SOURCE = BLUR_SOURCE.replace(
+    "double prev = 0;", 'double prev = 0;\n  String tag = "prev";'
 )
 
 

@@ -3,6 +3,7 @@ content-addressed summary cache (serialization round-trip, alpha-renamed
 hits, batch compilation parity)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,11 @@ from repro.ir.nodes import (
     summary_from_data,
     summary_to_data,
 )
-from repro.lang.analysis.fragments import fingerprint_fragment
+from repro.lang.analysis.fragments import (
+    analyze_fragment,
+    fingerprint_fragment,
+    identify_fragments,
+)
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.values import values_equal
@@ -31,9 +36,11 @@ from repro.pipeline import (
 )
 from repro.pipeline.cache import search_config_key
 from repro.verification.prover import proof_from_data, proof_to_data
+from repro.workloads.registry import all_benchmarks
 from tests.conftest import (
+    BLUR_BINDER_NAMED_SOURCE,
+    BLUR_LITERAL_CLASH_SOURCE,
     BLUR_SOURCE,
-    BLUR_UNCACHEABLE_SOURCE,
     Q6_SOURCE,
     RWM_SOURCE,
     SUM_SOURCE,
@@ -46,6 +53,15 @@ int total(int[] values, int count) {
   int acc = 0;
   for (int k0 = 0; k0 < count; k0++) acc += values[k0];
   return acc;
+}
+"""
+
+#: A sum whose array is named like the IR's λr binder ``v1``.
+BINDER_NAMED_SUM_SOURCE = """
+int sum(int[] v1, int n) {
+  int total = 0;
+  for (int i = 0; i < n; i++) total += v1[i];
+  return total;
 }
 """
 
@@ -104,17 +120,29 @@ class TestFingerprint:
         )
         assert a.digest != b.digest
 
-    def test_reserved_variable_name_not_cacheable(self):
-        source = """
-        int sum(int[] v1, int n) {
-          int total = 0;
-          for (int i = 0; i < n; i++) total += v1[i];
-          return total;
-        }
-        """
-        fp = fingerprint_fragment(analysis_of(source))
-        assert not fp.cacheable
-        assert "v1" in fp.reason
+    def test_reserved_variable_name_is_cacheable_and_literal(self):
+        # ``v1`` is spelled like a λr binder.  Binders are never renamed,
+        # so neither is the variable: it stays out of the renaming and
+        # literal in the digest.
+        fp = fingerprint_fragment(analysis_of(BINDER_NAMED_SUM_SOURCE))
+        assert fp.cacheable and fp.reason is None
+        assert "v1" not in fp.renaming
+        assert "v1" not in fp.inverse_renaming.values()
+        # Its twin with an ordinary array name is a different fragment as
+        # far as the cache is concerned ...
+        twin = fingerprint_fragment(
+            analysis_of(BINDER_NAMED_SUM_SOURCE.replace("v1", "data"))
+        )
+        assert twin.cacheable and "data" in twin.renaming
+        assert twin.digest != fp.digest
+        # ... while renaming its ordinary variables still shares one digest.
+        renamed = fingerprint_fragment(
+            analysis_of(BINDER_NAMED_SUM_SOURCE.replace("total", "acc"))
+        )
+        assert renamed.digest == fp.digest
+        blur = fingerprint_fragment(analysis_of(BLUR_BINDER_NAMED_SOURCE))
+        assert blur.cacheable and "k" not in blur.renaming
+        assert blur.digest != fingerprint_fragment(analysis_of(BLUR_SOURCE)).digest
 
     def test_string_literal_colliding_with_variable_not_cacheable(self):
         source = """
@@ -128,6 +156,33 @@ class TestFingerprint:
         """
         fp = fingerprint_fragment(analysis_of(source))
         assert not fp.cacheable
+
+    def test_suite_digests_match_golden(self):
+        # Generated before binder-named variables became cacheable: every
+        # digest that existed then must be byte-identical now, so persisted
+        # caches stay warm.  The fragments it lacks were the uncacheable ones.
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "fingerprints_golden.json").read_text(
+                encoding="utf-8"
+            )
+        )
+        got = {}
+        for benchmark in all_benchmarks():
+            program = benchmark.parse()
+            for fragment in identify_fragments(program.function(benchmark.function)):
+                try:
+                    analysis = analyze_fragment(fragment, program)
+                except AnalysisError:
+                    continue
+                got[f"{benchmark.name} {fragment.id}"] = fingerprint_fragment(analysis)
+        assert {key: got[key].digest for key in golden} == golden
+        assert all(fp.cacheable for fp in got.values())
+        assert sorted(set(got) - set(golden)) == [
+            "biglambda_select_sum selectSum#1",
+            "phoenix_kmeans kmeansStep#0",
+            "phoenix_kmeans kmeansStep#1",
+            "phoenix_matrix_multiply matMul#0",
+        ]
 
     def test_inverse_renaming_round_trips(self):
         fp = fingerprint_fragment(analysis_of(SUM_SOURCE))
@@ -202,6 +257,26 @@ class TestSummaryCache:
             {"values": [5, 6, 7], "count": 3}
         ).outputs
         assert outputs == {"acc": 18}
+
+    def test_binder_named_fragment_round_trips(self, tmp_path):
+        cold = translate(
+            BINDER_NAMED_SUM_SOURCE, cache=SummaryCache(cache_dir=str(tmp_path))
+        )
+        assert cold.searches_run == 1 and cold.translated == 1
+        warm = translate(
+            BINDER_NAMED_SUM_SOURCE, cache=SummaryCache(cache_dir=str(tmp_path))
+        )
+        assert warm.searches_run == 0 and warm.cache_hits == 1
+        assert warm.candidates_checked == 0
+        assert [vs.summary for vs in warm.fragments[0].search.summaries] == [
+            vs.summary for vs in cold.fragments[0].search.summaries
+        ]
+        data = [3, -1, 4, 1, -5, 9, 2]
+        expected = Interpreter(parse_program(BINDER_NAMED_SUM_SOURCE)).call_function(
+            "sum", [data, len(data)]
+        )
+        outputs = warm.fragments[0].program.run({"v1": data, "n": len(data)}).outputs
+        assert outputs == {"total": expected}
 
     def test_different_search_configs_do_not_share_entries(self):
         cache = SummaryCache()
@@ -398,8 +473,23 @@ class TestExhaustedEntries:
         assert translate(BLUR_SOURCE, cache=fresh).searches_run == 1
         assert json.loads(path.read_text(encoding="utf-8"))["failure_code"] == "REP205"
 
+    def test_binder_named_fragment_recalls(self, tmp_path):
+        cache = SummaryCache(cache_dir=str(tmp_path))
+        # The ``i``-named blur's verdict does not answer for the ``k``-named
+        # one: the binder-spelled name is part of the digest.
+        translate(BLUR_SOURCE, cache=cache)
+        cold = translate(BLUR_BINDER_NAMED_SOURCE, cache=cache)
+        assert cold.searches_run == 1 and _codes(cold) == ["REP205"]
+        assert cache.stats.exhausted_stores == 2
+
+        warm_cache = SummaryCache(cache_dir=str(tmp_path))
+        warm = translate(BLUR_BINDER_NAMED_SOURCE, cache=warm_cache)
+        assert warm.searches_run == 0 and warm.cache_hits == 0
+        assert _codes(warm) == ["REP209", "REP205"]
+        assert warm_cache.stats.exhausted_hits == 1
+
     def test_uncacheable_fingerprint_is_never_stored(self, tmp_path):
-        source = BLUR_UNCACHEABLE_SOURCE
+        source = BLUR_LITERAL_CLASH_SOURCE
         assert not fingerprint_fragment(analysis_of(source)).cacheable
         cache = SummaryCache(cache_dir=str(tmp_path))
         for _ in range(2):

@@ -1,19 +1,27 @@
 """The summary search returns the verdicts it always did.
 
-Three angles on one contract — the column-wise Φ filter and the
-exhausted-search cache change how much work a search does, never what
-it decides:
+Five angles on one contract — the column-wise Φ filter, the
+exhausted-search cache, the per-search normal-key memo and the
+materialised bounded states change how much work a search does, never
+what it decides:
 
 * a golden table of every registered benchmark's search outcome,
   generated on the commit *before* the column filter landed;
 * the column evaluator against a straight-line per-part reference (the
   interpretation loop the filter used to run for every combination);
-* a CEGIS restart evaluates only the state it added.
+* a CEGIS restart evaluates only the state it added;
+* memoised normal keys equal ``term_key(normalize(e))``, per thread,
+  and the memo does not outlive its search;
+* checking candidates never writes to a bounded state's inputs.
 """
 
 from __future__ import annotations
 
+import copy
+import gc
+import itertools
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,16 +29,22 @@ import pytest
 from repro.errors import InterpreterError, IRError
 from repro.ir.eval import eval_expr
 from repro.ir.nodes import BinOp, CallFn, Const, ReduceLambda, UnOp, Var
+from repro.lang.analysis import analyze_fragment, identify_fragments
 from repro.lang.values import values_equal
+from repro.pipeline import CompilationContext, PassPipeline
 from repro.synthesis import (
     CandidateEnumerator,
     GrammarBuilder,
+    JoinCandidateEnumerator,
     PartEvaluator,
     Synthesizer,
+    find_summaries,
     generate_classes,
     harvest_paths,
 )
 from repro.synthesis.enumerator import ContainerPart, ScalarPart
+from repro.synthesis.grammar import NormalKeys
+from repro.verification.algebra import normalize, term_key
 from repro.verification.bounded import (
     BoundedChecker,
     ProgramState,
@@ -408,3 +422,109 @@ def test_restart_evaluates_only_the_new_state(monkeypatch):
     second = synthesizer.synthesize({hash(first)})
     assert second is not None and second != first
     assert len(runs) == 5
+
+
+# ----------------------------------------------------------------------
+# (d) normal keys computed once per pool term
+
+#: The programs ``bench``'s ``compile_mix`` compiles.
+COMPILE_MIX = (
+    "tpch_q6",
+    "joins_q3_revenue",
+    "ariths_average",
+    "fiji_red_to_magenta",
+    "phoenix_matrix_multiply",
+)
+
+
+def fragment_analyses(name):
+    benchmark = get_benchmark(name)
+    program = benchmark.parse()
+    return [
+        analyze_fragment(fragment, program)
+        for fragment in identify_fragments(program.function(benchmark.function))
+    ]
+
+
+def test_memoised_keys_equal_the_oracle_on_every_deduped_pool(monkeypatch):
+    deduped = []
+    original = NormalKeys.dedupe
+
+    def recording(self, exprs):
+        result = original(self, exprs)
+        deduped.append((self, list(exprs), result))
+        return result
+
+    monkeypatch.setattr(NormalKeys, "dedupe", recording)
+    for name in COMPILE_MIX:
+        for analysis in fragment_analyses(name):
+            find_summaries(analysis)
+    assert len(deduped) > 100
+    for keys, exprs, result in deduped:
+        oracle = [term_key(normalize(expr)) for expr in exprs]
+        assert [keys.key(expr) for expr in exprs] == oracle
+        # The first term of each normal form survives, in order.
+        firsts = [e for i, e in enumerate(exprs) if oracle[i] not in oracle[:i]]
+        assert [id(e) for e in result] == [id(e) for e in firsts]
+
+
+def test_two_pipeline_workers_search_like_one():
+    benchmark = get_benchmark("fiji_red_to_magenta")
+
+    def compile_with(workers):
+        ctx = CompilationContext(program=benchmark.parse(), function=benchmark.function)
+        PassPipeline(max_workers=workers).run(ctx)
+        return [
+            (
+                state.search.candidates_checked,
+                [str(vs.summary) for vs in state.search.summaries],
+            )
+            for state in ctx.fragments
+        ]
+
+    serial = compile_with(1)
+    assert len(serial) == 3 and all(summaries for _, summaries in serial)
+    assert compile_with(2) == serial
+
+
+def test_the_memo_dies_with_its_search(monkeypatch):
+    made = []
+    build = GrammarBuilder.build
+
+    def tracked(self):
+        pools = build(self)
+        made.append(weakref.ref(pools.normal_keys))
+        return pools
+
+    monkeypatch.setattr(GrammarBuilder, "build", tracked)
+    result = find_summaries(analysis_of(SUM_SOURCE))
+    assert result.translated and len(made) == result.classes_searched  # one per class
+    gc.collect()
+    assert all(ref() is None for ref in made)
+
+
+# ----------------------------------------------------------------------
+# (e) bounded states materialised once
+
+
+@pytest.mark.parametrize("name", ["joins_q3_revenue", "ariths_average"])
+def test_checks_leave_the_materialised_states_untouched(name):
+    (analysis,) = fragment_analyses(name)
+    checker = BoundedChecker(analysis)
+    before = copy.deepcopy(checker._inputs)
+    accepted = [vs.summary for vs in compiled(name).fragments[0].search.summaries]
+    # Refuted candidates too: the first the grammar classes propose.
+    enumerator = JoinCandidateEnumerator if analysis.join else CandidateEnumerator
+    sym_paths = harvest_paths(analysis)
+    proposed = itertools.chain.from_iterable(
+        enumerator(
+            analysis, grammar_class, GrammarBuilder(analysis, grammar_class, sym_paths).build()
+        ).candidates()
+        for grammar_class in generate_classes(analysis)
+    )
+    candidates = [*accepted, *itertools.islice(proposed, 20)]
+    verdicts = [checker.check(summary) for summary in candidates]
+    assert verdicts[: len(accepted)] == [None] * len(accepted)
+    assert any(verdict is not None for verdict in verdicts)
+    assert [checker.check(summary) for summary in candidates] == verdicts
+    assert checker._inputs == before

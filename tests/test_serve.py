@@ -28,7 +28,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.registry import ProgramRegistry, program_key
 from repro.serve.wire import decode_value, encode_value
 from repro.synthesis.search import SearchConfig
-from tests.conftest import BLUR_SOURCE, BLUR_UNCACHEABLE_SOURCE
+from tests.conftest import BLUR_LITERAL_CLASH_SOURCE, BLUR_SOURCE
 
 SUM_SOURCE = """
 int sum(int[] data, int n) {
@@ -101,8 +101,8 @@ class TestRegistry:
         assert recalled.warm and recalled.cache_hits == 0
         assert recalled.compilation.searches_run == 0
         # An uncacheable fragment is searched again by every new registry.
-        assert not first.register(BLUR_UNCACHEABLE_SOURCE).warm
-        again = second.register(BLUR_UNCACHEABLE_SOURCE)
+        assert not first.register(BLUR_LITERAL_CLASH_SOURCE).warm
+        again = second.register(BLUR_LITERAL_CLASH_SOURCE)
         assert not again.warm and again.compilation.searches_run == 1
 
     def test_unknown_program_raises(self):
