@@ -13,8 +13,8 @@ distributed substrate (see DESIGN.md for the substitution map):
 * :mod:`repro.synthesis` — grammar generation + CEGIS search
 * :mod:`repro.verification` — bounded checking + inductive prover
 * :mod:`repro.cost` — the data-centric cost model + runtime monitor
-* :mod:`repro.engine` — simulated Spark/Hadoop/Flink execution, plus the
-  real multiprocess backend
+* :mod:`repro.engine` — the real local engine (in-process or over a
+  worker pool) and the Spark/Hadoop/Flink cost model that prices its runs
 * :mod:`repro.planner` — cost-driven execution planning (backend,
   partitions, combiners) with per-run ``PlanReport`` evidence
 * :mod:`repro.codegen` — code generation and the adaptive program

@@ -1,19 +1,24 @@
 """Code generation: executable plans from verified program summaries.
 
-Translates a summary into a job against one of the three simulated
-backends (Spark RDDs, Hadoop jobs, Flink DataSets), applying the paper's
-rules (section 6.3):
+Translates a summary into a job on the real local engine — compiled
+kernels over block partitions (:mod:`repro.codegen.kernels`) — applying
+the paper's rules (section 6.3):
 
-* ``reduceByKey`` (with combiners) is used only when λr was proven
-  commutative and associative; otherwise the generator falls back to the
-  safe ``groupByKey`` + ordered fold;
+* map-side combining (``reduceByKey``) is used only when λr was proven
+  commutative and associative; otherwise every value is shuffled and
+  folded in arrival order (``groupByKey`` + ordered fold);
 * glue code converts the fragment's inputs into the framework's dataset
   (records), broadcasts scalar inputs, and rebuilds the output variables
   from the result pairs.
+
+The three simulated cluster backends (Spark RDDs, Hadoop jobs, Flink
+DataSets) run the same job once on that engine and price its counters
+through the framework's stage sequence (:func:`repro.engine.core.price`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -30,10 +35,9 @@ from ..lang.analysis.loops import DatasetView
 from ..lang.values import Instance
 from ..lang.interpreter import Environment, Interpreter
 from ..engine.config import EngineConfig
-from ..engine.flink import SimFlinkEnv
-from ..engine.hadoop import SimHadoopJob
+from ..engine.core import JoinSide, price
 from ..engine.metrics import JobMetrics
-from ..engine.spark import SimSparkContext
+from ..engine.sizes import dataset_bytes
 from ..ir.eval import eval_expr
 from ..ir.nodes import (
     Emit,
@@ -320,13 +324,6 @@ class StitchBridge:
         return view_records(self.view, outputs)
 
 
-def _emit_fn(
-    emits: tuple[Emit, ...], globals_env: dict[str, Any], view: DatasetView
-) -> RecordMapper:
-    """Build the record → pairs callable for a first map stage."""
-    return RecordMapper(emits=emits, globals_env=globals_env, view=view)
-
-
 def _pair_emit_fn(stage: MapStage, globals_env: dict[str, Any]) -> PairMapper:
     return PairMapper(
         params=stage.lam.params, emits=stage.lam.emits, globals_env=globals_env
@@ -445,23 +442,23 @@ class GeneratedProgram:
         ``sequential`` and ``multiprocess`` are the *real* local
         backends: they run the compiled kernels, and an
         :class:`~repro.planner.plan.ExecutionPlan` pins their physical
-        choices — processes, partitions, combiners, budget.  The
-        simulated cluster backends always run the tree-walking evaluator
-        over row records (their cost model charges per record, so a
-        faster kernel would not change what they report).  ``records``
+        choices — processes, partitions, combiners, budget.  A simulated
+        cluster backend ignores ``plan``: the job runs once, sequentially
+        on the real engine with a bare plan (the config's block
+        partitions, no budget), and :func:`~repro.engine.core.price`
+        turns that run's counters into the framework's metrics — the
+        outcome has no ``engine_result`` and no wall time.  ``records``
         lets a caller that already materialized
         ``view_records(analysis.view, inputs)`` (the planner does, for
-        calibration) pass them through instead of paying the
+        its samples) pass them through instead of paying the
         transformation twice.  The outcome's ``diagnostics`` carry one
         ``REP308`` per real-engine stage that stayed on the evaluator.
         """
         backend = backend or self.backend
-        if backend == "spark":
-            return self._run_spark(inputs, records=records)
-        if backend == "hadoop":
-            return self._run_hadoop(inputs, records=records)
-        if backend == "flink":
-            return self._run_flink(inputs, records=records)
+        if backend in ("spark", "hadoop", "flink"):
+            return self._run_local(
+                inputs, "sequential", self._pricing_plan(backend), records, backend
+            )
         if backend in ("multiprocess", "sequential"):
             return self._run_local(inputs, backend, plan, records)
         raise CodegenError(f"unknown backend {backend!r}")
@@ -550,148 +547,6 @@ class GeneratedProgram:
             body=lam.body, params=lam.params, globals_env=globals_env
         )
 
-    def _run_spark(
-        self, inputs: dict[str, Any], records: Optional[list] = None
-    ) -> ExecutionOutcome:
-        config = (
-            self.engine_config
-            if self.engine_config.framework.name == "spark"
-            else self.engine_config.with_framework("spark")
-        )
-        context = SimSparkContext(config)
-        globals_env, output_sizes = prepare_globals(self.analysis, inputs)
-        if records is None:
-            records = view_records(self.analysis.view, inputs)
-        first_view = (
-            self.analysis.view.sides[0]
-            if self.analysis.view.kind == "join"
-            else self.analysis.view
-        )
-        rdd = context.parallelize(records)
-        stages = self.summary.pipeline.stages
-        for index, stage in enumerate(stages):
-            if isinstance(stage, MapStage):
-                if index == 0:
-                    fn = _emit_fn(stage.lam.emits, globals_env, first_view)
-                    rdd = rdd.flat_map_to_pair(fn, _stage_complexity(stage))
-                else:
-                    fn = _pair_emit_fn(stage, globals_env)
-                    rdd = rdd.flat_map_to_pair(fn, _stage_complexity(stage))
-            elif isinstance(stage, ReduceStage):
-                reducer = self._reduce_fn(stage, globals_env)
-                if self._combiner_safe():
-                    rdd = rdd.reduce_by_key(reducer)
-                else:
-                    rdd = rdd.group_by_key().map_values(
-                        lambda values, _fn=reducer: _ordered_fold(values, _fn)
-                    )
-            elif isinstance(stage, JoinStage):
-                rdd = rdd.join(self._spark_right_rdd(context, stage, globals_env, inputs))
-        pairs = rdd.collect()
-        outputs = bind_outputs(self.summary.outputs, pairs, globals_env, output_sizes)
-        return ExecutionOutcome(outputs=outputs, metrics=context.metrics)
-
-    def _spark_right_rdd(
-        self, context: SimSparkContext, stage: JoinStage, globals_env, inputs
-    ):
-        """The right pipeline of a join stage as a simulated-Spark RDD."""
-        join = self.analysis.join
-        if join is None:
-            raise CodegenError("join stage on a fragment without join analysis")
-        side = join.side_for(stage.right.source)
-        right_map = stage.right.stages[0]
-        assert isinstance(right_map, MapStage)
-        fn = _emit_fn(right_map.lam.emits, globals_env, side.view)
-        return context.parallelize(view_records(side.view, inputs)).flat_map_to_pair(
-            fn, _stage_complexity(right_map)
-        )
-
-    def _run_hadoop(
-        self, inputs: dict[str, Any], records: Optional[list] = None
-    ) -> ExecutionOutcome:
-        if self.has_join:
-            raise CodegenError(
-                "join pipelines are generated for the spark and real local "
-                "backends; the simulated hadoop backend has no join operator"
-            )
-        config = self.engine_config.with_framework("hadoop")
-        globals_env, output_sizes = prepare_globals(self.analysis, inputs)
-        if records is None:
-            records = view_records(self.analysis.view, inputs)
-        stages = self.summary.pipeline.stages
-
-        first = stages[0]
-        assert isinstance(first, MapStage)
-        mapper = _emit_fn(first.lam.emits, globals_env, self.analysis.view)
-
-        reduce_stage = next((s for s in stages if isinstance(s, ReduceStage)), None)
-        final_map = (
-            stages[-1]
-            if len(stages) > 1 and isinstance(stages[-1], MapStage)
-            else None
-        )
-
-        if reduce_stage is None:
-            job = SimHadoopJob(
-                mapper, mapper_complexity=_stage_complexity(first), config=config
-            )
-            pairs = job.run(records)
-            outputs = bind_outputs(self.summary.outputs, pairs, globals_env, output_sizes)
-            return ExecutionOutcome(outputs=outputs, metrics=job.metrics)
-
-        reducer_fn = self._reduce_fn(reduce_stage, globals_env)
-        final_fn = _pair_emit_fn(final_map, globals_env) if final_map else None
-
-        def reducer(key: Any, values: list) -> list[tuple]:
-            acc = _ordered_fold(values, reducer_fn)
-            if final_fn is None:
-                return [(key, acc)]
-            return final_fn((key, acc))
-
-        job = SimHadoopJob(
-            mapper,
-            reducer=reducer,
-            combiner=reducer_fn if self._combiner_safe() else None,
-            mapper_complexity=_stage_complexity(first),
-            config=config,
-        )
-        pairs = job.run(records)
-        outputs = bind_outputs(self.summary.outputs, pairs, globals_env, output_sizes)
-        return ExecutionOutcome(outputs=outputs, metrics=job.metrics)
-
-    def _run_flink(
-        self, inputs: dict[str, Any], records: Optional[list] = None
-    ) -> ExecutionOutcome:
-        if self.has_join:
-            raise CodegenError(
-                "join pipelines are generated for the spark and real local "
-                "backends; the simulated flink backend has no join operator"
-            )
-        config = self.engine_config.with_framework("flink")
-        env = SimFlinkEnv(config)
-        globals_env, output_sizes = prepare_globals(self.analysis, inputs)
-        if records is None:
-            records = view_records(self.analysis.view, inputs)
-        dataset = env.from_collection(records)
-        stages = self.summary.pipeline.stages
-        for index, stage in enumerate(stages):
-            if isinstance(stage, MapStage):
-                if index == 0:
-                    fn = _emit_fn(stage.lam.emits, globals_env, self.analysis.view)
-                else:
-                    fn = _pair_emit_fn(stage, globals_env)
-                dataset = dataset.flat_map_to_pair(fn, _stage_complexity(stage))
-            elif isinstance(stage, ReduceStage):
-                reducer = self._reduce_fn(stage, globals_env)
-                dataset = dataset.group_by_key_reduce(
-                    reducer, use_combiner=self._combiner_safe()
-                )
-            elif isinstance(stage, JoinStage):
-                raise CodegenError("simulated flink backend has no join operator")
-        pairs = dataset.collect()
-        outputs = bind_outputs(self.summary.outputs, pairs, globals_env, output_sizes)
-        return ExecutionOutcome(outputs=outputs, metrics=env.metrics)
-
     def oracle_steps(
         self,
         globals_env: dict[str, Any],
@@ -710,7 +565,7 @@ class GeneratedProgram:
         for index, stage in enumerate(self.summary.pipeline.stages):
             if isinstance(stage, MapStage):
                 if index == 0:
-                    fn: Any = _emit_fn(
+                    fn: Any = RecordMapper(
                         stage.lam.emits, globals_env, self.analysis.view
                     )
                 else:
@@ -756,14 +611,54 @@ class GeneratedProgram:
         ]
         return [s for s, _ in built], [d for _, d in built if d is not None]
 
+    def _pricing_plan(self, framework: str) -> Optional["ExecutionPlan"]:
+        """The plan of the real run a simulated ``framework`` is priced
+        from: bare, except that a join builds every level's broadcast
+        index — its entries are the right relation's pairs, which Spark's
+        shuffle join moves whole.  Hadoop and Flink have no join."""
+        if not self.has_join:
+            return None
+        if framework != "spark":
+            raise CodegenError(
+                "join pipelines are generated for the spark and real local "
+                f"backends; the simulated {framework} backend has no join operator"
+            )
+        from ..planner.plan import ExecutionPlan
+
+        levels = sum(isinstance(s, JoinStage) for s in self.summary.pipeline.stages)
+        return ExecutionPlan(
+            "sequential",
+            join_strategies=("broadcast",) * levels,
+            broadcast_limit=sys.maxsize,
+        )
+
+    def _join_sides(self, steps: list, inputs: dict[str, Any]) -> list:
+        """``steps`` of an all-broadcast join run, each probe replaced by
+        the :class:`~repro.engine.core.JoinSide` it probed."""
+        priced = list(steps)
+        for index, stage in enumerate(self.summary.pipeline.stages):
+            if isinstance(stage, JoinStage):
+                side = self.analysis.join.side_for(stage.right.source)
+                records = view_records(side.view, inputs)
+                probe = steps[index].fn  # the level's BroadcastLookup
+                pairs = [(k, v) for k, values in probe.index.items() for v in values]
+                priced[index] = JoinSide(
+                    records=len(records), bytes=dataset_bytes(records),
+                    pairs=len(pairs), pairs_bytes=dataset_bytes(pairs),
+                    complexity=_stage_complexity(stage.right.stages[0]),
+                )
+        return priced
+
     def _run_local(
         self,
         inputs: dict[str, Any],
         backend: str = "multiprocess",
         plan: Optional["ExecutionPlan"] = None,
         records: Optional[list] = None,
+        framework: Optional[str] = None,
     ) -> ExecutionOutcome:
-        """Real execution: multiprocess pool, or in-process sequential.
+        """Real execution: multiprocess pool, or in-process sequential —
+        priced as the simulated ``framework`` when one is named.
 
         Both modes run the identical algorithm (the multiprocess engine
         with ``processes=0`` executes inline), so their results are
@@ -798,6 +693,11 @@ class GeneratedProgram:
         outputs = bind_outputs(
             self.summary.outputs, result.pairs, globals_env, output_sizes
         )
+        if framework is not None:
+            if self.has_join:
+                steps = self._join_sides(steps, inputs)
+            metrics = price(framework, self.engine_config, steps, result)
+            return ExecutionOutcome(outputs, metrics, diagnostics=diagnostics)
         return ExecutionOutcome(
             outputs=outputs,
             metrics=result.metrics,
@@ -838,10 +738,3 @@ def run_local_steps(
         memory_budget=plan.memory_budget,
     )
     return engine.run_pipeline(records, steps)
-
-
-def _ordered_fold(values: list, fn) -> Any:
-    acc = values[0]
-    for value in values[1:]:
-        acc = fn(acc, value)
-    return acc

@@ -20,8 +20,8 @@ A summary renders to five kernels, all through one :class:`_Renderer`:
   ``map_columns``: the last map stage before a shuffle, so the pairs are
   priced, combined and routed as columns and never exist as tuples.
 * **reduce** — ``(a, b) -> λr(a, b)`` (:func:`render_reduce_kernel`).
-  Behind ``CompiledReduce.__call__``: whoever folds pair by pair (the
-  simulated backends' glue, tests).
+  Behind ``CompiledReduce.__call__``: whoever folds pair by pair
+  (tests); rendering it is how a step proves its λr compiles.
 * **fold** — ``(keys, values, acc)``, λr inlined into the keyed fold
   loop (:func:`render_fold_kernel`).  Behind ``CompiledReduce.fold``,
   which :func:`repro.engine.columnar.fold_columns` calls for the
@@ -38,11 +38,11 @@ A summary renders to five kernels, all through one :class:`_Renderer`:
 The tree-walking callables of :mod:`repro.codegen.base`
 (``RecordMapper`` / ``PairMapper`` / ``ReduceApplier``, one
 :func:`~repro.ir.eval.eval_expr` visit per emit per record) are the
-semantic reference.  They keep three roles: what the simulated
-Spark/Hadoop/Flink backends run, the per-stage fallback when the
-renderer raises :class:`~repro.errors.KernelUnsupported`, and the oracle
-the differential tests compare against
-(:meth:`~repro.codegen.base.GeneratedProgram.oracle_steps`).
+semantic reference.  They keep two roles: the per-stage fallback when
+the renderer raises :class:`~repro.errors.KernelUnsupported` (and every
+stage of a join pipeline), and the oracle the differential tests compare
+against (:meth:`~repro.codegen.base.GeneratedProgram.oracle_steps`).
+The simulated Spark/Hadoop/Flink backends run nothing of their own.
 
 Semantics are preserved exactly by construction:
 

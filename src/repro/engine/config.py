@@ -47,9 +47,6 @@ class FrameworkProfile:
     materialize_between_stages: bool = False  # Hadoop writes HDFS per job
     combiners: bool = True
 
-    def stage_cost(self) -> float:
-        return self.per_stage_overhead_s
-
 
 SPARK = FrameworkProfile(
     name="spark",

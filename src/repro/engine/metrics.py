@@ -1,13 +1,14 @@
-"""Execution metrics for simulated MapReduce jobs.
+"""Execution metrics for MapReduce jobs.
 
 These are the quantities the paper's evaluation reports: bytes emitted in
 the map stage, bytes shuffled across the network (Table 4 / Appendix E.3),
 and simulated wall-clock seconds (Figures 7-9).
 
-The multiprocess backend additionally records *real* wall-clock seconds
+The real local engine also records *real* wall-clock seconds
 (``wall_seconds``) alongside the simulated-time accounting, so the
 execution planner's predictions can be validated against measured
-reality.  The simulated engines leave ``wall_seconds`` at zero.
+reality.  Priced Spark/Hadoop/Flink jobs (:func:`repro.engine.core.price`)
+and the Spark-like RDD API leave ``wall_seconds`` at zero.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ class JobMetrics:
     @property
     def bytes_shuffled(self) -> int:
         return sum(s.bytes_shuffled for s in self.stages)
-
-    @property
-    def records_processed(self) -> int:
-        return sum(s.records_in for s in self.stages)
 
     def add_seconds(self, seconds: float) -> None:
         self.simulated_seconds += seconds

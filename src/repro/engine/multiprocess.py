@@ -1,21 +1,22 @@
 """Real multiprocess MapReduce backend over a ``ProcessPoolExecutor``.
 
-Unlike the simulated Spark/Hadoop/Flink engines — which execute lambdas
-in-process and only *model* distributed time — this backend actually
-spreads map, shuffle-combine, and reduce work across worker processes,
-measuring real wall-clock seconds alongside the familiar simulated-time
-accounting.  That pairing is what lets the execution planner
-(:mod:`repro.planner`) be validated against measured reality.
+This backend actually spreads map, shuffle-combine, and reduce work
+across worker processes, measuring real wall-clock seconds alongside
+the familiar simulated-time accounting.  That pairing is what lets the
+execution planner (:mod:`repro.planner`) be validated against measured
+reality.  It is also the only engine a translated program runs on: the
+simulated Spark/Hadoop/Flink seconds are priced from one sequential run
+of it (:func:`repro.engine.core.price`).
 
 There is **one executor**.  Every input becomes a
 :class:`~repro.engine.source.Dataset`; one step walker cuts the step
 list into ``map* reduce?`` segments and driver-side bridges; one map
 phase consumes each segment's chunk stream (``chunk_records_for``
 reproduces ``partition_data``'s block layout, so per-chunk combining
-groups records exactly as the simulated engines do), inline or in pool
-tasks that all report one ``_MapOut``; one bridge and one reduce-stage
-charge serve every run.  Results are identical to the in-process
-engines: same block partitioning, per-partition map-side combining,
+groups records exactly as a framework's map tasks would), inline or in
+pool tasks that all report one ``_MapOut``; one bridge and one
+reduce-stage charge serve every run.  Pool and in-process runs are
+identical: same block partitioning, per-partition map-side combining,
 first-seen key ordering and ordered value folds — only the work moves.
 
 The only thing ``memory_budget`` selects is the **shuffle store**:
@@ -172,6 +173,11 @@ class MultiprocessResult:
     #: count to match the measured size.  Never silent: callers
     #: surface these through ``PlanReport.adaptations``.
     adaptations: list = field(default_factory=list)
+    #: ``pairs_bytes`` of each reduce output a map stage consumes next,
+    #: in step order — what a cluster framework's reduce stage emits
+    #: there (:func:`repro.engine.core.price`).  Kept off the stage
+    #: counters, which stay the local engine's own.
+    reduce_bytes: list = field(default_factory=list)
 
     @property
     def executed_parallel(self) -> bool:
@@ -600,6 +606,8 @@ class MultiprocessEngine:
                     time.perf_counter() - started,
                 )
                 stage_counter += 1
+                if index < len(steps) and isinstance(steps[index], MapStep):
+                    result.reduce_bytes.append(pairs_bytes(pairs))
             dataset = ListSource(pairs)
         return pairs
 

@@ -3,7 +3,9 @@
 Mirrors the subset of the JavaRDD / JavaPairRDD API that Casper's code
 generator targets (paper Appendix C): map, flatMap, mapToPair, filter,
 mapValues, reduceByKey, groupByKey, reduce, join, collect, count, plus
-broadcast variables and a first-k sample used by the runtime monitor.
+broadcast variables and a first-k sample.  The hand-written baselines
+are written against it; translated programs are priced as Spark jobs
+through the same executor stages instead (:func:`repro.engine.core.price`).
 """
 
 from __future__ import annotations
@@ -220,6 +222,3 @@ class SimSparkContext:
         from .core import partition_data
 
         return partition_data(pairs, self.config.default_partitions)
-
-    def reset_metrics(self) -> None:
-        self.executor = Executor(self.config)

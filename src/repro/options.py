@@ -9,9 +9,9 @@ physical choices into the engines.  Names are validated here, once; the
 "budget or feedback implies the planner" rule is :attr:`ExecOptions
 .effective_plan`, once.
 
-There is no kernel or chunk-layout option: the real local backends
-always run the compiled kernels over column chunks
-(:mod:`repro.codegen.kernels`), the simulated ones the evaluator.
+There is no kernel or chunk-layout option: every backend runs the
+compiled kernels over column chunks (:mod:`repro.codegen.kernels`) on
+the real local engine — a simulated one once, then prices the run.
 """
 
 from __future__ import annotations

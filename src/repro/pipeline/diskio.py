@@ -3,11 +3,11 @@
 Both the summary cache (:mod:`repro.pipeline.cache`) and the planner's
 observation store (:mod:`repro.cost.observe`) persist one JSON file per
 entry under a cache directory.  The write protocol is the same for
-both — write to ``{path}.tmp.{pid}`` then :func:`os.replace`, so readers
-only ever see complete files and concurrent writers race benignly
-(last replace wins) — as is the recovery story: a crash between the tmp
-write and the replace leaks the tmp file, and each cache open sweeps
-orphans whose writer pid is gone.
+both — write to ``{path}.tmp.{pid}.{thread}`` then :func:`os.replace`, so
+readers only ever see complete files and concurrent writers, threads of
+one process included, race benignly (last replace wins) — as is the
+recovery story: a crash between the tmp write and the replace leaks the
+tmp file, and each cache open sweeps orphans whose writer pid is gone.
 
 Loading distinguishes three outcomes the callers treat differently:
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Any, Optional
 
 __all__ = [
@@ -49,7 +50,7 @@ def pid_alive(pid: int) -> bool:
 
 
 def sweep_stale_tmp(cache_dir: str) -> None:
-    """Remove ``*.tmp.{pid}`` orphans whose writer process is gone."""
+    """Remove ``*.tmp.{pid}.{thread}`` orphans whose writer process is gone."""
     try:
         names = os.listdir(cache_dir)
     except OSError:
@@ -57,7 +58,7 @@ def sweep_stale_tmp(cache_dir: str) -> None:
     for name in names:
         if ".tmp." not in name:
             continue
-        pid_text = name.rsplit(".", 1)[-1]
+        pid_text = name.rsplit(".tmp.", 1)[1].partition(".")[0]
         if pid_text.isdigit() and pid_alive(int(pid_text)):
             continue  # a live writer may still be mid-write
         try:
@@ -75,7 +76,7 @@ def atomic_write_json(path: str, payload: Any) -> bool:
     """Write ``payload`` as JSON via tmp-file + rename; False on failure."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         os.replace(tmp, path)

@@ -11,10 +11,16 @@ stage plans the planner derived.
 the commit *before* the keyed row path moved to columns (PR 21's
 parent, ``87e2839``; the 595 run rows) and *before* the monitor sampled
 through compiled kernels (PR 22's parent, ``df7aaf8``; the 77 monitor
-rows, generated with the 595 reproduced unchanged); an engine,
-accounting or sampling change that moves any of them fails here with
-the fragment × backend named.  Nothing in an entry depends on
-``PYTHONHASHSEED`` (sets are rendered sorted).
+rows, generated with the 595 reproduced unchanged).  Three rows were
+regenerated on purpose when the simulated frameworks stopped re-running
+programs and were priced from one real run instead
+(``engine.core.price``): the ``@spark`` rows of the three join
+benchmarks, whose outputs are now the real engine's and whose post-join
+shuffle combines per chunk, not per Spark repartition; the other 669
+digests were reproduced unchanged.  An engine, accounting or sampling
+change that moves any of them fails here with the fragment × backend
+named.  Nothing in an entry depends on ``PYTHONHASHSEED`` (sets are
+rendered sorted).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for the simulated MapReduce engine: core, sizes, three APIs."""
+"""Tests for the MapReduce engine: core, sizes, the Spark API, pricing."""
 
 import cProfile
 import dataclasses
@@ -11,14 +11,13 @@ from repro.engine import (
     MapStep,
     MultiprocessEngine,
     ReduceStep,
-    SimFlinkEnv,
-    SimHadoopJob,
     SimSparkContext,
     partition_data,
     run_sequential,
     sizeof,
 )
 from repro.engine import sizes
+from repro.engine.core import price
 from repro.engine.sizes import BOOLEAN_SIZE, STRING_SIZE, TUPLE_HEADER, sizeof_pair
 from repro.engine.spill import SpillWriter, partition_of, read_run
 from repro.errors import EngineError, SpillError
@@ -424,84 +423,74 @@ class TestMetricsAccounting:
         assert sc.metrics.simulated_seconds < 2 * sc.config.framework.startup_s + 2
 
 
-class TestHadoopAPI:
-    def test_word_count_job(self):
-        job = SimHadoopJob(
-            mapper=lambda w: [(w, 1)],
-            reducer=lambda k, vs: [(k, sum(vs))],
-            combiner=lambda a, b: a + b,
-        )
-        result = dict(job.run(["a", "b", "a"]))
-        assert result == {"a": 2, "b": 1}
+class TestPricing:
+    """Simulated frameworks are priced from one real run, never re-run."""
 
-    def test_map_only_job(self):
-        job = SimHadoopJob(mapper=lambda x: [(x, x * x)])
-        assert dict(job.run([1, 2, 3])) == {1: 1, 2: 4, 3: 9}
+    WORDS = ["w%d" % (i % 50) for i in range(2000)]
+    STEPS = [MapStep(lambda w: [(w, 1)]), ReduceStep(lambda a, b: a + b)]
 
-    def test_hadoop_slower_than_spark(self):
-        words = ["w%d" % (i % 50) for i in range(2000)]
-        job = SimHadoopJob(
-            mapper=lambda w: [(w, 1)],
-            reducer=lambda k, vs: [(k, sum(vs))],
-            combiner=lambda a, b: a + b,
-            config=EngineConfig(scale=1000),
-        )
-        job.run(words)
-        sc = SimSparkContext(EngineConfig(scale=1000))
-        sc.parallelize(words).map_to_pair(lambda w: (w, 1)).reduce_by_key(
-            lambda a, b: a + b
-        ).collect()
-        assert job.metrics.simulated_seconds > sc.metrics.simulated_seconds
+    def real_run(self):
+        return MultiprocessEngine(processes=0).run_pipeline(self.WORDS, self.STEPS)
 
-
-class TestFlinkAPI:
-    def test_group_reduce(self):
-        env = SimFlinkEnv()
-        result = (
-            env.from_collection(["a", "b", "a"])
-            .map_to_pair(lambda w: (w, 1))
-            .group_by_key_reduce(lambda x, y: x + y)
-            .collect()
-        )
-        assert dict(result) == {"a": 2, "b": 1}
-
-    def test_filter_map_pipeline(self):
-        env = SimFlinkEnv()
-        out = (
-            env.from_collection(list(range(10)))
-            .filter(lambda x: x > 5)
-            .map(lambda x: x * 10)
-            .collect()
-        )
-        assert out == [60, 70, 80, 90]
-
-    def test_flink_between_spark_and_hadoop(self):
-        words = ["w%d" % (i % 50) for i in range(2000)]
+    def test_one_run_priced_three_ways_orders_the_frameworks(self):
+        run = self.real_run()
         config = EngineConfig(scale=2000)
+        seconds = {
+            name: price(name, config, self.STEPS, run).simulated_seconds
+            for name in ("spark", "hadoop", "flink")
+        }
+        assert seconds["spark"] < seconds["flink"] < seconds["hadoop"]
+        assert dict(run.pairs) == {w: 40 for w in set(self.WORDS)}
 
+    def test_spark_price_is_what_the_rdd_api_charges(self):
+        """The RDD API runs the lambdas and charges its stages; pricing
+        the real run's counters through the same stages gives the same
+        numbers, seconds included."""
+        config = EngineConfig(scale=1000)
         sc = SimSparkContext(config)
-        sc.parallelize(words).map_to_pair(lambda w: (w, 1)).reduce_by_key(
+        sc.parallelize(self.WORDS).flat_map_to_pair(lambda w: [(w, 1)]).reduce_by_key(
             lambda a, b: a + b
         ).collect()
+        priced = price("spark", config, self.STEPS, self.real_run())
 
-        env = SimFlinkEnv(config)
-        env.from_collection(words).map_to_pair(lambda w: (w, 1)).group_by_key_reduce(
-            lambda a, b: a + b
-        ).collect()
+        def rows(metrics):
+            return [
+                (s.name, s.records_in, s.records_out, s.bytes_in, s.bytes_out,
+                 s.bytes_shuffled, s.seconds)
+                for s in metrics.stages
+            ]
 
-        job = SimHadoopJob(
-            mapper=lambda w: [(w, 1)],
-            reducer=lambda k, vs: [(k, sum(vs))],
-            combiner=lambda a, b: a + b,
-            config=config,
-        )
-        job.run(words)
+        assert rows(priced) == rows(sc.metrics)
+        assert priced.simulated_seconds == sc.metrics.simulated_seconds
+        assert [s.name for s in priced.stages] == [
+            "scan", "map.flatToPair", "shuffle", "reduce"
+        ]
 
-        assert (
-            sc.metrics.simulated_seconds
-            < env.metrics.simulated_seconds
-            < job.metrics.simulated_seconds
-        )
+    @pytest.mark.parametrize("backend", ["spark", "hadoop", "flink"])
+    def test_simulated_runs_use_compiled_kernels(self, monkeypatch, backend):
+        """No per-record IR interpretation: the evaluator is called the
+        same number of times at 10 and at 1 000 records."""
+        from repro.codegen import base
+        from repro.workloads import get_benchmark
+        from suite_cache import compiled
+
+        name = "ariths_sum"
+        program = compiled(name).fragments[0].program.programs[0]
+        evaluate = base.eval_expr
+        calls = []
+
+        def counting(expr, env):
+            calls.append(expr)
+            return evaluate(expr, env)
+
+        monkeypatch.setattr(base, "eval_expr", counting)
+        counts = []
+        for records in (10, 1000):
+            calls.clear()
+            inputs = get_benchmark(name).make_inputs(records, 7)
+            program.run(inputs, backend)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestSequentialBaseline:

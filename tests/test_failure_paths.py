@@ -154,11 +154,11 @@ class TestMultiprocessFallbackEndToEnd:
             def __call__(self, record):
                 return self.inner(record)
 
-        from repro.codegen.base import _emit_fn, view_records
+        from repro.codegen.base import RecordMapper, view_records
 
         inputs = {"words": [f"w{i % 9}" for i in range(5000)]}
         records = view_records(program.analysis.view, inputs)
-        mapper = PoisonedMapper(_emit_fn(stage.lam.emits, {}, program.analysis.view))
+        mapper = PoisonedMapper(RecordMapper(stage.lam.emits, {}, program.analysis.view))
         engine = MultiprocessEngine(processes=2, min_parallel_records=10)
         outcome = engine.run_pipeline(
             records, [MapStep(mapper, _stage_complexity(stage))]

@@ -212,6 +212,45 @@ class TestStoreFailurePaths:
         assert got is not None and got.input_records is not None
         assert fresh.last_note is None
 
+    def test_two_writers_of_one_key_keep_their_own_tmp_files(
+        self, tmp_path, monkeypatch
+    ):
+        """Both writers are inside the write (tmp file open, nothing
+        renamed yet) before either finishes: neither may truncate,
+        rename or lose the other's tmp file."""
+        from repro.pipeline import diskio
+
+        barrier = threading.Barrier(2, timeout=30)
+        dump = json.dump
+
+        def paused_dump(payload, handle):
+            barrier.wait()
+            dump(payload, handle)
+
+        monkeypatch.setattr(diskio.json, "dump", paused_dump)
+        store = ObservationStore(cache_dir=str(tmp_path))
+        written: list[bool] = []
+        threads = [
+            threading.Thread(
+                target=lambda n=n: written.append(
+                    store.record(make_observation(input_records=n))
+                )
+            )
+            for n in (1, 2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert written == [True, True]
+        assert [p.name for p in tmp_path.iterdir()] == [
+            os.path.basename(store._disk_path("frag", "data"))
+        ]
+        fresh = ObservationStore(cache_dir=str(tmp_path))
+        got = fresh.lookup("frag", "data")
+        assert got is not None and got.input_records in (1, 2)
+        assert fresh.last_note is None
+
     def test_capacity_evicts_lru(self):
         store = ObservationStore(capacity=2)
         store.record(make_observation(dataset_key="a"))

@@ -335,7 +335,7 @@ class TestSummaryCache:
         assert result.cache_hits == 0
 
     def test_stale_tmp_files_swept_on_open(self, tmp_path):
-        # A crash between writing {path}.tmp.{pid} and os.replace leaks
+        # A crash between writing {path}.tmp.{pid}.{thread} and os.replace leaks
         # the tmp file; opening a cache over the directory must sweep
         # orphans whose writer process is gone.
         import subprocess
@@ -343,7 +343,7 @@ class TestSummaryCache:
 
         probe = subprocess.Popen([sys.executable, "-c", "pass"])
         probe.wait()  # a pid guaranteed dead (and reaped)
-        orphan = tmp_path / f"entry.json.tmp.{probe.pid}"
+        orphan = tmp_path / f"entry.json.tmp.{probe.pid}.140230"
         orphan.write_text("{partial", encoding="utf-8")
         unparsable = tmp_path / "entry.json.tmp.garbage"
         unparsable.write_text("{partial", encoding="utf-8")
@@ -356,8 +356,9 @@ class TestSummaryCache:
 
     def test_live_writer_tmp_file_not_swept(self, tmp_path):
         import os as _os
+        import threading
 
-        mine = tmp_path / f"entry.json.tmp.{_os.getpid()}"
+        mine = tmp_path / f"entry.json.tmp.{_os.getpid()}.{threading.get_ident()}"
         mine.write_text("{mid-write", encoding="utf-8")
         SummaryCache(cache_dir=str(tmp_path))
         assert mine.exists()  # this process may still be mid-write
