@@ -548,7 +548,7 @@ def measure_kernel() -> dict:
             globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
             records = view_records(fragment.analysis.view, inputs)
             eval_fn = program.oracle_steps(globals_env)[0].fn
-            comp_fn = program.local_steps(globals_env)[0][0].fn
+            comp_fn = program.local_steps(globals_env)[0].fn
             identical = comp_fn.map_chunk(records) == [
                 pair for record in records for pair in eval_fn(record)
             ]

@@ -48,7 +48,7 @@ def _map_fns(name: str, size: int):
     globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
     records = view_records(fragment.analysis.view, inputs)
     eval_fn = program.oracle_steps(globals_env)[0].fn
-    compiled_fn = program.local_steps(globals_env)[0][0].fn
+    compiled_fn = program.local_steps(globals_env)[0].fn
     return eval_fn, compiled_fn, records
 
 

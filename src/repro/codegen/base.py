@@ -29,10 +29,9 @@ if TYPE_CHECKING:
     from ..planner.plan import ExecutionPlan, PlanReport
 
 from ..diagnostics import make as make_diagnostic
-from ..errors import CodegenError, InterpreterError, KernelUnsupported
+from ..errors import CodegenError, InterpreterError
 from ..lang.analysis.fragments import FragmentAnalysis
 from ..lang.analysis.loops import DatasetView
-from ..lang.values import Instance
 from ..lang.interpreter import Environment, Interpreter
 from ..engine.config import EngineConfig
 from ..engine.core import JoinSide, price
@@ -73,9 +72,8 @@ class ExecutionOutcome:
     #: (:class:`~repro.engine.multiprocess.MultiprocessResult`); None on
     #: the simulated backends.
     engine_result: Optional["MultiprocessResult"] = None
-    #: One ``REP308`` per real-engine stage that had to stay on the
-    #: tree-walking evaluator (empty when every stage compiled); on an
-    #: unplanned run also the monitor's ``REP309`` sampler fallbacks.
+    #: On an unplanned run, the monitor's ``REP309`` sampler fallbacks
+    #: (a planned run puts them on ``report``).
     diagnostics: list = field(default_factory=list)
     #: The planner's evidence trail; None for unplanned runs.
     report: Optional["PlanReport"] = None
@@ -168,118 +166,59 @@ def record_env(view: DatasetView, record: Any) -> dict[str, Any]:
     raise CodegenError(f"unsupported view kind {view.kind!r}")
 
 
-def record_env_into(view: DatasetView, record: Any, env: dict[str, Any]) -> None:
-    """Bind one raw record's atoms into an existing environment.
-
-    The atom key set is fixed per view kind (and per struct class), so a
-    mapper can build the globals env once and overwrite only the
-    per-record keys on every call instead of re-splatting two dicts.
-    """
-    if view.kind == "join":
-        record_env_into(view.sides[0], record, env)
-        return
-    if view.kind == "foreach":
-        if view.element_class is not None and isinstance(record, Instance):
-            env.update(record.fields)
-        else:
-            assert view.element_var is not None
-            env[view.element_var] = record
-        env["__element"] = record
-        return
-    if view.kind == "array1d":
-        env[view.index_vars[0]] = record[0]
-        for name, value in zip(view.sources, record[1:]):
-            env[name] = value
-        return
-    if view.kind == "array2d":
-        env[view.index_vars[0]] = record[0]
-        env[view.index_vars[1]] = record[1]
-        env["v"] = record[2]
-        return
-    raise CodegenError(f"unsupported view kind {view.kind!r}")
+def _emitted(emits: tuple[Emit, ...], env: dict[str, Any]) -> list[tuple]:
+    """The pairs ``emits`` produce in ``env``, on the evaluator."""
+    return [
+        (eval_expr(emit.key, env), eval_expr(emit.value, env))
+        for emit in emits
+        if emit.cond is None or eval_expr(emit.cond, env)
+    ]
 
 
 @dataclass
 class RecordMapper:
-    """The first map stage: raw record → emitted pairs.
+    """The first map stage on the evaluator: raw record → emitted pairs.
 
-    A module-level callable class (not a closure) so the multiprocess
-    backend can ship it to worker processes with plain pickle.  The
-    evaluation env is built once and reused across records: only the
-    record atoms are reassigned per call.
+    With :class:`PairMapper` and :class:`ReduceApplier`, the semantic
+    reference the compiled kernels are tested against
+    (:meth:`GeneratedProgram.oracle_steps`).  Module-level callable
+    classes, so the oracle ships to pool workers like production does.
     """
 
     emits: tuple[Emit, ...]
     globals_env: dict[str, Any]
     view: DatasetView
-    _env: Optional[dict] = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_env"] = None
-        return state
 
     def __call__(self, record: Any) -> list[tuple]:
-        env = self._env
-        if env is None:
-            env = self._env = dict(self.globals_env)
-        record_env_into(self.view, record, env)
-        out = []
-        for emit in self.emits:
-            if emit.cond is not None and not eval_expr(emit.cond, env):
-                continue
-            out.append((eval_expr(emit.key, env), eval_expr(emit.value, env)))
-        return out
+        return _emitted(
+            self.emits, {**self.globals_env, **record_env(self.view, record)}
+        )
 
 
 @dataclass
 class PairMapper:
-    """A later map stage: (key, value) pair → emitted pairs.  Picklable."""
+    """A later map stage on the evaluator: (key, value) pair → pairs."""
 
     params: tuple[str, ...]
     emits: tuple[Emit, ...]
     globals_env: dict[str, Any]
-    _env: Optional[dict] = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_env"] = None
-        return state
 
     def __call__(self, pair: tuple) -> list[tuple]:
-        env = self._env
-        if env is None:
-            env = self._env = dict(self.globals_env)
-        env[self.params[0]] = pair[0]
-        env[self.params[1] if len(self.params) > 1 else "v"] = pair[1]
-        out = []
-        for emit in self.emits:
-            if emit.cond is not None and not eval_expr(emit.cond, env):
-                continue
-            out.append((eval_expr(emit.key, env), eval_expr(emit.value, env)))
-        return out
+        value_name = self.params[1] if len(self.params) > 1 else "v"
+        env = {**self.globals_env, self.params[0]: pair[0], value_name: pair[1]}
+        return _emitted(self.emits, env)
 
 
 @dataclass
 class ReduceApplier:
-    """λr as a picklable two-argument callable."""
+    """λr on the evaluator, as a two-argument callable."""
 
     body: Any
     params: tuple[str, str]
     globals_env: dict[str, Any]
-    _env: Optional[dict] = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_env"] = None
-        return state
 
     def __call__(self, a: Any, b: Any) -> Any:
-        env = self._env
-        if env is None:
-            env = self._env = dict(self.globals_env)
-        env[self.params[0]] = a
-        env[self.params[1]] = b
+        env = {**self.globals_env, self.params[0]: a, self.params[1]: b}
         return eval_expr(self.body, env)
 
 
@@ -330,14 +269,13 @@ def _pair_emit_fn(stage: MapStage, globals_env: dict[str, Any]) -> PairMapper:
     )
 
 
-def _compile_or_keep(step: Any, index: int, fragment: str) -> tuple[Any, Any]:
-    """``step`` with its evaluator callable replaced by the compiled
-    kernel of the same stage (rendered and built now, at plan time) and
-    None — or ``step`` itself and its ``REP308`` when the renderer
-    cannot express the stage."""
+def _compiled(fn: Any) -> Any:
+    """The compiled kernel of one evaluator callable's stage, rendered
+    and built now, at plan time.  IR the renderer cannot express — an
+    unknown operator, function or expression type, which the evaluator
+    rejects too — raises :class:`~repro.errors.KernelUnsupported`."""
     from .kernels import CompiledPairMapper, CompiledRecordMapper, CompiledReduce
 
-    fn = step.fn
     compiled: Any
     if isinstance(fn, RecordMapper):
         compiled = CompiledRecordMapper(
@@ -351,20 +289,8 @@ def _compile_or_keep(step: Any, index: int, fragment: str) -> tuple[Any, Any]:
         compiled = CompiledReduce(
             body=fn.body, params=fn.params, globals_env=fn.globals_env
         )
-    try:
-        compiled._ensure()
-    except KernelUnsupported as exc:
-        return step, _evaluator_diagnostic(index, str(exc), fragment)
-    return replace(step, fn=compiled), None
-
-
-def _evaluator_diagnostic(index: int, reason: str, fragment: str) -> Any:
-    """The ``REP308`` for one real-engine stage left on the evaluator."""
-    return make_diagnostic(
-        "REP308",
-        f"stage {index} runs on the tree-walking evaluator: {reason}",
-        fragment=fragment,
-    )
+    compiled._ensure()
+    return compiled
 
 
 def _stage_complexity(stage: MapStage) -> int:
@@ -451,8 +377,7 @@ class GeneratedProgram:
         lets a caller that already materialized
         ``view_records(analysis.view, inputs)`` (the planner does, for
         its samples) pass them through instead of paying the
-        transformation twice.  The outcome's ``diagnostics`` carry one
-        ``REP308`` per real-engine stage that stayed on the evaluator.
+        transformation twice.
         """
         backend = backend or self.backend
         if backend in ("spark", "hadoop", "flink"):
@@ -590,26 +515,21 @@ class GeneratedProgram:
         self,
         globals_env: dict[str, Any],
         plan: Optional["ExecutionPlan"] = None,
-    ) -> tuple[list[Any], list]:
-        """The real-engine step list for this program's pipeline, and
-        the ``REP308`` diagnostics of building it.
+    ) -> list[Any]:
+        """The real-engine step list for this program's pipeline.
 
         The job-graph executor composes several programs' step lists
         (joined by bridge steps) into one fused engine invocation, so
         this is the seam where a fragment's translation stops being a
         whole job and becomes splice-able stages.
 
-        Every stage is rendered to Python source and compiled
-        (:mod:`repro.codegen.kernels`); a stage the renderer cannot
-        express keeps its :meth:`oracle_steps` callable and reports one
-        ``REP308``.
+        Every stage of :meth:`oracle_steps` is rendered to Python source
+        and compiled (:mod:`repro.codegen.kernels`).
         """
-        fragment = self.analysis.fragment.id
-        built = [
-            _compile_or_keep(step, index, fragment)
-            for index, step in enumerate(self.oracle_steps(globals_env, plan))
+        return [
+            replace(step, fn=_compiled(step.fn))
+            for step in self.oracle_steps(globals_env, plan)
         ]
-        return [s for s, _ in built], [d for _, d in built if d is not None]
 
     def _pricing_plan(self, framework: str) -> Optional["ExecutionPlan"]:
         """The plan of the real run a simulated ``framework`` is priced
@@ -676,18 +596,10 @@ class GeneratedProgram:
                 plan=plan,
                 left_records=records if isinstance(records, list) else None,
             )
-            # The broadcast probe and the tagged shuffle wrap the
-            # evaluator callables per record: no stage compiles.
-            fragment = self.analysis.fragment.id
-            reason = "join pipelines run the evaluator callables"
-            diagnostics = [
-                _evaluator_diagnostic(index, reason, fragment)
-                for index in range(len(self.summary.pipeline.stages))
-            ]
         else:
             if records is None:
                 records = view_records(self.analysis.view, inputs)
-            steps, diagnostics = self.local_steps(globals_env, plan)
+            steps = self.local_steps(globals_env, plan)
         result = run_local_steps(plan, self.engine_config, backend, records, steps)
         result.adaptations[:0] = adaptations
         outputs = bind_outputs(
@@ -697,14 +609,13 @@ class GeneratedProgram:
             if self.has_join:
                 steps = self._join_sides(steps, inputs)
             metrics = price(framework, self.engine_config, steps, result)
-            return ExecutionOutcome(outputs, metrics, diagnostics=diagnostics)
+            return ExecutionOutcome(outputs, metrics)
         return ExecutionOutcome(
             outputs=outputs,
             metrics=result.metrics,
             wall_seconds=result.metrics.wall_seconds,
             fallback_reason=result.fallback_reason,
             engine_result=result,
-            diagnostics=diagnostics,
         )
 
 

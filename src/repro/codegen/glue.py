@@ -208,7 +208,6 @@ class AdaptiveProgram:
         # one ignores it.
         outcome = program.run(inputs, execution_plan.backend, execution_plan, records)
         report.wall_seconds = time.perf_counter() - started
-        report.diagnostics.extend(outcome.diagnostics)
         if outcome.engine_result is not None:
             report.absorb(outcome.engine_result)
         else:

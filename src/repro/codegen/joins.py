@@ -77,8 +77,8 @@ class TaggedJoinMapper:
     every other engine callable.
     """
 
-    left: Any  # RecordMapper of the left relation
-    right: Any  # RecordMapper of the right relation
+    left: Any  # the left relation's compiled record mapper
+    right: Any  # the right relation's
 
     def __call__(self, tagged: tuple) -> list[tuple]:
         tag, record = tagged
@@ -277,6 +277,7 @@ def build_join_steps(
     """
     from .base import (
         RecordMapper,
+        _compiled,
         _pair_emit_fn,
         _stage_complexity,
         view_records,
@@ -304,8 +305,8 @@ def build_join_steps(
     left_view = join.base.view
     if left_records is None:
         left_records = view_records(left_view, inputs)
-    left_mapper = RecordMapper(
-        emits=first.lam.emits, globals_env=globals_env, view=left_view
+    left_mapper = _compiled(
+        RecordMapper(emits=first.lam.emits, globals_env=globals_env, view=left_view)
     )
 
     # The level-0 broadcast build is guarded: the index grows under a
@@ -335,10 +336,12 @@ def build_join_steps(
             side = join.side_for(stage.right.source)
             right_stage = stage.right.stages[0]
             assert isinstance(right_stage, MapStage)
-            right_mapper = RecordMapper(
-                emits=right_stage.lam.emits,
-                globals_env=globals_env,
-                view=side.view,
+            right_mapper = _compiled(
+                RecordMapper(
+                    emits=right_stage.lam.emits,
+                    globals_env=globals_env,
+                    view=side.view,
+                )
             )
             strategy = (
                 strategies[level_index]
@@ -439,7 +442,10 @@ def build_join_steps(
                 steps.append(pending_left)
                 pending_left = None
             steps.append(
-                MapStep(_pair_emit_fn(stage, globals_env), _stage_complexity(stage))
+                MapStep(
+                    _compiled(_pair_emit_fn(stage, globals_env)),
+                    _stage_complexity(stage),
+                )
             )
         elif isinstance(stage, ReduceStage):
             if pending_left is not None:
@@ -449,7 +455,9 @@ def build_join_steps(
             if plan is not None:
                 combine = combine and plan.combiner_for(stage_index)
             steps.append(
-                ReduceStep(program._reduce_fn(stage, globals_env), combine=combine)
+                ReduceStep(
+                    _compiled(program._reduce_fn(stage, globals_env)), combine=combine
+                )
             )
     if pending_left is not None:
         steps.append(pending_left)

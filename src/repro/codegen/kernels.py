@@ -38,11 +38,10 @@ A summary renders to five kernels, all through one :class:`_Renderer`:
 The tree-walking callables of :mod:`repro.codegen.base`
 (``RecordMapper`` / ``PairMapper`` / ``ReduceApplier``, one
 :func:`~repro.ir.eval.eval_expr` visit per emit per record) are the
-semantic reference.  They keep two roles: the per-stage fallback when
-the renderer raises :class:`~repro.errors.KernelUnsupported` (and every
-stage of a join pipeline), and the oracle the differential tests compare
-against (:meth:`~repro.codegen.base.GeneratedProgram.oracle_steps`).
-The simulated Spark/Hadoop/Flink backends run nothing of their own.
+semantic reference and nothing else: the oracle the differential tests
+compare against (:meth:`~repro.codegen.base.GeneratedProgram.oracle_steps`).
+Every real-engine stage, a join pipeline's included, runs a kernel, and
+the simulated Spark/Hadoop/Flink backends run nothing of their own.
 
 Semantics are preserved exactly by construction:
 
@@ -56,9 +55,11 @@ Semantics are preserved exactly by construction:
 * a global the summary reads but the caller never bound raises the
   same ``unbound IR variable`` :class:`~repro.errors.IRError`.
 
-Anything the renderer cannot express raises
-:class:`~repro.errors.KernelUnsupported`; the step builder keeps that
-stage on the evaluator and records a ``REP308`` diagnostic.
+The renderer expresses everything the evaluator evaluates (a non-finite
+float constant is injected as a value).  It raises
+:class:`~repro.errors.KernelUnsupported` only for IR the evaluator
+rejects too — an unknown operator, function or expression type — and
+the step builder lets that surface at plan time.
 
 On top of the compiled loop sits an optional numpy fast path, used only
 when the typechecked view proves it exact: a single emit over any mix
@@ -81,6 +82,7 @@ once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import CodeType
@@ -170,10 +172,11 @@ class _Renderer:
     def expr(self, e: IRExpr) -> str:
         if isinstance(e, Const):
             value = e.value
-            if isinstance(value, float) and (value != value or value in (
-                float("inf"), float("-inf")
-            )):
-                raise KernelUnsupported("non-finite float constant")
+            if isinstance(value, float) and not math.isfinite(value):
+                # ``inf`` / ``nan`` have no literal: inject the constant.
+                alias = f"__const{len(self.helpers)}"
+                self.helpers[alias] = value
+                return alias
             return repr(value)
         if isinstance(e, Var):
             return self._var(e.name)
@@ -1211,7 +1214,9 @@ class CompiledRecordMapper(_Compiled):
         return _run(self._columns_fn, records)
 
     def __call__(self, record: Any) -> list[tuple]:
-        return self.map_chunk((record,))
+        """One record through the row loop: a join's per-record callers
+        (the tagged mapper, the broadcast build) skip the vector try."""
+        return self.map_rows((record,))
 
 
 @dataclass

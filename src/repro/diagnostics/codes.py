@@ -220,9 +220,10 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "REP308",
             "info",
             "stage runs on the tree-walking evaluator",
-            "the source renderer could not express this stage (the "
-            "message carries its reason), so it keeps the evaluator "
-            "callable; results are identical, only slower",
+            "no longer emitted: every real-engine stage runs a compiled "
+            "kernel, and IR the renderer cannot express raises "
+            "KernelUnsupported at plan time (codes are append-only, so "
+            "this one stays registered)",
         ),
         _entry(
             "REP309",

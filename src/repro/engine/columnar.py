@@ -370,8 +370,9 @@ def fold_columns(
     A reducer that carries its own ``fold`` kernel (the compiled λr of
     :class:`~repro.codegen.kernels.CompiledReduce`, inlined into this
     very loop) runs the batch in one call; any other callable — a plain
-    function, the ``REP308`` evaluator fallback — is applied pair by
-    pair.  Both are the same fold, so callers never need to know which.
+    function, a join's ``JoinFold``, the evaluator oracle — is applied
+    pair by pair.  Both are the same fold, so callers never need to know
+    which.
     """
     fold = getattr(fn, "fold", None)
     if fold is not None:

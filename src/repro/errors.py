@@ -99,9 +99,9 @@ class CodegenError(ReproError):
 
 
 class KernelUnsupported(CodegenError):
-    """Raised when the source renderer cannot express a stage.  The
-    step builder keeps that stage on the tree-walking evaluator and
-    records a ``REP308`` diagnostic; the job's results are unchanged."""
+    """Raised at plan time when the source renderer cannot express a
+    stage: IR the evaluator rejects too (an unknown operator, function
+    or expression type), which synthesis never produces."""
 
 
 class WorkloadError(ReproError):

@@ -345,7 +345,7 @@ def _run_chain(
     # The plan's per-stage combiner decisions index the head program's
     # stages, so only the head's steps honour them; downstream nodes
     # keep the proof-gated default.
-    steps, diagnostics = chosen.local_steps(globals_env, execution_plan)
+    steps = chosen.local_steps(globals_env, execution_plan)
     bridges: list[StitchBridge] = []
 
     prev = (head, chosen, globals_env, output_sizes)
@@ -365,9 +365,7 @@ def _run_chain(
             )
             bridges.append(bridge)
             steps.append(BridgeStep(bridge))
-        node_steps, node_diagnostics = node_chosen.local_steps(node_globals)
-        steps.extend(node_steps)
-        diagnostics.extend(node_diagnostics)
+        steps.extend(node_chosen.local_steps(node_globals))
         prev = (node, node_chosen, node_globals, node_sizes)
 
     tail_node, tail_chosen, tail_globals, tail_sizes = prev
@@ -389,7 +387,6 @@ def _run_chain(
     outcome.simulated_seconds = result.metrics.simulated_seconds
     if report is not None:
         report.absorb(result)
-        report.diagnostics.extend(diagnostics)
         report.wall_seconds = result.metrics.wall_seconds
         outcome.report = report
 

@@ -10,9 +10,7 @@ cluster ranking, and (after execution) the measured wall-clock time and
 any fallback the engine had to take.
 
 A plan names no kernel and no chunk layout: on the real local backends
-every stage runs its compiled kernel over column chunks, and a stage the
-renderer could not express runs the tree-walking evaluator and says so
-with a ``REP308`` diagnostic on the report — not a ``reasons`` string.
+every stage runs its compiled kernel over column chunks.
 """
 
 from __future__ import annotations
@@ -115,9 +113,9 @@ class PlanReport:
     backend_used: str = ""
     wall_seconds: float = 0.0
     fallback_reason: Optional[str] = None
-    #: Structured diagnostics for planner decisions, evaluator-fallback
-    #: stages and engine fallbacks (:mod:`repro.diagnostics` REP3xx
-    #: codes), in emission order.
+    #: Structured diagnostics for planner decisions, sampler fallbacks
+    #: and engine fallbacks (:mod:`repro.diagnostics` REP3xx codes), in
+    #: emission order.
     diagnostics: list = field(default_factory=list)
     #: Pickle-probe disagreements: payloads the static analyzer cleared
     #: but the runtime ``pickle.dumps`` probe rejected.

@@ -77,11 +77,8 @@ def estimate_input_bytes(records: Any) -> Optional[int]:
 #: (DESIGN.md, "Pricing the pool", has the procedure and a
 #: predicted-vs-measured table) and never measured again — not at
 #: import, not per ``Session``, not per plan.
-#: Seconds one IR operator node costs one record on a compiled kernel …
+#: Seconds one IR operator node costs one record on a compiled kernel.
 COMPILED_OP_S = 0.40e-6
-#: … and on the tree-walking evaluator (every stage of a join pipeline,
-#: and a stage the kernel renderer could not express — its ``REP308``).
-EVALUATOR_OP_S = 2.9e-6
 #: Seconds to move one estimated input byte to a worker: pickled by the
 #: driver *and* unpickled by the worker.
 SHIP_BYTE_S = 36e-9
@@ -145,12 +142,12 @@ def price_backends(
 
     A pure function of its arguments and the module constants — the
     whole pool-or-sequential decision.  ``stages`` are the priced rows
-    (``ops``, ``reach``, ``rate`` each); ``n`` None is the unknown-length
-    stream, answered in seconds *per record* as n → ∞: start-up
-    amortises away and only the per-record terms are left to compare.
+    (``ops`` and ``reach`` each; every stage runs a compiled kernel);
+    ``n`` None is the unknown-length stream, answered in seconds *per
+    record* as n → ∞: start-up amortises away and only the per-record
+    terms are left to compare.
     """
-    rates = {"compiled": COMPILED_OP_S, "evaluator": EVALUATOR_OP_S}
-    work = sum(row["ops"] * row["reach"] * rates[row["rate"]] for row in stages)
+    work = sum(row["ops"] * row["reach"] * COMPILED_OP_S for row in stages)
     records = 1 if n is None else n
     startup = 0.0 if n is None else POOL_STARTUP_S * processes
     return {
@@ -180,10 +177,8 @@ class ExecutionPlanner:
     #: ``pickle.dumps`` backstop rejected it (a REP307 disagreement).
     probe_disagreement: bool = False
     #: Per implementation (``id`` of the program the planner's owner
-    #: holds): its §5.1 cost expression and :func:`stage_ops` rows, and
-    #: — asked on the first multi-CPU plan — which rate prices each stage.
+    #: holds): its §5.1 cost expression and :func:`stage_ops` rows.
     static_costs: dict[int, tuple[CostExpr, tuple]] = field(default_factory=dict)
-    _stage_rates: dict[int, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # Compile-time half
@@ -341,7 +336,7 @@ class ExecutionPlanner:
             provenance=provenance,
         )
         backend, estimated = self._backend_decision(
-            program, head, globals_env, n, estimates, processes, reasons, provenance
+            program, head, n, estimates, processes, reasons, provenance
         )
         budget = options.memory_budget
         spill, est_bytes = self._spill_decision(
@@ -412,7 +407,6 @@ class ExecutionPlanner:
         self,
         program: "GeneratedProgram",
         head: list,
-        globals_env: dict[str, Any],
         n: Optional[int],
         estimates: SampleEstimates,
         processes: int,
@@ -437,18 +431,9 @@ class ExecutionPlanner:
             provenance["backend"] = {"processes": processes, "chosen": "sequential"}
             return "sequential", {}
         known = estimates.as_dict()
-        rates = self._rates(program, globals_env)
         stages = [
-            {
-                "stage": index,
-                "kind": kind,
-                "ops": ops,
-                "rate": rate,
-                "reach": reach.evaluate(known),
-            }
-            for (index, kind, ops, reach), rate in zip(
-                self.static_costs[id(program)][1], rates
-            )
+            {"stage": index, "kind": kind, "ops": ops, "reach": reach.evaluate(known)}
+            for index, kind, ops, reach in self.static_costs[id(program)][1]
         ]
         sample = head[:BYTE_SAMPLE_RECORDS]
         bytes_per_record = dataset_bytes(sample) / len(sample) if sample else 0.0
@@ -476,7 +461,6 @@ class ExecutionPlanner:
             "bytes_per_record": bytes_per_record,
             "constants": {
                 "compiled_op_s": COMPILED_OP_S,
-                "evaluator_op_s": EVALUATOR_OP_S,
                 "ship_byte_s": SHIP_BYTE_S,
                 "pool_startup_s": POOL_STARTUP_S,
                 "parallel_margin": PARALLEL_MARGIN,
@@ -486,31 +470,6 @@ class ExecutionPlanner:
             "chosen": backend,
         }
         return backend, {} if n is None else predicted
-
-    def _rates(
-        self, program: "GeneratedProgram", globals_env: dict[str, Any]
-    ) -> tuple[str, ...]:
-        """Which constant prices each stage of ``program``: the
-        evaluator's for every stage of a join pipeline and for a stage
-        that kept its evaluator callable (the renderer could not express
-        it), the compiled kernel's otherwise.  A property of the IR, so
-        asked once per program — on its first multi-CPU plan."""
-        rates = self._stage_rates.get(id(program))
-        if rates is None:
-            from ..codegen.base import PairMapper, RecordMapper, ReduceApplier
-
-            if program.has_join:
-                rates = ("evaluator",) * len(program.summary.pipeline.stages)
-            else:
-                steps, _diagnostics = program.local_steps(globals_env)
-                rates = tuple(
-                    "evaluator"
-                    if isinstance(step.fn, (RecordMapper, PairMapper, ReduceApplier))
-                    else "compiled"
-                    for step in steps
-                )
-            self._stage_rates[id(program)] = rates
-        return rates
 
     @staticmethod
     def _right_samples(

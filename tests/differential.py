@@ -4,18 +4,21 @@ Each registered benchmark is compiled once (through the session-wide
 ``suite_cache``, shared with ``benchmarks/``) and every translated
 fragment is run twice on the real sequential engine — the tree-walking
 oracle steps and the one production path (compiled kernels over column
-chunks) — beside the reference interpreter (join pipelines, whose one
-step builder wraps the evaluator callables, are run once).  ``test_kernels`` asserts
-the outputs and ``test_layout_sweep`` the per-stage counters, so the
-sweep costs one pass however many properties read it.
+chunks) — beside the reference interpreter.  A join pipeline's oracle is
+its own step builder with every kernel left on the evaluator callable it
+compiles.  ``test_kernels`` asserts the outputs and
+``test_layout_sweep`` the per-stage counters, so the sweep costs one
+pass however many properties read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from unittest import mock
 
 from repro import ExecOptions
+from repro.codegen import base
 from repro.codegen.base import (
     bind_outputs,
     prepare_globals,
@@ -44,9 +47,18 @@ def translated_fragments(compilation):
 
 
 def run_oracle(program, inputs: dict, plan: ExecutionPlan):
-    """A join-free ``program`` (a ``GeneratedProgram``) on the real
-    local engine with ``oracle_steps`` — the tree-walking evaluator —
-    in place of ``local_steps``; returns ``(outputs, metrics)``."""
+    """``program`` (a ``GeneratedProgram``) on the real local engine
+    with ``oracle_steps`` — the tree-walking evaluator — in place of
+    ``local_steps``; returns ``(outputs, metrics)``.
+
+    A join pipeline's steps come from ``build_join_steps``, which
+    compiles each evaluator callable it builds (broadcast index build
+    included) through ``base._compiled``: with that the identity, the
+    same step list runs on the evaluator."""
+    if program.has_join:
+        with mock.patch.object(base, "_compiled", lambda fn: fn):
+            ran = program.run(inputs, plan.backend, plan)
+        return ran.outputs, ran.metrics
     globals_env, output_sizes = prepare_globals(program.analysis, inputs)
     records = view_records(program.analysis.view, inputs)
     steps = program.oracle_steps(globals_env, plan)
@@ -94,12 +106,7 @@ def sweep(name: str) -> tuple[FragmentSweep, ...]:
         reference = interpret_fragment(fragment.analysis, env)
         ran = fragment.program.run(dict(env), PRODUCTION)
         chosen = fragment.program.programs[int(ran.implementation.split("_")[1])]
-        if chosen.has_join:
-            # Production already ran the evaluator callables (one REP308
-            # per stage says so): it is its own oracle.
-            oracle, oracle_metrics = ran.outputs, ran.metrics
-        else:
-            oracle, oracle_metrics = run_oracle(chosen, dict(env), plan)
+        oracle, oracle_metrics = run_oracle(chosen, dict(env), plan)
         results.append(
             FragmentSweep(
                 reference=reference,

@@ -76,7 +76,7 @@ def _steps(name: str, inputs, oracle: bool = False):
     globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
     if oracle:
         return program.oracle_steps(globals_env)
-    return program.local_steps(globals_env)[0]
+    return program.local_steps(globals_env)
 
 
 def _pairs_equal(lhs: list, rhs: list) -> bool:

@@ -92,8 +92,7 @@ class TestKeyedPathCalls:
         ]
         inputs = {"wordList": words}
         globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
-        steps, diagnostics = fragment.program.programs[0].local_steps(globals_env)
-        assert not diagnostics  # every stage compiled
+        steps = fragment.program.programs[0].local_steps(globals_env)
         return view_records(fragment.analysis.view, inputs), steps
 
     @pytest.mark.parametrize("budget", [None, 64 * 1024])

@@ -11,7 +11,8 @@ spill-to-disk path for representative benchmarks.  Alongside that, unit
 tests pin the semantics the renderer must preserve exactly (Java
 division errors, unbound globals, pickling), that nothing is left to
 choose (no kernel, layout or transport option, one memoized code object
-per source, a coded ``REP308`` when a stage stays on the evaluator).
+per source, join pipelines on the same kernels, IR the renderer cannot
+express refused at plan time).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import pytest
@@ -33,12 +34,21 @@ from differential import (
     RUN_SIZE,
     compiled,
     outputs_match as _match,
+    run_oracle,
+    stage_counters,
     sweep,
     translated_fragments as _translated_fragments,
 )
 from repro import ExecOptions, Session
-from repro.codegen import kernels
-from repro.codegen.base import RecordMapper, prepare_globals, view_records
+from repro.codegen import base, kernels
+from repro.codegen.base import prepare_globals, view_records
+from repro.codegen.joins import (
+    BroadcastLookup,
+    JoinExpand,
+    JoinFold,
+    TaggedJoinMapper,
+    build_join_steps,
+)
 from repro.codegen.kernels import (
     CompiledPairMapper,
     CompiledRecordMapper,
@@ -57,12 +67,14 @@ from repro.ir.nodes import (
     Cond,
     Const,
     Emit,
+    JoinStage,
     Proj,
     ReduceStage,
     TupleExpr,
     Var,
 )
 from repro.lang.values import values_equal
+from repro.planner.plan import ExecutionPlan, forced_plan
 from repro.workloads import all_benchmarks, get_benchmark
 
 # ----------------------------------------------------------------------
@@ -128,22 +140,52 @@ def test_compiled_through_fused_graph():
     assert all(values_equal(outputs[k], reference[k]) for k in common)
 
 
-def test_join_pipelines_fall_back_to_eval():
-    compilation = compiled("joins_partsupp_cost")
-    benchmark = get_benchmark("joins_partsupp_cost")
-    inputs = benchmark.make_inputs(RUN_SIZE, 5)
-    fragment = _translated_fragments(compilation)[0]
-    program = fragment.program.programs[0]
-    reference = interpret_fragment(fragment.analysis, dict(inputs))
+_JOINS = ("joins_partsupp_cost", "joins_q3_revenue", "joins_three_way_cost")
+#: Join machinery that moves values without evaluating any IR.
+_JOIN_PLUMBING = (TaggedJoinMapper, JoinFold, JoinExpand, BroadcastLookup)
+_COMPILED = (CompiledRecordMapper, CompiledPairMapper, CompiledReduce)
+
+
+@pytest.mark.parametrize("name", _JOINS)
+def test_join_pipelines_run_compiled_kernels(name):
+    fragment = _translated_fragments(compiled(name))[0]
+    inputs = get_benchmark(name).make_inputs(RUN_SIZE, 5)
     ran = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
-    assert _match(ran.outputs, reference)
-    # Every stage of a join pipeline stays on the evaluator callables,
-    # and says so once, in code — not in a reasons string.
-    fallbacks = [d for d in ran.report.diagnostics if d.code == "REP308"]
-    assert len(fallbacks) == len(program.summary.pipeline.stages)
-    assert all("join pipelines" in d.message for d in fallbacks)
-    assert all(d.fragment == fragment.analysis.fragment.id for d in fallbacks)
+    assert _match(ran.outputs, interpret_fragment(fragment.analysis, dict(inputs)))
+    assert not [d for d in ran.report.diagnostics if d.code == "REP308"]
     assert not _names_kernel_or_layout(ran.report)
+    globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
+    for program in fragment.program.programs:
+        stages = program.summary.pipeline.stages
+        later = ("broadcast",) * (sum(isinstance(s, JoinStage) for s in stages) - 1)
+        for first in ("broadcast", "reduce_side"):
+            plan = ExecutionPlan("sequential", join_strategies=(first, *later))
+            steps = build_join_steps(program, globals_env, dict(inputs), plan)[1]
+            fns = [step.fn for step in steps]
+            tagged = [fn for fn in fns if isinstance(fn, TaggedJoinMapper)]
+            assert len(tagged) == (first == "reduce_side")
+            fns += [side for fn in tagged for side in (fn.left, fn.right)]
+            evaluating = [fn for fn in fns if not isinstance(fn, _JOIN_PLUMBING)]
+            assert evaluating
+            assert all(isinstance(fn, _COMPILED) for fn in evaluating)
+
+
+def test_join_runs_interpret_no_ir_per_record(monkeypatch):
+    # What is left on the evaluator is glue (``bind_outputs``), so the
+    # count does not grow with the input.
+    calls = []
+    real = base.eval_expr
+    monkeypatch.setattr(
+        base, "eval_expr", lambda e, env: calls.append(e) or real(e, env)
+    )
+    fragment = _translated_fragments(compiled("joins_q3_revenue"))[0]
+    counts = []
+    for orders in (300, 3000):
+        calls.clear()
+        inputs = get_benchmark("joins_q3_revenue").make_inputs(orders, 5)
+        fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # ----------------------------------------------------------------------
@@ -171,43 +213,56 @@ def test_planned_runs_execute_compiled_steps_at_any_size(size):
         if vectorizable:
             assert ran.report.summary()["columnar"]["columnar_chunks"] > 0
         program, _stage, globals_env, _records = _first_map_stage(name)
-        steps, _diagnostics = program.local_steps(globals_env, ran.report.plan)
+        steps = program.local_steps(globals_env, ran.report.plan)
         assert all(type(step.fn).__name__.startswith("Compiled") for step in steps)
 
 
-def test_unrenderable_stage_is_one_coded_diagnostic(monkeypatch):
+def _with_first_emit(program, **changes):
+    """``program`` with its first map stage's first emit changed."""
+    first = program.summary.pipeline.stages[0]
+    emits = (replace(first.lam.emits[0], **changes), *first.lam.emits[1:])
+    stage = replace(first, lam=replace(first.lam, emits=emits))
+    pipeline = replace(
+        program.summary.pipeline,
+        stages=(stage, *program.summary.pipeline.stages[1:]),
+    )
+    return replace(program, summary=replace(program.summary, pipeline=pipeline))
+
+
+def test_non_finite_constant_runs_compiled():
     name = "stats_variance_sums"
     fragment = _translated_fragments(compiled(name))[0]
     inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
-    clean = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
-    assert clean.report.diagnostics == []
+    program = fragment.program.programs[0]
+    emit = program.summary.pipeline.stages[0].lam.emits[0]
+    # A filter every record passes, spelled with the one constant that
+    # has no Python literal.
+    passes = BinOp("<", emit.value, Const(float("inf")))
+    program = _with_first_emit(program, cond=passes)
+    ran = program.run(dict(inputs), "sequential")
+    assert ran.diagnostics == []
+    oracle, metrics = run_oracle(program, dict(inputs), forced_plan("sequential"))
+    assert ran.outputs == oracle
+    assert stage_counters(ran.metrics) == stage_counters(metrics)
+    globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
+    assert "__const" in program.local_steps(globals_env)[0].fn.source
 
-    def refuse(emits, view):
-        raise KernelUnsupported("renderer refused (test)")
 
-    monkeypatch.setattr(kernels, "render_record_kernel", refuse)
-    ran = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
-    assert ran.outputs == clean.outputs
-    [fallback] = ran.report.diagnostics
-    assert (fallback.code, fallback.severity) == ("REP308", "info")
-    assert fallback.message.startswith("stage 0 ")
-    assert "renderer refused" in fallback.message
-    assert fallback.fragment == fragment.analysis.fragment.id
-    assert not _names_kernel_or_layout(ran.report)
-    # The stage kept its oracle callable; the stages after it compiled.
-    program, _stage, globals_env, _records = _first_map_stage(name)
-    steps, [built] = program.local_steps(globals_env)
-    assert built == fallback
-    assert isinstance(steps[0].fn, RecordMapper)
-    assert isinstance(steps[-1].fn, CompiledReduce)
-    # An unplanned run has no report; the outcome itself carries it.
-    unplanned = program.run(dict(inputs), "sequential")
-    assert unplanned.report is None and unplanned.diagnostics == [fallback]
-    # ... and the diagnostic reaches the job's result.
-    with Session(max_workers=0) as session:
-        options = ExecOptions(plan="sequential")
-        job = session.run(compiled(name), dict(inputs), options, fragment_index=0)
-    assert [d.code for d in job.diagnostics].count("REP308") == 1
+def test_unmodelled_function_is_refused_at_plan_time():
+    name = "stats_variance_sums"
+    fragment = _translated_fragments(compiled(name))[0]
+    inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
+    program = fragment.program.programs[0]
+    emit = program.summary.pipeline.stages[0].lam.emits[0]
+    program = _with_first_emit(program, value=CallFn("frobnicate", (emit.value,)))
+    globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
+    with pytest.raises(KernelUnsupported, match="unmodelled IR function 'frobnicate'"):
+        program.local_steps(globals_env)
+    with pytest.raises(KernelUnsupported):
+        program.run(dict(inputs), "sequential")
+    # The evaluator rejects the same IR, only later: per record.
+    with pytest.raises(IRError, match="unmodelled IR function 'frobnicate'"):
+        run_oracle(program, dict(inputs), forced_plan("sequential"))
 
 
 #: Every field is a knob tests and benchmarks must cover; adding one has
@@ -397,9 +452,7 @@ def _compiled_stages(name: str) -> tuple:
                     continue
                 globals_env, _sizes = prepare_globals(fragment.analysis, env)
                 rows = view_records(fragment.analysis.view, env)
-                for step in program.local_steps(globals_env)[0]:
-                    if not type(step.fn).__name__.startswith("Compiled"):
-                        break  # an evaluator stage: nothing rendered
+                for step in program.local_steps(globals_env):
                     if isinstance(step, MapStep):
                         stages.append(("map", step.fn, rows))
                         rows = step.fn.map_chunk(rows)
@@ -648,7 +701,7 @@ def test_pooled_keyed_path_matches_inline(budget):
     program, _stage, globals_env, _records = _first_map_stage("phoenix_wordcount")
     words = [f"w{(i * 7919) % 211}" for i in range(6000)]
     records = view_records(program.analysis.view, {"wordList": words})
-    steps = program.local_steps(globals_env)[0]
+    steps = program.local_steps(globals_env)
     config = program.engine_config.with_framework("multiprocess")
 
     def run(processes):
@@ -675,29 +728,7 @@ def test_pooled_keyed_path_matches_inline(budget):
 
 
 @pytest.mark.parametrize("budget", [None, 2048])
-def test_callables_without_kernels_take_the_generic_fold(budget, monkeypatch):
-    # An evaluator-fallback reducer (REP308) ...
-    name = "phoenix_wordcount"
-    fragment = _translated_fragments(compiled(name))[0]
-    inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
-    options = ExecOptions(plan="sequential", memory_budget=budget)
-    clean = fragment.program.run(dict(inputs), options)
-
-    def refuse(body, params):
-        raise KernelUnsupported("renderer refused (test)")
-
-    monkeypatch.setattr(kernels, "render_reduce_kernel", refuse)
-    ran = fragment.program.run(dict(inputs), options)
-    assert [d.code for d in ran.report.diagnostics] == ["REP308"]
-    assert ran.outputs == clean.outputs
-    assert [
-        (s.name, s.records_in, s.records_out, s.bytes_out, s.bytes_shuffled)
-        for s in ran.metrics.stages
-    ] == [
-        (s.name, s.records_in, s.records_out, s.bytes_out, s.bytes_shuffled)
-        for s in clean.metrics.stages
-    ]
-    # ... and plain callables end to end.
+def test_callables_without_kernels_take_the_generic_fold(budget):
     words = [f"w{i % 17}" for i in range(900)]
     plain = MultiprocessEngine(processes=0, memory_budget=budget).run_pipeline(
         words, [MapStep(lambda w: [(w, 1)]), ReduceStep(lambda a, b: a + b)]
@@ -708,7 +739,7 @@ def test_callables_without_kernels_take_the_generic_fold(budget, monkeypatch):
 
 def _pooled_steps(name: str):
     program, _stage, globals_env, records = _first_map_stage(name)
-    return program, records, program.local_steps(globals_env)[0], globals_env
+    return program, records, program.local_steps(globals_env), globals_env
 
 
 def test_unknown_transport_rejected():

@@ -163,6 +163,10 @@ class TestAutoPlanning:
             assert report.plan.partitions is None  # engine default
 
 
+#: The keys of one priced stage row.
+PRICED_ROW = {"stage", "kind", "ops", "reach"}
+
+
 def choice_from_summary(summary: dict) -> str:
     """The backend a plan must have chosen, from its report's summary and
     nothing else — what ``estimates["backend"]`` exists for."""
@@ -171,11 +175,8 @@ def choice_from_summary(summary: dict) -> str:
     if processes < 2:
         return "sequential"
     constants = evidence["constants"]
-    rate = {
-        "compiled": constants["compiled_op_s"],
-        "evaluator": constants["evaluator_op_s"],
-    }
-    work = sum(s["ops"] * s["reach"] * rate[s["rate"]] for s in evidence["stages"])
+    rate = constants["compiled_op_s"]
+    work = sum(s["ops"] * s["reach"] * rate for s in evidence["stages"])
     n = evidence["input_records"]
     records, startup = (1, 0.0) if n is None else (n, constants["pool_startup_s"])
     sequential = work * records
@@ -209,10 +210,11 @@ class TestPricedBackendChoice:
         assert set(report.estimated_seconds) == {"sequential", "multiprocess"}
         evidence = report.estimates["backend"]
         assert evidence["processes"] == 8 and evidence["input_records"] == len(WORDS)
-        assert [(s["stage"], s["kind"], s["rate"]) for s in evidence["stages"]] == [
-            (0, "map", "compiled"),
-            (1, "reduce", "compiled"),
+        assert [(s["stage"], s["kind"]) for s in evidence["stages"]] == [
+            (0, "map"),
+            (1, "reduce"),
         ]
+        assert all(set(s) == PRICED_ROW for s in evidence["stages"])
 
     def test_expensive_ops_choose_the_pool_with_eight_workers(
         self, wc_result, eight_cpus, monkeypatch
@@ -252,16 +254,27 @@ class TestPricedBackendChoice:
         report = self.plan_report(wc_result, {"words": list(WORDS)})
         assert report.plan.backend == "multiprocess"
 
-    def test_evaluator_stages_pay_the_evaluator_rate(self, eight_cpus):
+    def test_join_stages_are_priced_at_the_one_rate(self, eight_cpus):
         from suite_cache import compiled
         from repro.workloads import get_benchmark
 
         fragment = compiled("joins_partsupp_cost").fragments[0]
         inputs = get_benchmark("joins_partsupp_cost").make_inputs(400, 7)
         report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
-        stages = report.estimates["backend"]["stages"]
-        assert {s["rate"] for s in stages} == {"evaluator"}
-        assert "join" in {s["kind"] for s in stages}
+        evidence = report.estimates["backend"]
+        assert "join" in {s["kind"] for s in evidence["stages"]}
+        assert all(set(s) == PRICED_ROW for s in evidence["stages"])
+        work = sum(s["ops"] * s["reach"] for s in evidence["stages"])
+        n = evidence["input_records"]
+        assert evidence["predicted"]["sequential"] == pytest.approx(
+            work * planner_module.COMPILED_OP_S * n
+        )
+        assert set(evidence["constants"]) == {
+            "compiled_op_s",
+            "ship_byte_s",
+            "pool_startup_s",
+            "parallel_margin",
+        }
         assert choice_from_summary(report.summary()) == report.plan.backend
 
     def test_unknown_length_stream_is_priced_per_record(

@@ -22,7 +22,6 @@ from repro.graph import interpret_reference, run_graph
 from repro.lang.interpreter import Interpreter
 from repro.lang.values import values_equal
 from repro.planner import planner as planner_module
-from repro.planner.planner import ExecutionPlanner
 from repro.workloads import all_benchmarks, get_benchmark
 from repro.workloads.runner import run_benchmark_graph
 from suite_cache import compiled
@@ -239,7 +238,6 @@ class TestDeterministicPlanning:
         monkeypatch.setattr(planner_module, "default_process_count", lambda: 1)
         monkeypatch.setattr(planner_module, "price_backends", _fail)
         monkeypatch.setattr(planner_module, "static_unpicklable_reason", _fail)
-        monkeypatch.setattr(ExecutionPlanner, "_rates", _fail)
         report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
         assert report.plan.backend == "sequential"
         assert any("1 CPU(s) available" in r for r in report.plan.reasons)
