@@ -137,7 +137,7 @@ def view_records(view: DatasetView, inputs: dict[str, Any]) -> Any:
     if view.kind == "array1d":
         arrays = [inputs[name] for name in view.sources]
         length = min(len(a) for a in arrays)
-        return [(i, *(a[i] for a in arrays)) for i in range(length)]
+        return list(zip(range(length), *arrays))
     if view.kind == "array2d":
         matrix = inputs[view.sources[0]]
         return [

@@ -67,7 +67,9 @@ of int/float/bool columns, with the value (and filter, and key when it
 is record-dependent) expression built from ops whose int64/float64
 semantics are bit-identical to the evaluator's Python semantics
 (``+ - *``, comparisons, ``abs``/``sq``/``sqrt``/``floor``/``ceil``/
-``to_double``, boolean combinations, if-then-else).  Int64 arithmetic
+``to_double``, boolean combinations, if-then-else).  numpy itself is
+imported by the first stage those checks accept, never at module load,
+so a job without a vector kernel never loads it.  Int64 arithmetic
 is overflow-*guarded*: each op prechecks conservative magnitude bounds
 and raises :class:`GuardTrip` instead of wrapping, and float results
 containing inf/NaN reject the chunk — either way the compiled row loop
@@ -110,11 +112,6 @@ from ..ir.nodes import (
 )
 from ..engine.columnar import ColumnBlock, ColumnSpec, resolve_columns
 from ..lang.analysis.loops import DatasetView
-
-try:  # pragma: no cover - numpy is present in the toolchain image
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +582,9 @@ _I64_MAX = 2**63 - 1
 
 def _int_bound(value: Any) -> int:
     """Max |operand| as a Python int — arrays and scalars alike."""
-    if isinstance(value, _np.ndarray):
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
         if value.shape[0] == 0:
             return 0
         return max(abs(int(value.max())), abs(int(value.min())))
@@ -626,19 +625,25 @@ def _guarded_neg(a: Any) -> Any:
 def _guarded_abs(a: Any) -> Any:
     if _int_bound(a) > _I64_MAX:
         raise GuardTrip("abs of int64 min overflows")
-    return _np.abs(a)
+    import numpy as np
+
+    return np.abs(a)
 
 
 def _guarded_where(cond: Any, then: Any, other: Any) -> Any:
     if max(_int_bound(then), _int_bound(other)) > _I64_MAX:
         raise GuardTrip("int64 select could overflow")
-    return _np.where(cond, then, other)
+    import numpy as np
+
+    return np.where(cond, then, other)
 
 
 def _to_double(value: Any) -> Any:
     # int64 → float64 rounds to nearest, exactly like Python float(int).
-    if isinstance(value, _np.ndarray):
-        return value.astype(_np.float64)
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float64)
     return float(value)
 
 
@@ -669,7 +674,9 @@ class _VecRenderer:
         return alias
 
     def _np_helper(self, np_name: str) -> str:
-        return self._helper(f"__np_{np_name}", getattr(_np, np_name))
+        import numpy as np
+
+        return self._helper(f"__np_{np_name}", getattr(np, np_name))
 
     def expr(self, e: IRExpr) -> tuple[str, str, bool]:
         if isinstance(e, Const):
@@ -891,31 +898,33 @@ class VectorKernel:
         self.key_const = key_const
 
     def run_block(self, columns: dict[str, Any]) -> Optional[ColumnBlock]:
+        import numpy as np
+
         arrays = [columns[spec.name] for spec in self.specs]
         length = int(arrays[0].shape[0]) if arrays else 0
         try:
-            with _np.errstate(all="ignore"):
+            with np.errstate(all="ignore"):
                 values = self._value_fn(*arrays)
                 keys = self._key_fn(*arrays) if self._key_fn is not None else None
                 if self._cond_fn is not None:
                     mask = self._cond_fn(*arrays)
-                    if not isinstance(mask, _np.ndarray) or mask.dtype != _np.bool_:
+                    if not isinstance(mask, np.ndarray) or mask.dtype != np.bool_:
                         return None
                     values = values[mask]
                     if keys is not None:
                         keys = keys[mask]
         except (GuardTrip, OverflowError, TypeError, ValueError):
             return None
-        if not isinstance(values, _np.ndarray) or values.ndim != 1:
+        if not isinstance(values, np.ndarray) or values.ndim != 1:
             return None
         if self._cond_fn is None and values.shape[0] != length:
             return None
-        if values.dtype.kind == "f" and not bool(_np.isfinite(values).all()):
+        if values.dtype.kind == "f" and not bool(np.isfinite(values).all()):
             return None  # inf/NaN chain: the row loop reproduces it exactly
         if keys is not None:
-            if not isinstance(keys, _np.ndarray) or keys.shape != values.shape:
+            if not isinstance(keys, np.ndarray) or keys.shape != values.shape:
                 return None
-            if keys.dtype.kind == "f" and not bool(_np.isfinite(keys).all()):
+            if keys.dtype.kind == "f" and not bool(np.isfinite(keys).all()):
                 return None
         return ColumnBlock(values=values, keys=keys, key_const=self.key_const)
 
@@ -945,7 +954,7 @@ def try_vectorize(
     return None per chunk whenever exactness cannot be certified, and
     the compiled row loop takes over.
     """
-    if _np is None or len(emits) != 1:
+    if len(emits) != 1:
         return None
     emit = emits[0]
     try:
@@ -962,6 +971,12 @@ def try_vectorize(
         return None  # record-independent filter: leave it to the loop
     specs = column_specs(view, needed)
     if specs is None:
+        return None
+    # The first stage the static checks accept loads numpy; a job that
+    # never gets here never imports it.
+    try:
+        import numpy  # noqa: F401
+    except ImportError:  # pragma: no cover - numpy is present in the toolchain image
         return None
     arguments = {
         spec.name: (f"__c{index}", spec.kind)

@@ -31,6 +31,11 @@ promised (``type(v) is int`` — bools excluded — for integral columns,
 booleans) and, for ints, every value fits int64.  Anything else marks
 the column invalid and the caller falls back to the compiled row loop —
 never silently wrong.
+
+numpy is imported by the functions that build or fold arrays
+(:func:`build_column`, :func:`grouped_fold`), never at module load: a
+job whose stages are not vectorizable does not load it.  Without numpy
+every column is invalid and the row loop runs.
 """
 
 from __future__ import annotations
@@ -50,11 +55,6 @@ from .sizes import (
     sizeof,
     sizeof_pair,
 )
-
-try:  # pragma: no cover - numpy is present in the toolchain image
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: int64 magnitude bound used by every overflow guard.
 I64_MAX = 2**63 - 1
@@ -141,8 +141,13 @@ def _extract_data(rows: list, spec: ColumnSpec) -> list:
 def build_column(rows: list, spec: ColumnSpec) -> Optional[Any]:
     """One validated column array, or None when the data breaks the
     type promise (mixed types, bools in int columns, out-of-int64
-    values) — the caller then runs the row loop for this chunk."""
-    if _np is None:
+    values) — the caller then runs the row loop for this chunk.
+
+    numpy is imported here, by the first column a vector kernel asks
+    for; without numpy every column is None and the row loop runs."""
+    try:
+        import numpy as np
+    except ImportError:  # pragma: no cover - numpy is present in the toolchain image
         return None
     try:
         data = _extract_data(rows, spec)
@@ -156,12 +161,12 @@ def build_column(rows: list, spec: ColumnSpec) -> Optional[Any]:
         return None
     if spec.kind == "int":
         try:
-            return _np.asarray(data, dtype=_np.int64)
+            return np.asarray(data, dtype=np.int64)
         except (OverflowError, ValueError):
             return None  # a value outside int64 — row loop keeps bignums
     if spec.kind == "float":
-        return _np.asarray(data, dtype=_np.float64)
-    return _np.asarray(data, dtype=_np.bool_)
+        return np.asarray(data, dtype=np.float64)
+    return np.asarray(data, dtype=np.bool_)
 
 
 def resolve_columns(
@@ -258,12 +263,14 @@ class ColumnBlock:
 
 def _scalar_sizes(array: Any) -> list[int]:
     """sizeof() of each element, computed on the array."""
-    if array.dtype == _np.bool_:
+    import numpy as np
+
+    if array.dtype == np.bool_:
         return [BOOLEAN_SIZE] * int(array.shape[0])
     if array.dtype.kind == "f":
         return [DOUBLE_SIZE] * int(array.shape[0])
     small = (array >= -(2**31)) & (array < 2**31)
-    return _np.where(small, INT_SIZE, LONG_SIZE).tolist()
+    return np.where(small, INT_SIZE, LONG_SIZE).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +286,8 @@ def _int_bound(array: Any) -> int:
 
 def _fold_whole(values: Any, op: str) -> Optional[Any]:
     """Fold one key's whole value array; None when not provably exact."""
+    import numpy as np
+
     if values.shape[0] == 0:
         return None
     if op == "sum":
@@ -286,12 +295,12 @@ def _fold_whole(values: Any, op: str) -> Optional[Any]:
             # accumulate is the strict sequential left fold — the same
             # rounding sequence as the ordered Python fold (reduce may
             # use pairwise summation, which reassociates).
-            return float(_np.add.accumulate(values)[-1])
+            return float(np.add.accumulate(values)[-1])
         if values.shape[0] * _int_bound(values) > I64_MAX:
             return None  # a partial sum could wrap int64
-        return int(values.sum(dtype=_np.int64))
+        return int(values.sum(dtype=np.int64))
     if op in ("min", "max"):
-        if values.dtype.kind == "f" and bool(_np.isnan(values).any()):
+        if values.dtype.kind == "f" and bool(np.isnan(values).any()):
             return None  # NaN ordering differs between min() and minimum
         result = values.min() if op == "min" else values.max()
         return result.item()
@@ -307,10 +316,14 @@ def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
     min/max refuse NaNs.  Any unsupported shape returns None and the
     caller combines the block's pairs the classic way.
     """
-    if _np is None or op not in ("sum", "min", "max"):
+    if op not in ("sum", "min", "max"):
+        return None
+    try:
+        import numpy as np
+    except ImportError:  # pragma: no cover - numpy is present in the toolchain image
         return None
     values = block.values
-    if not isinstance(values, _np.ndarray) or values.dtype == _np.bool_:
+    if not isinstance(values, np.ndarray) or values.dtype == np.bool_:
         return None
     if block.keys is None:
         folded = _fold_whole(values, op)
@@ -321,16 +334,16 @@ def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
     if keys.shape[0] == 0:
         return []
     if keys.dtype.kind == "f":
-        if bool(_np.isnan(keys).any()):
+        if bool(np.isnan(keys).any()):
             return None  # NaN keys group by object identity in dicts
-        if bool(((keys == 0.0) & _np.signbit(keys)).any()):
+        if bool(((keys == 0.0) & np.signbit(keys)).any()):
             return None  # -0.0 == 0.0: unique() may pick the wrong face
-    uniq, first_index, inverse = _np.unique(
+    uniq, first_index, inverse = np.unique(
         keys, return_index=True, return_inverse=True
     )
     inverse = inverse.reshape(-1)
-    order = _np.argsort(inverse, kind="stable")  # arrival order per group
-    bounds = _np.searchsorted(inverse[order], _np.arange(uniq.shape[0]))
+    order = np.argsort(inverse, kind="stable")  # arrival order per group
+    bounds = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
     sorted_values = values[order]
     if op == "sum":
         if values.dtype.kind == "f":
@@ -339,20 +352,20 @@ def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
             starts = bounds.tolist()
             stops = starts[1:] + [int(keys.shape[0])]
             aggregated = [
-                float(_np.add.accumulate(sorted_values[lo:hi])[-1])
+                float(np.add.accumulate(sorted_values[lo:hi])[-1])
                 for lo, hi in zip(starts, stops)
             ]
         else:
             if keys.shape[0] * _int_bound(values) > I64_MAX:
                 return None
-            aggregated = _np.add.reduceat(sorted_values, bounds).tolist()
+            aggregated = np.add.reduceat(sorted_values, bounds).tolist()
     else:
-        if values.dtype.kind == "f" and bool(_np.isnan(values).any()):
+        if values.dtype.kind == "f" and bool(np.isnan(values).any()):
             return None
-        ufunc = _np.minimum if op == "min" else _np.maximum
+        ufunc = np.minimum if op == "min" else np.maximum
         aggregated = ufunc.reduceat(sorted_values, bounds).tolist()
     # Restore first-seen key order (what the dict combine produces).
-    seen_order = _np.argsort(first_index, kind="stable")
+    seen_order = np.argsort(first_index, kind="stable")
     out_keys = uniq[seen_order].tolist()
     return [(key, aggregated[group]) for key, group in zip(out_keys, seen_order.tolist())]
 

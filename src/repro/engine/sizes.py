@@ -28,20 +28,21 @@ Two entry points, one set of numbers:
   proof turned into one number per pair, which lets the spilled store
   place its flushes by arithmetic.  Neither shuffle store walks a
   uniform column pair by pair.
+
+This module never imports numpy.  The walker prices an ``ndarray`` as a
+flat buffer, but it looks the type up in ``sys.modules`` only after
+every scalar and container check has failed: if nothing has imported
+numpy yet, no value can be an array.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import repeat
 from operator import is_, itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
 from ..lang.values import Instance
-
-try:  # pragma: no cover - numpy is present in the toolchain image
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 STRING_SIZE = 40
 BOOLEAN_SIZE = 10
@@ -100,7 +101,9 @@ def _sizeof(value: Any, seen: Any) -> int:
         return OBJECT_HEADER + sum(
             _sizeof(k, seen) + _sizeof(v, seen) for k, v in value.items()
         )
-    if _np is not None and isinstance(value, _np.ndarray):
+    # Never imports numpy: until something else has, no value is an array.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
         # Numeric arrays are flat buffers: itemsize × length + header.
         # Walking them per element (or worse, falling through to the
         # bare OBJECT_HEADER) would wildly misprice columnar chunks in

@@ -20,7 +20,6 @@ import math
 from typing import Any, Callable, Optional
 
 from ..errors import IRError
-from ..lang.values import Instance
 from .nodes import (
     BinOp,
     CallFn,
@@ -127,10 +126,7 @@ def eval_expr(expr: IRExpr, env: dict[str, Any]) -> Any:
     if isinstance(expr, Var):
         if expr.name not in env:
             raise IRError(f"unbound IR variable {expr.name!r}")
-        value = env[expr.name]
-        if isinstance(value, Instance) and value.class_name != "Date":
-            return value
-        return value
+        return env[expr.name]
     if isinstance(expr, BinOp):
         if expr.op == "&&":
             return bool(eval_expr(expr.left, env)) and bool(eval_expr(expr.right, env))

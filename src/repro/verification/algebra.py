@@ -204,7 +204,12 @@ class Normalizer:
                 self._sum_items(term.operand, -sign, items)
             else:
                 coeff, factor = self._split_coefficient(term)
-                items.append((sign * coeff, factor))
+                if isinstance(factor, BinOp) and factor.op in ("+", "-"):
+                    # c * (x + y) distributes into the sum, as a second
+                    # pass over the flattened result would do.
+                    self._sum_items(factor, sign * coeff, items)
+                else:
+                    items.append((sign * coeff, factor))
 
     @staticmethod
     def _split_coefficient(term: IRExpr) -> tuple:

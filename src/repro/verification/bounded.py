@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Optional
 
 from ..errors import InterpreterError, IRError
@@ -365,7 +366,16 @@ def summary_globals(
 
 @dataclass
 class BoundedChecker:
-    """CEGIS's boundedVerify: check a summary over many bounded states."""
+    """CEGIS's boundedVerify: check a summary over many bounded states.
+
+    Every state is drawn when the checker is built, so the states and
+    their order depend only on the config's seed.  A state is *run* —
+    the sequential fragment on it, then :func:`summary_inputs` — only
+    when a check first reaches it, and kept for every later candidate:
+    most candidates are refuted on the first state or two, so most of a
+    large checker never runs.  A state the fragment faults on is dropped
+    when it is reached.
+    """
 
     analysis: FragmentAnalysis
     config: BoundedCheckConfig = field(default_factory=BoundedCheckConfig)
@@ -373,40 +383,50 @@ class BoundedChecker:
 
     def __post_init__(self) -> None:
         self.generator = StateGenerator(self.analysis, self.config)
+        self._drawn = [self.generator.empty_state(), self.generator.singleton_state()]
+        self._drawn += [self.generator.generate() for _ in range(self.num_states - 2)]
+        self._next_drawn = 0
         self._states: list[ProgramState] = []
         self._runs: list[FragmentRunResult] = []
-        #: Per state, what :func:`summary_inputs` builds: materialized once
-        #: and shared by every candidate (``evaluate_summary`` reads its
-        #: inputs, never writes them).
+        #: Per state run, what :func:`summary_inputs` builds: materialized
+        #: once and shared by every candidate (``evaluate_summary`` reads
+        #: its inputs, never writes them).
         self._inputs: list[tuple[dict[str, Any], dict[str, Any]]] = []
-        self._build_states()
 
-    def _build_states(self) -> None:
-        candidates = [self.generator.empty_state(), self.generator.singleton_state()]
-        attempts = 0
-        while len(candidates) < self.num_states and attempts < self.num_states * 8:
-            attempts += 1
-            candidates.append(self.generator.generate())
-        for state in candidates:
+    def _run_next(self) -> Optional[tuple[ProgramState, FragmentRunResult, tuple]]:
+        """Run the next drawn state and keep it; None once all have run."""
+        while self._next_drawn < len(self._drawn):
+            state = self._drawn[self._next_drawn]
+            self._next_drawn += 1
             try:
                 run = run_sequential_fragment(self.analysis, state)
             except InterpreterError:
                 continue  # original program faults here: state is invalid
+            inputs = summary_inputs(self.analysis, run)
             self._states.append(state)
             self._runs.append(run)
-            self._inputs.append(summary_inputs(self.analysis, run))
+            self._inputs.append(inputs)
+            return state, run, inputs
+        return None
 
     @property
     def states(self) -> list[ProgramState]:
+        """Every valid state; runs the ones no check has reached yet."""
+        while self._run_next() is not None:
+            pass
         return self._states
 
     def expected_outputs(self, index: int) -> dict[str, Any]:
+        while len(self._runs) <= index and self._run_next() is not None:
+            pass
         return self._runs[index].outputs
 
     def check(self, summary: Summary) -> Optional[ProgramState]:
         """Return a counter-example state, or None if all states agree."""
-        for state, run, (datasets, globals_env) in zip(
-            self._states, self._runs, self._inputs
+        # The states already run, then the next drawn ones, each run as
+        # the loop reaches it (``iter`` calls ``_run_next`` until None).
+        for state, run, (datasets, globals_env) in chain(
+            zip(self._states, self._runs, self._inputs), iter(self._run_next, None)
         ):
             try:
                 got = evaluate_summary(summary, datasets, globals_env, run.output_sizes)

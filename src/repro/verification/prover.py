@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 from ..diagnostics.diagnostic import Diagnostic, diagnostic_from_data, make
@@ -201,7 +202,6 @@ class FullVerifier:
         self.extended_states = extended_states
         self.accept_bounded_only = accept_bounded_only
         self.seed = seed
-        self._extended_checker: Optional[BoundedChecker] = None
 
     # ------------------------------------------------------------------
 
@@ -234,7 +234,7 @@ class FullVerifier:
                 obligations=obligations,
             )
 
-        counterexample = self._extended_refute(summary)
+        counterexample = self.extended_checker.check(summary)
         if counterexample is not None:
             return ProofResult(
                 status="refuted",
@@ -269,16 +269,17 @@ class FullVerifier:
     # ------------------------------------------------------------------
     # Tier 2
 
-    def _extended_refute(self, summary: Summary) -> Optional[ProgramState]:
-        if self._extended_checker is None:
-            size = _extended_dataset_size(self.analysis)
-            states = self.extended_states if size <= 16 else max(24, self.extended_states // 4)
-            self._extended_checker = BoundedChecker(
-                self.analysis,
-                config=_fresh_extended_config(self.seed, size),
-                num_states=states,
-            )
-        return self._extended_checker.check(summary)
+    @cached_property
+    def extended_checker(self) -> BoundedChecker:
+        """The extended-domain states, drawn once per verifier and run
+        only as far as the candidates' checks reach."""
+        size = _extended_dataset_size(self.analysis)
+        states = self.extended_states if size <= 16 else max(24, self.extended_states // 4)
+        return BoundedChecker(
+            self.analysis,
+            config=_fresh_extended_config(self.seed, size),
+            num_states=states,
+        )
 
     # ------------------------------------------------------------------
     # Tier 1

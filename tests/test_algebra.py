@@ -1,6 +1,6 @@
 """Tests for the term algebra: normalization, assumptions, properties."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ir.builder import (
@@ -224,6 +224,9 @@ def test_normalize_preserves_arithmetic_semantics(expr, a, b, c):
 
 
 @given(arith_terms())
+# A scaled sum inside a sum, a - (-1 * (1 + a)), must distribute on the
+# first pass.
+@example(sub(var("a"), mul(const(-1), add(const(1), var("a")))))
 @settings(max_examples=100, deadline=None)
 def test_normalization_is_idempotent(expr):
     once = normalize(expr)

@@ -12,7 +12,8 @@ what it decides:
 * a CEGIS restart evaluates only the state it added;
 * memoised normal keys equal ``term_key(normalize(e))``, per thread,
   and the memo does not outlive its search;
-* checking candidates never writes to a bounded state's inputs.
+* checking candidates never writes to a bounded state's inputs, and
+  states run on demand give the verdicts of states run up front.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import translate
 from repro.errors import InterpreterError, IRError
 from repro.ir.eval import eval_expr
 from repro.ir.nodes import BinOp, CallFn, Const, ReduceLambda, UnOp, Var
@@ -44,6 +46,7 @@ from repro.synthesis import (
 )
 from repro.synthesis.enumerator import ContainerPart, ScalarPart
 from repro.synthesis.grammar import NormalKeys
+from repro.verification import FullVerifier, bounded
 from repro.verification.algebra import normalize, term_key
 from repro.verification.bounded import (
     BoundedChecker,
@@ -504,16 +507,13 @@ def test_the_memo_dies_with_its_search(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# (e) bounded states materialised once
+# (e) bounded states materialised once, and only when a check reaches them
 
 
-@pytest.mark.parametrize("name", ["joins_q3_revenue", "ariths_average"])
-def test_checks_leave_the_materialised_states_untouched(name):
-    (analysis,) = fragment_analyses(name)
-    checker = BoundedChecker(analysis)
-    before = copy.deepcopy(checker._inputs)
+def accepted_and_proposed(name, analysis):
+    """The accepted summaries, and the first 20 candidates the grammar
+    classes propose (refuted ones among them)."""
     accepted = [vs.summary for vs in compiled(name).fragments[0].search.summaries]
-    # Refuted candidates too: the first the grammar classes propose.
     enumerator = JoinCandidateEnumerator if analysis.join else CandidateEnumerator
     sym_paths = harvest_paths(analysis)
     proposed = itertools.chain.from_iterable(
@@ -522,9 +522,50 @@ def test_checks_leave_the_materialised_states_untouched(name):
         ).candidates()
         for grammar_class in generate_classes(analysis)
     )
-    candidates = [*accepted, *itertools.islice(proposed, 20)]
+    return accepted, list(itertools.islice(proposed, 20))
+
+
+@pytest.mark.parametrize("name", ["joins_q3_revenue", "ariths_average"])
+def test_checks_leave_the_materialised_states_untouched(name):
+    (analysis,) = fragment_analyses(name)
+    checker = BoundedChecker(analysis)
+    checker.states  # run every state before any check
+    before = copy.deepcopy(checker._inputs)
+    accepted, proposed = accepted_and_proposed(name, analysis)
+    candidates = [*accepted, *proposed]
     verdicts = [checker.check(summary) for summary in candidates]
     assert verdicts[: len(accepted)] == [None] * len(accepted)
     assert any(verdict is not None for verdict in verdicts)
     assert [checker.check(summary) for summary in candidates] == verdicts
     assert checker._inputs == before
+
+
+@pytest.mark.parametrize("name", ["tpch_q6", "joins_q3_revenue", "ariths_average"])
+def test_extended_states_on_demand_give_the_up_front_verdicts(name):
+    (analysis,) = fragment_analyses(name)
+    accepted, proposed = accepted_and_proposed(name, analysis)
+    # Refuted candidates first: their checks stop where they are refuted,
+    # so the on-demand checker meets them with only some states run.
+    candidates = [*proposed, *accepted]
+    on_demand = FullVerifier(analysis).extended_checker
+    up_front = FullVerifier(analysis).extended_checker
+    up_front.states  # every state run before any check
+    verdicts = [on_demand.check(summary) for summary in candidates]
+    assert verdicts == [up_front.check(summary) for summary in candidates]
+    assert verdicts[-len(accepted) :] == [None] * len(accepted)
+    assert any(verdict is not None for verdict in verdicts)
+    assert on_demand.states == up_front.states
+
+
+def test_a_cold_compile_runs_only_the_extended_states_it_reaches(monkeypatch):
+    runs = []
+    original = bounded.run_sequential_fragment
+
+    def counting(analysis_, state):
+        runs.append(state)
+        return original(analysis_, state)
+
+    monkeypatch.setattr(bounded, "run_sequential_fragment", counting)
+    compilation = translate(get_benchmark("fiji_red_to_magenta").source)
+    assert compilation.translated == 3
+    assert len(runs) <= 80  # 132 with every extended state run up front
