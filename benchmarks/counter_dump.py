@@ -11,9 +11,10 @@ unfused.  Each run's outputs, every ``StageMetrics`` counter,
 left out; sets sorted, so nothing depends on ``PYTHONHASHSEED``) and
 digested.  One more entry per fragment, ``@monitor``, holds what the
 runtime monitor decided on that input: every implementation's
-``SampleEstimates.as_dict()`` (insertion order included), ``last_costs``,
-``last_choice``, and what the planner derived from its own estimate —
-stage plans, join strategies, the simulated-cluster ranking.
+``SampleEstimates.as_dict()`` (insertion order included), the costs and
+the choice ``RuntimeMonitor.choose`` returned, and what the planner
+derived from its own estimate — stage plans, join strategies, the
+simulated-cluster ranking.
 ``tests/data/counters_golden.json`` holds the digests of the commit
 *before* the change under test; ``tests/test_counter_dump.py`` names
 every fragment × backend whose digest moved.
@@ -111,20 +112,21 @@ def fragment_text(program: Any, env: dict, options: ExecOptions) -> str:
 def monitor_text(program: Any, env: dict) -> str:
     """What the monitor sampled and chose on one ``plan="auto"`` run.
 
-    The estimates are read where ``AdaptiveProgram.run`` itself asks for
-    them — ``RuntimeMonitor.choose(..., estimates_out=)`` — through an
-    instance-level recorder, so the row covers the sample the run really
-    built and the script reads the same on any commit that has the
-    entry point.
+    The estimates, costs and choice are read where
+    ``AdaptiveProgram.run`` itself gets them — ``RuntimeMonitor.choose``'s
+    ``estimates_out`` and return value — through an instance-level
+    recorder, so the row covers the sample the run really built.
     """
     monitor = program.monitor
     sampled: dict[str, Any] = {}
+    decided: list[tuple[int, dict[str, float]]] = []
 
-    def recording(sample, globals_env=None, n2_ratio=1.0, estimates_out=None):
+    def recording(sample, globals_env=None, estimates_out=None):
         out = {} if estimates_out is None else estimates_out
-        chosen = type(monitor).choose(monitor, sample, globals_env, n2_ratio, out)
+        decision = type(monitor).choose(monitor, sample, globals_env, out)
         sampled.update(out)
-        return chosen
+        decided.append(decision)
+        return decision
 
     monitor.choose = recording
     try:
@@ -134,13 +136,14 @@ def monitor_text(program: Any, env: dict) -> str:
     finally:
         del monitor.choose
     plan = ran.report.plan
+    [(index, costs)] = decided
     lines = [
         *(
             f"estimates {name} n={est.sample_size} {canonical(est.as_dict())}"
             for name, est in sampled.items()
         ),
-        f"costs {canonical(monitor.last_costs)}",
-        f"choice {monitor.last_choice}",
+        f"costs {canonical(costs)}",
+        f"choice {monitor.implementations[index].name}",
         f"implementation {ran.implementation}",
         f"stages {[(s.index, s.kind, s.combiner) for s in plan.stages]}",
         f"join_strategies {plan.join_strategies}",

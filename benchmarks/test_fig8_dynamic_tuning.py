@@ -67,8 +67,8 @@ def fig8():
 
     monitor = RuntimeMonitor(
         implementations=[
-            Implementation("b", b, model.summary_cost(b), lambda data: None),
-            Implementation("c", c, model.summary_cost(c), lambda data: None),
+            Implementation("b", b, model.summary_cost(b)),
+            Implementation("c", c, model.summary_cost(c)),
         ]
     )
     config = EngineConfig(scale=_SCALE)
@@ -77,16 +77,16 @@ def fig8():
     for probability in (0.0, 0.5, 0.95):
         words = datagen.keyword_text(_N, ["key1", "key2"], probability, seed=41)
         sample = [{"word": w} for w in words[:5000]]
-        chosen = monitor.choose(sample, env)
+        chosen, costs = monitor.choose(sample, env)
         result_b, time_b = _run_b(words, config)
         result_c, time_c = _run_c(words, config)
         assert result_b == result_c
         skew_rows.append(
             {
                 "p": probability,
-                "chosen": chosen.name,
-                "cost_b": monitor.last_costs["b"],
-                "cost_c": monitor.last_costs["c"],
+                "chosen": monitor.implementations[chosen].name,
+                "cost_b": costs["b"],
+                "cost_c": costs["c"],
                 "time_b": time_b,
                 "time_c": time_c,
             }

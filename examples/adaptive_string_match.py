@@ -9,6 +9,7 @@ Run:  python examples/adaptive_string_match.py
 """
 
 from repro import translate
+from repro.codegen.base import prepare_globals, view_records
 from repro.ir import format_summary
 from repro.workloads import datagen
 
@@ -37,8 +38,7 @@ def main() -> None:
     print(f"Casper generated {len(program.programs)} implementations that")
     print("cannot be compared statically (their costs depend on the data):")
     for index, generated in enumerate(program.programs):
-        cost = program.monitor.implementations[index].cost
-        print(f"\n  impl_{index}  (static cost: {cost.render()})")
+        print(f"\n  impl_{index}  (static cost: {generated.cost.render()})")
         for line in format_summary(generated.summary).splitlines():
             print(f"    {line}")
 
@@ -48,9 +48,14 @@ def main() -> None:
         text = datagen.keyword_text(
             50_000, ["key1", "key2"], probability, seed=17
         )
-        outcome = program.run({"text": text, "key1": "key1", "key2": "key2"})
+        inputs = {"text": text, "key1": "key1", "key2": "key2"}
+        outcome = program.run(inputs)
         outputs = outcome.outputs
-        costs = {k: round(v, 1) for k, v in program.monitor.last_costs.items()}
+        # The monitor's decision on the same first-k sample, with its costs.
+        head = program.sample_head(view_records(program.analysis.view, inputs))
+        globals_env, _sizes = prepare_globals(program.analysis, inputs)
+        _index, costs = program.monitor.choose(head, globals_env)
+        costs = {k: round(v, 1) for k, v in costs.items()}
         print(
             f"{probability:>11.0%}  {outcome.implementation:>8s}  "
             f"key1={str(outputs['key1_found']):5s} key2={str(outputs['key2_found']):5s}"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
@@ -28,6 +29,7 @@ if TYPE_CHECKING:
     from ..planner.joins import JoinOrderDecision
     from ..planner.plan import ExecutionPlan, PlanReport
 
+from ..cost.model import CostExpr, CostModel
 from ..diagnostics import make as make_diagnostic
 from ..errors import CodegenError, InterpreterError
 from ..lang.analysis.fragments import FragmentAnalysis
@@ -397,6 +399,25 @@ class GeneratedProgram:
 
     def _combiner_safe(self) -> bool:
         return self.proof.is_commutative and self.proof.is_associative
+
+    @cached_property
+    def cost(self) -> CostExpr:
+        """The §5.1 cost expression of this implementation — computed
+        once, the only place an implementation is costed: pruning, the
+        runtime monitor, the planner's cluster ranking and the fused-chain
+        pick all read it."""
+        return CostModel().summary_cost(
+            self.summary, commutative_associative=self._combiner_safe()
+        )
+
+    @cached_property
+    def stage_rows(self) -> tuple[tuple, ...]:
+        """``(stage index, kind, ops, reach)`` per pipeline stage
+        (:func:`~repro.planner.planner.stage_ops`), what the planner's
+        backend price reads."""
+        from ..planner.planner import stage_ops
+
+        return stage_ops(self.summary.pipeline)
 
     def sample_estimates(
         self,

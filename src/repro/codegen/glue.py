@@ -29,6 +29,10 @@ from ..synthesis.search import VerifiedSummary
 from .base import ExecutionOutcome, GeneratedProgram, view_records
 
 
+#: The paper's k: the monitor samples the first k records of the input.
+SAMPLE_RECORDS = 5000
+
+
 def _record_count(records: Any) -> int:
     """Record count for reporting; 0 when a stream's length is unknown."""
     from ..engine.source import Dataset
@@ -52,8 +56,6 @@ class AdaptiveProgram:
 
     analysis: FragmentAnalysis
     programs: list[GeneratedProgram]
-    sample_size: int = 5000
-    cost_model: CostModel = field(default_factory=CostModel)
     monitor: RuntimeMonitor = field(init=False)
     #: Built by :meth:`ensure_planner` — the pipeline's ``plan`` pass
     #: asks at compile time, a hand-built program's first
@@ -73,25 +75,16 @@ class AdaptiveProgram:
     _fragment_key: Optional[str] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        implementations = []
-        for index, program in enumerate(self.programs):
-            cost = self.cost_model.summary_cost(
-                program.summary,
-                commutative_associative=(
-                    program.proof.is_commutative and program.proof.is_associative
-                ),
-            )
-            implementations.append(
+        self.monitor = RuntimeMonitor(
+            implementations=[
                 Implementation(
                     name=f"impl_{index}",
                     summary=program.summary,
-                    cost=cost,
-                    runner=program.run,
+                    cost=program.cost,
                     sampler=program.sample_estimates,
                 )
-            )
-        self.monitor = RuntimeMonitor(
-            implementations=implementations, sample_size=self.sample_size
+                for index, program in enumerate(self.programs)
+            ]
         )
 
     # ------------------------------------------------------------------
@@ -153,11 +146,10 @@ class AdaptiveProgram:
         head = self.sample_head(records)
         globals_env = self._globals(inputs)
         sampled: dict[str, Any] = {}
-        chosen = self.monitor.choose(head, globals_env, estimates_out=sampled)
+        index, _costs = self.monitor.choose(head, globals_env, estimates_out=sampled)
         sampler_fallbacks = [
             d for estimates in sampled.values() for d in estimates.diagnostics
         ]
-        index = int(chosen.name.split("_")[1])
         # §7.4: when the verified implementations are join pipelines with
         # different orderings, the ordering decision comes from the
         # observed relation cardinalities (Eqn 4 over the join chain) —
@@ -305,10 +297,10 @@ class AdaptiveProgram:
 
     def ensure_planner(self) -> ExecutionPlanner:
         """The program's execution planner, built with its compile-time
-        statics (cost bounds, op counts, payload picklability) on the
-        first ask — the one place a planner is constructed."""
+        pickle probe of the payload on the first ask — the one place a
+        planner is constructed."""
         if self.planner is None:
-            self.planner = ExecutionPlanner(cost_model=self.cost_model)
+            self.planner = ExecutionPlanner()
             self.planner.precompute(self.programs)
         return self.planner
 
@@ -328,13 +320,13 @@ class AdaptiveProgram:
     # ------------------------------------------------------------------
 
     def sample_head(self, records: Any) -> list:
-        """The first ``sample_size`` raw records — what the compiled
-        samplers read (a streaming source is only peeked)."""
+        """The first :data:`SAMPLE_RECORDS` raw records — what the
+        compiled samplers read (a streaming source is only peeked)."""
         from ..engine.source import Dataset
 
         if isinstance(records, Dataset):
-            return records.head(self.sample_size)
-        return records[: self.sample_size]
+            return records.head(SAMPLE_RECORDS)
+        return records[:SAMPLE_RECORDS]
 
     def _globals(self, inputs: dict[str, Any]) -> dict[str, Any]:
         from .base import prepare_globals
@@ -348,26 +340,14 @@ def build_adaptive_program(
     verified: list[VerifiedSummary],
     backend: str = "spark",
     engine_config: Optional[EngineConfig] = None,
-    sample_size: int = 5000,
 ) -> AdaptiveProgram:
     """Assemble the adaptive program from verified summaries.
 
     Statically-dominated summaries are pruned first (section 5.2): a
     summary is dropped when another is cheaper for every possible data
-    distribution.
+    distribution.  Each summary is costed once, by its
+    :class:`GeneratedProgram` (``program.cost``).
     """
-    cost_model = CostModel()
-    costed = []
-    for vs in verified:
-        cost = cost_model.summary_cost(
-            vs.summary,
-            commutative_associative=(
-                vs.proof.is_commutative and vs.proof.is_associative
-            ),
-        )
-        costed.append((vs, cost))
-    survivors = cost_model.prune_dominated(costed)
-
     config = engine_config or EngineConfig()
     programs = [
         GeneratedProgram(
@@ -377,46 +357,12 @@ def build_adaptive_program(
             proof=vs.proof,
             engine_config=config,
         )
-        for vs, _cost in survivors
+        for vs in verified
     ]
+    survivors = CostModel.prune_dominated(
+        [(program, program.cost) for program in programs]
+    )
     return AdaptiveProgram(
-        analysis=analysis,
-        programs=programs,
-        sample_size=sample_size,
-        cost_model=cost_model,
+        analysis=analysis, programs=[program for program, _cost in survivors]
     )
 
-
-def rebuild_adaptive_program(
-    analysis: FragmentAnalysis,
-    serialized: list[dict],
-    backend: str = "spark",
-    engine_config: Optional[EngineConfig] = None,
-    sample_size: int = 5000,
-) -> AdaptiveProgram:
-    """Rebuild an adaptive program from serialized verified summaries.
-
-    ``serialized`` items are ``{"summary": ..., "proof": ...}`` dicts as
-    produced by the summary cache (:mod:`repro.pipeline.cache`) — e.g. a
-    cache entry read straight off disk.  The summaries must already be in
-    this fragment's variable namespace; deserialization feeds the same
-    cost-pruning + monitor assembly as a fresh compilation, so a cached
-    entry yields a program indistinguishable from a cold one.
-    """
-    from ..ir.nodes import summary_from_data
-    from ..verification.prover import proof_from_data
-
-    verified = [
-        VerifiedSummary(
-            summary=summary_from_data(item["summary"]),
-            proof=proof_from_data(item["proof"]),
-        )
-        for item in serialized
-    ]
-    return build_adaptive_program(
-        analysis,
-        verified,
-        backend=backend,
-        engine_config=engine_config,
-        sample_size=sample_size,
-    )

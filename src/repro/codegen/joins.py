@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..engine.multiprocess import MapStep, PipelineStep, ReduceStep
-from ..engine.sizes import dataset_bytes, sizeof_pair
+from ..engine.sizes import sizeof_pair
+from ..engine.source import Dataset, ListSource
 from ..errors import CodegenError
 from ..ir.nodes import JoinStage, MapStage, ReduceStage, is_join_summary
 
@@ -54,7 +55,6 @@ __all__ = [
     "JoinLevelDecision",
     "TaggedJoinMapper",
     "build_join_steps",
-    "estimate_records_bytes",
     "is_join_summary",
     "resolve_join_strategies",
 ]
@@ -142,15 +142,6 @@ class BroadcastLookup:
 # Strategy selection
 
 
-def estimate_records_bytes(records: list, sample: int = 64) -> int:
-    """sizeof-sample estimate of a record list's serialized bytes."""
-    if not records:
-        return 0
-    head = records[: max(1, sample)]
-    per_record = dataset_bytes(head) / len(head)
-    return int(per_record * len(records))
-
-
 @dataclass
 class JoinLevelDecision:
     """One join level's physical choice, for the plan evidence trail."""
@@ -175,8 +166,6 @@ class JoinLevelDecision:
 
 def _reject_streaming(join, inputs: dict[str, Any]) -> None:
     """Joins need a second pass over each relation — lists only."""
-    from ..engine.source import Dataset
-
     for side in join.sides:
         if isinstance(inputs.get(side.source), Dataset):
             raise CodegenError(
@@ -210,7 +199,7 @@ def resolve_join_strategies(
             continue
         side = join.side_for(stage.right.source)
         records = view_records(side.view, inputs)
-        right_bytes = estimate_records_bytes(records)
+        right_bytes = ListSource(records).estimated_bytes()
         if level_index > 0:
             strategy = "broadcast"
             reason = (

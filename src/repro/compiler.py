@@ -40,7 +40,7 @@ from .codegen.glue import AdaptiveProgram
 from .codegen.render import render
 from .engine.config import EngineConfig
 from .graph.executor import GraphRunResult, run_graph
-from .graph.jobgraph import JobGraph, build_job_graph
+from .graph.jobgraph import JobGraph
 from .pipeline.cache import SummaryCache
 from .pipeline.context import CompilationContext
 from .pipeline.scheduler import PassPipeline
@@ -363,20 +363,7 @@ def _run_program(
     options: ExecOptions,
 ) -> GraphRunResult:
     """Whole-program execution returning the full ``GraphRunResult``."""
-    graph = result.job_graph
-    if graph is None:
-        # Compiled by a custom pipeline without the graph pass — derive
-        # the graph on the fly so older flows keep working.
-        from .lang.analysis.dataflow import analyze_dataflow
-
-        analyses = [f.analysis for f in result.fragments]
-        func = None
-        if result.fragments:
-            func = result.fragments[0].fragment.function
-        dataflow = analyze_dataflow(analyses, func)
-        graph = build_job_graph(result.function, result.fragments, dataflow)
-        result.job_graph = graph
-    return run_graph(graph, inputs, options)
+    return run_graph(result.job_graph, inputs, options)
 
 
 def _pick_fragment(

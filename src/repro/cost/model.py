@@ -70,11 +70,10 @@ class CostExpr:
     def extend(self, other: "CostExpr") -> None:
         self.terms.extend(other.terms)
 
-    def evaluate(self, estimates: Optional[dict[str, float]] = None, n2_ratio: float = 1.0) -> float:
-        """Per-record cost: substitute unknowns, N = 1.
-
-        ``n2_ratio`` scales join terms (N₂/N).  Unknown symbols default
-        to 1 (the conservative upper bound).
+    def evaluate(self, estimates: Optional[dict[str, float]] = None) -> float:
+        """Per-record cost: substitute unknowns, N = 1 (and N₂ = N for
+        join terms).  Unknown symbols default to 1 (the conservative
+        upper bound).
         """
         estimates = estimates or {}
         total = 0.0
@@ -82,19 +81,11 @@ class CostExpr:
             value = term.coeff
             for symbol in term.symbols:
                 value *= estimates.get(symbol, 1.0)
-            if term.base == "N2":
-                value *= n2_ratio
             total += value
         return total
 
     def upper_bound(self) -> float:
         return self.evaluate({})
-
-    def bounds(self) -> tuple[float, float]:
-        """(lower, upper) over all data distributions — what static
-        pruning compares, and what the execution planner records as a
-        summary's compile-time cost envelope."""
-        return self.lower_bound(), self.upper_bound()
 
     def lower_bound(self) -> float:
         """All unknown probabilities/ratios at 0."""
@@ -237,7 +228,10 @@ class CostModel:
 
     # ------------------------------------------------------------------
 
-    def prune_dominated(self, costed: list[tuple[object, CostExpr]]) -> list[tuple[object, CostExpr]]:
+    @staticmethod
+    def prune_dominated(
+        costed: list[tuple[object, CostExpr]],
+    ) -> list[tuple[object, CostExpr]]:
         """Drop summaries whose cost is dominated for *all* distributions.
 
         Summary a dominates b when a's upper bound (every unknown at 1) is

@@ -7,6 +7,14 @@ the unknown cost-model terms — conditional probabilities pᵢ and
 distinct-key counts — plugs them back into Eqns 2-4, and executes the
 implementation with the lowest estimated cost.
 
+Each implementation's symbolic cost is computed once, when its
+:class:`~repro.codegen.base.GeneratedProgram` is built
+(``GeneratedProgram.cost``); the monitor only evaluates it.
+:meth:`RuntimeMonitor.choose` returns the chosen index and every cost
+and stores nothing, so the one monitor of a program that a
+:class:`~repro.session.Session` shares across jobs carries no
+per-run state.
+
 The sampling pass has two forms.  A generated program's implementations
 each carry a **compiled sampler** (:class:`Implementation.sampler`,
 rendered by :func:`repro.codegen.kernels.render_sampler`) that reads the
@@ -31,14 +39,15 @@ from ..ir.nodes import (
     ReduceStage,
     Summary,
 )
-from .model import CostExpr, CostModel
+from .model import CostExpr
 
 
 @dataclass
 class Implementation:
-    """One generated semantically-equivalent implementation.
+    """One generated semantically-equivalent implementation, as the
+    monitor prices it.
 
-    ``runner`` executes the real job; ``summary`` drives cost estimation.
+    ``cost`` is its §5.1 expression; ``summary`` drives estimation.
     ``sampler`` is the implementation's compiled sampling pass,
     ``(record_head, globals_env) -> SampleEstimates`` over the *raw*
     first-k records; an implementation without one is estimated by
@@ -48,7 +57,6 @@ class Implementation:
     name: str
     summary: Summary
     cost: CostExpr
-    runner: Callable[..., Any]
     sampler: Optional[Callable[[list, dict[str, Any]], "SampleEstimates"]] = None
 
 
@@ -189,59 +197,45 @@ def _estimate_pipeline(
 
 @dataclass
 class RuntimeMonitor:
-    """Selects the cheapest implementation for the observed input data."""
+    """Selects the cheapest implementation for the observed input data.
+
+    Stateless between calls: :meth:`choose` returns its decision, so one
+    monitor serves concurrent jobs on a shared program.
+    """
 
     implementations: list[Implementation]
-    sample_size: int = 5000
-    cost_model: CostModel = field(default_factory=CostModel)
-    last_choice: Optional[str] = None
-    last_costs: dict[str, float] = field(default_factory=dict)
 
     def choose(
         self,
         sample: list,
         globals_env: Optional[dict[str, Any]] = None,
-        n2_ratio: float = 1.0,
         estimates_out: Optional[dict[str, SampleEstimates]] = None,
-    ) -> Implementation:
+    ) -> tuple[int, dict[str, float]]:
         """Pick the implementation with the lowest estimated cost.
 
-        ``sample`` is the head of the input as the implementations read
-        it: raw records for implementations that carry a compiled
-        ``sampler``, pre-bound record environments for those that do
-        not.  ``estimates_out``, when given, receives each implementation's
+        Returns its index in :attr:`implementations` (the first wins a
+        tie) and every implementation's estimated per-record cost by
+        name.  ``sample`` is the head of the input as the
+        implementations read it — the paper's first k records: raw
+        records for implementations that carry a compiled ``sampler``,
+        pre-bound record environments for those that do not.
+        ``estimates_out``, when given, receives each implementation's
         :class:`SampleEstimates` under its name, so a caller that plans
         the chosen one next (the execution planner prices the same
         sample against the same summary) need not sample again.
         """
+        assert self.implementations, "monitor requires at least one implementation"
         globals_env = globals_env or {}
-        sample = sample[: self.sample_size]
-        best: Optional[Implementation] = None
-        best_cost = float("inf")
-        self.last_costs = {}
-        for impl in self.implementations:
+        costs: dict[str, float] = {}
+        best, best_cost = 0, float("inf")
+        for index, impl in enumerate(self.implementations):
             if impl.sampler is not None:
                 estimates = impl.sampler(sample, globals_env)
             else:
                 estimates = estimate_from_sample(impl.summary, sample, globals_env)
             if estimates_out is not None:
                 estimates_out[impl.name] = estimates
-            cost_value = impl.cost.evaluate(estimates.as_dict(), n2_ratio=n2_ratio)
-            self.last_costs[impl.name] = cost_value
-            if cost_value < best_cost:
-                best_cost = cost_value
-                best = impl
-        assert best is not None, "monitor requires at least one implementation"
-        self.last_choice = best.name
-        return best
-
-    def run(
-        self,
-        data: list,
-        sample_elements: list,
-        globals_env: Optional[dict[str, Any]] = None,
-        **runner_kwargs,
-    ) -> Any:
-        """Sample, choose, and execute — the generated program's behaviour."""
-        chosen = self.choose(sample_elements, globals_env)
-        return chosen.runner(data, **runner_kwargs)
+            cost = costs[impl.name] = impl.cost.evaluate(estimates.as_dict())
+            if cost < best_cost:
+                best, best_cost = index, cost
+        return best, costs

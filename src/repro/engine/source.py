@@ -174,6 +174,9 @@ class ListSource(Dataset):
     def known_length(self) -> int:
         return len(self._records)
 
+    def head(self, n: int) -> list:
+        return self._records[:n] if n > 0 else []
+
     def materialize(self) -> list:
         return self._records
 

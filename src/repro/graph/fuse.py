@@ -276,20 +276,8 @@ def _static_impl_index(node: JobNode) -> int:
     program = node.program
     if program is None or len(program.programs) <= 1:
         return 0
-    best_index = 0
-    best_upper = None
-    for index, generated in enumerate(program.programs):
-        cost = program.cost_model.summary_cost(
-            generated.summary,
-            commutative_associative=(
-                generated.proof.is_commutative and generated.proof.is_associative
-            ),
-        )
-        upper = cost.bounds()[1]
-        if best_upper is None or upper < best_upper:
-            best_upper = upper
-            best_index = index
-    return best_index
+    uppers = [generated.cost.upper_bound() for generated in program.programs]
+    return uppers.index(min(uppers))
 
 
 def _choose_impl(node: JobNode, schedule: GraphSchedule) -> int:

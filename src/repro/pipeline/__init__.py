@@ -18,12 +18,10 @@ from .passes import (
     AnalyzePass,
     CodegenPass,
     CompilerPass,
-    ContextPass,
     GraphPass,
     PlanPass,
     SynthesizePass,
     VerifyAttachPass,
-    default_context_passes,
     default_passes,
     run_passes,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "CodegenPass",
     "CompilationContext",
     "CompilerPass",
-    "ContextPass",
     "FragmentState",
     "GraphPass",
     "PassPipeline",
@@ -44,7 +41,6 @@ __all__ = [
     "SummaryCache",
     "SynthesizePass",
     "VerifyAttachPass",
-    "default_context_passes",
     "default_passes",
     "default_worker_count",
     "run_passes",

@@ -203,14 +203,14 @@ class CodegenPass(CompilerPass):
 
 
 class PlanPass(CompilerPass):
-    """Attach the execution planner and its compile-time statics.
+    """Attach the execution planner and its compile-time pickle probe.
 
     The data-dependent half of planning (input size, sampled estimates)
     has to wait until run time; this pass does the static half once per
-    fragment — per-implementation cost bounds, per-stage op counts and a
-    picklability probe of the summary payload — by asking the adaptive
-    program for its :class:`~repro.planner.planner.ExecutionPlanner`,
-    so ``run(plan="auto")`` can finish the job.
+    fragment — a picklability probe of the summary payload — by asking
+    the adaptive program for its
+    :class:`~repro.planner.planner.ExecutionPlanner`, so
+    ``run(plan="auto")`` can finish the job.
     """
 
     name = "plan"
@@ -220,23 +220,15 @@ class PlanPass(CompilerPass):
             state.program.ensure_planner()
 
 
-class ContextPass:
-    """A pass over a whole compilation context (all fragments at once)."""
-
-    name = "context-pass"
-
-    def run(self, ctx: CompilationContext) -> None:
-        raise NotImplementedError
-
-
-class GraphPass(ContextPass):
+class GraphPass:
     """Build the whole-program job graph from the compiled fragments.
 
     Runs the inter-fragment dataflow analysis (liveness in/out sets →
     producer→consumer edges) and attaches the resulting
     :class:`~repro.graph.jobgraph.JobGraph` to the context, so
     ``run_program`` can schedule fused chains and concurrent branches
-    without re-deriving the dataflow per run.
+    without re-deriving the dataflow per run.  It runs once per
+    context, after every fragment chain completes.
     """
 
     name = "graph"
@@ -262,11 +254,6 @@ def default_passes() -> Sequence[CompilerPass]:
         CodegenPass(),
         PlanPass(),
     )
-
-
-def default_context_passes() -> Sequence[ContextPass]:
-    """Whole-context passes run after every fragment chain completes."""
-    return (GraphPass(),)
 
 
 def run_passes(

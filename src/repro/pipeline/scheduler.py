@@ -18,13 +18,7 @@ from typing import Optional, Sequence
 from ..cpu import available_cpu_count
 from ..lang.analysis.fragments import identify_fragments
 from .context import CompilationContext, FragmentState
-from .passes import (
-    CompilerPass,
-    ContextPass,
-    default_context_passes,
-    default_passes,
-    run_passes,
-)
+from .passes import CompilerPass, GraphPass, default_passes, run_passes
 
 
 def default_worker_count() -> int:
@@ -41,15 +35,9 @@ class PassPipeline:
         self,
         passes: Optional[Sequence[CompilerPass]] = None,
         max_workers: Optional[int] = None,
-        context_passes: Optional[Sequence[ContextPass]] = None,
     ):
         self.passes: Sequence[CompilerPass] = (
             tuple(passes) if passes is not None else tuple(default_passes())
-        )
-        self.context_passes: Sequence[ContextPass] = (
-            tuple(context_passes)
-            if context_passes is not None
-            else tuple(default_context_passes())
         )
         self.max_workers = (
             max_workers if max_workers is not None else default_worker_count()
@@ -71,9 +59,9 @@ class PassPipeline:
 
         All fragments of all contexts are scheduled together, so a batch
         of small programs saturates the pool instead of serializing on
-        per-program barriers.  Context passes (the job-graph builder)
-        need a whole function's fragments, so they run per context after
-        the shared pool drains.
+        per-program barriers.  The job-graph builder needs a whole
+        function's fragments, so it runs per context after the shared
+        pool drains.
         """
         work: list[tuple[CompilationContext, FragmentState]] = []
         for ctx in contexts:
@@ -87,10 +75,9 @@ class PassPipeline:
     # ------------------------------------------------------------------
 
     def _finish_context(self, ctx: CompilationContext) -> None:
-        for context_pass in self.context_passes:
-            started = time.monotonic()
-            context_pass.run(ctx)
-            ctx.record_pass_time(context_pass.name, time.monotonic() - started)
+        started = time.monotonic()
+        GraphPass().run(ctx)
+        ctx.record_pass_time(GraphPass.name, time.monotonic() - started)
 
     def _populate(self, ctx: CompilationContext) -> None:
         if ctx.fragments:

@@ -26,21 +26,27 @@ ratios — to decide *how to execute* a compiled job:
 Every decision is recorded in the plan's ``reasons`` trail, and the
 :class:`~repro.planner.plan.PlanReport` also ranks the simulated cluster
 frameworks for the job, preserving the paper's backend-diversity story.
+
+The planner keeps no copy of an implementation's static pricing: the
+backend price reads ``GeneratedProgram.stage_rows`` and the cluster
+ranking ``GeneratedProgram.cost``, each computed once per
+implementation.  Its only compile-time state is the payload pickle
+probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..cost.model import CostExpr, CostModel, CostTerm
+from ..cost.model import CostExpr, CostTerm
 from ..cost.monitor import SampleEstimates
 from ..diagnostics import make as make_diagnostic
 from ..diagnostics.pickling import probe_payload, static_unpicklable_reason
 from ..engine.config import PROFILES, EngineConfig
 from ..engine.multiprocess import default_process_count
 from ..engine.sizes import dataset_bytes
-from ..engine.source import Dataset
+from ..engine.source import Dataset, ListSource
 from ..ir.nodes import MapStage, Pipeline, ReduceStage, expr_size
 from ..options import ExecOptions
 from .plan import ExecutionPlan, PlanReport, StagePlan
@@ -66,10 +72,9 @@ def estimate_input_bytes(records: Any) -> Optional[int]:
     spill-decision estimator, exposed so the serve layer's admission
     controller prices jobs with exactly the §5 byte counts it uses.
     """
-    if isinstance(records, Dataset):
-        return records.estimated_bytes()
-    sample = records[:BYTE_SAMPLE_RECORDS]
-    return int(dataset_bytes(sample) / len(sample) * len(records)) if sample else 0
+    if not isinstance(records, Dataset):
+        records = ListSource(records)
+    return records.estimated_bytes()
 
 
 #: What the pool-or-sequential price is made of.  Fitted once on a
@@ -162,41 +167,24 @@ class ExecutionPlanner:
     """Chooses an :class:`ExecutionPlan` for one compiled fragment.
 
     Built by :meth:`AdaptiveProgram.ensure_planner` (the pipeline's
-    ``plan`` pass asks at compile time); the static part
-    (per-implementation cost bounds and stage op counts, payload
-    picklability of the summary itself) is computed once then, while
-    :meth:`plan` finalizes the data-dependent decisions per run.
+    ``plan`` pass asks at compile time); the static part — payload
+    picklability of the summary itself — is probed once then, while
+    :meth:`plan` finalizes the data-dependent decisions per run.  Each
+    implementation's cost expression and stage rows are its own
+    (``GeneratedProgram.cost`` / ``.stage_rows``).
     """
 
-    cost_model: CostModel = field(default_factory=CostModel)
     #: Compile-time probe: is the summary/view payload picklable at all?
     static_unpicklable: Optional[str] = None
-    #: Per-implementation (lower, upper) per-record cost bounds.
-    static_cost_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
     #: The static pickle walker cleared the payload but the runtime
     #: ``pickle.dumps`` backstop rejected it (a REP307 disagreement).
     probe_disagreement: bool = False
-    #: Per implementation (``id`` of the program the planner's owner
-    #: holds): its §5.1 cost expression and :func:`stage_ops` rows.
-    static_costs: dict[int, tuple[CostExpr, tuple]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Compile-time half
 
     def precompute(self, programs: list["GeneratedProgram"]) -> None:
         """Static analysis at compile time (the pipeline's plan pass)."""
-        for index, program in enumerate(programs):
-            cost = self.cost_model.summary_cost(
-                program.summary,
-                commutative_associative=(
-                    program.proof.is_commutative and program.proof.is_associative
-                ),
-            )
-            self.static_cost_bounds[f"impl_{index}"] = cost.bounds()
-            self.static_costs[id(program)] = (
-                cost,
-                stage_ops(program.summary.pipeline),
-            )
         if programs:
             verdict = probe_payload(
                 (programs[0].summary, programs[0].analysis.view)
@@ -433,7 +421,7 @@ class ExecutionPlanner:
         known = estimates.as_dict()
         stages = [
             {"stage": index, "kind": kind, "ops": ops, "reach": reach.evaluate(known)}
-            for index, kind, ops, reach in self.static_costs[id(program)][1]
+            for index, kind, ops, reach in program.stage_rows
         ]
         sample = head[:BYTE_SAMPLE_RECORDS]
         bytes_per_record = dataset_bytes(sample) / len(sample) if sample else 0.0
@@ -737,7 +725,7 @@ class ExecutionPlanner:
         paper's ordering (Spark ≤ Flink ≤ Hadoop for multi-stage jobs).
         """
         n_stages = len(program.summary.pipeline.stages)
-        bytes_per_record = self.static_costs[id(program)][0].evaluate(estimates)
+        bytes_per_record = program.cost.evaluate(estimates)
         moved = bytes_per_record * n * engine_config.scale
         cluster = engine_config.cluster
         ranking = {}

@@ -14,10 +14,13 @@ once.  The registry provides two tiers of that guarantee:
   cache and the search reports ``candidates_checked == 0``.
 
 Entries also carry the per-program execution lock the session layer
-uses: an :class:`~repro.codegen.glue.AdaptiveProgram` holds per-instance
-mutable state (runtime-monitor choice, last plan report), so two jobs
-of the *same* program serialize on the entry lock while jobs of
-different programs run fully concurrently.
+uses.  A run keeps nothing of its own on the
+:class:`~repro.codegen.glue.AdaptiveProgram` (the monitor returns its
+choice, the report comes back on the outcome), but the program still
+builds some state lazily on first use — each implementation's compiled
+sampler and kernels, the execution planner — and a session attaches its
+observation store to it; two jobs of the *same* program serialize on
+the entry lock while jobs of different programs run fully concurrently.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class RegisteredProgram:
     registrations: int = 1
     #: Completed job executions of this program.
     runs: int = 0
-    #: Serializes executions of this program: the adaptive program's
-    #: monitor/report state is per-instance, not per-run.
+    #: Serializes executions of this program: it guards what the adaptive
+    #: program builds lazily (samplers, kernels, planner) and the
+    #: observation store a session attaches.
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     @property

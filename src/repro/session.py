@@ -386,9 +386,9 @@ class Session:
         metrics = None
         try:
             # Two jobs of the *same* program serialize on the entry
-            # lock (the monitor and the lazily-attached planner and
-            # observation store are per-program); jobs of different
-            # programs run concurrently.
+            # lock (the lazily built samplers, kernels and planner and
+            # the attached observation store are per-program); jobs of
+            # different programs run concurrently.
             with entry.lock:
                 if self.observations is not None:
                     self._attach_observations(entry)

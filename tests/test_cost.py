@@ -23,7 +23,7 @@ from repro.cost import (
 )
 from repro.cost.monitor import SampleEstimates
 from repro.errors import IRError, KernelUnsupported
-from repro.graph.executor import interpret_fragment
+from repro.graph.executor import interpret_fragment, run_graph
 from repro.ir.builder import (
     add,
     and_,
@@ -48,6 +48,7 @@ from repro.lang.analysis.loops import DatasetField, DatasetView
 from repro.lang.types import INT
 from repro.planner.planner import ExecutionPlanner
 from repro.workloads import all_benchmarks, datagen, get_benchmark
+from repro.workloads.runner import compile_benchmark
 from suite_cache import compiled
 
 
@@ -162,8 +163,8 @@ class TestRuntimeMonitor:
         c = string_match_solution_c()
         return RuntimeMonitor(
             implementations=[
-                Implementation("b", b, model.summary_cost(b), lambda data: "ran_b"),
-                Implementation("c", c, model.summary_cost(c), lambda data: "ran_c"),
+                Implementation("b", b, model.summary_cost(b)),
+                Implementation("c", c, model.summary_cost(c)),
             ]
         )
 
@@ -172,32 +173,75 @@ class TestRuntimeMonitor:
         words = ["key1"] * matched + ["filler"] * (n - matched)
         return [{"word": w} for w in words]
 
+    def choose(self, monitor, match_probability):
+        """``choose``'s decision by name, with every cost; the monitor is
+        left as it was, so jobs sharing it cannot read each other's."""
+        before = dict(vars(monitor))
+        env = {"key1": "key1", "key2": "key2"}
+        index, costs = monitor.choose(self.sample(match_probability), env)
+        assert vars(monitor) == before
+        return monitor.implementations[index].name, costs
+
     def test_low_skew_prefers_guarded_solution(self):
         """Fig. 8(c): 0% and 50% match → solution (c) wins."""
         monitor = self.make_monitor()
-        env = {"key1": "key1", "key2": "key2"}
-        chosen = monitor.choose(self.sample(0.0), env)
-        assert chosen.name == "c"
-        chosen = monitor.choose(self.sample(0.5), env)
-        assert chosen.name == "c"
+        assert self.choose(monitor, 0.0) == ("c", {"b": 84.0, "c": 0.0})
+        assert self.choose(monitor, 0.5) == ("c", {"b": 84.0, "c": 75.0})
 
     def test_high_skew_prefers_tuple_solution(self):
         """Fig. 8(c): 95% match → solution (b) wins."""
         monitor = self.make_monitor()
+        assert self.choose(monitor, 0.95) == ("b", {"b": 84.0, "c": 142.5})
+
+    def test_first_lowest_cost_wins_a_tie(self):
+        model = CostModel()
+        b = string_match_solution_b()
+        monitor = RuntimeMonitor(
+            implementations=[
+                Implementation(name, b, model.summary_cost(b)) for name in "xyz"
+            ]
+        )
         env = {"key1": "key1", "key2": "key2"}
-        chosen = monitor.choose(self.sample(0.95), env)
-        assert chosen.name == "b"
+        index, costs = monitor.choose(self.sample(0.5), env)
+        assert index == 0 and len(set(costs.values())) == 1
 
-    def test_monitor_records_costs(self):
-        monitor = self.make_monitor()
-        monitor.choose(self.sample(0.5), {"key1": "key1", "key2": "key2"})
-        assert set(monitor.last_costs) == {"b", "c"}
-        assert monitor.last_choice in ("b", "c")
 
-    def test_run_dispatches_to_chosen(self):
-        monitor = self.make_monitor()
-        result = monitor.run([], self.sample(0.0), {"key1": "key1", "key2": "key2"})
-        assert result == "ran_c"
+class TestCostedOnce:
+    """§5.1 gives each verified summary one symbolic cost: it is computed
+    when the summary's ``GeneratedProgram`` is built, for pruning, and
+    pruning, the monitor, the planner and the fused-chain pick all read
+    that one expression — no run computes it again."""
+
+    @pytest.mark.parametrize(
+        "name, verified",
+        [("ariths_average", 8), ("phoenix_string_match", 6), ("joins_q3_revenue", 4)],
+    )
+    def test_summary_cost_runs_once_per_verified_summary(
+        self, monkeypatch, name, verified
+    ):
+        calls = []
+        original = CostModel.summary_cost
+
+        def counting(self, summary, commutative_associative=True):
+            calls.append(summary)
+            return original(self, summary, commutative_associative)
+
+        monkeypatch.setattr(CostModel, "summary_cost", counting)
+        compilation = compile_benchmark(get_benchmark(name))  # no cache: cold
+        assert compilation.cache_hits == 0
+        searched = sum(
+            len(f.search.summaries) for f in compilation.fragments if f.search
+        )
+        assert len(calls) == searched == verified
+        inputs = get_benchmark(name).make_inputs(300, 7)
+        env = dict(inputs)
+        for fragment in compilation.fragments:
+            if fragment.translated:
+                for _ in range(3):
+                    fragment.program.run(dict(env), ExecOptions(plan="auto"))
+            env.update(interpret_fragment(fragment.analysis, env))
+        run_graph(compilation.job_graph, dict(inputs))
+        assert len(calls) == verified, "a run costed an implementation again"
 
 
 # ----------------------------------------------------------------------
@@ -494,10 +538,13 @@ class TestSamplerFallback:
     def test_fallback_lands_on_the_plan_report_with_the_same_decision(self, monkeypatch):
         adaptive = compiled("phoenix_string_match").fragments[0].program
         env = get_benchmark("phoenix_string_match").make_inputs(400, 11)
+        head = adaptive.sample_head(view_records(adaptive.analysis.view, env))
+        globals_env, _sizes = prepare_globals(adaptive.analysis, env)
         clean = adaptive.run(dict(env), ExecOptions(plan="auto"))
-        costs, choice = dict(adaptive.monitor.last_costs), adaptive.monitor.last_choice
+        choice, costs = adaptive.monitor.choose(head, globals_env)
         assert not [d for d in clean.report.diagnostics if d.code == "REP309"]
         assert len(costs) > 1
+        assert clean.implementation == f"impl_{choice}"
 
         def refuse(*_args, **_kwargs):
             raise KernelUnsupported("refused for the test")
@@ -509,7 +556,7 @@ class TestSamplerFallback:
         fallbacks = [d for d in ran.report.diagnostics if d.code == "REP309"]
         assert len(fallbacks) == len(adaptive.programs)
         assert all("refused for the test" in d.message for d in fallbacks)
-        assert (adaptive.monitor.last_costs, adaptive.monitor.last_choice) == (costs, choice)
+        assert adaptive.monitor.choose(head, globals_env) == (choice, costs)
         assert ran.outputs == clean.outputs
         assert ran.implementation == clean.implementation
         assert ran.report.plan.stages == clean.report.plan.stages

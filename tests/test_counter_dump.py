@@ -5,8 +5,9 @@ benchmarks on five backends and every whole program through
 ``run_graph`` three ways, and digests each run's outputs, per-stage
 counters, simulated seconds and spill accounting; one ``@monitor`` row
 per fragment holds what the runtime monitor sampled and chose (every
-implementation's estimates, ``last_costs``, ``last_choice``) and the
-stage plans the planner derived.
+implementation's estimates, the costs and the choice that
+``RuntimeMonitor.choose`` returned) and the stage plans the planner
+derived.
 ``tests/data/counters_golden.json`` holds those digests as generated on
 the commit *before* the keyed row path moved to columns (PR 21's
 parent, ``87e2839``; the 595 run rows) and *before* the monitor sampled

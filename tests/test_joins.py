@@ -26,6 +26,7 @@ from repro.codegen.joins import (
 )
 from repro.engine.multiprocess import MapStep, MultiprocessEngine, ReduceStep
 from repro.engine.sizes import sizeof
+from repro.engine.source import ListSource
 from repro.engine.spill import _stable_bytes, partition_of
 from repro.errors import CodegenError
 from repro.lang.analysis.fragments import analyze_fragment, identify_fragments
@@ -220,15 +221,13 @@ class TestJoinIdentity:
 class TestBroadcastDecision:
     def test_broadcast_iff_small_side_fits_budget(self, monkeypatch):
         """1-CPU-safe: the estimate is monkeypatched, no pool involved."""
-        import repro.codegen.joins as cj
-
         fragment = translated_fragment("joins_partsupp_cost")
         program = fragment.program.programs[0]
         benchmark = get_benchmark("joins_partsupp_cost")
         inputs = benchmark.make_inputs(120, 7)
 
         monkeypatch.setattr(
-            cj, "estimate_records_bytes", lambda records, sample=64: 10_000
+            ListSource, "estimated_bytes", lambda self, sample_records=64: 10_000
         )
         over = resolve_join_strategies(program, inputs, memory_budget=9_999)
         assert [d.strategy for d in over] == ["reduce_side"]
@@ -236,16 +235,14 @@ class TestBroadcastDecision:
         assert [d.strategy for d in under] == ["broadcast"]
 
     def test_default_threshold_applies_without_budget(self, monkeypatch):
-        import repro.codegen.joins as cj
-
         fragment = translated_fragment("joins_partsupp_cost")
         program = fragment.program.programs[0]
         benchmark = get_benchmark("joins_partsupp_cost")
         inputs = benchmark.make_inputs(120, 7)
         monkeypatch.setattr(
-            cj,
-            "estimate_records_bytes",
-            lambda records, sample=64: DEFAULT_BROADCAST_BYTES + 1,
+            ListSource,
+            "estimated_bytes",
+            lambda self, sample_records=64: DEFAULT_BROADCAST_BYTES + 1,
         )
         decisions = resolve_join_strategies(program, inputs, memory_budget=None)
         assert [d.strategy for d in decisions] == ["reduce_side"]

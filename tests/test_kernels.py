@@ -273,8 +273,11 @@ OPTION_SURFACE = {
     "repro.engine.multiprocess:MultiprocessEngine": (
         "config processes partitions min_parallel_records memory_budget spill_dir"
     ),
-    "repro.cost.monitor:RuntimeMonitor": (
-        "implementations sample_size cost_model last_choice last_costs"
+    "repro.cost.monitor:RuntimeMonitor": "implementations",
+    "repro.planner.planner:ExecutionPlanner": "static_unpicklable probe_disagreement",
+    "repro.codegen.glue:AdaptiveProgram": (
+        "analysis programs monitor planner observations feedback_default "
+        "_fragment_key"
     ),
     "repro.synthesis.search:SearchConfig": (
         "incremental_grammar max_summaries_per_class accept_bounded_only "

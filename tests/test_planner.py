@@ -66,7 +66,7 @@ class TestPlanPass:
     def test_pipeline_attaches_planner(self, wc_result):
         fragment = wc_result.fragments[0]
         assert fragment.program.planner is not None
-        assert fragment.program.planner.static_cost_bounds
+        assert fragment.program.planner.static_unpicklable is None
 
     def test_plan_pass_timing_recorded(self, wc_result):
         assert "plan" in wc_result.pass_seconds
@@ -76,14 +76,48 @@ class TestPlanPass:
             assert low <= high
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 10_000])
+def test_one_sizeof_sample_byte_estimator(n):
+    """The planner's input estimate, the join's small-side estimate and
+    ``Dataset.estimated_bytes`` are one 64-record sizeof-sample
+    estimator, equal to each of the three copies it replaced."""
+    from repro.engine.sizes import dataset_bytes
+    from repro.engine.source import ListSource
+
+    records = [("w" * (i % 9), i, i * 0.5) for i in range(n)]
+
+    def joins_copy(records, sample=64):
+        if not records:
+            return 0
+        head = records[: max(1, sample)]
+        return int(dataset_bytes(head) / len(head) * len(records))
+
+    def planner_copy(records):
+        sample = records[:64]
+        return int(dataset_bytes(sample) / len(sample) * len(records)) if sample else 0
+
+    def dataset_copy(records):
+        if not records:
+            return 0
+        sample = records[:64]
+        return int(dataset_bytes(sample) / len(sample) * len(records))
+
+    got = planner_module.estimate_input_bytes(records)
+    assert got == ListSource(records).estimated_bytes()
+    assert got == joins_copy(records) == planner_copy(records) == dataset_copy(records)
+
+
 def run_fragment(result, inputs, options=None):
     """The sole fragment's full outcome: outputs, report, metrics."""
     return result.fragments[0].program.run(inputs, options)
 
 
 def fragment_bounds(result):
-    planner = result.fragments[0].program.planner
-    return list(planner.static_cost_bounds.values())
+    """Each implementation's (lower, upper) per-record cost bound."""
+    return [
+        (program.cost.lower_bound(), program.cost.upper_bound())
+        for program in result.fragments[0].program.programs
+    ]
 
 
 class TestAutoPlanning:
