@@ -10,7 +10,7 @@ benchmarks/collect_bench.py --output BENCH_local.json``), this measures:
 * **planner** — sequential vs ``plan="auto"`` wall-clock on a large
   input, with the chosen backend and the planner's own estimates, so
   the cost model can be tracked against measured reality over time;
-* **dag** — fused whole-program (``run_program``) vs unfused
+* **dag** — fused whole-program (one Session job) vs unfused
   per-fragment execution on the multi-stage benchmarks: wall and
   simulated seconds per benchmark, the fusion decisions taken, and the
   aggregate fusion speedups;
@@ -31,8 +31,8 @@ benchmarks/collect_bench.py --output BENCH_local.json``), this measures:
 * **serve** — the compile-and-serve daemon: cold vs warm registration
   (same process, and a restarted daemon over the disk cache tier),
   p50/p95 submit→result round-trip latency over the socket, concurrent
-  mixed-budget throughput, and result identity vs direct
-  ``run_program``;
+  mixed-budget throughput, and result identity vs the same job run
+  in-process;
 * **diagnostics** — the static soundness gate: an analysis-only sweep
   of every registry fragment (diagnostic counts per code; pre-CEGIS
   rejections must stay 0 on the suites), crafted provably-unsound
@@ -57,12 +57,11 @@ import time
 
 from repro import (
     ExecOptions,
+    Session,
     SummaryCache,
-    run_program,
     translate_many,
 )
 from repro.engine.multiprocess import default_process_count
-from repro.graph import run_graph
 from repro.workloads import datagen, get_benchmark, suite_benchmarks, suites
 from repro.workloads.runner import (
     compile_benchmark,
@@ -129,6 +128,14 @@ KERNEL_BENCHMARKS = (
     "tpch_q6",
 )
 KERNEL_SIZE = 50_000
+
+
+def run_job(session, compilation, inputs, options=None, fragment_index=None):
+    """One inline Session job's ``JobResult``; a failed job raises."""
+    job = session.run(compilation, inputs, options, fragment_index)
+    if not job.ok:
+        raise RuntimeError(job.error)
+    return job
 
 
 def measure_compile() -> dict:
@@ -212,7 +219,7 @@ def measure_planner() -> dict:
 
 
 def measure_dag() -> dict:
-    """Fused run_program vs unfused per-fragment DAG, measured for real.
+    """Fused vs unfused whole-program job graph, measured for real.
 
     ``plan="auto"`` lets the per-unit planner engage the pool where it
     can win; on single-CPU hosts both modes run sequentially and the
@@ -284,19 +291,23 @@ def measure_spill() -> dict:
     records = source.materialize()
     data_arg = benchmark.data_args[0]
 
-    started = time.perf_counter()
-    base = run_program(compilation, {data_arg: records}, ExecOptions(plan="sequential"))
-    base_wall = time.perf_counter() - started
+    with Session(max_workers=0, observe=False) as session:
+        started = time.perf_counter()
+        base = run_job(
+            session, compilation, {data_arg: records}, ExecOptions(plan="sequential")
+        ).outputs
+        base_wall = time.perf_counter() - started
 
-    started = time.perf_counter()
-    spill_run = run_graph(
-        compilation.job_graph,
-        {data_arg: source},
-        ExecOptions(plan="auto", memory_budget=SPILL_BUDGET),
-    )
-    spill_wall = time.perf_counter() - started
+        started = time.perf_counter()
+        spill_run = run_job(
+            session,
+            compilation,
+            {data_arg: source},
+            ExecOptions(plan="auto", memory_budget=SPILL_BUDGET),
+        )
+        spill_wall = time.perf_counter() - started
 
-    spilled, report = spill_run.outputs, spill_run.report
+    spilled, report = spill_run.outputs, spill_run.plan_report
     unit = next(iter(report.unit_reports.values()), None)
     stats = (unit.spill_stats if unit is not None else None) or {}
     return {
@@ -408,7 +419,6 @@ def measure_adaptive() -> dict:
     measures the *mid-job* broadcast-overflow switch (the build size is
     patched so the guard trips deterministically).
     """
-    from repro.cost.observe import ObservationStore
     from repro.lang.values import values_equal
 
     out: dict[str, dict] = {}
@@ -420,21 +430,16 @@ def measure_adaptive() -> dict:
             if not fragment.translated:
                 out[name] = {"error": fragment.failure_reason}
                 continue
-            program = fragment.program
             inputs = benchmark.make_inputs(JOIN_SIZE, 7)
             out_var = list(fragment.analysis.output_vars)[0]
-            program.observations = ObservationStore()
-            program.feedback_default = False
-            try:
-                feedback = ExecOptions(
-                    plan="auto", memory_budget=JOIN_REDUCE_BUDGET, feedback=True
-                )
-                ran = program.run(dict(inputs), feedback)
-                cold, cold_report = ran.outputs, ran.report
-                ran = program.run(dict(inputs), feedback)
-                warm, warm_report = ran.outputs, ran.report
-            finally:
-                program.observations = None
+            feedback = ExecOptions(
+                plan="auto", memory_budget=JOIN_REDUCE_BUDGET, feedback=True
+            )
+            with Session(max_workers=0) as session:
+                ran = run_job(session, compilation, dict(inputs), feedback, 0)
+                cold, cold_report = ran.outputs, ran.plan_report
+                ran = run_job(session, compilation, dict(inputs), feedback, 0)
+                warm, warm_report = ran.outputs, ran.plan_report
             cold_wall = cold_report.wall_seconds
             warm_wall = warm_report.wall_seconds
             out[name] = {
@@ -592,7 +597,8 @@ def measure_serve() -> dict:
 
     benchmark = get_benchmark(SERVE_BENCHMARK)
     inputs = benchmark.make_inputs(SERVE_SIZE, 7)
-    expected = run_program(compile_benchmark(benchmark), dict(inputs))
+    with Session(max_workers=0) as session:
+        expected = run_job(session, compile_benchmark(benchmark), dict(inputs)).outputs
 
     out: dict = {
         "benchmark": SERVE_BENCHMARK,

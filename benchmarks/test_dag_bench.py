@@ -2,7 +2,7 @@
 
 Two claims are exercised here:
 
-1. **Identity** — ``run_program`` (fused and unfused) matches the
+1. **Identity** — the whole-program job (fused and unfused) matches the
    chained reference-interpreter semantics on every multi-stage
    benchmark, at benchmark sizes.
 2. **Fusion speedup** — stitched chains beat the unfused per-fragment

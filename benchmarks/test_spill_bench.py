@@ -8,7 +8,7 @@ Three claims:
    sequential engine.  Gated unconditionally: a spilled result that
    diverges is a correctness bug, not a perf regression.
 2. **Bounded residency** — a generated dataset ≥10× the configured
-   budget streams through ``run_program`` with the spill engine while
+   budget streams through the job graph with the spill engine while
    the engine's peak-resident proxy (sizeof-model bytes held in shuffle
    buffers and merge groups) stays within 2× the budget, and the output
    matches the in-memory engine byte for byte.
@@ -26,7 +26,7 @@ import time
 import pytest
 
 from conftest import compiled
-from repro import ExecOptions, run_program
+from repro import ExecOptions
 from repro.graph import run_graph
 from repro.engine.multiprocess import default_process_count
 from repro.workloads import all_benchmarks, datagen, get_benchmark
@@ -110,11 +110,11 @@ class TestLargeScaleBoundedResidency:
             f"dataset {dataset_bytes} B is not ≥10× the {LARGE_BUDGET} B budget"
         )
 
-        baseline = run_program(
-            compilation,
+        baseline = run_graph(
+            compilation.job_graph,
             {"wordList": words.materialize()},
             ExecOptions(plan="sequential"),
-        )
+        ).outputs
         started = time.perf_counter()
         spilled = run_graph(
             compilation.job_graph,
@@ -161,15 +161,16 @@ class TestSpillSlowdownBound:
         inputs = benchmark.make_inputs(60_000, 7)
 
         started = time.perf_counter()
-        base = run_program(compilation, dict(inputs), ExecOptions(plan="sequential"))
+        graph = compilation.job_graph
+        base = run_graph(graph, dict(inputs), ExecOptions(plan="sequential")).outputs
         base_wall = time.perf_counter() - started
 
         started = time.perf_counter()
-        spilled = run_program(
-            compilation,
+        spilled = run_graph(
+            graph,
             dict(inputs),
             ExecOptions(plan="sequential", memory_budget=65_536),
-        )
+        ).outputs
         spill_wall = time.perf_counter() - started
 
         assert spilled == base

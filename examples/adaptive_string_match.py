@@ -8,7 +8,7 @@ unknowns, and executes the cheapest encoding for the observed data skew.
 Run:  python examples/adaptive_string_match.py
 """
 
-from repro import translate
+from repro import ExecOptions, Session, translate
 from repro.codegen.base import prepare_globals, view_records
 from repro.ir import format_summary
 from repro.workloads import datagen
@@ -42,6 +42,9 @@ def main() -> None:
         for line in format_summary(generated.summary).splitlines():
             print(f"    {line}")
 
+    # A planned job reports the implementation the monitor dispatched to;
+    # observe=False keeps each dataset's plan independent of the last.
+    session = Session(max_workers=0, observe=False)
     print("\nRunning over datasets with different keyword skew:")
     print(f"{'match prob':>12s}  {'chosen':>8s}  {'found?':>14s}")
     for probability in (0.0, 0.5, 0.95):
@@ -49,18 +52,19 @@ def main() -> None:
             50_000, ["key1", "key2"], probability, seed=17
         )
         inputs = {"text": text, "key1": "key1", "key2": "key2"}
-        outcome = program.run(inputs)
-        outputs = outcome.outputs
+        job = session.run(result, inputs, ExecOptions(plan="auto"), fragment_index=0)
+        outputs = job.outputs
         # The monitor's decision on the same first-k sample, with its costs.
         head = program.sample_head(view_records(program.analysis.view, inputs))
         globals_env, _sizes = prepare_globals(program.analysis, inputs)
         _index, costs = program.monitor.choose(head, globals_env)
         costs = {k: round(v, 1) for k, v in costs.items()}
         print(
-            f"{probability:>11.0%}  {outcome.implementation:>8s}  "
+            f"{probability:>11.0%}  {job.plan_report.implementation:>8s}  "
             f"key1={str(outputs['key1_found']):5s} key2={str(outputs['key2_found']):5s}"
             f"  costs/N: {costs}"
         )
+    session.close()
     print()
     print("The monitor samples the first 5000 words, estimates the emit")
     print("probabilities p1, p2, plugs them into the cost model (Eqns 2-3),")

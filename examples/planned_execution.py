@@ -8,7 +8,7 @@ overheads and decides.  Run with::
     PYTHONPATH=src python examples/planned_execution.py
 """
 
-from repro import ExecOptions, run_translated, translate
+from repro import ExecOptions, Session, translate
 
 SOURCE = """
 Map<String, Integer> wordCount(List<String> words) {
@@ -24,24 +24,30 @@ Map<String, Integer> wordCount(List<String> words) {
 def main() -> None:
     result = translate(SOURCE)
     words = [f"word{i % 2000}" for i in range(60_000)]
+    # Inline jobs on this thread; observe=False keeps each plan cold, so
+    # the auto run below is not re-priced from the sequential run.
+    session = Session(max_workers=0, observe=False)
 
     # The paper's behaviour: simulated Spark, simulated time.
-    outputs = run_translated(result, {"words": list(words)})
+    outputs = session.run(result, {"words": list(words)}).outputs
     print(f"simulated spark: {len(outputs['counts'])} distinct words")
 
     # Forced sequential: same algorithm in-process, real wall-clock.
-    # The fragment's own run() returns the full outcome — outputs plus
-    # the planner's report — for the call that produced it.
-    program = result.fragments[0].program
-    sequential = program.run(
-        {"words": list(words)}, ExecOptions(plan="sequential")
-    ).report
+    # A planned job's result carries the planner's report for the run
+    # that produced it.
+    sequential = session.run(
+        result, {"words": list(words)}, ExecOptions(plan="sequential")
+    ).plan_report
     print(f"sequential:      {sequential.wall_seconds:.3f}s wall")
 
-    # plan="auto": the planner decides and shows its work.
-    outcome = program.run({"words": list(words)}, ExecOptions(plan="auto"))
-    auto_outputs, report = outcome.outputs, outcome.report
-    assert auto_outputs == outputs
+    # plan="auto": the planner decides and shows its work.  A
+    # fragment_index job reports the fragment's own PlanReport.
+    job = session.run(
+        result, {"words": list(words)}, ExecOptions(plan="auto"), fragment_index=0
+    )
+    report = job.plan_report
+    assert job.outputs == outputs
+    session.close()
     print(f"auto:            {report.wall_seconds:.3f}s wall")
     print(f"  plan:          {report.plan.describe()}")
     print(f"  estimates:     {report.estimated_seconds}")

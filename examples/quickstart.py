@@ -8,7 +8,7 @@ and runs it on the simulated cluster.
 Run:  python examples/quickstart.py
 """
 
-from repro import translate
+from repro import Session, translate
 from repro.ir import format_summary
 
 JAVA_SOURCE = """
@@ -54,8 +54,11 @@ def main() -> None:
 
     # 4. Execute on the simulated cluster and compare with sequential.
     matrix = [[(i * 7 + j * 3) % 100 for j in range(64)] for i in range(512)]
-    outcome = fragment.program.run({"mat": matrix, "rows": 512, "cols": 64})
-    outputs, metrics = outcome.outputs, outcome.metrics
+    with Session(max_workers=0) as session:  # jobs run inline on this thread
+        job = session.run(
+            result, {"mat": matrix, "rows": 512, "cols": 64}, fragment_index=0
+        )
+    outputs, metrics = job.outputs, job.metrics
     expected = [sum(row) // 64 for row in matrix]
     assert outputs["m"] == expected, "translated program must match sequential"
     print(f"Executed on the simulated cluster: {len(matrix)}x64 matrix")

@@ -9,7 +9,7 @@ three backends.
 Run:  python examples/tpch_q6_pipeline.py
 """
 
-from repro import translate
+from repro import Session, translate
 from repro.ir import format_summary
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
@@ -77,16 +77,17 @@ def main() -> None:
         "query6", [lineitem]
     )
     print(f"Sequential result:  revenue = {expected:,.2f}")
+    session = Session(max_workers=0)  # jobs run inline on this thread
     for backend in ("spark", "hadoop", "flink"):
         backend_result = translate(JAVA_SOURCE, "query6", backend=backend)
-        frag = backend_result.fragments[0]
-        outcome = frag.program.run({"lineitem": lineitem})
-        outputs, metrics = outcome.outputs, outcome.metrics
+        job = session.run(backend_result, {"lineitem": lineitem}, fragment_index=0)
+        outputs, metrics = job.outputs, job.metrics
         assert abs(outputs["revenue"] - expected) < 1e-6 * max(1.0, abs(expected))
         print(
             f"  {backend:7s} revenue = {outputs['revenue']:,.2f}  "
             f"(simulated {metrics.simulated_seconds:.2f}s)"
         )
+    session.close()
 
 
 if __name__ == "__main__":

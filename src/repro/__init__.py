@@ -24,10 +24,13 @@ distributed substrate (see DESIGN.md for the substitution map):
 * :mod:`repro.baselines` — MOLD-style rules, mini-SparkSQL, manual impls
 * :mod:`repro.workloads` — the seven benchmark suites and data generators
 
-**Stable public API** (everything else is importable but may move):
-:func:`compile` / :func:`translate`, :class:`Session`,
-:class:`ExecOptions`, :class:`JobResult`, :func:`connect`,
-:mod:`repro.serve`, and :mod:`repro.errors`.
+**Public API** (``__all__``; everything else is importable from its
+defining module but may move): :func:`compile` / :func:`translate` /
+:func:`translate_many`, :class:`Session`, :class:`ExecOptions`,
+:class:`JobHandle` / :class:`JobResult`, :func:`connect`,
+:mod:`repro.serve`, :mod:`repro.errors`, the compilation results, the
+search and engine configurations, the summary cache and the input
+sources.
 
 Quickstart::
 
@@ -35,46 +38,30 @@ Quickstart::
 
     with repro.Session() as session:
         prog = session.compile(JAVA_SOURCE)
-        job = session.submit(prog, {"data": [...], "n": 3})
-        print(job.result().outputs)
+        result = session.run(prog, {"data": [...], "n": 3})
+        print(result.outputs, result.plan_report)
 
-Every run entry point has one shape — ``(program_or_result, inputs,
-options=None[, fragment_index=None])`` with ``options`` an
-:class:`ExecOptions` — and every layer returns what it produced:
-``run_program`` / ``run_translated`` return the outputs, and the
-evidence (plan report, metrics, admission) rides on the
-:class:`JobResult` of :meth:`Session.submit`, the ``GraphRunResult`` of
-``run_graph`` and the ``ExecutionOutcome`` of ``AdaptiveProgram.run``.
-Nothing is read back from shared "last run" state.
+A :class:`Session` is the one way to run a compiled job:
+``session.run`` / ``session.submit(program, inputs, options=None,
+fragment_index=None)`` with ``options`` an :class:`ExecOptions`.  The
+default runs the whole program as a job graph; ``fragment_index`` runs
+one translated fragment through its adaptive program.
+``Session(max_workers=0)`` runs jobs inline on the caller's thread,
+which is what scripts want.  Each job's evidence (plan report, metrics,
+admission) rides on its :class:`JobResult`; nothing is read back from
+shared "last run" state.
 """
 
 from .compiler import (
-    CasperCompiler,
     CompilationResult,
     FragmentTranslation,
-    run_program,
-    run_translated,
     translate,
     translate_many,
 )
 from .engine.config import ClusterConfig, EngineConfig
-from .engine.source import (
-    Dataset,
-    GeneratorSource,
-    JsonlSource,
-    ListSource,
-    TextSource,
-)
-from .graph import GraphRunResult, JobGraph
+from .engine.source import Dataset, GeneratorSource, ListSource
 from .options import ExecOptions
-from .pipeline import PassPipeline, SummaryCache
-from .planner import (
-    DagPlanner,
-    ExecutionPlan,
-    ExecutionPlanner,
-    GraphPlanReport,
-    PlanReport,
-)
+from .pipeline import SummaryCache
 from .session import JobHandle, JobResult, Session
 from .synthesis.search import SearchConfig
 from . import errors, serve
@@ -90,10 +77,10 @@ def connect(address: str, timeout: float = 300.0):
     return _connect(address, timeout=timeout)
 
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
-    # Stable session-era API.
+    # Compile, run, serve.
     "ExecOptions",
     "JobHandle",
     "JobResult",
@@ -103,30 +90,17 @@ __all__ = [
     "errors",
     "serve",
     "translate",
-    # Established building blocks.
-    "CasperCompiler",
+    "translate_many",
+    # What a compile returns and what configures it.
     "ClusterConfig",
     "CompilationResult",
-    "DagPlanner",
-    "Dataset",
     "EngineConfig",
-    "ExecutionPlan",
-    "ExecutionPlanner",
     "FragmentTranslation",
-    "GeneratorSource",
-    "GraphPlanReport",
-    "GraphRunResult",
-    "JobGraph",
-    "JsonlSource",
-    "ListSource",
-    "PassPipeline",
-    "PlanReport",
     "SearchConfig",
     "SummaryCache",
-    "TextSource",
-    "translate_many",
-    # Convenience entry points returning bare outputs.
-    "run_program",
-    "run_translated",
+    # Inputs.
+    "Dataset",
+    "GeneratorSource",
+    "ListSource",
     "__version__",
 ]

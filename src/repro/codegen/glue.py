@@ -61,17 +61,6 @@ class AdaptiveProgram:
     #: asks at compile time, a hand-built program's first
     #: ``plan="auto"`` run asks then.
     planner: Optional[ExecutionPlanner] = None
-    #: Observation store feeding measured statistics from prior runs
-    #: back into planning.  A serving :class:`~repro.serve.session.Session`
-    #: attaches its shared, disk-backed store; direct ``feedback=True``
-    #: callers get a private in-memory store created lazily.
-    observations: Optional[ObservationStore] = None
-    #: Whether planned runs use feedback when the call does not say.
-    #: Off by default — a direct ``run()`` must stay reproducible and
-    #: side-effect free (benchmarks re-run the same program under
-    #: different plans and must not contaminate one another); sessions
-    #: built with ``observe=True`` flip this on per program.
-    feedback_default: bool = False
     _fragment_key: Optional[str] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -99,6 +88,7 @@ class AdaptiveProgram:
         inputs: dict[str, Any],
         options: Optional[ExecOptions] = None,
         records: Optional[Any] = None,
+        observations: Optional[ObservationStore] = None,
     ) -> ExecutionOutcome:
         """Sample, select, execute; returns the call's outcome.
 
@@ -114,11 +104,13 @@ class AdaptiveProgram:
         lets the execution planner choose, a backend name forces it —
         and ``memory_budget`` is folded by the planner into the
         :class:`ExecutionPlan` the engines consume.
-        ``feedback`` closes the adaptive loop: planned runs resolve
-        their estimates against the observation recorded by the last
-        run over the same ``(fragment, dataset)`` and record a fresh one
-        afterwards; ``None`` defers to :attr:`feedback_default` (off
-        unless a Session with ``observe=True`` owns this program).
+        ``observations`` closes the adaptive loop: a planned run given a
+        store resolves its estimates against the observation recorded
+        by the last run over the same ``(fragment, dataset)`` and
+        records a fresh one afterwards; without one it plans cold and
+        records nothing.  A :class:`~repro.session.Session` passes its
+        own store when the job's ``ExecOptions.feedback`` (else the
+        session's ``observe``) says so — the program never holds one.
         Feedback never changes results — only which plan produces them.
 
         ``records`` lets a caller that already materialized
@@ -129,20 +121,17 @@ class AdaptiveProgram:
         """
         options = options or ExecOptions()
         plan = options.effective_plan
-        use_feedback = (
-            self.feedback_default if options.feedback is None else options.feedback
-        ) and plan is not None
+        use_feedback = observations is not None and plan is not None
         if records is None:
             records = view_records(self.analysis.view, inputs)
         observation = None
         observation_note = None
         fragment_key = dataset_key = None
         if use_feedback:
-            store = self._store()
             fragment_key = self._observation_key()
             dataset_key = dataset_fingerprint(inputs)
-            observation = store.lookup(fragment_key, dataset_key)
-            observation_note = store.last_note
+            observation = observations.lookup(fragment_key, dataset_key)
+            observation_note = observations.last_note
         head = self.sample_head(records)
         globals_env = self._globals(inputs)
         sampled: dict[str, Any] = {}
@@ -231,7 +220,7 @@ class AdaptiveProgram:
         outcome.implementation = implementation
         outcome.join_decision = join_decision
         if use_feedback:
-            self._store().record(
+            observations.record(
                 harvest_observation(
                     fragment_key, dataset_key, report, outcome, records=records
                 )
@@ -303,11 +292,6 @@ class AdaptiveProgram:
             self.planner = ExecutionPlanner()
             self.planner.precompute(self.programs)
         return self.planner
-
-    def _store(self) -> ObservationStore:
-        if self.observations is None:
-            self.observations = ObservationStore()
-        return self.observations
 
     def _observation_key(self) -> str:
         if self._fragment_key is None:

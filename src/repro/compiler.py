@@ -13,9 +13,9 @@ plan — over an explicit :class:`~repro.pipeline.context.CompilationContext`:
 3. **code generator** — executable backend programs, static cost pruning,
    and the runtime monitor for adaptive dispatch;
 4. **execution planner** — compile-time cost bounds plus a runtime
-   backend/partition/combiner decision (``run_translated(...,
-   ExecOptions(plan="auto"))``), validated by the real multiprocess
-   backend.
+   backend/partition/combiner decision (a job submitted to a
+   :class:`~repro.session.Session` with ``ExecOptions(plan="auto")``),
+   validated by the real multiprocess backend.
 
 Independent fragments compile concurrently, and :meth:`CasperCompiler
 .translate_many` batches whole workload suites through one worker pool.
@@ -27,19 +27,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .diagnostics import Diagnostic, explain as explain_diagnostics
 from .errors import AnalysisError
-from .options import ExecOptions, check_options
 from .lang import ast_nodes as ast
 from .lang.parser import parse_program
 from .lang.analysis.fragments import CodeFragment, FragmentAnalysis
-from .codegen.base import ExecutionOutcome
 from .codegen.glue import AdaptiveProgram
 from .codegen.render import render
 from .engine.config import EngineConfig
-from .graph.executor import GraphRunResult, run_graph
 from .graph.jobgraph import JobGraph
 from .pipeline.cache import SummaryCache
 from .pipeline.context import CompilationContext
@@ -100,7 +97,8 @@ class CompilationResult:
     #: Wall-clock seconds per pipeline pass, summed over fragments.
     pass_seconds: dict[str, float] = field(default_factory=dict)
     #: Whole-program job graph (built by the sixth, ``graph``, pass):
-    #: the dataflow DAG :func:`run_program` schedules and executes.
+    #: the dataflow DAG a :class:`~repro.session.Session` job schedules
+    #: and executes.
     job_graph: Optional["JobGraph"] = None
 
     @property
@@ -289,125 +287,3 @@ def translate_many(
         max_workers=max_workers,
     )
     return compiler.translate_many(sources)
-
-
-def run_translated(
-    result: CompilationResult,
-    inputs: dict[str, Any],
-    options: Optional[ExecOptions] = None,
-    fragment_index: Optional[int] = None,
-) -> dict[str, Any]:
-    """Run one translated fragment of a compilation result.
-
-    Without ``fragment_index`` the result must contain exactly one
-    fragment and it must be translated; otherwise an
-    :class:`~repro.errors.AnalysisError` explains which fragments exist,
-    which failed to translate and why — nothing is silently skipped.
-
-    ``options`` (an :class:`~repro.options.ExecOptions`) says how to
-    execute; only the fragment-level knobs apply here (``plan``,
-    ``memory_budget``, ``feedback``).
-
-    Returns the fragment's outputs.  The evidence — plan report,
-    metrics, chosen implementation — is on the
-    :class:`~repro.codegen.base.ExecutionOutcome` that
-    ``fragment.program.run(inputs, options)`` returns, and on the
-    :class:`~repro.session.JobResult` of :meth:`repro.Session.submit`.
-    """
-    options = check_options(options, "run_translated")
-    return _run_fragment(result, inputs, fragment_index, options).outputs
-
-
-def _run_fragment(
-    result: CompilationResult,
-    inputs: dict[str, Any],
-    fragment_index: Optional[int],
-    options: ExecOptions,
-) -> ExecutionOutcome:
-    """Run one fragment, returning its full :class:`ExecutionOutcome`."""
-    return _pick_fragment(result, fragment_index).program.run(inputs, options)
-
-
-def run_program(
-    result: CompilationResult,
-    inputs: dict[str, Any],
-    options: Optional[ExecOptions] = None,
-) -> dict[str, Any]:
-    """Run a whole compiled program as one dataflow-scheduled job graph.
-
-    This supersedes per-fragment :func:`run_translated` for
-    multi-fragment programs: fragments execute in dependency order,
-    independent branches run concurrently, producer→consumer chains are
-    fused into single engine invocations (the intermediate dataset is
-    handed over partitioned instead of rebuilt), and shared input scans
-    are materialized once.  Results are identical to running each
-    fragment sequentially through the reference interpreter.
-
-    ``options`` (an :class:`~repro.options.ExecOptions`) carries every
-    execution knob; see :func:`~repro.graph.executor.run_graph` for how
-    each applies to a graph.
-
-    Returns the program's outputs.  The
-    :class:`~repro.planner.dag.GraphPlanReport` evidence trail is on the
-    :class:`~repro.graph.executor.GraphRunResult` that
-    ``run_graph(result.job_graph, inputs, options)`` returns, and on the
-    :class:`~repro.session.JobResult` of :meth:`repro.Session.submit`.
-    """
-    options = check_options(options, "run_program")
-    return _run_program(result, inputs, options).outputs
-
-
-def _run_program(
-    result: CompilationResult,
-    inputs: dict[str, Any],
-    options: ExecOptions,
-) -> GraphRunResult:
-    """Whole-program execution returning the full ``GraphRunResult``."""
-    return run_graph(result.job_graph, inputs, options)
-
-
-def _pick_fragment(
-    result: CompilationResult, fragment_index: Optional[int]
-) -> FragmentTranslation:
-    if fragment_index is not None:
-        try:
-            fragment = result.fragments[fragment_index]
-        except IndexError:
-            raise AnalysisError(
-                f"fragment_index {fragment_index} out of range: "
-                f"result has {len(result.fragments)} fragment(s)"
-            ) from None
-        if not fragment.translated:
-            raise AnalysisError(
-                f"fragment {fragment.fragment.id!r} was not translated: "
-                f"{fragment.failure_reason or 'unknown reason'}"
-            )
-        return fragment
-
-    if not result.fragments:
-        raise AnalysisError("compilation identified no fragments to run")
-    if len(result.fragments) > 1:
-        raise AnalysisError(
-            f"{result.function!r} has {len(result.fragments)} fragments — "
-            "use run_program(result, inputs) to execute the whole program "
-            "as a job graph, or pass fragment_index to run one of: "
-            + "; ".join(
-                _fragment_status(f, i) for i, f in enumerate(result.fragments)
-            )
-        )
-    only = result.fragments[0]
-    if not only.translated:
-        raise AnalysisError(
-            f"fragment {only.fragment.id!r} was not translated: "
-            f"{only.failure_reason or 'unknown reason'}"
-        )
-    return only
-
-
-def _fragment_status(fragment: FragmentTranslation, index: int) -> str:
-    if fragment.translated:
-        return f"[{index}] {fragment.fragment.id} (translated)"
-    return (
-        f"[{index}] {fragment.fragment.id} (untranslated: "
-        f"{fragment.failure_reason or 'unknown reason'})"
-    )

@@ -14,7 +14,8 @@ translated fragments and executes it as one program:
   execution, shared dataset-view caching, and stitched fused chains on
   the real local engines.
 
-The user-facing entry point is :func:`repro.run_program`.
+Users run a whole program by submitting it to a :class:`repro.Session`
+without a ``fragment_index``; the session calls :func:`run_graph`.
 """
 
 from .executor import GraphRunResult, interpret_reference, run_graph

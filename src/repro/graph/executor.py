@@ -34,6 +34,7 @@ from ..codegen.base import (
     run_local_steps,
     view_records,
 )
+from ..cost.observe import ObservationStore
 from ..engine.multiprocess import BridgeStep, MapStep
 from ..errors import GraphError
 from ..options import ExecOptions
@@ -45,7 +46,7 @@ from .jobgraph import JobGraph, JobNode
 
 @dataclass
 class GraphRunResult:
-    """Everything one ``run_program`` execution produced."""
+    """Everything one :func:`run_graph` execution produced."""
 
     outputs: dict[str, Any]
     report: GraphPlanReport
@@ -108,12 +109,15 @@ def run_graph(
     graph: JobGraph,
     inputs: dict[str, Any],
     options: Optional[ExecOptions] = None,
+    observations: Optional[ObservationStore] = None,
 ) -> GraphRunResult:
     """Execute a whole-program job graph over concrete inputs.
 
-    ``options`` (see :class:`~repro.options.ExecOptions`) is handed
-    whole to every unit.  Its ``effective_plan`` follows
-    ``run_translated``: ``None`` keeps each fragment's compiled backend
+    This is what a :class:`~repro.session.Session` job without a
+    ``fragment_index`` runs.  ``options`` (see
+    :class:`~repro.options.ExecOptions`) is handed whole to every unit.
+    Its ``effective_plan`` follows :meth:`AdaptiveProgram.run`: ``None``
+    keeps each fragment's compiled backend
     (fused chains run on the real local engine, where stitching
     exists), ``"auto"`` lets the execution planner decide per unit, and
     a backend name forces it.  ``outputs`` names the variables the
@@ -128,9 +132,10 @@ def run_graph(
     scans, spill-to-disk shuffle, per-partition merge-reduce — with
     stage handoffs inside fused chains streamed the same way.
 
-    ``feedback`` engages observation-resolved planning per single-
-    fragment unit (see :meth:`AdaptiveProgram.run`); fused chains plan
-    from their own spliced estimates and ignore it.
+    ``observations`` (the session's store, when the job uses feedback)
+    engages observation-resolved planning per single-fragment unit (see
+    :meth:`AdaptiveProgram.run`); fused chains plan from their own
+    spliced estimates and ignore it.
 
     Each unit's :class:`PlanReport` comes back from the call that ran
     it and lands in ``report.unit_reports`` under the unit's head node.
@@ -161,7 +166,7 @@ def run_graph(
         # would.  The simulated cluster runs a wave's branches side by
         # side, hence the per-wave maximum.
         outcomes = [
-            _run_unit(graph, schedule.units[index], env, options, cache)
+            _run_unit(graph, schedule.units[index], env, options, cache, observations)
             for index in wave
         ]
         wave_simulated = 0.0
@@ -213,7 +218,7 @@ def interpret_reference(graph: JobGraph, inputs: dict[str, Any]) -> dict[str, An
     """Reference semantics: run every fragment with the interpreter.
 
     Fragments execute in source order with outputs chained forward —
-    the behaviour ``run_program`` must reproduce exactly.  Fragments
+    the behaviour :func:`run_graph` must reproduce exactly.  Fragments
     whose analysis failed are skipped (they have no computable
     semantics at this layer), matching the executor.
     """
@@ -281,6 +286,7 @@ def _run_unit(
     env: dict[str, Any],
     options: ExecOptions,
     cache: _RecordsCache,
+    observations: Optional[ObservationStore],
 ) -> _UnitOutcome:
     outcome = _UnitOutcome(unit=unit)
     node = graph.nodes[unit.head]
@@ -288,7 +294,7 @@ def _run_unit(
     if unit.fused:
         _run_chain(graph, unit, env, options, cache, outcome)
     elif node.translated:
-        _run_single(node, env, options, cache, outcome)
+        _run_single(node, env, options, cache, observations, outcome)
     else:
         _run_interpreted(node, env, outcome)
     outcome.wall_seconds = time.perf_counter() - started
@@ -300,10 +306,11 @@ def _run_single(
     env: dict[str, Any],
     options: ExecOptions,
     cache: _RecordsCache,
+    observations: Optional[ObservationStore],
     outcome: _UnitOutcome,
 ) -> None:
     records = cache.get(node.analysis.view, env)
-    ran = node.program.run(env, options, records=records)
+    ran = node.program.run(env, options, records=records, observations=observations)
     outcome.outputs = ran.outputs
     outcome.report = ran.report
     outcome.simulated_seconds = ran.metrics.simulated_seconds

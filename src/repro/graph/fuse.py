@@ -2,7 +2,7 @@
 
 Rewrites a :class:`~repro.graph.jobgraph.JobGraph` into an executable
 :class:`GraphSchedule` of *units*.  A unit is either a single node (run
-through its adaptive program exactly as ``run_translated`` would) or a
+through its adaptive program exactly as a ``fragment_index`` job would) or a
 :class:`FusedChain` — a producer→consumer pipeline whose intermediate
 dataset is handed over inside one engine invocation instead of being
 rebuilt into source-program variables and re-scanned (the §6.3 glue
@@ -110,8 +110,8 @@ def optimize_graph(
 
     ``required_vars`` enables dead-stage elimination: only nodes that
     (transitively) contribute to one of the named variables survive.
-    ``None`` keeps every node — the default for ``run_program``, whose
-    callers expect all program outputs.  ``fuse=False`` disables chain
+    ``None`` keeps every node — the default for a whole-program job,
+    whose callers expect all program outputs.  ``fuse=False`` disables chain
     building (every unit is a single node), which is the baseline the
     fusion benchmarks compare against.
     """

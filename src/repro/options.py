@@ -1,9 +1,9 @@
 """Execution options: the one object every run entry point accepts.
 
 A caller's frozen :class:`ExecOptions` travels *whole* from
-``Session.submit`` / ``run_program`` / ``run_translated`` /
-``DaemonClient.submit`` through ``run_graph`` and
-``AdaptiveProgram.run`` to the planner, which folds it into the
+``Session.submit`` / ``DaemonClient.submit`` — the one way to run a
+job — through ``run_graph`` and ``AdaptiveProgram.run`` to the
+planner, which folds it into the
 :class:`~repro.planner.plan.ExecutionPlan` that alone carries the
 physical choices into the engines.  Names are validated here, once; the
 "budget or feedback implies the planner" rule is :attr:`ExecOptions
@@ -40,9 +40,8 @@ class ExecOptions:
       elimination (whole-program runs only).
     * ``feedback`` — planned runs resolve estimates against the
       observation recorded by the last run over the same (fragment,
-      dataset) and record a fresh one afterwards.  ``None`` defers to
-      the owner (a ``Session(observe=True)`` turns it on; direct runs
-      stay off so repeated measurements never contaminate one another);
+      dataset) in the session's store and record a fresh one
+      afterwards.  ``None`` defers to the session's ``observe`` flag;
       ``True`` with no plan implies ``plan="auto"``.  Results are
       byte-identical either way — feedback changes plans, not answers.
     """

@@ -11,7 +11,7 @@ instrumentation gets per-stage timings for free.
 The sixth, ``graph``, is a *context* pass: it runs once per function
 after every fragment's chain has finished (it needs all of them) and
 stitches the per-fragment liveness sets into the whole-program job
-graph that ``run_program`` executes.
+graph that :func:`~repro.graph.executor.run_graph` executes.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class GraphPass:
     Runs the inter-fragment dataflow analysis (liveness in/out sets →
     producer→consumer edges) and attaches the resulting
     :class:`~repro.graph.jobgraph.JobGraph` to the context, so
-    ``run_program`` can schedule fused chains and concurrent branches
+    ``run_graph`` can schedule fused chains and concurrent branches
     without re-deriving the dataflow per run.  It runs once per
     context, after every fragment chain completes.
     """

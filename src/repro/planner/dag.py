@@ -12,8 +12,8 @@ a wave's units one after another); chains serialize across waves.
 The :class:`GraphPlanReport` is the whole-program analogue of
 :class:`~repro.planner.plan.PlanReport`: per-unit plan reports plus the
 graph-level evidence (waves, fusion decisions, cache reuse), so a
-planned ``run_program`` leaves the same kind of audit trail a planned
-``run_translated`` does.
+planned whole-program job leaves the same kind of audit trail a planned
+``fragment_index`` job does.
 """
 
 from __future__ import annotations

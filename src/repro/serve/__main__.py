@@ -8,8 +8,9 @@ Daemon mode binds the given host/port and serves until interrupted::
 ephemeral daemon, register a program twice (the second registration
 must be warm with zero CEGIS candidates checked), push concurrent jobs
 through it — one under a deliberately small memory budget — verify the
-outputs are identical to a direct in-process ``run_program``, and shut
-down cleanly.  Exit code 0 on success.
+outputs are identical to the reference interpreter's
+(:func:`~repro.graph.executor.interpret_reference`, which shares no code
+with the compiled path), and shut down cleanly.  Exit code 0 on success.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ Map<String, Integer> wc(List<String> words) {
 
 
 def _smoke() -> int:
-    from ..compiler import run_program, translate
+    from ..compiler import translate
+    from ..graph.executor import interpret_reference
     from ..options import ExecOptions
     from .client import connect
     from .daemon import serve
@@ -78,10 +80,12 @@ def _smoke() -> int:
                     print(f"smoke: FAIL job {r.job_id}: {r.error}")
                 return 1
 
-            expect_sum = run_program(
-                translate(SMOKE_SUM), {"data": data, "n": len(data)}
+            expect_sum = interpret_reference(
+                translate(SMOKE_SUM).job_graph, {"data": data, "n": len(data)}
             )
-            expect_wc = run_program(translate(SMOKE_WC), {"words": words})
+            expect_wc = interpret_reference(
+                translate(SMOKE_WC).job_graph, {"words": words}
+            )
             expected = [expect_sum, expect_sum, expect_wc, expect_wc]
             for result, reference in zip(results, expected):
                 if result.outputs != reference:
@@ -99,7 +103,7 @@ def _smoke() -> int:
             modes = [r.admission["mode"] for r in results]
             print(
                 f"smoke: {len(results)} concurrent jobs ok, "
-                f"admission modes={modes}, outputs identical to run_program"
+                f"admission modes={modes}, outputs identical to the interpreter"
             )
             client.shutdown()
         finally:

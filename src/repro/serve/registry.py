@@ -122,7 +122,6 @@ class ProgramRegistry:
         cache_dir: Optional[str] = None,
         search_config: Optional[SearchConfig] = None,
         backend: str = "spark",
-        max_workers: Optional[int] = None,
     ) -> None:
         self.search_config = search_config or SearchConfig()
         self.backend = backend
@@ -131,7 +130,6 @@ class ProgramRegistry:
             search_config=self.search_config,
             backend=backend,
             cache=self.cache,
-            max_workers=max_workers,
         )
         self._programs: dict[str, RegisteredProgram] = {}
         self._adopted: dict[int, RegisteredProgram] = {}

@@ -1,8 +1,8 @@
 """Tagged-JSON wire codec for daemon inputs and outputs.
 
 The acceptance bar for the serving layer is *byte-identity*: outputs
-fetched over the socket must equal what a direct in-process
-``run_program`` returns.  Plain JSON cannot clear that bar — translated
+fetched over the socket must equal what an in-process
+``Session.run`` returns.  Plain JSON cannot clear that bar — translated
 programs traffic in tuples (grouped keys), dicts keyed by ints and
 tuples (histograms, join results), and the reference comparisons are
 exact.  So values cross the wire as JSON with explicit type tags:

@@ -1,7 +1,10 @@
 """The session façade: compile once, submit jobs, read results.
 
-This is the redesigned front door of the repository (ROADMAP item 1).
-Every layer under it *returns* what one call produced
+This is the one way to run a compiled job: a whole program (its job
+graph, through :func:`~repro.graph.executor.run_graph`) or one
+translated fragment (``fragment_index``, through its
+:class:`~repro.codegen.glue.AdaptiveProgram`).  Every layer under it
+*returns* what one call produced
 (:class:`~repro.codegen.base.ExecutionOutcome`,
 :class:`~repro.graph.executor.GraphRunResult`), so a job's evidence is
 never read back from shared state.  A :class:`Session` owns the pieces
@@ -27,7 +30,8 @@ Quick start::
         result.outputs, result.plan_report, result.admission
 
 ``Session(max_workers=0)`` executes submissions inline on the caller's
-thread — same API, no pool — which is what the benchmark runner uses.
+thread — same API, no pool — which is what scripts and the benchmark
+runner use.
 :func:`repro.connect` hands back the same API shape over a daemon
 socket (see :mod:`repro.serve`).
 """
@@ -43,9 +47,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from .compiler import CompilationResult, _run_fragment, _run_program
+from .compiler import CompilationResult, FragmentTranslation
 from .cost.observe import ObservationStore
-from .errors import ServeError
+from .errors import AnalysisError, ServeError
+from .graph.executor import run_graph
 from .options import ExecOptions, check_options
 from .serve.admission import AdmissionController
 from .serve.registry import ProgramRegistry, RegisteredProgram
@@ -149,9 +154,6 @@ class Session:
     capacity_bytes / exclusive_fraction:
         Admission-control knobs; see
         :class:`~repro.serve.admission.AdmissionController`.
-    defaults:
-        Session-wide :class:`ExecOptions` applied to submissions that
-        pass none.
     observe:
         Accumulate observations (measured cardinalities, key ratios,
         join selectivities) across jobs, so *planned* submissions of a
@@ -161,7 +163,10 @@ class Session:
         disk tier next to the summary cache, so tuning survives a
         restart.  ``observe=False`` keeps every run's planning
         independent.  Submissions can override per job via
-        ``ExecOptions(feedback=...)``.
+        ``ExecOptions(feedback=...)``.  The store belongs to the
+        session and is handed to each job's run; no compiled program
+        holds it, so a program shared between sessions never sees
+        another session's observations.
     """
 
     def __init__(
@@ -172,35 +177,27 @@ class Session:
         max_workers: int = 4,
         capacity_bytes: Optional[int] = None,
         exclusive_fraction: float = 0.5,
-        compile_workers: Optional[int] = None,
-        defaults: Optional[ExecOptions] = None,
         observe: bool = True,
     ) -> None:
         if max_workers < 0:
             raise ValueError("max_workers must be >= 0")
         self.observe = observe
-        self.observations: Optional[ObservationStore] = (
-            ObservationStore(
-                cache_dir=(
-                    os.path.join(cache_dir, "observations")
-                    if cache_dir is not None
-                    else None
-                )
+        self.observations = ObservationStore(
+            cache_dir=(
+                os.path.join(cache_dir, "observations")
+                if cache_dir is not None
+                else None
             )
-            if observe
-            else None
         )
         self.registry = ProgramRegistry(
             cache_dir=cache_dir,
             search_config=search_config,
             backend=backend,
-            max_workers=compile_workers,
         )
         self.admission = AdmissionController(
             capacity_bytes=capacity_bytes,
             exclusive_fraction=exclusive_fraction,
         )
-        self.defaults = defaults if defaults is not None else ExecOptions()
         self._pool = (
             ThreadPoolExecutor(
                 max_workers=max_workers, thread_name_prefix="repro-job"
@@ -257,18 +254,14 @@ class Session:
         ``program`` may be a :class:`RegisteredProgram` from
         :meth:`compile`, a ``program_id`` string, or a raw
         :class:`~repro.compiler.CompilationResult` (adopted into the
-        registry on first submission).  ``options=None`` applies the
-        session ``defaults``.  ``fragment_index`` runs one fragment
+        registry on first submission).  ``options=None`` means
+        ``ExecOptions()``.  ``fragment_index`` runs one fragment
         through its adaptive program; the default runs the whole job
         graph.
         """
         if self._closed:
             raise ServeError("session is closed")
-        options = (
-            self.defaults
-            if options is None
-            else check_options(options, "Session.submit")
-        )
+        options = check_options(options, "Session.submit")
         entry = self._resolve(program)
         with self._lock:
             job_id = f"job-{next(self._job_ids)}"
@@ -354,24 +347,6 @@ class Session:
             f"program-id string, got {type(program).__name__}"
         )
 
-    def _attach_observations(self, entry: RegisteredProgram) -> None:
-        """Point the entry's adaptive programs at the shared store.
-
-        Caller holds the entry lock.  The store is shared session-wide
-        (observations are keyed by fragment/dataset fingerprints, so
-        programs cannot read each other's entries) and
-        ``feedback_default`` makes every *planned* run of this program
-        consult and refresh it — unless the submission's options say
-        ``feedback=False``.
-        """
-        for fragment in entry.compilation.fragments:
-            program = getattr(fragment, "program", None)
-            if program is None:
-                continue
-            if getattr(program, "observations", None) is not self.observations:
-                program.observations = self.observations
-                program.feedback_default = True
-
     def _execute(
         self,
         job_id: str,
@@ -384,22 +359,27 @@ class Session:
         decision = self.admission.admit(inputs, options)
         started = time.perf_counter()
         metrics = None
+        # Planned runs consult and refresh the session's store when the
+        # job's options say so, else when the session observes.
+        feedback = self.observe if options.feedback is None else options.feedback
+        observations = self.observations if feedback else None
         try:
             # Two jobs of the *same* program serialize on the entry
-            # lock (the lazily built samplers, kernels and planner and
-            # the attached observation store are per-program); jobs of
-            # different programs run concurrently.
+            # lock (the lazily built samplers, kernels and planner are
+            # per-program); jobs of different programs run concurrently.
             with entry.lock:
-                if self.observations is not None:
-                    self._attach_observations(entry)
                 if fragment_index is not None:
-                    outcome = _run_fragment(
-                        entry.compilation, inputs, fragment_index, options
-                    )
+                    program = _pick_fragment(entry.compilation, fragment_index).program
+                    outcome = program.run(inputs, options, observations=observations)
                     outputs, report = outcome.outputs, outcome.report
                     metrics = outcome.metrics
                 else:
-                    run = _run_program(entry.compilation, inputs, options)
+                    run = run_graph(
+                        entry.compilation.job_graph,
+                        inputs,
+                        options,
+                        observations=observations,
+                    )
                     outputs, report = run.outputs, run.report
                 entry.runs += 1
         except Exception as exc:  # delivered, not raised: daemon contract
@@ -431,5 +411,26 @@ class Session:
             queued_seconds=started - submitted,
             diagnostics=diagnostics,
         )
+
+
+def _pick_fragment(
+    result: CompilationResult, fragment_index: int
+) -> FragmentTranslation:
+    """The translated fragment a ``fragment_index`` job runs."""
+    try:
+        fragment = result.fragments[fragment_index]
+    except IndexError:
+        raise AnalysisError(
+            f"fragment_index {fragment_index} out of range: "
+            f"{result.function!r} has {len(result.fragments)} fragment(s)"
+        ) from None
+    if not fragment.translated:
+        raise AnalysisError(
+            f"fragment_index {fragment_index}: fragment "
+            f"{fragment.fragment.id!r} was not translated: "
+            f"{fragment.failure_reason or 'unknown reason'}"
+        )
+    return fragment
+
 
 __all__ = ["ExecOptions", "JobHandle", "JobResult", "Session"]

@@ -15,7 +15,7 @@ from ..compiler import CasperCompiler, CompilationResult
 from ..engine.config import EngineConfig
 from ..engine.sequential import run_sequential
 from ..engine.sizes import dataset_bytes
-from ..graph.executor import interpret_reference
+from ..graph.executor import interpret_fragment, interpret_reference
 from ..lang.values import values_equal
 from ..options import ExecOptions
 from ..planner.dag import GraphPlanReport
@@ -189,6 +189,13 @@ def run_benchmark(
     options = ExecOptions(plan=plan)
     for index, fragment in enumerate(compilation.fragments):
         if not fragment.translated:
+            # An untranslated fragment still runs in the source program;
+            # interpret it so its outputs chain forward to the fragments
+            # after it, as a strict=False whole-program job does.
+            if fragment.analysis is not None:
+                fresh_inputs.update(
+                    interpret_fragment(fragment.analysis, fresh_inputs)
+                )
             continue
         fragment.program.set_engine_config(engine_config)
         job = session.run(
@@ -256,7 +263,7 @@ def run_benchmark_graph(
     """Compile (optionally reusing a compilation) and run via the job graph.
 
     This is the whole-program counterpart of :func:`run_benchmark`: one
-    ``run_program`` execution instead of a per-fragment loop, verified
+    whole-program Session job instead of a per-fragment loop, verified
     against the chained reference-interpreter semantics.  ``fuse=False``
     keeps the DAG scheduling but disables chain stitching — the unfused
     baseline the fusion benchmarks compare against.

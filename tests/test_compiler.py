@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import CasperCompiler, SearchConfig, translate
+from repro import SearchConfig, translate
+from repro.compiler import CasperCompiler
 from repro.errors import AnalysisError
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program

@@ -36,6 +36,15 @@ class TestBenchmarkRuns:
         assert not run.translated
         assert run.distributed_seconds == 0.0
 
+    def test_untranslated_fragment_outputs_chain_forward(self):
+        """fiji_temporal_median's first fragment stays untranslated; its
+        ``est`` output must still reach the translated second fragment."""
+        benchmark = get_benchmark("fiji_temporal_median")
+        run = run_benchmark(benchmark, size=2000)
+        assert (run.fragments_identified, run.fragments_translated) == (2, 1)
+        assert run.outputs_match
+        assert run.distributed_seconds > 0  # the translated job ran
+
     def test_speedup_grows_with_scale(self, wordcount_compiled):
         """Figure 9's shape: larger inputs amortize startup overheads."""
         benchmark = get_benchmark("phoenix_wordcount")

@@ -14,7 +14,7 @@ import threading
 import pytest
 from suite_cache import compiled
 
-from repro import ExecOptions, run_program, translate
+from repro import ExecOptions, translate
 from repro.errors import GraphError
 from repro.graph import (
     JobEdge,
@@ -204,7 +204,7 @@ class TestFusion:
         schedule = optimize_graph(result.job_graph)
         assert all(not unit.fused for unit in schedule.units)
         inputs = {"rows": _rows(60), "threshold": 50}
-        outputs = run_program(result, dict(inputs))
+        outputs = run_graph(result.job_graph, dict(inputs)).outputs
         expected = interpret_reference(result.job_graph, dict(inputs))
         assert values_equal(outputs["total"], expected["total"])
 
@@ -252,8 +252,8 @@ class TestExecutorFailurePaths:
     def test_requested_output_must_exist(self):
         result = translate(SELECT_SUM_SOURCE)
         with pytest.raises(GraphError, match="nonexistent"):
-            run_program(
-                result,
+            run_graph(
+                result.job_graph,
                 {"rows": _rows(10), "threshold": 50},
                 ExecOptions(outputs=["nonexistent"]),
             )
@@ -273,7 +273,9 @@ class TestExecutor:
     def test_unfused_materializes_intermediate(self):
         result = translate(SELECT_SUM_SOURCE)
         inputs = {"rows": _rows(300), "threshold": 50}
-        unfused = run_program(result, dict(inputs), ExecOptions(fuse=False))
+        unfused = run_graph(
+            result.job_graph, dict(inputs), ExecOptions(fuse=False)
+        ).outputs
         expected = interpret_reference(result.job_graph, dict(inputs))
         assert values_equal(unfused["kept"], expected["kept"])
         assert values_equal(unfused["total"], expected["total"])

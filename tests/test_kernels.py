@@ -127,14 +127,15 @@ def test_compiled_on_pool_and_spill_backends(name):
 
 
 def test_compiled_through_fused_graph():
-    from repro.compiler import run_program
-    from repro.graph import interpret_reference
+    from repro.graph import interpret_reference, run_graph
 
     compilation = compiled("tpch_q1")
     benchmark = get_benchmark("tpch_q1")
     inputs = benchmark.make_inputs(RUN_SIZE, 3)
     reference = interpret_reference(compilation.job_graph, dict(inputs))
-    outputs = run_program(compilation, dict(inputs), ExecOptions(plan="sequential"))
+    outputs = run_graph(
+        compilation.job_graph, dict(inputs), ExecOptions(plan="sequential")
+    ).outputs
     common = set(outputs) & set(reference)
     assert common, "graph run produced nothing comparable"
     assert all(values_equal(outputs[k], reference[k]) for k in common)
@@ -276,8 +277,7 @@ OPTION_SURFACE = {
     "repro.cost.monitor:RuntimeMonitor": "implementations",
     "repro.planner.planner:ExecutionPlanner": "static_unpicklable probe_disagreement",
     "repro.codegen.glue:AdaptiveProgram": (
-        "analysis programs monitor planner observations feedback_default "
-        "_fragment_key"
+        "analysis programs monitor planner _fragment_key"
     ),
     "repro.synthesis.search:SearchConfig": (
         "incremental_grammar max_summaries_per_class accept_bounded_only "

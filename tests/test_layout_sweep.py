@@ -96,17 +96,17 @@ def test_columns_on_pool_and_spill_backends(name):
 
 
 def test_columns_through_fused_graph():
-    from repro.compiler import run_program
-    from repro.graph import interpret_reference
+    from repro.graph import interpret_reference, run_graph
 
     compilation = compiled("tpch_q1")
     benchmark = get_benchmark("tpch_q1")
     inputs = benchmark.make_inputs(RUN_SIZE, 3)
     reference = interpret_reference(compilation.job_graph, dict(inputs))
-    fused = run_program(compilation, dict(inputs), ExecOptions(plan="sequential"))
-    unfused = run_program(
-        compilation, dict(inputs), ExecOptions(plan="sequential", fuse=False)
-    )
+    graph = compilation.job_graph
+    fused = run_graph(graph, dict(inputs), ExecOptions(plan="sequential")).outputs
+    unfused = run_graph(
+        graph, dict(inputs), ExecOptions(plan="sequential", fuse=False)
+    ).outputs
     assert fused == unfused, "fused graph: spliced column path != per-fragment"
     common = set(fused) & set(reference)
     assert common, "graph run produced nothing comparable"

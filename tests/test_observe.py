@@ -15,8 +15,6 @@ import json
 import os
 import threading
 
-import pytest
-
 from repro.codegen.base import view_records
 from repro.compiler import translate
 from repro.cost.observe import (
@@ -63,6 +61,8 @@ int joinQty(List<PartSupp> partsupp, List<Part> part) {
 #: Budget below the small side's bytes — forces the static rule to pick
 #: reduce-side, the misprice the observation feedback must correct.
 MISPRICE_BUDGET = 512
+#: A planned run under that budget.
+MISPRICED = ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
 
 _COMPILED: dict[str, object] = {}
 
@@ -76,21 +76,10 @@ def compiled_join():
     return _COMPILED["join"]
 
 
-@pytest.fixture
 def join_program():
-    """The compiled int-join program with feedback state reset.
-
-    The compilation is cached module-wide (CEGIS is the expensive part);
-    each test gets the program with a clean observation slate so tests
-    stay order-independent.
-    """
-    fragment = compiled_join().fragments[0]
-    program = fragment.program
-    program.observations = None
-    program.feedback_default = False
-    yield program
-    program.observations = None
-    program.feedback_default = False
+    """The compiled int-join fragment's adaptive program.  It holds no
+    observation state: a run is warm only when it is handed a store."""
+    return compiled_join().fragments[0].program
 
 
 def join_inputs(size: int = 1500, seed: int = 7) -> dict:
@@ -310,19 +299,19 @@ class TestStreamProbe:
         assert not probe.exhausted and probe.records == 64
         assert source.known_length is None
 
-    def test_small_generator_no_longer_forces_spill(self, join_program):
+    def test_small_generator_no_longer_forces_spill(self):
         """Regression: a short unknown-length stream used to be priced
         'assume large' and pushed through the spill shuffle; the probe
         measures it and the plan stays in memory, results identical."""
         inputs = join_inputs(400)
         fragment = compiled_join().fragments[0]
         out_var = list(fragment.analysis.output_vars)[0]
-        expected = join_program.run(
+        expected = join_program().run(
             dict(inputs), ExecOptions(plan="sequential")
         ).outputs[out_var]
 
         rows = list(view_records(fragment.analysis.view, dict(inputs)))
-        outcome = join_program.run(
+        outcome = join_program().run(
             dict(inputs),
             ExecOptions(plan="auto", memory_budget=1 << 20),
             records=GeneratorSource(lambda: iter(rows)),
@@ -333,20 +322,20 @@ class TestStreamProbe:
         assert report.estimates["input_records"]["source"] == "observed"
         assert any("stream probe" in r for r in report.plan.reasons)
 
-    def test_disabled_probe_keeps_assume_large(self, join_program, monkeypatch):
+    def test_disabled_probe_keeps_assume_large(self, monkeypatch):
         """Contrast: a probe bound too short to see the stream's end
         leaves the pessimistic pricing — the same short stream is
         planned 'assume large' and spills."""
         inputs = join_inputs(400)
         fragment = compiled_join().fragments[0]
         out_var = list(fragment.analysis.output_vars)[0]
-        expected = join_program.run(
+        expected = join_program().run(
             dict(inputs), ExecOptions(plan="sequential")
         ).outputs[out_var]
         rows = list(view_records(fragment.analysis.view, dict(inputs)))
 
         monkeypatch.setattr("repro.planner.planner.PROBE_RECORDS", 1)
-        outcome = join_program.run(
+        outcome = join_program().run(
             dict(inputs),
             ExecOptions(plan="auto", memory_budget=1 << 20),
             records=GeneratorSource(lambda: iter(rows)),
@@ -402,29 +391,22 @@ class TestEngineStreamAdaptation:
 
 
 class TestWarmReplan:
-    def test_second_run_flips_mispriced_join_to_broadcast(self, join_program):
+    def test_second_run_flips_mispriced_join_to_broadcast(self):
         inputs = join_inputs(1500)
         out_var = list(compiled_join().fragments[0].analysis.output_vars)[0]
+        store = ObservationStore()
 
-        outcome = join_program.run(
-            dict(inputs),
-            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
-        )
+        outcome = join_program().run(dict(inputs), MISPRICED, observations=store)
         cold, cold_report = outcome.outputs, outcome.report
         assert cold_report.plan.join_strategies == ("reduce_side",)
 
-        outcome = join_program.run(
-            dict(inputs),
-            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
-        )
+        outcome = join_program().run(dict(inputs), MISPRICED, observations=store)
         warm, warm_report = outcome.outputs, outcome.report
         assert warm_report.plan.join_strategies == ("broadcast",)
         # Integer fold: byte-identical across the strategy flip.
         assert warm[out_var] == cold[out_var]
         # ...and byte-identical to a plain broadcast execution.
-        reference = join_program.run(
-            dict(inputs), ExecOptions(plan="auto", feedback=False)
-        ).outputs
+        reference = join_program().run(dict(inputs), ExecOptions(plan="auto")).outputs
         assert warm[out_var] == reference[out_var]
 
         provenance = warm_report.estimates["join_strategy"]
@@ -440,33 +422,33 @@ class TestWarmReplan:
         assert warm_report.plan.broadcast_limit >= MISPRICE_BUDGET
         assert any("re-priced from observation" in r for r in warm_report.plan.reasons)
 
-    def test_feedback_off_replans_cold_every_time(self, join_program):
+    def test_feedback_off_replans_cold_every_time(self):
         inputs = join_inputs(1500)
         options = ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
-        first = join_program.run(dict(inputs), options).report.plan.join_strategies
-        again = join_program.run(dict(inputs), options).report.plan.join_strategies
+        first = join_program().run(dict(inputs), options).report.plan.join_strategies
+        again = join_program().run(dict(inputs), options).report.plan.join_strategies
         assert again == first
         assert first == ("reduce_side",)
-        assert join_program.observations is None  # no store ever created
 
-    def test_changed_data_misses_the_observation(self, join_program):
-        join_program.run(
-            dict(join_inputs(1500, seed=7)),
-            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
+    def test_changed_data_misses_the_observation(self):
+        store = ObservationStore()
+        join_program().run(
+            dict(join_inputs(1500, seed=7)), MISPRICED, observations=store
         )
-        report = join_program.run(
+        report = join_program().run(
             dict(join_inputs(1500, seed=8)),  # different content
-            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
+            MISPRICED,
+            observations=store,
         ).report
         # Fresh data → no stored evidence → the static rule stands.
         assert report.plan.join_strategies == ("reduce_side",)
 
-    def test_corrupt_store_entry_falls_back_loudly(self, join_program, tmp_path):
+    def test_corrupt_store_entry_falls_back_loudly(self, tmp_path):
         inputs = join_inputs(1500)
-        join_program.observations = ObservationStore(cache_dir=str(tmp_path))
-        join_program.run(
+        join_program().run(
             dict(inputs),
-            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
+            MISPRICED,
+            observations=ObservationStore(cache_dir=str(tmp_path)),
         )
         entries = [n for n in os.listdir(tmp_path) if n.endswith(".json")]
         assert len(entries) == 1
@@ -475,10 +457,10 @@ class TestWarmReplan:
         # New store over the same dir: the memory tier is gone, the disk
         # entry is corrupt — the run must fall back to static estimates
         # and say so in the report, not crash.
-        join_program.observations = ObservationStore(cache_dir=str(tmp_path))
-        report = join_program.run(
+        report = join_program().run(
             dict(inputs),
-            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
+            MISPRICED,
+            observations=ObservationStore(cache_dir=str(tmp_path)),
         ).report
         assert report.plan.join_strategies == ("reduce_side",)  # static
         fallback = report.estimates["fallback"]
@@ -492,12 +474,10 @@ class TestWarmReplan:
 
 
 class TestMidJobSwitch:
-    def test_overflowing_build_switches_to_reduce_side(
-        self, join_program, monkeypatch
-    ):
+    def test_overflowing_build_switches_to_reduce_side(self, monkeypatch):
         inputs = join_inputs(1500)
         out_var = list(compiled_join().fragments[0].analysis.output_vars)[0]
-        reference = join_program.run(
+        reference = join_program().run(
             dict(inputs), ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
         ).outputs[out_var]
 
@@ -506,7 +486,7 @@ class TestMidJobSwitch:
         monkeypatch.setattr(
             joins_mod, "sizeof_pair", lambda key, value: 1 << 40
         )
-        outcome = join_program.run(dict(inputs), ExecOptions(plan="auto"))
+        outcome = join_program().run(dict(inputs), ExecOptions(plan="auto"))
         switched, report = outcome.outputs, outcome.report
         assert report.plan.join_strategies == ("broadcast",)  # the plan...
         adaptation = report.adaptations[0]
@@ -520,19 +500,14 @@ class TestMidJobSwitch:
         # Byte-identical to the reduce-side execution it switched into.
         assert switched[out_var] == reference
 
-    def test_observed_limit_guards_the_warm_broadcast(self, join_program):
+    def test_observed_limit_guards_the_warm_broadcast(self):
         """The warm re-plan raises broadcast_limit above the observed
         side bytes, so the guard does not re-trip on the very side the
         observation justified."""
         inputs = join_inputs(1500)
-        join_program.run(
-            dict(inputs),
-            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
-        )
-        report = join_program.run(
-            dict(inputs),
-            ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET, feedback=True),
-        ).report
+        store = ObservationStore()
+        join_program().run(dict(inputs), MISPRICED, observations=store)
+        report = join_program().run(dict(inputs), MISPRICED, observations=store).report
         assert report.plan.join_strategies == ("broadcast",)
         assert report.adaptations == []  # no overflow switch fired
 
@@ -542,7 +517,7 @@ class TestMidJobSwitch:
 
 
 class TestSessionObserve:
-    def test_session_self_tunes_run_over_run(self, join_program):
+    def test_session_self_tunes_run_over_run(self):
         inputs = join_inputs(1500)
         options = ExecOptions(memory_budget=MISPRICE_BUDGET)
         with Session(max_workers=0) as session:
@@ -559,7 +534,7 @@ class TestSessionObserve:
             )
             assert second.outputs == first.outputs
 
-    def test_observe_false_keeps_runs_independent(self, join_program):
+    def test_observe_false_keeps_runs_independent(self):
         inputs = join_inputs(1500)
         options = ExecOptions(memory_budget=MISPRICE_BUDGET)
         with Session(max_workers=0, observe=False) as session:
@@ -568,7 +543,7 @@ class TestSessionObserve:
             second = session.run(program, dict(inputs), options, fragment_index=0)
             assert second.plan_report.plan.join_strategies == ("reduce_side",)
 
-    def test_per_job_feedback_override_wins(self, join_program):
+    def test_per_job_feedback_override_wins(self):
         inputs = join_inputs(1500)
         with Session(max_workers=0) as session:
             program = session.registry.adopt(compiled_join())
@@ -580,7 +555,17 @@ class TestSessionObserve:
             # feedback=False per job: nothing recorded, nothing resolved.
             assert second.plan_report.plan.join_strategies == ("reduce_side",)
 
-    def test_observations_survive_a_restart(self, join_program, tmp_path):
+    def test_per_job_feedback_on_in_a_session_that_does_not_observe(self):
+        inputs = join_inputs(1500)
+        with Session(max_workers=0, observe=False) as session:
+            program = session.registry.adopt(compiled_join())
+            opted_in = ExecOptions(memory_budget=MISPRICE_BUDGET, feedback=True)
+            session.run(program, dict(inputs), opted_in, fragment_index=0)
+            second = session.run(program, dict(inputs), opted_in, fragment_index=0)
+            # The session's own store answers the second job.
+            assert second.plan_report.plan.join_strategies == ("broadcast",)
+
+    def test_observations_survive_a_restart(self, tmp_path):
         inputs = join_inputs(1500)
         options = ExecOptions(memory_budget=MISPRICE_BUDGET)
         with Session(max_workers=0, cache_dir=str(tmp_path)) as session:
@@ -599,9 +584,9 @@ class TestSessionObserve:
 
 
 class TestHarvest:
-    def test_harvest_captures_stage_evidence(self, join_program):
+    def test_harvest_captures_stage_evidence(self):
         inputs = join_inputs(1500)
-        outcome = join_program.run(
+        outcome = join_program().run(
             dict(inputs), ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
         )
         observation = harvest_observation("f", "d", outcome.report, outcome)

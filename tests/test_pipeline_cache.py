@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 
 from repro import (
-    CasperCompiler,
     SearchConfig,
+    Session,
     SummaryCache,
-    run_translated,
     translate,
     translate_many,
 )
+from repro.compiler import CasperCompiler
 from repro.errors import AnalysisError
 from repro.ir.nodes import (
     rename_summary,
@@ -620,15 +620,20 @@ class TestTranslateMany:
         assert results[0].translated == 1
 
 
-class TestRunTranslated:
+class TestFragmentJobs:
+    """``Session.run(..., fragment_index=i)``: one fragment as one job."""
+
     def test_single_translated_fragment_runs(self):
-        result = translate(SUM_SOURCE)
-        assert run_translated(result, {"data": [1, 2, 3], "n": 3}) == {"total": 6}
+        with Session(max_workers=0) as session:
+            job = session.run(translate(SUM_SOURCE), {"data": [1, 2, 3], "n": 3})
+        assert job.outputs == {"total": 6}
 
     def test_explicit_index_runs_that_fragment(self):
-        result = translate(SUM_SOURCE)
-        outputs = run_translated(result, {"data": [4, 5], "n": 2}, fragment_index=0)
-        assert outputs == {"total": 9}
+        with Session(max_workers=0) as session:
+            job = session.run(
+                translate(SUM_SOURCE), {"data": [4, 5], "n": 2}, fragment_index=0
+            )
+        assert job.outputs == {"total": 9}
 
     def test_untranslated_fragment_error_names_reason(self):
         source = """
@@ -643,10 +648,13 @@ class TestRunTranslated:
         }
         """
         result = translate(source, search_config=SearchConfig(timeout_seconds=20))
-        with pytest.raises(AnalysisError, match="blur#0"):
-            run_translated(result, {"img": [1.0], "n": 1})
+        with Session(max_workers=0) as session:
+            job = session.run(result, {"img": [1.0], "n": 1}, fragment_index=0)
+        assert not job.ok
+        assert job.error.startswith("AnalysisError: fragment_index 0")
+        assert "blur#0" in job.error and "not translated" in job.error
 
-    def test_multiple_fragments_require_index(self):
+    def test_multiple_fragments_run_whole_or_by_index(self):
         source = """
         int twoLoops(int[] data, int n) {
           int a = 0;
@@ -658,12 +666,17 @@ class TestRunTranslated:
         """
         result = translate(source)
         assert result.identified == 2
-        with pytest.raises(AnalysisError, match="fragment_index"):
-            run_translated(result, {"data": [1, 2], "n": 2})
-        outputs = run_translated(result, {"data": [1, 2], "n": 2}, fragment_index=1)
-        assert outputs == {"b": 5}
+        with Session(max_workers=0) as session:
+            whole = session.run(result, {"data": [1, 2], "n": 2})
+            one = session.run(result, {"data": [1, 2], "n": 2}, fragment_index=1)
+        assert (whole.outputs["a"], whole.outputs["b"]) == (3, 5)
+        assert one.outputs == {"b": 5}
 
     def test_index_out_of_range(self):
-        result = translate(SUM_SOURCE)
-        with pytest.raises(AnalysisError, match="out of range"):
-            run_translated(result, {"data": [1], "n": 1}, fragment_index=5)
+        with Session(max_workers=0) as session:
+            job = session.run(
+                translate(SUM_SOURCE), {"data": [1], "n": 1}, fragment_index=5
+            )
+        assert not job.ok
+        assert "AnalysisError: fragment_index 5 out of range" in job.error
+

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ExecOptions, run_translated, translate
+from repro import ExecOptions, Session, translate
 from repro.planner import planner as planner_module
 from repro.planner.plan import (
     BACKENDS,
@@ -122,10 +122,10 @@ def fragment_bounds(result):
 
 class TestAutoPlanning:
     def test_auto_matches_default_outputs(self, wc_result):
-        default = run_translated(wc_result, {"words": list(WORDS)})
-        auto = run_translated(
+        default = run_fragment(wc_result, {"words": list(WORDS)}).outputs
+        auto = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
-        )
+        ).outputs
         assert auto == default
 
     def test_report_surfaced(self, wc_result):
@@ -176,7 +176,7 @@ class TestAutoPlanning:
         assert report.plan.backend == "multiprocess"
         assert report.plan.processes == 8
         assert report.fallback_reason is None
-        assert outputs == run_translated(wc_result, {"words": list(WORDS)})
+        assert outputs == run_fragment(wc_result, {"words": list(WORDS)}).outputs
 
     def test_combiner_disabled_by_key_ratio_cutoff(self, wc_result, monkeypatch):
         monkeypatch.setattr(planner_module, "COMBINER_KEY_RATIO_CUTOFF", 0.0)
@@ -383,7 +383,7 @@ class TestPricedBackendChoice:
 class TestForcedPlans:
     @pytest.mark.parametrize("backend", ["sequential", "multiprocess", "spark"])
     def test_forced_backends_agree(self, wc_result, backend):
-        default = run_translated(wc_result, {"words": list(WORDS)})
+        default = run_fragment(wc_result, {"words": list(WORDS)}).outputs
         forced = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan=backend)
         )
@@ -394,7 +394,7 @@ class TestForcedPlans:
 
     def test_unknown_plan_name_rejected(self, wc_result):
         with pytest.raises(ValueError, match="unknown backend"):
-            run_translated(wc_result, {"words": list(WORDS)}, ExecOptions(plan="dask"))
+            run_fragment(wc_result, {"words": list(WORDS)}, ExecOptions(plan="dask"))
 
     def test_multiprocess_fallback_reported(self, wc_result):
         # On a single-CPU machine the pool cannot win; either way the
@@ -440,23 +440,26 @@ class TestWorkerExceptionPropagation:
                 plan=plan,
             )
 
-    def test_translated_kernel_fault_propagates_via_run_translated(self):
+    def test_translated_kernel_fault_propagates(self):
         result = translate(FAULTY_KERNEL_SOURCE)
         from repro.errors import IRError
 
         data = [1] * 3000
         data[7] = 0
+        options = ExecOptions(plan="multiprocess")
         with pytest.raises(IRError, match="division by zero"):
-            run_translated(
-                result, {"data": data, "n": len(data)}, ExecOptions(plan="multiprocess")
-            )
+            run_fragment(result, {"data": data, "n": len(data)}, options)
+        # A Session delivers the same fault as the job's error.
+        with Session(max_workers=0) as session:
+            job = session.run(result, {"data": data, "n": len(data)}, options)
+        assert job.error.startswith("IRError: ") and "division by zero" in job.error
 
 
 class TestMemoryAwarePlanning:
     def test_budget_forces_spill_when_input_exceeds_it(self, wc_result):
-        outputs = run_translated(
+        outputs = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="sequential")
-        )
+        ).outputs
         spilled = run_fragment(
             wc_result,
             {"words": list(WORDS)},
@@ -473,9 +476,9 @@ class TestMemoryAwarePlanning:
         assert summary["memory_budget"] == 2048
 
     def test_budget_alone_implies_auto_plan(self, wc_result):
-        baseline = run_translated(
+        baseline = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="sequential")
-        )
+        ).outputs
         budgeted = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(memory_budget=2048)
         )
@@ -498,9 +501,9 @@ class TestMemoryAwarePlanning:
     def test_simulated_backend_ignores_budget_honestly(self, wc_result):
         # A forced simulated backend materializes in-memory; the plan
         # must not claim a spill that never happened.
-        baseline = run_translated(
+        baseline = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="sequential")
-        )
+        ).outputs
         simulated = run_fragment(
             wc_result,
             {"words": list(WORDS)},
@@ -516,9 +519,9 @@ class TestMemoryAwarePlanning:
         from repro.engine.source import GeneratorSource
 
         words = list(WORDS)
-        baseline = run_translated(
+        baseline = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="sequential")
-        )
+        ).outputs
         streamed = run_fragment(
             wc_result,
             {"words": GeneratorSource(lambda: iter(words))},

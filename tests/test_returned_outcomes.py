@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 
-from repro import ExecOptions, Session, run_program, run_translated, translate
+from repro import ExecOptions, Session, translate
 from repro.graph import run_graph
 
 SUM_SOURCE = """
@@ -126,8 +126,10 @@ def test_implied_plan_rule_has_one_definition():
                 assert report.plan.backend == spelled.plan_report.plan.backend
                 assert report.plan.spill == spelled.plan_report.plan.spill
                 assert not any("forced by caller" in r for r in report.plan.reasons)
-            assert run_program(compilation, dict(inputs), implied) == expected
-            assert run_translated(compilation, dict(inputs), implied) == expected
+            graph_run = run_graph(compilation.job_graph, dict(inputs), implied)
+            assert graph_run.outputs == expected
+            program = compilation.fragments[0].program
+            assert program.run(dict(inputs), implied).outputs == expected
         # Nothing implied, nothing planned.
         unplanned = session.run(compilation, dict(inputs), fragment_index=0)
         assert unplanned.plan_report is None and unplanned.metrics is not None

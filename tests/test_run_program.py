@@ -1,4 +1,4 @@
-"""Whole-program property tests: run_program across every suite.
+"""Whole-program property tests: the job graph across every suite.
 
 The acceptance property of the job-graph layer: for every benchmark of
 all seven suites,
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ExecOptions
-from repro.compiler import run_program, run_translated
-from repro.errors import AnalysisError
+from repro import ExecOptions, Session
 from repro.graph import interpret_reference, run_graph
 from repro.lang.interpreter import Interpreter
 from repro.lang.values import values_equal
@@ -36,7 +34,7 @@ def _match(lhs: dict, rhs: dict) -> bool:
 
 @pytest.mark.parametrize("name", [b.name for b in all_benchmarks()], ids=lambda n: n)
 class TestGraphIdentity:
-    """run_program == per-fragment sequential == interpreter, per benchmark."""
+    """run_graph == per-fragment sequential == interpreter, per benchmark."""
 
     def test_fused_dag_matches_all_references(self, name):
         benchmark = get_benchmark(name)
@@ -47,9 +45,9 @@ class TestGraphIdentity:
             compilation.job_graph, dict(inputs), ExecOptions(strict=False)
         )
         fused, report = run.outputs, run.report
-        unfused = run_program(
-            compilation, dict(inputs), ExecOptions(strict=False, fuse=False)
-        )
+        unfused = run_graph(
+            compilation.job_graph, dict(inputs), ExecOptions(strict=False, fuse=False)
+        ).outputs
         interpreted = interpret_reference(compilation.job_graph, dict(inputs))
 
         # Per-fragment sequential chaining: each translated fragment
@@ -128,14 +126,14 @@ class TestMultiStagePrograms:
         graph_rank = list(inputs["rank"])
         interp_rank = list(inputs["rank"])
         for _iteration in range(3):
-            outputs = run_program(
-                compilation,
+            outputs = run_graph(
+                compilation.job_graph,
                 {
                     "edges": inputs["edges"],
                     "rank": graph_rank,
                     "nodes": inputs["nodes"],
                 },
-            )
+            ).outputs
             graph_rank = outputs["next"]
             interp_rank = interp.call_function(
                 "pagerankIter", [inputs["edges"], interp_rank, inputs["nodes"]]
@@ -154,23 +152,29 @@ class TestMultiStagePrograms:
         assert run.report.unit_reports
 
 
-class TestRunTranslatedErrors:
-    def test_multi_fragment_error_enumerates_and_names_run_program(self):
+class TestFragmentIndexJobs:
+    def test_multi_fragment_program_runs_whole_or_by_index(self):
         compilation = compiled("tpch_q1")
-        benchmark = get_benchmark("tpch_q1")
-        inputs = benchmark.make_inputs(20, 7)
-        with pytest.raises(AnalysisError) as excinfo:
-            run_translated(compilation, inputs)
-        message = str(excinfo.value)
-        assert "run_program" in message
-        assert "[0] query1#0 (translated)" in message
-        assert "[1] query1#1 (translated)" in message
-        assert "fragment_index" in message
+        inputs = get_benchmark("tpch_q1").make_inputs(20, 7)
+        expected = interpret_reference(compilation.job_graph, dict(inputs))
+        with Session(max_workers=0) as session:
+            whole = session.run(compilation, dict(inputs))
+            second = session.run(compilation, dict(inputs), fragment_index=1)
+            missing = session.run(compilation, dict(inputs), fragment_index=2)
+        assert whole.ok and _match(whole.outputs, expected)
+        assert second.ok and set(second.outputs) < set(whole.outputs)
+        assert _match(second.outputs, expected)
+        assert missing.error == (
+            "AnalysisError: fragment_index 2 out of range: "
+            "'query1' has 2 fragment(s)"
+        )
 
     def test_untranslated_fragment_error_keeps_reason(self):
         compilation = compiled("biglambda_cross_pairs")
-        with pytest.raises(AnalysisError, match="was not translated"):
-            run_translated(compilation, {}, fragment_index=0)
+        with Session(max_workers=0) as session:
+            job = session.run(compilation, {}, fragment_index=0)
+        assert not job.ok
+        assert "was not translated" in job.error
 
 
 def _chained_fragments(name: str):

@@ -9,8 +9,8 @@ Acceptance properties of PR 7's tentpole:
   jobs run concurrently, box-overrunning or unknowable jobs serialize,
   and every decision is recorded on the job's result;
 * a daemon serving ≥8 concurrent mixed-size jobs (some spilling under a
-  small ``memory_budget``) returns outputs identical to direct
-  ``run_program`` calls, then shuts down cleanly.
+  small ``memory_budget``) returns outputs identical to the reference
+  interpreter's, then shuts down cleanly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import time
 
 import pytest
 
-from repro.compiler import run_program, translate
+from repro.compiler import translate
+from repro.graph import interpret_reference
 from repro.errors import ServeError
 from repro.options import ExecOptions
 from repro.serve import admission as admission_mod
@@ -291,14 +292,18 @@ class TestWireCodec:
 class TestDaemon:
     """End-to-end acceptance: the daemon over a real socket."""
 
-    def test_concurrent_mixed_jobs_identical_to_run_program(self, tmp_path):
+    def test_concurrent_mixed_jobs_identical_to_the_interpreter(self, tmp_path):
         from repro.serve.client import connect
         from repro.serve.daemon import serve
 
         sum_inputs = {"data": DATA, "n": len(DATA)}
         wc_inputs = {"words": WORDS}
-        expected_sum = run_program(translate(SUM_SOURCE), dict(sum_inputs))
-        expected_wc = run_program(translate(WORDCOUNT_SOURCE), dict(wc_inputs))
+        expected_sum = interpret_reference(
+            translate(SUM_SOURCE).job_graph, dict(sum_inputs)
+        )
+        expected_wc = interpret_reference(
+            translate(WORDCOUNT_SOURCE).job_graph, dict(wc_inputs)
+        )
         budget = ExecOptions(memory_budget=1 << 14)
 
         daemon = serve(cache_dir=str(tmp_path), max_workers=4)

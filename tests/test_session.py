@@ -1,10 +1,11 @@
 """The session API: ExecOptions normalization, JobResults, concurrency.
 
-The contract under test is the PR-7 redesign: every entry point takes
-one :class:`repro.ExecOptions`; legacy per-call kwargs still work but
-warn; :meth:`Session.submit` returns results that *carry* their plan
-reports and admission decisions, and stays identical to the direct
-``run_program`` path even under concurrent mixed-budget submissions.
+The contract under test: a :class:`Session` is the one way to run a
+job, and takes one :class:`repro.ExecOptions` (a bare legacy keyword is
+a ``TypeError``); :meth:`Session.submit` returns results that *carry*
+their plan reports and admission decisions, stays identical to the
+graph executor it calls even under concurrent mixed-budget submissions,
+and never writes session state onto the compiled program it runs.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import pytest
 
 import repro
 from repro import ExecOptions, Session
-from repro.compiler import run_program, run_translated, translate
+from repro.compiler import translate
+from repro.cost.observe import ObservationStore
 from repro.errors import ServeError
+from repro.graph import run_graph
 from repro.options import check_options
 
 SUM_SOURCE = """
@@ -98,47 +101,47 @@ class TestNormalizeExecOptions:
     def test_options_plus_legacy_raises(self):
         compilation = compiled(SUM_SOURCE)
         inputs = {"data": DATA, "n": len(DATA)}
-        with pytest.raises(TypeError, match="plan"):
-            run_program(compilation, dict(inputs), ExecOptions(), plan="auto")
+        with Session(max_workers=0) as session:
+            with pytest.raises(TypeError, match="plan"):
+                session.run(compilation, dict(inputs), ExecOptions(), plan="auto")
 
     def test_unknown_legacy_name_raises(self):
         compilation = compiled(SUM_SOURCE)
         inputs = {"data": DATA, "n": len(DATA)}
         with Session(max_workers=0) as session:
-            entry_points = (run_program, run_translated, session.submit, session.run)
-            for entry_point in entry_points:
+            for entry_point in (session.submit, session.run):
                 with pytest.raises(TypeError, match="pln"):
                     entry_point(compilation, dict(inputs), pln="auto")
                 with pytest.raises(TypeError, match="plan"):
                     entry_point(compilation, dict(inputs), plan="auto")
 
-    def test_run_translated_accepts_options(self):
+    def test_fragment_job_accepts_options(self):
         compilation = compiled(SUM_SOURCE)
         inputs = {"data": DATA, "n": len(DATA)}
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), Session(max_workers=0) as session:
             warnings.simplefilter("error", DeprecationWarning)
-            outputs = run_translated(
-                compilation, dict(inputs), ExecOptions(plan="auto")
+            job = session.run(
+                compilation, dict(inputs), ExecOptions(plan="auto"), fragment_index=0
             )
-        assert outputs == {"total": sum(DATA)}
+        assert job.outputs == {"total": sum(DATA)}
 
 
 class TestSessionInline:
     """max_workers=0: the submit path with no pool, on the caller's thread."""
 
-    def test_identity_with_run_program(self):
+    def test_identity_with_run_graph(self):
         compilation = compiled(SUM_SOURCE)
         inputs = {"data": DATA, "n": len(DATA)}
-        expected = run_program(compilation, dict(inputs))
+        expected = run_graph(compilation.job_graph, dict(inputs)).outputs
         with Session(max_workers=0) as session:
             job = session.run(compilation, dict(inputs))
         assert job.ok
         assert job.outputs == expected
 
-    def test_fragment_index_matches_run_translated(self):
+    def test_fragment_index_matches_adaptive_program_run(self):
         compilation = compiled(SUM_SOURCE)
         inputs = {"data": DATA, "n": len(DATA)}
-        expected = run_translated(compilation, dict(inputs))
+        expected = compilation.fragments[0].program.run(dict(inputs)).outputs
         with Session(max_workers=0) as session:
             job = session.run(compilation, dict(inputs), fragment_index=0)
         assert job.outputs == expected
@@ -198,14 +201,6 @@ class TestSessionInline:
         assert job.error
         assert job.admission is not None
 
-    def test_session_defaults_apply_when_nothing_passed(self):
-        defaults = ExecOptions(memory_budget=1 << 14)
-        compilation = compiled(SUM_SOURCE)
-        with Session(max_workers=0, defaults=defaults) as session:
-            job = session.run(compilation, {"data": DATA, "n": len(DATA)})
-        assert job.plan_report is not None  # budget implies a planned run
-        assert job.admission["footprint_bytes"] == 2 * (1 << 14)
-
 
 class TestSessionConcurrent:
     def test_mixed_budget_jobs_identical_to_direct_run(self):
@@ -213,8 +208,8 @@ class TestSessionConcurrent:
         wc_comp = compiled(WORDCOUNT_SOURCE)
         sum_inputs = {"data": DATA, "n": len(DATA)}
         wc_inputs = {"words": WORDS}
-        expected_sum = run_program(sum_comp, dict(sum_inputs))
-        expected_wc = run_program(wc_comp, dict(wc_inputs))
+        expected_sum = run_graph(sum_comp.job_graph, dict(sum_inputs)).outputs
+        expected_wc = run_graph(wc_comp.job_graph, dict(wc_inputs)).outputs
 
         budget = ExecOptions(memory_budget=1 << 14)
         with Session(max_workers=4) as session:
@@ -281,4 +276,75 @@ class TestPublicApi:
         assert repro.compile is repro.translate
 
     def test_version_bumped(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "1.8.0"
+
+    def test_all_is_small_and_dropped_names_stay_importable(self):
+        assert len(repro.__all__) <= 20
+        from repro.compiler import CasperCompiler  # noqa: F401
+        from repro.engine.source import JsonlSource, TextSource  # noqa: F401
+        from repro.graph import GraphRunResult, JobGraph  # noqa: F401
+        from repro.pipeline import PassPipeline  # noqa: F401
+        from repro.planner import (  # noqa: F401
+            DagPlanner,
+            ExecutionPlan,
+            ExecutionPlanner,
+            GraphPlanReport,
+            PlanReport,
+        )
+
+    def test_one_door_to_run_a_job(self):
+        import repro.compiler
+
+        for gone in ("run_program", "run_translated"):
+            assert not hasattr(repro, gone)
+            assert not hasattr(repro.compiler, gone)
+        assert not hasattr(repro.compiler, "_run_program")
+        assert not hasattr(repro.compiler, "_run_fragment")
+
+
+class TestNoSharedProgramState:
+    """A session hands its observation store to each job; it never writes
+    it (or a feedback flag) onto the compiled program, so a program run by
+    an observing session and then by a non-observing one is not tuned by
+    the first session's store."""
+
+    @pytest.mark.parametrize("fragment_index", [None, 0], ids=["graph", "fragment"])
+    def test_observing_session_leaves_the_program_untouched(
+        self, monkeypatch, fragment_index
+    ):
+        compilation = translate(SUM_SOURCE)
+        program = compilation.fragments[0].program
+        inputs = {"data": DATA, "n": len(DATA)}
+        options = ExecOptions(plan="auto")
+        recorded = []
+        original = ObservationStore.record
+
+        def spy(store, observation):
+            recorded.append(store)
+            return original(store, observation)
+
+        monkeypatch.setattr(ObservationStore, "record", spy)
+
+        # Warm the program's own lazily built parts (planner, samplers,
+        # observation key) with a feedback run of a throwaway session.
+        with Session(max_workers=0) as warmup:
+            assert warmup.run(compilation, dict(inputs), options, fragment_index).ok
+        before = dict(vars(program))
+        recorded.clear()
+
+        with Session(max_workers=0, observe=True) as observing:
+            first = observing.run(compilation, dict(inputs), options, fragment_index)
+        assert first.ok, first.error
+        assert recorded == [observing.observations]
+
+        recorded.clear()
+        with Session(max_workers=0, observe=False) as independent:
+            second = independent.run(compilation, dict(inputs), options, fragment_index)
+        assert second.ok, second.error
+        assert second.outputs == first.outputs
+        assert recorded == []  # no store consulted or refreshed
+        assert vars(program).keys() == before.keys()
+        changed = [
+            name for name, value in before.items() if vars(program)[name] is not value
+        ]
+        assert changed == []
