@@ -346,12 +346,17 @@ class SummaryCache:
     def store_counterexamples(
         self, fingerprint: FragmentFingerprint, states: list[ProgramState]
     ) -> bool:
-        """Persist refutation states (canonical names), merging and capping."""
+        """Persist refutation states (canonical names), merging and capping.
+
+        A search hands over one state per refuted candidate — mostly the
+        same few objects — so each distinct object is encoded once, at
+        its first position.
+        """
         if not fingerprint.cacheable or not states:
             return False
         to_canonical = fingerprint.renaming
         encoded: list[dict[str, Any]] = []
-        for state in states:
+        for state in {id(state): state for state in states}.values():
             try:
                 encoded.append(
                     {

@@ -10,14 +10,18 @@ must be warm with zero CEGIS candidates checked), push concurrent jobs
 through it — one under a deliberately small memory budget — verify the
 outputs are identical to the reference interpreter's
 (:func:`~repro.graph.executor.interpret_reference`, which shares no code
-with the compiled path), and shut down cleanly.  Exit code 0 on success.
+with the compiled path), time a few ``GET /health`` requests on one
+kept-alive connection, and shut down cleanly.  Exit code 0 on success.
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
 import sys
 import tempfile
+import time
+from urllib.parse import urlparse
 
 SMOKE_SUM = """
 int sum(int[] data, int n) {
@@ -36,6 +40,29 @@ Map<String, Integer> wc(List<String> words) {
   return counts;
 }
 """
+
+#: A reply on a reused connection slower than this is stalled (Nagle's
+#: algorithm waiting for a delayed ACK costs ≈ 40 ms).
+KEEPALIVE_MEDIAN_MS = 20.0
+
+
+def _keepalive_median_ms(address: str) -> float:
+    """Median wall time of five ``GET /health`` on one HTTP/1.1 connection."""
+    url = urlparse(address)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    try:
+        times = []
+        for _ in range(5):
+            started = time.perf_counter()
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            response.read()
+            times.append((time.perf_counter() - started) * 1000.0)
+            if response.status != 200:
+                raise RuntimeError(f"GET /health answered {response.status}")
+    finally:
+        connection.close()
+    return sorted(times)[2]
 
 
 def _smoke() -> int:
@@ -105,6 +132,14 @@ def _smoke() -> int:
                 f"smoke: {len(results)} concurrent jobs ok, "
                 f"admission modes={modes}, outputs identical to the interpreter"
             )
+            median_ms = _keepalive_median_ms(daemon.address)
+            print(f"smoke: GET /health on one connection, median {median_ms:.1f} ms")
+            if median_ms > KEEPALIVE_MEDIAN_MS:
+                print(
+                    f"smoke: FAIL replies on a reused connection take "
+                    f"{median_ms:.1f} ms (limit {KEEPALIVE_MEDIAN_MS:.0f} ms)"
+                )
+                return 1
             client.shutdown()
         finally:
             daemon.shutdown()

@@ -15,7 +15,10 @@ candidate parts combine it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import attrgetter, is_not, itemgetter
 from typing import Any, Iterator, Optional, Sequence
 
 from ..errors import InterpreterError, IRError
@@ -110,8 +113,10 @@ class _PhiState:
         self.cells: list[Optional[list[Any]]] = [None]
         #: Content key → column id, for the columns that have one.
         self.interned: dict[Any, int] = {}
-        #: (head, guard column, key column, value column) → verdict.
-        self.verdicts: dict[tuple[int, int, int, int], bool] = {}
+        #: (head, guard column, key column) → {value column → verdict}.
+        self.verdicts: defaultdict[tuple[int, int, int], dict[int, bool]] = (
+            defaultdict(dict)
+        )
 
     def column(self, expr: Optional[IRExpr]) -> int:
         """Evaluate ``expr`` once per element; return its interned column id."""
@@ -212,20 +217,29 @@ class PartEvaluator(PartFilter):
         head = self._heads.setdefault(repr(shape), len(self._heads))
         verdict = _scalar_verdict if container is None else _container_verdict
         rows = [
-            (state, state.verdicts, g, k)
+            (state, state.verdicts[head, g, k], g, k)
             for state, g, k in zip(self.states, guard.ids, key.ids)
         ]
+        if rows:
+            # Drop, in C, the values already memoised as failing on the
+            # first state — the loop would break on them computing nothing.
+            # ``compress`` is lazy: each value's memo entry is read when the
+            # loop asks for it, after every verdict before it is stored.
+            first_memo = rows[0][1]
+            first_ids = map(itemgetter(0), map(attrgetter("ids"), values))
+            values = compress(
+                values, map(is_not, map(first_memo.get, first_ids), repeat(False))
+            )
         for value in values:
-            for (state, verdicts, g, k), v in zip(rows, value.ids):
-                memo_key = (head, g, k, v)
+            for (state, memo, g, k), v in zip(rows, value.ids):
                 try:
-                    ok = verdicts[memo_key]
+                    ok = memo[v]
                 except KeyError:
                     try:
                         ok = verdict(state, shape, g, k, v)
                     except IRError:
                         ok = False
-                    verdicts[memo_key] = ok
+                    memo[v] = ok
                 if not ok:
                     break
             else:
@@ -332,10 +346,12 @@ class Synthesizer:
         #: Counterexamples *this* run discovered (excludes seeds) — the
         #: search layer persists them back to the cache.
         self.new_counterexamples: list[ProgramState] = []
-        #: Candidates refuted by the bounded checker (its state set is
-        #: fixed, so a refuted candidate can never pass later) — blocked
-        #: locally so re-enumeration always makes progress.
-        self._bounded_failed: set[int] = set()
+        #: Distinct states that refuted a join candidate, most recent first.
+        self._refuters: list[ProgramState] = []
+        #: The join enumeration, resumed by each call: every candidate it
+        #: already yielded was refuted (the checker's states are fixed, so
+        #: it stays refuted) or is now in ``blocked``.
+        self._join_candidates: Optional[Iterator[Summary]] = None
         #: The Φ filter, built on first use (join fragments have none) and
         #: kept across restarts and ``synthesize`` calls.
         self._part_filter: Optional[PartEvaluator] = None
@@ -379,24 +395,35 @@ class Synthesizer:
 
         Join fragments have no per-part Φ filter (a candidate part's
         semantics depend on every relation at once, so parts cannot be
-        checked against example states independently); instead, bounded
-        refutations are blocked directly and enumeration simply continues
-        to the next candidate — same progress guarantee, no restarts.
-        """
-        from .joins import JoinCandidateEnumerator
+        checked against example states independently); instead, a
+        refuted candidate is passed over and enumeration simply continues
+        to the next one — no restarts.  A later call resumes the
+        enumeration where the last one returned: ``blocked`` only grows,
+        so every candidate already yielded stays refuted or blocked.
 
-        enumerator = JoinCandidateEnumerator(
-            self.analysis, self.grammar_class, self.pools
-        )
-        for candidate in enumerator.candidates():
-            marker = hash(candidate)
-            if marker in blocked or marker in self._bounded_failed:
+        Each check leads with the states that refuted earlier candidates,
+        most recent first: neighbouring candidates tend to fail on the
+        same state, and the verdict does not depend on the order.
+        """
+        if self._join_candidates is None:
+            from .joins import JoinCandidateEnumerator
+
+            self._join_candidates = JoinCandidateEnumerator(
+                self.analysis, self.grammar_class, self.pools
+            ).candidates()
+        refuters = self._refuters
+        for candidate in self._join_candidates:
+            if hash(candidate) in blocked:
                 continue
             self.stats.candidates_checked += 1
-            counterexample = self.checker.check(candidate)
+            counterexample = self.checker.check(candidate, first=refuters)
             if counterexample is None:
                 return candidate
-            self._bounded_failed.add(marker)
+            if not refuters or refuters[0] is not counterexample:
+                refuters[:] = [
+                    counterexample,
+                    *(state for state in refuters if state is not counterexample),
+                ]
             self.phi.append(counterexample)
             self.new_counterexamples.append(counterexample)
             self.stats.counterexamples += 1

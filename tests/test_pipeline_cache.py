@@ -246,6 +246,53 @@ class TestSummaryCache:
         )
         assert values_equal(outputs["revenue"], expected)
 
+    def test_counterexamples_encode_each_distinct_state_once(self, monkeypatch):
+        from repro.pipeline import cache as cache_mod
+        from repro.verification.bounded import ProgramState
+
+        fingerprint = fingerprint_fragment(analysis_of(SUM_SOURCE))
+        distinct = [ProgramState({"data": [i, -i, 0.5], "n": 3}) for i in range(20)]
+        twin = ProgramState({"data": [3, -3, 0.5], "n": 3})  # equal to distinct[3]
+        # The join search's shape: one state per refuted candidate, mostly
+        # repeats of a few objects, in refutation order.
+        handed = [distinct[3], *distinct[:10], distinct[3], twin, *distinct[5:]]
+        handed.append(distinct[0])
+        already = [distinct[12], ProgramState({"data": [], "n": 0})]
+
+        encoded = []
+        original = cache_mod._state_value_to_data
+
+        def counting(value):
+            encoded.append(value)
+            return original(value)
+
+        monkeypatch.setattr(cache_mod, "_state_value_to_data", counting)
+
+        def stored(states):
+            """The stored entry, and how many values encoding ``states`` took."""
+            cache = SummaryCache()
+            cache.store_counterexamples(fingerprint, already)
+            before = len(encoded)
+            cache.store_counterexamples(fingerprint, states)
+            entry = cache._fetch(cache._cex_key(fingerprint))
+            return entry["states"], len(encoded) - before
+
+        # The parent algorithm: encode every state, dedupe by scan, cap.
+        want = []
+        for state in [*already, *handed]:
+            item = {
+                fingerprint.renaming.get(name, name): original(value)
+                for name, value in state.inputs.items()
+            }
+            if item not in want:
+                want.append(item)
+        want = want[-cache_mod._MAX_COUNTEREXAMPLES :]
+
+        entry, calls = stored(handed)
+        assert entry == want
+        # Encoding work follows the distinct objects, not the refutations.
+        assert calls == stored([*distinct, twin])[1]
+
     def test_alpha_equivalent_hit_is_renamed_correctly(self):
         cache = SummaryCache()
         translate(SUM_SOURCE, cache=cache)

@@ -13,7 +13,10 @@ what it decides:
 * memoised normal keys equal ``term_key(normalize(e))``, per thread,
   and the memo does not outlive its search;
 * checking candidates never writes to a bounded state's inputs, and
-  states run on demand give the verdicts of states run up front.
+  states run on demand give the verdicts of states run up front;
+* join checks that lead with the last refuting states refute exactly
+  the candidates drawn-order checks refute, and the Φ filter's C
+  pre-filter yields and computes what the plain loop did.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ import pytest
 from repro import translate
 from repro.errors import InterpreterError, IRError
 from repro.ir.eval import eval_expr
-from repro.ir.nodes import BinOp, CallFn, Const, ReduceLambda, UnOp, Var
+from repro.ir.nodes import BinOp, CallFn, Cond, Const, ReduceLambda, UnOp, Var
 from repro.lang.analysis import analyze_fragment, identify_fragments
 from repro.lang.values import values_equal
 from repro.pipeline import CompilationContext, PassPipeline
+from repro.synthesis import cegis
 from repro.synthesis import (
     CandidateEnumerator,
     GrammarBuilder,
@@ -569,3 +573,178 @@ def test_a_cold_compile_runs_only_the_extended_states_it_reaches(monkeypatch):
     compilation = translate(get_benchmark("fiji_red_to_magenta").source)
     assert compilation.translated == 3
     assert len(runs) <= 80  # 132 with every extended state run up front
+
+
+# ----------------------------------------------------------------------
+# (f) join checks lead with the last refuting states; the Φ filter drops
+#     memoised failures before its loop
+
+
+@pytest.mark.parametrize("name", ["joins_q3_revenue", "joins_three_way_cost"])
+def test_recent_first_join_checks_refute_what_drawn_order_refutes(name):
+    (analysis,) = fragment_analyses(name)
+    checker = BoundedChecker(analysis)
+    sym_paths = harvest_paths(analysis)
+    refuters = []  # most recent first, as the join search keeps them
+    proposed = 0
+    for grammar_class in generate_classes(analysis):
+        pools = GrammarBuilder(analysis, grammar_class, sym_paths).build()
+        enumerator = JoinCandidateEnumerator(analysis, grammar_class, pools)
+        for candidate in enumerator.candidates():
+            proposed += 1
+            drawn = checker.check(candidate)
+            recent = checker.check(candidate, first=refuters)
+            assert (recent is None) == (drawn is None), candidate
+            if recent is not None:
+                # The state that came back refutes the candidate on its own.
+                assert checker.check(candidate, first=[recent]) is recent
+                refuters = [recent, *(s for s in refuters if s is not recent)]
+    assert proposed >= 400 and refuters
+
+
+def test_a_cold_join_compile_evaluates_few_summaries(monkeypatch):
+    calls = []
+    original = bounded.evaluate_summary
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(bounded, "evaluate_summary", counting)
+    compilation = translate(get_benchmark("joins_q3_revenue").source)
+    assert compilation.candidates_checked == 800
+    assert len(calls) <= 1600  # 5 124 with every check in drawn order
+
+
+def reference_passing(evaluator, var, container, default, lam, fin, guard, key, values):
+    """The Φ filter's loop before the nested memo and the C pre-filter:
+    one flat ``(head, guard, key, value)`` memo per state, every value
+    looped."""
+    shape = (var, container, default, lam, fin)
+    head = evaluator._heads.setdefault(repr(shape), len(evaluator._heads))
+    verdict = cegis._scalar_verdict if container is None else cegis._container_verdict
+    memos = evaluator.__dict__.setdefault("reference_memos", {})
+    rows = [
+        (state, memos.setdefault(id(state), {}), g, k)
+        for state, g, k in zip(evaluator.states, guard.ids, key.ids)
+    ]
+    for value in values:
+        for (state, verdicts, g, k), v in zip(rows, value.ids):
+            memo_key = (head, g, k, v)
+            try:
+                ok = verdicts[memo_key]
+            except KeyError:
+                try:
+                    ok = verdict(state, shape, g, k, v)
+                except IRError:
+                    ok = False
+                verdicts[memo_key] = ok
+            if not ok:
+                break
+        else:
+            yield value
+
+
+def filter_log(analysis, passing):
+    """Every verdict computed and every value yielded, in order, by one
+    search whose Φ filter runs ``passing``."""
+    log = []
+    numbers = {}  # id(state) → (number, state): pins the state, so no id is reused
+
+    def recorded(verdict):
+        def computing(state, shape, g, k, v):
+            number = numbers.setdefault(id(state), (len(numbers), state))[0]
+            log.append(("verdict", number, repr(shape), g, k, v))
+            return verdict(state, shape, g, k, v)
+
+        return computing
+
+    def logged(self, *args):
+        for value in passing(self, *args):
+            log.append(("yield", tuple(value.ids), str(value.expr)))
+            yield value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cegis, "_scalar_verdict", recorded(cegis._scalar_verdict))
+        patch.setattr(cegis, "_container_verdict", recorded(cegis._container_verdict))
+        patch.setattr(PartEvaluator, "passing", logged)
+        result = find_summaries(analysis)
+    return log, result.candidates_checked, [str(vs.summary) for vs in result.summaries]
+
+
+@pytest.mark.parametrize("name", [n for n in COMPILE_MIX if not n.startswith("joins_")])
+def test_the_filter_yields_and_computes_what_the_plain_loop_did(name):
+    original = PartEvaluator.passing
+    verdicts = 0
+    for analysis in fragment_analyses(name):
+        got = filter_log(analysis, original)
+        assert got == filter_log(analysis, reference_passing)
+        verdicts += sum(entry[0] == "verdict" for entry in got[0])
+    assert verdicts > 0
+
+
+class TestKnownFailuresDropped:
+    """Hand-built parts through ``passing`` and the plain loop."""
+
+    D = Var("d", "int")
+    NONZERO = BinOp("!=", D, Const(0, "int"))
+    GOOD = BinOp("/", Const(10, "int"), D)
+    #: Wrong on the first state (every cell 100); raises a TypeError — not
+    #: an IRError — on the second, whose first element is 3.
+    WRONG_THEN_RAISING = Cond(
+        BinOp(">", D, Const(2, "int")),
+        UnOp("-", Const("a", "String")),
+        Const(100, "int"),
+    )
+    #: Raises a TypeError on the first state already.
+    RAISING = UnOp("-", Const("a", "String"))
+    STATES = [
+        ProgramState({"d": [1, 2], "n": 2}),
+        ProgramState({"d": [3, 0, 5], "n": 3}),
+    ]
+
+    def run(self, passing, evaluator, exprs):
+        """(values yielded, the exception type that ended the loop or None)."""
+        guard, key, *values = evaluator.columns([self.NONZERO, None, *exprs])
+        yielded = []
+        try:
+            passed = passing(evaluator, "t", None, 0, PLUS, None, guard, key, values)
+            for value in passed:
+                yielded.append(values.index(value))
+        except Exception as exc:  # noqa: BLE001 — which one surfaces is the point
+            return yielded, type(exc)
+        return yielded, None
+
+    def both(self, exprs, memoise=()):
+        """The same calls through ``passing`` and through the plain loop."""
+        analysis = analysis_of(GUARDED_DIVISION)
+        outcomes = []
+        for passing in (PartEvaluator.passing, reference_passing):
+            evaluator = PartEvaluator(analysis, self.STATES)
+            if memoise:
+                assert self.run(passing, evaluator, memoise) == ([], None)
+            outcomes.append(self.run(passing, evaluator, exprs))
+        return outcomes
+
+    def test_a_memoised_failure_is_skipped_silently(self, monkeypatch):
+        computed = []
+        verdict = cegis._scalar_verdict
+
+        def counting(state, shape, g, k, v):
+            computed.append(v)
+            return verdict(state, shape, g, k, v)
+
+        monkeypatch.setattr(cegis, "_scalar_verdict", counting)
+        exprs = [self.WRONG_THEN_RAISING, self.GOOD, self.WRONG_THEN_RAISING]
+        got, want = self.both(exprs, memoise=[self.WRONG_THEN_RAISING])
+        assert got == want == ([1], None)
+        # Per side: the failure once on the first state, the good value twice.
+        assert len(computed) == 2 * 3
+
+    def test_an_unmemoised_raise_surfaces_where_it_did(self):
+        exprs = [self.WRONG_THEN_RAISING, self.GOOD, self.RAISING, self.GOOD]
+        got, want = self.both(exprs, memoise=[self.WRONG_THEN_RAISING])
+        assert got == want == ([1], TypeError)
+        # Without the memo the first value fails on state 0, never raising.
+        got, want = self.both(exprs)
+        assert got == want == ([1], TypeError)

@@ -364,6 +364,31 @@ class TestDaemon:
             assert warm.warm
             assert warm.candidates_checked == 0
 
+    def test_replies_on_a_kept_alive_connection_do_not_stall(self):
+        # Headers and body are two writes: with Nagle's algorithm on, the
+        # body waits for the client's delayed ACK, ≈ 40 ms per request.
+        import http.client
+        import statistics
+        from urllib.parse import urlparse
+
+        from repro.serve.daemon import serve
+
+        with serve() as daemon:
+            url = urlparse(daemon.address)
+            connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+            times = []
+            try:
+                for _ in range(5):
+                    started = time.perf_counter()
+                    connection.request("GET", "/health")
+                    response = connection.getresponse()
+                    response.read()
+                    times.append(time.perf_counter() - started)
+                    assert response.status == 200
+            finally:
+                connection.close()
+        assert statistics.median(times) < 0.020, times
+
     def test_protocol_errors_surface_as_serve_errors(self):
         from repro.serve.client import DaemonClient, connect
         from repro.serve.daemon import serve
