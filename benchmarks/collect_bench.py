@@ -3,7 +3,7 @@
 Run by CI's ``bench`` job (and locally with ``PYTHONPATH=src python
 benchmarks/collect_bench.py --output BENCH_local.json``), this measures:
 
-* **compile** — cold and warm (summary-cache) batch compile wall-clock
+* **compile** — cold and warm (summary-cache) suite compile wall-clock
   per workload suite, plus cache statistics;
 * **suites** — per-suite end-to-end ``run_benchmark`` wall-clock and
   simulated speedup aggregates;
@@ -55,12 +55,7 @@ import subprocess
 import sys
 import time
 
-from repro import (
-    ExecOptions,
-    Session,
-    SummaryCache,
-    translate_many,
-)
+from repro import ExecOptions, Session, SummaryCache, translate
 from repro.engine.multiprocess import default_process_count
 from repro.workloads import datagen, get_benchmark, suite_benchmarks, suites
 from repro.workloads.runner import (
@@ -139,18 +134,19 @@ def run_job(session, compilation, inputs, options=None, fragment_index=None):
 
 
 def measure_compile() -> dict:
-    """Cold vs warm batch compilation per suite (the PR-1 cache story)."""
+    """Cold vs warm compilation per suite through one shared cache."""
     cache = SummaryCache()
     out: dict[str, dict] = {}
+
+    def compile_all(benchmarks):
+        started = time.perf_counter()
+        results = [translate(b.source, b.function, cache=cache) for b in benchmarks]
+        return results, time.perf_counter() - started
+
     for suite in suites():
         benchmarks = suite_benchmarks(suite)
-        specs = [(b.source, b.function) for b in benchmarks]
-        started = time.perf_counter()
-        cold = translate_many(specs, cache=cache)
-        cold_s = time.perf_counter() - started
-        started = time.perf_counter()
-        warm = translate_many(specs, cache=cache)
-        warm_s = time.perf_counter() - started
+        cold, cold_s = compile_all(benchmarks)
+        warm, warm_s = compile_all(benchmarks)
         out[suite] = {
             "benchmarks": len(benchmarks),
             "fragments": sum(r.identified for r in cold),

@@ -3,13 +3,14 @@
 Summary search dominates compile time (paper Table 2: CEGIS candidates +
 theorem-prover calls), and it is fully deterministic — recompiling an
 unchanged fragment reproduces the same verified summaries.  This module
-measures what the cache buys: batch-compile two benchmarks from each of
-the seven suites cold, then recompile the same batch warm, and require
-the warm pass to (a) skip the search entirely (``candidates_checked == 0``
-and ``tp_failures == 0`` on every cached fragment) and (b) finish at
-least 5× faster end-to-end.  A third pass restarts from a fresh cache
-instance backed by the same on-disk store, standing in for a new compiler
-process reusing a previous run's work.
+measures what the cache buys: compile two benchmarks from each of the
+seven suites cold, one after another through one shared cache, then
+recompile the same batch warm, and require the warm pass to (a) skip the
+search entirely (``candidates_checked == 0`` and ``tp_failures == 0`` on
+every cached fragment) and (b) finish at least 5× faster end-to-end.  A
+third pass restarts from a fresh cache instance backed by the same
+on-disk store, standing in for a new compiler process reusing a previous
+run's work.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 
 import pytest
 
-from repro import SummaryCache, translate_many
+from repro import SummaryCache, translate
 from repro.workloads import suite_benchmarks, suites
 
 #: Benchmarks per suite in the measured batch — enough to exercise every
@@ -46,27 +47,25 @@ def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("summary-cache")
 
 
+def _compile_all(benchmarks, cache):
+    """Compile every benchmark in order through one shared cache."""
+    started = time.monotonic()
+    results = [translate(b.source, b.function, cache=cache) for b in benchmarks]
+    return results, time.monotonic() - started
+
+
 @pytest.fixture(scope="module")
 def measured(cache_dir, table_printer):
     """Compile the batch cold, warm, and warm-from-disk; print the table."""
     benchmarks = _batch()
-    specs = [(b.source, b.function) for b in benchmarks]
-
     cache = SummaryCache(cache_dir=str(cache_dir))
-    started = time.monotonic()
-    cold = translate_many(specs, cache=cache)
-    cold_seconds = time.monotonic() - started
-
-    started = time.monotonic()
-    warm = translate_many(specs, cache=cache)
-    warm_seconds = time.monotonic() - started
-
+    cold, cold_seconds = _compile_all(benchmarks, cache)
+    warm, warm_seconds = _compile_all(benchmarks, cache)
     # A fresh cache instance over the same directory: only the disk tier
     # survives, as it would across compiler processes.
-    restarted = SummaryCache(cache_dir=str(cache_dir))
-    started = time.monotonic()
-    disk = translate_many(specs, cache=restarted)
-    disk_seconds = time.monotonic() - started
+    disk, disk_seconds = _compile_all(
+        benchmarks, SummaryCache(cache_dir=str(cache_dir))
+    )
 
     rows = [
         [
@@ -115,10 +114,8 @@ def test_batch_covers_all_seven_suites(measured):
 
 
 def test_cold_pass_actually_searched(measured):
-    # Alpha-equivalent sibling fragments may already hit entries stored
-    # moments earlier by the same cold batch (phoenix_histogram3d's three
-    # RGB loops share one fingerprint) — but every fragment either did a
-    # real search or hit an entry some sibling's search populated.
+    # A fragment alpha-equivalent to one compiled earlier in the cold
+    # pass may hit that entry; every other fragment did a real search.
     assert sum(r.candidates_checked for r in measured["cold"]) > 0
     for result in measured["cold"]:
         for fragment in result.fragments:
@@ -166,9 +163,8 @@ def test_warm_results_identical_to_cold(measured):
 
 
 def test_batch_matches_sequential_translate(measured, table_printer):
-    """Acceptance: translate_many ≡ sequential translate, fragment by fragment."""
-    from repro import translate
-
+    """Acceptance: the batch's compiles through the shared cache ≡ a
+    translate without a cache, fragment by fragment."""
     subset = [
         b
         for b in measured["benchmarks"]

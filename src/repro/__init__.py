@@ -25,12 +25,11 @@ distributed substrate (see DESIGN.md for the substitution map):
 * :mod:`repro.workloads` — the seven benchmark suites and data generators
 
 **Public API** (``__all__``; everything else is importable from its
-defining module but may move): :func:`compile` / :func:`translate` /
-:func:`translate_many`, :class:`Session`, :class:`ExecOptions`,
-:class:`JobHandle` / :class:`JobResult`, :func:`connect`,
-:mod:`repro.serve`, :mod:`repro.errors`, the compilation results, the
-search and engine configurations, the summary cache and the input
-sources.
+defining module but may move): :func:`compile` / :func:`translate`,
+:class:`Session`, :class:`ExecOptions`, :class:`JobHandle` /
+:class:`JobResult`, :func:`connect`, :mod:`repro.serve`,
+:mod:`repro.errors`, the compilation results, the search and engine
+configurations, the summary cache and the input sources.
 
 Quickstart::
 
@@ -52,12 +51,7 @@ admission) rides on its :class:`JobResult`; nothing is read back from
 shared "last run" state.
 """
 
-from .compiler import (
-    CompilationResult,
-    FragmentTranslation,
-    translate,
-    translate_many,
-)
+from .compiler import CompilationResult, FragmentTranslation, translate
 from .engine.config import ClusterConfig, EngineConfig
 from .engine.source import Dataset, GeneratorSource, ListSource
 from .options import ExecOptions
@@ -90,7 +84,6 @@ __all__ = [
     "errors",
     "serve",
     "translate",
-    "translate_many",
     # What a compile returns and what configures it.
     "ClusterConfig",
     "CompilationResult",

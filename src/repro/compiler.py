@@ -17,17 +17,18 @@ plan — over an explicit :class:`~repro.pipeline.context.CompilationContext`:
    :class:`~repro.session.Session` with ``ExecOptions(plan="auto")``),
    validated by the real multiprocess backend.
 
-Independent fragments compile concurrently, and :meth:`CasperCompiler
-.translate_many` batches whole workload suites through one worker pool.
-Attach a :class:`~repro.pipeline.cache.SummaryCache` to skip the summary
-search entirely when recompiling identical or alpha-equivalent fragments.
+A compile runs its fragments' pass chains one after another on the
+caller's thread; compile a suite by calling :func:`translate` per
+program with one shared :class:`~repro.pipeline.cache.SummaryCache`,
+which skips the summary search entirely when recompiling identical or
+alpha-equivalent fragments.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .diagnostics import Diagnostic, explain as explain_diagnostics
 from .errors import AnalysisError
@@ -42,9 +43,6 @@ from .pipeline.cache import SummaryCache
 from .pipeline.context import CompilationContext
 from .pipeline.scheduler import PassPipeline
 from .synthesis.search import SearchConfig, SearchResult
-
-#: A batch item: plain source text, or ``(source, function_name)``.
-SourceSpec = Union[str, tuple[str, Optional[str]]]
 
 
 @dataclass
@@ -146,9 +144,6 @@ class CasperCompiler:
     backend: str = "spark"
     #: Shared content-addressed summary cache; None disables caching.
     cache: Optional[SummaryCache] = None
-    #: Worker threads for fragment-level parallelism; None → per-core
-    #: default, 1 → strictly sequential.
-    max_workers: Optional[int] = None
     #: Run the pre-synthesis soundness analyzer (REP1xx codes); off
     #: skips the gate and lets CEGIS discover the failure the slow way.
     soundness: bool = True
@@ -163,51 +158,6 @@ class CasperCompiler:
         self, source: str, function: Optional[str] = None
     ) -> CompilationResult:
         """Parse source text and translate the named (or sole) function."""
-        program, function = self._parse_spec(source, function)
-        return self.translate(program, function)
-
-    def translate(self, program: ast.Program, function: str) -> CompilationResult:
-        """Run the full pipeline on one function."""
-        started = time.monotonic()
-        ctx = self._context(program, function)
-        self._pipeline().run(ctx)
-        return self._finish(ctx, time.monotonic() - started)
-
-    def translate_many(
-        self, sources: Sequence[SourceSpec]
-    ) -> list[CompilationResult]:
-        """Compile a batch of programs through one shared worker pool.
-
-        Each item is source text or a ``(source, function)`` pair.  The
-        results are positionally aligned with ``sources`` and identical
-        to what sequential :meth:`translate` calls would produce; all
-        fragments of all programs share the scheduler's worker pool (and
-        the summary cache, when one is attached), so suites compile
-        concurrently instead of serially.
-
-        Batch execution interleaves programs, so each result's
-        ``elapsed_seconds`` is the wall-clock time its own passes spent
-        (summed over its fragments) — comparable to a sequential
-        ``translate`` timing, not the whole batch's duration.
-        """
-        contexts = []
-        for spec in sources:
-            source, function = (
-                spec if isinstance(spec, tuple) else (spec, None)
-            )
-            program, function = self._parse_spec(source, function)
-            contexts.append(self._context(program, function))
-        self._pipeline().run_many(contexts)
-        return [
-            self._finish(ctx, sum(ctx.pass_seconds.values()))
-            for ctx in contexts
-        ]
-
-    # ------------------------------------------------------------------
-
-    def _parse_spec(
-        self, source: str, function: Optional[str]
-    ) -> tuple[ast.Program, str]:
         program = parse_program(source)
         if function is None:
             if len(program.functions) != 1:
@@ -215,28 +165,26 @@ class CasperCompiler:
                     "source defines multiple functions; name one explicitly"
                 )
             function = program.functions[0].name
-        return program, function
+        return self.translate(program, function)
 
-    def _pipeline(self) -> PassPipeline:
-        return PassPipeline(max_workers=self.max_workers)
-
-    def _context(self, program: ast.Program, function: str) -> CompilationContext:
-        return CompilationContext(
-            program=program,
-            function=function,
-            search_config=self.search_config,
-            engine_config=self.engine_config,
-            backend=self.backend,
-            cache=self.cache,
-            soundness=self.soundness,
-            strict=self.strict,
+    def translate(self, program: ast.Program, function: str) -> CompilationResult:
+        """Run the full pipeline on one function."""
+        started = time.monotonic()
+        ctx = PassPipeline().run(
+            CompilationContext(
+                program=program,
+                function=function,
+                search_config=self.search_config,
+                engine_config=self.engine_config,
+                backend=self.backend,
+                cache=self.cache,
+                soundness=self.soundness,
+                strict=self.strict,
+            )
         )
-
-    @staticmethod
-    def _finish(ctx: CompilationContext, elapsed: float) -> CompilationResult:
-        result = CompilationResult(function=ctx.function)
-        for state in ctx.fragments:
-            result.fragments.append(
+        return CompilationResult(
+            function=function,
+            fragments=[
                 FragmentTranslation(
                     fragment=state.fragment,
                     analysis=state.analysis,
@@ -245,11 +193,12 @@ class CasperCompiler:
                     failure_reason=state.failure_reason,
                     diagnostics=list(state.diagnostics),
                 )
-            )
-        result.elapsed_seconds = elapsed
-        result.pass_seconds = dict(ctx.pass_seconds)
-        result.job_graph = ctx.job_graph
-        return result
+                for state in ctx.fragments
+            ],
+            elapsed_seconds=time.monotonic() - started,
+            pass_seconds=dict(ctx.pass_seconds),
+            job_graph=ctx.job_graph,
+        )
 
 
 def translate(
@@ -269,21 +218,3 @@ def translate(
     )
     return compiler.translate_source(source, function)
 
-
-def translate_many(
-    sources: Sequence[SourceSpec],
-    backend: str = "spark",
-    search_config: Optional[SearchConfig] = None,
-    engine_config: Optional[EngineConfig] = None,
-    cache: Optional[SummaryCache] = None,
-    max_workers: Optional[int] = None,
-) -> list[CompilationResult]:
-    """Batch convenience API: compile many sources concurrently."""
-    compiler = CasperCompiler(
-        search_config=search_config or SearchConfig(),
-        engine_config=engine_config or EngineConfig(),
-        backend=backend,
-        cache=cache,
-        max_workers=max_workers,
-    )
-    return compiler.translate_many(sources)

@@ -7,9 +7,8 @@ Organizes the Casper compiler as explicit passes over an explicit
 * :mod:`repro.pipeline.cache` — a content-addressed summary cache keyed
   by alpha-renamed fragment fingerprints, so recompiling an identical or
   alpha-equivalent fragment skips CEGIS and verification entirely;
-* :mod:`repro.pipeline.scheduler` — a thread-pool scheduler that runs
-  independent fragments' pass chains concurrently and batches whole
-  workload suites through one pool.
+* :mod:`repro.pipeline.scheduler` — the driver that runs each fragment's
+  pass chain in order on the caller's thread, then the graph pass.
 """
 
 from .cache import CacheHit, CacheStats, SummaryCache, search_config_key
@@ -25,7 +24,7 @@ from .passes import (
     default_passes,
     run_passes,
 )
-from .scheduler import PassPipeline, default_worker_count
+from .scheduler import PassPipeline
 
 __all__ = [
     "AnalyzePass",
@@ -42,7 +41,6 @@ __all__ = [
     "SynthesizePass",
     "VerifyAttachPass",
     "default_passes",
-    "default_worker_count",
     "run_passes",
     "search_config_key",
 ]

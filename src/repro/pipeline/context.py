@@ -4,15 +4,13 @@ One :class:`CompilationContext` describes one function being translated;
 it carries the parsed program, the configuration, the shared summary
 cache, and one :class:`FragmentState` per candidate code fragment.  The
 passes in :mod:`repro.pipeline.passes` mutate fragment states in order
-(analyze → synthesize → verify-attach → codegen → plan); the scheduler
-may run
-different fragments' pass chains concurrently, so anything shared across
-fragments (the cache, the timing table) is lock-protected.
+(analyze → synthesize → verify-attach → codegen → plan), one fragment
+after another on the caller's thread.  Only the summary cache is shared
+beyond one compile, and it carries its own lock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
@@ -81,13 +79,9 @@ class CompilationContext:
     job_graph: Optional["JobGraph"] = None
     #: Wall-clock seconds spent in each pass, summed over fragments.
     pass_seconds: dict[str, float] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_pass_time(self, pass_name: str, seconds: float) -> None:
-        with self._lock:
-            self.pass_seconds[pass_name] = (
-                self.pass_seconds.get(pass_name, 0.0) + seconds
-            )
+        self.pass_seconds[pass_name] = self.pass_seconds.get(pass_name, 0.0) + seconds
 
     @property
     def cache_hits(self) -> int:

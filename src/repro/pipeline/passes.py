@@ -4,9 +4,9 @@ analyze → synthesize → verify-attach → codegen → plan → graph.
 Each of the first five passes is a small, stateless object transforming
 one fragment's :class:`~repro.pipeline.context.FragmentState`.  Keeping
 the stages as explicit passes (instead of one monolithic ``translate``
-body) gives the pipeline its seams: the scheduler can run fragments
-concurrently, the synthesize pass can consult the summary cache, and
-instrumentation gets per-stage timings for free.
+body) gives the pipeline its seams: the synthesize pass can consult the
+summary cache, tests can substitute passes, and instrumentation gets
+per-stage timings for free.
 
 The sixth, ``graph``, is a *context* pass: it runs once per function
 after every fragment's chain has finished (it needs all of them) and
@@ -226,8 +226,8 @@ class GraphPass:
     Runs the inter-fragment dataflow analysis (liveness in/out sets →
     producer→consumer edges) and attaches the resulting
     :class:`~repro.graph.jobgraph.JobGraph` to the context, so
-    ``run_graph`` can schedule fused chains and concurrent branches
-    without re-deriving the dataflow per run.  It runs once per
+    ``run_graph`` can schedule fused chains and waves without
+    re-deriving the dataflow per run.  It runs once per
     context, after every fragment chain completes.
     """
 

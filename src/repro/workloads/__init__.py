@@ -11,7 +11,6 @@ from .registry import (
 )
 from .runner import (
     compile_benchmark,
-    compile_suite,
     run_benchmark,
     run_benchmark_graph,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "Benchmark",
     "all_benchmarks",
     "compile_benchmark",
-    "compile_suite",
     "datagen",
     "get_benchmark",
     "register",

@@ -15,6 +15,7 @@ from ..compiler import CasperCompiler, CompilationResult
 from ..engine.config import EngineConfig
 from ..engine.sequential import run_sequential
 from ..engine.sizes import dataset_bytes
+from ..errors import ReproError
 from ..graph.executor import interpret_fragment, interpret_reference
 from ..lang.values import values_equal
 from ..options import ExecOptions
@@ -85,33 +86,6 @@ def compile_benchmark(
             backend=backend,
         )
     return compiler.translate(benchmark.parse(), benchmark.function)
-
-
-def compile_suite(
-    benchmarks: list[Benchmark],
-    search_config: Optional[SearchConfig] = None,
-    backend: str = "spark",
-    cache=None,
-    max_workers: Optional[int] = None,
-) -> dict[str, CompilationResult]:
-    """Compile a whole suite concurrently through the batch pipeline.
-
-    Every fragment of every benchmark shares one worker pool (and the
-    summary cache, when given), so suites compile in parallel instead of
-    one benchmark at a time.  Returns ``{benchmark name: result}`` in the
-    suite's order; results are identical to per-benchmark
-    :func:`compile_benchmark` calls.
-    """
-    compiler = CasperCompiler(
-        search_config=search_config or SearchConfig(),
-        backend=backend,
-        cache=cache,
-        max_workers=max_workers,
-    )
-    results = compiler.translate_many(
-        [(b.source, b.function) for b in benchmarks]
-    )
-    return {b.name: result for b, result in zip(benchmarks, results)}
 
 
 def data_bytes(benchmark: Benchmark, inputs: dict[str, Any]) -> int:
@@ -303,7 +277,6 @@ def _check_outputs(
     fragment, benchmark: Benchmark, inputs: dict[str, Any], outputs: dict[str, Any]
 ) -> bool:
     """Compare fragment outputs with the sequential interpreter's."""
-    from ..lang.values import values_equal
     from ..verification.bounded import ProgramState, run_sequential_fragment
 
     analysis = fragment.analysis
@@ -312,8 +285,8 @@ def _check_outputs(
             {name: inputs[name] for name in analysis.input_vars if name in inputs}
         )
         expected = run_sequential_fragment(analysis, state)
-    except Exception:
-        return True  # cannot check (missing chained inputs); engine verified elsewhere
+    except ReproError:
+        return False  # the reference faulted: unchecked is never a match
     return all(
         values_equal(outputs.get(name), expected.outputs.get(name))
         for name in analysis.output_vars

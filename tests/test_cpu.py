@@ -6,7 +6,6 @@ import os
 
 from repro.cpu import available_cpu_count
 from repro.engine.multiprocess import default_process_count
-from repro.pipeline.scheduler import default_worker_count
 
 
 class TestAvailableCpuCount:
@@ -41,10 +40,3 @@ class TestConsumers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(os, "cpu_count", lambda: 128)
         assert default_process_count() == 4
-
-    def test_scheduler_worker_count_uses_affinity_and_cap(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "cpu_count", lambda: 128)
-        assert default_worker_count() == 2
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
-        assert default_worker_count() == 8  # synthesis cap stays

@@ -1,4 +1,4 @@
-"""Failure-path coverage: scheduler pool crashes, corrupt cache entries,
+"""Failure-path coverage: a pass raising mid-compile, corrupt cache entries,
 and the multiprocess backend's sequential fallback end-to-end."""
 
 from __future__ import annotations
@@ -34,48 +34,31 @@ Map<String, Integer> wc(List<String> words) {
 
 
 class BombPass(CompilerPass):
-    """A pass that blows up inside the scheduler's worker pool."""
+    """A pass that blows up mid-compile."""
 
     name = "bomb"
 
     def run(self, ctx, state):
-        raise RuntimeError("fragment exploded in the pool")
+        raise RuntimeError("fragment exploded mid-compile")
 
 
-class TestSchedulerPoolFailures:
-    def _contexts(self):
-        return [
-            CompilationContext(program=parse_program(SUM_SOURCE), function="sum"),
-            CompilationContext(
-                program=parse_program(WORDCOUNT_SOURCE), function="wc"
-            ),
-        ]
-
-    def test_raising_pass_propagates_from_pool(self):
-        # More than one fragment forces the ThreadPoolExecutor path; the
-        # scheduler must surface the exception, not swallow or hang.
-        pipeline = PassPipeline(passes=[BombPass()], max_workers=4)
-        with pytest.raises(RuntimeError, match="exploded in the pool"):
-            pipeline.run_many(self._contexts())
+class TestSchedulerFailures:
+    def _context(self):
+        return CompilationContext(program=parse_program(SUM_SOURCE), function="sum")
 
     def test_raising_pass_propagates_sequentially(self):
-        pipeline = PassPipeline(passes=[BombPass()], max_workers=1)
-        with pytest.raises(RuntimeError, match="exploded in the pool"):
-            pipeline.run(self._contexts()[0])
+        pipeline = PassPipeline(passes=[BombPass()])
+        with pytest.raises(RuntimeError, match="exploded mid-compile"):
+            pipeline.run(self._context())
 
     def test_partial_failure_leaves_earlier_pass_results(self):
-        # The bomb sits after analyze: states keep their analysis even
+        # The bomb sits after analyze: the state keeps its analysis even
         # though the chain died mid-way.
-        passes = [default_passes()[0], BombPass()]
-        pipeline = PassPipeline(passes=passes, max_workers=4)
-        contexts = self._contexts()
+        pipeline = PassPipeline(passes=[default_passes()[0], BombPass()])
+        ctx = self._context()
         with pytest.raises(RuntimeError):
-            pipeline.run_many(contexts)
-        assert any(
-            state.analysis is not None
-            for ctx in contexts
-            for state in ctx.fragments
-        )
+            pipeline.run(ctx)
+        assert ctx.fragments[0].analysis is not None
 
 
 class TestCorruptDiskCache:

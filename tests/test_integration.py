@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InterpreterError
 from repro.lang.interpreter import Interpreter
 from repro.lang.values import values_equal
 from repro.workloads import get_benchmark
@@ -35,6 +36,25 @@ class TestBenchmarkRuns:
         run = run_benchmark(benchmark, size=100)
         assert not run.translated
         assert run.distributed_seconds == 0.0
+
+    def test_unchecked_fragment_is_a_mismatch(
+        self, wordcount_compiled, monkeypatch
+    ):
+        """A fragment whose reference interpretation raises was never
+        checked, so the run must not report its outputs as matching."""
+        from repro.verification import bounded
+
+        def faulting_reference(analysis, state):
+            raise InterpreterError("reference faulted")
+
+        monkeypatch.setattr(bounded, "run_sequential_fragment", faulting_reference)
+        run = run_benchmark(
+            get_benchmark("phoenix_wordcount"),
+            size=400,
+            compilation=wordcount_compiled,
+        )
+        assert run.translated
+        assert run.outputs_match is False
 
     def test_untranslated_fragment_outputs_chain_forward(self):
         """fiji_temporal_median's first fragment stays untranslated; its

@@ -283,6 +283,9 @@ OPTION_SURFACE = {
         "incremental_grammar max_summaries_per_class accept_bounded_only "
         "timeout_seconds bounded_config extended_states exhaustive"
     ),
+    "repro.compiler:CasperCompiler": (
+        "search_config engine_config backend cache soundness strict"
+    ),
 }
 
 

@@ -1,20 +1,13 @@
 """Tests for the staged pass pipeline, fragment fingerprints, and the
 content-addressed summary cache (serialization round-trip, alpha-renamed
-hits, batch compilation parity)."""
+hits, one cache shared across compiles)."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro import (
-    SearchConfig,
-    Session,
-    SummaryCache,
-    translate,
-    translate_many,
-)
-from repro.compiler import CasperCompiler
+from repro import SearchConfig, Session, SummaryCache, translate
 from repro.errors import AnalysisError
 from repro.ir.nodes import (
     rename_summary,
@@ -42,7 +35,6 @@ from tests.conftest import (
     BLUR_LITERAL_CLASH_SOURCE,
     BLUR_SOURCE,
     Q6_SOURCE,
-    RWM_SOURCE,
     SUM_SOURCE,
     WORDCOUNT_SOURCE,
     analysis_of,
@@ -587,7 +579,7 @@ class TestPassPipeline:
             function="sum",
             cache=SummaryCache(),
         )
-        PassPipeline(max_workers=1).run(ctx)
+        PassPipeline().run(ctx)
         assert len(ctx.fragments) == 1
         state = ctx.fragments[0]
         assert state.analysis is not None
@@ -599,7 +591,7 @@ class TestPassPipeline:
         ctx = CompilationContext(
             program=parse_program(SUM_SOURCE), function="sum"
         )
-        PassPipeline(max_workers=1).run(ctx)
+        PassPipeline().run(ctx)
         assert ctx.fragments[0].program is not None
         assert ctx.fragments[0].fingerprint is None  # no cache, no hashing
 
@@ -619,52 +611,19 @@ class TestPassPipeline:
         assert frag.program is None
 
 
-class TestTranslateMany:
-    SOURCES = [SUM_SOURCE, WORDCOUNT_SOURCE, (RWM_SOURCE, None), (Q6_SOURCE, "query6")]
-
-    def test_batch_matches_sequential(self):
-        batch = translate_many(self.SOURCES)
-        for spec, batched in zip(self.SOURCES, batch):
-            source, function = spec if isinstance(spec, tuple) else (spec, None)
-            sequential = translate(source, function)
-            assert batched.function == sequential.function
-            assert batched.identified == sequential.identified
-            assert batched.translated == sequential.translated
-            for bf, sf in zip(batched.fragments, sequential.fragments):
-                assert (bf.search is None) == (sf.search is None)
-                if bf.search and sf.search:
-                    assert [vs.summary for vs in bf.search.summaries] == [
-                        vs.summary for vs in sf.search.summaries
-                    ]
-
-    def test_batch_results_positionally_aligned(self):
-        results = translate_many([WORDCOUNT_SOURCE, SUM_SOURCE])
-        assert results[0].function == "wc"
-        assert results[1].function == "sum"
-
-    def test_batch_shares_cache_across_items(self):
+class TestSharedCache:
+    def test_translate_loop_shares_cache_across_items(self):
+        # One thread, one cache: the first SUM searches and stores, the
+        # alpha-renamed copy and the second SUM hit that entry.
         cache = SummaryCache()
-        results = translate_many(
-            [SUM_SOURCE, SUM_ALPHA_SOURCE, SUM_SOURCE], cache=cache
-        )
+        results = [
+            translate(source, cache=cache)
+            for source in (SUM_SOURCE, SUM_ALPHA_SOURCE, SUM_SOURCE)
+        ]
         assert all(r.translated == 1 for r in results)
-        # At least one of the three identical fragments hit the entry
-        # stored by another (scheduling decides exactly how many).
-        assert cache.stats.hits + cache.stats.stores >= 3
-
-    def test_sequential_worker_pool_equivalent(self):
-        parallel = translate_many([SUM_SOURCE, WORDCOUNT_SOURCE], max_workers=4)
-        serial = translate_many([SUM_SOURCE, WORDCOUNT_SOURCE], max_workers=1)
-        for p, s in zip(parallel, serial):
-            assert p.translated == s.translated
-            assert [vs.summary for f in p.fragments for vs in f.search.summaries] == [
-                vs.summary for f in s.fragments for vs in f.search.summaries
-            ]
-
-    def test_compiler_level_batch(self):
-        compiler = CasperCompiler(cache=SummaryCache())
-        results = compiler.translate_many([SUM_SOURCE])
-        assert results[0].translated == 1
+        assert [r.cache_hits for r in results] == [0, 1, 1]
+        assert cache.stats.stores == 1
+        assert cache.stats.hits == 2
 
 
 class TestFragmentJobs:

@@ -25,6 +25,7 @@ import copy
 import gc
 import itertools
 import json
+import threading
 import weakref
 from pathlib import Path
 
@@ -36,7 +37,12 @@ from repro.ir.eval import eval_expr
 from repro.ir.nodes import BinOp, CallFn, Cond, Const, ReduceLambda, UnOp, Var
 from repro.lang.analysis import analyze_fragment, identify_fragments
 from repro.lang.values import values_equal
-from repro.pipeline import CompilationContext, PassPipeline
+from repro.pipeline import (
+    CompilationContext,
+    CompilerPass,
+    PassPipeline,
+    default_passes,
+)
 from repro.synthesis import cegis
 from repro.synthesis import (
     CandidateEnumerator,
@@ -475,23 +481,29 @@ def test_memoised_keys_equal_the_oracle_on_every_deduped_pool(monkeypatch):
         assert [id(e) for e in result] == [id(e) for e in firsts]
 
 
-def test_two_pipeline_workers_search_like_one():
+def test_fragments_compile_on_the_calling_thread():
+    # Every pass of every fragment runs on the thread that called
+    # PassPipeline.run, one fragment after another.
     benchmark = get_benchmark("fiji_red_to_magenta")
+    seen = []
 
-    def compile_with(workers):
-        ctx = CompilationContext(program=benchmark.parse(), function=benchmark.function)
-        PassPipeline(max_workers=workers).run(ctx)
-        return [
-            (
-                state.search.candidates_checked,
-                [str(vs.summary) for vs in state.search.summaries],
-            )
-            for state in ctx.fragments
-        ]
+    class Probe(CompilerPass):
+        def __init__(self, inner):
+            self.inner, self.name = inner, inner.name
 
-    serial = compile_with(1)
-    assert len(serial) == 3 and all(summaries for _, summaries in serial)
-    assert compile_with(2) == serial
+        def run(self, ctx, state):
+            seen.append((state.fragment.id, self.name, threading.get_ident()))
+            self.inner.run(ctx, state)
+
+    ctx = CompilationContext(program=benchmark.parse(), function=benchmark.function)
+    PassPipeline(passes=[Probe(p) for p in default_passes()]).run(ctx)
+    assert len(ctx.fragments) == 3
+    assert all(state.search.summaries for state in ctx.fragments)
+    assert {ident for _, _, ident in seen} == {threading.get_ident()}
+    names = [p.name for p in default_passes()]
+    assert [(f, n) for f, n, _ in seen] == [
+        (state.fragment.id, name) for state in ctx.fragments for name in names
+    ]
 
 
 def test_the_memo_dies_with_its_search(monkeypatch):

@@ -99,18 +99,18 @@ class TestRegistry:
 class TestCompileSuite:
     def test_batch_suite_compilation_matches_single(self):
         from repro import SummaryCache
-        from repro.workloads.runner import compile_benchmark, compile_suite
+        from repro.compiler import CasperCompiler
+        from repro.workloads.runner import compile_benchmark
 
-        benchmarks = [get_benchmark("ariths_sum"), get_benchmark("ariths_max")]
-        results = compile_suite(benchmarks, cache=SummaryCache())
-        assert list(results) == ["ariths_sum", "ariths_max"]
-        for benchmark in benchmarks:
+        compiler = CasperCompiler(cache=SummaryCache())
+        for name in ("ariths_sum", "ariths_max"):
+            benchmark = get_benchmark(name)
+            shared = compile_benchmark(benchmark, compiler=compiler)
             single = compile_benchmark(benchmark)
-            batched = results[benchmark.name]
-            assert batched.translated == single.translated
+            assert shared.translated == single.translated
             assert [
                 vs.summary
-                for f in batched.fragments
+                for f in shared.fragments
                 for vs in f.search.summaries
             ] == [
                 vs.summary
