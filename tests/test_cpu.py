@@ -5,7 +5,11 @@ from __future__ import annotations
 import os
 
 from repro.cpu import available_cpu_count
-from repro.engine.multiprocess import default_process_count
+from repro.engine.multiprocess import (
+    MapStep,
+    MultiprocessEngine,
+    default_process_count,
+)
 
 
 class TestAvailableCpuCount:
@@ -40,3 +44,19 @@ class TestConsumers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(os, "cpu_count", lambda: 128)
         assert default_process_count() == 4
+
+    def test_engine_runs_in_process_on_one_granted_cpu(self, monkeypatch):
+        # An engine left to pick its own process count opens no pool
+        # when the affinity mask grants one core, however many the
+        # machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
+        result = MultiprocessEngine().run_pipeline(
+            list(range(3000)), [MapStep(_keyed)]
+        )
+        assert result.fallback_code == "REP302"
+        assert sorted(result.pairs) == sorted(_keyed(r)[0] for r in range(3000))
+
+
+def _keyed(record):
+    return [(record % 3, record)]

@@ -13,6 +13,7 @@ from repro.pipeline.cache import SummaryCache
 from repro.pipeline.context import CompilationContext
 from repro.pipeline.passes import CompilerPass, default_passes
 from repro.pipeline.scheduler import PassPipeline
+from repro.workloads import get_benchmark
 
 SUM_SOURCE = """
 int sum(int[] data, int n) {
@@ -59,6 +60,21 @@ class TestSchedulerFailures:
         with pytest.raises(RuntimeError):
             pipeline.run(ctx)
         assert ctx.fragments[0].analysis is not None
+
+    def test_raising_pass_stops_the_later_fragments(self):
+        # Fragments compile one after another: a pass raising on the
+        # first leaves the second untouched and builds no job graph.
+        benchmark = get_benchmark("fiji_red_to_magenta")
+        ctx = CompilationContext(
+            program=benchmark.parse(), function=benchmark.function
+        )
+        pipeline = PassPipeline(passes=[default_passes()[0], BombPass()])
+        with pytest.raises(RuntimeError, match="exploded mid-compile"):
+            pipeline.run(ctx)
+        assert len(ctx.fragments) == 3
+        assert ctx.fragments[0].analysis is not None
+        assert [state.analysis for state in ctx.fragments[1:]] == [None, None]
+        assert ctx.job_graph is None
 
 
 class TestCorruptDiskCache:

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro import SearchConfig, Session, SummaryCache, translate
+from repro.compiler import CasperCompiler
 from repro.errors import AnalysisError
 from repro.ir.nodes import (
     rename_summary,
@@ -35,6 +37,7 @@ from tests.conftest import (
     BLUR_LITERAL_CLASH_SOURCE,
     BLUR_SOURCE,
     Q6_SOURCE,
+    RWM_SOURCE,
     SUM_SOURCE,
     WORDCOUNT_SOURCE,
     analysis_of,
@@ -624,6 +627,56 @@ class TestSharedCache:
         assert [r.cache_hits for r in results] == [0, 1, 1]
         assert cache.stats.stores == 1
         assert cache.stats.hits == 2
+
+    def test_shared_cache_loop_matches_uncached_translate(self):
+        # Compiling a suite through one cache changes how summaries are
+        # found, never which: each program matches its own cold compile.
+        cache = SummaryCache()
+        specs = [
+            (SUM_SOURCE, None),
+            (WORDCOUNT_SOURCE, None),
+            (RWM_SOURCE, None),
+            (Q6_SOURCE, "query6"),
+        ]
+        for source, function in specs:
+            shared = translate(source, function, cache=cache)
+            alone = translate(source, function)
+            assert shared.function == alone.function
+            assert shared.identified == alone.identified
+            assert shared.translated == alone.translated
+            for sf, af in zip(shared.fragments, alone.fragments):
+                assert (sf.search is None) == (af.search is None)
+                if sf.search and af.search:
+                    assert [vs.summary for vs in sf.search.summaries] == [
+                        vs.summary for vs in af.search.summaries
+                    ]
+
+    def test_compiler_translate_reuses_its_cache(self):
+        # A CasperCompiler holds its cache across translate calls: the
+        # second compile of the same program skips the search.
+        compiler = CasperCompiler(cache=SummaryCache())
+        cold = compiler.translate_source(SUM_SOURCE)
+        warm = compiler.translate_source(SUM_SOURCE)
+        assert cold.translated == warm.translated == 1
+        assert (cold.cache_hits, warm.cache_hits) == (0, 1)
+        assert warm.candidates_checked == 0
+
+    def test_compile_pool_surface_is_gone(self):
+        # Suites compile as a translate loop; no batch or pool entry
+        # point is left to reach for.
+        from repro import pipeline, workloads
+        from repro.pipeline import scheduler
+
+        assert not hasattr(repro, "translate_many")
+        assert "translate_many" not in repro.__all__
+        assert not hasattr(CasperCompiler, "translate_many")
+        assert not hasattr(pipeline.PassPipeline, "run_many")
+        assert not hasattr(scheduler, "default_worker_count")
+        assert not hasattr(workloads, "compile_suite")
+        with pytest.raises(TypeError):
+            pipeline.PassPipeline(max_workers=2)
+        with pytest.raises(TypeError):
+            CasperCompiler(max_workers=2)
 
 
 class TestFragmentJobs:
