@@ -5,24 +5,31 @@ Two claims are exercised here:
 1. **Identity** — the whole-program job (fused and unfused) matches the
    chained reference-interpreter semantics on every multi-stage
    benchmark, at benchmark sizes.
-2. **Fusion speedup** — stitched chains beat the unfused per-fragment
-   execution by ≥1.3× wall-clock on the multi-stage suites (skipped
-   below 4 cores, like the planner's 2× gate: both sides run
-   ``plan="auto"``, and on fewer cores the per-unit pools it may open
-   cost more than they win and drown the fusion saving; a wave's
-   branches run one after the other on the calling thread on both
-   sides).  Simulated time must improve unconditionally — the fused
+2. **Fusion pays** — on ``tpch_q15``'s fused barrier chain (the
+   ``scan_vector`` bench program) the fused job runs strictly fewer
+   Python calls than the unfused one on 2 CPUs, an exact count that
+   host noise cannot move; and stitched chains beat the unfused
+   per-fragment execution by ≥1.3× wall-clock on the multi-stage
+   suites (skipped below 4 cores, like the planner's 2× gate: both
+   sides run ``plan="auto"``, and on fewer cores the per-unit pools it
+   may open cost more than they win and drown the fusion saving; a
+   wave's branches run one after the other on the calling thread on
+   both sides).  Simulated time must improve unconditionally — the fused
    chain pays one scan and one job startup where the per-fragment model
    pays one per fragment, which no amount of host noise can hide.
 """
 
 from __future__ import annotations
 
+import cProfile
 import os
+import pstats
 
 import pytest
 
+import repro.planner.planner as planner_module
 from conftest import compiled
+from repro import ExecOptions, Session
 from repro.engine.multiprocess import default_process_count
 from repro.workloads import get_benchmark
 from repro.workloads.runner import run_benchmark_graph
@@ -81,6 +88,32 @@ class TestGraphIdentityAtScale:
             f"{name}: fused simulated {fused.simulated_seconds:.3f}s worse "
             f"than unfused {unfused.simulated_seconds:.3f}s"
         )
+
+
+def test_fused_chain_runs_fewer_calls_than_unfused(monkeypatch):
+    """``tpch_q15`` fuses ``query15#0 -> query15#1``: one unit, one scan.
+    Each side's third ``plan="auto"`` run is counted, after two warm-up
+    runs (kernels compiled, observations stored), as the bench does."""
+    monkeypatch.setattr(planner_module, "default_process_count", lambda: 2)
+    compilation = compiled("tpch_q15")
+    inputs = get_benchmark("tpch_q15").make_inputs(IDENTITY_SIZE, 7)
+
+    def warmed_calls(fuse: bool) -> tuple[int, int]:
+        options = ExecOptions(plan="auto", fuse=fuse)
+        with Session(max_workers=0) as session:
+            for _ in range(2):
+                session.run(compilation, dict(inputs), options)
+            profile = cProfile.Profile()
+            profile.enable()
+            job = session.run(compilation, dict(inputs), options)
+            profile.disable()
+        assert job.ok, job.error
+        return pstats.Stats(profile).total_calls, len(job.plan_report.unit_reports)
+
+    fused_calls, fused_units = warmed_calls(fuse=True)
+    unfused_calls, unfused_units = warmed_calls(fuse=False)
+    assert (fused_units, unfused_units) == (1, 2)
+    assert fused_calls < unfused_calls, (fused_calls, unfused_calls)
 
 
 @pytest.mark.skipif(

@@ -5,7 +5,7 @@ rejected before CEGIS (:mod:`~repro.diagnostics.soundness`), why a proof
 was demoted to Tier-2, why the engine fell back in-process — all as
 structured :class:`Diagnostic` objects with stable codes
 (:mod:`~repro.diagnostics.codes`) instead of free-text strings.  It also
-hosts the unified picklability probes
+hosts the one picklability check
 (:mod:`~repro.diagnostics.pickling`) and the repo-invariant lint
 (``python -m repro.diagnostics.lint``).
 """
@@ -20,12 +20,7 @@ from repro.diagnostics.diagnostic import (
     make,
     worst_severity,
 )
-from repro.diagnostics.pickling import (
-    PickleVerdict,
-    probe_payload,
-    runtime_pickle_probe,
-    static_unpicklable_reason,
-)
+from repro.diagnostics.pickling import unpicklable_reason
 from repro.diagnostics.soundness import analyze_soundness, has_rejections
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "CodeInfo",
     "Diagnostic",
     "DiagnosticSink",
-    "PickleVerdict",
     "analyze_soundness",
     "diagnostic_from_data",
     "escalate_strict",
@@ -42,8 +36,6 @@ __all__ = [
     "has_rejections",
     "info_for",
     "make",
-    "probe_payload",
-    "runtime_pickle_probe",
-    "static_unpicklable_reason",
+    "unpicklable_reason",
     "worst_severity",
 ]

@@ -203,8 +203,8 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
         _entry(
             "REP306",
             "error",
-            "summary payload statically unpicklable; pooled backends "
-            "priced out",
+            "summary payload unpicklable at compile time; pooled "
+            "backends priced out",
             "remove unpicklable captured state from the fragment so the "
             "planner may consider process pools",
         ),
@@ -213,8 +213,9 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "warning",
             "pickle-probe disagreement: static analysis said OK, the "
             "runtime probe failed",
-            "report the payload shape so the static picklability walker "
-            "can learn it; the runtime backstop kept the run correct",
+            "no longer emitted: pickle.dumps is the only picklability "
+            "check, so there is no second verdict to disagree with "
+            "(codes are append-only, so this one stays registered)",
         ),
         _entry(
             "REP308",

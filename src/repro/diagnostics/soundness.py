@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.diagnostics.diagnostic import Diagnostic, make
-from repro.diagnostics.pickling import static_unpicklable_reason
+from repro.diagnostics.pickling import unpicklable_reason
 from repro.lang import ast_nodes as ast
 from repro.lang.analysis import FragmentAnalysis
 from repro.lang.stdlib import (
@@ -224,7 +224,7 @@ def analyze_soundness(
 
     # --- picklability of captured state (what codegen ships to pools)
     for name, value in sorted(analysis.prelude_constants.items()):
-        reason = static_unpicklable_reason(value)
+        reason = unpicklable_reason(value)
         if reason is not None:
             diags.append(
                 make(

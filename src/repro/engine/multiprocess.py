@@ -69,7 +69,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..cpu import available_cpu_count
-from ..diagnostics.pickling import static_unpicklable_reason
 from ..errors import EngineError, SpillError
 from .columnar import build_chunk, fold_columns, grouped_fold, split_pairs
 from .config import EngineConfig
@@ -149,9 +148,6 @@ class MultiprocessResult:
     #: Stable diagnostic code for the fallback (``REP301``–``REP305``);
     #: set whenever ``fallback_reason`` is.
     fallback_code: Optional[str] = None
-    #: Pickle probes where static analysis said OK but the runtime dump
-    #: failed — the analyzer's measured imprecision (see ``PlanReport``).
-    probe_disagreements: int = 0
     #: Whether the job ran under a memory budget (the spilled shuffle
     #: store); the budget may be roomy enough that no run was written.
     spilled: bool = False
@@ -721,7 +717,7 @@ class MultiprocessEngine:
         means the pool broke (recorded here as ``broke``).  Either way
         the caller runs the same work inline.
         """
-        sent, error = self._send_tasks(tasks, result)
+        sent, error = self._send_tasks(tasks)
         if error is not None:
             return None, error
         try:
@@ -730,9 +726,8 @@ class MultiprocessEngine:
             self._record_fallback(result, broke)
             return None, None
 
-    def _send_tasks(
-        self, tasks: list, result: MultiprocessResult
-    ) -> tuple[list[bytes], Optional[str]]:
+    @staticmethod
+    def _send_tasks(tasks: list) -> tuple[list[bytes], Optional[str]]:
         """Pickle each task, in band, for the pool.
 
         Returns ``(sent, error)``; a non-None ``error`` means the
@@ -744,10 +739,6 @@ class MultiprocessEngine:
         try:
             return [pickle.dumps(task) for task in tasks], None
         except _PICKLE_ERRORS as exc:
-            # Disagreement accounting: the static walker green-lit a
-            # payload the runtime dump rejected — measured imprecision.
-            if static_unpicklable_reason(tasks) is None:
-                result.probe_disagreements += 1
             return [], f"payload not picklable: {exc!r}"
 
     @staticmethod

@@ -117,9 +117,6 @@ class PlanReport:
     #: and engine fallbacks (:mod:`repro.diagnostics` REP3xx codes), in
     #: emission order.
     diagnostics: list = field(default_factory=list)
-    #: Pickle-probe disagreements: payloads the static analyzer cleared
-    #: but the runtime ``pickle.dumps`` probe rejected.
-    probe_disagreements: int = 0
     #: Estimated input bytes behind the spill decision (None when the
     #: planner had no budget to weigh, or the source length is unknown).
     estimated_input_bytes: Optional[int] = None
@@ -172,15 +169,6 @@ class PlanReport:
             )
         else:
             self.backend_used = self.plan.backend
-        if result.probe_disagreements:
-            self.probe_disagreements += result.probe_disagreements
-            self.diagnostics.append(
-                make_diagnostic(
-                    "REP307",
-                    f"static pickle analysis cleared {result.probe_disagreements} "
-                    "payload(s) the runtime probe rejected",
-                )
-            )
         self.spill_stats = result.spill_stats
         self.columnar = result.columnar_stats()
         self.adaptations = list(result.adaptations)
@@ -210,7 +198,6 @@ class PlanReport:
                 diag.as_dict() if hasattr(diag, "as_dict") else diag
                 for diag in self.diagnostics
             ],
-            "probe_disagreements": self.probe_disagreements,
             "join": self.join,
             "admission": self.admission,
             "estimates": self.estimates,

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from ..cost.model import CostExpr, CostTerm
 from ..cost.monitor import SampleEstimates
 from ..diagnostics import make as make_diagnostic
-from ..diagnostics.pickling import probe_payload, static_unpicklable_reason
+from ..diagnostics.pickling import unpicklable_reason
 from ..engine.config import PROFILES, EngineConfig
 from ..engine.multiprocess import default_process_count
 from ..engine.sizes import dataset_bytes
@@ -174,24 +174,20 @@ class ExecutionPlanner:
     (``GeneratedProgram.cost`` / ``.stage_rows``).
     """
 
-    #: Compile-time probe: is the summary/view payload picklable at all?
-    static_unpicklable: Optional[str] = None
-    #: The static pickle walker cleared the payload but the runtime
-    #: ``pickle.dumps`` backstop rejected it (a REP307 disagreement).
-    probe_disagreement: bool = False
+    #: Compile-time probe: why the summary/view payload cannot pickle,
+    #: or None when it can.
+    unpicklable: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Compile-time half
 
     def precompute(self, programs: list["GeneratedProgram"]) -> None:
-        """Static analysis at compile time (the pipeline's plan pass)."""
+        """Pickle the summary payload once, at compile time (the
+        pipeline's plan pass)."""
         if programs:
-            verdict = probe_payload(
+            self.unpicklable = unpicklable_reason(
                 (programs[0].summary, programs[0].analysis.view)
             )
-            if verdict.unpicklable:
-                self.static_unpicklable = verdict.reason
-            self.probe_disagreement = verdict.disagreement
 
     # ------------------------------------------------------------------
     # Run-time half
@@ -376,19 +372,8 @@ class ExecutionPlanner:
             estimates=provenance,
         )
         report.diagnostics.extend(sampler_fallbacks)
-        if self.static_unpicklable is not None:
-            report.diagnostics.append(
-                make_diagnostic("REP306", self.static_unpicklable)
-            )
-        if self.probe_disagreement:
-            report.probe_disagreements += 1
-            report.diagnostics.append(
-                make_diagnostic(
-                    "REP307",
-                    "static pickle analysis cleared the summary payload "
-                    "but the runtime probe rejected it",
-                )
-            )
+        if self.unpicklable is not None:
+            report.diagnostics.append(make_diagnostic("REP306", self.unpicklable))
         return plan, report
 
     def _backend_decision(
@@ -406,9 +391,9 @@ class ExecutionPlanner:
         ``provenance["backend"]`` receives every input of the choice —
         record count, the priced stage rows, bytes per record, worker
         count, the constants, both predictions — so the choice can be
-        recomputed from the report alone.  Records the static pickle
-        walker rejects price the pool out; it is only asked when the
-        pool would otherwise be chosen.
+        recomputed from the report alone.  A record sample
+        ``pickle.dumps`` rejects prices the pool out; it is only tried
+        when the pool would otherwise be chosen.
         """
         if processes < 2:
             # Ahead of any pricing work: on one CPU the pool cannot win.
@@ -433,11 +418,11 @@ class ExecutionPlanner:
             f"{processes} processes (the pool must win by {PARALLEL_MARGIN}×)"
         )
         backend = "sequential"
-        unpicklable = self.static_unpicklable
+        unpicklable = self.unpicklable
         if unpicklable is not None:
             reasons.append(unpicklable)
         elif seq_s >= mp_s * PARALLEL_MARGIN:
-            unpicklable = static_unpicklable_reason(sample)
+            unpicklable = unpicklable_reason(sample)
             if unpicklable is None:
                 backend = "multiprocess"
             else:

@@ -35,8 +35,7 @@ from repro.diagnostics import (
     explain,
     info_for,
     make,
-    probe_payload,
-    static_unpicklable_reason,
+    unpicklable_reason,
     worst_severity,
 )
 from repro.diagnostics.lint import lint_file, lint_tree, main as lint_main
@@ -429,22 +428,19 @@ class TestEngineCodes:
         assert report.summary()["spill_stats"]["spill_runs"] >= 1
         assert [a["kind"] for a in report.adaptations] == ["stream_probe"]
 
-    def test_rep306_and_rep307_from_planner_statics(self):
+    def test_rep306_from_the_planner_probe(self):
         result = translate(FLOAT_FOLD)
         frag = result.fragments[0]
         planner = frag.program.planner
-        original = (planner.static_unpicklable, planner.probe_disagreement)
-        planner.static_unpicklable = "payload not picklable: lambda (injected)"
-        planner.probe_disagreement = True
+        assert planner.unpicklable is None
+        planner.unpicklable = "payload not picklable: lambda (injected)"
         try:
             report = frag.program.run(
                 {"data": [1.0, 2.0, 3.0], "n": 3}, ExecOptions(plan="auto")
             ).report
         finally:
-            planner.static_unpicklable, planner.probe_disagreement = original
+            planner.unpicklable = None
         assert "REP306" in codes(report.diagnostics)
-        assert "REP307" in codes(report.diagnostics)
-        assert report.probe_disagreements == 1
 
     def test_session_job_result_carries_diagnostics(self):
         session = repro.Session(max_workers=0)
@@ -460,44 +456,32 @@ def _keyed(record):
 
 
 # ----------------------------------------------------------------------
-# Pickle-probe unification
+# The one picklability check
 
 
 class TestPickleProbe:
-    def test_static_walker_flags_definite_unpicklables(self):
+    def test_flags_definite_unpicklables(self):
         for value in (
             lambda x: x,
             threading.Lock(),
             (i for i in range(3)),
             {"k": [threading.Lock()]},
         ):
-            assert static_unpicklable_reason(value) is not None
+            assert "not picklable" in unpicklable_reason(value)
 
-    def test_static_walker_clears_plain_data(self):
+    def test_clears_plain_data(self):
         for value in (None, 1, "s", [1, 2], {"a": (1.5, b"x")}, _keyed):
-            assert static_unpicklable_reason(value) is None
+            assert unpicklable_reason(value) is None
 
-    def test_static_hit_skips_runtime_probe(self):
-        verdict = probe_payload(lambda x: x)
-        assert verdict.unpicklable
-        assert verdict.static_reason is not None
-        assert verdict.runtime_reason is None
-        assert not verdict.disagreement
-
-    def test_runtime_backstop_catches_what_static_cannot(self):
+    def test_raising_reduce_is_unpicklable(self):
         class SneakyUnpicklable:
             def __reduce__(self):
                 raise pickle.PicklingError("runtime-only failure")
 
-        verdict = probe_payload(SneakyUnpicklable())
-        assert verdict.unpicklable
-        assert verdict.disagreement
-        assert "not picklable" in verdict.reason
-
-    def test_engine_probe_compat_shim(self):
-        # The engine's own wrapper is gone; every site probes directly.
-        assert probe_payload([1, 2, 3]).reason is None
-        assert "not picklable" in probe_payload(lambda x: x).reason
+        reason = unpicklable_reason(SneakyUnpicklable())
+        assert reason == (
+            "payload not picklable: PicklingError('runtime-only failure')"
+        )
 
 
 # ----------------------------------------------------------------------

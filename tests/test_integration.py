@@ -65,6 +65,27 @@ class TestBenchmarkRuns:
         assert run.outputs_match
         assert run.distributed_seconds > 0  # the translated job ran
 
+    def test_shared_compilation_comes_back_unchanged(self):
+        """run_benchmark scales the engine of the compilation it is
+        handed; a cached, shared one must come back as it went in."""
+        from benchmarks.counter_dump import RECORDS, SEED, fragment_text
+        from repro import ExecOptions
+        from suite_cache import compiled
+
+        benchmark = get_benchmark("ariths_sum")
+        compilation = compiled("ariths_sum")
+        fragment = next(f for f in compilation.fragments if f.translated)
+        configs = [program.engine_config for program in fragment.program.programs]
+        env = benchmark.make_inputs(RECORDS, SEED)
+        spark = ExecOptions(plan="spark")
+        before = fragment_text(fragment.program, env, spark)
+        run_benchmark(
+            benchmark, size=2500, target_bytes=1e9, compilation=compilation
+        )
+        after = [program.engine_config for program in fragment.program.programs]
+        assert after == configs
+        assert fragment_text(fragment.program, env, spark) == before
+
     def test_speedup_grows_with_scale(self, wordcount_compiled):
         """Figure 9's shape: larger inputs amortize startup overheads."""
         benchmark = get_benchmark("phoenix_wordcount")

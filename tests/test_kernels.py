@@ -275,7 +275,7 @@ OPTION_SURFACE = {
         "config processes partitions min_parallel_records memory_budget spill_dir"
     ),
     "repro.cost.monitor:RuntimeMonitor": "implementations",
-    "repro.planner.planner:ExecutionPlanner": "static_unpicklable probe_disagreement",
+    "repro.planner.planner:ExecutionPlanner": "unpicklable",
     "repro.codegen.glue:AdaptiveProgram": (
         "analysis programs monitor planner _fragment_key"
     ),

@@ -66,7 +66,7 @@ class TestPlanPass:
     def test_pipeline_attaches_planner(self, wc_result):
         fragment = wc_result.fragments[0]
         assert fragment.program.planner is not None
-        assert fragment.program.planner.static_unpicklable is None
+        assert fragment.program.planner.unpicklable is None
 
     def test_plan_pass_timing_recorded(self, wc_result):
         assert "plan" in wc_result.pass_seconds
@@ -335,12 +335,12 @@ class TestPricedBackendChoice:
         self, wc_result, eight_cpus, monkeypatch
     ):
         monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-3)
-        walked = []
-        real = planner_module.static_unpicklable_reason
+        probed = []
+        real = planner_module.unpicklable_reason
         monkeypatch.setattr(
             planner_module,
-            "static_unpicklable_reason",
-            lambda sample: walked.append(len(sample)) or real(sample),
+            "unpicklable_reason",
+            lambda sample: probed.append(len(sample)) or real(sample),
         )
         keys = [lambda: None for _ in range(40)]  # hashable, never picklable
         words = [keys[i % 40] for i in range(9000)]
@@ -351,13 +351,13 @@ class TestPricedBackendChoice:
         assert report.plan.backend == "sequential"
         assert any("pool priced out" in r for r in report.plan.reasons)
         assert "not picklable" in report.estimates["backend"]["unpicklable"]
-        assert walked == [64]  # the byte estimate's sample, walked once
+        assert probed == [64]  # the byte estimate's sample, pickled once
         assert sum(outcome.outputs["counts"].values()) == len(words)
         assert choice_from_summary(report.summary()) == "sequential"
         # Asked only when the price would otherwise choose the pool.
         monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-9)
         wc_result.fragments[0].program.run({"words": words}, ExecOptions(plan="auto"))
-        assert walked == [64]
+        assert probed == [64]
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("op_s", [None, 1e-3])

@@ -241,7 +241,7 @@ class TestDeterministicPlanning:
 
         monkeypatch.setattr(planner_module, "default_process_count", lambda: 1)
         monkeypatch.setattr(planner_module, "price_backends", _fail)
-        monkeypatch.setattr(planner_module, "static_unpicklable_reason", _fail)
+        monkeypatch.setattr(planner_module, "unpicklable_reason", _fail)
         report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
         assert report.plan.backend == "sequential"
         assert any("1 CPU(s) available" in r for r in report.plan.reasons)
