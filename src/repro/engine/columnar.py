@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
 
+from ..lang.values import Instance
 from .sizes import (
     BOOLEAN_SIZE,
     DOUBLE_SIZE,
@@ -52,8 +53,10 @@ from .sizes import (
     OBJECT_HEADER,
     TUPLE_HEADER,
     dataset_bytes,
+    row_fields,
     sizeof,
     sizeof_pair,
+    split_bytes,
 )
 
 #: int64 magnitude bound used by every overflow guard.
@@ -87,16 +90,20 @@ class ColumnChunk:
     exact fallback surface for guard trips and for any stage that does
     not understand columns, and object-valued atoms (strings, structs)
     only exist row-side.  Iteration and ``len`` see the rows, so every
-    row-oriented consumer works unchanged.
+    row-oriented consumer works unchanged.  ``row_bytes`` is the rows'
+    exact ``dataset_bytes``, priced where the chunk is built (the
+    constructor prices ``rows`` itself when not given it) and pickled
+    with the chunk, so the scan charge never walks the rows again.
     """
 
-    __slots__ = ("rows", "columns")
+    __slots__ = ("rows", "columns", "row_bytes")
 
-    def __init__(self, rows: list) -> None:
+    def __init__(self, rows: list, row_bytes: Optional[int] = None) -> None:
         self.rows = rows
         #: spec name → ndarray, or None when validation failed (cached
         #: so a failed column is probed once per chunk, not per kernel).
         self.columns: dict[str, Any] = {}
+        self.row_bytes = dataset_bytes(rows) if row_bytes is None else row_bytes
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -108,16 +115,16 @@ class ColumnChunk:
         return self.rows[index]
 
     def __getstate__(self):
-        return (self.rows, self.columns)
+        return (self.rows, self.columns, self.row_bytes)
 
     def __setstate__(self, state):
-        self.rows, self.columns = state
+        self.rows, self.columns, self.row_bytes = state
 
     def sizeof_model(self, seen: Any) -> int:
         """Price for :func:`repro.engine.sizes.sizeof`: the rows (the
         real payload) plus the array headers — numeric arrays are flat
         buffers, not per-element boxed walks."""
-        total = OBJECT_HEADER + dataset_bytes(self.rows)
+        total = OBJECT_HEADER + self.row_bytes
         for array in self.columns.values():
             if array is not None:
                 total += OBJECT_HEADER + int(array.nbytes)
@@ -125,48 +132,63 @@ class ColumnChunk:
 
 
 _KIND_CHECKS = {"int": int, "float": float, "bool": bool}
+_DTYPES = {"int": "int64", "float": "float64", "bool": "bool"}
+#: The row type each access path reads (see ``sizes.row_fields``).
+_ACCESS_ROWS = {"self": None, "field": Instance}
+
+
+def _field_key(spec: ColumnSpec) -> Any:
+    """The key of ``spec``'s atom among a row's fields: None for the
+    record itself, a field name, or a tuple position."""
+    if spec.access == "self":
+        return None
+    if spec.access == "field":
+        return spec.field if spec.field is not None else spec.name
+    return spec.position or 0
 
 
 def _extract_data(rows: list, spec: ColumnSpec) -> list:
     """Pull one atom's raw values out of the rows (pre-validation)."""
     if spec.access == "self":
         return list(rows)
+    key = _field_key(spec)
     if spec.access == "field":
-        name = spec.field if spec.field is not None else spec.name
-        return [row.fields[name] for row in rows]
-    position = spec.position or 0
-    return [row[position] for row in rows]
+        return [row.fields[key] for row in rows]
+    return [row[key] for row in rows]
 
 
 def build_column(rows: list, spec: ColumnSpec) -> Optional[Any]:
     """One validated column array, or None when the data breaks the
     type promise (mixed types, bools in int columns, out-of-int64
-    values) — the caller then runs the row loop for this chunk.
-
-    numpy is imported here, by the first column a vector kernel asks
-    for; without numpy every column is None and the row loop runs."""
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is present in the toolchain image
-        return None
+    values) — the caller then runs the row loop for this chunk."""
     try:
         data = _extract_data(rows, spec)
     except (AttributeError, KeyError, IndexError, TypeError):
         return None
-    expected = _KIND_CHECKS[spec.kind]
+    return _column_array(data, spec.kind)
+
+
+def _column_array(
+    data: list, kind: str, kinds: Optional[set] = None
+) -> Optional[Any]:
+    """``data`` as a validated array of ``kind``, or None.
+
+    ``kinds`` is ``set(map(type, data))`` when the caller already has
+    it.  numpy is imported here, by the first column a vector kernel
+    asks for; without numpy every column is None and the row loop runs."""
+    try:
+        import numpy as np
+    except ImportError:  # pragma: no cover - numpy is present in the toolchain image
+        return None
     # set(map(type, ...)) runs at C speed; an exact-type check is what
     # keeps e.g. True out of int columns (eval emits True, int64 would
     # emit 1 — equal under ==, not byte-identical).
-    if set(map(type, data)) - {expected}:
+    if (kinds or set(map(type, data))) - {_KIND_CHECKS[kind]}:
         return None
-    if spec.kind == "int":
-        try:
-            return np.asarray(data, dtype=np.int64)
-        except (OverflowError, ValueError):
-            return None  # a value outside int64 — row loop keeps bignums
-    if spec.kind == "float":
-        return np.asarray(data, dtype=np.float64)
-    return np.asarray(data, dtype=np.bool_)
+    try:
+        return np.fromiter(data, _DTYPES[kind], len(data))
+    except OverflowError:
+        return None  # a value outside int64 — row loop keeps bignums
 
 
 def resolve_columns(
@@ -197,11 +219,41 @@ def resolve_columns(
 
 
 def build_chunk(records: Any, specs: tuple[ColumnSpec, ...]) -> ColumnChunk:
-    """Columnar form of one chunk: extract every live column eagerly."""
+    """Columnar form of one chunk: every live column, and the rows'
+    exact ``dataset_bytes``, from one read of the rows.
+
+    A homogeneous chunk is split into its field lists once
+    (:func:`~repro.engine.sizes.row_fields`): each spec validates its
+    field's list, and the byte count prices the validated fields from
+    their arrays and every other field column-wise.  An irregular chunk
+    extracts spec by spec and is priced by ``dataset_bytes``.
+    """
     rows = records if isinstance(records, list) else list(records)
-    chunk = ColumnChunk(rows)
+    kinds = set(map(type, rows))
+    split = row_fields(rows, kinds) if rows else None
+    if split is None:
+        chunk = ColumnChunk(rows)
+        for spec in specs:
+            chunk.columns[spec.name] = build_column(rows, spec)
+        return chunk
+    row_type, fields = split
+    columns: dict[str, Any] = {}
+    known: dict[Any, int] = {}
     for spec in specs:
-        chunk.columns[spec.name] = build_column(rows, spec)
+        data = None
+        if _ACCESS_ROWS.get(spec.access, tuple) is row_type:
+            key = _field_key(spec)
+            if row_type is tuple and key < 0:
+                key += len(fields)  # row[-1] reads the last position
+            data = fields.get(key)
+        array = None
+        if data is not None:
+            array = _column_array(data, spec.kind, kinds if row_type is None else None)
+            if array is not None:
+                known[key] = _scalar_bytes(array)
+        columns[spec.name] = array
+    chunk = ColumnChunk(rows, split_bytes(rows, row_type, fields, known))
+    chunk.columns = columns
     return chunk
 
 
@@ -255,10 +307,15 @@ class ColumnBlock:
 
     def stage_bytes(self) -> int:
         """What ``dataset_bytes(self.pairs())`` charges: pair tuple headers too."""
-        return sum(self.pair_sizes()) + TUPLE_HEADER * len(self)
+        return self.shuffle_bytes() + TUPLE_HEADER * len(self)
 
     def shuffle_bytes(self) -> int:
-        return sum(self.pair_sizes())
+        """What ``pairs_bytes(self.pairs())`` charges, from the arrays."""
+        if self.keys is None:
+            keys = sizeof(self.key_const) * len(self)
+        else:
+            keys = _scalar_bytes(self.keys)
+        return keys + _scalar_bytes(self.values)
 
 
 def _scalar_sizes(array: Any) -> list[int]:
@@ -271,6 +328,20 @@ def _scalar_sizes(array: Any) -> list[int]:
         return [DOUBLE_SIZE] * int(array.shape[0])
     small = (array >= -(2**31)) & (array < 2**31)
     return np.where(small, INT_SIZE, LONG_SIZE).tolist()
+
+
+def _scalar_bytes(array: Any) -> int:
+    """``sum(_scalar_sizes(array))`` with one count of the int64
+    elements inside [−2³¹, 2³¹) instead of a per-element list."""
+    import numpy as np
+
+    n = int(array.shape[0])
+    if array.dtype == np.bool_:
+        return BOOLEAN_SIZE * n
+    if array.dtype.kind == "f":
+        return DOUBLE_SIZE * n
+    small = int(np.count_nonzero((array >= -(2**31)) & (array < 2**31)))
+    return INT_SIZE * small + LONG_SIZE * (n - small)
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,13 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..cpu import available_cpu_count
 from ..errors import EngineError, SpillError
-from .columnar import build_chunk, fold_columns, grouped_fold, split_pairs
+from .columnar import (
+    ColumnChunk,
+    build_chunk,
+    fold_columns,
+    grouped_fold,
+    split_pairs,
+)
 from .config import EngineConfig
 from .core import lambda_cpu_ns
 from .metrics import JobMetrics
@@ -308,7 +314,10 @@ def _run_map_chunks(
         out.input_records += len(chunk)
         chunk_bytes = 0
         if measure_input:
-            chunk_bytes = dataset_bytes(chunk)
+            # A ColumnChunk was priced where it was built, rows read once.
+            chunk_bytes = (
+                chunk.row_bytes if type(chunk) is ColumnChunk else dataset_bytes(chunk)
+            )
             out.input_bytes += chunk_bytes
         current: list = chunk
         #: The last stage's pairs as (keys, values), once a stage made them.

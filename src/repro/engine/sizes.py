@@ -28,6 +28,12 @@ Two entry points, one set of numbers:
   proof turned into one number per pair, which lets the spilled store
   place its flushes by arithmetic.  Neither shuffle store walks a
   uniform column pair by pair.
+* :func:`row_fields` / :func:`split_bytes` — the kernel's container
+  split and its sum, exposed for ``columnar.build_chunk``: a column
+  chunk takes its live columns from the same field lists its exact
+  ``dataset_bytes`` is priced from (validated fields from their
+  arrays), so a built chunk's rows are read once and the local
+  engine's scan charge (``ColumnChunk.row_bytes``) walks nothing.
 
 This module never imports numpy.  The walker prices an ``ndarray`` as a
 flat buffer, but it looks the type up in ``sys.modules`` only after
@@ -230,52 +236,87 @@ def _column_bytes(values: Sequence[Any], levels: int) -> Optional[int]:
 
     ``levels`` is how many container levels may still open at and below
     this column (0: scalars only).  A container column is priced only
-    when every value is *exactly* a tuple or an ``Instance`` of one
-    arity and its fields add up (:func:`_fields_bytes`).  Scalars are
-    never identity-tracked, so a scalar column :func:`uniform_size` does
-    not cover (mixed kinds, ints on both sides of 2³¹) is walked on its
-    own.
+    when :func:`row_fields` splits it and its fields add up
+    (:func:`_fields_bytes`).  Scalars are never identity-tracked, so a
+    scalar column :func:`uniform_size` does not cover (mixed kinds, ints
+    on both sides of 2³¹) is walked on its own.
     """
     kinds = set(map(type, values))
     if kinds <= _SCALAR_TYPES:
         size = uniform_size(values, kinds)
         return _walk_each(values) if size is None else size * len(values)
-    if len(kinds) > 1 or levels == 0:
+    if levels == 0:
+        return None
+    split = row_fields(values, kinds)
+    if split is None:
+        return None
+    row_type, fields = split
+    total = _fields_bytes(fields.values(), levels - 1)
+    return None if total is None else _ROW_HEADERS[row_type] * len(values) + total
+
+
+#: Per-row header of each row type :func:`row_fields` reports (None:
+#: scalar rows, which are their own one field).
+_ROW_HEADERS = {None: 0, tuple: TUPLE_HEADER, Instance: OBJECT_HEADER}
+
+
+def row_fields(
+    rows: Sequence[Any], kinds: set
+) -> Optional[tuple[Optional[type], dict[Any, list]]]:
+    """A non-empty homogeneous chunk split into one list per field, or
+    None when the rows are not that.
+
+    ``kinds`` is ``set(map(type, rows))``.  Returns ``(row_type,
+    fields)``: scalar rows (any mix of the kernel's scalar types) are
+    their own one column, under the key None, with ``row_type`` None;
+    rows that are all *exactly* tuples of one arity come back by
+    position; rows that are all *exactly* ``Instance`` s over plain
+    dicts of one set of field names come back by field name, in the
+    first row's field order.  Anything else — mixed or other types,
+    ragged arity, other field names — is None.
+    """
+    if kinds <= _SCALAR_TYPES:
+        return None, {None: rows}
+    if len(kinds) > 1:
         return None
     (kind,) = kinds
     if kind is tuple:
-        header, rows = TUPLE_HEADER, values
+        tables = rows
     elif kind is Instance:
-        header, rows = OBJECT_HEADER, [value.fields for value in values]
-        if set(map(type, rows)) != {dict}:
+        tables = [row.fields for row in rows]
+        if set(map(type, tables)) != {dict}:
             return None
     else:
         return None
-    if len(set(map(len, rows))) != 1:
+    if len(set(map(len, tables))) != 1:
         return None  # ragged
-    names = range(len(rows[0])) if kind is tuple else rows[0]
+    names = range(len(tables[0])) if kind is tuple else tables[0]
     try:
         # One list per field; zip(*rows) would build an iterator per row.
-        fields = _fields_bytes(
-            (list(map(itemgetter(name), rows)) for name in names), levels - 1
-        )
+        return kind, {name: list(map(itemgetter(name), tables)) for name in names}
     except KeyError:
         return None  # same arity, other field names
-    return None if fields is None else header * len(values) + fields
 
 
-def _fields_bytes(columns: Iterable[Sequence[Any]], levels: int) -> Optional[int]:
+def _fields_bytes(
+    columns: Iterable[Sequence[Any]],
+    levels: int,
+    known: Iterable[Optional[int]] = repeat(None),
+) -> Optional[int]:
     """Summed sizes of aligned field columns — row *i* is the *i*-th
     value of each — or None when a field cannot be proved or some row
     holds the same child container in two fields: one record's walk
     charges a shared child once, so only alias-free rows add up
-    column-wise."""
+    column-wise.  ``known`` gives, column by column, a size the caller
+    has already proved (a validated scalar array's), or None to price
+    the column here."""
     total = 0
     containers: list[Sequence[Any]] = []
-    for column in columns:
-        size = _column_bytes(column, levels)
+    for column, size in zip(columns, known):
         if size is None:
-            return None
+            size = _column_bytes(column, levels)
+            if size is None:
+                return None
         total += size
         if type(column[0]) not in _SCALAR_TYPES:
             for other in containers:
@@ -283,6 +324,24 @@ def _fields_bytes(columns: Iterable[Sequence[Any]], levels: int) -> Optional[int
                     return None  # a row aliases two of its fields
             containers.append(column)
     return total
+
+
+def split_bytes(
+    rows: Sequence[Any],
+    row_type: Optional[type],
+    fields: dict[Any, list],
+    known: dict[Any, int],
+) -> int:
+    """Exactly ``dataset_bytes(rows)`` for rows :func:`row_fields` split
+    into ``fields``, reusing the sizes in ``known`` (field → bytes the
+    caller proved); the rows are walked only when a field cannot be
+    proved or a row aliases two of its fields."""
+    total = _fields_bytes(
+        fields.values(), _CONTAINER_LEVELS - 1, map(known.get, fields)
+    )
+    if total is None:
+        return _walk_each(rows)
+    return _ROW_HEADERS[row_type] * len(rows) + total
 
 
 def physical_memory_bytes() -> int:

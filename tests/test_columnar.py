@@ -31,7 +31,13 @@ from repro.engine.columnar import (
     resolve_columns,
 )
 from repro.engine.multiprocess import MultiprocessEngine
-from repro.engine.sizes import OBJECT_HEADER, sizeof, sizeof_pair
+from repro.engine.sizes import (
+    OBJECT_HEADER,
+    dataset_bytes,
+    pairs_bytes,
+    sizeof,
+    sizeof_pair,
+)
 from repro.engine.spill import SpillWriter, read_run
 from repro.graph.executor import interpret_fragment
 from repro.options import ExecOptions
@@ -174,6 +180,51 @@ def test_column_block_pairs_and_sizes_match_row_accounting():
     const = ColumnBlock(values=np.asarray([1, 2], dtype=np.int64), key_const=0)
     assert const.pairs() == [(0, 1), (0, 2)]
     assert const.key_list() == [0, 0]
+
+
+_STRADDLING = [-(2**31) - 1, -(2**31), -1, 0, 2**31 - 1, 2**31, 2**62, -(2**63)]
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        ColumnBlock(
+            values=np.asarray(_STRADDLING, dtype=np.int64),
+            keys=np.asarray(list(reversed(_STRADDLING)), dtype=np.int64),
+        ),
+        ColumnBlock(
+            values=np.asarray([1.5, -0.0, float("nan"), 2.5]),
+            keys=np.asarray([2**31, 1, -(2**31) - 1, 2**31], dtype=np.int64),
+        ),
+        ColumnBlock(
+            values=np.asarray([True, False, True]),
+            keys=np.asarray([0.5, 1.5, 0.5]),
+        ),
+        ColumnBlock(values=np.asarray(_STRADDLING, dtype=np.int64), key_const="k"),
+        ColumnBlock(values=np.asarray([1.0, 2.0]), key_const=2**40),
+        ColumnBlock(values=np.asarray([False, True]), key_const=(1, "a", 2.0)),
+        ColumnBlock(values=np.asarray([], dtype=np.int64), key_const="k"),
+        ColumnBlock(
+            values=np.asarray([], dtype=np.float64),
+            keys=np.asarray([], dtype=np.int64),
+        ),
+    ],
+    ids=[
+        "int-keys-and-values-across-2^31",
+        "float-values",
+        "bool-values-float-keys",
+        "const-str-key",
+        "const-int64-key",
+        "const-tuple-key",
+        "empty-const",
+        "empty-keyed",
+    ],
+)
+def test_column_block_bytes_are_the_pairs_bytes(block):
+    pairs = block.pairs()
+    assert block.stage_bytes() == dataset_bytes(pairs)
+    assert block.shuffle_bytes() == pairs_bytes(pairs)
+    assert block.shuffle_bytes() == sum(block.pair_sizes())
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +380,60 @@ def test_sizeof_prices_column_chunks_via_model():
         + int(chunk.columns["x"].nbytes)
     )
     assert sizeof(chunk) == expected
+
+
+# ----------------------------------------------------------------------
+# An input chunk is priced where it is built
+
+
+def _stage_bytes(result) -> list[tuple]:
+    return [
+        (s.name, s.bytes_in, s.bytes_out, s.bytes_shuffled)
+        for s in result.metrics.stages
+    ]
+
+
+def test_built_chunk_keeps_its_byte_count_through_pickle():
+    mapper, records = _mapper("tpch_q15")
+    chunk = build_chunk(records, mapper.columns_spec)
+    assert chunk.row_bytes == dataset_bytes(records) == sum(map(sizeof, records))
+    clone = pickle.loads(pickle.dumps(chunk))
+    assert clone.row_bytes == chunk.row_bytes
+    assert sizeof(clone) == sizeof(chunk)
+
+
+def test_pool_scan_charge_is_the_sequential_one():
+    name = "tpch_q15"
+    _, records = _mapper(name)
+    steps = _steps(name, get_benchmark(name).make_inputs(RUN_SIZE, 7))
+    inline = MultiprocessEngine(processes=0).run_pipeline(records, steps)
+    pooled = MultiprocessEngine(processes=2, min_parallel_records=100).run_pipeline(
+        records, steps
+    )
+    assert pooled.map_tasks > 0 and pooled.fallback_reason is None
+    assert pooled.columnar_chunks == inline.columnar_chunks > 0
+    assert pooled.guard_fallbacks == inline.guard_fallbacks == 0
+    assert _stage_bytes(pooled) == _stage_bytes(inline)
+    scan = pooled.metrics.stages[0]
+    assert scan.name == "scan" and scan.bytes_in == dataset_bytes(records)
+    assert pooled.pairs == inline.pairs
+
+
+def test_guard_trip_chunk_is_priced_like_its_rows():
+    name = "tpch_q15"
+    mapper, records = _mapper(name)
+    rows = [record.copy() for record in records]
+    rows[3].fields["l_suppkey"] = True  # bool is not int: the column refuses
+    chunk = build_chunk(rows, mapper.columns_spec)
+    assert chunk.columns["l_suppkey"] is None
+    assert chunk.columns["l_discount"] is not None
+    assert chunk.row_bytes == dataset_bytes(rows) == sum(map(sizeof, rows))
+    steps = _steps(name, get_benchmark(name).make_inputs(RUN_SIZE, 7))
+    clean = _engine(name).run_pipeline(records, steps)
+    tripped = _engine(name).run_pipeline(rows, steps)
+    # Only the poisoned chunk runs the row loop; every chunk is charged.
+    assert tripped.columnar_chunks == clean.columnar_chunks - 1
+    assert tripped.metrics.stages[0].bytes_in == dataset_bytes(rows)
 
 
 # ----------------------------------------------------------------------

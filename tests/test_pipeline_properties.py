@@ -14,7 +14,7 @@ from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import SearchConfig, translate
@@ -28,7 +28,7 @@ from repro.engine import (
     sizeof,
     sizeof_pair,
 )
-from repro.engine.columnar import ColumnChunk
+from repro.engine.columnar import ColumnChunk, ColumnSpec, build_chunk
 from repro.engine.sizes import pair_columns_bytes, uniform_size
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
@@ -315,6 +315,89 @@ def test_dataset_bytes_is_the_summed_walk(rows):
         assert pair_columns_bytes(keys, values) == _walked(pairs)
     size = uniform_size(rows) if rows else None
     assert size is None or {sizeof(row) for row in rows} == {size}
+
+
+#: Per-field value strategies a column guard must tell apart.
+_EDGE_COLUMNS = [
+    _SMALL_INTS,
+    st.sampled_from([-(2**31) - 1, -(2**31), 2**31 - 1, 2**31, 2**63 - 1, -(2**63)]),
+    st.one_of(_SMALL_INTS, st.sampled_from([2**63, -(2**63) - 1])),  # past int64
+    st.one_of(_SMALL_INTS, st.just(True)),  # True in an int field
+    st.floats(),  # NaN, ±inf, -0.0
+    st.booleans(),
+    st.one_of(st.floats(), st.none()),
+]
+
+
+@st.composite
+def _edge_chunks(draw):
+    """Homogeneous rows of up to three edge-valued fields: the records
+    themselves (one field), tuples, or Instances over ``f0``…"""
+    width = draw(st.integers(1, 3))
+    columns = [draw(st.sampled_from(_EDGE_COLUMNS)) for _ in range(width)]
+    rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=8))
+    form = draw(st.sampled_from(["self", "tuple", "instance"]))
+    if form == "self":
+        return [row[0] for row in rows]
+    if form == "tuple":
+        return rows
+    return [Instance("Row", {f"f{i}": v for i, v in enumerate(row)}) for row in rows]
+
+
+@st.composite
+def _column_specs(draw):
+    """Live specs of every access and kind, naming fields and positions
+    the drawn rows have — and some they do not."""
+    names = st.sampled_from(["f0", "f1", "f2", "a", "b", "f0_", "extra"])
+    specs = []
+    for index in range(draw(st.integers(0, 4))):
+        access = draw(st.sampled_from(["self", "field", "index"]))
+        kind = draw(st.sampled_from(["int", "float", "bool"]))
+        field = draw(names) if access == "field" else None
+        position = draw(st.integers(-2, 3)) if access == "index" else None
+        specs.append(ColumnSpec(f"s{index}", kind, access, field, position))
+    return tuple(specs)
+
+
+def _extracted_column(rows, spec):
+    """The oracle: what one spec's own pass over the rows validates."""
+    try:
+        if spec.access == "self":
+            data = list(rows)
+        elif spec.access == "field":
+            data = [row.fields[spec.field] for row in rows]
+        else:
+            data = [row[spec.position] for row in rows]
+    except (AttributeError, KeyError, IndexError, TypeError):
+        return None
+    exact = {"int": int, "float": float, "bool": bool}[spec.kind]
+    if any(type(value) is not exact for value in data):
+        return None
+    if spec.kind == "int" and not all(-(2**63) <= value < 2**63 for value in data):
+        return None
+    dtype = {"int": np.int64, "float": np.float64, "bool": np.bool_}[spec.kind]
+    return np.asarray(data, dtype=dtype)
+
+
+@given(st.one_of(_chunks(), _aliased_chunks(), _edge_chunks()), _column_specs())
+@example(  # row[-1] is the last position, as a per-spec extraction reads it
+    rows=[(1, 2.5), (3, 4.5)],
+    specs=(ColumnSpec("s0", "float", "index", position=-1),),
+)
+@settings(max_examples=400, deadline=None)
+def test_built_chunk_is_priced_and_extracted_like_its_rows(rows, specs):
+    chunk = build_chunk(rows, specs)
+    assert chunk.row_bytes == _walked(rows)
+    assert dataset_bytes(chunk) == _walked(rows)
+    for spec in specs:
+        expected = _extracted_column(rows, spec)
+        column = chunk.columns[spec.name]
+        if expected is None:
+            assert column is None, spec
+        else:
+            assert column is not None, spec
+            assert column.dtype == expected.dtype, spec
+            assert column.tobytes() == expected.tobytes(), spec  # NaN-safe
 
 
 _NAMED_CHUNKS = {
