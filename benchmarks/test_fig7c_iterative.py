@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.baselines import manual_logistic_regression, manual_pagerank
 from repro.engine.config import EngineConfig
 from repro.workloads import datagen, get_benchmark
@@ -23,32 +24,44 @@ _EDGES = 700
 _POINTS = 2500
 
 
+def _translated_jobs(session: Session, name: str):
+    """One ``inputs -> JobResult`` runner per translated fragment of
+    ``name``'s shared suite compilation, each a job of ``session``."""
+    compilation = compiled(name)
+    return [
+        lambda inputs, index=index: session.run(
+            compilation, inputs, fragment_index=index
+        )
+        for index, fragment in enumerate(compilation.fragments)
+        if fragment.translated
+    ]
+
+
 def _pagerank_casper_seconds(config: EngineConfig) -> float:
     """Run Casper's translated PageRank fragments for 10 iterations.
 
     Each iteration re-runs the translated contribution + update fragments
     (no caching, as the paper notes for generated code).
     """
-    compilation = compiled("iterative_pagerank")
-    fragments = [f for f in compilation.fragments if f.translated]
-    assert len(fragments) == 3
-    outdeg_frag, contrib_frag, update_frag = fragments
-    for fragment in fragments:
-        fragment.program.set_engine_config(config)
+    jobs = _translated_jobs(
+        Session(max_workers=0, engine_config=config), "iterative_pagerank"
+    )
+    assert len(jobs) == 3
+    outdeg_job, contrib_job, update_job = jobs
 
     edges = datagen.graph_edges(_NODES, _EDGES, seed=31)
     rank = [1.0] * _NODES
     total = 0.0
-    ran = outdeg_frag.program.run({"edges": edges, "nodes": _NODES})
+    ran = outdeg_job({"edges": edges, "nodes": _NODES})
     outdeg = ran.outputs["outdeg"]
     total += ran.metrics.simulated_seconds
     for _ in range(_ITERATIONS):
-        ran = contrib_frag.program.run(
+        ran = contrib_job(
             {"edges": edges, "rank": rank, "outdeg": outdeg, "nodes": _NODES}
         )
         contrib = ran.outputs["contrib"]
         total += ran.metrics.simulated_seconds
-        ran = update_frag.program.run({"contrib": contrib, "nodes": _NODES})
+        ran = update_job({"contrib": contrib, "nodes": _NODES})
         rank = ran.outputs["next"]
         total += ran.metrics.simulated_seconds
     return total, rank
@@ -56,15 +69,6 @@ def _pagerank_casper_seconds(config: EngineConfig) -> float:
 
 @pytest.fixture(scope="module")
 def fig7c():
-    # The compilations are the shared suite cache's: every engine config
-    # this figure sets is put back when the module is done.
-    saved = [
-        (program, program.engine_config)
-        for name in ("iterative_pagerank", "iterative_logistic_regression")
-        for fragment in compiled(name).fragments
-        if fragment.translated
-        for program in fragment.program.programs
-    ]
     benchmark = get_benchmark("iterative_pagerank")
     inputs = benchmark.make_inputs(_EDGES, 31)
     config = EngineConfig(
@@ -83,18 +87,17 @@ def fig7c():
     )
     # Casper's logistic regression: the translated gradient fragment per
     # iteration (same algorithm as the reference, uncached scan per iter).
-    lr_compilation = compiled("iterative_logistic_regression")
-    grad_fragment = next(f for f in lr_compilation.fragments if f.translated)
-    grad_fragment.program.set_engine_config(logreg_config)
+    grad_job = _translated_jobs(
+        Session(max_workers=0, engine_config=logreg_config),
+        "iterative_logistic_regression",
+    )[0]
     casper_lr_seconds = 0.0
     w0 = w1 = 0.0
     for _ in range(_ITERATIONS):
-        ran = grad_fragment.program.run(
-            {"points": points, "w0": w0, "w1": w1, "lr": 0.05}
-        )
+        ran = grad_job({"points": points, "w0": w0, "w1": w1, "lr": 0.05})
         casper_lr_seconds += ran.metrics.simulated_seconds
 
-    yield {
+    return {
         "pagerank": {
             "casper": casper_seconds,
             "reference": reference.metrics.simulated_seconds,
@@ -105,8 +108,6 @@ def fig7c():
             "reference": logreg_reference.metrics.simulated_seconds,
         },
     }
-    for program, config in saved:
-        program.engine_config = config
 
 
 def _ranks_close(a, b):

@@ -108,7 +108,8 @@ class TestMultiprocessIdentity:
             outcome = program.run(snapshot, backend="multiprocess", plan=plan)
             reference = program.run(snapshot)
             assert outcome.outputs == reference.outputs
-            assert outcome.fallback_reason is None, outcome.fallback_reason
+            fallback = outcome.engine_result.fallback_reason
+            assert fallback is None, fallback
 
 
 #: What ``plan="auto"`` owes: a wall within this factor of the better of

@@ -10,10 +10,10 @@ shapes over the simulated engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from ..engine.config import EngineConfig, FrameworkProfile
+from ..engine.config import EngineConfig
 from ..engine.metrics import JobMetrics
 from ..engine.spark import SimSparkContext
 from ..lang.values import Instance, parse_date
@@ -28,20 +28,10 @@ SQL_ROW_FACTOR = 2.4
 def _sql_config(config: Optional[EngineConfig]) -> EngineConfig:
     base = config or EngineConfig()
     profile = base.framework
-    slowed = FrameworkProfile(
-        name=profile.name,
-        startup_s=profile.startup_s,
-        per_stage_overhead_s=profile.per_stage_overhead_s,
-        record_cpu_factor=profile.record_cpu_factor * SQL_ROW_FACTOR,
-        materialize_between_stages=profile.materialize_between_stages,
-        combiners=profile.combiners,
+    slowed = replace(
+        profile, record_cpu_factor=profile.record_cpu_factor * SQL_ROW_FACTOR
     )
-    return EngineConfig(
-        cluster=base.cluster,
-        framework=slowed,
-        scale=base.scale,
-        default_partitions=base.default_partitions,
-    )
+    return replace(base, framework=slowed)
 
 
 @dataclass

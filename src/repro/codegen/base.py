@@ -56,19 +56,17 @@ from ..verification.prover import ProofResult
 class ExecutionOutcome:
     """Result of running a generated program: outputs + engine metrics.
 
-    ``wall_seconds``, ``fallback_reason`` and ``engine_result`` are
-    populated by the real (multiprocess/sequential) backends; the
-    simulated backends leave them at their defaults.  ``report``,
-    ``implementation`` and ``join_decision`` are filled in by
-    :meth:`AdaptiveProgram.run
+    ``engine_result`` is populated by the real (multiprocess/sequential)
+    backends — its ``metrics.wall_seconds`` and ``fallback_reason`` are
+    the run's wall time and pool fallback; the simulated backends leave
+    it None.  ``report``, ``implementation`` and ``join_decision`` are
+    filled in by :meth:`AdaptiveProgram.run
     <repro.codegen.glue.AdaptiveProgram.run>`, which returns this object
     — everything one call produced, owned by that call.
     """
 
     outputs: dict[str, Any]
     metrics: JobMetrics
-    wall_seconds: float = 0.0
-    fallback_reason: Optional[str] = None
     #: The real local engine's own account of the run — fallback code,
     #: pool counters, spill accounting, adaptations
     #: (:class:`~repro.engine.multiprocess.MultiprocessResult`); None on
@@ -354,7 +352,6 @@ class GeneratedProgram:
     analysis: FragmentAnalysis
     summary: Summary
     proof: ProofResult
-    engine_config: EngineConfig = field(default_factory=EngineConfig)
     #: The compiled sampler, built by the first job that samples.
     _sampler: Any = field(default=None, init=False, repr=False, compare=False)
 
@@ -364,6 +361,7 @@ class GeneratedProgram:
         backend: Optional[str] = None,
         plan: Optional["ExecutionPlan"] = None,
         records: Optional[list] = None,
+        config: Optional[EngineConfig] = None,
     ) -> ExecutionOutcome:
         """Execute on ``backend`` (default: the compiled one).
 
@@ -379,15 +377,18 @@ class GeneratedProgram:
         lets a caller that already materialized
         ``view_records(analysis.view, inputs)`` (the planner does, for
         its samples) pass them through instead of paying the
-        transformation twice.
+        transformation twice.  ``config`` (None → ``EngineConfig()``) is
+        the session's engine configuration; the program holds none.
         """
         backend = backend or self.backend
+        config = config or EngineConfig()
         if backend in ("spark", "hadoop", "flink"):
             return self._run_local(
-                inputs, "sequential", self._pricing_plan(backend), records, backend
+                inputs, config, "sequential", self._pricing_plan(backend),
+                records, backend,
             )
         if backend in ("multiprocess", "sequential"):
-            return self._run_local(inputs, backend, plan, records)
+            return self._run_local(inputs, config, backend, plan, records)
         raise CodegenError(f"unknown backend {backend!r}")
 
     # ------------------------------------------------------------------
@@ -593,6 +594,7 @@ class GeneratedProgram:
     def _run_local(
         self,
         inputs: dict[str, Any],
+        config: EngineConfig,
         backend: str = "multiprocess",
         plan: Optional["ExecutionPlan"] = None,
         records: Optional[list] = None,
@@ -621,7 +623,7 @@ class GeneratedProgram:
             if records is None:
                 records = view_records(self.analysis.view, inputs)
             steps = self.local_steps(globals_env, plan)
-        result = run_local_steps(plan, self.engine_config, backend, records, steps)
+        result = run_local_steps(plan, config, backend, records, steps)
         result.adaptations[:0] = adaptations
         outputs = bind_outputs(
             self.summary.outputs, result.pairs, globals_env, output_sizes
@@ -629,20 +631,14 @@ class GeneratedProgram:
         if framework is not None:
             if self.has_join:
                 steps = self._join_sides(steps, inputs)
-            metrics = price(framework, self.engine_config, steps, result)
+            metrics = price(framework, config, steps, result)
             return ExecutionOutcome(outputs, metrics)
-        return ExecutionOutcome(
-            outputs=outputs,
-            metrics=result.metrics,
-            wall_seconds=result.metrics.wall_seconds,
-            fallback_reason=result.fallback_reason,
-            engine_result=result,
-        )
+        return ExecutionOutcome(outputs, result.metrics, engine_result=result)
 
 
 def run_local_steps(
     plan: Optional["ExecutionPlan"],
-    config: EngineConfig,
+    config: Optional[EngineConfig],
     backend: str,
     records: Any,
     steps: list,
@@ -659,8 +655,7 @@ def run_local_steps(
     from ..engine.multiprocess import MultiprocessEngine
     from ..planner.plan import ExecutionPlan
 
-    if config.framework.name != "multiprocess":
-        config = config.with_framework("multiprocess")
+    config = (config or EngineConfig()).with_framework("multiprocess")
     if plan is None:
         plan = ExecutionPlan(backend=backend, processes=None)
     engine = MultiprocessEngine(

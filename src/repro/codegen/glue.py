@@ -78,17 +78,13 @@ class AdaptiveProgram:
 
     # ------------------------------------------------------------------
 
-    def set_engine_config(self, config: EngineConfig) -> None:
-        """Point every implementation at a (re)configured engine."""
-        for program in self.programs:
-            program.engine_config = config
-
     def run(
         self,
         inputs: dict[str, Any],
         options: Optional[ExecOptions] = None,
         records: Optional[Any] = None,
         observations: Optional[ObservationStore] = None,
+        config: Optional[EngineConfig] = None,
     ) -> ExecutionOutcome:
         """Sample, select, execute; returns the call's outcome.
 
@@ -112,6 +108,8 @@ class AdaptiveProgram:
         own store when the job's ``ExecOptions.feedback`` (else the
         session's ``observe``) says so — the program never holds one.
         Feedback never changes results — only which plan produces them.
+        ``config``, the session's :class:`~repro.engine.config.EngineConfig`,
+        is handed down the same way.
 
         ``records`` lets a caller that already materialized
         ``view_records(analysis.view, inputs)`` (the graph executor
@@ -164,7 +162,7 @@ class AdaptiveProgram:
         implementation = f"impl_{index}"
         if plan is None:
             # Unplanned: the compiled backend runs as-is.
-            outcome = program.run(inputs, records=records)
+            outcome = program.run(inputs, records=records, config=config)
             outcome.diagnostics[:0] = sampler_fallbacks
             outcome.implementation = implementation
             outcome.join_decision = join_decision
@@ -176,6 +174,7 @@ class AdaptiveProgram:
             observation=observation,
             observation_note=observation_note,
             estimates=sampled.get(implementation),
+            config=config,
         )
         report.implementation = implementation
         report.diagnostics[:0] = sampler_fallbacks
@@ -187,7 +186,9 @@ class AdaptiveProgram:
         started = time.perf_counter()
         # The plan only binds on the real local backends; a simulated
         # one ignores it.
-        outcome = program.run(inputs, execution_plan.backend, execution_plan, records)
+        outcome = program.run(
+            inputs, execution_plan.backend, execution_plan, records, config
+        )
         report.wall_seconds = time.perf_counter() - started
         if outcome.engine_result is not None:
             report.absorb(outcome.engine_result)
@@ -238,12 +239,14 @@ class AdaptiveProgram:
         observation: Optional[Any] = None,
         observation_note: Optional[str] = None,
         estimates: Optional[Any] = None,
+        config: Optional[EngineConfig] = None,
     ) -> tuple[ExecutionPlan, PlanReport]:
         """Fold ``options`` into the plan for one run of ``program``:
         a forced backend pins it, ``"auto"`` asks the planner (``head``:
         :meth:`sample_head` of ``records``; ``estimates``: what the
         monitor already sampled for ``program``, so the planner does
-        not sample again)."""
+        not sample again; ``config``: the session's engine
+        configuration, which prices the planner's cluster ranking)."""
         plan = options.effective_plan
         if plan != "auto":
             forced = forced_plan(plan, memory_budget=options.memory_budget)
@@ -282,6 +285,7 @@ class AdaptiveProgram:
             observation=observation,
             observation_note=observation_note,
             estimates=estimates,
+            config=config,
         )
 
     def ensure_planner(self) -> ExecutionPlanner:
@@ -323,7 +327,6 @@ def build_adaptive_program(
     analysis: FragmentAnalysis,
     verified: list[VerifiedSummary],
     backend: str = "spark",
-    engine_config: Optional[EngineConfig] = None,
 ) -> AdaptiveProgram:
     """Assemble the adaptive program from verified summaries.
 
@@ -332,14 +335,12 @@ def build_adaptive_program(
     distribution.  Each summary is costed once, by its
     :class:`GeneratedProgram` (``program.cost``).
     """
-    config = engine_config or EngineConfig()
     programs = [
         GeneratedProgram(
             backend=backend,
             analysis=analysis,
             summary=vs.summary,
             proof=vs.proof,
-            engine_config=config,
         )
         for vs in verified
     ]

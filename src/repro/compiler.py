@@ -37,7 +37,6 @@ from .lang.parser import parse_program
 from .lang.analysis.fragments import CodeFragment, FragmentAnalysis
 from .codegen.glue import AdaptiveProgram
 from .codegen.render import render
-from .engine.config import EngineConfig
 from .graph.jobgraph import JobGraph
 from .pipeline.cache import SummaryCache
 from .pipeline.context import CompilationContext
@@ -140,7 +139,6 @@ class CasperCompiler:
     """Translates sequential mini-Java functions into MapReduce programs."""
 
     search_config: SearchConfig = field(default_factory=SearchConfig)
-    engine_config: EngineConfig = field(default_factory=EngineConfig)
     backend: str = "spark"
     #: Shared content-addressed summary cache; None disables caching.
     cache: Optional[SummaryCache] = None
@@ -175,7 +173,6 @@ class CasperCompiler:
                 program=program,
                 function=function,
                 search_config=self.search_config,
-                engine_config=self.engine_config,
                 backend=self.backend,
                 cache=self.cache,
                 soundness=self.soundness,
@@ -206,13 +203,11 @@ def translate(
     function: Optional[str] = None,
     backend: str = "spark",
     search_config: Optional[SearchConfig] = None,
-    engine_config: Optional[EngineConfig] = None,
     cache: Optional[SummaryCache] = None,
 ) -> CompilationResult:
     """One-call convenience API: source text in, translations out."""
     compiler = CasperCompiler(
         search_config=search_config or SearchConfig(),
-        engine_config=engine_config or EngineConfig(),
         backend=backend,
         cache=cache,
     )

@@ -9,7 +9,7 @@ band over single-core sequential execution, with shuffle-heavy jobs lower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -89,24 +89,24 @@ PROFILES = {
 }
 
 
-@dataclass
+#: Block partitions of a job's input: the simulated frameworks' task
+#: count per stage and the real engine's default chunking.
+DEFAULT_PARTITIONS = 72
+
+
+@dataclass(frozen=True)
 class EngineConfig:
     """Full engine configuration: cluster + framework + data scale.
 
     ``scale`` multiplies record counts and byte volumes when computing
     simulated time — benchmarks run on ~10⁵-record samples standing in for
-    the paper's 25-75 GB datasets (DESIGN.md, scaling notes).
+    the paper's 25-75 GB datasets (DESIGN.md, scaling notes).  Frozen, so
+    one instance is shared safely by a session's concurrent jobs.
     """
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     framework: FrameworkProfile = SPARK
     scale: float = 1.0
-    default_partitions: int = 72
 
     def with_framework(self, name: str) -> "EngineConfig":
-        return EngineConfig(
-            cluster=self.cluster,
-            framework=PROFILES[name],
-            scale=self.scale,
-            default_partitions=self.default_partitions,
-        )
+        return replace(self, framework=PROFILES[name])

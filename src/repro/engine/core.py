@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from ..errors import EngineError
-from .config import EngineConfig
+from .config import DEFAULT_PARTITIONS, EngineConfig
 from .metrics import JobMetrics, StageMetrics
 from .sizes import TUPLE_HEADER, dataset_bytes, pairs_bytes
 
@@ -229,7 +229,7 @@ class Executor:
             for value in values[1:]:
                 acc = fn(acc, value)
             out.append((key, acc))
-        num_tasks = min(len(groups), self.config.default_partitions) or 1
+        num_tasks = min(len(groups), DEFAULT_PARTITIONS) or 1
         self.stage(stage_name, records, len(out), pairs_bytes(out), num_tasks, 80.0)
         return out
 
@@ -255,7 +255,7 @@ def price(
 
     ``run`` is one sequential run of ``steps`` (``MapStep`` /
     ``ReduceStep``; a :class:`JoinSide` where a join level probed its
-    broadcast index) without a budget, over ``config.default_partitions``
+    broadcast index) without a budget, over :data:`DEFAULT_PARTITIONS`
     block partitions — so each chunk's map-side combine saw the records
     a framework map task would.  Its ``scan`` / ``map.i`` /
     ``shuffle.reduce.i`` counters are replayed, in order, through the
@@ -282,10 +282,9 @@ def price(
     if config.framework.name != framework:
         config = config.with_framework(framework)
     executor = Executor(config)
-    partitions = config.default_partitions
 
     def blocks(records: int) -> int:  # the tasks over a stage's input
-        return len(partition_data(range(records), partitions))
+        return len(partition_data(range(records), DEFAULT_PARTITIONS))
 
     hadoop = framework == "hadoop"
     final_bytes = dataset_bytes(run.pairs)
@@ -311,7 +310,7 @@ def price(
             join = executor.metrics.stage("join")
             join.records_out = real.records_out
             join.bytes_out = real.bytes_out - TUPLE_HEADER * real.records_out
-            executor.charge_narrow(join, real.records_out, partitions, 100.0)
+            executor.charge_narrow(join, real.records_out, DEFAULT_PARTITIONS, 100.0)
             tasks = blocks(real.records_out)
         elif not isinstance(step, ReduceStep):
             if not reduced:
@@ -330,14 +329,15 @@ def price(
             last = index == len(steps) - 1  # else a map consumes the output
             if hadoop:
                 executor.stage(
-                    "reduce", real.records_in, len(run.pairs), 0, partitions, 90.0
+                    "reduce", real.records_in, len(run.pairs), 0,
+                    DEFAULT_PARTITIONS, 90.0,
                 )
                 reduced = True
             elif step.combine or framework == "flink":
                 out_bytes = pairs_bytes(run.pairs) if last else next(handoffs)
                 executor.stage(
                     "reduce", real.records_in, groups, out_bytes,
-                    min(groups, partitions) or 1, 80.0,
+                    min(groups, DEFAULT_PARTITIONS) or 1, 80.0,
                 )
             else:
                 emitted = (

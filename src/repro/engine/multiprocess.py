@@ -77,7 +77,7 @@ from .columnar import (
     grouped_fold,
     split_pairs,
 )
-from .config import EngineConfig
+from .config import DEFAULT_PARTITIONS, EngineConfig
 from .core import lambda_cpu_ns
 from .metrics import JobMetrics
 from .sizes import dataset_bytes, pair_columns_bytes, pairs_bytes
@@ -442,7 +442,7 @@ class MultiprocessEngine:
     #: Worker processes; None → one per available core.
     processes: Optional[int] = None
     #: Logical partitions (block partitioning, mirrors the simulated
-    #: engines); None → ``config.default_partitions``.
+    #: engines); None → :data:`~repro.engine.config.DEFAULT_PARTITIONS`.
     partitions: Optional[int] = None
     #: Inputs smaller than this run in-process — pool startup dominates.
     min_parallel_records: int = 2048
@@ -476,7 +476,7 @@ class MultiprocessEngine:
         dataset = as_dataset(records)
         steps = list(steps)
         metrics = JobMetrics()
-        partitions = self.partitions or self.config.default_partitions
+        partitions = self.partitions or DEFAULT_PARTITIONS
         result = MultiprocessResult(
             pairs=[], metrics=metrics, spilled=budget is not None
         )

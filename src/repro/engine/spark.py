@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from ..errors import EngineError
-from .config import EngineConfig
+from .config import DEFAULT_PARTITIONS, EngineConfig
 from .core import Executor, lambda_cpu_ns
 from .metrics import JobMetrics
 from .sizes import dataset_bytes, pairs_bytes
@@ -142,7 +142,7 @@ class SimRDD:
                     records += 1
         stage.records_out = records
         stage.bytes_out = pairs_bytes(out)
-        self.context.executor.charge_narrow(stage, records, self.context.config.default_partitions, 100.0)
+        self.context.executor.charge_narrow(stage, records, DEFAULT_PARTITIONS, 100.0)
         parts = self.context.repartition_pairs(out)
         return SimRDD(self.context, parts, is_pairs=True)
 
@@ -211,7 +211,7 @@ class SimSparkContext:
 
     def parallelize(self, data: list, partitions: Optional[int] = None) -> SimRDD:
         parts = self.executor.run_scan(
-            list(data), partitions or self.config.default_partitions
+            list(data), partitions or DEFAULT_PARTITIONS
         )
         return SimRDD(self, parts)
 
@@ -221,4 +221,4 @@ class SimSparkContext:
     def repartition_pairs(self, pairs: list) -> list[list]:
         from .core import partition_data
 
-        return partition_data(pairs, self.config.default_partitions)
+        return partition_data(pairs, DEFAULT_PARTITIONS)

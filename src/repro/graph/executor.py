@@ -35,6 +35,7 @@ from ..codegen.base import (
     view_records,
 )
 from ..cost.observe import ObservationStore
+from ..engine.config import EngineConfig
 from ..engine.multiprocess import BridgeStep, MapStep
 from ..errors import GraphError
 from ..options import ExecOptions
@@ -110,6 +111,7 @@ def run_graph(
     inputs: dict[str, Any],
     options: Optional[ExecOptions] = None,
     observations: Optional[ObservationStore] = None,
+    config: Optional[EngineConfig] = None,
 ) -> GraphRunResult:
     """Execute a whole-program job graph over concrete inputs.
 
@@ -135,7 +137,8 @@ def run_graph(
     ``observations`` (the session's store, when the job uses feedback)
     engages observation-resolved planning per single-fragment unit (see
     :meth:`AdaptiveProgram.run`); fused chains plan from their own
-    spliced estimates and ignore it.
+    spliced estimates and ignore it.  ``config``, the session's
+    :class:`~repro.engine.config.EngineConfig`, goes to every unit.
 
     Each unit's :class:`PlanReport` comes back from the call that ran
     it and lands in ``report.unit_reports`` under the unit's head node.
@@ -166,7 +169,9 @@ def run_graph(
         # would.  The simulated cluster runs a wave's branches side by
         # side, hence the per-wave maximum.
         outcomes = [
-            _run_unit(graph, schedule.units[index], env, options, cache, observations)
+            _run_unit(
+                graph, schedule.units[index], env, options, cache, observations, config
+            )
             for index in wave
         ]
         wave_simulated = 0.0
@@ -287,14 +292,15 @@ def _run_unit(
     options: ExecOptions,
     cache: _RecordsCache,
     observations: Optional[ObservationStore],
+    config: Optional[EngineConfig],
 ) -> _UnitOutcome:
     outcome = _UnitOutcome(unit=unit)
     node = graph.nodes[unit.head]
     started = time.perf_counter()
     if unit.fused:
-        _run_chain(graph, unit, env, options, cache, outcome)
+        _run_chain(graph, unit, env, options, cache, config, outcome)
     elif node.translated:
-        _run_single(node, env, options, cache, observations, outcome)
+        _run_single(node, env, options, cache, observations, config, outcome)
     else:
         _run_interpreted(node, env, outcome)
     outcome.wall_seconds = time.perf_counter() - started
@@ -307,10 +313,13 @@ def _run_single(
     options: ExecOptions,
     cache: _RecordsCache,
     observations: Optional[ObservationStore],
+    config: Optional[EngineConfig],
     outcome: _UnitOutcome,
 ) -> None:
     records = cache.get(node.analysis.view, env)
-    ran = node.program.run(env, options, records=records, observations=observations)
+    ran = node.program.run(
+        env, options, records=records, observations=observations, config=config
+    )
     outcome.outputs = ran.outputs
     outcome.report = ran.report
     outcome.simulated_seconds = ran.metrics.simulated_seconds
@@ -329,6 +338,7 @@ def _run_chain(
     env: dict[str, Any],
     options: ExecOptions,
     cache: _RecordsCache,
+    config: Optional[EngineConfig],
     outcome: _UnitOutcome,
 ) -> None:
     """Execute a fused chain as one engine invocation.
@@ -347,7 +357,7 @@ def _run_chain(
     globals_env, output_sizes = prepare_globals(head.analysis, env)
     records = cache.get(head.analysis.view, env)
     execution_plan, report = _chain_plan(
-        unit, head, chosen, records, globals_env, options
+        unit, head, chosen, records, globals_env, options, config
     )
     # The plan's per-stage combiner decisions index the head program's
     # stages, so only the head's steps honour them; downstream nodes
@@ -378,7 +388,7 @@ def _run_chain(
     tail_node, tail_chosen, tail_globals, tail_sizes = prev
     result = run_local_steps(
         execution_plan,
-        chosen.engine_config,
+        config,
         execution_plan.backend if execution_plan is not None else "sequential",
         records,
         steps,
@@ -405,6 +415,7 @@ def _chain_plan(
     records: Any,
     globals_env: dict[str, Any],
     options: ExecOptions,
+    config: Optional[EngineConfig],
 ):
     """Resolve the execution plan for a fused chain.
 
@@ -424,8 +435,9 @@ def _chain_plan(
         extra_reasons += (
             f"fused chains run locally; {plan!r} backend degraded to sequential",
         )
+    sample = head.program.sample_head(records)
     execution_plan, report = head.program.plan_execution(
-        options, chosen, records, head.program.sample_head(records), globals_env
+        options, chosen, records, sample, globals_env, config=config
     )
     if plan == "auto":
         report.implementation = f"impl_{unit.impl_indexes[0]}"

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from ..diagnostics.diagnostic import Diagnostic
-from ..engine.config import EngineConfig
 from ..lang import ast_nodes as ast
 from ..lang.analysis.fragments import (
     CodeFragment,
@@ -65,7 +64,6 @@ class CompilationContext:
     program: ast.Program
     function: str
     search_config: SearchConfig = field(default_factory=SearchConfig)
-    engine_config: EngineConfig = field(default_factory=EngineConfig)
     backend: str = "spark"
     cache: Optional["SummaryCache"] = None
     #: Run the static soundness gate before synthesis (default on; the

@@ -196,7 +196,6 @@ class CodegenPass(CompilerPass):
                 state.analysis,
                 state.search.summaries,
                 backend=ctx.backend,
-                engine_config=ctx.engine_config,
             )
         except CodegenError as exc:
             state.failure_reason = f"codegen failed: {exc}"

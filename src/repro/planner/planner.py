@@ -43,7 +43,7 @@ from ..cost.model import CostExpr, CostTerm
 from ..cost.monitor import SampleEstimates
 from ..diagnostics import make as make_diagnostic
 from ..diagnostics.pickling import unpicklable_reason
-from ..engine.config import PROFILES, EngineConfig
+from ..engine.config import DEFAULT_PARTITIONS, PROFILES, EngineConfig
 from ..engine.multiprocess import default_process_count
 from ..engine.sizes import dataset_bytes
 from ..engine.source import Dataset, ListSource
@@ -203,6 +203,7 @@ class ExecutionPlanner:
         observation: Optional[Any] = None,
         observation_note: Optional[str] = None,
         estimates: Optional[SampleEstimates] = None,
+        config: Optional[EngineConfig] = None,
     ) -> tuple["ExecutionPlan", "PlanReport"]:
         """Decide how to execute ``program`` over ``records``.
 
@@ -241,6 +242,9 @@ class ExecutionPlanner:
         of this program over that very head; the planner takes it as its
         own unless it holds right-side join samples the monitor never
         saw, which carry the estimate through the join stages.
+
+        ``config`` is the session's engine configuration; its cluster
+        and ``scale`` price the simulated-cluster ranking.
         """
         options = options or ExecOptions()
         reasons: list[str] = []
@@ -331,7 +335,7 @@ class ExecutionPlanner:
             program, inputs, budget, reasons,
             observation=observation, provenance=provenance,
         )
-        partitions = self._partitions(program, stages, processes, reasons)
+        partitions = self._partitions(stages, processes, reasons)
         plan = ExecutionPlan(
             backend=backend,
             processes=0 if backend == "sequential" else processes,
@@ -344,7 +348,7 @@ class ExecutionPlanner:
             reasons=tuple(reasons),
         )
         cluster = self._cluster_ranking(
-            program, estimates.as_dict(), n or 0, program.engine_config
+            program, estimates.as_dict(), n or 0, config or EngineConfig()
         )
         if observation is not None and getattr(
             observation, "wall_seconds", None
@@ -676,18 +680,15 @@ class ExecutionPlanner:
             return next(iter(ratios.values()))
         return None
 
-    def _partitions(
-        self, program, stages, processes: int, reasons: list[str]
-    ) -> Optional[int]:
-        default = program.engine_config.default_partitions
+    def _partitions(self, stages, processes: int, reasons: list[str]) -> Optional[int]:
         combining = any(s.kind == "reduce" and s.combiner for s in stages)
         if combining:
             reasons.append(
-                f"partitions={default} (engine default, so map-side combine "
-                "groups records exactly like the simulated engines)"
+                f"partitions={DEFAULT_PARTITIONS} (engine default, so map-side "
+                "combine groups records exactly like the simulated engines)"
             )
             return None  # engine default
-        partitions = min(default, max(8, 4 * max(1, processes)))
+        partitions = min(DEFAULT_PARTITIONS, max(8, 4 * max(1, processes)))
         reasons.append(
             f"partitions={partitions} (no combining reduce — scaled to "
             f"{processes} workers)"
@@ -699,7 +700,7 @@ class ExecutionPlanner:
         program,
         estimates: dict[str, float],
         n: int,
-        engine_config: EngineConfig,
+        config: EngineConfig,
     ) -> dict[str, float]:
         """Rank the simulated cluster frameworks for this job.
 
@@ -711,8 +712,8 @@ class ExecutionPlanner:
         """
         n_stages = len(program.summary.pipeline.stages)
         bytes_per_record = program.cost.evaluate(estimates)
-        moved = bytes_per_record * n * engine_config.scale
-        cluster = engine_config.cluster
+        moved = bytes_per_record * n * config.scale
+        cluster = config.cluster
         ranking = {}
         for name in ("spark", "hadoop", "flink"):
             profile = PROFILES[name]

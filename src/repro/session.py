@@ -49,6 +49,7 @@ from typing import Any, Optional, Union
 
 from .compiler import CompilationResult, FragmentTranslation
 from .cost.observe import ObservationStore
+from .engine.config import EngineConfig
 from .errors import AnalysisError, ServeError
 from .graph.executor import run_graph
 from .options import ExecOptions, check_options
@@ -167,6 +168,12 @@ class Session:
         session and is handed to each job's run; no compiled program
         holds it, so a program shared between sessions never sees
         another session's observations.
+    engine_config:
+        The :class:`~repro.engine.config.EngineConfig` (cluster, data
+        ``scale``) every job runs and is priced under; ``None`` means
+        ``EngineConfig()``.  Like the store it is handed to each job's
+        run, never held by a program, so one compilation can be priced
+        at many scales by many sessions at once.
     """
 
     def __init__(
@@ -178,10 +185,12 @@ class Session:
         capacity_bytes: Optional[int] = None,
         exclusive_fraction: float = 0.5,
         observe: bool = True,
+        engine_config: Optional[EngineConfig] = None,
     ) -> None:
         if max_workers < 0:
             raise ValueError("max_workers must be >= 0")
         self.observe = observe
+        self._engine_config = engine_config or EngineConfig()
         self.observations = ObservationStore(
             cache_dir=(
                 os.path.join(cache_dir, "observations")
@@ -370,7 +379,12 @@ class Session:
             with entry.lock:
                 if fragment_index is not None:
                     program = _pick_fragment(entry.compilation, fragment_index).program
-                    outcome = program.run(inputs, options, observations=observations)
+                    outcome = program.run(
+                        inputs,
+                        options,
+                        observations=observations,
+                        config=self._engine_config,
+                    )
                     outputs, report = outcome.outputs, outcome.report
                     metrics = outcome.metrics
                 else:
@@ -379,6 +393,7 @@ class Session:
                         inputs,
                         options,
                         observations=observations,
+                        config=self._engine_config,
                     )
                     outputs, report = run.outputs, run.report
                 entry.runs += 1

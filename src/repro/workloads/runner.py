@@ -111,7 +111,10 @@ def run_benchmark(
 
     The engine's ``scale`` is set so the generated dataset stands in for
     ``target_bytes`` of input, and both sequential and distributed
-    simulated times are extrapolated consistently.
+    simulated times are extrapolated consistently.  The fragments run
+    as jobs of a session built with ``EngineConfig(scale=...)``, so a
+    shared ``compilation`` is only read: one compilation can be priced
+    at every size.
 
     ``plan`` is forwarded to each fragment execution (``"auto"`` lets
     the execution planner pick sequential vs the real multiprocess
@@ -152,64 +155,48 @@ def run_benchmark(
     if compilation.translated == 0:
         return run
 
-    engine_config = EngineConfig(scale=scale).with_framework(backend)
     total_seconds = 0.0
     outputs_ok = True
     fresh_inputs = benchmark.make_inputs(size, seed)
     # Fragment executions go through an inline (max_workers=0) Session:
     # the same submit path the daemon uses, with each job's plan report
     # delivered on its JobResult instead of read back from shared state.
-    session = Session(max_workers=0)
+    session = Session(max_workers=0, engine_config=EngineConfig(scale=scale))
     options = ExecOptions(plan=plan)
-    # The compilation may be the caller's (a shared, cached one): every
-    # implementation gets its engine config back when the run ends.
-    saved = [
-        (program, program.engine_config)
-        for fragment in compilation.fragments
-        if fragment.translated
-        for program in fragment.program.programs
-    ]
-    try:
-        for index, fragment in enumerate(compilation.fragments):
-            if not fragment.translated:
-                # An untranslated fragment still runs in the source program;
-                # interpret it so its outputs chain forward to the fragments
-                # after it, as a strict=False whole-program job does.
-                if fragment.analysis is not None:
-                    fresh_inputs.update(
-                        interpret_fragment(fragment.analysis, fresh_inputs)
-                    )
-                continue
-            fragment.program.set_engine_config(engine_config)
-            job = session.run(
-                compilation, fresh_inputs, options, fragment_index=index
-            )
-            if not job.ok:
-                outputs_ok = False
-                continue
-            outputs = job.outputs
-            if plan is not None and job.plan_report is not None:
-                run.plan_reports.append(job.plan_report)
-            metrics = job.metrics
-            if metrics is not None:
-                # Each translated fragment is its own job, re-reading its
-                # input (Casper's generated code does not share or cache
-                # scans across fragments — the source of its Q17 loss,
-                # section 7.2).
-                total_seconds += metrics.simulated_seconds
-                run.bytes_emitted += metrics.bytes_emitted
-                run.bytes_shuffled += metrics.bytes_shuffled
-                run.wall_seconds += metrics.wall_seconds
-            # Verify the fragment's outputs against the interpreter.
-            outputs_ok = outputs_ok and _check_outputs(
-                fragment, benchmark, fresh_inputs, outputs
-            )
-            # Chain: later fragments may consume earlier outputs (PageRank's
-            # contribs loop reads outdeg).
-            fresh_inputs.update(outputs)
-    finally:
-        for program, config in saved:
-            program.engine_config = config
+    for index, fragment in enumerate(compilation.fragments):
+        if not fragment.translated:
+            # An untranslated fragment still runs in the source program;
+            # interpret it so its outputs chain forward to the fragments
+            # after it, as a strict=False whole-program job does.
+            if fragment.analysis is not None:
+                fresh_inputs.update(
+                    interpret_fragment(fragment.analysis, fresh_inputs)
+                )
+            continue
+        job = session.run(compilation, fresh_inputs, options, fragment_index=index)
+        if not job.ok:
+            outputs_ok = False
+            continue
+        outputs = job.outputs
+        if plan is not None and job.plan_report is not None:
+            run.plan_reports.append(job.plan_report)
+        metrics = job.metrics
+        if metrics is not None:
+            # Each translated fragment is its own job, re-reading its
+            # input (Casper's generated code does not share or cache
+            # scans across fragments — the source of its Q17 loss,
+            # section 7.2).
+            total_seconds += metrics.simulated_seconds
+            run.bytes_emitted += metrics.bytes_emitted
+            run.bytes_shuffled += metrics.bytes_shuffled
+            run.wall_seconds += metrics.wall_seconds
+        # Verify the fragment's outputs against the interpreter.
+        outputs_ok = outputs_ok and _check_outputs(
+            fragment, benchmark, fresh_inputs, outputs
+        )
+        # Chain: later fragments may consume earlier outputs (PageRank's
+        # contribs loop reads outdeg).
+        fresh_inputs.update(outputs)
 
     run.distributed_seconds = total_seconds
     run.outputs_match = outputs_ok

@@ -25,6 +25,7 @@ from repro.codegen.base import (
     run_local_steps,
     view_records,
 )
+from repro.engine.config import EngineConfig
 from repro.engine.metrics import JobMetrics
 from repro.graph.executor import interpret_fragment
 from repro.lang.values import values_equal
@@ -62,9 +63,7 @@ def run_oracle(program, inputs: dict, plan: ExecutionPlan):
     globals_env, output_sizes = prepare_globals(program.analysis, inputs)
     records = view_records(program.analysis.view, inputs)
     steps = program.oracle_steps(globals_env, plan)
-    result = run_local_steps(
-        plan, program.engine_config, plan.backend, records, steps
-    )
+    result = run_local_steps(plan, EngineConfig(), plan.backend, records, steps)
     outputs = bind_outputs(
         program.summary.outputs, result.pairs, globals_env, output_sizes
     )

@@ -46,8 +46,9 @@ class TestBackendExecution:
         config = EngineConfig(scale=50000)
         for backend in ("spark", "flink", "hadoop"):
             program = make_program(rwm_analysis, rwm_summary, backend)
-            program.engine_config = config
-            outcome = program.run({"mat": self.MAT * 50, "rows": 150, "cols": 3})
+            outcome = program.run(
+                {"mat": self.MAT * 50, "rows": 150, "cols": 3}, config=config
+            )
             times[backend] = outcome.metrics.simulated_seconds
         assert times["spark"] < times["flink"] < times["hadoop"]
 
@@ -151,11 +152,22 @@ class TestAdaptiveProgram:
         assert outcome.outputs == {"total": 10}
         assert outcome.implementation is not None
 
-    def test_set_engine_config_propagates(self, sum_search, sum_analysis):
+    def test_run_config_reaches_price(self, sum_search, sum_analysis, monkeypatch):
+        from repro.codegen import base
+
         adaptive = build_adaptive_program(sum_analysis, sum_search.summaries)
         config = EngineConfig(scale=123.0)
-        adaptive.set_engine_config(config)
-        assert all(p.engine_config.scale == 123.0 for p in adaptive.programs)
+        priced_under = []
+        price = base.price
+
+        def recording_price(framework, engine_config, steps, result):
+            priced_under.append(engine_config)
+            return price(framework, engine_config, steps, result)
+
+        monkeypatch.setattr(base, "price", recording_price)
+        adaptive.run({"data": [1, 2, 3, 4], "n": 4}, config=config)
+        assert len(priced_under) == 1 and priced_under[0] is config
+        assert not any(hasattr(p, "engine_config") for p in adaptive.programs)
 
     def test_outputs_match_interpreter(self, rwm_search, rwm_analysis):
         adaptive = build_adaptive_program(rwm_analysis, rwm_search.summaries)

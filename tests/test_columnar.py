@@ -30,6 +30,7 @@ from repro.engine.columnar import (
     grouped_fold,
     resolve_columns,
 )
+from repro.engine.config import EngineConfig
 from repro.engine.multiprocess import MultiprocessEngine
 from repro.engine.sizes import (
     OBJECT_HEADER,
@@ -65,12 +66,8 @@ def _mapper(name: str):
     return mapper, records
 
 
-def _engine(name: str) -> MultiprocessEngine:
-    compilation = compiled(name)
-    fragment = [f for f in compilation.fragments if f.translated][0]
-    config = fragment.program.programs[0].engine_config.with_framework(
-        "multiprocess"
-    )
+def _engine() -> MultiprocessEngine:
+    config = EngineConfig().with_framework("multiprocess")
     return MultiprocessEngine(config=config, processes=0)
 
 
@@ -329,7 +326,7 @@ def test_dirty_data_identical_across_layouts_in_engine(poison):
     records = [(i, v) for i, v in enumerate([3, -2, poison, 5, 0])]
     inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
     try:
-        rows_result = _engine(name).run_pipeline(
+        rows_result = _engine().run_pipeline(
             records, _steps(name, inputs, oracle=True)
         )
     except Exception as exc:
@@ -337,9 +334,9 @@ def test_dirty_data_identical_across_layouts_in_engine(poison):
         # the columnar path must raise the same class — not crash
         # differently and not "succeed" with numpy coercion.
         with pytest.raises(type(exc)):
-            _engine(name).run_pipeline(records, _steps(name, inputs))
+            _engine().run_pipeline(records, _steps(name, inputs))
         return
-    cols_result = _engine(name).run_pipeline(records, _steps(name, inputs))
+    cols_result = _engine().run_pipeline(records, _steps(name, inputs))
     assert _pairs_equal(rows_result.pairs, cols_result.pairs)
     assert cols_result.guard_fallbacks + cols_result.columnar_chunks >= 1
 
@@ -348,12 +345,12 @@ def test_guard_fallbacks_are_counted():
     name = "stats_l2_norm_sq"
     inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
     records = [(i, v) for i, v in enumerate([1.0, float("nan"), 2.0])]
-    result = _engine(name).run_pipeline(records, _steps(name, inputs))
+    result = _engine().run_pipeline(records, _steps(name, inputs))
     assert result.guard_fallbacks >= 1
     stats = result.columnar_stats()
     assert stats is not None and stats["guard_fallbacks"] == result.guard_fallbacks
     clean = [(i, float(i)) for i in range(50)]
-    result = _engine(name).run_pipeline(clean, _steps(name, inputs))
+    result = _engine().run_pipeline(clean, _steps(name, inputs))
     assert result.columnar_chunks >= 1 and result.guard_fallbacks == 0
 
 
@@ -429,8 +426,8 @@ def test_guard_trip_chunk_is_priced_like_its_rows():
     assert chunk.columns["l_discount"] is not None
     assert chunk.row_bytes == dataset_bytes(rows) == sum(map(sizeof, rows))
     steps = _steps(name, get_benchmark(name).make_inputs(RUN_SIZE, 7))
-    clean = _engine(name).run_pipeline(records, steps)
-    tripped = _engine(name).run_pipeline(rows, steps)
+    clean = _engine().run_pipeline(records, steps)
+    tripped = _engine().run_pipeline(rows, steps)
     # Only the poisoned chunk runs the row loop; every chunk is charged.
     assert tripped.columnar_chunks == clean.columnar_chunks - 1
     assert tripped.metrics.stages[0].bytes_in == dataset_bytes(rows)

@@ -17,6 +17,7 @@ from repro.engine import (
     sizeof,
 )
 from repro.engine import sizes
+from repro.engine.config import DEFAULT_PARTITIONS
 from repro.engine.core import price
 from repro.engine.sizes import BOOLEAN_SIZE, STRING_SIZE, TUPLE_HEADER, sizeof_pair
 from repro.engine.spill import SpillWriter, partition_of, read_run
@@ -74,7 +75,7 @@ class TestSizes:
             if not isinstance(entry.code, str)
             and entry.code.co_filename == sizes.__file__
         )
-        chunks = engine.config.default_partitions
+        chunks = DEFAULT_PARTITIONS
         assert 0 < sizing_calls <= 32 * chunks
 
 
@@ -107,7 +108,7 @@ class TestKeyedPathCalls:
         python_calls = [
             entry for entry in profile.getstats() if not isinstance(entry.code, str)
         ]
-        chunks = engine.config.default_partitions
+        chunks = DEFAULT_PARTITIONS
         keys = len(result.pairs)
         runs = result.spill_stats["spill_runs"] if budget else 0
         assert keys == 1000 and result.metrics.stages[-1].records_in > 20 * keys

@@ -57,6 +57,7 @@ from repro.codegen.kernels import (
     _record_atoms,
 )
 from repro.engine.columnar import fold_columns
+from repro.engine.config import EngineConfig
 from repro.engine.multiprocess import MapStep, MultiprocessEngine, ReduceStep
 from repro.errors import IRError, KernelUnsupported
 from repro.graph.executor import interpret_fragment
@@ -283,9 +284,8 @@ OPTION_SURFACE = {
         "incremental_grammar max_summaries_per_class accept_bounded_only "
         "timeout_seconds bounded_config extended_states exhaustive"
     ),
-    "repro.compiler:CasperCompiler": (
-        "search_config engine_config backend cache soundness strict"
-    ),
+    "repro.compiler:CasperCompiler": "search_config backend cache soundness strict",
+    "repro.engine.config:EngineConfig": "cluster framework scale",
 }
 
 
@@ -333,7 +333,7 @@ def test_pooled_worker_rebuilds_its_kernel_after_unpickling():
     assert steps[0].fn._fn is not None  # built at plan time, driver-side
     assert pickle.loads(pickle.dumps(steps[0].fn))._fn is None
     engine = MultiprocessEngine(
-        config=program.engine_config.with_framework("multiprocess"),
+        config=EngineConfig().with_framework("multiprocess"),
         processes=2,
         min_parallel_records=100,
     )
@@ -708,7 +708,7 @@ def test_pooled_keyed_path_matches_inline(budget):
     words = [f"w{(i * 7919) % 211}" for i in range(6000)]
     records = view_records(program.analysis.view, {"wordList": words})
     steps = program.local_steps(globals_env)
-    config = program.engine_config.with_framework("multiprocess")
+    config = EngineConfig().with_framework("multiprocess")
 
     def run(processes):
         return MultiprocessEngine(

@@ -5,11 +5,13 @@ job, and takes one :class:`repro.ExecOptions` (a bare legacy keyword is
 a ``TypeError``); :meth:`Session.submit` returns results that *carry*
 their plan reports and admission decisions, stays identical to the
 graph executor it calls even under concurrent mixed-budget submissions,
-and never writes session state onto the compiled program it runs.
+and never writes session state — observation store, engine
+configuration — onto the compiled program it runs.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import pytest
@@ -18,6 +20,7 @@ import repro
 from repro import ExecOptions, Session
 from repro.compiler import translate
 from repro.cost.observe import ObservationStore
+from repro.engine.config import EngineConfig
 from repro.errors import ServeError
 from repro.graph import run_graph
 from repro.options import check_options
@@ -348,3 +351,78 @@ class TestNoSharedProgramState:
             name for name, value in before.items() if vars(program)[name] is not value
         ]
         assert changed == []
+
+
+class TestSessionEngineConfig:
+    """The engine configuration belongs to the session and goes down with
+    each job: one shared compilation, priced by two sessions at two
+    scales, gives every job its own session's price — interleaved or
+    concurrent — and comes back unchanged."""
+
+    CONFIGS = (EngineConfig(), EngineConfig(scale=1e4))
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        from benchmarks.counter_dump import RECORDS, SEED
+        from repro.workloads import get_benchmark
+        from suite_cache import compiled as suite_compiled
+
+        compilation = suite_compiled("ariths_sum")
+        inputs = get_benchmark("ariths_sum").make_inputs(RECORDS, SEED)
+        [index] = [i for i, f in enumerate(compilation.fragments) if f.translated]
+        return compilation, inputs, index
+
+    @staticmethod
+    def _text(shared):
+        from benchmarks.counter_dump import fragment_text
+
+        compilation, inputs, index = shared
+        program = compilation.fragments[index].program
+        return fragment_text(program, inputs, ExecOptions(plan="spark"))
+
+    @staticmethod
+    def _seconds(job):
+        result = job.result(timeout=300)
+        assert result.ok, result.error
+        return result.metrics.simulated_seconds
+
+    def _alone(self, shared):
+        compilation, inputs, index = shared
+        seconds = []
+        for config in self.CONFIGS:
+            with Session(max_workers=0, engine_config=config) as session:
+                job = session.submit(compilation, dict(inputs), fragment_index=index)
+                seconds.append(self._seconds(job))
+        assert seconds[0] < seconds[1]
+        return seconds
+
+    def test_interleaved_jobs_price_under_their_own_session(self, shared):
+        compilation, inputs, index = shared
+        before = self._text(shared)
+        alone = self._alone(shared)
+        sessions = [Session(max_workers=0, engine_config=c) for c in self.CONFIGS]
+        for _ in range(3):
+            for session, expected in zip(sessions, alone):
+                job = session.submit(compilation, dict(inputs), fragment_index=index)
+                assert self._seconds(job) == expected
+        assert self._text(shared) == before
+
+    def test_concurrent_jobs_price_under_their_own_session(self, shared):
+        compilation, inputs, index = shared
+        before = self._text(shared)
+        alone = self._alone(shared)
+        sessions = [Session(max_workers=2, engine_config=c) for c in self.CONFIGS]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the job threads finely
+        try:
+            jobs = [
+                (session.submit(compilation, dict(inputs), fragment_index=index), want)
+                for _ in range(3)
+                for session, want in zip(sessions, alone)
+            ]
+            assert [self._seconds(job) for job, _ in jobs] == [w for _, w in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+            for session in sessions:
+                session.close()
+        assert self._text(shared) == before
