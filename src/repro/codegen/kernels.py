@@ -298,6 +298,17 @@ def _emit_lines(
     return lines
 
 
+def int_constant(emits: tuple[Emit, ...]) -> Optional[int]:
+    """The value of every pair a stage emits, when that is one exact-int
+    literal: a lone emit (guarded or not) of an ``int`` ``Const``.  A
+    ``bool`` or ``float`` literal, a computed value or a second emit is
+    None."""
+    if len(emits) != 1 or not isinstance(emits[0].value, Const):
+        return None
+    value = emits[0].value.value
+    return value if type(value) is int else None
+
+
 def _map_source(
     bind: list[str], emits: tuple[Emit, ...], renderer: _Renderer, columns: bool
 ) -> str:
@@ -307,7 +318,9 @@ def _map_source(
     returns ``(keys, values)``: two comprehensions for a single
     unconditional emit with nothing to bind (the key column is evaluated
     before the value column, so a chunk on which both raise reports the
-    key's error), one loop with two appends for anything else.
+    key's error), one loop with two appends for anything else.  When
+    every value is one int literal (:func:`int_constant`) only the keys
+    are collected and the value column is ``[c] * len(__keys)``.
     """
     if not columns:
         body = bind + _emit_lines(emits, renderer, "__emit(({key}, {value}))")
@@ -315,20 +328,27 @@ def _map_source(
             "def __kernel(__records, __emit):\n"
             "    for __rec in __records:\n" + "\n".join(body) + "\n"
         )
+    constant = int_constant(emits)
+    if constant is None:
+        values, statement = "__values", "__key({key}); __value({value})"
+    else:
+        values, statement = f"[{constant!r}] * len(__keys)", "__key({key})"
     if not bind and len(emits) == 1 and emits[0].cond is None:
-        key, value = renderer.expr(emits[0].key), renderer.expr(emits[0].value)
+        key = renderer.expr(emits[0].key)
+        if constant is None:
+            values = f"[{renderer.expr(emits[0].value)} for __rec in __records]"
         return (
             "def __kernel(__records):\n"
-            f"    return [{key} for __rec in __records], "
-            f"[{value} for __rec in __records]\n"
+            f"    __keys = [{key} for __rec in __records]\n"
+            f"    return __keys, {values}\n"
         )
-    body = bind + _emit_lines(emits, renderer, "__key({key}); __value({value})")
+    body = bind + _emit_lines(emits, renderer, statement)
     return (
         "def __kernel(__records):\n"
         "    __keys = []; __values = []\n"
         "    __key = __keys.append; __value = __values.append\n"
         "    for __rec in __records:\n" + "\n".join(body) + "\n"
-        "    return __keys, __values\n"
+        f"    return __keys, {values}\n"
     )
 
 
@@ -1167,6 +1187,11 @@ class CompiledRecordMapper(_Compiled):
         return self._vec is not None
 
     @property
+    def emit_constant(self) -> Optional[int]:
+        """The int every emitted value is (:func:`int_constant`), or None."""
+        return int_constant(self.emits)
+
+    @property
     def columns_spec(self) -> Optional[tuple[ColumnSpec, ...]]:
         """Columns the vector kernel consumes (None → not vectorized)."""
         self._ensure()
@@ -1259,6 +1284,11 @@ class CompiledPairMapper(_Compiled):
         self._ensure()
         assert self._rendered is not None
         return self._rendered.source
+
+    @property
+    def emit_constant(self) -> Optional[int]:
+        """The int every emitted value is (:func:`int_constant`), or None."""
+        return int_constant(self.emits)
 
     def map_chunk(self, pairs: Any) -> list[tuple]:
         fn = self._fn if self._fn is not None else self._ensure()

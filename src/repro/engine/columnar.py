@@ -22,7 +22,9 @@ here):
   and guarded against int64 overflow / NaN.
 * :func:`fold_columns` — that ordered dict fold itself, over a key
   column and a value column of any Python objects: the one keyed fold
-  the map-side combine and both shuffle stores' reduces run.
+  the map-side combine and both shuffle stores' reduces run, and
+  :func:`count_keys`, the map-side combine of a constant-int emit
+  under a ``+`` λr, counted in C.
 
 Exactness discipline: a column is only materialized as a numpy array
 when every element is *exactly* the Python type the static type
@@ -40,6 +42,7 @@ every column is invalid and the row loop runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional
@@ -456,7 +459,9 @@ def fold_columns(
     very loop) runs the batch in one call; any other callable — a plain
     function, a join's ``JoinFold``, the evaluator oracle — is applied
     pair by pair.  Both are the same fold, so callers never need to know
-    which.
+    which.  The one batch that skips it is a map-side combine of a
+    constant-int emit under a ``+`` λr, which :func:`count_keys` folds
+    in C.
     """
     fold = getattr(fn, "fold", None)
     if fold is not None:
@@ -467,6 +472,23 @@ def fold_columns(
             acc[key] = fn(acc[key], value)
         else:
             acc[key] = value
+
+
+def count_keys(keys: Iterable, constant: int) -> tuple[list, list]:
+    """The combined key and value columns of a batch whose every value
+    is the int ``constant``, folded by an int ``+`` λr.
+
+    Exactly what :func:`fold_columns` leaves in a fresh dict for the
+    values ``[constant] * n``: ``Counter`` keeps first-seen key order and
+    dict key identity, and a key seen ``n`` times sums to ``n *
+    constant`` — Python ints do not overflow — so keys, values and their
+    types all match.  The count is ``collections``' C loop, not a
+    Python-level one per pair.
+    """
+    counts = Counter(keys)
+    if constant == 1:
+        return list(counts), list(counts.values())
+    return list(counts), [n * constant for n in counts.values()]
 
 
 def split_pairs(pairs: list) -> tuple[list, list]:
@@ -482,6 +504,7 @@ __all__ = [
     "ColumnSpec",
     "build_chunk",
     "build_column",
+    "count_keys",
     "fold_columns",
     "grouped_fold",
     "resolve_columns",

@@ -44,7 +44,10 @@ routing the resident case through a ``SpillWriter`` with an unbounded
 budget measured +16.9 % calls on the ``keyed_inmem`` benchmark workload
 when routing was per pair (PR 17); batch routing makes the question
 worth re-asking, and ``keyed_inmem`` / ``keyed_spill`` are the benchmark
-rows on either side of the selection.
+rows on either side of the selection.  The one combine that is not
+``fold_columns`` is the map-side combine of a stage that emits one int
+literal under an int ``+`` λr: its keys are counted in C
+(:func:`~repro.engine.columnar.count_keys`).
 
 Closures are shipped to workers with plain :mod:`pickle`; payloads that
 cannot be pickled (e.g. a locally-defined lambda) trigger a transparent
@@ -73,6 +76,7 @@ from ..errors import EngineError, SpillError
 from .columnar import (
     ColumnChunk,
     build_chunk,
+    count_keys,
     fold_columns,
     grouped_fold,
     split_pairs,
@@ -80,7 +84,7 @@ from .columnar import (
 from .config import DEFAULT_PARTITIONS, EngineConfig
 from .core import lambda_cpu_ns
 from .metrics import JobMetrics
-from .sizes import dataset_bytes, pair_columns_bytes, pairs_bytes
+from .sizes import dataset_bytes, pair_columns_bytes, pairs_bytes, sizeof
 from .source import (
     DEFAULT_CHUNK_RECORDS,
     Dataset,
@@ -282,7 +286,10 @@ def _run_map_chunks(
     :func:`~repro.engine.sizes.pair_columns_bytes` without a tuple per
     pair; any other mapper's pair list is split once.  The combine is
     one :func:`~repro.engine.columnar.fold_columns` into a per-chunk
-    dict, and the store takes the combined columns whole.
+    dict, and the store takes the combined columns whole.  When the last
+    stage emits one int literal (``emit_constant``) its value column is
+    priced by arithmetic, and under a ``"sum"`` combiner the combine is
+    :func:`~repro.engine.columnar.count_keys` instead.
 
     When the sole map stage is ``vectorized`` (``map_block``) the chunk
     can stay in array form past the map.  With a recognized sum/min/max
@@ -309,6 +316,15 @@ def _run_map_chunks(
     if fold_op is None and (combiner is not None or writer is None):
         block_fn = None
     last = len(map_fns) - 1
+    #: The int every value of the last stage is, when it emits one
+    #: literal: that column is priced by arithmetic, and under an int
+    #: ``+`` combiner the combine counts keys instead of folding.  A
+    #: block prices and folds its own arrays.
+    constant = None
+    if block_fn is None:
+        constant = getattr(map_fns[last], "emit_constant", None)
+    value_size = None if constant is None else sizeof(constant)
+    counted = constant is not None and getattr(combiner, "grouped_op", None) == "sum"
     for chunk in chunks:
         out.chunks += 1
         out.input_records += len(chunk)
@@ -373,7 +389,7 @@ def _run_map_chunks(
                         out.guard_fallbacks += 1
                 if columns is not None:
                     counts[1] += len(columns[0])
-                    counts[2] += pair_columns_bytes(*columns)
+                    counts[2] += pair_columns_bytes(*columns, value_size)
                 else:
                     counts[1] += len(emitted)
                     counts[2] += dataset_bytes(emitted)
@@ -383,7 +399,9 @@ def _run_map_chunks(
             out.chunk_output.append(current)
         else:
             keys, values = columns if columns is not None else split_pairs(current)
-            if combiner is not None and not combined:
+            if counted and not combined:
+                keys, values = count_keys(keys, constant)
+            elif combiner is not None and not combined:
                 local: dict[Any, Any] = {}
                 fold_columns(combiner, keys, values, local)
                 keys, values = list(local), list(local.values())

@@ -190,20 +190,30 @@ def pairs_bytes(pairs: Iterable[Any]) -> int:
     return sum(dataset_bytes(map(itemgetter(side), rows)) for side in (0, 1))
 
 
-def pair_columns_bytes(keys: Sequence[Any], values: Sequence[Any]) -> int:
+def pair_columns_bytes(
+    keys: Sequence[Any], values: Sequence[Any], value_size: Optional[int] = None
+) -> int:
     """Exactly ``dataset_bytes(list(zip(keys, values)))`` — what a map
     stage's emitted pair tuples cost — from the two columns.
 
     The pairs are only materialized (one at a time, for the walker) when
     a column is not provably priced column-wise or a row's key *is* its
     value container, which one pair's walk charges once.
+
+    ``value_size`` is ``sizeof(c)`` when every value is the one int ``c``
+    (a constant emit): the value column is then priced as
+    ``value_size·n``, not read, and whenever the keys price column-wise
+    the total is ``TUPLE_HEADER·n + dataset_bytes(keys) + value_size·n``
+    — a scalar is not identity-tracked, so it cannot alias its key.
     """
     if not keys:
         return 0
-    fields = _fields_bytes((keys, values), _CONTAINER_LEVELS - 1)
+    n = len(keys)
+    known = (None, None if value_size is None else value_size * n)
+    fields = _fields_bytes((keys, values), _CONTAINER_LEVELS - 1, known)
     if fields is None:
         return _walk_each(zip(keys, values))
-    return TUPLE_HEADER * len(keys) + fields
+    return TUPLE_HEADER * n + fields
 
 
 def uniform_size(values: Sequence[Any], kinds: Optional[set] = None) -> Optional[int]:

@@ -518,6 +518,95 @@ def test_column_kernel_renders_comprehensions_only_for_one_plain_emit():
     assert mapper.map_columns([]) == ([], [])
 
 
+def test_constant_emit_renders_its_value_column_as_one_repeat():
+    one = Const(1)
+    guard = BinOp(">", Var("v"), Const(1))
+    for emits, loop in (
+        ((Emit(Var("k"), one),), False),
+        ((Emit(Var("k"), one, guard),), True),
+    ):
+        source = kernels.render_pair_kernel(("k", "v"), emits, columns=True).source
+        assert "[1] * len(__keys)" in source and "__value(" not in source
+        assert source.count(" for __rec in ") == 1 and ("append" in source) == loop
+        mapper = CompiledPairMapper(("k", "v"), emits, {})
+        assert mapper.emit_constant == 1
+        pairs = [("a", 1), ("b", 2), ("a", 3)]
+        keys, values = mapper.map_columns(pairs)
+        assert _exact(zip(keys, values)) == _exact(mapper.map_chunk(pairs))
+    for value in (Const(True, "boolean"), Const(1.0, "double"), Var("v")):
+        emits = (Emit(Var("k"), value),)
+        assert CompiledPairMapper(("k", "v"), emits, {}).emit_constant is None
+        source = kernels.render_pair_kernel(("k", "v"), emits, columns=True).source
+        assert "len(__keys)" not in source
+    twice = (Emit(Var("k"), one),) * 2
+    assert CompiledPairMapper(("k", "v"), twice, {}).emit_constant is None
+
+
+_V1, _V2 = Var("v1"), Var("v2")
+_PLUS = BinOp("+", _V1, _V2)
+_ABOVE_TWO = BinOp(">", Var("v"), Const(2))
+#: (emits, λr body, counted): only one int-literal emit (guarded or not)
+#: under an int ``+`` λr is counted; every other shape folds.
+_COMBINE_SHAPES = {
+    "int": ((Emit(Var("k"), Const(1)),), _PLUS, True),
+    "int_scaled": ((Emit(Var("k"), Const(-3)),), _PLUS, True),
+    "guarded_int": ((Emit(Var("k"), Const(1), _ABOVE_TWO),), _PLUS, True),
+    "bool": ((Emit(Var("k"), Const(True, "boolean")),), _PLUS, False),
+    "float": ((Emit(Var("k"), Const(1.0, "double")),), _PLUS, False),
+    "max": ((Emit(Var("k"), Const(1)),), CallFn("max", (_V1, _V2)), False),
+    "two_emits": ((Emit(Var("k"), Const(1)), Emit(Var("v"), Const(1))), _PLUS, False),
+    "conditional_value": (
+        (Emit(Var("k"), Cond(_ABOVE_TWO, Const(1), Const(0))),),
+        _PLUS,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_COMBINE_SHAPES))
+def test_map_side_combine_counts_only_an_int_constant_under_sum(shape, monkeypatch):
+    from repro.engine import multiprocess
+
+    emits, body, counted = _COMBINE_SHAPES[shape]
+    params = (("k", "v"), ("v1", "v2"))
+    compiled_steps = [
+        MapStep(CompiledPairMapper(params[0], emits, {})),
+        ReduceStep(CompiledReduce(body, params[1], {})),
+    ]
+    oracle_steps = [
+        MapStep(base.PairMapper(params[0], emits, {})),
+        ReduceStep(base.ReduceApplier(body, params[1], {})),
+    ]
+    records = [(f"w{(i * 7) % 23}", i % 5) for i in range(3000)]
+    calls: Counter = Counter()
+    real_count, real_fold = multiprocess.count_keys, CompiledReduce.fold
+
+    def count_keys(keys, constant):
+        calls["count"] += 1
+        return real_count(keys, constant)
+
+    def fold(self, keys, values, acc):
+        calls["fold"] += 1
+        real_fold(self, keys, values, acc)
+
+    monkeypatch.setattr(multiprocess, "count_keys", count_keys)
+    monkeypatch.setattr(CompiledReduce, "fold", fold)
+    chunks = [records[:1000], records[1000:]]
+    out = multiprocess._run_map_chunks(
+        [compiled_steps[0].fn], compiled_steps[1].fn, chunks, True, True
+    )
+    # The combine of a counted stage is the C count, never the fold kernel.
+    assert (calls["count"], calls["fold"]) == ((2, 0) if counted else (0, 2))
+    assert out.outgoing_records == sum(len(keys) for keys, _v in out.chunk_output)
+    for budget in (None, 4096):
+        engine = MultiprocessEngine(processes=0, memory_budget=budget)
+        production = engine.run_pipeline(records, compiled_steps)
+        oracle = engine.run_pipeline(records, oracle_steps)
+        assert _exact(production.pairs) == _exact(oracle.pairs)
+        assert stage_counters(production.metrics) == stage_counters(oracle.metrics)
+    assert (calls["count"] > 2) == counted  # the engine runs counted too
+
+
 _NAN_A, _NAN_B = float("nan"), float("nan")
 #: Keys that collide under dict equality next to keys that do not (two
 #: distinct NaN objects among them).

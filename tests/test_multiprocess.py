@@ -151,6 +151,40 @@ class TestPooledExecution:
             dict.fromkeys(word for word, _ in records)
         )
 
+    def test_counted_wordcount_pools_like_inline(self):
+        # phoenix_wordcount's compiled map emits the literal 1 under a
+        # ``+`` λr, so each pool worker's combine is the C key count.
+        from collections import Counter
+
+        from repro.codegen.base import prepare_globals, view_records
+        from suite_cache import compiled
+
+        fragment = next(
+            f for f in compiled("phoenix_wordcount").fragments if f.translated
+        )
+        rng = random.Random(37)
+        words = [f"w{rng.randrange(400)}" for _ in range(6000)]
+        inputs = {"wordList": words}
+        globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
+        steps = fragment.program.programs[0].local_steps(globals_env)
+        assert steps[0].fn.emit_constant == 1 and steps[-1].fn.grouped_op == "sum"
+        records = view_records(fragment.analysis.view, inputs)
+        inline = MultiprocessEngine(processes=0).run_pipeline(records, steps)
+        pooled = MultiprocessEngine(
+            processes=2, min_parallel_records=100
+        ).run_pipeline(records, steps)
+        assert pooled.fallback_reason is None
+        assert pooled.executed_parallel and pooled.map_tasks > 0
+        assert pooled.pairs == inline.pairs == list(Counter(words).items())
+
+        def counters(result):
+            return [
+                (s.name, s.records_in, s.records_out, s.bytes_out, s.bytes_shuffled)
+                for s in result.metrics.stages
+            ]
+
+        assert counters(pooled) == counters(inline)
+
     def test_task_bounds_cover_all_chunks_in_order(self):
         bounds = MultiprocessEngine._task_bounds(10, 3)
         assert bounds == [(0, 4), (4, 7), (7, 10)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict, namedtuple
+from operator import is_
 
 import numpy as np
 import pytest
@@ -28,10 +29,18 @@ from repro.engine import (
     sizeof,
     sizeof_pair,
 )
-from repro.engine.columnar import ColumnChunk, ColumnSpec, build_chunk
+from repro.codegen.kernels import CompiledReduce
+from repro.engine.columnar import (
+    ColumnChunk,
+    ColumnSpec,
+    build_chunk,
+    count_keys,
+    fold_columns,
+)
 from repro.engine.sizes import pair_columns_bytes, uniform_size
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
+from repro.ir.nodes import BinOp, Var
 from repro.lang.values import Instance, values_equal
 
 # ----------------------------------------------------------------------
@@ -480,6 +489,41 @@ def test_shuffled_bytes_price_an_aliased_pair_as_sizeof_pair():
     shuffled = result.metrics.bytes_shuffled
     assert shuffled == sum(sizeof_pair(k, k) for k in keys)
     assert shuffled != sum(sizeof((k, k)) - 8 for k in keys)
+
+
+_COUNT_KEY_KINDS = (
+    st.text(max_size=3),
+    st.integers(-3, 3),
+    st.floats() | st.sampled_from([0.0, -0.0, float("nan")]),
+    st.tuples(st.integers(-2, 2), st.text(max_size=2)),
+    st.sampled_from([1, True, 1.0]),
+)
+_SUM_FOLD = CompiledReduce(BinOp("+", Var("v1"), Var("v2")), ("v1", "v2"), {})
+
+
+@given(
+    st.one_of(
+        *(st.lists(kind, max_size=40) for kind in _COUNT_KEY_KINDS),
+        st.lists(st.one_of(*_COUNT_KEY_KINDS), max_size=40),
+    ),
+    st.sampled_from([0, 1, -1, 3, 2**31, -(2**31) - 1, 2**63]),
+)
+@example([], 1)
+@settings(max_examples=300, deadline=None)
+def test_counting_combine_is_the_sum_fold(keys, constant):
+    """``count_keys`` is the ``+`` fold of a constant-int value column:
+    the same key objects in the same order, the same values of the same
+    exact types; and the arithmetic price is the column-wise one."""
+    values = [constant] * len(keys)
+    acc: dict = {}
+    fold_columns(_SUM_FOLD, keys, values, acc)
+    counted_keys, counted_values = count_keys(keys, constant)
+    assert len(counted_keys) == len(acc) and all(map(is_, counted_keys, acc))
+    assert counted_values == list(acc.values())
+    assert list(map(type, counted_values)) == list(map(type, acc.values()))
+    assert pair_columns_bytes(keys, values, sizeof(constant)) == pair_columns_bytes(
+        keys, values
+    )
 
 
 @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=300))
