@@ -100,7 +100,7 @@ def fragment_text(program: Any, env: dict, options: ExecOptions) -> str:
     engine = ran.engine_result
     lines = [
         f"outputs {canonical(ran.outputs)}",
-        f"implementation {ran.implementation}",
+        f"implementation {ran.report.implementation}",
         *_stages_text(ran.metrics),
         f"simulated_seconds {ran.metrics.simulated_seconds!r}",
         f"peak_resident_bytes {engine.peak_resident_bytes if engine else None}",
@@ -144,7 +144,7 @@ def monitor_text(program: Any, env: dict) -> str:
         ),
         f"costs {canonical(costs)}",
         f"choice {monitor.implementations[index].name}",
-        f"implementation {ran.implementation}",
+        f"implementation {ran.report.implementation}",
         f"stages {[(s.index, s.kind, s.combiner) for s in plan.stages]}",
         f"join_strategies {plan.join_strategies}",
         f"cluster_seconds {canonical(ran.report.cluster_seconds)}",

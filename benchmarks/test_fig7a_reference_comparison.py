@@ -29,11 +29,12 @@ _SIZE = 4000
 
 
 def _casper_seconds(name: str, backend: str, size: int = _SIZE) -> float:
+    # One compilation, priced on each framework per run.
     run = run_benchmark(
         get_benchmark(name),
         size=size,
-        compilation=compiled(name, backend),
-        backend=backend,
+        compilation=compiled(name),
+        plan=backend,
     )
     assert run.outputs_match
     return run.distributed_seconds, run.sequential_seconds

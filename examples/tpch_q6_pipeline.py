@@ -9,7 +9,7 @@ three backends.
 Run:  python examples/tpch_q6_pipeline.py
 """
 
-from repro import Session, translate
+from repro import ExecOptions, Session, translate
 from repro.ir import format_summary
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
@@ -79,8 +79,10 @@ def main() -> None:
     print(f"Sequential result:  revenue = {expected:,.2f}")
     session = Session(max_workers=0)  # jobs run inline on this thread
     for backend in ("spark", "hadoop", "flink"):
-        backend_result = translate(JAVA_SOURCE, "query6", backend=backend)
-        job = session.run(backend_result, {"lineitem": lineitem}, fragment_index=0)
+        # One compilation; each job picks its framework.
+        job = session.run(
+            result, {"lineitem": lineitem}, ExecOptions(plan=backend), fragment_index=0
+        )
         outputs, metrics = job.outputs, job.metrics
         assert abs(outputs["revenue"] - expected) < 1e-6 * max(1.0, abs(expected))
         print(

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Optional
 if TYPE_CHECKING:
     from ..cost.monitor import SampleEstimates
     from ..engine.multiprocess import MultiprocessResult
-    from ..planner.joins import JoinOrderDecision
     from ..planner.plan import ExecutionPlan, PlanReport
 
 from ..cost.model import CostExpr, CostModel
@@ -59,8 +58,7 @@ class ExecutionOutcome:
     ``engine_result`` is populated by the real (multiprocess/sequential)
     backends — its ``metrics.wall_seconds`` and ``fallback_reason`` are
     the run's wall time and pool fallback; the simulated backends leave
-    it None.  ``report``, ``implementation`` and ``join_decision`` are
-    filled in by :meth:`AdaptiveProgram.run
+    it None.  ``report`` is filled in by :meth:`AdaptiveProgram.run
     <repro.codegen.glue.AdaptiveProgram.run>`, which returns this object
     — everything one call produced, owned by that call.
     """
@@ -72,16 +70,10 @@ class ExecutionOutcome:
     #: (:class:`~repro.engine.multiprocess.MultiprocessResult`); None on
     #: the simulated backends.
     engine_result: Optional["MultiprocessResult"] = None
-    #: On an unplanned run, the monitor's ``REP309`` sampler fallbacks
-    #: (a planned run puts them on ``report``).
-    diagnostics: list = field(default_factory=list)
-    #: The planner's evidence trail; None for unplanned runs.
+    #: The plan's evidence trail — the implementation the monitor
+    #: dispatched to, the §7.4 ordering choice, the ``REP3xx``
+    #: diagnostics; None for a bare :meth:`GeneratedProgram.run`.
     report: Optional["PlanReport"] = None
-    #: Runtime-monitor implementation the run dispatched to (``impl_N``).
-    implementation: Optional[str] = None
-    #: §7.4 ordering choice, when the implementations were join
-    #: pipelines with different orderings (None otherwise).
-    join_decision: Optional["JoinOrderDecision"] = None
 
 
 def prepare_globals(
@@ -346,9 +338,9 @@ def bind_outputs(
 
 @dataclass
 class GeneratedProgram:
-    """An executable translation of one code fragment for one backend."""
+    """An executable translation of one code fragment; the framework
+    it runs on is chosen per run."""
 
-    backend: str
     analysis: FragmentAnalysis
     summary: Summary
     proof: ProofResult
@@ -363,7 +355,8 @@ class GeneratedProgram:
         records: Optional[list] = None,
         config: Optional[EngineConfig] = None,
     ) -> ExecutionOutcome:
-        """Execute on ``backend`` (default: the compiled one).
+        """Execute on ``backend`` (None → the default framework,
+        :data:`~repro.planner.plan.DEFAULT_BACKEND`).
 
         ``sequential`` and ``multiprocess`` are the *real* local
         backends: they run the compiled kernels, and an
@@ -380,7 +373,9 @@ class GeneratedProgram:
         transformation twice.  ``config`` (None → ``EngineConfig()``) is
         the session's engine configuration; the program holds none.
         """
-        backend = backend or self.backend
+        from ..planner.plan import DEFAULT_BACKEND
+
+        backend = backend or DEFAULT_BACKEND
         config = config or EngineConfig()
         if backend in ("spark", "hadoop", "flink"):
             return self._run_local(

@@ -23,7 +23,7 @@ from ..cost.observe import (
 from ..engine.config import EngineConfig
 from ..lang.analysis.fragments import FragmentAnalysis
 from ..options import ExecOptions
-from ..planner.plan import ExecutionPlan, PlanReport, forced_plan
+from ..planner.plan import DEFAULT_BACKEND, ExecutionPlan, PlanReport, forced_plan
 from ..planner.planner import ExecutionPlanner
 from ..synthesis.search import VerifiedSummary
 from .base import ExecutionOutcome, GeneratedProgram, view_records
@@ -89,24 +89,26 @@ class AdaptiveProgram:
         """Sample, select, execute; returns the call's outcome.
 
         The returned :class:`ExecutionOutcome` carries the fragment
-        ``outputs``, the engine ``metrics``, the ``implementation`` the
-        monitor dispatched to, the §7.4 ``join_decision`` (join
-        fragments with several orderings) and — for planned runs — the
-        :class:`PlanReport` evidence trail as ``report``.
+        ``outputs``, the engine ``metrics`` and the :class:`PlanReport`
+        evidence trail as ``report``: the ``implementation`` the monitor
+        dispatched to, the §7.4 ordering choice (``join["ordering"]``,
+        join fragments with several orderings) and the ``REP3xx``
+        diagnostics.
 
         ``options`` (see :class:`~repro.options.ExecOptions`) says how:
         its ``effective_plan`` selects the execution strategy — ``None``
-        keeps the compiled backend (the paper's behaviour), ``"auto"``
-        lets the execution planner choose, a backend name forces it —
-        and ``memory_budget`` is folded by the planner into the
-        :class:`ExecutionPlan` the engines consume.
-        ``observations`` closes the adaptive loop: a planned run given a
-        store resolves its estimates against the observation recorded
-        by the last run over the same ``(fragment, dataset)`` and
-        records a fresh one afterwards; without one it plans cold and
-        records nothing.  A :class:`~repro.session.Session` passes its
-        own store when the job's ``ExecOptions.feedback`` (else the
-        session's ``observe``) says so — the program never holds one.
+        forces :data:`~repro.planner.plan.DEFAULT_BACKEND` (the paper's
+        Spark), ``"auto"`` lets the execution planner choose, a backend
+        name forces it — and ``memory_budget`` is folded by the planner
+        into the :class:`ExecutionPlan` the engines consume.
+        ``observations`` closes the adaptive loop: a run that names a
+        plan (or implies one) given a store resolves its estimates
+        against the observation recorded by the last run over the same
+        ``(fragment, dataset)`` and records a fresh one afterwards;
+        without one it plans cold and records nothing.  A
+        :class:`~repro.session.Session` passes its own store when the
+        job's ``ExecOptions.feedback`` (else the session's ``observe``)
+        says so — the program never holds one.
         Feedback never changes results — only which plan produces them.
         ``config``, the session's :class:`~repro.engine.config.EngineConfig`,
         is handed down the same way.
@@ -118,8 +120,9 @@ class AdaptiveProgram:
         :class:`~repro.engine.source.Dataset` streamed out of core.
         """
         options = options or ExecOptions()
-        plan = options.effective_plan
-        use_feedback = observations is not None and plan is not None
+        # Feedback stays with jobs that name (or imply) a plan: a
+        # default job neither reads nor records observations.
+        use_feedback = observations is not None and options.effective_plan is not None
         if records is None:
             records = view_records(self.analysis.view, inputs)
         observation = None
@@ -160,14 +163,6 @@ class AdaptiveProgram:
                 index = join_decision.index
         program = self.programs[index]
         implementation = f"impl_{index}"
-        if plan is None:
-            # Unplanned: the compiled backend runs as-is.
-            outcome = program.run(inputs, records=records, config=config)
-            outcome.diagnostics[:0] = sampler_fallbacks
-            outcome.implementation = implementation
-            outcome.join_decision = join_decision
-            return outcome
-
         execution_plan, report = self.plan_execution(
             options, program, records, head, globals_env,
             inputs=inputs,
@@ -218,8 +213,6 @@ class AdaptiveProgram:
                 ],
             }
         outcome.report = report
-        outcome.implementation = implementation
-        outcome.join_decision = join_decision
         if use_feedback:
             observations.record(
                 harvest_observation(
@@ -242,12 +235,13 @@ class AdaptiveProgram:
         config: Optional[EngineConfig] = None,
     ) -> tuple[ExecutionPlan, PlanReport]:
         """Fold ``options`` into the plan for one run of ``program``:
-        a forced backend pins it, ``"auto"`` asks the planner (``head``:
+        a forced backend pins it (no plan: :data:`DEFAULT_BACKEND`),
+        ``"auto"`` asks the planner (``head``:
         :meth:`sample_head` of ``records``; ``estimates``: what the
         monitor already sampled for ``program``, so the planner does
         not sample again; ``config``: the session's engine
         configuration, which prices the planner's cluster ranking)."""
-        plan = options.effective_plan
+        plan = options.effective_plan or DEFAULT_BACKEND
         if plan != "auto":
             forced = forced_plan(plan, memory_budget=options.memory_budget)
             report = PlanReport(plan=forced, input_records=_record_count(records))
@@ -326,7 +320,6 @@ class AdaptiveProgram:
 def build_adaptive_program(
     analysis: FragmentAnalysis,
     verified: list[VerifiedSummary],
-    backend: str = "spark",
 ) -> AdaptiveProgram:
     """Assemble the adaptive program from verified summaries.
 
@@ -336,12 +329,7 @@ def build_adaptive_program(
     :class:`GeneratedProgram` (``program.cost``).
     """
     programs = [
-        GeneratedProgram(
-            backend=backend,
-            analysis=analysis,
-            summary=vs.summary,
-            proof=vs.proof,
-        )
+        GeneratedProgram(analysis=analysis, summary=vs.summary, proof=vs.proof)
         for vs in verified
     ]
     survivors = CostModel.prune_dominated(

@@ -139,7 +139,6 @@ class CasperCompiler:
     """Translates sequential mini-Java functions into MapReduce programs."""
 
     search_config: SearchConfig = field(default_factory=SearchConfig)
-    backend: str = "spark"
     #: Shared content-addressed summary cache; None disables caching.
     cache: Optional[SummaryCache] = None
     #: Run the pre-synthesis soundness analyzer (REP1xx codes); off
@@ -173,7 +172,6 @@ class CasperCompiler:
                 program=program,
                 function=function,
                 search_config=self.search_config,
-                backend=self.backend,
                 cache=self.cache,
                 soundness=self.soundness,
                 strict=self.strict,
@@ -201,15 +199,15 @@ class CasperCompiler:
 def translate(
     source: str,
     function: Optional[str] = None,
-    backend: str = "spark",
     search_config: Optional[SearchConfig] = None,
     cache: Optional[SummaryCache] = None,
 ) -> CompilationResult:
-    """One-call convenience API: source text in, translations out."""
+    """One-call convenience API: source text in, translations out.
+
+    The result carries no execution choice: each job picks its
+    framework (``ExecOptions(plan=...)``)."""
     compiler = CasperCompiler(
-        search_config=search_config or SearchConfig(),
-        backend=backend,
-        cache=cache,
+        search_config=search_config or SearchConfig(), cache=cache
     )
     return compiler.translate_source(source, function)
 

@@ -40,7 +40,7 @@ from ..engine.multiprocess import BridgeStep, MapStep
 from ..errors import GraphError
 from ..options import ExecOptions
 from ..planner.dag import DagPlanner, GraphPlanReport
-from ..planner.plan import PlanReport
+from ..planner.plan import DEFAULT_BACKEND, PlanReport
 from .fuse import FusedChain, GraphSchedule, optimize_graph
 from .jobgraph import JobGraph, JobNode
 
@@ -52,7 +52,6 @@ class GraphRunResult:
     outputs: dict[str, Any]
     report: GraphPlanReport
     schedule: GraphSchedule
-    graph: JobGraph
 
     @property
     def simulated_seconds(self) -> float:
@@ -70,7 +69,6 @@ class _UnitOutcome:
     unit: FusedChain
     outputs: dict[str, Any] = field(default_factory=dict)
     simulated_seconds: float = 0.0
-    wall_seconds: float = 0.0
     report: Optional[PlanReport] = None
     interpreted_nodes: list[str] = field(default_factory=list)
 
@@ -119,12 +117,11 @@ def run_graph(
     ``fragment_index`` runs.  ``options`` (see
     :class:`~repro.options.ExecOptions`) is handed whole to every unit.
     Its ``effective_plan`` follows :meth:`AdaptiveProgram.run`: ``None``
-    keeps each fragment's compiled backend
-    (fused chains run on the real local engine, where stitching
-    exists), ``"auto"`` lets the execution planner decide per unit, and
-    a backend name forces it.  ``outputs`` names the variables the
-    caller needs — enabling dead-stage elimination of everything that
-    cannot reach them.  ``strict=False`` lets analyzed-but-untranslated
+    forces the default framework, ``"auto"`` lets the execution planner
+    decide per unit, and a backend name forces it (fused chains run on
+    the real local engine, where stitching exists).  ``outputs`` names
+    the variables the caller needs — enabling dead-stage elimination of
+    everything that cannot reach them.  ``strict=False`` lets analyzed-but-untranslated
     fragments fall back to the reference interpreter (recorded in the
     report) instead of failing the run.
 
@@ -197,9 +194,7 @@ def run_graph(
                 f"{graph.function!r}; available: {sorted(produced)}"
             )
         produced = {name: produced[name] for name in options.outputs}
-    return GraphRunResult(
-        outputs=produced, report=report, schedule=schedule, graph=graph
-    )
+    return GraphRunResult(outputs=produced, report=report, schedule=schedule)
 
 
 def interpret_fragment(analysis, env: dict[str, Any]) -> dict[str, Any]:
@@ -296,14 +291,12 @@ def _run_unit(
 ) -> _UnitOutcome:
     outcome = _UnitOutcome(unit=unit)
     node = graph.nodes[unit.head]
-    started = time.perf_counter()
     if unit.fused:
         _run_chain(graph, unit, env, options, cache, config, outcome)
     elif node.translated:
         _run_single(node, env, options, cache, observations, config, outcome)
     else:
         _run_interpreted(node, env, outcome)
-    outcome.wall_seconds = time.perf_counter() - started
     return outcome
 
 
@@ -387,11 +380,7 @@ def _run_chain(
 
     tail_node, tail_chosen, tail_globals, tail_sizes = prev
     result = run_local_steps(
-        execution_plan,
-        config,
-        execution_plan.backend if execution_plan is not None else "sequential",
-        records,
-        steps,
+        execution_plan, config, execution_plan.backend, records, steps
     )
     outputs = bind_outputs(
         tail_chosen.summary.outputs, result.pairs, tail_globals, tail_sizes
@@ -402,10 +391,9 @@ def _run_chain(
         outcome.outputs.update(bridge.captured)
     outcome.outputs.update(outputs)
     outcome.simulated_seconds = result.metrics.simulated_seconds
-    if report is not None:
-        report.absorb(result)
-        report.wall_seconds = result.metrics.wall_seconds
-        outcome.report = report
+    report.absorb(result)
+    report.wall_seconds = result.metrics.wall_seconds
+    outcome.report = report
 
 
 def _chain_plan(
@@ -419,15 +407,12 @@ def _chain_plan(
 ):
     """Resolve the execution plan for a fused chain.
 
-    Fused stitching only exists on the real local engines; a forced
-    simulated-cluster backend therefore degrades to sequential local
-    execution with the decision recorded, rather than silently
-    unfusing or failing.
+    Fused stitching only exists on the real local engines; a simulated
+    cluster backend — forced, or the default one a job without a plan
+    runs on — therefore degrades to sequential local execution with the
+    decision recorded, rather than silently unfusing or failing.
     """
-    plan = options.effective_plan
-    if plan is None:
-        # Unplanned chains run in-process and leave no report.
-        return None, None
+    plan = options.effective_plan or DEFAULT_BACKEND
     extra_reasons: tuple[str, ...] = ()
     if plan not in ("auto", "sequential", "multiprocess"):
         # A simulated cluster backend cannot execute a stitched chain.
@@ -435,7 +420,7 @@ def _chain_plan(
         extra_reasons += (
             f"fused chains run locally; {plan!r} backend degraded to sequential",
         )
-    sample = head.program.sample_head(records)
+    sample = head.program.sample_head(records) if plan == "auto" else []
     execution_plan, report = head.program.plan_execution(
         options, chosen, records, sample, globals_env, config=config
     )

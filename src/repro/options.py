@@ -27,8 +27,10 @@ _PLAN_AUTO = "auto"
 class ExecOptions:
     """How to execute a compiled job — shared by every entry point.
 
-    * ``plan`` — ``None`` keeps the compiled backend, ``"auto"`` engages
-      the execution planner, a backend name forces one.
+    * ``plan`` — a backend name forces one, ``"auto"`` engages the
+      execution planner, ``None`` forces the default framework
+      (:data:`~repro.planner.plan.DEFAULT_BACKEND`, the paper's Spark).
+      The choice is made per job: a compiled program carries none.
     * ``memory_budget`` — bytes; engages out-of-core execution (chunked
       scans, spill-to-disk shuffle) when the input cannot fit.  A budget
       with ``plan=None`` implies ``plan="auto"``.

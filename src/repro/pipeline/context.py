@@ -64,7 +64,6 @@ class CompilationContext:
     program: ast.Program
     function: str
     search_config: SearchConfig = field(default_factory=SearchConfig)
-    backend: str = "spark"
     cache: Optional["SummaryCache"] = None
     #: Run the static soundness gate before synthesis (default on; the
     #: bench harness turns it off to measure CEGIS seconds saved).

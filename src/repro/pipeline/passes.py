@@ -193,9 +193,7 @@ class CodegenPass(CompilerPass):
         assert state.analysis is not None and state.search is not None
         try:
             state.program = build_adaptive_program(
-                state.analysis,
-                state.search.summaries,
-                backend=ctx.backend,
+                state.analysis, state.search.summaries
             )
         except CodegenError as exc:
             state.failure_reason = f"codegen failed: {exc}"

@@ -41,8 +41,8 @@ class GraphPlanReport:
     """Evidence and outcome of one whole-program graph execution."""
 
     plan: GraphExecutionPlan
-    #: Per-unit plan reports, keyed by the unit's head node id (only
-    #: populated for planned runs; compiled-backend runs leave it empty).
+    #: Per-unit plan reports, keyed by the unit's head node id: one per
+    #: translated unit (interpreted units have none).
     unit_reports: dict[str, PlanReport] = field(default_factory=dict)
     #: Fusion / elimination decisions from the optimizer.
     decisions: list[str] = field(default_factory=list)
@@ -80,6 +80,16 @@ class GraphPlanReport:
             for adaptation in getattr(report, "adaptations", []) or []:
                 out.append({"unit": head, **adaptation})
         return out
+
+    @property
+    def diagnostics(self) -> list:
+        """Every unit's ``REP3xx`` diagnostics, in unit-head order — the
+        roll-up a whole-program job's ``JobResult.diagnostics`` reads."""
+        return [
+            diagnostic
+            for _head, report in sorted(self.unit_reports.items())
+            for diagnostic in report.diagnostics
+        ]
 
     @property
     def peak_resident_bytes(self) -> Optional[int]:

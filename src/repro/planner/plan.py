@@ -26,6 +26,10 @@ if TYPE_CHECKING:
 #: Backends the planner may select or a caller may force.
 BACKENDS = ("sequential", "multiprocess", "spark", "hadoop", "flink")
 
+#: The framework a job runs on when its options force none
+#: (``ExecOptions(plan=None)``): the paper's Spark.
+DEFAULT_BACKEND = "spark"
+
 #: The simulated cluster frameworks ranked in every report.
 CLUSTER_BACKENDS = ("spark", "hadoop", "flink")
 

@@ -5,8 +5,10 @@ the same source text a thousand times should pay for CEGIS exactly
 once.  The registry provides two tiers of that guarantee:
 
 * **process tier** — programs are keyed by a content digest of
-  ``(source, function, search-config, backend)``; re-registering a
-  known key returns the live entry without touching the compiler;
+  ``(source, function, search-config)``; re-registering a known key
+  returns the live entry without touching the compiler.  The framework
+  a job runs on is no part of the key: it is chosen per job
+  (``ExecOptions.plan``), so one entry serves every framework;
 * **disk tier** — compilation always runs against a shared
   :class:`~repro.pipeline.cache.SummaryCache` (optionally disk-backed
   via ``cache_dir``), so even a *restarted* daemon re-registers warm:
@@ -18,9 +20,9 @@ uses.  A run keeps nothing of its own on the
 :class:`~repro.codegen.glue.AdaptiveProgram` (the monitor returns its
 choice, the report comes back on the outcome), but the program still
 builds some state lazily on first use — each implementation's compiled
-sampler and kernels, the execution planner — and a session attaches its
-observation store to it; two jobs of the *same* program serialize on
-the entry lock while jobs of different programs run fully concurrently.
+sampler and kernels, the execution planner — so two jobs of the *same*
+program serialize on the entry lock while jobs of different programs
+run fully concurrently.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ def program_key(
     source: str,
     function: str,
     search_config: SearchConfig,
-    backend: str = "spark",
 ) -> str:
     """Content digest identifying one registered program.
 
@@ -57,8 +58,6 @@ def program_key(
     digest.update(function.encode("utf-8"))
     digest.update(b"\x00")
     digest.update(search_config_key(search_config).encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(backend.encode("utf-8"))
     return f"prog-{digest.hexdigest()[:16]}"
 
 
@@ -86,8 +85,7 @@ class RegisteredProgram:
     #: Completed job executions of this program.
     runs: int = 0
     #: Serializes executions of this program: it guards what the adaptive
-    #: program builds lazily (samplers, kernels, planner) and the
-    #: observation store a session attaches.
+    #: program builds lazily (samplers, kernels, planner).
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     @property
@@ -121,15 +119,11 @@ class ProgramRegistry:
         self,
         cache_dir: Optional[str] = None,
         search_config: Optional[SearchConfig] = None,
-        backend: str = "spark",
     ) -> None:
         self.search_config = search_config or SearchConfig()
-        self.backend = backend
         self.cache = SummaryCache(cache_dir=cache_dir)
         self._compiler = CasperCompiler(
-            search_config=self.search_config,
-            backend=backend,
-            cache=self.cache,
+            search_config=self.search_config, cache=self.cache
         )
         self._programs: dict[str, RegisteredProgram] = {}
         self._adopted: dict[int, RegisteredProgram] = {}
@@ -151,7 +145,7 @@ class ProgramRegistry:
         fresh process usually reports zero candidates checked.
         """
         function = self._resolve_function(source, function)
-        key = program_key(source, function, self.search_config, self.backend)
+        key = program_key(source, function, self.search_config)
         with self._lock:
             entry = self._programs.get(key)
             if entry is not None:

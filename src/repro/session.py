@@ -7,8 +7,11 @@ translated fragment (``fragment_index``, through its
 *returns* what one call produced
 (:class:`~repro.codegen.base.ExecutionOutcome`,
 :class:`~repro.graph.executor.GraphRunResult`), so a job's evidence is
-never read back from shared state.  A :class:`Session` owns the pieces
-explicitly:
+never read back from shared state.  The framework is chosen per job,
+too: ``ExecOptions(plan=...)`` names it, ``plan=None`` forces
+:data:`~repro.planner.plan.DEFAULT_BACKEND`, and a compiled program
+carries no execution choice — every ok job's ``plan_report`` says how
+it ran.  A :class:`Session` owns the pieces explicitly:
 
 * a :class:`~repro.serve.registry.ProgramRegistry` (compile-or-recall
   over the summary cache's disk tier),
@@ -80,9 +83,9 @@ class JobResult:
     status: str  # "ok" | "error"
     outputs: dict[str, Any] = field(default_factory=dict)
     #: The :class:`~repro.planner.dag.GraphPlanReport` of a whole-program
-    #: run, the :class:`~repro.planner.plan.PlanReport` of a planned
-    #: fragment run, ``None`` for unplanned fragment runs — and the
-    #: report's ``summary()`` dict when fetched from a daemon.
+    #: run, the :class:`~repro.planner.plan.PlanReport` of a fragment
+    #: run — and the report's ``summary()`` dict when fetched from a
+    #: daemon; ``None`` for a failed job.
     plan_report: Any = None
     #: Engine accounting of a fragment run
     #: (:class:`~repro.engine.metrics.JobMetrics`: simulated seconds,
@@ -180,7 +183,6 @@ class Session:
         self,
         cache_dir: Optional[str] = None,
         search_config: Optional[SearchConfig] = None,
-        backend: str = "spark",
         max_workers: int = 4,
         capacity_bytes: Optional[int] = None,
         exclusive_fraction: float = 0.5,
@@ -199,9 +201,7 @@ class Session:
             )
         )
         self.registry = ProgramRegistry(
-            cache_dir=cache_dir,
-            search_config=search_config,
-            backend=backend,
+            cache_dir=cache_dir, search_config=search_config
         )
         self.admission = AdmissionController(
             capacity_bytes=capacity_bytes,
@@ -409,11 +409,10 @@ class Session:
                 queued_seconds=started - submitted,
             )
         self.admission.release(decision)
-        if report is not None:
-            # The admission decision is part of the job's evidence trail.
-            report.admission = decision.as_dict()
+        # The admission decision is part of the job's evidence trail.
+        report.admission = decision.as_dict()
         diagnostics = list(getattr(entry.compilation, "diagnostics", []))
-        diagnostics.extend(getattr(report, "diagnostics", None) or [])
+        diagnostics.extend(report.diagnostics)
         return JobResult(
             job_id=job_id,
             program_id=entry.program_id,

@@ -42,11 +42,11 @@ class BenchmarkRun:
     bytes_emitted: int = 0
     bytes_shuffled: int = 0
     outputs_match: bool = True
-    backend: str = "spark"
     scale: float = 1.0
-    #: Execution plan requested for fragment runs (None → compiled backend).
+    #: Execution plan requested for fragment runs (None → the default
+    #: framework, :data:`~repro.planner.plan.DEFAULT_BACKEND`).
     plan: Optional[str] = None
-    #: One report per planned fragment execution, in fragment order.
+    #: One report per translated fragment execution, in fragment order.
     plan_reports: list[PlanReport] = field(default_factory=list)
     #: Real wall-clock seconds spent executing fragments (all backends).
     wall_seconds: float = 0.0
@@ -65,26 +65,19 @@ class BenchmarkRun:
 def compile_benchmark(
     benchmark: Benchmark,
     search_config: Optional[SearchConfig] = None,
-    backend: str = "spark",
     compiler: Optional[CasperCompiler] = None,
 ) -> CompilationResult:
     """Run the Casper pipeline on one benchmark program.
 
-    Pass either a pre-configured ``compiler`` or the individual
-    ``search_config``/``backend`` knobs — not both; silently ignoring
-    the knobs would hand back a result compiled under settings the
-    caller didn't ask for.
+    Pass either a pre-configured ``compiler`` or a ``search_config`` —
+    not both; silently ignoring the config would hand back a result
+    compiled under settings the caller didn't ask for.
     """
     if compiler is not None:
-        if search_config is not None or backend != "spark":
-            raise ValueError(
-                "pass either compiler or search_config/backend, not both"
-            )
+        if search_config is not None:
+            raise ValueError("pass either compiler or search_config, not both")
     else:
-        compiler = CasperCompiler(
-            search_config=search_config or SearchConfig(),
-            backend=backend,
-        )
+        compiler = CasperCompiler(search_config=search_config or SearchConfig())
     return compiler.translate(benchmark.parse(), benchmark.function)
 
 
@@ -102,7 +95,6 @@ def run_benchmark(
     size: int = 20_000,
     seed: int = 7,
     target_bytes: float = TARGET_BYTES_75GB,
-    backend: str = "spark",
     search_config: Optional[SearchConfig] = None,
     compilation: Optional[CompilationResult] = None,
     plan: Optional[str] = None,
@@ -116,13 +108,15 @@ def run_benchmark(
     shared ``compilation`` is only read: one compilation can be priced
     at every size.
 
-    ``plan`` is forwarded to each fragment execution (``"auto"`` lets
-    the execution planner pick sequential vs the real multiprocess
-    backend); the resulting :class:`~repro.planner.plan.PlanReport` per
-    fragment lands in ``BenchmarkRun.plan_reports``.
+    ``plan`` is forwarded to each fragment execution (a framework name
+    prices the run on it, ``"auto"`` lets the execution planner pick
+    sequential vs the real multiprocess backend, ``None`` runs the
+    default framework); the resulting
+    :class:`~repro.planner.plan.PlanReport` per fragment lands in
+    ``BenchmarkRun.plan_reports``.
     """
     if compilation is None:
-        compilation = compile_benchmark(benchmark, search_config, backend)
+        compilation = compile_benchmark(benchmark, search_config)
 
     inputs = benchmark.make_inputs(size, seed)
     scale = target_bytes / data_bytes(benchmark, inputs)
@@ -148,7 +142,6 @@ def run_benchmark(
         fragments_identified=compilation.identified,
         fragments_translated=compilation.translated,
         sequential_seconds=sequential.simulated_seconds,
-        backend=backend,
         scale=scale,
         plan=plan,
     )
@@ -178,8 +171,7 @@ def run_benchmark(
             outputs_ok = False
             continue
         outputs = job.outputs
-        if plan is not None and job.plan_report is not None:
-            run.plan_reports.append(job.plan_report)
+        run.plan_reports.append(job.plan_report)
         metrics = job.metrics
         if metrics is not None:
             # Each translated fragment is its own job, re-reading its

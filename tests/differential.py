@@ -104,7 +104,7 @@ def sweep(name: str) -> tuple[FragmentSweep, ...]:
             continue
         reference = interpret_fragment(fragment.analysis, env)
         ran = fragment.program.run(dict(env), PRODUCTION)
-        chosen = fragment.program.programs[int(ran.implementation.split("_")[1])]
+        chosen = fragment.program.programs[int(ran.report.implementation.split("_")[1])]
         oracle, oracle_metrics = run_oracle(chosen, dict(env), plan)
         results.append(
             FragmentSweep(

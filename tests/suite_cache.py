@@ -17,6 +17,6 @@ from repro.workloads.runner import compile_benchmark
 
 
 @lru_cache(maxsize=None)
-def compiled(name: str, backend: str = "spark"):
+def compiled(name: str):
     """Session-cached Casper compilation of a registered benchmark."""
-    return compile_benchmark(get_benchmark(name), backend=backend)
+    return compile_benchmark(get_benchmark(name))

@@ -21,13 +21,11 @@ def rwm_summary():
     return builder.row_wise_mean_summary()
 
 
-def make_program(analysis, summary_obj, backend):
+def make_program(analysis, summary_obj):
     from repro.verification.prover import FullVerifier
 
     proof = FullVerifier(analysis).verify(summary_obj)
-    return GeneratedProgram(
-        backend=backend, analysis=analysis, summary=summary_obj, proof=proof
-    )
+    return GeneratedProgram(analysis=analysis, summary=summary_obj, proof=proof)
 
 
 class TestBackendExecution:
@@ -36,18 +34,18 @@ class TestBackendExecution:
 
     @pytest.mark.parametrize("backend", ["spark", "hadoop", "flink"])
     def test_rwm_all_backends_agree(self, rwm_analysis, rwm_summary, backend):
-        program = make_program(rwm_analysis, rwm_summary, backend)
-        outcome = program.run({"mat": self.MAT, "rows": 3, "cols": 3})
+        program = make_program(rwm_analysis, rwm_summary)
+        outcome = program.run({"mat": self.MAT, "rows": 3, "cols": 3}, backend)
         assert outcome.outputs["m"] == self.EXPECTED
         assert outcome.metrics.simulated_seconds > 0
 
     def test_backend_relative_performance(self, rwm_analysis, rwm_summary):
         times = {}
         config = EngineConfig(scale=50000)
+        program = make_program(rwm_analysis, rwm_summary)
         for backend in ("spark", "flink", "hadoop"):
-            program = make_program(rwm_analysis, rwm_summary, backend)
             outcome = program.run(
-                {"mat": self.MAT * 50, "rows": 150, "cols": 3}, config=config
+                {"mat": self.MAT * 50, "rows": 150, "cols": 3}, backend, config=config
             )
             times[backend] = outcome.metrics.simulated_seconds
         assert times["spark"] < times["flink"] < times["hadoop"]
@@ -61,7 +59,7 @@ class TestBackendExecution:
             ),
             scalar_output("total", default=0),
         )
-        program = make_program(sum_analysis, s, "spark")
+        program = make_program(sum_analysis, s)
         outcome = program.run({"data": [5, 6, 7], "n": 3})
         assert outcome.outputs == {"total": 18}
 
@@ -74,7 +72,7 @@ class TestBackendExecution:
             ),
             scalar_output("total", default=0),
         )
-        program = make_program(sum_analysis, s, "spark")
+        program = make_program(sum_analysis, s)
         outcome = program.run({"data": [], "n": 0})
         assert outcome.outputs == {"total": 0}
 
@@ -88,7 +86,7 @@ class TestBackendExecution:
             ),
             scalar_output("first", default=None),
         )
-        program = make_program(sum_analysis, s, "spark")
+        program = make_program(sum_analysis, s)
         outcome = program.run({"data": [9, 8, 7], "n": 3})
         assert outcome.outputs["first"] == 9
         stage_names = [st.name for st in outcome.metrics.stages]
@@ -150,7 +148,7 @@ class TestAdaptiveProgram:
         assert 1 <= len(adaptive.programs) <= len(sum_search.summaries)
         outcome = adaptive.run({"data": [1, 2, 3, 4], "n": 4})
         assert outcome.outputs == {"total": 10}
-        assert outcome.implementation is not None
+        assert outcome.report.implementation is not None
 
     def test_run_config_reaches_price(self, sum_search, sum_analysis, monkeypatch):
         from repro.codegen import base

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SearchConfig, translate
+from repro import ExecOptions, SearchConfig, translate
 from repro.compiler import CasperCompiler
 from repro.errors import AnalysisError
 from repro.lang.interpreter import Interpreter
@@ -81,9 +81,11 @@ class TestTranslatePipeline:
         assert result.tp_failures >= 0
 
     def test_backend_selection(self):
-        result = translate(SUM_SOURCE, backend="flink")
-        outputs = result.fragments[0].program.run({"data": [1, 1, 1], "n": 3}).outputs
-        assert outputs == {"total": 3}
+        program = translate(SUM_SOURCE).fragments[0].program
+        for backend in ("spark", "hadoop", "flink"):
+            ran = program.run({"data": [1, 1, 1], "n": 3}, ExecOptions(plan=backend))
+            assert ran.outputs == {"total": 3}
+            assert ran.report.backend_used == backend
 
 
 class TestAliasingGuard:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import ExecOptions, translate
+from repro import ExecOptions, Session, translate
 
 from repro.baselines.fig8_solutions import (
     string_match_solution_a,
@@ -544,7 +544,7 @@ class TestSamplerFallback:
         choice, costs = adaptive.monitor.choose(head, globals_env)
         assert not [d for d in clean.report.diagnostics if d.code == "REP309"]
         assert len(costs) > 1
-        assert clean.implementation == f"impl_{choice}"
+        assert clean.report.implementation == f"impl_{choice}"
 
         def refuse(*_args, **_kwargs):
             raise KernelUnsupported("refused for the test")
@@ -558,11 +558,34 @@ class TestSamplerFallback:
         assert all("refused for the test" in d.message for d in fallbacks)
         assert adaptive.monitor.choose(head, globals_env) == (choice, costs)
         assert ran.outputs == clean.outputs
-        assert ran.implementation == clean.implementation
+        assert ran.report.implementation == clean.report.implementation
         assert ran.report.plan.stages == clean.report.plan.stages
-        # an unplanned run has no report: the outcome carries them
+        # a run with no plan forces the default framework: same report
         unplanned = adaptive.run(dict(env))
-        assert [d.code for d in unplanned.diagnostics].count("REP309") == len(fallbacks)
+        codes = [d.code for d in unplanned.report.diagnostics]
+        assert codes.count("REP309") == len(fallbacks)
+
+    def test_fallbacks_reach_the_job_result_of_every_job_kind(self, monkeypatch):
+        compilation = compiled("phoenix_string_match")
+        adaptive = compilation.fragments[0].program
+        env = get_benchmark("phoenix_string_match").make_inputs(400, 11)
+
+        def refuse(*_args, **_kwargs):
+            raise KernelUnsupported("refused for the test")
+
+        monkeypatch.setattr("repro.codegen.kernels.render_sampler", refuse)
+        for program in adaptive.programs:
+            monkeypatch.setattr(program, "_sampler", None)
+        with Session(max_workers=0, observe=False) as session:
+            whole = session.run(compilation, dict(env))
+            fragment = session.run(compilation, dict(env), fragment_index=0)
+        for job in (whole, fragment):
+            assert job.ok
+            codes = [d.code for d in job.diagnostics]
+            assert codes.count("REP309") == len(adaptive.programs)
+            assert [d.code for d in job.plan_report.diagnostics] == [
+                code for code in codes if code.startswith("REP3")
+            ]
 
 
 WORDCOUNT = """

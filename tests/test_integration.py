@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ExecOptions
 from repro.errors import InterpreterError
 from repro.lang.interpreter import Interpreter
 from repro.lang.values import values_equal
@@ -101,12 +102,11 @@ class TestBenchmarkRuns:
 
 class TestCrossBackendAgreement:
     @pytest.mark.parametrize("backend", ["spark", "hadoop", "flink"])
-    def test_wordcount_same_result_every_backend(self, backend):
+    def test_wordcount_same_result_every_backend(self, wordcount_compiled, backend):
         benchmark = get_benchmark("phoenix_wordcount")
-        compilation = compile_benchmark(benchmark, backend=backend)
-        fragment = compilation.fragments[0]
+        fragment = wordcount_compiled.fragments[0]
         inputs = benchmark.make_inputs(500, seed=3)
-        outputs = fragment.program.run(dict(inputs)).outputs
+        outputs = fragment.program.run(dict(inputs), ExecOptions(plan=backend)).outputs
         expected = Interpreter(benchmark.parse()).call_function(
             benchmark.function, benchmark.args_for(inputs)
         )

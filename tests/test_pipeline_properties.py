@@ -118,12 +118,7 @@ def test_translation_agrees_with_interpreter(kind, data):
 def test_backends_agree_on_generated_programs(kind, data, backend):
     source, fragment = _compiled(kind)
     generated = fragment.program.programs[0]
-    original_backend = generated.backend
-    try:
-        generated.backend = backend
-        outcome = generated.run({"data": list(data), "n": len(data)})
-    finally:
-        generated.backend = original_backend
+    outcome = generated.run({"data": list(data), "n": len(data)}, backend=backend)
     expected = Interpreter(parse_program(source)).call_function(
         "f", [list(data), len(data)]
     )

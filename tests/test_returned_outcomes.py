@@ -67,7 +67,7 @@ def test_concurrent_runs_of_one_program_return_their_own_outcome():
             assert outcome.report.input_records == len(data)
             assert outcome.report.plan.backend == "sequential"
             assert outcome.metrics.stages[0].records_in == len(data)
-            assert outcome.implementation == outcome.report.implementation
+            assert outcome.report.implementation is not None
     # Distinct calls, distinct objects — nothing is a shared "last" slot.
     reports = [o.report for per_slot in outcomes for o in per_slot]
     assert len({id(report) for report in reports}) == len(reports)
@@ -130,6 +130,9 @@ def test_implied_plan_rule_has_one_definition():
             assert graph_run.outputs == expected
             program = compilation.fragments[0].program
             assert program.run(dict(inputs), implied).outputs == expected
-        # Nothing implied, nothing planned.
+        # Nothing implied: the default framework, forced.
         unplanned = session.run(compilation, dict(inputs), fragment_index=0)
-        assert unplanned.plan_report is None and unplanned.metrics is not None
+        report = unplanned.plan_report
+        assert report.plan.backend == report.backend_used == "spark"
+        assert report.plan.reasons == ("backend 'spark' forced by caller",)
+        assert report.fallback_reason is None and unplanned.metrics is not None

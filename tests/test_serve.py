@@ -59,7 +59,6 @@ class TestProgramKey:
         key = program_key(SUM_SOURCE, "sum", config)
         assert key == program_key(SUM_SOURCE, "sum", config)
         assert key != program_key(WORDCOUNT_SOURCE, "wc", config)
-        assert key != program_key(SUM_SOURCE, "sum", config, backend="flink")
 
 
 class TestRegistry:
