@@ -201,8 +201,8 @@ def measure_planner() -> dict:
         return {"error": f"{PLANNER_BENCHMARK} did not translate"}
     inputs = benchmark.make_inputs(PLANNER_SIZE, 7)
 
-    seq = fragment.program.run(dict(inputs), ExecOptions(plan="sequential")).report
-    auto = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
+    seq = fragment.program.run(dict(inputs), ExecOptions(plan="sequential")).plan_report
+    auto = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).plan_report
     speedup = seq.wall_seconds / auto.wall_seconds if auto.wall_seconds else None
     return {
         "benchmark": PLANNER_BENCHMARK,
@@ -368,11 +368,11 @@ def measure_join() -> dict:
             )
 
             ran = fragment.program.run(dict(inputs), ExecOptions(plan="auto"))
-            broadcast, b_report = ran.outputs, ran.report
+            broadcast, b_report = ran.outputs, ran.plan_report
             ran = fragment.program.run(
                 dict(inputs), ExecOptions(plan="auto", memory_budget=JOIN_REDUCE_BUDGET)
             )
-            reduce_side, r_report = ran.outputs, ran.report
+            reduce_side, r_report = ran.outputs, ran.plan_report
             out[name] = {
                 "records": JOIN_SIZE,
                 "orderings_verified": len(
@@ -479,14 +479,14 @@ def measure_adaptive() -> dict:
         ran = program.run(
             dict(inputs), ExecOptions(plan="auto", memory_budget=JOIN_REDUCE_BUDGET)
         )
-        reference, reference_report = ran.outputs, ran.report
+        reference, reference_report = ran.outputs, ran.plan_report
         original_sizeof_pair = joins_mod.sizeof_pair
         joins_mod.sizeof_pair = lambda key, value: 1 << 40
         try:
             ran = program.run(dict(inputs), ExecOptions(plan="auto"))
         finally:
             joins_mod.sizeof_pair = original_sizeof_pair
-        switched, switched_report = ran.outputs, ran.report
+        switched, switched_report = ran.outputs, ran.plan_report
         out["overflow_switch"] = {
             "benchmark": JOIN_BENCHMARKS[0],
             "records": JOIN_SIZE,

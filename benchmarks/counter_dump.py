@@ -97,14 +97,18 @@ def fragment_text(program: Any, env: dict, options: ExecOptions) -> str:
         ran = program.run(dict(env), options)
     except ReproError as exc:  # hadoop / flink reject join pipelines loudly
         return f"error {type(exc).__name__}: {exc}"
-    engine = ran.engine_result
+    report = ran.plan_report
+    # A simulated framework's run has no engine account of its own.
+    peak = None
+    if report.plan.backend in ("sequential", "multiprocess"):
+        peak = (report.spill_stats or {}).get("peak_resident_bytes", 0)
     lines = [
         f"outputs {canonical(ran.outputs)}",
-        f"implementation {ran.report.implementation}",
+        f"implementation {report.implementation}",
         *_stages_text(ran.metrics),
         f"simulated_seconds {ran.metrics.simulated_seconds!r}",
-        f"peak_resident_bytes {engine.peak_resident_bytes if engine else None}",
-        f"spill_stats {canonical(engine.spill_stats if engine else None)}",
+        f"peak_resident_bytes {peak}",
+        f"spill_stats {canonical(report.spill_stats)}",
     ]
     return "\n".join(lines)
 
@@ -135,7 +139,7 @@ def monitor_text(program: Any, env: dict) -> str:
         return f"error {type(exc).__name__}: {exc}"
     finally:
         del monitor.choose
-    plan = ran.report.plan
+    plan = ran.plan_report.plan
     [(index, costs)] = decided
     lines = [
         *(
@@ -144,10 +148,10 @@ def monitor_text(program: Any, env: dict) -> str:
         ),
         f"costs {canonical(costs)}",
         f"choice {monitor.implementations[index].name}",
-        f"implementation {ran.report.implementation}",
+        f"implementation {ran.plan_report.implementation}",
         f"stages {[(s.index, s.kind, s.combiner) for s in plan.stages]}",
         f"join_strategies {plan.join_strategies}",
-        f"cluster_seconds {canonical(ran.report.cluster_seconds)}",
+        f"cluster_seconds {canonical(ran.plan_report.cluster_seconds)}",
     ]
     return "\n".join(lines)
 
@@ -158,7 +162,7 @@ def graph_text(compilation: Any, inputs: dict, options: ExecOptions) -> str:
         ran = run_graph(compilation.job_graph, dict(inputs), options)
     except ReproError as exc:
         return f"error {type(exc).__name__}: {exc}"
-    report = ran.report
+    report = ran.plan_report
     lines = [
         f"outputs {canonical(ran.outputs)}",
         f"simulated_seconds {report.simulated_seconds!r}",

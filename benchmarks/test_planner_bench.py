@@ -108,7 +108,7 @@ class TestMultiprocessIdentity:
             outcome = program.run(snapshot, backend="multiprocess", plan=plan)
             reference = program.run(snapshot)
             assert outcome.outputs == reference.outputs
-            fallback = outcome.engine_result.fallback_reason
+            fallback = outcome.plan_report.fallback_reason
             assert fallback is None, fallback
 
 
@@ -139,9 +139,9 @@ class TestAutoPlanWithinBest:
         for _ in range(REPEATS):
             for plan in ("sequential", "multiprocess", "auto"):
                 run = fragment.program.run(dict(inputs), ExecOptions(plan=plan))
-                outputs[plan], reports[plan] = run.outputs, run.report
+                outputs[plan], reports[plan] = run.outputs, run.plan_report
                 walls[plan] = min(
-                    run.report.wall_seconds, walls.get(plan, float("inf"))
+                    run.plan_report.wall_seconds, walls.get(plan, float("inf"))
                 )
 
         auto = reports["auto"]

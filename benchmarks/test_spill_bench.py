@@ -78,7 +78,7 @@ class TestSpillIdentity:
                 f"{name}: spilled outputs diverge for fragment "
                 f"{fragment.fragment.id}"
             )
-            report = spilled.report
+            report = spilled.plan_report
             assert report.plan.spill, (
                 f"{name}: budget {IDENTITY_BUDGET} did not engage the "
                 f"spill path ({report.plan.reasons})"
@@ -124,7 +124,7 @@ class TestLargeScaleBoundedResidency:
         spill_wall = time.perf_counter() - started
 
         assert spilled.outputs == baseline
-        report = spilled.report
+        report = spilled.plan_report
         unit = next(iter(report.unit_reports.values()))
         assert unit.plan.spill, unit.plan.reasons
         stats = unit.spill_stats

@@ -1,7 +1,6 @@
 """Code generation from verified summaries to the simulated backends."""
 
 from .base import (
-    ExecutionOutcome,
     GeneratedProgram,
     bind_outputs,
     prepare_globals,
@@ -20,7 +19,6 @@ from .render import (
 
 __all__ = [
     "AdaptiveProgram",
-    "ExecutionOutcome",
     "GeneratedProgram",
     "bind_outputs",
     "build_adaptive_program",

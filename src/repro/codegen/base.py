@@ -19,6 +19,7 @@ through the framework's stage sequence (:func:`repro.engine.core.price`).
 from __future__ import annotations
 
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Optional
@@ -36,7 +37,6 @@ from ..lang.analysis.loops import DatasetView
 from ..lang.interpreter import Environment, Interpreter
 from ..engine.config import EngineConfig
 from ..engine.core import JoinSide, price
-from ..engine.metrics import JobMetrics
 from ..engine.sizes import dataset_bytes
 from ..ir.eval import eval_expr
 from ..ir.nodes import (
@@ -48,32 +48,8 @@ from ..ir.nodes import (
     Summary,
     expr_size,
 )
+from ..options import JobResult
 from ..verification.prover import ProofResult
-
-
-@dataclass
-class ExecutionOutcome:
-    """Result of running a generated program: outputs + engine metrics.
-
-    ``engine_result`` is populated by the real (multiprocess/sequential)
-    backends — its ``metrics.wall_seconds`` and ``fallback_reason`` are
-    the run's wall time and pool fallback; the simulated backends leave
-    it None.  ``report`` is filled in by :meth:`AdaptiveProgram.run
-    <repro.codegen.glue.AdaptiveProgram.run>`, which returns this object
-    — everything one call produced, owned by that call.
-    """
-
-    outputs: dict[str, Any]
-    metrics: JobMetrics
-    #: The real local engine's own account of the run — fallback code,
-    #: pool counters, spill accounting, adaptations
-    #: (:class:`~repro.engine.multiprocess.MultiprocessResult`); None on
-    #: the simulated backends.
-    engine_result: Optional["MultiprocessResult"] = None
-    #: The plan's evidence trail — the implementation the monitor
-    #: dispatched to, the §7.4 ordering choice, the ``REP3xx``
-    #: diagnostics; None for a bare :meth:`GeneratedProgram.run`.
-    report: Optional["PlanReport"] = None
 
 
 def prepare_globals(
@@ -354,37 +330,66 @@ class GeneratedProgram:
         plan: Optional["ExecutionPlan"] = None,
         records: Optional[list] = None,
         config: Optional[EngineConfig] = None,
-    ) -> ExecutionOutcome:
+    ) -> JobResult:
         """Execute on ``backend`` (None → the default framework,
-        :data:`~repro.planner.plan.DEFAULT_BACKEND`).
+        :data:`~repro.planner.plan.DEFAULT_BACKEND`) under ``plan``
+        (None, or a plan for another backend → a bare plan): one
+        :meth:`execute` call with a fresh report of that plan."""
+        from ..planner.plan import DEFAULT_BACKEND, ExecutionPlan, PlanReport
+
+        backend = backend or DEFAULT_BACKEND
+        if plan is None or plan.backend != backend:
+            plan = ExecutionPlan(backend=backend, processes=None)
+        return self.execute(PlanReport(plan=plan), inputs, records, config)
+
+    def execute(
+        self,
+        report: "PlanReport",
+        inputs: dict[str, Any],
+        records: Optional[list] = None,
+        config: Optional[EngineConfig] = None,
+    ) -> JobResult:
+        """Run ``report.plan``; the returned :class:`~repro.options.JobResult`
+        carries ``report``, filled in with how the run went, as its
+        ``plan_report``.
 
         ``sequential`` and ``multiprocess`` are the *real* local
-        backends: they run the compiled kernels, and an
-        :class:`~repro.planner.plan.ExecutionPlan` pins their physical
-        choices — processes, partitions, combiners, budget.  A simulated
-        cluster backend ignores ``plan``: the job runs once, sequentially
-        on the real engine with a bare plan (the config's block
+        backends: they run the compiled kernels under the plan's
+        physical choices — processes, partitions, combiners, budget —
+        and the engine's own account of the run (fallback, spill and
+        columnar accounting, adaptations) is absorbed into the report
+        here, the one place it lands.  A simulated cluster backend
+        ignores the rest of the plan: the job runs once, sequentially on
+        the real engine with a bare plan (the config's block
         partitions, no budget), and :func:`~repro.engine.core.price`
-        turns that run's counters into the framework's metrics — the
-        outcome has no ``engine_result`` and no wall time.  ``records``
-        lets a caller that already materialized
+        turns that run's counters into the framework's metrics.
+        ``records`` lets a caller that already materialized
         ``view_records(analysis.view, inputs)`` (the planner does, for
         its samples) pass them through instead of paying the
         transformation twice.  ``config`` (None → ``EngineConfig()``) is
         the session's engine configuration; the program holds none.
         """
-        from ..planner.plan import DEFAULT_BACKEND
-
-        backend = backend or DEFAULT_BACKEND
         config = config or EngineConfig()
+        backend = report.plan.backend
+        started = time.perf_counter()
         if backend in ("spark", "hadoop", "flink"):
-            return self._run_local(
-                inputs, config, "sequential", self._pricing_plan(backend),
-                records, backend,
+            outputs, steps, result = self._run_local(
+                inputs, config, "sequential", self._pricing_plan(backend), records
             )
-        if backend in ("multiprocess", "sequential"):
-            return self._run_local(inputs, config, backend, plan, records)
-        raise CodegenError(f"unknown backend {backend!r}")
+            if self.has_join:
+                steps = self._join_sides(steps, inputs)
+            metrics = price(backend, config, steps, result)
+            report.backend_used = backend
+        elif backend in ("multiprocess", "sequential"):
+            outputs, _steps, result = self._run_local(
+                inputs, config, backend, report.plan, records
+            )
+            metrics = result.metrics
+            report.absorb(result)
+        else:
+            raise CodegenError(f"unknown backend {backend!r}")
+        report.wall_seconds = time.perf_counter() - started
+        return JobResult(outputs=outputs, plan_report=report, metrics=metrics)
 
     # ------------------------------------------------------------------
 
@@ -590,13 +595,13 @@ class GeneratedProgram:
         self,
         inputs: dict[str, Any],
         config: EngineConfig,
-        backend: str = "multiprocess",
-        plan: Optional["ExecutionPlan"] = None,
-        records: Optional[list] = None,
-        framework: Optional[str] = None,
-    ) -> ExecutionOutcome:
-        """Real execution: multiprocess pool, or in-process sequential —
-        priced as the simulated ``framework`` when one is named.
+        backend: str,
+        plan: Optional["ExecutionPlan"],
+        records: Optional[list],
+    ) -> tuple[dict[str, Any], list, "MultiprocessResult"]:
+        """Real execution — multiprocess pool, or in-process sequential:
+        the bound outputs, the step list that ran, and the engine's
+        result.
 
         Both modes run the identical algorithm (the multiprocess engine
         with ``processes=0`` executes inline), so their results are
@@ -623,12 +628,7 @@ class GeneratedProgram:
         outputs = bind_outputs(
             self.summary.outputs, result.pairs, globals_env, output_sizes
         )
-        if framework is not None:
-            if self.has_join:
-                steps = self._join_sides(steps, inputs)
-            metrics = price(framework, config, steps, result)
-            return ExecutionOutcome(outputs, metrics)
-        return ExecutionOutcome(outputs, result.metrics, engine_result=result)
+        return outputs, steps, result
 
 
 def run_local_steps(

@@ -8,7 +8,6 @@ cheapest implementation (paper sections 5.2, 6.3, Fig. 8).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -22,11 +21,11 @@ from ..cost.observe import (
 )
 from ..engine.config import EngineConfig
 from ..lang.analysis.fragments import FragmentAnalysis
-from ..options import ExecOptions
+from ..options import ExecOptions, JobResult
 from ..planner.plan import DEFAULT_BACKEND, ExecutionPlan, PlanReport, forced_plan
 from ..planner.planner import ExecutionPlanner
 from ..synthesis.search import VerifiedSummary
-from .base import ExecutionOutcome, GeneratedProgram, view_records
+from .base import GeneratedProgram, view_records
 
 
 #: The paper's k: the monitor samples the first k records of the input.
@@ -50,8 +49,8 @@ class AdaptiveProgram:
     first k input values, estimate costs, pick and execute the cheapest
     implementation.  :meth:`run` keeps no per-call state on the program
     — everything a call produced comes back on its returned
-    :class:`ExecutionOutcome` — so concurrent calls on one program
-    object cannot read each other's reports.
+    :class:`~repro.options.JobResult` — so concurrent calls on one
+    program object cannot read each other's reports.
     """
 
     analysis: FragmentAnalysis
@@ -85,14 +84,15 @@ class AdaptiveProgram:
         records: Optional[Any] = None,
         observations: Optional[ObservationStore] = None,
         config: Optional[EngineConfig] = None,
-    ) -> ExecutionOutcome:
-        """Sample, select, execute; returns the call's outcome.
+    ) -> JobResult:
+        """Sample, select, execute; returns the call's result.
 
-        The returned :class:`ExecutionOutcome` carries the fragment
-        ``outputs``, the engine ``metrics`` and the :class:`PlanReport`
-        evidence trail as ``report``: the ``implementation`` the monitor
-        dispatched to, the §7.4 ordering choice (``join["ordering"]``,
-        join fragments with several orderings) and the ``REP3xx``
+        The returned :class:`~repro.options.JobResult` carries the
+        fragment ``outputs``, the engine ``metrics`` and the
+        :class:`PlanReport` evidence trail as ``plan_report``: the
+        ``implementation`` the monitor dispatched to, the §7.4 ordering
+        choice (``join["ordering"]``, join fragments with several
+        orderings), how the engine ran the plan and the ``REP3xx``
         diagnostics.
 
         ``options`` (see :class:`~repro.options.ExecOptions`) says how:
@@ -163,7 +163,7 @@ class AdaptiveProgram:
                 index = join_decision.index
         program = self.programs[index]
         implementation = f"impl_{index}"
-        execution_plan, report = self.plan_execution(
+        _plan, report = self.plan_execution(
             options, program, records, head, globals_env,
             inputs=inputs,
             observation=observation,
@@ -178,17 +178,7 @@ class AdaptiveProgram:
                 **(report.join or {}),
                 "ordering": join_decision.as_dict(),
             }
-        started = time.perf_counter()
-        # The plan only binds on the real local backends; a simulated
-        # one ignores it.
-        outcome = program.run(
-            inputs, execution_plan.backend, execution_plan, records, config
-        )
-        report.wall_seconds = time.perf_counter() - started
-        if outcome.engine_result is not None:
-            report.absorb(outcome.engine_result)
-        else:
-            report.backend_used = execution_plan.backend
+        ran = program.execute(report, inputs, records, config)
         overflows = {
             a.get("relation"): a
             for a in report.adaptations
@@ -212,14 +202,13 @@ class AdaptiveProgram:
                     for level in report.join["levels"]
                 ],
             }
-        outcome.report = report
         if use_feedback:
             observations.record(
                 harvest_observation(
-                    fragment_key, dataset_key, report, outcome, records=records
+                    fragment_key, dataset_key, report, ran.metrics, records=records
                 )
             )
-        return outcome
+        return ran
 
     def plan_execution(
         self,

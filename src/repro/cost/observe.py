@@ -34,6 +34,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
+from ..engine.metrics import JobMetrics
 from ..engine.sizes import dataset_bytes
 from ..pipeline.diskio import (
     atomic_write_json,
@@ -195,9 +196,9 @@ class Observation:
         return cls(**kwargs)
 
 
-def _stage_rows(metrics: Any) -> list[dict]:
+def _stage_rows(metrics: Optional[JobMetrics]) -> list[dict]:
     rows = []
-    for stage in getattr(metrics, "stages", []) or []:
+    for stage in metrics.stages if metrics is not None else ():
         rows.append(
             {
                 "name": stage.name,
@@ -245,18 +246,17 @@ def harvest_observation(
     fragment_key: str,
     dataset_key: str,
     report: Any,
-    outcome: Any,
+    metrics: Optional[JobMetrics],
     records: Any = None,
 ) -> Observation:
     """Build an :class:`Observation` from one planned run's evidence.
 
     ``report`` is the run's :class:`~repro.planner.plan.PlanReport`,
-    ``outcome`` its :class:`~repro.codegen.base.ExecutionOutcome`;
+    ``metrics`` its :class:`~repro.engine.metrics.JobMetrics`;
     ``records`` (when given) supplies the exact input count and a
     sampled per-record size for inputs whose length the planner could
     not know up front.
     """
-    metrics = getattr(outcome, "metrics", None)
     stages = _stage_rows(metrics)
 
     input_records = None

@@ -158,13 +158,11 @@ class MultiprocessResult:
     #: Stable diagnostic code for the fallback (``REP301``–``REP305``);
     #: set whenever ``fallback_reason`` is.
     fallback_code: Optional[str] = None
-    #: Whether the job ran under a memory budget (the spilled shuffle
-    #: store); the budget may be roomy enough that no run was written.
-    spilled: bool = False
-    #: High-water mark of estimated resident bytes (budgeted runs only).
-    peak_resident_bytes: int = 0
-    #: Spill accounting (:meth:`repro.engine.spill.SpillStats.as_dict`);
-    #: None without a budget.
+    #: Spill accounting (:meth:`repro.engine.spill.SpillStats.as_dict`,
+    #: its ``peak_resident_bytes`` the high-water mark of estimated
+    #: resident bytes); set exactly when the job ran under a memory
+    #: budget (the spilled shuffle store) — the budget may be roomy
+    #: enough that no run was written — and None without one.
     spill_stats: Optional[dict] = None
     #: Chunks whose first map stage executed on the vectorized column
     #: path, and chunks where an exactness guard (int64 overflow risk,
@@ -495,9 +493,7 @@ class MultiprocessEngine:
         steps = list(steps)
         metrics = JobMetrics()
         partitions = self.partitions or DEFAULT_PARTITIONS
-        result = MultiprocessResult(
-            pairs=[], metrics=metrics, spilled=budget is not None
-        )
+        result = MultiprocessResult(pairs=[], metrics=metrics)
         known = dataset.known_length
         if known is None and budget is None:
             dataset = ListSource(dataset.materialize())
@@ -525,7 +521,6 @@ class MultiprocessEngine:
         self._charge_collect(metrics, pairs)
         result.pairs = pairs
         if budget is not None:
-            result.peak_resident_bytes = stats.peak_resident_bytes
             result.spill_stats = stats.as_dict()
         return result
 

@@ -18,13 +18,12 @@ Users run a whole program by submitting it to a :class:`repro.Session`
 without a ``fragment_index``; the session calls :func:`run_graph`.
 """
 
-from .executor import GraphRunResult, interpret_reference, run_graph
+from .executor import interpret_reference, run_graph
 from .fuse import FusedChain, GraphSchedule, optimize_graph
 from .jobgraph import JobEdge, JobGraph, JobNode, build_job_graph
 
 __all__ = [
     "FusedChain",
-    "GraphRunResult",
     "GraphSchedule",
     "JobEdge",
     "JobGraph",

@@ -23,7 +23,7 @@ every workload suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Any, Optional
 
 from ..codegen.base import (
@@ -38,39 +38,11 @@ from ..cost.observe import ObservationStore
 from ..engine.config import EngineConfig
 from ..engine.multiprocess import BridgeStep, MapStep
 from ..errors import GraphError
-from ..options import ExecOptions
+from ..options import ExecOptions, JobResult
 from ..planner.dag import DagPlanner, GraphPlanReport
-from ..planner.plan import DEFAULT_BACKEND, PlanReport
+from ..planner.plan import DEFAULT_BACKEND
 from .fuse import FusedChain, GraphSchedule, optimize_graph
 from .jobgraph import JobGraph, JobNode
-
-
-@dataclass
-class GraphRunResult:
-    """Everything one :func:`run_graph` execution produced."""
-
-    outputs: dict[str, Any]
-    report: GraphPlanReport
-    schedule: GraphSchedule
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.report.simulated_seconds
-
-    @property
-    def wall_seconds(self) -> float:
-        return self.report.wall_seconds
-
-
-@dataclass
-class _UnitOutcome:
-    """What one executed unit reports back to the wave driver."""
-
-    unit: FusedChain
-    outputs: dict[str, Any] = field(default_factory=dict)
-    simulated_seconds: float = 0.0
-    report: Optional[PlanReport] = None
-    interpreted_nodes: list[str] = field(default_factory=list)
 
 
 class _RecordsCache:
@@ -110,7 +82,7 @@ def run_graph(
     options: Optional[ExecOptions] = None,
     observations: Optional[ObservationStore] = None,
     config: Optional[EngineConfig] = None,
-) -> GraphRunResult:
+) -> JobResult:
     """Execute a whole-program job graph over concrete inputs.
 
     This is what a :class:`~repro.session.Session` job without a
@@ -137,8 +109,13 @@ def run_graph(
     spliced estimates and ignore it.  ``config``, the session's
     :class:`~repro.engine.config.EngineConfig`, goes to every unit.
 
-    Each unit's :class:`PlanReport` comes back from the call that ran
-    it and lands in ``report.unit_reports`` under the unit's head node.
+    Each unit's run returns a :class:`~repro.options.JobResult`, as
+    this function does: the unit's :class:`PlanReport` lands in the
+    :class:`GraphPlanReport`'s ``unit_reports`` under the unit's head
+    node (a unit the reference interpreter ran has none, and is listed
+    in ``interpreted_nodes``), and the returned result carries the
+    ``outputs`` and that ``plan_report``; its ``metrics`` stay None —
+    the totals are on the report.
     """
     started = time.perf_counter()
     options = options or ExecOptions()
@@ -165,22 +142,25 @@ def run_graph(
         # order), so a redefinition behaves as sequential execution
         # would.  The simulated cluster runs a wave's branches side by
         # side, hence the per-wave maximum.
-        outcomes = [
+        results = [
             _run_unit(
                 graph, schedule.units[index], env, options, cache, observations, config
             )
             for index in wave
         ]
         wave_simulated = 0.0
-        for outcome in outcomes:
-            env.update(outcome.outputs)
-            produced.update(outcome.outputs)
-            cache.invalidate(set(outcome.outputs))
-            report.interpreted_nodes.extend(outcome.interpreted_nodes)
-            if outcome.report is not None:
-                report.unit_reports[outcome.unit.head] = outcome.report
-            report.simulated_seconds_serial += outcome.simulated_seconds
-            wave_simulated = max(wave_simulated, outcome.simulated_seconds)
+        for index, ran in zip(wave, results):
+            head = schedule.units[index].head
+            env.update(ran.outputs)
+            produced.update(ran.outputs)
+            cache.invalidate(set(ran.outputs))
+            if ran.plan_report is None:
+                report.interpreted_nodes.append(head)
+            else:
+                report.unit_reports[head] = ran.plan_report
+            simulated = 0.0 if ran.metrics is None else ran.metrics.simulated_seconds
+            report.simulated_seconds_serial += simulated
+            wave_simulated = max(wave_simulated, simulated)
         report.simulated_seconds += wave_simulated
 
     report.records_cache_hits = cache.hits
@@ -194,7 +174,7 @@ def run_graph(
                 f"{graph.function!r}; available: {sorted(produced)}"
             )
         produced = {name: produced[name] for name in options.outputs}
-    return GraphRunResult(outputs=produced, report=report, schedule=schedule)
+    return JobResult(outputs=produced, plan_report=report)
 
 
 def interpret_fragment(analysis, env: dict[str, Any]) -> dict[str, Any]:
@@ -288,41 +268,16 @@ def _run_unit(
     cache: _RecordsCache,
     observations: Optional[ObservationStore],
     config: Optional[EngineConfig],
-) -> _UnitOutcome:
-    outcome = _UnitOutcome(unit=unit)
+) -> JobResult:
     node = graph.nodes[unit.head]
     if unit.fused:
-        _run_chain(graph, unit, env, options, cache, config, outcome)
-    elif node.translated:
-        _run_single(node, env, options, cache, observations, config, outcome)
-    else:
-        _run_interpreted(node, env, outcome)
-    return outcome
-
-
-def _run_single(
-    node: JobNode,
-    env: dict[str, Any],
-    options: ExecOptions,
-    cache: _RecordsCache,
-    observations: Optional[ObservationStore],
-    config: Optional[EngineConfig],
-    outcome: _UnitOutcome,
-) -> None:
-    records = cache.get(node.analysis.view, env)
-    ran = node.program.run(
-        env, options, records=records, observations=observations, config=config
-    )
-    outcome.outputs = ran.outputs
-    outcome.report = ran.report
-    outcome.simulated_seconds = ran.metrics.simulated_seconds
-
-
-def _run_interpreted(
-    node: JobNode, env: dict[str, Any], outcome: _UnitOutcome
-) -> None:
-    outcome.outputs = interpret_fragment(node.analysis, env)
-    outcome.interpreted_nodes.append(node.id)
+        return _run_chain(graph, unit, env, options, cache, config)
+    if node.translated:
+        records = cache.get(node.analysis.view, env)
+        return node.program.run(
+            env, options, records=records, observations=observations, config=config
+        )
+    return JobResult(outputs=interpret_fragment(node.analysis, env))
 
 
 def _run_chain(
@@ -332,8 +287,7 @@ def _run_chain(
     options: ExecOptions,
     cache: _RecordsCache,
     config: Optional[EngineConfig],
-    outcome: _UnitOutcome,
-) -> None:
+) -> JobResult:
     """Execute a fused chain as one engine invocation.
 
     The chain's stages are spliced into a single step list — producer
@@ -387,13 +341,13 @@ def _run_chain(
     )
     # Barrier bridges materialize their intermediates anyway; surface
     # them so downstream consumers (and callers) still see the values.
+    produced: dict[str, Any] = {}
     for bridge in bridges:
-        outcome.outputs.update(bridge.captured)
-    outcome.outputs.update(outputs)
-    outcome.simulated_seconds = result.metrics.simulated_seconds
+        produced.update(bridge.captured)
+    produced.update(outputs)
     report.absorb(result)
     report.wall_seconds = result.metrics.wall_seconds
-    outcome.report = report
+    return JobResult(outputs=produced, plan_report=report, metrics=result.metrics)
 
 
 def _chain_plan(

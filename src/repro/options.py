@@ -1,4 +1,4 @@
-"""Execution options: the one object every run entry point accepts.
+"""Execution options in, one result type out: what every run layer shares.
 
 A caller's frozen :class:`ExecOptions` travels *whole* from
 ``Session.submit`` / ``DaemonClient.submit`` — the one way to run a
@@ -12,11 +12,18 @@ physical choices into the engines.  Names are validated here, once; the
 There is no kernel or chunk-layout option: every backend runs the
 compiled kernels over column chunks (:mod:`repro.codegen.kernels`) on
 the real local engine — a simulated one once, then prices the run.
+
+Every layer on the way back returns the one :class:`JobResult`:
+``GeneratedProgram.run``, ``AdaptiveProgram.run`` and ``run_graph``
+fill in ``outputs``, ``plan_report`` and ``metrics``; the ``Session``
+adds what only it knows (ids, admission, timings, the compile-side
+diagnostics).  This module imports nothing of the package at load
+time, so every layer can import it without a cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 #: Valid ``plan`` values besides ``None`` and a concrete backend name.
@@ -115,6 +122,55 @@ class ExecOptions:
         return cls(**data)
 
 
+@dataclass
+class JobResult:
+    """Everything one job — or one run layer's call — produced.
+
+    The point of this type is that it is *owned by the call*: under
+    concurrent runs, ``plan_report`` and ``metrics`` here are those of
+    this execution, not of whatever ran last.  The run layers fill in
+    ``outputs``, ``plan_report`` and ``metrics``; the
+    :class:`~repro.session.Session` fills in the rest.
+    """
+
+    #: The session's job and program ids; empty on a run layer's own
+    #: result.
+    job_id: str = ""
+    program_id: str = ""
+    status: str = "ok"  # "ok" | "error"
+    outputs: dict[str, Any] = field(default_factory=dict)
+    #: The :class:`~repro.planner.dag.GraphPlanReport` of a whole-program
+    #: run, the :class:`~repro.planner.plan.PlanReport` of a fragment
+    #: run — the one place the engine's own account of the run lands
+    #: (fallback, spill and columnar accounting, adaptations) — and the
+    #: report's ``summary()`` dict when fetched from a daemon; ``None``
+    #: for a failed job and for a unit the reference interpreter ran.
+    plan_report: Any = None
+    #: Engine accounting of a fragment run
+    #: (:class:`~repro.engine.metrics.JobMetrics`: simulated seconds,
+    #: bytes emitted/shuffled, wall seconds) — its ``summary()`` dict
+    #: when fetched from a daemon; ``None`` for whole-program runs,
+    #: whose totals are on the ``GraphPlanReport``.
+    metrics: Any = None
+    #: The admission controller's decision for this job, as a dict
+    #: (mode, footprint, capacity, queueing, reasons) — the one copy;
+    #: ``None`` outside a session.
+    admission: Optional[dict] = None
+    error: Optional[str] = None
+    #: Session timings; 0.0 on a run layer's own result, whose run wall
+    #: time is ``plan_report.wall_seconds``.
+    wall_seconds: float = 0.0
+    queued_seconds: float = 0.0
+    #: Structured diagnostics for this job (:mod:`repro.diagnostics`):
+    #: the compilation's REP1xx/REP2xx trail plus the execution report's
+    #: REP3xx engine/planner codes.  Dicts when fetched from a daemon.
+    diagnostics: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+
 def check_options(options: Optional[ExecOptions], caller: str) -> ExecOptions:
     """``options`` itself, or the defaults for ``None``; anything else is a
     ``TypeError`` naming the entry point that received it."""
@@ -128,4 +184,4 @@ def check_options(options: Optional[ExecOptions], caller: str) -> ExecOptions:
     return options
 
 
-__all__ = ["ExecOptions"]
+__all__ = ["ExecOptions", "JobResult"]

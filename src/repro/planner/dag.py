@@ -60,10 +60,6 @@ class GraphPlanReport:
     #: cluster actually running branches concurrently would take.
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
-    #: Admission-control decision for jobs executed through a
-    #: :class:`~repro.session.Session` or the serve daemon (mode,
-    #: footprint estimate, capacity, queueing); None for direct runs.
-    admission: Optional[dict] = None
 
     @property
     def adaptations(self) -> list:
@@ -120,7 +116,6 @@ class GraphPlanReport:
                 head: report.summary()
                 for head, report in sorted(self.unit_reports.items())
             },
-            "admission": self.admission,
             "adaptations": self.adaptations,
         }
 

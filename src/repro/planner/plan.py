@@ -136,10 +136,6 @@ class PlanReport:
     #: the vectorized path, guard-fallback count); None when every chunk
     #: ran the row loop.
     columnar: Optional[dict] = None
-    #: Admission-control decision for jobs executed through a
-    #: :class:`~repro.session.Session` or the serve daemon (mode,
-    #: footprint estimate, capacity, queueing); None for direct runs.
-    admission: Optional[dict] = None
     #: Estimate provenance: per quantity the planner priced, where the
     #: number came from (``"static"`` | ``"observed"``), the value used,
     #: and — when an observation was available — the static estimate's
@@ -203,7 +199,6 @@ class PlanReport:
                 for diag in self.diagnostics
             ],
             "join": self.join,
-            "admission": self.admission,
             "estimates": self.estimates,
             "adaptations": list(self.adaptations),
             "reasons": list(self.plan.reasons),

@@ -3,7 +3,7 @@
 ``connect(address)`` returns a :class:`DaemonClient` whose surface
 mirrors :class:`repro.session.Session` — ``compile`` / ``submit`` /
 ``result`` — with the work happening in the daemon process.  Results
-come back as the same :class:`~repro.session.JobResult` records the
+come back as the same :class:`~repro.options.JobResult` records the
 in-process session returns (outputs decoded through the tagged wire
 codec, so tuples, sets, and non-string dict keys survive round-trip);
 ``plan_report`` and ``metrics`` arrive as their ``summary()`` dicts

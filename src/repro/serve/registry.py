@@ -18,11 +18,11 @@ once.  The registry provides two tiers of that guarantee:
 Entries also carry the per-program execution lock the session layer
 uses.  A run keeps nothing of its own on the
 :class:`~repro.codegen.glue.AdaptiveProgram` (the monitor returns its
-choice, the report comes back on the outcome), but the program still
-builds some state lazily on first use — each implementation's compiled
-sampler and kernels, the execution planner — so two jobs of the *same*
-program serialize on the entry lock while jobs of different programs
-run fully concurrently.
+choice, the report comes back on the returned ``JobResult``), but the
+program still builds some state lazily on first use — each
+implementation's compiled sampler and kernels, the execution planner —
+so two jobs of the *same* program serialize on the entry lock while
+jobs of different programs run fully concurrently.
 """
 
 from __future__ import annotations

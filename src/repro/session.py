@@ -4,10 +4,9 @@ This is the one way to run a compiled job: a whole program (its job
 graph, through :func:`~repro.graph.executor.run_graph`) or one
 translated fragment (``fragment_index``, through its
 :class:`~repro.codegen.glue.AdaptiveProgram`).  Every layer under it
-*returns* what one call produced
-(:class:`~repro.codegen.base.ExecutionOutcome`,
-:class:`~repro.graph.executor.GraphRunResult`), so a job's evidence is
-never read back from shared state.  The framework is chosen per job,
+*returns* what one call produced as the one
+:class:`~repro.options.JobResult`, so a job's evidence is never read
+back from shared state.  The framework is chosen per job,
 too: ``ExecOptions(plan=...)`` names it, ``plan=None`` forces
 :data:`~repro.planner.plan.DEFAULT_BACKEND`, and a compiled program
 carries no execution choice — every ok job's ``plan_report`` says how
@@ -17,9 +16,10 @@ it ran.  A :class:`Session` owns the pieces explicitly:
   over the summary cache's disk tier),
 * an :class:`~repro.serve.admission.AdmissionController` (planner-priced
   scheduling: small jobs concurrent, box-overrunning jobs serialized),
-* a worker pool executing submissions, each job returning a
-  :class:`JobResult` that *carries* its plan report and admission
-  decision instead of leaving them behind in shared state.
+* a worker pool executing submissions, each job returning the
+  :class:`JobResult` its run layer returned, with the session's ids,
+  admission decision and timings added — carried, not left behind in
+  shared state.
 
 Quick start::
 
@@ -47,7 +47,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Any, Optional, Union
 
 from .compiler import CompilationResult, FragmentTranslation
@@ -55,7 +55,7 @@ from .cost.observe import ObservationStore
 from .engine.config import EngineConfig
 from .errors import AnalysisError, ServeError
 from .graph.executor import run_graph
-from .options import ExecOptions, check_options
+from .options import ExecOptions, JobResult, check_options
 from .serve.admission import AdmissionController
 from .serve.registry import ProgramRegistry, RegisteredProgram
 from .synthesis.search import SearchConfig
@@ -67,46 +67,6 @@ ProgramRef = Union[RegisteredProgram, CompilationResult, str]
 #: oldest-finished handle is dropped (a retained ``JobResult`` is about
 #: 0.25 MiB, and a resident daemon never stops submitting).
 MAX_FINISHED_JOBS = 1024
-
-
-@dataclass
-class JobResult:
-    """Everything one submitted job produced — reports included.
-
-    The point of this type is that it is *owned by the job*: under
-    concurrent submissions, ``plan_report`` and ``metrics`` here are
-    those of this execution, not of whatever ran last.
-    """
-
-    job_id: str
-    program_id: str
-    status: str  # "ok" | "error"
-    outputs: dict[str, Any] = field(default_factory=dict)
-    #: The :class:`~repro.planner.dag.GraphPlanReport` of a whole-program
-    #: run, the :class:`~repro.planner.plan.PlanReport` of a fragment
-    #: run — and the report's ``summary()`` dict when fetched from a
-    #: daemon; ``None`` for a failed job.
-    plan_report: Any = None
-    #: Engine accounting of a fragment run
-    #: (:class:`~repro.engine.metrics.JobMetrics`: simulated seconds,
-    #: bytes emitted/shuffled, wall seconds) — its ``summary()`` dict
-    #: when fetched from a daemon; ``None`` for whole-program runs,
-    #: whose totals are on the ``GraphPlanReport``.
-    metrics: Any = None
-    #: The admission controller's decision for this job, as a dict
-    #: (mode, footprint, capacity, queueing, reasons).
-    admission: Optional[dict] = None
-    error: Optional[str] = None
-    wall_seconds: float = 0.0
-    queued_seconds: float = 0.0
-    #: Structured diagnostics for this job (:mod:`repro.diagnostics`):
-    #: the compilation's REP1xx/REP2xx trail plus the execution report's
-    #: REP3xx engine/planner codes.  Dicts when fetched from a daemon.
-    diagnostics: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 class JobHandle:
@@ -367,7 +327,6 @@ class Session:
     ) -> JobResult:
         decision = self.admission.admit(inputs, options)
         started = time.perf_counter()
-        metrics = None
         # Planned runs consult and refresh the session's store when the
         # job's options say so, else when the session observes.
         feedback = self.observe if options.feedback is None else options.feedback
@@ -379,23 +338,20 @@ class Session:
             with entry.lock:
                 if fragment_index is not None:
                     program = _pick_fragment(entry.compilation, fragment_index).program
-                    outcome = program.run(
+                    ran = program.run(
                         inputs,
                         options,
                         observations=observations,
                         config=self._engine_config,
                     )
-                    outputs, report = outcome.outputs, outcome.report
-                    metrics = outcome.metrics
                 else:
-                    run = run_graph(
+                    ran = run_graph(
                         entry.compilation.job_graph,
                         inputs,
                         options,
                         observations=observations,
                         config=self._engine_config,
                     )
-                    outputs, report = run.outputs, run.report
                 entry.runs += 1
         except Exception as exc:  # delivered, not raised: daemon contract
             self.admission.release(decision)
@@ -409,17 +365,12 @@ class Session:
                 queued_seconds=started - submitted,
             )
         self.admission.release(decision)
-        # The admission decision is part of the job's evidence trail.
-        report.admission = decision.as_dict()
         diagnostics = list(getattr(entry.compilation, "diagnostics", []))
-        diagnostics.extend(report.diagnostics)
-        return JobResult(
+        diagnostics.extend(ran.plan_report.diagnostics)
+        return replace(
+            ran,
             job_id=job_id,
             program_id=entry.program_id,
-            status="ok",
-            outputs=outputs,
-            plan_report=report,
-            metrics=metrics,
             admission=decision.as_dict(),
             wall_seconds=time.perf_counter() - started,
             queued_seconds=started - submitted,

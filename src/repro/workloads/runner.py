@@ -173,15 +173,13 @@ def run_benchmark(
         outputs = job.outputs
         run.plan_reports.append(job.plan_report)
         metrics = job.metrics
-        if metrics is not None:
-            # Each translated fragment is its own job, re-reading its
-            # input (Casper's generated code does not share or cache
-            # scans across fragments — the source of its Q17 loss,
-            # section 7.2).
-            total_seconds += metrics.simulated_seconds
-            run.bytes_emitted += metrics.bytes_emitted
-            run.bytes_shuffled += metrics.bytes_shuffled
-            run.wall_seconds += metrics.wall_seconds
+        # Each translated fragment is its own job, re-reading its input
+        # (Casper's generated code does not share or cache scans across
+        # fragments — the source of its Q17 loss, section 7.2).
+        total_seconds += metrics.simulated_seconds
+        run.bytes_emitted += metrics.bytes_emitted
+        run.bytes_shuffled += metrics.bytes_shuffled
+        run.wall_seconds += metrics.wall_seconds
         # Verify the fragment's outputs against the interpreter.
         outputs_ok = outputs_ok and _check_outputs(
             fragment, benchmark, fresh_inputs, outputs

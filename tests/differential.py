@@ -104,7 +104,8 @@ def sweep(name: str) -> tuple[FragmentSweep, ...]:
             continue
         reference = interpret_fragment(fragment.analysis, env)
         ran = fragment.program.run(dict(env), PRODUCTION)
-        chosen = fragment.program.programs[int(ran.report.implementation.split("_")[1])]
+        implementation = ran.plan_report.implementation
+        chosen = fragment.program.programs[int(implementation.split("_")[1])]
         oracle, oracle_metrics = run_oracle(chosen, dict(env), plan)
         results.append(
             FragmentSweep(

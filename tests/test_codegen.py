@@ -148,7 +148,7 @@ class TestAdaptiveProgram:
         assert 1 <= len(adaptive.programs) <= len(sum_search.summaries)
         outcome = adaptive.run({"data": [1, 2, 3, 4], "n": 4})
         assert outcome.outputs == {"total": 10}
-        assert outcome.report.implementation is not None
+        assert outcome.plan_report.implementation is not None
 
     def test_run_config_reaches_price(self, sum_search, sum_analysis, monkeypatch):
         from repro.codegen import base

@@ -517,7 +517,7 @@ def test_planner_resolves_layout_from_kernel():
     for size in (20, 5000):
         report = fragment.program.run(
             dict(benchmark.make_inputs(size, 11)), ExecOptions(plan="auto")
-        ).report
+        ).plan_report
         summary = report.summary()
         assert "layout" not in summary and "kernel" not in summary
         assert not any("layout" in r or "kernel" in r for r in summary["reasons"])
@@ -535,7 +535,7 @@ def test_layout_knob_end_to_end_identical():
         fragment.program.programs[0], dict(inputs), forced_plan("sequential")
     )
     columns = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
-    by_cols, report = columns.outputs, columns.report
+    by_cols, report = columns.outputs, columns.plan_report
     assert by_rows == by_cols
     common = set(by_cols) & set(reference)
     assert common and all(by_cols[k] == reference[k] for k in common)

@@ -85,7 +85,7 @@ class TestTranslatePipeline:
         for backend in ("spark", "hadoop", "flink"):
             ran = program.run({"data": [1, 1, 1], "n": 3}, ExecOptions(plan=backend))
             assert ran.outputs == {"total": 3}
-            assert ran.report.backend_used == backend
+            assert ran.plan_report.backend_used == backend
 
 
 class TestAliasingGuard:

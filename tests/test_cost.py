@@ -542,9 +542,9 @@ class TestSamplerFallback:
         globals_env, _sizes = prepare_globals(adaptive.analysis, env)
         clean = adaptive.run(dict(env), ExecOptions(plan="auto"))
         choice, costs = adaptive.monitor.choose(head, globals_env)
-        assert not [d for d in clean.report.diagnostics if d.code == "REP309"]
+        assert not [d for d in clean.plan_report.diagnostics if d.code == "REP309"]
         assert len(costs) > 1
-        assert clean.report.implementation == f"impl_{choice}"
+        assert clean.plan_report.implementation == f"impl_{choice}"
 
         def refuse(*_args, **_kwargs):
             raise KernelUnsupported("refused for the test")
@@ -553,16 +553,16 @@ class TestSamplerFallback:
         for program in adaptive.programs:
             monkeypatch.setattr(program, "_sampler", None)
         ran = adaptive.run(dict(env), ExecOptions(plan="auto"))
-        fallbacks = [d for d in ran.report.diagnostics if d.code == "REP309"]
+        fallbacks = [d for d in ran.plan_report.diagnostics if d.code == "REP309"]
         assert len(fallbacks) == len(adaptive.programs)
         assert all("refused for the test" in d.message for d in fallbacks)
         assert adaptive.monitor.choose(head, globals_env) == (choice, costs)
         assert ran.outputs == clean.outputs
-        assert ran.report.implementation == clean.report.implementation
-        assert ran.report.plan.stages == clean.report.plan.stages
+        assert ran.plan_report.implementation == clean.plan_report.implementation
+        assert ran.plan_report.plan.stages == clean.plan_report.plan.stages
         # a run with no plan forces the default framework: same report
         unplanned = adaptive.run(dict(env))
-        codes = [d.code for d in unplanned.report.diagnostics]
+        codes = [d.code for d in unplanned.plan_report.diagnostics]
         assert codes.count("REP309") == len(fallbacks)
 
     def test_fallbacks_reach_the_job_result_of_every_job_kind(self, monkeypatch):

@@ -399,9 +399,9 @@ class TestEngineCodes:
             get_benchmark("biglambda_select_sum").make_inputs(50, 1),
             ExecOptions(plan="multiprocess"),
         )
-        (fused_report,) = fused.report.unit_reports.values()
-        assert fused.report.fused_away == ["kept"]
-        for report in (single.report, fused_report):
+        (fused_report,) = fused.plan_report.unit_reports.values()
+        assert fused.plan_report.fused_away == ["kept"]
+        for report in (single.plan_report, fused_report):
             assert report.fallback_reason is not None
             assert report.backend_used == "sequential"
             fallback = [d for d in report.diagnostics if d.code.startswith("REP3")]
@@ -418,12 +418,12 @@ class TestEngineCodes:
         graph = compiled("biglambda_select_sum").job_graph
         inputs = get_benchmark("biglambda_select_sum").make_inputs(6000, 1)
         run = run_graph(graph, dict(inputs), ExecOptions(plan="multiprocess"))
-        (report,) = run.report.unit_reports.values()
+        (report,) = run.plan_report.unit_reports.values()
         assert report.summary()["columnar"]["columnar_chunks"] > 0
         assert report.spill_stats is None
         hidden = dict(inputs, rows=GeneratorSource(lambda: iter(inputs["rows"])))
         streamed = run_graph(graph, hidden, ExecOptions(memory_budget=1 << 20))
-        (report,) = streamed.report.unit_reports.values()
+        (report,) = streamed.plan_report.unit_reports.values()
         assert streamed.outputs == run.outputs
         assert report.summary()["spill_stats"]["spill_runs"] >= 1
         assert [a["kind"] for a in report.adaptations] == ["stream_probe"]
@@ -437,7 +437,7 @@ class TestEngineCodes:
         try:
             report = frag.program.run(
                 {"data": [1.0, 2.0, 3.0], "n": 3}, ExecOptions(plan="auto")
-            ).report
+            ).plan_report
         finally:
             planner.unpicklable = None
         assert "REP306" in codes(report.diagnostics)

@@ -246,7 +246,7 @@ class TestExecutorFailurePaths:
         inputs = {"rows": _rows(40), "threshold": 50}
         run = run_graph(graph, dict(inputs), ExecOptions(strict=False))
         expected = interpret_reference(graph, dict(inputs))
-        assert run.report.interpreted_nodes == ["selectSum#0"]
+        assert run.plan_report.interpreted_nodes == ["selectSum#0"]
         assert values_equal(run.outputs["total"], expected["total"])
 
     def test_requested_output_must_exist(self):
@@ -268,7 +268,7 @@ class TestExecutor:
         expected = interpret_reference(result.job_graph, dict(inputs))
         assert values_equal(fused["total"], expected["total"])
         assert "kept" not in fused  # fused away, never materialized
-        assert sorted(run.report.fused_away) == ["kept"]
+        assert sorted(run.plan_report.fused_away) == ["kept"]
 
     def test_unfused_materializes_intermediate(self):
         result = translate(SELECT_SUM_SOURCE)
@@ -288,13 +288,15 @@ class TestExecutor:
         unfused = run_graph(
             graph, dict(inputs), ExecOptions(plan="sequential", fuse=False)
         )
-        assert fused.simulated_seconds < unfused.simulated_seconds
+        assert (
+            fused.plan_report.simulated_seconds < unfused.plan_report.simulated_seconds
+        )
 
     def test_branches_share_one_wave_and_records_cache(self):
         result = translate(TWO_BRANCH_SOURCE)
         inputs = {"data": list(range(64)), "n": 64}
         run = run_graph(result.job_graph, dict(inputs))
-        outputs, report = run.outputs, run.report
+        outputs, report = run.outputs, run.plan_report
         assert report.plan.waves == [(0, 1)]
         assert report.records_cache_hits >= 1
         expected = interpret_reference(result.job_graph, dict(inputs))
@@ -307,7 +309,7 @@ class TestExecutor:
             result.job_graph,
             {"rows": _rows(100), "threshold": 50},
             ExecOptions(plan="spark"),
-        ).report
+        ).plan_report
         unit_report = report.unit_reports["selectSum#0"]
         assert unit_report.plan.backend == "sequential"
         assert any("degraded" in r for r in unit_report.plan.reasons)
@@ -335,7 +337,7 @@ class TestExecutor:
                 run = run_graph(
                     graph, dict(inputs), ExecOptions(plan="multiprocess")
                 )
-                assert run.report.plan.waves == [(0, 1)]
+                assert run.plan_report.plan.waves == [(0, 1)]
                 assert run.outputs == expected
         finally:
             faulthandler.cancel_dump_traceback_later()

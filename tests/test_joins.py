@@ -169,7 +169,7 @@ class TestJoinIdentity:
         spilled = fragment.program.run(
             dict(inputs), ExecOptions(plan="sequential", memory_budget=2048)
         )
-        assert spilled.report.plan.spill
+        assert spilled.plan_report.plan.spill
         assert spilled.outputs == in_memory
         assert values_equal(
             spilled.outputs[out_var], interpreter_result(name, inputs)
@@ -186,7 +186,7 @@ class TestJoinIdentity:
             outcome = fragment.program.run(
                 dict(inputs), ExecOptions(plan=plan, memory_budget=budget)
             )
-            outputs, report = outcome.outputs, outcome.report
+            outputs, report = outcome.outputs, outcome.plan_report
             assert report.plan.join_strategies == ("reduce_side",)
             assert report.plan.spill
             assert values_equal(outputs["total"], expected)
@@ -262,7 +262,9 @@ class TestBroadcastDecision:
         benchmark = get_benchmark("joins_partsupp_cost")
         fragment = translated_fragment("joins_partsupp_cost")
         inputs = benchmark.make_inputs(200, 7)
-        report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
+        report = fragment.program.run(
+            dict(inputs), ExecOptions(plan="auto")
+        ).plan_report
         assert report.join is not None
         (level,) = report.join["levels"]
         assert level["strategy"] == "broadcast"
@@ -318,7 +320,7 @@ class TestJoinOrdering:
         inputs = benchmark.make_inputs(300, 7)
         report = fragment.program.run(
             dict(inputs), ExecOptions(plan="sequential")
-        ).report
+        ).plan_report
         ordering = report.join["ordering"]
         assert ordering["order"] == "partsupp ⋈ supplier ⋈ part"
         assert set(ordering["cardinalities"]) == {"partsupp", "supplier", "part"}
@@ -400,7 +402,7 @@ class TestStableBytesEqualityClasses:
         spilled = MultiprocessEngine(processes=0, memory_budget=256).run_pipeline(
             list(records), steps
         )
-        assert spilled.spilled and spilled.spill_stats["spill_runs"] > 0
+        assert spilled.spill_stats["spill_runs"] > 0
         assert spilled.pairs == in_memory.pairs
         # Exactly two equality classes survive grouping: {1} and {0}.
         assert len(in_memory.pairs) == 2
@@ -466,12 +468,10 @@ class TestJoinSeams:
                 program.run(dict(inputs), backend=backend)
 
     def test_join_fragments_never_fuse_into_chains(self):
-        from repro.graph.executor import run_graph
+        from repro.graph import optimize_graph
 
-        compilation = compiled("joins_three_way_cost")
-        benchmark = get_benchmark("joins_three_way_cost")
-        run = run_graph(compilation.job_graph, benchmark.make_inputs(120, 7))
-        assert all(not unit.fused for unit in run.schedule.units)
+        schedule = optimize_graph(compiled("joins_three_way_cost").job_graph)
+        assert all(not unit.fused for unit in schedule.units)
 
     def test_build_join_steps_honours_pinned_strategies(self):
         from repro.codegen.base import prepare_globals

@@ -122,7 +122,7 @@ def test_compiled_on_pool_and_spill_backends(name):
         dict(inputs),
         ExecOptions(plan="sequential", memory_budget=4096),
     )
-    spilled, report = outcome.outputs, outcome.report
+    spilled, report = outcome.outputs, outcome.plan_report
     assert report.plan.spill, f"{name}: budget did not engage the spill path"
     assert _match(spilled, reference), f"{name}: spilled compiled != interpreter"
 
@@ -154,8 +154,8 @@ def test_join_pipelines_run_compiled_kernels(name):
     inputs = get_benchmark(name).make_inputs(RUN_SIZE, 5)
     ran = fragment.program.run(dict(inputs), ExecOptions(plan="sequential"))
     assert _match(ran.outputs, interpret_fragment(fragment.analysis, dict(inputs)))
-    assert not [d for d in ran.report.diagnostics if d.code == "REP308"]
-    assert not _names_kernel_or_layout(ran.report)
+    assert not [d for d in ran.plan_report.diagnostics if d.code == "REP308"]
+    assert not _names_kernel_or_layout(ran.plan_report)
     globals_env, _sizes = prepare_globals(fragment.analysis, inputs)
     for program in fragment.program.programs:
         stages = program.summary.pipeline.stages
@@ -210,12 +210,12 @@ def test_planned_runs_execute_compiled_steps_at_any_size(size):
         inputs = get_benchmark(name).make_inputs(size, 11)
         ran = fragment.program.run(dict(inputs), ExecOptions(plan="auto"))
         assert _match(ran.outputs, interpret_fragment(fragment.analysis, dict(inputs)))
-        assert not [d for d in ran.report.diagnostics if d.code == "REP308"]
-        assert not _names_kernel_or_layout(ran.report)
+        assert not [d for d in ran.plan_report.diagnostics if d.code == "REP308"]
+        assert not _names_kernel_or_layout(ran.plan_report)
         if vectorizable:
-            assert ran.report.summary()["columnar"]["columnar_chunks"] > 0
+            assert ran.plan_report.summary()["columnar"]["columnar_chunks"] > 0
         program, _stage, globals_env, _records = _first_map_stage(name)
-        steps = program.local_steps(globals_env, ran.report.plan)
+        steps = program.local_steps(globals_env, ran.plan_report.plan)
         assert all(type(step.fn).__name__.startswith("Compiled") for step in steps)
 
 

@@ -87,7 +87,7 @@ def test_columns_on_pool_and_spill_backends(name):
     outcome = fragment.program.run(
         dict(inputs), ExecOptions(plan="sequential", memory_budget=4096)
     )
-    spilled, report = outcome.outputs, outcome.report
+    spilled, report = outcome.outputs, outcome.plan_report
     assert report.plan.spill, f"{name}: budget did not engage the spill path"
     assert _match(spilled, reference), f"{name}: spilled columns != interpreter"
     oracle, oracle_metrics = run_oracle(program, dict(inputs), budgeted)

@@ -316,7 +316,7 @@ class TestStreamProbe:
             ExecOptions(plan="auto", memory_budget=1 << 20),
             records=GeneratorSource(lambda: iter(rows)),
         )
-        got, report = outcome.outputs[out_var], outcome.report
+        got, report = outcome.outputs[out_var], outcome.plan_report
         assert got == expected
         assert report.plan.spill is False
         assert report.estimates["input_records"]["source"] == "observed"
@@ -340,7 +340,7 @@ class TestStreamProbe:
             ExecOptions(plan="auto", memory_budget=1 << 20),
             records=GeneratorSource(lambda: iter(rows)),
         )
-        got, report = outcome.outputs[out_var], outcome.report
+        got, report = outcome.outputs[out_var], outcome.plan_report
         assert got == expected  # pessimism costs time, never correctness
         assert report.plan.spill is True
 
@@ -397,11 +397,11 @@ class TestWarmReplan:
         store = ObservationStore()
 
         outcome = join_program().run(dict(inputs), MISPRICED, observations=store)
-        cold, cold_report = outcome.outputs, outcome.report
+        cold, cold_report = outcome.outputs, outcome.plan_report
         assert cold_report.plan.join_strategies == ("reduce_side",)
 
         outcome = join_program().run(dict(inputs), MISPRICED, observations=store)
-        warm, warm_report = outcome.outputs, outcome.report
+        warm, warm_report = outcome.outputs, outcome.plan_report
         assert warm_report.plan.join_strategies == ("broadcast",)
         # Integer fold: byte-identical across the strategy flip.
         assert warm[out_var] == cold[out_var]
@@ -425,10 +425,10 @@ class TestWarmReplan:
     def test_feedback_off_replans_cold_every_time(self):
         inputs = join_inputs(1500)
         options = ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
-        first = join_program().run(dict(inputs), options).report.plan.join_strategies
-        again = join_program().run(dict(inputs), options).report.plan.join_strategies
-        assert again == first
-        assert first == ("reduce_side",)
+        first = join_program().run(dict(inputs), options).plan_report.plan
+        again = join_program().run(dict(inputs), options).plan_report.plan
+        assert again.join_strategies == first.join_strategies
+        assert first.join_strategies == ("reduce_side",)
 
     def test_changed_data_misses_the_observation(self):
         store = ObservationStore()
@@ -439,7 +439,7 @@ class TestWarmReplan:
             dict(join_inputs(1500, seed=8)),  # different content
             MISPRICED,
             observations=store,
-        ).report
+        ).plan_report
         # Fresh data → no stored evidence → the static rule stands.
         assert report.plan.join_strategies == ("reduce_side",)
 
@@ -461,7 +461,7 @@ class TestWarmReplan:
             dict(inputs),
             MISPRICED,
             observations=ObservationStore(cache_dir=str(tmp_path)),
-        ).report
+        ).plan_report
         assert report.plan.join_strategies == ("reduce_side",)  # static
         fallback = report.estimates["fallback"]
         assert fallback["source"] == "static"
@@ -487,7 +487,7 @@ class TestMidJobSwitch:
             joins_mod, "sizeof_pair", lambda key, value: 1 << 40
         )
         outcome = join_program().run(dict(inputs), ExecOptions(plan="auto"))
-        switched, report = outcome.outputs, outcome.report
+        switched, report = outcome.outputs, outcome.plan_report
         assert report.plan.join_strategies == ("broadcast",)  # the plan...
         adaptation = report.adaptations[0]
         assert adaptation["kind"] == "broadcast_overflow"  # ...adapted
@@ -507,7 +507,9 @@ class TestMidJobSwitch:
         inputs = join_inputs(1500)
         store = ObservationStore()
         join_program().run(dict(inputs), MISPRICED, observations=store)
-        report = join_program().run(dict(inputs), MISPRICED, observations=store).report
+        report = join_program().run(
+            dict(inputs), MISPRICED, observations=store
+        ).plan_report
         assert report.plan.join_strategies == ("broadcast",)
         assert report.adaptations == []  # no overflow switch fired
 
@@ -589,7 +591,9 @@ class TestHarvest:
         outcome = join_program().run(
             dict(inputs), ExecOptions(plan="auto", memory_budget=MISPRICE_BUDGET)
         )
-        observation = harvest_observation("f", "d", outcome.report, outcome)
+        observation = harvest_observation(
+            "f", "d", outcome.plan_report, outcome.metrics
+        )
         assert observation.stages, "no stage rows harvested"
         names = [row["name"] for row in observation.stages]
         assert "scan" in names

@@ -133,7 +133,7 @@ class TestAutoPlanning:
 
         report = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
-        ).report
+        ).plan_report
         assert report is not None
         assert report.input_records == len(WORDS)
         if default_process_count() < 2:
@@ -151,7 +151,7 @@ class TestAutoPlanning:
     def test_tiny_input_stays_sequential(self, wc_result):
         report = run_fragment(
             wc_result, {"words": list(WORDS[:64])}, ExecOptions(plan="auto")
-        ).report
+        ).plan_report
         assert report.plan.backend == "sequential"
         assert any(
             "predicted sequential" in r or "CPU" in r for r in report.plan.reasons
@@ -160,7 +160,7 @@ class TestAutoPlanning:
     def test_cluster_ranking_reproduces_paper_ordering(self, wc_result):
         report = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
-        ).report
+        ).plan_report
         assert set(report.cluster_seconds) == {"spark", "hadoop", "flink"}
         assert report.cluster_seconds["spark"] < report.cluster_seconds["hadoop"]
         assert report.cluster_recommendation == "spark"
@@ -172,7 +172,7 @@ class TestAutoPlanning:
         outcome = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
         )
-        outputs, report = outcome.outputs, outcome.report
+        outputs, report = outcome.outputs, outcome.plan_report
         assert report.plan.backend == "multiprocess"
         assert report.plan.processes == 8
         assert report.fallback_reason is None
@@ -183,7 +183,7 @@ class TestAutoPlanning:
         result = wc_result
         report = run_fragment(
             result, {"words": list(WORDS)}, ExecOptions(plan="auto")
-        ).report
+        ).plan_report
         reduce_stages = [s for s in report.plan.stages if s.kind == "reduce"]
         assert reduce_stages and all(not s.combiner for s in reduce_stages)
         assert any("combiner off" in r for r in report.plan.reasons)
@@ -191,7 +191,7 @@ class TestAutoPlanning:
     def test_partitions_follow_engine_default_when_combining(self, wc_result):
         report = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="auto")
-        ).report
+        ).plan_report
         combining = any(s.kind == "reduce" and s.combiner for s in report.plan.stages)
         if combining:
             assert report.plan.partitions is None  # engine default
@@ -234,7 +234,7 @@ class TestPricedBackendChoice:
         monkeypatch.setattr(planner_module, "default_process_count", lambda: 8)
 
     def plan_report(self, result, inputs):
-        return run_fragment(result, inputs, ExecOptions(plan="auto")).report
+        return run_fragment(result, inputs, ExecOptions(plan="auto")).plan_report
 
     def test_default_constants_keep_a_cheap_scan_sequential(
         self, wc_result, eight_cpus
@@ -294,7 +294,9 @@ class TestPricedBackendChoice:
 
         fragment = compiled("joins_partsupp_cost").fragments[0]
         inputs = get_benchmark("joins_partsupp_cost").make_inputs(400, 7)
-        report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
+        report = fragment.program.run(
+            dict(inputs), ExecOptions(plan="auto")
+        ).plan_report
         evidence = report.estimates["backend"]
         assert "join" in {s["kind"] for s in evidence["stages"]}
         assert all(set(s) == PRICED_ROW for s in evidence["stages"])
@@ -347,7 +349,7 @@ class TestPricedBackendChoice:
         outcome = wc_result.fragments[0].program.run(
             {"words": words}, ExecOptions(plan="auto")
         )
-        report = outcome.report
+        report = outcome.plan_report
         assert report.plan.backend == "sequential"
         assert any("pool priced out" in r for r in report.plan.reasons)
         assert "not picklable" in report.estimates["backend"]["unpicklable"]
@@ -388,7 +390,7 @@ class TestForcedPlans:
             wc_result, {"words": list(WORDS)}, ExecOptions(plan=backend)
         )
         assert forced.outputs == default
-        report = forced.report
+        report = forced.plan_report
         assert report.plan.backend == backend
         assert any("forced by caller" in r for r in report.plan.reasons)
 
@@ -401,7 +403,7 @@ class TestForcedPlans:
         # report must tell the truth about what actually executed.
         report = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="multiprocess")
-        ).report
+        ).plan_report
         if report.fallback_reason is not None:
             assert report.backend_used == "sequential"
         else:
@@ -466,7 +468,7 @@ class TestMemoryAwarePlanning:
             ExecOptions(plan="sequential", memory_budget=2048),
         )
         assert spilled.outputs == outputs
-        report = spilled.report
+        report = spilled.plan_report
         assert report.plan.spill
         assert report.plan.memory_budget == 2048
         assert report.spill_stats is not None
@@ -483,7 +485,7 @@ class TestMemoryAwarePlanning:
             wc_result, {"words": list(WORDS)}, ExecOptions(memory_budget=2048)
         )
         assert budgeted.outputs == baseline
-        report = budgeted.report
+        report = budgeted.plan_report
         assert report.plan.spill
         assert any("spill" in r for r in report.plan.reasons)
         assert report.estimated_input_bytes is not None
@@ -492,7 +494,7 @@ class TestMemoryAwarePlanning:
     def test_ample_budget_stays_in_memory(self, wc_result):
         report = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(memory_budget=1 << 30)
-        ).report
+        ).plan_report
         assert not report.plan.spill
         assert report.plan.memory_budget is None
         assert report.spill_stats is None
@@ -510,7 +512,7 @@ class TestMemoryAwarePlanning:
             ExecOptions(plan="spark", memory_budget=1024),
         )
         assert simulated.outputs == baseline
-        report = simulated.report
+        report = simulated.plan_report
         assert not report.plan.spill
         assert report.plan.memory_budget is None
         assert any("ignored" in r for r in report.plan.reasons)
@@ -528,7 +530,7 @@ class TestMemoryAwarePlanning:
             ExecOptions(memory_budget=2048),
         )
         assert streamed.outputs == baseline
-        report = streamed.report
+        report = streamed.plan_report
         assert report.plan.spill
         assert any("unknown-length" in r for r in report.plan.reasons)
 

@@ -1,8 +1,9 @@
-"""The returned-outcome contract: one ``ExecOptions`` down, one outcome back.
+"""The returned-outcome contract: one ``ExecOptions`` down, one ``JobResult`` back.
 
-Every run layer returns what its own call produced — nothing is read
-back from the shared program or compilation — so two calls on the
-*same* object, overlapping in time, cannot see each other's evidence.
+Every run layer returns what its own call produced, as the one
+``repro.JobResult`` — nothing is read back from the shared program or
+compilation — so two calls on the *same* object, overlapping in time,
+cannot see each other's evidence.
 None of these tests can be written against "last run" accessors: the
 property is exactly that no such state exists.
 """
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import threading
 
-from repro import ExecOptions, Session, translate
+from repro import ExecOptions, JobResult, Session, translate
 from repro.graph import run_graph
+from repro.planner import GraphPlanReport, PlanReport
 
 SUM_SOURCE = """
 int sum(int[] data, int n) {
@@ -33,44 +35,99 @@ int both(int[] data, int n) {
 """
 
 
-def test_concurrent_runs_of_one_program_return_their_own_outcome():
-    """No Session, so no ``entry.lock``: the program object is shared raw."""
-    program = translate(SUM_SOURCE).fragments[0].program
-    sizes = (4000, 37)
-    datasets = [[(i * 7) % 13 for i in range(size)] for size in sizes]
-    rounds = 8
-    barrier = threading.Barrier(len(sizes))
-    outcomes: list[list] = [[] for _ in sizes]
+def _run_concurrently(run, datasets: list[list[int]], rounds: int = 8) -> list[list]:
+    """``run(data)`` from one thread per dataset, every round started
+    together; the results per thread, in order."""
+    barrier = threading.Barrier(len(datasets))
+    results: list[list] = [[] for _ in datasets]
 
     def worker(slot: int) -> None:
-        data = datasets[slot]
         for _ in range(rounds):
             barrier.wait(timeout=60)  # start every round together
-            outcomes[slot].append(
-                program.run(
-                    {"data": list(data), "n": len(data)},
-                    ExecOptions(plan="sequential"),
-                )
-            )
+            results[slot].append(run(datasets[slot]))
 
-    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(2)]
+    threads = [
+        threading.Thread(target=worker, args=(slot,)) for slot in range(len(datasets))
+    ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
         assert not thread.is_alive()
+    assert [len(per_slot) for per_slot in results] == [rounds] * len(datasets)
+    return results
 
-    for slot, data in enumerate(datasets):
-        assert len(outcomes[slot]) == rounds
-        for outcome in outcomes[slot]:
-            assert outcome.outputs == {"total": sum(data)}
-            assert outcome.report.input_records == len(data)
-            assert outcome.report.plan.backend == "sequential"
-            assert outcome.metrics.stages[0].records_in == len(data)
-            assert outcome.report.implementation is not None
+
+def test_concurrent_runs_of_one_program_return_their_own_outcome():
+    """No Session, so no ``entry.lock``: the compilation is shared raw —
+    by ``AdaptiveProgram.run`` callers and by ``run_graph`` callers."""
+    compilation = translate(SUM_SOURCE)
+    program = compilation.fragments[0].program
+    sizes = (4000, 37)
+    datasets = [[(i * 7) % 13 for i in range(size)] for size in sizes]
+    options = ExecOptions(plan="sequential")
+
+    fragment_runs = _run_concurrently(
+        lambda data: program.run({"data": list(data), "n": len(data)}, options),
+        datasets,
+    )
+    for data, per_slot in zip(datasets, fragment_runs):
+        for ran in per_slot:
+            assert isinstance(ran, JobResult) and ran.ok
+            assert isinstance(ran.plan_report, PlanReport)
+            assert ran.outputs == {"total": sum(data)}
+            assert ran.plan_report.input_records == len(data)
+            assert ran.plan_report.plan.backend == "sequential"
+            assert ran.metrics.stages[0].records_in == len(data)
+            assert ran.plan_report.implementation is not None
+
+    graph_runs = _run_concurrently(
+        lambda data: run_graph(
+            compilation.job_graph, {"data": list(data), "n": len(data)}, options
+        ),
+        datasets,
+    )
+    for data, per_slot in zip(datasets, graph_runs):
+        for ran in per_slot:
+            assert isinstance(ran, JobResult) and ran.ok
+            assert isinstance(ran.plan_report, GraphPlanReport)
+            assert ran.outputs == {"total": sum(data)}
+            (unit_report,) = ran.plan_report.unit_reports.values()
+            assert unit_report.input_records == len(data)
+            assert unit_report.backend_used == "sequential"
+
     # Distinct calls, distinct objects — nothing is a shared "last" slot.
-    reports = [o.report for per_slot in outcomes for o in per_slot]
-    assert len({id(report) for report in reports}) == len(reports)
+    for runs in (fragment_runs, graph_runs):
+        reports = [ran.plan_report for per_slot in runs for ran in per_slot]
+        assert len({id(report) for report in reports}) == len(reports)
+
+
+def test_every_run_layer_returns_a_job_result():
+    compilation = translate(SUM_SOURCE)
+    data = list(range(50))
+    inputs = {"data": data, "n": len(data)}
+    adaptive = compilation.fragments[0].program
+    with Session(max_workers=0) as session:
+        runs = {
+            "GeneratedProgram.run": adaptive.programs[0].run(dict(inputs)),
+            "AdaptiveProgram.run": adaptive.run(dict(inputs)),
+            "run_graph": run_graph(compilation.job_graph, dict(inputs)),
+            "Session.run": session.run(compilation, dict(inputs)),
+            "Session.run(fragment_index=0)": session.run(
+                compilation, dict(inputs), fragment_index=0
+            ),
+        }
+    for layer, ran in runs.items():
+        assert type(ran) is JobResult, layer
+        assert ran.ok and ran.outputs == {"total": sum(data)}, layer
+        assert ran.plan_report is not None, layer
+    # The run layers leave the session's share empty; the session fills it.
+    assert runs["AdaptiveProgram.run"].job_id == ""
+    assert runs["AdaptiveProgram.run"].admission is None
+    assert runs["Session.run"].job_id and runs["Session.run"].admission
+    # The engine's account reaches the caller through the report alone.
+    bare = runs["GeneratedProgram.run"].plan_report
+    assert bare.backend_used == "spark" and bare.fallback_reason is None
 
 
 def test_concurrent_wave_units_each_land_their_own_report():
@@ -83,8 +140,8 @@ def test_concurrent_wave_units_each_land_their_own_report():
     )
     # Both aggregates are independent: one wave (concurrent on the
     # modelled cluster, run one after the other here).
-    assert run.report.plan.waves == [(0, 1)]
-    unit_reports = run.report.unit_reports
+    assert run.plan_report.plan.waves == [(0, 1)]
+    unit_reports = run.plan_report.unit_reports
     assert sorted(unit_reports) == ["both#0", "both#1"]
     first, second = unit_reports["both#0"], unit_reports["both#1"]
     assert first is not second

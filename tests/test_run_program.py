@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ExecOptions, Session
-from repro.graph import interpret_reference, run_graph
+from repro.graph import interpret_reference, optimize_graph, run_graph
 from repro.lang.interpreter import Interpreter
 from repro.lang.values import values_equal
 from repro.planner import planner as planner_module
@@ -44,7 +44,7 @@ class TestGraphIdentity:
         run = run_graph(
             compilation.job_graph, dict(inputs), ExecOptions(strict=False)
         )
-        fused, report = run.outputs, run.report
+        fused, report = run.outputs, run.plan_report
         unfused = run_graph(
             compilation.job_graph, dict(inputs), ExecOptions(strict=False, fuse=False)
         ).outputs
@@ -94,7 +94,7 @@ class TestMultiStagePrograms:
         benchmark = get_benchmark("biglambda_select_sum")
         report = run_graph(
             compilation.job_graph, benchmark.make_inputs(RUN_SIZE, 7)
-        ).report
+        ).plan_report
         assert any("map→map fused" in d for d in report.decisions)
         assert any("combiner hoisted" in d for d in report.decisions)
         assert report.fused_away == ["kept"]
@@ -104,7 +104,7 @@ class TestMultiStagePrograms:
         benchmark = get_benchmark("tpch_q1")
         report = run_graph(
             compilation.job_graph, benchmark.make_inputs(RUN_SIZE, 7)
-        ).report
+        ).plan_report
         assert report.plan.waves == [(0, 1)]
         # Both aggregates scan lineitem: one materialization, one reuse.
         assert report.records_cache_hits >= 1
@@ -115,8 +115,9 @@ class TestMultiStagePrograms:
         compilation = compiled("iterative_pagerank")
         benchmark = get_benchmark("iterative_pagerank")
         run = run_graph(compilation.job_graph, benchmark.make_inputs(RUN_SIZE, 7))
-        assert any(unit.fused for unit in run.schedule.units)
-        assert any("stage-fused" in d for d in run.report.decisions)
+        schedule = optimize_graph(compilation.job_graph)
+        assert any(unit.fused for unit in schedule.units)
+        assert any("stage-fused" in d for d in run.plan_report.decisions)
 
     def test_loop_carried_pagerank_iterations(self):
         benchmark = get_benchmark("iterative_pagerank")
@@ -242,7 +243,9 @@ class TestDeterministicPlanning:
         monkeypatch.setattr(planner_module, "default_process_count", lambda: 1)
         monkeypatch.setattr(planner_module, "price_backends", _fail)
         monkeypatch.setattr(planner_module, "unpicklable_reason", _fail)
-        report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
+        report = fragment.program.run(
+            dict(inputs), ExecOptions(plan="auto")
+        ).plan_report
         assert report.plan.backend == "sequential"
         assert any("1 CPU(s) available" in r for r in report.plan.reasons)
         assert report.estimated_seconds == {}
@@ -253,7 +256,9 @@ class TestDeterministicPlanning:
         fragment = next(f for f in compilation.fragments if f.translated)
         inputs = get_benchmark("biglambda_sentiment").make_inputs(200, 7)
         monkeypatch.setattr(planner_module, "default_process_count", lambda: 4)
-        report = fragment.program.run(dict(inputs), ExecOptions(plan="auto")).report
+        report = fragment.program.run(
+            dict(inputs), ExecOptions(plan="auto")
+        ).plan_report
         assert set(report.estimated_seconds) == {"sequential", "multiprocess"}
         assert report.estimates["backend"]["processes"] == 4
         assert report.plan.backend == "sequential"  # 200 records: start-up decides
