@@ -254,7 +254,10 @@ def measure_dag() -> dict:
             "unfused_simulated_seconds": round(unfused.simulated_seconds, 4),
             "waves": [list(w) for w in fused.report.plan.waves],
             "fused_away": fused.report.fused_away,
-            "decisions": fused.report.decisions,
+            "decisions": [
+                {"code": d.code, "message": d.message}
+                for d in fused.report.optimizer_diagnostics
+            ],
             "records_cache_hits": fused.report.records_cache_hits,
         }
     return {
@@ -325,7 +328,11 @@ def measure_spill() -> dict:
         ),
         "spill_runs": stats.get("spill_runs"),
         "spilled_bytes": stats.get("spilled_bytes"),
-        "plan_reasons": list(unit.plan.reasons) if unit is not None else [],
+        "plan_decisions": [
+            {"code": d.code, "message": d.message}
+            for d in (unit.diagnostics if unit is not None else [])
+            if d.code.startswith("REP4")
+        ],
     }
 
 

@@ -108,8 +108,12 @@ class TestMultiprocessIdentity:
             outcome = program.run(snapshot, backend="multiprocess", plan=plan)
             reference = program.run(snapshot)
             assert outcome.outputs == reference.outputs
-            fallback = outcome.plan_report.fallback_reason
-            assert fallback is None, fallback
+            fallback = [
+                d.render()
+                for d in outcome.plan_report.diagnostics
+                if d.code.startswith("REP30")
+            ]
+            assert not fallback, fallback
 
 
 #: What ``plan="auto"`` owes: a wall within this factor of the better of
@@ -161,11 +165,11 @@ class TestAutoPlanWithinBest:
             ],
         )
         assert outputs["auto"] == outputs["sequential"] == outputs["multiprocess"]
-        assert reports["multiprocess"].fallback_reason is None
-        assert auto.fallback_reason is None
+        assert reports["multiprocess"].backend_used == "multiprocess"
+        assert auto.backend_used == auto.plan.backend
         best = min(walls["sequential"], walls["multiprocess"])
         assert walls["auto"] <= WITHIN_BEST * best, (
             f"plan='auto' chose {auto.plan.backend} and took {walls['auto']:.3f}s, "
             f"over {WITHIN_BEST}× the better forced backend ({best:.3f}s; "
-            f"strict={STRICT}): {auto.plan.reasons}"
+            f"strict={STRICT}): {[d.message for d in auto.diagnostics]}"
         )

@@ -81,7 +81,7 @@ class TestSpillIdentity:
             report = spilled.plan_report
             assert report.plan.spill, (
                 f"{name}: budget {IDENTITY_BUDGET} did not engage the "
-                f"spill path ({report.plan.reasons})"
+                f"spill path ({[d.message for d in report.diagnostics]})"
             )
             checked += 1
         _IDENTITY_CHECKED[name] = checked
@@ -126,7 +126,7 @@ class TestLargeScaleBoundedResidency:
         assert spilled.outputs == baseline
         report = spilled.plan_report
         unit = next(iter(report.unit_reports.values()))
-        assert unit.plan.spill, unit.plan.reasons
+        assert unit.plan.spill, [d.message for d in unit.diagnostics]
         stats = unit.spill_stats
         assert stats is not None and stats["spill_runs"] > 0
         peak = stats["peak_resident_bytes"]

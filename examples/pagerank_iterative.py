@@ -63,8 +63,8 @@ def main() -> None:
 
     report = job.plan_report  # each job returns its own evidence trail
     print("\nfusion decisions:")
-    for decision in report.decisions:
-        print(f"  {decision}")
+    for diagnostic in report.optimizer_diagnostics:
+        print(f"  {diagnostic.code} {diagnostic.message}")
     print(f"waves: {report.plan.waves}")
 
     top = sorted(range(NODES), key=lambda i: -rank[i])[:5]

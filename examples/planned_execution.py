@@ -52,10 +52,10 @@ def main() -> None:
     print(f"  plan:          {report.plan.describe()}")
     print(f"  estimates:     {report.estimated_seconds}")
     print(f"  cluster pick:  {report.cluster_recommendation}")
-    for reason in report.plan.reasons:
-        print(f"  - {reason}")
-    if report.fallback_reason:
-        print(f"  fallback:      {report.fallback_reason}")
+    # The decisions (REP4xx) in the order they were made, then any
+    # engine fallback (REP30x).
+    for diagnostic in report.diagnostics:
+        print(f"  - {diagnostic.code} {diagnostic.message}")
 
 
 if __name__ == "__main__":

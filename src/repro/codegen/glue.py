@@ -22,7 +22,7 @@ from ..cost.observe import (
 from ..engine.config import EngineConfig
 from ..lang.analysis.fragments import FragmentAnalysis
 from ..options import ExecOptions, JobResult
-from ..planner.plan import DEFAULT_BACKEND, ExecutionPlan, PlanReport, forced_plan
+from ..planner.plan import DEFAULT_BACKEND, ExecutionPlan, PlanReport, forced_report
 from ..planner.planner import ExecutionPlanner
 from ..synthesis.search import VerifiedSummary
 from .base import GeneratedProgram, view_records
@@ -92,8 +92,9 @@ class AdaptiveProgram:
         :class:`PlanReport` evidence trail as ``plan_report``: the
         ``implementation`` the monitor dispatched to, the §7.4 ordering
         choice (``join["ordering"]``, join fragments with several
-        orderings), how the engine ran the plan and the ``REP3xx``
-        diagnostics.
+        orderings), how the engine ran the plan, and the diagnostics:
+        the decisions behind the plan (``REP4xx``) and the ``REP3xx``
+        findings.
 
         ``options`` (see :class:`~repro.options.ExecOptions`) says how:
         its ``effective_plan`` selects the execution strategy — ``None``
@@ -232,14 +233,15 @@ class AdaptiveProgram:
         configuration, which prices the planner's cluster ranking)."""
         plan = options.effective_plan or DEFAULT_BACKEND
         if plan != "auto":
-            forced = forced_plan(plan, memory_budget=options.memory_budget)
-            report = PlanReport(plan=forced, input_records=_record_count(records))
+            report = forced_report(
+                plan, options.memory_budget, _record_count(records)
+            )
             # Forced *local* runs of a join pipeline still record the
             # physical-join choice (the same deterministic size rule the
             # codegen default applies), so the evidence trail is complete.
             if (
                 inputs is not None
-                and forced.backend in ("sequential", "multiprocess")
+                and report.plan.backend in ("sequential", "multiprocess")
                 and program.has_join
             ):
                 from dataclasses import replace
@@ -249,15 +251,12 @@ class AdaptiveProgram:
                 decisions = resolve_join_strategies(
                     program, inputs, memory_budget=options.memory_budget
                 )
-                forced = replace(
-                    forced,
-                    join_strategies=tuple(d.strategy for d in decisions),
-                    reasons=forced.reasons
-                    + tuple(f"join {d.relation}: {d.reason}" for d in decisions),
+                report.plan = replace(
+                    report.plan, join_strategies=tuple(d.strategy for d in decisions)
                 )
-                report.plan = forced
                 report.join = {"levels": [d.as_dict() for d in decisions]}
-            return forced, report
+                report.diagnostics.extend(d.diagnostic() for d in decisions)
+            return report.plan, report
         return self.ensure_planner().plan(
             program,
             records,

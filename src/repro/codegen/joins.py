@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..diagnostics import Diagnostic, make as make_diagnostic
 from ..engine.multiprocess import MapStep, PipelineStep, ReduceStep
 from ..engine.sizes import sizeof_pair
 from ..engine.source import Dataset, ListSource
@@ -162,6 +163,10 @@ class JoinLevelDecision:
             "limit": self.limit,
             "reason": self.reason,
         }
+
+    def diagnostic(self) -> Diagnostic:
+        """This level's decision as its ``REP403`` diagnostic."""
+        return make_diagnostic("REP403", f"join {self.relation}: {self.reason}")
 
 
 def _reject_streaming(join, inputs: dict[str, Any]) -> None:

@@ -1198,20 +1198,16 @@ class CompiledRecordMapper(_Compiled):
         return self._vec.specs if self._vec is not None else None
 
     def map_block(self, records: Any) -> Optional[ColumnBlock]:
-        """Emitted pairs as a column block, or None → run ``map_chunk``."""
+        """Emitted pairs as a column block, or None → run the row loop —
+        flagged a guard fallback whenever there was a vector kernel to
+        refuse the chunk, unreadable columns included."""
         self._ensure()
-        self.last_chunk_fallback = False
-        self.last_chunk_columnar = False
-        if self._vec is None:
-            return None
-        columns = resolve_columns(records, self._vec.specs)
-        if columns is None:
-            return None
-        block = self._vec.run_block(columns)
-        if block is None:
-            self.last_chunk_fallback = True
-        else:
-            self.last_chunk_columnar = True
+        block = None
+        if self._vec is not None:
+            columns = resolve_columns(records, self._vec.specs)
+            block = None if columns is None else self._vec.run_block(columns)
+        self.last_chunk_columnar = block is not None
+        self.last_chunk_fallback = block is None and self._vec is not None
         return block
 
     def map_rows(self, records: Any) -> list[tuple]:
@@ -1223,26 +1219,13 @@ class CompiledRecordMapper(_Compiled):
         _run(fn, records, out.append)
         return out
 
-    def _vector_block(self, records: Any) -> Optional[ColumnBlock]:
-        """``map_chunk``'s vector attempt: the chunk's block, or None —
-        flagged a fallback whenever there was a vector kernel to refuse
-        the chunk, unreadable columns included."""
-        self._ensure()
-        block = None
-        if self._vec is not None:
-            columns = resolve_columns(records, self._vec.specs)
-            block = None if columns is None else self._vec.run_block(columns)
-        self.last_chunk_columnar = block is not None
-        self.last_chunk_fallback = block is None and self._vec is not None
-        return block
-
     def map_chunk(self, records: Any) -> list[tuple]:
-        block = self._vector_block(records)
+        block = self.map_block(records)
         return self.map_rows(records) if block is None else block.pairs()
 
     def map_columns(self, records: Any) -> tuple[list, list]:
         """``map_chunk`` with the pairs as a key list and a value list."""
-        block = self._vector_block(records)
+        block = self.map_block(records)
         if block is not None:
             return block.key_list(), block.values.tolist()
         if self._columns_fn is None:

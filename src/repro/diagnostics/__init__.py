@@ -2,7 +2,8 @@
 
 This package is the pipeline's account of *why*: why a fragment was
 rejected before CEGIS (:mod:`~repro.diagnostics.soundness`), why a proof
-was demoted to Tier-2, why the engine fell back in-process — all as
+was demoted to Tier-2, why the engine fell back in-process, what the
+planner, the graph optimizer and admission control decided — all as
 structured :class:`Diagnostic` objects with stable codes
 (:mod:`~repro.diagnostics.codes`) instead of free-text strings.  It also
 hosts the one picklability check
@@ -13,7 +14,6 @@ hosts the one picklability check
 from repro.diagnostics.codes import REGISTRY, SEVERITIES, CodeInfo, info_for
 from repro.diagnostics.diagnostic import (
     Diagnostic,
-    DiagnosticSink,
     diagnostic_from_data,
     escalate_strict,
     explain,
@@ -28,7 +28,6 @@ __all__ = [
     "SEVERITIES",
     "CodeInfo",
     "Diagnostic",
-    "DiagnosticSink",
     "analyze_soundness",
     "diagnostic_from_data",
     "escalate_strict",

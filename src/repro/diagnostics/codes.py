@@ -1,13 +1,16 @@
 """The stable diagnostic-code registry.
 
 Every machine-readable reason the pipeline can give for demoting,
-rejecting, or falling back carries one of these codes:
+rejecting, falling back or deciding carries one of these codes:
 
 * ``REP1xx`` — static analysis (the soundness pass, pre-CEGIS);
 * ``REP2xx`` — verification (symbolic execution, bounded checking,
   the synthesis search, the proof-acceptance gate);
 * ``REP3xx`` — engine and planner (pool fallbacks, pickle probes,
   evaluator-fallback stages, reference-estimator samples);
+* ``REP4xx`` — decisions: what the execution planner, the job-graph
+  optimizer and admission control chose, and why (all ``info``; one
+  code per kind of decision, the message says which way it went);
 * ``LNT1xx`` — the repo-invariant lint of :mod:`repro.diagnostics.lint`.
 
 Codes are append-only: a released code never changes meaning, so logs,
@@ -41,6 +44,9 @@ class CodeInfo:
 def _entry(code: str, severity: str, title: str, hint: str) -> tuple[str, CodeInfo]:
     return code, CodeInfo(code, severity, title, hint)
 
+
+#: The hint of every ``REP4xx``: a decision reports a choice, not a fault.
+_DECIDED: Final[str] = "a decision, not a fault: the message says which way and why"
 
 #: The registry.  ``title`` is the one-line meaning (the README table is
 #: generated from the same wording); ``hint`` is the default fix hint.
@@ -236,6 +242,22 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "estimates and the chosen implementation are identical, only "
             "slower",
         ),
+        # ---- REP4xx: planner / graph-optimizer / admission decisions -
+        _entry("REP401", "info", "backend decision", _DECIDED),
+        _entry(
+            "REP402", "info", "shuffle store decision: spill or in-memory", _DECIDED
+        ),
+        _entry("REP403", "info", "join strategy decision for one join level", _DECIDED),
+        _entry("REP404", "info", "combiner off for a reduce stage", _DECIDED),
+        _entry("REP405", "info", "partition count decision", _DECIDED),
+        _entry("REP406", "info", "estimate source", _DECIDED),
+        _entry("REP407", "info", "graph optimizer fused a chain link", _DECIDED),
+        _entry("REP408", "info", "combiner hoisted across a fused boundary", _DECIDED),
+        _entry("REP409", "info", "fused node's implementation pinned", _DECIDED),
+        _entry("REP410", "info", "dead stage eliminated", _DECIDED),
+        _entry("REP411", "info", "admission priced the job's footprint", _DECIDED),
+        _entry("REP412", "info", "admission mode: concurrent or exclusive", _DECIDED),
+        _entry("REP413", "info", "job queued for admission", _DECIDED),
         # ---- LNT1xx: repo-invariant lint -----------------------------
         _entry(
             "LNT101",

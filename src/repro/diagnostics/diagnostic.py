@@ -10,7 +10,7 @@ used to carry alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.diagnostics.codes import REGISTRY, SEVERITIES, info_for
@@ -145,35 +145,8 @@ def escalate_strict(diagnostics: Iterable[Diagnostic], context: str) -> None:
         )
 
 
-@dataclass
-class DiagnosticSink:
-    """A mutable collector threaded through analysis passes."""
-
-    items: list[Diagnostic] = field(default_factory=list)
-
-    def add(self, diag: Diagnostic) -> None:
-        self.items.append(diag)
-
-    def emit(
-        self,
-        code: str,
-        message: str,
-        *,
-        line: int = 0,
-        hint: str | None = None,
-        fragment: str = "",
-    ) -> Diagnostic:
-        diag = make(code, message, line=line, hint=hint, fragment=fragment)
-        self.items.append(diag)
-        return diag
-
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.items if d.severity == "error"]
-
-
 __all__ = [
     "Diagnostic",
-    "DiagnosticSink",
     "diagnostic_from_data",
     "escalate_strict",
     "explain",

@@ -51,8 +51,9 @@ literal under an int ``+`` λr: its keys are counted in C
 
 Closures are shipped to workers with plain :mod:`pickle`; payloads that
 cannot be pickled (e.g. a locally-defined lambda) trigger a transparent
-fallback to in-process execution, recorded as ``fallback_reason`` so
-callers (the planner's ``PlanReport``) can surface it.  Only genuine
+fallback to in-process execution, recorded as the result's ``fallback``
+diagnostic (``REP301``–``REP305``) so callers (the planner's
+``PlanReport``) can surface it.  Only genuine
 pickling errors fall back — an exception raised *inside* a map or
 reduce callable in a worker always propagates to the caller.
 """
@@ -72,6 +73,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..cpu import available_cpu_count
+from ..diagnostics import Diagnostic, make as make_diagnostic
 from ..errors import EngineError, SpillError
 from .columnar import (
     ColumnChunk,
@@ -152,12 +154,10 @@ class MultiprocessResult:
     metrics: JobMetrics
     processes_used: int = 0
     map_tasks: int = 0
-    #: Why the engine executed in-process instead of across workers
-    #: (``None`` when the pool actually ran).
-    fallback_reason: Optional[str] = None
-    #: Stable diagnostic code for the fallback (``REP301``–``REP305``);
-    #: set whenever ``fallback_reason`` is.
-    fallback_code: Optional[str] = None
+    #: Why the engine executed in-process instead of across workers, as
+    #: its ``REP301``–``REP305`` diagnostic (``None`` when the pool
+    #: actually ran).
+    fallback: Optional[Diagnostic] = None
     #: Spill accounting (:meth:`repro.engine.spill.SpillStats.as_dict`,
     #: its ``peak_resident_bytes`` the high-water mark of estimated
     #: resident bytes); set exactly when the job ran under a memory
@@ -185,7 +185,7 @@ class MultiprocessResult:
 
     @property
     def executed_parallel(self) -> bool:
-        return self.fallback_reason is None and self.processes_used > 1
+        return self.fallback is None and self.processes_used > 1
 
     def columnar_stats(self) -> Optional[dict]:
         """Compact columnar accounting; None when nothing vectorized."""
@@ -769,8 +769,7 @@ class MultiprocessEngine:
     ) -> None:
         """Report a fallback; when no pool work has run yet, the job was
         effectively single-process, so keep ``processes_used`` honest."""
-        result.fallback_reason = reason
-        result.fallback_code = code
+        result.fallback = make_diagnostic(code, reason)
         if result.map_tasks == 0:
             result.processes_used = 1
 
@@ -901,14 +900,13 @@ class MultiprocessEngine:
         )
         pool: Optional[ProcessPoolExecutor] = None
         if processes <= 1:
-            result.fallback_reason = "single process requested"
-            result.fallback_code = "REP302"
+            result.fallback = make_diagnostic("REP302", "single process requested")
         elif known is not None and known < self.min_parallel_records:
-            result.fallback_reason = (
+            result.fallback = make_diagnostic(
+                "REP303",
                 f"tiny input ({known} records < "
-                f"{self.min_parallel_records}): pool startup would dominate"
+                f"{self.min_parallel_records}): pool startup would dominate",
             )
-            result.fallback_code = "REP303"
         else:
             pool = self._open_pool(processes)
             if pool is None:

@@ -55,10 +55,6 @@ class ProbeResult:
     bytes: int
     exhausted: bool
 
-    @property
-    def per_record_bytes(self) -> Optional[float]:
-        return self.bytes / self.records if self.records else None
-
 
 class Dataset:
     """A replayable source of records, consumed in bounded chunks."""

@@ -23,7 +23,6 @@ every workload suite.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Any, Optional
 
 from ..codegen.base import (
@@ -35,6 +34,7 @@ from ..codegen.base import (
     view_records,
 )
 from ..cost.observe import ObservationStore
+from ..diagnostics import make as make_diagnostic
 from ..engine.config import EngineConfig
 from ..engine.multiprocess import BridgeStep, MapStep
 from ..errors import GraphError
@@ -128,7 +128,7 @@ def run_graph(
 
     report = GraphPlanReport(
         plan=dag_plan,
-        decisions=list(schedule.decisions),
+        optimizer_diagnostics=list(schedule.diagnostics),
         fused_away=sorted(schedule.fused_away),
         eliminated=dict(schedule.eliminated),
     )
@@ -367,30 +367,26 @@ def _chain_plan(
     decision recorded, rather than silently unfusing or failing.
     """
     plan = options.effective_plan or DEFAULT_BACKEND
-    extra_reasons: tuple[str, ...] = ()
-    if plan not in ("auto", "sequential", "multiprocess"):
+    degraded = plan not in ("auto", "sequential", "multiprocess")
+    if degraded:
         # A simulated cluster backend cannot execute a stitched chain.
         options = options.merged(plan="sequential")
-        extra_reasons += (
-            f"fused chains run locally; {plan!r} backend degraded to sequential",
-        )
     sample = head.program.sample_head(records) if plan == "auto" else []
     execution_plan, report = head.program.plan_execution(
         options, chosen, records, sample, globals_env, config=config
     )
+    if degraded:
+        note = f"fused chains run locally; {plan!r} backend degraded to sequential"
+        report.diagnostics.append(make_diagnostic("REP401", note))
     if plan == "auto":
         report.implementation = f"impl_{unit.impl_indexes[0]}"
         # The planner's price and estimates cover the head fragment
         # only; downstream stages of the chain are not costed, so a
         # compute-heavy consumer can make this an underestimate.
         # Recorded so the evidence trail stays honest.
-        extra_reasons += (
+        note = (
             f"estimates cover head fragment {unit.head} only "
-            f"({len(unit.node_ids) - 1} fused downstream stage(s) uncosted)",
+            f"({len(unit.node_ids) - 1} fused downstream stage(s) uncosted)"
         )
-    if extra_reasons:
-        execution_plan = replace(
-            execution_plan, reasons=execution_plan.reasons + extra_reasons
-        )
-        report.plan = execution_plan
+        report.diagnostics.append(make_diagnostic("REP406", note))
     return execution_plan, report

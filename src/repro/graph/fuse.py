@@ -21,6 +21,10 @@ round trip).  Three optimizations apply:
   required output are dropped (with the reason recorded) instead of
   executed.
 
+Each rewrite is recorded on the schedule as one ``info`` diagnostic:
+``REP407`` fused, ``REP408`` combiner hoisted, ``REP409`` implementation
+pinned, ``REP410`` dead stage eliminated.
+
 Fusion is deliberately conservative: a chain link requires the producer
 to have exactly one output variable, consumed by exactly one node, as
 that consumer's sole dataset-view source.  Everything else stays a
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..diagnostics import Diagnostic, make as make_diagnostic
 from ..ir.nodes import JoinStage, MapStage, ReduceStage
 from ..lang.analysis.liveness import stmt_uses
 from .jobgraph import JobGraph, JobNode
@@ -80,21 +85,17 @@ class FusedChain:
 class GraphSchedule:
     """The optimizer's answer: units to run, and why.
 
-    ``fused_away`` lists intermediate variables that map→map fusion
-    keeps entirely inside a fused stage — they are never materialized,
-    so they do not appear in the program's outputs.
+    ``diagnostics`` holds the optimizer's decisions (``REP407``–
+    ``REP410``) in the order they were made.  ``fused_away`` lists
+    intermediate variables that map→map fusion keeps entirely inside a
+    fused stage — they are never materialized, so they do not appear in
+    the program's outputs.
     """
 
     units: list[FusedChain] = field(default_factory=list)
-    decisions: list[str] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
     eliminated: dict[str, str] = field(default_factory=dict)
     fused_away: frozenset[str] = frozenset()
-
-    def unit_of(self, node_id: str) -> Optional[FusedChain]:
-        for unit in self.units:
-            if node_id in unit.node_ids:
-                return unit
-        return None
 
     @property
     def fused_units(self) -> list[FusedChain]:
@@ -142,14 +143,13 @@ def optimize_graph(
             chain.append(next_id)
             if kind == "map":
                 fused_away.add(var)
-            schedule.decisions.append(
-                f"{chain[-2]} -> {next_id}: "
-                + (
-                    f"map→map fused on {var!r} (intermediate never materialized)"
-                    if kind == "map"
-                    else f"stage-fused on {var!r} (partitioned handoff, no re-scan)"
-                )
+            how = (
+                f"map→map fused on {var!r} (intermediate never materialized)"
+                if kind == "map"
+                else f"stage-fused on {var!r} (partitioned handoff, no re-scan)"
             )
+            note = f"{chain[-2]} -> {next_id}: {how}"
+            schedule.diagnostics.append(make_diagnostic("REP407", note))
         # Implementation pinning only applies to fused chains; a
         # single-node unit keeps its runtime monitor, which samples the
         # input per run and picks freely.
@@ -198,9 +198,8 @@ def _eliminate_dead(
                 "dead stage: outputs "
                 f"{sorted(node.output_vars)} are not consumed and not required"
             )
-            schedule.decisions.append(
-                f"{node_id}: eliminated ({schedule.eliminated[node_id]})"
-            )
+            note = f"{node_id}: eliminated ({schedule.eliminated[node_id]})"
+            schedule.diagnostics.append(make_diagnostic("REP410", note))
     return kept
 
 
@@ -283,10 +282,11 @@ def _static_impl_index(node: JobNode) -> int:
 def _choose_impl(node: JobNode, schedule: GraphSchedule) -> int:
     index = _static_impl_index(node)
     if index != 0:
-        schedule.decisions.append(
+        note = (
             f"{node.id}: fused chain pinned impl_{index} "
             "(lowest static worst-case cost)"
         )
+        schedule.diagnostics.append(make_diagnostic("REP409", note))
     return index
 
 
@@ -304,7 +304,8 @@ def _note_combiner_hoist(
             isinstance(s, ReduceStage) for s in program.summary.pipeline.stages
         )
         if has_reduce and combiner_safe:
-            schedule.decisions.append(
+            note = (
                 f"{consumer.id}: combiner hoisted across fused boundary "
                 f"(map-side combine now covers {unit.node_ids[link]}'s records)"
             )
+            schedule.diagnostics.append(make_diagnostic("REP408", note))

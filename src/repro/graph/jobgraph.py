@@ -80,9 +80,6 @@ class JobGraph:
     # ------------------------------------------------------------------
     # Structure queries
 
-    def node_list(self) -> list[JobNode]:
-        return list(self.nodes.values())
-
     def consumers_of(self, node_id: str) -> list[JobEdge]:
         return [e for e in self.edges if e.producer == node_id]
 
@@ -91,9 +88,6 @@ class JobGraph:
 
     def dependencies(self, node_id: str) -> set[str]:
         return {e.producer for e in self.edges if e.consumer == node_id}
-
-    def translated_nodes(self) -> list[JobNode]:
-        return [n for n in self.nodes.values() if n.translated]
 
     # ------------------------------------------------------------------
     # Validation

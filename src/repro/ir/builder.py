@@ -16,7 +16,6 @@ from .nodes import (
     Const,
     Emit,
     IRExpr,
-    JoinStage,
     MapLambda,
     MapStage,
     OutputBinding,
@@ -118,10 +117,6 @@ def map_stage(params: Sequence[str], *emits: Emit) -> MapStage:
 
 def reduce_stage(body: IRExpr) -> ReduceStage:
     return ReduceStage(reduce_lambda(body))
-
-
-def join_stage(right: Pipeline) -> JoinStage:
-    return JoinStage(right)
 
 
 def pipeline(source: str, *stages: Stage) -> Pipeline:

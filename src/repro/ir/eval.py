@@ -25,7 +25,6 @@ from .nodes import (
     CallFn,
     Cond,
     Const,
-    Emit,
     IRExpr,
     JoinStage,
     MapLambda,
@@ -334,8 +333,3 @@ def _build_container(
         default = binding.default
         return [result_map.get(i, default) for i in range(size)]
     raise IRError(f"unknown container {binding.container!r}")
-
-
-def make_emit(key: IRExpr, value: IRExpr, cond: Optional[IRExpr] = None) -> Emit:
-    """Convenience Emit constructor (mirrors the paper's emit syntax)."""
-    return Emit(key=key, value=value, cond=cond)

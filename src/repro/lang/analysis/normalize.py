@@ -116,15 +116,6 @@ def normalize_loop(loop: ast.Stmt) -> ast.While:
     raise TypeError(f"not a loop: {type(loop).__name__}")
 
 
-def loop_init_stmts(loop: ast.Stmt) -> list[ast.Stmt]:
-    """Init statements that must run before the normalized while loop."""
-    if isinstance(loop, ast.For):
-        return [desugar_stmt(s) for s in loop.init]
-    if isinstance(loop, ast.ForEach):
-        return [ast.VarDecl(None, "__idx", ast.IntLit(0))]  # type: ignore[arg-type]
-    return []
-
-
 def find_loops(stmt: ast.Stmt) -> list[ast.Stmt]:
     """All loop statements within ``stmt`` (pre-order, includes nested)."""
     loops: list[ast.Stmt] = []

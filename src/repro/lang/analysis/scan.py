@@ -25,9 +25,6 @@ class ScanResult:
     has_nested_loops: bool = False
     loop_depth: int = 0
 
-    def constant_values(self) -> list[Any]:
-        return [value for value, _ in self.constants]
-
 
 _ARITH = frozenset({"+", "-", "*", "/", "%"})
 _COMPARE = frozenset({"<", ">", "<=", ">=", "==", "!="})

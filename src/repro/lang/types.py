@@ -6,7 +6,7 @@ and the grammar generator rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class JType:
@@ -29,9 +29,6 @@ class PrimitiveType(JType):
 
     def is_numeric(self) -> bool:
         return self.name in self._NUMERIC
-
-    def is_integral(self) -> bool:
-        return self.name in ("int", "long", "char")
 
     def is_floating(self) -> bool:
         return self.name in ("double", "float")
@@ -113,18 +110,6 @@ class ClassType(JType):
 
     def __str__(self) -> str:
         return self.name
-
-
-@dataclass(frozen=True)
-class FunctionType(JType):
-    """Type of a declared function; used by the checker only."""
-
-    params: tuple[JType, ...] = field(default_factory=tuple)
-    result: JType = None  # type: ignore[assignment]
-
-    def __str__(self) -> str:
-        args = ", ".join(str(p) for p in self.params)
-        return f"({args}) -> {self.result}"
 
 
 # Canonical singletons for the common primitives.

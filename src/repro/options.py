@@ -153,17 +153,20 @@ class JobResult:
     #: whose totals are on the ``GraphPlanReport``.
     metrics: Any = None
     #: The admission controller's decision for this job, as a dict
-    #: (mode, footprint, capacity, queueing, reasons) — the one copy;
-    #: ``None`` outside a session.
+    #: (mode, footprint, capacity, queueing) — the one copy; ``None``
+    #: outside a session.  Why it decided so is in ``diagnostics``.
     admission: Optional[dict] = None
     error: Optional[str] = None
     #: Session timings; 0.0 on a run layer's own result, whose run wall
     #: time is ``plan_report.wall_seconds``.
     wall_seconds: float = 0.0
     queued_seconds: float = 0.0
-    #: Structured diagnostics for this job (:mod:`repro.diagnostics`):
-    #: the compilation's REP1xx/REP2xx trail plus the execution report's
-    #: REP3xx engine/planner codes.  Dicts when fetched from a daemon.
+    #: Structured diagnostics for this job (:mod:`repro.diagnostics`),
+    #: in order: the compilation's REP1xx/REP2xx trail, the admission
+    #: decisions (REP411–REP413), then the run report's — the planner's
+    #: and graph optimizer's decisions (REP4xx) and the engine/planner
+    #: REP3xx codes; a failed job carries the first two.  Dicts when
+    #: fetched from a daemon.
     diagnostics: list = field(default_factory=list)
 
     @property

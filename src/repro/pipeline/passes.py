@@ -150,7 +150,7 @@ class VerifyAttachPass(CompilerPass):
         if len(accepted) != len(state.search.summaries):
             state.search.summaries = accepted
         if bounded_only:
-            reasons = sorted(
+            unproved = sorted(
                 {
                     vs.proof.reason
                     for vs in accepted
@@ -162,7 +162,7 @@ class VerifyAttachPass(CompilerPass):
                     "REP203",
                     f"{bounded_only} of {len(accepted)} summaries accepted on "
                     "bounded (Tier-2) evidence only"
-                    + (f": {'; '.join(reasons)}" if reasons else ""),
+                    + (f": {'; '.join(unproved)}" if unproved else ""),
                     fragment=state.fragment.id,
                 )
             )

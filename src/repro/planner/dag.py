@@ -11,9 +11,9 @@ a wave's units one after another); chains serialize across waves.
 
 The :class:`GraphPlanReport` is the whole-program analogue of
 :class:`~repro.planner.plan.PlanReport`: per-unit plan reports plus the
-graph-level evidence (waves, fusion decisions, cache reuse), so a
-planned whole-program job leaves the same kind of audit trail a planned
-``fragment_index`` job does.
+graph-level evidence (waves, the optimizer's ``REP407``–``REP410``
+diagnostics, cache reuse), so a planned whole-program job leaves the
+same kind of audit trail a planned ``fragment_index`` job does.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from ..diagnostics import Diagnostic
 from .plan import PlanReport
 
 if TYPE_CHECKING:
@@ -44,13 +45,14 @@ class GraphPlanReport:
     #: Per-unit plan reports, keyed by the unit's head node id: one per
     #: translated unit (interpreted units have none).
     unit_reports: dict[str, PlanReport] = field(default_factory=dict)
-    #: Fusion / elimination decisions from the optimizer.
-    decisions: list[str] = field(default_factory=list)
+    #: The optimizer's fusion / hoisting / pinning / elimination
+    #: diagnostics (``REP407``–``REP410``), in the order it made them.
+    optimizer_diagnostics: list[Diagnostic] = field(default_factory=list)
     #: Node ids executed by the reference interpreter (non-strict runs).
     interpreted_nodes: list[str] = field(default_factory=list)
     #: Intermediate variables fused away (never materialized).
     fused_away: list[str] = field(default_factory=list)
-    #: Dead stages dropped by the optimizer, with reasons.
+    #: Dead stages dropped by the optimizer: node id → why.
     eliminated: dict[str, str] = field(default_factory=dict)
     #: Dataset-view materializations served from the shared records cache.
     records_cache_hits: int = 0
@@ -79,9 +81,10 @@ class GraphPlanReport:
 
     @property
     def diagnostics(self) -> list:
-        """Every unit's ``REP3xx`` diagnostics, in unit-head order — the
-        roll-up a whole-program job's ``JobResult.diagnostics`` reads."""
-        return [
+        """The optimizer's diagnostics, then every unit's, in unit-head
+        order — the roll-up a whole-program job's
+        ``JobResult.diagnostics`` reads."""
+        return self.optimizer_diagnostics + [
             diagnostic
             for _head, report in sorted(self.unit_reports.items())
             for diagnostic in report.diagnostics
@@ -104,7 +107,9 @@ class GraphPlanReport:
         """Compact dict form, convenient for logs and benchmark JSON."""
         return {
             "waves": [list(w) for w in self.plan.waves],
-            "decisions": list(self.decisions),
+            "optimizer_diagnostics": [
+                diagnostic.as_dict() for diagnostic in self.optimizer_diagnostics
+            ],
             "interpreted_nodes": list(self.interpreted_nodes),
             "fused_away": sorted(self.fused_away),
             "eliminated": dict(self.eliminated),

@@ -6,8 +6,9 @@ cluster frameworks, or the real multiprocess pool), how many worker
 processes and logical partitions to use, and whether each reduce stage
 may combine map-side.  A :class:`PlanReport` wraps the plan together
 with the evidence behind it — per-backend cost estimates, the simulated
-cluster ranking, and (after execution) the measured wall-clock time and
-any fallback the engine had to take.
+cluster ranking, the decisions that chose the plan as ``REP4xx``
+diagnostics, and (after execution) the measured wall-clock time and any
+fallback the engine had to take.
 
 A plan names no kernel and no chunk layout: on the real local backends
 every stage runs its compiled kernel over column chunks.
@@ -69,8 +70,6 @@ class ExecutionPlan:
     #: re-priced from observations raise it above the budget when the
     #: observed small-side size justifies broadcasting anyway.
     broadcast_limit: Optional[int] = None
-    #: Human-readable decision trail, in the order decisions were made.
-    reasons: tuple[str, ...] = ()
 
     def combiner_for(self, stage_index: int) -> bool:
         """Whether the reduce stage at ``stage_index`` may combine."""
@@ -116,10 +115,10 @@ class PlanReport:
     #: when the engine fell back).
     backend_used: str = ""
     wall_seconds: float = 0.0
-    fallback_reason: Optional[str] = None
-    #: Structured diagnostics for planner decisions, sampler fallbacks
-    #: and engine fallbacks (:mod:`repro.diagnostics` REP3xx codes), in
-    #: emission order.
+    #: Structured diagnostics (:mod:`repro.diagnostics`), in emission
+    #: order: the decisions behind the plan (``REP4xx``, in the order
+    #: they were made), sampler and compile-time probe findings, then
+    #: the engine's fallback (``REP30x``) once the run is absorbed.
     diagnostics: list = field(default_factory=list)
     #: Estimated input bytes behind the spill decision (None when the
     #: planner had no budget to weigh, or the source length is unknown).
@@ -157,16 +156,11 @@ class PlanReport:
 
         A deliberately-sequential plan is not a "fallback" even though
         the engine runs it in-process; only a planned pool that could
-        not run counts, and it carries the engine's REP30x code.
+        not run counts, and its engine ``REP30x`` diagnostic is appended.
         """
-        if self.plan.backend == "multiprocess" and result.fallback_reason:
-            self.fallback_reason = result.fallback_reason
+        if self.plan.backend == "multiprocess" and result.fallback is not None:
             self.backend_used = "sequential"
-            self.diagnostics.append(
-                make_diagnostic(
-                    result.fallback_code or "REP305", result.fallback_reason
-                )
-            )
+            self.diagnostics.append(result.fallback)
         else:
             self.backend_used = self.plan.backend
         self.spill_stats = result.spill_stats
@@ -193,7 +187,6 @@ class PlanReport:
             "cluster_recommendation": self.cluster_recommendation,
             "implementation": self.implementation,
             "wall_seconds": round(self.wall_seconds, 6),
-            "fallback_reason": self.fallback_reason,
             "diagnostics": [
                 diag.as_dict() if hasattr(diag, "as_dict") else diag
                 for diag in self.diagnostics
@@ -201,7 +194,6 @@ class PlanReport:
             "join": self.join,
             "estimates": self.estimates,
             "adaptations": list(self.adaptations),
-            "reasons": list(self.plan.reasons),
         }
 
 
@@ -220,28 +212,37 @@ def forced_plan(
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS} or 'auto'"
         )
-    reasons = [f"backend {backend!r} forced by caller"]
     # The budget only binds on the real local engines: a simulated
     # cluster backend materializes everything in-memory, so claiming
     # spill=True for it would put a spill that never happened into the
     # report.
-    local = backend in ("sequential", "multiprocess")
-    if memory_budget is not None:
-        if local:
-            reasons.append(
-                f"spill on (memory budget {memory_budget} B forced by caller)"
-            )
-        else:
-            reasons.append(
-                f"memory budget {memory_budget} B ignored: simulated "
-                f"{backend!r} backend materializes in-memory"
-            )
-    spill = local and memory_budget is not None
+    spill = backend in ("sequential", "multiprocess") and memory_budget is not None
     return ExecutionPlan(
         backend=backend,
         processes=0 if backend == "sequential" else None,
         stages=stages,
         memory_budget=memory_budget if spill else None,
         spill=spill,
-        reasons=tuple(reasons),
     )
+
+
+def forced_report(
+    backend: str, memory_budget: Optional[int] = None, input_records: int = 0
+) -> PlanReport:
+    """The report of a :func:`forced_plan` run: the plan plus its
+    decisions — the caller's backend (``REP401``) and what became of
+    its budget (``REP402``)."""
+    plan = forced_plan(backend, memory_budget=memory_budget)
+    report = PlanReport(plan=plan, input_records=input_records)
+    report.diagnostics.append(
+        make_diagnostic("REP401", f"backend {backend!r} forced by caller")
+    )
+    if memory_budget is not None:
+        note = (
+            f"spill on (memory budget {memory_budget} B forced by caller)"
+            if plan.spill
+            else f"memory budget {memory_budget} B ignored: simulated "
+            f"{backend!r} backend materializes in-memory"
+        )
+        report.diagnostics.append(make_diagnostic("REP402", note))
+    return report

@@ -23,8 +23,11 @@ ratios — to decide *how to execute* a compiled job:
   distinct-key ratio says map-side combining would not shrink the
   shuffle.
 
-Every decision is recorded in the plan's ``reasons`` trail, and the
-:class:`~repro.planner.plan.PlanReport` also ranks the simulated cluster
+Every decision lands on the :class:`~repro.planner.plan.PlanReport` as
+one ``info`` diagnostic of the ``REP4xx`` family, in the order it was
+made (backend ``REP401``, shuffle store ``REP402``, join strategy
+``REP403``, combiner off ``REP404``, partitions ``REP405``, estimate
+source ``REP406``); the report also ranks the simulated cluster
 frameworks for the job, preserving the paper's backend-diversity story.
 
 The planner keeps no copy of an implementation's static pricing: the
@@ -41,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ..cost.model import CostExpr, CostTerm
 from ..cost.monitor import SampleEstimates
-from ..diagnostics import make as make_diagnostic
+from ..diagnostics import Diagnostic, make as make_diagnostic
 from ..diagnostics.pickling import unpicklable_reason
 from ..engine.config import DEFAULT_PARTITIONS, PROFILES, EngineConfig
 from ..engine.multiprocess import default_process_count
@@ -233,8 +236,8 @@ class ExecutionPlanner:
         (static vs observed, with the static estimate's error against
         the measurement).  ``observation_note`` is the loud-fallback
         reason when a stored observation *exists but could not load*
-        (corruption, schema mismatch): it goes into the trail so the
-        fallback to static estimates is never silent.
+        (corruption, schema mismatch): it becomes a ``REP406`` decision
+        so the fallback to static estimates is never silent.
 
         ``head`` is the first-k raw records of ``records`` (what
         ``program``'s compiled sampler reads) and ``estimates`` the
@@ -247,14 +250,15 @@ class ExecutionPlanner:
         and ``scale`` price the simulated-cluster ranking.
         """
         options = options or ExecOptions()
-        reasons: list[str] = []
+        decided: list[Diagnostic] = []
         provenance: dict[str, dict] = {}
         if observation_note:
             provenance["fallback"] = {
                 "source": "static",
                 "note": observation_note,
             }
-            reasons.append(f"{observation_note} — static estimates in effect")
+            note = f"{observation_note} — static estimates in effect"
+            decided.append(make_diagnostic("REP406", note))
         n: Optional[int] = (
             records.known_length
             if isinstance(records, Dataset)
@@ -276,11 +280,12 @@ class ExecutionPlanner:
                         f"(~{probe.bytes} B measured)"
                     ),
                 }
-                reasons.append(
+                note = (
                     f"stream probe: source ended at {n} records "
                     f"(~{probe.bytes} B) — planning from the measured "
                     "sample, not 'assume large'"
                 )
+                decided.append(make_diagnostic("REP406", note))
         static_n = n
         if n is None and observation is not None:
             obs_n = getattr(observation, "input_records", None)
@@ -291,10 +296,11 @@ class ExecutionPlanner:
                     "source": "observed",
                     "note": f"length {n} resolved from last run's observation",
                 }
-                reasons.append(
+                note = (
                     f"input length {n} resolved from the stored observation "
                     "of the last run"
                 )
+                decided.append(make_diagnostic("REP406", note))
         elif observation is not None and getattr(
             observation, "input_records", None
         ) is not None:
@@ -320,22 +326,22 @@ class ExecutionPlanner:
             estimates = program.sample_estimates(head, globals_env, right_samples)
             sampler_fallbacks = estimates.diagnostics
         stages = self._stage_plans(
-            program, estimates, reasons, observation=observation,
+            program, estimates, decided, observation=observation,
             provenance=provenance,
         )
         backend, estimated = self._backend_decision(
-            program, head, n, estimates, processes, reasons, provenance
+            program, head, n, estimates, processes, decided, provenance
         )
         budget = options.memory_budget
         spill, est_bytes = self._spill_decision(
-            records, budget, reasons,
+            records, budget, decided,
             observation=observation, provenance=provenance,
         )
         join_strategies, join_report, broadcast_limit = self._join_decision(
-            program, inputs, budget, reasons,
+            program, inputs, budget, decided,
             observation=observation, provenance=provenance,
         )
-        partitions = self._partitions(stages, processes, reasons)
+        partitions = self._partitions(stages, processes, decided)
         plan = ExecutionPlan(
             backend=backend,
             processes=0 if backend == "sequential" else processes,
@@ -345,7 +351,6 @@ class ExecutionPlanner:
             spill=spill,
             join_strategies=join_strategies,
             broadcast_limit=broadcast_limit,
-            reasons=tuple(reasons),
         )
         cluster = self._cluster_ranking(
             program, estimates.as_dict(), n or 0, config or EngineConfig()
@@ -374,8 +379,8 @@ class ExecutionPlanner:
             estimated_input_bytes=est_bytes,
             join=join_report,
             estimates=provenance,
+            diagnostics=decided + sampler_fallbacks,
         )
-        report.diagnostics.extend(sampler_fallbacks)
         if self.unpicklable is not None:
             report.diagnostics.append(make_diagnostic("REP306", self.unpicklable))
         return plan, report
@@ -387,7 +392,7 @@ class ExecutionPlanner:
         n: Optional[int],
         estimates: SampleEstimates,
         processes: int,
-        reasons: list[str],
+        decided: list[Diagnostic],
         provenance: dict[str, dict],
     ) -> tuple[str, dict[str, float]]:
         """Sequential or the pool, by :func:`price_backends`.
@@ -397,14 +402,17 @@ class ExecutionPlanner:
         count, the constants, both predictions — so the choice can be
         recomputed from the report alone.  A record sample
         ``pickle.dumps`` rejects prices the pool out; it is only tried
-        when the pool would otherwise be chosen.
+        when the pool would otherwise be chosen.  A payload the compile-time
+        probe found unpicklable keeps the job sequential; its ``REP306``
+        already says why.
         """
         if processes < 2:
             # Ahead of any pricing work: on one CPU the pool cannot win.
-            reasons.append(
+            note = (
                 f"only {processes} CPU(s) available — the pool cannot win, "
                 "nothing priced"
             )
+            decided.append(make_diagnostic("REP401", note))
             provenance["backend"] = {"processes": processes, "chosen": "sequential"}
             return "sequential", {}
         known = estimates.as_dict()
@@ -417,20 +425,20 @@ class ExecutionPlanner:
         predicted = price_backends(stages, n, bytes_per_record, processes)
         seq_s, mp_s = predicted["sequential"], predicted["multiprocess"]
         unit = "s/record as n → ∞" if n is None else "s"
-        reasons.append(
+        note = (
             f"predicted sequential {seq_s:.3g}{unit}, pool {mp_s:.3g}{unit} on "
             f"{processes} processes (the pool must win by {PARALLEL_MARGIN}×)"
         )
+        decided.append(make_diagnostic("REP401", note))
         backend = "sequential"
         unpicklable = self.unpicklable
-        if unpicklable is not None:
-            reasons.append(unpicklable)
-        elif seq_s >= mp_s * PARALLEL_MARGIN:
+        if unpicklable is None and seq_s >= mp_s * PARALLEL_MARGIN:
             unpicklable = unpicklable_reason(sample)
             if unpicklable is None:
                 backend = "multiprocess"
             else:
-                reasons.append(f"pool priced out — input records: {unpicklable}")
+                note = f"pool priced out — input records: {unpicklable}"
+                decided.append(make_diagnostic("REP401", note))
         provenance["backend"] = {
             "processes": processes,
             "input_records": n,
@@ -477,7 +485,7 @@ class ExecutionPlanner:
         program: "GeneratedProgram",
         inputs: Optional[dict[str, Any]],
         budget: Optional[int],
-        reasons: list[str],
+        decided: list[Diagnostic],
         observation: Optional[Any] = None,
         provenance: Optional[dict] = None,
     ) -> tuple[tuple[str, ...], Optional[dict], Optional[int]]:
@@ -538,8 +546,7 @@ class ExecutionPlanner:
                         "observed_right_bytes": observed_bytes,
                         "broadcast_limit": broadcast_limit,
                     }
-        for decision in decisions:
-            reasons.append(f"join {decision.relation}: {decision.reason}")
+        decided.extend(decision.diagnostic() for decision in decisions)
         return (
             tuple(d.strategy for d in decisions),
             {"levels": [d.as_dict() for d in decisions]},
@@ -550,7 +557,7 @@ class ExecutionPlanner:
         self,
         records: Any,
         budget: Optional[int],
-        reasons: list[str],
+        decided: list[Diagnostic],
         observation: Optional[Any] = None,
         provenance: Optional[dict] = None,
     ) -> tuple[bool, Optional[int]]:
@@ -574,33 +581,34 @@ class ExecutionPlanner:
                     "static_error": _relative_error(static_bytes, obs_bytes),
                 }
             if static_bytes is None:
-                reasons.append(
+                note = (
                     f"input bytes {obs_bytes} resolved from the stored "
                     "observation (sample had no length to extrapolate over)"
                 )
+                decided.append(make_diagnostic("REP406", note))
             est_bytes = obs_bytes
         elif provenance is not None and static_bytes is not None:
             provenance.setdefault(
                 "input_bytes", {"used": static_bytes, "source": "static"}
             )
         if est_bytes is None:
-            reasons.append(
+            note = (
                 f"unknown-length source with memory budget {budget} B — "
                 "streaming with the external spill shuffle"
             )
-            return True, None
-        if est_bytes > budget:
-            reasons.append(
+        elif est_bytes > budget:
+            note = (
                 f"estimated input {est_bytes} B exceeds memory budget "
                 f"{budget} B — external spill shuffle keeps residency "
                 "O(budget)"
             )
-            return True, est_bytes
-        reasons.append(
-            f"estimated input {est_bytes} B fits memory budget {budget} B "
-            "— in-memory shuffle"
-        )
-        return False, est_bytes
+        else:
+            note = (
+                f"estimated input {est_bytes} B fits memory budget {budget} B "
+                "— in-memory shuffle"
+            )
+        decided.append(make_diagnostic("REP402", note))
+        return est_bytes is None or est_bytes > budget, est_bytes
 
     # ------------------------------------------------------------------
 
@@ -608,7 +616,7 @@ class ExecutionPlanner:
         self,
         program,
         estimates,
-        reasons: list[str],
+        decided: list[Diagnostic],
         observation: Optional[Any] = None,
         provenance: Optional[dict] = None,
     ):
@@ -624,13 +632,8 @@ class ExecutionPlanner:
             if isinstance(stage, MapStage):
                 plans.append(StagePlan(index=index, kind="map"))
             elif isinstance(stage, ReduceStage):
-                combiner = proof_ok
-                if not proof_ok:
-                    reasons.append(
-                        f"stage {index}: combiner off (λr not proven "
-                        "commutative+associative)"
-                    )
-                else:
+                off = None if proof_ok else "λr not proven commutative+associative"
+                if proof_ok:
                     ratio = estimates.key_ratios.get(f"k_{prefix}{index}")
                     source = "static"
                     observed = self._observed_key_ratio(
@@ -646,17 +649,17 @@ class ExecutionPlanner:
                             }
                         ratio = observed
                         source = "observed"
-                    if (
-                        ratio is not None
-                        and ratio >= COMBINER_KEY_RATIO_CUTOFF
-                    ):
-                        combiner = False
-                        reasons.append(
-                            f"stage {index}: combiner off ({source} "
-                            f"distinct-key ratio {ratio:.2f} — combining "
-                            "cannot shrink the shuffle)"
+                    if ratio is not None and ratio >= COMBINER_KEY_RATIO_CUTOFF:
+                        off = (
+                            f"{source} distinct-key ratio {ratio:.2f} — combining "
+                            "cannot shrink the shuffle"
                         )
-                plans.append(StagePlan(index=index, kind="reduce", combiner=combiner))
+                if off is not None:
+                    note = f"stage {index}: combiner off ({off})"
+                    decided.append(make_diagnostic("REP404", note))
+                plans.append(
+                    StagePlan(index=index, kind="reduce", combiner=off is None)
+                )
         return plans
 
     @staticmethod
@@ -680,19 +683,23 @@ class ExecutionPlanner:
             return next(iter(ratios.values()))
         return None
 
-    def _partitions(self, stages, processes: int, reasons: list[str]) -> Optional[int]:
+    def _partitions(
+        self, stages, processes: int, decided: list[Diagnostic]
+    ) -> Optional[int]:
         combining = any(s.kind == "reduce" and s.combiner for s in stages)
+        partitions: Optional[int] = None  # engine default
         if combining:
-            reasons.append(
+            note = (
                 f"partitions={DEFAULT_PARTITIONS} (engine default, so map-side "
                 "combine groups records exactly like the simulated engines)"
             )
-            return None  # engine default
-        partitions = min(DEFAULT_PARTITIONS, max(8, 4 * max(1, processes)))
-        reasons.append(
-            f"partitions={partitions} (no combining reduce — scaled to "
-            f"{processes} workers)"
-        )
+        else:
+            partitions = min(DEFAULT_PARTITIONS, max(8, 4 * max(1, processes)))
+            note = (
+                f"partitions={partitions} (no combining reduce — scaled to "
+                f"{processes} workers)"
+            )
+        decided.append(make_diagnostic("REP405", note))
         return partitions
 
     def _cluster_ranking(

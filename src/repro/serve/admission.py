@@ -18,9 +18,11 @@ its spill decision (:func:`repro.planner.planner.estimate_input_bytes`):
   size is unknowable and unbudgeted) runs **exclusively** — admission
   drains running jobs first and blocks new ones until it finishes.
 
-Every decision (mode, footprint, capacity, queueing time, reasons) is
-recorded and attached to the job's plan report, extending the
-planner's evidence-trail discipline to the serving layer.
+Every decision is recorded: mode, footprint, capacity and queueing time
+on the job's ``JobResult.admission``, and why — the footprint's pricing
+(``REP411``), the mode (``REP412``), a wait (``REP413``) — as ``info``
+diagnostics on its ``JobResult.diagnostics``, extending the planner's
+evidence-trail discipline to the serving layer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..diagnostics import Diagnostic, make as make_diagnostic
 from ..engine.sizes import physical_memory_bytes
 from ..engine.source import Dataset
 from ..options import ExecOptions
@@ -60,7 +63,10 @@ class AdmissionDecision:
     footprint_bytes: Optional[int]
     capacity_bytes: int
     queued_seconds: float = 0.0
-    reasons: list[str] = field(default_factory=list)
+    #: The pricing, mode and queueing decisions (``REP411``–``REP413``),
+    #: in the order they were made; the session puts them on the job's
+    #: ``JobResult.diagnostics``.
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -68,7 +74,6 @@ class AdmissionDecision:
             "footprint_bytes": self.footprint_bytes,
             "capacity_bytes": self.capacity_bytes,
             "queued_seconds": round(self.queued_seconds, 6),
-            "reasons": list(self.reasons),
         }
 
 
@@ -115,15 +120,15 @@ class AdmissionController:
         self,
         inputs: dict[str, Any],
         options: Optional[ExecOptions] = None,
-    ) -> tuple[Optional[int], list[str]]:
+    ) -> tuple[Optional[int], Diagnostic]:
         """Estimate a job's resident footprint in bytes.
 
-        Returns ``(footprint, reasons)``; ``footprint`` is ``None`` when
-        the size is unknowable (an unbudgeted streaming source), which
-        admission treats as "assume the worst" — the planner's own rule
-        for unknown-length inputs.
+        Returns ``(footprint, priced)``, ``priced`` the pricing's
+        ``REP411`` diagnostic; ``footprint`` is ``None`` when the size
+        is unknowable (an unbudgeted streaming source), which admission
+        treats as "assume the worst" — the planner's own rule for
+        unknown-length inputs.
         """
-        reasons: list[str] = []
         total = 0
         unknown: list[str] = []
         for name, value in inputs.items():
@@ -143,26 +148,26 @@ class AdmissionController:
             # The spill engine bounds residency near the budget no matter
             # how large the input is; price the job at its budget (with
             # the same shuffle-residency factor) instead of its data.
-            footprint = int(budget * SHUFFLE_RESIDENCY_FACTOR)
-            reasons.append(
+            footprint: Optional[int] = int(budget * SHUFFLE_RESIDENCY_FACTOR)
+            note = (
                 f"budgeted job: priced at memory_budget {budget} B × "
                 f"{SHUFFLE_RESIDENCY_FACTOR} (spill keeps residency "
                 "O(budget); input estimate "
                 f"{'unknown' if unknown else f'{total} B'})"
             )
-            return footprint, reasons
-        if unknown:
-            reasons.append(
+        elif unknown:
+            footprint = None
+            note = (
                 f"unknown-length streaming input(s) {sorted(unknown)} with "
                 "no memory budget: footprint unknowable, assuming the worst"
             )
-            return None, reasons
-        footprint = int(total * SHUFFLE_RESIDENCY_FACTOR)
-        reasons.append(
-            f"estimated inputs {total} B × {SHUFFLE_RESIDENCY_FACTOR} "
-            "shuffle residency (§5 sizeof-sample estimate)"
-        )
-        return footprint, reasons
+        else:
+            footprint = int(total * SHUFFLE_RESIDENCY_FACTOR)
+            note = (
+                f"estimated inputs {total} B × {SHUFFLE_RESIDENCY_FACTOR} "
+                "shuffle residency (§5 sizeof-sample estimate)"
+            )
+        return footprint, make_diagnostic("REP411", note)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -173,20 +178,20 @@ class AdmissionController:
         options: Optional[ExecOptions] = None,
     ) -> AdmissionDecision:
         """Price the job and block until it may start."""
-        footprint, reasons = self.price(inputs, options)
-        return self.admit_footprint(footprint, reasons)
+        footprint, priced = self.price(inputs, options)
+        return self.admit_footprint(footprint, priced)
 
     def admit_footprint(
         self,
         footprint: Optional[int],
-        reasons: Optional[list[str]] = None,
+        priced: Optional[Diagnostic] = None,
     ) -> AdmissionDecision:
-        """Admission with an already-priced footprint (unit-test seam)."""
-        reasons = list(reasons or [])
+        """Admission with an already-priced footprint (unit-test seam);
+        ``priced`` is the pricing's diagnostic, when there was one."""
         threshold = int(self.capacity_bytes * self.exclusive_fraction)
         exclusive = footprint is None or footprint > threshold
         if exclusive:
-            reasons.append(
+            note = (
                 "exclusive: footprint "
                 + ("unknown" if footprint is None else f"{footprint} B")
                 + f" exceeds {threshold} B "
@@ -194,7 +199,7 @@ class AdmissionController:
                 f"{self.capacity_bytes} B) — serialized against all jobs"
             )
         else:
-            reasons.append(
+            note = (
                 f"concurrent: footprint {footprint} B fits capacity "
                 f"{self.capacity_bytes} B"
             )
@@ -202,8 +207,9 @@ class AdmissionController:
             mode="exclusive" if exclusive else "concurrent",
             footprint_bytes=footprint,
             capacity_bytes=self.capacity_bytes,
-            reasons=reasons,
+            diagnostics=[] if priced is None else [priced],
         )
+        decision.diagnostics.append(make_diagnostic("REP412", note))
         started = time.perf_counter()
         with self._cv:
             if exclusive:
@@ -233,9 +239,8 @@ class AdmissionController:
             self.admitted[decision.mode] += 1
         decision.queued_seconds = time.perf_counter() - started
         if decision.queued_seconds > 0.001:
-            decision.reasons.append(
-                f"queued {decision.queued_seconds:.3f}s for admission"
-            )
+            note = f"queued {decision.queued_seconds:.3f}s for admission"
+            decision.diagnostics.append(make_diagnostic("REP413", note))
         return decision
 
     def release(self, decision: AdmissionDecision) -> None:

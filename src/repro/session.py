@@ -18,8 +18,9 @@ it ran.  A :class:`Session` owns the pieces explicitly:
   scheduling: small jobs concurrent, box-overrunning jobs serialized),
 * a worker pool executing submissions, each job returning the
   :class:`JobResult` its run layer returned, with the session's ids,
-  admission decision and timings added — carried, not left behind in
-  shared state.
+  admission decision and timings added, and its diagnostics in one
+  list — the compilation's, admission's ``REP411``–``REP413``, then the
+  run's — carried, not left behind in shared state.
 
 Quick start::
 
@@ -327,6 +328,11 @@ class Session:
     ) -> JobResult:
         decision = self.admission.admit(inputs, options)
         started = time.perf_counter()
+        # Compile, then admission, then (for a job that ran) run.
+        diagnostics = [
+            *getattr(entry.compilation, "diagnostics", []),
+            *decision.diagnostics,
+        ]
         # Planned runs consult and refresh the session's store when the
         # job's options say so, else when the session observes.
         feedback = self.observe if options.feedback is None else options.feedback
@@ -363,9 +369,9 @@ class Session:
                 error=f"{type(exc).__name__}: {exc}",
                 wall_seconds=time.perf_counter() - started,
                 queued_seconds=started - submitted,
+                diagnostics=diagnostics,
             )
         self.admission.release(decision)
-        diagnostics = list(getattr(entry.compilation, "diagnostics", []))
         diagnostics.extend(ran.plan_report.diagnostics)
         return replace(
             ran,

@@ -113,10 +113,3 @@ def monolithic_class(analysis: FragmentAnalysis) -> GrammarClass:
         max_depth=3,
         allow_guards=True,
     )
-
-
-def class_delta(previous: list[GrammarClass], current: GrammarClass) -> GrammarClass:
-    """Identity helper kept for API clarity: search re-enumerates each
-    class fully; already-seen candidates are skipped via Ω/Δ blocking
-    (section 4.1), which is how the paper avoids re-verifying them."""
-    return current

@@ -425,11 +425,6 @@ class BoundedChecker:
             pass
         return self._states
 
-    def expected_outputs(self, index: int) -> dict[str, Any]:
-        while len(self._runs) <= index and self._run_next() is not None:
-            pass
-        return self._runs[index].outputs
-
     def check(
         self, summary: Summary, first: Sequence[ProgramState] = ()
     ) -> Optional[ProgramState]:

@@ -75,13 +75,6 @@ class SymState:
             cell_reads=dict(self.cell_reads),
         )
 
-    def path_condition(self) -> Optional[IRExpr]:
-        cond: Optional[IRExpr] = None
-        for atom, value in self.path:
-            literal = atom if value else UnOp("!", atom)
-            cond = literal if cond is None else BinOp("&&", cond, literal)
-        return cond
-
 
 _METHOD_TO_IR = {
     ("Math", "abs"): "abs",

@@ -308,10 +308,25 @@ def test_nonfinite_float_chunk_falls_back_to_row_loop():
 
 
 def test_mixed_type_column_falls_back_to_row_loop():
-    mapper, records = _mapper("ariths_sum")
+    name = "ariths_sum"
+    mapper, records = _mapper(name)
     dirty = list(records) + [(len(records), 1.5)]  # float in an int column
-    assert mapper.map_block(dirty) is None
+    assert mapper.map_block(dirty) is None and mapper.last_chunk_fallback
     assert mapper.map_chunk(dirty) == mapper.map_rows(dirty)
+    # In the engine every chunk either vectorized or tripped a guard,
+    # resident and under a budget alike: 11 records, fewer than the
+    # partition count, are 11 one-record chunks.
+    small = [(i, v) for i, v in enumerate([3, -2, 4, 5, 0, 1, 2, 3, 4, 5, 1.5])]
+    inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
+    for budget in (None, 1 << 20):
+        engine = MultiprocessEngine(
+            config=EngineConfig().with_framework("multiprocess"),
+            processes=0,
+            memory_budget=budget,
+        )
+        result = engine.run_pipeline(small, _steps(name, inputs))
+        assert result.guard_fallbacks == 1
+        assert result.columnar_chunks + result.guard_fallbacks == len(small)
 
 
 @pytest.mark.parametrize(
@@ -407,7 +422,7 @@ def test_pool_scan_charge_is_the_sequential_one():
     pooled = MultiprocessEngine(processes=2, min_parallel_records=100).run_pipeline(
         records, steps
     )
-    assert pooled.map_tasks > 0 and pooled.fallback_reason is None
+    assert pooled.map_tasks > 0 and pooled.fallback is None
     assert pooled.columnar_chunks == inline.columnar_chunks > 0
     assert pooled.guard_fallbacks == inline.guard_fallbacks == 0
     assert _stage_bytes(pooled) == _stage_bytes(inline)
@@ -520,7 +535,11 @@ def test_planner_resolves_layout_from_kernel():
         ).plan_report
         summary = report.summary()
         assert "layout" not in summary and "kernel" not in summary
-        assert not any("layout" in r or "kernel" in r for r in summary["reasons"])
+        assert not any(
+            d["code"].startswith("REP4")
+            and ("layout" in d["message"] or "kernel" in d["message"])
+            for d in summary["diagnostics"]
+        )
         assert summary["columnar"]["columnar_chunks"] >= 1
         assert summary["columnar"]["guard_fallbacks"] == 0
 

@@ -54,7 +54,7 @@ class TestConsumers:
         result = MultiprocessEngine().run_pipeline(
             list(range(3000)), [MapStep(_keyed)]
         )
-        assert result.fallback_code == "REP302"
+        assert result.fallback.code == "REP302"
         assert sorted(result.pairs) == sorted(_keyed(r)[0] for r in range(3000))
 
 

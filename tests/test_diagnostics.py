@@ -140,7 +140,7 @@ class TestRegistry:
 
     def test_families_present(self):
         prefixes = {c[:4] for c in REGISTRY if c.startswith("REP")}
-        assert prefixes == {"REP1", "REP2", "REP3"}
+        assert prefixes == {"REP1", "REP2", "REP3", "REP4"}
         assert any(c.startswith("LNT") for c in REGISTRY)
 
     def test_make_fills_registry_defaults(self):
@@ -371,20 +371,20 @@ class TestEngineCodes:
         result = MultiprocessEngine(
             processes=4, min_parallel_records=1000
         ).run_pipeline(list(range(10)), [MapStep(_keyed)])
-        assert result.fallback_code == "REP303"
+        assert result.fallback.code == "REP303"
 
     def test_rep302_single_process(self):
         result = MultiprocessEngine(processes=1).run_pipeline(
             list(range(3000)), [MapStep(_keyed)]
         )
-        assert result.fallback_code == "REP302"
+        assert result.fallback.code == "REP302"
 
     def test_rep301_unpicklable_payload(self):
         result = MultiprocessEngine(
             processes=2, min_parallel_records=5
         ).run_pipeline(list(range(3000)), [MapStep(lambda r: [(r % 2, r)])])
-        assert result.fallback_code == "REP301"
-        assert "not picklable" in result.fallback_reason
+        assert result.fallback.code == "REP301"
+        assert "not picklable" in result.fallback.message
 
     def test_fallback_code_reaches_plan_report(self):
         # One report, however the job reached the engine: a single
@@ -402,14 +402,17 @@ class TestEngineCodes:
         (fused_report,) = fused.plan_report.unit_reports.values()
         assert fused.plan_report.fused_away == ["kept"]
         for report in (single.plan_report, fused_report):
-            assert report.fallback_reason is not None
             assert report.backend_used == "sequential"
             fallback = [d for d in report.diagnostics if d.code.startswith("REP3")]
             assert fallback, "engine fallback must carry a structured code"
             assert all(d.code in REGISTRY for d in fallback)
+            # The engine's fallback is absorbed last, after the decisions.
+            assert report.diagnostics[-1] is fallback[-1]
+            assert "REP401" in [d.code for d in report.diagnostics]
             summary = report.summary()
-            assert summary["diagnostics"]
-            assert summary["diagnostics"][0]["code"] == fallback[0].code
+            assert [d["code"] for d in summary["diagnostics"]] == [
+                d.code for d in report.diagnostics
+            ]
 
     def test_fused_chain_report_keeps_engine_accounting(self):
         # What the engine reports — columnar counters, spill stats,

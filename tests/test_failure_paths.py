@@ -162,6 +162,6 @@ class TestMultiprocessFallbackEndToEnd:
         outcome = engine.run_pipeline(
             records, [MapStep(mapper, _stage_complexity(stage))]
         )
-        assert outcome.fallback_reason is not None
-        assert "not picklable" in outcome.fallback_reason
+        assert outcome.fallback is not None
+        assert "not picklable" in outcome.fallback.message
         assert outcome.pairs == [(w, 1) for w in inputs["words"]]

@@ -162,8 +162,9 @@ class TestFusion:
         assert unit.node_ids == ("selectSum#0", "selectSum#1")
         assert unit.bridges == ("map",)
         assert schedule.fused_away == frozenset({"kept"})
-        assert any("map→map fused" in d for d in schedule.decisions)
-        assert any("combiner hoisted" in d for d in schedule.decisions)
+        said = [(d.code, d.message) for d in schedule.diagnostics]
+        assert any(c == "REP407" and "map→map fused" in m for c, m in said)
+        assert any(c == "REP408" and "combiner hoisted" in m for c, m in said)
 
     def test_fuse_disabled_yields_singletons(self):
         result = translate(SELECT_SUM_SOURCE)
@@ -312,7 +313,10 @@ class TestExecutor:
         ).plan_report
         unit_report = report.unit_reports["selectSum#0"]
         assert unit_report.plan.backend == "sequential"
-        assert any("degraded" in r for r in unit_report.plan.reasons)
+        assert any(
+            d.code == "REP401" and "degraded" in d.message
+            for d in unit_report.diagnostics
+        )
 
     def test_pooled_branches_run_on_the_calling_thread(self):
         # Branch threads over pooled units forked a ProcessPoolExecutor

@@ -270,7 +270,9 @@ class TestBroadcastDecision:
         assert level["strategy"] == "broadcast"
         assert level["relation"] == "part"
         assert report.plan.join_strategies == ("broadcast",)
-        assert any("join part:" in r for r in report.plan.reasons)
+        assert any(
+            d.code == "REP403" and "join part:" in d.message for d in report.diagnostics
+        )
 
 
 # ----------------------------------------------------------------------

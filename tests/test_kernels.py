@@ -196,7 +196,8 @@ def test_join_runs_interpret_no_ir_per_record(monkeypatch):
 
 def _names_kernel_or_layout(report) -> bool:
     summary = report.summary()
-    text = " ".join(summary["reasons"]) + " " + report.plan.describe()
+    decisions = [d for d in summary["diagnostics"] if d["code"].startswith("REP4")]
+    text = " ".join(d["message"] for d in decisions) + " " + report.plan.describe()
     named = {"kernel", "layout"} & set(summary)
     return "kernel" in text or "layout" in text or bool(named)
 
@@ -339,7 +340,7 @@ def test_pooled_worker_rebuilds_its_kernel_after_unpickling():
     pooled = engine.run_pipeline(records, steps)
     inline = MultiprocessEngine(config=engine.config, processes=0)
     assert pooled.pairs == inline.run_pipeline(records, steps).pairs
-    if pooled.fallback_reason is None:
+    if pooled.fallback is None:
         assert pooled.map_tasks > 0
 
 
@@ -817,7 +818,7 @@ def test_pooled_keyed_path_matches_inline(budget):
         ]
 
     assert counters(pooled) == counters(inline)
-    if pooled.fallback_reason is None:
+    if pooled.fallback is None:
         assert pooled.map_tasks > 0
 
 

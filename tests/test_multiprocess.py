@@ -57,7 +57,7 @@ class TestInlineExecution:
             records, [MapStep(KeyedEmit(7))]
         )
         assert result.pairs == [(r % 7, r) for r in records]
-        assert result.fallback_reason == "single process requested"
+        assert result.fallback.message == "single process requested"
 
     def test_map_reduce_sum(self):
         records = list(range(1000))
@@ -108,7 +108,7 @@ class TestPooledExecution:
         pooled = MultiprocessEngine(
             processes=2, min_parallel_records=100
         ).run_pipeline(records, steps)
-        assert pooled.fallback_reason is None
+        assert pooled.fallback is None
         assert pooled.executed_parallel
         assert pooled.pairs == inline.pairs
 
@@ -119,7 +119,7 @@ class TestPooledExecution:
         pooled = MultiprocessEngine(
             processes=2, min_parallel_records=100
         ).run_pipeline(records, steps)
-        assert pooled.fallback_reason is None
+        assert pooled.fallback is None
         assert pooled.pairs == inline.pairs
 
     @pytest.mark.parametrize("combine", [True, False])
@@ -173,7 +173,7 @@ class TestPooledExecution:
         pooled = MultiprocessEngine(
             processes=2, min_parallel_records=100
         ).run_pipeline(records, steps)
-        assert pooled.fallback_reason is None
+        assert pooled.fallback is None
         assert pooled.executed_parallel and pooled.map_tasks > 0
         assert pooled.pairs == inline.pairs == list(Counter(words).items())
 
@@ -197,8 +197,8 @@ class TestFallbacks:
         result = MultiprocessEngine(
             processes=4, min_parallel_records=1000
         ).run_pipeline(list(range(10)), [MapStep(KeyedEmit())])
-        assert result.fallback_reason is not None
-        assert "tiny input" in result.fallback_reason
+        assert result.fallback is not None
+        assert "tiny input" in result.fallback.message
         assert result.pairs == [(r % 10, r) for r in range(10)]
 
     def test_unpicklable_lambda_falls_back_sequentially(self):
@@ -206,8 +206,8 @@ class TestFallbacks:
         result = MultiprocessEngine(
             processes=2, min_parallel_records=100
         ).run_pipeline(records, [MapStep(lambda r: [(r % 2, r)])])
-        assert result.fallback_reason is not None
-        assert "not picklable" in result.fallback_reason
+        assert result.fallback is not None
+        assert "not picklable" in result.fallback.message
         assert result.pairs == [(r % 2, r) for r in records]
         assert not result.executed_parallel
 

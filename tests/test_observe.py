@@ -320,7 +320,10 @@ class TestStreamProbe:
         assert got == expected
         assert report.plan.spill is False
         assert report.estimates["input_records"]["source"] == "observed"
-        assert any("stream probe" in r for r in report.plan.reasons)
+        assert any(
+            d.code == "REP406" and "stream probe" in d.message
+            for d in report.diagnostics
+        )
 
     def test_disabled_probe_keeps_assume_large(self, monkeypatch):
         """Contrast: a probe bound too short to see the stream's end
@@ -420,7 +423,10 @@ class TestWarmReplan:
         # The raised broadcast limit keeps the mid-job guard from
         # instantly re-tripping on the side the observation justified.
         assert warm_report.plan.broadcast_limit >= MISPRICE_BUDGET
-        assert any("re-priced from observation" in r for r in warm_report.plan.reasons)
+        assert any(
+            d.code == "REP403" and "re-priced from observation" in d.message
+            for d in warm_report.diagnostics
+        )
 
     def test_feedback_off_replans_cold_every_time(self):
         inputs = join_inputs(1500)
@@ -466,7 +472,10 @@ class TestWarmReplan:
         fallback = report.estimates["fallback"]
         assert fallback["source"] == "static"
         assert "corrupt JSON" in fallback["note"]
-        assert any("static estimates in effect" in r for r in report.plan.reasons)
+        assert any(
+            d.code == "REP406" and "static estimates in effect" in d.message
+            for d in report.diagnostics
+        )
 
 
 # ----------------------------------------------------------------------

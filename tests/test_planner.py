@@ -32,6 +32,11 @@ def wc_result():
     return translate(WORDCOUNT_SOURCE)
 
 
+def decided(report, code: str, text: str) -> bool:
+    """Whether ``report`` carries a ``code`` decision saying ``text``."""
+    return any(d.code == code and text in d.message for d in report.diagnostics)
+
+
 class TestPlanDataModel:
     def test_combiner_for_defaults_true(self):
         plan = ExecutionPlan(backend="sequential")
@@ -146,7 +151,7 @@ class TestAutoPlanning:
             }
         assert report.implementation is not None
         assert report.wall_seconds > 0
-        assert report.plan.reasons
+        assert any(d.code.startswith("REP4") for d in report.diagnostics)
 
     def test_tiny_input_stays_sequential(self, wc_result):
         report = run_fragment(
@@ -154,7 +159,7 @@ class TestAutoPlanning:
         ).plan_report
         assert report.plan.backend == "sequential"
         assert any(
-            "predicted sequential" in r or "CPU" in r for r in report.plan.reasons
+            decided(report, "REP401", text) for text in ("predicted sequential", "CPU")
         )
 
     def test_cluster_ranking_reproduces_paper_ordering(self, wc_result):
@@ -175,7 +180,7 @@ class TestAutoPlanning:
         outputs, report = outcome.outputs, outcome.plan_report
         assert report.plan.backend == "multiprocess"
         assert report.plan.processes == 8
-        assert report.fallback_reason is None
+        assert report.backend_used == "multiprocess"
         assert outputs == run_fragment(wc_result, {"words": list(WORDS)}).outputs
 
     def test_combiner_disabled_by_key_ratio_cutoff(self, wc_result, monkeypatch):
@@ -186,7 +191,7 @@ class TestAutoPlanning:
         ).plan_report
         reduce_stages = [s for s in report.plan.stages if s.kind == "reduce"]
         assert reduce_stages and all(not s.combiner for s in reduce_stages)
-        assert any("combiner off" in r for r in report.plan.reasons)
+        assert decided(report, "REP404", "combiner off")
 
     def test_partitions_follow_engine_default_when_combining(self, wc_result):
         report = run_fragment(
@@ -257,7 +262,7 @@ class TestPricedBackendChoice:
         report = self.plan_report(wc_result, {"words": list(WORDS)})
         assert report.plan.backend == "multiprocess"
         assert report.plan.processes == 8
-        assert any("on 8 processes" in r for r in report.plan.reasons)
+        assert decided(report, "REP401", "on 8 processes")
 
     def test_shipping_cost_prices_the_pool_back_out(
         self, wc_result, eight_cpus, monkeypatch
@@ -325,7 +330,7 @@ class TestPricedBackendChoice:
         assert report.estimated_seconds == {}
         evidence = report.estimates["backend"]
         assert evidence["input_records"] is None
-        assert any("n → ∞" in r for r in report.plan.reasons)
+        assert decided(report, "REP401", "n → ∞")
         # The limit ignores start-up: only the per-record terms compare.
         monkeypatch.setattr(planner_module, "COMPILED_OP_S", 1e-4)
         monkeypatch.setattr(planner_module, "POOL_STARTUP_S", 1e6)
@@ -351,7 +356,7 @@ class TestPricedBackendChoice:
         )
         report = outcome.plan_report
         assert report.plan.backend == "sequential"
-        assert any("pool priced out" in r for r in report.plan.reasons)
+        assert decided(report, "REP401", "pool priced out")
         assert "not picklable" in report.estimates["backend"]["unpicklable"]
         assert probed == [64]  # the byte estimate's sample, pickled once
         assert sum(outcome.outputs["counts"].values()) == len(words)
@@ -392,7 +397,7 @@ class TestForcedPlans:
         assert forced.outputs == default
         report = forced.plan_report
         assert report.plan.backend == backend
-        assert any("forced by caller" in r for r in report.plan.reasons)
+        assert decided(report, "REP401", "forced by caller")
 
     def test_unknown_plan_name_rejected(self, wc_result):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -404,7 +409,8 @@ class TestForcedPlans:
         report = run_fragment(
             wc_result, {"words": list(WORDS)}, ExecOptions(plan="multiprocess")
         ).plan_report
-        if report.fallback_reason is not None:
+        fell_back = [d for d in report.diagnostics if d.code.startswith("REP30")]
+        if fell_back:
             assert report.backend_used == "sequential"
         else:
             assert report.backend_used == "multiprocess"
@@ -487,7 +493,7 @@ class TestMemoryAwarePlanning:
         assert budgeted.outputs == baseline
         report = budgeted.plan_report
         assert report.plan.spill
-        assert any("spill" in r for r in report.plan.reasons)
+        assert decided(report, "REP402", "spill")
         assert report.estimated_input_bytes is not None
         assert report.estimated_input_bytes > 2048
 
@@ -498,7 +504,7 @@ class TestMemoryAwarePlanning:
         assert not report.plan.spill
         assert report.plan.memory_budget is None
         assert report.spill_stats is None
-        assert any("fits memory budget" in r for r in report.plan.reasons)
+        assert decided(report, "REP402", "fits memory budget")
 
     def test_simulated_backend_ignores_budget_honestly(self, wc_result):
         # A forced simulated backend materializes in-memory; the plan
@@ -515,7 +521,7 @@ class TestMemoryAwarePlanning:
         report = simulated.plan_report
         assert not report.plan.spill
         assert report.plan.memory_budget is None
-        assert any("ignored" in r for r in report.plan.reasons)
+        assert decided(report, "REP402", "ignored")
 
     def test_streaming_dataset_input_plans_spill(self, wc_result):
         from repro.engine.source import GeneratorSource
@@ -532,7 +538,7 @@ class TestMemoryAwarePlanning:
         assert streamed.outputs == baseline
         report = streamed.plan_report
         assert report.plan.spill
-        assert any("unknown-length" in r for r in report.plan.reasons)
+        assert decided(report, "REP402", "unknown-length")
 
 
 class TestRunnerIntegration:

@@ -127,7 +127,8 @@ def test_every_run_layer_returns_a_job_result():
     assert runs["Session.run"].job_id and runs["Session.run"].admission
     # The engine's account reaches the caller through the report alone.
     bare = runs["GeneratedProgram.run"].plan_report
-    assert bare.backend_used == "spark" and bare.fallback_reason is None
+    assert bare.backend_used == "spark"
+    assert not any(d.code.startswith("REP3") for d in bare.diagnostics)
 
 
 def test_concurrent_wave_units_each_land_their_own_report():
@@ -182,7 +183,10 @@ def test_implied_plan_rule_has_one_definition():
                 assert report is not None
                 assert report.plan.backend == spelled.plan_report.plan.backend
                 assert report.plan.spill == spelled.plan_report.plan.spill
-                assert not any("forced by caller" in r for r in report.plan.reasons)
+                assert not any(
+                    d.code == "REP401" and "forced by caller" in d.message
+                    for d in report.diagnostics
+                )
             graph_run = run_graph(compilation.job_graph, dict(inputs), implied)
             assert graph_run.outputs == expected
             program = compilation.fragments[0].program
@@ -191,5 +195,9 @@ def test_implied_plan_rule_has_one_definition():
         unplanned = session.run(compilation, dict(inputs), fragment_index=0)
         report = unplanned.plan_report
         assert report.plan.backend == report.backend_used == "spark"
-        assert report.plan.reasons == ("backend 'spark' forced by caller",)
-        assert report.fallback_reason is None and unplanned.metrics is not None
+        decisions = [
+            (d.code, d.message) for d in report.diagnostics if d.code.startswith("REP4")
+        ]
+        assert decisions == [("REP401", "backend 'spark' forced by caller")]
+        assert not any(d.code.startswith("REP3") for d in report.diagnostics)
+        assert unplanned.metrics is not None

@@ -95,8 +95,9 @@ class TestMultiStagePrograms:
         report = run_graph(
             compilation.job_graph, benchmark.make_inputs(RUN_SIZE, 7)
         ).plan_report
-        assert any("map→map fused" in d for d in report.decisions)
-        assert any("combiner hoisted" in d for d in report.decisions)
+        said = [(d.code, d.message) for d in report.optimizer_diagnostics]
+        assert any(c == "REP407" and "map→map fused" in m for c, m in said)
+        assert any(c == "REP408" and "combiner hoisted" in m for c, m in said)
         assert report.fused_away == ["kept"]
 
     def test_q1_exercises_concurrent_branches(self):
@@ -117,7 +118,10 @@ class TestMultiStagePrograms:
         run = run_graph(compilation.job_graph, benchmark.make_inputs(RUN_SIZE, 7))
         schedule = optimize_graph(compilation.job_graph)
         assert any(unit.fused for unit in schedule.units)
-        assert any("stage-fused" in d for d in run.plan_report.decisions)
+        assert any(
+            d.code == "REP407" and "stage-fused" in d.message
+            for d in run.plan_report.optimizer_diagnostics
+        )
 
     def test_loop_carried_pagerank_iterations(self):
         benchmark = get_benchmark("iterative_pagerank")
@@ -200,7 +204,7 @@ PLAN_SIZE = 300
 class TestDeterministicPlanning:
     """Same (program, inputs, options, CPU count) → the same plan: the
     backend choice is a pure function, so planning twice must agree to
-    the last reason string and the last float."""
+    the last decision diagnostic and the last float."""
 
     @pytest.mark.parametrize("name", [b.name for b in all_benchmarks()], ids=str)
     def test_planning_twice_agrees_on_every_cpu_count(self, name, monkeypatch):
@@ -227,7 +231,8 @@ class TestDeterministicPlanning:
                         )
                         for _ in range(2)
                     )
-                    assert first[0] == second[0]  # ExecutionPlan, reasons included
+                    assert first[0] == second[0]  # ExecutionPlan
+                    assert first[1].diagnostics == second[1].diagnostics
                     assert first[1].estimated_seconds == second[1].estimated_seconds
                     assert first[1].estimates == second[1].estimates
                     assert (first[0].backend == "sequential") or cpus > 1
@@ -247,7 +252,10 @@ class TestDeterministicPlanning:
             dict(inputs), ExecOptions(plan="auto")
         ).plan_report
         assert report.plan.backend == "sequential"
-        assert any("1 CPU(s) available" in r for r in report.plan.reasons)
+        assert any(
+            d.code == "REP401" and "1 CPU(s) available" in d.message
+            for d in report.diagnostics
+        )
         assert report.estimated_seconds == {}
         assert report.estimates["backend"] == {"processes": 1, "chosen": "sequential"}
 

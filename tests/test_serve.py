@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.compiler import translate
+from repro.diagnostics import make
 from repro.graph import interpret_reference
 from repro.errors import ServeError
 from repro.options import ExecOptions
@@ -120,12 +121,12 @@ class TestRegistry:
 class TestAdmission:
     def test_budgeted_job_priced_at_its_budget(self):
         controller = AdmissionController(capacity_bytes=1 << 30)
-        footprint, reasons = controller.price(
+        footprint, priced = controller.price(
             {"data": DATA, "n": len(DATA)},
             ExecOptions(memory_budget=1 << 20),
         )
         assert footprint == 2 * (1 << 20)
-        assert any("memory_budget" in r for r in reasons)
+        assert priced.code == "REP411" and "memory_budget" in priced.message
 
     def test_unbudgeted_job_priced_by_estimator(self, monkeypatch):
         monkeypatch.setattr(
@@ -140,10 +141,11 @@ class TestAdmission:
             admission_mod, "estimate_input_bytes", lambda records, n=None: None
         )
         controller = AdmissionController(capacity_bytes=1 << 30)
-        footprint, reasons = controller.price({"data": [1]})
+        footprint, priced = controller.price({"data": [1]})
         assert footprint is None
-        decision = controller.admit_footprint(footprint, reasons)
+        decision = controller.admit_footprint(footprint, priced)
         assert decision.mode == "exclusive"
+        assert decision.diagnostics[0] is priced
         controller.release(decision)
 
     def test_small_concurrent_large_exclusive(self):
@@ -194,13 +196,21 @@ class TestAdmission:
 
     def test_decision_records_queueing_and_reasons(self):
         controller = AdmissionController(capacity_bytes=1000)
-        decision = controller.admit_footprint(10, ["priced somehow"])
+        decision = controller.admit_footprint(10, make("REP411", "priced somehow"))
         controller.release(decision)
         as_dict = decision.as_dict()
         assert as_dict["mode"] == "concurrent"
         assert as_dict["footprint_bytes"] == 10
         assert as_dict["capacity_bytes"] == 1000
-        assert "priced somehow" in as_dict["reasons"]
+        assert set(as_dict) == {
+            "mode",
+            "footprint_bytes",
+            "capacity_bytes",
+            "queued_seconds",
+        }
+        said = [(d.code, d.message) for d in decision.diagnostics]
+        assert ("REP411", "priced somehow") in said
+        assert said[-1][0] == "REP412" and "concurrent" in said[-1][1]
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):

@@ -339,7 +339,7 @@ class TestStreamingIdentity:
         # A pool that opened is a pool that mapped — map-only segments
         # under a budget included.
         if processes:
-            assert result.fallback_reason is None
+            assert result.fallback is None
         if result.executed_parallel:
             assert result.map_tasks > 0
 
@@ -401,7 +401,7 @@ class TestStreamingIdentity:
             processes=2, memory_budget=2048, min_parallel_records=100
         ).run_pipeline(records, steps)
         assert pooled.pairs == base.pairs
-        assert pooled.fallback_reason is None
+        assert pooled.fallback is None
         assert pooled.map_tasks > 0
 
     def test_pooled_spill_worker_exception_propagates(self):
