@@ -19,6 +19,8 @@ from ..cost.observe import (
     fragment_observation_key,
     harvest_observation,
 )
+from ..diagnostics import Diagnostic
+from ..diagnostics import make as make_diagnostic
 from ..engine.config import EngineConfig
 from ..lang.analysis.fragments import FragmentAnalysis
 from ..options import ExecOptions, JobResult
@@ -174,6 +176,9 @@ class AdaptiveProgram:
         )
         report.implementation = implementation
         report.diagnostics[:0] = sampler_fallbacks
+        unproved = self.unproved_diagnostic(index)
+        if unproved is not None:
+            report.diagnostics.append(unproved)
         if join_decision is not None:
             report.join = {
                 **(report.join or {}),
@@ -268,6 +273,20 @@ class AdaptiveProgram:
             observation_note=observation_note,
             estimates=estimates,
             config=config,
+        )
+
+    def unproved_diagnostic(self, index: int) -> Optional[Diagnostic]:
+        """The ``REP310`` of a job that dispatches ``impl_<index>``, or
+        None when that implementation is proved."""
+        proof = self.programs[index].proof
+        if proof.status == "proved":
+            return None
+        return make_diagnostic(
+            "REP310",
+            f"impl_{index} ran on bounded (Tier-2) evidence only "
+            f"({proof.reason}); checked on "
+            f"{proof.domain or 'an unrecorded state domain'}",
+            fragment=self.analysis.fragment.id,
         )
 
     def ensure_planner(self) -> ExecutionPlanner:

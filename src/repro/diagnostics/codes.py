@@ -7,7 +7,8 @@ rejecting, falling back or deciding carries one of these codes:
 * ``REP2xx`` — verification (symbolic execution, bounded checking,
   the synthesis search, the proof-acceptance gate);
 * ``REP3xx`` — engine and planner (pool fallbacks, pickle probes,
-  evaluator-fallback stages, reference-estimator samples);
+  evaluator-fallback stages, reference-estimator samples, runs on
+  bounded-only evidence);
 * ``REP4xx`` — decisions: what the execution planner, the job-graph
   optimizer and admission control chose, and why (all ``info``; one
   code per kind of decision, the message says which way it went);
@@ -171,6 +172,14 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "under the same configuration and search-space source, so no "
             "search ran; clear the cache_dir's neg_* files to force one",
         ),
+        _entry(
+            "REP210",
+            "info",
+            "bounded-only summaries dropped: a proved summary exists",
+            "only proved summaries are code-generated when the fragment "
+            "has one, so no job samples or dispatches an unproved twin; "
+            "the search and its cache entry are unchanged",
+        ),
         # ---- REP3xx: engine / planner --------------------------------
         _entry(
             "REP301",
@@ -241,6 +250,15 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "failure), so the interpreter estimated that sample; the "
             "estimates and the chosen implementation are identical, only "
             "slower",
+        ),
+        _entry(
+            "REP310",
+            "warning",
+            "job dispatched an implementation proved on bounded evidence only",
+            "the fragment has no proved summary; the implementation that "
+            "ran passed the bounded (Tier-2) check on the state domain the "
+            "message names, not an inductive proof — values outside that "
+            "domain are unchecked",
         ),
         # ---- REP4xx: planner / graph-optimizer / admission decisions -
         _entry("REP401", "info", "backend decision", _DECIDED),

@@ -386,8 +386,8 @@ def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
 
     Output is bit-identical to the first-seen-ordered dict fold: keys
     come back in first-occurrence order, int sums are overflow-guarded,
-    float sums use the strict sequential ``accumulate`` fold, and
-    min/max refuse NaNs.  Any unsupported shape returns None and the
+    float sums are one in-order ``add.at`` from ``-0.0``, and min/max
+    refuse NaNs.  Any unsupported shape returns None and the
     caller combines the block's pairs the classic way.
     """
     if op not in ("sum", "min", "max"):
@@ -416,28 +416,28 @@ def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
         keys, return_index=True, return_inverse=True
     )
     inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")  # arrival order per group
-    bounds = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
-    sorted_values = values[order]
-    if op == "sum":
-        if values.dtype.kind == "f":
-            if uniq.shape[0] * 4 > keys.shape[0]:
-                return None  # mostly-distinct keys: per-group loop loses
-            starts = bounds.tolist()
-            stops = starts[1:] + [int(keys.shape[0])]
-            aggregated = [
-                float(np.add.accumulate(sorted_values[lo:hi])[-1])
-                for lo, hi in zip(starts, stops)
-            ]
-        else:
+    if op == "sum" and values.dtype.kind == "f":
+        # -0.0 is the IEEE additive identity (-0.0 + v is v, bit for
+        # bit) and add.at accumulates unbuffered in index order: each
+        # group's sum is the row fold, in one call.  Overflow to ±inf
+        # and inf - inf = nan are the fold's values, as in Python.
+        sums = np.full(uniq.shape[0], -0.0, dtype=values.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(sums, inverse, values)
+        aggregated = sums.tolist()
+    else:
+        order = np.argsort(inverse, kind="stable")  # arrival order per group
+        bounds = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
+        sorted_values = values[order]
+        if op == "sum":
             if keys.shape[0] * _int_bound(values) > I64_MAX:
                 return None
             aggregated = np.add.reduceat(sorted_values, bounds).tolist()
-    else:
-        if values.dtype.kind == "f" and bool(np.isnan(values).any()):
-            return None
-        ufunc = np.minimum if op == "min" else np.maximum
-        aggregated = ufunc.reduceat(sorted_values, bounds).tolist()
+        else:
+            if values.dtype.kind == "f" and bool(np.isnan(values).any()):
+                return None
+            ufunc = np.minimum if op == "min" else np.maximum
+            aggregated = ufunc.reduceat(sorted_values, bounds).tolist()
     # Restore first-seen key order (what the dict combine produces).
     seen_order = np.argsort(first_index, kind="stable")
     out_keys = uniq[seen_order].tolist()

@@ -306,6 +306,10 @@ def _run_chain(
     execution_plan, report = _chain_plan(
         unit, head, chosen, records, globals_env, options, config
     )
+    for node_id, impl in zip(unit.node_ids, unit.impl_indexes):
+        unproved = graph.nodes[node_id].program.unproved_diagnostic(impl)
+        if unproved is not None:
+            report.diagnostics.append(unproved)
     # The plan's per-stage combiner decisions index the head program's
     # stages, so only the head's steps honour them; downstream nodes
     # keep the proof-gated default.

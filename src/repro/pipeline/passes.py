@@ -125,42 +125,44 @@ class SynthesizePass(CompilerPass):
 
 
 class VerifyAttachPass(CompilerPass):
-    """Attach proofs: re-check every summary carries an accepted proof.
+    """Attach proofs: keep only what runs on the strongest evidence.
 
     Verification itself is interleaved with CEGIS inside the synthesize
     pass (candidates must be verified to be blocked or kept), so this
-    pass is the pipeline's acceptance gate: it drops any summary whose
-    proof the current configuration would not accept — which matters for
-    cache hits, where the entry may have been produced under a laxer
-    ``accept_bounded_only`` or by an older library version.
+    pass is the pipeline's acceptance gate.  A fragment with a proved
+    summary keeps its proved summaries only: the bounded-only (Tier-2)
+    ones are dropped before codegen, with an ``info`` ``REP210`` — no
+    kernel, no sampler, no monitor sample is spent on them.  A fragment
+    with nothing proved keeps its bounded-only summaries when
+    ``accept_bounded_only`` allows (a ``REP203``, which ``strict=True``
+    escalates).  The gate re-runs on cache hits, whose entries may have
+    been produced under a laxer ``accept_bounded_only`` or by an older
+    library version.
     """
 
     name = "verify-attach"
 
     def run(self, ctx: CompilationContext, state: FragmentState) -> None:
         assert state.search is not None
-        accepted = []
-        bounded_only = 0
-        for vs in state.search.summaries:
-            if vs.proof.status == "proved":
-                accepted.append(vs)
-            elif vs.proof.status == "unknown" and ctx.search_config.accept_bounded_only:
-                accepted.append(vs)
-                bounded_only += 1
-        if len(accepted) != len(state.search.summaries):
-            state.search.summaries = accepted
-        if bounded_only:
-            unproved = sorted(
-                {
-                    vs.proof.reason
-                    for vs in accepted
-                    if vs.proof.status == "unknown" and vs.proof.reason
-                }
+        summaries = state.search.summaries
+        accepted = [vs for vs in summaries if vs.proof.status == "proved"]
+        bounded = [vs for vs in summaries if vs.proof.status == "unknown"]
+        if accepted and bounded:
+            state.diagnostics.append(
+                make(
+                    "REP210",
+                    f"{len(bounded)} of {len(summaries)} summaries dropped as "
+                    f"bounded-only (Tier-2): {len(accepted)} proved kept",
+                    fragment=state.fragment.id,
+                )
             )
+        elif bounded and ctx.search_config.accept_bounded_only:
+            accepted = bounded
+            unproved = sorted({vs.proof.reason for vs in bounded if vs.proof.reason})
             state.diagnostics.append(
                 make(
                     "REP203",
-                    f"{bounded_only} of {len(accepted)} summaries accepted on "
+                    f"{len(bounded)} of {len(bounded)} summaries accepted on "
                     "bounded (Tier-2) evidence only"
                     + (f": {'; '.join(unproved)}" if unproved else ""),
                     fragment=state.fragment.id,
@@ -171,6 +173,7 @@ class VerifyAttachPass(CompilerPass):
                     [d for d in state.diagnostics if d.code == "REP203"],
                     f"fragment {state.fragment.id}",
                 )
+        state.search.summaries = accepted
         if not accepted:
             reason = (
                 state.search.failure_reason

@@ -317,14 +317,15 @@ class ExecutionPlanner:
             )
         processes = default_process_count()
         right_samples = self._right_samples(program, inputs)
-        sampler_fallbacks: list = []
         if (
             estimates is None
             or right_samples is not None
             or estimates.sample_size != len(head)
         ):
             estimates = program.sample_estimates(head, globals_env, right_samples)
-            sampler_fallbacks = estimates.diagnostics
+            # Event order: the sample's REP309s precede the decisions it
+            # feeds.
+            decided.extend(estimates.diagnostics)
         stages = self._stage_plans(
             program, estimates, decided, observation=observation,
             provenance=provenance,
@@ -379,7 +380,7 @@ class ExecutionPlanner:
             estimated_input_bytes=est_bytes,
             join=join_report,
             estimates=provenance,
-            diagnostics=decided + sampler_fallbacks,
+            diagnostics=decided,
         )
         if self.unpicklable is not None:
             report.diagnostics.append(make_diagnostic("REP306", self.unpicklable))

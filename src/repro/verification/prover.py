@@ -87,6 +87,9 @@ class ProofResult:
     is_commutative: bool = False
     is_associative: bool = False
     obligations: list[str] = field(default_factory=list)
+    #: For an ``unknown`` (Tier-2) result, the state domain the extended
+    #: check found no counterexample on (``FullVerifier.tier2_domain``).
+    domain: str = ""
     #: Structured account of why Tier 1 did not apply (REP201/REP202);
     #: empty for proved results.
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -110,6 +113,8 @@ def proof_to_data(proof: ProofResult) -> dict:
         "is_associative": proof.is_associative,
         "obligations": list(proof.obligations),
     }
+    if proof.domain:
+        data["domain"] = proof.domain
     if proof.diagnostics:
         data["diagnostics"] = [d.as_dict() for d in proof.diagnostics]
     return data
@@ -123,6 +128,7 @@ def proof_from_data(data: dict) -> ProofResult:
         is_commutative=data["is_commutative"],
         is_associative=data["is_associative"],
         obligations=list(data["obligations"]),
+        domain=data.get("domain", ""),
         # Pre-diagnostics cache entries have no "diagnostics" key.
         diagnostics=[
             diagnostic_from_data(item) for item in data.get("diagnostics", [])
@@ -255,6 +261,7 @@ class FullVerifier:
             reason=f"inductive proof not applicable: {reason}",
             is_commutative=commutative,
             is_associative=associative,
+            domain=self.tier2_domain,
             diagnostics=diagnostics,
         )
 
@@ -273,13 +280,31 @@ class FullVerifier:
     def extended_checker(self) -> BoundedChecker:
         """The extended-domain states, drawn once per verifier and run
         only as far as the candidates' checks reach."""
+        config, states = self._extended_domain
+        return BoundedChecker(self.analysis, config=config, num_states=states)
+
+    @cached_property
+    def tier2_domain(self) -> str:
+        """One line naming the state domain an ``unknown`` result of this
+        verifier was checked on — what its evidence covers, and so what
+        it says nothing about."""
+        config, states = self._extended_domain
+        ints, dates = config.int_range, config.date_range
+        return (
+            f"{states} states of at most {config.max_dataset_size} records; "
+            f"ints {ints[0]}..{ints[1]}, "
+            f"doubles {{{', '.join(map(repr, config.float_values))}}}, "
+            f"strings {{{', '.join(map(repr, config.string_pool))}}}, "
+            f"dates {dates[0]}..{dates[1]}, each pool plus the fragment's own "
+            f"constants (seed {config.seed})"
+        )
+
+    @cached_property
+    def _extended_domain(self) -> tuple[BoundedCheckConfig, int]:
+        """The Tier-2 check's bounds and how many states it draws."""
         size = _extended_dataset_size(self.analysis)
         states = self.extended_states if size <= 16 else max(24, self.extended_states // 4)
-        return BoundedChecker(
-            self.analysis,
-            config=_fresh_extended_config(self.seed, size),
-            num_states=states,
-        )
+        return _fresh_extended_config(self.seed, size), states
 
     # ------------------------------------------------------------------
     # Tier 1

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import pickle
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.engine.columnar import (
     ColumnSpec,
     build_chunk,
     build_column,
+    fold_columns,
     grouped_fold,
     resolve_columns,
 )
@@ -248,6 +251,39 @@ def test_grouped_fold_matches_dict_combine(op):
     fblock = ColumnBlock(values=rng.standard_normal(200), keys=keys)
     ffolded = grouped_fold(fblock, op)
     assert ffolded == _dict_fold(fblock.pairs(), op)
+
+
+#: Float values chosen to break a reassociating or reseeded sum.
+ADVERSARIAL_FLOATS = (
+    1e16, -1e16, 1.0, -1.0, 0.5, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e308, -1e308, math.inf, -math.inf, 0.1, 3.0,
+)
+
+
+def _bits(pairs):
+    return [(key, struct.pack("d", value)) for key, value in pairs]
+
+
+def test_float_sum_is_the_row_fold_bit_for_bit():
+    """One ``add.at`` from ``-0.0`` is the ordered fold: ±1e16
+    cancellation, ±0.0, subnormals, ±1e308 overflowing to ±inf and
+    inf - inf = nan included, mostly-distinct keys too — with no
+    ``RuntimeWarning`` (the Python fold raises none)."""
+    rng = np.random.default_rng(41)
+    for trial in range(400):
+        n = int(rng.integers(1, 80))
+        keys = rng.integers(0, int(rng.integers(1, n + 1)), size=n).astype(np.int64)
+        picks = rng.integers(0, len(ADVERSARIAL_FLOATS), size=n)
+        values = np.asarray([ADVERSARIAL_FLOATS[i] for i in picks])
+        if trial % 4 == 0:
+            values[keys % 2 == 0] = -0.0  # whole groups of -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = grouped_fold(ColumnBlock(values=values, keys=keys), "sum")
+        acc: dict = {}
+        fold_columns(lambda a, b: a + b, keys.tolist(), values.tolist(), acc)
+        assert got is not None
+        assert _bits(got) == _bits(acc.items()), trial
 
 
 def test_grouped_fold_constant_key_and_empty():

@@ -18,7 +18,14 @@ programs and were priced from one real run instead
 (``engine.core.price``): the ``@spark`` rows of the three join
 benchmarks, whose outputs are now the real engine's and whose post-join
 shuffle combines per chunk, not per Spark repartition; the other 669
-digests were reproduced unchanged.  An engine, accounting or sampling
+digests were reproduced unchanged.  54 more were regenerated when a
+fragment with a proved summary stopped keeping its bounded-only twins:
+30 ``@monitor`` rows no longer sample the twins, and the run rows of
+``fiji_nlmeans_stats#0``, ``tpch_q1#1`` and ``tpch_q17#1`` (five
+backends and three graph runs each) dispatch the proved summary instead
+of a twin — for the two TPC-H counts that is ``emit(k, 1.0)``, whose
+float counts are the source's ``double``s, where the twin emitted ints;
+the other 618 were reproduced unchanged.  An engine, accounting or sampling
 change that moves any of them fails here with the fragment × backend
 named.  Nothing in an entry depends on ``PYTHONHASHSEED`` (sets are
 rendered sorted).

@@ -276,9 +276,13 @@ class TestVerificationCodes:
         outputs = frag.program.run({"data": list(range(40)), "n": 40}).outputs
         assert outputs["sum"] == sum(range(40))
 
+    # A fragment whose search proves nothing keeps its bounded-only
+    # summaries (one with a proved summary drops them: REP210).  The
+    # per-pixel max over frames is one: its twins guard ``v < v + v``
+    # under ``max`` and the prover finds no step for them.
+
     def test_rep202_unsupported_symbolic_proof(self):
-        result = translate(FLOAT_FOLD)
-        frag = result.fragments[0]
+        frag = compiled("fiji_frame_max").fragments[0]
         unknown = [
             p for p in frag.program.programs if p.proof.status == "unknown"
         ]
@@ -286,8 +290,7 @@ class TestVerificationCodes:
         assert any("REP202" in codes(p.proof.diagnostics) for p in unknown)
 
     def test_rep203_and_rep204_on_bounded_acceptance(self):
-        result = translate(FLOAT_FOLD)
-        frag = result.fragments[0]
+        frag = compiled("fiji_frame_max").fragments[0]
         assert "REP203" in codes(frag.diagnostics)
         assert "REP204" in codes(frag.diagnostics)
 
