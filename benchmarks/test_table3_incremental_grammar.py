@@ -50,7 +50,6 @@ def table3():
             SearchConfig(
                 incremental_grammar=False,
                 exhaustive=True,
-                max_summaries_per_class=500,
                 timeout_seconds=45.0,
             ),
         )

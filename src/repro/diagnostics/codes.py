@@ -126,8 +126,8 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "REP203",
             "warning",
             "summary accepted on bounded evidence only",
-            "the proof status is 'unknown'; rerun with "
-            "accept_bounded_only=False to require a full proof",
+            "nothing of the fragment was proved, so its bounded-only "
+            "summaries run; compile with strict=True to fail instead",
         ),
         _entry(
             "REP204",
@@ -153,8 +153,9 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "REP207",
             "error",
             "no summary carries an acceptable proof",
-            "every synthesized summary was rejected by the acceptance "
-            "gate; allow bounded-only proofs or simplify the fragment",
+            "no summary is proved or bounded-only (e.g. a cache entry "
+            "written by another library version); clear the cache entry "
+            "or simplify the fragment",
         ),
         _entry(
             "REP208",

@@ -84,11 +84,7 @@ def _is_static_receiver(call: ast.MethodCall) -> bool:
     )
 
 
-def analyze_soundness(
-    analysis: FragmentAnalysis,
-    *,
-    accept_bounded_only: bool = True,
-) -> list[Diagnostic]:
+def analyze_soundness(analysis: FragmentAnalysis) -> list[Diagnostic]:
     """Static soundness diagnostics for one analyzed fragment.
 
     Error-level diagnostics mean the fragment provably cannot pass the
@@ -182,7 +178,6 @@ def analyze_soundness(
                 "(Tier-2) evidence is possible",
                 line=call.line,
                 fragment=fragment_id,
-                severity="error" if not accept_bounded_only else None,
             )
         )
 

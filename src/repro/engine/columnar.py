@@ -368,8 +368,10 @@ def _fold_whole(values: Any, op: str) -> Optional[Any]:
         if values.dtype.kind == "f":
             # accumulate is the strict sequential left fold — the same
             # rounding sequence as the ordered Python fold (reduce may
-            # use pairwise summation, which reassociates).
-            return float(np.add.accumulate(values)[-1])
+            # use pairwise summation, which reassociates).  ±inf and nan
+            # are its results too, with no warning, as in Python.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(np.add.accumulate(values)[-1])
         if values.shape[0] * _int_bound(values) > I64_MAX:
             return None  # a partial sum could wrap int64
         return int(values.sum(dtype=np.int64))

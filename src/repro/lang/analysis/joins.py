@@ -294,7 +294,7 @@ def extract_join_info(
 def rewrite_side_fields(stmt: ast.Stmt, join: JoinInfo) -> ast.Stmt:
     """Rewrite ``binder.field`` reads to bare field atoms, per side.
 
-    Mirrors :func:`repro.verification.prover._rewrite_array_reads` for
+    Mirrors :func:`repro.verification.loops.rewrite_array_reads` for
     array views: after rewriting, symbolic execution of the join body
     sees a pure function of the (disjointly named) field atoms of every
     relation, with no per-element binders left.

@@ -123,12 +123,12 @@ def search_config_key(config: SearchConfig) -> str:
     """The part of the cache key contributed by search configuration.
 
     Every knob that changes *which* summaries come out is included —
-    that's the grammar/acceptance switches plus the verification
-    strength: with ``accept_bounded_only`` a candidate whose proof is
-    ``unknown`` is admitted on bounded/extended-domain evidence alone, so
-    weaker domains genuinely admit different summaries.  Only the search
-    timeout is excluded: a timed-out result is never cached, and neither
-    verified summaries nor an exhausted class list depend on it.
+    that's the grammar switches plus the verification strength: a
+    candidate whose proof is ``unknown`` enters Δ on bounded/extended-
+    domain evidence alone, so weaker domains genuinely admit different
+    summaries.  Only the search timeout is excluded: a timed-out result
+    is never cached, and neither verified summaries nor an exhausted
+    class list depend on it.
     """
     bc = config.bounded_config
     strength = "|".join(
@@ -146,8 +146,6 @@ def search_config_key(config: SearchConfig) -> str:
     strength_tag = hashlib.sha256(strength.encode("utf-8")).hexdigest()[:12]
     return (
         f"ig={int(config.incremental_grammar)}"
-        f",max={config.max_summaries_per_class}"
-        f",abo={int(config.accept_bounded_only)}"
         f",ex={int(config.exhaustive)}"
         f",vs={strength_tag}"
     )

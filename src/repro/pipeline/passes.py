@@ -73,10 +73,7 @@ class SoundnessPass(CompilerPass):
         if not ctx.soundness:
             return
         assert state.analysis is not None
-        diags = analyze_soundness(
-            state.analysis,
-            accept_bounded_only=ctx.search_config.accept_bounded_only,
-        )
+        diags = analyze_soundness(state.analysis)
         state.diagnostics.extend(diags)
         if has_rejections(diags):
             codes = sorted({d.code for d in diags if d.severity == "error"})
@@ -133,11 +130,11 @@ class VerifyAttachPass(CompilerPass):
     summary keeps its proved summaries only: the bounded-only (Tier-2)
     ones are dropped before codegen, with an ``info`` ``REP210`` — no
     kernel, no sampler, no monitor sample is spent on them.  A fragment
-    with nothing proved keeps its bounded-only summaries when
-    ``accept_bounded_only`` allows (a ``REP203``, which ``strict=True``
-    escalates).  The gate re-runs on cache hits, whose entries may have
-    been produced under a laxer ``accept_bounded_only`` or by an older
-    library version.
+    with nothing proved keeps its bounded-only summaries (a ``REP203``,
+    which ``strict=True`` escalates).  The gate re-runs on cache hits,
+    whose entries may have been produced by an older library version; an
+    entry with neither a proved nor a bounded-only summary is refused
+    (``REP207``).
     """
 
     name = "verify-attach"
@@ -156,7 +153,7 @@ class VerifyAttachPass(CompilerPass):
                     fragment=state.fragment.id,
                 )
             )
-        elif bounded and ctx.search_config.accept_bounded_only:
+        elif bounded:
             accepted = bounded
             unproved = sorted({vs.proof.reason for vs in bounded if vs.proof.reason})
             state.diagnostics.append(

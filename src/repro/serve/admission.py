@@ -210,35 +210,44 @@ class AdmissionController:
             diagnostics=[] if priced is None else [priced],
         )
         decision.diagnostics.append(make_diagnostic("REP412", note))
+
+        def may_start() -> bool:
+            if exclusive:
+                return not self._exclusive_running and self._running == 0
+            # An already-admitted ledger drains before the next
+            # over-capacity concurrent job starts (running == 0 keeps a
+            # single job larger than the free ledger from deadlocking
+            # itself), and a *waiting* exclusive job gates newcomers.
+            return (
+                not self._exclusive_running
+                and self._exclusive_waiting == 0
+                and (
+                    self._resident_bytes + footprint <= self.capacity_bytes
+                    or self._running == 0
+                )
+            )
+
         started = time.perf_counter()
         with self._cv:
-            if exclusive:
+            # Whether the job waits is decided here, under the lock — not
+            # by how long taking the lock and pricing took on a busy host.
+            waited = not may_start()
+            if waited and exclusive:
                 self._exclusive_waiting += 1
                 try:
-                    self._cv.wait_for(
-                        lambda: not self._exclusive_running and self._running == 0
-                    )
+                    self._cv.wait_for(may_start)
                 finally:
                     self._exclusive_waiting -= 1
+            elif waited:
+                self._cv.wait_for(may_start)
+            if exclusive:
                 self._exclusive_running = True
             else:
-                # An already-admitted ledger drains before the next
-                # over-capacity concurrent job starts (running == 0 keeps
-                # a single job larger than the free ledger from deadlocking
-                # itself), and a *waiting* exclusive job gates newcomers.
-                self._cv.wait_for(
-                    lambda: not self._exclusive_running
-                    and self._exclusive_waiting == 0
-                    and (
-                        self._resident_bytes + footprint <= self.capacity_bytes
-                        or self._running == 0
-                    )
-                )
                 self._resident_bytes += footprint
             self._running += 1
             self.admitted[decision.mode] += 1
         decision.queued_seconds = time.perf_counter() - started
-        if decision.queued_seconds > 0.001:
+        if waited:
             note = f"queued {decision.queued_seconds:.3f}s for admission"
             decision.diagnostics.append(make_diagnostic("REP413", note))
         return decision

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import VerificationError
 from ..lang.analysis.fragments import FragmentAnalysis
 from ..ir.nodes import (
     BinOp,
@@ -469,81 +468,47 @@ def harvest_paths(analysis: FragmentAnalysis) -> list[SymState]:
     relation field atoms): the update terms seed post-join value
     candidates and the residual conditions seed post-join guards.
     """
-    from ..verification.prover import FullVerifier
+    from ..lang import ast_nodes as ast
+    from ..verification.loops import loop_body, symexec_body
 
-    verifier = FullVerifier(analysis)
-    view = analysis.view
-    loop = analysis.fragment.loop
-    if analysis.join is not None:
-        from ..lang.analysis.joins import rewrite_side_fields
-
-        body = [
-            rewrite_side_fields(s, analysis.join)
-            for s in analysis.join.guarded_body
-        ]
-        containers = {
-            name
-            for name, jtype in analysis.output_vars.items()
-            if jtype.is_collection() or str(jtype).startswith("Map")
-        }
-        scalar_accs = {
-            name: Var(f"__acc_{name}", "double")
-            for name in analysis.output_vars
-            if name not in containers
-        }
-        try:
-            return verifier._symexec_body(body, scalar_accs, containers)
-        except Exception:
-            return []
+    containers = {
+        name
+        for name, jtype in analysis.output_vars.items()
+        if jtype.is_collection() or str(jtype).startswith("Map")
+    }
+    scalar_accs = {
+        name: Var(f"__acc_{name}", "double")
+        for name in analysis.output_vars
+        if name not in containers
+    }
     try:
-        body = verifier._loop_body(loop)
-        if view.kind == "array2d":
-            # Use the innermost body plus suffix statements.
-            from ..lang import ast_nodes as ast
+        if analysis.join is not None:
+            from ..lang.analysis.joins import rewrite_side_fields
 
+            body = [
+                rewrite_side_fields(s, analysis.join)
+                for s in analysis.join.guarded_body
+            ]
+            return symexec_body(analysis, body, scalar_accs, containers)
+        body = loop_body(analysis.fragment.loop)
+        inner = None
+        if analysis.view.kind == "array2d":
             inner = next((s for s in body if isinstance(s, ast.For)), None)
-            if inner is not None:
-                inner_body = verifier._loop_body(inner)
-                containers = {
-                    name
-                    for name, jtype in analysis.output_vars.items()
-                    if jtype.is_collection() or str(jtype).startswith("Map")
-                }
-                # Accumulators: per-row locals declared in the outer body
-                # plus scalar outputs carried from the fragment prelude.
-                acc_names = [s.name for s in body if isinstance(s, ast.VarDecl)]
-                acc_names += [
-                    name for name in analysis.output_vars if name not in containers
-                ]
-                acc_bindings = {
-                    name: Var(f"__acc_{name}", "double") for name in acc_names
-                }
-                paths = []
-                paths.extend(
-                    verifier._symexec_body(inner_body, acc_bindings, containers)
-                )
-                suffix = [
-                    s
-                    for s in body
-                    if not isinstance(s, (ast.For, ast.VarDecl))
-                ]
-                if suffix:
-                    paths.extend(
-                        verifier._symexec_body(suffix, acc_bindings, containers)
-                    )
-                return paths
-        containers = {
-            name
-            for name, jtype in analysis.output_vars.items()
-            if jtype.is_collection() or str(jtype).startswith("Map")
+        if inner is None:
+            return symexec_body(analysis, body, scalar_accs, containers)
+        # Use the innermost body plus suffix statements.  Accumulators:
+        # per-row locals declared in the outer body plus scalar outputs
+        # carried from the fragment prelude.
+        acc_bindings = {
+            s.name: Var(f"__acc_{s.name}", "double")
+            for s in body
+            if isinstance(s, ast.VarDecl)
         }
-        scalar_accs = {
-            name: Var(f"__acc_{name}", "double")
-            for name in analysis.output_vars
-            if name not in containers
-        }
-        return verifier._symexec_body(body, scalar_accs, containers)
-    except VerificationError:
-        return []
+        acc_bindings.update(scalar_accs)
+        paths = symexec_body(analysis, loop_body(inner), acc_bindings, containers)
+        suffix = [s for s in body if not isinstance(s, (ast.For, ast.VarDecl))]
+        if suffix:
+            paths.extend(symexec_body(analysis, suffix, acc_bindings, containers))
+        return paths
     except Exception:
         return []

@@ -96,14 +96,16 @@ class SearchResult:
 #: clock or the host.
 _EXHAUSTED_CODE = "REP205"
 
+#: A grammar class's search stops once Δ holds this many summaries; an
+#: ``exhaustive`` search (Table 3) collects every one.
+MAX_SUMMARIES_PER_CLASS = 8
+
 
 @dataclass
 class SearchConfig:
     """Knobs for the summary search."""
 
     incremental_grammar: bool = True  # Table 3 ablation switch
-    max_summaries_per_class: int = 8
-    accept_bounded_only: bool = True
     timeout_seconds: float = 90.0
     bounded_config: BoundedCheckConfig = field(default_factory=BoundedCheckConfig)
     extended_states: int = 120
@@ -215,11 +217,7 @@ def find_summaries(
         result.elapsed_seconds = time.monotonic() - started
         return result
 
-    verifier = FullVerifier(
-        analysis,
-        extended_states=config.extended_states,
-        accept_bounded_only=config.accept_bounded_only,
-    )
+    verifier = FullVerifier(analysis, extended_states=config.extended_states)
     sym_paths = harvest_paths(analysis)
 
     if config.incremental_grammar:
@@ -260,13 +258,12 @@ def find_summaries(
             if candidate is None:
                 break  # class exhausted with solutions in hand
             proof = verifier.verify(candidate)
-            if verifier.accepts(proof):
+            if proof.status != "refuted":
+                # Proved or bounded-only: both enter Δ, and the pipeline's
+                # verify-attach gate decides what runs.
                 delta.append(VerifiedSummary(candidate, proof))
                 delta_hashes.add(hash(candidate))
-                if (
-                    not config.exhaustive
-                    and len(delta) >= config.max_summaries_per_class
-                ):
+                if not config.exhaustive and len(delta) >= MAX_SUMMARIES_PER_CLASS:
                     break
             else:
                 omega.add(hash(candidate))

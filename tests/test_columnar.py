@@ -268,7 +268,8 @@ def test_float_sum_is_the_row_fold_bit_for_bit():
     """One ``add.at`` from ``-0.0`` is the ordered fold: ±1e16
     cancellation, ±0.0, subnormals, ±1e308 overflowing to ±inf and
     inf - inf = nan included, mostly-distinct keys too — with no
-    ``RuntimeWarning`` (the Python fold raises none)."""
+    ``RuntimeWarning`` (the Python fold raises none) — on keyed blocks
+    and on the constant-key block of the same values."""
     rng = np.random.default_rng(41)
     for trial in range(400):
         n = int(rng.integers(1, 80))
@@ -277,13 +278,17 @@ def test_float_sum_is_the_row_fold_bit_for_bit():
         values = np.asarray([ADVERSARIAL_FLOATS[i] for i in picks])
         if trial % 4 == 0:
             values[keys % 2 == 0] = -0.0  # whole groups of -0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = grouped_fold(ColumnBlock(values=values, keys=keys), "sum")
-        acc: dict = {}
-        fold_columns(lambda a, b: a + b, keys.tolist(), values.tolist(), acc)
-        assert got is not None
-        assert _bits(got) == _bits(acc.items()), trial
+        for block, block_keys in (
+            (ColumnBlock(values=values, keys=keys), keys.tolist()),
+            (ColumnBlock(values=values, key_const=0), [0] * n),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = grouped_fold(block, "sum")
+            acc: dict = {}
+            fold_columns(lambda a, b: a + b, block_keys, values.tolist(), acc)
+            assert got is not None
+            assert _bits(got) == _bits(acc.items()), trial
 
 
 def test_grouped_fold_constant_key_and_empty():

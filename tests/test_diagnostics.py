@@ -320,10 +320,7 @@ class TestVerificationCodes:
         """Unit-level: the verify-attach gate with nothing acceptable."""
         from repro.pipeline.passes import VerifyAttachPass
 
-        ctx = types.SimpleNamespace(
-            search_config=SearchConfig(accept_bounded_only=False),
-            strict=False,
-        )
+        ctx = types.SimpleNamespace(strict=False)
         state = types.SimpleNamespace(
             fragment=types.SimpleNamespace(id="f#0"),
             search=types.SimpleNamespace(summaries=[], failure_reason=None),
@@ -340,29 +337,14 @@ class TestVerificationCodes:
 
 
 class TestStrictMode:
-    def test_strict_escalates_warnings_to_typed_error(self):
+    @pytest.mark.parametrize(
+        "source, code", [(SET_ITERATION, "REP105"), (SCRATCH_MUTATION, "REP104")]
+    )
+    def test_strict_escalates_warnings_to_typed_error(self, source, code):
         compiler = CasperCompiler(strict=True)
         with pytest.raises(DiagnosticError) as excinfo:
-            compiler.translate_source(SET_ITERATION)
-        assert any(d.code == "REP105" for d in excinfo.value.diagnostics)
-
-    def test_strict_is_quiet_on_clean_fragments(self):
-        # Even a plain integer sum keeps some bounded-only summaries, so
-        # a *fully* quiet strict compile also demands full proofs.
-        compiler = CasperCompiler(
-            strict=True,
-            search_config=SearchConfig(accept_bounded_only=False),
-        )
-        result = compiler.translate_source(
-            """
-int total(int[] data, int n) {
-  int t = 0;
-  for (int i = 0; i < n; i++) t += data[i];
-  return t;
-}
-"""
-        )
-        assert result.fragments[0].translated
+            compiler.translate_source(source)
+        assert any(d.code == code for d in excinfo.value.diagnostics)
 
 
 # ----------------------------------------------------------------------

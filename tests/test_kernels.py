@@ -281,8 +281,8 @@ OPTION_SURFACE = {
         "analysis programs monitor planner _fragment_key"
     ),
     "repro.synthesis.search:SearchConfig": (
-        "incremental_grammar max_summaries_per_class accept_bounded_only "
-        "timeout_seconds bounded_config extended_states exhaustive"
+        "incremental_grammar timeout_seconds bounded_config extended_states "
+        "exhaustive"
     ),
     "repro.compiler:CasperCompiler": "search_config cache soundness strict",
     "repro.engine.config:EngineConfig": "cluster framework scale",

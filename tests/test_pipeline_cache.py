@@ -330,8 +330,8 @@ class TestSummaryCache:
         assert result.cache_hits == 0  # no cross-config reuse
 
     def test_verification_strength_is_part_of_the_key(self):
-        # With accept_bounded_only, 'unknown' proofs are admitted on
-        # bounded/extended-domain evidence alone — weaker domains admit
+        # 'unknown' proofs enter the search's Δ on bounded/extended-domain
+        # evidence alone — weaker domains admit
         # different summaries, so they must not share cache entries.
         from repro.verification.bounded import BoundedCheckConfig
 

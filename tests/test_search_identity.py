@@ -97,6 +97,32 @@ def test_search_outcome_matches_golden(name):
     assert got == GOLDEN[name]
 
 
+PROOFS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "proofs_golden.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("name", sorted(PROOFS_GOLDEN))
+def test_kept_proofs_match_golden(name):
+    """The proof tier of every kept summary stays put: status, reason,
+    the obligations checked, the λr flags and the Tier-2 domain."""
+    got = [
+        [
+            {
+                "status": vs.proof.status,
+                "reason": vs.proof.reason,
+                "obligations": list(vs.proof.obligations),
+                "is_commutative": vs.proof.is_commutative,
+                "is_associative": vs.proof.is_associative,
+                "domain": vs.proof.domain,
+            }
+            for vs in (f.search.summaries if f.search else [])
+        ]
+        for f in compiled(name).fragments
+    ]
+    assert got == PROOFS_GOLDEN[name]
+
+
 # ----------------------------------------------------------------------
 # (b) column evaluator == per-part reference
 

@@ -212,6 +212,39 @@ class TestAdmission:
         assert ("REP411", "priced somehow") in said
         assert said[-1][0] == "REP412" and "concurrent" in said[-1][1]
 
+    def test_slow_admission_with_nothing_running_is_no_wait(self, monkeypatch):
+        # A clock that advances 1 s per reading: admission "takes" a
+        # second, as on a loaded host, but nothing made the job wait.
+        ticks = iter(range(100))
+        clock = type("Clock", (), {"perf_counter": staticmethod(lambda: next(ticks))})
+        monkeypatch.setattr(admission_mod, "time", clock)
+        controller = AdmissionController(capacity_bytes=1000)
+        decision = controller.admit_footprint(10)
+        controller.release(decision)
+        assert decision.queued_seconds == 1
+        assert "REP413" not in [d.code for d in decision.diagnostics]
+
+    def test_a_job_that_waits_on_the_ledger_says_so_once(self):
+        controller = AdmissionController(capacity_bytes=1000, exclusive_fraction=0.5)
+        running = controller.admit_footprint(100)
+        decisions = []
+
+        def big_job():
+            decisions.append(controller.admit_footprint(900))
+            controller.release(decisions[0])
+
+        thread = threading.Thread(target=big_job)
+        thread.start()
+        deadline = time.monotonic() + 5
+        while not controller._exclusive_waiting and time.monotonic() < deadline:
+            time.sleep(0.005)  # until the big job is parked on the ledger
+        controller.release(running)
+        thread.join(timeout=5)
+        [decision] = decisions
+        assert decision.mode == "exclusive"
+        assert [d.code for d in decision.diagnostics].count("REP413") == 1
+        assert "REP413" not in [d.code for d in running.diagnostics]
+
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             AdmissionController(capacity_bytes=0)

@@ -139,7 +139,6 @@ class TestSearch:
             SearchConfig(
                 incremental_grammar=False,
                 exhaustive=True,
-                max_summaries_per_class=50,
                 timeout_seconds=60,
             ),
         )

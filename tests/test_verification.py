@@ -32,6 +32,7 @@ from repro.verification import (
 )
 from repro.ir.nodes import ReduceLambda, Var
 from repro.verification.algebra import normalize, term_key
+from tests.conftest import analysis_of
 
 
 class TestSymbolicExecution:
@@ -237,14 +238,28 @@ class TestFullVerifier:
         )
         assert verifier.verify(wrong).status != "proved"
 
-    def test_accepts_flag_controls_unknown(self, sum_analysis):
-        from repro.verification.prover import ProofResult
-
-        strict = FullVerifier(sum_analysis, accept_bounded_only=False)
-        lenient = FullVerifier(sum_analysis, accept_bounded_only=True)
-        unknown = ProofResult(status="unknown")
-        assert not strict.accepts(unknown)
-        assert lenient.accepts(unknown)
+    def test_a_proof_lists_only_the_obligations_it_checked(self):
+        # A flattened nested loop with a map-only summary: no reduce
+        # stage, so no identity obligation was checked or is listed.
+        analysis = analysis_of(
+            """
+int[] lastRow(int[][] mat, int rows, int cols) {
+  int[] out = new int[cols];
+  for (int i = 0; i < rows; i++)
+    for (int j = 0; j < cols; j++)
+      out[j] = mat[i][j];
+  return out;
+}
+"""
+        )
+        last_row = summary(
+            pipeline("mat", map_stage(("i", "j", "v"), emit(var("j"), var("v")))),
+            whole_output("out", container="array", default=0),
+        )
+        result = FullVerifier(analysis).verify(last_row)
+        assert result.status == "proved"
+        assert result.reason == "inductive proof complete (flattened)"
+        assert result.obligations == ["initiation", "step"]
 
 
 class TestVCGeneration:
