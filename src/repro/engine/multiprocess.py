@@ -26,10 +26,12 @@ The only thing ``memory_budget`` selects is the **shuffle store**:
   order, pool or no pool.  The whole input is one round of map tasks.
 * *spilled* (a budget) — map tasks hash-partition those columns into a
   budgeted :class:`~repro.engine.spill.SpillWriter` (pool workers spill
-  locally) and return only run-file paths, key order and counters; the
-  reduce merges one partition at a time and restores global first-seen
-  key order.  Input is read in bounded rounds, so peak resident memory
-  is O(budget + one partition) rather than O(input); the
+  locally: one file per flush, each partition's run at its own offset)
+  and return only run references, their keys by writer rank and
+  counters; the reduce merges one partition at a time, grouping by rank,
+  and restores global first-seen key order from the driver's key table.
+  Input is read in bounded rounds, so peak resident memory is
+  O(budget + one partition) rather than O(input); the
   ``peak_resident_bytes`` proxy is kept only here, where there is a
   bound to hold it against.
 
@@ -94,7 +96,14 @@ from .source import (
     as_dataset,
     chunk_records_for,
 )
-from .spill import SpillStats, SpillWriter, cleanup_runs, merge_partition
+from .spill import (
+    RunRef,
+    SpillStats,
+    SpillWriter,
+    cleanup_runs,
+    merge_partition,
+    rank_tables,
+)
 
 #: Errors ``pickle.dumps`` itself raises for unpicklable payloads
 #: (RecursionError: a structure too deep to serialize).  Only these
@@ -203,8 +212,8 @@ class _MapOut:
 
     With the resident shuffle store the output rides along
     (``chunk_output``); with the spilled store it stays on disk and only
-    metadata (run-file paths in order, the task-local key order, the
-    spill counters) crosses the process boundary.
+    metadata (run references in order, the task's keys by writer rank,
+    the spill counters) crosses the process boundary.
     """
 
     #: Per fused map stage: [records_in, records_out, bytes_out].
@@ -212,9 +221,14 @@ class _MapOut:
     #: Per chunk, what stays resident: the ``(keys, values)`` columns
     #: bound for the shuffle, or a map-only segment's emitted records.
     chunk_output: list = field(default_factory=list)
-    #: Per partition, spill-run paths in chronological order.
-    run_files: list[list[str]] = field(default_factory=list)
-    #: Shuffle key → first-seen rank (spilled store only).
+    #: Per partition, its spill runs in chronological order.
+    run_files: list[list[RunRef]] = field(default_factory=list)
+    #: Per map task, its writer's keys and their partitions, by writer
+    #: rank (spilled store only).
+    task_keys: dict[int, tuple[list, list]] = field(default_factory=dict)
+    #: Shuffle key → its partition, keys in job-wide first-seen order,
+    #: built from ``task_keys`` as tasks merge: a key's place is its job
+    #: rank, and it is the very object its first task reported.
     key_order: dict = field(default_factory=dict)
     outgoing_records: int = 0
     shuffled_bytes: int = 0
@@ -238,11 +252,13 @@ class _MapOut:
         for mine, theirs in zip(self.stage_counts, other.stage_counts):
             for i in range(3):
                 mine[i] += theirs[i]
-        for mine_files, their_files in zip(self.run_files, other.run_files):
-            mine_files.extend(their_files)
-        for key in other.key_order:
-            if key not in self.key_order:
-                self.key_order[key] = len(self.key_order)
+        for mine_runs, their_runs in zip(self.run_files, other.run_files):
+            mine_runs.extend(their_runs)
+        for keys, parts in other.task_keys.values():
+            # Order-preserving: a key keeps its first task's place (and
+            # its partition, which every task computes alike).
+            self.key_order.update(zip(keys, parts))
+        self.task_keys.update(other.task_keys)
         self.outgoing_records += other.outgoing_records
         self.shuffled_bytes += other.shuffled_bytes
         self.chunks += other.chunks
@@ -268,7 +284,7 @@ def _run_map_chunks(
     the shuffle store: None keeps each chunk's output resident on the
     report; ``(spill_dir, partitions, budget, task_id)`` routes it into
     a :class:`SpillWriter` instead — hash-partitioned, budget-bounded
-    buffers that flush to run files.  The per-chunk work is the same
+    buffers, each flush one spill file.  The per-chunk work is the same
     either way, so per-chunk combining groups records identically and
     spilled results stay byte-identical.
 
@@ -420,7 +436,7 @@ def _run_map_chunks(
     if writer is not None:
         writer.finish()
         out.run_files = writer.run_files
-        out.key_order = {key: rank for rank, key in enumerate(writer.key_order)}
+        out.task_keys = {writer.task_id: (writer.key_order, writer.key_partitions)}
         out.outgoing_records = writer.pairs_in
         out.shuffled_bytes = writer.bytes_in
     return out
@@ -433,9 +449,9 @@ def _map_task(payload: bytes) -> _MapOut:
 
 def _spill_reduce_task(payload: bytes) -> tuple[list[tuple], int]:
     """Pool entry point: merge-reduce one partition's spill runs."""
-    fn, run_files = pickle.loads(payload)
+    fn, runs, ranks = pickle.loads(payload)
     stats = SpillStats()
-    pairs = merge_partition(run_files, fn, stats)
+    pairs = merge_partition(runs, fn, stats, ranks)
     return pairs, stats.peak_resident_bytes
 
 
@@ -645,7 +661,7 @@ class MultiprocessEngine:
 
         With a pool, chunks are read in rounds and each round's tasks
         run in the workers (spilling locally under a budget — only
-        run-file metadata returns to the driver).  A budget bounds a
+        run metadata returns to the driver).  A budget bounds a
         round to two chunks per task; without one the input is resident
         anyway and the whole stream is one round.  Without a pool (or
         after a fallback) one driver-side call consumes the rest of the
@@ -696,7 +712,7 @@ class MultiprocessEngine:
                     self._record_fallback(result, error, "REP301")
                 if outs is None:
                     # Re-run this round, then the rest of the stream,
-                    # inline (a fresh task id keeps the run files
+                    # inline (a fresh task id keeps the flush files
                     # distinct from any the lost tasks wrote —
                     # unregistered orphans are swept with the spill dir).
                     chunks = itertools.chain(round_chunks, chunks)
@@ -845,7 +861,9 @@ class MultiprocessEngine:
         (:func:`~repro.engine.columnar.fold_columns`): the resident
         store's chunk columns into one dict on the driver; the spilled
         store's partitions merged one at a time (in pool tasks when
-        there are several) and put back in global first-seen key order.
+        there are several), values grouped by job rank, and put back in
+        global first-seen key order by rank, keys from the driver's own
+        table.
         An unpicklable reducer merges in-process without recording a
         fallback — the map phase may still have pooled fine.
         """
@@ -860,13 +878,18 @@ class MultiprocessEngine:
             return list(acc.items())
         # Spilled store.  Merge-reduce partition by partition, then
         # restore the global first-seen key order.
-        parts = [files for files in out.run_files if files]
+        tables = rank_tables(out.key_order, out.task_keys, len(out.run_files))
+        parts = [
+            (runs, None if tables is None else tables[partition])
+            for partition, runs in enumerate(out.run_files)
+            if runs
+        ]
         folded = None
         if pool is not None and len(parts) > 1:
             outs, _error = self._run_tasks(
                 pool,
                 _spill_reduce_task,
-                [(fn, files) for files in parts],
+                [(fn, runs, ranks) for runs, ranks in parts],
                 result,
                 "worker pool broke during reduce",
             )
@@ -876,11 +899,17 @@ class MultiprocessEngine:
                     stats.note_resident(peak)
                     folded.append(bucket)
         if folded is None:
-            folded = [merge_partition(files, fn, stats) for files in parts]
+            folded = [merge_partition(runs, fn, stats, ranks) for runs, ranks in parts]
         cleanup_runs(out.run_files)
-        rank = out.key_order
-        pairs = [pair for bucket in folded for pair in bucket]
-        pairs.sort(key=lambda pair: rank[pair[0]])
+        # The merges return values by job rank; the job's keys in rank
+        # order are the driver's own first-seen key objects.
+        by_rank = dict(itertools.chain.from_iterable(folded))
+        if len(by_rank) != len(out.key_order):
+            raise SpillError(
+                f"spill merge returned {len(by_rank)} keys for "
+                f"{len(out.key_order)} shuffled ones"
+            )
+        pairs = list(zip(out.key_order, map(by_rank.__getitem__, range(len(by_rank)))))
         stats.note_resident(pairs_bytes(pairs))
         return pairs
 
@@ -1089,7 +1118,7 @@ class MultiprocessEngine:
 
         Even with a caller-provided ``spill_dir``, runs go into a fresh
         subdirectory: concurrent jobs sharing the directory cannot
-        collide on run-file names, and sweeping the subdirectory cleans
+        collide on flush-file names, and sweeping the subdirectory cleans
         up orphans from failed or broken-pool jobs without touching
         anything else the caller keeps there.
         """

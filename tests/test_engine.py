@@ -2,6 +2,7 @@
 
 import cProfile
 import dataclasses
+import os
 import random
 
 import pytest
@@ -116,7 +117,9 @@ class TestKeyedPathCalls:
         # 24 000 pairs mapped, ~20 000 combined pairs shuffled: a call per
         # pair anywhere is several times this bound (the per-pair loops
         # this replaced made 47 566 / 286 157 Python-level calls here).
-        per_key = 4 if budget else 1  # routing: hash, encode, final ordering
+        # The spilled store restores the global key order by rank, with
+        # no call per key.
+        per_key = 2 if budget else 1  # routing: hash, encode
         bound = 40 * chunks + per_key * keys + 16 * runs
         assert sum(entry.callcount for entry in python_calls) <= bound
         hashed = sum(
@@ -125,6 +128,46 @@ class TestKeyedPathCalls:
             if entry.code.co_name == partition_of.__name__
         )
         assert hashed == (keys if budget else 0)
+
+    def test_one_spill_file_per_flush_per_map_task(self, monkeypatch):
+        """A flush writes one file holding every partition's run: the
+        150 000-word keyed input at 64 KiB flushes 36 times into 2 592
+        runs, and creates 36 files, not 2 592."""
+        from repro.engine import multiprocess
+
+        weights = [1.0 / (rank + 1) ** 1.1 for rank in range(10_000)]
+        scale = (150_000 - 10_000) / sum(weights)
+        counts = [1 + int(weight * scale) for weight in weights]
+        counts[0] += 150_000 - sum(counts)
+        words = [f"w{rank:05d}" for rank, n in enumerate(counts) for _ in range(n)]
+        random.Random(13).shuffle(words)
+        records, steps = self.wordcount(words)
+
+        flushes = []
+        original_spill = SpillWriter.spill
+
+        def counting_spill(writer):
+            if writer.resident_bytes:
+                flushes.append(writer.task_id)
+            original_spill(writer)
+
+        files = []
+        original_cleanup = multiprocess.cleanup_runs
+
+        def listing_cleanup(runs):
+            for directory in {os.path.dirname(run.path) for rs in runs for run in rs}:
+                names = os.listdir(directory)
+                files.extend(name for name in names if name.endswith(".spill"))
+            original_cleanup(runs)
+
+        monkeypatch.setattr(SpillWriter, "spill", counting_spill)
+        monkeypatch.setattr(multiprocess, "cleanup_runs", listing_cleanup)
+        engine = MultiprocessEngine(processes=0, memory_budget=64 * 1024)
+        result = engine.run_pipeline(records, steps)
+        assert result.map_tasks == 0 and set(flushes) == {0}  # one inline task
+        assert len(files) == len(flushes) == 36
+        assert result.spill_stats["spill_runs"] == 2_592
+        assert len(result.pairs) == 10_000
 
     #: Batches whose flush falls mid-batch: one fixed-size kind per
     #: column (the arithmetic path), and columns only the walker sizes.

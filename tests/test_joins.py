@@ -14,6 +14,8 @@ part of their all-suite sweeps.
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import ExecOptions
 from repro.baselines.joins import estimate_join_order, run_three_way_join
@@ -27,7 +29,7 @@ from repro.codegen.joins import (
 from repro.engine.multiprocess import MapStep, MultiprocessEngine, ReduceStep
 from repro.engine.sizes import sizeof
 from repro.engine.source import ListSource
-from repro.engine.spill import _stable_bytes, partition_of
+from repro.engine.spill import _canonical_bytes, _stable_bytes, partition_of
 from repro.errors import CodegenError
 from repro.lang.analysis.fragments import analyze_fragment, identify_fragments
 from repro.lang.interpreter import Interpreter
@@ -408,6 +410,41 @@ class TestStableBytesEqualityClasses:
         assert spilled.pairs == in_memory.pairs
         # Exactly two equality classes survive grouping: {1} and {0}.
         assert len(in_memory.pairs) == 2
+
+
+class TestStableBytesFastPath:
+    """``_stable_bytes`` takes exact ``str`` / ``int`` keys on a fast path;
+    its bytes must be the general encoding's, or partitions move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.characters(exclude_categories=())))  # surrogates too
+    @example("\ud800")  # a lone surrogate
+    @example("caf\u00e9 \u4e2d\U0001f600")
+    @example("quote ' and \" and \\ backslash\n")
+    def test_text(self, key):
+        assert _stable_bytes(key) == _canonical_bytes(key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers() | st.integers(min_value=-(2**200), max_value=2**200))
+    @example(2**63)
+    @example(-(2**63))
+    @example(2**63 - 1)
+    @example(10**40)
+    @example(-(10**40))
+    @example(0)
+    def test_ints(self, key):
+        assert _stable_bytes(key) == _canonical_bytes(key)
+
+    def test_subclasses_and_neighbours_take_the_general_path(self):
+        class Word(str):
+            pass
+
+        class Count(int):
+            pass
+
+        for key in (Word("w"), Count(3), True, 1.0, ("a", 1), None):
+            assert _stable_bytes(key) == _canonical_bytes(key)
+        assert _stable_bytes(Word("w")) != _stable_bytes("w")  # type-named
 
 
 def _identity_pairs(record):

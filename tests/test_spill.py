@@ -24,7 +24,13 @@ from repro.engine.source import (
     as_dataset,
     chunk_records_for,
 )
-from repro.engine.spill import SpillWriter, merge_partition, partition_of
+from repro.engine.spill import (
+    SpillWriter,
+    cleanup_runs,
+    merge_partition,
+    partition_of,
+    read_run,
+)
 from repro.errors import EngineError, SpillError, WorkloadError
 from repro.lang.values import Instance
 from repro.workloads import datagen
@@ -38,6 +44,11 @@ class KeyedEmit:
 
     def __call__(self, record):
         return [(record % self.modulo, record)]
+
+
+class WordEmit:
+    def __call__(self, record):
+        return [(record, 1)]
 
 
 class PassThrough:
@@ -193,12 +204,13 @@ class TestSpillPrimitives:
         assert writer.stats.spill_runs > 0
         assert writer.stats.spilled_pairs == 100
         assert writer.stats.peak_resident_bytes <= 64 + 8
+        # The merge folds by writer rank; the writer names each rank's key.
         merged = {}
         for partition in range(4):
-            for key, value in merge_partition(
+            for rank, value in merge_partition(
                 writer.run_files[partition], lambda a, b: a - b
             ):
-                merged[key] = value
+                merged[writer.key_order[rank]] = value
         expected = {}
         for i in range(100):
             key = i % 8
@@ -221,6 +233,20 @@ class TestSpillPrimitives:
         with pytest.raises(SpillError, match="corrupt spill run"):
             merge_partition(writer.run_files[0], lambda a, b: a + b)
 
+    def test_nan_keys_group_by_writer_rank_across_flushes(self, tmp_path):
+        """An unpickled NaN is a new object equal to nothing; the merge
+        groups it by the rank the writer gave it, never by lookup."""
+        nan, other_nan = float("nan"), float("nan")
+        writer = SpillWriter(str(tmp_path), partitions=3, budget_bytes=64)
+        for i in range(30):
+            writer.add(nan if i % 3 else other_nan, 1)
+        writer.finish()
+        assert writer.stats.spill_runs > 2
+        (partition,) = [p for p, runs in enumerate(writer.run_files) if runs]
+        merged = merge_partition(writer.run_files[partition], lambda a, b: a + b)
+        assert merged == [(0, 10), (1, 20)]
+        assert writer.key_order[0] is other_nan and writer.key_order[1] is nan
+
     def test_unwritable_spill_dir_raises(self, tmp_path):
         # A spill dir that vanished (or never existed) must surface as
         # the typed error from the write itself, not partial results.
@@ -230,6 +256,199 @@ class TestSpillPrimitives:
         with pytest.raises(SpillError, match="cannot write spill run"):
             for i in range(100):
                 writer.add(i, i)
+
+
+# ----------------------------------------------------------------------
+# NaN keys: equal to nothing, so grouped by rank, never looked up
+
+NAN_COUNT = """
+Map<Double, Integer> count(List<Double> xs) {
+  Map<Double, Integer> counts = new HashMap<Double, Integer>();
+  for (Double x : xs) { counts.put(x, counts.getOrDefault(x, 0) + 1); }
+  return counts;
+}
+"""
+
+_NAN = float("nan")
+
+_NUMBERS = [float(i % 50) for i in range(3000)]
+
+#: One NaN object thrice (one dict group), and three distinct NaNs.
+NAN_INPUTS = {
+    "same_object": _NUMBERS + [_NAN] * 3,
+    "distinct_objects": _NUMBERS + [float("nan") for _ in range(3)],
+}
+
+
+class TestNanKeys:
+    @pytest.mark.parametrize("shape", sorted(NAN_INPUTS))
+    @pytest.mark.parametrize("processes", [0, 2])
+    def test_engine_spill_equals_resident(self, shape, processes):
+        records = NAN_INPUTS[shape]
+        steps = [MapStep(WordEmit()), ReduceStep(Add())]
+
+        def run(budget):
+            return MultiprocessEngine(
+                processes=processes, memory_budget=budget, min_parallel_records=100
+            ).run_pipeline(list(records), steps)
+
+        resident, spilled_run = run(None), run(4096)
+        assert spilled_run.spill_stats["spill_runs"] > 0
+        if processes == 0:
+            # The spilled keys are the very key objects the job emitted.
+            assert spilled_run.pairs == resident.pairs
+        # A pool pickles records, so every NaN reaches it as its own key;
+        # the spilled store must split them exactly as the resident one.
+        assert repr(spilled_run.pairs) == repr(resident.pairs)
+
+    @pytest.mark.parametrize("shape", sorted(NAN_INPUTS))
+    @pytest.mark.parametrize(
+        "plan", ["sequential", "multiprocess", "spark", "hadoop", "flink", "auto"]
+    )
+    def test_program_spill_equals_resident_on_every_plan(self, shape, plan):
+        from repro import ExecOptions, Session, translate
+
+        program = translate(NAN_COUNT)
+        inputs = {"xs": NAN_INPUTS[shape]}
+        with Session(max_workers=0) as session:
+            resident = session.run(program, dict(inputs), ExecOptions(plan=plan))
+            budgeted = session.run(
+                program, dict(inputs), ExecOptions(plan=plan, memory_budget=4096)
+            )
+        assert resident.status == budgeted.status == "ok", budgeted.error
+        assert repr(budgeted.outputs) == repr(resident.outputs)
+        if plan != "multiprocess":
+            assert budgeted.outputs == resident.outputs
+
+
+# ----------------------------------------------------------------------
+# One file per flush: layout and faults
+
+
+def _flushed_writer(spill_dir, partitions=4, budget=96, pairs=60):
+    os.makedirs(spill_dir, exist_ok=True)
+    writer = SpillWriter(spill_dir, partitions=partitions, budget_bytes=budget)
+    for i in range(pairs):
+        writer.add(f"k{i % 11}", i)
+    writer.finish()
+    return writer
+
+
+class TestFlushFiles:
+    def test_one_file_per_flush_each_run_at_its_own_offset(self, tmp_path):
+        writer = _flushed_writer(str(tmp_path / "runs"))
+        runs = [run for runs in writer.run_files for run in runs]
+        files = sorted(os.listdir(tmp_path / "runs"))
+        flushes = sorted({run.path for run in runs})
+        assert [os.path.basename(path) for path in flushes] == files
+        assert 1 < len(files) < len(runs) == writer.stats.spill_runs
+        for path in flushes:
+            spans = sorted(
+                (run.offset, run.offset + run.length + run.key_length)
+                for run in runs
+                if run.path == path
+            )
+            # A flush file is its runs back to back, nothing else.
+            assert spans[0][0] == 0
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            assert spans[-1][1] == os.path.getsize(path)
+        # Every run is path-like and reads back as its partition's pairs.
+        for partition, partition_runs in enumerate(writer.run_files):
+            for run in partition_runs:
+                assert isinstance(run, os.PathLike) and os.fspath(run) == run.path
+                pairs = read_run(run)
+                assert pairs and all(
+                    partition_of(key, 4) == partition for key, _value in pairs
+                )
+        assert sum(len(read_run(run)) for run in runs) == 60
+
+    @staticmethod
+    def _victim(writer):
+        """A run that is neither first nor last in its flush file."""
+        for path in sorted({run.path for runs in writer.run_files for run in runs}):
+            in_file = sorted(
+                (run for runs in writer.run_files for run in runs if run.path == path),
+                key=lambda run: run.offset,
+            )
+            if len(in_file) >= 3:
+                run = in_file[1]
+                partition = next(
+                    p for p, runs in enumerate(writer.run_files) if run in runs
+                )
+                return partition, run
+        raise AssertionError("no flush file holds three runs")
+
+    @staticmethod
+    def _truncate_inside(run):
+        with open(run.path, "r+b") as handle:
+            handle.truncate(run.offset + run.length // 2)
+
+    @staticmethod
+    def _garbage_at_offset(run):
+        with open(run.path, "r+b") as handle:
+            handle.seek(run.offset)
+            handle.write(b"\x80\x05garbage" + b"\xff" * 8)
+
+    @staticmethod
+    def _truncate_before(run):
+        # The run now starts past the end of its file.
+        with open(run.path, "r+b") as handle:
+            handle.truncate(run.offset - 1)
+
+    @pytest.mark.parametrize(
+        "damage", ["_truncate_inside", "_garbage_at_offset", "_truncate_before"]
+    )
+    def test_damaged_run_raises_and_cleanup_leaves_nothing(self, tmp_path, damage):
+        spill_dir = str(tmp_path / "runs")
+        writer = _flushed_writer(spill_dir)
+        partition, victim = self._victim(writer)
+        getattr(self, damage)(victim)
+        with pytest.raises(SpillError, match="corrupt spill run"):
+            merge_partition(writer.run_files[partition], lambda a, b: a + b)
+        with pytest.raises(SpillError, match="corrupt spill run"):
+            read_run(victim)
+        cleanup_runs(writer.run_files)
+        assert os.listdir(spill_dir) == []
+
+    def test_offset_past_eof_raises(self, tmp_path):
+        writer = _flushed_writer(str(tmp_path / "runs"))
+        run = writer.run_files[0][0]
+        lost = run._replace(offset=os.path.getsize(run.path) + 10)
+        with pytest.raises(SpillError, match="read 0 of"):
+            merge_partition([lost], lambda a, b: a + b)
+
+    def test_runs_of_several_writers_need_rank_tables(self, tmp_path):
+        first = _flushed_writer(str(tmp_path / "a"))
+        second = SpillWriter(str(tmp_path / "a"), 4, 96, task_id=1)
+        for i in range(20):
+            second.add(f"k{i % 11}", i)
+        second.finish()
+        runs = first.run_files[0] + second.run_files[0]
+        with pytest.raises(ValueError, match="rank tables"):
+            merge_partition(runs, lambda a, b: a + b)
+
+    def test_damaged_run_mid_job_fails_typed_and_sweeps_the_job_dir(
+        self, tmp_path, monkeypatch
+    ):
+        """Fault injection on the engine: a flush file truncated after
+        the map phase wrote it ends the job in ``SpillError``, and the
+        per-job run directory is still removed."""
+        original = SpillWriter.finish
+
+        def finish_then_truncate(writer):
+            original(writer)
+            _partition, victim = self._victim(writer)
+            self._truncate_inside(victim)
+
+        monkeypatch.setattr(SpillWriter, "finish", finish_then_truncate)
+        engine = MultiprocessEngine(
+            processes=0, memory_budget=512, spill_dir=str(tmp_path / "runs")
+        )
+        with pytest.raises(SpillError, match="corrupt spill run"):
+            engine.run_pipeline(
+                list(range(3000)), [MapStep(KeyedEmit(40)), ReduceStep(Add())]
+            )
+        assert os.listdir(tmp_path / "runs") == []
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +622,20 @@ class TestStreamingIdentity:
         assert pooled.pairs == base.pairs
         assert pooled.fallback is None
         assert pooled.map_tasks > 0
+
+    def test_pooled_spill_key_order_equals_sequential(self):
+        """Several pooled map tasks each rank their own keys; the job's
+        first-seen order (merged per task, in chunk order) must be the
+        sequential job's, pair for pair."""
+        records = [f"w{(i * 7919) % 997}" for i in range(12_000)]
+        steps = [MapStep(WordEmit()), ReduceStep(Add())]
+        sequential = spilled(records, steps, budget=4096)
+        pooled = MultiprocessEngine(
+            processes=2, memory_budget=4096, min_parallel_records=100
+        ).run_pipeline(records, steps)
+        assert pooled.map_tasks > 1 and pooled.fallback is None
+        assert [key for key, _ in pooled.pairs] == [key for key, _ in sequential.pairs]
+        assert pooled.pairs == sequential.pairs == in_memory(records, steps).pairs
 
     def test_pooled_spill_worker_exception_propagates(self):
         class Boom:
