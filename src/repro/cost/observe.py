@@ -18,10 +18,14 @@ against the measured value).
 Persistence goes through the same disk tier as the summary cache
 (:mod:`repro.pipeline.diskio`): one JSON file per key, schema-versioned
 via ``_OBS_FORMAT``, written atomically so concurrent writers race
-benignly.  A file that fails to load — truncated write, corruption,
-format from a different schema version — is a *loud* miss: the store
-records why, and the planner copies the reason into the report's
-estimate-provenance trail before falling back to static estimates.
+benignly.  A key's file is rewritten only when a run's evidence differs
+from what the store last wrote there (see
+:meth:`ObservationStore.record`), so a steady-state re-run does no disk
+I/O.  A file that fails to load —
+truncated write, corruption, format from a different schema version —
+is a *loud* miss: the store records why, and the planner copies the
+reason into the report's estimate-provenance trail before falling back
+to static estimates.
 Correctness never depends on the store; only plan quality does.
 """
 
@@ -32,6 +36,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from typing import Any, Optional
 
 from ..engine.metrics import JobMetrics
@@ -196,6 +201,17 @@ class Observation:
         return cls(**kwargs)
 
 
+#: Every field of an observation except how many runs it folds and how
+#: long the last one took: what decides whether the disk tier is stale.
+_evidence = attrgetter(
+    *(
+        name
+        for name in Observation.__dataclass_fields__
+        if name not in ("runs", "wall_seconds")
+    )
+)
+
+
 def _stage_rows(metrics: Optional[JobMetrics]) -> list[dict]:
     rows = []
     for stage in metrics.stages if metrics is not None else ():
@@ -348,6 +364,11 @@ class ObservationStore:
         self.last_note: Optional[str] = None
         #: Every loud-miss / failed-write reason seen, in order.
         self.notes: list[str] = []
+        #: The evidence each key's disk file holds, as far as this store
+        #: knows it (oldest first, at most ``capacity`` keys).
+        self._written: dict[tuple[str, str], tuple] = {}
+        #: Per key being written: [writes in flight, did two overlap].
+        self._writing: dict[tuple[str, str], list] = {}
         if cache_dir is not None:
             sweep_stale_tmp(cache_dir)
 
@@ -391,19 +412,44 @@ class ObservationStore:
         return observation
 
     def record(self, observation: Observation) -> bool:
-        """Fold one run's observation into the store (and disk tier)."""
+        """Fold one run's observation into the store (and disk tier).
+
+        The in-memory entry is always replaced.  The disk file is
+        rewritten only when the evidence (every field but ``runs`` and
+        ``wall_seconds``) differs from what the file holds, so its
+        ``runs`` and ``wall_seconds`` are those of its last write.  The
+        store knows what the file holds after a write that succeeded and
+        overlapped no other write of the key; otherwise (a failed write,
+        two racing writes whose last ``os.replace`` is unknown) the next
+        record writes again.
+        """
         key = (observation.fragment_key, observation.dataset_key)
+        path = self._disk_path(*key)
         with self._lock:
             previous = self._entries.get(key)
             if previous is not None:
                 observation.runs = previous.runs + 1
             self._insert(key, observation)
-        path = self._disk_path(*key)
-        if path is None:
-            return True
+            if path is None:
+                return True
+            evidence = _evidence(observation)
+            if self._written.get(key) == evidence:
+                return True
+            self._written.pop(key, None)  # the file is about to change
+            writing = self._writing.setdefault(key, [0, False])
+            writing[1] = writing[1] or writing[0] > 0
+            writing[0] += 1
         ok = atomic_write_json(
             path, {"format": _OBS_FORMAT, "observation": observation.as_dict()}
         )
+        with self._lock:
+            writing[0] -= 1
+            if writing[0] == 0:
+                del self._writing[key]
+                if ok and not writing[1]:
+                    self._written[key] = evidence
+                    if len(self._written) > self.capacity:
+                        del self._written[next(iter(self._written))]
         if not ok:
             self._note(
                 "observation store: write failed at "

@@ -70,8 +70,9 @@ def _relative_error(
 def estimate_input_bytes(records: Any) -> Optional[int]:
     """Sizeof-sample byte estimate of a record collection (§5 model).
 
-    ``records`` is a list or a :class:`~repro.engine.source.Dataset`
-    (``None`` for a stream of unknown length).  The planner's own
+    ``records`` is a list, a tuple or a
+    :class:`~repro.engine.source.Dataset` (``None`` for a stream of
+    unknown length).  The planner's own
     spill-decision estimator, exposed so the serve layer's admission
     controller prices jobs with exactly the §5 byte counts it uses.
     """

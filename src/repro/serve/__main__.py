@@ -10,18 +10,17 @@ must be warm with zero CEGIS candidates checked), push concurrent jobs
 through it — one under a deliberately small memory budget — verify the
 outputs are identical to the reference interpreter's
 (:func:`~repro.graph.executor.interpret_reference`, which shares no code
-with the compiled path), time a few ``GET /health`` requests on one
-kept-alive connection, and shut down cleanly.  Exit code 0 on success.
+with the compiled path), time a few ``DaemonClient.health()`` calls and
+check they shared one kept-alive connection, and shut down cleanly.
+Exit code 0 on success.
 """
 
 from __future__ import annotations
 
 import argparse
-import http.client
 import sys
 import tempfile
 import time
-from urllib.parse import urlparse
 
 SMOKE_SUM = """
 int sum(int[] data, int n) {
@@ -46,23 +45,19 @@ Map<String, Integer> wc(List<String> words) {
 KEEPALIVE_MEDIAN_MS = 20.0
 
 
-def _keepalive_median_ms(address: str) -> float:
-    """Median wall time of five ``GET /health`` on one HTTP/1.1 connection."""
-    url = urlparse(address)
-    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
-    try:
-        times = []
-        for _ in range(5):
-            started = time.perf_counter()
-            connection.request("GET", "/health")
-            response = connection.getresponse()
-            response.read()
-            times.append((time.perf_counter() - started) * 1000.0)
-            if response.status != 200:
-                raise RuntimeError(f"GET /health answered {response.status}")
-    finally:
-        connection.close()
-    return sorted(times)[2]
+def _keepalive_timing(client) -> tuple[float, int]:
+    """Median wall time (ms) of five ``client.health()`` calls, and how
+    many connections they went over."""
+    times, sockets = [], []
+    for _ in range(5):
+        started = time.perf_counter()
+        client.health()
+        times.append((time.perf_counter() - started) * 1000.0)
+        # Held, so no id is reused.
+        sockets.extend(connection.sock for connection in client._idle)
+    if None in sockets:  # the daemon closed a connection after a reply
+        return sorted(times)[2], len(sockets)
+    return sorted(times)[2], len({id(sock) for sock in sockets})
 
 
 def _smoke() -> int:
@@ -79,68 +74,74 @@ def _smoke() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as cache_dir:
         daemon = serve(cache_dir=cache_dir, max_workers=4)
         try:
-            client = connect(daemon.address)
-            print(f"smoke: daemon up at {daemon.address}")
+            with connect(daemon.address) as client:
+                print(f"smoke: daemon up at {daemon.address}")
 
-            cold = client.compile(SMOKE_SUM)
-            warm = client.compile(SMOKE_SUM)
-            print(
-                f"smoke: register cold translated={cold.translated} "
-                f"candidates={cold.candidates_checked}; "
-                f"warm={warm.warm} candidates={warm.candidates_checked}"
-            )
-            if not warm.warm or warm.candidates_checked != 0:
-                print("smoke: FAIL warm re-registration ran synthesis")
-                return 1
-
-            wc = client.compile(SMOKE_WC)
-            jobs = [
-                client.submit(cold, {"data": data, "n": len(data)}),
-                client.submit(cold, {"data": data, "n": len(data)}, budget),
-                client.submit(wc, {"words": words}),
-                client.submit(wc, {"words": words}, budget),
-            ]
-            results = [job.result(timeout=120) for job in jobs]
-            failed = [r for r in results if not r.ok]
-            if failed:
-                for r in failed:
-                    print(f"smoke: FAIL job {r.job_id}: {r.error}")
-                return 1
-
-            expect_sum = interpret_reference(
-                translate(SMOKE_SUM).job_graph, {"data": data, "n": len(data)}
-            )
-            expect_wc = interpret_reference(
-                translate(SMOKE_WC).job_graph, {"words": words}
-            )
-            expected = [expect_sum, expect_sum, expect_wc, expect_wc]
-            for result, reference in zip(results, expected):
-                if result.outputs != reference:
-                    print(
-                        f"smoke: FAIL job {result.job_id} outputs differ: "
-                        f"{result.outputs!r} != {reference!r}"
-                    )
-                    return 1
-                if not result.admission or "mode" not in result.admission:
-                    print(
-                        f"smoke: FAIL job {result.job_id} has no "
-                        "admission decision"
-                    )
-                    return 1
-            modes = [r.admission["mode"] for r in results]
-            print(
-                f"smoke: {len(results)} concurrent jobs ok, "
-                f"admission modes={modes}, outputs identical to the interpreter"
-            )
-            median_ms = _keepalive_median_ms(daemon.address)
-            print(f"smoke: GET /health on one connection, median {median_ms:.1f} ms")
-            if median_ms > KEEPALIVE_MEDIAN_MS:
+                cold = client.compile(SMOKE_SUM)
+                warm = client.compile(SMOKE_SUM)
                 print(
-                    f"smoke: FAIL replies on a reused connection take "
-                    f"{median_ms:.1f} ms (limit {KEEPALIVE_MEDIAN_MS:.0f} ms)"
+                    f"smoke: register cold translated={cold.translated} "
+                    f"candidates={cold.candidates_checked}; "
+                    f"warm={warm.warm} candidates={warm.candidates_checked}"
                 )
-                return 1
-            client.shutdown()
+                if not warm.warm or warm.candidates_checked != 0:
+                    print("smoke: FAIL warm re-registration ran synthesis")
+                    return 1
+
+                wc = client.compile(SMOKE_WC)
+                jobs = [
+                    client.submit(cold, {"data": data, "n": len(data)}),
+                    client.submit(cold, {"data": data, "n": len(data)}, budget),
+                    client.submit(wc, {"words": words}),
+                    client.submit(wc, {"words": words}, budget),
+                ]
+                results = [job.result(timeout=120) for job in jobs]
+                failed = [r for r in results if not r.ok]
+                if failed:
+                    for r in failed:
+                        print(f"smoke: FAIL job {r.job_id}: {r.error}")
+                    return 1
+
+                expect_sum = interpret_reference(
+                    translate(SMOKE_SUM).job_graph, {"data": data, "n": len(data)}
+                )
+                expect_wc = interpret_reference(
+                    translate(SMOKE_WC).job_graph, {"words": words}
+                )
+                expected = [expect_sum, expect_sum, expect_wc, expect_wc]
+                for result, reference in zip(results, expected):
+                    if result.outputs != reference:
+                        print(
+                            f"smoke: FAIL job {result.job_id} outputs differ: "
+                            f"{result.outputs!r} != {reference!r}"
+                        )
+                        return 1
+                    if not result.admission or "mode" not in result.admission:
+                        print(
+                            f"smoke: FAIL job {result.job_id} has no "
+                            "admission decision"
+                        )
+                        return 1
+                modes = [r.admission["mode"] for r in results]
+                print(
+                    f"smoke: {len(results)} concurrent jobs ok, "
+                    f"admission modes={modes}, outputs identical to the interpreter"
+                )
+                median_ms, connections = _keepalive_timing(client)
+                print(
+                    f"smoke: 5 DaemonClient.health() on {connections} "
+                    f"connection(s), median {median_ms:.1f} ms"
+                )
+                if connections != 1:
+                    print("smoke: FAIL the client did not reuse its connection")
+                    return 1
+                if median_ms > KEEPALIVE_MEDIAN_MS:
+                    print(
+                        f"smoke: FAIL replies on a reused connection take "
+                        f"{median_ms:.1f} ms (limit {KEEPALIVE_MEDIAN_MS:.0f} ms)"
+                    )
+                    return 1
+                client.shutdown()
         finally:
             daemon.shutdown()
     print("smoke: clean shutdown — PASS")

@@ -132,12 +132,10 @@ class AdmissionController:
         total = 0
         unknown: list[str] = []
         for name, value in inputs.items():
-            if isinstance(value, Dataset):
-                estimate = estimate_input_bytes(value)
-            elif isinstance(value, (list, tuple)):
-                estimate = estimate_input_bytes(list(value))
-            else:
+            if not isinstance(value, (Dataset, list, tuple)):
                 continue  # scalars are noise next to the datasets
+            # Priced in place: the estimate reads a length and a head sample.
+            estimate = estimate_input_bytes(value)
             if estimate is None:
                 unknown.append(name)
             else:

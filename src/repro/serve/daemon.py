@@ -18,6 +18,11 @@ Routes (JSON bodies, tagged values via :mod:`repro.serve.wire`):
 ``POST /shutdown``  stop accepting requests and drain
 ==================  ====================================================
 
+Connections are HTTP/1.1 and kept alive between requests; one left idle
+for :data:`IDLE_TIMEOUT_S` is closed, so an unused connection does not
+pin a request thread.  Shutting the daemon down closes the ones still
+open.
+
 Run programmatically (``serve()`` picks an ephemeral port) or as
 ``python -m repro.serve --port 8642``.
 """
@@ -25,6 +30,7 @@ Run programmatically (``serve()`` picks an ephemeral port) or as
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
@@ -34,6 +40,10 @@ from ..errors import ServeError
 from ..options import ExecOptions
 from ..session import JobResult, Session
 from .wire import decode_value, encode_value
+
+#: Seconds a kept-alive connection may sit idle before the daemon closes
+#: it (clients reconnect transparently).
+IDLE_TIMEOUT_S = 30.0
 
 
 def result_to_wire(result: JobResult) -> dict:
@@ -85,12 +95,22 @@ class _Handler(BaseHTTPRequestHandler):
     #: a reply on a kept-alive connection waits for the client's delayed
     #: ACK (≈ 40 ms on Linux).
     disable_nagle_algorithm = True
+    #: Socket timeout: an idle kept-alive connection is closed after it.
+    timeout = IDLE_TIMEOUT_S
 
     # ------------------------------------------------------------------
 
     @property
     def daemon(self) -> "ServeDaemon":
         return self.server.repro_daemon  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        super().setup()
+        self.daemon._track(self.connection, opened=True)
+
+    def finish(self) -> None:
+        self.daemon._track(self.connection, opened=False)
+        super().finish()
 
     def log_message(self, format: str, *args: Any) -> None:
         if self.daemon.verbose:
@@ -186,6 +206,8 @@ class ServeDaemon:
             cache_dir=cache_dir, max_workers=max_workers, observe=observe
         )
         self.verbose = verbose
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         self._server = ThreadingHTTPServer((host, port), _Handler)
         self._server.repro_daemon = self  # type: ignore[attr-defined]
         self._server.daemon_threads = True
@@ -209,16 +231,32 @@ class ServeDaemon:
         info["address"] = self.address
         return info
 
+    def _track(self, connection: socket.socket, opened: bool) -> None:
+        with self._connections_lock:
+            if opened:
+                self._connections.add(connection)
+            else:
+                self._connections.discard(connection)
+
     def _request_shutdown(self) -> None:
         # Called from a request thread: serve_forever() must be stopped
         # from outside its own loop iteration or shutdown() deadlocks.
         threading.Thread(target=self.shutdown, daemon=True).start()
 
     def shutdown(self) -> None:
-        """Stop the request loop, close the socket, drain the session."""
+        """Stop the request loop, close the sockets, drain the session."""
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=10)
+        with self._connections_lock:
+            open_connections = list(self._connections)
+        for connection in open_connections:
+            # Wakes a handler waiting for the next request on a kept-alive
+            # connection; one still answering can finish its reply.
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer closed it first
         self.session.close()
 
     def __enter__(self) -> "ServeDaemon":

@@ -15,6 +15,8 @@ import json
 import os
 import threading
 
+import pytest
+
 from repro.codegen.base import view_records
 from repro.compiler import translate
 from repro.cost.observe import (
@@ -254,6 +256,120 @@ class TestStoreFailurePaths:
         store.record(make_observation())
         store.record(make_observation())
         assert store.lookup("frag", "data").runs == 2
+
+
+class TestStoreWrites:
+    """The disk tier is written when the evidence changes, not per run."""
+
+    def count_writes(self, monkeypatch) -> list[str]:
+        from repro.cost import observe
+
+        writes: list[str] = []
+        write = observe.atomic_write_json
+        monkeypatch.setattr(
+            observe,
+            "atomic_write_json",
+            lambda path, payload: (writes.append(path), write(path, payload))[1],
+        )
+        return writes
+
+    def test_same_evidence_is_not_rewritten(self, tmp_path, monkeypatch):
+        writes = self.count_writes(monkeypatch)
+        store = ObservationStore(cache_dir=str(tmp_path))
+        assert store.record(make_observation(wall_seconds=0.5))
+        assert len(writes) == 1
+        for wall in (0.25, 0.75):
+            assert store.record(make_observation(wall_seconds=wall))
+        assert len(writes) == 1
+        assert store.lookup("frag", "data").runs == 3
+        assert store.lookup("frag", "data").wall_seconds == 0.75
+        on_disk = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        assert (on_disk.runs, on_disk.wall_seconds) == (1, 0.5)  # the last write
+
+    def test_changed_evidence_is_written_once(self, tmp_path, monkeypatch):
+        writes = self.count_writes(monkeypatch)
+        store = ObservationStore(cache_dir=str(tmp_path))
+        store.record(make_observation())
+        store.record(make_observation(input_records=101))
+        assert len(writes) == 2
+        store.record(make_observation(input_records=101))
+        assert len(writes) == 2
+        store.record(make_observation(input_records=101, key_ratios={"s": 0.5}))
+        assert len(writes) == 3
+        fresh = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        assert (fresh.input_records, fresh.key_ratios) == (101, {"s": 0.5})
+
+    def test_a_failed_write_is_retried_by_the_next_record(self, tmp_path, monkeypatch):
+        from repro.cost import observe
+
+        store = ObservationStore(cache_dir=str(tmp_path))
+        monkeypatch.setattr(observe, "atomic_write_json", lambda path, payload: False)
+        assert not store.record(make_observation())
+        monkeypatch.undo()
+        writes = self.count_writes(monkeypatch)
+        assert store.record(make_observation())
+        assert len(writes) == 1
+        assert ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+
+    @pytest.mark.parametrize("held", ["before_its_write", "after_its_write"])
+    def test_interleaved_records_are_compared_with_the_file(
+        self, tmp_path, monkeypatch, held
+    ):
+        """Two racing writes of one key: whichever replace lands last, a
+        record of the other evidence afterwards must reach the disk."""
+        from repro.cost import observe
+
+        store = ObservationStore(cache_dir=str(tmp_path))
+        paused, resume = threading.Event(), threading.Event()
+        writes: list[int] = []
+        write = observe.atomic_write_json
+
+        def gated(path, payload):
+            records = payload["observation"]["input_records"]
+            writes.append(records)
+            if records == 100 and held == "before_its_write":
+                paused.set()
+                resume.wait(5)
+            ok = write(path, payload)
+            if records == 100 and held == "after_its_write":
+                paused.set()
+                resume.wait(5)
+            return ok
+
+        monkeypatch.setattr(observe, "atomic_write_json", gated)
+        racer = threading.Thread(
+            target=store.record, args=(make_observation(input_records=100),)
+        )
+        racer.start()
+        assert paused.wait(5)
+        assert store.record(make_observation(input_records=200))
+        resume.set()
+        racer.join(5)
+        assert store.lookup("frag", "data").input_records == 200
+        on_disk, other = (100, 200) if held == "before_its_write" else (200, 100)
+        disk = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        assert disk.input_records == on_disk
+        assert store.record(make_observation(input_records=other))
+        disk = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        assert disk.input_records == other
+        assert store.record(make_observation(input_records=other))
+        assert writes == [100, 200, other]
+
+    def test_a_steady_session_writes_its_observation_once(self, tmp_path, monkeypatch):
+        writes = self.count_writes(monkeypatch)
+        source = (
+            "int sum(int[] data, int n) { int total = 0; "
+            "for (int i = 0; i < n; i++) total += data[i]; return total; }"
+        )
+        inputs = {"data": list(range(3000)), "n": 3000}
+        with Session(max_workers=0, cache_dir=str(tmp_path)) as session:
+            program = session.compile(source)
+            for _ in range(3):
+                job = session.run(program, dict(inputs), ExecOptions(plan="auto"))
+                assert job.ok, job.error
+                assert job.outputs == {"total": sum(range(3000))}
+        assert len(writes) == 1
+        assert os.path.basename(writes[0]).startswith("obs_")
 
 
 class TestFingerprints:

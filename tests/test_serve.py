@@ -15,6 +15,7 @@ Acceptance properties of PR 7's tentpole:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -147,6 +148,30 @@ class TestAdmission:
         assert decision.mode == "exclusive"
         assert decision.diagnostics[0] is priced
         controller.release(decision)
+
+    def test_inputs_are_priced_in_place(self, monkeypatch):
+        from repro.engine.source import ListSource
+
+        records = [(f"k{i % 31}", i * 0.5) for i in range(2000)]
+        controller = AdmissionController(capacity_bytes=1 << 30)
+        prices = [
+            controller.price({"data": value, "n": len(records)})
+            for value in (records, tuple(records), ListSource(records))
+        ]
+        assert len({footprint for footprint, _ in prices}) == 1
+        assert prices[0][0] > 0
+        assert all(priced.code == "REP411" for _, priced in prices)
+        assert len({priced.message for _, priced in prices}) == 1
+
+        seen = []
+        estimate = admission_mod.estimate_input_bytes
+        monkeypatch.setattr(
+            admission_mod,
+            "estimate_input_bytes",
+            lambda value: (seen.append(value), estimate(value))[1],
+        )
+        controller.price({"data": records})
+        assert seen[0] is records  # not a copy
 
     def test_small_concurrent_large_exclusive(self):
         controller = AdmissionController(capacity_bytes=1000, exclusive_fraction=0.5)
@@ -395,10 +420,12 @@ class TestDaemon:
         from repro.serve.daemon import serve
 
         with serve(cache_dir=str(tmp_path)) as daemon:
-            cold = connect(daemon.address).compile(SUM_SOURCE)
+            with connect(daemon.address) as client:
+                cold = client.compile(SUM_SOURCE)
             assert cold.candidates_checked > 0
         with serve(cache_dir=str(tmp_path)) as daemon:
-            warm = connect(daemon.address).compile(SUM_SOURCE)
+            with connect(daemon.address) as client:
+                warm = client.compile(SUM_SOURCE)
             assert warm.warm
             assert warm.candidates_checked == 0
 
@@ -427,12 +454,178 @@ class TestDaemon:
                 connection.close()
         assert statistics.median(times) < 0.020, times
 
+    def test_idle_connection_reconnects_transparently(self, monkeypatch):
+        from repro.serve import daemon as daemon_mod
+        from repro.serve.client import connect
+
+        assert daemon_mod._Handler.timeout == daemon_mod.IDLE_TIMEOUT_S > 0
+        monkeypatch.setattr(daemon_mod._Handler, "timeout", 0.2)
+        with daemon_mod.serve() as daemon, connect(daemon.address) as client:
+            program = client.compile(SUM_SOURCE)
+            [connection] = client._idle
+            first = connection.sock
+            time.sleep(0.6)  # the daemon closes the idle connection
+            result = client.run(program, {"data": DATA, "n": len(DATA)})
+            assert result.ok, result.error
+            assert result.outputs == {"total": sum(DATA)}
+            assert client._idle == [connection]  # reconnected, not replaced
+            assert connection.sock is not first
+            assert client.health()["ok"]
+
+    def test_shared_client_across_threads_matches_inline_session(self):
+        import gc
+        import warnings
+
+        from repro.serve.client import connect
+        from repro.serve.daemon import serve
+        from repro.session import Session
+
+        inputs = [{"data": DATA[: 500 + 100 * i], "n": 500 + 100 * i} for i in range(4)]
+        with Session(max_workers=0) as session:
+            program = session.compile(SUM_SOURCE)
+            expected = [session.run(program, dict(i)).outputs for i in inputs]
+
+        outputs: dict[int, list] = {}
+        errors: list[BaseException] = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with serve() as daemon:
+                client = connect(daemon.address)
+                remote = client.compile(SUM_SOURCE)
+
+                def round_trips(worker: int) -> None:
+                    try:
+                        outputs[worker] = [
+                            client.submit(remote, inputs[worker]).result().outputs
+                            for _ in range(10)
+                        ]
+                    except BaseException as exc:  # pragma: no cover - the assert
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=round_trips, args=(worker,))
+                    for worker in range(4)
+                ]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(thread.is_alive() for thread in threads)
+                assert 1 <= len(client._idle) <= 4  # one per request in flight
+                client.close()
+                del client, threads
+                gc.collect()
+        assert not errors, errors
+        for worker in range(4):
+            assert outputs[worker] == [expected[worker]] * 10
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_an_unclosed_client_is_what_the_warning_check_sees(self):
+        import gc
+        import warnings
+
+        from repro.serve.client import connect
+        from repro.serve.daemon import serve
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with serve() as daemon:
+                client = connect(daemon.address)
+                assert client.health()["ok"]
+                del client
+                gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_shutdown_closes_the_clients_connections(self):
+        from repro.serve.client import connect
+        from repro.serve.daemon import serve
+
+        daemon = serve()
+        try:
+            client = connect(daemon.address)
+            assert client.health()["ok"]
+            [connection] = client._idle
+            assert client.shutdown() == {"ok": True}
+            assert client._idle == [] and connection.sock is None
+        finally:
+            daemon.shutdown()
+        with pytest.raises(ServeError, match="cannot reach"):
+            client.health()
+
+    def test_a_stopped_daemon_answers_no_kept_alive_connection(self):
+        from repro.serve.client import connect
+        from repro.serve.daemon import serve
+
+        daemon = serve()
+        with connect(daemon.address) as client:
+            assert client.health()["ok"]
+            daemon.shutdown()
+            with pytest.raises(ServeError, match="cannot reach"):
+                client.health()
+
+    def test_a_request_the_daemon_may_have_processed_is_not_resent(self):
+        """A reply cut short or a reply that never comes is an error, not
+        a retry: the daemon saw the request and may have acted on it."""
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        from repro.serve.client import DaemonClient
+
+        seen: list[str] = []
+
+        class Misbehaving(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args):
+                pass
+
+            def do_GET(self):  # noqa: N802 (http.server API)
+                seen.append(self.path)
+                if self.path == "/slow":
+                    time.sleep(1.0)
+                if self.path == "/drop":
+                    self.close_connection = True
+                    return
+                body = b'{"ok": true}'
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                if self.path == "/cut":
+                    self.wfile.write(body[:4])
+                    self.close_connection = True
+                else:
+                    self.wfile.write(body)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Misbehaving)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            host, port = server.server_address[:2]
+            with DaemonClient(f"{host}:{port}", timeout=0.3) as client:
+                assert client._request("/ok") == {"ok": True}
+                with pytest.raises(ServeError, match="cannot reach"):
+                    client._request("/cut")  # on the reused connection
+                assert client._request("/ok") == {"ok": True}
+                with pytest.raises(ServeError, match="timed out"):
+                    client._request("/slow")
+                # Closed unanswered, but on a fresh connection: not resent.
+                with pytest.raises(ServeError, match="cannot reach"):
+                    client._request("/drop")
+                time.sleep(1.0)
+            assert seen == ["/ok", "/cut", "/ok", "/slow", "/drop"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_protocol_errors_surface_as_serve_errors(self):
         from repro.serve.client import DaemonClient, connect
         from repro.serve.daemon import serve
 
-        with serve() as daemon:
-            client = connect(daemon.address)
+        with serve() as daemon, connect(daemon.address) as client:
             with pytest.raises(ServeError, match="unknown program"):
                 client.submit("prog-nope", {"data": [1]})
             with pytest.raises(ServeError, match="unknown or evicted job"):
