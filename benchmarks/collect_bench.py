@@ -500,10 +500,13 @@ def measure_adaptive() -> dict:
             "planned_strategies": list(
                 switched_report.plan.join_strategies
             ),
-            "adaptation": (
-                switched_report.adaptations[0]
-                if switched_report.adaptations
-                else None
+            "switch": next(
+                (
+                    d.message
+                    for d in switched_report.diagnostics
+                    if d.code == "REP403" and "overflowed" in d.message
+                ),
+                None,
             ),
             "ran_strategy": (switched_report.join or {})
             .get("levels", [{}])[0]
@@ -885,11 +888,10 @@ def main(argv: list[str]) -> int:
             print(f"adaptive {name}: ERROR {row['error']}")
             continue
         if name == "overflow_switch":
-            adaptation = row["adaptation"] or {}
             print(
                 f"adaptive overflow_switch ({row['benchmark']}): "
                 f"{row['planned_strategies']} → {row['ran_strategy']} "
-                f"mid-job ({adaptation.get('kind')}), "
+                f"mid-job (REP403 switch: {row['switch'] is not None}), "
                 f"identical={row['results_identical']}, "
                 f"agree={row['results_agree']}"
             )

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     from ..cost.monitor import SampleEstimates
     from ..engine.multiprocess import MultiprocessResult
     from ..planner.plan import ExecutionPlan, PlanReport
+    from .joins import JoinLevelDecision
 
 from ..cost.model import CostExpr, CostModel
 from ..diagnostics import make as make_diagnostic
@@ -357,12 +358,14 @@ class GeneratedProgram:
         backends: they run the compiled kernels under the plan's
         physical choices — processes, partitions, combiners, budget —
         and the engine's own account of the run (fallback, spill and
-        columnar accounting, adaptations) is absorbed into the report
-        here, the one place it lands.  A simulated cluster backend
-        ignores the rest of the plan: the job runs once, sequentially on
-        the real engine with a bare plan (the config's block
-        partitions, no budget), and :func:`~repro.engine.core.price`
-        turns that run's counters into the framework's metrics.
+        columnar accounting, mid-job decisions) is absorbed into the
+        report here, the one place it lands; a join's broadcast build
+        that overflowed before the engine started goes ahead of it.  A
+        simulated cluster backend ignores the rest of the plan: the job
+        runs once, sequentially on the real engine with a bare plan (the
+        config's block partitions, no budget), and
+        :func:`~repro.engine.core.price` turns that run's counters into
+        the framework's metrics.
         ``records`` lets a caller that already materialized
         ``view_records(analysis.view, inputs)`` (the planner does, for
         its samples) pass them through instead of paying the
@@ -373,7 +376,8 @@ class GeneratedProgram:
         backend = report.plan.backend
         started = time.perf_counter()
         if backend in ("spark", "hadoop", "flink"):
-            outputs, steps, result = self._run_local(
+            # The pricing plan broadcasts without a limit: nothing switches.
+            outputs, steps, result, _switched = self._run_local(
                 inputs, config, "sequential", self._pricing_plan(backend), records
             )
             if self.has_join:
@@ -381,10 +385,12 @@ class GeneratedProgram:
             metrics = price(backend, config, steps, result)
             report.backend_used = backend
         elif backend in ("multiprocess", "sequential"):
-            outputs, _steps, result = self._run_local(
+            outputs, _steps, result, switched = self._run_local(
                 inputs, config, backend, report.plan, records
             )
             metrics = result.metrics
+            if switched is not None:
+                _record_switch(report, switched)
             report.absorb(result)
         else:
             raise CodegenError(f"unknown backend {backend!r}")
@@ -598,21 +604,23 @@ class GeneratedProgram:
         backend: str,
         plan: Optional["ExecutionPlan"],
         records: Optional[list],
-    ) -> tuple[dict[str, Any], list, "MultiprocessResult"]:
+    ) -> tuple[
+        dict[str, Any], list, "MultiprocessResult", Optional["JoinLevelDecision"]
+    ]:
         """Real execution — multiprocess pool, or in-process sequential:
-        the bound outputs, the step list that ran, and the engine's
-        result.
+        the bound outputs, the step list that ran, the engine's result,
+        and a join's mid-job switch to reduce-side (None when none).
 
         Both modes run the identical algorithm (the multiprocess engine
         with ``processes=0`` executes inline), so their results are
         byte-identical and their wall-clock times directly comparable.
         """
         globals_env, output_sizes = prepare_globals(self.analysis, inputs)
-        adaptations: list = []
+        switched = None
         if self.has_join:
             from .joins import build_join_steps
 
-            records, steps, _decisions, adaptations = build_join_steps(
+            records, steps, switched = build_join_steps(
                 self,
                 globals_env,
                 inputs,
@@ -624,11 +632,28 @@ class GeneratedProgram:
                 records = view_records(self.analysis.view, inputs)
             steps = self.local_steps(globals_env, plan)
         result = run_local_steps(plan, config, backend, records, steps)
-        result.adaptations[:0] = adaptations
         outputs = bind_outputs(
             self.summary.outputs, result.pairs, globals_env, output_sizes
         )
-        return outputs, steps, result
+        return outputs, steps, result, switched
+
+
+def _record_switch(report: "PlanReport", switched: "JoinLevelDecision") -> None:
+    """Report a join level's mid-job switch: its ``REP403`` decision,
+    and the report's join evidence rewritten to describe what ran."""
+    report.diagnostics.append(make_diagnostic("REP403", switched.reason))
+    if (report.join or {}).get("levels"):
+        report.join = {
+            **report.join,
+            "levels": [
+                (
+                    {**level, "strategy": switched.strategy, "reason": switched.reason}
+                    if level.get("relation") == switched.relation
+                    else level
+                )
+                for level in report.join["levels"]
+            ],
+        }
 
 
 def run_local_steps(

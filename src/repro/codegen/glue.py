@@ -134,8 +134,9 @@ class AdaptiveProgram:
         if use_feedback:
             fragment_key = self._observation_key()
             dataset_key = dataset_fingerprint(inputs)
-            observation = observations.lookup(fragment_key, dataset_key)
-            observation_note = observations.last_note
+            observation, observation_note = observations.lookup(
+                fragment_key, dataset_key
+            )
         head = self.sample_head(records)
         globals_env = self._globals(inputs)
         sampled: dict[str, Any] = {}
@@ -185,35 +186,14 @@ class AdaptiveProgram:
                 "ordering": join_decision.as_dict(),
             }
         ran = program.execute(report, inputs, records, config)
-        overflows = {
-            a.get("relation"): a
-            for a in report.adaptations
-            if a.get("kind") == "broadcast_overflow"
-        }
-        if overflows and (report.join or {}).get("levels"):
-            # A join level was revised mid-job; the report's join
-            # evidence must describe what actually ran, not the plan.
-            report.join = {
-                **report.join,
-                "levels": [
-                    (
-                        {
-                            **level,
-                            "strategy": switch["switched_to"],
-                            "reason": switch["note"],
-                        }
-                        if (switch := overflows.get(level.get("relation")))
-                        else level
-                    )
-                    for level in report.join["levels"]
-                ],
-            }
         if use_feedback:
-            observations.record(
+            unwritten = observations.record(
                 harvest_observation(
                     fragment_key, dataset_key, report, ran.metrics, records=records
                 )
             )
+            if unwritten is not None:
+                report.diagnostics.append(make_diagnostic("REP311", unwritten))
         return ran
 
     def plan_execution(

@@ -249,8 +249,8 @@ def build_join_steps(
     inputs: dict[str, Any],
     plan: Optional["ExecutionPlan"] = None,
     left_records: Optional[list] = None,
-) -> tuple[list, list[PipelineStep], list[JoinLevelDecision], list[dict]]:
-    """(records, steps, decisions, adaptations) realizing a join summary.
+) -> tuple[list, list[PipelineStep], Optional[JoinLevelDecision]]:
+    """(records, steps, switched) realizing a join summary.
 
     ``records`` is what the engine scans: the left relation's records
     for an all-broadcast plan, or the tagged union of left + first right
@@ -259,14 +259,14 @@ def build_join_steps(
     to build the index (or a second tagged scan), so both relations must
     be materialized lists.
 
-    ``adaptations`` records mid-job strategy switches: a level-0
+    ``switched`` is the mid-job strategy switch, or None: a level-0
     broadcast build whose index outgrows the plan's broadcast limit (or
     the memory budget) is discarded and the level re-built reduce-side —
     the "small" side turned out not to be small, and spilling the whole
     index through memory it was promised not to use would be worse than
     the shuffle.  The switch is taken *before* the engine starts (the
     index is built driver-side), so results are byte-identical to a
-    reduce-side plan; it is surfaced in ``PlanReport.adaptations``,
+    reduce-side plan; the caller reports it as a ``REP403`` decision,
     never silently.
     """
     from .base import (
@@ -284,14 +284,15 @@ def build_join_steps(
 
     if plan is not None and plan.join_strategies:
         strategies = list(plan.join_strategies)
-        decisions: list[JoinLevelDecision] = []
     else:
-        decisions = resolve_join_strategies(
-            program,
-            inputs,
-            memory_budget=plan.memory_budget if plan is not None else None,
-        )
-        strategies = [d.strategy for d in decisions]
+        strategies = [
+            d.strategy
+            for d in resolve_join_strategies(
+                program,
+                inputs,
+                memory_budget=plan.memory_budget if plan is not None else None,
+            )
+        ]
 
     stages = program.summary.pipeline.stages
     first = stages[0]
@@ -322,7 +323,7 @@ def build_join_steps(
 
     records: list = left_records
     steps: list[PipelineStep] = []
-    adaptations: list[dict] = []
+    switched: Optional[JoinLevelDecision] = None
     level_index = 0
     pending_left = MapStep(left_mapper, _stage_complexity(first))
     for stage_index, stage in enumerate(stages[1:], start=1):
@@ -381,50 +382,23 @@ def build_join_steps(
                         break
                 if overflowed:
                     del index
-                    adaptations.append(
-                        {
-                            "kind": "broadcast_overflow",
-                            "relation": side.source,
-                            "observed_bytes": index_bytes,
-                            "limit": guard_limit,
-                            "switched_to": "reduce_side",
-                            "note": (
-                                f"broadcast build of {side.source!r} "
-                                f"overflowed {guard_limit} B at "
-                                f"{index_bytes} B — switched to the "
-                                "reduce-side tagged shuffle mid-job"
-                            ),
-                        }
+                    switched = JoinLevelDecision(
+                        relation=side.source,
+                        strategy="reduce_side",
+                        # The build stopped at the overflow, so only the
+                        # byte high-water mark is known.
+                        right_records=0,
+                        right_bytes=index_bytes,
+                        limit=guard_limit,
+                        reason=(
+                            f"broadcast build of {side.source!r} "
+                            f"overflowed {guard_limit} B at "
+                            f"{index_bytes} B — switched to the "
+                            "reduce-side tagged shuffle mid-job"
+                        ),
                     )
                     records = reduce_side_level0()
                     pending_left = None
-                    if level_index < len(decisions):
-                        first_decision = decisions[level_index]
-                        decisions[level_index] = JoinLevelDecision(
-                            relation=first_decision.relation,
-                            strategy="reduce_side",
-                            right_records=first_decision.right_records,
-                            right_bytes=max(
-                                first_decision.right_bytes, index_bytes
-                            ),
-                            limit=guard_limit,
-                            reason=adaptations[-1]["note"],
-                        )
-                    else:
-                        # Pinned-plan path: the plan carried strategies
-                        # without decisions, so record the switch fresh.
-                        decisions.append(
-                            JoinLevelDecision(
-                                relation=side.source,
-                                strategy="reduce_side",
-                                # The build stopped at the overflow, so
-                                # only the byte high-water mark is known.
-                                right_records=0,
-                                right_bytes=index_bytes,
-                                limit=guard_limit,
-                                reason=adaptations[-1]["note"],
-                            )
-                        )
                 else:
                     if pending_left is not None:
                         steps.append(pending_left)
@@ -455,4 +429,4 @@ def build_join_steps(
             )
     if pending_left is not None:
         steps.append(pending_left)
-    return records, steps, decisions, adaptations
+    return records, steps, switched

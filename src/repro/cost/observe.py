@@ -23,9 +23,8 @@ from what the store last wrote there (see
 :meth:`ObservationStore.record`), so a steady-state re-run does no disk
 I/O.  A file that fails to load —
 truncated write, corruption, format from a different schema version —
-is a *loud* miss: the store records why, and the planner copies the
-reason into the report's estimate-provenance trail before falling back
-to static estimates.
+is a *loud* miss: the lookup returns why, and the planner makes it the
+job's ``REP406`` decision before falling back to static estimates.
 Correctness never depends on the store; only plan quality does.
 """
 
@@ -349,10 +348,11 @@ class ObservationStore:
 
     ``lookup`` misses come in two flavours: *silent* (nothing was ever
     recorded for the key) and *loud* (a disk entry exists but failed to
-    load — corrupt JSON, truncated write, schema-version mismatch).
-    Loud misses leave their reason in :attr:`last_note` and accumulate
-    in :attr:`notes`; the planner copies the note into the PlanReport so
-    the fallback to static estimates is visible, never silent.
+    load — corrupt JSON, truncated write, schema-version mismatch).  A
+    loud miss returns its reason beside the None, and a failed disk
+    write is returned by ``record``: the store keeps no note, so jobs
+    sharing it cannot read each other's, and the job that met the
+    failure reports it (``REP406`` / ``REP311``), never silently.
     """
 
     def __init__(self, cache_dir: Optional[str] = None, capacity: int = 256):
@@ -360,10 +360,6 @@ class ObservationStore:
         self.capacity = capacity
         self._entries: "OrderedDict[tuple[str, str], Observation]" = OrderedDict()
         self._lock = threading.Lock()
-        #: Why the most recent lookup fell back (None when it did not).
-        self.last_note: Optional[str] = None
-        #: Every loud-miss / failed-write reason seen, in order.
-        self.notes: list[str] = []
         #: The evidence each key's disk file holds, as far as this store
         #: knows it (oldest first, at most ``capacity`` keys).
         self._written: dict[tuple[str, str], tuple] = {}
@@ -384,35 +380,35 @@ class ObservationStore:
 
     def lookup(
         self, fragment_key: str, dataset_key: str
-    ) -> Optional[Observation]:
-        """The stored observation for the key, or None (see class docs)."""
-        self.last_note = None
+    ) -> tuple[Optional[Observation], Optional[str]]:
+        """``(observation, note)`` for the key: the stored observation or
+        None, and why a loud miss missed (None otherwise; see class
+        docs)."""
         key = (fragment_key, dataset_key)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
-                return cached
+                return cached, None
         path = self._disk_path(fragment_key, dataset_key)
         if path is None:
-            return None
+            return None, None
         entry, error = load_json_entry(path, _OBS_FORMAT)
         if error is not None:
-            self._note(f"observation store: {error} at {os.path.basename(path)}")
-            return None
+            return None, f"observation store: {error} at {os.path.basename(path)}"
         if entry is None:
-            return None
+            return None, None
         try:
             observation = Observation.from_dict(entry.get("observation") or {})
         except (TypeError, ValueError) as exc:
-            self._note(f"observation store: malformed entry ({exc})")
-            return None
+            return None, f"observation store: malformed entry ({exc})"
         with self._lock:
             self._insert(key, observation)
-        return observation
+        return observation, None
 
-    def record(self, observation: Observation) -> bool:
-        """Fold one run's observation into the store (and disk tier).
+    def record(self, observation: Observation) -> Optional[str]:
+        """Fold one run's observation into the store (and disk tier);
+        returns why the disk write failed, or None.
 
         The in-memory entry is always replaced.  The disk file is
         rewritten only when the evidence (every field but ``runs`` and
@@ -431,10 +427,10 @@ class ObservationStore:
                 observation.runs = previous.runs + 1
             self._insert(key, observation)
             if path is None:
-                return True
+                return None
             evidence = _evidence(observation)
             if self._written.get(key) == evidence:
-                return True
+                return None
             self._written.pop(key, None)  # the file is about to change
             writing = self._writing.setdefault(key, [0, False])
             writing[1] = writing[1] or writing[0] > 0
@@ -450,12 +446,12 @@ class ObservationStore:
                     self._written[key] = evidence
                     if len(self._written) > self.capacity:
                         del self._written[next(iter(self._written))]
-        if not ok:
-            self._note(
-                "observation store: write failed at "
-                f"{os.path.basename(path)} — observation kept in memory only"
-            )
-        return ok
+        if ok:
+            return None
+        return (
+            "observation store: write failed at "
+            f"{os.path.basename(path)} — observation kept in memory only"
+        )
 
     def __len__(self) -> int:
         with self._lock:
@@ -469,7 +465,3 @@ class ObservationStore:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-    def _note(self, note: str) -> None:
-        self.last_note = note
-        self.notes.append(note)

@@ -8,10 +8,12 @@ rejecting, falling back or deciding carries one of these codes:
   the synthesis search, the proof-acceptance gate);
 * ``REP3xx`` — engine and planner (pool fallbacks, pickle probes,
   evaluator-fallback stages, reference-estimator samples, runs on
-  bounded-only evidence);
+  bounded-only evidence, observation writes that failed, graph nodes a
+  non-strict run skipped);
 * ``REP4xx`` — decisions: what the execution planner, the job-graph
-  optimizer and admission control chose, and why (all ``info``; one
-  code per kind of decision, the message says which way it went);
+  optimizer and admission control chose, and why — before the run or
+  mid-job (all ``info``; one code per kind of decision, the message
+  says which way it went);
 * ``LNT1xx`` — the repo-invariant lint of :mod:`repro.diagnostics.lint`.
 
 Codes are append-only: a released code never changes meaning, so logs,
@@ -260,6 +262,22 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
             "ran passed the bounded (Tier-2) check on the state domain the "
             "message names, not an inductive proof — values outside that "
             "domain are unchecked",
+        ),
+        _entry(
+            "REP311",
+            "warning",
+            "observation store could not write its disk tier",
+            "the observation is kept in memory only, so a restarted "
+            "process plans this dataset cold; check that the cache_dir "
+            "is writable and has space",
+        ),
+        _entry(
+            "REP312",
+            "warning",
+            "node skipped: its analysis failed (non-strict run)",
+            "that region of the program did not run and its outputs are "
+            "missing; rewrite the loop in the supported subset, or run "
+            "strict to fail instead",
         ),
         # ---- REP4xx: planner / graph-optimizer / admission decisions -
         _entry("REP401", "info", "backend decision", _DECIDED),

@@ -179,13 +179,13 @@ class MultiprocessResult:
     #: row loop instead.
     columnar_chunks: int = 0
     guard_fallbacks: int = 0
-    #: Mid-job plan revisions the engine made (budgeted runs only):
-    #: each entry is a dict with a ``kind`` and a human-readable
-    #: ``note`` — e.g. ``stream_partitions`` when a first-chunk probe
-    #: of an unknown-length source let the engine shrink the partition
-    #: count to match the measured size.  Never silent: callers
-    #: surface these through ``PlanReport.adaptations``.
-    adaptations: list = field(default_factory=list)
+    #: Mid-job decisions the engine made (budgeted runs only): what a
+    #: first-chunk probe of an unknown-length source measured —
+    #: ``REP405`` partitions shrunk or kept, ``REP406`` source not
+    #: exhausted.  Never silent:
+    #: :meth:`~repro.planner.plan.PlanReport.absorb` appends them to the
+    #: report's diagnostics.
+    diagnostics: list[Diagnostic] = field(default_factory=list)
     #: ``pairs_bytes`` of each reduce output a map stage consumes next,
     #: in step order — what a cluster framework's reduce stage emits
     #: there (:func:`repro.engine.core.price`).  Kept off the stage
@@ -1052,9 +1052,10 @@ class MultiprocessEngine:
         map-side combine depends on the chunk layout the partition
         count is shrunk to match the measured size — or establishes
         that the stream really is large and the pessimistic defaults
-        stand.  Either way the measurement is recorded in
-        ``result.adaptations`` so the planner's report surfaces what
-        the engine learned; the plan is never revised silently.
+        stand.  Either way the measurement is one decision on
+        ``result.diagnostics`` (``REP405`` or ``REP406``), so the
+        planner's report surfaces what the engine learned; the plan is
+        never revised silently.
 
         Partitions are only adapted when the pipeline has no combining
         reduce: per-chunk combining folds each chunk's records in
@@ -1065,52 +1066,34 @@ class MultiprocessEngine:
         """
         probe = dataset.probe()
         if not probe.exhausted:
-            result.adaptations.append(
-                {
-                    "kind": "stream_probe",
-                    "records": probe.records,
-                    "bytes": probe.bytes,
-                    "exhausted": False,
-                    "note": (
-                        f"stream probe: source exceeds {probe.records} "
-                        "records — keeping the plan's pessimistic "
-                        "large-stream settings"
-                    ),
-                }
+            note = (
+                f"stream probe: source exceeds {probe.records} records — "
+                "keeping the plan's pessimistic large-stream settings"
             )
+            result.diagnostics.append(make_diagnostic("REP406", note))
             return None, partitions
         combining = any(
             isinstance(step, ReduceStep) and step.combine for step in steps
         )
         ideal = max(1, math.ceil(probe.records / DEFAULT_CHUNK_RECORDS))
-        adaptation = {
-            "kind": "stream_partitions",
-            "records": probe.records,
-            "bytes": probe.bytes,
-            "exhausted": True,
-            "partitions_before": partitions,
-            "partitions_after": partitions,
-        }
         if not combining and ideal < partitions:
-            adaptation["partitions_after"] = ideal
-            adaptation["note"] = (
+            note = (
                 f"stream probe: source ended at {probe.records} records "
                 f"(~{probe.bytes} B) — shrank the shuffle from "
                 f"{partitions} to {ideal} partition(s) mid-job"
             )
             partitions = ideal
         else:
-            adaptation["note"] = (
+            note = (
                 f"stream probe: source ended at {probe.records} records "
-                f"(~{probe.bytes} B); partition count kept at "
-                f"{partitions}"
+                f"(~{probe.bytes} B); partition count kept at {partitions}"
                 + (
                     " (map-side combine pins the chunk layout)"
                     if combining and ideal < partitions
                     else ""
                 )
             )
-        result.adaptations.append(adaptation)
+        result.diagnostics.append(make_diagnostic("REP405", note))
         return probe.records, partitions
 
     def _ensure_spill_dir(self) -> str:

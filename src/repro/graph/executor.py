@@ -130,7 +130,6 @@ def run_graph(
         plan=dag_plan,
         optimizer_diagnostics=list(schedule.diagnostics),
         fused_away=sorted(schedule.fused_away),
-        eliminated=dict(schedule.eliminated),
     )
     env = dict(inputs)
     produced: dict[str, Any] = {}
@@ -231,15 +230,18 @@ def _check_runnable(
             # (the fragment's region may declare state later fragments
             # assume, and skipping it would surface as an opaque prelude
             # error downstream); non-strict drops it like the
-            # per-fragment runner does, and says so.
+            # per-fragment runner does, and says so with a ``REP312``.
             if strict:
                 broken.append(
                     f"{node_id}: {node.failure_reason or 'analysis failed'}"
                 )
                 continue
-            schedule.eliminated[node_id] = (
+            note = (
                 f"skipped: analysis failed "
                 f"({node.failure_reason or 'unknown reason'})"
+            )
+            schedule.diagnostics.append(
+                make_diagnostic("REP312", note, fragment=node_id)
             )
             schedule.units = [
                 unit for unit in schedule.units if node_id not in unit.node_ids

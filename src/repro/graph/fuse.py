@@ -86,7 +86,8 @@ class GraphSchedule:
     """The optimizer's answer: units to run, and why.
 
     ``diagnostics`` holds the optimizer's decisions (``REP407``–
-    ``REP410``) in the order they were made.  ``fused_away`` lists
+    ``REP410``) in the order they were made, then the executor's
+    ``REP312`` per node a non-strict run skips.  ``fused_away`` lists
     intermediate variables that map→map fusion keeps entirely inside a
     fused stage — they are never materialized, so they do not appear in
     the program's outputs.
@@ -94,7 +95,6 @@ class GraphSchedule:
 
     units: list[FusedChain] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    eliminated: dict[str, str] = field(default_factory=dict)
     fused_away: frozenset[str] = frozenset()
 
     @property
@@ -194,11 +194,10 @@ def _eliminate_dead(
         if feeds_kept or produces_required:
             kept.add(node_id)
         else:
-            schedule.eliminated[node_id] = (
-                "dead stage: outputs "
-                f"{sorted(node.output_vars)} are not consumed and not required"
+            note = (
+                f"{node_id}: eliminated (dead stage: outputs "
+                f"{sorted(node.output_vars)} are not consumed and not required)"
             )
-            note = f"{node_id}: eliminated ({schedule.eliminated[node_id]})"
             schedule.diagnostics.append(make_diagnostic("REP410", note))
     return kept
 

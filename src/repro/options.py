@@ -142,7 +142,7 @@ class JobResult:
     #: The :class:`~repro.planner.dag.GraphPlanReport` of a whole-program
     #: run, the :class:`~repro.planner.plan.PlanReport` of a fragment
     #: run — the one place the engine's own account of the run lands
-    #: (fallback, spill and columnar accounting, adaptations) — and the
+    #: (fallback, spill and columnar accounting, mid-job decisions) — and the
     #: report's ``summary()`` dict when fetched from a daemon; ``None``
     #: for a failed job and for a unit the reference interpreter ran.
     plan_report: Any = None

@@ -46,14 +46,13 @@ class GraphPlanReport:
     #: translated unit (interpreted units have none).
     unit_reports: dict[str, PlanReport] = field(default_factory=dict)
     #: The optimizer's fusion / hoisting / pinning / elimination
-    #: diagnostics (``REP407``–``REP410``), in the order it made them.
+    #: decisions (``REP407``–``REP410``) in the order it made them, then
+    #: a ``REP312`` per node a non-strict run skipped.
     optimizer_diagnostics: list[Diagnostic] = field(default_factory=list)
     #: Node ids executed by the reference interpreter (non-strict runs).
     interpreted_nodes: list[str] = field(default_factory=list)
     #: Intermediate variables fused away (never materialized).
     fused_away: list[str] = field(default_factory=list)
-    #: Dead stages dropped by the optimizer: node id → why.
-    eliminated: dict[str, str] = field(default_factory=dict)
     #: Dataset-view materializations served from the shared records cache.
     records_cache_hits: int = 0
     #: Sum of per-unit simulated seconds (serialized execution).
@@ -62,22 +61,6 @@ class GraphPlanReport:
     #: cluster actually running branches concurrently would take.
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
-
-    @property
-    def adaptations(self) -> list:
-        """Every mid-job adaptation across units, tagged by unit head.
-
-        Rolls up the per-unit ``PlanReport.adaptations`` (broadcast
-        builds that overflowed and switched strategy, unknown-length
-        streams re-priced from a first-chunk probe) so graph-level
-        callers see every plan revision in one place — a unit never
-        adapts silently.
-        """
-        out = []
-        for head, report in sorted(self.unit_reports.items()):
-            for adaptation in getattr(report, "adaptations", []) or []:
-                out.append({"unit": head, **adaptation})
-        return out
 
     @property
     def diagnostics(self) -> list:
@@ -112,7 +95,6 @@ class GraphPlanReport:
             ],
             "interpreted_nodes": list(self.interpreted_nodes),
             "fused_away": sorted(self.fused_away),
-            "eliminated": dict(self.eliminated),
             "records_cache_hits": self.records_cache_hits,
             "simulated_seconds_serial": round(self.simulated_seconds_serial, 6),
             "simulated_seconds": round(self.simulated_seconds, 6),
@@ -121,7 +103,6 @@ class GraphPlanReport:
                 head: report.summary()
                 for head, report in sorted(self.unit_reports.items())
             },
-            "adaptations": self.adaptations,
         }
 
 

@@ -117,8 +117,10 @@ class PlanReport:
     wall_seconds: float = 0.0
     #: Structured diagnostics (:mod:`repro.diagnostics`), in emission
     #: order: the decisions behind the plan (``REP4xx``, in the order
-    #: they were made), sampler and compile-time probe findings, then
-    #: the engine's fallback (``REP30x``) once the run is absorbed.
+    #: they were made), sampler and compile-time probe findings, the
+    #: decisions taken mid-job (a join's broadcast overflow ``REP403``,
+    #: a stream probe's ``REP405``/``REP406``), then the engine's
+    #: fallback (``REP30x``) once the run is absorbed.
     diagnostics: list = field(default_factory=list)
     #: Estimated input bytes behind the spill decision (None when the
     #: planner had no budget to weigh, or the source length is unknown).
@@ -138,26 +140,24 @@ class PlanReport:
     #: Estimate provenance: per quantity the planner priced, where the
     #: number came from (``"static"`` | ``"observed"``), the value used,
     #: and — when an observation was available — the static estimate's
-    #: relative error against the last measured run.  Feedback-enabled
-    #: runs with no usable observation record why (the loud fallback).
+    #: relative error against the last measured run.  A stored
+    #: observation that failed to load is a ``REP406`` decision instead.
     #: ``estimates["backend"]`` holds every input of the sequential-or-
     #: pool choice (record count, priced stage rows, bytes per record,
     #: worker count, the constants, both predictions): enough to
     #: recompute the choice from the report alone.
     estimates: dict = field(default_factory=dict)
-    #: Mid-job adaptations the engine took, in order: a broadcast build
-    #: that overflowed its limit and switched to reduce-side, an
-    #: unknown-length stream whose first-chunk measurement re-sized the
-    #: partition count.  Empty when the plan ran as priced.
-    adaptations: list = field(default_factory=list)
 
     def absorb(self, result: "MultiprocessResult") -> None:
         """Record how the real local engine actually ran the plan.
 
-        A deliberately-sequential plan is not a "fallback" even though
-        the engine runs it in-process; only a planned pool that could
-        not run counts, and its engine ``REP30x`` diagnostic is appended.
+        The engine's mid-job decisions (``result.diagnostics``) are
+        appended in the order it made them.  A deliberately-sequential
+        plan is not a "fallback" even though the engine runs it
+        in-process; only a planned pool that could not run counts, and
+        its engine ``REP30x`` diagnostic is appended last.
         """
+        self.diagnostics.extend(result.diagnostics)
         if self.plan.backend == "multiprocess" and result.fallback is not None:
             self.backend_used = "sequential"
             self.diagnostics.append(result.fallback)
@@ -165,7 +165,6 @@ class PlanReport:
             self.backend_used = self.plan.backend
         self.spill_stats = result.spill_stats
         self.columnar = result.columnar_stats()
-        self.adaptations = list(result.adaptations)
 
     def summary(self) -> dict:
         """Compact dict form, convenient for logs and benchmark JSON."""
@@ -193,7 +192,6 @@ class PlanReport:
             ],
             "join": self.join,
             "estimates": self.estimates,
-            "adaptations": list(self.adaptations),
         }
 
 

@@ -254,10 +254,6 @@ class ExecutionPlanner:
         decided: list[Diagnostic] = []
         provenance: dict[str, dict] = {}
         if observation_note:
-            provenance["fallback"] = {
-                "source": "static",
-                "note": observation_note,
-            }
             note = f"{observation_note} — static estimates in effect"
             decided.append(make_diagnostic("REP406", note))
         n: Optional[int] = (

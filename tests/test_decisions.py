@@ -24,7 +24,13 @@ from repro.planner import planner as planner_module
 from repro.planner.planner import estimate_input_bytes
 from repro.serve.admission import SHUFFLE_RESIDENCY_FACTOR
 from tests.test_jobgraph import SELECT_SUM_SOURCE, _rows
-from tests.test_observe import MISPRICED, join_inputs, join_program
+from tests.test_observe import (
+    INT_JOIN_SOURCE,
+    MISPRICED,
+    join_inputs,
+    join_program,
+    overflow_switches,
+)
 from tests.test_planner import WORDCOUNT_SOURCE, WORDS
 
 SUM_SOURCE = """
@@ -222,3 +228,87 @@ def test_a_failed_job_keeps_its_admission_decisions(strict_wc):
         job = session.run(strict_wc, {})  # no words: the run raises
     assert not job.ok and job.plan_report is None
     assert [code for code, _ in decisions(job.diagnostics)] == ["REP411", "REP412"]
+
+
+def test_an_overflow_switch_is_a_decision_of_the_job(monkeypatch):
+    """A broadcast build that overflows mid-job is the job's ``REP403``,
+    after the plan's decisions, inline and in the daemon's wire form
+    (the join's record inputs cannot cross the wire themselves)."""
+    import json
+
+    import repro.codegen.joins as joins_mod
+    from repro.serve.daemon import result_from_wire, result_to_wire
+
+    monkeypatch.setattr(joins_mod, "sizeof_pair", lambda key, value: 1 << 40)
+    with Session(max_workers=0, observe=False) as session:
+        program = session.compile(INT_JOIN_SOURCE)
+        local = session.run(program, join_inputs(1500), ExecOptions(plan="auto"))
+    assert local.ok, local.error
+    (switch,) = overflow_switches(local.diagnostics)
+    assert switch.startswith("broadcast build of 'part' overflowed")
+    assert decisions(local.diagnostics)[-1] == ("REP403", switch)
+    never_escalate(local.diagnostics)
+    remote = result_from_wire(json.loads(json.dumps(result_to_wire(local))))
+    assert remote.outputs == local.outputs
+    assert overflow_switches(remote.diagnostics) == [switch]
+    (unit,) = remote.plan_report["unit_reports"].values()
+    assert overflow_switches(unit["diagnostics"]) == [switch]
+    assert "adaptations" not in unit and "eliminated" not in remote.plan_report
+
+
+@pytest.mark.parametrize("fragment_index", [None, 0], ids=["graph", "fragment"])
+def test_a_failed_observation_write_warns_its_job(
+    tmp_path, monkeypatch, fragment_index
+):
+    """The store returns a failed disk write instead of keeping it: each
+    job that met one carries one ``REP311``."""
+    from repro.cost import observe
+
+    monkeypatch.setattr(observe, "atomic_write_json", lambda path, payload: False)
+    data = list(range(100))
+    with Session(max_workers=0, cache_dir=str(tmp_path)) as session:
+        program = session.compile(SUM_SOURCE)
+        inputs = {"data": data, "n": len(data)}
+        options = ExecOptions(plan="auto")
+        jobs = [
+            session.run(program, dict(inputs), options, fragment_index)
+            for _ in range(3)
+        ]
+    for job in jobs:
+        assert job.ok, job.error
+        (warned,) = [d for d in job.diagnostics if d.code == "REP311"]
+        assert warned.severity == "warning"
+        assert warned.message.startswith("observation store: write failed at obs_")
+        assert warned.message.endswith("— observation kept in memory only")
+    assert not hasattr(session.observations, "notes")  # nothing kept to grow
+
+
+def test_a_non_strict_skip_warns_the_job():
+    """A node whose analysis failed is skipped by a non-strict run, and
+    the job says so with one ``REP312`` on the optimizer's list."""
+    source = """
+int f(int[] data, int n) {
+  int a = 0;
+  for (int i = 0; i < n; i++) a += data[i];
+  int b = 0;
+  int j = 0;
+  while (j < n) { b += data[j]; j++; }
+  return a + b;
+}
+"""
+    data = list(range(20))
+    with Session(max_workers=0, observe=False) as session:
+        job = session.run(
+            session.compile(source),
+            {"data": data, "n": len(data)},
+            ExecOptions(strict=False),
+        )
+    assert job.ok, job.error
+    assert job.outputs == {"a": sum(data)}
+    (skipped,) = [d for d in job.diagnostics if d.code == "REP312"]
+    assert skipped.severity == "warning" and skipped.fragment == "f#1"
+    assert skipped.message == (
+        "skipped: analysis failed (analysis failed: unsupported loop form "
+        "While [REP101])"
+    )
+    assert job.plan_report.optimizer_diagnostics == [skipped]

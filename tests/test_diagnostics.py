@@ -401,8 +401,8 @@ class TestEngineCodes:
 
     def test_fused_chain_report_keeps_engine_accounting(self):
         # What the engine reports — columnar counters, spill stats,
-        # adaptations — must reach a fused chain's PlanReport like a
-        # single fragment's.
+        # mid-job decisions — must reach a fused chain's PlanReport like
+        # a single fragment's.
         graph = compiled("biglambda_select_sum").job_graph
         inputs = get_benchmark("biglambda_select_sum").make_inputs(6000, 1)
         run = run_graph(graph, dict(inputs), ExecOptions(plan="multiprocess"))
@@ -414,7 +414,9 @@ class TestEngineCodes:
         (report,) = streamed.plan_report.unit_reports.values()
         assert streamed.outputs == run.outputs
         assert report.summary()["spill_stats"]["spill_runs"] >= 1
-        assert [a["kind"] for a in report.adaptations] == ["stream_probe"]
+        (probe,) = [d for d in report.diagnostics if "stream probe" in d.message]
+        assert probe.code == "REP406"
+        assert "pessimistic large-stream settings" in probe.message
 
     def test_rep306_from_the_planner_probe(self):
         result = translate(FLOAT_FOLD)

@@ -213,8 +213,8 @@ class TestFusion:
         result = translate(TWO_BRANCH_SOURCE)
         schedule = optimize_graph(result.job_graph, required_vars={"a"})
         assert len(schedule.units) == 1
-        assert "twoBranches#1" in schedule.eliminated
-        assert "dead stage" in schedule.eliminated["twoBranches#1"]
+        (eliminated,) = [d.message for d in schedule.diagnostics if d.code == "REP410"]
+        assert eliminated.startswith("twoBranches#1: eliminated (dead stage")
 
 
 class TestExecutorFailurePaths:

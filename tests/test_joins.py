@@ -522,10 +522,11 @@ class TestJoinSeams:
         inputs = benchmark.make_inputs(60, 7)
         globals_env, _ = prepare_globals(program.analysis, inputs)
         plan = ExecutionPlan(backend="sequential", join_strategies=("reduce_side",))
-        records, steps, _, _ = build_join_steps(
+        records, steps, switched = build_join_steps(
             program, globals_env, inputs, plan=plan
         )
         # Tagged union: left + right relations in one scanned stream.
         assert len(records) == len(inputs["partsupp"]) + len(inputs["part"])
         assert {tag for tag, _r in records} == {0, 1}
         assert any(isinstance(s.fn, JoinExpand) for s in steps if isinstance(s, MapStep))
+        assert switched is None  # planned reduce-side: nothing to switch

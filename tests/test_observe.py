@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 
 import pytest
@@ -94,6 +95,17 @@ def join_inputs(size: int = 1500, seed: int = 7) -> dict:
     return {"partsupp": partsupp, "part": part}
 
 
+def overflow_switches(diagnostics) -> list[str]:
+    """Messages of the mid-job broadcast-overflow ``REP403`` decisions
+    among ``diagnostics`` (``Diagnostic`` objects or their wire dicts)."""
+    rows = [d if isinstance(d, dict) else d.as_dict() for d in diagnostics]
+    return [
+        row["message"]
+        for row in rows
+        if row["code"] == "REP403" and "overflowed" in row["message"]
+    ]
+
+
 def make_observation(**overrides) -> Observation:
     base = dict(fragment_key="frag", dataset_key="data", input_records=100)
     base.update(overrides)
@@ -112,12 +124,12 @@ class TestStoreFailurePaths:
         store = ObservationStore(cache_dir=str(tmp_path))
         store.record(make_observation(input_bytes=4096, spilled=True))
         fresh = ObservationStore(cache_dir=str(tmp_path))  # simulates restart
-        got = fresh.lookup("frag", "data")
+        got, note = fresh.lookup("frag", "data")
         assert got is not None
         assert got.input_records == 100
         assert got.input_bytes == 4096
         assert got.spilled is True
-        assert fresh.last_note is None
+        assert note is None
 
     def test_corrupt_json_is_a_loud_miss(self, tmp_path):
         store = ObservationStore(cache_dir=str(tmp_path))
@@ -125,9 +137,10 @@ class TestStoreFailurePaths:
         with open(self.entry_path(store), "w") as handle:
             handle.write("{this is not json")
         fresh = ObservationStore(cache_dir=str(tmp_path))
-        assert fresh.lookup("frag", "data") is None
-        assert fresh.last_note is not None
-        assert "corrupt JSON" in fresh.last_note
+        got, note = fresh.lookup("frag", "data")
+        assert got is None
+        assert note is not None
+        assert "corrupt JSON" in note
 
     def test_truncated_entry_is_a_loud_miss(self, tmp_path):
         store = ObservationStore(cache_dir=str(tmp_path))
@@ -138,8 +151,9 @@ class TestStoreFailurePaths:
         with open(path, "w") as handle:
             handle.write(content[: len(content) // 2])  # torn write
         fresh = ObservationStore(cache_dir=str(tmp_path))
-        assert fresh.lookup("frag", "data") is None
-        assert "corrupt JSON" in (fresh.last_note or "")
+        got, note = fresh.lookup("frag", "data")
+        assert got is None
+        assert "corrupt JSON" in (note or "")
 
     def test_schema_version_mismatch_is_a_loud_miss(self, tmp_path):
         store = ObservationStore(cache_dir=str(tmp_path))
@@ -149,9 +163,10 @@ class TestStoreFailurePaths:
                 {"format": 999, "observation": make_observation().as_dict()},
                 handle,
             )
-        assert store.lookup("frag", "data") is None
-        assert "schema version mismatch" in (store.last_note or "")
-        assert "999" in store.last_note
+        got, note = store.lookup("frag", "data")
+        assert got is None
+        assert "schema version mismatch" in (note or "")
+        assert "999" in note
 
     def test_entry_missing_keys_is_a_loud_miss(self, tmp_path):
         store = ObservationStore(cache_dir=str(tmp_path))
@@ -160,19 +175,22 @@ class TestStoreFailurePaths:
             json.dump(
                 {"format": 1, "observation": {"input_records": 5}}, handle
             )
-        assert store.lookup("frag", "data") is None
-        assert "malformed entry" in (store.last_note or "")
+        got, note = store.lookup("frag", "data")
+        assert got is None
+        assert "malformed entry" in (note or "")
 
     def test_note_clears_on_next_clean_lookup(self, tmp_path):
         store = ObservationStore(cache_dir=str(tmp_path))
         with open(self.entry_path(store), "w") as handle:
             handle.write("garbage")
-        assert store.lookup("frag", "data") is None
-        assert store.last_note is not None
+        got, note = store.lookup("frag", "data")
+        assert got is None
+        assert note is not None
         store.record(make_observation(fragment_key="other"))
-        assert store.lookup("other", "data") is not None
-        assert store.last_note is None  # per-lookup, not sticky
-        assert len(store.notes) == 1  # ...but the history keeps it
+        got, note = store.lookup("other", "data")
+        assert got is not None
+        assert note is None  # per-lookup, not sticky
+        assert not hasattr(store, "last_note") and not hasattr(store, "notes")
 
     def test_concurrent_writers_race_benignly(self, tmp_path):
         store = ObservationStore(cache_dir=str(tmp_path))
@@ -199,9 +217,9 @@ class TestStoreFailurePaths:
         assert not errors
         # Whatever write won, the surviving entry is complete and valid.
         fresh = ObservationStore(cache_dir=str(tmp_path))
-        got = fresh.lookup("frag", "data")
+        got, note = fresh.lookup("frag", "data")
         assert got is not None and got.input_records is not None
-        assert fresh.last_note is None
+        assert note is None
 
     def test_two_writers_of_one_key_keep_their_own_tmp_files(
         self, tmp_path, monkeypatch
@@ -220,7 +238,7 @@ class TestStoreFailurePaths:
 
         monkeypatch.setattr(diskio.json, "dump", paused_dump)
         store = ObservationStore(cache_dir=str(tmp_path))
-        written: list[bool] = []
+        written: list = []
         threads = [
             threading.Thread(
                 target=lambda n=n: written.append(
@@ -233,14 +251,14 @@ class TestStoreFailurePaths:
             thread.start()
         for thread in threads:
             thread.join()
-        assert written == [True, True]
+        assert written == [None, None]  # no write failed
         assert [p.name for p in tmp_path.iterdir()] == [
             os.path.basename(store._disk_path("frag", "data"))
         ]
         fresh = ObservationStore(cache_dir=str(tmp_path))
-        got = fresh.lookup("frag", "data")
+        got, note = fresh.lookup("frag", "data")
         assert got is not None and got.input_records in (1, 2)
-        assert fresh.last_note is None
+        assert note is None
 
     def test_capacity_evicts_lru(self):
         store = ObservationStore(capacity=2)
@@ -248,14 +266,13 @@ class TestStoreFailurePaths:
         store.record(make_observation(dataset_key="b"))
         store.record(make_observation(dataset_key="c"))
         assert len(store) == 2
-        assert store.lookup("frag", "a") is None  # evicted, silent miss
-        assert store.last_note is None
+        assert store.lookup("frag", "a") == (None, None)  # evicted, silent miss
 
     def test_runs_counter_accumulates(self):
         store = ObservationStore()
         store.record(make_observation())
         store.record(make_observation())
-        assert store.lookup("frag", "data").runs == 2
+        assert store.lookup("frag", "data")[0].runs == 2
 
 
 class TestStoreWrites:
@@ -276,14 +293,14 @@ class TestStoreWrites:
     def test_same_evidence_is_not_rewritten(self, tmp_path, monkeypatch):
         writes = self.count_writes(monkeypatch)
         store = ObservationStore(cache_dir=str(tmp_path))
-        assert store.record(make_observation(wall_seconds=0.5))
+        assert store.record(make_observation(wall_seconds=0.5)) is None
         assert len(writes) == 1
         for wall in (0.25, 0.75):
-            assert store.record(make_observation(wall_seconds=wall))
+            assert store.record(make_observation(wall_seconds=wall)) is None
         assert len(writes) == 1
-        assert store.lookup("frag", "data").runs == 3
-        assert store.lookup("frag", "data").wall_seconds == 0.75
-        on_disk = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        assert store.lookup("frag", "data")[0].runs == 3
+        assert store.lookup("frag", "data")[0].wall_seconds == 0.75
+        on_disk, _ = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
         assert (on_disk.runs, on_disk.wall_seconds) == (1, 0.5)  # the last write
 
     def test_changed_evidence_is_written_once(self, tmp_path, monkeypatch):
@@ -296,7 +313,7 @@ class TestStoreWrites:
         assert len(writes) == 2
         store.record(make_observation(input_records=101, key_ratios={"s": 0.5}))
         assert len(writes) == 3
-        fresh = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        fresh, _ = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
         assert (fresh.input_records, fresh.key_ratios) == (101, {"s": 0.5})
 
     def test_a_failed_write_is_retried_by_the_next_record(self, tmp_path, monkeypatch):
@@ -304,12 +321,12 @@ class TestStoreWrites:
 
         store = ObservationStore(cache_dir=str(tmp_path))
         monkeypatch.setattr(observe, "atomic_write_json", lambda path, payload: False)
-        assert not store.record(make_observation())
+        assert "write failed" in store.record(make_observation())
         monkeypatch.undo()
         writes = self.count_writes(monkeypatch)
-        assert store.record(make_observation())
+        assert store.record(make_observation()) is None
         assert len(writes) == 1
-        assert ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        assert ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")[0]
 
     @pytest.mark.parametrize("held", ["before_its_write", "after_its_write"])
     def test_interleaved_records_are_compared_with_the_file(
@@ -342,17 +359,17 @@ class TestStoreWrites:
         )
         racer.start()
         assert paused.wait(5)
-        assert store.record(make_observation(input_records=200))
+        assert store.record(make_observation(input_records=200)) is None
         resume.set()
         racer.join(5)
-        assert store.lookup("frag", "data").input_records == 200
+        assert store.lookup("frag", "data")[0].input_records == 200
         on_disk, other = (100, 200) if held == "before_its_write" else (200, 100)
-        disk = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        disk, _ = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
         assert disk.input_records == on_disk
-        assert store.record(make_observation(input_records=other))
-        disk = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
+        assert store.record(make_observation(input_records=other)) is None
+        disk, _ = ObservationStore(cache_dir=str(tmp_path)).lookup("frag", "data")
         assert disk.input_records == other
-        assert store.record(make_observation(input_records=other))
+        assert store.record(make_observation(input_records=other)) is None
         assert writes == [100, 200, other]
 
     def test_a_steady_session_writes_its_observation_once(self, tmp_path, monkeypatch):
@@ -481,11 +498,11 @@ class TestEngineStreamAdaptation:
         data = list(range(500))
         stream = GeneratorSource(lambda: iter(data))
         result = self.run_engine(stream, combine=False)
-        kinds = [a["kind"] for a in result.adaptations]
-        assert kinds == ["stream_partitions"]
-        adaptation = result.adaptations[0]
-        assert adaptation["records"] == 500
-        assert adaptation["partitions_after"] < adaptation["partitions_before"]
+        (decision,) = result.diagnostics
+        assert decision.code == "REP405"
+        assert "source ended at 500 records" in decision.message
+        # Shrunk below the 8 partitions the engine was given.
+        assert "shrank the shuffle from 8 to 1 partition(s)" in decision.message
         # Byte-identity with the known-length run is the whole point.
         reference = self.run_engine(ListSource(list(data)), combine=False)
         assert result.pairs == reference.pairs
@@ -493,16 +510,20 @@ class TestEngineStreamAdaptation:
     def test_combining_reduce_pins_the_partition_count(self):
         stream = GeneratorSource(lambda: iter(range(500)))
         result = self.run_engine(stream, combine=True)
-        adaptation = result.adaptations[0]
-        assert adaptation["kind"] == "stream_partitions"
-        assert adaptation["partitions_after"] == adaptation["partitions_before"]
-        assert "combine" in adaptation["note"]
+        (decision,) = result.diagnostics
+        assert decision.code == "REP405"
+        assert "source ended at 500 records" in decision.message
+        assert "partition count kept at 8" in decision.message
+        assert "combine" in decision.message
 
     def test_long_streams_keep_pessimistic_settings(self):
         stream = GeneratorSource(lambda: iter(range(9000)))
         result = self.run_engine(stream, combine=False)
-        assert result.adaptations[0]["kind"] == "stream_probe"
-        assert result.adaptations[0]["exhausted"] is False
+        (decision,) = result.diagnostics
+        assert decision.code == "REP406"
+        # Not exhausted: the probe saw only a prefix of the stream.
+        assert "source exceeds" in decision.message
+        assert "pessimistic large-stream settings" in decision.message
 
 
 # ----------------------------------------------------------------------
@@ -585,13 +606,74 @@ class TestWarmReplan:
             observations=ObservationStore(cache_dir=str(tmp_path)),
         ).plan_report
         assert report.plan.join_strategies == ("reduce_side",)  # static
-        fallback = report.estimates["fallback"]
-        assert fallback["source"] == "static"
-        assert "corrupt JSON" in fallback["note"]
-        assert any(
-            d.code == "REP406" and "static estimates in effect" in d.message
+        assert "fallback" not in report.estimates  # the decision says it
+        (fallback,) = [
+            d.message
             for d in report.diagnostics
+            if d.code == "REP406" and "static estimates in effect" in d.message
+        ]
+        assert "corrupt JSON" in fallback
+
+
+    def test_a_shared_store_keeps_each_jobs_fallback_its_own(
+        self, tmp_path, monkeypatch
+    ):
+        """Two jobs share one store, one meeting a corrupt entry and one
+        a stored observation: the hit's lookup lands between the loud
+        miss's lookup and its plan, and each job still reports its own
+        ``REP406`` (or none)."""
+        torn, fine = join_inputs(1500, seed=7), join_inputs(1500, seed=8)
+        join_program().run(
+            dict(torn),
+            MISPRICED,
+            observations=ObservationStore(cache_dir=str(tmp_path)),
         )
+        (entry,) = [n for n in os.listdir(tmp_path) if n.endswith(".json")]
+        with open(os.path.join(tmp_path, entry), "w") as handle:
+            handle.write("{torn")
+        store = ObservationStore(cache_dir=str(tmp_path))
+        join_program().run(dict(fine), MISPRICED, observations=store)
+
+        torn_key = dataset_fingerprint(torn)
+        missed, hit = threading.Event(), threading.Event()
+        lookup = ObservationStore.lookup
+
+        def interleaved(self, fragment_key, dataset_key):
+            answer = lookup(self, fragment_key, dataset_key)
+            if dataset_key == torn_key:
+                missed.set()
+                assert hit.wait(30)
+            else:
+                hit.set()
+            return answer
+
+        monkeypatch.setattr(ObservationStore, "lookup", interleaved)
+        reports: dict = {}
+
+        def torn_job():
+            ran = join_program().run(dict(torn), MISPRICED, observations=store)
+            reports["torn"] = ran.plan_report
+
+        job = threading.Thread(target=torn_job)
+        job.start()
+        assert missed.wait(30)
+        reports["fine"] = join_program().run(
+            dict(fine), MISPRICED, observations=store
+        ).plan_report
+        job.join(30)
+        assert not job.is_alive()
+
+        def fallbacks(report):
+            return [
+                d.message
+                for d in report.diagnostics
+                if d.code == "REP406" and "static estimates in effect" in d.message
+            ]
+
+        (note,) = fallbacks(reports["torn"])
+        assert "corrupt JSON" in note
+        assert fallbacks(reports["fine"]) == []
+        assert reports["fine"].plan.join_strategies == ("broadcast",)
 
 
 # ----------------------------------------------------------------------
@@ -614,14 +696,18 @@ class TestMidJobSwitch:
         outcome = join_program().run(dict(inputs), ExecOptions(plan="auto"))
         switched, report = outcome.outputs, outcome.plan_report
         assert report.plan.join_strategies == ("broadcast",)  # the plan...
-        adaptation = report.adaptations[0]
-        assert adaptation["kind"] == "broadcast_overflow"  # ...adapted
-        assert adaptation["switched_to"] == "reduce_side"
-        assert adaptation["observed_bytes"] > adaptation["limit"]
+        (switch,) = overflow_switches(report.diagnostics)  # ...switched
+        (sizes,) = re.findall(r"overflowed (\d+) B at (\d+) B", switch)
+        limit, observed = map(int, sizes)
+        assert observed > limit
+        assert "switched to the reduce-side tagged shuffle mid-job" in switch
+        # After the plan's decisions, ahead of any engine fallback.
+        codes = [d.code for d in report.diagnostics]
+        assert codes[-1] == "REP403" and codes.count("REP403") == 2
         # The join evidence describes what actually ran.
         level = report.join["levels"][0]
         assert level["strategy"] == "reduce_side"
-        assert "overflowed" in level["reason"]
+        assert level["reason"] == switch
         # Byte-identical to the reduce-side execution it switched into.
         assert switched[out_var] == reference
 
@@ -636,7 +722,7 @@ class TestMidJobSwitch:
             dict(inputs), MISPRICED, observations=store
         ).plan_report
         assert report.plan.join_strategies == ("broadcast",)
-        assert report.adaptations == []  # no overflow switch fired
+        assert overflow_switches(report.diagnostics) == []  # no switch fired
 
 
 # ----------------------------------------------------------------------
