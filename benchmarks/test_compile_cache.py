@@ -7,14 +7,17 @@ measures what the cache buys: compile two benchmarks from each of the
 seven suites cold, one after another through one shared cache, then
 recompile the same batch warm, and require the warm pass to (a) skip the
 search entirely (``candidates_checked == 0`` and ``tp_failures == 0`` on
-every cached fragment) and (b) finish at least 5× faster end-to-end.  A
-third pass restarts from a fresh cache instance backed by the same
-on-disk store, standing in for a new compiler process reusing a previous
-run's work.
+every cached fragment) and (b) use at least 5× less CPU time.  Each
+pass is timed in this process's CPU seconds, not wall seconds, and
+starts from a collected heap, so neither another process on the host nor
+garbage that earlier tests left is charged to a batch.  A third pass
+restarts from a fresh cache instance backed by the same on-disk store,
+standing in for a new compiler process reusing a previous run's work.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -48,10 +51,15 @@ def cache_dir(tmp_path_factory):
 
 
 def _compile_all(benchmarks, cache):
-    """Compile every benchmark in order through one shared cache."""
-    started = time.monotonic()
+    """Compile every benchmark in order through one shared cache;
+    returns the results and the CPU seconds they took."""
+    # Without this, a full collection owed by earlier tests' garbage
+    # lands in whichever batch crosses the threshold: inside the Tier-1
+    # run (2-CPU host) one took 0.13 s of a 0.17 s warm batch.
+    gc.collect()
+    started = time.process_time()
     results = [translate(b.source, b.function, cache=cache) for b in benchmarks]
-    return results, time.monotonic() - started
+    return results, time.process_time() - started
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +90,7 @@ def measured(cache_dir, table_printer):
     rows.append(
         [
             "total",
-            f"cold {cold_seconds:.2f}s / warm {warm_seconds:.3f}s "
+            f"CPU cold {cold_seconds:.2f}s / warm {warm_seconds:.3f}s "
             f"/ disk {disk_seconds:.3f}s",
             sum(c.identified for c in cold),
             sum(c.translated for c in cold),
@@ -133,7 +141,7 @@ def test_warm_fragments_skip_cegis_and_prover_entirely(measured):
 def test_warm_batch_at_least_5x_faster(measured):
     speedup = measured["cold_seconds"] / max(measured["warm_seconds"], 1e-9)
     assert speedup >= MIN_SPEEDUP, (
-        f"warm batch only {speedup:.1f}x faster "
+        f"warm batch only {speedup:.1f}x less CPU time "
         f"({measured['cold_seconds']:.2f}s -> {measured['warm_seconds']:.3f}s)"
     )
 

@@ -82,9 +82,12 @@ def view_records(view: DatasetView, inputs: dict[str, Any]) -> Any:
     """Raw records handed to the framework (sizes must be realistic).
 
     foreach → the item itself; array1d → (i, v...); array2d → (i, j, v).
-    A ``foreach`` input may be a :class:`~repro.engine.source.Dataset`
-    (streamed, never materialized here); the array views need random
-    access and reject streaming sources.
+    A ``foreach`` over a list returns that list, borrowed: the job reads
+    it in place and never writes it (a set is sorted, any other
+    collection copied once).  A ``foreach`` input may also be a
+    :class:`~repro.engine.source.Dataset` (streamed, never materialized
+    here); the array views need random access and reject streaming
+    sources.
     """
     from ..engine.source import Dataset
 
@@ -95,6 +98,8 @@ def view_records(view: DatasetView, inputs: dict[str, Any]) -> Any:
     if view.kind == "foreach":
         collection = inputs[view.sources[0]]
         if isinstance(collection, Dataset):
+            return collection
+        if isinstance(collection, list):
             return collection
         return sorted(collection) if isinstance(collection, set) else list(collection)
     if any(isinstance(inputs.get(name), Dataset) for name in view.sources):
@@ -335,7 +340,11 @@ class GeneratedProgram:
         """Execute on ``backend`` (None → the default framework,
         :data:`~repro.planner.plan.DEFAULT_BACKEND`) under ``plan``
         (None, or a plan for another backend → a bare plan): one
-        :meth:`execute` call with a fresh report of that plan."""
+        :meth:`execute` call with a fresh report of that plan.
+
+        A list in ``inputs`` (or ``records``) is borrowed for the run:
+        read in place, never written, and not to be mutated until the
+        run returns."""
         from ..planner.plan import DEFAULT_BACKEND, ExecutionPlan, PlanReport
 
         backend = backend or DEFAULT_BACKEND

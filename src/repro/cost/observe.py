@@ -93,10 +93,9 @@ def _value_signature(value: Any) -> str:
             f"{len(head)}:{reprs(head)}"
         )
     if isinstance(value, (list, tuple)):
-        seq = list(value)
         return (
-            f"seq:{len(seq)}:{reprs(seq[:_FINGERPRINT_SAMPLE])}:"
-            f"{reprs(seq[-_FINGERPRINT_SAMPLE:])}"
+            f"seq:{len(value)}:{reprs(value[:_FINGERPRINT_SAMPLE])}:"
+            f"{reprs(value[-_FINGERPRINT_SAMPLE:])}"
         )
     if isinstance(value, (set, frozenset)):
         try:

@@ -156,7 +156,13 @@ class Dataset:
 
 
 class ListSource(Dataset):
-    """An in-memory record list exposed through the Dataset protocol."""
+    """An in-memory record list exposed through the Dataset protocol.
+
+    The list is borrowed, not copied: chunks and heads are slices of it,
+    and :meth:`materialize` returns the list itself.  Readers must not
+    mutate what they are handed, and whoever owns the list must not
+    mutate it while a job reads it.
+    """
 
     def __init__(self, records: list):
         self._records = records
@@ -287,10 +293,14 @@ class TextSource(_FileSource):
 
 
 def as_dataset(records: Any) -> Dataset:
-    """Coerce an engine input into a Dataset (lists wrap, Datasets pass)."""
+    """Coerce an engine input into a Dataset (Datasets pass, a list is
+    wrapped without a copy — borrowed for the job — and a tuple is copied
+    once)."""
     if isinstance(records, Dataset):
         return records
-    if isinstance(records, (list, tuple)):
+    if isinstance(records, list):
+        return ListSource(records)
+    if isinstance(records, tuple):
         return ListSource(list(records))
     raise EngineError(
         f"cannot stream records of type {type(records).__name__!r}; "

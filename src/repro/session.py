@@ -228,6 +228,12 @@ class Session:
         ``ExecOptions()``.  ``fragment_index`` runs one fragment
         through its adaptive program; the default runs the whole job
         graph.
+
+        List inputs are borrowed, not copied: the job reads each list in
+        place for its whole duration (until :meth:`JobHandle.result`
+        returns) and never writes it.  Do not mutate a list while its
+        job runs.  The elements are not copied either: a job and its
+        caller share them.
         """
         if self._closed:
             raise ServeError("session is closed")

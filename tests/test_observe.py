@@ -23,6 +23,7 @@ from repro.compiler import translate
 from repro.cost.observe import (
     Observation,
     ObservationStore,
+    _value_signature,
     dataset_fingerprint,
     fragment_observation_key,
     harvest_observation,
@@ -395,6 +396,22 @@ class TestFingerprints:
         assert a == dataset_fingerprint({"xs": [1, 2, 3]})
         assert a != dataset_fingerprint({"xs": [1, 2, 4]})
         assert a != dataset_fingerprint({"xs": [1, 2, 3], "n": 3})
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 15, 16, 17, 40])
+    def test_sequence_signature_reads_in_place(self, length):
+        # The signature slices the sequence itself; it must read exactly
+        # as the formula over a private copy did.
+        def copied_signature(value):
+            seq = list(value)
+
+            def reprs(records):
+                return "|".join(repr(r)[:120] for r in records)
+
+            return f"seq:{len(seq)}:{reprs(seq[:8])}:{reprs(seq[-8:])}"
+
+        records = [(f"k{i}", i * 0.5, "x" * (i * 9)) for i in range(length)]
+        for value in (records, tuple(records)):
+            assert _value_signature(value) == copied_signature(value)
 
     def test_dataset_fingerprint_accepts_streams(self):
         stream = GeneratorSource(lambda: iter(range(10)))

@@ -562,6 +562,26 @@ class TestStreamingIdentity:
         if result.executed_parallel:
             assert result.map_tasks > 0
 
+    @pytest.mark.parametrize("budget", [None, 2048])
+    def test_bridge_opening_reads_the_borrowed_list_untouched(self, budget):
+        # A chain opening with a bridge is handed the caller's list
+        # itself (``ListSource.materialize``); nothing may write it.
+        records = IDENTITY_SOURCES["list"]()
+        elements = list(records)
+        handed = []
+
+        def bridge(pairs):
+            handed.append(pairs)
+            return AllRecords()(pairs)
+
+        steps = [BridgeStep(bridge), *IDENTITY_PIPELINES["bridge_first"][1:]]
+        engine = MultiprocessEngine(processes=0, memory_budget=budget)
+        result = engine.run_pipeline(records, steps)
+        assert result.pairs == _identity_reference("bridge_first").pairs
+        assert len(handed) == 1 and handed[0] is records
+        assert len(records) == len(elements)
+        assert all(a is b for a, b in zip(records, elements))
+
     def test_map_reduce_identical_and_spills(self):
         records = list(range(5000))
         steps = [MapStep(KeyedEmit(13)), ReduceStep(Add())]
