@@ -264,6 +264,11 @@ def _compiled(fn: Any) -> Any:
             body=fn.body, params=fn.params, globals_env=fn.globals_env
         )
     compiled._ensure()
+    # A pool task pickles the stage: keep only the globals its kernel
+    # reads (a fused stage's env also holds the whole input dataset).
+    compiled.globals_env = {
+        name: fn.globals_env[name] for name in compiled._rendered.globals
+    }
     return compiled
 
 

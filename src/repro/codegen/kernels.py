@@ -922,6 +922,7 @@ class VectorKernel:
 
         arrays = [columns[spec.name] for spec in self.specs]
         length = int(arrays[0].shape[0]) if arrays else 0
+        mask = None
         try:
             with np.errstate(all="ignore"):
                 values = self._value_fn(*arrays)
@@ -946,7 +947,7 @@ class VectorKernel:
                 return None
             if keys.dtype.kind == "f" and not bool(np.isfinite(keys).all()):
                 return None
-        return ColumnBlock(values=values, keys=keys, key_const=self.key_const)
+        return ColumnBlock(values, keys, self.key_const, kept=mask)
 
     def run(self, columns: dict[str, Any]) -> Optional[list[tuple]]:
         block = self.run_block(columns)
@@ -1200,11 +1201,16 @@ class CompiledRecordMapper(_Compiled):
     def map_block(self, records: Any) -> Optional[ColumnBlock]:
         """Emitted pairs as a column block, or None → run the row loop —
         flagged a guard fallback whenever there was a vector kernel to
-        refuse the chunk, unreadable columns included."""
+        refuse the chunk, unreadable columns included.  ``records`` may
+        also be a segment's columns by spec name (``build_segment``)."""
         self._ensure()
         block = None
         if self._vec is not None:
-            columns = resolve_columns(records, self._vec.specs)
+            columns = (
+                records
+                if type(records) is dict
+                else resolve_columns(records, self._vec.specs)
+            )
             block = None if columns is None else self._vec.run_block(columns)
         self.last_chunk_columnar = block is not None
         self.last_chunk_fallback = block is None and self._vec is not None

@@ -295,6 +295,12 @@ REGISTRY: Final[dict[str, CodeInfo]] = dict(
         _entry("REP411", "info", "admission priced the job's footprint", _DECIDED),
         _entry("REP412", "info", "admission mode: concurrent or exclusive", _DECIDED),
         _entry("REP413", "info", "job queued for admission", _DECIDED),
+        _entry(
+            "REP414",
+            "info",
+            "function ran whole on the reference interpreter (non-strict run)",
+            _DECIDED,
+        ),
         # ---- LNT1xx: repo-invariant lint -----------------------------
         _entry(
             "LNT101",

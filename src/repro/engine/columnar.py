@@ -42,6 +42,7 @@ every column is invalid and the row loop runs.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -260,6 +261,37 @@ def build_chunk(records: Any, specs: tuple[ColumnSpec, ...]) -> ColumnChunk:
     return chunk
 
 
+#: Records per :func:`build_chunk` call of :func:`build_segment` (one
+#: 80 000-row read was slower than 72 chunks' reads).
+SEGMENT_SLICE = 2048
+
+
+def build_segment(
+    chunks: list, specs: tuple[ColumnSpec, ...]
+) -> tuple[Optional[dict[str, Any]], int]:
+    """A run of chunks' live columns end to end (None when a slice fails
+    validation) and its rows' exact ``dataset_bytes``: :func:`build_chunk`
+    over :data:`SEGMENT_SLICE`-record slices that ignore chunk boundaries,
+    copied into preallocated arrays; the bytes are the slices' sum."""
+    import numpy as np
+
+    n = sum(map(len, chunks))
+    columns: Optional[dict] = {
+        spec.name: np.empty(n, _DTYPES[spec.kind]) for spec in specs
+    }
+    rows = itertools.chain.from_iterable(chunks)
+    total = 0
+    for low in range(0, n, SEGMENT_SLICE):
+        piece = build_chunk(list(itertools.islice(rows, SEGMENT_SLICE)), specs)
+        total += piece.row_bytes
+        if columns is not None and any(a is None for a in piece.columns.values()):
+            columns = None
+        elif columns is not None:
+            for name, array in piece.columns.items():
+                columns[name][low : low + array.shape[0]] = array
+    return columns, total
+
+
 # ----------------------------------------------------------------------
 # Vectorized map output blocks
 
@@ -278,6 +310,8 @@ class ColumnBlock:
     values: Any
     keys: Any = None
     key_const: Any = None
+    #: The kernel's filter over its input rows (None: every row emitted).
+    kept: Any = None
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -358,39 +392,40 @@ def _int_bound(array: Any) -> int:
     return max(abs(int(array.max())), abs(int(array.min())))
 
 
-def _fold_whole(values: Any, op: str) -> Optional[Any]:
-    """Fold one key's whole value array; None when not provably exact."""
+def _dense_ids(labels: Any) -> tuple[Any, int]:
+    """``labels`` renumbered onto ``range(width)``, equal labels alike:
+    by offset when they span few values, else by first appearance (one
+    dict over the labels — no sort either way)."""
     import numpy as np
 
-    if values.shape[0] == 0:
-        return None
-    if op == "sum":
-        if values.dtype.kind == "f":
-            # accumulate is the strict sequential left fold — the same
-            # rounding sequence as the ordered Python fold (reduce may
-            # use pairwise summation, which reassociates).  ±inf and nan
-            # are its results too, with no warning, as in Python.
-            with np.errstate(over="ignore", invalid="ignore"):
-                return float(np.add.accumulate(values)[-1])
-        if values.shape[0] * _int_bound(values) > I64_MAX:
-            return None  # a partial sum could wrap int64
-        return int(values.sum(dtype=np.int64))
-    if op in ("min", "max"):
-        if values.dtype.kind == "f" and bool(np.isnan(values).any()):
-            return None  # NaN ordering differs between min() and minimum
-        result = values.min() if op == "min" else values.max()
-        return result.item()
-    return None
+    n = labels.shape[0]
+    if labels.dtype.kind != "f" and n:
+        low = int(labels.min())
+        width = int(labels.max()) - low + 1
+        if width <= 4 * n + 1024:
+            labels = labels.astype(np.int64, copy=False)
+            return (labels - low if low else labels), width
+    items = labels.tolist()
+    index = {label: i for i, label in enumerate(dict.fromkeys(items))}
+    return np.fromiter(map(index.__getitem__, items), np.int64, n), len(index)
 
 
-def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
-    """Per-key array fold of a block — or None to use the dict combine.
+def grouped_fold(
+    block: ColumnBlock, op: str, chunk_rows: Optional[list[int]] = None
+) -> Optional[tuple[ColumnBlock, list[int]]]:
+    """Every chunk's combine partials of a block in one sort-free pass —
+    or None to combine the chunks' pairs the classic way.
 
-    Output is bit-identical to the first-seen-ordered dict fold: keys
-    come back in first-occurrence order, int sums are overflow-guarded,
-    float sums are one in-order ``add.at`` from ``-0.0``, and min/max
-    refuse NaNs.  Any unsupported shape returns None and the
-    caller combines the block's pairs the classic way.
+    The block is the kernel's output over ``chunk_rows`` input rows per
+    chunk (None: one chunk; ``block.kept`` maps input rows to block rows).
+    Rows ``bounds[c]:bounds[c + 1]`` of the returned ``(partials,
+    bounds)`` are chunk *c*'s keys in first-seen order (its slots' first
+    rows, ascending) and their folds, bit for bit that chunk's dict fold.
+    A slot is a (chunk, key) pair (:func:`_dense_ids`).  Float sums are
+    one in-order ``add.at`` from ``-0.0``; int sums one ``add.at``,
+    refused if a chunk's partial could wrap int64; min/max refuse NaN and
+    ``-0.0`` values (a tie's face depends on λr's form); NaN and ``-0.0``
+    keys are refused (a dict groups them by identity, keeps one face).
     """
     if op not in ("sum", "min", "max"):
         return None
@@ -398,52 +433,54 @@ def grouped_fold(block: ColumnBlock, op: str) -> Optional[list[tuple]]:
         import numpy as np
     except ImportError:  # pragma: no cover - numpy is present in the toolchain image
         return None
-    values = block.values
+    values, keys = block.values, block.keys
     if not isinstance(values, np.ndarray) or values.dtype == np.bool_:
         return None
-    if block.keys is None:
-        folded = _fold_whole(values, op)
-        if folded is None:
-            return [] if values.shape[0] == 0 else None
-        return [(block.key_const, folded)]
-    keys = block.keys
-    if keys.shape[0] == 0:
-        return []
-    if keys.dtype.kind == "f":
-        if bool(np.isnan(keys).any()):
-            return None  # NaN keys group by object identity in dicts
-        if bool(((keys == 0.0) & np.signbit(keys)).any()):
-            return None  # -0.0 == 0.0: unique() may pick the wrong face
-    uniq, first_index, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    if op == "sum" and values.dtype.kind == "f":
-        # -0.0 is the IEEE additive identity (-0.0 + v is v, bit for
-        # bit) and add.at accumulates unbuffered in index order: each
-        # group's sum is the row fold, in one call.  Overflow to ±inf
-        # and inf - inf = nan are the fold's values, as in Python.
-        sums = np.full(uniq.shape[0], -0.0, dtype=values.dtype)
+    n = values.shape[0]
+    floats = values.dtype.kind == "f"
+    if keys is not None and keys.dtype.kind == "f" and bool(
+        (np.isnan(keys) | ((keys == 0.0) & np.signbit(keys))).any()
+    ):
+        return None  # NaN keys group by object identity; -0.0 == 0.0
+    if op != "sum" and floats and bool(
+        (np.isnan(values) | ((values == 0.0) & np.signbit(values))).any()
+    ):
+        return None
+    if chunk_rows is None:
+        chunk_rows = [n if block.kept is None else block.kept.shape[0]]
+    # Row indices in int32 where they fit: the pass's temporaries are
+    # what a resident segment adds to peak memory.
+    index = np.int32 if n < 2**31 else np.int64
+    chunk = np.repeat(np.arange(len(chunk_rows), dtype=index), chunk_rows)
+    if block.kept is not None:
+        chunk = chunk[block.kept]
+    ids, width = (0, 1) if keys is None else _dense_ids(keys)
+    slots, width = _dense_ids(chunk * np.int64(width) + ids)
+    if op == "sum" and floats:
+        acc = np.full(width, -0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(sums, inverse, values)
-        aggregated = sums.tolist()
+            np.add.at(acc, slots, values)
+    elif op == "sum":
+        if n and int(np.bincount(chunk).max()) * _int_bound(values) > I64_MAX:
+            return None  # a chunk's partial sum could wrap int64
+        acc = np.zeros(width, np.int64)
+        np.add.at(acc, slots, values)
     else:
-        order = np.argsort(inverse, kind="stable")  # arrival order per group
-        bounds = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
-        sorted_values = values[order]
-        if op == "sum":
-            if keys.shape[0] * _int_bound(values) > I64_MAX:
-                return None
-            aggregated = np.add.reduceat(sorted_values, bounds).tolist()
-        else:
-            if values.dtype.kind == "f" and bool(np.isnan(values).any()):
-                return None
-            ufunc = np.minimum if op == "min" else np.maximum
-            aggregated = ufunc.reduceat(sorted_values, bounds).tolist()
-    # Restore first-seen key order (what the dict combine produces).
-    seen_order = np.argsort(first_index, kind="stable")
-    out_keys = uniq[seen_order].tolist()
-    return [(key, aggregated[group]) for key, group in zip(out_keys, seen_order.tolist())]
+        acc = np.empty(width, values.dtype)
+        acc[slots] = values  # any member seeds its slot's min / max
+        (np.minimum if op == "min" else np.maximum).at(acc, slots, values)
+    first = np.full(width, n, dtype=index)
+    np.minimum.at(first, slots, np.arange(n, dtype=index))
+    is_first = np.zeros(n + 1, np.bool_)
+    is_first[first] = True  # an empty slot's "first row" is n
+    rows = np.flatnonzero(is_first[:n])
+    bounds = np.searchsorted(chunk[rows], np.arange(len(chunk_rows) + 1)).tolist()
+    partials = ColumnBlock(
+        values=acc[slots[rows]],
+        keys=None if keys is None else keys[rows],
+        key_const=block.key_const,
+    )
+    return partials, bounds
 
 
 # ----------------------------------------------------------------------
@@ -506,6 +543,7 @@ __all__ = [
     "ColumnSpec",
     "build_chunk",
     "build_column",
+    "build_segment",
     "count_keys",
     "fold_columns",
     "grouped_fold",

@@ -80,6 +80,7 @@ from ..errors import EngineError, SpillError
 from .columnar import (
     ColumnChunk,
     build_chunk,
+    build_segment,
     count_keys,
     fold_columns,
     grouped_fold,
@@ -269,6 +270,18 @@ class _MapOut:
         self.stats.merge(other.stats)
 
 
+def _block_mapper(
+    map_fns: Sequence[Callable], combiner: Optional[Callable], spilling: bool
+) -> Optional[Callable]:
+    """The sole, vectorized map stage when its block is folded by a
+    sum/min/max combiner or, with no combiner, spilled whole; else None."""
+    if len(map_fns) != 1 or not getattr(map_fns[0], "vectorized", False):
+        return None
+    if getattr(combiner, "grouped_op", None) is not None:
+        return map_fns[0]
+    return map_fns[0] if combiner is None and spilling else None
+
+
 def _run_map_chunks(
     map_fns: Sequence[Callable],
     combiner: Optional[Callable[[Any, Any], Any]],
@@ -305,40 +318,70 @@ def _run_map_chunks(
     priced by arithmetic, and under a ``"sum"`` combiner the combine is
     :func:`~repro.engine.columnar.count_keys` instead.
 
-    When the sole map stage is ``vectorized`` (``map_block``) the chunk
-    can stay in array form past the map.  With a recognized sum/min/max
-    combiner, :func:`~repro.engine.columnar.grouped_fold` produces the
-    per-chunk combine partials with array folds — bit-identical to the
-    dict combine (same per-chunk grouping, same first-seen key order,
-    same fold sequence).  With no combiner and the spilled store, the
-    block is routed into the writer's partition buffers as value/key
-    sub-arrays (:meth:`SpillWriter.add_block`) and only expanded to
-    pair tuples at merge time.
+    When the sole map stage's output stays an array (:func:`_block_mapper`)
+    every chunk given here is one **segment** (one chunk under a budget):
+    columns built end to end (``build_segment``), one kernel call, counts
+    and bytes from the whole arrays, and every chunk's ``(keys, values)``
+    partials from one ``grouped_fold`` — or, with no combiner, the block
+    to :meth:`SpillWriter.add_block`.  Failed validation, a guard trip or
+    a refused fold maps the segment again one chunk at a time; a chunk
+    that fails alone takes the per-chunk loop, in its place in order.
     """
     out = _MapOut(stage_counts=[[0, 0, 0] for _ in map_fns])
     writer = SpillWriter(*spill) if spill is not None else None
     if writer is not None:
         out.stats = writer.stats
-    block_fn = (
-        map_fns[0]
-        if len(map_fns) == 1 and getattr(map_fns[0], "vectorized", False)
-        else None
-    )
-    fold_op = (
-        getattr(combiner, "grouped_op", None) if block_fn is not None else None
-    )
-    if fold_op is None and (combiner is not None or writer is None):
-        block_fn = None
     last = len(map_fns) - 1
     #: The int every value of the last stage is, when it emits one
     #: literal: that column is priced by arithmetic, and under an int
-    #: ``+`` combiner the combine counts keys instead of folding.  A
-    #: block prices and folds its own arrays.
-    constant = None
-    if block_fn is None:
-        constant = getattr(map_fns[last], "emit_constant", None)
+    #: ``+`` combiner the combine counts keys instead of folding.
+    constant = getattr(map_fns[last], "emit_constant", None)
     value_size = None if constant is None else sizeof(constant)
-    counted = constant is not None and getattr(combiner, "grouped_op", None) == "sum"
+    fold_op = getattr(combiner, "grouped_op", None)
+    counted = constant is not None and fold_op == "sum"
+    block_fn = _block_mapper(map_fns, combiner, writer is not None)
+
+    def map_segment(segment: list) -> Iterator[list]:
+        """Map a segment whole; yield each chunk it could not map."""
+        columns, segment_bytes = build_segment(segment, block_fn.columns_spec)
+        block = None if columns is None else block_fn.map_block(columns)
+        del columns  # the columns the block does not hold are freed for the fold
+        rows = list(map(len, segment))
+        folded = None
+        if block is not None and fold_op is not None:
+            folded = grouped_fold(block, fold_op, rows)
+        if block is None or (fold_op is not None and folded is None):
+            for chunk in segment:
+                yield from map_segment([chunk]) if len(segment) > 1 else [chunk]
+            return
+        counts = out.stage_counts[0]
+        out.chunks += len(segment)
+        out.input_records += sum(rows)
+        out.input_bytes += segment_bytes if measure_input else 0
+        out.columnar_chunks += len(segment)
+        counts[0] += sum(rows)
+        counts[1] += len(block)
+        counts[2] += block.stage_bytes()
+        if folded is None:
+            writer.add_block(block)
+        else:
+            partials, bounds = folded
+            keys, values = partials.key_list(), partials.values.tolist()
+            if writer is not None:
+                writer.add_columns(keys, values)  # a budgeted segment is one chunk
+            else:
+                out.outgoing_records += len(keys)
+                out.shuffled_bytes += partials.shuffle_bytes()
+                out.chunk_output.extend(
+                    (keys[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+                )
+        if measure_input:
+            held = writer.resident_bytes if writer is not None else out.held_bytes(True)
+            out.stats.note_resident(held + segment_bytes)
+
+    if block_fn is not None:
+        segments = [list(chunks)] if writer is None else ([c] for c in chunks)
+        chunks = (c for segment in segments if segment for c in map_segment(segment))
     for chunk in chunks:
         out.chunks += 1
         out.input_records += len(chunk)
@@ -352,70 +395,40 @@ def _run_map_chunks(
         current: list = chunk
         #: The last stage's pairs as (keys, values), once a stage made them.
         columns: Optional[tuple[list, list]] = None
-        combined = False
-        if block_fn is not None:
-            counts = out.stage_counts[0]
-            block = block_fn.map_block(current)
-            if getattr(block_fn, "last_chunk_fallback", False):
-                out.guard_fallbacks += 1
-            counts[0] += len(current)
-            if block is None:
-                # Guard trip (or unreadable columns): the compiled row
-                # loop reruns this chunk without repeating the rejected
-                # vector work.
-                current = block_fn.map_rows(current)
-                counts[1] += len(current)
-                counts[2] += dataset_bytes(current)
+        for index, fn in enumerate(map_fns):
+            counts = out.stage_counts[index]
+            chunk_fn = getattr(fn, "map_chunk", None)
+            if chunk_fn is None:
+                emitted = []
+                for record in current:
+                    counts[0] += 1
+                    for pair in fn(record):
+                        emitted.append(pair)
             else:
-                out.columnar_chunks += 1
-                counts[1] += len(block)
-                counts[2] += block.stage_bytes()
-                if fold_op is None:
-                    writer.add_block(block)
-                    columns = ([], [])
+                counts[0] += len(current)
+                if index == last and shuffle_next and hasattr(fn, "map_columns"):
+                    columns = fn.map_columns(current)
                 else:
-                    folded = grouped_fold(block, fold_op)
-                    combined = folded is not None
-                    columns = (
-                        split_pairs(folded)
-                        if combined
-                        else (block.key_list(), block.values.tolist())
-                    )
-        else:
-            for index, fn in enumerate(map_fns):
-                counts = out.stage_counts[index]
-                chunk_fn = getattr(fn, "map_chunk", None)
-                if chunk_fn is None:
-                    emitted = []
-                    for record in current:
-                        counts[0] += 1
-                        for pair in fn(record):
-                            emitted.append(pair)
-                else:
-                    counts[0] += len(current)
-                    if index == last and shuffle_next and hasattr(fn, "map_columns"):
-                        columns = fn.map_columns(current)
-                    else:
-                        emitted = list(chunk_fn(current))
-                    if getattr(fn, "last_chunk_columnar", False):
-                        out.columnar_chunks += 1
-                    if getattr(fn, "last_chunk_fallback", False):
-                        out.guard_fallbacks += 1
-                if columns is not None:
-                    counts[1] += len(columns[0])
-                    counts[2] += pair_columns_bytes(*columns, value_size)
-                else:
-                    counts[1] += len(emitted)
-                    counts[2] += dataset_bytes(emitted)
-                    current = emitted
+                    emitted = list(chunk_fn(current))
+                if getattr(fn, "last_chunk_columnar", False):
+                    out.columnar_chunks += 1
+                if getattr(fn, "last_chunk_fallback", False):
+                    out.guard_fallbacks += 1
+            if columns is not None:
+                counts[1] += len(columns[0])
+                counts[2] += pair_columns_bytes(*columns, value_size)
+            else:
+                counts[1] += len(emitted)
+                counts[2] += dataset_bytes(emitted)
+                current = emitted
         if not shuffle_next:
             out.outgoing_records += len(current)
             out.chunk_output.append(current)
         else:
             keys, values = columns if columns is not None else split_pairs(current)
-            if counted and not combined:
+            if counted:
                 keys, values = count_keys(keys, constant)
-            elif combiner is not None and not combined:
+            elif combiner is not None:
                 local: dict[Any, Any] = {}
                 fold_columns(combiner, keys, values, local)
                 keys, values = list(local), list(local.values())
@@ -669,10 +682,10 @@ class MultiprocessEngine:
         what keeps reductions byte-identical.
         """
         budget = self.memory_budget
-        chunks: Iterable[list] = dataset.prepared(
-            self._chunk_preparer(map_fns)
-        ).iter_chunks(chunk_records_for(dataset, partitions, budget_bytes=budget))
         spilling = shuffle_next and budget is not None
+        chunks: Iterable[list] = dataset.prepared(
+            self._chunk_preparer(map_fns, combiner, spilling)
+        ).iter_chunks(chunk_records_for(dataset, partitions, budget_bytes=budget))
         agg = _MapOut(
             stage_counts=[[0, 0, 0] for _ in map_fns],
             run_files=[[] for _ in range(partitions)] if spilling else [],
@@ -791,18 +804,18 @@ class MultiprocessEngine:
 
     @staticmethod
     def _chunk_preparer(
-        map_fns: Sequence[Callable],
+        map_fns: Sequence[Callable], combiner: Optional[Callable], spilling: bool
     ) -> Optional[Callable[[list], list]]:
         """How to wrap source chunks for the first map stage, if at all.
 
         Only meaningful when the segment opens with a vectorized
-        compiled mapper (``columns_spec`` proves live columns): every
-        source chunk then becomes a ColumnChunk with its live columns
-        extracted once, so a guard-trip retry or a second kernel over
-        the chunk reuses the arrays.
+        compiled mapper (``columns_spec`` proves live columns) whose
+        output does not stay a block (a block mapper builds its segment's
+        columns itself): every source chunk then becomes a ColumnChunk
+        with its live columns extracted once and its rows priced there.
         """
         specs = getattr(map_fns[0], "columns_spec", None) if map_fns else None
-        if specs is None:
+        if specs is None or _block_mapper(map_fns, combiner, spilling):
             return None
         return lambda chunk: build_chunk(chunk, specs)
 

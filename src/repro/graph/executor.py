@@ -38,6 +38,7 @@ from ..diagnostics import make as make_diagnostic
 from ..engine.config import EngineConfig
 from ..engine.multiprocess import BridgeStep, MapStep
 from ..errors import GraphError
+from ..lang import ast_nodes as ast
 from ..options import ExecOptions, JobResult
 from ..planner.dag import DagPlanner, GraphPlanReport
 from ..planner.plan import DEFAULT_BACKEND
@@ -123,6 +124,13 @@ def run_graph(
     schedule = optimize_graph(graph, required_vars=required, fuse=options.fuse)
     kept_ids = {n for unit in schedule.units for n in unit.node_ids}
     _check_runnable(graph, schedule, kept_ids, options.strict)
+    unrun = "; ".join(map(_statement_label, graph.unrun)) if graph.unrun else ""
+    if unrun and options.strict:
+        raise GraphError(
+            f"cannot execute job graph for {graph.function!r} strictly — "
+            f"statement(s) outside every fragment: {unrun}. Pass "
+            "strict=False to run the function on the reference interpreter."
+        )
 
     dag_plan = DagPlanner().plan(graph, schedule)
 
@@ -134,8 +142,16 @@ def run_graph(
     env = dict(inputs)
     produced: dict[str, Any] = {}
     cache = _RecordsCache()
+    if unrun:
+        note = (
+            "ran the function on the reference interpreter: "
+            f"{unrun} outside every fragment"
+        )
+        report.optimizer_diagnostics.append(make_diagnostic("REP414", note))
+        report.interpreted_nodes.extend(graph.nodes)
+        produced = _interpret_whole(graph, inputs)
 
-    for wave in dag_plan.waves:
+    for wave in () if unrun else dag_plan.waves:
         # A wave's units all read the environment the previous wave
         # left; their outputs merge afterwards in unit order (= source
         # order), so a redefinition behaves as sequential execution
@@ -199,8 +215,12 @@ def interpret_reference(graph: JobGraph, inputs: dict[str, Any]) -> dict[str, An
     Fragments execute in source order with outputs chained forward —
     the behaviour :func:`run_graph` must reproduce exactly.  Fragments
     whose analysis failed are skipped (they have no computable
-    semantics at this layer), matching the executor.
+    semantics at this layer), matching the executor.  A function with
+    statements outside every fragment (``graph.unrun``) is interpreted
+    whole instead, as a non-strict ``run_graph`` does.
     """
+    if graph.unrun:
+        return _interpret_whole(graph, inputs)
     env = dict(inputs)
     produced: dict[str, Any] = {}
     for node in sorted(graph.nodes.values(), key=lambda n: n.index):
@@ -210,6 +230,39 @@ def interpret_reference(graph: JobGraph, inputs: dict[str, Any]) -> dict[str, An
         env.update(outputs)
         produced.update(outputs)
     return produced
+
+
+def _interpret_whole(graph: JobGraph, inputs: dict[str, Any]) -> dict[str, Any]:
+    """The function's statements up to its last fragment, on the
+    reference interpreter over a copy of ``inputs``; the outputs are the
+    fragments' output variables as that run left them."""
+    from ..lang.interpreter import Environment, Interpreter
+    from ..lang.values import deep_copy_value
+
+    assert graph.program is not None
+    env = Environment()
+    for name, value in inputs.items():
+        env.define(name, deep_copy_value(value))
+    Interpreter(graph.program).run_statements(list(graph.statements), env)
+    final = env.flat()
+    return {
+        name: final[name]
+        for node in sorted(graph.nodes.values(), key=lambda n: n.index)
+        for name in node.output_vars
+        if name in final
+    }
+
+
+def _statement_label(stmt: Any) -> str:
+    """``line N: what`` for an error or decision that names a statement."""
+    expr = getattr(stmt, "expr", stmt)
+    if isinstance(expr, ast.MethodCall) and isinstance(expr.receiver, ast.Name):
+        what = f"{expr.receiver.ident}.{expr.method}(…)"
+    elif isinstance(stmt, ast.VarDecl):
+        what = f"declaration of {stmt.name!r}"
+    else:
+        what = type(expr).__name__.lower()
+    return f"line {stmt.line}: {what}"
 
 
 # ----------------------------------------------------------------------

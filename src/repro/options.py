@@ -43,8 +43,9 @@ class ExecOptions:
       with ``plan=None`` implies ``plan="auto"``.
     * ``fuse`` — stitch producer→consumer chains into single engine
       invocations (whole-program runs only).
-    * ``strict`` — fail on untranslated fragments instead of falling
-      back to the reference interpreter (whole-program runs only).
+    * ``strict`` — fail on untranslated fragments, or on statements
+      outside every fragment, instead of falling back to the reference
+      interpreter (whole-program runs only).
     * ``outputs`` — variables the caller needs; enables dead-stage
       elimination (whole-program runs only).
     * ``feedback`` — planned runs resolve estimates against the

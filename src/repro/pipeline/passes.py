@@ -238,7 +238,9 @@ class GraphPass:
         dataflow = analyze_dataflow(
             [state.analysis for state in ctx.fragments], func
         )
-        ctx.job_graph = build_job_graph(ctx.function, ctx.fragments, dataflow)
+        ctx.job_graph = build_job_graph(
+            ctx.function, ctx.fragments, dataflow, ctx.program
+        )
 
 
 def default_passes() -> Sequence[CompilerPass]:

@@ -62,6 +62,7 @@ def _keepalive_timing(client) -> tuple[float, int]:
 
 def _smoke() -> int:
     from ..compiler import translate
+    from ..errors import ServeError
     from ..graph.executor import interpret_reference
     from ..options import ExecOptions
     from .client import connect
@@ -142,6 +143,14 @@ def _smoke() -> int:
                     )
                     return 1
                 client.shutdown()
+                daemon.shutdown()
+                try:
+                    client.health()
+                except ServeError:
+                    print("smoke: the kept-alive client gets no answer after shutdown")
+                else:
+                    print("smoke: FAIL a kept-alive client got an answer after shutdown")
+                    return 1
         finally:
             daemon.shutdown()
     print("smoke: clean shutdown — PASS")

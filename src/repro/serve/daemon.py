@@ -44,6 +44,9 @@ from .wire import decode_value, encode_value
 #: Seconds a kept-alive connection may sit idle before the daemon closes
 #: it (clients reconnect transparently).
 IDLE_TIMEOUT_S = 30.0
+#: How often the request loop checks for a shutdown (socketserver's
+#: default, 0.5 s, is how long every ``shutdown`` would wait).
+SHUTDOWN_POLL_S = 0.05
 
 
 def result_to_wire(result: JobResult) -> dict:
@@ -91,9 +94,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.6"
     protocol_version = "HTTP/1.1"
-    #: Headers and body go out as two writes; with Nagle on, the body of
-    #: a reply on a kept-alive connection waits for the client's delayed
-    #: ACK (≈ 40 ms on Linux).
+    #: With Nagle on, a reply on a kept-alive connection may wait for the
+    #: client's delayed ACK (≈ 40 ms on Linux).
     disable_nagle_algorithm = True
     #: Socket timeout: an idle kept-alive connection is closed after it.
     timeout = IDLE_TIMEOUT_S
@@ -104,9 +106,15 @@ class _Handler(BaseHTTPRequestHandler):
     def daemon(self) -> "ServeDaemon":
         return self.server.repro_daemon  # type: ignore[attr-defined]
 
-    def setup(self) -> None:
-        super().setup()
-        self.daemon._track(self.connection, opened=True)
+    def parse_request(self) -> bool:
+        # Once the daemon is stopping, a request read on a kept-alive
+        # connection gets no answer: the connection just closes.  (A
+        # handler already blocked reading one is not reliably woken by
+        # the shutdown's SHUT_RD, so the request itself is refused.)
+        if self.daemon._stopping.is_set():
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     def finish(self) -> None:
         self.daemon._track(self.connection, opened=False)
@@ -121,8 +129,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() with the body in the same write: one sendall, so
+        # the body does not wait for a running job to yield the GIL.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -184,6 +194,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._fail(exc, status=500)
 
 
+class _Server(ThreadingHTTPServer):
+    """Tracks each connection as it is accepted, before its handler
+    thread starts, so a shutdown right after an accept still closes it."""
+
+    daemon_threads = True
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        self.repro_daemon._track(request, opened=True)  # type: ignore[attr-defined]
+        super().process_request(request, client_address)
+
+
 class ServeDaemon:
     """A compile-and-serve daemon bound to a local port.
 
@@ -208,11 +229,12 @@ class ServeDaemon:
         self.verbose = verbose
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        self._server = ThreadingHTTPServer((host, port), _Handler)
+        self._stopping = threading.Event()
+        self._server = _Server((host, port), _Handler)
         self._server.repro_daemon = self  # type: ignore[attr-defined]
-        self._server.daemon_threads = True
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(SHUTDOWN_POLL_S,),
             name="repro-serve",
             daemon=True,
         )
@@ -245,6 +267,7 @@ class ServeDaemon:
 
     def shutdown(self) -> None:
         """Stop the request loop, close the sockets, drain the session."""
+        self._stopping.set()
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=10)

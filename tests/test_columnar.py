@@ -231,6 +231,13 @@ def test_column_block_bytes_are_the_pairs_bytes(block):
 # grouped_fold == the ordered dict combine, bit for bit
 
 
+def _folded_pairs(folded):
+    """A one-chunk ``grouped_fold`` result as its pair list."""
+    partials, bounds = folded
+    assert bounds == [0, len(partials)]
+    return partials.pairs()
+
+
 def _dict_fold(pairs, op):
     fns = {"sum": lambda a, b: a + b, "min": min, "max": max}[op]
     grouped: dict = {}
@@ -246,11 +253,11 @@ def test_grouped_fold_matches_dict_combine(op):
     values = np.asarray(rng.integers(-1000, 1000, size=200), dtype=np.int64)
     block = ColumnBlock(values=values, keys=keys)
     folded = grouped_fold(block, op)
-    assert folded == _dict_fold(block.pairs(), op)
+    assert _folded_pairs(folded) == _dict_fold(block.pairs(), op)
 
     fblock = ColumnBlock(values=rng.standard_normal(200), keys=keys)
     ffolded = grouped_fold(fblock, op)
-    assert ffolded == _dict_fold(fblock.pairs(), op)
+    assert _folded_pairs(ffolded) == _dict_fold(fblock.pairs(), op)
 
 
 #: Float values chosen to break a reassociating or reseeded sum.
@@ -288,15 +295,15 @@ def test_float_sum_is_the_row_fold_bit_for_bit():
             acc: dict = {}
             fold_columns(lambda a, b: a + b, block_keys, values.tolist(), acc)
             assert got is not None
-            assert _bits(got) == _bits(acc.items()), trial
+            assert _bits(_folded_pairs(got)) == _bits(acc.items()), trial
 
 
 def test_grouped_fold_constant_key_and_empty():
     values = np.asarray([0.1, 0.2, 0.3, 0.4])
     block = ColumnBlock(values=values, key_const=0)
-    assert grouped_fold(block, "sum") == _dict_fold(block.pairs(), "sum")
+    assert _folded_pairs(grouped_fold(block, "sum")) == _dict_fold(block.pairs(), "sum")
     empty = ColumnBlock(values=np.asarray([], dtype=np.int64), key_const=0)
-    assert grouped_fold(empty, "sum") == []
+    assert _folded_pairs(grouped_fold(empty, "sum")) == []
 
 
 def test_grouped_fold_refuses_hazardous_shapes():
@@ -315,7 +322,7 @@ def test_grouped_fold_refuses_hazardous_shapes():
         keys=np.asarray([1, 1, 1], dtype=np.int64),
     )
     assert grouped_fold(big, "sum") is None
-    assert grouped_fold(big, "max") == _dict_fold(big.pairs(), "max")
+    assert _folded_pairs(grouped_fold(big, "max")) == _dict_fold(big.pairs(), "max")
 
 
 # ----------------------------------------------------------------------

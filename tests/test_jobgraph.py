@@ -250,6 +250,39 @@ class TestExecutorFailurePaths:
         assert run.plan_report.interpreted_nodes == ["selectSum#0"]
         assert values_equal(run.outputs["total"], expected["total"])
 
+    def test_a_statement_outside_every_fragment_is_never_dropped(self):
+        """``xs.add(7)`` runs before the only fragment reads ``xs``: a
+        strict run refuses and names it, a non-strict one interprets the
+        function whole and says so — never ``t = 6`` with status ok."""
+        from repro import Session
+        from repro.lang.interpreter import Interpreter
+
+        source = (
+            "int f(List<int> xs) { xs.add(7); int t = 0;"
+            " for (int x : xs) t += x; return t; }"
+        )
+        result = translate(source)
+        assert [s.line for s in result.job_graph.unrun] == [1]
+        xs = [1, 2, 3]
+        session = Session(max_workers=0)
+        for plan in (None, "sequential", "auto"):
+            strict = session.run(result, {"xs": xs}, ExecOptions(plan=plan))
+            assert strict.status == "error"
+            assert "GraphError" in strict.error and "xs.add(…)" in strict.error
+            lenient = session.run(
+                result, {"xs": xs}, ExecOptions(plan=plan, strict=False)
+            )
+            assert lenient.status == "ok" and lenient.outputs == {"t": 13}
+            assert [d.code for d in lenient.diagnostics].count("REP414") == 1
+        assert interpret_reference(result.job_graph, {"xs": xs}) == {"t": 13}
+        assert xs == [1, 2, 3]  # no run mutated the caller's input
+        assert Interpreter(parse_program(source)).call_function("f", [xs]) == 13
+
+    def test_the_tail_after_the_last_fragment_is_not_unrun(self):
+        # tpch_q1 post-processes its result after the last fragment: that
+        # tail reads the job's outputs, it is not part of the job.
+        assert compiled("tpch_q1").job_graph.unrun == ()
+
     def test_requested_output_must_exist(self):
         result = translate(SELECT_SUM_SOURCE)
         with pytest.raises(GraphError, match="nonexistent"):

@@ -289,3 +289,36 @@ class TestMetrics:
 
     def test_default_process_count_positive(self):
         assert default_process_count() >= 1
+
+
+class TestPoolPayloads:
+    def test_a_fused_stage_task_ships_only_what_it_reads(self, monkeypatch):
+        """``tpch_q15``'s fused ``query15#1`` stage reads ``revenue`` and
+        ``best``: its pool tasks must not pickle the ``lineitem`` input
+        its globals also hold (twice: in the mapper and in λr)."""
+        from suite_cache import compiled
+
+        from repro import ExecOptions, Session
+        from repro.engine import multiprocess
+        from repro.workloads import get_benchmark
+
+        sizes: list[list[int]] = []
+        send = MultiprocessEngine._send_tasks
+
+        def spy(tasks):
+            sent, error = send(tasks)
+            sizes.append([len(payload) for payload in sent])
+            return sent, error
+
+        monkeypatch.setattr(MultiprocessEngine, "_send_tasks", staticmethod(spy))
+        monkeypatch.setattr(multiprocess, "default_process_count", lambda: 2)
+        program = compiled("tpch_q15")
+        inputs = get_benchmark("tpch_q15").make_inputs(4000, 3)
+        session = Session(max_workers=0)
+        pooled = session.run(program, inputs, ExecOptions(plan="multiprocess"))
+        alone = session.run(program, inputs, ExecOptions(plan="sequential"))
+        assert pooled.status == alone.status == "ok"
+        assert repr(pooled.outputs) == repr(alone.outputs)
+        # The lineitem scan's tasks, then the fused stage's.
+        assert len(sizes) == 2
+        assert max(sizes[1]) < 64 * 1024, sizes
