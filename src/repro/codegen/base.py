@@ -227,11 +227,13 @@ class StitchBridge:
     globals_env: dict[str, Any]
     output_sizes: dict[str, int]
     view: DatasetView  # the downstream consumer's dataset view
+    #: The producer's :attr:`GeneratedProgram.summed`.
+    summed: bool = False
     captured: dict[str, Any] = field(default_factory=dict)
 
     def __call__(self, pairs: list) -> list:
         outputs = bind_outputs(
-            self.bindings, pairs, self.globals_env, self.output_sizes
+            self.bindings, pairs, self.globals_env, self.output_sizes, self.summed
         )
         self.captured.update(outputs)
         return view_records(self.view, outputs)
@@ -286,13 +288,22 @@ def bind_outputs(
     pairs: list[tuple[Any, Any]],
     globals_env: dict[str, Any],
     output_sizes: dict[str, int],
+    summed: bool = False,
 ) -> dict[str, Any]:
-    """Rebuild fragment outputs from the job's result pairs (glue code)."""
-    result_map: dict[Any, Any] = {}
-    for key, value in pairs:
-        result_map[key] = value
+    """Rebuild fragment outputs from the job's result pairs (glue code).
+
+    ``summed`` says a ``+`` λr folded the pairs' values (the program's
+    :attr:`GeneratedProgram.summed`).  A float the fold produced for an
+    output whose start value (``default``) is a float is then bound as
+    ``start + folded``, as the source's ``double t = 0; t = t + v[i]``
+    computes it: the fold alone leaves a sum of −0.0s at −0.0, where
+    the source's is 0.0.  Nothing else changes, since the start of a
+    proved sum is its identity."""
+    result_map: dict[Any, Any] = dict(pairs)
     outputs: dict[str, Any] = {}
     for binding in bindings:
+        start = binding.default
+        started = summed and type(start) is float
         if binding.kind == "keyed":
             key = (
                 eval_expr(binding.key, globals_env)
@@ -303,6 +314,8 @@ def bind_outputs(
                 value = result_map[key]
                 if binding.project is not None:
                     value = value[binding.project]
+                elif started and type(value) is float:
+                    value = start + value
             else:
                 value = binding.default
             outputs[binding.var] = value
@@ -317,9 +330,13 @@ def bind_outputs(
                 size = output_sizes.get(binding.var)
                 if size is None:
                     size = (max(result_map.keys()) + 1) if result_map else 0
-                outputs[binding.var] = [
-                    result_map.get(i, binding.default) for i in range(size)
-                ]
+                folded = result_map
+                if started:
+                    folded = {
+                        i: start + value if type(value) is float else value
+                        for i, value in result_map.items()
+                    }
+                outputs[binding.var] = [folded.get(i, start) for i in range(size)]
     return outputs
 
 
@@ -412,6 +429,17 @@ class GeneratedProgram:
         return JobResult(outputs=outputs, plan_report=report, metrics=metrics)
 
     # ------------------------------------------------------------------
+
+    @cached_property
+    def summed(self) -> bool:
+        """Whether a ``+`` λr folds the values the outputs are bound from
+        (see :func:`bind_outputs`)."""
+        from .kernels import recognize_fold
+
+        stages = self.summary.pipeline.stages
+        return bool(stages) and isinstance(stages[-1], ReduceStage) and (
+            recognize_fold(stages[-1].lam.body, stages[-1].lam.params) == "sum"
+        )
 
     @property
     def has_join(self) -> bool:
@@ -647,7 +675,7 @@ class GeneratedProgram:
             steps = self.local_steps(globals_env, plan)
         result = run_local_steps(plan, config, backend, records, steps)
         outputs = bind_outputs(
-            self.summary.outputs, result.pairs, globals_env, output_sizes
+            self.summary.outputs, result.pairs, globals_env, output_sizes, self.summed
         )
         return outputs, steps, result, switched
 

@@ -23,8 +23,9 @@ here):
 * :func:`fold_columns` — that ordered dict fold itself, over a key
   column and a value column of any Python objects: the one keyed fold
   the map-side combine and both shuffle stores' reduces run, and
-  :func:`count_keys`, the map-side combine of a constant-int emit
-  under a ``+`` λr, counted in C.
+  :func:`count_keys` / :class:`KeyCount`, the map-side combine of a
+  constant-int emit under a ``+`` λr, counted in C (per chunk, or once
+  per resident map task).
 
 Exactness discipline: a column is only materialized as a numpy array
 when every element is *exactly* the Python type the static type
@@ -522,12 +523,59 @@ def count_keys(keys: Iterable, constant: int) -> tuple[list, list]:
     dict key identity, and a key seen ``n`` times sums to ``n *
     constant`` — Python ints do not overflow — so keys, values and their
     types all match.  The count is ``collections``' C loop, not a
-    Python-level one per pair.
+    Python-level one per pair.  A resident map task counts all of its
+    chunks into one :class:`KeyCount` instead; a spilled one calls this
+    per chunk, because each chunk's partial goes to its writer.
     """
     counts = Counter(keys)
     if constant == 1:
         return list(counts), list(counts.values())
     return list(counts), [n * constant for n in counts.values()]
+
+
+class KeyCount:
+    """A resident map task's counted keys: one :func:`count_keys` partial
+    for all of its chunks instead of one per chunk.
+
+    Each chunk's keys go into one task-level ``Counter`` (its C update
+    loop); :meth:`columns` is the task's ``(keys, values)`` partial.
+    That is exactly what folding the chunks' own partials with the int
+    ``+`` λr gives: int addition regroups exactly, and both keep each
+    key class's first-seen object in first-seen order.
+
+    :meth:`add` still reports what the chunk's own partial would have
+    shuffled, without building it: its records are the chunk's distinct
+    keys (a ``set`` matches keys as a dict does — identity, then ``==`` —
+    and keeps the same first-seen object of each class, so NaN objects
+    and ±0.0 count, and price, as ``Counter`` counts them), its bytes
+    those keys' ``dataset_bytes`` plus ``INT_SIZE`` per key, since no
+    count times the constant can reach 2³¹ when ``len(keys)·|c|`` does
+    not.  A chunk where it could is priced from its own count.
+    """
+
+    __slots__ = ("constant", "counts")
+
+    def __init__(self, constant: int) -> None:
+        self.constant = constant
+        self.counts: Counter = Counter()
+
+    def add(self, keys: list) -> tuple[int, int]:
+        """Count one chunk's keys into the task; return the records and
+        bytes the chunk's own :func:`count_keys` partial would shuffle."""
+        self.counts.update(keys)  # an unhashable key raises as count_keys does
+        if len(keys) * abs(self.constant) >= 2**31:
+            own_keys, own_values = count_keys(keys, self.constant)
+            return len(own_keys), dataset_bytes(own_keys) + dataset_bytes(own_values)
+        distinct = list(set(keys))
+        return len(distinct), dataset_bytes(distinct) + INT_SIZE * len(distinct)
+
+    def columns(self) -> tuple[list, list]:
+        """The task's combined key and value columns, keys first-seen
+        (what :func:`count_keys` returns for all of its chunks' keys)."""
+        counts, constant = self.counts, self.constant
+        if constant == 1:
+            return list(counts), list(counts.values())
+        return list(counts), [n * constant for n in counts.values()]
 
 
 def split_pairs(pairs: list) -> tuple[list, list]:
@@ -541,6 +589,7 @@ __all__ = [
     "ColumnBlock",
     "ColumnChunk",
     "ColumnSpec",
+    "KeyCount",
     "build_chunk",
     "build_column",
     "build_segment",

@@ -48,8 +48,11 @@ when routing was per pair (PR 17); batch routing makes the question
 worth re-asking, and ``keyed_inmem`` / ``keyed_spill`` are the benchmark
 rows on either side of the selection.  The one combine that is not
 ``fold_columns`` is the map-side combine of a stage that emits one int
-literal under an int ``+`` λr: its keys are counted in C
-(:func:`~repro.engine.columnar.count_keys`).
+literal under an int ``+`` λr: its keys are counted in C — per chunk
+into the spilled store (:func:`~repro.engine.columnar.count_keys`), once
+per map task into the resident one
+(:class:`~repro.engine.columnar.KeyCount`), so the resident reduce folds
+one partial per task, not one per chunk.
 
 Closures are shipped to workers with plain :mod:`pickle`; payloads that
 cannot be pickled (e.g. a locally-defined lambda) trigger a transparent
@@ -79,6 +82,7 @@ from ..diagnostics import Diagnostic, make as make_diagnostic
 from ..errors import EngineError, SpillError
 from .columnar import (
     ColumnChunk,
+    KeyCount,
     build_chunk,
     build_segment,
     count_keys,
@@ -220,7 +224,8 @@ class _MapOut:
     #: Per fused map stage: [records_in, records_out, bytes_out].
     stage_counts: list[list[int]]
     #: Per chunk, what stays resident: the ``(keys, values)`` columns
-    #: bound for the shuffle, or a map-only segment's emitted records.
+    #: bound for the shuffle (one entry for all of a counted task's
+    #: chunks), or a map-only segment's emitted records.
     chunk_output: list = field(default_factory=list)
     #: Per partition, its spill runs in chronological order.
     run_files: list[list[RunRef]] = field(default_factory=list)
@@ -315,8 +320,13 @@ def _run_map_chunks(
     one :func:`~repro.engine.columnar.fold_columns` into a per-chunk
     dict, and the store takes the combined columns whole.  When the last
     stage emits one int literal (``emit_constant``) its value column is
-    priced by arithmetic, and under a ``"sum"`` combiner the combine is
-    :func:`~repro.engine.columnar.count_keys` instead.
+    priced by arithmetic, and under a ``"sum"`` combiner the combine
+    counts keys instead (*counted*): into the spilled store one
+    :func:`~repro.engine.columnar.count_keys` partial per chunk, into the
+    resident store one :class:`~repro.engine.columnar.KeyCount` partial
+    per task — the last ``chunk_output`` entry, in place of a partial
+    per chunk — while every chunk's outgoing records and shuffled bytes
+    are still what its own partial would have shuffled.
 
     When the sole map stage's output stays an array (:func:`_block_mapper`)
     every chunk given here is one **segment** (one chunk under a budget):
@@ -340,6 +350,9 @@ def _run_map_chunks(
     fold_op = getattr(combiner, "grouped_op", None)
     counted = constant is not None and fold_op == "sum"
     block_fn = _block_mapper(map_fns, combiner, writer is not None)
+    #: A resident counted task's one partial (a constant value is never
+    #: vectorized, so no block mapper's partials come between its chunks).
+    task_count = KeyCount(constant) if counted and writer is None else None
 
     def map_segment(segment: list) -> Iterator[list]:
         """Map a segment whole; yield each chunk it could not map."""
@@ -426,18 +439,23 @@ def _run_map_chunks(
             out.chunk_output.append(current)
         else:
             keys, values = columns if columns is not None else split_pairs(current)
-            if counted:
-                keys, values = count_keys(keys, constant)
-            elif combiner is not None:
-                local: dict[Any, Any] = {}
-                fold_columns(combiner, keys, values, local)
-                keys, values = list(local), list(local.values())
-            if writer is not None:
-                writer.add_columns(keys, values)
+            if task_count is not None:
+                records, size = task_count.add(keys)
+                out.outgoing_records += records
+                out.shuffled_bytes += size
             else:
-                out.outgoing_records += len(keys)
-                out.shuffled_bytes += dataset_bytes(keys) + dataset_bytes(values)
-                out.chunk_output.append((keys, values))
+                if counted:
+                    keys, values = count_keys(keys, constant)
+                elif combiner is not None:
+                    local: dict[Any, Any] = {}
+                    fold_columns(combiner, keys, values, local)
+                    keys, values = list(local), list(local.values())
+                if writer is not None:
+                    writer.add_columns(keys, values)
+                else:
+                    out.outgoing_records += len(keys)
+                    out.shuffled_bytes += dataset_bytes(keys) + dataset_bytes(values)
+                    out.chunk_output.append((keys, values))
         if measure_input:
             # The in-flight chunk is resident alongside what the store holds.
             held = (
@@ -446,6 +464,8 @@ def _run_map_chunks(
                 else out.held_bytes(shuffle_next)
             )
             out.stats.note_resident(held + chunk_bytes)
+    if task_count is not None and out.chunks:
+        out.chunk_output.append(task_count.columns())
     if writer is not None:
         writer.finish()
         out.run_files = writer.run_files
@@ -872,7 +892,8 @@ class MultiprocessEngine:
 
         Both stores run the same ordered left fold
         (:func:`~repro.engine.columnar.fold_columns`): the resident
-        store's chunk columns into one dict on the driver; the spilled
+        store's chunk columns (a counted task's one partial) into one
+        dict on the driver; the spilled
         store's partitions merged one at a time (in pool tasks when
         there are several), values grouped by job rank, and put back in
         global first-seen key order by rank, keys from the driver's own

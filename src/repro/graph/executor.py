@@ -385,6 +385,7 @@ def _run_chain(
                 globals_env=prev_globals,
                 output_sizes=prev_sizes,
                 view=node.analysis.view,
+                summed=prev_chosen.summed,
             )
             bridges.append(bridge)
             steps.append(BridgeStep(bridge))
@@ -396,7 +397,11 @@ def _run_chain(
         execution_plan, config, execution_plan.backend, records, steps
     )
     outputs = bind_outputs(
-        tail_chosen.summary.outputs, result.pairs, tail_globals, tail_sizes
+        tail_chosen.summary.outputs,
+        result.pairs,
+        tail_globals,
+        tail_sizes,
+        tail_chosen.summed,
     )
     # Barrier bridges materialize their intermediates anyway; surface
     # them so downstream consumers (and callers) still see the values.

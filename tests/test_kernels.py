@@ -56,7 +56,7 @@ from repro.codegen.kernels import (
     _live_atoms,
     _record_atoms,
 )
-from repro.engine.columnar import fold_columns
+from repro.engine.columnar import KeyCount, fold_columns
 from repro.engine.config import EngineConfig
 from repro.engine.multiprocess import MapStep, MultiprocessEngine, ReduceStep
 from repro.errors import IRError, KernelUnsupported
@@ -579,25 +579,41 @@ def test_map_side_combine_counts_only_an_int_constant_under_sum(shape, monkeypat
     ]
     records = [(f"w{(i * 7) % 23}", i % 5) for i in range(3000)]
     calls: Counter = Counter()
-    real_count, real_fold = multiprocess.count_keys, CompiledReduce.fold
+    real_count, real_add = multiprocess.count_keys, KeyCount.add
+    real_fold = CompiledReduce.fold
 
     def count_keys(keys, constant):
         calls["count"] += 1
         return real_count(keys, constant)
+
+    def add(self, keys):
+        calls["count"] += 1
+        return real_add(self, keys)
 
     def fold(self, keys, values, acc):
         calls["fold"] += 1
         real_fold(self, keys, values, acc)
 
     monkeypatch.setattr(multiprocess, "count_keys", count_keys)
+    monkeypatch.setattr(KeyCount, "add", add)
     monkeypatch.setattr(CompiledReduce, "fold", fold)
     chunks = [records[:1000], records[1000:]]
-    out = multiprocess._run_map_chunks(
-        [compiled_steps[0].fn], compiled_steps[1].fn, chunks, True, True
-    )
-    # The combine of a counted stage is the C count, never the fold kernel.
+
+    def map_task(chunks):
+        fns = [compiled_steps[0].fn], compiled_steps[1].fn
+        return multiprocess._run_map_chunks(*fns, chunks, True, True)
+
+    out = map_task(chunks)
+    # The combine of a counted stage is the C count, never the fold
+    # kernel, and the task keeps one counted partial for both chunks.
     assert (calls["count"], calls["fold"]) == ((2, 0) if counted else (0, 2))
-    assert out.outgoing_records == sum(len(keys) for keys, _v in out.chunk_output)
+    assert len(out.chunk_output) == (1 if counted else 2)
+    # Each chunk still reports what its own partial would shuffle.
+    alone = [map_task([chunk]) for chunk in chunks]
+    for one in alone:
+        assert one.outgoing_records == len(one.chunk_output[0][0])
+    assert out.outgoing_records == sum(one.outgoing_records for one in alone)
+    assert out.shuffled_bytes == sum(one.shuffled_bytes for one in alone)
     for budget in (None, 4096):
         engine = MultiprocessEngine(processes=0, memory_budget=budget)
         production = engine.run_pipeline(records, compiled_steps)

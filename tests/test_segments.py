@@ -23,6 +23,7 @@ from repro.engine import multiprocess
 from repro.engine.multiprocess import _MapOut
 from repro.graph.executor import interpret_reference
 from repro.options import ExecOptions
+from repro.planner.plan import ExecutionPlan
 from repro.workloads import get_benchmark
 
 KEYED_SUM = (
@@ -144,19 +145,109 @@ def test_float_sums_over_signed_zero_nan_and_infinities(monkeypatch):
     for summary in (keyed, whole):
         assert _columnar(summary) == [{"columnar_chunks": 69, "guard_fallbacks": 3}]
     zeros = {"v": [-0.0] * N, "n": N}
-    summary = _three_ways(monkeypatch, FLOAT_SUM, zeros, reference=False)
+    summary = _three_ways(monkeypatch, FLOAT_SUM, zeros)
     assert _columnar(summary) == [{"columnar_chunks": 72, "guard_fallbacks": 0}]
+
+
+#: Session plans that bind outputs from a fold: in-process, under a
+#: budget, and the simulated framework's pricing run.
+_ZERO_PLANS = (
+    ExecOptions(plan="sequential"),
+    ExecOptions(plan="sequential", memory_budget=1 << 14),
+    ExecOptions(plan="spark"),
+)
+#: Records past the engine's 2 048-record floor, so a forced pool engages.
+POOLED = 2400
+
+
+def _pooled(source: str, inputs: dict) -> str:
+    """The outputs of a forced two-process pool run of the fragment."""
+    program = _translate(source).fragments[0].program.programs[0]
+    plan = ExecutionPlan(backend="multiprocess", processes=2)
+    ran = program.run(dict(inputs), "multiprocess", plan)
+    assert not [
+        d.code for d in ran.plan_report.diagnostics if d.code.startswith("REP30")
+    ]
+    return repr(ran.outputs)
+
+
+def _every_plan(source: str, inputs: dict, expected: str) -> None:
+    for options in _ZERO_PLANS:
+        assert _run(source, inputs, options)[0] == expected
+    if len(inputs["v"]) >= POOLED:
+        assert _pooled(source, inputs) == expected
+
+
+@pytest.mark.parametrize("n", [1, N, POOLED])
+def test_a_float_sum_of_negative_zeros_matches_the_interpreter(n):
+    # The fold alone leaves -0.0; the source adds its +0.0 start too.
+    inputs = {"v": [-0.0] * n, "n": n}
+    expected = repr(interpret_reference(_translate(FLOAT_SUM).job_graph, dict(inputs)))
+    assert expected == "{'t': 0.0}"
+    _every_plan(FLOAT_SUM, inputs, expected)
+
+
+@pytest.mark.parametrize("n", [N, POOLED])
+def test_a_float_array_sum_of_negative_zeros_matches_the_interpreter(n):
+    # Keys 0 and 1 fold -0.0s, key 2 is never written (its start, 0.0),
+    # key 3 folds a -0.0 and a 1.5.
+    keys = [i % 2 for i in range(n - 2)] + [3, 3]
+    values = [-0.0] * (n - 1) + [1.5]
+    inputs = {"k": keys, "v": values, "n": n, "m": 4}
+    expected = interpret_reference(_translate(KEYED_SUM).job_graph, dict(inputs))
+    assert repr(expected) == "{'r': [0.0, 0.0, 0.0, 1.5]}"
+    _every_plan(KEYED_SUM, inputs, repr(expected))
+
+
+CHAINED_SUM = (
+    "double f(int[] k, double[] v, int n, int m) { double[] r = new double[m];"
+    " for (int i = 0; i < n; i++) { r[k[i]] = r[k[i]] + v[i]; }"
+    " double t = 0; for (int j = 0; j < m; j++) { t = t + r[j]; } return t; }"
+)
+
+
+@pytest.mark.parametrize("fuse", [True, False])
+def test_a_chained_float_sum_of_negative_zeros_matches_the_interpreter(
+    fuse, monkeypatch
+):
+    # Fused, ``r`` reaches the second loop through a stitch bridge, which
+    # binds it from its producer's fold as the tail binds ``t``.
+    from repro.codegen import base
+
+    bridged = []
+    stitch = base.StitchBridge.__call__
+
+    def call(bridge, pairs):
+        bridged.append(bridge.summed)
+        return stitch(bridge, pairs)
+
+    monkeypatch.setattr(base.StitchBridge, "__call__", call)
+    inputs = {"k": [i % 3 for i in range(N)], "v": [-0.0] * N, "n": N, "m": 3}
+    expected = interpret_reference(_translate(CHAINED_SUM).job_graph, dict(inputs))
+    assert repr(expected) == "{'r': [0.0, 0.0, 0.0], 't': 0.0}"
+    options = ExecOptions(plan="sequential", fuse=fuse, outputs=["r", "t"])
+    assert _run(CHAINED_SUM, inputs, options)[0] == repr(expected)
+    assert bridged == ([True] if fuse else [])
+
+
+MAP_SUM = (
+    "Map<Integer,Double> f(int[] k, double[] v, int n) {"
+    " Map<Integer,Double> m = new HashMap<Integer,Double>();"
+    " for (int i = 0; i < n; i++) { m.put(k[i], m.getOrDefault(k[i], 0.0) + v[i]); }"
+    " return m; }"
+)
 
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the summary folds the values without the loop's +0.0 start, so a "
-    "sum of -0.0s is -0.0 on every plan where Java's is 0.0",
+    reason="a Map output's binding carries no start value (its getOrDefault "
+    "0.0 is not on the summary), so a key whose values are all -0.0 keeps -0.0",
 )
-def test_a_float_sum_of_negative_zeros_matches_the_interpreter():
-    inputs = {"v": [-0.0] * N, "n": N}
-    outputs, _summary = _run(FLOAT_SUM, inputs, ExecOptions(plan="sequential"))
-    assert outputs == repr(interpret_reference(_translate(FLOAT_SUM).job_graph, inputs))
+def test_a_float_map_sum_of_negative_zeros_matches_the_interpreter():
+    inputs = {"k": [i % 2 for i in range(N)], "v": [-0.0] * N, "n": N}
+    expected = interpret_reference(_translate(MAP_SUM).job_graph, dict(inputs))
+    assert repr(expected) == "{'m': {0: 0.0, 1: 0.0}}"
+    assert _run(MAP_SUM, inputs, ExecOptions(plan="sequential"))[0] == repr(expected)
 
 
 def test_int_sums_straddling_one_chunks_int64_bound(monkeypatch):
