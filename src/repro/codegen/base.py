@@ -293,12 +293,14 @@ def bind_outputs(
     """Rebuild fragment outputs from the job's result pairs (glue code).
 
     ``summed`` says a ``+`` λr folded the pairs' values (the program's
-    :attr:`GeneratedProgram.summed`).  A float the fold produced for an
+    :attr:`GeneratedProgram.summed`).  A number the fold produced for an
     output whose start value (``default``) is a float is then bound as
     ``start + folded``, as the source's ``double t = 0; t = t + v[i]``
     computes it: the fold alone leaves a sum of −0.0s at −0.0, where
-    the source's is 0.0.  Nothing else changes, since the start of a
-    proved sum is its identity."""
+    the source's is 0.0, and a sum of ints an int, where the source's is
+    a double.  A whole map's start is the one its loop reads it with
+    (``m.getOrDefault(k, 0.0)``).  Nothing else changes, since the start
+    of a proved sum is its identity."""
     result_map: dict[Any, Any] = dict(pairs)
     outputs: dict[str, Any] = {}
     for binding in bindings:
@@ -314,14 +316,17 @@ def bind_outputs(
                 value = result_map[key]
                 if binding.project is not None:
                     value = value[binding.project]
-                elif started and type(value) is float:
-                    value = start + value
+                elif started:
+                    value = _from_start(start, value)
             else:
                 value = binding.default
             outputs[binding.var] = value
         else:
+            folded = result_map
+            if started and binding.container in ("map", "array"):
+                folded = {key: _from_start(start, value) for key, value in folded.items()}
             if binding.container == "map":
-                outputs[binding.var] = dict(result_map)
+                outputs[binding.var] = dict(folded)
             elif binding.container == "set":
                 outputs[binding.var] = set(result_map.keys())
             elif binding.container == "bag":
@@ -330,14 +335,13 @@ def bind_outputs(
                 size = output_sizes.get(binding.var)
                 if size is None:
                     size = (max(result_map.keys()) + 1) if result_map else 0
-                folded = result_map
-                if started:
-                    folded = {
-                        i: start + value if type(value) is float else value
-                        for i, value in result_map.items()
-                    }
                 outputs[binding.var] = [folded.get(i, start) for i in range(size)]
     return outputs
+
+
+def _from_start(start: float, value: Any) -> Any:
+    """A folded float or exact int, bound through its float start."""
+    return start + value if type(value) is float or type(value) is int else value
 
 
 @dataclass

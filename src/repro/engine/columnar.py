@@ -24,8 +24,8 @@ here):
   column and a value column of any Python objects: the one keyed fold
   the map-side combine and both shuffle stores' reduces run, and
   :func:`count_keys` / :class:`KeyCount`, the map-side combine of a
-  constant-int emit under a ``+`` λr, counted in C (per chunk, or once
-  per resident map task).
+  constant-int emit under a ``+`` λr, counted in C once per map task
+  (once per budget window when the task spills).
 
 Exactness discipline: a column is only materialized as a numpy array
 when every element is *exactly* the Python type the static type
@@ -523,9 +523,9 @@ def count_keys(keys: Iterable, constant: int) -> tuple[list, list]:
     dict key identity, and a key seen ``n`` times sums to ``n *
     constant`` — Python ints do not overflow — so keys, values and their
     types all match.  The count is ``collections``' C loop, not a
-    Python-level one per pair.  A resident map task counts all of its
-    chunks into one :class:`KeyCount` instead; a spilled one calls this
-    per chunk, because each chunk's partial goes to its writer.
+    Python-level one per pair.  A map task counts all of its chunks into
+    one :class:`KeyCount` instead, which calls this only to price a
+    chunk whose own count could reach 2³¹.
     """
     counts = Counter(keys)
     if constant == 1:
@@ -534,14 +534,18 @@ def count_keys(keys: Iterable, constant: int) -> tuple[list, list]:
 
 
 class KeyCount:
-    """A resident map task's counted keys: one :func:`count_keys` partial
-    for all of its chunks instead of one per chunk.
+    """A map task's counted keys: one :func:`count_keys` partial for
+    many chunks instead of one per chunk.
 
-    Each chunk's keys go into one task-level ``Counter`` (its C update
-    loop); :meth:`columns` is the task's ``(keys, values)`` partial.
-    That is exactly what folding the chunks' own partials with the int
-    ``+`` λr gives: int addition regroups exactly, and both keep each
-    key class's first-seen object in first-seen order.
+    Each chunk's keys go into one ``Counter`` (its C update loop);
+    :meth:`columns` is the ``(keys, values)`` partial.  That is exactly
+    what folding the chunks' own partials with the int ``+`` λr gives:
+    int addition regroups exactly, and both keep each key class's
+    first-seen object in first-seen order.  A resident task keeps one
+    count for all of its chunks; a spilled task's count is *bounded*
+    (``bounded=True``): it also prices what it holds
+    (:attr:`resident_bytes`), so the task can hand it to its writer as
+    one window once it passes the budget, and count on afresh.
 
     :meth:`add` still reports what the chunk's own partial would have
     shuffled, without building it: its records are the chunk's distinct
@@ -553,25 +557,48 @@ class KeyCount:
     not.  A chunk where it could is priced from its own count.
     """
 
-    __slots__ = ("constant", "counts")
+    __slots__ = ("constant", "counts", "key_bytes", "pairs")
 
-    def __init__(self, constant: int) -> None:
+    def __init__(self, constant: int, bounded: bool = False) -> None:
         self.constant = constant
         self.counts: Counter = Counter()
+        #: A bounded count's keys' ``dataset_bytes`` and pairs counted
+        #: (None on a resident count, which prices nothing it holds).
+        self.key_bytes: Optional[int] = 0 if bounded else None
+        self.pairs = 0
 
     def add(self, keys: list) -> tuple[int, int]:
-        """Count one chunk's keys into the task; return the records and
-        bytes the chunk's own :func:`count_keys` partial would shuffle."""
-        self.counts.update(keys)  # an unhashable key raises as count_keys does
+        """Count one chunk's keys in; return the records and bytes the
+        chunk's own :func:`count_keys` partial would shuffle."""
+        counts = self.counts
+        if self.key_bytes is None:
+            counts.update(keys)  # an unhashable key raises as count_keys does
+        else:
+            known = len(counts)
+            counts.update(keys)
+            # The keys new to the count are the last ones it inserted (a set
+            # difference against a Counter, a dict subclass, walks all of it).
+            fresh = list(itertools.islice(reversed(counts), len(counts) - known))
+            self.key_bytes += dataset_bytes(fresh)
+            self.pairs += len(keys)
         if len(keys) * abs(self.constant) >= 2**31:
             own_keys, own_values = count_keys(keys, self.constant)
             return len(own_keys), dataset_bytes(own_keys) + dataset_bytes(own_values)
         distinct = list(set(keys))
         return len(distinct), dataset_bytes(distinct) + INT_SIZE * len(distinct)
 
+    @property
+    def resident_bytes(self) -> int:
+        """A bounded count's priced bytes: exactly what its
+        :meth:`columns` cost as pairs (``INT_SIZE`` a count while no
+        count times the constant can reach 2³¹, else each count's own)."""
+        if self.pairs * abs(self.constant) < 2**31:
+            return self.key_bytes + INT_SIZE * len(self.counts)
+        return self.key_bytes + dataset_bytes(self.columns()[1])
+
     def columns(self) -> tuple[list, list]:
-        """The task's combined key and value columns, keys first-seen
-        (what :func:`count_keys` returns for all of its chunks' keys)."""
+        """The combined key and value columns, keys first-seen (what
+        :func:`count_keys` returns for all of the counted chunks' keys)."""
         counts, constant = self.counts, self.constant
         if constant == 1:
             return list(counts), list(counts.values())

@@ -48,11 +48,10 @@ when routing was per pair (PR 17); batch routing makes the question
 worth re-asking, and ``keyed_inmem`` / ``keyed_spill`` are the benchmark
 rows on either side of the selection.  The one combine that is not
 ``fold_columns`` is the map-side combine of a stage that emits one int
-literal under an int ``+`` λr: its keys are counted in C — per chunk
-into the spilled store (:func:`~repro.engine.columnar.count_keys`), once
-per map task into the resident one
-(:class:`~repro.engine.columnar.KeyCount`), so the resident reduce folds
-one partial per task, not one per chunk.
+literal under an int ``+`` λr: its keys are counted in C, once per map
+task (:class:`~repro.engine.columnar.KeyCount`), so the resident reduce
+folds one partial per task, not one per chunk, and a spilling task hands
+its writer one partial per budget *window*, not one per chunk.
 
 Closures are shipped to workers with plain :mod:`pickle`; payloads that
 cannot be pickled (e.g. a locally-defined lambda) trigger a transparent
@@ -85,7 +84,6 @@ from .columnar import (
     KeyCount,
     build_chunk,
     build_segment,
-    count_keys,
     fold_columns,
     grouped_fold,
     split_pairs,
@@ -218,14 +216,17 @@ class _MapOut:
     With the resident shuffle store the output rides along
     (``chunk_output``); with the spilled store it stays on disk and only
     metadata (run references in order, the task's keys by writer rank,
-    the spill counters) crosses the process boundary.
+    the spill counters) crosses the process boundary.  Either way the
+    shuffle counters are per chunk: what each chunk's own combined
+    partial shuffles, however many partials the task really kept.
     """
 
     #: Per fused map stage: [records_in, records_out, bytes_out].
     stage_counts: list[list[int]]
     #: Per chunk, what stays resident: the ``(keys, values)`` columns
     #: bound for the shuffle (one entry for all of a counted task's
-    #: chunks), or a map-only segment's emitted records.
+    #: chunks), or a map-only segment's emitted records.  Empty under
+    #: a budget, where the writer took them.
     chunk_output: list = field(default_factory=list)
     #: Per partition, its spill runs in chronological order.
     run_files: list[list[RunRef]] = field(default_factory=list)
@@ -321,12 +322,16 @@ def _run_map_chunks(
     dict, and the store takes the combined columns whole.  When the last
     stage emits one int literal (``emit_constant``) its value column is
     priced by arithmetic, and under a ``"sum"`` combiner the combine
-    counts keys instead (*counted*): into the spilled store one
-    :func:`~repro.engine.columnar.count_keys` partial per chunk, into the
-    resident store one :class:`~repro.engine.columnar.KeyCount` partial
-    per task — the last ``chunk_output`` entry, in place of a partial
-    per chunk — while every chunk's outgoing records and shuffled bytes
-    are still what its own partial would have shuffled.
+    counts keys instead (*counted*): the task counts its chunks into one
+    :class:`~repro.engine.columnar.KeyCount`.  The resident store takes
+    that count's one partial — the last ``chunk_output`` entry, in place
+    of a partial per chunk.  Under a budget the count is bounded: once
+    its priced bytes plus the writer's residency pass the budget, its
+    partial goes to the writer as one *window*, written as one flush
+    file (:meth:`SpillWriter.add_window`), and counting starts afresh;
+    the last window is buffered at the end of the task and flushed by
+    ``finish``.  Either way every chunk's outgoing records and shuffled
+    bytes are still what its own partial would have shuffled.
 
     When the sole map stage's output stays an array (:func:`_block_mapper`)
     every chunk given here is one **segment** (one chunk under a budget):
@@ -350,9 +355,10 @@ def _run_map_chunks(
     fold_op = getattr(combiner, "grouped_op", None)
     counted = constant is not None and fold_op == "sum"
     block_fn = _block_mapper(map_fns, combiner, writer is not None)
-    #: A resident counted task's one partial (a constant value is never
-    #: vectorized, so no block mapper's partials come between its chunks).
-    task_count = KeyCount(constant) if counted and writer is None else None
+    #: A counted task's partial, bounded by the budget under one (a
+    #: constant value is never vectorized, so no block mapper's partials
+    #: come between its chunks).
+    task_count = KeyCount(constant, writer is not None) if counted else None
 
     def map_segment(segment: list) -> Iterator[list]:
         """Map a segment whole; yield each chunk it could not map."""
@@ -444,9 +450,7 @@ def _run_map_chunks(
                 out.outgoing_records += records
                 out.shuffled_bytes += size
             else:
-                if counted:
-                    keys, values = count_keys(keys, constant)
-                elif combiner is not None:
+                if combiner is not None:
                     local: dict[Any, Any] = {}
                     fold_columns(combiner, keys, values, local)
                     keys, values = list(local), list(local.values())
@@ -456,22 +460,31 @@ def _run_map_chunks(
                     out.outgoing_records += len(keys)
                     out.shuffled_bytes += dataset_bytes(keys) + dataset_bytes(values)
                     out.chunk_output.append((keys, values))
-        if measure_input:
-            # The in-flight chunk is resident alongside what the store holds.
-            held = (
-                writer.resident_bytes
-                if writer is not None
-                else out.held_bytes(shuffle_next)
-            )
+        if writer is not None:
+            # The in-flight chunk is resident alongside what the store
+            # holds, a bounded count included.
+            held = writer.resident_bytes
+            if task_count is not None:
+                held += task_count.resident_bytes
             out.stats.note_resident(held + chunk_bytes)
+            if task_count is not None and held > writer.budget_bytes:
+                # Past the budget: the count is one window, one flush file.
+                writer.add_window(*task_count.columns())
+                task_count = KeyCount(constant, True)
+        elif measure_input:
+            out.stats.note_resident(out.held_bytes(shuffle_next) + chunk_bytes)
     if task_count is not None and out.chunks:
-        out.chunk_output.append(task_count.columns())
+        if writer is None:
+            out.chunk_output.append(task_count.columns())
+        else:
+            writer.add_columns(*task_count.columns())  # within the budget
     if writer is not None:
         writer.finish()
         out.run_files = writer.run_files
         out.task_keys = {writer.task_id: (writer.key_order, writer.key_partitions)}
-        out.outgoing_records = writer.pairs_in
-        out.shuffled_bytes = writer.bytes_in
+        if task_count is None:
+            out.outgoing_records = writer.pairs_in
+            out.shuffled_bytes = writer.bytes_in
     return out
 
 

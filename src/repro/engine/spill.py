@@ -12,7 +12,9 @@ time, estimating resident bytes with the :mod:`repro.engine.sizes`
 model.  At the pair that takes the buffers past the configured memory
 budget the writer *flushes*: it writes **one file** holding every
 non-empty partition's buffer, each pickled as one *run* at its own
-offset (a :class:`RunRef` says where).
+offset (a :class:`RunRef` says where).  A counted map task's *window* —
+its key count, handed over once it passed the budget — is flushed whole,
+one file per window.
 Runs preserve arrival order, so a later per-partition merge
 (:func:`merge_partition`) that reads runs chronologically folds each
 key's values in exactly the order the in-memory engines would —
@@ -178,7 +180,9 @@ class SpillWriter:
     vectorized stage's arrays — and is accounted exactly as if it had
     arrived pair by pair: the flush fires at the pair whose estimated
     size takes the buffers past the budget, so run boundaries and every
-    :class:`SpillStats` field are those of the per-pair walk.  When both
+    :class:`SpillStats` field are those of the per-pair walk.  The one
+    batch not cut there is a counted task's *window* (:meth:`add_window`),
+    flushed whole as one file.  When both
     columns are one fixed-size scalar kind (:func:`uniform_size`) that
     pair is found by arithmetic; any other column is sized pair by pair
     by the walker (``sizeof_pair``), the one per-pair sizing left.
@@ -307,6 +311,20 @@ class SpillWriter:
         if self._resident > self.budget_bytes:
             self.spill()
 
+    def _sized(self, keys: list, values: list) -> tuple:
+        """``(size, sizes, totals)`` of a non-empty batch: the one size
+        every pair has, twice, and None — or, when a column is of mixed
+        or nested values, the biggest pair's, each pair's and their
+        running total; a pair over the budget raises."""
+        key_size, value_size = uniform_size(keys), uniform_size(values)
+        if key_size is not None and value_size is not None:
+            size = key_size + value_size
+            self._check_fits(size)
+            return size, size, None
+        sizes = list(map(sizeof_pair, keys, values))
+        self._check_fits(max(sizes))
+        return max(sizes), sizes, list(accumulate(sizes))
+
     def add(self, key: Any, value: Any) -> None:
         self.add_columns((key,), (value,))
 
@@ -315,17 +333,7 @@ class SpillWriter:
         count = len(keys)
         if count == 0:
             return
-        key_size, value_size = uniform_size(keys), uniform_size(values)
-        if key_size is not None and value_size is not None:
-            size = sizes = key_size + value_size
-            totals = None
-        else:
-            # A column of mixed or nested values: every pair has its own
-            # size, and their running total places the flush.
-            sizes = list(map(sizeof_pair, keys, values))
-            size = max(sizes)
-            totals = list(accumulate(sizes))
-        self._check_fits(size)
+        size, sizes, totals = self._sized(keys, values)
         ranks = self._ranks_of(keys)
         where = list(map(self._parts.__getitem__, ranks))
         start = 0
@@ -343,6 +351,24 @@ class SpillWriter:
             self._buffer(keys, values, ranks, where, sizes, range(start, stop))
             self._buffered(stop - start, taken)
             start = stop
+
+    def add_window(self, keys: list, values: list) -> None:
+        """Buffer one *window* whole and flush it as one file.
+
+        A window is a map task's counted partial that took the task past
+        the budget (a bounded :class:`~repro.engine.columnar.KeyCount`):
+        it was already resident as a count, so its pairs are not cut at
+        the budget — all of them are buffered before the flush, beside
+        whatever the buffers held.
+        """
+        if keys:
+            size, sizes, totals = self._sized(keys, values)
+            ranks = self._ranks_of(keys)
+            where = list(map(self._parts.__getitem__, ranks))
+            self._buffer(keys, values, ranks, where, sizes, range(len(keys)))
+            total = len(keys) * size if totals is None else totals[-1]
+            self._buffered(len(keys), total)
+        self.spill()
 
     def add_block(self, block: ColumnBlock) -> None:
         """Route a vectorized map stage's output block into the buffers.

@@ -49,6 +49,7 @@ from ..ir.nodes import (
     TupleExpr,
     Var,
 )
+from ..lang import ast_nodes as ast
 from ..lang.analysis.fragments import FragmentAnalysis
 from .grammar import (
     ExpressionPools,
@@ -133,6 +134,28 @@ def default_for_type(jtype: JType) -> object:
     if kind == "String":
         return None
     return 0
+
+
+def get_or_default_start(analysis: FragmentAnalysis, var: str) -> object:
+    """The literal start value the fragment's loop reads a map output
+    with — the ``0.0`` of ``var.getOrDefault(k, 0.0)`` — when every such
+    read uses the same one; else None.
+
+    It is the map's whole binding ``default``: a ``+`` fold of a key's
+    values is bound as ``start + folded``, as the source computes it
+    (:func:`~repro.codegen.base.bind_outputs`)."""
+    starts = [
+        call.args[1].value
+        for call in ast.walk(analysis.fragment.loop)
+        if isinstance(call, ast.MethodCall)
+        and call.method == "getOrDefault"
+        and isinstance(call.receiver, ast.Name)
+        and call.receiver.ident == var
+        and len(call.args) == 2
+        and isinstance(call.args[1], (ast.IntLit, ast.FloatLit))
+    ]
+    # repr tells 0 from 0.0 from -0.0, which == does not.
+    return starts[0] if len(set(map(repr, starts))) == 1 else None
 
 
 def container_kind(jtype: JType) -> Optional[str]:
@@ -377,6 +400,8 @@ class CandidateEnumerator:
                 finalizers = list(self._finalizer_pool())  # mrm must use its final stage
             if container == "array":
                 default = default_for_type(element_type)
+            elif container == "map":
+                default = get_or_default_start(self.analysis, var)
 
         passing = self.part_filter.passing
         value_columns = self.part_filter.columns(values)

@@ -53,7 +53,12 @@ from ..ir.nodes import (
 from ..lang.analysis.fragments import FragmentAnalysis
 from ..lang.analysis.joins import JoinInfo
 from ..verification.algebra import substitute
-from .enumerator import container_kind, default_for_type, _container_element_type
+from .enumerator import (
+    _container_element_type,
+    container_kind,
+    default_for_type,
+    get_or_default_start,
+)
 from .grammar import ExpressionPools, GrammarClass, _kind_of_jtype, reduce_lambda_pool
 
 __all__ = ["JoinCandidateEnumerator", "is_join_summary"]
@@ -327,7 +332,14 @@ class JoinCandidateEnumerator:
         keys = self.pools.key_pool()[: self.max_keys]
         values = self._value_pool(kind if kind != "other" else "int")
         guards = self._guard_pool()
-        binding = OutputBinding(var=var, kind="whole", container=container)
+        binding = OutputBinding(
+            var=var,
+            kind="whole",
+            container=container,
+            default=(
+                get_or_default_start(self.analysis, var) if container == "map" else None
+            ),
+        )
 
         if container == "set":
             if "mjm" not in self.grammar_class.shapes:

@@ -1,16 +1,20 @@
-"""Counted keyed jobs: one partial per map task, pinned against the
-per-chunk path.
+"""Counted keyed jobs: one partial per map task (per budget window when
+the task spills), pinned against the per-chunk path.
 
 A last map stage that emits one int literal under an int ``+`` λr is
-combined by counting keys.  Into the resident store a map task counts
-all of its chunks once (``KeyCount``) and hands the reduce one partial,
-where the per-chunk path it replaces built a partial per chunk and
-folded them all again after the map.  Every case below runs both ways
-— the reference with ``multiprocess.KeyCount`` patched away, which
-sends each chunk through ``count_keys`` — on every store and plan, and
-the outputs (by ``repr``), the output keys' identity, every plan-report
-field and every metric but wall time must agree, and agree with the
-reference interpreter.  Call-budget and payload tests keep the per-chunk
+combined by counting keys.  A map task counts all of its chunks into one
+``KeyCount``: into the resident store it hands the reduce one partial,
+and under a budget it hands its spill writer one partial per *window* —
+each time the count passed the budget, and at the end — where the
+per-chunk path it replaces built a partial per chunk.  Every case below
+runs both ways — the reference with ``multiprocess.KeyCount`` patched
+away, which folds each chunk's pairs into its own partial — on every
+store and plan, and the outputs (by ``repr``), the output keys'
+identity, every plan-report field and every metric but wall time must
+agree, and agree with the reference interpreter.  Under a budget only
+the spill accounting may differ (fewer pairs are spilled): the spill
+stats and the reduce stage's spill-I/O seconds, which are checked by
+invariants instead.  Call-budget and payload tests keep the per-chunk
 partials from coming back.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
+import os
 import pickle
 import pstats
 from operator import is_
@@ -28,6 +33,9 @@ import repro
 from repro.codegen.base import prepare_globals, view_records
 from repro.codegen.kernels import CompiledReduce
 from repro.engine import columnar, multiprocess
+from repro.engine.sizes import dataset_bytes
+from repro.engine.spill import SpillWriter
+from repro.errors import SpillError
 from repro.graph.executor import interpret_reference
 from repro.options import ExecOptions
 from repro.planner.plan import ExecutionPlan
@@ -115,8 +123,7 @@ def _graph_run(result, xs):
 
 
 #: How a counted job is run: mode → (runner, runs in-process).  The
-#: budgeted store counts per chunk either way (its partials go to the
-#: writer), and must say it spilled.
+#: budgeted store must say it spilled.
 MODES = {
     "sequential": (_program_run(ExecutionPlan(backend="sequential")), True),
     "pool": (
@@ -133,14 +140,27 @@ MODES = {
 
 def _per_chunk(patched) -> None:
     """The path a counted task replaces: no task count, so each chunk's
-    keys go through ``count_keys`` and the reduce folds every partial."""
-    patched.setattr(multiprocess, "KeyCount", lambda constant: None)
+    pairs are folded into their own partial, and the store takes every
+    partial (the resident reduce folds them all, a writer buffers them
+    pair by pair)."""
+    patched.setattr(multiprocess, "KeyCount", lambda constant, bounded=False: None)
 
 
-def _facts(job) -> tuple[str, dict, dict]:
-    """Outputs, report and metrics (a graph job's are on its report)."""
+def _facts(job, spilled: bool = False) -> tuple[str, dict, dict]:
+    """Outputs, report and metrics (a graph job's are on its report).
+
+    ``spilled`` leaves out what the spill accounting moves: the spill
+    stats, and the seconds of every reduce stage (its spill-I/O term)
+    and of the whole job."""
     metrics = None if job.metrics is None else dataclasses.asdict(job.metrics)
-    return repr(job.outputs), _no_walls(job.plan_report.summary()), _no_walls(metrics)
+    summary = _no_walls(job.plan_report.summary())
+    if spilled:
+        summary.pop("spill_stats")
+        metrics.pop("simulated_seconds")
+        for stage in metrics["stages"]:
+            if stage["name"].startswith("shuffle.reduce"):
+                stage.pop("seconds")
+    return repr(job.outputs), summary, _no_walls(metrics)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -162,9 +182,12 @@ def test_a_counted_job_equals_the_per_chunk_path(keys, constant, mode, monkeypat
     with monkeypatch.context() as patched:
         _per_chunk(patched)
         reference = run(result, xs)
-    assert _facts(job) == _facts(reference)
+    assert _facts(job, mode == "budget") == _facts(reference, mode == "budget")
     if mode == "budget":
-        assert job.plan_report.spill_stats["spill_runs"] > 0
+        spilled, per_chunk = job.plan_report.spill_stats, reference.plan_report.spill_stats
+        assert spilled["spill_runs"] > 0
+        assert spilled["spill_runs"] <= per_chunk["spill_runs"]
+        assert spilled["spilled_pairs"] <= per_chunk["spilled_pairs"]
     if mode == "pool":
         assert job.plan_report.backend_used == "multiprocess"
         assert not [d for d in job.plan_report.diagnostics if d.code.startswith("REP30")]
@@ -186,33 +209,158 @@ def test_a_counted_job_equals_the_per_chunk_path(keys, constant, mode, monkeypat
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_an_unhashable_key_raises_as_the_per_chunk_path(mode, monkeypatch):
+def test_an_unhashable_key_raises_as_the_per_chunk_path(mode):
+    """The chunk's count raises ``count_keys``' own ``TypeError``, as the
+    per-chunk count did, on every store and plan."""
     xs = [f"w{i % 40}" for i in range(N)]
     xs[N // 2] = ["not", "hashable"]
     result = _translate("String", 1)
     run, _in_process = MODES[mode]
+    with pytest.raises(Exception) as caught:
+        run(result, xs)
+    with pytest.raises(TypeError) as per_chunk:
+        columnar.count_keys(xs[N // 2 - 1 : N // 2 + 1], 1)
+    # (The graph runner raises a failed job's error text.)
+    assert type(caught.value) is (RuntimeError if mode == "graph" else TypeError)
+    assert str(per_chunk.value) in str(caught.value)
+    assert "unhashable type: 'list'" in str(caught.value)
 
-    def failure():
-        with pytest.raises(Exception) as caught:
-            run(result, xs)
-        return type(caught.value), str(caught.value)
 
-    raised = failure()
+#: Budgets a counted task passes mid-task: windows flush between chunks.
+BUDGETS = (1024, 4 * 1024, 16 * 1024)
+
+
+def _job(kind: str, constant: int, xs: list):
+    """The compiled steps of a counted job over ``xs``, and its records."""
+    fragment = _translate(kind, constant).fragments[0]
+    globals_env, _sizes = prepare_globals(fragment.analysis, {"xs": xs})
+    steps = fragment.program.programs[0].local_steps(globals_env)
+    return view_records(fragment.analysis.view, {"xs": xs}), steps
+
+
+def _spilled_run(records, steps, budget: int, processes: int, patched):
+    """Run under ``budget``; return the result, the flushes an in-process
+    run made, the flush files written, and each in-process map task's
+    report with, per chunk, its input bytes plus what its own partial
+    shuffles (one in-flight chunk's bytes)."""
+    flushes, files, tasks, in_flight = [], [], [], []
+    real_spill, real_cleanup = SpillWriter.spill, multiprocess.cleanup_runs
+    real_map, real_add = multiprocess._run_map_chunks, columnar.KeyCount.add
+
+    def spill(writer):
+        if writer.resident_bytes:
+            flushes.append(writer.task_id)
+        real_spill(writer)
+
+    def cleanup(runs):
+        for directory in {os.path.dirname(run.path) for rs in runs for run in rs}:
+            files.extend(name for name in os.listdir(directory) if name.endswith(".spill"))
+        real_cleanup(runs)
+
+    def add(count, keys):
+        records, size = real_add(count, keys)
+        in_flight[-1] += size
+        return records, size
+
+    def priced(chunks):
+        for chunk in chunks:
+            rows = chunk.row_bytes if type(chunk) is columnar.ColumnChunk else None
+            in_flight.append(dataset_bytes(chunk) if rows is None else rows)
+            yield chunk
+
+    def map_task(map_fns, combiner, chunks, *rest):
+        tasks.append(real_map(map_fns, combiner, priced(chunks), *rest))
+        return tasks[-1]
+
+    patched.setattr(SpillWriter, "spill", spill)
+    patched.setattr(multiprocess, "cleanup_runs", cleanup)
+    patched.setattr(multiprocess, "_run_map_chunks", map_task)
+    patched.setattr(columnar.KeyCount, "add", add)
+    engine = multiprocess.MultiprocessEngine(processes=processes, memory_budget=budget)
+    result = engine.run_pipeline(records, steps)
+    return result, flushes, files, tasks, in_flight
+
+
+def _stage_facts(result) -> list:
+    """Every stage's counters; a reduce stage's without its seconds."""
+    facts = []
+    for stage in result.metrics.stages:
+        fact = dataclasses.asdict(stage)
+        fact.pop("wall_seconds")
+        if stage.name.startswith("shuffle.reduce"):
+            fact.pop("seconds")
+        facts.append(fact)
+    return facts
+
+
+#: (budget, processes): a pool task maps two chunks — at most 68
+#: distinct keys, under 4 KiB counted — so only the smallest budget
+#: passes it mid-task.
+RUNS = [(budget, 0) for budget in BUDGETS] + [(BUDGETS[0], 2)]
+
+
+@pytest.mark.parametrize("budget, processes", RUNS)
+@pytest.mark.parametrize("constant", sorted(CONSTANTS))
+@pytest.mark.parametrize("keys", sorted(KEYS))
+def test_a_budgeted_count_spills_one_window_per_flush(
+    keys, constant, budget, processes, monkeypatch
+):
+    kind, xs = KEYS[keys]
+    records, steps = _job(kind, constant, xs)
+    with monkeypatch.context() as patched:
+        job, flushes, files, tasks, in_flight = _spilled_run(
+            records, steps, budget, processes, patched
+        )
     with monkeypatch.context() as patched:
         _per_chunk(patched)
-        assert raised == failure()
-    assert "unhashable type: 'list'" in raised[1]
+        reference, ref_flushes, ref_files, _tasks, _in_flight = _spilled_run(
+            records, steps, budget, processes, patched
+        )
+    assert (job.processes_used > 1) == (processes > 1) == job.executed_parallel
+    # Outputs, key identity and every stage's records and bytes are the
+    # per-chunk path's; only the spill accounting moves.
+    assert repr(job.pairs) == repr(reference.pairs)
+    if not processes:
+        # (A pool's keys are unpickled copies on both paths.)
+        assert all(map(is_, [k for k, _ in job.pairs], [k for k, _ in reference.pairs]))
+    assert _stage_facts(job) == _stage_facts(reference)
+    spilled, per_chunk = job.spill_stats, reference.spill_stats
+    assert spilled["spill_runs"] > 0
+    assert len(files) <= len(ref_files)
+    assert spilled["spilled_pairs"] <= per_chunk["spilled_pairs"]
+    if processes:
+        # Every file written holds runs: one file per flush.
+        assert len(files) == len(set(files))
+        return
+    assert len(files) == len(flushes) and len(ref_files) == len(ref_flushes)
+    (task,) = tasks
+    assert task.stats.peak_resident_bytes <= budget + max(in_flight)
+    whole, counts = columnar.count_keys(xs, constant)
+    if dataset_bytes(whole) + dataset_bytes(counts) > budget:
+        assert len(flushes) > 1  # a window flushed mid-task
+
+
+@pytest.mark.parametrize("constant", sorted(CONSTANTS))
+@pytest.mark.parametrize("keys", sorted(KEYS))
+def test_a_budget_under_one_pair_raises_as_the_per_chunk_path(keys, constant, monkeypatch):
+    kind, xs = KEYS[keys]
+    records, steps = _job(kind, constant, xs)
+    # The smallest pair, two ints, is 8 bytes.
+    engine = multiprocess.MultiprocessEngine(processes=0, memory_budget=4)
+    with pytest.raises(SpillError) as window:
+        engine.run_pipeline(records, steps)
+    with monkeypatch.context() as patched:
+        _per_chunk(patched)
+        with pytest.raises(SpillError) as per_chunk:
+            engine.run_pipeline(records, steps)
+    assert str(window.value) == str(per_chunk.value)
+    assert "smaller than a single record" in str(window.value)
 
 
 def _wordcount_job():
     """A resident, in-process word count: 150 000 words over 10 000
     keys in 72 chunks, as the compiled steps the engine runs."""
-    result = _translate("String", 1)
-    fragment = result.fragments[0]
-    words = [f"w{(i * 7919) % 10_000}" for i in range(150_000)]
-    globals_env, _sizes = prepare_globals(fragment.analysis, {"xs": words})
-    steps = fragment.program.programs[0].local_steps(globals_env)
-    return view_records(fragment.analysis.view, {"xs": words}), steps
+    return _job("String", 1, [f"w{(i * 7919) % 10_000}" for i in range(150_000)])
 
 
 def test_the_resident_reduce_folds_one_partial_per_map_task(monkeypatch):

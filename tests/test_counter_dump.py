@@ -25,7 +25,17 @@ fragment with a proved summary stopped keeping its bounded-only twins:
 backends and three graph runs each) dispatch the proved summary instead
 of a twin — for the two TPC-H counts that is ``emit(k, 1.0)``, whose
 float counts are the source's ``double``s, where the twin emitted ints;
-the other 618 were reproduced unchanged.  An engine, accounting or sampling
+the other 618 were reproduced unchanged.  54 more were regenerated when a
+budgeted counted map task began handing its spill writer one counted
+partial per budget window instead of one per chunk, and a ``double``
+sum of ints began binding through its ``0.0`` start: the
+``@sequential+4k`` rows of the 16 counted fragments and the
+``@graph.spilled`` rows of their 14 benchmarks, whose spill stats and
+seconds alone moved (fewer pairs spilled), and the 24 run rows of
+``biglambda_select_sum#1``, ``fiji_nlmeans_stats#0`` and ``fiji_trails#0``
+(five backends and three graph runs each), whose ``double`` outputs are
+now the source's floats where the fold left equal ints; the other 618
+were reproduced unchanged.  An engine, accounting or sampling
 change that moves any of them fails here with the fragment × backend
 named.  Nothing in an entry depends on ``PYTHONHASHSEED`` (sets are
 rendered sorted).

@@ -131,8 +131,9 @@ class TestKeyedPathCalls:
 
     def test_one_spill_file_per_flush_per_map_task(self, monkeypatch):
         """A flush writes one file holding every partition's run: the
-        150 000-word keyed input at 64 KiB flushes 36 times into 2 592
-        runs, and creates 36 files, not 2 592."""
+        150 000-word keyed input at 64 KiB flushes 24 times into 1 728
+        runs, and creates 24 files, not 1 728: its one map task counts
+        keys and flushes each 64 KiB window of counted keys once."""
         from repro.engine import multiprocess
 
         weights = [1.0 / (rank + 1) ** 1.1 for rank in range(10_000)]
@@ -165,8 +166,8 @@ class TestKeyedPathCalls:
         engine = MultiprocessEngine(processes=0, memory_budget=64 * 1024)
         result = engine.run_pipeline(records, steps)
         assert result.map_tasks == 0 and set(flushes) == {0}  # one inline task
-        assert len(files) == len(flushes) == 36
-        assert result.spill_stats["spill_runs"] == 2_592
+        assert len(files) == len(flushes) == 24
+        assert result.spill_stats["spill_runs"] == 1_728
         assert len(result.pairs) == 10_000
 
     #: Batches whose flush falls mid-batch: one fixed-size kind per

@@ -579,12 +579,7 @@ def test_map_side_combine_counts_only_an_int_constant_under_sum(shape, monkeypat
     ]
     records = [(f"w{(i * 7) % 23}", i % 5) for i in range(3000)]
     calls: Counter = Counter()
-    real_count, real_add = multiprocess.count_keys, KeyCount.add
-    real_fold = CompiledReduce.fold
-
-    def count_keys(keys, constant):
-        calls["count"] += 1
-        return real_count(keys, constant)
+    real_add, real_fold = KeyCount.add, CompiledReduce.fold
 
     def add(self, keys):
         calls["count"] += 1
@@ -594,7 +589,6 @@ def test_map_side_combine_counts_only_an_int_constant_under_sum(shape, monkeypat
         calls["fold"] += 1
         real_fold(self, keys, values, acc)
 
-    monkeypatch.setattr(multiprocess, "count_keys", count_keys)
     monkeypatch.setattr(KeyCount, "add", add)
     monkeypatch.setattr(CompiledReduce, "fold", fold)
     chunks = [records[:1000], records[1000:]]

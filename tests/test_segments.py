@@ -238,16 +238,51 @@ MAP_SUM = (
 )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a Map output's binding carries no start value (its getOrDefault "
-    "0.0 is not on the summary), so a key whose values are all -0.0 keeps -0.0",
-)
 def test_a_float_map_sum_of_negative_zeros_matches_the_interpreter():
+    # The map's whole binding carries the loop's getOrDefault start, 0.0.
     inputs = {"k": [i % 2 for i in range(N)], "v": [-0.0] * N, "n": N}
     expected = interpret_reference(_translate(MAP_SUM).job_graph, dict(inputs))
     assert repr(expected) == "{'m': {0: 0.0, 1: 0.0}}"
-    assert _run(MAP_SUM, inputs, ExecOptions(plan="sequential"))[0] == repr(expected)
+    (binding,) = _translate(MAP_SUM).fragments[0].program.programs[0].summary.outputs
+    assert (binding.container, repr(binding.default)) == ("map", "0.0")
+    _every_plan(MAP_SUM, inputs, repr(expected))
+
+
+INT_INTO_DOUBLE = {
+    "scalar": (
+        "double f(int[] v, int n) { double t = 0;"
+        " for (int i = 0; i < n; i++) { t = t + v[i]; } return t; }"
+    ),
+    "array": (
+        "double[] f(int[] k, int[] v, int n, int m) { double[] r = new double[m];"
+        " for (int i = 0; i < n; i++) { r[k[i]] = r[k[i]] + v[i]; } return r; }"
+    ),
+    "map": (
+        "Map<Integer,Double> f(int[] k, int[] v, int n) {"
+        " Map<Integer,Double> m = new HashMap<Integer,Double>();"
+        " for (int i = 0; i < n; i++) {"
+        " m.put(k[i], m.getOrDefault(k[i], 0.0) + v[i]); }"
+        " return m; }"
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [3, N, POOLED])
+@pytest.mark.parametrize("shape", sorted(INT_INTO_DOUBLE))
+def test_a_double_sum_of_ints_is_a_double(shape, n):
+    # The int fold's result is bound through the float start (0.0 + 6),
+    # as the source's double accumulator computes it.
+    source = INT_INTO_DOUBLE[shape]
+    keys, values = [i % 2 for i in range(n)], [i % 7 for i in range(n)]
+    inputs = {"k": keys, "v": values, "n": n, "m": 3}
+    expected = interpret_reference(_translate(source).job_graph, dict(inputs))
+    (numbers,) = expected.values()
+    if shape == "scalar":
+        numbers = [numbers]
+    elif shape == "map":
+        numbers = list(numbers.values())
+    assert {type(v) for v in numbers} == {float}
+    _every_plan(source, inputs, repr(expected))
 
 
 def test_int_sums_straddling_one_chunks_int64_bound(monkeypatch):
