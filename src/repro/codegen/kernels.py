@@ -13,12 +13,12 @@ A summary renders to five kernels, all through one :class:`_Renderer`:
 * **row map** — ``(records, emit)``, one ``emit((key, value))`` per
   pair (:func:`render_record_kernel` / :func:`render_pair_kernel`).
   Behind ``map_rows`` / ``map_chunk``: every map stage whose output
-  feeds another map stage or leaves the job, and the rerun after a
-  vector guard trip.
+  feeds another map stage or leaves the job.
 * **column map** — ``(records) -> (keys, values)``, the same emits as
   two lists (the same renderers, ``columns=True``).  Behind
-  ``map_columns``: the last map stage before a shuffle, so the pairs are
-  priced, combined and routed as columns and never exist as tuples.
+  ``map_columns``: the last map stage before a shuffle (a vector guard
+  trip's rerun included), so the pairs are priced, combined and routed
+  as columns and never exist as tuples.
 * **reduce** — ``(a, b) -> λr(a, b)`` (:func:`render_reduce_kernel`).
   Behind ``CompiledReduce.__call__``: whoever folds pair by pair
   (tests); rendering it is how a step proves its λr compiles.
@@ -61,8 +61,11 @@ float constant is injected as a value).  It raises
 rejects too — an unknown operator, function or expression type — and
 the step builder lets that surface at plan time.
 
-On top of the compiled loop sits an optional numpy fast path, used only
-when the typechecked view proves it exact: a single emit over any mix
+On top of the compiled loop sits an optional numpy fast path for one
+shape only — a sole map stage whose output a sum/min/max combiner folds,
+mapped a segment of chunks at a time by the engine (``map_block``); every
+other stage runs the row loop.  It is used only when the typechecked
+view proves it exact: a single emit over any mix
 of int/float/bool columns, with the value (and filter, and key when it
 is record-dependent) expression built from ops whose int64/float64
 semantics are bit-identical to the evaluator's Python semantics
@@ -72,14 +75,12 @@ imported by the first stage those checks accept, never at module load,
 so a job without a vector kernel never loads it.  Int64 arithmetic
 is overflow-*guarded*: each op prechecks conservative magnitude bounds
 and raises :class:`GuardTrip` instead of wrapping, and float results
-containing inf/NaN reject the chunk — either way the compiled row loop
-(Python arbitrary-precision ints, genuine inf/NaN propagation) reruns
-that chunk, so a guard trip is never silently wrong.  Ops with
+containing inf/NaN reject the segment — either way the compiled row
+loop (Python arbitrary-precision ints, genuine inf/NaN propagation)
+reruns it, so a guard trip is never silently wrong.  Ops with
 divergent error or NaN behavior (``/``, ``%``, ``min``/``max``,
 ``exp``, ``pow``) are deliberately not vectorized.  Column extraction
-and validation live in :mod:`repro.engine.columnar`; extracted arrays
-are cached on the chunk so several kernels over one chunk extract
-once.
+and validation live in :mod:`repro.engine.columnar`.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ from ..ir.nodes import (
     expr_vars,
     walk_expr,
 )
-from ..engine.columnar import ColumnBlock, ColumnSpec, resolve_columns
+from ..engine.columnar import ColumnBlock, ColumnSpec
 from ..lang.analysis.loops import DatasetView
 
 
@@ -949,17 +950,6 @@ class VectorKernel:
                 return None
         return ColumnBlock(values, keys, self.key_const, kept=mask)
 
-    def run(self, columns: dict[str, Any]) -> Optional[list[tuple]]:
-        block = self.run_block(columns)
-        return None if block is None else block.pairs()
-
-    def __call__(self, records: Any) -> Optional[list[tuple]]:
-        """Chunk of records → pairs; None → run the compiled loop."""
-        columns = resolve_columns(records, self.specs)
-        if columns is None:
-            return None
-        return self.run(columns)
-
 
 def try_vectorize(
     emits: tuple[Emit, ...],
@@ -1141,40 +1131,38 @@ class _Compiled:
 class CompiledRecordMapper(_Compiled):
     """Compiled first map stage.  Drop-in for ``RecordMapper``.
 
-    The engine detects ``map_chunk`` and feeds whole chunks, and asks
-    ``map_columns`` of the last map stage before a shuffle.
+    The engine detects ``map_chunk`` and feeds whole chunks, asks
+    ``map_columns`` of the last map stage before a shuffle, and
+    ``map_block`` of a sole ``vectorized`` stage a sum/min/max combiner
+    folds.
     """
 
     emits: tuple[Emit, ...]
     globals_env: dict[str, Any]
     view: DatasetView
     label: str = "map"
-    #: Set by ``map_chunk``/``map_columns``/``map_block`` when the vector
-    #: kernel was attempted on the last chunk but a guard rejected it
-    #: (the engine counts these as guard fallbacks), and when it
-    #: actually produced the chunk's output.
-    last_chunk_fallback: bool = field(default=False, compare=False)
-    last_chunk_columnar: bool = field(default=False, compare=False)
     _fn: Optional[Callable] = field(default=None, repr=False, compare=False)
     _columns_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
     _vec: Optional[VectorKernel] = field(default=None, repr=False, compare=False)
+    _vec_tried: bool = field(default=False, repr=False, compare=False)
     _rendered: Optional[KernelSource] = field(
         default=None, repr=False, compare=False
     )
-
-    def __getstate__(self) -> dict:
-        return {
-            **super().__getstate__(),
-            "last_chunk_fallback": False,
-            "last_chunk_columnar": False,
-        }
 
     def _ensure(self) -> Callable:
         if self._fn is None:
             self._rendered = render_record_kernel(self.emits, self.view)
             self._fn = compile_kernel(self._rendered, self.globals_env, self.label)
-            self._vec = try_vectorize(self.emits, self.view, self.globals_env)
         return self._fn
+
+    def _vector(self) -> Optional[VectorKernel]:
+        """The numpy kernel, built on first ask — only for a stage the
+        engine may map as a folded segment, so a row-only job renders
+        none and never imports numpy."""
+        if not self._vec_tried:
+            self._vec = try_vectorize(self.emits, self.view, self.globals_env)
+            self._vec_tried = True
+        return self._vec
 
     @property
     def source(self) -> str:
@@ -1184,8 +1172,7 @@ class CompiledRecordMapper(_Compiled):
 
     @property
     def vectorized(self) -> bool:
-        self._ensure()
-        return self._vec is not None
+        return self._vector() is not None
 
     @property
     def emit_constant(self) -> Optional[int]:
@@ -1195,45 +1182,27 @@ class CompiledRecordMapper(_Compiled):
     @property
     def columns_spec(self) -> Optional[tuple[ColumnSpec, ...]]:
         """Columns the vector kernel consumes (None → not vectorized)."""
-        self._ensure()
-        return self._vec.specs if self._vec is not None else None
+        vec = self._vector()
+        return None if vec is None else vec.specs
 
-    def map_block(self, records: Any) -> Optional[ColumnBlock]:
-        """Emitted pairs as a column block, or None → run the row loop —
-        flagged a guard fallback whenever there was a vector kernel to
-        refuse the chunk, unreadable columns included.  ``records`` may
-        also be a segment's columns by spec name (``build_segment``)."""
-        self._ensure()
-        block = None
-        if self._vec is not None:
-            columns = (
-                records
-                if type(records) is dict
-                else resolve_columns(records, self._vec.specs)
-            )
-            block = None if columns is None else self._vec.run_block(columns)
-        self.last_chunk_columnar = block is not None
-        self.last_chunk_fallback = block is None and self._vec is not None
-        return block
+    def map_block(self, columns: dict[str, Any]) -> Optional[ColumnBlock]:
+        """A segment's emitted pairs as a column block, from its columns
+        by spec name (``build_segment``); None when there is no vector
+        kernel or a guard refuses — the engine then runs the row loop."""
+        vec = self._vector()
+        return None if vec is None else vec.run_block(columns)
 
     def map_rows(self, records: Any) -> list[tuple]:
-        """The compiled row loop, bypassing the vector attempt (what the
-        engine runs after a ``map_block`` guard trip, so the rejected
-        vector computation is not redone)."""
+        """The compiled row loop: one ``(key, value)`` tuple per emit."""
         fn = self._fn if self._fn is not None else self._ensure()
         out: list[tuple] = []
         _run(fn, records, out.append)
         return out
 
-    def map_chunk(self, records: Any) -> list[tuple]:
-        block = self.map_block(records)
-        return self.map_rows(records) if block is None else block.pairs()
+    map_chunk = map_rows
 
     def map_columns(self, records: Any) -> tuple[list, list]:
-        """``map_chunk`` with the pairs as a key list and a value list."""
-        block = self.map_block(records)
-        if block is not None:
-            return block.key_list(), block.values.tolist()
+        """``map_rows`` with the pairs as a key list and a value list."""
         if self._columns_fn is None:
             self._columns_fn = compile_kernel(
                 render_record_kernel(self.emits, self.view, columns=True),
@@ -1243,8 +1212,8 @@ class CompiledRecordMapper(_Compiled):
         return _run(self._columns_fn, records)
 
     def __call__(self, record: Any) -> list[tuple]:
-        """One record through the row loop: a join's per-record callers
-        (the tagged mapper, the broadcast build) skip the vector try."""
+        """One record through the row loop (a join's per-record callers:
+        the tagged mapper, the broadcast build)."""
         return self.map_rows((record,))
 
 

@@ -1,31 +1,37 @@
-"""Columnar chunk layout: persistent typed column arrays per chunk.
+"""Column arrays for the one vectorized shape: a folded map segment.
 
-The column-major representation the vectorized kernels operate on — the
-one chunk layout of the real local engine (a pipeline whose first map
-stage is not vectorizable reads plain record lists and never comes
-here):
+The vector tier runs exactly one shape — a sole vectorized map stage
+whose output is folded by a sum/min/max combiner.  The engine maps such
+a segment of chunks in one columnar pass; every other stage runs the
+compiled row loop over plain record lists and never comes here except
+for the ordered fold and the key count below.
 
 * :class:`ColumnSpec` — where a live atom lives in a record (the record
   itself, a struct field, or a parallel-array tuple position) and the
   numpy dtype the typechecker's exactness proof licenses (``int`` →
   int64, ``float`` → float64, ``bool`` → bool).
-* :class:`ColumnChunk` — one chunk's rows plus its extracted columns,
-  built **once** at the dataset source boundary from the projection
-  liveness set, so every kernel that touches the chunk reuses the same
-  arrays.
-* :class:`ColumnBlock` — a vectorized map stage's output: a value
-  array plus either a key array or one constant key, convertible to
-  the exact pair list the row engine would have emitted.
-* :func:`grouped_fold` — array-based partial aggregation for proved
-  sum/min/max reducers (``reduceat`` over stably argsorted keys),
-  restricted to cases that are bit-identical to the ordered dict fold
-  and guarded against int64 overflow / NaN.
+* :func:`build_segment` — a segment's live columns end to end and its
+  rows' exact byte count, built slice by slice (:func:`build_chunk`)
+  from the projection liveness set.
+* :class:`ColumnBlock` — the vectorized map stage's output: a value
+  array plus either a key array or one constant key, priced from the
+  arrays exactly as the row engine prices the pairs.
+* :func:`grouped_fold` — every chunk's combine partials of a block in
+  one sort-free pass, for proved sum/min/max reducers, restricted to
+  cases that are bit-identical to the ordered dict fold and guarded
+  against int64 overflow / NaN.
 * :func:`fold_columns` — that ordered dict fold itself, over a key
   column and a value column of any Python objects: the one keyed fold
   the map-side combine and both shuffle stores' reduces run, and
   :func:`count_keys` / :class:`KeyCount`, the map-side combine of a
   constant-int emit under a ``+`` λr, counted in C once per map task
   (once per budget window when the task spills).
+
+Why only one shape: a scratch A/B of every suite stage that vectorized
+chunk by chunk (element maps, filters, projections) found the vector
+path within 1.1× of the compiled row loop or slower — column extraction
+costs what the kernel saves — while a folded segment ran 2.4× ahead
+(DESIGN.md, "One vector path").
 
 Exactness discipline: a column is only materialized as a numpy array
 when every element is *exactly* the Python type the static type
@@ -55,7 +61,6 @@ from .sizes import (
     DOUBLE_SIZE,
     INT_SIZE,
     LONG_SIZE,
-    OBJECT_HEADER,
     TUPLE_HEADER,
     dataset_bytes,
     row_fields,
@@ -85,55 +90,6 @@ class ColumnSpec:
     access: str
     field: Optional[str] = None
     position: Optional[int] = None
-
-
-class ColumnChunk:
-    """One chunk in columnar layout: the rows plus their live columns.
-
-    Built once at the dataset source boundary (`build_chunk`) from the
-    projection-pushdown liveness set.  The rows are kept: they are the
-    exact fallback surface for guard trips and for any stage that does
-    not understand columns, and object-valued atoms (strings, structs)
-    only exist row-side.  Iteration and ``len`` see the rows, so every
-    row-oriented consumer works unchanged.  ``row_bytes`` is the rows'
-    exact ``dataset_bytes``, priced where the chunk is built (the
-    constructor prices ``rows`` itself when not given it) and pickled
-    with the chunk, so the scan charge never walks the rows again.
-    """
-
-    __slots__ = ("rows", "columns", "row_bytes")
-
-    def __init__(self, rows: list, row_bytes: Optional[int] = None) -> None:
-        self.rows = rows
-        #: spec name → ndarray, or None when validation failed (cached
-        #: so a failed column is probed once per chunk, not per kernel).
-        self.columns: dict[str, Any] = {}
-        self.row_bytes = dataset_bytes(rows) if row_bytes is None else row_bytes
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, index):
-        return self.rows[index]
-
-    def __getstate__(self):
-        return (self.rows, self.columns, self.row_bytes)
-
-    def __setstate__(self, state):
-        self.rows, self.columns, self.row_bytes = state
-
-    def sizeof_model(self, seen: Any) -> int:
-        """Price for :func:`repro.engine.sizes.sizeof`: the rows (the
-        real payload) plus the array headers — numeric arrays are flat
-        buffers, not per-element boxed walks."""
-        total = OBJECT_HEADER + self.row_bytes
-        for array in self.columns.values():
-            if array is not None:
-                total += OBJECT_HEADER + int(array.nbytes)
-        return total
 
 
 _KIND_CHECKS = {"int": int, "float": float, "bool": bool}
@@ -197,52 +153,35 @@ def _column_array(
 
 
 def resolve_columns(
-    chunk: Any, specs: tuple[ColumnSpec, ...]
+    rows: list, specs: tuple[ColumnSpec, ...]
 ) -> Optional[dict[str, Any]]:
-    """The chunk's arrays for ``specs``, building (and caching) misses.
-
-    Returns None when any required column fails validation; the failure
-    itself is cached on caching chunk types so repeated kernels skip
-    the re-probe.
-    """
-    cache = getattr(chunk, "columns", None)
-    rows = chunk.rows if isinstance(chunk, ColumnChunk) else chunk
-    out: dict[str, Any] = {}
-    invalid = False
-    for spec in specs:
-        if cache is not None and spec.name in cache:
-            array = cache[spec.name]
-        else:
-            array = build_column(rows, spec)
-            if cache is not None:
-                cache[spec.name] = array
-        if array is None:
-            invalid = True
-        else:
-            out[spec.name] = array
-    return None if invalid else out
+    """The rows' arrays for ``specs``, or None when any column fails
+    validation."""
+    columns = {spec.name: build_column(rows, spec) for spec in specs}
+    return None if any(a is None for a in columns.values()) else columns
 
 
-def build_chunk(records: Any, specs: tuple[ColumnSpec, ...]) -> ColumnChunk:
-    """Columnar form of one chunk: every live column, and the rows'
-    exact ``dataset_bytes``, from one read of the rows.
+def build_chunk(
+    records: Any, specs: tuple[ColumnSpec, ...]
+) -> tuple[dict[str, Any], int]:
+    """Columnar form of one slice of rows: every live column (None where
+    validation failed) and the rows' exact ``dataset_bytes``, from one
+    read of the rows.
 
-    A homogeneous chunk is split into its field lists once
+    A homogeneous slice is split into its field lists once
     (:func:`~repro.engine.sizes.row_fields`): each spec validates its
     field's list, and the byte count prices the validated fields from
-    their arrays and every other field column-wise.  An irregular chunk
+    their arrays and every other field column-wise.  An irregular slice
     extracts spec by spec and is priced by ``dataset_bytes``.
     """
     rows = records if isinstance(records, list) else list(records)
     kinds = set(map(type, rows))
     split = row_fields(rows, kinds) if rows else None
     if split is None:
-        chunk = ColumnChunk(rows)
-        for spec in specs:
-            chunk.columns[spec.name] = build_column(rows, spec)
-        return chunk
+        columns = {spec.name: build_column(rows, spec) for spec in specs}
+        return columns, dataset_bytes(rows)
     row_type, fields = split
-    columns: dict[str, Any] = {}
+    columns = {}
     known: dict[Any, int] = {}
     for spec in specs:
         data = None
@@ -257,9 +196,7 @@ def build_chunk(records: Any, specs: tuple[ColumnSpec, ...]) -> ColumnChunk:
             if array is not None:
                 known[key] = _scalar_bytes(array)
         columns[spec.name] = array
-    chunk = ColumnChunk(rows, split_bytes(rows, row_type, fields, known))
-    chunk.columns = columns
-    return chunk
+    return columns, split_bytes(rows, row_type, fields, known)
 
 
 #: Records per :func:`build_chunk` call of :func:`build_segment` (one
@@ -283,12 +220,12 @@ def build_segment(
     rows = itertools.chain.from_iterable(chunks)
     total = 0
     for low in range(0, n, SEGMENT_SLICE):
-        piece = build_chunk(list(itertools.islice(rows, SEGMENT_SLICE)), specs)
-        total += piece.row_bytes
-        if columns is not None and any(a is None for a in piece.columns.values()):
+        piece, size = build_chunk(list(itertools.islice(rows, SEGMENT_SLICE)), specs)
+        total += size
+        if columns is not None and any(a is None for a in piece.values()):
             columns = None
         elif columns is not None:
-            for name, array in piece.columns.items():
+            for name, array in piece.items():
                 columns[name][low : low + array.shape[0]] = array
     return columns, total
 
@@ -330,19 +267,6 @@ class ColumnBlock:
             return [(key, value) for value in values]
         return list(zip(self.keys.tolist(), values))
 
-    # -- sizeof-model accounting (vectorized, byte-for-byte identical
-    # -- to summing sizeof_pair over .pairs())
-
-    def pair_sizes(self) -> list[int]:
-        """Per-pair ``sizeof_pair`` without materializing the pairs."""
-        n = len(self)
-        value_sizes = _scalar_sizes(self.values)
-        if self.keys is None:
-            key_size = sizeof(self.key_const)
-            return [key_size + v for v in value_sizes]
-        key_sizes = _scalar_sizes(self.keys)
-        return [k + v for k, v in zip(key_sizes, value_sizes)]
-
     def stage_bytes(self) -> int:
         """What ``dataset_bytes(self.pairs())`` charges: pair tuple headers too."""
         return self.shuffle_bytes() + TUPLE_HEADER * len(self)
@@ -356,21 +280,9 @@ class ColumnBlock:
         return keys + _scalar_bytes(self.values)
 
 
-def _scalar_sizes(array: Any) -> list[int]:
-    """sizeof() of each element, computed on the array."""
-    import numpy as np
-
-    if array.dtype == np.bool_:
-        return [BOOLEAN_SIZE] * int(array.shape[0])
-    if array.dtype.kind == "f":
-        return [DOUBLE_SIZE] * int(array.shape[0])
-    small = (array >= -(2**31)) & (array < 2**31)
-    return np.where(small, INT_SIZE, LONG_SIZE).tolist()
-
-
 def _scalar_bytes(array: Any) -> int:
-    """``sum(_scalar_sizes(array))`` with one count of the int64
-    elements inside [−2³¹, 2³¹) instead of a per-element list."""
+    """``sizeof`` summed over the array's elements: one count of the
+    int64 elements inside [−2³¹, 2³¹), no per-element walk."""
     import numpy as np
 
     n = int(array.shape[0])
@@ -614,7 +526,6 @@ def split_pairs(pairs: list) -> tuple[list, list]:
 
 __all__ = [
     "ColumnBlock",
-    "ColumnChunk",
     "ColumnSpec",
     "KeyCount",
     "build_chunk",

@@ -53,6 +53,13 @@ task (:class:`~repro.engine.columnar.KeyCount`), so the resident reduce
 folds one partial per task, not one per chunk, and a spilling task hands
 its writer one partial per budget *window*, not one per chunk.
 
+The vector tier runs one shape: a sole vectorized map stage whose block
+a sum/min/max combiner folds is mapped a *segment* of chunks at a time —
+columns built end to end, one kernel call, every chunk's partials from
+one grouped fold.  Every other stage reads plain record lists through
+the compiled row loop and never tries the kernel: per chunk, column
+extraction cost what the kernel saved (DESIGN.md, "One vector path").
+
 Closures are shipped to workers with plain :mod:`pickle`; payloads that
 cannot be pickled (e.g. a locally-defined lambda) trigger a transparent
 fallback to in-process execution, recorded as the result's ``fallback``
@@ -80,9 +87,7 @@ from ..cpu import available_cpu_count
 from ..diagnostics import Diagnostic, make as make_diagnostic
 from ..errors import EngineError, SpillError
 from .columnar import (
-    ColumnChunk,
     KeyCount,
-    build_chunk,
     build_segment,
     fold_columns,
     grouped_fold,
@@ -277,15 +282,13 @@ class _MapOut:
 
 
 def _block_mapper(
-    map_fns: Sequence[Callable], combiner: Optional[Callable], spilling: bool
+    map_fns: Sequence[Callable], combiner: Optional[Callable]
 ) -> Optional[Callable]:
-    """The sole, vectorized map stage when its block is folded by a
-    sum/min/max combiner or, with no combiner, spilled whole; else None."""
-    if len(map_fns) != 1 or not getattr(map_fns[0], "vectorized", False):
+    """The sole, vectorized map stage when a sum/min/max combiner folds
+    its block — the one shape the vector tier runs — else None."""
+    if len(map_fns) != 1 or getattr(combiner, "grouped_op", None) is None:
         return None
-    if getattr(combiner, "grouped_op", None) is not None:
-        return map_fns[0]
-    return map_fns[0] if combiner is None and spilling else None
+    return map_fns[0] if getattr(map_fns[0], "vectorized", False) else None
 
 
 def _run_map_chunks(
@@ -333,14 +336,16 @@ def _run_map_chunks(
     ``finish``.  Either way every chunk's outgoing records and shuffled
     bytes are still what its own partial would have shuffled.
 
-    When the sole map stage's output stays an array (:func:`_block_mapper`)
+    When the sole map stage is vectorized and a sum/min/max combiner
+    folds it (:func:`_block_mapper`, the one shape the vector tier runs)
     every chunk given here is one **segment** (one chunk under a budget):
     columns built end to end (``build_segment``), one kernel call, counts
     and bytes from the whole arrays, and every chunk's ``(keys, values)``
-    partials from one ``grouped_fold`` — or, with no combiner, the block
-    to :meth:`SpillWriter.add_block`.  Failed validation, a guard trip or
-    a refused fold maps the segment again one chunk at a time; a chunk
-    that fails alone takes the per-chunk loop, in its place in order.
+    partials from one ``grouped_fold``.  Failed validation, a guard trip
+    or a refused fold maps the segment again one chunk at a time.  A
+    chunk whose kernel refuses alone counts one guard fallback and takes
+    the per-chunk row loop, in its place in order; a chunk whose fold
+    alone is refused folds its block's pairs with ``fold_columns``.
     """
     out = _MapOut(stage_counts=[[0, 0, 0] for _ in map_fns])
     writer = SpillWriter(*spill) if spill is not None else None
@@ -354,7 +359,7 @@ def _run_map_chunks(
     value_size = None if constant is None else sizeof(constant)
     fold_op = getattr(combiner, "grouped_op", None)
     counted = constant is not None and fold_op == "sum"
-    block_fn = _block_mapper(map_fns, combiner, writer is not None)
+    block_fn = _block_mapper(map_fns, combiner)
     #: A counted task's partial, bounded by the budget under one (a
     #: constant value is never vectorized, so no block mapper's partials
     #: come between its chunks).
@@ -366,12 +371,14 @@ def _run_map_chunks(
         block = None if columns is None else block_fn.map_block(columns)
         del columns  # the columns the block does not hold are freed for the fold
         rows = list(map(len, segment))
-        folded = None
-        if block is not None and fold_op is not None:
-            folded = grouped_fold(block, fold_op, rows)
-        if block is None or (fold_op is not None and folded is None):
+        folded = None if block is None else grouped_fold(block, fold_op, rows)
+        if len(segment) > 1 and folded is None:
             for chunk in segment:
-                yield from map_segment([chunk]) if len(segment) > 1 else [chunk]
+                yield from map_segment([chunk])
+            return
+        if block is None:
+            out.guard_fallbacks += 1
+            yield segment[0]
             return
         counts = out.stage_counts[0]
         out.chunks += len(segment)
@@ -382,18 +389,23 @@ def _run_map_chunks(
         counts[1] += len(block)
         counts[2] += block.stage_bytes()
         if folded is None:
-            writer.add_block(block)
+            # One chunk whose grouped fold was refused: its pairs, dict-folded.
+            local: dict[Any, Any] = {}
+            fold_columns(combiner, block.key_list(), block.values.tolist(), local)
+            keys, values, bounds = list(local), list(local.values()), [0, len(local)]
+            shuffled = dataset_bytes(keys) + dataset_bytes(values)
         else:
             partials, bounds = folded
             keys, values = partials.key_list(), partials.values.tolist()
-            if writer is not None:
-                writer.add_columns(keys, values)  # a budgeted segment is one chunk
-            else:
-                out.outgoing_records += len(keys)
-                out.shuffled_bytes += partials.shuffle_bytes()
-                out.chunk_output.extend(
-                    (keys[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-                )
+            shuffled = partials.shuffle_bytes()
+        if writer is not None:
+            writer.add_columns(keys, values)  # a budgeted segment is one chunk
+        else:
+            out.outgoing_records += len(keys)
+            out.shuffled_bytes += shuffled
+            out.chunk_output.extend(
+                (keys[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            )
         if measure_input:
             held = writer.resident_bytes if writer is not None else out.held_bytes(True)
             out.stats.note_resident(held + segment_bytes)
@@ -404,13 +416,8 @@ def _run_map_chunks(
     for chunk in chunks:
         out.chunks += 1
         out.input_records += len(chunk)
-        chunk_bytes = 0
-        if measure_input:
-            # A ColumnChunk was priced where it was built, rows read once.
-            chunk_bytes = (
-                chunk.row_bytes if type(chunk) is ColumnChunk else dataset_bytes(chunk)
-            )
-            out.input_bytes += chunk_bytes
+        chunk_bytes = dataset_bytes(chunk) if measure_input else 0
+        out.input_bytes += chunk_bytes
         current: list = chunk
         #: The last stage's pairs as (keys, values), once a stage made them.
         columns: Optional[tuple[list, list]] = None
@@ -429,10 +436,6 @@ def _run_map_chunks(
                     columns = fn.map_columns(current)
                 else:
                     emitted = list(chunk_fn(current))
-                if getattr(fn, "last_chunk_columnar", False):
-                    out.columnar_chunks += 1
-                if getattr(fn, "last_chunk_fallback", False):
-                    out.guard_fallbacks += 1
             if columns is not None:
                 counts[1] += len(columns[0])
                 counts[2] += pair_columns_bytes(*columns, value_size)
@@ -716,9 +719,9 @@ class MultiprocessEngine:
         """
         budget = self.memory_budget
         spilling = shuffle_next and budget is not None
-        chunks: Iterable[list] = dataset.prepared(
-            self._chunk_preparer(map_fns, combiner, spilling)
-        ).iter_chunks(chunk_records_for(dataset, partitions, budget_bytes=budget))
+        chunks: Iterable[list] = dataset.iter_chunks(
+            chunk_records_for(dataset, partitions, budget_bytes=budget)
+        )
         agg = _MapOut(
             stage_counts=[[0, 0, 0] for _ in map_fns],
             run_files=[[] for _ in range(partitions)] if spilling else [],
@@ -834,23 +837,6 @@ class MultiprocessEngine:
         result.fallback = make_diagnostic(code, reason)
         if result.map_tasks == 0:
             result.processes_used = 1
-
-    @staticmethod
-    def _chunk_preparer(
-        map_fns: Sequence[Callable], combiner: Optional[Callable], spilling: bool
-    ) -> Optional[Callable[[list], list]]:
-        """How to wrap source chunks for the first map stage, if at all.
-
-        Only meaningful when the segment opens with a vectorized
-        compiled mapper (``columns_spec`` proves live columns) whose
-        output does not stay a block (a block mapper builds its segment's
-        columns itself): every source chunk then becomes a ColumnChunk
-        with its live columns extracted once and its rows priced there.
-        """
-        specs = getattr(map_fns[0], "columns_spec", None) if map_fns else None
-        if specs is None or _block_mapper(map_fns, combiner, spilling):
-            return None
-        return lambda chunk: build_chunk(chunk, specs)
 
     @staticmethod
     def _task_bounds(n_chunks: int, n_tasks: int) -> list[tuple[int, int]]:

@@ -29,11 +29,11 @@ Two entry points, one set of numbers:
   place its flushes by arithmetic.  Neither shuffle store walks a
   uniform column pair by pair.
 * :func:`row_fields` / :func:`split_bytes` — the kernel's container
-  split and its sum, exposed for ``columnar.build_chunk``: a column
-  chunk takes its live columns from the same field lists its exact
+  split and its sum, exposed for ``columnar.build_chunk``: a vector
+  segment takes its live columns from the same field lists its exact
   ``dataset_bytes`` is priced from (validated fields from their
-  arrays), so a built chunk's rows are read once and the local
-  engine's scan charge (``ColumnChunk.row_bytes``) walks nothing.
+  arrays), so its rows are read once and the local engine's scan
+  charge walks nothing more.
 
 This module never imports numpy.  The walker prices an ``ndarray`` as a
 flat buffer, but it looks the type up in ``sys.modules`` only after
@@ -112,19 +112,13 @@ def _sizeof(value: Any, seen: Any) -> int:
     if np is not None and isinstance(value, np.ndarray):
         # Numeric arrays are flat buffers: itemsize × length + header.
         # Walking them per element (or worse, falling through to the
-        # bare OBJECT_HEADER) would wildly misprice columnar chunks in
+        # bare OBJECT_HEADER) would wildly misprice array inputs in
         # budget planning and serve-layer admission.
         if value.dtype.kind in ("b", "i", "u", "f"):
             return OBJECT_HEADER + int(value.nbytes)
         return OBJECT_HEADER + sum(
             _sizeof(item, seen) for item in value.tolist()
         )
-    model = getattr(value, "sizeof_model", None)
-    if model is not None:
-        # ColumnChunk (and anything else carrying its own size model)
-        # prices itself; sizes.py cannot import engine.columnar without
-        # a cycle, so this stays duck-typed.
-        return model(seen)
     return OBJECT_HEADER
 
 
@@ -170,7 +164,7 @@ def dataset_bytes(records: Iterable[Any]) -> int:
     walked with its own visited set — computed a chunk at a time:
     homogeneous chunks are priced column by column (:func:`_column_bytes`),
     anything else record by record by the walker.  ``records`` may be
-    any iterable of rows (a list, a ``ColumnChunk``); empty is 0.
+    any iterable of rows; empty is 0.
     """
     rows = records if type(records) in (list, tuple) else list(records)
     if not rows:

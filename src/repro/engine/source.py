@@ -20,7 +20,10 @@ Three concrete sources cover the common cases:
   one JSON document (or one raw line) per record, read incrementally.
 
 Every source is re-iterable: each :meth:`Dataset.iter_chunks` call
-starts a fresh pass over the data.
+starts a fresh pass over the data.  A chunk is always a plain list of
+records: the engine builds column arrays only for the one vectorized
+shape, a whole folded map segment at a time
+(:func:`repro.engine.columnar.build_segment`), never per chunk here.
 """
 
 from __future__ import annotations
@@ -123,20 +126,6 @@ class Dataset:
             for record in chunk
         ]
 
-    def prepared(self, prepare: Optional[Callable[[list], list]]) -> "Dataset":
-        """This source with a per-chunk prepare hook applied at read time.
-
-        The columnar layout enters here: the engine derives a preparer
-        from the first map stage's column specs (build a ``ColumnChunk``
-        of typed arrays) and wraps the source **once**, so every chunk
-        is converted exactly where it is read instead of deep inside
-        each execution path.  ``None`` is the identity — the source is
-        returned unchanged.
-        """
-        if prepare is None:
-            return self
-        return PreparedSource(self, prepare)
-
     def estimated_bytes(self, sample_records: int = 64) -> Optional[int]:
         """Serialized-size estimate from a head sample × known length.
 
@@ -181,34 +170,6 @@ class ListSource(Dataset):
 
     def materialize(self) -> list:
         return self._records
-
-
-class PreparedSource(Dataset):
-    """A dataset whose chunks pass through a per-chunk prepare hook.
-
-    Length and chunk layout are the base source's; only the chunk
-    *representation* changes (e.g. plain lists become column-backed
-    chunks).  Preparers must preserve record order and count so the
-    partition-matched layout — and with it byte-identity — survives.
-    """
-
-    def __init__(self, base: Dataset, prepare: Callable[[list], list]):
-        self._base = base
-        self._prepare = prepare
-
-    def iter_chunks(self, chunk_records: int) -> Iterator[list]:
-        for chunk in self._base.iter_chunks(chunk_records):
-            yield self._prepare(chunk)
-
-    @property
-    def known_length(self) -> Optional[int]:
-        return self._base.known_length
-
-    def probe(self, max_records: int = DEFAULT_CHUNK_RECORDS) -> ProbeResult:
-        # Probe the *base* records (the prepare hook may change chunk
-        # representation); an exhausting probe caches the length there,
-        # where both this wrapper and the base report it.
-        return self._base.probe(max_records)
 
 
 class GeneratorSource(Dataset):

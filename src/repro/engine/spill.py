@@ -176,13 +176,12 @@ class SpillWriter:
     """Hash-partitions one map task's output into budgeted spill runs.
 
     Output arrives a batch at a time — :meth:`add_columns` takes a
-    chunk's (combined) key and value columns, :meth:`add_block` a
-    vectorized stage's arrays — and is accounted exactly as if it had
-    arrived pair by pair: the flush fires at the pair whose estimated
-    size takes the buffers past the budget, so run boundaries and every
-    :class:`SpillStats` field are those of the per-pair walk.  The one
-    batch not cut there is a counted task's *window* (:meth:`add_window`),
-    flushed whole as one file.  When both
+    chunk's (combined) key and value columns — and is accounted exactly
+    as if it had arrived pair by pair: the flush fires at the pair whose
+    estimated size takes the buffers past the budget, so run boundaries
+    and every :class:`SpillStats` field are those of the per-pair walk.
+    The one batch not cut there is a counted task's *window*
+    (:meth:`add_window`), flushed whole as one file.  When both
     columns are one fixed-size scalar kind (:func:`uniform_size`) that
     pair is found by arithmetic; any other column is sized pair by pair
     by the walker (``sizeof_pair``), the one per-pair sizing left.
@@ -371,37 +370,9 @@ class SpillWriter:
         self.spill()
 
     def add_block(self, block: ColumnBlock) -> None:
-        """Route a vectorized map stage's output block into the buffers.
-
-        The block's key and value arrays become the same columns
-        :meth:`add_columns` buffers (``tolist`` yields exactly the
-        Python scalars the row loop would have emitted).  Partitions are
-        buffered in the order their first pair arrives, each cut into
-        pieces bounded by a quarter of the budget, so residency stays
-        budget-shaped even when one chunk emits more than the budget.
-        """
-        n = len(block)
-        if n == 0:
-            return
-        sizes = block.pair_sizes()
-        biggest = max(sizes)
-        self._check_fits(biggest)
-        keys, values = block.key_list(), block.values.tolist()
-        ranks = self._ranks_of(keys)
-        where = list(map(self._parts.__getitem__, ranks))
-        groups = {
-            partition: list(members)
-            for partition, members in groupby(
-                sorted(range(n), key=where.__getitem__), where.__getitem__
-            )
-        }
-        step = max(1, (self.budget_bytes // 4) // max(1, biggest))
-        for partition in dict.fromkeys(where):
-            members = groups[partition]
-            for start in range(0, len(members), step):
-                piece = members[start : start + step]
-                self._buffer(keys, values, ranks, where, sizes, piece)
-                self._buffered(len(piece), sum(map(sizes.__getitem__, piece)))
+        """A column block's pairs through :meth:`add_columns` (no engine
+        path writes a block: a vectorized stage is always folded first)."""
+        self.add_columns(block.key_list(), block.values.tolist())
 
     def spill(self) -> None:
         """Flush the buffers as one file: each non-empty partition's run

@@ -40,7 +40,6 @@ from .nodes import (
     Var,
     expr_size,
     expr_vars,
-    summary_expr_nodes,
     walk_expr,
 )
 from .pretty import format_pipeline, format_summary
@@ -83,6 +82,5 @@ __all__ = [
     "run_map_pairs",
     "run_pipeline",
     "run_reduce",
-    "summary_expr_nodes",
     "walk_expr",
 ]

@@ -320,28 +320,6 @@ def expr_size(expr: IRExpr) -> int:
     return size
 
 
-def summary_expr_nodes(summary: Summary) -> Iterator[IRExpr]:
-    """Yield every IR expression appearing anywhere in a summary."""
-
-    def from_pipeline(pipeline: Pipeline) -> Iterator[IRExpr]:
-        for stage in pipeline.stages:
-            if isinstance(stage, MapStage):
-                for emit in stage.lam.emits:
-                    if emit.cond is not None:
-                        yield from walk_expr(emit.cond)
-                    yield from walk_expr(emit.key)
-                    yield from walk_expr(emit.value)
-            elif isinstance(stage, ReduceStage):
-                yield from walk_expr(stage.lam.body)
-            elif isinstance(stage, JoinStage):
-                yield from from_pipeline(stage.right)
-
-    yield from from_pipeline(summary.pipeline)
-    for out in summary.outputs:
-        if out.key is not None:
-            yield from walk_expr(out.key)
-
-
 StageLike = Union[MapStage, ReduceStage, JoinStage]
 
 

@@ -10,8 +10,8 @@ physical choices into the engines.  Names are validated here, once; the
 .effective_plan`, once.
 
 There is no kernel or chunk-layout option: every backend runs the
-compiled kernels over column chunks (:mod:`repro.codegen.kernels`) on
-the real local engine — a simulated one once, then prices the run.
+compiled kernels (:mod:`repro.codegen.kernels`) on the real local
+engine — a simulated one once, then prices the run.
 
 Every layer on the way back returns the one :class:`JobResult`:
 ``GeneratedProgram.run``, ``AdaptiveProgram.run`` and ``run_graph``

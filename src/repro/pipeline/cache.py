@@ -13,11 +13,12 @@ renaming applied), and renamed back to the requesting fragment's own
 variable names on a hit — two workloads that differ only in identifier
 choice share cache entries.
 
-Three kinds of entry share the tiers: verified summaries (keyed by
-fingerprint + search configuration), ``cex:`` counterexample states
-(fingerprint only) and ``neg:`` exhausted-search verdicts (fingerprint +
-search configuration + :func:`search_space_tag`), so a fragment the
-grammar cannot express is searched once, not on every compile.
+Three kinds of entry share the tiers: verified summaries and ``neg:``
+exhausted-search verdicts (both keyed by fingerprint + search
+configuration + :func:`search_space_tag`, so a fragment the grammar
+cannot express is searched once, not on every compile, and a summary
+dies with the synthesizer that found it) and ``cex:`` counterexample
+states (fingerprint only: a refuting state stays a refuting state).
 
 The in-memory tier is a thread-safe LRU; an optional on-disk tier stores
 one JSON file per entry under ``cache_dir`` so caches survive processes.
@@ -166,12 +167,14 @@ _SEARCH_SPACE_PACKAGES = (
 def search_space_tag() -> str:
     """Digest of the source that decides what a search can find.
 
-    Part of every ``neg:`` key.  "No summary exists" is a statement about
-    the grammar and the verifier, not only about the fragment, so an
-    exhausted verdict must die with the code that produced it; hashing the
-    source bytes means a grammar or verifier edit can never be masked by
-    a stale entry and nobody has to remember a version bump.  Computed on
-    first use, once per process.
+    Part of every summary and ``neg:`` key.  "No summary exists" is a
+    statement about the grammar and the verifier, not only about the
+    fragment, and so is which summaries a search returns (a fix to how a
+    ``+`` fold binds a float start changes them), so both kinds of entry
+    must die with the code that produced them; hashing the source bytes
+    means a grammar or verifier edit can never be masked by a stale entry
+    and nobody has to remember a version bump.  Computed on first use,
+    once per process.
     """
     digest = hashlib.sha256()
     for package in _SEARCH_SPACE_PACKAGES:
@@ -459,7 +462,10 @@ class SummaryCache:
 
     @staticmethod
     def _key(fingerprint: FragmentFingerprint, config: SearchConfig) -> str:
-        return f"{fingerprint.digest}:{search_config_key(config)}"
+        return (
+            f"{fingerprint.digest}:{search_config_key(config)}"
+            f":{search_space_tag()}"
+        )
 
     def _fetch(self, key: str, count_disk_hit: bool = False) -> Optional[dict[str, Any]]:
         """One entry of any kind: memory tier first, then disk (promoted)."""

@@ -11,7 +11,8 @@ diagnostics, and (after execution) the measured wall-clock time and any
 fallback the engine had to take.
 
 A plan names no kernel and no chunk layout: on the real local backends
-every stage runs its compiled kernel over column chunks.
+every stage runs its compiled kernel over record chunks (a folded
+vector segment over its columns).
 """
 
 from __future__ import annotations

@@ -1,20 +1,18 @@
-"""Columnar chunk layout: exactness guards, caching, shuffle, no knobs.
+"""Column arrays of the vector tier: exactness guards, shuffle, no knobs.
 
 Unit tests for :mod:`repro.engine.columnar` and the machinery around it:
 column extraction only materializes arrays the type promise licenses,
 guard trips (int64 overflow, NaN/inf, mixed types) fall back to the
 compiled row loop with byte-identical results, the grouped array fold
-matches the ordered dict combine exactly, spilled column blocks expand
-to the same pair stream the row writer produces, the zero-copy
-shared-memory payload round-trips, and the column path — the only one,
-with no ``layout`` knob left to validate — matches the row oracle end to
-end.
+matches the ordered dict combine exactly, a column block written to the
+spill store gives the same pair stream the row writer produces, and the
+column path — with no ``layout`` knob left to validate — matches the
+row oracle end to end.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 import struct
 import warnings
 
@@ -25,7 +23,6 @@ from repro.codegen.base import prepare_globals, view_records
 from repro.codegen.kernels import CompiledRecordMapper
 from repro.engine.columnar import (
     ColumnBlock,
-    ColumnChunk,
     ColumnSpec,
     build_chunk,
     build_column,
@@ -74,8 +71,15 @@ def _engine() -> MultiprocessEngine:
     return MultiprocessEngine(config=config, processes=0)
 
 
+def _block(mapper, rows):
+    """The mapper's vector block over ``rows``, or None when a column or
+    a guard refuses (what the engine's segment path gets)."""
+    columns = resolve_columns(rows, mapper.columns_spec)
+    return None if columns is None else mapper.map_block(columns)
+
+
 def _steps(name: str, inputs, oracle: bool = False):
-    """The production (compiled, column-chunk) steps, or the row oracle's."""
+    """The production (compiled) steps, or the row oracle's."""
     compilation = compiled(name)
     fragment = [f for f in compilation.fragments if f.translated][0]
     program = fragment.program.programs[0]
@@ -132,37 +136,6 @@ def test_build_column_refuses_out_of_int64_values():
     assert build_column([2**63 - 1, -(2**63)], INT_SPEC) is not None
 
 
-def test_chunk_caches_extracted_columns():
-    chunk = ColumnChunk([1, 2, 3])  # no column extracted yet
-    first = resolve_columns(chunk, (INT_SPEC,))
-    second = resolve_columns(chunk, (INT_SPEC,))
-    assert first["v"] is second["v"], "second resolve must reuse the array"
-    assert "v" in chunk.columns
-    # A failed column is cached too, so repeated kernels skip the probe.
-    dirty = build_chunk([1, "oops"], (INT_SPEC,))
-    assert resolve_columns(dirty, (INT_SPEC,)) is None
-    assert dirty.columns["v"] is None
-    # The cache survives pickling (workers skip re-extraction).
-    clone = pickle.loads(pickle.dumps(chunk))
-    assert isinstance(clone, ColumnChunk) and "v" in clone.columns
-    # A plain list has nowhere to keep a column: extracted every time.
-    rows = [1, 2, 3]
-    assert resolve_columns(rows, (INT_SPEC,))["v"] is not resolve_columns(
-        rows, (INT_SPEC,)
-    )["v"]
-
-
-def test_column_chunk_iterates_as_rows():
-    rows = [(0, 10), (1, 20)]
-    spec = ColumnSpec(name="x", kind="int", access="index", position=1)
-    chunk = build_chunk(rows, (spec,))
-    assert len(chunk) == 2 and list(chunk) == rows and chunk[1] == (1, 20)
-    assert chunk.columns["x"].tolist() == [10, 20]
-    clone = pickle.loads(pickle.dumps(chunk))
-    assert isinstance(clone, ColumnChunk)
-    assert clone.columns["x"].tolist() == [10, 20]
-
-
 # ----------------------------------------------------------------------
 # ColumnBlock: pair reconstruction and byte accounting
 
@@ -175,7 +148,6 @@ def test_column_block_pairs_and_sizes_match_row_accounting():
     pairs = block.pairs()
     assert pairs == [(7, 1.5), (2**40, 2.5), (7, 3.5)]
     assert all(type(k) is int and type(v) is float for k, v in pairs)
-    assert block.pair_sizes() == [sizeof_pair(k, v) for k, v in pairs]
     assert block.stage_bytes() == sum(sizeof(p) for p in pairs)
     const = ColumnBlock(values=np.asarray([1, 2], dtype=np.int64), key_const=0)
     assert const.pairs() == [(0, 1), (0, 2)]
@@ -224,7 +196,7 @@ def test_column_block_bytes_are_the_pairs_bytes(block):
     pairs = block.pairs()
     assert block.stage_bytes() == dataset_bytes(pairs)
     assert block.shuffle_bytes() == pairs_bytes(pairs)
-    assert block.shuffle_bytes() == sum(block.pair_sizes())
+    assert block.shuffle_bytes() == sum(sizeof_pair(k, v) for k, v in pairs)
 
 
 # ----------------------------------------------------------------------
@@ -333,17 +305,15 @@ def test_int_overflow_chunk_falls_back_to_row_loop():
     mapper, _records = _mapper("fiji_invert")  # emits 255 - img over ints
     assert mapper.vectorized
     clean = [(i, i % 256) for i in range(64)]
-    assert mapper.map_block(clean) is not None
+    assert _block(mapper, clean).pairs() == mapper.map_rows(clean)
     # 255 - (-2**62) stays in int64 but the conservative bound guard
     # still must not wrap anywhere; push values where 255 - v overflows.
     hot = [(i, -(2**63) + 1) for i in range(4)]
-    rows = mapper.map_rows(hot)
-    assert mapper.map_block(hot) is None and mapper.last_chunk_fallback
-    assert mapper.map_chunk(hot) == rows
+    assert resolve_columns(hot, mapper.columns_spec) is not None
+    assert _block(mapper, hot) is None
+    assert mapper.map_rows(hot) == [(i, 255 + 2**63 - 1) for i in range(4)]
     # Out-of-int64 bignums never reach the array: the column refuses.
-    bignum = [(0, 2**70)]
-    assert mapper.map_block(bignum) is None
-    assert mapper.map_chunk(bignum) == mapper.map_rows(bignum)
+    assert resolve_columns([(0, 2**70)], mapper.columns_spec) is None
 
 
 def test_nonfinite_float_chunk_falls_back_to_row_loop():
@@ -351,16 +321,14 @@ def test_nonfinite_float_chunk_falls_back_to_row_loop():
     assert mapper.vectorized
     for poison in (float("nan"), float("inf"), 1e200):  # 1e200**2 == inf
         hot = [(i, v) for i, v in enumerate([1.0, poison, 2.0])]
-        assert mapper.map_block(hot) is None and mapper.last_chunk_fallback
-        assert _pairs_equal(mapper.map_chunk(hot), mapper.map_rows(hot))
+        assert _block(mapper, hot) is None
 
 
 def test_mixed_type_column_falls_back_to_row_loop():
     name = "ariths_sum"
     mapper, records = _mapper(name)
     dirty = list(records) + [(len(records), 1.5)]  # float in an int column
-    assert mapper.map_block(dirty) is None and mapper.last_chunk_fallback
-    assert mapper.map_chunk(dirty) == mapper.map_rows(dirty)
+    assert _block(mapper, dirty) is None
     # In the engine every chunk either vectorized or tripped a guard,
     # resident and under a budget alike: 11 records, fewer than the
     # partition count, are 11 one-record chunks.
@@ -383,8 +351,8 @@ def test_mixed_type_column_falls_back_to_row_loop():
     ids=["bignum", "near-int64-min", "nan", "inf", "string-in-int"],
 )
 def test_dirty_data_identical_across_layouts_in_engine(poison):
-    # The two layouts left: column chunks under the compiled kernels
-    # (production) and plain rows under the evaluator (the oracle).
+    # Production (the compiled kernels, a folded vector segment here)
+    # against plain rows under the evaluator (the oracle).
     name = "ariths_sum"
     records = [(i, v) for i, v in enumerate([3, -2, poison, 5, 0])]
     inputs = get_benchmark(name).make_inputs(RUN_SIZE, 7)
@@ -418,7 +386,7 @@ def test_guard_fallbacks_are_counted():
 
 
 # ----------------------------------------------------------------------
-# sizeof prices arrays and column chunks (satellite 2)
+# sizeof prices arrays flat
 
 
 def test_sizeof_prices_ndarrays_flat():
@@ -427,19 +395,6 @@ def test_sizeof_prices_ndarrays_flat():
     assert sizeof(np.asarray([1.0, 2.0])) == OBJECT_HEADER + 16
     ragged = np.asarray(["a", "bb"], dtype=object)
     assert sizeof(ragged) == OBJECT_HEADER + 2 * sizeof("a")
-
-
-def test_sizeof_prices_column_chunks_via_model():
-    rows = [(0, 10), (1, 20)]
-    spec = ColumnSpec(name="x", kind="int", access="index", position=1)
-    chunk = build_chunk(rows, (spec,))
-    expected = (
-        OBJECT_HEADER
-        + sum(sizeof(row) for row in rows)
-        + OBJECT_HEADER
-        + int(chunk.columns["x"].nbytes)
-    )
-    assert sizeof(chunk) == expected
 
 
 # ----------------------------------------------------------------------
@@ -451,15 +406,6 @@ def _stage_bytes(result) -> list[tuple]:
         (s.name, s.bytes_in, s.bytes_out, s.bytes_shuffled)
         for s in result.metrics.stages
     ]
-
-
-def test_built_chunk_keeps_its_byte_count_through_pickle():
-    mapper, records = _mapper("tpch_q15")
-    chunk = build_chunk(records, mapper.columns_spec)
-    assert chunk.row_bytes == dataset_bytes(records) == sum(map(sizeof, records))
-    clone = pickle.loads(pickle.dumps(chunk))
-    assert clone.row_bytes == chunk.row_bytes
-    assert sizeof(clone) == sizeof(chunk)
 
 
 def test_pool_scan_charge_is_the_sequential_one():
@@ -484,10 +430,10 @@ def test_guard_trip_chunk_is_priced_like_its_rows():
     mapper, records = _mapper(name)
     rows = [record.copy() for record in records]
     rows[3].fields["l_suppkey"] = True  # bool is not int: the column refuses
-    chunk = build_chunk(rows, mapper.columns_spec)
-    assert chunk.columns["l_suppkey"] is None
-    assert chunk.columns["l_discount"] is not None
-    assert chunk.row_bytes == dataset_bytes(rows) == sum(map(sizeof, rows))
+    columns, row_bytes = build_chunk(rows, mapper.columns_spec)
+    assert columns["l_suppkey"] is None
+    assert columns["l_discount"] is not None
+    assert row_bytes == dataset_bytes(rows) == sum(map(sizeof, rows))
     steps = _steps(name, get_benchmark(name).make_inputs(RUN_SIZE, 7))
     clean = _engine().run_pipeline(records, steps)
     tripped = _engine().run_pipeline(rows, steps)
@@ -573,7 +519,8 @@ def test_engine_rejects_unknown_layout():
 
 def test_planner_resolves_layout_from_kernel():
     # Nothing to resolve: a planned run of a vectorizable program is on
-    # column chunks at any size, and its report names no layout.
+    # its folded vector segment at any size, and its report names no
+    # layout.
     benchmark = get_benchmark("ariths_sum")
     compilation = compiled("ariths_sum")
     fragment = [f for f in compilation.fragments if f.translated][0]

@@ -264,8 +264,7 @@ def _spilled_run(records, steps, budget: int, processes: int, patched):
 
     def priced(chunks):
         for chunk in chunks:
-            rows = chunk.row_bytes if type(chunk) is columnar.ColumnChunk else None
-            in_flight.append(dataset_bytes(chunk) if rows is None else rows)
+            in_flight.append(dataset_bytes(chunk))
             yield chunk
 
     def map_task(map_fns, combiner, chunks, *rest):

@@ -35,7 +35,11 @@ seconds alone moved (fewer pairs spilled), and the 24 run rows of
 ``biglambda_select_sum#1``, ``fiji_nlmeans_stats#0`` and ``fiji_trails#0``
 (five backends and three graph runs each), whose ``double`` outputs are
 now the source's floats where the fold left equal ints; the other 618
-were reproduced unchanged.  An engine, accounting or sampling
+were reproduced unchanged.  24 more were regenerated when only a folded
+map segment kept the vector path: the ``@graph.*`` rows of the eight
+benchmarks whose element maps, filters and projections vectorized chunk
+by chunk, where only each unit's ``columnar`` account moved (to None);
+the other 648 were reproduced unchanged.  An engine, accounting or sampling
 change that moves any of them fails here with the fragment × backend
 named.  Nothing in an entry depends on ``PYTHONHASHSEED`` (sets are
 rendered sorted).

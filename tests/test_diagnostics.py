@@ -403,12 +403,23 @@ class TestEngineCodes:
         # What the engine reports — columnar counters, spill stats,
         # mid-job decisions — must reach a fused chain's PlanReport like
         # a single fragment's.
-        graph = compiled("biglambda_select_sum").job_graph
-        inputs = get_benchmark("biglambda_select_sum").make_inputs(6000, 1)
-        run = run_graph(graph, dict(inputs), ExecOptions(plan="multiprocess"))
+        # A keyed sum bridged into a sum: both folded segments vectorize.
+        chain = translate(
+            "double f(int[] k, double[] v, int n, int m) { double[] r = new double[m];"
+            " for (int i = 0; i < n; i++) { r[k[i]] = r[k[i]] + v[i]; }"
+            " double t = 0; for (int j = 0; j < m; j++) { t = t + r[j]; } return t; }"
+        )
+        n = 6000
+        keyed = {"k": [i % 3 for i in range(n)], "v": [i % 7 * 0.5 for i in range(n)]}
+        run = run_graph(
+            chain.job_graph, dict(keyed, n=n, m=3), ExecOptions(plan="multiprocess")
+        )
         (report,) = run.plan_report.unit_reports.values()
         assert report.summary()["columnar"]["columnar_chunks"] > 0
         assert report.spill_stats is None
+        graph = compiled("biglambda_select_sum").job_graph
+        inputs = get_benchmark("biglambda_select_sum").make_inputs(6000, 1)
+        run = run_graph(graph, dict(inputs), ExecOptions(plan="multiprocess"))
         hidden = dict(inputs, rows=GeneratorSource(lambda: iter(inputs["rows"])))
         streamed = run_graph(graph, hidden, ExecOptions(memory_budget=1 << 20))
         (report,) = streamed.plan_report.unit_reports.values()

@@ -56,7 +56,7 @@ from repro.codegen.kernels import (
     _live_atoms,
     _record_atoms,
 )
-from repro.engine.columnar import KeyCount, fold_columns
+from repro.engine.columnar import KeyCount, fold_columns, resolve_columns
 from repro.engine.config import EngineConfig
 from repro.engine.multiprocess import MapStep, MultiprocessEngine, ReduceStep
 from repro.errors import IRError, KernelUnsupported
@@ -383,15 +383,12 @@ def test_vectorized_path_matches_compiled_loop():
         emits=stage.lam.emits, globals_env=globals_env, view=program.analysis.view
     )
     assert mapper.vectorized
-    vectorized = mapper.map_chunk(records)
-    loop_only = pickle.loads(pickle.dumps(mapper))
-    loop_only._ensure()
-    loop_only._vec = None
-    assert vectorized == loop_only.map_chunk(records)
-    # A chunk that is not the clean float column the types promised
-    # falls back to the loop instead of producing numpy garbage.
+    block = mapper.map_block(resolve_columns(records, mapper.columns_spec))
+    assert block.pairs() == mapper.map_chunk(records)
+    # A chunk that is not the clean column the types promised falls
+    # back to the loop instead of producing numpy garbage.
     dirty = list(records) + [(len(records), "oops")]
-    assert mapper._vec(dirty) is None
+    assert resolve_columns(dirty, mapper.columns_spec) is None
 
 
 def test_division_by_zero_matches_evaluator():
@@ -480,13 +477,6 @@ def test_map_columns_are_the_row_kernels_pairs(name):
         keys, values = mapper.map_columns(rows)
         assert type(keys) is type(values) is list
         assert _exact(zip(keys, values)) == _exact(mapper.map_chunk(rows))
-        if getattr(mapper, "vectorized", False):
-            # The column *kernel* proper, as after a vector guard trip.
-            mapper = pickle.loads(pickle.dumps(mapper))
-            mapper._ensure()
-            mapper._vec = None
-            keys, values = mapper.map_columns(rows)
-            assert _exact(zip(keys, values)) == _exact(mapper.map_rows(rows))
 
 
 def test_map_columns_cover_every_emit_shape():

@@ -366,6 +366,51 @@ class TestSummaryCache:
         assert result.candidates_checked == 0
         assert fresh.stats.disk_hits == 1
 
+    def test_an_entry_from_another_search_space_is_a_miss(self, tmp_path, monkeypatch):
+        """A summary stored by a build whose synthesizer differed (here:
+        one that bound a ``Map<Integer,Double>`` sum without its ``0.0``
+        start, so ``-0.0`` sums came back ``-0.0``) is not recalled."""
+        import repro.pipeline.cache as cache_module
+
+        source = (
+            "Map<Integer,Double> f(int[] k, double[] v, int n) {"
+            " Map<Integer,Double> m = new HashMap<Integer,Double>();"
+            " for (int i = 0; i < n; i++) { m.put(k[i], m.getOrDefault(k[i], 0.0) + v[i]); }"
+            " return m; }"
+        )
+        inputs = {"k": [0, 1, 0, 1], "v": [-0.0] * 4, "n": 4}
+        real_tag = cache_module.search_space_tag()
+        monkeypatch.setattr(cache_module, "search_space_tag", lambda: "an-older-build")
+        translate(source, cache=SummaryCache(cache_dir=str(tmp_path)))
+        [stale] = tmp_path.glob("*_an-older-build.json")
+        [cex] = tmp_path.glob("cex_*.json")
+        entry = json.loads(stale.read_text())
+        [output] = entry["summaries"][0]["summary"]["outputs"]
+        output["default"] = None  # what that build stored
+        stale.write_text(json.dumps(entry))
+        recalled = translate(source, cache=SummaryCache(cache_dir=str(tmp_path)))
+        assert recalled.cache_hits == 1
+        assert repr(recalled.fragments[0].program.run(dict(inputs)).outputs) == (
+            "{'m': {0: -0.0, 1: -0.0}}"
+        )
+
+        monkeypatch.setattr(cache_module, "search_space_tag", lambda: real_tag)
+        recalled_states = []
+        lookup = SummaryCache.lookup_counterexamples
+        monkeypatch.setattr(
+            SummaryCache,
+            "lookup_counterexamples",
+            lambda cache, fp: recalled_states.append(lookup(cache, fp)) or recalled_states[-1],
+        )
+        fresh = translate(source, cache=SummaryCache(cache_dir=str(tmp_path)))
+        assert fresh.cache_hits == 0 and fresh.searches_run == 1
+        assert recalled_states[0]  # a cex: entry carries no tag: recalled
+        assert repr(fresh.fragments[0].program.run(dict(inputs)).outputs) == (
+            "{'m': {0: 0.0, 1: 0.0}}"
+        )
+        assert [path.name for path in tmp_path.glob("cex_*.json")] == [cex.name]
+        assert len(list(tmp_path.glob(f"*_{real_tag}.json"))) == 1
+
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = SummaryCache(cache_dir=str(tmp_path))
         translate(SUM_SOURCE, cache=cache)

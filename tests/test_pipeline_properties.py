@@ -31,7 +31,6 @@ from repro.engine import (
 )
 from repro.codegen.kernels import CompiledReduce
 from repro.engine.columnar import (
-    ColumnChunk,
     ColumnSpec,
     build_chunk,
     count_keys,
@@ -187,12 +186,6 @@ def _self_containing_instance():
     return cyclic
 
 
-def _column_chunk():
-    chunk = ColumnChunk([(1, 2.0), (3, 4.0)])
-    chunk.columns["x"] = np.asarray([1, 3], dtype=np.int64)
-    return chunk
-
-
 _SMALL_INTS = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 _SCALAR_COLUMNS = [
     _SMALL_INTS,
@@ -212,7 +205,6 @@ _SCALAR_COLUMNS = [
 _WALKER_ONLY = st.one_of(
     st.sampled_from([_Color.RED, _Color.WIDE, _Tag("t"), _Point(1, "p")]),
     st.builds(_self_containing_list),
-    st.builds(_column_chunk),
     st.builds(lambda xs: np.asarray(xs, dtype=np.int64), st.lists(_SMALL_INTS)),
     st.builds(lambda xs: np.asarray(xs, dtype=object), st.lists(st.text())),
     st.just(np.float64(1.5)),
@@ -309,7 +301,6 @@ def test_dataset_bytes_is_the_summed_walk(rows):
     assert dataset_bytes(rows) == expected
     assert dataset_bytes(tuple(rows)) == expected
     assert dataset_bytes(iter(rows)) == expected
-    assert dataset_bytes(ColumnChunk(rows)) == expected
     # Key and value walk with separate visited sets, aliased or not.
     for pairs in ([(r, r) for r in rows], list(zip(rows, reversed(rows)))):
         assert pairs_bytes(pairs) == sum(sizeof_pair(k, v) for k, v in pairs)
@@ -390,12 +381,11 @@ def _extracted_column(rows, spec):
 )
 @settings(max_examples=400, deadline=None)
 def test_built_chunk_is_priced_and_extracted_like_its_rows(rows, specs):
-    chunk = build_chunk(rows, specs)
-    assert chunk.row_bytes == _walked(rows)
-    assert dataset_bytes(chunk) == _walked(rows)
+    columns, row_bytes = build_chunk(rows, specs)
+    assert row_bytes == _walked(rows)
     for spec in specs:
         expected = _extracted_column(rows, spec)
-        column = chunk.columns[spec.name]
+        column = columns[spec.name]
         if expected is None:
             assert column is None, spec
         else:
@@ -428,7 +418,7 @@ _NAMED_CHUNKS = {
         Instance("P", OrderedDict(x=2**40)),
     ],
     "scalar_subclasses": [_Color.RED, _Tag("t"), _Point(1, 2)],
-    "size_model_carriers": [np.arange(4), _column_chunk()],
+    "ndarrays": [np.arange(4), np.asarray([1.5])],
     "self_containing_list": [_self_containing_list()],
     "self_containing_instance": [_self_containing_instance()],
 }

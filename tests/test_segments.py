@@ -391,6 +391,6 @@ def test_segment_columns_are_the_chunks_columns(rows):
     columns, nbytes = build_segment(chunks, (spec,))
     pieces = [build_chunk(chunk, (spec,)) for chunk in chunks]
     assert columns["v"].tolist() == records
-    assert nbytes == sum(piece.row_bytes for piece in pieces)
+    assert nbytes == sum(row_bytes for _columns, row_bytes in pieces)
     dirty = build_segment(chunks[:1] + [[1.5]], (spec,))
-    assert dirty[0] is None and dirty[1] == pieces[0].row_bytes + 8
+    assert dirty[0] is None and dirty[1] == pieces[0][1] + 8

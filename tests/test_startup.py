@@ -3,7 +3,8 @@ vector kernel, not with ``import repro``.
 
 Module loading is process state, so every fact here is read in a fresh
 interpreter: one subprocess imports the package, runs a word count (no
-vector kernel), then a ``tpch_q15`` scan (the vector kernel), and
+vector kernel) and an element map (vectorizable, but no fold after it,
+so the row loop), then a ``tpch_q15`` scan (the vector kernel), and
 reports what was loaded after each step.
 """
 
@@ -34,7 +35,7 @@ def columnar_chunks(report):
 
 
 with Session(max_workers=0) as session:
-    for name in ("phoenix_wordcount", "tpch_q15"):
+    for name in ("phoenix_wordcount", "stats_vector_add", "tpch_q15"):
         benchmark = get_benchmark(name)
         program = session.compile(benchmark.source)
         result = session.submit(
@@ -72,10 +73,11 @@ def test_every_public_name_resolves(facts):
     assert facts["unresolved"] == []
 
 
-def test_a_row_path_job_leaves_numpy_unloaded(facts):
-    wordcount = facts["phoenix_wordcount"]
-    assert wordcount["status"] == "ok"
-    assert wordcount["numpy"] is False and wordcount["columnar_chunks"] == 0
+@pytest.mark.parametrize("name", ["phoenix_wordcount", "stats_vector_add"])
+def test_a_row_path_job_leaves_numpy_unloaded(facts, name):
+    job = facts[name]
+    assert job["status"] == "ok"
+    assert job["numpy"] is False and job["columnar_chunks"] == 0
 
 
 def test_the_first_vector_kernel_loads_numpy(facts):
