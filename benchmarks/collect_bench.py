@@ -242,14 +242,14 @@ def measure_dag() -> dict:
         except Exception as exc:
             per_benchmark[name] = {"error": str(exc)}
             continue
-        fused_wall += fused.wall_seconds
-        unfused_wall += unfused.wall_seconds
+        fused_wall += fused.report.wall_seconds
+        unfused_wall += unfused.report.wall_seconds
         fused_sim += fused.simulated_seconds
         unfused_sim += unfused.simulated_seconds
         per_benchmark[name] = {
             "outputs_match": fused.outputs_match and unfused.outputs_match,
-            "fused_wall_seconds": round(fused.wall_seconds, 4),
-            "unfused_wall_seconds": round(unfused.wall_seconds, 4),
+            "fused_wall_seconds": round(fused.report.wall_seconds, 4),
+            "unfused_wall_seconds": round(unfused.report.wall_seconds, 4),
             "fused_simulated_seconds": round(fused.simulated_seconds, 4),
             "unfused_simulated_seconds": round(unfused.simulated_seconds, 4),
             "waves": [list(w) for w in fused.report.plan.waves],

@@ -140,14 +140,16 @@ class TestFusionSpeedup:
                 compilation=compilation,
             )
             assert fused.outputs_match and unfused.outputs_match
-            fused_total += fused.wall_seconds
-            unfused_total += unfused.wall_seconds
+            fused_wall = fused.report.wall_seconds
+            unfused_wall = unfused.report.wall_seconds
+            fused_total += fused_wall
+            unfused_total += unfused_wall
             rows.append(
                 [
                     name,
-                    f"{unfused.wall_seconds:.3f}",
-                    f"{fused.wall_seconds:.3f}",
-                    f"{unfused.wall_seconds / max(fused.wall_seconds, 1e-9):.2f}×",
+                    f"{unfused_wall:.3f}",
+                    f"{fused_wall:.3f}",
+                    f"{unfused_wall / max(fused_wall, 1e-9):.2f}×",
                 ]
             )
         speedup = unfused_total / max(fused_total, 1e-9)

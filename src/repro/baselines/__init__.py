@@ -3,7 +3,6 @@
 from .joins import JoinResult, estimate_join_order, run_three_way_join
 from .manual import (
     ManualResult,
-    manual_anscombe,
     manual_histogram3d,
     manual_linear_regression,
     manual_logistic_regression,
@@ -36,7 +35,6 @@ __all__ = [
     "MoldResult",
     "SqlResult",
     "estimate_join_order",
-    "manual_anscombe",
     "manual_histogram3d",
     "manual_linear_regression",
     "manual_logistic_regression",

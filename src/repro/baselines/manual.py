@@ -127,17 +127,6 @@ def manual_wikipedia_pagecount(
     return ManualResult(result=totals.collect_as_map(), metrics=context.metrics)
 
 
-def manual_anscombe(
-    xs: list[float], config: Optional[EngineConfig] = None
-) -> ManualResult:
-    context = SimSparkContext(config or EngineConfig())
-    transformed = context.parallelize(xs).map(
-        lambda x: 2.0 * math.sqrt(x + 0.375) if x >= -0.375 else float("nan"),
-        complexity=3,
-    )
-    return ManualResult(result=transformed.collect(), metrics=context.metrics)
-
-
 def manual_pagerank(
     edges: list[Instance],
     nodes: int,

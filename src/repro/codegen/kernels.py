@@ -45,7 +45,7 @@ the simulated Spark/Hadoop/Flink backends run nothing of their own.
 
 Semantics are preserved exactly by construction:
 
-* ``/`` and ``%`` call the *same* ``_java_div``/``_java_mod`` helpers
+* ``/`` and ``%`` call the *same* ``java_div``/``java_rem`` helpers
   the evaluator uses (identical truncation and division-by-zero
   :class:`~repro.errors.IRError`);
 * modelled library functions are injected from the evaluator's own
@@ -92,7 +92,7 @@ from types import CodeType
 from typing import Any, Callable, Optional
 
 from ..errors import IRError, KernelUnsupported
-from ..ir.eval import _FUNCTIONS, _java_div, _java_mod, eval_expr
+from ..ir.eval import _FUNCTIONS, eval_expr, java_div, java_rem
 from ..ir.nodes import (
     BinOp,
     CallFn,
@@ -183,10 +183,10 @@ class _Renderer:
             if e.op in _NATIVE_BINOPS:
                 return f"({left} {e.op} {right})"
             if e.op == "/":
-                self.helpers["__div"] = _java_div
+                self.helpers["__div"] = java_div
                 return f"__div({left}, {right})"
             if e.op == "%":
-                self.helpers["__mod"] = _java_mod
+                self.helpers["__mod"] = java_rem
                 return f"__mod({left}, {right})"
             if e.op == "&&":
                 return f"(bool({left}) and bool({right}))"
@@ -583,10 +583,6 @@ def compile_kernel(
 # ----------------------------------------------------------------------
 # numpy fast path: multi-column, int/float/bool, guarded
 
-#: CallFn names the vector renderer can express exactly (see each case
-#: in ``_VecRenderer.expr`` for the exactness argument).
-_VEC_NP_FUNCS = {"sqrt": "sqrt", "floor": "floor", "ceil": "ceil"}
-
 
 class _VecUnsupported(Exception):
     """Internal: expression falls outside the provably exact subset."""
@@ -630,42 +626,12 @@ def _guarded_mul(a: Any, b: Any) -> Any:
     return a * b
 
 
-def _guarded_sq(a: Any) -> Any:
-    bound = _int_bound(a)
-    if bound * bound > _I64_MAX:
-        raise GuardTrip("int64 sq could overflow")
-    return a * a
-
-
-def _guarded_neg(a: Any) -> Any:
-    if _int_bound(a) > _I64_MAX:
-        raise GuardTrip("negating int64 min overflows")
-    return -a
-
-
-def _guarded_abs(a: Any) -> Any:
-    if _int_bound(a) > _I64_MAX:
-        raise GuardTrip("abs of int64 min overflows")
-    import numpy as np
-
-    return np.abs(a)
-
-
 def _guarded_where(cond: Any, then: Any, other: Any) -> Any:
     if max(_int_bound(then), _int_bound(other)) > _I64_MAX:
         raise GuardTrip("int64 select could overflow")
     import numpy as np
 
     return np.where(cond, then, other)
-
-
-def _to_double(value: Any) -> Any:
-    # int64 → float64 rounds to nearest, exactly like Python float(int).
-    import numpy as np
-
-    if isinstance(value, np.ndarray):
-        return value.astype(np.float64)
-    return float(value)
 
 
 class _VecRenderer:
@@ -701,15 +667,11 @@ class _VecRenderer:
 
     def expr(self, e: IRExpr) -> tuple[str, str, bool]:
         if isinstance(e, Const):
-            if isinstance(e.value, bool):
-                return repr(e.value), "bool", False
-            if isinstance(e.value, int):
+            if type(e.value) is int:
                 return repr(e.value), "int", False
-            if isinstance(e.value, float):
-                if e.value != e.value or e.value in (float("inf"), float("-inf")):
-                    raise _VecUnsupported("non-finite constant")
+            if type(e.value) is float and math.isfinite(e.value):
                 return repr(e.value), "float", False
-            raise _VecUnsupported("non-numeric constant")
+            raise _VecUnsupported("constant other than an int or a finite float")
         if isinstance(e, Var):
             if e.name in self.columns:
                 argument, kind = self.columns[e.name]
@@ -751,61 +713,20 @@ class _VecRenderer:
             if e.op in ("==", "!=", "<", "<=", ">", ">="):
                 return f"({left} {e.op} {right})", "bool", vec
             raise _VecUnsupported(f"op {e.op!r} not exact on float64")
-        if isinstance(e, UnOp):
-            operand, kind, vec = self.expr(e.operand)
-            if e.op == "-" and kind in ("int", "float"):
-                if kind == "int" and vec:
-                    alias = self._helper("__gneg", _guarded_neg)
-                    return f"{alias}({operand})", kind, vec
-                return f"(-{operand})", kind, vec
-            if e.op == "!" and kind == "bool":
-                return f"{self._np_helper('logical_not')}({operand})", "bool", vec
-            raise _VecUnsupported(f"unary {e.op!r} on {kind}")
         if isinstance(e, Cond):
+            # Only the int ?: over columns a suite stage holds is rendered.
             cond, ck, cv = self.expr(e.cond)
             then, tk, tv = self.expr(e.then)
             other, ok, ov = self.expr(e.other)
-            if ck != "bool" or tk not in ("int", "float") or ok not in ("int", "float"):
-                raise _VecUnsupported("non-numeric conditional")
-            kind = "float" if "float" in (tk, ok) else "int"
-            vec = cv or tv or ov
-            if kind == "int" and vec:
-                alias = self._helper("__gwhere", _guarded_where)
-                return f"{alias}({cond}, {then}, {other})", kind, vec
-            return f"{self._np_helper('where')}({cond}, {then}, {other})", kind, vec
+            if (ck, tk, ok) != ("bool", "int", "int") or not (cv or tv or ov):
+                raise _VecUnsupported("conditional other than int over columns")
+            alias = self._helper("__gwhere", _guarded_where)
+            return f"{alias}({cond}, {then}, {other})", "int", True
         if isinstance(e, CallFn):
-            if e.name == "sq" and len(e.args) == 1:
-                arg, kind, vec = self.expr(e.args[0])
-                if kind not in ("int", "float"):
-                    raise _VecUnsupported("sq on non-numeric")
-                if kind == "int" and vec:
-                    alias = self._helper("__gsq", _guarded_sq)
-                    return f"{alias}({arg})", kind, vec
-                return f"({arg} * {arg})", kind, vec
-            if e.name == "to_double" and len(e.args) == 1:
-                arg, kind, vec = self.expr(e.args[0])
-                if kind == "float":
-                    return arg, "float", vec
-                if kind == "int":
-                    alias = self._helper("__to_double", _to_double)
-                    return f"{alias}({arg})", "float", vec
-                raise _VecUnsupported("to_double on non-numeric")
             if e.name == "abs" and len(e.args) == 1:
                 arg, kind, vec = self.expr(e.args[0])
-                if kind not in ("int", "float"):
-                    raise _VecUnsupported("abs on non-numeric")
-                if kind == "int" and vec:
-                    alias = self._helper("__gabs", _guarded_abs)
-                    return f"{alias}({arg})", kind, vec
-                return f"{self._np_helper('abs')}({arg})", kind, vec
-            if e.name in _VEC_NP_FUNCS and len(e.args) == 1:
-                # sqrt(neg) → NaN matches the evaluator; floor/ceil
-                # return float(math.floor(x)) — np.floor is the same
-                # value for both int and float inputs.
-                arg, kind, vec = self.expr(e.args[0])
-                if kind not in ("int", "float"):
-                    raise _VecUnsupported(f"{e.name} on non-numeric")
-                return f"{self._np_helper(_VEC_NP_FUNCS[e.name])}({arg})", "float", vec
+                if kind == "float":
+                    return f"{self._np_helper('abs')}({arg})", kind, vec
             raise _VecUnsupported(f"function {e.name!r} not exact on float64")
         raise _VecUnsupported(f"{type(e).__name__} not vectorizable")
 
@@ -1079,22 +1000,6 @@ def recognize_fold(body: IRExpr, params: tuple[str, str]) -> Optional[str]:
         and {arg.name for arg in body.args} == names
     ):
         return body.name
-    if (
-        isinstance(body, Cond)
-        and isinstance(body.cond, BinOp)
-        and body.cond.op in ("<", "<=", ">", ">=")
-        and isinstance(body.cond.left, Var)
-        and isinstance(body.cond.right, Var)
-        and isinstance(body.then, Var)
-        and isinstance(body.other, Var)
-        and {body.cond.left.name, body.cond.right.name} == names
-        and {body.then.name, body.other.name} == names
-    ):
-        # a < b ? a : b picks the smaller operand (ties are value-equal
-        # either way on validated homogeneous columns).
-        smaller_first = body.cond.op in ("<", "<=")
-        then_is_left = body.then.name == body.cond.left.name
-        return "min" if smaller_first == then_is_left else "max"
     return None
 
 
@@ -1238,12 +1143,6 @@ class CompiledPairMapper(_Compiled):
         return self._fn
 
     @property
-    def source(self) -> str:
-        self._ensure()
-        assert self._rendered is not None
-        return self._rendered.source
-
-    @property
     def emit_constant(self) -> Optional[int]:
         """The int every emitted value is (:func:`int_constant`), or None."""
         return int_constant(self.emits)
@@ -1263,9 +1162,6 @@ class CompiledPairMapper(_Compiled):
                 self.label,
             )
         return _run(self._columns_fn, pairs)
-
-    def __call__(self, pair: tuple) -> list[tuple]:
-        return self.map_chunk((pair,))
 
 
 @dataclass
@@ -1292,12 +1188,6 @@ class CompiledReduce(_Compiled):
             self._rendered = render_reduce_kernel(self.body, self.params)
             self._fn = compile_kernel(self._rendered, self.globals_env, self.label)
         return self._fn
-
-    @property
-    def source(self) -> str:
-        self._ensure()
-        assert self._rendered is not None
-        return self._rendered.source
 
     def fold(self, keys: Any, values: Any, acc: dict) -> None:
         """Fold a batch of pairs into ``acc`` — per key, exactly the

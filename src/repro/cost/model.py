@@ -67,9 +67,6 @@ class CostExpr:
         if coeff:
             self.terms.append(CostTerm(coeff, tuple(sorted(symbols)), base))
 
-    def extend(self, other: "CostExpr") -> None:
-        self.terms.extend(other.terms)
-
     def evaluate(self, estimates: Optional[dict[str, float]] = None) -> float:
         """Per-record cost: substitute unknowns, N = 1 (and N₂ = N for
         join terms).  Unknown symbols default to 1 (the conservative

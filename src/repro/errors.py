@@ -31,10 +31,6 @@ class ParseError(ReproError):
         self.column = column
 
 
-class TypeCheckError(ReproError):
-    """Raised when the mini-language type checker rejects a program."""
-
-
 class InterpreterError(ReproError):
     """Raised when the reference interpreter encounters a runtime fault."""
 

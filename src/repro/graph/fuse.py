@@ -64,21 +64,8 @@ class FusedChain:
         return self.node_ids[0]
 
     @property
-    def tail(self) -> str:
-        return self.node_ids[-1]
-
-    @property
     def fused(self) -> bool:
         return len(self.node_ids) > 1
-
-    def describe(self) -> str:
-        if not self.fused:
-            return self.node_ids[0]
-        parts = [self.node_ids[0]]
-        for bridge, node_id in zip(self.bridges, self.node_ids[1:]):
-            arrow = "=>" if bridge == "map" else "->"
-            parts.append(f"{arrow} {node_id}")
-        return " ".join(parts)
 
 
 @dataclass
@@ -96,10 +83,6 @@ class GraphSchedule:
     units: list[FusedChain] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     fused_away: frozenset[str] = frozenset()
-
-    @property
-    def fused_units(self) -> list[FusedChain]:
-        return [u for u in self.units if u.fused]
 
 
 def optimize_graph(

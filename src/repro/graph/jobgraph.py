@@ -95,12 +95,6 @@ class JobGraph:
     def consumers_of(self, node_id: str) -> list[JobEdge]:
         return [e for e in self.edges if e.producer == node_id]
 
-    def producers_of(self, node_id: str) -> list[JobEdge]:
-        return [e for e in self.edges if e.consumer == node_id]
-
-    def dependencies(self, node_id: str) -> set[str]:
-        return {e.producer for e in self.edges if e.consumer == node_id}
-
     # ------------------------------------------------------------------
     # Validation
 

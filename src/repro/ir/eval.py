@@ -45,24 +45,30 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _java_div(a: Any, b: Any) -> Any:
+def java_div(a: Any, b: Any, error: type[Exception] = IRError, prefix: str = "integer ") -> Any:
+    """Java ``/``, the one definition every layer calls: an int pair
+    truncates toward zero; a zero divisor raises ``error`` (each layer
+    passes its own type and message prefix)."""
     if _is_int(a) and _is_int(b):
         if b == 0:
-            raise IRError("integer division by zero")
+            raise error(f"{prefix}division by zero")
         quotient = abs(a) // abs(b)
         return quotient if (a >= 0) == (b >= 0) else -quotient
     if b == 0:
-        raise IRError("float division by zero")
+        raise error("float division by zero")
     return a / b
 
 
-def _java_mod(a: Any, b: Any) -> Any:
+def java_rem(a: Any, b: Any, error: type[Exception] = IRError, prefix: str = "integer ") -> Any:
+    """Java ``%``: an int pair's remainder takes the dividend's sign (a
+    zero divisor raises ``error``); a double one is ``fmod``, and NaN when
+    the divisor is ±0.0 or the dividend ±∞."""
     if _is_int(a) and _is_int(b):
         if b == 0:
-            raise IRError("integer remainder by zero")
-        return a - _java_div(a, b) * b
-    if b == 0:
-        return float("nan")  # Java: x % 0.0 is NaN
+            raise error(f"{prefix}remainder by zero")
+        return a - java_div(a, b) * b
+    if b == 0 or math.isinf(a):
+        return math.nan
     return math.fmod(a, b)
 
 
@@ -70,8 +76,8 @@ _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "/": _java_div,
-    "%": _java_mod,
+    "/": java_div,
+    "%": java_rem,
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b,

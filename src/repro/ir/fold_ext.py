@@ -49,12 +49,6 @@ class FoldSummary:
     stage: FoldStage
     output_var: str
 
-    def __str__(self) -> str:
-        return (
-            f"{self.output_var} = fold({self.source}, {self.stage.init}, "
-            f"λ({self.stage.acc_param}, e) → {self.stage.body})"
-        )
-
 
 def evaluate_fold(
     fold: FoldSummary,
@@ -88,18 +82,3 @@ def fold_to_mapreduce(fold: FoldSummary, value_expr: IRExpr, combine: IRExpr) ->
         default=None,
     )
     return Summary(Pipeline(fold.source, (map_stage, reduce_stage)), (binding,))
-
-
-def fold_sum(source: str, value_atom: str, output_var: str) -> FoldSummary:
-    """Convenience: fold that sums an atom of each element."""
-    from .builder import add, var
-
-    return FoldSummary(
-        source=source,
-        stage=FoldStage(
-            init=Const(0, "int"),
-            acc_param="acc",
-            body=add(var("acc"), var(value_atom)),
-        ),
-        output_var=output_var,
-    )

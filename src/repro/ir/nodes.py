@@ -180,16 +180,10 @@ class Stage:
 class MapStage(Stage):
     lam: MapLambda
 
-    def __str__(self) -> str:
-        return f"map({self.lam})"
-
 
 @dataclass(frozen=True)
 class ReduceStage(Stage):
     lam: ReduceLambda
-
-    def __str__(self) -> str:
-        return f"reduce({self.lam})"
 
 
 @dataclass(frozen=True)
@@ -225,9 +219,6 @@ class JoinStage(Stage):
     """Join the current pair-multiset with another pipeline's, by key."""
 
     right: Pipeline
-
-    def __str__(self) -> str:
-        return f"join(·, {self.right})"
 
 
 # ----------------------------------------------------------------------

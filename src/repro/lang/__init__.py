@@ -10,7 +10,7 @@ from . import ast_nodes as ast
 from .interpreter import Counters, Environment, Interpreter, default_value, run_function
 from .lexer import Lexer, tokenize
 from .parser import Parser, parse_function, parse_program
-from .pretty import count_loc, format_expr, format_function, format_stmt
+from .pretty import count_loc, format_expr
 from .tokens import Token, TokenType
 from .types import (
     ArrayType,
@@ -60,8 +60,6 @@ __all__ = [
     "count_loc",
     "default_value",
     "format_expr",
-    "format_function",
-    "format_stmt",
     "make_date",
     "parse_date",
     "parse_function",

@@ -1,4 +1,8 @@
-"""Program analyses over the mini-Java AST (Casper's program analyzer)."""
+"""Program analyses over the mini-Java AST (Casper's program analyzer).
+
+Fragment identification and analysis, dataset views, joins, liveness,
+dataflow, desugaring and the declared types of a function's variables.
+"""
 
 from .dataflow import DataflowEdge, ProgramDataflow, analyze_dataflow
 from .fragments import (
@@ -7,7 +11,6 @@ from .fragments import (
     FragmentFeatures,
     FragmentFingerprint,
     analyze_fragment,
-    analyze_function,
     fingerprint_fragment,
     identify_fragments,
     live_after_fragment,
@@ -18,13 +21,10 @@ from .loops import DatasetField, DatasetView, extract_dataset_view
 from .normalize import (
     desugar_expr,
     desugar_stmt,
-    find_loops,
-    loop_bound_expr,
-    normalize_loop,
     outermost_loops,
 )
 from .scan import ScanResult, scan_fragment
-from .typecheck import TypeEnv, TypeInferencer, build_type_env, infer_type
+from .typecheck import TypeEnv, build_type_env
 
 __all__ = [
     "CodeFragment",
@@ -40,25 +40,19 @@ __all__ = [
     "ProgramDataflow",
     "ScanResult",
     "TypeEnv",
-    "TypeInferencer",
     "analyze_dataflow",
     "extract_join_info",
     "analyze_fragment",
-    "analyze_function",
     "build_type_env",
     "desugar_expr",
     "desugar_stmt",
     "expr_defs",
     "expr_uses",
     "extract_dataset_view",
-    "find_loops",
     "fingerprint_fragment",
     "identify_fragments",
-    "infer_type",
     "live_after_fragment",
     "live_before",
-    "loop_bound_expr",
-    "normalize_loop",
     "outermost_loops",
     "scan_fragment",
     "stmt_defs",

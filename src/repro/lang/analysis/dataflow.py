@@ -59,12 +59,6 @@ class ProgramDataflow:
     #: Variables consumed from outside any fragment (program inputs).
     source_vars: frozenset[str] = frozenset()
 
-    def consumers_of(self, index: int) -> list[DataflowEdge]:
-        return [e for e in self.edges if e.producer == index]
-
-    def producers_of(self, index: int) -> list[DataflowEdge]:
-        return [e for e in self.edges if e.consumer == index]
-
 
 def analyze_dataflow(
     analyses: list[Optional[FragmentAnalysis]],

@@ -491,22 +491,3 @@ def fingerprint_fragment(analysis: FragmentAnalysis) -> FragmentFingerprint:
 
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
     return FragmentFingerprint(digest, dict(mapping))
-
-
-def analyze_function(
-    func_name: str, program: ast.Program
-) -> list[FragmentAnalysis]:
-    """Identify and analyze every fragment of a named function.
-
-    Fragments whose analysis fails are skipped here; use
-    :func:`identify_fragments` + :func:`analyze_fragment` to observe
-    failures individually (the feasibility experiment does).
-    """
-    func = program.function(func_name)
-    analyses = []
-    for fragment in identify_fragments(func):
-        try:
-            analyses.append(analyze_fragment(fragment, program))
-        except AnalysisError:
-            continue
-    return analyses

@@ -1,16 +1,13 @@
-"""Loop normalization and desugaring transformations.
+"""Desugaring, and the outermost loops of a statement list.
 
-The paper applies classical transformations to convert all loop forms into
-``while(true) { ... if (!cond) break; ... }`` before generating VCs
-(section 6.1).  We additionally desugar compound assignments and
-increment/decrement expressions so that downstream symbolic execution only
-sees plain ``=`` assignments.
+Compound assignments and increment/decrement expressions are rewritten
+to plain ``=`` assignments so that downstream symbolic execution only
+sees those (paper section 6.1).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Optional
 
 from .. import ast_nodes as ast
 
@@ -67,64 +64,6 @@ def _desugar_stmt_in_place(stmt: ast.Stmt) -> None:
             setattr(stmt, name, new_items)
 
 
-def normalize_loop(loop: ast.Stmt) -> ast.While:
-    """Convert any loop form into the canonical ``while(true)`` format.
-
-    Returns a new While node:  ``while (true) { if (!cond) break; body;
-    updates; }``.  ForEach loops are left to the dataset-view machinery and
-    normalized against an introduced index variable.
-    """
-    loop = desugar_stmt(loop)
-    true_lit = ast.BoolLit(True)
-
-    if isinstance(loop, ast.While):
-        guard = ast.If(ast.UnOp("!", loop.cond), ast.Break())
-        body = ast.Block([guard, loop.body])
-        return ast.While(true_lit, body, line=loop.line)
-
-    if isinstance(loop, ast.DoWhile):
-        guard = ast.If(ast.UnOp("!", loop.cond), ast.Break())
-        body = ast.Block([loop.body, guard])
-        return ast.While(true_lit, body, line=loop.line)
-
-    if isinstance(loop, ast.For):
-        stmts: list[ast.Stmt] = []
-        if loop.cond is not None:
-            stmts.append(ast.If(ast.UnOp("!", loop.cond), ast.Break()))
-        stmts.append(loop.body)
-        for update in loop.update:
-            stmts.append(ast.ExprStmt(update))
-        # Note: the init statements live *outside* the produced while; the
-        # caller is responsible for executing them first.
-        return ast.While(true_lit, ast.Block(stmts), line=loop.line)
-
-    if isinstance(loop, ast.ForEach):
-        index = ast.Name("__idx")
-        size = ast.MethodCall(ast.Name(loop.iterable.ident if isinstance(loop.iterable, ast.Name) else "__it"), "size", [])  # type: ignore[union-attr]
-        cond = ast.BinOp("<", index, size)
-        guard = ast.If(ast.UnOp("!", cond), ast.Break())
-        bind = ast.VarDecl(
-            loop.var_type,
-            loop.var_name,
-            ast.MethodCall(copy.deepcopy(loop.iterable), "get", [copy.deepcopy(index)]),
-        )
-        incr = ast.ExprStmt(
-            ast.Assign(copy.deepcopy(index), "=", ast.BinOp("+", copy.deepcopy(index), ast.IntLit(1)))
-        )
-        return ast.While(true_lit, ast.Block([guard, bind, loop.body, incr]), line=loop.line)
-
-    raise TypeError(f"not a loop: {type(loop).__name__}")
-
-
-def find_loops(stmt: ast.Stmt) -> list[ast.Stmt]:
-    """All loop statements within ``stmt`` (pre-order, includes nested)."""
-    loops: list[ast.Stmt] = []
-    for node in ast.walk(stmt):
-        if isinstance(node, (ast.For, ast.ForEach, ast.While, ast.DoWhile)):
-            loops.append(node)
-    return loops
-
-
 def outermost_loops(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
     """Loops not nested inside another loop, across a statement list."""
     result: list[ast.Stmt] = []
@@ -145,14 +84,3 @@ def outermost_loops(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
     for stmt in stmts:
         visit(stmt, False)
     return result
-
-
-def loop_bound_expr(loop: ast.Stmt) -> Optional[ast.Expr]:
-    """The loop's iteration-bound expression when statically recognizable."""
-    if isinstance(loop, ast.For) and loop.cond is not None:
-        cond = loop.cond
-        if isinstance(cond, ast.BinOp) and cond.op in ("<", "<="):
-            return cond.right
-    if isinstance(loop, ast.ForEach):
-        return loop.iterable
-    return None

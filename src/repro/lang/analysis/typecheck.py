@@ -1,120 +1,29 @@
-"""Symbol tables and expression type inference for analyses.
+"""Declared types of a function's params and locals, for analyses.
 
-This is a lightweight checker: it infers the static type of expressions
-given declared types of locals/params and class fields.  The grammar
-generator uses these types to prune production rules (paper section 3.2).
+The dataset-view, join and soundness analyses read the static type of a
+variable from here (paper section 3.2: the grammar generator prunes
+production rules by type).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ...errors import TypeCheckError
 from .. import ast_nodes as ast
-from ..types import (
-    ArrayType,
-    BOOLEAN,
-    ClassType,
-    DOUBLE,
-    INT,
-    JType,
-    ListType,
-    MapType,
-    PrimitiveType,
-    STRING,
-    SetType,
-    VOID,
-    numeric_join,
-)
-
-_DATE = ClassType("Date")
-
-_STATIC_METHOD_TYPES: dict[tuple[str, str], JType] = {
-    ("Math", "abs"): None,  # type: ignore[dict-item]  # polymorphic, same as arg
-    ("Math", "min"): None,  # type: ignore[dict-item]
-    ("Math", "max"): None,  # type: ignore[dict-item]
-    ("Math", "sqrt"): DOUBLE,
-    ("Math", "pow"): DOUBLE,
-    ("Math", "exp"): DOUBLE,
-    ("Math", "log"): DOUBLE,
-    ("Math", "log10"): DOUBLE,
-    ("Math", "floor"): DOUBLE,
-    ("Math", "ceil"): DOUBLE,
-    ("Math", "round"): INT,
-    ("Math", "signum"): DOUBLE,
-    ("Integer", "parseInt"): INT,
-    ("Integer", "valueOf"): INT,
-    ("Integer", "compare"): INT,
-    ("Long", "parseLong"): PrimitiveType("long"),
-    ("Double", "parseDouble"): DOUBLE,
-    ("Double", "valueOf"): DOUBLE,
-    ("Double", "compare"): INT,
-    ("Boolean", "parseBoolean"): BOOLEAN,
-    ("String", "valueOf"): STRING,
-    ("Util", "parseDate"): _DATE,
-}
-
-_STATIC_FIELD_TYPES: dict[tuple[str, str], JType] = {
-    ("Integer", "MAX_VALUE"): INT,
-    ("Integer", "MIN_VALUE"): INT,
-    ("Long", "MAX_VALUE"): PrimitiveType("long"),
-    ("Long", "MIN_VALUE"): PrimitiveType("long"),
-    ("Double", "MAX_VALUE"): DOUBLE,
-    ("Double", "MIN_VALUE"): DOUBLE,
-    ("Math", "PI"): DOUBLE,
-    ("Math", "E"): DOUBLE,
-}
-
-_STRING_METHOD_TYPES: dict[str, JType] = {
-    "length": INT,
-    "charAt": PrimitiveType("char"),
-    "isEmpty": BOOLEAN,
-    "equals": BOOLEAN,
-    "equalsIgnoreCase": BOOLEAN,
-    "compareTo": INT,
-    "contains": BOOLEAN,
-    "startsWith": BOOLEAN,
-    "endsWith": BOOLEAN,
-    "indexOf": INT,
-    "substring": STRING,
-    "toLowerCase": STRING,
-    "toUpperCase": STRING,
-    "trim": STRING,
-    "split": ArrayType(STRING),
-    "concat": STRING,
-    "hashCode": INT,
-    "replace": STRING,
-}
-
-_DATE_METHOD_TYPES: dict[str, JType] = {
-    "before": BOOLEAN,
-    "after": BOOLEAN,
-    "equals": BOOLEAN,
-    "getTime": PrimitiveType("long"),
-    "compareTo": INT,
-}
+from ..types import JType
 
 
 class TypeEnv:
-    """Maps variable names to declared types, with lexical nesting."""
+    """Maps variable names to declared types: one flat map per function."""
 
-    def __init__(self, parent: Optional["TypeEnv"] = None):
-        self.parent = parent
+    def __init__(self) -> None:
         self.bindings: dict[str, JType] = {}
 
     def define(self, name: str, jtype: JType) -> None:
         self.bindings[name] = jtype
 
     def lookup(self, name: str) -> Optional[JType]:
-        env: Optional[TypeEnv] = self
-        while env is not None:
-            if name in env.bindings:
-                return env.bindings[name]
-            env = env.parent
-        return None
-
-    def child(self) -> "TypeEnv":
-        return TypeEnv(parent=self)
+        return self.bindings.get(name)
 
 
 def build_type_env(func: ast.FuncDecl, program: ast.Program) -> TypeEnv:
@@ -133,196 +42,3 @@ def build_type_env(func: ast.FuncDecl, program: ast.Program) -> TypeEnv:
         elif isinstance(node, ast.ForEach):
             env.define(node.var_name, node.var_type)
     return env
-
-
-class TypeInferencer:
-    """Infers static expression types given a type environment."""
-
-    def __init__(self, program: ast.Program, env: TypeEnv):
-        self.program = program
-        self.env = env
-
-    def infer(self, expr: ast.Expr) -> JType:
-        method = getattr(self, f"_infer_{type(expr).__name__}", None)
-        if method is None:
-            raise TypeCheckError(f"cannot infer type of {type(expr).__name__}")
-        return method(expr)
-
-    def _infer_IntLit(self, expr: ast.IntLit) -> JType:
-        return INT
-
-    def _infer_FloatLit(self, expr: ast.FloatLit) -> JType:
-        return DOUBLE
-
-    def _infer_BoolLit(self, expr: ast.BoolLit) -> JType:
-        return BOOLEAN
-
-    def _infer_StringLit(self, expr: ast.StringLit) -> JType:
-        return STRING
-
-    def _infer_CharLit(self, expr: ast.CharLit) -> JType:
-        return PrimitiveType("char")
-
-    def _infer_NullLit(self, expr: ast.NullLit) -> JType:
-        return ClassType("null")
-
-    def _infer_Name(self, expr: ast.Name) -> JType:
-        found = self.env.lookup(expr.ident)
-        if found is None:
-            raise TypeCheckError(f"unknown variable {expr.ident!r}")
-        return found
-
-    _BOOL_OPS = frozenset({"&&", "||", "==", "!=", "<", ">", "<=", ">="})
-
-    def _infer_BinOp(self, expr: ast.BinOp) -> JType:
-        if expr.op in self._BOOL_OPS:
-            return BOOLEAN
-        left = self.infer(expr.left)
-        right = self.infer(expr.right)
-        if expr.op == "+" and (left == STRING or right == STRING):
-            return STRING
-        if expr.op in ("&", "|", "^") and left == BOOLEAN:
-            return BOOLEAN
-        return numeric_join(left, right)
-
-    def _infer_UnOp(self, expr: ast.UnOp) -> JType:
-        if expr.op == "!":
-            return BOOLEAN
-        return self.infer(expr.operand)
-
-    def _infer_Ternary(self, expr: ast.Ternary) -> JType:
-        then = self.infer(expr.then)
-        other = self.infer(expr.other)
-        if then == other:
-            return then
-        return numeric_join(then, other)
-
-    def _infer_Index(self, expr: ast.Index) -> JType:
-        base = self.infer(expr.base)
-        if isinstance(base, ArrayType):
-            return base.element
-        if isinstance(base, ListType):
-            return base.element
-        if isinstance(base, MapType):
-            return base.value
-        if base == STRING:
-            return PrimitiveType("char")
-        raise TypeCheckError(f"cannot index into {base}")
-
-    def _infer_FieldAccess(self, expr: ast.FieldAccess) -> JType:
-        if isinstance(expr.base, ast.Name) and self.env.lookup(expr.base.ident) is None:
-            key = (expr.base.ident, expr.field)
-            if key in _STATIC_FIELD_TYPES:
-                return _STATIC_FIELD_TYPES[key]
-        base = self.infer(expr.base)
-        if expr.field == "length" and isinstance(base, (ArrayType,)):
-            return INT
-        if expr.field == "length" and base == STRING:
-            return INT
-        if isinstance(base, ClassType):
-            try:
-                decl = self.program.class_decl(base.name)
-            except KeyError:
-                raise TypeCheckError(f"unknown class {base.name!r}") from None
-            for fld in decl.fields:
-                if fld.name == expr.field:
-                    return fld.type
-            raise TypeCheckError(f"{base.name} has no field {expr.field!r}")
-        raise TypeCheckError(f"field {expr.field!r} on {base}")
-
-    def _infer_Call(self, expr: ast.Call) -> JType:
-        try:
-            func = self.program.function(expr.func)
-        except KeyError:
-            raise TypeCheckError(f"unknown function {expr.func!r}") from None
-        return func.return_type
-
-    def _infer_MethodCall(self, expr: ast.MethodCall) -> JType:
-        if isinstance(expr.receiver, ast.Name) and self.env.lookup(expr.receiver.ident) is None:
-            key = (expr.receiver.ident, expr.method)
-            if key in _STATIC_METHOD_TYPES:
-                result = _STATIC_METHOD_TYPES[key]
-                if result is None:  # polymorphic: same as first arg
-                    return self.infer(expr.args[0])
-                return result
-            raise TypeCheckError(f"unknown static method {key}")
-        receiver = self.infer(expr.receiver)
-        return self._instance_method_type(receiver, expr.method, expr.args)
-
-    def _instance_method_type(
-        self, receiver: JType, method: str, args: list[ast.Expr]
-    ) -> JType:
-        if receiver == STRING:
-            if method in _STRING_METHOD_TYPES:
-                return _STRING_METHOD_TYPES[method]
-            raise TypeCheckError(f"unknown String method {method!r}")
-        if receiver == _DATE or (
-            isinstance(receiver, ClassType) and receiver.name == "Date"
-        ):
-            if method in _DATE_METHOD_TYPES:
-                return _DATE_METHOD_TYPES[method]
-            raise TypeCheckError(f"unknown Date method {method!r}")
-        if isinstance(receiver, ListType):
-            return {
-                "add": BOOLEAN,
-                "get": receiver.element,
-                "set": VOID,
-                "size": INT,
-                "isEmpty": BOOLEAN,
-                "contains": BOOLEAN,
-                "indexOf": INT,
-                "remove": receiver.element,
-                "clear": VOID,
-                "addAll": BOOLEAN,
-            }.get(method) or self._unknown(receiver, method)
-        if isinstance(receiver, SetType):
-            return {
-                "add": BOOLEAN,
-                "contains": BOOLEAN,
-                "size": INT,
-                "isEmpty": BOOLEAN,
-                "remove": BOOLEAN,
-                "clear": VOID,
-            }.get(method) or self._unknown(receiver, method)
-        if isinstance(receiver, MapType):
-            return {
-                "put": VOID,
-                "get": receiver.value,
-                "getOrDefault": receiver.value,
-                "containsKey": BOOLEAN,
-                "containsValue": BOOLEAN,
-                "keySet": SetType(receiver.key),
-                "values": ListType(receiver.value),
-                "size": INT,
-                "isEmpty": BOOLEAN,
-                "remove": receiver.value,
-                "clear": VOID,
-            }.get(method) or self._unknown(receiver, method)
-        raise TypeCheckError(f"method {method!r} on {receiver}")
-
-    @staticmethod
-    def _unknown(receiver: JType, method: str) -> JType:
-        raise TypeCheckError(f"unknown method {method!r} on {receiver}")
-
-    def _infer_NewArray(self, expr: ast.NewArray) -> JType:
-        result: JType = expr.element_type
-        for _ in expr.dims:
-            result = ArrayType(result)
-        return result
-
-    def _infer_NewObject(self, expr: ast.NewObject) -> JType:
-        return expr.type
-
-    def _infer_Assign(self, expr: ast.Assign) -> JType:
-        return self.infer(expr.target)
-
-    def _infer_IncDec(self, expr: ast.IncDec) -> JType:
-        return self.infer(expr.target)
-
-    def _infer_Cast(self, expr: ast.Cast) -> JType:
-        return expr.type
-
-
-def infer_type(expr: ast.Expr, env: TypeEnv, program: ast.Program) -> JType:
-    """Infer the static type of ``expr``; raises TypeCheckError on failure."""
-    return TypeInferencer(program, env).infer(expr)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..errors import InterpreterError
+from ..ir.eval import java_div, java_rem
 from . import ast_nodes as ast
 from . import stdlib
 from .types import (
-    ArrayType,
     ClassType,
     JType,
     ListType,
@@ -44,13 +44,6 @@ class Counters:
         return (
             self.arith_ops + self.comparisons + self.memory_ops + self.calls
         )
-
-    def reset(self) -> None:
-        self.arith_ops = 0
-        self.comparisons = 0
-        self.memory_ops = 0
-        self.calls = 0
-        self.loop_iterations = 0
 
 
 class _BreakSignal(Exception):
@@ -126,16 +119,7 @@ def default_value(jtype: JType) -> Any:
             return 0.0
         if jtype.name == "boolean":
             return False
-        if jtype.name == "String":
-            return None
-        return None
-    if isinstance(jtype, (ArrayType, ListType)):
-        return None
-    if isinstance(jtype, SetType):
-        return None
-    if isinstance(jtype, MapType):
-        return None
-    return None
+    return None  # String, arrays, collections and objects start null
 
 
 class Interpreter:
@@ -338,15 +322,9 @@ class Interpreter:
         if op == "*":
             return left * right
         if op == "/":
-            if self._both_int(left, right):
-                return stdlib._int_div(left, right)
-            if right == 0:
-                raise InterpreterError("float division by zero")
-            return left / right
+            return java_div(left, right, InterpreterError, "")
         if op == "%":
-            if self._both_int(left, right):
-                return stdlib._int_rem(left, right)
-            return left - right * int(left / right) if right != 0 else 0.0
+            return java_rem(left, right, InterpreterError, "")
         if op == "&":
             return left & right
         if op == "|":
@@ -358,15 +336,6 @@ class Interpreter:
         if op == ">>":
             return left >> right
         raise InterpreterError(f"unknown binary operator {op!r}")
-
-    @staticmethod
-    def _both_int(left: Any, right: Any) -> bool:
-        return (
-            isinstance(left, int)
-            and isinstance(right, int)
-            and not isinstance(left, bool)
-            and not isinstance(right, bool)
-        )
 
     def _eval_UnOp(self, expr: ast.UnOp, env: Environment) -> Any:
         operand = self.eval_expr(expr.operand, env)

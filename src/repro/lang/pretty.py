@@ -59,58 +59,6 @@ def format_expr(expr: ast.Expr) -> str:
     return f"<{type(expr).__name__}>"
 
 
-def format_stmt(stmt: ast.Stmt, indent: int = 0) -> str:
-    """Render a statement back to source-like text."""
-    pad = "  " * indent
-    if isinstance(stmt, ast.VarDecl):
-        init = f" = {format_expr(stmt.init)}" if stmt.init is not None else ""
-        return f"{pad}{stmt.type} {stmt.name}{init};"
-    if isinstance(stmt, ast.ExprStmt):
-        return f"{pad}{format_expr(stmt.expr)};"
-    if isinstance(stmt, ast.Block):
-        body = "\n".join(format_stmt(s, indent + 1) for s in stmt.stmts)
-        return f"{pad}{{\n{body}\n{pad}}}"
-    if isinstance(stmt, ast.If):
-        text = f"{pad}if ({format_expr(stmt.cond)})\n{format_stmt(stmt.then, indent + 1)}"
-        if stmt.other is not None:
-            text += f"\n{pad}else\n{format_stmt(stmt.other, indent + 1)}"
-        return text
-    if isinstance(stmt, ast.While):
-        return f"{pad}while ({format_expr(stmt.cond)})\n{format_stmt(stmt.body, indent + 1)}"
-    if isinstance(stmt, ast.DoWhile):
-        return (
-            f"{pad}do\n{format_stmt(stmt.body, indent + 1)}\n"
-            f"{pad}while ({format_expr(stmt.cond)});"
-        )
-    if isinstance(stmt, ast.For):
-        init = ", ".join(format_stmt(s, 0).rstrip(";") for s in stmt.init)
-        cond = format_expr(stmt.cond) if stmt.cond is not None else ""
-        update = ", ".join(format_expr(u) for u in stmt.update)
-        return (
-            f"{pad}for ({init}; {cond}; {update})\n{format_stmt(stmt.body, indent + 1)}"
-        )
-    if isinstance(stmt, ast.ForEach):
-        return (
-            f"{pad}for ({stmt.var_type} {stmt.var_name} : {format_expr(stmt.iterable)})\n"
-            f"{format_stmt(stmt.body, indent + 1)}"
-        )
-    if isinstance(stmt, ast.Return):
-        value = f" {format_expr(stmt.value)}" if stmt.value is not None else ""
-        return f"{pad}return{value};"
-    if isinstance(stmt, ast.Break):
-        return f"{pad}break;"
-    if isinstance(stmt, ast.Continue):
-        return f"{pad}continue;"
-    return f"{pad}<{type(stmt).__name__}>"
-
-
-def format_function(func: ast.FuncDecl) -> str:
-    """Render a whole function declaration."""
-    params = ", ".join(f"{p.type} {p.name}" for p in func.params)
-    header = f"{func.return_type} {func.name}({params})"
-    return f"{header}\n{format_stmt(func.body)}"
-
-
 def count_loc(node: ast.Node) -> int:
     """Count statement nodes — the 'lines of code' metric used in Table 2."""
     count = 0

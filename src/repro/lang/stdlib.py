@@ -18,21 +18,6 @@ from .values import Instance, parse_date
 # Static (namespace) methods: Math.*, Integer.*, Double.*, Util.*
 
 
-def _int_div(a: int, b: int) -> int:
-    """Java truncating integer division."""
-    if b == 0:
-        raise InterpreterError("division by zero")
-    quotient = abs(a) // abs(b)
-    return quotient if (a >= 0) == (b >= 0) else -quotient
-
-
-def _int_rem(a: int, b: int) -> int:
-    """Java remainder (sign follows dividend)."""
-    if b == 0:
-        raise InterpreterError("remainder by zero")
-    return a - _int_div(a, b) * b
-
-
 STATIC_METHODS: dict[tuple[str, str], Callable[..., Any]] = {
     ("Math", "abs"): lambda x: abs(x),
     ("Math", "min"): lambda a, b: min(a, b),

@@ -169,6 +169,3 @@ class Token:
     def is_keyword(self, word: str) -> bool:
         """Return True if this token is the given reserved word."""
         return self.type is TokenType.KEYWORD and self.text == word
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.type.name}, {self.text!r}, {self.line}:{self.column})"

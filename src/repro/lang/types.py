@@ -12,9 +12,6 @@ from dataclasses import dataclass
 class JType:
     """Base class of all mini-Java types."""
 
-    def is_numeric(self) -> bool:
-        return False
-
     def is_collection(self) -> bool:
         return False
 
@@ -24,14 +21,6 @@ class PrimitiveType(JType):
     """A primitive or built-in scalar type (int, double, boolean, String...)."""
 
     name: str  # one of: int, long, double, float, boolean, char, String, void
-
-    _NUMERIC = frozenset({"int", "long", "double", "float", "char"})
-
-    def is_numeric(self) -> bool:
-        return self.name in self._NUMERIC
-
-    def is_floating(self) -> bool:
-        return self.name in ("double", "float")
 
     def __str__(self) -> str:
         return self.name
@@ -45,12 +34,6 @@ class ArrayType(JType):
 
     def is_collection(self) -> bool:
         return True
-
-    @property
-    def dimensions(self) -> int:
-        if isinstance(self.element, ArrayType):
-            return 1 + self.element.dimensions
-        return 1
 
     @property
     def base_element(self) -> JType:
@@ -142,14 +125,3 @@ def primitive(name: str) -> PrimitiveType:
 def is_primitive_name(name: str) -> bool:
     """Return True if ``name`` denotes a primitive/built-in scalar type."""
     return name in _PRIMITIVES
-
-
-def numeric_join(left: JType, right: JType) -> JType:
-    """Result type of a binary arithmetic operation (Java-style widening)."""
-    if not (isinstance(left, PrimitiveType) and isinstance(right, PrimitiveType)):
-        return left
-    if left.is_floating() or right.is_floating():
-        return DOUBLE
-    if left.name == "long" or right.name == "long":
-        return LONG
-    return INT

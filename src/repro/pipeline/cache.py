@@ -450,10 +450,6 @@ class SummaryCache:
         self._write_disk(key, entry)
         return True
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -52,10 +52,6 @@ class FragmentState:
     def failed(self) -> bool:
         return self.failure_reason is not None
 
-    @property
-    def cache_hit(self) -> bool:
-        return self.search is not None and self.search.cache_hit
-
 
 @dataclass
 class CompilationContext:
@@ -79,7 +75,3 @@ class CompilationContext:
 
     def record_pass_time(self, pass_name: str, seconds: float) -> None:
         self.pass_seconds[pass_name] = self.pass_seconds.get(pass_name, 0.0) + seconds
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for state in self.fragments if state.cache_hit)

@@ -19,7 +19,7 @@ same kind of audit trail a planned ``fragment_index`` job does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..diagnostics import Diagnostic
 from .plan import PlanReport
@@ -72,19 +72,6 @@ class GraphPlanReport:
             for _head, report in sorted(self.unit_reports.items())
             for diagnostic in report.diagnostics
         ]
-
-    @property
-    def peak_resident_bytes(self) -> Optional[int]:
-        """Largest per-unit peak-resident proxy of the run (spill
-        accounting), the number a per-job ``memory_budget`` bounds;
-        None when no unit reported spill statistics."""
-        peaks = [
-            report.spill_stats["peak_resident_bytes"]
-            for report in self.unit_reports.values()
-            if report.spill_stats
-            and report.spill_stats.get("peak_resident_bytes") is not None
-        ]
-        return max(peaks) if peaks else None
 
     def summary(self) -> dict:
         """Compact dict form, convenient for logs and benchmark JSON."""

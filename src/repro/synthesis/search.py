@@ -40,10 +40,6 @@ class VerifiedSummary:
     summary: Summary
     proof: ProofResult
 
-    @property
-    def operation_count(self) -> int:
-        return self.summary.operation_count
-
 
 @dataclass
 class SearchResult:

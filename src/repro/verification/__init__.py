@@ -3,7 +3,9 @@
 Two-phase verification (paper section 4.1): the synthesizer's bounded
 model checker (:class:`BoundedChecker`) admits candidates fast; the full
 verifier (:class:`FullVerifier`, the Dafny substitute) then proves or
-refutes them over the unbounded domain.
+refutes them over the unbounded domain.  The normalizer's constant
+folder evaluates Java ``/`` and ``%`` with the IR evaluator's own
+helpers, so a folded constant is the value every run computes.
 """
 
 from .algebra import (
@@ -20,7 +22,6 @@ from .bounded import (
     BoundedChecker,
     ProgramState,
     StateGenerator,
-    evaluate_candidate,
     run_sequential_fragment,
 )
 from .prover import FullVerifier, ProofResult, check_reduce_properties
@@ -44,7 +45,6 @@ __all__ = [
     "assignment_feasible",
     "check_reduce_properties",
     "collect_atoms",
-    "evaluate_candidate",
     "generate_vcs",
     "normalize",
     "run_sequential_fragment",

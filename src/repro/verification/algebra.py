@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..ir.eval import java_div, java_rem
 from ..ir.nodes import (
     BinOp,
     CallFn,
@@ -155,7 +156,7 @@ class Normalizer:
         right = self._normalize(expr.right)
         if op == "/":
             if _is_const(left) and _is_const(right) and right.value not in (0, 0.0):
-                return self._fold_div(left, right)
+                return _const_of(java_div(left.value, right.value))
             if isinstance(right, Const) and right.value == 1:
                 return left
             if isinstance(left, Const) and left.value == 0 and not (
@@ -164,24 +165,8 @@ class Normalizer:
                 return left
         if op == "%":
             if _is_const(left) and _is_const(right) and right.value not in (0, 0.0):
-                value = left.value - right.value * int(left.value / right.value)
-                return _const_of(value, left)
+                return _const_of(java_rem(left.value, right.value), left)
         return self._apply_assumption(BinOp(op, left, right))
-
-    @staticmethod
-    def _fold_div(left: Const, right: Const) -> Const:
-        a, b = left.value, right.value
-        both_int = (
-            isinstance(a, int)
-            and isinstance(b, int)
-            and not isinstance(a, bool)
-            and not isinstance(b, bool)
-        )
-        if both_int:
-            quotient = abs(a) // abs(b)
-            value = quotient if (a >= 0) == (b >= 0) else -quotient
-            return Const(value, "int")
-        return Const(a / b, "double")
 
     def _sum_items(self, expr: IRExpr, sign: int, items: list) -> None:
         """Flatten a sum into (coeff, term) items."""
@@ -200,8 +185,6 @@ class Normalizer:
             elif isinstance(term, BinOp) and term.op in ("+", "-"):
                 # normalized subterm re-expanded
                 self._sum_items(term, sign, items)
-            elif isinstance(term, UnOp) and term.op == "-":
-                self._sum_items(term.operand, -sign, items)
             else:
                 coeff, factor = self._split_coefficient(term)
                 if isinstance(factor, BinOp) and factor.op in ("+", "-"):
@@ -213,12 +196,11 @@ class Normalizer:
 
     @staticmethod
     def _split_coefficient(term: IRExpr) -> tuple:
-        """Split ``3 * x`` into (3, x); returns (1, term) otherwise."""
+        """Split ``3 * x`` into (3, x); returns (1, term) otherwise (a
+        normalized product holds its constant on the left)."""
         if isinstance(term, BinOp) and term.op == "*":
             if isinstance(term.left, Const) and not isinstance(term.left.value, str):
                 return term.left.value, term.right
-            if isinstance(term.right, Const) and not isinstance(term.right.value, str):
-                return term.right.value, term.left
         return 1, term
 
     def _norm_sum(self, expr: IRExpr) -> IRExpr:
@@ -226,8 +208,6 @@ class Normalizer:
         if self._is_string_concat(expr):
             left = self._normalize(expr.left)  # type: ignore[attr-defined]
             right = self._normalize(expr.right)  # type: ignore[attr-defined]
-            if isinstance(left, Const) and isinstance(right, Const):
-                return Const(str(left.value) + str(right.value), "String")
             return BinOp("+", left, right)
         items: list = []
         self._sum_items(expr, 1, items)
@@ -344,8 +324,6 @@ class Normalizer:
         return self._apply_assumption(result)
 
     def _negate(self, expr: IRExpr) -> IRExpr:
-        if isinstance(expr, UnOp) and expr.op == "!":
-            return expr.operand
         if isinstance(expr, BinOp) and expr.op == "<":
             return BinOp("<=", expr.right, expr.left)
         if isinstance(expr, BinOp) and expr.op == "<=":
@@ -434,8 +412,6 @@ class Normalizer:
             arg = args[0]
             if isinstance(arg, CallFn) and arg.name == "abs":
                 return arg
-        if expr.name == "sq":
-            return self._norm_product(BinOp("*", args[0], args[0]))
         result = CallFn(expr.name, args)
         if expr.name in ("date_before", "date_after", "str_contains", "str_starts"):
             return self._apply_assumption(result)

@@ -49,9 +49,6 @@ class ProgramState:
     def copy(self) -> "ProgramState":
         return ProgramState({k: deep_copy_value(v) for k, v in self.inputs.items()})
 
-    def __repr__(self) -> str:
-        return f"ProgramState({self.inputs!r})"
-
 
 @dataclass
 class BoundedCheckConfig:

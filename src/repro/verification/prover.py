@@ -74,10 +74,6 @@ class ProofResult:
     #: empty for proved results.
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
-    @property
-    def verified(self) -> bool:
-        return self.status == "proved"
-
 
 def proof_to_data(proof: ProofResult) -> dict:
     """Serialize a proof result to JSON-safe plain data.

@@ -23,7 +23,6 @@ from ..ir.nodes import (
     Cond,
     Const,
     IRExpr,
-    TupleExpr,
     UnOp,
     Var,
 )
@@ -145,11 +144,9 @@ class SymbolicExecutor:
         if isinstance(stmt, ast.VarDecl):
             out: list[SymState] = []
             for state in states:
-                if stmt.init is not None:
-                    value = self._eval(stmt.init, state)
-                else:
-                    value = _default_term(stmt.type)
-                state.scalars[stmt.name] = value
+                # A local declared without an initializer has no term:
+                # ``_eval(None)`` refuses it.
+                state.scalars[stmt.name] = self._eval(stmt.init, state)
                 out.append(state)
             return out
         if isinstance(stmt, ast.ExprStmt):
@@ -162,13 +159,6 @@ class SymbolicExecutor:
             result: list[SymState] = []
             for state in states:
                 cond = normalize(self._eval(stmt.cond, state))
-                if isinstance(cond, Const):
-                    branch = stmt.then if cond.value else stmt.other
-                    if branch is not None:
-                        result.extend(self._exec_stmt(branch, [state]))
-                    else:
-                        result.append(state)
-                    continue
                 then_state = state.clone()
                 then_state.path.append((cond, True))
                 result.extend(self._exec_stmt(stmt.then, [then_state]))
@@ -238,7 +228,7 @@ class SymbolicExecutor:
             state.scalars[target.ident] = value
             return
         if isinstance(target, ast.Index):
-            # Either a[i] or a[i][j] on an output container.
+            # a[i] on an output container.
             container, key = self._index_target(target, state)
             state.writes.setdefault(container, []).append((key, value))
             return
@@ -253,17 +243,6 @@ class SymbolicExecutor:
                 )
             key = normalize(self._eval(target.index, state))
             return container, key
-        if isinstance(target.base, ast.Index) and isinstance(
-            target.base.base, ast.Name
-        ):
-            container = target.base.base.ident
-            if container not in self.containers:
-                raise VerificationError(
-                    f"indexed store into non-output container {container!r}"
-                )
-            key1 = normalize(self._eval(target.base.index, state))
-            key2 = normalize(self._eval(target.index, state))
-            return container, TupleExpr((key1, key2))
         raise VerificationError("unsupported nested index target")
 
     # ------------------------------------------------------------------
@@ -296,14 +275,6 @@ class SymbolicExecutor:
                 self._eval(expr.then, state),
                 self._eval(expr.other, state),
             )
-        if isinstance(expr, ast.Cast):
-            inner = self._eval(expr.operand, state)
-            name = getattr(expr.type, "name", None)
-            if name in ("double", "float"):
-                return CallFn("to_double", (inner,))
-            if name in ("int", "long"):
-                return CallFn("to_int", (inner,))
-            return inner
         if isinstance(expr, ast.FieldAccess):
             return self._eval_field(expr, state)
         if isinstance(expr, ast.Index):
@@ -334,15 +305,6 @@ class SymbolicExecutor:
             container = expr.base.ident
             key = normalize(self._eval(expr.index, state))
             return self._cell_value(container, key, state)
-        if (
-            isinstance(expr.base, ast.Index)
-            and isinstance(expr.base.base, ast.Name)
-            and expr.base.base.ident in self.containers
-        ):
-            container = expr.base.base.ident
-            key1 = normalize(self._eval(expr.base.index, state))
-            key2 = normalize(self._eval(expr.index, state))
-            return self._cell_value(container, TupleExpr((key1, key2)), state)
         # Read of a broadcast (input) container at a data-dependent index.
         if isinstance(expr.base, ast.Name) and expr.base.ident in self.bindings:
             base_term = self.bindings[expr.base.ident]
@@ -379,12 +341,6 @@ class SymbolicExecutor:
             if expr.method == "getOrDefault" and len(args) == 2:
                 key = normalize(self._eval(args[0], state))
                 return self._cell_value(container, key, state)
-            if expr.method == "get" and len(args) == 1:
-                key = normalize(self._eval(args[0], state))
-                return self._cell_value(container, key, state)
-            if expr.method == "containsKey" and len(args) == 1:
-                key = normalize(self._eval(args[0], state))
-                return Var(CellRef(container, key).name + "?present", "boolean")
             raise VerificationError(
                 f"container method {expr.method!r} unsupported in read position"
             )
@@ -395,12 +351,3 @@ class SymbolicExecutor:
         if expr.method in _INSTANCE_TO_IR:
             return CallFn(_INSTANCE_TO_IR[expr.method], (receiver_term, *arg_terms))
         raise VerificationError(f"unmodelled instance method {expr.method!r}")
-
-
-def _default_term(jtype) -> IRExpr:
-    name = getattr(jtype, "name", None)
-    if name in ("double", "float"):
-        return Const(0.0, "double")
-    if name == "boolean":
-        return Const(False, "boolean")
-    return Const(0, "int")

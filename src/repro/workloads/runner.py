@@ -207,10 +207,6 @@ class GraphBenchmarkRun:
     outputs_match: bool = True
 
     @property
-    def wall_seconds(self) -> float:
-        return self.report.wall_seconds
-
-    @property
     def simulated_seconds(self) -> float:
         return self.report.simulated_seconds
 

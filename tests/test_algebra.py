@@ -20,7 +20,7 @@ from repro.ir.builder import (
     var,
 )
 from repro.ir.eval import eval_expr
-from repro.ir.nodes import BinOp, Const, UnOp, Var
+from repro.ir.nodes import BinOp, CallFn, Cond, Const, Emit, UnOp, Var
 from repro.verification.algebra import (
     INT_MAX,
     INT_MIN,
@@ -143,6 +143,44 @@ class TestMinMax:
 
     def test_min_idempotent(self):
         assert terms_equal(min_(var("x"), var("x")), var("x"))
+
+
+class TestNormalizerEdges:
+    """Terms the normalizer cannot fold stay as they are: no exception
+    escapes to the prover, and substitution reaches every node kind."""
+
+    def test_incomparable_constants_stay_a_comparison(self):
+        term = normalize(lt(Const("a", "String"), const(1)))
+        assert isinstance(term, BinOp) and term.op == "<"
+
+    def test_calls_that_cannot_be_folded_stay_calls(self):
+        # An unmodelled name, and a modelled one on arguments it rejects.
+        assert str(normalize(CallFn("nope", (const(1),)))) == "nope(1)"
+        dates = normalize(CallFn("date_before", (const(1), const(2))))
+        assert isinstance(dates, CallFn) and dates.name == "date_before"
+
+    def test_folded_calls_keep_their_constant_kind(self):
+        lower = normalize(CallFn("str_lower", (Const("AB", "String"),)))
+        assert lower == Const("ab", "String")
+        either = normalize(max_(Const(True, "boolean"), Const(False, "boolean")))
+        assert either == Const(True, "boolean")
+
+    def test_min_of_identities_only_is_the_identity(self):
+        both = min_(Const(INT_MAX, "int"), Const(INT_MAX, "int"))
+        assert normalize(both) == Const(INT_MAX, "int")
+
+    def test_unary_minus_of_a_variable_is_a_coefficient(self):
+        assert terms_equal(UnOp("-", var("x")), mul(const(-1), var("x")))
+
+    def test_unknown_unary_operator_is_kept(self):
+        assert normalize(UnOp("~", var("x"))) == UnOp("~", var("x"))
+
+    def test_substitute_reaches_unary_and_conditional_terms(self):
+        term = Cond(var("c"), UnOp("-", var("x")), Emit(var("x"), var("x")))
+        result = substitute(term, {"x": const(2), "c": var("d")})
+        # An unknown node kind (the Emit) is returned unchanged.
+        assert result == Cond(var("d"), UnOp("-", const(2)), Emit(var("x"), var("x")))
+        assert term_key(Emit(var("k"), var("v"))).startswith("x:Emit(")
 
 
 class TestConditionals:

@@ -13,6 +13,7 @@ from repro.codegen import (
 from repro.engine.config import EngineConfig
 from repro.ir import builder
 from repro.ir.builder import add, const, emit, map_stage, pipeline, reduce_stage, scalar_output, summary, var
+from repro.ir.nodes import CallFn, Const, Emit, UnOp, Var
 from repro.lang.values import values_equal
 
 
@@ -132,13 +133,86 @@ class TestRendering:
         assert "if ((0 < v))" in code
 
     def test_render_expr_functions(self):
-        from repro.ir.nodes import CallFn, Var
-
         assert render_expr(CallFn("abs", (Var("x"),))) == "Math.abs(x)"
         assert render_expr(CallFn("date_before", (Var("a"), Var("b")))) == "a.before(b)"
 
+    @pytest.mark.parametrize(
+        "expr, text",
+        [
+            (Const(True, "boolean"), "true"),
+            (Const(False, "boolean"), "false"),
+            (UnOp("-", Var("x")), "-x"),
+            (CallFn("date_after", (Var("a"), Var("b"))), "a.after(b)"),
+            (
+                CallFn("str_contains", (Var("s"), Const("ab", "String"))),
+                's.contains("ab")',
+            ),
+            (CallFn("str_lower", (Var("s"),)), "s.toLowerCase()"),
+            (CallFn("hash", (Var("x"),)), "hash(x)"),
+            (Emit(Var("k"), Var("v")), "/* Emit */"),
+        ],
+    )
+    def test_render_expr_every_node_kind(self, expr, text):
+        assert render_expr(expr) == text
+
+    def test_hadoop_guards_an_emit_and_writes_the_reduced_value(self):
+        s = summary(
+            pipeline(
+                "d",
+                map_stage(
+                    ("v",),
+                    emit(const("k"), var("v"), when=builder.lt(const(0), var("v"))),
+                ),
+                reduce_stage(add(var("v1"), var("v2"))),
+            ),
+            scalar_output("out", default=0),
+        )
+        code = render(s, "hadoop")
+        assert 'if ((0 < v)) ctx.write("k", v);' in code
+        assert "ctx.write(k, v1);" in code
+
+    def test_flink_renders_a_join_stage(self):
+        from repro.ir.nodes import JoinStage, Pipeline
+
+        join = JoinStage(Pipeline("e", ()))
+        mapped = map_stage(("v",), emit(var("v"), var("v")))
+        s = summary(pipeline("d", mapped, join), scalar_output("out", default=0))
+        code = render(s, "flink")
+        assert "ds = ds.join(/* right pipeline */).where(0).equalTo(0);" in code
+
+    def test_unknown_backend_is_refused(self, rwm_summary):
+        with pytest.raises(ValueError, match="unknown backend 'storm'"):
+            render(rwm_summary, "storm")
+
     def test_generated_loc_counts_lines(self, rwm_summary):
         assert 3 <= generated_loc(rwm_summary, "spark") <= 15
+
+
+class TestBindOutputs:
+    """Glue code for output shapes the suite's fragments do not have."""
+
+    def test_keyed_binding_without_a_key_reads_its_own_name(self):
+        from repro.codegen.base import bind_outputs
+        from repro.ir.nodes import OutputBinding
+
+        binding = OutputBinding("total", "keyed", default=0)
+        assert bind_outputs((binding,), [("total", 7)], {}, {}) == {"total": 7}
+
+    def test_set_and_unsized_array_containers(self):
+        from repro.codegen.base import bind_outputs
+        from repro.ir.nodes import OutputBinding
+
+        pairs = [(2, 5), (0, 1)]
+        bindings = (
+            OutputBinding("seen", "whole", container="set"),
+            OutputBinding("cells", "whole", default=0, container="array"),
+        )
+        # No recorded size: the array ends at its largest key.
+        assert bind_outputs(bindings, pairs, {}, {}) == {
+            "seen": {0, 2},
+            "cells": [1, 0, 5],
+        }
+        assert bind_outputs(bindings[1:], [], {}, {}) == {"cells": []}
 
 
 class TestAdaptiveProgram:

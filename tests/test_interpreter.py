@@ -206,3 +206,102 @@ class TestLibraryMethods:
         interp.call_function("f", [100])
         assert interp.counters.loop_iterations == 100
         assert interp.counters.arith_ops > 100
+
+
+# The interpreter is the reference oracle: every branch of it runs here,
+# including the ones no suite program takes.
+ORACLE_VALUES = [
+    ("String f() { String s; return s; }", [], None),
+    ("char f() { char c = 'x'; return c; }", [], "x"),
+    ("String f() { String s = null; return s; }", [], None),
+    ("int f(double d) { return (int) d; }", [2.7], 2),
+    ("double f(int i) { return (double) i; }", [3], 3.0),
+    ("int f(int x) { int y = x; }", [1], None),
+    ("int f(int x) { return ~x; }", [5], -6),
+    ("int f(int x) { return x >> 1; }", [8], 4),
+    ('String f() { return "b" + true + 2.0; }', [], "btrue2.0"),
+    (
+        "int f() { int s = 0; int i = 0; while (i < 5) { i++; if (i == 2) continue; s += i; } return s; }",
+        [],
+        13,
+    ),
+    (
+        "int f() { int s = 0; int i = 0; do { i++; if (i == 2) continue; if (i == 4) break; s += i; } while (i < 10); return s; }",
+        [],
+        4,
+    ),
+    ("int f() { int s = 0; for (int i = 0; i < 9; i++) { if (i == 3) break; s += i; } return s; }", [], 3),
+    ("int f(int[] a) { return a[0]; }", [{0: 5}], 5),
+    ("int f(int[] a) { a[0] = 7; return a[0]; }", [{0: 1}], 7),
+    ("int f(int x) { System.out.println(x); return x; }", [4], 4),
+    ("boolean f(List<String> xs) { return xs.remove(\"a\"); }", [["a", "b"]], True),
+    ("boolean f(boolean b) { return !b; }", [True], False),
+    (
+        "int f(List<Integer> xs) { int s = 0; for (int x : xs) { if (x == 2) continue; if (x == 4) break; s += x; } return s; }",
+        [[1, 2, 3, 4, 5]],
+        4,
+    ),
+    ("double f(double x) { return Math.log10(x); }", [100.0], 2.0),
+    ("double f(double x) { return Math.log10(x); }", [0.0], float("-inf")),
+    (r'int f(String s) { return s.split("\\s+").length; }', ["a  b c"], 3),
+    ('int f(String s) { return s.hashCode(); }', ["polygenelubricants"], -2147483648),
+]
+
+ORACLE_ERRORS = [
+    ("int f(int a) { return a; }", [], "expects 1 args, got 0"),
+    ("int f(int[] a) { return a[0]; }", [None], "indexing a null array"),
+    ("int f() { return zz.length; }", [], "undefined variable 'zz'"),
+    ("int f() { int[] a = new int[-1]; return 0; }", [], "negative array size"),
+    ("class P { int x; int y; } int f() { P p = new P(1); return 0; }", [], "constructor expects 2 args"),
+    ("int f(int[] a) { a[0] = 1; return 0; }", [None], "store into null array"),
+    ("int f(int a) { a.x = 1; return 0; }", [3], "field store on non-object"),
+    ("class P { int x; } int f() { P p = new P(); return p.size(); }", [], "no method 'size' modelled for class P"),
+    ("int f(int a) { return a.size(); }", [3], "cannot call method 'size' on int"),
+    ("int f() { x = 1; return 0; }", [], "assignment to undefined variable 'x'"),
+    ("int f(List<Integer> xs) { for (int x : xs) { } return 0; }", [None], "iterating a null collection"),
+    ("int f(int[] a) { return a[0]; }", [{1: 2}], "bad index operation"),
+    ("int f(int a) { return a.length; }", [3], "'.length' on non-array value"),
+    ("int f(int a) { return a.w; }", [3], "field access 'w' on int"),
+    ("int f() { return g(1); }", [], "call to undefined function 'g'"),
+    ("int f() { Q q = new Q(); return 0; }", [], "unknown class 'Q'"),
+]
+
+
+@pytest.mark.parametrize("source, args, expected", ORACLE_VALUES)
+def test_oracle_branch_value(source, args, expected):
+    assert run_function(source, "f", args) == expected
+
+
+@pytest.mark.parametrize("source, args, message", ORACLE_ERRORS)
+def test_oracle_branch_error(source, args, message):
+    with pytest.raises(InterpreterError, match=message):
+        run_function(source, "f", args)
+
+
+def test_oracle_statement_entry_points():
+    from repro.lang import ast_nodes as ast
+    from repro.lang.interpreter import Environment
+    from repro.lang.stdlib import static_field
+    from repro.lang.types import INT
+
+    interpreter = Interpreter()
+    # run_statements: a return ends the list without escaping.
+    interpreter.run_statements([ast.Return(ast.IntLit(1))], Environment())
+    with pytest.raises(InterpreterError, match="unknown statement Stmt"):
+        interpreter.exec_stmt(ast.Stmt(), Environment())
+    with pytest.raises(InterpreterError, match="unknown expression Expr"):
+        interpreter.eval_expr(ast.Expr(), Environment())
+    with pytest.raises(InterpreterError, match="unknown binary operator '\\?\\?'"):
+        interpreter.apply_binop("??", 1, 2)
+    with pytest.raises(InterpreterError, match="unknown unary operator '\\?'"):
+        interpreter.eval_expr(ast.UnOp("?", ast.IntLit(1)), Environment())
+    with pytest.raises(InterpreterError, match="cannot instantiate int"):
+        interpreter.eval_expr(ast.NewObject(INT, []), Environment())
+    with pytest.raises(InterpreterError, match="invalid assignment target"):
+        interpreter._store(ast.IntLit(1), 2, Environment())
+    assert interpreter._alloc_array(INT, [None]) is None
+    with pytest.raises(InterpreterError, match="unmodelled static field Integer.NOPE"):
+        static_field("Integer", "NOPE")
+    # A static namespace read as a value is an opaque handle.
+    handle = run_function("String f() { return System.out; }", "f", [])
+    assert isinstance(handle, Instance) and handle.get("name") == "System.out"

@@ -1,8 +1,14 @@
 """Tests for the IR: nodes, evaluator, map/reduce/join semantics, fold ext."""
 
+import math
+
 import pytest
 
-from repro.errors import IRError
+from repro import translate
+from repro.errors import InterpreterError, IRError
+from repro.lang.interpreter import run_function
+from repro.options import ExecOptions
+from repro.verification.algebra import normalize
 from repro.ir import (
     FoldStage,
     FoldSummary,
@@ -39,7 +45,7 @@ from repro.ir.builder import (
     var,
     whole_output,
 )
-from repro.ir.nodes import Const, Var
+from repro.ir.nodes import BinOp, Const, Var
 
 
 class TestExprEval:
@@ -225,3 +231,151 @@ class TestFoldExtension:
         out = evaluate_summary(lowered, {"d": data}, {})
         assert out["total"] == 15
         assert out["total"] == evaluate_fold(fold, {"d": data}, {})
+
+
+# Java's double ``%`` — (dividend, divisor, Java's value) — as every layer
+# must compute it: the interpreter (the oracle), the IR evaluator the
+# compiled kernels share, and the prover's constant folder.
+JAVA_DOUBLE_REM = [
+    (5.5, 0.0, math.nan),
+    (5.5, -0.0, math.nan),
+    (1e17, 3.0, 1.0),
+    (3.0, math.inf, 3.0),
+    (math.inf, 2.0, math.nan),
+    (-math.inf, 2.0, math.nan),
+    (math.nan, 2.0, math.nan),
+    (-7.5, 2.0, -1.5),
+    (-0.0, 2.0, -0.0),
+]
+
+REM_SUM = """
+double remSum(double[] v, int n, double b) {
+    double t = 0;
+    for (int i = 0; i < n; i++) { t += v[i] % b; }
+    return t;
+}
+"""
+
+
+def _same_double(got, want):
+    if math.isnan(want):
+        return isinstance(got, float) and math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestJavaDoubleRemainder:
+    @pytest.mark.parametrize("a,b,want", JAVA_DOUBLE_REM)
+    def test_interpreter(self, a, b, want):
+        got = run_function(REM_SUM.replace("t += v[i] % b", "t = v[i] % b"), "remSum", [[a], 1, b])
+        assert _same_double(got, want)
+
+    @pytest.mark.parametrize("a,b,want", JAVA_DOUBLE_REM)
+    def test_ir_evaluator(self, a, b, want):
+        got = eval_expr(BinOp("%", Var("a"), Var("b")), {"a": a, "b": b})
+        assert _same_double(got, want)
+
+    @pytest.mark.parametrize("a,b,want", JAVA_DOUBLE_REM)
+    def test_constant_folder(self, a, b, want):
+        folded = normalize(BinOp("%", Const(a, "double"), Const(b, "double")))
+        if b == 0:  # a zero divisor is left unfolded
+            assert isinstance(folded, BinOp)
+        else:
+            assert isinstance(folded, Const) and _same_double(folded.value, want)
+
+    def test_constant_folder_divides_like_java(self):
+        folded = normalize(BinOp("/", Const(-7, "int"), Const(2, "int")))
+        assert folded == Const(-3, "int")
+
+    def test_translated_sum_on_sequential(self):
+        fragment = translate(REM_SUM).fragments[0]
+        for a, b, want in JAVA_DOUBLE_REM:
+            outputs = fragment.program.run(
+                {"v": [a], "n": 1, "b": b}, ExecOptions(plan="sequential")
+            ).outputs
+            assert _same_double(outputs["t"], 0.0 + want), (a, b)
+
+    def test_integer_zero_divisor_keeps_each_layers_error(self):
+        with pytest.raises(IRError, match="integer remainder by zero"):
+            eval_expr(BinOp("%", Const(7, "int"), Const(0, "int")), {})
+        with pytest.raises(InterpreterError, match="^remainder by zero"):
+            run_function("int f(int a, int b) { return a % b; }", "f", [7, 0])
+
+
+class TestEvaluatorRefusals:
+    """The evaluator is the reference oracle: malformed IR ends in IRError."""
+
+    def _summary(self, stages, **binding):
+        from repro.ir.nodes import OutputBinding, Pipeline, Summary
+
+        return Summary(Pipeline("d", tuple(stages)), (OutputBinding("out", **binding),))
+
+    def _map(self):
+        from repro.ir.nodes import Emit, MapLambda, MapStage
+
+        return MapStage(MapLambda(("x",), (Emit(Var("x"), Var("x")),)))
+
+    def _reduce(self):
+        from repro.ir.nodes import ReduceLambda, ReduceStage
+
+        return ReduceStage(ReduceLambda(add(var("v1"), var("v2"))))
+
+    def test_projection_index_out_of_range(self):
+        with pytest.raises(IRError, match="projection index 2 out of range"):
+            eval_expr(proj(tup(const(1), const(2)), 2), {})
+
+    @pytest.mark.parametrize(
+        "stages, datasets, message",
+        [
+            ("map", {}, "unknown dataset 'd'"),
+            ("reduce", {"d": []}, "reduce applied before any map stage"),
+            ("join", {"d": []}, "join applied before any map stage"),
+            ("base", {"d": []}, "unknown stage Stage"),
+        ],
+    )
+    def test_malformed_pipeline(self, stages, datasets, message):
+        from repro.ir.nodes import JoinStage, Pipeline, Stage
+
+        stage = {
+            "map": self._map(),
+            "reduce": self._reduce(),
+            "join": JoinStage(Pipeline("d", (self._map(),))),
+            "base": Stage(),
+        }[stages]
+        summary = self._summary([stage], kind="keyed")
+        with pytest.raises(IRError, match=message):
+            evaluate_summary(summary, datasets, {})
+
+    def test_malformed_expressions(self):
+        from repro.ir.nodes import IRExpr, Proj, UnOp
+
+        with pytest.raises(IRError, match="unknown IR operator"):
+            eval_expr(BinOp("??", const(1), const(2)), {})
+        with pytest.raises(IRError, match="unknown unary operator"):
+            eval_expr(UnOp("?", const(1)), {})
+        with pytest.raises(IRError, match="projection on non-tuple"):
+            eval_expr(Proj(const(1), 0), {})
+        with pytest.raises(IRError, match="unknown IR expression IRExpr"):
+            eval_expr(IRExpr(), {})
+
+    def test_malformed_summaries(self):
+        with pytest.raises(IRError, match="pipeline has no map stage"):
+            evaluate_summary(self._summary([], kind="keyed"), {"d": []}, {})
+        datasets = {"d": [{"x": 1}]}
+        projected = self._summary([self._map()], kind="keyed", key=const(1), project=0)
+        with pytest.raises(IRError, match="output projection on non-tuple result"):
+            evaluate_summary(projected, datasets, {})
+        with pytest.raises(IRError, match="unknown output binding kind 'nope'"):
+            evaluate_summary(self._summary([self._map()], kind="nope"), datasets, {})
+
+    @pytest.mark.parametrize(
+        "container, expected", [("set", {1, 2}), ("array", [None, 1, 2])]
+    )
+    def test_whole_containers(self, container, expected):
+        summary = self._summary([self._map()], kind="whole", container=container)
+        outputs = evaluate_summary(summary, {"d": [{"x": 1}, {"x": 2}]}, {})
+        assert outputs["out"] == expected
+
+    def test_unknown_container(self):
+        summary = self._summary([self._map()], kind="whole", container="tree")
+        with pytest.raises(IRError, match="unknown container 'tree'"):
+            evaluate_summary(summary, {"d": [{"x": 1}]}, {})

@@ -377,7 +377,7 @@ def test_projection_pushdown_prunes_dead_fields():
         assert repr(name) in mapper.source or name in view.index_vars
 
 
-def test_vectorized_path_matches_compiled_loop():
+def test_vectorized_path_matches_compiled_loop(monkeypatch):
     program, stage, globals_env, records = _first_map_stage("ariths_sum")
     mapper = CompiledRecordMapper(
         emits=stage.lam.emits, globals_env=globals_env, view=program.analysis.view
@@ -389,6 +389,73 @@ def test_vectorized_path_matches_compiled_loop():
     # back to the loop instead of producing numpy garbage.
     dirty = list(records) + [(len(records), "oops")]
     assert resolve_columns(dirty, mapper.columns_spec) is None
+
+    # Int ``-`` and int ``?:`` on arrays render a guard helper: within
+    # int64 the block equals the row loop; past it the guard refuses the
+    # block (None) and the row loop stays exact.
+    data = Var("data", "int")
+    guarded = {
+        "_guarded_sub": BinOp("-", data, data),
+        "_guarded_where": Cond(
+            BinOp("<", data, Const(0, "int")), data, Const(1, "int")
+        ),
+    }
+    for guard, value in guarded.items():
+        calls = []
+        original = getattr(kernels, guard)
+        monkeypatch.setattr(
+            kernels, guard, lambda *args, f=original: calls.append(args) or f(*args)
+        )
+        mapper = CompiledRecordMapper(
+            emits=(Emit(Const("total", "String"), value, None),),
+            globals_env=globals_env,
+            view=program.analysis.view,
+        )
+        in_range = [(0, -337), (1, 941), (2, 0), (3, -(2**61))]
+        block = mapper.map_block(resolve_columns(in_range, mapper.columns_spec))
+        assert block is not None and calls, guard
+        assert _exact(block.pairs()) == _exact(mapper.map_rows(in_range))
+        tripping = [(0, 2**62), (1, -(2**63))]
+        calls.clear()
+        assert mapper.map_block(resolve_columns(tripping, mapper.columns_spec)) is None
+        assert calls, guard
+        expected = [("total", eval_expr(value, {"data": d})) for _i, d in tripping]
+        assert mapper.map_rows(tripping) == expected
+
+
+_I, _F = Var("i", "int"), Var("f", "double")
+_ONE, _TWO = Const(1, "int"), Const(2, "int")
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Const(True, "boolean"),
+        Const(float("nan"), "double"),
+        Const(float("-inf"), "double"),
+        Const("s", "String"),
+        Var("flag", "boolean"),  # a non-numeric global
+        Var("nowhere", "int"),
+        BinOp("&&", BinOp("<", _I, _I), _I),
+        BinOp("+", _I, BinOp("<", _I, _I)),
+        BinOp("/", _F, _F),
+        Cond(_I, _I, _I),  # a non-boolean condition
+        Cond(BinOp("<", _I, _I), _F, _I),  # a float branch
+        Cond(BinOp("<", _ONE, _TWO), _ONE, _TWO),  # no column at all
+        CallFn("abs", (_I,)),
+        CallFn("sqrt", (_F,)),
+        TupleExpr((_I, _I)),
+    ],
+    ids=str,
+)
+def test_vector_renderer_refuses_what_it_cannot_render_exactly(expr):
+    # Each refusal sends the stage to the exact row loop.
+    renderer = kernels._VecRenderer(
+        {"i": ("c0", "int"), "f": ("c1", "float")},
+        {"flag": True},
+    )
+    with pytest.raises(kernels._VecUnsupported):
+        renderer.expr(expr)
 
 
 def test_division_by_zero_matches_evaluator():

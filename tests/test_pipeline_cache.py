@@ -10,7 +10,7 @@ import pytest
 import repro
 from repro import SearchConfig, Session, SummaryCache, translate
 from repro.compiler import CasperCompiler
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ReproError
 from repro.ir.nodes import (
     rename_summary,
     summary_from_data,
@@ -29,6 +29,7 @@ from repro.pipeline import (
     PassPipeline,
     default_passes,
 )
+from repro.pipeline import cache as cache_module
 from repro.pipeline.cache import search_config_key
 from repro.verification.prover import proof_from_data, proof_to_data
 from repro.workloads.registry import all_benchmarks
@@ -287,6 +288,35 @@ class TestSummaryCache:
         assert entry == want
         # Encoding work follows the distinct objects, not the refutations.
         assert calls == stored([*distinct, twin])[1]
+
+    def test_unencodable_counterexamples_are_skipped(self):
+        from repro.verification.bounded import ProgramState
+
+        fingerprint = fingerprint_fragment(analysis_of(SUM_SOURCE))
+        cache = SummaryCache()
+        unencodable = ProgramState({"data": [object()], "n": 1})
+        assert not cache.store_counterexamples(fingerprint, [unencodable])
+        kept = ProgramState({"data": [1], "n": 1})
+        assert cache.store_counterexamples(fingerprint, [unencodable, kept])
+        assert [s.inputs for s in cache.lookup_counterexamples(fingerprint)] == [
+            kept.inputs
+        ]
+
+    @pytest.mark.parametrize("on_disk", [True, False])
+    def test_corrupt_counterexample_entry_is_dropped(self, tmp_path, on_disk):
+        fingerprint = fingerprint_fragment(analysis_of(SUM_SOURCE))
+        cache = SummaryCache(cache_dir=str(tmp_path))
+        key = cache._cex_key(fingerprint)
+        entry = {"format": cache_module._DISK_FORMAT}  # no "states"
+        path = Path(cache._disk_path(key))
+        if on_disk:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(entry))
+        else:  # a memory-tier entry with no disk copy to remove
+            cache._insert(key, entry)
+        assert cache.lookup_counterexamples(fingerprint) == []
+        assert cache.stats.corrupt == 1
+        assert not path.exists() and key not in cache._entries
 
     def test_alpha_equivalent_hit_is_renamed_correctly(self):
         cache = SummaryCache()
@@ -784,3 +814,24 @@ class TestFragmentJobs:
         assert not job.ok
         assert "AnalysisError: fragment_index 5 out of range" in job.error
 
+
+def test_state_values_of_every_kind_round_trip():
+    # Counterexample states persist every value kind a program state can
+    # hold; the suite's cached refuters hold scalars, so the containers
+    # and records are pinned here.
+    from repro.lang.values import Instance
+    from repro.pipeline.cache import _state_value_from_data, _state_value_to_data
+
+    value = {
+        "xs": [1, 2.5, "a"],
+        "pair": (1, (2.0, "b")),
+        "seen": {3, 4},
+        "by_key": {"k": [1], 2: (0.5,)},
+        "row": Instance("P", {"w": 1.5, "tags": ["x"]}),
+    }
+    data = json.loads(json.dumps(_state_value_to_data(value)))
+    assert _state_value_from_data(data) == value
+    with pytest.raises(ReproError, match="unserializable program-state value: object"):
+        _state_value_to_data(object())
+    with pytest.raises(ReproError, match="unknown state-value tag 'nope'"):
+        _state_value_from_data({"__t__": "nope"})

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.errors as errors
-from repro.lang import ast, format_expr, format_function, format_stmt, parse_function
+from repro.lang import ast, format_expr, parse_function
 from repro.lang.pretty import count_loc
 from repro.lang.stdlib import (
     call_instance_method,
@@ -17,36 +17,10 @@ from repro.errors import InterpreterError
 
 
 class TestLangPretty:
-    def roundtrip(self, source):
-        func = parse_function(source)
-        return format_function(func)
-
     def test_expression_formatting(self):
         func = parse_function("int f(int a, int b) { return a * (b + 1); }")
         text = format_expr(func.body.stmts[0].value)
         assert text == "(a * (b + 1))"
-
-    def test_statement_formatting_for_loop(self):
-        func = parse_function(
-            "int f(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }"
-        )
-        text = format_stmt(func.body.stmts[1])
-        assert "for (" in text and "(i < n)" in text
-
-    def test_formatted_function_reparses(self):
-        source = """
-        int f(int[] d, int n) {
-          int s = 0;
-          for (int i = 0; i < n; i++) {
-            if (d[i] > 0) s += d[i];
-          }
-          return s;
-        }
-        """
-        text = self.roundtrip(source)
-        reparsed = parse_function(text)
-        assert reparsed.name == "f"
-        assert count_loc(reparsed.body) == count_loc(parse_function(source).body)
 
     def test_string_literal_escaping(self):
         func = parse_function('String f() { return "a\\"b"; }')
@@ -59,6 +33,32 @@ class TestLangPretty:
         )
         text = format_expr(func.body.stmts[0].value)
         assert "s.isEmpty()" in text and "s.length()" in text
+
+    @pytest.mark.parametrize(
+        "expr, text",
+        [
+            ("1.5", "1.5"),
+            ("true", "true"),
+            ("'c'", "'c'"),
+            ("null", "null"),
+            ("-a", "-a"),
+            ("p.w", "p.w"),
+            ("g(a, 1)", "g(a, 1)"),
+            ("new int[a][]", "new int[a][]"),
+            ("new P(a)", "new P(a)"),
+            ("++a", "++a"),
+            ("a--", "a--"),
+            ("(double) a", "((double) a)"),
+            ("a[1]", "a[1]"),
+            ("a = 1", "a = 1"),
+        ],
+    )
+    def test_every_expression_kind(self, expr, text):
+        func = parse_function(f"int f(int a, P p) {{ return {expr}; }}")
+        assert format_expr(func.body.stmts[0].value) == text
+
+    def test_unknown_expression_kind(self):
+        assert format_expr(ast.Expr()) == "<Expr>"
 
     def test_count_loc_ignores_blocks(self):
         func = parse_function("int f() { { { return 1; } } }")

@@ -636,3 +636,77 @@ class TestDaemon:
                 client.result("job-999")
         with pytest.raises(ServeError, match="cannot reach"):
             DaemonClient("127.0.0.1:1").health()
+
+    def test_unknown_paths_and_handler_faults_get_json_error_replies(self):
+        # A request the handler cannot serve is answered, never left hanging:
+        # an unknown path is a 404, a fault while serving it a 500.
+        import http.client
+        import json
+        from urllib.parse import urlparse
+
+        from repro.serve.daemon import serve
+
+        def ask(connection, method, path, body=None):
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())["error"]
+
+        with serve() as daemon:
+            url = urlparse(daemon.address)
+            connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+            try:
+                assert ask(connection, "GET", "/nope") == (404, "unknown path /nope")
+                assert ask(connection, "POST", "/nope", b"{}") == (
+                    404,
+                    "unknown path /nope",
+                )
+                status, error = ask(connection, "GET", "/result?job=j&timeout=soon")
+                assert status == 500 and error.startswith("ValueError: ")
+                # No body at all: the request is {} and lacks its source.
+                assert ask(connection, "POST", "/register") == (
+                    500,
+                    "KeyError: 'source'",
+                )
+            finally:
+                connection.close()
+
+
+class TestPublicSpellings:
+    """The package-level names resolve to the daemon and client objects."""
+
+    def test_lazy_serve_names(self):
+        import repro.serve as serve_pkg
+        from repro.serve import client, daemon
+
+        assert serve_pkg.ServeDaemon is daemon.ServeDaemon
+        assert serve_pkg.serve is daemon.serve
+        assert serve_pkg.DaemonClient is client.DaemonClient
+        assert serve_pkg.connect is client.connect
+        with pytest.raises(AttributeError, match="'nope'"):
+            serve_pkg.nope
+
+    def test_repro_connect_returns_a_daemon_client(self, tmp_path):
+        import repro
+        from repro.serve.client import DaemonClient
+        from repro.serve.daemon import serve
+
+        daemon = serve(cache_dir=str(tmp_path), max_workers=1)
+        try:
+            client = repro.connect(daemon.address, timeout=30.0)
+            assert isinstance(client, DaemonClient)
+            assert client.health()["ok"]
+        finally:
+            daemon.shutdown()
+
+
+def test_fragment_job_metrics_cross_the_wire():
+    # A fragment job's result carries JobMetrics; the wire sends its summary.
+    from repro.engine.metrics import JobMetrics
+    from repro.options import JobResult
+    from repro.serve.daemon import result_from_wire, result_to_wire
+
+    metrics = JobMetrics()
+    metrics.add_wall_seconds(0.5)
+    wire = result_to_wire(JobResult(outputs={"t": 1}, metrics=metrics))
+    assert wire["metrics"]["wall_seconds"] == 0.5
+    assert result_from_wire(wire).metrics == wire["metrics"]

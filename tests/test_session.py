@@ -12,6 +12,7 @@ configuration — onto the compiled program it runs.
 from __future__ import annotations
 
 import sys
+import time
 import warnings
 
 import pytest
@@ -100,6 +101,17 @@ class TestNormalizeExecOptions:
             assert check_options(None, "caller") == ExecOptions()
         with pytest.raises(TypeError, match="caller: options must be"):
             check_options("auto", "caller")
+
+    def test_job_handle_done(self):
+        compilation = compiled(SUM_SOURCE)
+        inputs = {"data": DATA, "n": len(DATA)}
+        with Session(max_workers=0) as session:
+            assert session.submit(compilation, dict(inputs)).done()
+        with Session(max_workers=1) as session:
+            handle = session.submit(compilation, dict(inputs))
+            while not handle.done():  # answered by the pooled job's future
+                time.sleep(0.01)
+            assert session.result(handle, timeout=300).ok
 
     def test_options_plus_legacy_raises(self):
         compilation = compiled(SUM_SOURCE)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import pickle
 
 import pytest
 
@@ -25,7 +26,9 @@ from repro.engine.source import (
     chunk_records_for,
 )
 from repro.engine.spill import (
+    RunRef,
     SpillWriter,
+    _stable_bytes,
     cleanup_runs,
     merge_partition,
     partition_of,
@@ -449,6 +452,66 @@ class TestFlushFiles:
                 list(range(3000)), [MapStep(KeyedEmit(40)), ReduceStep(Add())]
             )
         assert os.listdir(tmp_path / "runs") == []
+
+
+def _run_file(path, *payloads, task=0):
+    """A flush file holding ``payloads`` pickled back to back, and the
+    RunRef of a run whose columns are the first and keys the second."""
+    blobs = [pickle.dumps(payload) for payload in payloads]
+    with open(path, "wb") as handle:
+        handle.write(b"".join(blobs))
+    key_length = len(blobs[1]) if len(blobs) > 1 else 0
+    return RunRef(str(path), 0, len(blobs[0]), key_length, 0, task)
+
+
+class TestSpillFaults:
+    """Every typed refusal of the spill layer, one damage each."""
+
+    def test_non_positive_budget_is_refused(self, tmp_path):
+        with pytest.raises(SpillError, match="must be positive, got 0"):
+            SpillWriter(str(tmp_path), partitions=1, budget_bytes=0)
+
+    def test_missing_run_file_is_a_corrupt_run(self, tmp_path):
+        run = RunRef(str(tmp_path / "gone"), 0, 8, 0, 0, 0)
+        with pytest.raises(SpillError, match="corrupt spill run .*No such file"):
+            read_run(run)
+
+    @pytest.mark.parametrize(
+        "columns", [([1], [0], [2]), [[1], [0]], ([1, 2], [0]), ("1", [0])]
+    )
+    def test_misshapen_value_columns_are_refused(self, tmp_path, columns):
+        run = _run_file(tmp_path / "run", columns, [1])
+        with pytest.raises(SpillError, match="expected value and rank columns"):
+            merge_partition([run], lambda a, b: a + b)
+
+    @pytest.mark.parametrize("keys", [("k",), ["k", "j"]])
+    def test_misshapen_key_column_is_refused(self, tmp_path, keys):
+        run = _run_file(tmp_path / "run", ([1], [0]), keys)
+        with pytest.raises(SpillError, match="expected a key column"):
+            read_run(run)
+
+    def test_rank_outside_the_writers_table_is_refused(self, tmp_path):
+        run = _run_file(tmp_path / "run", ([1, 2], [0, 5]), ["a", "b"], task=3)
+        with pytest.raises(SpillError, match="rank .* outside its writer's table"):
+            merge_partition([run], lambda a, b: a + b, ranks={3: {0: 0}})
+        with pytest.raises(SpillError, match="outside its writer's table"):
+            merge_partition([run], lambda a, b: a + b, ranks={})
+
+    def test_cleanup_ignores_a_run_file_already_gone(self, tmp_path):
+        gone = RunRef(str(tmp_path / "gone"), 0, 1, 0, 0, 0)
+        cleanup_runs([[gone, gone]])  # no OSError escapes
+
+    @pytest.mark.parametrize(
+        "key, encoded",
+        [
+            (float("inf"), b"n:inf"),
+            (float("-inf"), b"n:-inf"),
+            (2.0, b"n:2"),
+            (frozenset(), b"frozenset()"),
+        ],
+    )
+    def test_canonical_bytes_of_infinite_integral_and_other_keys(self, key, encoded):
+        assert _stable_bytes(key) == encoded
 
 
 # ----------------------------------------------------------------------

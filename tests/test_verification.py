@@ -96,6 +96,47 @@ class TestSymbolicExecution:
             )
 
 
+    @pytest.mark.parametrize(
+        "body, containers, message",
+        [
+            # Shapes no suite fragment has refuse instead of being modelled.
+            ("int t; acc = acc + v;", (), "cannot translate NoneType"),
+            ("acc = (double) v;", (), "cannot translate Cast"),
+            ("acc = h[v][v];", ("h",), "unsupported symbolic index read"),
+            ("h[v][v] = 1;", ("h",), "unsupported nested index target"),
+            ("acc = h.get(v);", ("h",), "container method 'get' unsupported"),
+            ("if (h.containsKey(v)) acc = 1;", ("h",), "'containsKey' unsupported"),
+            # The executor's own refusals.
+            ("break;", (), "Break not supported"),
+            ("return v;", (), "Return not supported"),
+            ("v;", (), "expression statement Name has no modelled effect"),
+            ("h.remove(v);", ("h",), "container mutation 'remove' unsupported"),
+            ("g[v] = 1;", ("h",), "indexed store into non-output container 'g'"),
+            ("p.x = 1;", (), "unsupported assignment target"),
+            ("acc = g[v];", (), "unsupported symbolic index read"),
+            ("acc = s.frob();", (), "unmodelled instance method 'frob'"),
+            ("acc = Math.frob(v);", (), "unmodelled static call"),
+            (
+                " ".join(f"if (v > {i}) acc = acc + {i};" for i in range(8)),
+                (),
+                "path explosion",
+            ),
+        ],
+    )
+    def test_unmodelled_code_is_refused(self, body, containers, message):
+        bindings = {name: Var(name) for name in ("acc", "v", "s", "p")}
+        with pytest.raises(VerificationError, match=message):
+            self.exec_body(f"int f(int v) {{ {body} }}", bindings, containers)
+
+    def test_constant_condition_and_literals(self):
+        # A constant condition is not folded: both paths are explored.
+        paths = self.exec_body(
+            "int f(int v) { if (1 < 2) acc = 'c'; else acc = \"s\"; }",
+            {"acc": Var("acc"), "v": Var("v")},
+        )
+        assert [str(p.scalars["acc"]) for p in paths] == ["'c'", "'s'"]
+
+
 class TestBoundedChecking:
     def test_counterexample_for_wrong_summary(self, sum_analysis):
         checker = BoundedChecker(sum_analysis)
